@@ -122,9 +122,9 @@ fn bench_deadlock_check(c: &mut Criterion) {
 fn bench_history_check(c: &mut Criterion) {
     let mut g = c.benchmark_group("db_kernel");
     g.sample_size(20);
-    // 1000 committed single-site transactions over 64 keys; the check
-    // reads the incrementally maintained graph instead of re-scanning
-    // the 2000-op history each call.
+    // 1000 committed single-site transactions over 64 keys; each check
+    // builds the covering-edge graph in one pass over the 2000-op log
+    // (at most two edges per op) and sorts it topologically.
     g.bench_function("history_1sr_check/1k_txns", |b| {
         let mut h = ReplicatedHistory::new();
         for i in 0..1000u64 {
@@ -133,10 +133,27 @@ fn bench_history_check(c: &mut Criterion) {
             h.record(0, txn, Key((i + 17) % 64), AccessKind::Read);
             h.mark_committed(txn);
         }
-        let mut flushed = ReplicatedHistory::new();
-        flushed.merge(&h); // merge integrates the queued ops once
-        b.iter(|| black_box(flushed.check_one_copy_serializable().is_ok()));
+        b.iter(|| black_box(h.check_one_copy_serializable().is_ok()));
     });
+    // Three sites record the same transactions on one hot key and the
+    // runner merges them: per-record cost must not depend on the run
+    // length, so the long run should take 8x the short one, not 64x.
+    for txns in [300u64, 2400] {
+        g.bench_function(format!("history_record_merge/hot_{txns}_txns"), |b| {
+            b.iter(|| {
+                let mut merged = ReplicatedHistory::new();
+                for site in 0..3 {
+                    let mut at_site = ReplicatedHistory::new();
+                    for i in 0..txns {
+                        at_site.record(site, t(i + 1), Key(0), AccessKind::Write);
+                        at_site.mark_committed(t(i + 1));
+                    }
+                    merged.merge(&at_site);
+                }
+                black_box(merged.len())
+            })
+        });
+    }
     g.finish();
 }
 

@@ -356,9 +356,10 @@ fn tuned_defer(net: &NetworkConfig) -> SimDuration {
     SimDuration::from_ticks((6 * max_delay(net)).max(3_000))
 }
 
-/// Per-server statistics the collector extracts after a run.
-struct ServerStats {
-    history: repl_db::ReplicatedHistory,
+/// Per-server statistics the collector extracts after a run. The
+/// history stays with the server: the driver only merges from it.
+struct ServerStats<'a> {
+    history: &'a repl_db::ReplicatedHistory,
     fingerprint: u64,
     aborted: u64,
     reconciliations: u64,
@@ -607,7 +608,7 @@ fn route<M, S>(
     cfg: &RunConfig,
     build: impl Fn(u32, NodeId, Vec<NodeId>, &RunConfig, bool) -> Box<dyn Actor<M>>,
     cross: Option<fn(&mut S, ShardCtx)>,
-    collect: impl Fn(&S) -> ServerStats,
+    collect: impl Fn(&S) -> ServerStats<'_>,
 ) -> RunReport
 where
     M: Message + ProtocolMsg,
@@ -879,9 +880,9 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
     }
 }
 
-fn base_stats(base: &crate::protocols::common::ServerBase) -> ServerStats {
+fn base_stats(base: &crate::protocols::common::ServerBase) -> ServerStats<'_> {
     let mut stats = ServerStats {
-        history: base.history.clone(),
+        history: &base.history,
         fingerprint: base.store.fingerprint(),
         aborted: base.aborted,
         reconciliations: 0,
@@ -962,7 +963,7 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
 fn drive<M, S>(
     cfg: &RunConfig,
     build: impl Fn(u32, NodeId, Vec<NodeId>, &RunConfig, bool) -> Box<dyn Actor<M>>,
-    collect: impl Fn(&S) -> ServerStats,
+    collect: impl Fn(&S) -> ServerStats<'_>,
 ) -> RunReport
 where
     M: Message + ProtocolMsg,
@@ -1225,7 +1226,7 @@ where
     };
     for (site, &s) in all_server_nodes.iter().enumerate() {
         let stats = collect(world.actor_ref::<S>(s));
-        history.merge(&stats.history);
+        history.merge(stats.history);
         if !drained.contains(&s) {
             fingerprints.push(stats.fingerprint);
         }
@@ -1353,7 +1354,7 @@ fn drive_sharded<M, S>(
     cfg: &RunConfig,
     build: impl Fn(u32, NodeId, Vec<NodeId>, &RunConfig, bool) -> Box<dyn Actor<M>>,
     cross: Option<fn(&mut S, ShardCtx)>,
-    collect: impl Fn(&S) -> ServerStats,
+    collect: impl Fn(&S) -> ServerStats<'_>,
 ) -> RunReport
 where
     M: Message + ProtocolMsg,
@@ -1504,7 +1505,7 @@ where
     let mut claimed_lost: Vec<crate::op::OpId> = Vec::new();
     for site in 0..total {
         let stats = collect(world.actor_ref::<S>(NodeId::new(site)));
-        history.merge(&stats.history);
+        history.merge(stats.history);
         fingerprints.push(stats.fingerprint);
         server_aborts += stats.aborted;
         reconciliations += stats.reconciliations;

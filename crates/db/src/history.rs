@@ -8,15 +8,20 @@
 //! (Bernstein, Hadzilacos & Goodman 1987) — the paper's correctness
 //! criterion for database replication (Section 4.1).
 //!
-//! The serialization graph is maintained *incrementally*: committed
-//! operations are folded into a sorted edge set exactly once, so
-//! [`ReplicatedHistory::check_one_copy_serializable`] never re-scans
-//! operations it has already integrated. Integration is deferred —
-//! `record`/`mark_committed` only queue work, keeping the per-operation
-//! hot path to plain appends; the queue drains on `merge`, and graph
-//! reads overlay whatever is still pending without mutating.
+//! Recording is plain appends to the site logs; the graph is built when
+//! it is read, in one linear pass, from the **covering edges** of each
+//! (site, key) stream of committed accesses: write → next write, write →
+//! each read before the next write, and each read → the next write.
+//! Every covering edge joins two conflicting accesses in stream order,
+//! and every conflicting pair is joined by a path of covering edges, so
+//! the covering graph is a subgraph of the all-pairs conflict graph with
+//! the same transitive closure: it is cyclic iff the all-pairs graph is,
+//! and — a node being ready exactly when all its ancestors are out —
+//! smallest-ready-first topological sorting yields the same witness
+//! order. There are at most two covering edges per committed access.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use crate::hash::FxHashMap;
 use crate::item::{AccessKind, Key, TxnId};
@@ -35,16 +40,13 @@ pub struct HistOp {
 }
 
 /// One site's operation stream. Each op carries a site-local sequence
-/// number that survives `purge` compaction, so "earlier at this site"
-/// stays well defined without re-deriving positions.
+/// number that survives `purge` compaction, so a transaction's ops can
+/// be found again by binary search.
 #[derive(Debug, Clone, Default)]
 struct SiteLog {
     next_seq: u64,
     ops: Vec<(u64, HistOp)>,
 }
-
-/// Committed accesses of one (site, key) stream: (site seq, txn, kind).
-type SeqOps = Vec<(u64, TxnId, AccessKind)>;
 
 /// A multi-site execution history.
 ///
@@ -67,21 +69,9 @@ pub struct ReplicatedHistory {
     /// Per-site operation streams, in execution order.
     per_site: FxHashMap<u32, SiteLog>,
     committed: HashSet<TxnId>,
-    /// Every op of every transaction, for commit/purge integration.
-    ops_by_txn: FxHashMap<TxnId, Vec<(u32, u64, Key, AccessKind)>>,
-    /// Committed ops per (site, key), kept sorted by site sequence.
-    /// Holds only *integrated* ops; `dirty` tracks the rest.
-    committed_seqs: FxHashMap<(u32, Key), SeqOps>,
-    /// The maintained serialization-graph edge set (sorted by BTree
-    /// order, which equals the old sort-and-dedup output).
-    edges: BTreeSet<(TxnId, TxnId)>,
-    /// Committed transactions with operations not yet folded into
-    /// `committed_seqs`/`edges` (may contain duplicates and stale ids —
-    /// integration re-checks).
-    dirty: Vec<TxnId>,
-    /// How many of each committed transaction's ops are integrated (a
-    /// prefix of its `ops_by_txn` list).
-    integrated: FxHashMap<TxnId, usize>,
+    /// Where every transaction's ops sit — (site, site seq), ascending
+    /// per site — so `purge` finds them without scanning the logs.
+    ops_by_txn: FxHashMap<TxnId, Vec<(u32, u64)>>,
     total_ops: usize,
     /// When set, `record`/`mark_committed` are no-ops: the open-loop
     /// scale path trades post-run serializability checking for constant
@@ -108,6 +98,16 @@ impl std::fmt::Display for SerializabilityViolation {
 }
 
 impl std::error::Error for SerializabilityViolation {}
+
+/// The accesses of one (site, key) stream that the next access can
+/// still conflict with directly: the latest write, and the reads since
+/// (all of them, if no write has been seen yet). Transactions are dense
+/// indices.
+#[derive(Default)]
+struct StreamTail {
+    last_write: Option<u32>,
+    reads: Vec<u32>,
+}
 
 impl ReplicatedHistory {
     /// Creates an empty history.
@@ -147,14 +147,8 @@ impl ReplicatedHistory {
                 kind,
             },
         ));
-        self.ops_by_txn
-            .entry(txn)
-            .or_default()
-            .push((site, seq, key, kind));
+        self.ops_by_txn.entry(txn).or_default().push((site, seq));
         self.total_ops += 1;
-        if self.committed.contains(&txn) {
-            self.dirty.push(txn);
-        }
     }
 
     /// Marks a transaction as committed; only committed transactions
@@ -163,53 +157,7 @@ impl ReplicatedHistory {
         if self.paused {
             return;
         }
-        if self.committed.insert(txn) {
-            self.dirty.push(txn);
-        }
-    }
-
-    /// Folds every queued committed op into the maintained graph. Each op
-    /// is integrated at most once, so repeated flushes only ever pay for
-    /// what changed since the last one.
-    fn flush(&mut self) {
-        while let Some(txn) = self.dirty.pop() {
-            // Stale entries (purged or re-recorded-but-uncommitted ids)
-            // must not integrate.
-            if !self.committed.contains(&txn) {
-                continue;
-            }
-            let done = self.integrated.get(&txn).copied().unwrap_or(0);
-            let Some(ops) = self.ops_by_txn.get(&txn) else {
-                continue;
-            };
-            if done >= ops.len() {
-                continue;
-            }
-            // Split off the tail so `integrate` can borrow `self`.
-            let tail: Vec<(u32, u64, Key, AccessKind)> = ops[done..].to_vec();
-            self.integrated.insert(txn, ops.len());
-            for (site, seq, key, kind) in tail {
-                self.integrate(site, seq, key, kind, txn);
-            }
-        }
-    }
-
-    /// Folds one committed op into the per-(site, key) conflict order and
-    /// the maintained edge set.
-    fn integrate(&mut self, site: u32, seq: u64, key: Key, kind: AccessKind, txn: TxnId) {
-        let list = self.committed_seqs.entry((site, key)).or_default();
-        let pos = list.partition_point(|&(s, _, _)| s < seq);
-        for &(other_seq, other_txn, other_kind) in list.iter() {
-            if other_txn == txn || !kind.conflicts_with(other_kind) {
-                continue;
-            }
-            if other_seq < seq {
-                self.edges.insert((other_txn, txn));
-            } else {
-                self.edges.insert((txn, other_txn));
-            }
-        }
-        list.insert(pos, (seq, txn, kind));
+        self.committed.insert(txn);
     }
 
     /// Number of recorded operations across all sites.
@@ -231,111 +179,113 @@ impl ReplicatedHistory {
     /// attempt is retried under the same transaction id: the dead
     /// attempt's operations must not count once the retry commits).
     pub fn purge(&mut self, txn: TxnId) {
-        let Some(ops) = self.ops_by_txn.remove(&txn) else {
-            self.committed.remove(&txn);
-            self.integrated.remove(&txn);
+        self.committed.remove(&txn);
+        let Some(mut ops) = self.ops_by_txn.remove(&txn) else {
             return;
         };
-        let was_committed = self.committed.remove(&txn);
-        // Only the integrated prefix made it into the maintained graph;
-        // the un-flushed tail vanishes with the op list (its `dirty`
-        // entries go stale, which `flush` tolerates).
-        let done = self.integrated.remove(&txn).unwrap_or(0);
-        for (i, &(site, seq, key, _)) in ops.iter().enumerate() {
-            if let Some(log) = self.per_site.get_mut(&site) {
-                if let Ok(j) = log.ops.binary_search_by_key(&seq, |&(s, _)| s) {
-                    log.ops.remove(j);
-                }
-            }
-            if was_committed && i < done {
-                if let Some(list) = self.committed_seqs.get_mut(&(site, key)) {
-                    list.retain(|&(s, t, _)| !(s == seq && t == txn));
-                }
-            }
-        }
         self.total_ops -= ops.len();
-        if done > 0 {
-            // Dropping txn's ops removes exactly the edges touching txn;
-            // orders among the remaining transactions are unchanged.
-            self.edges.retain(|&(a, b)| a != txn && b != txn);
+        ops.sort_unstable();
+        // One compaction per touched site, from the transaction's first
+        // op there onward: an aborted attempt's ops are recent, so the
+        // tail that moves is short.
+        for at_site in ops.chunk_by(|a, b| a.0 == b.0) {
+            let (site, first_seq) = at_site[0];
+            let log = &mut self
+                .per_site
+                .get_mut(&site)
+                .expect("indexed ops were recorded at this site")
+                .ops;
+            let first = log.partition_point(|&(seq, _)| seq < first_seq);
+            let mut kept = first;
+            for i in first..log.len() {
+                if log[i].1.txn != txn {
+                    log[kept] = log[i];
+                    kept += 1;
+                }
+            }
+            log.truncate(kept);
         }
     }
 
     /// Merges another history (e.g. collected from another site's actor).
     pub fn merge(&mut self, other: &ReplicatedHistory) {
-        let mut sites: Vec<u32> = other.per_site.keys().copied().collect();
-        sites.sort_unstable(); // sorted-below
-        for site in sites {
-            let log = &other.per_site[&site];
+        if self.paused {
+            return;
+        }
+        // Site logs are independent streams and `committed` is a set, so
+        // the map iteration order cannot reach anything observable.
+        for (&site, log) in &other.per_site {
+            let mine = &mut self.per_site.entry(site).or_default().ops;
+            mine.reserve(log.ops.len());
             for &(_, op) in &log.ops {
                 self.record(site, op.txn, op.key, op.kind);
             }
         }
-        let mut newly: Vec<TxnId> = other.committed.iter().copied().collect();
-        newly.sort_unstable(); // sorted-below
-        for txn in newly {
+        for &txn in &other.committed {
             self.mark_committed(txn);
         }
-        // Amortize: repeated merges each integrate only their own delta,
-        // and the final check reads the maintained set straight off.
-        self.flush();
     }
 
-    /// The maintained edge set plus the contribution of any still-pending
-    /// committed ops, computed without mutating (so `&self` readers stay
-    /// correct mid-stream).
-    fn edges_with_pending(&self) -> BTreeSet<(TxnId, TxnId)> {
-        let mut edges = self.edges.clone();
-        let mut pending: FxHashMap<(u32, Key), SeqOps> = FxHashMap::default();
-        let mut seen: HashSet<TxnId> = HashSet::new();
-        for &txn in &self.dirty {
-            if !self.committed.contains(&txn) || !seen.insert(txn) {
-                continue;
-            }
-            let done = self.integrated.get(&txn).copied().unwrap_or(0);
-            if let Some(ops) = self.ops_by_txn.get(&txn) {
-                for &(site, seq, key, kind) in ops.iter().skip(done) {
-                    pending
-                        .entry((site, key))
-                        .or_default()
-                        .push((seq, txn, kind));
+    /// The committed transactions in id order. A transaction's position
+    /// here is its dense index in the graph routines below, so index
+    /// order is id order.
+    fn nodes(&self) -> Vec<TxnId> {
+        let mut nodes: Vec<TxnId> = self.committed.iter().copied().collect();
+        nodes.sort_unstable();
+        nodes
+    }
+
+    /// The covering edges over dense indices into `nodes`, sorted and
+    /// deduplicated: one pass over the site logs.
+    fn covering_edges(&self, nodes: &[TxnId]) -> Vec<(u32, u32)> {
+        let index: FxHashMap<TxnId, u32> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &txn)| {
+                let i = u32::try_from(i).expect("fewer than 2^32 committed transactions");
+                (txn, i)
+            })
+            .collect();
+        let mut edges = Vec::new();
+        let mut streams: FxHashMap<Key, StreamTail> = FxHashMap::default();
+        for log in self.per_site.values() {
+            streams.clear();
+            for &(_, op) in &log.ops {
+                let Some(&txn) = index.get(&op.txn) else {
+                    continue; // not committed
+                };
+                let tail = streams.entry(op.key).or_default();
+                let mut edge_from = |earlier: u32| {
+                    if earlier != txn {
+                        edges.push((earlier, txn));
+                    }
+                };
+                if let Some(write) = tail.last_write {
+                    edge_from(write);
                 }
-            }
-        }
-        for ((site, key), mut plist) in pending {
-            plist.sort_unstable_by_key(|&(s, _, _)| s);
-            // Pending vs already-integrated ops on the same copy.
-            if let Some(list) = self.committed_seqs.get(&(site, key)) {
-                for &(pseq, ptxn, pkind) in &plist {
-                    for &(oseq, otxn, okind) in list {
-                        if otxn != ptxn && pkind.conflicts_with(okind) {
-                            edges.insert(if oseq < pseq {
-                                (otxn, ptxn)
-                            } else {
-                                (ptxn, otxn)
-                            });
-                        }
+                match op.kind {
+                    AccessKind::Read => tail.reads.push(txn),
+                    AccessKind::Write => {
+                        tail.reads.drain(..).for_each(&mut edge_from);
+                        tail.last_write = Some(txn);
                     }
                 }
             }
-            // Pending vs pending.
-            for (i, &(s1, t1, k1)) in plist.iter().enumerate() {
-                for &(s2, t2, k2) in &plist[i + 1..] {
-                    if t1 != t2 && k1.conflicts_with(k2) {
-                        edges.insert(if s1 < s2 { (t1, t2) } else { (t2, t1) });
-                    }
-                }
-            }
         }
+        edges.sort_unstable();
+        edges.dedup();
         edges
     }
 
-    /// The edges of the replicated-data serialization graph, sorted.
+    /// The covering edges of the replicated-data serialization graph,
+    /// sorted: a subset of all conflicting pairs with the same
+    /// transitive closure (see the module docs).
     pub fn conflict_edges(&self) -> Vec<(TxnId, TxnId)> {
-        if self.dirty.is_empty() {
-            return self.edges.iter().copied().collect();
-        }
-        self.edges_with_pending().into_iter().collect()
+        let nodes = self.nodes();
+        self.covering_edges(&nodes)
+            .into_iter()
+            .map(|(a, b)| (nodes[a as usize], nodes[b as usize]))
+            .collect()
     }
 
     /// Checks one-copy serializability.
@@ -345,102 +295,20 @@ impl ReplicatedHistory {
     /// Returns the violating cycle if the serialization graph is cyclic;
     /// otherwise returns a witness serial order (a topological sort).
     pub fn check_one_copy_serializable(&self) -> Result<Vec<TxnId>, SerializabilityViolation> {
-        let edges = self.conflict_edges();
-        let mut nodes: Vec<TxnId> = self.committed.iter().copied().collect();
-        nodes.sort_unstable();
-        let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        let mut indeg: HashMap<TxnId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        for &(a, b) in &edges {
-            adj.entry(a).or_default().push(b);
-            *indeg.entry(b).or_insert(0) += 1;
-            indeg.entry(a).or_insert(0);
-        }
-        // Kahn's algorithm with deterministic tie-breaking.
-        let mut ready: Vec<TxnId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        ready.sort_unstable();
-        let mut order = Vec::with_capacity(indeg.len());
-        while let Some(&n) = ready.first() {
-            ready.remove(0);
-            order.push(n);
-            if let Some(succ) = adj.get(&n) {
-                for &s in succ {
-                    let d = indeg.get_mut(&s).expect("known node");
-                    *d -= 1;
-                    if *d == 0 {
-                        let pos = ready.binary_search(&s).unwrap_or_else(|p| p);
-                        ready.insert(pos, s);
-                    }
-                }
-            }
-        }
-        if order.len() == indeg.len() {
-            Ok(order)
-        } else {
-            Err(SerializabilityViolation {
-                cycle: self.find_cycle(&edges),
-            })
-        }
+        let nodes = self.nodes();
+        let graph = Csr::new(nodes.len(), &self.covering_edges(&nodes));
+        let txns = |indices: Vec<usize>| indices.into_iter().map(|i| nodes[i]).collect();
+        graph
+            .topological_order()
+            .map(txns)
+            .map_err(|cycle| SerializabilityViolation { cycle: txns(cycle) })
     }
 
-    fn find_cycle(&self, edges: &[(TxnId, TxnId)]) -> Vec<TxnId> {
-        let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        let mut nodes: HashSet<TxnId> = HashSet::new();
-        for &(a, b) in edges {
-            adj.entry(a).or_default().push(b);
-            nodes.insert(a);
-            nodes.insert(b);
-        }
-        let mut sorted: Vec<TxnId> = nodes.iter().copied().collect();
-        sorted.sort_unstable();
-        #[derive(Clone, Copy, PartialEq)]
-        enum C {
-            W,
-            G,
-            B,
-        }
-        let mut color: HashMap<TxnId, C> = nodes.iter().map(|&n| (n, C::W)).collect();
-        for &start in &sorted {
-            if color[&start] != C::W {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            let mut path = vec![start];
-            color.insert(start, C::G);
-            while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-                let next = adj.get(&node).and_then(|v| v.get(*idx).copied());
-                *idx += 1;
-                match next {
-                    Some(n) => match color[&n] {
-                        C::G => {
-                            let pos = path.iter().position(|&p| p == n).expect("on path");
-                            return path[pos..].to_vec();
-                        }
-                        C::W => {
-                            color.insert(n, C::G);
-                            stack.push((n, 0));
-                            path.push(n);
-                        }
-                        C::B => {}
-                    },
-                    None => {
-                        color.insert(node, C::B);
-                        stack.pop();
-                        path.pop();
-                    }
-                }
-            }
-        }
-        Vec::new()
-    }
-
-    /// Recomputes the conflict edges from scratch (the pre-incremental
-    /// algorithm). Test oracle for the maintained edge set.
+    /// Every conflicting pair of committed accesses, from scratch (the
+    /// all-pairs graph the covering edges replace). Test reference.
     #[cfg(test)]
     fn full_rescan_edges(&self) -> Vec<(TxnId, TxnId)> {
+        use std::collections::HashMap;
         let mut edges = HashSet::new();
         for log in self.per_site.values() {
             let mut per_key: HashMap<Key, Vec<(TxnId, AccessKind)>> = HashMap::new();
@@ -465,9 +333,111 @@ impl ReplicatedHistory {
     }
 }
 
+/// A directed graph over nodes `0..n` in compressed sparse rows: the
+/// successors of `a` are `succ[start[a]..start[a + 1]]`, ascending.
+struct Csr {
+    start: Vec<usize>,
+    succ: Vec<u32>,
+}
+
+impl Csr {
+    /// Builds the graph from edges sorted by source.
+    fn new(n: usize, edges: &[(u32, u32)]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for &(a, _) in edges {
+            start[a as usize + 1] += 1;
+        }
+        for a in 0..n {
+            start[a + 1] += start[a];
+        }
+        Csr {
+            start,
+            succ: edges.iter().map(|&(_, b)| b).collect(),
+        }
+    }
+
+    fn successors(&self, a: usize) -> &[u32] {
+        &self.succ[self.start[a]..self.start[a + 1]]
+    }
+
+    /// Kahn's algorithm, smallest ready node first. `Err` carries a
+    /// cycle, in edge order.
+    fn topological_order(&self) -> Result<Vec<usize>, Vec<usize>> {
+        let n = self.start.len() - 1;
+        let mut indegree = vec![0u32; n];
+        for &b in &self.succ {
+            indegree[b as usize] += 1;
+        }
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&a| indegree[a] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(a)) = ready.pop() {
+            order.push(a);
+            for &b in self.successors(a) {
+                let b = b as usize;
+                indegree[b] -= 1;
+                if indegree[b] == 0 {
+                    ready.push(Reverse(b));
+                }
+            }
+        }
+        if order.len() == n {
+            Ok(order)
+        } else {
+            Err(self.find_cycle())
+        }
+    }
+
+    /// Depth-first search from the smallest node up; the first back
+    /// edge closes the reported cycle.
+    fn find_cycle(&self) -> Vec<usize> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Color {
+            White,
+            Grey,
+            Black,
+        }
+        let n = self.start.len() - 1;
+        let mut color = vec![Color::White; n];
+        for root in 0..n {
+            if color[root] != Color::White {
+                continue;
+            }
+            // The grey path, each node with the successor to try next.
+            let mut path = vec![(root, 0usize)];
+            color[root] = Color::Grey;
+            while let Some((node, next)) = path.last_mut() {
+                let Some(&succ) = self.successors(*node).get(*next) else {
+                    color[*node] = Color::Black;
+                    path.pop();
+                    continue;
+                };
+                let succ = succ as usize;
+                *next += 1;
+                match color[succ] {
+                    Color::Grey => {
+                        let from = path
+                            .iter()
+                            .position(|&(p, _)| p == succ)
+                            .expect("grey nodes are on the path");
+                        return path[from..].iter().map(|&(p, _)| p).collect();
+                    }
+                    Color::White => {
+                        color[succ] = Color::Grey;
+                        path.push((succ, 0));
+                    }
+                    Color::Black => {}
+                }
+            }
+        }
+        Vec::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use AccessKind::{Read, Write};
 
     fn t(ts: u64) -> TxnId {
@@ -596,12 +566,74 @@ mod tests {
         );
     }
 
+    /// Reachability between transactions: the transitive closure of
+    /// `edges`.
+    fn closure(edges: &[(TxnId, TxnId)]) -> BTreeSet<(TxnId, TxnId)> {
+        let mut reach: BTreeSet<(TxnId, TxnId)> = edges.iter().copied().collect();
+        loop {
+            let longer: Vec<(TxnId, TxnId)> = reach
+                .iter()
+                .flat_map(|&(a, b)| {
+                    edges
+                        .iter()
+                        .filter(move |e| e.0 == b)
+                        .map(move |e| (a, e.1))
+                })
+                .filter(|pair| !reach.contains(pair))
+                .collect();
+            if longer.is_empty() {
+                return reach;
+            }
+            reach.extend(longer);
+        }
+    }
+
+    /// The pre-covering checker: Kahn's algorithm with smallest-ready
+    /// tie-breaking over explicit edges. `None` if cyclic.
+    fn reference_order(h: &ReplicatedHistory, edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>> {
+        let mut pending: BTreeSet<TxnId> = h.committed().iter().copied().collect();
+        let mut order = Vec::new();
+        while let Some(&next) = pending
+            .iter()
+            .find(|&&n| !edges.iter().any(|&(a, b)| b == n && pending.contains(&a)))
+        {
+            pending.remove(&next);
+            order.push(next);
+        }
+        pending.is_empty().then_some(order)
+    }
+
+    /// Everything the covering graph must share with the all-pairs one.
+    /// Returns whether the history is serializable.
+    fn assert_equivalent_to_all_pairs(h: &ReplicatedHistory) -> bool {
+        let covering = h.conflict_edges();
+        let all_pairs = h.full_rescan_edges();
+        assert!(covering.iter().all(|e| all_pairs.contains(e)));
+        assert_eq!(closure(&covering), closure(&all_pairs));
+        match h.check_one_copy_serializable() {
+            Ok(order) => {
+                assert_eq!(Some(order), reference_order(h, &all_pairs));
+                true
+            }
+            Err(violation) => {
+                assert_eq!(None, reference_order(h, &all_pairs));
+                let cycle = &violation.cycle;
+                assert!(cycle.len() >= 2);
+                for (i, &a) in cycle.iter().enumerate() {
+                    assert!(all_pairs.contains(&(a, cycle[(i + 1) % cycle.len()])));
+                }
+                false
+            }
+        }
+    }
+
     #[test]
-    fn incremental_edges_match_full_rescan_under_random_load() {
-        // Random record/commit/purge traffic: the maintained edge set must
-        // equal a from-scratch rescan after every mutation.
+    fn covering_edges_are_equivalent_to_all_pairs_under_random_load() {
+        // Random record/commit/purge traffic, checked after every
+        // mutation; both verdicts must occur for the test to mean much.
         let mut h = ReplicatedHistory::new();
         let mut s = 77u64;
+        let (mut acyclic, mut cyclic) = (0, 0);
         for _ in 0..600 {
             s = s
                 .wrapping_mul(6364136223846793005)
@@ -619,28 +651,33 @@ mod tests {
                 1 | 2 => h.mark_committed(txn),
                 _ => h.record(site, txn, key, kind),
             }
-            assert_eq!(h.conflict_edges(), h.full_rescan_edges());
+            if assert_equivalent_to_all_pairs(&h) {
+                acyclic += 1;
+            } else {
+                cyclic += 1;
+            }
         }
+        assert!(
+            acyclic > 50 && cyclic > 50,
+            "{acyclic} acyclic, {cyclic} cyclic"
+        );
     }
 
     #[test]
-    fn pending_reads_agree_with_flushed_state() {
-        // Reading edges while integration is still queued (the `&self`
-        // overlay) must match what a flushed history reports.
+    fn covering_edges_are_linear_in_the_history() {
+        // One hot key, three sites, reads and writes by distinct
+        // transactions: all-pairs would be ~n²/2 edges per site.
         let mut h = ReplicatedHistory::new();
-        h.record(0, t(1), Key(0), Write);
-        h.record(0, t(2), Key(0), Write);
-        h.record(0, t(3), Key(0), Read);
-        h.record(1, t(2), Key(1), Write);
-        h.record(1, t(3), Key(1), Write);
-        h.mark_committed(t(1));
-        h.mark_committed(t(2));
-        h.mark_committed(t(3));
-        let before = h.conflict_edges();
-        let mut merged = ReplicatedHistory::new();
-        merged.merge(&h); // merge flushes
-        assert_eq!(before, merged.conflict_edges());
-        assert_eq!(before, h.full_rescan_edges());
+        for i in 1..=600u64 {
+            let kind = if i % 3 == 0 { Read } else { Write };
+            for site in 0..3 {
+                h.record(site, t(i), Key(0), kind);
+            }
+            h.mark_committed(t(i));
+        }
+        assert!(h.conflict_edges().len() <= 2 * h.len());
+        let in_order: Vec<TxnId> = (1..=600).map(t).collect();
+        assert_eq!(h.check_one_copy_serializable(), Ok(in_order));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! wound-wait acyclicity, undo exactness, certification determinism, and
 //! serialization-graph witnesses.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use repl_db::{
@@ -31,6 +33,134 @@ fn lock_ops() -> impl Strategy<Value = Vec<LockOp>> {
 
 fn t(n: u8) -> TxnId {
     TxnId::new(n as u64 + 1, 0)
+}
+
+/// A reference model of a [`ReplicatedHistory`]: the live operations in
+/// recording order (each site's stream is the subsequence with that
+/// site) and the committed set. The serialization graph read off it is
+/// the all-pairs one: an edge for every conflicting pair.
+#[derive(Debug, Clone, Default)]
+struct HistoryModel {
+    ops: Vec<(u32, TxnId, Key, AccessKind)>,
+    committed: BTreeSet<TxnId>,
+}
+
+type Edges = BTreeSet<(TxnId, TxnId)>;
+
+/// One step of history traffic: `(action, site, txn, key, is_write)`.
+type HistoryStep = (u8, u32, u8, u64, bool);
+
+impl HistoryModel {
+    /// Applies one step to the history and the model alike: mostly
+    /// records, some commits, a few purges.
+    fn apply(&mut self, h: &mut ReplicatedHistory, (action, site, txn, key, write): HistoryStep) {
+        let txn = t(txn);
+        match action % 8 {
+            0 => {
+                h.purge(txn);
+                self.ops.retain(|op| op.1 != txn);
+                self.committed.remove(&txn);
+            }
+            1 | 2 => {
+                h.mark_committed(txn);
+                self.committed.insert(txn);
+            }
+            _ => {
+                let kind = if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                h.record(site, txn, Key(key), kind);
+                self.ops.push((site, txn, Key(key), kind));
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &HistoryModel) {
+        self.ops.extend(&other.ops);
+        self.committed.extend(&other.committed);
+    }
+
+    fn all_pairs_edges(&self) -> Edges {
+        let mut edges = Edges::new();
+        for (i, &(s1, t1, k1, a1)) in self.ops.iter().enumerate() {
+            for &(s2, t2, k2, a2) in &self.ops[i + 1..] {
+                let both_committed = self.committed.contains(&t1) && self.committed.contains(&t2);
+                if s1 == s2 && k1 == k2 && t1 != t2 && a1.conflicts_with(a2) && both_committed {
+                    edges.insert((t1, t2));
+                }
+            }
+        }
+        edges
+    }
+
+    /// Kahn's algorithm, smallest ready transaction first, over explicit
+    /// edges; `None` if they are cyclic.
+    fn witness_order(&self, edges: &Edges) -> Option<Vec<TxnId>> {
+        let mut pending = self.committed.clone();
+        let mut order = Vec::new();
+        while let Some(&next) = pending
+            .iter()
+            .find(|&&n| !edges.iter().any(|&(a, b)| b == n && pending.contains(&a)))
+        {
+            pending.remove(&next);
+            order.push(next);
+        }
+        pending.is_empty().then_some(order)
+    }
+
+    /// The history must hold exactly the model's operations, and its
+    /// covering graph must agree with the model's all-pairs graph on
+    /// everything but the edge set itself.
+    fn check(&self, h: &ReplicatedHistory) {
+        assert_eq!(h.len(), self.ops.len());
+        assert_eq!(
+            h.committed().iter().copied().collect::<BTreeSet<_>>(),
+            self.committed
+        );
+        let covering: Edges = h.conflict_edges().into_iter().collect();
+        let all_pairs = self.all_pairs_edges();
+        assert!(covering.is_subset(&all_pairs));
+        assert!(covering.len() <= 2 * h.len());
+        assert_eq!(reachability(&covering), reachability(&all_pairs));
+        match h.check_one_copy_serializable() {
+            Ok(order) => assert_eq!(Some(order), self.witness_order(&all_pairs)),
+            Err(violation) => {
+                assert_eq!(None, self.witness_order(&all_pairs));
+                let cycle = &violation.cycle;
+                assert!(cycle.len() >= 2);
+                for (i, &a) in cycle.iter().enumerate() {
+                    let b = cycle[(i + 1) % cycle.len()];
+                    assert!(
+                        all_pairs.contains(&(a, b)),
+                        "cycle edge {a} -> {b} is not a conflict"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The transitive closure of `edges`.
+fn reachability(edges: &Edges) -> Edges {
+    let mut reach = edges.clone();
+    loop {
+        let longer: Vec<(TxnId, TxnId)> = reach
+            .iter()
+            .flat_map(|&(a, b)| {
+                edges
+                    .iter()
+                    .filter(move |e| e.0 == b)
+                    .map(move |e| (a, e.1))
+            })
+            .filter(|pair| !reach.contains(pair))
+            .collect();
+        if longer.is_empty() {
+            return reach;
+        }
+        reach.extend(longer);
+    }
 }
 
 /// No two incompatible holders may coexist on any key, ever.
@@ -423,6 +553,40 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The covering-edge graph against the all-pairs reference model:
+    /// two histories take interleaved record / commit / purge traffic
+    /// (same-transaction operations interleave freely, sites overlap),
+    /// are merged, and the merged history takes more traffic. At every
+    /// stage: covering ⊆ all-pairs, equal reachability, the same verdict
+    /// and witness order as Kahn over all pairs, and any reported cycle
+    /// is a cycle of the all-pairs graph.
+    #[test]
+    fn covering_graph_is_equivalent_to_all_pairs(
+        before in proptest::collection::vec(
+            (any::<bool>(), (0u8..8, 0u32..3, 0u8..5, 0u64..3, any::<bool>())),
+            0..50,
+        ),
+        after in proptest::collection::vec((0u8..8, 0u32..3, 0u8..5, 0u64..3, any::<bool>()), 0..20),
+    ) {
+        let mut parts = [ReplicatedHistory::new(), ReplicatedHistory::new()];
+        let mut models = [HistoryModel::default(), HistoryModel::default()];
+        for &(second, step) in &before {
+            models[usize::from(second)].apply(&mut parts[usize::from(second)], step);
+        }
+        let mut merged = ReplicatedHistory::new();
+        let mut model = HistoryModel::default();
+        for (part, part_model) in parts.iter().zip(&models) {
+            part_model.check(part);
+            merged.merge(part);
+            model.merge(part_model);
+        }
+        model.check(&merged);
+        for &step in &after {
+            model.apply(&mut merged, step);
+            model.check(&merged);
         }
     }
 
