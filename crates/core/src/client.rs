@@ -668,11 +668,12 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
         let Some(resp) = msg.response() else {
             return;
         };
-        let Some(rec) = self.records.iter_mut().find(|r| r.op == resp.op) else {
+        // The in-flight operation is always the last record.
+        let Some(rec) = self.records.last_mut() else {
             return;
         };
-        if rec.responded.is_some() {
-            return; // duplicate response (active replication answers n times)
+        if rec.op != resp.op || rec.responded.is_some() {
+            return; // stale or duplicate (active replication answers n times)
         }
         rec.responded = Some(ctx.now());
         rec.response = Some(resp.clone());
@@ -747,7 +748,7 @@ mod tests {
     fn txns(n: usize) -> Vec<TxnTemplate> {
         (0..n)
             .map(|i| TxnTemplate {
-                ops: vec![OpTemplate::Write(Key(i as u64), Value(1))],
+                ops: vec![OpTemplate::Write(Key(i as u64), Value(1))].into(),
             })
             .collect()
     }
@@ -835,6 +836,52 @@ mod tests {
         let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
         assert!(client.is_done());
         assert_eq!(client.records.len(), 3, "no duplicate records");
+    }
+
+    #[test]
+    fn late_duplicate_reply_to_an_older_op_changes_nothing() {
+        // Answers every invoke, but first repeats its answer to the
+        // previous operation — as an abort, so an overwrite would show.
+        struct LateEcho {
+            previous: Option<OpId>,
+        }
+        impl Actor<EchoMsg> for LateEcho {
+            fn on_message(&mut self, ctx: &mut Context<'_, EchoMsg>, _: NodeId, msg: EchoMsg) {
+                if let EchoMsg::Invoke(op) = msg {
+                    if let Some(old) = self.previous.replace(op.id) {
+                        ctx.send(op.client, EchoMsg::Reply(crate::Response::aborted(old)));
+                    }
+                    ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
+                }
+            }
+            impl_as_any!();
+        }
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(5));
+        let s = world.add_actor(Box::new(LateEcho { previous: None }));
+        let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
+            0,
+            vec![s],
+            0,
+            txns(4),
+            SimDuration::from_ticks(50),
+            SimDuration::from_ticks(10_000),
+        )));
+        world.start();
+        world.run_to_quiescence(SimTime::from_ticks(1_000_000));
+        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        assert!(client.is_done());
+        assert_eq!(client.records.len(), 4);
+        for (i, rec) in client.records.iter().enumerate() {
+            assert_eq!(rec.op, OpId::compose(0, i as u32));
+            assert!(
+                rec.committed(),
+                "stale abort overwrote the answer of {}",
+                rec.op
+            );
+        }
+        for w in client.records.windows(2) {
+            assert!(w[1].invoked >= w[0].responded.expect("responded"));
+        }
     }
 
     #[test]
@@ -996,7 +1043,7 @@ mod tests {
         let rec = OpRecord {
             op: OpId(1),
             txn: TxnTemplate {
-                ops: vec![OpTemplate::Read(Key(0))],
+                ops: vec![OpTemplate::Read(Key(0))].into(),
             },
             invoked: SimTime::from_ticks(100),
             responded: Some(SimTime::from_ticks(175)),

@@ -44,7 +44,7 @@ pub fn count_stale_reads(records: &[(u32, OpRecord)]) -> Vec<StaleRead> {
         let Some(responded) = rec.responded else {
             continue;
         };
-        for op in &rec.txn.ops {
+        for op in rec.txn.ops.iter() {
             if let OpTemplate::Write(k, v) = *op {
                 writes
                     .entry(k)
@@ -118,7 +118,7 @@ mod tests {
     ) -> OpRecord {
         OpRecord {
             op: crate::OpId(0),
-            txn: TxnTemplate { ops: txn },
+            txn: TxnTemplate { ops: txn.into() },
             invoked: SimTime::from_ticks(invoked),
             responded: Some(SimTime::from_ticks(responded)),
             response: Some(crate::Response {

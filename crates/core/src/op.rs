@@ -147,7 +147,8 @@ mod tests {
             ops: vec![
                 OpTemplate::Read(Key(1)),
                 OpTemplate::Write(Key(2), Value(9)),
-            ],
+            ]
+            .into(),
         };
         let acc: Vec<_> = accesses(&txn).collect();
         assert_eq!(acc, vec![(Key(1), None), (Key(2), Some(Value(9)))]);
@@ -159,14 +160,14 @@ mod tests {
             id: OpId(1),
             client: NodeId::new(0),
             txn: TxnTemplate {
-                ops: vec![OpTemplate::Read(Key(0))],
+                ops: vec![OpTemplate::Read(Key(0))].into(),
             },
         };
         let big = ClientOp {
             id: OpId(2),
             client: NodeId::new(0),
             txn: TxnTemplate {
-                ops: vec![OpTemplate::Read(Key(0)); 10],
+                ops: vec![OpTemplate::Read(Key(0)); 10].into(),
             },
         };
         assert!(Message::wire_size(&big) > Message::wire_size(&small));
@@ -180,7 +181,7 @@ mod tests {
             id: OpId(1),
             client: NodeId::new(0),
             txn: TxnTemplate {
-                ops: vec![OpTemplate::Read(Key(0)); n],
+                ops: vec![OpTemplate::Read(Key(0)); n].into(),
             },
         };
         assert_eq!(Message::wire_size(&op(0)), 24);

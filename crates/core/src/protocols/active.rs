@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 
 use repl_db::Keyspace;
-use repl_gcs::{BatchConfig, Outbox};
+use repl_gcs::{AbDeliver, BatchConfig, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::client::ProtocolMsg;
@@ -76,6 +76,8 @@ pub struct ActiveServer {
     /// Shared database/server state (public for post-run inspection).
     pub base: ServerBase,
     ab: AbcastEndpoint<ClientOp>,
+    /// What `ab` queued while handling one input; drained by `drain`.
+    ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
     relayed: HashSet<OpId>,
     marks: bool,
     /// Elastic-membership lifecycle (dormant without a membership plan).
@@ -101,6 +103,7 @@ impl ActiveServer {
         ActiveServer {
             base: ServerBase::new(site, keyspace, exec),
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
+            ab_out: Outbox::new(),
             relayed: HashSet::new(),
             // Exactly one process marks server-side phases (see phase.rs).
             marks: site == 0,
@@ -130,43 +133,45 @@ impl ActiveServer {
         self
     }
 
-    fn drain(
-        &mut self,
-        ctx: &mut Context<'_, ActiveMsg>,
-        out: Outbox<AbMsg<ClientOp>, repl_gcs::AbDeliver<ClientOp>>,
-    ) {
-        let deliveries = repl_gcs::apply_outbox(ctx, out, 0, ActiveMsg::Ab);
-        for d in deliveries {
-            let op = d.payload;
-            if self.base.cached(op.id).is_some() || self.elastic.answered.contains(&op.id) {
-                continue; // duplicate ordering of a retried op
-            }
-            if self.marks {
-                ctx.mark(Phase::ServerCoordination.tag(), op.id.0, d.gseq);
-                ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-            }
-            // Sharded cross-shard operations: execute only this shard's
-            // part, under the op's global transaction id — the touched
-            // groups' histories splice into one transaction.
-            let resp = match &self.shard {
-                Some(sc) if sc.is_cross(&op) => {
-                    let local = sc.local_part(&op);
-                    self.base.execute_commit(&local, global_txn(op.id)).1
-                }
-                _ => self.base.execute_commit(&op, global_txn(op.id)).1,
-            };
-            self.base.remember(&resp);
-            // Every replica answers; the client keeps the first reply
-            // (per group, in the sharded mode — partials merge there).
-            ctx.send(op.client, ActiveMsg::Reply(resp));
-        }
+    /// Applies what the ABCAST endpoint queued and executes what it
+    /// delivered.
+    fn drain(&mut self, ctx: &mut Context<'_, ActiveMsg>) {
+        let mut out = std::mem::take(&mut self.ab_out);
+        repl_gcs::apply_outbox(ctx, &mut out, 0, ActiveMsg::Ab, |ctx, d| {
+            self.deliver(ctx, d)
+        });
+        self.ab_out = out;
         settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
     }
 
+    fn deliver(&mut self, ctx: &mut Context<'_, ActiveMsg>, d: AbDeliver<ClientOp>) {
+        let op = d.payload;
+        if self.base.cached(op.id).is_some() || self.elastic.answered.contains(&op.id) {
+            return; // duplicate ordering of a retried op
+        }
+        if self.marks {
+            ctx.mark(Phase::ServerCoordination.tag(), op.id.0, d.gseq);
+            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
+        }
+        // Sharded cross-shard operations: execute only this shard's
+        // part, under the op's global transaction id — the touched
+        // groups' histories splice into one transaction.
+        let resp = match &self.shard {
+            Some(sc) if sc.is_cross(&op) => {
+                let local = sc.local_part(&op);
+                self.base.execute_commit(&local, global_txn(op.id)).1
+            }
+            _ => self.base.execute_commit(&op, global_txn(op.id)).1,
+        };
+        self.base.remember(&resp);
+        // Every replica answers; the client keeps the first reply
+        // (per group, in the sharded mode — partials merge there).
+        ctx.send(op.client, ActiveMsg::Reply(resp));
+    }
+
     fn rejoin_now(&mut self, ctx: &mut Context<'_, ActiveMsg>) {
-        let mut out = Outbox::new();
-        self.ab.rejoin(&mut out);
-        self.drain(ctx, out);
+        self.ab.rejoin(&mut self.ab_out);
+        self.drain(ctx);
     }
 
     fn invoke(&mut self, ctx: &mut Context<'_, ActiveMsg>, op: ClientOp) {
@@ -191,17 +196,16 @@ impl ActiveServer {
         if !self.relayed.insert(op.id) {
             return; // already in the ordering pipeline
         }
-        let mut out = Outbox::new();
         match &self.shard {
             Some(sc) => {
                 let dests = sc.dests(&op.txn);
-                self.ab.multicast(op, &dests, &mut out);
+                self.ab.multicast(op, &dests, &mut self.ab_out);
             }
             None => {
-                self.ab.broadcast(op, &mut out);
+                self.ab.broadcast(op, &mut self.ab_out);
             }
         }
-        self.drain(ctx, out);
+        self.drain(ctx);
     }
 
     fn member(&mut self, ctx: &mut Context<'_, ActiveMsg>, from: NodeId, m: MemberMsg) {
@@ -290,9 +294,8 @@ impl ActiveServer {
             // Sequencer flavour: ship the order log to the successor so
             // gseq assignment continues where this node stopped (no-op
             // for the consensus flavour, which has no fixed role).
-            let mut out = Outbox::new();
-            self.ab.handoff(remaining[0], &mut out);
-            self.drain(ctx, out);
+            self.ab.handoff(remaining[0], &mut self.ab_out);
+            self.drain(ctx);
         }
         for &n in &remaining {
             ctx.send(
@@ -315,9 +318,8 @@ impl Actor<ActiveMsg> for ActiveServer {
         match msg {
             ActiveMsg::Invoke(op) => self.invoke(ctx, op),
             ActiveMsg::Ab(m) => {
-                let mut out = Outbox::new();
-                self.ab.on_message(from, m, &mut out);
-                self.drain(ctx, out);
+                self.ab.on_message(from, m, &mut self.ab_out);
+                self.drain(ctx);
             }
             ActiveMsg::Reply(_) => {}
             ActiveMsg::Member(m) => self.member(ctx, from, m),
@@ -365,9 +367,8 @@ impl Actor<ActiveMsg> for ActiveServer {
         if self.base.restoring() {
             return;
         }
-        let mut out = Outbox::new();
-        self.ab.on_timer(tag, &mut out);
-        self.drain(ctx, out);
+        self.ab.on_timer(tag, &mut self.ab_out);
+        self.drain(ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, ActiveMsg>) {
@@ -410,12 +411,12 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
 

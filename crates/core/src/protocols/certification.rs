@@ -17,9 +17,10 @@
 //! experiment sweeps the abort rate).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WsPayload};
-use repl_gcs::{BatchConfig, Outbox};
+use repl_gcs::{AbDeliver, BatchConfig, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 use repl_workload::OpTemplate;
 
@@ -39,8 +40,9 @@ use repl_gcs::ConsensusConfig;
 pub struct CertRequest {
     /// The client operation.
     pub op: ClientOp,
-    /// Versions read during shadow execution.
-    pub read_set: Vec<(Key, u64)>,
+    /// Versions read during shadow execution (shared: the request is
+    /// cloned once per ordering leg).
+    pub read_set: Arc<[(Key, u64)]>,
     /// Buffered writes (arena handle or `Arc`-shared inline).
     pub ws: WsPayload,
     /// The response computed during shadow execution.
@@ -103,6 +105,8 @@ pub struct CertServer {
     pub base: ServerBase,
     me: NodeId,
     ab: AbcastEndpoint<CertRequest>,
+    /// What `ab` queued while handling one input; drained by `drain`.
+    ab_out: Outbox<AbMsg<CertRequest>, AbDeliver<CertRequest>>,
     /// The deterministic certification state (identical at all sites).
     pub certifier: Certifier,
     relayed: HashSet<OpId>,
@@ -130,6 +134,7 @@ impl CertServer {
             me,
             peers: group.len() as u32,
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
+            ab_out: Outbox::new(),
             certifier: Certifier::with_keyspace(ks),
             relayed: HashSet::new(),
             marks: site == 0,
@@ -149,90 +154,90 @@ impl CertServer {
         self
     }
 
-    fn drain(
-        &mut self,
-        ctx: &mut Context<'_, CertMsg>,
-        out: Outbox<AbMsg<CertRequest>, repl_gcs::AbDeliver<CertRequest>>,
-    ) {
-        let deliveries = repl_gcs::apply_outbox(ctx, out, 0, CertMsg::Ab);
-        for d in deliveries {
-            let req = d.payload;
-            let op_id = req.op.id;
-            if self.base.cached(op_id).is_some() || self.elastic.answered.contains(&op_id) {
-                self.base.release_payload(&req.ws); // duplicate delivery
-                continue;
-            }
-            if self.marks {
-                ctx.mark(Phase::ServerCoordination.tag(), op_id.0, d.gseq);
-                ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
-            }
-            let txn = global_txn(op_id);
-            let arena = self.base.arena.clone();
-            let verdict = req.ws.with(arena.as_ref(), |view| {
-                self.certifier
-                    .certify_records(&req.read_set, txn, view.iter())
-            });
-            let resp = if verdict.is_commit() {
-                // Install the writes; local versions track the certifier's
-                // counters because every site applies the same stream. The
-                // durable tier gets the store-assigned versions (not the
-                // shadow's), so a restore reproduces them exactly — it is
-                // the only consumer of the materialized records, so the
-                // collection is skipped entirely on untiered runs.
-                let noted = req.ws.with(arena.as_ref(), |view| {
-                    let mut noted = self.base.tier.is_some().then(|| WriteSet {
-                        txn,
-                        writes: Vec::with_capacity(view.len()),
-                    });
-                    for w in view.iter() {
-                        let v = self.base.store.write(w.key, w.value, txn);
-                        if let Some(applied) = &mut noted {
-                            applied.writes.push(WriteRecord {
-                                key: w.key,
-                                value: w.value,
-                                version: v.version,
-                            });
-                        }
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
-                    noted
-                });
-                if let (Some(t), Some(applied)) = (&mut self.base.tier, noted) {
-                    t.note_commit(&applied);
-                }
-                for &(k, _) in &req.read_set {
-                    self.base
-                        .history
-                        .record(self.base.site, txn, k, repl_db::AccessKind::Read);
-                }
-                self.base.history.mark_committed(txn);
-                self.base.committed += 1;
-                Response {
-                    committed: true,
-                    ..req.resp.clone()
-                }
-            } else {
-                self.base.aborted += 1;
-                Response::aborted(op_id)
-            };
-            self.base.release_payload(&req.ws);
-            self.base.remember(&resp);
-            if req.delegate == self.me {
-                ctx.send(req.op.client, CertMsg::Reply(resp));
-            }
-        }
+    /// Applies what the ABCAST endpoint queued and certifies what it
+    /// delivered.
+    fn drain(&mut self, ctx: &mut Context<'_, CertMsg>) {
+        let mut out = std::mem::take(&mut self.ab_out);
+        repl_gcs::apply_outbox(ctx, &mut out, 0, CertMsg::Ab, |ctx, d| self.deliver(ctx, d));
+        self.ab_out = out;
         settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
     }
 
+    fn deliver(&mut self, ctx: &mut Context<'_, CertMsg>, d: AbDeliver<CertRequest>) {
+        let req = d.payload;
+        let op_id = req.op.id;
+        if self.base.cached(op_id).is_some() || self.elastic.answered.contains(&op_id) {
+            self.base.release_payload(&req.ws); // duplicate delivery
+            return;
+        }
+        if self.marks {
+            ctx.mark(Phase::ServerCoordination.tag(), op_id.0, d.gseq);
+            ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
+        }
+        let txn = global_txn(op_id);
+        let arena = self.base.arena.clone();
+        let verdict = req.ws.with(arena.as_ref(), |view| {
+            self.certifier
+                .certify_records(&req.read_set, txn, view.iter())
+        });
+        let resp = if verdict.is_commit() {
+            // Install the writes; local versions track the certifier's
+            // counters because every site applies the same stream. The
+            // durable tier gets the store-assigned versions (not the
+            // shadow's), so a restore reproduces them exactly — it is
+            // the only consumer of the materialized records, so the
+            // collection is skipped entirely on untiered runs.
+            let noted = req.ws.with(arena.as_ref(), |view| {
+                let mut noted = self.base.tier.is_some().then(|| WriteSet {
+                    txn,
+                    writes: Vec::with_capacity(view.len()),
+                });
+                for w in view.iter() {
+                    let v = self.base.store.write(w.key, w.value, txn);
+                    if let Some(applied) = &mut noted {
+                        applied.writes.push(WriteRecord {
+                            key: w.key,
+                            value: w.value,
+                            version: v.version,
+                        });
+                    }
+                    self.base.history.record(
+                        self.base.site,
+                        txn,
+                        w.key,
+                        repl_db::AccessKind::Write,
+                    );
+                }
+                noted
+            });
+            if let (Some(t), Some(applied)) = (&mut self.base.tier, noted) {
+                t.note_commit(&applied);
+            }
+            for &(k, _) in req.read_set.iter() {
+                self.base
+                    .history
+                    .record(self.base.site, txn, k, repl_db::AccessKind::Read);
+            }
+            self.base.history.mark_committed(txn);
+            self.base.committed += 1;
+            Response {
+                committed: true,
+                ..req.resp.clone()
+            }
+        } else {
+            self.base.aborted += 1;
+            Response::aborted(op_id)
+        };
+        self.base.release_payload(&req.ws);
+        self.base.remember(&resp);
+        if req.delegate == self.me {
+            ctx.send(req.op.client, CertMsg::Reply(resp));
+        }
+    }
+
     fn rejoin_now(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        let mut out = Outbox::new();
-        self.ab.rejoin(&mut out);
-        self.drain(ctx, out);
+        self.ab.rejoin(&mut self.ab_out);
+        self.drain(ctx);
     }
 
     fn invoke(&mut self, ctx: &mut Context<'_, CertMsg>, op: ClientOp) {
@@ -264,7 +269,7 @@ impl CertServer {
         if op.is_read_only() {
             let txn = global_txn(op.id);
             let mut reads = Vec::new();
-            for tpl in &op.txn.ops {
+            for tpl in op.txn.ops.iter() {
                 if let OpTemplate::Read(k) = tpl {
                     reads.push((*k, self.base.read_committed(txn, *k)));
                 }
@@ -292,9 +297,8 @@ impl CertServer {
             resp,
             delegate: self.me,
         };
-        let mut out = Outbox::new();
-        self.ab.broadcast(req, &mut out);
-        self.drain(ctx, out);
+        self.ab.broadcast(req, &mut self.ab_out);
+        self.drain(ctx);
     }
 
     /// Rebuilds the certifier from the installed store: store versions
@@ -399,9 +403,8 @@ impl CertServer {
             // Sequencer flavour: ship the order log to the successor so
             // gseq assignment continues where this node stopped (no-op
             // for the consensus flavour, which has no fixed role).
-            let mut out = Outbox::new();
-            self.ab.handoff(remaining[0], &mut out);
-            self.drain(ctx, out);
+            self.ab.handoff(remaining[0], &mut self.ab_out);
+            self.drain(ctx);
         }
         for &n in &remaining {
             ctx.send(
@@ -425,9 +428,8 @@ impl Actor<CertMsg> for CertServer {
         match msg {
             CertMsg::Invoke(op) => self.invoke(ctx, op),
             CertMsg::Ab(m) => {
-                let mut out = Outbox::new();
-                self.ab.on_message(from, m, &mut out);
-                self.drain(ctx, out);
+                self.ab.on_message(from, m, &mut self.ab_out);
+                self.drain(ctx);
             }
             CertMsg::Reply(_) => {}
             CertMsg::Member(m) => self.member(ctx, from, m),
@@ -475,9 +477,8 @@ impl Actor<CertMsg> for CertServer {
         if self.base.restoring() {
             return;
         }
-        let mut out = Outbox::new();
-        self.ab.on_timer(tag, &mut out);
-        self.drain(ctx, out);
+        self.ab.on_timer(tag, &mut self.ab_out);
+        self.drain(ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, CertMsg>) {
@@ -533,12 +534,13 @@ mod tests {
             ops: vec![
                 OpTemplate::Read(Key(k)),
                 OpTemplate::Write(Key(k), Value(v)),
-            ],
+            ]
+            .into(),
         }
     }
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
 

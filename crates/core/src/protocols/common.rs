@@ -2,6 +2,8 @@
 //! (store + transaction manager + history + response cache), the unified
 //! Atomic Broadcast endpoint, and execution-mode handling.
 
+use std::sync::Arc;
+
 use repl_db::{
     AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, ReplicatedHistory, ShadowStore,
     SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
@@ -11,7 +13,7 @@ use repl_gcs::{
     AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig, GenuineMulticast, GmMsg,
     MsgId, Outbox, SeqAbMsg, SequencerAbcast,
 };
-use repl_sim::{Message, NodeId};
+use repl_sim::{GroupSet, Message, NodeId};
 use repl_workload::{ShardMap, TxnTemplate};
 
 use crate::durability::{DurabilityConfig, DurabilityTier, RestorePlan};
@@ -121,7 +123,7 @@ impl ShardCtx {
 
     /// The distinct groups a transaction touches, ascending (shard ==
     /// group id).
-    pub fn dests(&self, txn: &TxnTemplate) -> Vec<u32> {
+    pub fn dests(&self, txn: &TxnTemplate) -> GroupSet {
         self.map.shards_of(txn)
     }
 
@@ -159,19 +161,40 @@ impl ShardCtx {
     }
 }
 
-/// An Atomic Broadcast endpoint backed by either implementation.
+/// What an embedded ABCAST flavour queues while it handles one input,
+/// before [`relay`] moves it into the host's outbox.
+type Scratch<M, P> = Outbox<M, AbDeliver<P>>;
+
+/// An Atomic Broadcast endpoint backed by either implementation, each
+/// with the scratch outbox it writes into (owned for the endpoint's
+/// lifetime, so handling a message allocates nothing here).
 #[derive(Debug)]
 pub enum AbcastEndpoint<P> {
     /// Fixed-sequencer endpoint.
-    Seq(SequencerAbcast<P>),
+    Seq(SequencerAbcast<P>, Scratch<SeqAbMsg<P>, P>),
     /// Consensus-based endpoint.
-    Cons(ConsensusAbcast<P>),
+    Cons(ConsensusAbcast<P>, Scratch<CAbMsg<P>, P>),
     /// Genuine-multicast endpoint (sharded runs with cross-shard
     /// traffic): shard-local broadcasts order within the group, cross
     /// messages through Skeen timestamp agreement with the other touched
     /// groups. Assumes no faults — the runner forbids fault plans when
     /// cross-shard traffic is on.
-    Gen(GenuineMulticast<P>),
+    Gen(GenuineMulticast<P>, Scratch<GmMsg<P>, P>),
+}
+
+/// Runs `f` against one flavour with its scratch outbox, then moves what
+/// it queued into the host's outbox: sends and timers first, lifted into
+/// the unified wire type, deliveries after them.
+fn relay<C, M, P, R>(
+    flavour: &mut C,
+    scratch: &mut Scratch<M, P>,
+    out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
+    lift: fn(M) -> AbMsg<P>,
+    f: impl FnOnce(&mut C, &mut Scratch<M, P>) -> R,
+) -> R {
+    let r = f(flavour, scratch);
+    out.absorb(scratch, 0, lift, |out, d| out.event(d));
+    r
 }
 
 impl<P: Message> AbcastEndpoint<P> {
@@ -179,14 +202,21 @@ impl<P: Message> AbcastEndpoint<P> {
     /// consensus variant (its round timeout must exceed the network RTT).
     pub fn new(which: AbcastImpl, me: NodeId, group: Vec<NodeId>, cons: ConsensusConfig) -> Self {
         match which {
-            AbcastImpl::Sequencer => AbcastEndpoint::Seq(SequencerAbcast::new(me, group)),
-            AbcastImpl::Consensus => AbcastEndpoint::Cons(ConsensusAbcast::new(me, group, cons)),
+            AbcastImpl::Sequencer => {
+                AbcastEndpoint::Seq(SequencerAbcast::new(me, group), Outbox::new())
+            }
+            AbcastImpl::Consensus => {
+                AbcastEndpoint::Cons(ConsensusAbcast::new(me, group, cons), Outbox::new())
+            }
         }
     }
 
     /// Creates a genuine-multicast endpoint over a sharded topology.
     pub fn new_genuine(me: NodeId, ctx: &ShardCtx) -> Self {
-        AbcastEndpoint::Gen(GenuineMulticast::new(me, ctx.groups(), ctx.my_gid))
+        AbcastEndpoint::Gen(
+            GenuineMulticast::new(me, ctx.groups(), ctx.my_gid),
+            Outbox::new(),
+        )
     }
 
     /// Multicasts a payload to the destination groups (genuine flavour
@@ -203,13 +233,8 @@ impl<P: Message> AbcastEndpoint<P> {
         out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
     ) -> MsgId {
         match self {
-            AbcastEndpoint::Gen(a) => {
-                let mut sub = Outbox::new();
-                let id = a.multicast(p, dests, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Gen) {
-                    out.event(e);
-                }
-                id
+            AbcastEndpoint::Gen(a, s) => {
+                relay(a, s, out, AbMsg::Gen, |a, s| a.multicast(p, dests, s))
             }
             _ => panic!("multicast needs the genuine endpoint"),
         }
@@ -219,39 +244,18 @@ impl<P: Message> AbcastEndpoint<P> {
     /// genuine flavour has no batching; setting it is a no-op).
     pub fn set_batching(&mut self, batch: BatchConfig) {
         match self {
-            AbcastEndpoint::Seq(a) => a.set_batching(batch),
-            AbcastEndpoint::Cons(a) => a.set_batching(batch),
-            AbcastEndpoint::Gen(_) => {}
+            AbcastEndpoint::Seq(a, _) => a.set_batching(batch),
+            AbcastEndpoint::Cons(a, _) => a.set_batching(batch),
+            AbcastEndpoint::Gen(..) => {}
         }
     }
 
     /// Broadcasts a payload; returns its id.
     pub fn broadcast(&mut self, p: P, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) -> MsgId {
         match self {
-            AbcastEndpoint::Seq(a) => {
-                let mut sub = Outbox::new();
-                let id = a.broadcast(p, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Seq) {
-                    out.event(e);
-                }
-                id
-            }
-            AbcastEndpoint::Cons(a) => {
-                let mut sub = Outbox::new();
-                let id = a.broadcast(p, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Cons) {
-                    out.event(e);
-                }
-                id
-            }
-            AbcastEndpoint::Gen(a) => {
-                let mut sub = Outbox::new();
-                let id = a.broadcast(p, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Gen) {
-                    out.event(e);
-                }
-                id
-            }
+            AbcastEndpoint::Seq(a, s) => relay(a, s, out, AbMsg::Seq, |a, s| a.broadcast(p, s)),
+            AbcastEndpoint::Cons(a, s) => relay(a, s, out, AbMsg::Cons, |a, s| a.broadcast(p, s)),
+            AbcastEndpoint::Gen(a, s) => relay(a, s, out, AbMsg::Gen, |a, s| a.broadcast(p, s)),
         }
     }
 
@@ -262,27 +266,16 @@ impl<P: Message> AbcastEndpoint<P> {
         msg: AbMsg<P>,
         out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
     ) {
+        use repl_gcs::Component;
         match (self, msg) {
-            (AbcastEndpoint::Seq(a), AbMsg::Seq(m)) => {
-                let mut sub = Outbox::new();
-                repl_gcs::Component::on_message(a, from, m, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Seq) {
-                    out.event(e);
-                }
+            (AbcastEndpoint::Seq(a, s), AbMsg::Seq(m)) => {
+                relay(a, s, out, AbMsg::Seq, |a, s| a.on_message(from, m, s))
             }
-            (AbcastEndpoint::Cons(a), AbMsg::Cons(m)) => {
-                let mut sub = Outbox::new();
-                repl_gcs::Component::on_message(a, from, m, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Cons) {
-                    out.event(e);
-                }
+            (AbcastEndpoint::Cons(a, s), AbMsg::Cons(m)) => {
+                relay(a, s, out, AbMsg::Cons, |a, s| a.on_message(from, m, s))
             }
-            (AbcastEndpoint::Gen(a), AbMsg::Gen(m)) => {
-                let mut sub = Outbox::new();
-                repl_gcs::Component::on_message(a, from, m, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Gen) {
-                    out.event(e);
-                }
+            (AbcastEndpoint::Gen(a, s), AbMsg::Gen(m)) => {
+                relay(a, s, out, AbMsg::Gen, |a, s| a.on_message(from, m, s))
             }
             _ => {}
         }
@@ -293,22 +286,10 @@ impl<P: Message> AbcastEndpoint<P> {
     /// Completion is signalled through [`AbcastEndpoint::take_rejoin_done`].
     pub fn rejoin(&mut self, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) {
         match self {
-            AbcastEndpoint::Seq(a) => {
-                let mut sub = Outbox::new();
-                a.rejoin(&mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Seq) {
-                    out.event(e);
-                }
-            }
-            AbcastEndpoint::Cons(a) => {
-                let mut sub = Outbox::new();
-                a.rejoin(&mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Cons) {
-                    out.event(e);
-                }
-            }
+            AbcastEndpoint::Seq(a, s) => relay(a, s, out, AbMsg::Seq, |a, s| a.rejoin(s)),
+            AbcastEndpoint::Cons(a, s) => relay(a, s, out, AbMsg::Cons, |a, s| a.rejoin(s)),
             // The genuine flavour runs fault-free by construction.
-            AbcastEndpoint::Gen(_) => {}
+            AbcastEndpoint::Gen(..) => {}
         }
     }
 
@@ -316,9 +297,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// last call: the number of refill bytes received.
     pub fn take_rejoin_done(&mut self) -> Option<u64> {
         match self {
-            AbcastEndpoint::Seq(a) => a.take_rejoin_done(),
-            AbcastEndpoint::Cons(a) => a.take_rejoin_done(),
-            AbcastEndpoint::Gen(_) => None,
+            AbcastEndpoint::Seq(a, _) => a.take_rejoin_done(),
+            AbcastEndpoint::Cons(a, _) => a.take_rejoin_done(),
+            AbcastEndpoint::Gen(..) => None,
         }
     }
 
@@ -327,9 +308,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// frame token for ABCAST-driven protocols.
     pub fn position(&self) -> u64 {
         match self {
-            AbcastEndpoint::Seq(a) => a.position(),
-            AbcastEndpoint::Cons(a) => a.position(),
-            AbcastEndpoint::Gen(a) => a.position(),
+            AbcastEndpoint::Seq(a, _) => a.position(),
+            AbcastEndpoint::Cons(a, _) => a.position(),
+            AbcastEndpoint::Gen(a, _) => a.position(),
         }
     }
 
@@ -338,40 +319,29 @@ impl<P: Message> AbcastEndpoint<P> {
     /// volume lost. A no-op if the stream is at or before `pos`.
     pub fn rewind_to(&mut self, pos: u64) {
         match self {
-            AbcastEndpoint::Seq(a) => a.rewind_to(pos),
-            AbcastEndpoint::Cons(a) => a.rewind_to(pos),
-            AbcastEndpoint::Gen(_) => {}
+            AbcastEndpoint::Seq(a, _) => a.rewind_to(pos),
+            AbcastEndpoint::Cons(a, _) => a.rewind_to(pos),
+            AbcastEndpoint::Gen(..) => {}
         }
     }
 
     /// Routes a timer with a component-local tag.
     pub fn on_timer(&mut self, tag: u64, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) {
+        use repl_gcs::Component;
         match self {
-            AbcastEndpoint::Seq(a) => {
-                let mut sub = Outbox::new();
-                repl_gcs::Component::on_timer(a, tag, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Seq) {
-                    out.event(e);
-                }
-            }
-            AbcastEndpoint::Cons(a) => {
-                let mut sub = Outbox::new();
-                repl_gcs::Component::on_timer(a, tag, &mut sub);
-                for e in out.absorb(sub, 0, AbMsg::Cons) {
-                    out.event(e);
-                }
-            }
+            AbcastEndpoint::Seq(a, s) => relay(a, s, out, AbMsg::Seq, |a, s| a.on_timer(tag, s)),
+            AbcastEndpoint::Cons(a, s) => relay(a, s, out, AbMsg::Cons, |a, s| a.on_timer(tag, s)),
             // The genuine flavour arms no timers.
-            AbcastEndpoint::Gen(_) => {}
+            AbcastEndpoint::Gen(..) => {}
         }
     }
 
     /// The ordering group as the underlying implementation knows it.
     pub fn group(&self) -> &[NodeId] {
         match self {
-            AbcastEndpoint::Seq(a) => a.group(),
-            AbcastEndpoint::Cons(a) => a.group(),
-            AbcastEndpoint::Gen(a) => a.group(),
+            AbcastEndpoint::Seq(a, _) => a.group(),
+            AbcastEndpoint::Cons(a, _) => a.group(),
+            AbcastEndpoint::Gen(a, _) => a.group(),
         }
     }
 
@@ -385,9 +355,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// plans, so its topology is static.
     pub fn set_group(&mut self, group: Vec<NodeId>) {
         match self {
-            AbcastEndpoint::Seq(a) => a.set_group(group),
-            AbcastEndpoint::Cons(a) => a.set_group(group),
-            AbcastEndpoint::Gen(_) => panic!("sharded groups are static"),
+            AbcastEndpoint::Seq(a, _) => a.set_group(group),
+            AbcastEndpoint::Cons(a, _) => a.set_group(group),
+            AbcastEndpoint::Gen(..) => panic!("sharded groups are static"),
         }
     }
 
@@ -395,9 +365,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// part of the stream a decommissioning node must not abandon.
     pub fn pending(&self) -> usize {
         match self {
-            AbcastEndpoint::Seq(a) => a.pending(),
-            AbcastEndpoint::Cons(a) => a.pending(),
-            AbcastEndpoint::Gen(a) => a.pending(),
+            AbcastEndpoint::Seq(a, _) => a.pending(),
+            AbcastEndpoint::Cons(a, _) => a.pending(),
+            AbcastEndpoint::Gen(a, _) => a.pending(),
         }
     }
 
@@ -406,9 +376,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// flavour; the consensus flavour's position is its instance cursor.
     pub fn delivered_gseq(&self) -> u64 {
         match self {
-            AbcastEndpoint::Seq(a) => a.position(),
-            AbcastEndpoint::Cons(a) => a.delivered_gseq(),
-            AbcastEndpoint::Gen(a) => a.position(),
+            AbcastEndpoint::Seq(a, _) => a.position(),
+            AbcastEndpoint::Cons(a, _) => a.delivered_gseq(),
+            AbcastEndpoint::Gen(a, _) => a.position(),
         }
     }
 
@@ -418,9 +388,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// from there; everything below is covered by the state snapshot.
     pub fn skip_to(&mut self, pos: u64, gseq: u64) {
         match self {
-            AbcastEndpoint::Seq(a) => a.skip_to(gseq),
-            AbcastEndpoint::Cons(a) => a.skip_to(pos, gseq),
-            AbcastEndpoint::Gen(_) => {}
+            AbcastEndpoint::Seq(a, _) => a.skip_to(gseq),
+            AbcastEndpoint::Cons(a, _) => a.skip_to(pos, gseq),
+            AbcastEndpoint::Gen(..) => {}
         }
     }
 
@@ -428,12 +398,8 @@ impl<P: Message> AbcastEndpoint<P> {
     /// ships along). A no-op for the consensus flavour, which has no
     /// distinguished role to hand off.
     pub fn handoff(&mut self, to: NodeId, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) {
-        if let AbcastEndpoint::Seq(a) = self {
-            let mut sub = Outbox::new();
-            a.handoff(to, &mut sub);
-            for e in out.absorb(sub, 0, AbMsg::Seq) {
-                out.event(e);
-            }
+        if let AbcastEndpoint::Seq(a, s) = self {
+            relay(a, s, out, AbMsg::Seq, |a, s| a.handoff(to, s));
         }
     }
 
@@ -441,9 +407,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// sequencer); consensus-based ordering is symmetric, so nobody does.
     pub fn is_orderer(&self, me: NodeId) -> bool {
         match self {
-            AbcastEndpoint::Seq(a) => a.group().first() == Some(&me),
-            AbcastEndpoint::Cons(_) => false,
-            AbcastEndpoint::Gen(a) => a.group().first() == Some(&me),
+            AbcastEndpoint::Seq(a, _) => a.group().first() == Some(&me),
+            AbcastEndpoint::Cons(..) => false,
+            AbcastEndpoint::Gen(a, _) => a.group().first() == Some(&me),
         }
     }
 
@@ -452,7 +418,7 @@ impl<P: Message> AbcastEndpoint<P> {
     /// forward a joiner exactly there; the consensus flavour's instance
     /// cursor is unrelated, so those joiners refill from the start.
     pub fn is_seq(&self) -> bool {
-        matches!(self, AbcastEndpoint::Seq(_))
+        matches!(self, AbcastEndpoint::Seq(..))
     }
 }
 
@@ -953,24 +919,24 @@ impl ServerBase {
         &mut self,
         op: &ClientOp,
         txn: TxnId,
-    ) -> (Vec<(Key, u64)>, WriteSet, Response) {
+    ) -> (Arc<[(Key, u64)]>, WriteSet, Response) {
         let mut shadow = ShadowStore::new(&self.store, txn);
         let mut reads: Vec<(Key, Value)> = Vec::new();
-        let mut writes: Vec<(Key, Value)> = Vec::new();
         for (key, write) in accesses(&op.txn) {
             match write {
                 None => {
                     let v = shadow.read(key).map_or(Value(0), |v| v.value);
                     reads.push((key, v));
                 }
-                Some(v) => {
-                    writes.push((key, v));
-                    shadow.write(key, self.effective_value(v));
-                }
+                Some(v) => shadow.write(key, self.effective_value(v)),
             }
         }
-        let _ = writes;
-        let read_set = shadow.read_set().to_vec();
+        // Shared: the request carrying it is cloned once per ordering
+        // leg. (The empty default does not allocate.)
+        let read_set: Arc<[(Key, u64)]> = match shadow.read_set() {
+            [] => Arc::default(),
+            reads => reads.into(),
+        };
         let ws = shadow.into_writeset();
         let resp = Response {
             op: op.id,
@@ -1119,7 +1085,7 @@ mod tests {
         ClientOp {
             id: OpId(id),
             client: NodeId::new(99),
-            txn: TxnTemplate { ops },
+            txn: TxnTemplate { ops: ops.into() },
         }
     }
 
@@ -1169,7 +1135,7 @@ mod tests {
         );
         let (read_set, ws, resp) = base.execute_shadow(&o, TxnId::new(2, 0));
         assert_eq!(base.store.fingerprint(), fp);
-        assert_eq!(read_set, vec![(Key(0), 0)]);
+        assert_eq!(&*read_set, &[(Key(0), 0)]);
         assert_eq!(ws.writes.len(), 1);
         assert!(resp.committed);
     }

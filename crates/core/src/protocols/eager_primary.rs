@@ -185,6 +185,8 @@ pub struct EagerPrimaryServer {
     servers: Vec<NodeId>,
     lm: LockManager,
     fd: HeartbeatFd,
+    /// What `fd` queued while handling one input; drained by `drive_fd`.
+    fd_out: Outbox<FdMsg, FdEvent>,
     alive: HashSet<NodeId>,
     /// Primary-side in-flight transactions.
     inflight: HashMap<TxnId, PrimaryTxn>,
@@ -235,6 +237,7 @@ impl EagerPrimaryServer {
             servers: servers.clone(),
             lm: LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks),
             fd: HeartbeatFd::new(me, servers.clone(), fd),
+            fd_out: Outbox::new(),
             alive: HashSet::new(),
             inflight: HashMap::new(),
             requeue: VecDeque::new(),
@@ -300,17 +303,23 @@ impl EagerPrimaryServer {
             .collect()
     }
 
-    fn drive_fd(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, out: Outbox<FdMsg, FdEvent>) {
-        let events = repl_gcs::apply_outbox(ctx, out, FD_BASE, EagerPrimaryMsg::Fd);
-        for ev in events {
-            match ev {
-                FdEvent::Suspect(n) => {
-                    self.alive.remove(&n);
-                    self.on_server_death(ctx, n);
-                }
-                FdEvent::Trust(n) => {
-                    self.alive.insert(n);
-                }
+    /// Applies what the failure detector queued and reacts to its verdicts.
+    fn drive_fd(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+        let mut out = std::mem::take(&mut self.fd_out);
+        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, EagerPrimaryMsg::Fd, |ctx, ev| {
+            self.on_fd_event(ctx, ev)
+        });
+        self.fd_out = out;
+    }
+
+    fn on_fd_event(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, ev: FdEvent) {
+        match ev {
+            FdEvent::Suspect(n) => {
+                self.alive.remove(&n);
+                self.on_server_death(ctx, n);
+            }
+            FdEvent::Trust(n) => {
+                self.alive.insert(n);
             }
         }
     }
@@ -569,7 +578,7 @@ impl EagerPrimaryServer {
         };
         let mut writes = Vec::new();
         if t.op.txn.ops.len() == 1 {
-            for tpl in &t.op.txn.ops {
+            for tpl in t.op.txn.ops.iter() {
                 if let OpTemplate::Write(k, _) = tpl {
                     if let Some(v) = self.base.store.read(*k) {
                         writes.push(repl_db::WriteRecord {
@@ -728,9 +737,8 @@ impl EagerPrimaryServer {
     fn rejoin_now(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
         if self.servers.len() == 1 {
             self.fd.reset();
-            let mut out = Outbox::new();
-            self.fd.on_start(&mut out);
-            self.drive_fd(ctx, out);
+            self.fd.on_start(&mut self.fd_out);
+            self.drive_fd(ctx);
             self.base.recovery.complete(ctx.now().ticks());
             return;
         }
@@ -784,7 +792,7 @@ impl EagerPrimaryServer {
             }
             let txn = global_txn(op.id);
             let mut reads = Vec::new();
-            for tpl in &op.txn.ops {
+            for tpl in op.txn.ops.iter() {
                 if let OpTemplate::Read(k) = tpl {
                     reads.push((*k, self.base.read_committed(txn, *k)));
                 }
@@ -902,9 +910,8 @@ impl EagerPrimaryServer {
                 // Start heartbeats now that the group knows us.
                 self.alive = self.servers.iter().copied().collect();
                 self.fd.reset();
-                let mut out = Outbox::new();
-                self.fd.on_start(&mut out);
-                self.drive_fd(ctx, out);
+                self.fd.on_start(&mut self.fd_out);
+                self.drive_fd(ctx);
                 for op in std::mem::take(&mut self.elastic.buffered) {
                     self.invoke(ctx, op);
                 }
@@ -995,9 +1002,8 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
             return;
         }
         self.alive = self.servers.iter().copied().collect();
-        let mut out = Outbox::new();
-        self.fd.on_start(&mut out);
-        self.drive_fd(ctx, out);
+        self.fd.on_start(&mut self.fd_out);
+        self.drive_fd(ctx);
     }
 
     fn on_message(
@@ -1121,9 +1127,8 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                 }
             }
             EagerPrimaryMsg::Fd(m) => {
-                let mut out = Outbox::new();
-                self.fd.on_message(from, m, &mut out);
-                self.drive_fd(ctx, out);
+                self.fd.on_message(from, m, &mut self.fd_out);
+                self.drive_fd(ctx);
             }
             EagerPrimaryMsg::Reply(_) => {}
             EagerPrimaryMsg::Member(m) => {
@@ -1137,9 +1142,8 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                 // the transfer, so every decision from this instant on is
                 // multicast to it — the transfer covers everything prior,
                 // leaving no gap in between.
-                let mut out = Outbox::new();
-                self.fd.trust(from, &mut out);
-                self.drive_fd(ctx, out);
+                self.fd.trust(from, &mut self.fd_out);
+                self.drive_fd(ctx);
                 let t = if self.wal.has_suffix(have) {
                     Transfer::from_log(&self.wal, &self.base.store, have)
                 } else {
@@ -1184,9 +1188,8 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                     // reset drops pre-crash miss counters, which would
                     // otherwise let the first tick suspect a live peer.
                     self.fd.reset();
-                    let mut out = Outbox::new();
-                    self.fd.on_start(&mut out);
-                    self.drive_fd(ctx, out);
+                    self.fd.on_start(&mut self.fd_out);
+                    self.drive_fd(ctx);
                 }
                 self.resync = false;
                 self.base.recovery.complete(ctx.now().ticks());
@@ -1219,9 +1222,8 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
             return;
         }
         if tag >= FD_BASE {
-            let mut out = Outbox::new();
-            self.fd.on_timer(tag - FD_BASE, &mut out);
-            self.drive_fd(ctx, out);
+            self.fd.on_timer(tag - FD_BASE, &mut self.fd_out);
+            self.drive_fd(ctx);
         } else if tag == DECISION_FLUSH_TAG {
             self.flush_armed = false;
             self.flush_decisions(ctx);
@@ -1315,16 +1317,16 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
     fn multi(ops: Vec<OpTemplate>) -> TxnTemplate {
-        TxnTemplate { ops }
+        TxnTemplate { ops: ops.into() }
     }
 
     fn build(

@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 
 use repl_db::Keyspace;
-use repl_gcs::{BatchConfig, Outbox};
+use repl_gcs::{AbDeliver, BatchConfig, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::client::ProtocolMsg;
@@ -76,6 +76,8 @@ pub struct EuaServer {
     /// Shared database/server state (public for post-run inspection).
     pub base: ServerBase,
     ab: AbcastEndpoint<ClientOp>,
+    /// What `ab` queued while handling one input; drained by `drain`.
+    ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
     /// Operations this server relayed (it is their delegate and answers).
     delegated: HashSet<OpId>,
     marks: bool,
@@ -101,6 +103,7 @@ impl EuaServer {
         EuaServer {
             base: ServerBase::new(site, keyspace, exec),
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
+            ab_out: Outbox::new(),
             delegated: HashSet::new(),
             marks: site == 0,
             elastic: Elastic::new(me, group),
@@ -129,57 +132,57 @@ impl EuaServer {
         self
     }
 
-    fn drain(
-        &mut self,
-        ctx: &mut Context<'_, EuaMsg>,
-        out: Outbox<AbMsg<ClientOp>, repl_gcs::AbDeliver<ClientOp>>,
-    ) {
-        let deliveries = repl_gcs::apply_outbox(ctx, out, 0, EuaMsg::Ab);
-        for d in deliveries {
-            let op = d.payload;
-            if self.base.cached(op.id).is_some() || self.elastic.answered.contains(&op.id) {
-                continue;
-            }
-            if self.marks {
-                ctx.mark(Phase::ServerCoordination.tag(), op.id.0, d.gseq);
-                ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-            }
-            // Sharded cross-shard operations: execute only this shard's
-            // part, under the op's global transaction id.
-            let cross = self.shard.as_ref().is_some_and(|sc| sc.is_cross(&op));
-            let resp = if cross {
-                let sc = self.shard.as_ref().expect("cross implies sharded");
-                let local = sc.local_part(&op);
-                self.base.execute_commit(&local, global_txn(op.id)).1
-            } else {
-                self.base.execute_commit(&op, global_txn(op.id)).1
-            };
-            self.base.remember(&resp);
-            // Only the delegate (the server the client contacted)
-            // answers — except the foreign groups of a cross-shard op,
-            // where the client's affine member answers the foreign
-            // partial (the delegate only holds the home part).
-            let answers = if cross {
-                let sc = self.shard.as_ref().expect("cross implies sharded");
-                if sc.my_gid == sc.home_of(&op) {
-                    self.delegated.contains(&op.id)
-                } else {
-                    self.base.site % sc.group_size == op.id.client() % sc.group_size
-                }
-            } else {
-                self.delegated.contains(&op.id)
-            };
-            if answers {
-                ctx.send(op.client, EuaMsg::Reply(resp));
-            }
-        }
+    /// Applies what the ABCAST endpoint queued and executes what it
+    /// delivered.
+    fn drain(&mut self, ctx: &mut Context<'_, EuaMsg>) {
+        let mut out = std::mem::take(&mut self.ab_out);
+        repl_gcs::apply_outbox(ctx, &mut out, 0, EuaMsg::Ab, |ctx, d| self.deliver(ctx, d));
+        self.ab_out = out;
         settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
     }
 
+    fn deliver(&mut self, ctx: &mut Context<'_, EuaMsg>, d: AbDeliver<ClientOp>) {
+        let op = d.payload;
+        if self.base.cached(op.id).is_some() || self.elastic.answered.contains(&op.id) {
+            return;
+        }
+        if self.marks {
+            ctx.mark(Phase::ServerCoordination.tag(), op.id.0, d.gseq);
+            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
+        }
+        // Sharded cross-shard operations: execute only this shard's
+        // part, under the op's global transaction id.
+        let cross = self.shard.as_ref().is_some_and(|sc| sc.is_cross(&op));
+        let resp = if cross {
+            let sc = self.shard.as_ref().expect("cross implies sharded");
+            let local = sc.local_part(&op);
+            self.base.execute_commit(&local, global_txn(op.id)).1
+        } else {
+            self.base.execute_commit(&op, global_txn(op.id)).1
+        };
+        self.base.remember(&resp);
+        // Only the delegate (the server the client contacted)
+        // answers — except the foreign groups of a cross-shard op,
+        // where the client's affine member answers the foreign
+        // partial (the delegate only holds the home part).
+        let answers = if cross {
+            let sc = self.shard.as_ref().expect("cross implies sharded");
+            if sc.my_gid == sc.home_of(&op) {
+                self.delegated.contains(&op.id)
+            } else {
+                self.base.site % sc.group_size == op.id.client() % sc.group_size
+            }
+        } else {
+            self.delegated.contains(&op.id)
+        };
+        if answers {
+            ctx.send(op.client, EuaMsg::Reply(resp));
+        }
+    }
+
     fn rejoin_now(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        let mut out = Outbox::new();
-        self.ab.rejoin(&mut out);
-        self.drain(ctx, out);
+        self.ab.rejoin(&mut self.ab_out);
+        self.drain(ctx);
     }
 
     fn invoke(&mut self, ctx: &mut Context<'_, EuaMsg>, op: ClientOp) {
@@ -204,17 +207,16 @@ impl EuaServer {
         if !self.delegated.insert(op.id) {
             return;
         }
-        let mut out = Outbox::new();
         match &self.shard {
             Some(sc) => {
                 let dests = sc.dests(&op.txn);
-                self.ab.multicast(op, &dests, &mut out);
+                self.ab.multicast(op, &dests, &mut self.ab_out);
             }
             None => {
-                self.ab.broadcast(op, &mut out);
+                self.ab.broadcast(op, &mut self.ab_out);
             }
         }
-        self.drain(ctx, out);
+        self.drain(ctx);
     }
 
     fn member(&mut self, ctx: &mut Context<'_, EuaMsg>, from: NodeId, m: MemberMsg) {
@@ -301,9 +303,8 @@ impl EuaServer {
             // Sequencer flavour: ship the order log to the successor so
             // gseq assignment continues where this node stopped (no-op
             // for the consensus flavour, which has no fixed role).
-            let mut out = Outbox::new();
-            self.ab.handoff(remaining[0], &mut out);
-            self.drain(ctx, out);
+            self.ab.handoff(remaining[0], &mut self.ab_out);
+            self.drain(ctx);
         }
         for &n in &remaining {
             ctx.send(
@@ -326,9 +327,8 @@ impl Actor<EuaMsg> for EuaServer {
         match msg {
             EuaMsg::Invoke(op) => self.invoke(ctx, op),
             EuaMsg::Ab(m) => {
-                let mut out = Outbox::new();
-                self.ab.on_message(from, m, &mut out);
-                self.drain(ctx, out);
+                self.ab.on_message(from, m, &mut self.ab_out);
+                self.drain(ctx);
             }
             EuaMsg::Reply(_) => {}
             EuaMsg::Member(m) => self.member(ctx, from, m),
@@ -376,9 +376,8 @@ impl Actor<EuaMsg> for EuaServer {
         if self.base.restoring() {
             return;
         }
-        let mut out = Outbox::new();
-        self.ab.on_timer(tag, &mut out);
-        self.drain(ctx, out);
+        self.ab.on_timer(tag, &mut self.ab_out);
+        self.drain(ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, EuaMsg>) {
@@ -417,7 +416,7 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn rmw(k: u64, v: i64) -> TxnTemplate {
@@ -425,7 +424,8 @@ mod tests {
             ops: vec![
                 OpTemplate::Read(Key(k)),
                 OpTemplate::Write(Key(k), Value(v)),
-            ],
+            ]
+            .into(),
         }
     }
 

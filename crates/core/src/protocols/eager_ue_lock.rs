@@ -1302,16 +1302,16 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
     fn multi(ops: Vec<OpTemplate>) -> TxnTemplate {
-        TxnTemplate { ops }
+        TxnTemplate { ops: ops.into() }
     }
 
     fn build(

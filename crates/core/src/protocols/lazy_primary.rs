@@ -296,7 +296,7 @@ impl LazyPrimaryServer {
         if op.is_read_only() {
             let txn = global_txn(op.id);
             let mut reads = Vec::new();
-            for tpl in &op.txn.ops {
+            for tpl in op.txn.ops.iter() {
                 if let OpTemplate::Read(k) = tpl {
                     reads.push((*k, self.base.read_committed(txn, *k)));
                 }
@@ -709,12 +709,12 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
 

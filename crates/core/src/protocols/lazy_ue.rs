@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 use repl_db::{
     Key, Keyspace, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WsPayload, WsView,
 };
-use repl_gcs::Outbox;
+use repl_gcs::{AbDeliver, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 use repl_workload::OpTemplate;
 
@@ -154,6 +154,8 @@ pub struct LazyUeServer {
     flush_armed: bool,
     mode: ReconcileMode,
     ab: AbcastEndpoint<OrderedWs>,
+    /// What `ab` queued while handling one input; drained by `drive_ab`.
+    ab_out: Outbox<AbMsg<OrderedWs>, AbDeliver<OrderedWs>>,
     /// Locally committed transactions not yet confirmed by the total
     /// order (AbcastOrder mode).
     local_pending: HashSet<TxnId>,
@@ -194,6 +196,7 @@ impl LazyUeServer {
                 servers_copy,
                 repl_gcs::ConsensusConfig::default(),
             ),
+            ab_out: Outbox::new(),
             local_pending: HashSet::new(),
             reconciliations: 0,
             reship: Vec::new(),
@@ -244,9 +247,8 @@ impl LazyUeServer {
                     // Every site (self included) consumes the ordered
                     // delivery once.
                     let ws = self.base.make_payload(ws, self.servers.len() as u32);
-                    let mut out = Outbox::new();
-                    self.ab.broadcast(OrderedWs(ws), &mut out);
-                    self.drive_ab(ctx, out);
+                    self.ab.broadcast(OrderedWs(ws), &mut self.ab_out);
+                    self.drive_ab(ctx);
                 }
             }
         }
@@ -254,65 +256,67 @@ impl LazyUeServer {
 
     /// Applies ABCAST-ordered writesets: the total order *is* the
     /// after-commit order, so every site replays the same sequence.
-    fn drive_ab(
-        &mut self,
-        ctx: &mut Context<'_, LazyUeMsg>,
-        out: Outbox<AbMsg<OrderedWs>, repl_gcs::AbDeliver<OrderedWs>>,
-    ) {
-        let deliveries = repl_gcs::apply_outbox(ctx, out, 0, LazyUeMsg::Ab);
-        for d in deliveries {
-            let payload = d.payload.0;
-            let arena = self.base.arena.clone();
-            payload.with(arena.as_ref(), |view| {
-                let txn = view.txn();
-                let own = self.local_pending.remove(&txn);
-                let mut noted = self.base.tier.is_some().then(|| WriteSet {
-                    txn,
-                    writes: Vec::with_capacity(view.len()),
-                });
-                for w in view.iter() {
-                    // An optimistic local value that had not reached the
-                    // total order yet is being overridden: that is a
-                    // reconciliation.
-                    if let Some(current) = self.base.store.read(w.key) {
-                        if let Some(writer) = current.writer {
-                            if writer != txn && self.local_pending.contains(&writer) {
-                                self.reconciliations += 1;
-                            }
+    fn drive_ab(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
+        let mut out = std::mem::take(&mut self.ab_out);
+        repl_gcs::apply_outbox(ctx, &mut out, 0, LazyUeMsg::Ab, |_, d| {
+            self.apply_ordered(d)
+        });
+        self.ab_out = out;
+        settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
+    }
+
+    /// Installs one ABCAST-ordered writeset.
+    fn apply_ordered(&mut self, d: AbDeliver<OrderedWs>) {
+        let payload = d.payload.0;
+        let arena = self.base.arena.clone();
+        payload.with(arena.as_ref(), |view| {
+            let txn = view.txn();
+            let own = self.local_pending.remove(&txn);
+            let mut noted = self.base.tier.is_some().then(|| WriteSet {
+                txn,
+                writes: Vec::with_capacity(view.len()),
+            });
+            for w in view.iter() {
+                // An optimistic local value that had not reached the
+                // total order yet is being overridden: that is a
+                // reconciliation.
+                if let Some(current) = self.base.store.read(w.key) {
+                    if let Some(writer) = current.writer {
+                        if writer != txn && self.local_pending.contains(&writer) {
+                            self.reconciliations += 1;
                         }
                     }
-                    let after = self.base.store.write(w.key, w.value, txn);
-                    if let Some(n) = &mut noted {
-                        n.writes.push(WriteRecord {
-                            key: w.key,
-                            value: w.value,
-                            version: after.version,
-                        });
-                    }
-                    if !own {
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
                 }
-                // The tier notes at *delivery*, not at the optimistic local
-                // commit: the sealed state is then exactly a prefix of the
-                // total order, so a restore can rewind the stream to the
-                // frame token and replay forward consistently.
-                if let (Some(t), Some(noted)) = (&mut self.base.tier, noted) {
-                    t.note_commit(&noted);
+                let after = self.base.store.write(w.key, w.value, txn);
+                if let Some(n) = &mut noted {
+                    n.writes.push(WriteRecord {
+                        key: w.key,
+                        value: w.value,
+                        version: after.version,
+                    });
                 }
                 if !own {
-                    self.base.history.mark_committed(txn);
-                    self.base.committed += 1;
+                    self.base.history.record(
+                        self.base.site,
+                        txn,
+                        w.key,
+                        repl_db::AccessKind::Write,
+                    );
                 }
-            });
-            self.base.release_payload(&payload);
-        }
-        settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
+            }
+            // The tier notes at *delivery*, not at the optimistic local
+            // commit: the sealed state is then exactly a prefix of the
+            // total order, so a restore can rewind the stream to the
+            // frame token and replay forward consistently.
+            if let (Some(t), Some(noted)) = (&mut self.base.tier, noted) {
+                t.note_commit(&noted);
+            }
+            if !own {
+                self.base.history.mark_committed(txn);
+                self.base.committed += 1;
+            }
+        });
+        self.base.release_payload(&payload);
     }
 
     /// Every key this replica has accepted a stamped write for, with its
@@ -439,7 +443,7 @@ impl LazyUeServer {
         // Execute locally, against possibly-divergent local state.
         let mut reads = Vec::new();
         let mut writes = Vec::new();
-        for tpl in &op.txn.ops {
+        for tpl in op.txn.ops.iter() {
             match *tpl {
                 OpTemplate::Read(k) => {
                     reads.push((k, self.base.read_committed(txn, k)));
@@ -583,9 +587,8 @@ impl LazyUeServer {
                             self.base.note_snapshot(&t.snapshot);
                         }
                         self.ab.skip_to(pos, gpos);
-                        let mut out = Outbox::new();
-                        self.ab.rejoin(&mut out);
-                        self.drive_ab(ctx, out);
+                        self.ab.rejoin(&mut self.ab_out);
+                        self.drive_ab(ctx);
                         self.base.recovery.complete(ctx.now().ticks());
                     }
                 }
@@ -618,9 +621,8 @@ impl LazyUeServer {
         let remaining = self.elastic.remaining();
         self.ab.set_group(remaining.clone());
         if was_orderer {
-            let mut out = Outbox::new();
-            self.ab.handoff(remaining[0], &mut out);
-            self.drive_ab(ctx, out);
+            self.ab.handoff(remaining[0], &mut self.ab_out);
+            self.drive_ab(ctx);
         }
         for &n in &remaining {
             ctx.send(
@@ -682,9 +684,8 @@ impl LazyUeServer {
             ReconcileMode::AbcastOrder => {
                 // The ordered stream is the shared log: re-request the
                 // missed deliveries from the sequencer.
-                let mut out = Outbox::new();
-                self.ab.rejoin(&mut out);
-                self.drive_ab(ctx, out);
+                self.ab.rejoin(&mut self.ab_out);
+                self.drive_ab(ctx);
             }
         }
     }
@@ -732,9 +733,8 @@ impl Actor<LazyUeMsg> for LazyUeServer {
                 self.base.release_payload(&ws);
             }
             LazyUeMsg::Ab(m) => {
-                let mut out = Outbox::new();
-                self.ab.on_message(from, m, &mut out);
-                self.drive_ab(ctx, out);
+                self.ab.on_message(from, m, &mut self.ab_out);
+                self.drive_ab(ctx);
             }
             LazyUeMsg::SyncReq => {
                 let items = self.stamped_state();
@@ -802,9 +802,8 @@ impl Actor<LazyUeMsg> for LazyUeServer {
                 self.try_retire(ctx);
             }
         } else {
-            let mut out = Outbox::new();
-            self.ab.on_timer(tag, &mut out);
-            self.drive_ab(ctx, out);
+            self.ab.on_timer(tag, &mut self.ab_out);
+            self.drive_ab(ctx);
         }
     }
 
@@ -850,7 +849,7 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
 

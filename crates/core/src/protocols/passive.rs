@@ -118,6 +118,8 @@ pub struct PassiveServer {
     me: NodeId,
     group: Vec<NodeId>,
     vg: ViewGroup<Update>,
+    /// What `vg` queued while handling one input; drained by `drive`.
+    vg_out: Outbox<VsMsg<Update>, VsEvent<Update>>,
     pending: HashMap<OpId, PendingAck>,
     /// Waiting for the first state-transfer reply after a crash.
     recovering: bool,
@@ -141,6 +143,7 @@ impl PassiveServer {
             base: ServerBase::new(site, keyspace, exec),
             me,
             vg: ViewGroup::new(me, group.clone(), vs),
+            vg_out: Outbox::new(),
             elastic: Elastic::new(me, group.clone()),
             group,
             pending: HashMap::new(),
@@ -166,51 +169,54 @@ impl PassiveServer {
         self.primary() == self.me && !self.vg.is_excluded()
     }
 
-    fn drive(
-        &mut self,
-        ctx: &mut Context<'_, PassiveMsg>,
-        out: Outbox<VsMsg<Update>, VsEvent<Update>>,
-    ) {
-        let events = repl_gcs::apply_outbox(ctx, out, 0, PassiveMsg::Vs);
-        for ev in events {
-            match ev {
-                VsEvent::Deliver { from, payload, .. } => {
-                    if from == self.me {
-                        continue; // the primary already executed it
-                    }
-                    // Backup path: install without re-execution, cache the
-                    // response for failover, acknowledge.
-                    if self.base.cached(payload.op).is_none() {
-                        self.base.install_payload(&payload.ws);
-                        self.base.remember(&payload.resp);
-                    }
-                    self.base.release_payload(&payload.ws);
-                    ctx.send(from, PassiveMsg::Ack { op: payload.op });
+    /// Applies what the view group queued and reacts to what it
+    /// delivered or installed.
+    fn drive(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
+        let mut out = std::mem::take(&mut self.vg_out);
+        repl_gcs::apply_outbox(ctx, &mut out, 0, PassiveMsg::Vs, |ctx, ev| {
+            self.on_vs_event(ctx, ev)
+        });
+        self.vg_out = out;
+    }
+
+    fn on_vs_event(&mut self, ctx: &mut Context<'_, PassiveMsg>, ev: VsEvent<Update>) {
+        match ev {
+            VsEvent::Deliver { from, payload, .. } => {
+                if from == self.me {
+                    return; // the primary already executed it
                 }
-                VsEvent::ViewInstalled(view) => {
-                    // Back in a view after a crash: recovery is over.
-                    if self.base.recovery.is_recovering() && view.contains(self.me) {
-                        self.base.recovery.complete(ctx.now().ticks());
-                    }
-                    // Crashed backups no longer owe acks.
-                    let members: HashSet<NodeId> = view.members.iter().copied().collect();
-                    let mut done: Vec<OpId> = Vec::new();
-                    for (op, p) in self.pending.iter_mut() {
-                        p.awaiting.retain(|n| members.contains(n));
-                        if p.awaiting.is_empty() {
-                            done.push(*op);
-                        }
-                    }
-                    // Map iteration order is unspecified; reply in op order
-                    // so runs stay deterministic.
-                    done.sort_unstable();
-                    for op in done {
-                        self.finish(ctx, op);
+                // Backup path: install without re-execution, cache the
+                // response for failover, acknowledge.
+                if self.base.cached(payload.op).is_none() {
+                    self.base.install_payload(&payload.ws);
+                    self.base.remember(&payload.resp);
+                }
+                self.base.release_payload(&payload.ws);
+                ctx.send(from, PassiveMsg::Ack { op: payload.op });
+            }
+            VsEvent::ViewInstalled(view) => {
+                // Back in a view after a crash: recovery is over.
+                if self.base.recovery.is_recovering() && view.contains(self.me) {
+                    self.base.recovery.complete(ctx.now().ticks());
+                }
+                // Crashed backups no longer owe acks.
+                let members: HashSet<NodeId> = view.members.iter().copied().collect();
+                let mut done: Vec<OpId> = Vec::new();
+                for (op, p) in self.pending.iter_mut() {
+                    p.awaiting.retain(|n| members.contains(n));
+                    if p.awaiting.is_empty() {
+                        done.push(*op);
                     }
                 }
-                VsEvent::Excluded(_) => {
-                    self.pending.clear();
+                // Map iteration order is unspecified; reply in op order
+                // so runs stay deterministic.
+                done.sort_unstable();
+                for op in done {
+                    self.finish(ctx, op);
                 }
+            }
+            VsEvent::Excluded(_) => {
+                self.pending.clear();
             }
         }
     }
@@ -239,9 +245,8 @@ impl PassiveServer {
             ws: self.base.make_payload(ws, backups.len() as u32),
             resp: Arc::new(resp.clone()),
         };
-        let mut out = Outbox::new();
-        self.vg.broadcast(update, &mut out);
-        self.drive(ctx, out);
+        self.vg.broadcast(update, &mut self.vg_out);
+        self.drive(ctx);
         if backups.is_empty() {
             ctx.send(op.client, PassiveMsg::Reply(resp));
         } else {
@@ -258,9 +263,8 @@ impl PassiveServer {
 
     fn rejoin_now(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
         if self.group.len() == 1 {
-            let mut out = Outbox::new();
-            self.vg.rejoin(&mut out);
-            self.drive(ctx, out);
+            self.vg.rejoin(&mut self.vg_out);
+            self.drive(ctx);
             self.base.recovery.complete(ctx.now().ticks());
             return;
         }
@@ -364,9 +368,8 @@ impl PassiveServer {
                 self.elastic.answered = answered.into_iter().collect();
                 // State installed; the view group admits us next (the
                 // join view's flush exchange covers in-flight updates).
-                let mut out = Outbox::new();
-                self.vg.rejoin(&mut out);
-                self.drive(ctx, out);
+                self.vg.rejoin(&mut self.vg_out);
+                self.drive(ctx);
                 for op in std::mem::take(&mut self.elastic.buffered) {
                     self.invoke(ctx, op);
                 }
@@ -393,9 +396,8 @@ impl PassiveServer {
         let remaining = self.elastic.remaining();
         // Voluntary view-group exit: the shrunk view elects the next
         // primary and flushes in-flight updates.
-        let mut out = Outbox::new();
-        self.vg.leave(&mut out);
-        self.drive(ctx, out);
+        self.vg.leave(&mut self.vg_out);
+        self.drive(ctx);
         for &n in &remaining {
             ctx.send(
                 n,
@@ -412,9 +414,8 @@ impl PassiveServer {
 
 impl Actor<PassiveMsg> for PassiveServer {
     fn on_start(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        let mut out = Outbox::new();
-        repl_gcs::Component::on_start(&mut self.vg, &mut out);
-        self.drive(ctx, out);
+        repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
+        self.drive(ctx);
         if self.elastic.joining {
             self.base.recovery.begin(ctx.now().ticks());
             ctx.send(
@@ -440,9 +441,8 @@ impl Actor<PassiveMsg> for PassiveServer {
             PassiveMsg::Invoke(op) => self.invoke(ctx, op),
             PassiveMsg::Member(m) => self.member(ctx, from, m),
             PassiveMsg::Vs(m) => {
-                let mut out = Outbox::new();
-                repl_gcs::Component::on_message(&mut self.vg, from, m, &mut out);
-                self.drive(ctx, out);
+                repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
+                self.drive(ctx);
             }
             PassiveMsg::Ack { op } => {
                 if let Some(p) = self.pending.get_mut(&op) {
@@ -472,9 +472,8 @@ impl Actor<PassiveMsg> for PassiveServer {
                     self.base.install_transfer(&t);
                     // State installed; now ask the group for readmission
                     // (the join view's flush covers in-flight updates).
-                    let mut out = Outbox::new();
-                    self.vg.rejoin(&mut out);
-                    self.drive(ctx, out);
+                    self.vg.rejoin(&mut self.vg_out);
+                    self.drive(ctx);
                 }
             }
         }
@@ -503,9 +502,8 @@ impl Actor<PassiveMsg> for PassiveServer {
         if self.base.restoring() {
             return;
         }
-        let mut out = Outbox::new();
-        repl_gcs::Component::on_timer(&mut self.vg, tag, &mut out);
-        self.drive(ctx, out);
+        repl_gcs::Component::on_timer(&mut self.vg, tag, &mut self.vg_out);
+        self.drive(ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
@@ -551,12 +549,12 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
 

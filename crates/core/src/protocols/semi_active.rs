@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use repl_db::{Key, Keyspace, Transfer, Value};
-use repl_gcs::{BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
+use repl_gcs::{AbDeliver, BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::client::ProtocolMsg;
@@ -108,6 +108,10 @@ pub struct SemiActiveServer {
     group: Vec<NodeId>,
     ab: AbcastEndpoint<ClientOp>,
     vg: ViewGroup<Choice>,
+    /// What `ab` / `vg` queued while handling one input; drained by
+    /// `drive_ab` / `drive_vs`.
+    ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
+    vg_out: Outbox<VsMsg<Choice>, VsEvent<Choice>>,
     relayed: HashSet<OpId>,
     /// Waiting for the first snapshot reply after a crash.
     recovering: bool,
@@ -139,6 +143,8 @@ impl SemiActiveServer {
             me,
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
             vg: ViewGroup::new(me, group.clone(), vs),
+            ab_out: Outbox::new(),
+            vg_out: Outbox::new(),
             elastic: Elastic::new(me, group.clone()),
             group,
             relayed: HashSet::new(),
@@ -187,41 +193,47 @@ impl SemiActiveServer {
         Choice { op: op.id, writes }
     }
 
-    fn drive_ab(
-        &mut self,
-        ctx: &mut Context<'_, SemiActiveMsg>,
-        out: Outbox<AbMsg<ClientOp>, repl_gcs::AbDeliver<ClientOp>>,
-    ) {
-        let deliveries = repl_gcs::apply_outbox(ctx, out, 0, SemiActiveMsg::Ab);
-        for d in deliveries {
-            if self.marks {
-                ctx.mark(Phase::ServerCoordination.tag(), d.payload.id.0, d.gseq);
-            }
-            self.waiting.insert(d.gseq, d.payload);
-        }
+    /// Applies what the ABCAST endpoint queued, parks what it ordered and
+    /// applies whatever became applicable.
+    fn drive_ab(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
+        let mut out = std::mem::take(&mut self.ab_out);
+        repl_gcs::apply_outbox(ctx, &mut out, 0, SemiActiveMsg::Ab, |ctx, d| {
+            self.on_ordered(ctx, d)
+        });
+        self.ab_out = out;
         self.process(ctx);
         settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
     }
 
-    fn drive_vs(
-        &mut self,
-        ctx: &mut Context<'_, SemiActiveMsg>,
-        out: Outbox<VsMsg<Choice>, VsEvent<Choice>>,
-    ) {
-        let events = repl_gcs::apply_outbox(ctx, out, VG_BASE, SemiActiveMsg::Vs);
-        for ev in events {
-            match ev {
-                VsEvent::Deliver { payload, .. } => {
-                    self.choices.entry(payload.op).or_insert(payload.writes);
-                }
-                VsEvent::ViewInstalled(_) => {
-                    // A new leader re-issues choices for everything stuck.
-                    self.issued.clear();
-                }
-                VsEvent::Excluded(_) => {}
-            }
+    fn on_ordered(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, d: AbDeliver<ClientOp>) {
+        if self.marks {
+            ctx.mark(Phase::ServerCoordination.tag(), d.payload.id.0, d.gseq);
         }
+        self.waiting.insert(d.gseq, d.payload);
+    }
+
+    /// Applies what the view group queued, records the choices it
+    /// delivered and applies whatever became applicable.
+    fn drive_vs(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
+        let mut out = std::mem::take(&mut self.vg_out);
+        repl_gcs::apply_outbox(ctx, &mut out, VG_BASE, SemiActiveMsg::Vs, |_, ev| {
+            self.on_vs_event(ev)
+        });
+        self.vg_out = out;
         self.process(ctx);
+    }
+
+    fn on_vs_event(&mut self, ev: VsEvent<Choice>) {
+        match ev {
+            VsEvent::Deliver { payload, .. } => {
+                self.choices.entry(payload.op).or_insert(payload.writes);
+            }
+            VsEvent::ViewInstalled(_) => {
+                // A new leader re-issues choices for everything stuck.
+                self.issued.clear();
+            }
+            VsEvent::Excluded(_) => {}
+        }
     }
 
     /// Applies ordered operations in sequence, pausing at operations whose
@@ -245,9 +257,8 @@ impl SemiActiveServer {
                         ctx.mark(Phase::Execution.tag(), op.id.0, 0);
                     }
                     let choice = self.resolve_choice(&op);
-                    let mut out = Outbox::new();
-                    self.vg.broadcast(choice, &mut out);
-                    self.drive_vs(ctx, out);
+                    self.vg.broadcast(choice, &mut self.vg_out);
+                    self.drive_vs(ctx);
                     // drive_vs re-enters process(); stop this iteration.
                 }
                 return;
@@ -319,12 +330,10 @@ impl SemiActiveServer {
 
     fn rejoin_now(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
         if self.group.len() == 1 {
-            let mut out = Outbox::new();
-            self.ab.rejoin(&mut out);
-            self.drive_ab(ctx, out);
-            let mut out = Outbox::new();
-            self.vg.rejoin(&mut out);
-            self.drive_vs(ctx, out);
+            self.ab.rejoin(&mut self.ab_out);
+            self.drive_ab(ctx);
+            self.vg.rejoin(&mut self.vg_out);
+            self.drive_vs(ctx);
             return;
         }
         self.recovering = true;
@@ -357,9 +366,8 @@ impl SemiActiveServer {
         if !self.relayed.insert(op.id) {
             return;
         }
-        let mut out = Outbox::new();
-        self.ab.broadcast(op, &mut out);
-        self.drive_ab(ctx, out);
+        self.ab.broadcast(op, &mut self.ab_out);
+        self.drive_ab(ctx);
     }
 
     fn member(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, from: NodeId, m: MemberMsg) {
@@ -433,13 +441,11 @@ impl SemiActiveServer {
                 }
                 self.elastic.answered = answered.into_iter().collect();
                 self.ab.skip_to(pos, gpos);
-                let mut out = Outbox::new();
-                self.ab.rejoin(&mut out);
-                self.drive_ab(ctx, out);
+                self.ab.rejoin(&mut self.ab_out);
+                self.drive_ab(ctx);
                 // State is installed: ask the view group to admit us.
-                let mut out = Outbox::new();
-                self.vg.rejoin(&mut out);
-                self.drive_vs(ctx, out);
+                self.vg.rejoin(&mut self.vg_out);
+                self.drive_vs(ctx);
                 for op in std::mem::take(&mut self.elastic.buffered) {
                     self.invoke(ctx, op);
                 }
@@ -467,15 +473,13 @@ impl SemiActiveServer {
         if was_orderer {
             // Sequencer flavour: ship the order log to the successor so
             // gseq assignment continues where this node stopped.
-            let mut out = Outbox::new();
-            self.ab.handoff(remaining[0], &mut out);
-            self.drive_ab(ctx, out);
+            self.ab.handoff(remaining[0], &mut self.ab_out);
+            self.drive_ab(ctx);
         }
         // Voluntary view-group exit: survivors install the shrunk view
         // and the next leader re-issues any stuck choices.
-        let mut out = Outbox::new();
-        self.vg.leave(&mut out);
-        self.drive_vs(ctx, out);
+        self.vg.leave(&mut self.vg_out);
+        self.drive_vs(ctx);
         for &n in &remaining {
             ctx.send(
                 n,
@@ -492,9 +496,8 @@ impl SemiActiveServer {
 
 impl Actor<SemiActiveMsg> for SemiActiveServer {
     fn on_start(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        let mut out = Outbox::new();
-        repl_gcs::Component::on_start(&mut self.vg, &mut out);
-        self.drive_vs(ctx, out);
+        repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
+        self.drive_vs(ctx);
         if self.elastic.joining {
             self.base.recovery.begin(ctx.now().ticks());
             ctx.send(
@@ -524,14 +527,12 @@ impl Actor<SemiActiveMsg> for SemiActiveServer {
         match msg {
             SemiActiveMsg::Invoke(op) => self.invoke(ctx, op),
             SemiActiveMsg::Ab(m) => {
-                let mut out = Outbox::new();
-                self.ab.on_message(from, m, &mut out);
-                self.drive_ab(ctx, out);
+                self.ab.on_message(from, m, &mut self.ab_out);
+                self.drive_ab(ctx);
             }
             SemiActiveMsg::Vs(m) => {
-                let mut out = Outbox::new();
-                repl_gcs::Component::on_message(&mut self.vg, from, m, &mut out);
-                self.drive_vs(ctx, out);
+                repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
+                self.drive_vs(ctx);
             }
             SemiActiveMsg::Reply(_) => {}
             SemiActiveMsg::Member(m) => self.member(ctx, from, m),
@@ -558,12 +559,10 @@ impl Actor<SemiActiveMsg> for SemiActiveServer {
                     // already in the installed state.
                     self.next_apply = self.next_apply.max(high);
                     self.waiting = self.waiting.split_off(&self.next_apply);
-                    let mut out = Outbox::new();
-                    self.ab.rejoin(&mut out);
-                    self.drive_ab(ctx, out);
-                    let mut out = Outbox::new();
-                    self.vg.rejoin(&mut out);
-                    self.drive_vs(ctx, out);
+                    self.ab.rejoin(&mut self.ab_out);
+                    self.drive_ab(ctx);
+                    self.vg.rejoin(&mut self.vg_out);
+                    self.drive_vs(ctx);
                 }
             }
         }
@@ -593,13 +592,11 @@ impl Actor<SemiActiveMsg> for SemiActiveServer {
             return;
         }
         if tag >= VG_BASE {
-            let mut out = Outbox::new();
-            repl_gcs::Component::on_timer(&mut self.vg, tag - VG_BASE, &mut out);
-            self.drive_vs(ctx, out);
+            repl_gcs::Component::on_timer(&mut self.vg, tag - VG_BASE, &mut self.vg_out);
+            self.drive_vs(ctx);
         } else {
-            let mut out = Outbox::new();
-            self.ab.on_timer(tag, &mut out);
-            self.drive_ab(ctx, out);
+            self.ab.on_timer(tag, &mut self.ab_out);
+            self.drive_ab(ctx);
         }
     }
 
@@ -646,12 +643,12 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
 

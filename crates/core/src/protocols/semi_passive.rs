@@ -123,6 +123,10 @@ pub struct SemiPassiveServer {
     defer: SimDuration,
     pool: ConsensusPool<Proposal>,
     fd: HeartbeatFd,
+    /// What `pool` / `fd` queued while handling one input; drained by
+    /// `drive_pool` / `drive_fd`.
+    pool_out: Outbox<ConsMsg<Proposal>, ConsEvent<Proposal>>,
+    fd_out: Outbox<FdMsg, FdEvent>,
     pending: BTreeMap<OpId, ClientOp>,
     decided: BTreeMap<u64, Proposal>,
     next_slot: u64,
@@ -161,6 +165,8 @@ impl SemiPassiveServer {
             defer,
             pool: ConsensusPool::new(me, group.clone(), cons),
             fd: HeartbeatFd::new(me, group.clone(), FdConfig::default()),
+            pool_out: Outbox::new(),
+            fd_out: Outbox::new(),
             pending: BTreeMap::new(),
             decided: BTreeMap::new(),
             next_slot: 0,
@@ -310,13 +316,10 @@ impl SemiPassiveServer {
                 // Start heartbeats now that the group knows us, re-enter
                 // any undecided instance, then work the buffered backlog.
                 self.fd.reset();
-                let mut out = Outbox::new();
-                repl_gcs::Component::on_start(&mut self.fd, &mut out);
-                self.drive_fd(ctx, out);
-                let mut out = Outbox::new();
-                self.pool.resume(&mut out);
-                let events = repl_gcs::apply_outbox(ctx, out, CONS_BASE, SemiPassiveMsg::Cons);
-                self.handle_decisions(ctx, events);
+                repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
+                self.drive_fd(ctx);
+                self.pool.resume(&mut self.pool_out);
+                self.drive_pool(ctx);
                 for op in std::mem::take(&mut self.elastic.buffered) {
                     self.invoke(ctx, op);
                 }
@@ -383,19 +386,25 @@ impl SemiPassiveServer {
         }
     }
 
-    fn drive_fd(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>, out: Outbox<FdMsg, FdEvent>) {
-        let events = repl_gcs::apply_outbox(ctx, out, FD_BASE, SemiPassiveMsg::Fd);
-        for ev in events {
-            if let FdEvent::Suspect(_) = ev {
-                // A predecessor died: if we are now first in line for the
-                // current slot, act immediately instead of waiting out the
-                // deferral timer.
-                if self.effective_rank() == 0
-                    && !self.pending.is_empty()
-                    && self.engaged_slot == Some(self.next_slot)
-                {
-                    self.execute_and_propose(ctx);
-                }
+    /// Applies what the failure detector queued and reacts to its verdicts.
+    fn drive_fd(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
+        let mut out = std::mem::take(&mut self.fd_out);
+        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, SemiPassiveMsg::Fd, |ctx, ev| {
+            self.on_fd_event(ctx, ev)
+        });
+        self.fd_out = out;
+    }
+
+    fn on_fd_event(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>, ev: FdEvent) {
+        if let FdEvent::Suspect(_) = ev {
+            // A predecessor died: if we are now first in line for the
+            // current slot, act immediately instead of waiting out the
+            // deferral timer.
+            if self.effective_rank() == 0
+                && !self.pending.is_empty()
+                && self.engaged_slot == Some(self.next_slot)
+            {
+                self.execute_and_propose(ctx);
             }
         }
     }
@@ -413,22 +422,28 @@ impl SemiPassiveServer {
         // Every member consumes the decided slot exactly once (losing
         // proposals leak their span, which is safe and rare).
         let ws = self.base.make_payload(ws, self.group.len() as u32);
-        let mut out = Outbox::new();
-        self.pool
-            .propose(self.next_slot, Proposal { op, ws, resp }, &mut out);
-        let events = repl_gcs::apply_outbox(ctx, out, CONS_BASE, SemiPassiveMsg::Cons);
-        self.handle_decisions(ctx, events);
+        self.pool.propose(
+            self.next_slot,
+            Proposal { op, ws, resp },
+            &mut self.pool_out,
+        );
+        self.drive_pool(ctx);
     }
 
-    fn handle_decisions(
-        &mut self,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
-        events: Vec<ConsEvent<Proposal>>,
-    ) {
-        for ev in events {
-            let ConsEvent::Decided { inst, value } = ev;
-            self.decided.insert(inst, value);
-        }
+    /// Applies what the consensus pool queued, records the slots it
+    /// decided and installs the decided prefix.
+    fn drive_pool(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
+        let mut out = std::mem::take(&mut self.pool_out);
+        repl_gcs::apply_outbox(
+            ctx,
+            &mut out,
+            CONS_BASE,
+            SemiPassiveMsg::Cons,
+            |_, ConsEvent::Decided { inst, value }| {
+                self.decided.insert(inst, value);
+            },
+        );
+        self.pool_out = out;
         let mut progressed = false;
         while let Some(p) = self.decided.remove(&self.next_slot) {
             progressed = true;
@@ -466,18 +481,15 @@ impl SemiPassiveServer {
         // pre-crash miss counters so the first tick cannot suspect a
         // live peer on stale evidence.
         self.fd.reset();
-        let mut out = Outbox::new();
-        repl_gcs::Component::on_start(&mut self.fd, &mut out);
-        self.drive_fd(ctx, out);
+        repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
+        self.drive_fd(ctx);
         // Pending requests may have been decided while we were down;
         // clients re-forward anything genuinely unanswered.
         self.pending.clear();
         self.engaged_slot = None;
         if self.group.len() == 1 {
-            let mut out = Outbox::new();
-            self.pool.resume(&mut out);
-            let events = repl_gcs::apply_outbox(ctx, out, CONS_BASE, SemiPassiveMsg::Cons);
-            self.handle_decisions(ctx, events);
+            self.pool.resume(&mut self.pool_out);
+            self.drive_pool(ctx);
             self.base.recovery.complete(ctx.now().ticks());
             return;
         }
@@ -501,9 +513,8 @@ impl Actor<SemiPassiveMsg> for SemiPassiveServer {
             ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
             return;
         }
-        let mut out = Outbox::new();
-        repl_gcs::Component::on_start(&mut self.fd, &mut out);
-        self.drive_fd(ctx, out);
+        repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
+        self.drive_fd(ctx);
     }
 
     fn on_message(
@@ -531,15 +542,12 @@ impl Actor<SemiPassiveMsg> for SemiPassiveServer {
                 }
             }
             SemiPassiveMsg::Cons(c) => {
-                let mut out = Outbox::new();
-                repl_gcs::Component::on_message(&mut self.pool, from, c, &mut out);
-                let events = repl_gcs::apply_outbox(ctx, out, CONS_BASE, SemiPassiveMsg::Cons);
-                self.handle_decisions(ctx, events);
+                repl_gcs::Component::on_message(&mut self.pool, from, c, &mut self.pool_out);
+                self.drive_pool(ctx);
             }
             SemiPassiveMsg::Fd(m) => {
-                let mut out = Outbox::new();
-                repl_gcs::Component::on_message(&mut self.fd, from, m, &mut out);
-                self.drive_fd(ctx, out);
+                repl_gcs::Component::on_message(&mut self.fd, from, m, &mut self.fd_out);
+                self.drive_fd(ctx);
             }
             SemiPassiveMsg::Reply(_) => {}
             SemiPassiveMsg::Member(m) => {
@@ -571,10 +579,8 @@ impl Actor<SemiPassiveMsg> for SemiPassiveServer {
                 self.base.recovery.complete(ctx.now().ticks());
                 // Re-enter any instance still undecided group-wide, then
                 // start working the backlog again.
-                let mut out = Outbox::new();
-                self.pool.resume(&mut out);
-                let events = repl_gcs::apply_outbox(ctx, out, CONS_BASE, SemiPassiveMsg::Cons);
-                self.handle_decisions(ctx, events);
+                self.pool.resume(&mut self.pool_out);
+                self.drive_pool(ctx);
                 self.engage(ctx);
             }
         }
@@ -605,14 +611,11 @@ impl Actor<SemiPassiveMsg> for SemiPassiveServer {
             return;
         }
         if tag >= FD_BASE {
-            let mut out = Outbox::new();
-            repl_gcs::Component::on_timer(&mut self.fd, tag - FD_BASE, &mut out);
-            self.drive_fd(ctx, out);
+            repl_gcs::Component::on_timer(&mut self.fd, tag - FD_BASE, &mut self.fd_out);
+            self.drive_fd(ctx);
         } else if tag >= CONS_BASE {
-            let mut out = Outbox::new();
-            repl_gcs::Component::on_timer(&mut self.pool, tag - CONS_BASE, &mut out);
-            let events = repl_gcs::apply_outbox(ctx, out, CONS_BASE, SemiPassiveMsg::Cons);
-            self.handle_decisions(ctx, events);
+            repl_gcs::Component::on_timer(&mut self.pool, tag - CONS_BASE, &mut self.pool_out);
+            self.drive_pool(ctx);
         } else {
             // Deferral timer for a slot: execute only if still undecided.
             if tag == self.next_slot && !self.pending.is_empty() {
@@ -679,12 +682,12 @@ mod tests {
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Write(Key(k), Value(v))],
+            ops: vec![OpTemplate::Write(Key(k), Value(v))].into(),
         }
     }
     fn read(k: u64) -> TxnTemplate {
         TxnTemplate {
-            ops: vec![OpTemplate::Read(Key(k))],
+            ops: vec![OpTemplate::Read(Key(k))].into(),
         }
     }
 

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use repl_db::{Key, Value};
-use repl_sim::{impl_as_any, Actor, Context, NodeId, SimDuration, TimerId};
+use repl_sim::{impl_as_any, Actor, Context, GroupSet, NodeId, SimDuration, TimerId};
 use repl_workload::{OpTemplate, ShardMap, TxnTemplate};
 
 use crate::client::{OpRecord, ProtocolMsg};
@@ -62,7 +62,7 @@ pub struct ShardedClient<M> {
     /// Partial responses per touched group for the in-flight op.
     partials: HashMap<u32, Response>,
     /// Touched groups of the in-flight op, ascending.
-    expect: Vec<u32>,
+    expect: GroupSet,
     /// Home group of the in-flight op.
     home: u32,
     /// Member rank within the contact group (rotates on retry).
@@ -109,7 +109,7 @@ impl<M: ProtocolMsg> ShardedClient<M> {
             records: Vec::new(),
             next_txn: 0,
             partials: HashMap::new(),
-            expect: Vec::new(),
+            expect: GroupSet::default(),
             home: 0,
             rank: 0,
             pin_rank: None,
@@ -236,7 +236,7 @@ impl<M: ProtocolMsg> ShardedClient<M> {
     fn merge_partials(&mut self, op: OpId) -> Response {
         let committed = self.expect.iter().all(|g| self.partials[g].committed);
         let mut vals: HashMap<Key, Value> = HashMap::new();
-        for g in &self.expect {
+        for g in self.expect.iter() {
             for &(k, v) in &self.partials[g].reads {
                 vals.insert(k, v);
             }
@@ -340,7 +340,7 @@ mod tests {
             let EchoMsg::Invoke(op) = msg else { return };
             self.served += 1;
             // Forward to the other touched groups (home-contact role).
-            for g in self.map.shards_of(&op.txn) {
+            for &g in self.map.shards_of(&op.txn).iter() {
                 if g != self.gid {
                     ctx.send(
                         NodeId::new(g * self.group_size),
@@ -392,7 +392,7 @@ mod tests {
         // One write per shard, routed by the key's owner.
         let txns: Vec<TxnTemplate> = (0..4)
             .map(|g| TxnTemplate {
-                ops: vec![OpTemplate::Write(Key(map.range(g).0), Value(1))],
+                ops: vec![OpTemplate::Write(Key(map.range(g).0), Value(1))].into(),
             })
             .collect();
         let c = world.add_actor(Box::new(ShardedClient::<EchoMsg>::new(
@@ -426,7 +426,8 @@ mod tests {
                 OpTemplate::Read(k1),
                 OpTemplate::Write(k0, Value(5)),
                 OpTemplate::Read(k0),
-            ],
+            ]
+            .into(),
         }];
         let c = world.add_actor(Box::new(ShardedClient::<EchoMsg>::new(
             3,
@@ -454,7 +455,7 @@ mod tests {
         let (mut world, map, _servers) = shard_world(2);
         let k1 = Key(map.range(1).0);
         let txns = vec![TxnTemplate {
-            ops: vec![OpTemplate::Read(k1)],
+            ops: vec![OpTemplate::Read(k1)].into(),
         }];
         let c = world.add_actor(Box::new(ShardedClient::<EchoMsg>::new(
             1,

@@ -1,0 +1,180 @@
+//! Allocation guard for the steady-state commit path.
+//!
+//! From the client's submit to the replicas' replies a transaction
+//! crosses three layers — `core` (clients, protocol hosts), `gcs`
+//! (ABCAST / VSCAST / genuine multicast and their sub-components) and
+//! `db` (the transaction manager) — and none of their *plumbing* may
+//! allocate per transaction: hosts and components own their outboxes,
+//! transaction bodies are shared, per-transaction manager state is
+//! recycled. What is left is the data a transaction really creates (its
+//! body, its writeset, the reads it returns, history records where
+//! recording is on).
+//!
+//! The guard measures *marginal* allocations: the same cell is run at N
+//! and at 2N transactions per client, and the difference is divided by
+//! the extra transactions, so world construction, warm-up and the
+//! logarithmic tail of `Vec` doubling cancel. Counts, not times, so it
+//! cannot flake. It lives in its own integration-test crate because the
+//! library forbids `unsafe_code` and a `GlobalAlloc` impl is necessarily
+//! unsafe.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use repl_core::{try_run, Arrival, RunConfig, Technique};
+use repl_sim::SimDuration;
+use repl_workload::{ArrivalDist, WorkloadSpec};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const CLIENTS: u32 = 48;
+const TXNS: u32 = 250;
+
+/// Three lean replicas under an aggregated open loop (the `open_1m`
+/// shape): no history, no response cache, so what is counted is the
+/// commit path itself.
+fn open_cell(technique: Technique, txns: u32) -> RunConfig {
+    RunConfig::new(technique)
+        .with_servers(3)
+        .with_clients(CLIENTS)
+        .with_seed(29)
+        .with_trace(false)
+        .with_arrival(Arrival::OpenAggregated {
+            mean: 1_000,
+            dist: ArrivalDist::Poisson,
+        })
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(1_024)
+                .with_read_ratio(0.5)
+                .with_txns_per_client(txns),
+        )
+}
+
+/// Four groups of three, 5 % cross-shard, closed loop (the
+/// `shard16_closed` shape; sharded runs are closed-loop only, so these
+/// servers record history).
+fn sharded_cell(txns: u32) -> RunConfig {
+    RunConfig::new(Technique::Active)
+        .with_servers(3)
+        .with_clients(CLIENTS)
+        .with_seed(29)
+        .with_trace(false)
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(1_024)
+                .with_read_ratio(0.0)
+                .with_ops_per_txn(2)
+                .with_txns_per_client(txns)
+                .with_think_time(SimDuration::ZERO)
+                .with_shards(4)
+                .with_cross_shard_ratio(0.05),
+        )
+}
+
+/// Allocations of one whole run, report drop included.
+fn allocations(cfg: &RunConfig) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = try_run(cfg).expect("cell runs");
+    assert_eq!(report.ops_unanswered, 0, "cell left operations unanswered");
+    assert_eq!(
+        report.ops_completed,
+        u64::from(cfg.clients) * u64::from(cfg.workload.txns_per_client),
+        "cell did not drain its budget"
+    );
+    drop(report);
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+fn marginal(cell: impl Fn(u32) -> RunConfig) -> f64 {
+    let short = allocations(&cell(TXNS));
+    let long = allocations(&cell(2 * TXNS));
+    (long - short) as f64 / f64::from(CLIENTS * TXNS)
+}
+
+/// One guarded cell: its marginal allocations per transaction at PR 13
+/// and the budget it must stay under now.
+struct Guard {
+    label: &'static str,
+    parent: f64,
+    budget: f64,
+    cell: fn(u32) -> RunConfig,
+}
+
+// Each budget is the value measured when the commit path was made
+// allocation-free (4.004, 2.494, 5.005, 10.273) plus 10 %, and at most
+// half the PR 13 value. What remains is data: the shared body, the
+// writeset and returned reads per executing replica, Passive's ack
+// bookkeeping, and history records in the closed-loop cell.
+const GUARDS: [Guard; 4] = [
+    Guard {
+        label: "Active / 3 lean replicas",
+        parent: 28.921,
+        budget: 4.41,
+        cell: |t| open_cell(Technique::Active, t),
+    },
+    Guard {
+        label: "Certification / 3 lean replicas",
+        parent: 14.058,
+        budget: 2.75,
+        cell: |t| open_cell(Technique::Certification, t),
+    },
+    Guard {
+        label: "Passive / 3 lean replicas",
+        parent: 14.878,
+        budget: 5.51,
+        cell: |t| open_cell(Technique::Passive, t),
+    },
+    Guard {
+        label: "Active / 4 groups, 5 % cross-shard",
+        parent: 83.031,
+        budget: 11.31,
+        cell: sharded_cell,
+    },
+];
+
+// One test function on purpose: the counter is process-global, and
+// cargo runs `#[test]` functions concurrently.
+#[test]
+fn marginal_allocations_per_transaction_stay_within_budget() {
+    let mut over = Vec::new();
+    for g in GUARDS {
+        let per_txn = marginal(g.cell);
+        println!(
+            "{}: {per_txn:.3} allocations per transaction (PR 13: {})",
+            g.label, g.parent
+        );
+        assert!(
+            g.budget <= g.parent / 2.0,
+            "{}: budget {} is more than half the PR 13 value {}",
+            g.label,
+            g.budget,
+            g.parent
+        );
+        if per_txn > g.budget {
+            over.push(format!("{}: {per_txn:.3}, budget {}", g.label, g.budget));
+        }
+    }
+    assert!(over.is_empty(), "over budget: {over:#?}");
+}

@@ -6,7 +6,7 @@
 //! Commit returns the transaction's [`WriteSet`] — the redo records the
 //! replication protocols propagate.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::hash::FxHashMap;
 
@@ -14,13 +14,23 @@ use crate::item::{Key, TxnId, Value};
 use crate::log::{WriteRecord, WriteSet};
 use crate::store::{Store, Versioned};
 
-/// Bookkeeping for one in-flight transaction.
-#[derive(Debug, Clone)]
+/// One written key of an in-flight transaction.
+#[derive(Debug, Clone, Copy)]
+struct Written {
+    key: Key,
+    /// First-touch before-image, for undo.
+    before: Versioned,
+    /// Latest after-image.
+    value: Value,
+    version: u64,
+}
+
+/// Bookkeeping for one in-flight transaction: two small vectors, recycled
+/// through the manager's free list when the transaction ends.
+#[derive(Debug, Clone, Default)]
 struct ActiveTxn {
-    /// First-touch before-images, for undo.
-    before: FxHashMap<Key, Versioned>,
-    /// After-images in key order.
-    writes: BTreeMap<Key, (Value, u64)>,
+    /// Written keys, ascending.
+    writes: Vec<Written>,
     /// Versions read, in read order.
     reads: Vec<(Key, u64)>,
 }
@@ -60,6 +70,8 @@ impl std::error::Error for UnknownTxn {}
 #[derive(Debug, Default)]
 pub struct TxnManager {
     active: FxHashMap<TxnId, ActiveTxn>,
+    /// Cleared state of finished transactions, capacity kept.
+    free: Vec<ActiveTxn>,
     committed: u64,
     aborted: u64,
 }
@@ -72,11 +84,10 @@ impl TxnManager {
 
     /// Starts a transaction. Idempotent for an already-active id.
     pub fn begin(&mut self, id: TxnId) {
-        self.active.entry(id).or_insert_with(|| ActiveTxn {
-            before: FxHashMap::default(),
-            writes: BTreeMap::new(),
-            reads: Vec::new(),
-        });
+        let free = &mut self.free;
+        self.active
+            .entry(id)
+            .or_insert_with(|| free.pop().unwrap_or_default());
     }
 
     /// True if `id` is in flight.
@@ -103,7 +114,10 @@ impl TxnManager {
     pub fn before_images(&self) -> HashMap<Key, Versioned> {
         let mut images: HashMap<Key, Versioned> = HashMap::new();
         for txn in self.active.values() {
-            for (&k, &v) in &txn.before {
+            for &Written {
+                key: k, before: v, ..
+            } in &txn.writes
+            {
                 match images.get(&k) {
                     Some(prev) if prev.version <= v.version => {}
                     _ => {
@@ -147,11 +161,22 @@ impl TxnManager {
         value: Value,
     ) -> Result<Versioned, UnknownTxn> {
         let txn = self.active.get_mut(&id).ok_or(UnknownTxn(id))?;
-        txn.before
-            .entry(key)
-            .or_insert_with(|| store.read(key).unwrap_or(Versioned::initial(Value(0))));
+        let slot = txn.writes.binary_search_by_key(&key, |w| w.key);
+        let before = match slot {
+            Ok(at) => txn.writes[at].before,
+            Err(_) => store.read(key).unwrap_or(Versioned::initial(Value(0))),
+        };
         let after = store.write(key, value, id);
-        txn.writes.insert(key, (value, after.version));
+        let written = Written {
+            key,
+            before,
+            value,
+            version: after.version,
+        };
+        match slot {
+            Ok(at) => txn.writes[at] = written,
+            Err(at) => txn.writes.insert(at, written),
+        }
         Ok(after)
     }
 
@@ -171,18 +196,17 @@ impl TxnManager {
     pub fn commit(&mut self, id: TxnId) -> Result<WriteSet, UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
         self.committed += 1;
-        Ok(WriteSet {
-            txn: id,
-            writes: txn
-                .writes
-                .into_iter()
-                .map(|(key, (value, version))| WriteRecord {
-                    key,
-                    value,
-                    version,
-                })
-                .collect(),
-        })
+        let writes = txn
+            .writes
+            .iter()
+            .map(|w| WriteRecord {
+                key: w.key,
+                value: w.value,
+                version: w.version,
+            })
+            .collect();
+        self.recycle(txn);
+        Ok(WriteSet { txn: id, writes })
     }
 
     /// Aborts `id`, restoring every written item to its before-image.
@@ -193,10 +217,18 @@ impl TxnManager {
     pub fn abort(&mut self, store: &mut Store, id: TxnId) -> Result<(), UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
         self.aborted += 1;
-        for (key, prior) in txn.before {
-            store.restore(key, prior);
+        for w in &txn.writes {
+            store.restore(w.key, w.before);
         }
+        self.recycle(txn);
         Ok(())
+    }
+
+    /// Returns a finished transaction's state to the free list.
+    fn recycle(&mut self, mut txn: ActiveTxn) {
+        txn.writes.clear();
+        txn.reads.clear();
+        self.free.push(txn);
     }
 }
 

@@ -1,17 +1,23 @@
-//! Allocation guard for the lock manager's graph queries.
+//! Allocation guard for the lock manager's graph queries and the
+//! transaction manager's per-transaction state.
 //!
 //! The kernel promises that `find_deadlock` and `wait_for_edges` are
 //! allocation-free once warmed: with no waiters they read an empty edge
 //! multiset and return early, and under contention the DFS runs in
-//! persistent scratch buffers. This test installs a counting global
-//! allocator and holds the kernel to that promise. It lives in its own
+//! persistent scratch buffers. The transaction manager promises that a
+//! warm begin / write / commit cycle allocates nothing but the writeset
+//! it returns (and an abort nothing at all): finished transactions hand
+//! their state back to a free list. This test installs a counting global
+//! allocator and holds the kernel to both promises. It lives in its own
 //! integration-test crate because the library forbids `unsafe_code` and
 //! a `GlobalAlloc` impl is necessarily unsafe.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use repl_db::{Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TxnId};
+use repl_db::{
+    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, Store, TxnId, TxnManager, Value,
+};
 
 struct CountingAlloc;
 
@@ -47,7 +53,7 @@ fn t(ts: u64) -> TxnId {
 // One test function on purpose: the counter is process-global, and
 // cargo runs `#[test]` functions concurrently.
 #[test]
-fn graph_queries_do_not_allocate_after_warmup() {
+fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
     // Idle table: holders everywhere, no waiters. Both queries must hit
     // the empty-multiset early return.
     let mut lm = LockManager::with_keyspace(DeadlockPolicy::Detect, Keyspace::dense(64));
@@ -89,4 +95,44 @@ fn graph_queries_do_not_allocate_after_warmup() {
         before,
         "contended no-cycle find_deadlock allocated"
     );
+
+    // Transaction manager: four writes in descending key order, one key
+    // written twice, then commit — or abort.
+    let mut store = Store::with_items(16, Value(0));
+    let mut tm = TxnManager::new();
+    let write_four = |tm: &mut TxnManager, store: &mut Store, ts: u64| {
+        tm.begin(t(ts));
+        for k in [9u64, 7, 4, 1, 7] {
+            tm.write(store, t(ts), Key(k), Value(ts as i64))
+                .expect("active");
+        }
+    };
+    write_four(&mut tm, &mut store, 1); // warm-up: sizes the recycled state
+    tm.commit(t(1)).expect("active");
+    let before = allocations();
+    for ts in 2..102 {
+        write_four(&mut tm, &mut store, ts);
+        let ws = tm.commit(t(ts)).expect("active");
+        assert!(
+            ws.keys().eq([Key(1), Key(4), Key(7), Key(9)]),
+            "commit yields a key-sorted writeset"
+        );
+    }
+    assert_eq!(
+        allocations() - before,
+        100,
+        "a warm begin/write/commit cycle allocated more than its writeset"
+    );
+    let fingerprint = store.fingerprint();
+    let before = allocations();
+    for ts in 102..202 {
+        write_four(&mut tm, &mut store, ts);
+        tm.abort(&mut store, t(ts)).expect("active");
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm begin/write/abort cycle allocated"
+    );
+    assert_eq!(store.fingerprint(), fingerprint, "abort is a perfect undo");
 }

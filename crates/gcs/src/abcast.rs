@@ -587,13 +587,23 @@ impl<P: Message> SequencerAbcast<P> {
         if !self.member || self.delivered_ids.contains(&id) {
             return;
         }
+        if gseq == self.next_deliver && self.holdback.is_empty() {
+            // In order with nothing parked: no detour through the map.
+            self.deliver_next(id, payload, out);
+            return;
+        }
         self.holdback.entry(gseq).or_insert((id, payload));
         while let Some((id, payload)) = self.holdback.remove(&self.next_deliver) {
-            let gseq = self.next_deliver;
-            self.next_deliver += 1;
-            if self.delivered_ids.insert(id) {
-                out.event(AbDeliver { gseq, id, payload });
-            }
+            self.deliver_next(id, payload, out);
+        }
+    }
+
+    /// Receiver role: hands the message at the stream position to the host.
+    fn deliver_next(&mut self, id: MsgId, payload: P, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
+        let gseq = self.next_deliver;
+        self.next_deliver += 1;
+        if self.delivered_ids.insert(id) {
+            out.event(AbDeliver { gseq, id, payload });
         }
     }
 }
@@ -859,6 +869,8 @@ pub struct ConsensusAbcast<P> {
     me: NodeId,
     group: Vec<NodeId>,
     pool: ConsensusPool<Batch<P>>,
+    // What `pool` queued while handling one input.
+    pool_out: Outbox<ConsMsg<Batch<P>>, ConsEvent<Batch<P>>>,
     batch: BatchConfig,
     next_local: u64,
     pending: BTreeMap<MsgId, P>,
@@ -896,6 +908,7 @@ impl<P: Message> ConsensusAbcast<P> {
             me,
             group,
             pool,
+            pool_out: Outbox::new(),
             batch: BatchConfig::disabled(),
             next_local: 0,
             pending: BTreeMap::new(),
@@ -1065,10 +1078,8 @@ impl<P: Message> ConsensusAbcast<P> {
                 .collect(),
         );
         self.proposed_for = Some(self.next_inst);
-        let mut sub = Outbox::new();
-        self.pool.propose(self.next_inst, batch, &mut sub);
-        let events = out.absorb(sub, CONS_BASE, CAbMsg::Cons);
-        self.handle_pool_events(events, out);
+        let inst = self.next_inst;
+        self.drive_pool(out, |pool, sub| pool.propose(inst, batch, sub));
     }
 
     /// Call once after a crash + recovery (state is retained, timers are
@@ -1106,10 +1117,7 @@ impl<P: Message> ConsensusAbcast<P> {
             );
         }
         // Stalled consensus rounds lost their timers in the crash.
-        let mut sub = Outbox::new();
-        self.pool.resume(&mut sub);
-        let events = out.absorb(sub, CONS_BASE, CAbMsg::Cons);
-        self.handle_pool_events(events, out);
+        self.drive_pool(out, |pool, sub| pool.resume(sub));
         if !self.batch.enabled() {
             self.maybe_propose(out);
         }
@@ -1163,20 +1171,40 @@ impl<P: Message> ConsensusAbcast<P> {
         self.next_inst = inst;
     }
 
-    fn handle_pool_events(
+    /// Runs `f` against the embedded consensus pool with the endpoint's
+    /// own scratch outbox, forwards what the pool queued, keeps the
+    /// instances it decided and delivers whatever became deliverable.
+    fn drive_pool(
         &mut self,
-        events: Vec<ConsEvent<Batch<P>>>,
         out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>,
+        f: impl FnOnce(
+            &mut ConsensusPool<Batch<P>>,
+            &mut Outbox<ConsMsg<Batch<P>>, ConsEvent<Batch<P>>>,
+        ),
     ) {
-        for ev in events {
-            let ConsEvent::Decided { inst, value } = ev;
-            // Instances below the stream position were already delivered
-            // (or are covered by a joiner's bootstrap snapshot): keeping
-            // them would leak, they can never drain.
-            if inst >= self.next_inst {
-                self.decided.insert(inst, value);
-            }
-        }
+        let mut sub = std::mem::take(&mut self.pool_out);
+        f(&mut self.pool, &mut sub);
+        out.absorb(
+            &mut sub,
+            CONS_BASE,
+            CAbMsg::Cons,
+            |_, ConsEvent::Decided { inst, value }| {
+                // Instances below the stream position were already
+                // delivered (or are covered by a joiner's bootstrap
+                // snapshot): keeping them would leak, they can never
+                // drain.
+                if inst >= self.next_inst {
+                    self.decided.insert(inst, value);
+                }
+            },
+        );
+        self.pool_out = sub;
+        self.deliver_decided(out);
+    }
+
+    /// Delivers the decided batches at the stream position, in instance
+    /// order.
+    fn deliver_decided(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
         let mut progressed = false;
         while let Some(batch) = self.decided.remove(&self.next_inst) {
             self.decided_log.push(batch.clone());
@@ -1227,10 +1255,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
                 }
             }
             CAbMsg::Cons(c) => {
-                let mut sub = Outbox::new();
-                self.pool.on_message(from, c, &mut sub);
-                let events = out.absorb(sub, CONS_BASE, CAbMsg::Cons);
-                self.handle_pool_events(events, out);
+                self.drive_pool(out, |pool, sub| pool.on_message(from, c, sub));
             }
             CAbMsg::Rejoin { next_inst } => {
                 let lo = next_inst.max(self.log_base);
@@ -1261,7 +1286,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
                     }
                 }
                 if grew {
-                    self.handle_pool_events(Vec::new(), out);
+                    self.deliver_decided(out);
                 }
                 if self.rejoin_wait {
                     self.rejoin_high = self.rejoin_high.max(high);
@@ -1276,10 +1301,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
 
     fn on_timer(&mut self, tag: u64, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
         if tag >= CONS_BASE {
-            let mut sub = Outbox::new();
-            self.pool.on_timer(tag - CONS_BASE, &mut sub);
-            let events = out.absorb(sub, CONS_BASE, CAbMsg::Cons);
-            self.handle_pool_events(events, out);
+            self.drive_pool(out, |pool, sub| pool.on_timer(tag - CONS_BASE, sub));
         } else if tag == CONS_FLUSH_TAG {
             self.flush(out);
         }

@@ -108,26 +108,39 @@ impl<M, E> Outbox<M, E> {
         std::mem::take(&mut self.actions)
     }
 
-    /// Absorbs a sub-component's outbox into this one.
+    /// Absorbs a sub-component's outbox into this one, in place.
     ///
     /// Sends are wrapped through `wrap`; timer tags are offset by `base`
-    /// (which must be a multiple of [`TAG_SPACE`]); the sub-component's
-    /// events are returned for the caller to process.
+    /// (which must be a multiple of [`TAG_SPACE`]). Once *every* send
+    /// and timer has moved — so they precede whatever an event handler
+    /// queues — the sub-component's events are handed to `on_event` one
+    /// by one, together with this outbox. `sub` is left empty and keeps
+    /// its capacity: a component that owns the outbox of each layer
+    /// below it pays no allocation per handled message.
     pub fn absorb<M2, E2>(
         &mut self,
-        mut sub: Outbox<M2, E2>,
+        sub: &mut Outbox<M2, E2>,
         base: u64,
         mut wrap: impl FnMut(M2) -> M,
-    ) -> Vec<E2> {
-        let mut events = Vec::new();
-        for action in sub.drain() {
-            match action {
-                Action::Send(to, m) => self.send(to, wrap(m)),
-                Action::SetTimer(d, tag) => self.actions.push(Action::SetTimer(d, base + tag)),
-                Action::Event(e) => events.push(e),
+        mut on_event: impl FnMut(&mut Self, E2),
+    ) {
+        sub.take_effects(|action| match action {
+            Action::Send(to, m) => self.send(to, wrap(m)),
+            Action::SetTimer(d, tag) => self.actions.push(Action::SetTimer(d, base + tag)),
+            Action::Event(_) => unreachable!("events stay queued"),
+        });
+        for action in sub.actions.drain(..) {
+            if let Action::Event(e) = action {
+                on_event(self, e);
             }
         }
-        events
+    }
+
+    /// Removes the queued sends and timers, in order, leaving the events.
+    fn take_effects(&mut self, effect: impl FnMut(Action<M, E>)) {
+        self.actions
+            .extract_if(.., |a| !matches!(a, Action::Event(_)))
+            .for_each(effect);
     }
 }
 
@@ -159,31 +172,36 @@ pub trait Component {
     fn on_timer(&mut self, _tag: u64, _out: &mut Outbox<Self::Msg, Self::Event>) {}
 }
 
-/// Applies a drained outbox to the simulator on behalf of a host actor.
+/// Applies an outbox to the simulator on behalf of a host actor, in place.
 ///
 /// `wrap` lifts the component's message type into the host's wire type, and
 /// `base` is the component's timer-tag base (a multiple of [`TAG_SPACE`]).
-/// Returns the component's events for the host to interpret.
+/// Every send and timer reaches the simulator first, in queue order (so
+/// network RNG draws and event sequence numbers are those of the queue);
+/// then the component's events are handed to `on_event` one by one, with
+/// the context. `out` is left empty and keeps its capacity, so a host that
+/// owns its outbox for its lifetime allocates nothing per handled message.
 pub fn apply_outbox<M, E, W>(
     ctx: &mut Context<'_, W>,
-    mut out: Outbox<M, E>,
+    out: &mut Outbox<M, E>,
     base: u64,
     mut wrap: impl FnMut(M) -> W,
-) -> Vec<E>
-where
+    mut on_event: impl FnMut(&mut Context<'_, W>, E),
+) where
     W: Message,
 {
-    let mut events = Vec::new();
-    for action in out.drain() {
-        match action {
-            Action::Send(to, m) => ctx.send(to, wrap(m)),
-            Action::SetTimer(d, tag) => {
-                ctx.set_timer(d, base + tag);
-            }
-            Action::Event(e) => events.push(e),
+    out.take_effects(|action| match action {
+        Action::Send(to, m) => ctx.send(to, wrap(m)),
+        Action::SetTimer(d, tag) => {
+            ctx.set_timer(d, base + tag);
+        }
+        Action::Event(_) => unreachable!("events stay queued"),
+    });
+    for action in out.actions.drain(..) {
+        if let Action::Event(e) = action {
+            on_event(ctx, e);
         }
     }
-    events
 }
 
 #[cfg(test)]
@@ -214,14 +232,21 @@ mod tests {
     #[test]
     fn absorb_wraps_and_offsets() {
         let mut sub: Outbox<u8, &'static str> = Outbox::new();
+        sub.event("early");
         sub.send(NodeId::new(1), 3);
         sub.timer(SimDuration::from_ticks(2), 4);
-        sub.event("hello");
-        let mut parent: Outbox<String, ()> = Outbox::new();
-        let events = parent.absorb(sub, TAG_SPACE, |m| format!("wrapped{m}"));
-        assert_eq!(events, vec!["hello"]);
+        sub.event("late");
+        let mut parent: Outbox<String, &'static str> = Outbox::new();
+        parent.absorb(
+            &mut sub,
+            TAG_SPACE,
+            |m| format!("wrapped{m}"),
+            |parent, e| parent.event(e),
+        );
+        assert!(sub.is_empty(), "absorb drains the sub-outbox");
+        // The send and the timer first, then the events in order.
         let actions = parent.drain();
-        assert_eq!(actions.len(), 2);
+        assert_eq!(actions.len(), 4);
         match &actions[0] {
             Action::Send(to, m) => {
                 assert_eq!(*to, NodeId::new(1));
@@ -236,6 +261,8 @@ mod tests {
             }
             other => panic!("unexpected action {other:?}"),
         }
+        assert!(matches!(actions[2], Action::Event("early")));
+        assert!(matches!(actions[3], Action::Event("late")));
     }
 
     #[test]

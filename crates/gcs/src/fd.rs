@@ -149,9 +149,8 @@ impl HeartbeatFd {
         for &p in &self.peers {
             out.send(p, FdMsg::Heartbeat);
         }
-        let heard = std::mem::take(&mut self.heard);
         for &p in &self.peers {
-            if heard.contains(&p) {
+            if self.heard.contains(&p) {
                 self.misses.insert(p, 0);
             } else {
                 let m = self.misses.entry(p).or_insert(0);
@@ -161,6 +160,8 @@ impl HeartbeatFd {
                 }
             }
         }
+        // Cleared, not replaced: the round's set keeps its capacity.
+        self.heard.clear();
         out.timer(self.config.interval, TICK_TAG);
     }
 }

@@ -29,6 +29,8 @@ use crate::rbcast::{MsgId, RbDeliver, RbMsg, RelayPolicy, ReliableBcast};
 #[derive(Debug)]
 pub struct FifoBcast<P> {
     rb: ReliableBcast<P>,
+    // What `rb` queued while handling one input, before reordering.
+    rb_out: Outbox<RbMsg<P>, RbDeliver<P>>,
     next: HashMap<NodeId, u64>,
     holdback: HashMap<NodeId, BTreeMap<u64, P>>,
 }
@@ -38,6 +40,7 @@ impl<P: Clone + std::fmt::Debug + 'static> FifoBcast<P> {
     pub fn new(me: NodeId, group: Vec<NodeId>, policy: RelayPolicy) -> Self {
         FifoBcast {
             rb: ReliableBcast::new(me, group, policy),
+            rb_out: Outbox::new(),
             next: HashMap::new(),
             holdback: HashMap::new(),
         }
@@ -45,9 +48,8 @@ impl<P: Clone + std::fmt::Debug + 'static> FifoBcast<P> {
 
     /// Broadcasts `payload`; returns the assigned id.
     pub fn broadcast(&mut self, payload: P, out: &mut Outbox<RbMsg<P>, RbDeliver<P>>) -> MsgId {
-        let mut sub = Outbox::new();
-        let id = self.rb.broadcast(payload, &mut sub);
-        self.reorder(sub, out);
+        let id = self.rb.broadcast(payload, &mut self.rb_out);
+        self.reorder(out);
         id
     }
 
@@ -56,18 +58,23 @@ impl<P: Clone + std::fmt::Debug + 'static> FifoBcast<P> {
         self.holdback.values().map(|m| m.len()).sum()
     }
 
-    fn reorder(
-        &mut self,
-        sub: Outbox<RbMsg<P>, RbDeliver<P>>,
-        out: &mut Outbox<RbMsg<P>, RbDeliver<P>>,
-    ) {
-        for d in out.absorb(sub, 0, |m| m) {
-            self.holdback
-                .entry(d.id.origin)
-                .or_default()
-                .insert(d.id.seq, d.payload);
-            self.release(d.id.origin, out);
-        }
+    /// Moves what `rb` queued into `out`, holding its deliveries back
+    /// until their per-origin predecessors are in.
+    fn reorder(&mut self, out: &mut Outbox<RbMsg<P>, RbDeliver<P>>) {
+        let mut sub = std::mem::take(&mut self.rb_out);
+        out.absorb(
+            &mut sub,
+            0,
+            |m| m,
+            |out, d| {
+                self.holdback
+                    .entry(d.id.origin)
+                    .or_default()
+                    .insert(d.id.seq, d.payload);
+                self.release(d.id.origin, out);
+            },
+        );
+        self.rb_out = sub;
     }
 
     fn release(&mut self, origin: NodeId, out: &mut Outbox<RbMsg<P>, RbDeliver<P>>) {
@@ -94,9 +101,8 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for FifoBcast<P> {
         msg: RbMsg<P>,
         out: &mut Outbox<RbMsg<P>, RbDeliver<P>>,
     ) {
-        let mut sub = Outbox::new();
-        self.rb.on_message(from, msg, &mut sub);
-        self.reorder(sub, out);
+        self.rb.on_message(from, msg, &mut self.rb_out);
+        self.reorder(out);
     }
 }
 

@@ -43,7 +43,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use repl_sim::{Message, NodeId};
+use repl_sim::{GroupSet, Message, NodeId};
 
 use crate::abcast::AbDeliver;
 use crate::component::{Component, Outbox};
@@ -59,7 +59,7 @@ pub enum GmMsg<P> {
         /// Application payload.
         payload: P,
         /// Destination group ids, ascending and distinct.
-        dests: Vec<u32>,
+        dests: GroupSet,
     },
     /// Destination orderer → coordinator: my tentative timestamp.
     Propose {
@@ -136,6 +136,8 @@ struct Collect {
 pub struct GenuineMulticast<P> {
     me: NodeId,
     groups: Vec<Vec<NodeId>>,
+    // Node index → group id (`u32::MAX`: in no group).
+    gid_of_node: Vec<u32>,
     my_gid: u32,
     next_local: u64,
     // Skeen clock of this group's orderer role.
@@ -174,9 +176,18 @@ impl<P: Message> GenuineMulticast<P> {
             groups[my_gid as usize].contains(&me),
             "{me} not a member of group {my_gid}"
         );
+        let nodes = groups.iter().flatten().map(|n| n.index() + 1).max();
+        let mut gid_of_node = vec![u32::MAX; nodes.unwrap_or(0)];
+        // In reverse, so a node listed twice keeps its first group.
+        for (gid, group) in groups.iter().enumerate().rev() {
+            for n in group {
+                gid_of_node[n.index()] = gid as u32;
+            }
+        }
         GenuineMulticast {
             me,
             groups,
+            gid_of_node,
             my_gid,
             next_local: 0,
             clock: 0,
@@ -247,17 +258,20 @@ impl<P: Message> GenuineMulticast<P> {
         let id = MsgId::new(self.me, self.next_local);
         self.next_local += 1;
         self.pending.insert(id);
+        let set: GroupSet = dests.iter().copied().collect();
         for &g in dests {
             let orderer = self.orderer_of(g);
-            let msg = GmMsg::Submit {
-                id,
-                payload: payload.clone(),
-                dests: dests.to_vec(),
-            };
             if orderer == self.me {
-                self.on_submit(id, payload.clone(), dests.to_vec(), out);
+                self.on_submit(id, payload.clone(), dests.len(), out);
             } else {
-                out.send(orderer, msg);
+                out.send(
+                    orderer,
+                    GmMsg::Submit {
+                        id,
+                        payload: payload.clone(),
+                        dests: set.clone(),
+                    },
+                );
             }
         }
         id
@@ -272,18 +286,19 @@ impl<P: Message> GenuineMulticast<P> {
 
     /// The group of `node` (every node belongs to exactly one group).
     fn gid_of(&self, node: NodeId) -> u32 {
-        self.groups
-            .iter()
-            .position(|g| g.contains(&node))
-            .unwrap_or_else(|| panic!("{node} is in no group")) as u32
+        match self.gid_of_node.get(node.index()) {
+            Some(&gid) if gid != u32::MAX => gid,
+            _ => panic!("{node} is in no group"),
+        }
     }
 
-    /// Orderer role: a submission for a message my group must order.
+    /// Orderer role: a submission for a message my group and `dests - 1`
+    /// others must order.
     fn on_submit(
         &mut self,
         id: MsgId,
         payload: P,
-        dests: Vec<u32>,
+        dests: usize,
         out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
     ) {
         if self.entries.contains_key(&id) || self.delivered_ids.contains(&id) {
@@ -291,7 +306,7 @@ impl<P: Message> GenuineMulticast<P> {
         }
         self.clock += 1;
         let proposed = self.clock;
-        if dests.len() == 1 {
+        if dests == 1 {
             // Sole destination: the local proposal *is* the maximum.
             self.entries.insert(
                 id,
@@ -317,7 +332,7 @@ impl<P: Message> GenuineMulticast<P> {
             // I am the coordinator: open the collection with my own
             // proposal, then fold in any that arrived early.
             let collect = self.collecting.entry(id).or_default();
-            collect.need = dests.len();
+            collect.need = dests;
             collect.got.insert(self.my_gid, proposed);
             if let Some(early) = self.early.remove(&id) {
                 for (gid, ts) in early {
@@ -408,8 +423,8 @@ impl<P: Message> GenuineMulticast<P> {
             let e = self.entries.remove(&id).expect("min entry present");
             let gseq = self.next_gseq;
             self.next_gseq += 1;
-            let members: Vec<NodeId> = self.group().to_vec();
-            for m in members {
+            for i in 0..self.group().len() {
+                let m = self.group()[i];
                 if m != self.me {
                     out.send(
                         m,
@@ -436,14 +451,24 @@ impl<P: Message> GenuineMulticast<P> {
         if self.delivered_ids.contains(&id) {
             return;
         }
+        if gseq == self.next_deliver && self.holdback.is_empty() {
+            // In order with nothing parked: no detour through the map.
+            self.deliver_next(id, payload, out);
+            return;
+        }
         self.holdback.entry(gseq).or_insert((id, payload));
         while let Some((id, payload)) = self.holdback.remove(&self.next_deliver) {
-            let gseq = self.next_deliver;
-            self.next_deliver += 1;
-            if self.delivered_ids.insert(id) {
-                self.pending.remove(&id);
-                out.event(AbDeliver { gseq, id, payload });
-            }
+            self.deliver_next(id, payload, out);
+        }
+    }
+
+    /// Receiver role: hands the message at the stream position to the host.
+    fn deliver_next(&mut self, id: MsgId, payload: P, out: &mut Outbox<GmMsg<P>, AbDeliver<P>>) {
+        let gseq = self.next_deliver;
+        self.next_deliver += 1;
+        if self.delivered_ids.insert(id) {
+            self.pending.remove(&id);
+            out.event(AbDeliver { gseq, id, payload });
         }
     }
 }
@@ -459,7 +484,7 @@ impl<P: Message> Component for GenuineMulticast<P> {
         out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
     ) {
         match msg {
-            GmMsg::Submit { id, payload, dests } => self.on_submit(id, payload, dests, out),
+            GmMsg::Submit { id, payload, dests } => self.on_submit(id, payload, dests.len(), out),
             GmMsg::Propose { id, ts, gid } => self.on_propose(id, ts, gid, out),
             GmMsg::Final { id, ts } => self.on_final(id, ts, out),
             GmMsg::Ordered { gseq, id, payload } => self.accept(gseq, id, payload, out),

@@ -37,6 +37,7 @@ pub struct ComponentActor<C: Component> {
     pub events: Vec<(SimTime, C::Event)>,
     script: Vec<(SimDuration, Option<Step<C>>)>,
     recover_hook: Option<Step<C>>,
+    out: Outbox<C::Msg, C::Event>,
 }
 
 impl<C: Component> ComponentActor<C> {
@@ -47,6 +48,7 @@ impl<C: Component> ComponentActor<C> {
             events: Vec::new(),
             script: Vec::new(),
             recover_hook: None,
+            out: Outbox::new(),
         }
     }
 
@@ -78,16 +80,19 @@ impl<C: Component> ComponentActor<C> {
         self.events.iter().map(|(_, e)| e).collect()
     }
 
-    fn flush<W: Message>(
-        &mut self,
-        ctx: &mut Context<'_, W>,
-        out: Outbox<C::Msg, C::Event>,
-        wrap: impl FnMut(C::Msg) -> W,
-    ) {
+    /// Applies what the component queued and records its events.
+    fn flush(&mut self, ctx: &mut Context<'_, C::Msg>)
+    where
+        C::Msg: Message,
+    {
         let now = ctx.now();
-        for e in apply_outbox(ctx, out, 0, wrap) {
-            self.events.push((now, e));
-        }
+        apply_outbox(
+            ctx,
+            &mut self.out,
+            0,
+            |m| m,
+            |_, e| self.events.push((now, e)),
+        );
     }
 }
 
@@ -101,39 +106,35 @@ where
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer(*at, TAG_SPACE + i as u64);
         }
-        let mut out = Outbox::new();
-        self.inner.on_start(&mut out);
-        self.flush(ctx, out, |m| m);
+        self.inner.on_start(&mut self.out);
+        self.flush(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, C::Msg>, from: NodeId, msg: C::Msg) {
-        let mut out = Outbox::new();
-        self.inner.on_message(from, msg, &mut out);
-        self.flush(ctx, out, |m| m);
+        self.inner.on_message(from, msg, &mut self.out);
+        self.flush(ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, C::Msg>) {
         // Restart the component's timers after a crash (state is
         // retained); a recovery hook replaces the plain restart.
-        let mut out = Outbox::new();
         match self.recover_hook.as_mut() {
-            Some(hook) => hook(&mut self.inner, &mut out),
-            None => self.inner.on_start(&mut out),
+            Some(hook) => hook(&mut self.inner, &mut self.out),
+            None => self.inner.on_start(&mut self.out),
         }
-        self.flush(ctx, out, |m| m);
+        self.flush(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, C::Msg>, _timer: TimerId, tag: u64) {
-        let mut out = Outbox::new();
         if tag >= TAG_SPACE {
             let idx = (tag - TAG_SPACE) as usize;
             if let Some(step) = self.script[idx].1.as_mut() {
-                step(&mut self.inner, &mut out);
+                step(&mut self.inner, &mut self.out);
             }
         } else {
-            self.inner.on_timer(tag, &mut out);
+            self.inner.on_timer(tag, &mut self.out);
         }
-        self.flush(ctx, out, |m| m);
+        self.flush(ctx);
     }
 
     impl_as_any!();

@@ -199,6 +199,9 @@ pub struct ViewGroup<P> {
     initial: Vec<NodeId>,
     fd: HeartbeatFd,
     pool: ConsensusPool<Membership>,
+    // What `fd` / `pool` queued while handling one input.
+    fd_out: Outbox<FdMsg, FdEvent>,
+    pool_out: Outbox<ConsMsg<Membership>, ConsEvent<Membership>>,
     config: VsConfig,
     excluded: bool,
     /// Readmission in progress: cleared when a view containing the
@@ -255,6 +258,8 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             initial: group,
             fd,
             pool,
+            fd_out: Outbox::new(),
+            pool_out: Outbox::new(),
             config,
             excluded: false,
             joining: false,
@@ -304,6 +309,8 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             initial: seed,
             fd,
             pool,
+            fd_out: Outbox::new(),
+            pool_out: Outbox::new(),
             config,
             excluded: false,
             joining: false,
@@ -369,10 +376,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             return;
         }
         self.proposed.insert(inst);
-        let mut sub = Outbox::new();
-        self.pool.propose(inst, Membership(next), &mut sub);
-        let events = out.absorb(sub, CONS_BASE, VsMsg::Cons);
-        self.handle_cons_events(events, out);
+        self.drive_pool(out, |pool, sub| pool.propose(inst, Membership(next), sub));
     }
 
     /// Requests readmission into the group after a crash or a false
@@ -392,18 +396,13 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         // miss counters survive the outage); drop those events — the
         // joiner must not propose view changes, and genuine crashes are
         // re-detected by the regular ticks once readmitted.
-        let mut sub = Outbox::new();
-        self.fd.on_start(&mut sub);
-        let _ = out.absorb(sub, FD_BASE, VsMsg::Fd);
+        self.drive_fd(out, |fd, sub| fd.on_start(sub));
         if self.joining {
             self.send_join(out);
             out.timer(self.config.join_retry, JOIN_TAG);
         }
         // Membership consensus rounds lost their timers in the crash.
-        let mut sub = Outbox::new();
-        self.pool.resume(&mut sub);
-        let events = out.absorb(sub, CONS_BASE, VsMsg::Cons);
-        self.handle_cons_events(events, out);
+        self.drive_pool(out, |pool, sub| pool.resume(sub));
     }
 
     fn send_join(&mut self, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
@@ -433,10 +432,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             return;
         }
         self.proposed.insert(inst);
-        let mut sub = Outbox::new();
-        self.pool.propose(inst, Membership(next), &mut sub);
-        let events = out.absorb(sub, CONS_BASE, VsMsg::Cons);
-        self.handle_cons_events(events, out);
+        self.drive_pool(out, |pool, sub| pool.propose(inst, Membership(next), sub));
     }
 
     /// True while a view change is in progress.
@@ -556,28 +552,54 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             return;
         }
         self.proposed.insert(inst);
-        let mut sub = Outbox::new();
-        self.pool.propose(inst, Membership(next), &mut sub);
-        let events = out.absorb(sub, CONS_BASE, VsMsg::Cons);
-        self.handle_cons_events(events, out);
+        self.drive_pool(out, |pool, sub| pool.propose(inst, Membership(next), sub));
     }
 
-    fn handle_cons_events(
+    /// Runs `f` against the membership consensus with the endpoint's own
+    /// scratch outbox, forwards what the pool queued, starts the flush
+    /// exchange of every view it decided, and installs what is complete.
+    fn drive_pool(
         &mut self,
-        events: Vec<ConsEvent<Membership>>,
         out: &mut Outbox<VsMsg<P>, VsEvent<P>>,
+        f: impl FnOnce(
+            &mut ConsensusPool<Membership>,
+            &mut Outbox<ConsMsg<Membership>, ConsEvent<Membership>>,
+        ),
     ) {
-        for ev in events {
-            let ConsEvent::Decided { inst, value } = ev;
-            if inst <= self.view.id {
-                continue;
-            }
-            self.decided_views.insert(inst, value.0);
-            self.send_flush(inst, out);
-            out.timer(self.config.flush_retry, OWN_BASE + inst);
-        }
+        let mut sub = std::mem::take(&mut self.pool_out);
+        f(&mut self.pool, &mut sub);
+        out.absorb(
+            &mut sub,
+            CONS_BASE,
+            VsMsg::Cons,
+            |out, ConsEvent::Decided { inst, value }| {
+                if inst <= self.view.id {
+                    return;
+                }
+                self.decided_views.insert(inst, value.0);
+                self.send_flush(inst, out);
+                out.timer(self.config.flush_retry, OWN_BASE + inst);
+            },
+        );
+        self.pool_out = sub;
         self.try_install(out);
         self.maybe_change(out);
+    }
+
+    /// Runs `f` against the failure detector with the endpoint's own
+    /// scratch outbox and forwards what it queued; true if it raised a
+    /// new suspicion.
+    fn drive_fd(
+        &mut self,
+        out: &mut Outbox<VsMsg<P>, VsEvent<P>>,
+        f: impl FnOnce(&mut HeartbeatFd, &mut Outbox<FdMsg, FdEvent>),
+    ) -> bool {
+        f(&mut self.fd, &mut self.fd_out);
+        let mut suspected = false;
+        out.absorb(&mut self.fd_out, FD_BASE, VsMsg::Fd, |_, e| {
+            suspected |= matches!(e, FdEvent::Suspect(_));
+        });
+        suspected
     }
 
     fn send_flush(&mut self, new_view: u64, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
@@ -710,10 +732,8 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
     type Event = VsEvent<P>;
 
     fn on_start(&mut self, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
-        let mut sub = Outbox::new();
-        self.fd.on_start(&mut sub);
-        let events = out.absorb(sub, FD_BASE, VsMsg::Fd);
-        debug_assert!(events.is_empty());
+        let suspected = self.drive_fd(out, |fd, sub| fd.on_start(sub));
+        debug_assert!(!suspected);
     }
 
     fn on_message(&mut self, from: NodeId, msg: VsMsg<P>, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
@@ -763,24 +783,12 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
                 self.try_install(out);
             }
             VsMsg::Fd(m) => {
-                let mut sub = Outbox::new();
-                self.fd.on_message(from, m, &mut sub);
-                let events = out.absorb(sub, FD_BASE, VsMsg::Fd);
-                let mut need_change = false;
-                for e in events {
-                    if let FdEvent::Suspect(_) = e {
-                        need_change = true;
-                    }
-                }
-                if need_change {
+                if self.drive_fd(out, |fd, sub| fd.on_message(from, m, sub)) {
                     self.maybe_change(out);
                 }
             }
             VsMsg::Cons(c) => {
-                let mut sub = Outbox::new();
-                self.pool.on_message(from, c, &mut sub);
-                let events = out.absorb(sub, CONS_BASE, VsMsg::Cons);
-                self.handle_cons_events(events, out);
+                self.drive_pool(out, |pool, sub| pool.on_message(from, c, sub));
             }
         }
     }
@@ -803,23 +811,9 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
                 out.timer(self.config.flush_retry, OWN_BASE + nv);
             }
         } else if tag >= CONS_BASE {
-            let mut sub = Outbox::new();
-            self.pool.on_timer(tag - CONS_BASE, &mut sub);
-            let events = out.absorb(sub, CONS_BASE, VsMsg::Cons);
-            self.handle_cons_events(events, out);
-        } else {
-            let mut sub = Outbox::new();
-            self.fd.on_timer(tag - FD_BASE, &mut sub);
-            let events = out.absorb(sub, FD_BASE, VsMsg::Fd);
-            let mut need_change = false;
-            for e in events {
-                if let FdEvent::Suspect(_) = e {
-                    need_change = true;
-                }
-            }
-            if need_change {
-                self.maybe_change(out);
-            }
+            self.drive_pool(out, |pool, sub| pool.on_timer(tag - CONS_BASE, sub));
+        } else if self.drive_fd(out, |fd, sub| fd.on_timer(tag - FD_BASE, sub)) {
+            self.maybe_change(out);
         }
     }
 }

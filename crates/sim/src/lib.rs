@@ -65,7 +65,7 @@ mod wheel;
 mod world;
 
 pub use actor::{Actor, Message};
-pub use ids::{NodeId, TimerId};
+pub use ids::{GroupSet, NodeId, TimerId};
 pub use metrics::{LatencyHistogram, LatencyStats, Metrics};
 pub use network::{Delivery, LinkQuality, NetFault, Network, NetworkConfig};
 pub use objectstore::{ObjectStore, ObjectStoreConfig};

@@ -1,5 +1,7 @@
 //! The seeded transaction generator.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,10 +39,14 @@ impl OpTemplate {
 /// Keys within a transaction are distinct and the write values are unique
 /// across the whole generator, which the consistency oracles rely on to
 /// identify which write a read observed.
+///
+/// The body is immutable and shared: a clone — into a client's record, a
+/// retry, every leg of an ordering fan-out, a retained order log — bumps a
+/// reference count instead of copying the operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnTemplate {
     /// The operations, in program order.
-    pub ops: Vec<OpTemplate>,
+    pub ops: Arc<[OpTemplate]>,
 }
 
 impl TxnTemplate {
@@ -76,6 +82,8 @@ pub struct WorkloadGen {
     zipf: Zipf,
     rng: SmallRng,
     next_value: i64,
+    /// The keys of the transaction being generated (scratch).
+    keys: Vec<Key>,
     /// Sharded sampling state, present exactly when `spec.shards > 1`:
     /// the routing table and one Zipf sampler per shard sub-range. The
     /// unsharded path never consults either, so `shards == 1` keeps the
@@ -98,6 +106,7 @@ impl WorkloadGen {
             zipf: Zipf::new(spec.items, spec.skew),
             rng: SmallRng::seed_from_u64(seed),
             next_value: 1,
+            keys: Vec::new(),
             sharding,
         }
     }
@@ -108,7 +117,8 @@ impl WorkloadGen {
             return self.next_txn_sharded();
         }
         let n = self.spec.ops_per_txn as usize;
-        let mut keys: Vec<Key> = Vec::with_capacity(n);
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
         // Distinct keys per transaction (retry sampling; the domain is
         // always at least as large as the transaction in practice).
         let mut guard = 0;
@@ -124,19 +134,7 @@ impl WorkloadGen {
             let k = Key(keys.len() as u64 % self.spec.items);
             keys.push(k);
         }
-        let ops = keys
-            .into_iter()
-            .map(|k| {
-                if self.rng.gen::<f64>() < self.spec.read_ratio {
-                    OpTemplate::Read(k)
-                } else {
-                    let v = Value(self.next_value);
-                    self.next_value += 1;
-                    OpTemplate::Write(k, v)
-                }
-            })
-            .collect();
-        TxnTemplate { ops }
+        self.finish(keys)
     }
 
     /// The sharded transaction shape: a uniformly drawn home shard, a
@@ -158,7 +156,8 @@ impl WorkloadGen {
             Some(o) if pos % 2 == 1 => o,
             _ => home,
         };
-        let mut keys: Vec<Key> = Vec::with_capacity(n);
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
         let mut guard = 0;
         while keys.len() < n && guard < 10_000 {
             let target = shard_at(keys.len());
@@ -178,9 +177,14 @@ impl WorkloadGen {
             let k = Key(lo + keys.len() as u64 % (hi - lo));
             keys.push(k);
         }
+        self.finish(keys)
+    }
+
+    /// Draws read-or-write (and the write's value) for each key, in order.
+    fn finish(&mut self, keys: Vec<Key>) -> TxnTemplate {
         let ops = keys
-            .into_iter()
-            .map(|k| {
+            .iter()
+            .map(|&k| {
                 if self.rng.gen::<f64>() < self.spec.read_ratio {
                     OpTemplate::Read(k)
                 } else {
@@ -190,6 +194,7 @@ impl WorkloadGen {
                 }
             })
             .collect();
+        self.keys = keys;
         TxnTemplate { ops }
     }
 
@@ -232,8 +237,8 @@ mod tests {
         let mut gen = WorkloadGen::new(&spec, 2);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            for op in gen.next_txn().ops {
-                if let OpTemplate::Write(_, v) = op {
+            for op in gen.next_txn().ops.iter() {
+                if let OpTemplate::Write(_, v) = *op {
                     assert!(seen.insert(v), "duplicate write value {v:?}");
                 }
             }

@@ -11,6 +11,7 @@
 //! owner for every key, which the determinism suite relies on.
 
 use repl_db::Key;
+use repl_sim::GroupSet;
 
 use crate::generator::TxnTemplate;
 
@@ -136,11 +137,8 @@ impl ShardMap {
     }
 
     /// The distinct shards a transaction touches, ascending.
-    pub fn shards_of(&self, txn: &TxnTemplate) -> Vec<u32> {
-        let mut v: Vec<u32> = txn.ops.iter().map(|o| self.shard_of(o.key())).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    pub fn shards_of(&self, txn: &TxnTemplate) -> GroupSet {
+        txn.ops.iter().map(|o| self.shard_of(o.key())).collect()
     }
 
     fn boundary(&self, s: u32) -> u64 {
@@ -218,8 +216,9 @@ mod tests {
                 OpTemplate::Write(Key(80), Value(1)), // shard 3
                 OpTemplate::Read(Key(5)),             // shard 0
                 OpTemplate::Write(Key(81), Value(2)), // shard 3
-            ],
+            ]
+            .into(),
         };
-        assert_eq!(map.shards_of(&txn), vec![0, 3]);
+        assert_eq!(&*map.shards_of(&txn), &[0, 3]);
     }
 }
