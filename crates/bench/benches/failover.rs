@@ -6,7 +6,7 @@ use repl_bench::{availability_table, failover_table, render, update_workload};
 use repl_core::protocols::common::AbcastImpl;
 use repl_core::{RunConfig, Technique};
 use repl_sim::{NodeId, SimTime};
-use repl_workload::CrashSchedule;
+use repl_workload::FaultPlan;
 
 fn bench(c: &mut Criterion) {
     println!(
@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
             &availability_table()
         )
     );
-    let crash = CrashSchedule::new().crash_at(SimTime::from_ticks(12_000), NodeId::new(0));
+    let crash = FaultPlan::new().crash_at(SimTime::from_ticks(12_000), NodeId::new(0));
     let cells: Vec<SweepCell> = [
         Technique::Active,
         Technique::Passive,
@@ -39,7 +39,7 @@ fn bench(c: &mut Criterion) {
                 .with_seed(113)
                 .with_trace(false)
                 .with_abcast(AbcastImpl::Consensus)
-                .with_crashes(crash.clone())
+                .with_faults(crash.clone())
                 .with_workload(update_workload(10)),
         )
     })

@@ -20,7 +20,7 @@ use repl_core::protocols::common::{AbcastImpl, ExecutionMode};
 use repl_core::{BatchConfig, DurabilityConfig, RunConfig, RunReport, Technique};
 use repl_db::DeadlockPolicy;
 use repl_sim::{NodeId, SimDuration, SimTime};
-use repl_workload::{CrashSchedule, FaultPlan, MembershipPlan, WorkloadSpec};
+use repl_workload::{FaultPlan, MembershipPlan, WorkloadSpec};
 
 pub mod kernel;
 pub mod sweep;
@@ -293,7 +293,7 @@ pub fn conflicts_table(skews: &[f64]) -> Vec<Row> {
 /// a *surviving* replica never notices the crash, while primary-copy
 /// techniques stall every client (they all depend on the dead primary).
 pub fn failover_table() -> Vec<Row> {
-    let crash = CrashSchedule::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0));
+    let crash = FaultPlan::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0));
     let techniques = [
         Technique::Active,
         Technique::SemiActive,
@@ -309,7 +309,7 @@ pub fn failover_table() -> Vec<Row> {
             .with_seed(113)
             .with_trace(false)
             .with_abcast(AbcastImpl::Consensus)
-            .with_crashes(crash.clone())
+            .with_faults(crash.clone())
             .with_workload(update_workload(10));
         if technique == Technique::SemiActive {
             cfg = cfg.with_exec(ExecutionMode::NonDeterministic);

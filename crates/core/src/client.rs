@@ -22,21 +22,63 @@ use repl_workload::{ArrivalStream, TxnTemplate, WorkloadGen};
 
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
+use crate::protocols::replica::MemberMsg;
 
 /// A protocol wire type that clients can talk: carries invocations in and
-/// responses out.
+/// responses out, and wraps the membership handshake the replica shell
+/// speaks on every technique's behalf.
 pub trait ProtocolMsg: Message {
     /// Wraps a client operation for submission.
     fn invoke(op: ClientOp) -> Self;
+    /// Wraps a response for the client.
+    fn reply(resp: Response) -> Self;
     /// Extracts a response, if this message is one.
     fn response(&self) -> Option<&Response>;
+    /// Wraps a membership-handshake message.
+    fn member(m: MemberMsg) -> Self;
+    /// Extracts the membership-handshake message, if this is one.
+    fn as_member(&self) -> Option<&MemberMsg>;
     /// Extracts a decommission reroute, if this message is one: the
     /// bounced operation and the membership to re-resolve against.
-    /// Techniques without elastic membership keep the default.
     fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        None
+        match self.as_member() {
+            Some(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
+            _ => None,
+        }
     }
 }
+
+/// Implements [`ProtocolMsg`] for a wire enum with the three variants
+/// every technique shares: `Invoke(ClientOp)`, `Reply(Response)` and
+/// `Member(MemberMsg)`.
+macro_rules! impl_protocol_msg {
+    ($msg:ident) => {
+        impl $crate::client::ProtocolMsg for $msg {
+            fn invoke(op: $crate::op::ClientOp) -> Self {
+                $msg::Invoke(op)
+            }
+            fn reply(resp: $crate::op::Response) -> Self {
+                $msg::Reply(resp)
+            }
+            fn response(&self) -> Option<&$crate::op::Response> {
+                match self {
+                    $msg::Reply(r) => Some(r),
+                    _ => None,
+                }
+            }
+            fn member(m: $crate::protocols::replica::MemberMsg) -> Self {
+                $msg::Member(m)
+            }
+            fn as_member(&self) -> Option<&$crate::protocols::replica::MemberMsg> {
+                match self {
+                    $msg::Member(m) => Some(m),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub(crate) use impl_protocol_msg;
 
 /// What a client observed for one operation.
 #[derive(Debug, Clone)]
@@ -714,19 +756,10 @@ mod tests {
     enum EchoMsg {
         Invoke(ClientOp),
         Reply(crate::Response),
+        Member(MemberMsg),
     }
     impl Message for EchoMsg {}
-    impl ProtocolMsg for EchoMsg {
-        fn invoke(op: ClientOp) -> Self {
-            EchoMsg::Invoke(op)
-        }
-        fn response(&self) -> Option<&crate::Response> {
-            match self {
-                EchoMsg::Reply(r) => Some(r),
-                _ => None,
-            }
-        }
-    }
+    impl_protocol_msg!(EchoMsg);
 
     /// A server that answers every invoke — unless mute.
     struct EchoServer {

@@ -19,21 +19,19 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WsPayload};
-use repl_gcs::{AbDeliver, BatchConfig, Outbox};
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_db::{Certifier, Key, Keyspace, Transfer, WriteRecord, WriteSet, WsPayload};
+use repl_gcs::{AbDeliver, BatchConfig, ConsensusConfig, Outbox};
+use repl_sim::{Context, Message, NodeId};
 use repl_workload::OpTemplate;
 
-use crate::client::ProtocolMsg;
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, DrainState, Elastic,
-    ExecutionMode, MemberMsg, ServerBase, DRAIN_TICK_TAG, DRAIN_TICK_TICKS, JOIN_RETRY_TAG,
-    JOIN_RETRY_TICKS, RESTORE_TAG,
+    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
-use repl_db::Transfer;
-use repl_gcs::ConsensusConfig;
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// What the delegate broadcasts after optimistic execution.
 #[derive(Debug, Clone)]
@@ -81,41 +79,22 @@ impl Message for CertMsg {
     }
 }
 
-impl ProtocolMsg for CertMsg {
-    fn invoke(op: ClientOp) -> Self {
-        CertMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            CertMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            CertMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(CertMsg);
 
-/// A certification-based replication server.
-pub struct CertServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
+/// Certification-based replication: optimistic shadow execution at the
+/// delegate, one ABCAST, the same deterministic test at every site.
+pub struct Cert {
     ab: AbcastEndpoint<CertRequest>,
     /// What `ab` queued while handling one input; drained by `drain`.
     ab_out: Outbox<AbMsg<CertRequest>, AbDeliver<CertRequest>>,
     /// The deterministic certification state (identical at all sites).
     pub certifier: Certifier,
     relayed: HashSet<OpId>,
-    /// Group size: every member consumes each certification request once.
-    peers: u32,
     marks: bool,
-    /// Elastic-membership lifecycle (dormant without a membership plan).
-    pub elastic: Elastic,
 }
+
+/// A certification-based replication server.
+pub type CertServer = Replica<Cert>;
 
 impl CertServer {
     /// Creates server `site` of `group`.
@@ -129,45 +108,45 @@ impl CertServer {
         cons: ConsensusConfig,
     ) -> Self {
         let ks = keyspace.into();
-        CertServer {
-            base: ServerBase::new(site, ks, exec),
-            me,
-            peers: group.len() as u32,
+        let tech = Cert {
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
             ab_out: Outbox::new(),
             certifier: Certifier::with_keyspace(ks),
             relayed: HashSet::new(),
             marks: site == 0,
-            elastic: Elastic::new(me, group),
-        }
-    }
-
-    /// Marks this server a cold joiner: it boots with no state and runs
-    /// the join handshake on start before serving.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
+        };
+        Replica::around(site, me, group, ks, exec, tech)
     }
 
     /// Sets the ordering-layer batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.ab.set_batching(batch);
+        self.tech.ab.set_batching(batch);
         self
     }
+}
 
+impl Cert {
     /// Applies what the ABCAST endpoint queued and certifies what it
     /// delivered.
-    fn drain(&mut self, ctx: &mut Context<'_, CertMsg>) {
+    fn drain(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>) {
         let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, CertMsg::Ab, |ctx, d| self.deliver(ctx, d));
+        repl_gcs::apply_outbox(ctx, &mut out, 0, CertMsg::Ab, |ctx, d| {
+            self.deliver(sh, ctx, d)
+        });
         self.ab_out = out;
-        settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
+        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
     }
 
-    fn deliver(&mut self, ctx: &mut Context<'_, CertMsg>, d: AbDeliver<CertRequest>) {
+    fn deliver(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, CertMsg>,
+        d: AbDeliver<CertRequest>,
+    ) {
         let req = d.payload;
         let op_id = req.op.id;
-        if self.base.cached(op_id).is_some() || self.elastic.answered.contains(&op_id) {
-            self.base.release_payload(&req.ws); // duplicate delivery
+        if sh.base.cached(op_id).is_some() || sh.answered_before_join(op_id) {
+            sh.base.release_payload(&req.ws); // duplicate delivery
             return;
         }
         if self.marks {
@@ -175,7 +154,7 @@ impl CertServer {
             ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
         }
         let txn = global_txn(op_id);
-        let arena = self.base.arena.clone();
+        let arena = sh.base.arena.clone();
         let verdict = req.ws.with(arena.as_ref(), |view| {
             self.certifier
                 .certify_records(&req.read_set, txn, view.iter())
@@ -187,13 +166,14 @@ impl CertServer {
             // shadow's), so a restore reproduces them exactly — it is
             // the only consumer of the materialized records, so the
             // collection is skipped entirely on untiered runs.
+            let base = &mut sh.base;
             let noted = req.ws.with(arena.as_ref(), |view| {
-                let mut noted = self.base.tier.is_some().then(|| WriteSet {
+                let mut noted = base.tier.is_some().then(|| WriteSet {
                     txn,
                     writes: Vec::with_capacity(view.len()),
                 });
                 for w in view.iter() {
-                    let v = self.base.store.write(w.key, w.value, txn);
+                    let v = base.store.write(w.key, w.value, txn);
                     if let Some(applied) = &mut noted {
                         applied.writes.push(WriteRecord {
                             key: w.key,
@@ -201,64 +181,54 @@ impl CertServer {
                             version: v.version,
                         });
                     }
-                    self.base.history.record(
-                        self.base.site,
-                        txn,
-                        w.key,
-                        repl_db::AccessKind::Write,
-                    );
+                    base.history
+                        .record(base.site, txn, w.key, repl_db::AccessKind::Write);
                 }
                 noted
             });
-            if let (Some(t), Some(applied)) = (&mut self.base.tier, noted) {
+            if let (Some(t), Some(applied)) = (&mut base.tier, noted) {
                 t.note_commit(&applied);
             }
             for &(k, _) in req.read_set.iter() {
-                self.base
-                    .history
-                    .record(self.base.site, txn, k, repl_db::AccessKind::Read);
+                base.history
+                    .record(base.site, txn, k, repl_db::AccessKind::Read);
             }
-            self.base.history.mark_committed(txn);
-            self.base.committed += 1;
+            base.history.mark_committed(txn);
+            base.committed += 1;
             Response {
                 committed: true,
                 ..req.resp.clone()
             }
         } else {
-            self.base.aborted += 1;
+            sh.base.aborted += 1;
             Response::aborted(op_id)
         };
-        self.base.release_payload(&req.ws);
-        self.base.remember(&resp);
-        if req.delegate == self.me {
+        sh.base.release_payload(&req.ws);
+        sh.base.remember(&resp);
+        if req.delegate == sh.me() {
             ctx.send(req.op.client, CertMsg::Reply(resp));
         }
     }
 
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
-        self.drain(ctx);
+    /// Rebuilds the certifier's version counters from the installed
+    /// store: store versions track them one-for-one, so the store *is*
+    /// the certification state at its position in the stream, and
+    /// verdicts for the replayed suffix match the group's. (The
+    /// commit/abort tallies restart — only verdicts must survive, and the
+    /// report counts client-side.)
+    fn restore_certifier(&mut self, sh: &Shell) {
+        for (k, v) in sh.base.store.snapshot() {
+            if let Some(by) = v.writer {
+                self.certifier.restore_version(k, v.version, by);
+            }
+        }
     }
+}
 
-    fn invoke(&mut self, ctx: &mut Context<'_, CertMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, CertMsg::Reply(resp));
-            return;
-        }
-        if self.elastic.rerouting() {
-            ctx.send(
-                op.client,
-                CertMsg::Member(MemberMsg::Reroute {
-                    op: op.id,
-                    servers: self.elastic.remaining(),
-                }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
+impl Technique for Cert {
+    type Msg = CertMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>, op: ClientOp) {
         if !self.relayed.insert(op.id) {
             return;
         }
@@ -271,16 +241,16 @@ impl CertServer {
             let mut reads = Vec::new();
             for tpl in op.txn.ops.iter() {
                 if let OpTemplate::Read(k) = tpl {
-                    reads.push((*k, self.base.read_committed(txn, *k)));
+                    reads.push((*k, sh.base.read_committed(txn, *k)));
                 }
             }
-            self.base.history.mark_committed(txn);
+            sh.base.history.mark_committed(txn);
             let resp = Response {
                 op: op.id,
                 committed: true,
                 reads,
             };
-            self.base.remember(&resp);
+            sh.base.remember(&resp);
             ctx.send(op.client, CertMsg::Reply(resp));
             return;
         }
@@ -289,236 +259,100 @@ impl CertServer {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
         let txn = global_txn(op.id);
-        let (read_set, ws, resp) = self.base.execute_shadow(&op, txn);
+        let (read_set, ws, resp) = sh.base.execute_shadow(&op, txn);
+        // Every member consumes each certification request once.
+        let peers = sh.servers().len() as u32;
         let req = CertRequest {
             op,
             read_set,
-            ws: self.base.make_payload(ws, self.peers),
+            ws: sh.base.make_payload(ws, peers),
             resp,
-            delegate: self.me,
+            delegate: sh.me(),
         };
         self.ab.broadcast(req, &mut self.ab_out);
-        self.drain(ctx);
+        self.drain(sh, ctx);
     }
 
-    /// Rebuilds the certifier from the installed store: store versions
-    /// track certifier counters one-for-one (same invariant the volume
-    /// restore relies on), so verdicts for the replayed suffix match the
-    /// group's.
-    fn rebuild_certifier(&mut self) {
-        self.certifier = Certifier::with_keyspace(self.base.keyspace());
-        for (k, v) in self.base.store.snapshot() {
-            if let Some(by) = v.writer {
-                self.certifier.restore_version(k, v.version, by);
-            }
-        }
-    }
-
-    fn member(&mut self, ctx: &mut Context<'_, CertMsg>, from: NodeId, m: MemberMsg) {
-        match m {
-            MemberMsg::JoinReq => {
-                if !self.elastic.is_coordinator() || self.elastic.joining {
-                    return;
-                }
-                // Admission, group switch and snapshot are atomic here:
-                // every ordered request after this point reaches the
-                // joiner, everything before is in the snapshot.
-                self.elastic.admit(from);
-                self.peers = self.elastic.servers.len() as u32;
-                self.ab.set_group(self.elastic.servers.clone());
-                for &n in &self.elastic.servers {
-                    if n != self.elastic.me && n != from {
-                        ctx.send(
-                            n,
-                            CertMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.elastic.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                let transfer = Transfer::snapshot(&self.base.store, self.ab.delivered_gseq());
-                ctx.send(
-                    from,
-                    CertMsg::Member(MemberMsg::Welcome {
-                        servers: self.elastic.servers.clone(),
-                        transfer: Some(Box::new(transfer)),
-                        pos: self.ab.position(),
-                        gpos: self.ab.delivered_gseq(),
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.peers = self.elastic.servers.len() as u32;
-                self.ab.set_group(self.elastic.servers.clone());
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos,
-                gpos,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return; // duplicate welcome (retried JoinReq)
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.peers = self.elastic.servers.len() as u32;
-                self.ab.set_group(self.elastic.servers.clone());
-                if let Some(t) = transfer {
-                    self.base.install_transfer(&t);
-                    self.rebuild_certifier();
-                }
-                self.elastic.answered = answered.into_iter().collect();
-                self.ab.skip_to(pos, gpos);
-                self.rejoin_now(ctx);
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.peers = self.elastic.servers.len() as u32;
-                self.ab.set_group(self.elastic.servers.clone());
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    fn try_retire(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if self.ab.pending() > 0 {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let was_orderer = self.ab.is_orderer(self.elastic.me);
-        let remaining = self.elastic.remaining();
-        self.ab.set_group(remaining.clone());
-        if was_orderer {
-            // Sequencer flavour: ship the order log to the successor so
-            // gseq assignment continues where this node stopped (no-op
-            // for the consensus flavour, which has no fixed role).
-            self.ab.handoff(remaining[0], &mut self.ab_out);
-            self.drain(ctx);
-        }
-        for &n in &remaining {
-            ctx.send(
-                n,
-                CertMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.elastic.servers = remaining;
-        self.peers = self.elastic.servers.len() as u32;
-        self.elastic.drain = DrainState::Retired;
-    }
-}
-
-impl Actor<CertMsg> for CertServer {
-    fn on_message(&mut self, ctx: &mut Context<'_, CertMsg>, from: NodeId, msg: CertMsg) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
+    fn on_protocol_msg(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, CertMsg>,
+        from: NodeId,
+        msg: CertMsg,
+    ) {
         match msg {
-            CertMsg::Invoke(op) => self.invoke(ctx, op),
+            CertMsg::Invoke(op) => sh.invoke(self, ctx, op),
             CertMsg::Ab(m) => {
                 self.ab.on_message(from, m, &mut self.ab_out);
-                self.drain(ctx);
+                self.drain(sh, ctx);
             }
-            CertMsg::Reply(_) => {}
-            CertMsg::Member(m) => self.member(ctx, from, m),
+            CertMsg::Reply(_) | CertMsg::Member(_) => {}
         }
     }
 
-    fn on_start(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        if self.elastic.joining {
-            self.base.recovery.begin(ctx.now().ticks());
-            ctx.send(
-                self.elastic.join_target(),
-                CertMsg::Member(MemberMsg::JoinReq),
-            );
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-        }
-    }
-
-    fn on_drain(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, CertMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                ctx.send(
-                    self.elastic.join_target(),
-                    CertMsg::Member(MemberMsg::JoinReq),
-                );
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>, tag: u64) {
         self.ab.on_timer(tag, &mut self.ab_out);
-        self.drain(ctx);
+        self.drain(sh, ctx);
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        // Certification state only advances with the ordered stream, so
-        // recovery is a full replay of the missed suffix — a snapshot
-        // would leave the certifier's version counters behind and make
-        // later verdicts diverge across sites.
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            // The certifier died with the volume. Store versions track
-            // certifier counters one-for-one, so the restored store is
-            // exactly the certification state at the durable token;
-            // verdicts for the replayed suffix then match the group's.
-            // (The commit/abort tallies restart — only verdicts must
-            // survive a disaster, and the report counts client-side.)
-            for (k, v) in self.base.store.snapshot() {
-                if let Some(by) = v.writer {
-                    self.certifier.restore_version(k, v.version, by);
-                }
-            }
-            self.ab.rewind_to(plan.token);
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
+    fn view_changed(&mut self, sh: &mut Shell) {
+        self.ab.set_group(sh.servers().to_vec());
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        self.ab.welcome_state(&sh.base)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, CertMsg>,
+        transfer: Option<&Transfer>,
+        pos: u64,
+        gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            sh.base.install_transfer(t);
+            self.certifier = Certifier::with_keyspace(sh.base.keyspace());
+            self.restore_certifier(sh);
         }
-        self.rejoin_now(ctx);
+        self.ab.skip_to(pos, gpos);
+        self.rejoin(sh, ctx);
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
-        self.base.wipe_volume(now.ticks());
-        self.certifier = Certifier::with_keyspace(self.base.keyspace());
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.ab.pending() == 0
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, CertMsg>) {
-        self.base.seal_now(ctx.now().ticks(), self.ab.position());
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>, remaining: &[NodeId]) {
+        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
+            self.drain(sh, ctx);
+        }
     }
 
-    impl_as_any!();
+    fn volume_lost(&mut self, sh: &mut Shell) {
+        self.certifier = Certifier::with_keyspace(sh.base.keyspace());
+    }
+
+    fn rewind_to(&mut self, sh: &mut Shell, plan: RestorePlan) {
+        // The certifier died with the volume; the restored store is the
+        // certification state at the durable token.
+        self.restore_certifier(sh);
+        self.ab.rewind_to(plan.token);
+    }
+
+    /// Certification state only advances with the ordered stream, so
+    /// recovery is a full replay of the missed suffix — a snapshot would
+    /// leave the certifier's version counters behind and make later
+    /// verdicts diverge across sites.
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>) {
+        self.ab.rejoin(&mut self.ab_out);
+        self.drain(sh, ctx);
+    }
+
+    fn position(&self, _sh: &Shell) -> u64 {
+        self.ab.position()
+    }
 }
 
 #[cfg(test)]
@@ -593,12 +427,18 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<CertServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<CertServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<CertServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0
             );
         }
@@ -624,18 +464,28 @@ mod tests {
             "exactly one of the conflicting transactions commits: {verdicts:?}"
         );
         // Certifier agreement across sites.
-        let stats0 = world.actor_ref::<CertServer>(servers[0]).certifier.stats();
-        let stats1 = world.actor_ref::<CertServer>(servers[1]).certifier.stats();
+        let stats0 = world
+            .actor_ref::<CertServer>(servers[0])
+            .tech
+            .certifier
+            .stats();
+        let stats1 = world
+            .actor_ref::<CertServer>(servers[1])
+            .tech
+            .certifier
+            .stats();
         assert_eq!(stats0, stats1);
         assert_eq!(stats0, (1, 1));
         let fp0 = world
             .actor_ref::<CertServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         assert_eq!(
             world
                 .actor_ref::<CertServer>(servers[1])
+                .shell
                 .base
                 .store
                 .fingerprint(),
@@ -657,12 +507,18 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<CertServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<CertServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<CertServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0
             );
         }
@@ -683,7 +539,7 @@ mod tests {
         world.run_until(SimTime::from_ticks(1_000_000));
         let mut merged = repl_db::ReplicatedHistory::new();
         for &s in &servers {
-            merged.merge(&world.actor_ref::<CertServer>(s).base.history);
+            merged.merge(&world.actor_ref::<CertServer>(s).shell.base.history);
         }
         merged
             .check_one_copy_serializable()

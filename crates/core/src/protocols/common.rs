@@ -19,10 +19,6 @@ use repl_workload::{ShardMap, TxnTemplate};
 use crate::durability::{DurabilityConfig, DurabilityTier, RestorePlan};
 use crate::op::{accesses, ClientOp, OpId, Response};
 
-/// Timer tag of the restore-download completion, shared by every
-/// protocol. Far outside all protocol and component tag spaces.
-pub const RESTORE_TAG: u64 = u64::MAX - 0xD15A;
-
 /// Whether servers execute deterministically.
 ///
 /// The paper's central distributed-systems contrast (Sections 3.2–3.4)
@@ -403,6 +399,36 @@ impl<P: Message> AbcastEndpoint<P> {
         }
     }
 
+    /// Leaves the ordering group on decommission: the group shrinks to
+    /// `remaining`, and a departing sequencer ships its order log to the
+    /// successor so gseq assignment continues where this node stopped
+    /// (the consensus flavour has no fixed role to hand off). Returns
+    /// true if a handoff was queued into `out`.
+    pub fn leave(
+        &mut self,
+        me: NodeId,
+        remaining: &[NodeId],
+        out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
+    ) -> bool {
+        let was_orderer = self.is_orderer(me);
+        self.set_group(remaining.to_vec());
+        if was_orderer {
+            self.handoff(remaining[0], out);
+        }
+        was_orderer
+    }
+
+    /// The bootstrap state a stream-driven coordinator hands a joiner: a
+    /// snapshot of `base`'s store stamped with the delivered watermark,
+    /// and the stream coordinates to resume from. Taken in the same event
+    /// as the group switch, so every ordered message after this point
+    /// reaches the joiner and everything before is in the snapshot.
+    pub fn welcome_state(&self, base: &ServerBase) -> (Option<Transfer>, u64, u64) {
+        let gpos = self.delivered_gseq();
+        let snapshot = Transfer::snapshot(&base.store, gpos);
+        (Some(snapshot), self.position(), gpos)
+    }
+
     /// True when `me` holds the distinguished ordering role (the fixed
     /// sequencer); consensus-based ordering is symmetric, so nobody does.
     pub fn is_orderer(&self, me: NodeId) -> bool {
@@ -419,207 +445,6 @@ impl<P: Message> AbcastEndpoint<P> {
     /// cursor is unrelated, so those joiners refill from the start.
     pub fn is_seq(&self) -> bool {
         matches!(self, AbcastEndpoint::Seq(..))
-    }
-}
-
-/// Timer tag re-sending a joiner's admission request until the group
-/// answers. Far outside all protocol and component tag spaces.
-pub const JOIN_RETRY_TAG: u64 = u64::MAX - 0xADD1;
-
-/// Timer tag polling a draining node's quiesce condition.
-pub const DRAIN_TICK_TAG: u64 = u64::MAX - 0xDBA1;
-
-/// Cadence of [`JOIN_RETRY_TAG`] (ticks).
-pub const JOIN_RETRY_TICKS: u64 = 5_000;
-
-/// Cadence of [`DRAIN_TICK_TAG`] (ticks).
-pub const DRAIN_TICK_TICKS: u64 = 1_000;
-
-/// Where a server stands in the decommission lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainState {
-    /// Normal member: accepts client work.
-    #[default]
-    Active,
-    /// Drain started: client work is rerouted, in-flight work finishes.
-    Draining,
-    /// Handed off and removed from the group; stays up as a passive
-    /// relay (answers stragglers from its cache, forwards old traffic)
-    /// but is no longer a member.
-    Retired,
-}
-
-/// Wire messages of the elastic-membership handshake, shared by every
-/// technique (each protocol wraps them in a `Member` variant).
-#[derive(Debug, Clone)]
-pub enum MemberMsg {
-    /// Joiner → group rank 0: admit me (retried until welcomed).
-    JoinReq,
-    /// Coordinator → members: the group now spans `servers`.
-    ViewAdd {
-        /// The new membership, sorted.
-        servers: Vec<NodeId>,
-    },
-    /// Member → coordinator: the view change is applied here. Only the
-    /// techniques that must reach every cohort before transferring state
-    /// (distributed locking's 2PC) wait for these.
-    ViewAck {
-        /// The joiner the acked view change admitted.
-        joiner: NodeId,
-    },
-    /// Coordinator → joiner: membership plus bootstrap state.
-    Welcome {
-        /// The new membership, sorted (includes the joiner).
-        servers: Vec<NodeId>,
-        /// Committed-state snapshot, when the technique ships one up
-        /// front (techniques with their own pull-style transfer omit it).
-        transfer: Option<Box<Transfer>>,
-        /// Donor's ordered-stream position at the snapshot instant.
-        pos: u64,
-        /// Donor's delivered-gseq watermark at the snapshot instant.
-        gpos: u64,
-        /// Operations the donor has already answered (sorted). The
-        /// joiner must not re-execute one if a client retry re-enters it
-        /// into the ordered stream after the snapshot — members suppress
-        /// such duplicates through their response caches, which the
-        /// snapshot does not carry.
-        answered: Vec<OpId>,
-    },
-    /// Decommissioned member → members: remove me from the group (sent
-    /// after the drain quiesced and any role was handed off).
-    ViewDrop {
-        /// The leaving node.
-        node: NodeId,
-    },
-    /// Draining/retired server → client: this node no longer takes work;
-    /// re-resolve against `servers` and re-submit `op` there.
-    Reroute {
-        /// The operation being bounced.
-        op: OpId,
-        /// The membership without the leaving node, sorted.
-        servers: Vec<NodeId>,
-    },
-}
-
-impl Message for MemberMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            MemberMsg::JoinReq => 8,
-            MemberMsg::ViewAdd { servers } => 8 + 4 * servers.len(),
-            MemberMsg::ViewAck { .. } => 12,
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                answered,
-                ..
-            } => {
-                24 + 4 * servers.len()
-                    + 8 * answered.len()
-                    + transfer.as_ref().map_or(0, |t| t.wire_size())
-            }
-            MemberMsg::ViewDrop { .. } => 12,
-            MemberMsg::Reroute { servers, .. } => 16 + 4 * servers.len(),
-        }
-    }
-}
-
-/// Elastic-membership state every server carries: the membership as this
-/// node currently knows it, the join/drain lifecycle, and the client
-/// operations buffered while a joiner bootstraps. Dormant (all-default)
-/// on runs without a membership plan.
-#[derive(Debug)]
-pub struct Elastic {
-    /// This node.
-    pub me: NodeId,
-    /// Current membership, sorted (includes `me` while a member).
-    pub servers: Vec<NodeId>,
-    /// True from boot until the join handshake completes.
-    pub joining: bool,
-    /// Decommission lifecycle.
-    pub drain: DrainState,
-    /// Client operations buffered while joining, replayed after the
-    /// welcome installs.
-    pub buffered: Vec<ClientOp>,
-    /// Operations answered group-wide before this node joined (the
-    /// welcome's dedup floor): never re-execute one on re-delivery.
-    pub answered: std::collections::HashSet<OpId>,
-}
-
-impl Elastic {
-    /// Creates the membership state for `me` inside `servers`.
-    pub fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
-        Elastic {
-            me,
-            servers,
-            joining: false,
-            drain: DrainState::Active,
-            buffered: Vec::new(),
-            answered: std::collections::HashSet::new(),
-        }
-    }
-
-    /// The donor-side dedup floor for a welcome: every operation this
-    /// server has already answered, sorted.
-    pub fn answered_floor(base: &ServerBase) -> Vec<OpId> {
-        let mut v: Vec<OpId> = base.cache.keys().copied().collect(); // sorted-below
-        v.sort_unstable();
-        v
-    }
-
-    /// Marks this node a cold joiner: it boots with no prior state and
-    /// must run the join handshake before serving.
-    pub fn begin_join(&mut self) {
-        self.joining = true;
-    }
-
-    /// The member a joiner addresses: rank 0 of the seed membership.
-    pub fn join_target(&self) -> NodeId {
-        self.servers
-            .iter()
-            .copied()
-            .find(|&n| n != self.me)
-            .expect("join seed names at least one member")
-    }
-
-    /// True when this node coordinates membership changes (group rank 0).
-    pub fn is_coordinator(&self) -> bool {
-        self.servers.first() == Some(&self.me)
-    }
-
-    /// The membership without `me`, for role handoff and reroute targets.
-    pub fn remaining(&self) -> Vec<NodeId> {
-        self.servers
-            .iter()
-            .copied()
-            .filter(|&n| n != self.me)
-            .collect()
-    }
-
-    /// Admits `joiner` into the membership; returns false if it was
-    /// already a member (duplicate/retried admission).
-    pub fn admit(&mut self, joiner: NodeId) -> bool {
-        if self.servers.contains(&joiner) {
-            return false;
-        }
-        self.servers.push(joiner);
-        self.servers.sort();
-        true
-    }
-
-    /// Removes `node` from the membership (drain completion).
-    pub fn remove(&mut self, node: NodeId) {
-        self.servers.retain(|&n| n != node);
-    }
-
-    /// Replaces the membership wholesale (ViewAdd/Welcome install).
-    pub fn install(&mut self, servers: Vec<NodeId>) {
-        self.servers = servers;
-    }
-
-    /// True while this node must not accept new client work (draining or
-    /// already retired) — such invokes are rerouted.
-    pub fn rerouting(&self) -> bool {
-        !matches!(self.drain, DrainState::Active)
     }
 }
 

@@ -23,16 +23,15 @@ use repl_db::{
     TpcDecision, Transfer, TransferStrategy, TxnId, Value, WriteSet, WsPayload,
 };
 use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::ProtocolMsg;
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, op_of_txn, DrainState, Elastic, ExecutionMode, MemberMsg, ServerBase,
-    DRAIN_TICK_TAG, DRAIN_TICK_TICKS, JOIN_RETRY_TAG, JOIN_RETRY_TICKS, RESTORE_TAG,
-};
+use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// Wire messages of eager primary copy replication.
 #[derive(Debug, Clone)]
@@ -132,23 +131,7 @@ impl Message for EagerPrimaryMsg {
     }
 }
 
-impl ProtocolMsg for EagerPrimaryMsg {
-    fn invoke(op: ClientOp) -> Self {
-        EagerPrimaryMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            EagerPrimaryMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            EagerPrimaryMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(EagerPrimaryMsg);
 
 /// Where an in-flight primary-side transaction stands.
 #[derive(Debug)]
@@ -177,12 +160,9 @@ const MAX_WOUND_RETRIES: u32 = 25;
 const FD_BASE: u64 = 1 << 40;
 const DECISION_FLUSH_TAG: u64 = 0;
 
-/// An eager-primary-copy server.
-pub struct EagerPrimaryServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
-    servers: Vec<NodeId>,
+/// Eager primary copy: locking and execution at the primary, log
+/// propagation and 2PC to the secondaries.
+pub struct EagerPrimary {
     lm: LockManager,
     fd: HeartbeatFd,
     /// What `fd` queued while handling one input; drained by `drive_fd`.
@@ -216,9 +196,10 @@ pub struct EagerPrimaryServer {
     /// normally while the suffix is in flight.
     resync: bool,
     marks: bool,
-    /// Elastic-membership state (join / drain lifecycle).
-    pub elastic: Elastic,
 }
+
+/// An eager-primary-copy server.
+pub type EagerPrimaryServer = Replica<EagerPrimary>;
 
 impl EagerPrimaryServer {
     /// Creates server `site` of `servers`; the initial primary is rank 0.
@@ -231,10 +212,7 @@ impl EagerPrimaryServer {
         fd: FdConfig,
     ) -> Self {
         let ks = keyspace.into();
-        EagerPrimaryServer {
-            base: ServerBase::new(site, ks, exec),
-            me,
-            servers: servers.clone(),
+        let tech = EagerPrimary {
             lm: LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks),
             fd: HeartbeatFd::new(me, servers.clone(), fd),
             fd_out: Outbox::new(),
@@ -252,71 +230,65 @@ impl EagerPrimaryServer {
             recovering: false,
             resync: false,
             marks: site == 0,
-            elastic: Elastic::new(me, servers),
-        }
-    }
-
-    /// Marks this server as a cold joiner: it starts outside the view and
-    /// acquires state + membership via `JoinReq`/`Welcome`.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
-    }
-
-    /// Re-syncs the derived membership views (server list, fd peers)
-    /// from `elastic.servers`.
-    fn sync_membership(&mut self) {
-        self.servers = self.elastic.servers.clone();
-        self.fd.set_peers(self.servers.clone());
+        };
+        Replica::around(site, me, servers, ks, exec, tech)
     }
 
     /// Sets the decision-round batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.batching = batch;
+        self.tech.batching = batch;
         self
     }
 
     /// Bounds the redo-log retention at every replica: recovery requests
     /// that fall behind the truncation point get a snapshot transfer.
-    pub fn set_log_retention(&mut self, retention: Option<usize>) {
-        self.wal_retention = retention;
-        self.wal.set_retention(retention);
+    pub fn with_log_retention(mut self, retention: Option<usize>) -> Self {
+        self.tech.wal_retention = retention;
+        self.tech.wal.set_retention(retention);
+        self
     }
 
     /// The current primary: the lowest-ranked unsuspected server.
     pub fn primary(&self) -> NodeId {
-        self.servers
+        self.tech.primary(&self.shell)
+    }
+}
+
+impl EagerPrimary {
+    fn primary(&self, sh: &Shell) -> NodeId {
+        sh.servers()
             .iter()
             .copied()
             .find(|&s| !self.fd.is_suspected(s))
-            .unwrap_or(self.me)
+            .unwrap_or(sh.me())
     }
 
-    fn is_primary(&self) -> bool {
-        self.primary() == self.me
+    fn is_primary(&self, sh: &Shell) -> bool {
+        self.primary(sh) == sh.me()
     }
 
-    fn secondaries(&self) -> Vec<NodeId> {
-        self.servers
+    fn secondaries(&self, sh: &Shell) -> Vec<NodeId> {
+        sh.servers()
             .iter()
             .copied()
-            .filter(|&s| s != self.me && !self.fd.is_suspected(s))
+            .filter(|&s| s != sh.me() && !self.fd.is_suspected(s))
             .collect()
     }
 
     /// Applies what the failure detector queued and reacts to its verdicts.
-    fn drive_fd(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
         let mut out = std::mem::take(&mut self.fd_out);
         repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, EagerPrimaryMsg::Fd, |ctx, ev| {
-            self.on_fd_event(ctx, ev)
+            self.on_fd_event(sh, ctx, ev)
         });
         self.fd_out = out;
     }
 
-    fn on_fd_event(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, ev: FdEvent) {
+    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, ev: FdEvent) {
         match ev {
             FdEvent::Suspect(n) => {
                 self.alive.remove(&n);
-                self.on_server_death(ctx, n);
+                self.on_server_death(sh, ctx, n);
             }
             FdEvent::Trust(n) => {
                 self.alive.insert(n);
@@ -327,8 +299,13 @@ impl EagerPrimaryServer {
     /// Reactions to a detected server crash: the primary drops the dead
     /// secondary from pending waits; secondaries of a dead primary abort
     /// its tentative transactions (the paper's takeover semantics).
-    fn on_server_death(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, dead: NodeId) {
-        if dead == self.me {
+    fn on_server_death(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        dead: NodeId,
+    ) {
+        if dead == sh.me() {
             return;
         }
         // Primary: stop waiting for the dead secondary.
@@ -347,7 +324,7 @@ impl EagerPrimaryServer {
                 }
             };
             if advance {
-                self.resume(ctx, txn);
+                self.resume(sh, ctx, txn);
             }
         }
         // Secondary: if the dead server was the acting primary (every
@@ -355,8 +332,8 @@ impl EagerPrimaryServer {
         // transactions. The sim delivers a primary's decision multicast
         // atomically at event granularity, so either every secondary
         // decided or every one is still tentative — the verdicts agree.
-        let was_primary = self
-            .servers
+        let was_primary = sh
+            .servers()
             .iter()
             .take_while(|&&s| s != dead)
             .all(|&s| self.fd.is_suspected(s));
@@ -364,22 +341,28 @@ impl EagerPrimaryServer {
             let mut stale: Vec<TxnId> = self.tentative.keys().copied().collect(); // sorted-below
             stale.sort_unstable();
             for txn in stale {
-                self.abort_tentative(txn);
+                self.abort_tentative(sh, txn);
             }
         }
         let _ = ctx;
     }
 
-    fn abort_tentative(&mut self, txn: TxnId) {
+    fn abort_tentative(&mut self, sh: &mut Shell, txn: TxnId) {
         if self.tentative.remove(&txn).is_some() {
-            let _ = self.base.tm.abort(&mut self.base.store, txn);
-            self.base.history.purge(txn);
-            self.base.aborted += 1;
+            let _ = sh.base.tm.abort(&mut sh.base.store, txn);
+            sh.base.history.purge(txn);
+            sh.base.aborted += 1;
         }
     }
 
     /// Starts or restarts a transaction at the primary.
-    fn begin_txn(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, op: ClientOp, retries: u32) {
+    fn begin_txn(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        op: ClientOp,
+        retries: u32,
+    ) {
         let txn = global_txn(op.id);
         if self.inflight.contains_key(&txn) {
             return;
@@ -387,7 +370,7 @@ impl EagerPrimaryServer {
         if self.marks && retries == 0 {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
-        self.base.tm.begin(txn);
+        sh.base.tm.begin(txn);
         self.inflight.insert(
             txn,
             PrimaryTxn {
@@ -398,11 +381,11 @@ impl EagerPrimaryServer {
                 retries,
             },
         );
-        self.advance(ctx, txn);
+        self.advance(sh, ctx, txn);
     }
 
     /// Drives a primary-side transaction as far as possible.
-    fn advance(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
+    fn advance(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
         loop {
             let Some(t) = self.inflight.get(&txn) else {
                 return;
@@ -410,7 +393,7 @@ impl EagerPrimaryServer {
             let step = t.step;
             let total = t.op.txn.ops.len();
             if step >= total {
-                self.start_commit(ctx, txn);
+                self.start_commit(sh, ctx, txn);
                 return;
             }
             let template = t.op.txn.ops[step];
@@ -423,39 +406,39 @@ impl EagerPrimaryServer {
                 Acquire::Waiting { wounded } => {
                     self.inflight.get_mut(&txn).expect("present").phase = TxnPhase::LockWait;
                     for v in wounded {
-                        self.wound(ctx, v);
+                        self.wound(sh, ctx, v);
                     }
                     return;
                 }
             }
             // Lock held: execute the step.
-            let secondaries = self.secondaries();
+            let secondaries = self.secondaries(sh);
             let t = self.inflight.get_mut(&txn).expect("present");
             match template {
                 OpTemplate::Read(k) => {
-                    let v = self
+                    let v = sh
                         .base
                         .tm
-                        .read(&self.base.store, txn, k)
+                        .read(&sh.base.store, txn, k)
                         .expect("active")
                         .map_or(Value(0), |v| v.value);
-                    self.base
+                    sh.base
                         .history
-                        .record(self.base.site, txn, k, repl_db::AccessKind::Read);
+                        .record(sh.base.site, txn, k, repl_db::AccessKind::Read);
                     t.reads.push((k, v));
                     t.step += 1;
                     // Reads propagate nothing.
                 }
                 OpTemplate::Write(k, v) => {
-                    let v = self.base.effective_value(v);
-                    let after = self
+                    let v = sh.base.effective_value(v);
+                    let after = sh
                         .base
                         .tm
-                        .write(&mut self.base.store, txn, k, v)
+                        .write(&mut sh.base.store, txn, k, v)
                         .expect("active");
-                    self.base
+                    sh.base
                         .history
-                        .record(self.base.site, txn, k, repl_db::AccessKind::Write);
+                        .record(sh.base.site, txn, k, repl_db::AccessKind::Write);
                     t.step += 1;
                     // Per-operation change propagation (Fig. 12) only for
                     // multi-operation transactions; single-op transactions
@@ -463,7 +446,7 @@ impl EagerPrimaryServer {
                     if total > 1 {
                         let step_no = (t.step - 1) as u32;
                         if !secondaries.is_empty() {
-                            let ws = self.base.make_payload(
+                            let ws = sh.base.make_payload(
                                 WriteSet {
                                     txn,
                                     writes: vec![repl_db::WriteRecord {
@@ -515,7 +498,7 @@ impl EagerPrimaryServer {
     }
 
     /// Resumes a transaction blocked on propagation acks or votes.
-    fn resume(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
+    fn resume(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
         let Some(t) = self.inflight.get_mut(&txn) else {
             return;
         };
@@ -524,16 +507,16 @@ impl EagerPrimaryServer {
                 if self.marks && t.step < t.op.txn.ops.len() {
                     ctx.mark(Phase::Execution.tag(), t.op.id.0, t.step as u64);
                 }
-                self.advance(ctx, txn);
+                self.advance(sh, ctx, txn);
             }
-            TxnPhase::Committing(_) => self.finish_commit(ctx, txn, true),
-            TxnPhase::LockWait => self.advance(ctx, txn),
+            TxnPhase::Committing(_) => self.finish_commit(sh, ctx, txn, true),
+            TxnPhase::LockWait => self.advance(sh, ctx, txn),
         }
     }
 
     /// Begins the final 2PC round (Agreement Coordination).
-    fn start_commit(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
-        let secondaries = self.secondaries();
+    fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
+        let secondaries = self.secondaries(sh);
         let t = self.inflight.get_mut(&txn).expect("present");
         let resp = Response {
             op: t.op.id,
@@ -547,7 +530,7 @@ impl EagerPrimaryServer {
         coord.start();
         if secondaries.is_empty() {
             t.phase = TxnPhase::Committing(coord);
-            self.finish_commit(ctx, txn, true);
+            self.finish_commit(sh, ctx, txn, true);
             return;
         }
         // For single-op transactions the Prepare carries the writeset
@@ -555,8 +538,8 @@ impl EagerPrimaryServer {
         // locally only at decision time); for multi-op it was already
         // propagated step-wise.
         t.phase = TxnPhase::Committing(coord);
-        let full_ws = self.pending_writeset(txn);
-        let ws = self.base.make_payload(full_ws, secondaries.len() as u32);
+        let full_ws = self.pending_writeset(sh, txn);
+        let ws = sh.base.make_payload(full_ws, secondaries.len() as u32);
         for s in secondaries {
             ctx.send(
                 s,
@@ -570,7 +553,7 @@ impl EagerPrimaryServer {
     }
 
     /// The writes a still-active transaction has performed so far.
-    fn pending_writeset(&self, txn: TxnId) -> WriteSet {
+    fn pending_writeset(&self, sh: &Shell, txn: TxnId) -> WriteSet {
         // The transaction manager tracks after-images; commit() would
         // consume the transaction, so reconstruct from the in-flight op.
         let Some(t) = self.inflight.get(&txn) else {
@@ -580,7 +563,7 @@ impl EagerPrimaryServer {
         if t.op.txn.ops.len() == 1 {
             for tpl in t.op.txn.ops.iter() {
                 if let OpTemplate::Write(k, _) = tpl {
-                    if let Some(v) = self.base.store.read(*k) {
+                    if let Some(v) = sh.base.store.read(*k) {
                         writes.push(repl_db::WriteRecord {
                             key: *k,
                             value: v.value,
@@ -593,7 +576,13 @@ impl EagerPrimaryServer {
         WriteSet { txn, writes }
     }
 
-    fn finish_commit(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId, commit: bool) {
+    fn finish_commit(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        txn: TxnId,
+        commit: bool,
+    ) {
         let Some(t) = self.inflight.remove(&txn) else {
             return;
         };
@@ -603,14 +592,14 @@ impl EagerPrimaryServer {
             reads: t.reads.clone(),
         };
         if commit {
-            let ws = self
+            let ws = sh
                 .base
                 .tm
                 .commit(txn)
                 .unwrap_or_else(|_| WriteSet::empty(txn));
-            self.base.history.mark_committed(txn);
-            self.base.committed += 1;
-            self.base.remember(&resp);
+            sh.base.history.mark_committed(txn);
+            sh.base.committed += 1;
+            sh.base.remember(&resp);
             if self.batching.enabled() {
                 // Group commit: stage the redo record and defer both the
                 // decision round and the client ack to the window's
@@ -622,7 +611,7 @@ impl EagerPrimaryServer {
                 self.staged_decisions.push((txn, commit));
                 self.staged_replies.push((t.op.client, resp));
                 if self.staged_decisions.len() >= self.batching.max_batch {
-                    self.flush_decisions(ctx);
+                    self.flush_decisions(sh, ctx);
                 } else if !self.flush_armed {
                     self.flush_armed = true;
                     ctx.set_timer(
@@ -631,11 +620,11 @@ impl EagerPrimaryServer {
                     );
                 }
             } else {
-                if let Some(tier) = &mut self.base.tier {
+                if let Some(tier) = &mut sh.base.tier {
                     tier.note_commit(&ws);
                 }
                 self.wal.append(ws);
-                for s in self.secondaries() {
+                for s in self.secondaries(sh) {
                     ctx.send(s, EagerPrimaryMsg::Decision { txn, commit });
                 }
                 ctx.send(t.op.client, EagerPrimaryMsg::Reply(resp));
@@ -643,37 +632,37 @@ impl EagerPrimaryServer {
         } else {
             // Aborts are never batched: the sooner secondaries undo a
             // doomed tentative transaction, the sooner its locks clear.
-            for s in self.secondaries() {
+            for s in self.secondaries(sh) {
                 ctx.send(s, EagerPrimaryMsg::Decision { txn, commit });
             }
-            let _ = self.base.tm.abort(&mut self.base.store, txn);
-            self.base.history.purge(txn);
-            self.base.aborted += 1;
+            let _ = sh.base.tm.abort(&mut sh.base.store, txn);
+            sh.base.history.purge(txn);
+            sh.base.aborted += 1;
         }
         let granted = self.lm.release_all(txn);
         for (g, _, _) in granted {
-            self.resume(ctx, g);
+            self.resume(sh, ctx, g);
         }
         // Retry wounded ops.
         while let Some((op, retries)) = self.requeue.pop_front() {
-            self.begin_txn(ctx, op, retries);
+            self.begin_txn(sh, ctx, op, retries);
         }
     }
 
     /// Flushes the staged decision window: one shared log force, one
     /// batched decision message per secondary, then the deferred acks.
-    fn flush_decisions(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn flush_decisions(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
         if self.staged_decisions.is_empty() {
             return;
         }
         let _ = self.wal.flush_group();
         for ws in std::mem::take(&mut self.staged_notes) {
-            if let Some(tier) = &mut self.base.tier {
+            if let Some(tier) = &mut sh.base.tier {
                 tier.note_commit(&ws);
             }
         }
         let entries = Arc::new(std::mem::take(&mut self.staged_decisions));
-        for s in self.secondaries() {
+        for s in self.secondaries(sh) {
             ctx.send(
                 s,
                 EagerPrimaryMsg::DecisionBatch {
@@ -691,10 +680,10 @@ impl EagerPrimaryServer {
     /// false for a commit decision whose transaction we never saw —
     /// the writes were propagated while this server was excluded, so
     /// only a state transfer can supply them.
-    fn apply_decision(&mut self, txn: TxnId, commit: bool) -> bool {
+    fn apply_decision(&mut self, sh: &mut Shell, txn: TxnId, commit: bool) -> bool {
         if let Some((_, resp)) = self.tentative.remove(&txn) {
             if commit {
-                let ws = self
+                let ws = sh
                     .base
                     .tm
                     .commit(txn)
@@ -702,19 +691,19 @@ impl EagerPrimaryServer {
                 // Mirror the decision stream into the local redo log so
                 // any server can donate a catch-up suffix. FIFO links
                 // keep the mirrored order identical to the primary's.
-                if let Some(tier) = &mut self.base.tier {
+                if let Some(tier) = &mut sh.base.tier {
                     tier.note_commit(&ws);
                 }
                 self.wal.append(ws);
-                self.base.history.mark_committed(txn);
-                self.base.committed += 1;
+                sh.base.history.mark_committed(txn);
+                sh.base.committed += 1;
                 if let Some(r) = resp {
-                    self.base.remember(&r);
+                    sh.base.remember(&r);
                 }
             } else {
-                let _ = self.base.tm.abort(&mut self.base.store, txn);
-                self.base.history.purge(txn);
-                self.base.aborted += 1;
+                let _ = sh.base.tm.abort(&mut sh.base.store, txn);
+                sh.base.history.purge(txn);
+                sh.base.aborted += 1;
             }
             true
         } else {
@@ -731,49 +720,113 @@ impl EagerPrimaryServer {
         }
     }
 
-    /// Re-enters the group after the database state is back in place
-    /// (directly on crash recovery; after the restore download when a
-    /// volume loss forced a rebuild from the durable tier).
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        if self.servers.len() == 1 {
-            self.fd.reset();
-            self.fd.on_start(&mut self.fd_out);
-            self.drive_fd(ctx);
-            self.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        // Stay silent (no heartbeats) until the transfer lands, so the
-        // acting primary keeps excluding us from 2PC cohorts meanwhile.
-        self.recovering = true;
-        let have = self.wal.len() as u64;
-        for &s in &self.servers.clone() {
-            if s != self.me {
-                ctx.send(s, EagerPrimaryMsg::SyncReq(have));
+    /// Secondary side: applies a propagated writeset tentatively
+    /// (undo-able until the primary's decision).
+    fn apply_tentatively(sh: &mut Shell, txn: TxnId, ws: &WsPayload) {
+        let base = &mut sh.base;
+        base.tm.begin(txn);
+        let arena = base.arena.clone();
+        ws.with(arena.as_ref(), |view| {
+            for w in view.iter() {
+                let _ = base.tm.write(&mut base.store, txn, w.key, w.value);
+                base.history
+                    .record(base.site, txn, w.key, repl_db::AccessKind::Write);
+            }
+        });
+        base.release_payload(ws);
+    }
+
+    /// (Re)starts heartbeats, dropping stale miss counters, which would
+    /// otherwise let the first tick suspect a live peer.
+    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+        self.fd.reset();
+        self.fd.on_start(&mut self.fd_out);
+        self.drive_fd(sh, ctx);
+    }
+
+    /// A committed-state snapshot at the redo-log cursor: tentative 2PC
+    /// writes are rolled back so the receiver only installs committed
+    /// data (in-flight decisions reach it via the resync path if they
+    /// race ahead of the snapshot).
+    fn committed_snapshot(&self, sh: &Shell) -> Transfer {
+        Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, self.wal.len() as u64)
+    }
+
+    /// Installs a catch-up transfer from `from` onwards, mirroring it
+    /// into the local redo log: a suffix extends the log, a snapshot
+    /// rebases it.
+    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer, from: u64) {
+        sh.base
+            .recovery
+            .record_transfer(t.strategy, t.wire_size() as u64);
+        match t.strategy {
+            TransferStrategy::LogSuffix => {
+                for (i, ws) in t.entries.iter().enumerate() {
+                    if t.start + i as u64 >= from {
+                        sh.base.install_writeset(ws);
+                        self.wal.append(ws.clone());
+                    }
+                }
+            }
+            TransferStrategy::Snapshot => {
+                sh.base.store.install_snapshot(&t.snapshot);
+                sh.base.note_snapshot(&t.snapshot);
+                self.wal.skip_to(t.high);
             }
         }
     }
 
-    /// Accepts a client operation, honouring the elastic lifecycle: answer
-    /// from cache, reroute while draining, buffer while joining, else feed
-    /// the normal read-local/primary/forward path.
-    fn invoke(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, EagerPrimaryMsg::Reply(resp));
+    /// A fresh redo log based at `index`.
+    fn reset_wal(&mut self, index: u64) {
+        self.wal = RedoLog::new();
+        self.wal.set_retention(self.wal_retention);
+        self.wal.skip_to(index);
+    }
+
+    fn clear_staged(&mut self) {
+        self.staged_decisions.clear();
+        self.staged_replies.clear();
+        self.staged_notes.clear();
+        self.flush_armed = false;
+    }
+
+    /// Wounds (aborts and requeues) a younger transaction.
+    fn wound(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, victim: TxnId) {
+        let Some(t) = self.inflight.remove(&victim) else {
             return;
-        }
-        if self.elastic.rerouting() {
-            let servers = self.elastic.remaining();
+        };
+        for s in self.secondaries(sh) {
             ctx.send(
-                op.client,
-                EagerPrimaryMsg::Member(MemberMsg::Reroute { op: op.id, servers }),
+                s,
+                EagerPrimaryMsg::Decision {
+                    txn: victim,
+                    commit: false,
+                },
             );
-            return;
         }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
+        let _ = sh.base.tm.abort(&mut sh.base.store, victim);
+        sh.base.history.purge(victim);
+        sh.base.aborted += 1;
+        let granted = self.lm.release_all(victim);
+        if t.retries < MAX_WOUND_RETRIES {
+            self.requeue.push_back((t.op, t.retries + 1));
+        } else {
+            ctx.send(
+                t.op.client,
+                EagerPrimaryMsg::Reply(Response::aborted(t.op.id)),
+            );
         }
-        if self.elastic.answered.contains(&op.id) {
+        for (g, _, _) in granted {
+            self.resume(sh, ctx, g);
+        }
+    }
+}
+
+impl Technique for EagerPrimary {
+    type Msg = EagerPrimaryMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, op: ClientOp) {
+        if sh.answered_before_join(op.id) {
             // Answered by the join donor before our snapshot: re-executing
             // would double-apply; the donor's cache serves the retry.
             return;
@@ -786,7 +839,7 @@ impl EagerPrimaryServer {
         // which case the read forwards to the primary to avoid
         // observing dirty data. At the primary, read-only
         // transactions go through the lock manager like any other.
-        if op.is_read_only() && !self.is_primary() && self.tentative.is_empty() {
+        if op.is_read_only() && !self.is_primary(sh) && self.tentative.is_empty() {
             if self.marks {
                 ctx.mark(Phase::Execution.tag(), op.id.0, 0);
             }
@@ -794,231 +847,42 @@ impl EagerPrimaryServer {
             let mut reads = Vec::new();
             for tpl in op.txn.ops.iter() {
                 if let OpTemplate::Read(k) = tpl {
-                    reads.push((*k, self.base.read_committed(txn, *k)));
+                    reads.push((*k, sh.base.read_committed(txn, *k)));
                 }
             }
-            self.base.history.mark_committed(txn);
+            sh.base.history.mark_committed(txn);
             let resp = Response {
                 op: op.id,
                 committed: true,
                 reads,
             };
-            self.base.remember(&resp);
+            sh.base.remember(&resp);
             ctx.send(op.client, EagerPrimaryMsg::Reply(resp));
             return;
         }
-        if self.is_primary() {
+        if self.is_primary(sh) {
             let txn = global_txn(op.id);
             if !self.inflight.contains_key(&txn) && !self.requeue.iter().any(|(o, _)| o.id == op.id)
             {
-                self.begin_txn(ctx, op, 0);
+                self.begin_txn(sh, ctx, op, 0);
             }
         } else {
-            let p = self.primary();
-            if p != self.me {
+            let p = self.primary(sh);
+            if p != sh.me() {
                 ctx.send(p, EagerPrimaryMsg::Invoke(op));
             }
         }
     }
 
-    /// Handles elastic-membership traffic.
-    fn member(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, from: NodeId, msg: MemberMsg) {
-        match msg {
-            MemberMsg::JoinReq => {
-                // Rank-0 admits (idempotently on retransmit). The view
-                // update and the snapshot are taken in one event, so the
-                // joiner's log cursor matches the transferred store, and
-                // FIFO links order the `Welcome` before any later
-                // decision multicast that now includes the joiner.
-                if !self.elastic.is_coordinator()
-                    || self.elastic.joining
-                    || self.recovering
-                    || self.elastic.rerouting()
-                {
-                    return;
-                }
-                self.elastic.admit(from);
-                self.sync_membership();
-                self.alive.insert(from);
-                for &n in &self.servers.clone() {
-                    if n != self.me && n != from {
-                        ctx.send(
-                            n,
-                            EagerPrimaryMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                // Roll tentative 2PC writes back: the joiner must only
-                // install committed data; in-flight decisions reach it via
-                // the resync path if they race ahead of the snapshot.
-                let transfer = Transfer::committed_snapshot(
-                    &self.base.store,
-                    &self.base.tm,
-                    self.wal.len() as u64,
-                );
-                ctx.send(
-                    from,
-                    EagerPrimaryMsg::Member(MemberMsg::Welcome {
-                        servers: self.servers.clone(),
-                        transfer: Some(Box::new(transfer)),
-                        pos: self.wal.len() as u64,
-                        gpos: self.wal.len() as u64,
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.sync_membership();
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos: _,
-                gpos: _,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return;
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.sync_membership();
-                if let Some(t) = transfer {
-                    self.base
-                        .recovery
-                        .record_transfer(t.strategy, t.wire_size() as u64);
-                    match t.strategy {
-                        TransferStrategy::LogSuffix => {
-                            for ws in t.entries.iter() {
-                                self.base.install_writeset(ws);
-                                self.wal.append(ws.clone());
-                            }
-                        }
-                        TransferStrategy::Snapshot => {
-                            self.base.store.install_snapshot(&t.snapshot);
-                            self.base.note_snapshot(&t.snapshot);
-                            self.wal.skip_to(t.high);
-                        }
-                    }
-                }
-                self.elastic.answered = answered.into_iter().collect();
-                self.base.recovery.complete(ctx.now().ticks());
-                // Start heartbeats now that the group knows us.
-                self.alive = self.servers.iter().copied().collect();
-                self.fd.reset();
-                self.fd.on_start(&mut self.fd_out);
-                self.drive_fd(ctx);
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.sync_membership();
-                // The drained server quiesced its 2PC work before leaving,
-                // so unlike a crash there is nothing tentative to abort;
-                // primary succession follows from the shrunken rank list.
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    /// Completes a drain once local 2PC work has quiesced: announce the
-    /// departure and retire (the next-ranked survivor becomes primary).
-    fn try_retire(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if !self.inflight.is_empty()
-            || !self.requeue.is_empty()
-            || !self.tentative.is_empty()
-            || !self.staged_decisions.is_empty()
-        {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let remaining = self.elastic.remaining();
-        // Go quiet: the survivors drop us from their detectors on
-        // `ViewDrop`, so stopping heartbeats cannot raise a suspicion.
-        self.fd.set_peers(Vec::new());
-        for &n in &remaining {
-            ctx.send(
-                n,
-                EagerPrimaryMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.servers = remaining.clone();
-        self.elastic.servers = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-
-    /// Wounds (aborts and requeues) a younger transaction.
-    fn wound(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, victim: TxnId) {
-        let Some(t) = self.inflight.remove(&victim) else {
-            return;
-        };
-        for s in self.secondaries() {
-            ctx.send(
-                s,
-                EagerPrimaryMsg::Decision {
-                    txn: victim,
-                    commit: false,
-                },
-            );
-        }
-        let _ = self.base.tm.abort(&mut self.base.store, victim);
-        self.base.history.purge(victim);
-        self.base.aborted += 1;
-        let granted = self.lm.release_all(victim);
-        if t.retries < MAX_WOUND_RETRIES {
-            self.requeue.push_back((t.op, t.retries + 1));
-        } else {
-            ctx.send(
-                t.op.client,
-                EagerPrimaryMsg::Reply(Response::aborted(t.op.id)),
-            );
-        }
-        for (g, _, _) in granted {
-            self.resume(ctx, g);
-        }
-    }
-}
-
-impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
-    fn on_start(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        if self.elastic.joining {
-            // Cold joiner: ask rank 0 for admission + state and stay
-            // quiet (no heartbeats) until welcomed.
-            self.base.recovery.begin(ctx.now().ticks());
-            let target = self.elastic.join_target();
-            ctx.send(target, EagerPrimaryMsg::Member(MemberMsg::JoinReq));
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            return;
-        }
-        self.alive = self.servers.iter().copied().collect();
-        self.fd.on_start(&mut self.fd_out);
-        self.drive_fd(ctx);
-    }
-
-    fn on_message(
+    fn on_protocol_msg(
         &mut self,
+        sh: &mut Shell,
         ctx: &mut Context<'_, EagerPrimaryMsg>,
         from: NodeId,
         msg: EagerPrimaryMsg,
     ) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
         match msg {
-            EagerPrimaryMsg::Invoke(op) => {
-                self.invoke(ctx, op);
-            }
+            EagerPrimaryMsg::Invoke(op) => sh.invoke(self, ctx, op),
             EagerPrimaryMsg::Propagate { txn, step, ws } => {
                 if self.recovering {
                     // The primary is not awaiting us while excluded. The
@@ -1026,24 +890,7 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                     // happens in fault runs, which disarm arena GC.
                     return;
                 }
-                // Secondary: apply tentatively (undo-able).
-                self.base.tm.begin(txn);
-                let arena = self.base.arena.clone();
-                ws.with(arena.as_ref(), |view| {
-                    for w in view.iter() {
-                        let _ = self
-                            .base
-                            .tm
-                            .write(&mut self.base.store, txn, w.key, w.value);
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
-                });
-                self.base.release_payload(&ws);
+                Self::apply_tentatively(sh, txn, &ws);
                 self.tentative.entry(txn).or_insert((OpId(0), None));
                 ctx.send(from, EagerPrimaryMsg::PropAck { txn, step });
             }
@@ -1061,32 +908,16 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                     }
                 };
                 if done {
-                    self.resume(ctx, txn);
+                    self.resume(sh, ctx, txn);
                 }
             }
             EagerPrimaryMsg::Prepare { txn, ws, resp } => {
                 if self.recovering {
                     return; // not in this transaction's 2PC cohort
                 }
-                // Secondary: apply the (single-op) writeset tentatively,
-                // remember the response, vote.
-                self.base.tm.begin(txn);
-                let arena = self.base.arena.clone();
-                ws.with(arena.as_ref(), |view| {
-                    for w in view.iter() {
-                        let _ = self
-                            .base
-                            .tm
-                            .write(&mut self.base.store, txn, w.key, w.value);
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
-                });
-                self.base.release_payload(&ws);
+                // The (single-op) writeset rides the Prepare; remember
+                // the response, vote.
+                Self::apply_tentatively(sh, txn, &ws);
                 self.tentative.insert(txn, (resp.op, Some(resp)));
                 ctx.send(from, EagerPrimaryMsg::Vote { txn, yes: true });
             }
@@ -1101,8 +932,8 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                     }
                 };
                 match decision {
-                    Some(TpcDecision::Commit) => self.finish_commit(ctx, txn, true),
-                    Some(TpcDecision::Abort) => self.finish_commit(ctx, txn, false),
+                    Some(TpcDecision::Commit) => self.finish_commit(sh, ctx, txn, true),
+                    Some(TpcDecision::Abort) => self.finish_commit(sh, ctx, txn, false),
                     None => {}
                 }
             }
@@ -1110,7 +941,7 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                 if self.recovering {
                     return; // covered by the pending state transfer
                 }
-                if !self.apply_decision(txn, commit) {
+                if !self.apply_decision(sh, txn, commit) {
                     self.request_resync(ctx, from);
                 }
             }
@@ -1120,7 +951,7 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                 }
                 let mut gap = false;
                 for &(txn, commit) in entries.iter() {
-                    gap |= !self.apply_decision(txn, commit);
+                    gap |= !self.apply_decision(sh, txn, commit);
                 }
                 if gap {
                     self.request_resync(ctx, from);
@@ -1128,11 +959,7 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
             }
             EagerPrimaryMsg::Fd(m) => {
                 self.fd.on_message(from, m, &mut self.fd_out);
-                self.drive_fd(ctx);
-            }
-            EagerPrimaryMsg::Reply(_) => {}
-            EagerPrimaryMsg::Member(m) => {
-                self.member(ctx, from, m);
+                self.drive_fd(sh, ctx);
             }
             EagerPrimaryMsg::SyncReq(have) => {
                 if self.recovering || self.resync {
@@ -1143,169 +970,180 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                 // multicast to it — the transfer covers everything prior,
                 // leaving no gap in between.
                 self.fd.trust(from, &mut self.fd_out);
-                self.drive_fd(ctx);
+                self.drive_fd(sh, ctx);
                 let t = if self.wal.has_suffix(have) {
-                    Transfer::from_log(&self.wal, &self.base.store, have)
+                    Transfer::from_log(&self.wal, &sh.base.store, have)
                 } else {
-                    // Snapshot fallback: roll tentative 2PC writes back so
-                    // the requester only installs committed data.
-                    Transfer::committed_snapshot(
-                        &self.base.store,
-                        &self.base.tm,
-                        self.wal.len() as u64,
-                    )
+                    self.committed_snapshot(sh)
                 };
                 ctx.send(from, EagerPrimaryMsg::SyncData(Box::new(t)));
             }
             EagerPrimaryMsg::SyncData(t) => {
+                // Several donors may answer; skip the prefix an earlier
+                // (staler) transfer already installed.
                 let cur = self.wal.len() as u64;
                 if t.high > cur {
-                    self.base
-                        .recovery
-                        .record_transfer(t.strategy, t.wire_size() as u64);
-                    match t.strategy {
-                        TransferStrategy::LogSuffix => {
-                            // Several donors may answer; skip the prefix an
-                            // earlier (staler) transfer already installed.
-                            for (i, ws) in t.entries.iter().enumerate() {
-                                if t.start + i as u64 >= cur {
-                                    self.base.install_writeset(ws);
-                                    self.wal.append(ws.clone());
-                                }
-                            }
-                        }
-                        TransferStrategy::Snapshot => {
-                            self.base.store.install_snapshot(&t.snapshot);
-                            self.base.note_snapshot(&t.snapshot);
-                            self.wal.skip_to(t.high);
-                        }
-                    }
+                    self.install_catch_up(sh, &t, cur);
                 }
                 if self.recovering {
                     self.recovering = false;
                     // Resume heartbeats only now: announcing earlier would
-                    // draw 2PC traffic at a server with a stale store. The
-                    // reset drops pre-crash miss counters, which would
-                    // otherwise let the first tick suspect a live peer.
-                    self.fd.reset();
-                    self.fd.on_start(&mut self.fd_out);
-                    self.drive_fd(ctx);
+                    // draw 2PC traffic at a server with a stale store.
+                    self.restart_fd(sh, ctx);
                 }
                 self.resync = false;
-                self.base.recovery.complete(ctx.now().ticks());
+                sh.base.recovery.complete(ctx.now().ticks());
             }
+            EagerPrimaryMsg::Reply(_) | EagerPrimaryMsg::Member(_) => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, _timer: TimerId, tag: u64) {
-        // RESTORE_TAG exceeds FD_BASE, so it must be matched before the
-        // range dispatch below.
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
-        // Elastic tags sit near u64::MAX, above the component ranges.
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                let target = self.elastic.join_target();
-                ctx.send(target, EagerPrimaryMsg::Member(MemberMsg::JoinReq));
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
+    fn on_protocol_timer(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        tag: u64,
+    ) {
         if tag >= FD_BASE {
             self.fd.on_timer(tag - FD_BASE, &mut self.fd_out);
-            self.drive_fd(ctx);
+            self.drive_fd(sh, ctx);
         } else if tag == DECISION_FLUSH_TAG {
             self.flush_armed = false;
-            self.flush_decisions(ctx);
+            self.flush_decisions(sh, ctx);
         }
     }
 
-    fn on_drain(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+        // A cold joiner stays quiet (no heartbeats) until welcomed.
+        if !sh.joining() {
+            self.alive = sh.servers().iter().copied().collect();
+            self.fd.on_start(&mut self.fd_out);
+            self.drive_fd(sh, ctx);
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        self.base.recovery.begin(ctx.now().ticks());
-        // In-flight coordination died with the process: undo every
-        // tentative and primary-side transaction (clients re-submit).
-        let mut stale: Vec<TxnId> = self.tentative.keys().copied().collect(); // sorted-below
-        stale.sort_unstable();
-        for txn in stale {
-            self.abort_tentative(txn);
-        }
-        let mut mine: Vec<TxnId> = self.inflight.keys().copied().collect(); // sorted-below
-        mine.sort_unstable();
-        for txn in mine {
-            self.inflight.remove(&txn);
-            let _ = self.base.tm.abort(&mut self.base.store, txn);
-            self.base.history.purge(txn);
-            self.base.aborted += 1;
-            let _ = self.lm.release_all(txn);
-        }
-        self.requeue.clear();
-        self.staged_decisions.clear();
-        self.staged_replies.clear();
-        self.staged_notes.clear();
-        self.flush_armed = false;
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            // The tier mirrors the flushed decision stream one-for-one,
-            // so the restored cursor is a redo-log length; the log itself
-            // restarts empty at that position (peers donate anything
-            // earlier, exactly as after a snapshot catch-up).
-            self.wal = RedoLog::new();
-            self.wal.set_retention(self.wal_retention);
-            self.wal.skip_to(plan.token);
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
-        }
-        self.rejoin_now(ctx);
+    fn view_changed(&mut self, sh: &mut Shell) {
+        self.fd.set_peers(sh.servers().to_vec());
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
+    fn can_admit(&self, sh: &Shell) -> bool {
+        !self.recovering && !sh.rerouting()
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        // The view update and the snapshot are taken in one event, so the
+        // joiner's log cursor matches the transferred store, and FIFO
+        // links order the welcome before any later decision multicast
+        // that now includes the joiner.
+        self.alive.insert(joiner);
+        let cursor = self.wal.len() as u64;
+        (Some(self.committed_snapshot(sh)), cursor, cursor)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        transfer: Option<&Transfer>,
+        _pos: u64,
+        _gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            self.install_catch_up(sh, t, 0);
+        }
+        sh.base.recovery.complete(ctx.now().ticks());
+        // Start heartbeats now that the group knows us.
+        self.alive = sh.servers().iter().copied().collect();
+        self.restart_fd(sh, ctx);
+    }
+
+    /// Local 2PC work has finished. (A drained server leaves nothing
+    /// tentative behind, so unlike a crash its departure aborts nothing;
+    /// primary succession follows from the shrunken rank list.)
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.inflight.is_empty()
+            && self.requeue.is_empty()
+            && self.tentative.is_empty()
+            && self.staged_decisions.is_empty()
+    }
+
+    fn retire(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, EagerPrimaryMsg>,
+        _remaining: &[NodeId],
+    ) {
+        // Go quiet: the survivors drop us from their detectors on
+        // `ViewDrop`, so stopping heartbeats cannot raise a suspicion.
+        self.fd.set_peers(Vec::new());
+    }
+
+    fn volume_lost(&mut self, sh: &mut Shell) {
         // Staged commits never reached the log force: unacked (replies
         // were staged too) and never noted to the tier, so evict their
         // cached responses — the client must re-execute, not be told
         // "committed" about state that no longer exists anywhere here.
         for (txn, _) in &self.staged_decisions {
-            self.base.cache.remove(&op_of_txn(*txn));
+            sh.base.cache.remove(&op_of_txn(*txn));
         }
-        self.base.wipe_volume(now.ticks());
-        self.lm = LockManager::with_keyspace(DeadlockPolicy::WoundWait, self.base.keyspace());
+        self.lm = LockManager::with_keyspace(DeadlockPolicy::WoundWait, sh.base.keyspace());
         self.inflight.clear();
         self.requeue.clear();
         self.tentative.clear();
-        self.staged_decisions.clear();
-        self.staged_replies.clear();
-        self.staged_notes.clear();
-        self.flush_armed = false;
+        self.clear_staged();
         self.resync = false;
-        self.wal = RedoLog::new();
-        self.wal.set_retention(self.wal_retention);
+        self.reset_wal(0);
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        // The flushed redo-log length is the frame token: tier notes and
-        // log entries move in lockstep on both primaries and secondaries.
-        self.base.seal_now(ctx.now().ticks(), self.wal.len() as u64);
+    fn recovering(&mut self, sh: &mut Shell) {
+        // In-flight coordination died with the process: undo every
+        // tentative and primary-side transaction (clients re-submit).
+        let mut stale: Vec<TxnId> = self.tentative.keys().copied().collect(); // sorted-below
+        stale.sort_unstable();
+        for txn in stale {
+            self.abort_tentative(sh, txn);
+        }
+        let mut mine: Vec<TxnId> = self.inflight.keys().copied().collect(); // sorted-below
+        mine.sort_unstable();
+        for txn in mine {
+            self.inflight.remove(&txn);
+            let _ = sh.base.tm.abort(&mut sh.base.store, txn);
+            sh.base.history.purge(txn);
+            sh.base.aborted += 1;
+            let _ = self.lm.release_all(txn);
+        }
+        self.requeue.clear();
+        self.clear_staged();
     }
 
-    impl_as_any!();
+    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+        // The tier mirrors the flushed decision stream one-for-one, so
+        // the restored cursor is a redo-log length; the log itself
+        // restarts empty at that position (peers donate anything
+        // earlier, exactly as after a snapshot catch-up).
+        self.reset_wal(plan.token);
+    }
+
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+        if sh.servers().len() == 1 {
+            self.restart_fd(sh, ctx);
+            sh.base.recovery.complete(ctx.now().ticks());
+            return;
+        }
+        // Stay silent (no heartbeats) until the transfer lands, so the
+        // acting primary keeps excluding us from 2PC cohorts meanwhile.
+        self.recovering = true;
+        let have = self.wal.len() as u64;
+        for s in sh.peers() {
+            ctx.send(s, EagerPrimaryMsg::SyncReq(have));
+        }
+    }
+
+    /// The flushed redo-log length: tier notes and log entries move in
+    /// lockstep on both primaries and secondaries.
+    fn position(&self, _sh: &Shell) -> u64 {
+        self.wal.len() as u64
+    }
 }
 
 #[cfg(test)]
@@ -1370,6 +1208,7 @@ mod tests {
         assert!(client.is_done());
         let fp0 = world
             .actor_ref::<EagerPrimaryServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -1377,6 +1216,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<EagerPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -1385,6 +1225,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<EagerPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .read(Key(1))
@@ -1417,6 +1258,7 @@ mod tests {
         );
         let fp0 = world
             .actor_ref::<EagerPrimaryServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -1424,6 +1266,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<EagerPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -1487,11 +1330,12 @@ mod tests {
         }
         let mut merged = repl_db::ReplicatedHistory::new();
         for &s in &servers {
-            merged.merge(&world.actor_ref::<EagerPrimaryServer>(s).base.history);
+            merged.merge(&world.actor_ref::<EagerPrimaryServer>(s).shell.base.history);
         }
         assert!(merged.check_one_copy_serializable().is_ok());
         let fp0 = world
             .actor_ref::<EagerPrimaryServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -1499,6 +1343,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<EagerPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -1517,10 +1362,10 @@ mod tests {
         let client = world.actor_ref::<ClientActor<EagerPrimaryMsg>>(clients[0]);
         assert!(client.is_done(), "client stuck after primary crash");
         let s1 = world.actor_ref::<EagerPrimaryServer>(servers[1]);
-        assert!(s1.is_primary() || !s1.fd.is_suspected(servers[1]));
-        let fp1 = s1.base.store.fingerprint();
+        assert!(s1.primary() == servers[1] || !s1.tech.fd.is_suspected(servers[1]));
+        let fp1 = s1.shell.base.store.fingerprint();
         let s2 = world.actor_ref::<EagerPrimaryServer>(servers[2]);
-        assert_eq!(s2.base.store.fingerprint(), fp1, "survivors diverged");
+        assert_eq!(s2.shell.base.store.fingerprint(), fp1, "survivors diverged");
     }
 
     #[test]
@@ -1561,13 +1406,17 @@ mod tests {
             assert!(world.actor_ref::<ClientActor<EagerPrimaryMsg>>(c).is_done());
         }
         let primary = world.actor_ref::<EagerPrimaryServer>(servers[0]);
-        assert_eq!(primary.wal.len(), 3, "every commit must be logged");
-        assert!(primary.wal.fsyncs() < 3, "group commit must share forces");
-        let fp0 = primary.base.store.fingerprint();
+        assert_eq!(primary.tech.wal.len(), 3, "every commit must be logged");
+        assert!(
+            primary.tech.wal.fsyncs() < 3,
+            "group commit must share forces"
+        );
+        let fp0 = primary.shell.base.store.fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
                 world
                     .actor_ref::<EagerPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),

@@ -14,20 +14,18 @@
 
 use std::collections::HashSet;
 
-use repl_db::Keyspace;
-use repl_gcs::{AbDeliver, BatchConfig, Outbox};
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_db::{Keyspace, Transfer};
+use repl_gcs::{AbDeliver, BatchConfig, ConsensusConfig, Outbox};
+use repl_sim::{Context, Message, NodeId};
 
-use crate::client::ProtocolMsg;
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, DrainState, Elastic,
-    ExecutionMode, MemberMsg, ServerBase, ShardCtx, DRAIN_TICK_TAG, DRAIN_TICK_TICKS,
-    JOIN_RETRY_TAG, JOIN_RETRY_TICKS, RESTORE_TAG,
+    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
-use repl_db::Transfer;
-use repl_gcs::ConsensusConfig;
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// Wire messages of eager update everywhere over ABCAST.
 #[derive(Debug, Clone)]
@@ -53,41 +51,21 @@ impl Message for EuaMsg {
     }
 }
 
-impl ProtocolMsg for EuaMsg {
-    fn invoke(op: ClientOp) -> Self {
-        EuaMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            EuaMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            EuaMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(EuaMsg);
 
-/// A server for eager update everywhere over ABCAST.
-pub struct EuaServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
+/// Eager update everywhere over ABCAST: the local server relays, every
+/// server executes in delivery order, the delegate answers.
+pub struct Eua {
     ab: AbcastEndpoint<ClientOp>,
     /// What `ab` queued while handling one input; drained by `drain`.
     ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
     /// Operations this server relayed (it is their delegate and answers).
     delegated: HashSet<OpId>,
     marks: bool,
-    /// Elastic-membership lifecycle (dormant without a membership plan).
-    pub elastic: Elastic,
-    /// Sharded topology (cross-shard runs only): the ABCAST becomes the
-    /// genuine multicast, and each member executes just its own shard's
-    /// part of a cross-shard operation.
-    shard: Option<ShardCtx>,
 }
+
+/// A server for eager update everywhere over ABCAST.
+pub type EuaServer = Replica<Eua>;
 
 impl EuaServer {
     /// Creates server `site` of `group`.
@@ -100,50 +78,37 @@ impl EuaServer {
         abcast: AbcastImpl,
         cons: ConsensusConfig,
     ) -> Self {
-        EuaServer {
-            base: ServerBase::new(site, keyspace, exec),
+        let tech = Eua {
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
             ab_out: Outbox::new(),
             delegated: HashSet::new(),
             marks: site == 0,
-            elastic: Elastic::new(me, group),
-            shard: None,
-        }
-    }
-
-    /// Switches this server to the sharded cross-shard mode: the ABCAST
-    /// endpoint becomes the genuine multicast over `ctx`'s topology.
-    /// Call before the run starts; faults and membership changes are not
-    /// supported in this mode (the runner rejects such plans).
-    pub fn enable_cross_shard(&mut self, ctx: ShardCtx) {
-        self.ab = AbcastEndpoint::new_genuine(self.elastic.me, &ctx);
-        self.shard = Some(ctx);
-    }
-
-    /// Marks this server a cold joiner: it boots with no state and runs
-    /// the join handshake on start before serving.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
+        };
+        Replica::around(site, me, group, keyspace, exec, tech)
     }
 
     /// Sets the ordering-layer batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.ab.set_batching(batch);
+        self.tech.ab.set_batching(batch);
         self
     }
+}
 
+impl Eua {
     /// Applies what the ABCAST endpoint queued and executes what it
     /// delivered.
-    fn drain(&mut self, ctx: &mut Context<'_, EuaMsg>) {
+    fn drain(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>) {
         let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, EuaMsg::Ab, |ctx, d| self.deliver(ctx, d));
+        repl_gcs::apply_outbox(ctx, &mut out, 0, EuaMsg::Ab, |ctx, d| {
+            self.deliver(sh, ctx, d)
+        });
         self.ab_out = out;
-        settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
+        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
     }
 
-    fn deliver(&mut self, ctx: &mut Context<'_, EuaMsg>, d: AbDeliver<ClientOp>) {
+    fn deliver(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, d: AbDeliver<ClientOp>) {
         let op = d.payload;
-        if self.base.cached(op.id).is_some() || self.elastic.answered.contains(&op.id) {
+        if sh.base.cached(op.id).is_some() || sh.answered_before_join(op.id) {
             return;
         }
         if self.marks {
@@ -151,63 +116,40 @@ impl EuaServer {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
         // Sharded cross-shard operations: execute only this shard's
-        // part, under the op's global transaction id.
-        let cross = self.shard.as_ref().is_some_and(|sc| sc.is_cross(&op));
-        let resp = if cross {
-            let sc = self.shard.as_ref().expect("cross implies sharded");
-            let local = sc.local_part(&op);
-            self.base.execute_commit(&local, global_txn(op.id)).1
-        } else {
-            self.base.execute_commit(&op, global_txn(op.id)).1
-        };
-        self.base.remember(&resp);
-        // Only the delegate (the server the client contacted)
-        // answers — except the foreign groups of a cross-shard op,
-        // where the client's affine member answers the foreign
-        // partial (the delegate only holds the home part).
-        let answers = if cross {
-            let sc = self.shard.as_ref().expect("cross implies sharded");
-            if sc.my_gid == sc.home_of(&op) {
-                self.delegated.contains(&op.id)
-            } else {
-                self.base.site % sc.group_size == op.id.client() % sc.group_size
+        // part, under the op's global transaction id. Only the delegate
+        // (the server the client contacted) answers — except at the
+        // foreign groups of a cross-shard op, where the client's affine
+        // member answers the foreign partial (the delegate only holds the
+        // home part).
+        let delegated = self.delegated.contains(&op.id);
+        let (local, answers) = match sh.shard().filter(|sc| sc.is_cross(&op)) {
+            Some(sc) if sc.my_gid == sc.home_of(&op) => (Some(sc.local_part(&op)), delegated),
+            Some(sc) => {
+                let affine = sh.base.site % sc.group_size == op.id.client() % sc.group_size;
+                (Some(sc.local_part(&op)), affine)
             }
-        } else {
-            self.delegated.contains(&op.id)
+            None => (None, delegated),
         };
+        let (_, resp) = sh
+            .base
+            .execute_commit(local.as_ref().unwrap_or(&op), global_txn(op.id));
+        sh.base.remember(&resp);
         if answers {
             ctx.send(op.client, EuaMsg::Reply(resp));
         }
     }
+}
 
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
-        self.drain(ctx);
-    }
+impl Technique for Eua {
+    type Msg = EuaMsg;
 
-    fn invoke(&mut self, ctx: &mut Context<'_, EuaMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, EuaMsg::Reply(resp));
-            return;
-        }
-        if self.elastic.rerouting() {
-            ctx.send(
-                op.client,
-                EuaMsg::Member(MemberMsg::Reroute {
-                    op: op.id,
-                    servers: self.elastic.remaining(),
-                }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, op: ClientOp) {
         if !self.delegated.insert(op.id) {
             return;
         }
-        match &self.shard {
+        // Sharded: the ABCAST is the genuine multicast; cross-shard
+        // operations are ordered only at the groups they touch.
+        match sh.shard() {
             Some(sc) => {
                 let dests = sc.dests(&op.txn);
                 self.ab.multicast(op, &dests, &mut self.ab_out);
@@ -216,194 +158,83 @@ impl EuaServer {
                 self.ab.broadcast(op, &mut self.ab_out);
             }
         }
-        self.drain(ctx);
+        self.drain(sh, ctx);
     }
 
-    fn member(&mut self, ctx: &mut Context<'_, EuaMsg>, from: NodeId, m: MemberMsg) {
-        match m {
-            MemberMsg::JoinReq => {
-                if !self.elastic.is_coordinator() || self.elastic.joining {
-                    return;
-                }
-                // Admission, group switch and snapshot are atomic here:
-                // every Ordered after this point reaches the joiner,
-                // everything before is in the snapshot.
-                self.elastic.admit(from);
-                self.ab.set_group(self.elastic.servers.clone());
-                for &n in &self.elastic.servers {
-                    if n != self.elastic.me && n != from {
-                        ctx.send(
-                            n,
-                            EuaMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.elastic.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                let transfer = Transfer::snapshot(&self.base.store, self.ab.delivered_gseq());
-                ctx.send(
-                    from,
-                    EuaMsg::Member(MemberMsg::Welcome {
-                        servers: self.elastic.servers.clone(),
-                        transfer: Some(Box::new(transfer)),
-                        pos: self.ab.position(),
-                        gpos: self.ab.delivered_gseq(),
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.ab.set_group(self.elastic.servers.clone());
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos,
-                gpos,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return; // duplicate welcome (retried JoinReq)
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.ab.set_group(self.elastic.servers.clone());
-                if let Some(t) = transfer {
-                    self.base.install_transfer(&t);
-                }
-                self.elastic.answered = answered.into_iter().collect();
-                self.ab.skip_to(pos, gpos);
-                self.rejoin_now(ctx);
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.ab.set_group(self.elastic.servers.clone());
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    fn try_retire(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if self.ab.pending() > 0 {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let was_orderer = self.ab.is_orderer(self.elastic.me);
-        let remaining = self.elastic.remaining();
-        self.ab.set_group(remaining.clone());
-        if was_orderer {
-            // Sequencer flavour: ship the order log to the successor so
-            // gseq assignment continues where this node stopped (no-op
-            // for the consensus flavour, which has no fixed role).
-            self.ab.handoff(remaining[0], &mut self.ab_out);
-            self.drain(ctx);
-        }
-        for &n in &remaining {
-            ctx.send(
-                n,
-                EuaMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.elastic.servers = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-}
-
-impl Actor<EuaMsg> for EuaServer {
-    fn on_message(&mut self, ctx: &mut Context<'_, EuaMsg>, from: NodeId, msg: EuaMsg) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
+    fn on_protocol_msg(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EuaMsg>,
+        from: NodeId,
+        msg: EuaMsg,
+    ) {
         match msg {
-            EuaMsg::Invoke(op) => self.invoke(ctx, op),
+            EuaMsg::Invoke(op) => sh.invoke(self, ctx, op),
             EuaMsg::Ab(m) => {
                 self.ab.on_message(from, m, &mut self.ab_out);
-                self.drain(ctx);
+                self.drain(sh, ctx);
             }
-            EuaMsg::Reply(_) => {}
-            EuaMsg::Member(m) => self.member(ctx, from, m),
+            EuaMsg::Reply(_) | EuaMsg::Member(_) => {}
         }
     }
 
-    fn on_start(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        if self.elastic.joining {
-            self.base.recovery.begin(ctx.now().ticks());
-            ctx.send(
-                self.elastic.join_target(),
-                EuaMsg::Member(MemberMsg::JoinReq),
-            );
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-        }
-    }
-
-    fn on_drain(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, EuaMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                ctx.send(
-                    self.elastic.join_target(),
-                    EuaMsg::Member(MemberMsg::JoinReq),
-                );
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, tag: u64) {
         self.ab.on_timer(tag, &mut self.ab_out);
-        self.drain(ctx);
+        self.drain(sh, ctx);
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        // Refill the missed ABCAST suffix and re-execute it; the
-        // response cache suppresses ops executed before the crash.
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            self.ab.rewind_to(plan.token);
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
+    fn view_changed(&mut self, sh: &mut Shell) {
+        self.ab.set_group(sh.servers().to_vec());
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        self.ab.welcome_state(&sh.base)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EuaMsg>,
+        transfer: Option<&Transfer>,
+        pos: u64,
+        gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            sh.base.install_transfer(t);
         }
-        self.rejoin_now(ctx);
+        self.ab.skip_to(pos, gpos);
+        self.rejoin(sh, ctx);
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
-        self.base.wipe_volume(now.ticks());
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.ab.pending() == 0
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, EuaMsg>) {
-        self.base.seal_now(ctx.now().ticks(), self.ab.position());
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, remaining: &[NodeId]) {
+        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
+            self.drain(sh, ctx);
+        }
     }
 
-    impl_as_any!();
+    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+        self.ab.rewind_to(plan.token);
+    }
+
+    /// Refills the missed ABCAST suffix and re-executes it; the response
+    /// cache suppresses ops executed before the crash.
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>) {
+        self.ab.rejoin(&mut self.ab_out);
+        self.drain(sh, ctx);
+    }
+
+    fn position(&self, _sh: &Shell) -> u64 {
+        self.ab.position()
+    }
+
+    fn enable_cross_shard(&mut self, sh: &mut Shell) {
+        let ctx = sh.shard().expect("the shell sets the topology first");
+        self.ab = AbcastEndpoint::new_genuine(sh.me(), ctx);
+    }
 }
 
 #[cfg(test)]
@@ -480,18 +311,24 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<EuaServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<EuaServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<EuaServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0
             );
         }
         let mut merged = repl_db::ReplicatedHistory::new();
         for &s in &servers {
-            merged.merge(&world.actor_ref::<EuaServer>(s).base.history);
+            merged.merge(&world.actor_ref::<EuaServer>(s).shell.base.history);
         }
         merged
             .check_one_copy_serializable()

@@ -38,16 +38,14 @@ use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TpcCoordinator, TpcDecision,
     Transfer, TxnId, Value,
 };
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::ProtocolMsg;
-use crate::op::{ClientOp, OpId, Response};
+use crate::client::{impl_protocol_msg, ProtocolMsg};
+use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, DrainState, Elastic, ExecutionMode, MemberMsg, ServerBase, ShardCtx,
-    DRAIN_TICK_TAG, DRAIN_TICK_TICKS, JOIN_RETRY_TAG, JOIN_RETRY_TICKS, RESTORE_TAG,
-};
+use crate::protocols::common::{global_txn, ExecutionMode};
+use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
 
 /// Wire messages of eager update everywhere with distributed locking.
 #[derive(Debug, Clone)]
@@ -169,23 +167,7 @@ impl Message for EulMsg {
     }
 }
 
-impl ProtocolMsg for EulMsg {
-    fn invoke(op: ClientOp) -> Self {
-        EulMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            EulMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            EulMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers.as_slice())),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(EulMsg);
 
 #[derive(Debug)]
 enum DelPhase {
@@ -219,12 +201,9 @@ const MAX_RETRIES: u32 = 30;
 const DETECT_TICK: u64 = 1;
 const RETRY_TICK: u64 = 2;
 
-/// A replica server for eager update everywhere with distributed locking.
-pub struct EulServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
-    servers: Vec<NodeId>,
+/// Eager update everywhere with distributed locking: the delegate locks
+/// and executes each operation at all replicas, then runs a 2PC.
+pub struct Eul {
     lm: LockManager,
     policy: DeadlockPolicy,
     detect_every: SimDuration,
@@ -241,10 +220,6 @@ pub struct EulServer {
     probe_answers: usize,
     /// Wound events observed (statistic for the conflicts study).
     pub wounds: u64,
-    /// Partial replication: this server's place in a sharded topology.
-    /// `Some` only when cross-shard transactions are enabled; lock and
-    /// exec rounds then target the key-owning group instead of `servers`.
-    shard: Option<ShardCtx>,
     /// Read-one/write-all: reads lock and execute locally only.
     rowa: bool,
     /// Waiting for the first snapshot reply after a crash.
@@ -254,8 +229,6 @@ pub struct EulServer {
     /// transferred state, not under it).
     replay: Vec<(NodeId, EulMsg)>,
     marks: bool,
-    /// Elastic membership (join/drain) state.
-    pub elastic: Elastic,
     /// Coordinator side of an admission: the joiner plus the cohort
     /// members whose `ViewAck` the Welcome snapshot still waits for.
     admitting: Option<(NodeId, HashSet<NodeId>)>,
@@ -270,6 +243,9 @@ pub struct EulServer {
     last_admitted: Option<NodeId>,
 }
 
+/// A replica server for eager update everywhere with distributed locking.
+pub type EulServer = Replica<Eul>;
+
 impl EulServer {
     /// Creates server `site` of `servers`.
     pub fn new(
@@ -281,10 +257,7 @@ impl EulServer {
         policy: DeadlockPolicy,
     ) -> Self {
         let ks = keyspace.into();
-        EulServer {
-            base: ServerBase::new(site, ks, exec),
-            me,
-            servers: servers.clone(),
+        let tech = Eul {
             lm: LockManager::with_keyspace(policy, ks),
             policy,
             detect_every: SimDuration::from_ticks(2_500),
@@ -295,91 +268,42 @@ impl EulServer {
             probe_edges: Vec::new(),
             probe_answers: 0,
             wounds: 0,
-            shard: None,
             rowa: false,
             recovering: false,
             replay: Vec::new(),
             marks: site == 0,
-            elastic: Elastic::new(me, servers),
             admitting: None,
             ack_wait: None,
             last_admitted: None,
-        }
-    }
-
-    /// Marks this server as a cold joiner: it starts outside the view and
-    /// acquires state + membership via `JoinReq`/`Welcome`.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
-    }
-
-    /// Re-syncs the lock/exec/2PC target list from `elastic.servers`.
-    fn sync_membership(&mut self) {
-        self.servers = self.elastic.servers.clone();
+        };
+        Replica::around(site, me, servers, ks, exec, tech)
     }
 
     /// Enables the read-one/write-all optimisation (paper §5.4.1): read
     /// locks are taken only at the delegate; writes still lock all sites.
     pub fn with_rowa(mut self, rowa: bool) -> Self {
-        self.rowa = rowa;
+        self.tech.rowa = rowa;
         self
     }
+}
 
-    /// Enables cross-shard transactions: per-step lock/exec rounds go to
-    /// the key-owning group and the closing 2PC spans the union of the
-    /// touched groups. Wound-wait ages are global (`TxnId` order), so
-    /// deadlocks across groups resolve the same way as local ones.
-    pub fn enable_cross_shard(&mut self, ctx: ShardCtx) {
-        assert_eq!(
-            self.policy,
-            DeadlockPolicy::WoundWait,
-            "cross-shard locking needs a global deadlock order (wound-wait)"
-        );
-        assert!(!self.rowa, "rowa is incompatible with cross-shard locking");
-        self.shard = Some(ctx);
-    }
-
-    /// Client entry point: cache, reroute-on-drain, join buffering, then
-    /// the normal delegate path.
-    fn invoke(&mut self, ctx: &mut Context<'_, EulMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, EulMsg::Reply(resp));
-            return;
-        }
-        if self.elastic.rerouting() {
-            let servers = self.elastic.remaining();
-            ctx.send(
-                op.client,
-                EulMsg::Member(MemberMsg::Reroute { op: op.id, servers }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
-        if self.elastic.answered.contains(&op.id) {
-            // Answered by the join donor before our snapshot: re-running
-            // the whole transaction would duplicate it in the merged
-            // history; the donor's cache serves the retry.
-            return;
-        }
-        let txn = global_txn(op.id);
-        if !self.delegated.contains_key(&txn) && !self.requeue.iter().any(|(o, _)| o.id == op.id) {
-            self.start_txn(ctx, op, 0);
-        }
-    }
-
-    fn start_txn(&mut self, ctx: &mut Context<'_, EulMsg>, op: ClientOp, retries: u32) {
+impl Eul {
+    fn start_txn(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        op: ClientOp,
+        retries: u32,
+    ) {
         let txn = global_txn(op.id);
         if self.delegated.contains_key(&txn) {
             return;
         }
-        self.base.tm.begin(txn);
+        sh.base.tm.begin(txn);
         // Sharded: the participant set is the union of the touched
         // groups' members (dests is sorted, groups are contiguous and
         // ascending, so the union is sorted too).
-        let cohort = self.shard.as_ref().map(|sc| {
+        let cohort = sh.shard().map(|sc| {
             sc.dests(&op.txn)
                 .iter()
                 .flat_map(|&g| sc.group_of(g))
@@ -399,18 +323,18 @@ impl EulServer {
                 cohort,
             },
         );
-        self.request_lock(ctx, txn);
+        self.request_lock(sh, ctx, txn);
     }
 
     /// Sends the lock request for the current step to every replica
     /// (including this one, via loopback, for uniformity).
-    fn request_lock(&mut self, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+    fn request_lock(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
         let Some(t) = self.delegated.get_mut(&txn) else {
             return;
         };
         let step = t.step;
         if step >= t.op.txn.ops.len() {
-            self.start_commit(ctx, txn);
+            self.start_commit(sh, ctx, txn);
             return;
         }
         let (key, exclusive) = match t.op.txn.ops[step] {
@@ -424,12 +348,12 @@ impl EulServer {
         // the whole point of partial replication — foreign groups never
         // see this key). Read-one/write-all: a read locks only the
         // local copy.
-        let targets: Vec<NodeId> = if let Some(sc) = &self.shard {
+        let targets: Vec<NodeId> = if let Some(sc) = sh.shard() {
             sc.group_of(sc.map.shard_of(key))
         } else if self.rowa && !exclusive {
-            vec![self.me]
+            vec![sh.me()]
         } else {
-            self.servers.clone()
+            sh.servers().to_vec()
         };
         t.phase = DelPhase::Locking {
             step: step as u32,
@@ -443,14 +367,14 @@ impl EulServer {
                     step: step as u32,
                     key,
                     exclusive,
-                    delegate: self.me,
+                    delegate: sh.me(),
                 },
             );
         }
     }
 
     /// All sites granted: execute the step everywhere and move on.
-    fn step_granted(&mut self, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+    fn step_granted(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
         let Some(t) = self.delegated.get_mut(&txn) else {
             return;
         };
@@ -467,17 +391,17 @@ impl EulServer {
         // asks one member (the owning group's first) to send the observed
         // value back, because the delegate's own store does not replicate
         // the key. Reads under read-one/write-all execute only locally.
-        let (exec_targets, foreign): (Vec<NodeId>, bool) = if let Some(sc) = &self.shard {
+        let (exec_targets, foreign): (Vec<NodeId>, bool) = if let Some(sc) = sh.shard() {
             let gid = sc.map.shard_of(key);
             (sc.group_of(gid), gid != sc.my_gid)
         } else if self.rowa && write.is_none() {
-            (vec![self.me], false)
+            (vec![sh.me()], false)
         } else {
-            (self.servers.clone(), false)
+            (sh.servers().to_vec(), false)
         };
         for &s in &exec_targets {
             let read_back = if foreign && write.is_none() && s == exec_targets[0] {
-                Some(self.me)
+                Some(sh.me())
             } else {
                 None
             };
@@ -497,23 +421,23 @@ impl EulServer {
         // it directly (the lock is held, so it cannot change in between).
         // Foreign reads wait for the owning group's XReadVal instead.
         if write.is_none() && !foreign {
-            let v = self.base.store.read(key).map_or(Value(0), |v| v.value);
+            let v = sh.base.store.read(key).map_or(Value(0), |v| v.value);
             if let Some(t) = self.delegated.get_mut(&txn) {
                 t.reads.push((step as u32, key, v));
             }
         }
-        self.request_lock(ctx, txn);
+        self.request_lock(sh, ctx, txn);
     }
 
-    fn start_commit(&mut self, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
-        let me = self.me;
+    fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+        let me = sh.me();
         let others: Vec<NodeId> = {
             let Some(t) = self.delegated.get(&txn) else {
                 return;
             };
             t.cohort
-                .as_ref()
-                .unwrap_or(&self.servers)
+                .as_deref()
+                .unwrap_or(sh.servers())
                 .iter()
                 .copied()
                 .filter(|&s| s != me)
@@ -529,7 +453,7 @@ impl EulServer {
         coord.start();
         t.phase = DelPhase::Committing(coord);
         if others.is_empty() {
-            self.finish(ctx, txn, true);
+            self.finish(sh, ctx, txn, true);
             return;
         }
         for s in others {
@@ -537,17 +461,17 @@ impl EulServer {
         }
     }
 
-    fn finish(&mut self, ctx: &mut Context<'_, EulMsg>, txn: TxnId, commit: bool) {
+    fn finish(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId, commit: bool) {
         let Some(mut t) = self.delegated.remove(&txn) else {
             return;
         };
-        let audience = t.cohort.take().unwrap_or_else(|| self.servers.clone());
+        let audience = t.cohort.take().unwrap_or_else(|| sh.servers().to_vec());
         for &s in &audience {
-            if s != self.me {
+            if s != sh.me() {
                 ctx.send(s, EulMsg::Decision { txn, commit });
             }
         }
-        self.apply_decision(ctx, txn, commit);
+        self.apply_decision(sh, ctx, txn, commit);
         // Reassemble reads into program order. A retried transaction can
         // receive a late XReadVal from its wounded previous attempt; the
         // fresh value arrives later on the same FIFO link, so keep the
@@ -568,7 +492,7 @@ impl EulServer {
             reads,
         };
         if commit {
-            self.base.remember(&resp);
+            sh.base.remember(&resp);
             ctx.send(t.op.client, EulMsg::Reply(resp));
         } else if t.retries < MAX_RETRIES {
             self.requeue.push((t.op, t.retries + 1));
@@ -588,32 +512,50 @@ impl EulServer {
         };
         if acked {
             let (coord, joiner, _) = self.ack_wait.take().expect("checked");
-            self.deliver_ack(ctx, coord, joiner);
+            self.deliver_ack(sh, ctx, coord, joiner);
         }
-        self.try_retire(ctx);
+        sh.try_retire(self, ctx);
     }
 
     /// Member side of an admission: confirm the view change once every
     /// transaction this site delegated under the *old* view has decided.
-    fn begin_view_ack(&mut self, ctx: &mut Context<'_, EulMsg>, coord: NodeId, joiner: NodeId) {
+    fn begin_view_ack(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        coord: NodeId,
+        joiner: NodeId,
+    ) {
         let wait: BTreeSet<TxnId> = self.delegated.keys().copied().collect();
         if wait.is_empty() {
-            self.deliver_ack(ctx, coord, joiner);
+            self.deliver_ack(sh, ctx, coord, joiner);
         } else {
             self.ack_wait = Some((coord, joiner, wait));
         }
     }
 
-    fn deliver_ack(&mut self, ctx: &mut Context<'_, EulMsg>, coord: NodeId, joiner: NodeId) {
-        if coord == self.elastic.me {
-            self.note_ack(ctx, joiner, self.elastic.me);
+    fn deliver_ack(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        coord: NodeId,
+        joiner: NodeId,
+    ) {
+        if coord == sh.me() {
+            self.note_ack(sh, ctx, joiner, sh.me());
         } else {
-            ctx.send(coord, EulMsg::Member(MemberMsg::ViewAck { joiner }));
+            ctx.send(coord, EulMsg::member(MemberMsg::ViewAck { joiner }));
         }
     }
 
     /// Coordinator side: collect acks; the last one releases the Welcome.
-    fn note_ack(&mut self, ctx: &mut Context<'_, EulMsg>, joiner: NodeId, member: NodeId) {
+    fn note_ack(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        joiner: NodeId,
+        member: NodeId,
+    ) {
         let done = match &mut self.admitting {
             Some((j, wait)) if *j == joiner => {
                 wait.remove(&member);
@@ -623,214 +565,63 @@ impl EulServer {
         };
         if done {
             self.admitting = None;
-            self.send_welcome(ctx, joiner);
+            sh.welcome(self, ctx, joiner);
         }
     }
 
-    fn send_welcome(&mut self, ctx: &mut Context<'_, EulMsg>, joiner: NodeId) {
-        // All-site locking keeps no redo log, so a committed snapshot
-        // (tentative state rolled back) is the whole transfer; new-view
-        // transactions reach the joiner through its buffered
-        // Exec/Decision replay.
-        let t = Transfer::committed_snapshot(&self.base.store, &self.base.tm, 0);
-        ctx.send(
-            joiner,
-            EulMsg::Member(MemberMsg::Welcome {
-                servers: self.elastic.servers.clone(),
-                transfer: Some(Box::new(t)),
-                pos: 0,
-                gpos: 0,
-                answered: Elastic::answered_floor(&self.base),
-            }),
-        );
+    /// Replays the Exec/Decision traffic that raced a snapshot on top of
+    /// it (value writes are idempotent when the snapshot already carries
+    /// them).
+    fn replay_held(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+        for (peer, m) in std::mem::take(&mut self.replay) {
+            self.on_protocol_msg(sh, ctx, peer, m);
+        }
     }
 
-    /// Handles elastic-membership traffic.
-    fn member(&mut self, ctx: &mut Context<'_, EulMsg>, from: NodeId, msg: MemberMsg) {
-        match msg {
-            MemberMsg::JoinReq => {
-                if !self.elastic.is_coordinator()
-                    || self.elastic.joining
-                    || self.recovering
-                    || self.elastic.rerouting()
-                {
-                    return;
-                }
-                if let Some((j, _)) = &self.admitting {
-                    if *j != from {
-                        return; // one admission at a time; this joiner retries
-                    }
-                    // Same joiner retrying while acks are outstanding: a
-                    // cohort member may have crashed and lost its pending
-                    // ack — re-issue the view change (drained members
-                    // re-ack immediately, duplicates are no-ops).
-                } else {
-                    if !self.elastic.servers.contains(&from) {
-                        self.elastic.admit(from);
-                        self.sync_membership();
-                    }
-                    // Re-admission of a known member (lost Welcome, or we
-                    // crashed after welcoming) restarts the ack round so
-                    // the fresh snapshot again waits for every cohort's
-                    // old-view transactions.
-                    let cohort: HashSet<NodeId> = self
-                        .elastic
-                        .servers
-                        .iter()
-                        .copied()
-                        .filter(|&n| n != from)
-                        .collect();
-                    self.admitting = Some((from, cohort));
-                }
-                let members: Vec<NodeId> = self
-                    .elastic
-                    .servers
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != from)
-                    .collect();
-                let view = self.elastic.servers.clone();
-                for &n in &members {
-                    if n == self.elastic.me {
-                        self.last_admitted = Some(from);
-                        self.begin_view_ack(ctx, self.elastic.me, from);
-                    } else {
-                        ctx.send(
-                            n,
-                            EulMsg::Member(MemberMsg::ViewAdd {
-                                servers: view.clone(),
-                            }),
-                        );
-                    }
-                }
-            }
-            MemberMsg::ViewAdd { servers } => {
-                let newcomer = servers
-                    .iter()
-                    .copied()
-                    .find(|n| !self.elastic.servers.contains(n))
-                    .or(self.last_admitted);
-                self.elastic.install(servers);
-                self.sync_membership();
-                if let Some(j) = newcomer {
-                    self.last_admitted = Some(j);
-                    self.begin_view_ack(ctx, from, j);
-                }
-            }
-            MemberMsg::ViewAck { joiner } => {
-                self.note_ack(ctx, joiner, from);
-            }
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos: _,
-                gpos: _,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return; // duplicate welcome
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.sync_membership();
-                if let Some(t) = transfer {
-                    let _ = self.base.install_transfer(&t);
-                }
-                self.elastic.answered.extend(answered);
-                // Exec/Decision that raced the snapshot replay on top of
-                // it (value writes are idempotent when the snapshot
-                // already carries them).
-                for (peer, m) in std::mem::take(&mut self.replay) {
-                    self.on_message(ctx, peer, m);
-                }
-                self.base.recovery.complete(ctx.now().ticks());
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.sync_membership();
-                // In-flight grants and votes the drained site still owes
-                // keep flowing from its retired relay, so no delegate
-                // bookkeeping needs rewiring. A pending admission treats
-                // the departure as an implicit ack.
-                let done = if let Some((_, wait)) = &mut self.admitting {
-                    wait.remove(&node);
-                    wait.is_empty()
-                } else {
-                    false
+    /// Coordinator: (re)starts the ack round for `joiner` over the
+    /// current view and announces the view change; the welcome goes out
+    /// once every cohort member confirmed.
+    fn announce_view(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, joiner: NodeId) {
+        let members: Vec<NodeId> = sh
+            .servers()
+            .iter()
+            .copied()
+            .filter(|&n| n != joiner)
+            .collect();
+        for &n in &members {
+            if n == sh.me() {
+                self.last_admitted = Some(joiner);
+                self.begin_view_ack(sh, ctx, n, joiner);
+            } else {
+                let grown = MemberMsg::ViewAdd {
+                    servers: sh.servers().to_vec(),
                 };
-                if done {
-                    let (j, _) = self.admitting.take().expect("checked");
-                    self.send_welcome(ctx, j);
-                }
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    /// Completes a drain once every transaction this site delegates has
-    /// decided — its 2PC is the only thing that releases the cohort's
-    /// locks. Grants and votes owed to *other* delegates keep flowing
-    /// from the retired relay, so they need no draining.
-    fn try_retire(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if !self.delegated.is_empty() || !self.requeue.is_empty() {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let remaining = self.elastic.remaining();
-        for &n in &remaining {
-            ctx.send(
-                n,
-                EulMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.elastic.servers = remaining;
-        self.sync_membership();
-        self.elastic.drain = DrainState::Retired;
-    }
-
-    /// Rejoins the group after a crash (or a completed volume restore):
-    /// re-arms the deadlock detector and pulls a committed snapshot.
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        // Timers do not survive a crash: re-arm the deadlock detector.
-        if self.policy == DeadlockPolicy::Detect && self.base.site == 0 {
-            ctx.set_timer(self.detect_every, DETECT_TICK);
-        }
-        if self.servers.len() == 1 {
-            self.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        self.recovering = true;
-        self.replay.clear();
-        for &s in &self.servers.clone() {
-            if s != self.me {
-                ctx.send(s, EulMsg::SyncReq);
+                ctx.send(n, EulMsg::member(grown));
             }
         }
     }
 
     /// Commits or aborts the local tentative state and releases locks.
-    fn apply_decision(&mut self, ctx: &mut Context<'_, EulMsg>, txn: TxnId, commit: bool) {
-        if self.tentative.remove(&txn) || self.base.tm.is_active(txn) {
+    fn apply_decision(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        txn: TxnId,
+        commit: bool,
+    ) {
+        if self.tentative.remove(&txn) || sh.base.tm.is_active(txn) {
             if commit {
-                if let Ok(ws) = self.base.tm.commit(txn) {
-                    if let Some(tier) = &mut self.base.tier {
+                if let Ok(ws) = sh.base.tm.commit(txn) {
+                    if let Some(tier) = &mut sh.base.tier {
                         tier.note_commit(&ws);
                     }
                 }
-                self.base.history.mark_committed(txn);
-                self.base.committed += 1;
+                sh.base.history.mark_committed(txn);
+                sh.base.committed += 1;
             } else {
-                let _ = self.base.tm.abort(&mut self.base.store, txn);
-                self.base.history.purge(txn);
-                self.base.aborted += 1;
+                let _ = sh.base.tm.abort(&mut sh.base.store, txn);
+                sh.base.history.purge(txn);
+                sh.base.aborted += 1;
             }
         }
         self.lock_owner.remove(&txn);
@@ -848,32 +639,30 @@ impl EulServer {
     }
 
     /// A site (or the detector) wounded `victim`, for which we delegate.
-    fn wound_delegated(&mut self, ctx: &mut Context<'_, EulMsg>, victim: TxnId) {
+    fn wound_delegated(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, victim: TxnId) {
         if self.delegated.contains_key(&victim) {
             self.wounds += 1;
-            self.finish(ctx, victim, false);
+            self.finish(sh, ctx, victim, false);
         }
     }
 
-    fn run_detection(&mut self, ctx: &mut Context<'_, EulMsg>) {
+    fn run_detection(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
         self.probe_edges = self.lm.wait_for_edges();
         self.probe_answers = 1;
-        for &s in &self.servers {
-            if s != self.me {
-                ctx.send(s, EulMsg::ProbeReq);
-            }
+        for s in sh.peers() {
+            ctx.send(s, EulMsg::ProbeReq);
         }
-        self.maybe_resolve_deadlock(ctx);
+        self.maybe_resolve_deadlock(sh, ctx);
     }
 
-    fn maybe_resolve_deadlock(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        if self.probe_answers < self.servers.len() {
+    fn maybe_resolve_deadlock(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+        if self.probe_answers < sh.servers().len() {
             return;
         }
         // Union collected; reuse the lock manager's cycle finder through a
         // scratch structure.
         if let Some(victim) = find_cycle_victim(&self.probe_edges) {
-            for &s in &self.servers {
+            for &s in sh.servers() {
                 ctx.send(s, EulMsg::Wound { victim });
             }
         }
@@ -934,33 +723,34 @@ fn find_cycle_victim(edges: &[(TxnId, TxnId)]) -> Option<TxnId> {
     None
 }
 
-impl Actor<EulMsg> for EulServer {
-    fn on_start(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        if self.elastic.joining {
-            // Cold joiner: ask the coordinator for admission + state. It
-            // grants locks and votes from the moment the first ViewAdd
-            // lands the group on it, but holds writes until welcomed.
-            self.base.recovery.begin(ctx.now().ticks());
-            let target = self.elastic.join_target();
-            ctx.send(target, EulMsg::Member(MemberMsg::JoinReq));
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
+impl Technique for Eul {
+    type Msg = EulMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, op: ClientOp) {
+        if sh.answered_before_join(op.id) {
+            // Answered by the join donor before our snapshot: re-running
+            // the whole transaction would duplicate it in the merged
+            // history; the donor's cache serves the retry.
             return;
         }
-        if self.policy == DeadlockPolicy::Detect && self.base.site == 0 {
-            ctx.set_timer(self.detect_every, DETECT_TICK);
+        let txn = global_txn(op.id);
+        if !self.delegated.contains_key(&txn) && !self.requeue.iter().any(|(o, _)| o.id == op.id) {
+            self.start_txn(sh, ctx, op, 0);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, EulMsg>, from: NodeId, msg: EulMsg) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
-        if self.elastic.drain == DrainState::Retired {
+    fn on_protocol_msg(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        from: NodeId,
+        msg: EulMsg,
+    ) {
+        if sh.retired() {
             // A retired site relays just enough to keep delegates that
             // have not yet processed our ViewDrop from wedging: grant and
             // vote vacuously (every remaining site still serializes the
-            // conflict), confirm view changes, reroute clients; drop the
-            // rest.
+            // conflict), reroute clients; drop the rest.
             match msg {
                 EulMsg::LockReq {
                     txn,
@@ -973,47 +763,28 @@ impl Actor<EulMsg> for EulServer {
                 EulMsg::Prepare { txn } => {
                     ctx.send(from, EulMsg::Vote { txn, yes: true });
                 }
-                EulMsg::Invoke(op) => self.invoke(ctx, op),
-                EulMsg::Member(MemberMsg::ViewAdd { servers }) => {
-                    // We already left; ack vacuously so a join is never
-                    // wedged on a departed cohort member (our ViewDrop
-                    // may still be in flight toward the coordinator).
-                    let j = servers
-                        .iter()
-                        .copied()
-                        .find(|n| !self.elastic.servers.contains(n) && *n != self.elastic.me)
-                        .or(self.last_admitted);
-                    if let Some(j) = j {
-                        ctx.send(from, EulMsg::Member(MemberMsg::ViewAck { joiner: j }));
-                    }
-                }
+                EulMsg::Invoke(op) => sh.invoke(self, ctx, op),
                 _ => {}
             }
             return;
         }
-        if self.elastic.joining && matches!(msg, EulMsg::Exec { .. } | EulMsg::Decision { .. }) {
-            // Same discipline as crash recovery: keep granting locks,
-            // voting, and answering probes so the group never wedges on
-            // us, but hold writes and verdicts back until the Welcome
-            // snapshot is in place.
+        if (sh.joining() || self.recovering)
+            && matches!(msg, EulMsg::Exec { .. } | EulMsg::Decision { .. })
+        {
+            // Joining or recovering: keep granting locks, voting, and
+            // answering probes so the group never wedges on us, but hold
+            // writes and verdicts back until the snapshot is in place.
             self.replay.push((from, msg));
             return;
         }
-        if self.recovering {
-            // Keep granting locks and voting so the group never wedges
-            // on us, but hold writes and verdicts back until the
-            // snapshot is in place.
-            if matches!(msg, EulMsg::Exec { .. } | EulMsg::Decision { .. }) {
-                self.replay.push((from, msg));
-                return;
-            }
-            // A delegate with a stale store would serve stale reads.
-            if matches!(msg, EulMsg::Invoke(_)) {
-                return;
-            }
-        }
         match msg {
-            EulMsg::Invoke(op) => self.invoke(ctx, op),
+            EulMsg::Invoke(op) => {
+                // A recovering delegate with a stale store would serve
+                // stale reads.
+                if !self.recovering {
+                    sh.invoke(self, ctx, op);
+                }
+            }
             EulMsg::LockReq {
                 txn,
                 step,
@@ -1055,11 +826,11 @@ impl Actor<EulMsg> for EulServer {
                     }
                 };
                 if ready {
-                    self.step_granted(ctx, txn);
+                    self.step_granted(sh, ctx, txn);
                 }
             }
             EulMsg::Wound { victim } => {
-                self.wound_delegated(ctx, victim);
+                self.wound_delegated(sh, ctx, victim);
             }
             EulMsg::Exec {
                 txn,
@@ -1080,27 +851,21 @@ impl Actor<EulMsg> for EulServer {
                 if !self.lm.holds(txn, key) {
                     return;
                 }
-                self.base.tm.begin(txn);
+                sh.base.tm.begin(txn);
                 self.tentative.insert(txn);
                 match write {
                     Some(v) => {
-                        let v = self.base.effective_value(v);
-                        let _ = self.base.tm.write(&mut self.base.store, txn, key, v);
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            key,
-                            repl_db::AccessKind::Write,
-                        );
+                        let v = sh.base.effective_value(v);
+                        let _ = sh.base.tm.write(&mut sh.base.store, txn, key, v);
+                        sh.base
+                            .history
+                            .record(sh.base.site, txn, key, repl_db::AccessKind::Write);
                     }
                     None => {
-                        let read = self.base.tm.read(&self.base.store, txn, key);
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            key,
-                            repl_db::AccessKind::Read,
-                        );
+                        let read = sh.base.tm.read(&sh.base.store, txn, key);
+                        sh.base
+                            .history
+                            .record(sh.base.site, txn, key, repl_db::AccessKind::Read);
                         if let Some(delegate) = read_back {
                             let value = read.ok().flatten().map_or(Value(0), |ver| ver.value);
                             ctx.send(
@@ -1140,13 +905,13 @@ impl Actor<EulMsg> for EulServer {
                     }
                 };
                 match decision {
-                    Some(TpcDecision::Commit) => self.finish(ctx, txn, true),
-                    Some(TpcDecision::Abort) => self.finish(ctx, txn, false),
+                    Some(TpcDecision::Commit) => self.finish(sh, ctx, txn, true),
+                    Some(TpcDecision::Abort) => self.finish(sh, ctx, txn, false),
                     None => {}
                 }
             }
             EulMsg::Decision { txn, commit } => {
-                self.apply_decision(ctx, txn, commit);
+                self.apply_decision(sh, ctx, txn, commit);
             }
             EulMsg::ProbeReq => {
                 ctx.send(
@@ -1159,11 +924,11 @@ impl Actor<EulMsg> for EulServer {
             EulMsg::ProbeEdges { edges } => {
                 self.probe_edges.extend(edges);
                 self.probe_answers += 1;
-                self.maybe_resolve_deadlock(ctx);
+                self.maybe_resolve_deadlock(sh, ctx);
             }
             EulMsg::SyncReq => {
-                if !self.recovering && !self.elastic.joining {
-                    let t = Transfer::committed_snapshot(&self.base.store, &self.base.tm, 0);
+                if !self.recovering && !sh.joining() {
+                    let t = Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, 0);
                     ctx.send(from, EulMsg::SyncData(Box::new(t)));
                 }
             }
@@ -1172,62 +937,172 @@ impl Actor<EulMsg> for EulServer {
                     return;
                 }
                 self.recovering = false;
-                let _ = self.base.install_transfer(&t);
-                for (peer, m) in std::mem::take(&mut self.replay) {
-                    self.on_message(ctx, peer, m);
-                }
-                self.base.recovery.complete(ctx.now().ticks());
+                sh.base.install_transfer(&t);
+                self.replay_held(sh, ctx);
+                sh.base.recovery.complete(ctx.now().ticks());
             }
-            EulMsg::Reply(_) => {}
-            EulMsg::Member(m) => self.member(ctx, from, m),
+            EulMsg::Reply(_) | EulMsg::Member(_) => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, EulMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
-        // Elastic tags sit near u64::MAX, far above the protocol ticks.
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                let target = self.elastic.join_target();
-                ctx.send(target, EulMsg::Member(MemberMsg::JoinReq));
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, tag: u64) {
         match tag {
             DETECT_TICK => {
-                self.run_detection(ctx);
+                self.run_detection(sh, ctx);
                 ctx.set_timer(self.detect_every, DETECT_TICK);
             }
             RETRY_TICK => {
                 let pending = std::mem::take(&mut self.requeue);
                 for (op, retries) in pending {
-                    self.start_txn(ctx, op, retries);
+                    self.start_txn(sh, ctx, op, retries);
                 }
             }
             _ => {}
         }
     }
 
-    fn on_crash(&mut self, _now: SimTime) {
-        // Fail-stop: volatile state dies with the process. Lock tables,
-        // delegate bookkeeping and tentative writes are lost; only the
-        // committed store survives. Without this amnesia a recovered site
-        // would still "hold" locks for transactions that finished while it
-        // was down — the 2PC decision that releases them was dropped — and
-        // every later conflicting transaction would queue behind them
-        // forever (wound-wait never wounds an older phantom holder).
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+        // A cold joiner grants locks and votes from the moment the first
+        // ViewAdd lands the group on it, but never runs the detector
+        // before it is welcomed.
+        if !sh.joining() && self.policy == DeadlockPolicy::Detect && sh.base.site == 0 {
+            ctx.set_timer(self.detect_every, DETECT_TICK);
+        }
+    }
+
+    fn can_admit(&self, sh: &Shell) -> bool {
+        !self.recovering && !sh.rerouting()
+    }
+
+    /// Admission with a barrier: the welcome snapshot must wait until
+    /// every cohort member has applied the view change *and* decided the
+    /// transactions it delegated under the old view (their Execs missed
+    /// the joiner).
+    fn admit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, joiner: NodeId) {
+        match &self.admitting {
+            // One admission at a time; this joiner retries.
+            Some((j, _)) if *j != joiner => return,
+            // Same joiner retrying while acks are outstanding: a cohort
+            // member may have crashed and lost its pending ack — re-issue
+            // the view change (drained members re-ack immediately,
+            // duplicates are no-ops).
+            Some(_) => {}
+            // Re-admission of a known member (lost Welcome, or we crashed
+            // after welcoming) restarts the ack round so the fresh
+            // snapshot again waits for every cohort's old-view
+            // transactions.
+            None => {
+                sh.add_member(self, joiner);
+                let cohort = sh
+                    .servers()
+                    .iter()
+                    .copied()
+                    .filter(|&n| n != joiner)
+                    .collect();
+                self.admitting = Some((joiner, cohort));
+            }
+        }
+        self.announce_view(sh, ctx, joiner);
+    }
+
+    fn view_added(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        from: NodeId,
+        servers: &[NodeId],
+    ) {
+        let newcomer = servers
+            .iter()
+            .copied()
+            .find(|n| !sh.servers().contains(n) && (!sh.retired() || *n != sh.me()))
+            .or(self.last_admitted);
+        if sh.retired() {
+            // We already left; ack vacuously so a join is never wedged on
+            // a departed cohort member (our ViewDrop may still be in
+            // flight toward the coordinator).
+            if let Some(j) = newcomer {
+                ctx.send(from, EulMsg::member(MemberMsg::ViewAck { joiner: j }));
+            }
+            return;
+        }
+        sh.install_view(self, servers);
+        if let Some(j) = newcomer {
+            self.last_admitted = Some(j);
+            self.begin_view_ack(sh, ctx, from, j);
+        }
+    }
+
+    fn view_acked(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        from: NodeId,
+        joiner: NodeId,
+    ) {
+        if !sh.retired() {
+            self.note_ack(sh, ctx, joiner, from);
+        }
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        // All-site locking keeps no redo log, so a committed snapshot
+        // (tentative state rolled back) is the whole transfer; new-view
+        // transactions reach the joiner through its buffered
+        // Exec/Decision replay.
+        let t = Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, 0);
+        (Some(t), 0, 0)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        transfer: Option<&Transfer>,
+        _pos: u64,
+        _gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            sh.base.install_transfer(t);
+        }
+        self.replay_held(sh, ctx);
+        sh.base.recovery.complete(ctx.now().ticks());
+    }
+
+    fn member_left(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EulMsg>,
+        node: NodeId,
+        _was_first: bool,
+    ) {
+        // In-flight grants and votes the drained site still owes keep
+        // flowing from its retired relay, so no delegate bookkeeping
+        // needs rewiring. A pending admission treats the departure as an
+        // implicit ack.
+        if !sh.retired() {
+            if let Some((joiner, _)) = self.admitting {
+                self.note_ack(sh, ctx, joiner, node);
+            }
+        }
+    }
+
+    /// Every transaction this site delegates has decided — its 2PC is
+    /// the only thing that releases the cohort's locks. Grants and votes
+    /// owed to *other* delegates keep flowing from the retired relay, so
+    /// they need no draining.
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.delegated.is_empty() && self.requeue.is_empty()
+    }
+
+    /// Fail-stop: volatile state dies with the process. Lock tables,
+    /// delegate bookkeeping and tentative writes are lost; only the
+    /// committed store survives. Without this amnesia a recovered site
+    /// would still "hold" locks for transactions that finished while it
+    /// was down — the 2PC decision that releases them was dropped — and
+    /// every later conflicting transaction would queue behind them
+    /// forever (wound-wait never wounds an older phantom holder).
+    fn crashed(&mut self, sh: &mut Shell) {
         let mut active: Vec<TxnId> = self
             .tentative
             .iter()
@@ -1236,16 +1111,16 @@ impl Actor<EulMsg> for EulServer {
             .collect();
         active.sort_unstable(); // set iteration order is unspecified
         for txn in active {
-            if self.base.tm.is_active(txn) {
-                let _ = self.base.tm.abort(&mut self.base.store, txn);
+            if sh.base.tm.is_active(txn) {
+                let _ = sh.base.tm.abort(&mut sh.base.store, txn);
             }
-            self.base.history.purge(txn);
+            sh.base.history.purge(txn);
         }
         self.tentative.clear();
         self.delegated.clear();
         self.requeue.clear();
         self.lock_owner.clear();
-        self.lm = LockManager::with_keyspace(self.policy, self.base.keyspace());
+        self.lm = LockManager::with_keyspace(self.policy, sh.base.keyspace());
         self.probe_edges.clear();
         self.probe_answers = 0;
         // Pending membership acks are volatile too; the joiner's JoinReq
@@ -1254,43 +1129,45 @@ impl Actor<EulMsg> for EulServer {
         self.ack_wait = None;
     }
 
-    fn on_drain(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
+    /// `crashed` already dropped the volatile state; what remains is
+    /// closing the gap in committed state via a peer snapshot — all-site
+    /// locking keeps no redo log to replay, and after a volume restore no
+    /// stream or cursor exists to rewind either.
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+        // Timers do not survive a crash: re-arm the deadlock detector.
+        if self.policy == DeadlockPolicy::Detect && sh.base.site == 0 {
+            ctx.set_timer(self.detect_every, DETECT_TICK);
+        }
+        if sh.servers().len() == 1 {
+            sh.base.recovery.complete(ctx.now().ticks());
+            return;
+        }
+        self.recovering = true;
+        self.replay.clear();
+        for s in sh.peers() {
+            ctx.send(s, EulMsg::SyncReq);
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        // `on_crash` already dropped the volatile state (amnesia); what
-        // remains is closing the gap in committed state via a peer
-        // snapshot — all-site locking keeps no redo log to replay.
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            // No stream or cursor exists: the tier restored the committed
-            // store, and the rejoin snapshot covers anything lost.
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
+    /// Per-step lock/exec rounds go to the key-owning group and the
+    /// closing 2PC spans the union of the touched groups. Wound-wait ages
+    /// are global (`TxnId` order), so deadlocks across groups resolve the
+    /// same way as local ones.
+    fn enable_cross_shard(&mut self, _sh: &mut Shell) {
+        assert_eq!(
+            self.policy,
+            DeadlockPolicy::WoundWait,
+            "cross-shard locking needs a global deadlock order (wound-wait)"
+        );
+        assert!(!self.rowa, "rowa is incompatible with cross-shard locking");
+    }
+
+    fn extra_stats(&self) -> ExtraStats {
+        ExtraStats {
+            reconciliations: 0,
+            wounds: self.wounds,
         }
-        self.rejoin_now(ctx);
     }
-
-    fn on_volume_loss(&mut self, now: SimTime) {
-        // Same amnesia as a crash, plus the committed store is gone too.
-        self.on_crash(now);
-        self.base.wipe_volume(now.ticks());
-    }
-
-    fn on_settle(&mut self, ctx: &mut Context<'_, EulMsg>) {
-        // No replicated stream exists; the committed count is the frame
-        // token (these restores never rewind by token anyway).
-        self.base.seal_now(ctx.now().ticks(), self.base.committed);
-    }
-
-    impl_as_any!();
 }
 
 #[cfg(test)]
@@ -1366,12 +1243,18 @@ mod tests {
         );
         let fp0 = world
             .actor_ref::<EulServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<EulServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<EulServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0
             );
         }
@@ -1396,12 +1279,18 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<EulServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<EulServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<EulServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0
             );
         }
@@ -1434,17 +1323,19 @@ mod tests {
         }
         let mut merged = repl_db::ReplicatedHistory::new();
         for &s in &servers {
-            merged.merge(&world.actor_ref::<EulServer>(s).base.history);
+            merged.merge(&world.actor_ref::<EulServer>(s).shell.base.history);
         }
         assert!(merged.check_one_copy_serializable().is_ok());
         let fp0 = world
             .actor_ref::<EulServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         assert_eq!(
             world
                 .actor_ref::<EulServer>(servers[1])
+                .shell
                 .base
                 .store
                 .fingerprint(),
@@ -1479,12 +1370,14 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<EulServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         assert_eq!(
             world
                 .actor_ref::<EulServer>(servers[1])
+                .shell
                 .base
                 .store
                 .fingerprint(),
@@ -1535,20 +1428,20 @@ mod tests {
         );
         let t1 = global_txn(crate::op::OpId(1));
         assert!(matches!(
-            s.lm.acquire(t1, Key(0), LockMode::Exclusive),
+            s.tech.lm.acquire(t1, Key(0), LockMode::Exclusive),
             Acquire::Granted
         ));
-        s.lock_owner.insert(t1, (NodeId::new(0), 0));
-        s.on_crash(SimTime::from_ticks(100));
+        s.tech.lock_owner.insert(t1, (NodeId::new(0), 0));
+        repl_sim::Actor::on_crash(&mut s, SimTime::from_ticks(100));
         // A fresh transaction gets the lock immediately: no phantom holder.
         let t2 = global_txn(crate::op::OpId(2));
         assert!(matches!(
-            s.lm.acquire(t2, Key(0), LockMode::Exclusive),
+            s.tech.lm.acquire(t2, Key(0), LockMode::Exclusive),
             Acquire::Granted
         ));
-        assert!(s.lock_owner.is_empty());
-        assert!(s.delegated.is_empty());
-        assert!(s.tentative.is_empty());
+        assert!(s.tech.lock_owner.is_empty());
+        assert!(s.tech.delegated.is_empty());
+        assert!(s.tech.tentative.is_empty());
     }
 
     #[test]
@@ -1573,11 +1466,13 @@ mod tests {
         assert_eq!(
             world
                 .actor_ref::<EulServer>(servers[0])
+                .shell
                 .base
                 .store
                 .fingerprint(),
             world
                 .actor_ref::<EulServer>(servers[1])
+                .shell
                 .base
                 .store
                 .fingerprint(),
@@ -1612,17 +1507,23 @@ mod tests {
         }
         let mut merged = repl_db::ReplicatedHistory::new();
         for &s in &servers {
-            merged.merge(&world.actor_ref::<EulServer>(s).base.history);
+            merged.merge(&world.actor_ref::<EulServer>(s).shell.base.history);
         }
         merged.check_one_copy_serializable().expect("1SR violated");
         let fp0 = world
             .actor_ref::<EulServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<EulServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<EulServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0
             );
         }

@@ -27,16 +27,15 @@ use std::sync::Arc;
 
 use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WsPayload};
 use repl_gcs::BatchConfig;
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::ProtocolMsg;
-use crate::op::{ClientOp, OpId, Response};
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
+use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, DrainState, Elastic, ExecutionMode, MemberMsg, ServerBase, DRAIN_TICK_TAG,
-    DRAIN_TICK_TICKS, JOIN_RETRY_TAG, JOIN_RETRY_TICKS, RESTORE_TAG,
-};
+use crate::protocols::common::{global_txn, ExecutionMode};
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// Wire messages of lazy primary copy replication.
 #[derive(Debug, Clone)]
@@ -98,32 +97,13 @@ impl Message for LazyPrimaryMsg {
     }
 }
 
-impl ProtocolMsg for LazyPrimaryMsg {
-    fn invoke(op: ClientOp) -> Self {
-        LazyPrimaryMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            LazyPrimaryMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            LazyPrimaryMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(LazyPrimaryMsg);
 
 const FLUSH_TAG: u64 = 1;
 
-/// A lazy-primary-copy server.
-pub struct LazyPrimaryServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
-    servers: Vec<NodeId>,
+/// Lazy primary copy: the primary executes, commits and answers, then
+/// ships its numbered redo log to the secondaries.
+pub struct LazyPrimary {
     /// Extra delay before propagating committed updates (0 = propagate
     /// immediately after the reply; larger values widen the staleness
     /// window for the experiments).
@@ -146,9 +126,10 @@ pub struct LazyPrimaryServer {
     /// suffix must be re-shipped (its tail may never have propagated).
     reship: bool,
     marks: bool,
-    /// Elastic-membership state (join / drain lifecycle).
-    pub elastic: Elastic,
 }
+
+/// A lazy-primary-copy server.
+pub type LazyPrimaryServer = Replica<LazyPrimary>;
 
 impl LazyPrimaryServer {
     /// Creates server `site` of `servers`; the primary is rank 0.
@@ -160,10 +141,7 @@ impl LazyPrimaryServer {
         exec: ExecutionMode,
         propagation_delay: SimDuration,
     ) -> Self {
-        LazyPrimaryServer {
-            base: ServerBase::new(site, keyspace, exec),
-            me,
-            servers: servers.clone(),
+        let tech = LazyPrimary {
             propagation_delay,
             outbound: Vec::new(),
             flush_armed: false,
@@ -173,35 +151,37 @@ impl LazyPrimaryServer {
             log_retention: None,
             reship: false,
             marks: site == 0,
-            elastic: Elastic::new(me, servers),
-        }
-    }
-
-    /// Marks this server as a cold joiner: it starts outside the view and
-    /// acquires state + membership via `JoinReq`/`Welcome`.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
+        };
+        Replica::around(site, me, servers, keyspace, exec, tech)
     }
 
     /// Sets the propagation batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.batching = batch;
+        self.tech.batching = batch;
         self
     }
 
     /// Bounds the primary's redo-log retention: requesters that fall
     /// behind the truncation point get a snapshot instead of a suffix.
-    pub fn set_log_retention(&mut self, retention: Option<usize>) {
-        self.log_retention = retention;
-        self.log.set_retention(retention);
+    pub fn with_log_retention(mut self, retention: Option<usize>) -> Self {
+        self.tech.log_retention = retention;
+        self.tech.log.set_retention(retention);
+        self
     }
 
     /// The static primary.
     pub fn primary(&self) -> NodeId {
-        self.servers[0]
+        primary(&self.shell)
     }
+}
 
-    fn flush(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+/// The static primary: rank 0 of the view.
+fn primary(sh: &Shell) -> NodeId {
+    sh.servers()[0]
+}
+
+impl LazyPrimary {
+    fn flush(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
         let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
         if pending.is_empty() {
@@ -222,16 +202,14 @@ impl LazyPrimaryServer {
             }
             self.log.flush_group();
             let entries = Arc::new(pending);
-            for &s in &self.servers {
-                if s != self.me {
-                    ctx.send(
-                        s,
-                        LazyPrimaryMsg::PropagateBatch {
-                            start,
-                            entries: Arc::clone(&entries),
-                        },
-                    );
-                }
+            for s in sh.peers() {
+                ctx.send(
+                    s,
+                    LazyPrimaryMsg::PropagateBatch {
+                        start,
+                        entries: Arc::clone(&entries),
+                    },
+                );
             }
             return;
         }
@@ -242,52 +220,73 @@ impl LazyPrimaryServer {
                 ctx.mark(Phase::AgreementCoordination.tag(), op.0, 0);
             }
             let idx = self.log.append(ws.clone()) as u64;
-            let ws = self.base.make_payload(ws, (self.servers.len() - 1) as u32);
-            for &s in &self.servers {
-                if s != self.me {
-                    ctx.send(
-                        s,
-                        LazyPrimaryMsg::Propagate {
-                            idx,
-                            ws: ws.clone(),
-                        },
-                    );
-                }
+            let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
+            for s in sh.peers() {
+                ctx.send(
+                    s,
+                    LazyPrimaryMsg::Propagate {
+                        idx,
+                        ws: ws.clone(),
+                    },
+                );
             }
         }
     }
 
     /// Secondary: applies one numbered log entry if it is next in order.
-    fn apply_entry(&mut self, idx: u64, ws: &WriteSet) -> bool {
+    fn apply_entry(&mut self, sh: &mut Shell, idx: u64, ws: &WriteSet) -> bool {
         if idx != self.applied {
             return false;
         }
-        self.base.install_writeset(ws);
+        sh.base.install_writeset(ws);
         self.applied += 1;
         true
     }
 
-    /// Accepts a client operation, honouring the elastic lifecycle: answer
-    /// from cache, reroute while draining, buffer while joining, else feed
-    /// the normal read-local/forward/execute path.
-    fn invoke(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, LazyPrimaryMsg::Reply(resp));
-            return;
+    /// Installs a catch-up transfer: a suffix replays in log order from
+    /// the applied watermark; a snapshot replaces the store, unless it is
+    /// no newer than `floor`. Returns whether anything was installed.
+    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer, floor: Option<u64>) -> bool {
+        match t.strategy {
+            TransferStrategy::LogSuffix => {
+                for (i, ws) in t.entries.iter().enumerate() {
+                    self.apply_entry(sh, t.start + i as u64, ws);
+                }
+                !t.entries.is_empty()
+            }
+            TransferStrategy::Snapshot => {
+                if floor.is_some_and(|f| t.high <= f) {
+                    return false;
+                }
+                sh.base.store.install_snapshot(&t.snapshot);
+                sh.base.note_snapshot(&t.snapshot);
+                self.applied = t.high;
+                true
+            }
         }
-        if self.elastic.rerouting() {
-            let servers = self.elastic.remaining();
-            ctx.send(
-                op.client,
-                LazyPrimaryMsg::Member(MemberMsg::Reroute { op: op.id, servers }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
-        if self.elastic.answered.contains(&op.id) {
+    }
+
+    /// Asks the primary for the log from the applied watermark onwards.
+    fn request_catch_up(&self, sh: &Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+        ctx.send(
+            primary(sh),
+            LazyPrimaryMsg::CatchUpReq { have: self.applied },
+        );
+    }
+
+    /// A fresh redo log based at `index`.
+    fn reset_log(&mut self, index: u64) {
+        self.log = RedoLog::new();
+        self.log.set_retention(self.log_retention);
+        self.log.skip_to(index);
+    }
+}
+
+impl Technique for LazyPrimary {
+    type Msg = LazyPrimaryMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyPrimaryMsg>, op: ClientOp) {
+        if sh.answered_before_join(op.id) {
             // Answered by the join donor before our snapshot: re-executing
             // would double-apply; the donor's cache serves the retry.
             return;
@@ -298,30 +297,29 @@ impl LazyPrimaryServer {
             let mut reads = Vec::new();
             for tpl in op.txn.ops.iter() {
                 if let OpTemplate::Read(k) = tpl {
-                    reads.push((*k, self.base.read_committed(txn, *k)));
+                    reads.push((*k, sh.base.read_committed(txn, *k)));
                 }
             }
-            self.base.history.mark_committed(txn);
+            sh.base.history.mark_committed(txn);
             let resp = Response {
                 op: op.id,
                 committed: true,
                 reads,
             };
-            self.base.remember(&resp);
+            sh.base.remember(&resp);
             ctx.send(op.client, LazyPrimaryMsg::Reply(resp));
             return;
         }
         // Updates must reach the primary.
-        if self.me != self.primary() {
-            let p = self.primary();
-            ctx.send(p, LazyPrimaryMsg::Invoke(op));
+        if sh.me() != primary(sh) {
+            ctx.send(primary(sh), LazyPrimaryMsg::Invoke(op));
             return;
         }
         if self.marks {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
-        let (ws, resp) = self.base.execute_commit(&op, global_txn(op.id));
-        self.base.remember(&resp);
+        let (ws, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+        sh.base.remember(&resp);
         // Lazy: reply *now*, coordinate later.
         ctx.send(op.client, LazyPrimaryMsg::Reply(resp));
         if !ws.is_empty() {
@@ -337,9 +335,9 @@ impl LazyPrimaryServer {
                 self.propagation_delay.ticks()
             };
             if self.batching.enabled() && self.outbound.len() >= self.batching.max_batch {
-                self.flush(ctx);
+                self.flush(sh, ctx);
             } else if delay_ticks == 0 {
-                self.flush(ctx);
+                self.flush(sh, ctx);
             } else if !self.flush_armed {
                 self.flush_armed = true;
                 ctx.set_timer(SimDuration::from_ticks(delay_ticks), FLUSH_TAG);
@@ -347,219 +345,15 @@ impl LazyPrimaryServer {
         }
     }
 
-    /// Handles elastic-membership traffic.
-    fn member(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>, from: NodeId, msg: MemberMsg) {
-        match msg {
-            MemberMsg::JoinReq => {
-                // The primary admits (idempotently on retransmit). The view
-                // update and the snapshot happen in one event, so the
-                // joiner's applied watermark matches the transferred store
-                // and FIFO links order the `Welcome` before any later
-                // propagation that now includes the joiner.
-                if !self.elastic.is_coordinator()
-                    || self.elastic.joining
-                    || self.elastic.rerouting()
-                    || self.me != self.primary()
-                {
-                    return;
-                }
-                self.elastic.admit(from);
-                self.servers = self.elastic.servers.clone();
-                for &n in &self.servers.clone() {
-                    if n != self.me && n != from {
-                        ctx.send(
-                            n,
-                            LazyPrimaryMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                // Everything committed here is already in the store (lazy
-                // primaries have no tentative state), so a snapshot at the
-                // log cursor is the cheapest consistent transfer. Writes
-                // still in `outbound` ship via normal propagation, which
-                // FIFO orders after the `Welcome`.
-                let transfer = Transfer::snapshot(&self.base.store, self.log.len() as u64);
-                ctx.send(
-                    from,
-                    LazyPrimaryMsg::Member(MemberMsg::Welcome {
-                        servers: self.servers.clone(),
-                        transfer: Some(Box::new(transfer)),
-                        pos: self.log.len() as u64,
-                        gpos: self.log.len() as u64,
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.servers = self.elastic.servers.clone();
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos: _,
-                gpos: _,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return;
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.servers = self.elastic.servers.clone();
-                if let Some(t) = transfer {
-                    self.base
-                        .recovery
-                        .record_transfer(t.strategy, t.wire_size() as u64);
-                    match t.strategy {
-                        TransferStrategy::LogSuffix => {
-                            for (i, ws) in t.entries.iter().enumerate() {
-                                self.apply_entry(t.start + i as u64, ws);
-                            }
-                        }
-                        TransferStrategy::Snapshot => {
-                            self.base.store.install_snapshot(&t.snapshot);
-                            self.base.note_snapshot(&t.snapshot);
-                            self.applied = t.high;
-                        }
-                    }
-                }
-                self.elastic.answered = answered.into_iter().collect();
-                self.base.recovery.complete(ctx.now().ticks());
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                let was_primary = self.servers.first() == Some(&node);
-                self.elastic.remove(node);
-                self.servers = self.elastic.servers.clone();
-                if was_primary
-                    && self.me == self.primary()
-                    && (self.log.len() as u64) < self.applied
-                {
-                    // Succession: continue the retired primary's numbered
-                    // propagation stream from our applied watermark (the
-                    // drain quiesced, so nothing later is in flight).
-                    self.log.skip_to(self.applied);
-                }
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    /// Completes a drain once the propagation queue has quiesced: announce
-    /// the departure and retire. A retired ex-primary keeps answering
-    /// catch-up requests so in-flight gap repairs still land.
-    fn try_retire(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if !self.outbound.is_empty() {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let remaining = self.elastic.remaining();
-        for &n in &remaining {
-            ctx.send(
-                n,
-                LazyPrimaryMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.servers = remaining.clone();
-        self.elastic.servers = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-
-    /// Re-enters service after the database state is back in place
-    /// (directly on crash recovery; after the restore download when a
-    /// volume loss forced a rebuild from the durable tier).
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
-        let primary = self.primary();
-        if primary == self.me {
-            // The primary's own log and store survive a plain crash; any
-            // updates invoked during the outage were retried by clients.
-            // Timers die with the crash, so re-arm a pending flush.
-            self.flush_armed = false;
-            if !self.outbound.is_empty() {
-                self.flush(ctx);
-            }
-            if std::mem::take(&mut self.reship) {
-                // The restored log tail may never have reached the
-                // secondaries; re-ship the retained suffix. Entries a
-                // secondary already applied are ignored, and a secondary
-                // behind the retention point gap-detects into the usual
-                // catch-up request.
-                let start = self.log.first_retained();
-                let entries: Vec<WriteSet> = self.log.since(start as usize).cloned().collect();
-                if !entries.is_empty() {
-                    let entries = Arc::new(entries);
-                    for &s in &self.servers {
-                        if s != self.me {
-                            ctx.send(
-                                s,
-                                LazyPrimaryMsg::PropagateBatch {
-                                    start,
-                                    entries: Arc::clone(&entries),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            self.base.recovery.complete(ctx.now().ticks());
-        } else {
-            // Crash recovery: ask the primary for everything missed.
-            ctx.send(primary, LazyPrimaryMsg::CatchUpReq { have: self.applied });
-        }
-    }
-}
-
-impl Actor<LazyPrimaryMsg> for LazyPrimaryServer {
-    fn on_recover(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            if self.me == self.primary() {
-                // Tier note order equals log order at the primary, so
-                // the restored suffix rebuilds the propagation stream
-                // in place.
-                self.log = RedoLog::new();
-                self.log.set_retention(self.log_retention);
-                self.log.skip_to(plan.start);
-                for ws in &plan.entries {
-                    self.log.append(ws.clone());
-                }
-                self.reship = true;
-            } else {
-                self.applied = plan.token;
-            }
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
-        }
-        self.rejoin_now(ctx);
-    }
-
-    fn on_message(
+    fn on_protocol_msg(
         &mut self,
+        sh: &mut Shell,
         ctx: &mut Context<'_, LazyPrimaryMsg>,
         from: NodeId,
         msg: LazyPrimaryMsg,
     ) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
         match msg {
-            LazyPrimaryMsg::Invoke(op) => {
-                self.invoke(ctx, op);
-            }
+            LazyPrimaryMsg::Invoke(op) => sh.invoke(self, ctx, op),
             LazyPrimaryMsg::Propagate { idx, ws } => {
                 // Secondary: install in log order; on a gap (messages sent
                 // while this secondary was crashed), ask for the suffix.
@@ -567,136 +361,183 @@ impl Actor<LazyPrimaryMsg> for LazyPrimaryServer {
                 // Transfer and never re-reads it.
                 let next = idx == self.applied;
                 if next {
-                    self.base.install_payload(&ws);
+                    sh.base.install_payload(&ws);
                     self.applied += 1;
                 }
-                self.base.release_payload(&ws);
+                sh.base.release_payload(&ws);
                 if !next && idx > self.applied {
-                    let primary = self.primary();
-                    ctx.send(primary, LazyPrimaryMsg::CatchUpReq { have: self.applied });
+                    self.request_catch_up(sh, ctx);
                 }
             }
             LazyPrimaryMsg::PropagateBatch { start, entries } => {
                 let mut gap = false;
                 for (i, ws) in entries.iter().enumerate() {
                     let idx = start + i as u64;
-                    if !self.apply_entry(idx, ws) && idx > self.applied {
+                    if !self.apply_entry(sh, idx, ws) && idx > self.applied {
                         gap = true;
                     }
                 }
                 if gap {
-                    let primary = self.primary();
-                    ctx.send(primary, LazyPrimaryMsg::CatchUpReq { have: self.applied });
+                    self.request_catch_up(sh, ctx);
                 }
-            }
-            LazyPrimaryMsg::Member(m) => {
-                self.member(ctx, from, m);
             }
             LazyPrimaryMsg::CatchUpReq { have } => {
                 // A retired ex-primary still answers: in-flight gap repairs
                 // addressed before its `ViewDrop` landed must not be lost.
-                if self.me == self.primary() || self.elastic.drain == DrainState::Retired {
+                if sh.me() == primary(sh) || sh.retired() {
                     // Suffix while retained, snapshot once truncated past
                     // the requester. Reply even when there is nothing to
                     // ship so the requester's recovery clock can stop.
-                    let t = Transfer::from_log(&self.log, &self.base.store, have);
+                    let t = Transfer::from_log(&self.log, &sh.base.store, have);
                     ctx.send(from, LazyPrimaryMsg::CatchUpData(Box::new(t)));
                 }
             }
             LazyPrimaryMsg::CatchUpData(t) => {
-                match t.strategy {
-                    TransferStrategy::LogSuffix => {
-                        for (i, ws) in t.entries.iter().enumerate() {
-                            self.apply_entry(t.start + i as u64, ws);
-                        }
-                        if !t.entries.is_empty() {
-                            self.base
-                                .recovery
-                                .record_transfer(t.strategy, t.wire_size() as u64);
-                        }
-                    }
-                    TransferStrategy::Snapshot => {
-                        if t.high > self.applied {
-                            self.base.store.install_snapshot(&t.snapshot);
-                            self.base.note_snapshot(&t.snapshot);
-                            self.applied = t.high;
-                            self.base
-                                .recovery
-                                .record_transfer(t.strategy, t.wire_size() as u64);
-                        }
-                    }
+                if self.install_catch_up(sh, &t, Some(self.applied)) {
+                    sh.base
+                        .recovery
+                        .record_transfer(t.strategy, t.wire_size() as u64);
                 }
-                self.base.recovery.complete(ctx.now().ticks());
+                sh.base.recovery.complete(ctx.now().ticks());
             }
-            LazyPrimaryMsg::Reply(_) => {}
+            LazyPrimaryMsg::Reply(_) | LazyPrimaryMsg::Member(_) => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                let target = self.elastic.join_target();
-                ctx.send(target, LazyPrimaryMsg::Member(MemberMsg::JoinReq));
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
+    fn on_protocol_timer(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, LazyPrimaryMsg>,
+        tag: u64,
+    ) {
         if tag == FLUSH_TAG {
-            self.flush(ctx);
-            if self.elastic.drain == DrainState::Draining {
-                self.try_retire(ctx);
-            }
+            self.flush(sh, ctx);
+            // The flush may be what a drain was waiting for.
+            sh.try_retire(self, ctx);
         }
     }
 
-    fn on_start(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
-        if self.elastic.joining {
-            // Cold joiner: ask the primary for admission + state.
-            self.base.recovery.begin(ctx.now().ticks());
-            let target = self.elastic.join_target();
-            ctx.send(target, LazyPrimaryMsg::Member(MemberMsg::JoinReq));
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
+    fn can_admit(&self, sh: &Shell) -> bool {
+        !sh.rerouting()
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        // Everything committed here is already in the store (lazy
+        // primaries have no tentative state), so a snapshot at the log
+        // cursor is the cheapest consistent transfer, and it is taken in
+        // the same event as the view update: the joiner's applied
+        // watermark matches the transferred store. Writes still in
+        // `outbound` ship via normal propagation, which FIFO orders after
+        // the welcome.
+        let cursor = self.log.len() as u64;
+        let snapshot = Transfer::snapshot(&sh.base.store, cursor);
+        (Some(snapshot), cursor, cursor)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, LazyPrimaryMsg>,
+        transfer: Option<&Transfer>,
+        _pos: u64,
+        _gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            sh.base
+                .recovery
+                .record_transfer(t.strategy, t.wire_size() as u64);
+            self.install_catch_up(sh, t, None);
+        }
+        sh.base.recovery.complete(ctx.now().ticks());
+    }
+
+    fn member_left(
+        &mut self,
+        sh: &mut Shell,
+        _ctx: &mut Context<'_, LazyPrimaryMsg>,
+        _node: NodeId,
+        was_first: bool,
+    ) {
+        if was_first && sh.me() == primary(sh) && (self.log.len() as u64) < self.applied {
+            // Succession: continue the retired primary's numbered
+            // propagation stream from our applied watermark (the
+            // drain quiesced, so nothing later is in flight).
+            self.log.skip_to(self.applied);
         }
     }
 
-    fn on_drain(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
-        }
+    /// The propagation queue has drained. (A retired ex-primary keeps
+    /// answering catch-up requests so in-flight gap repairs still land.)
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.outbound.is_empty()
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
-        self.base.wipe_volume(now.ticks());
-        self.log = RedoLog::new();
-        self.log.set_retention(self.log_retention);
+    fn volume_lost(&mut self, _sh: &mut Shell) {
+        self.reset_log(0);
         self.outbound.clear();
         self.flush_armed = false;
         self.applied = 0;
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, LazyPrimaryMsg>) {
-        // The primary's cursor counts every committed (noted) writeset,
-        // logged or still awaiting flush; a secondary's is its applied
-        // watermark. The max covers both (one side is always zero for a
-        // static member) and stays correct across elastic role changes.
-        let token = (self.log.len() as u64 + self.outbound.len() as u64).max(self.applied);
-        self.base.seal_now(ctx.now().ticks(), token);
+    fn rewind_to(&mut self, sh: &mut Shell, plan: RestorePlan) {
+        if sh.me() == primary(sh) {
+            // Tier note order equals log order at the primary, so
+            // the restored suffix rebuilds the propagation stream
+            // in place.
+            self.reset_log(plan.start);
+            for ws in plan.entries {
+                self.log.append(ws);
+            }
+            self.reship = true;
+        } else {
+            self.applied = plan.token;
+        }
     }
 
-    impl_as_any!();
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+        if sh.me() != primary(sh) {
+            // Ask the primary for everything missed.
+            self.request_catch_up(sh, ctx);
+            return;
+        }
+        // The primary's own log and store survive a plain crash; any
+        // updates invoked during the outage were retried by clients.
+        // Timers die with the crash, so re-arm a pending flush.
+        self.flush_armed = false;
+        if !self.outbound.is_empty() {
+            self.flush(sh, ctx);
+        }
+        if std::mem::take(&mut self.reship) {
+            // The restored log tail may never have reached the
+            // secondaries; re-ship the retained suffix. Entries a
+            // secondary already applied are ignored, and a secondary
+            // behind the retention point gap-detects into the usual
+            // catch-up request.
+            let start = self.log.first_retained();
+            let entries: Vec<WriteSet> = self.log.since(start as usize).cloned().collect();
+            if !entries.is_empty() {
+                let entries = Arc::new(entries);
+                for s in sh.peers() {
+                    ctx.send(
+                        s,
+                        LazyPrimaryMsg::PropagateBatch {
+                            start,
+                            entries: Arc::clone(&entries),
+                        },
+                    );
+                }
+            }
+        }
+        sh.base.recovery.complete(ctx.now().ticks());
+    }
+
+    /// The primary's cursor counts every committed (noted) writeset,
+    /// logged or still awaiting flush; a secondary's is its applied
+    /// watermark. The max covers both (one side is always zero for a
+    /// static member) and stays correct across elastic role changes.
+    fn position(&self, _sh: &Shell) -> u64 {
+        (self.log.len() as u64 + self.outbound.len() as u64).max(self.applied)
+    }
 }
 
 #[cfg(test)]
@@ -762,6 +603,7 @@ mod tests {
             .is_done());
         let fp0 = world
             .actor_ref::<LazyPrimaryServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -769,6 +611,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<LazyPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -789,7 +632,13 @@ mod tests {
         assert!(client.is_done(), "lazy reply must not wait for propagation");
         let secondary = world.actor_ref::<LazyPrimaryServer>(servers[1]);
         assert_eq!(
-            secondary.base.store.read(Key(0)).expect("exists").value,
+            secondary
+                .shell
+                .base
+                .store
+                .read(Key(0))
+                .expect("exists")
+                .value,
             Value(0),
             "secondary must still be stale"
         );
@@ -797,7 +646,13 @@ mod tests {
         world.run_until(SimTime::from_ticks(200_000));
         let secondary = world.actor_ref::<LazyPrimaryServer>(servers[1]);
         assert_eq!(
-            secondary.base.store.read(Key(0)).expect("exists").value,
+            secondary
+                .shell
+                .base
+                .store
+                .read(Key(0))
+                .expect("exists")
+                .value,
             Value(9)
         );
     }
@@ -856,17 +711,18 @@ mod tests {
         world.run_until(SimTime::from_ticks(300_000));
         assert!(world.actor_ref::<ClientActor<LazyPrimaryMsg>>(c).is_done());
         let primary = world.actor_ref::<LazyPrimaryServer>(servers[0]);
-        assert_eq!(primary.log.len(), 3, "all three writesets logged");
+        assert_eq!(primary.tech.log.len(), 3, "all three writesets logged");
         assert!(
-            primary.log.fsyncs() < 3,
+            primary.tech.log.fsyncs() < 3,
             "group commit must share forces: {} forces for 3 records",
-            primary.log.fsyncs()
+            primary.tech.log.fsyncs()
         );
-        let fp0 = primary.base.store.fingerprint();
+        let fp0 = primary.shell.base.store.fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
                 world
                     .actor_ref::<LazyPrimaryServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),

@@ -19,26 +19,27 @@
 //!   total order everywhere.
 //!
 //! Discarded/overridden optimistic writes are counted in
-//! [`LazyUeServer::reconciliations`] — the conflict-intensity experiment
+//! [`LazyUe::reconciliations`] — the conflict-intensity experiment
 //! sweeps them.
 
 use std::collections::{HashMap, HashSet};
 
 use repl_db::{
-    Key, Keyspace, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WsPayload, WsView,
+    Key, Keyspace, Transfer, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WsPayload,
+    WsView,
 };
 use repl_gcs::{AbDeliver, Outbox};
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::ProtocolMsg;
-use crate::op::{ClientOp, OpId, Response};
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
+use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
-    global_txn, op_of_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, DrainState, Elastic,
-    ExecutionMode, MemberMsg, ServerBase, DRAIN_TICK_TAG, DRAIN_TICK_TICKS, JOIN_RETRY_TAG,
-    JOIN_RETRY_TICKS, RESTORE_TAG,
+    global_txn, op_of_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
+use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
 
 /// How conflicting lazy updates are reconciled (paper §4.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,32 +122,13 @@ impl Message for LazyUeMsg {
     }
 }
 
-impl ProtocolMsg for LazyUeMsg {
-    fn invoke(op: ClientOp) -> Self {
-        LazyUeMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            LazyUeMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            LazyUeMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(LazyUeMsg);
 
 const FLUSH_TAG: u64 = 1;
 
-/// A lazy-update-everywhere server.
-pub struct LazyUeServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
-    servers: Vec<NodeId>,
+/// Lazy update everywhere: any copy commits and answers, then
+/// propagates; a reconciliation rule picks the winners.
+pub struct LazyUe {
     propagation_delay: SimDuration,
     /// Last accepted writer per key: `(commit_ts, site)`.
     last_writer: HashMap<Key, (u64, u32)>,
@@ -166,9 +148,10 @@ pub struct LazyUeServer {
     /// restore download completes (peers adopt only keys they never saw).
     reship: Vec<WriteSet>,
     marks: bool,
-    /// Elastic-membership state (join / drain lifecycle).
-    pub elastic: Elastic,
 }
+
+/// A lazy-update-everywhere server.
+pub type LazyUeServer = Replica<LazyUe>;
 
 impl LazyUeServer {
     /// Creates server `site` of `servers`.
@@ -180,11 +163,7 @@ impl LazyUeServer {
         exec: ExecutionMode,
         propagation_delay: SimDuration,
     ) -> Self {
-        let servers_copy = servers.clone();
-        LazyUeServer {
-            base: ServerBase::new(site, keyspace, exec),
-            me,
-            servers: servers.clone(),
+        let tech = LazyUe {
             propagation_delay,
             last_writer: HashMap::new(),
             outbound: Vec::new(),
@@ -193,7 +172,7 @@ impl LazyUeServer {
             ab: AbcastEndpoint::new(
                 AbcastImpl::Sequencer,
                 me,
-                servers_copy,
+                servers.clone(),
                 repl_gcs::ConsensusConfig::default(),
             ),
             ab_out: Outbox::new(),
@@ -201,26 +180,22 @@ impl LazyUeServer {
             reconciliations: 0,
             reship: Vec::new(),
             marks: site == 0,
-            elastic: Elastic::new(me, servers),
-        }
-    }
-
-    /// Marks this server as a cold joiner: it starts outside the view and
-    /// acquires state + membership via `JoinReq`/`Welcome`.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
+        };
+        Replica::around(site, me, servers, keyspace, exec, tech)
     }
 
     /// Selects the reconciliation rule (default: last-writer-wins).
     pub fn with_reconcile(mut self, mode: ReconcileMode) -> Self {
-        self.mode = mode;
+        self.tech.mode = mode;
         self
     }
+}
 
-    fn flush(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
+impl LazyUe {
+    fn flush(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
         let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
-        let site = self.base.site;
+        let site = sh.base.site;
         for (ws, commit_ts) in pending {
             if self.marks {
                 ctx.mark(Phase::AgreementCoordination.tag(), op_of_txn(ws.txn).0, 0);
@@ -229,26 +204,24 @@ impl LazyUeServer {
                 ReconcileMode::Lww => {
                     // Only the peers consume the handle (self committed
                     // optimistically already).
-                    let ws = self.base.make_payload(ws, (self.servers.len() - 1) as u32);
-                    for &s in &self.servers {
-                        if s != self.me {
-                            ctx.send(
-                                s,
-                                LazyUeMsg::Propagate {
-                                    ws: ws.clone(),
-                                    commit_ts,
-                                    site,
-                                },
-                            );
-                        }
+                    let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
+                    for s in sh.peers() {
+                        ctx.send(
+                            s,
+                            LazyUeMsg::Propagate {
+                                ws: ws.clone(),
+                                commit_ts,
+                                site,
+                            },
+                        );
                     }
                 }
                 ReconcileMode::AbcastOrder => {
                     // Every site (self included) consumes the ordered
                     // delivery once.
-                    let ws = self.base.make_payload(ws, self.servers.len() as u32);
+                    let ws = sh.base.make_payload(ws, sh.servers().len() as u32);
                     self.ab.broadcast(OrderedWs(ws), &mut self.ab_out);
-                    self.drive_ab(ctx);
+                    self.drive_ab(sh, ctx);
                 }
             }
         }
@@ -256,23 +229,23 @@ impl LazyUeServer {
 
     /// Applies ABCAST-ordered writesets: the total order *is* the
     /// after-commit order, so every site replays the same sequence.
-    fn drive_ab(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
+    fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
         let mut out = std::mem::take(&mut self.ab_out);
         repl_gcs::apply_outbox(ctx, &mut out, 0, LazyUeMsg::Ab, |_, d| {
-            self.apply_ordered(d)
+            self.apply_ordered(sh, d)
         });
         self.ab_out = out;
-        settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
+        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
     }
 
     /// Installs one ABCAST-ordered writeset.
-    fn apply_ordered(&mut self, d: AbDeliver<OrderedWs>) {
+    fn apply_ordered(&mut self, sh: &mut Shell, d: AbDeliver<OrderedWs>) {
         let payload = d.payload.0;
-        let arena = self.base.arena.clone();
+        let arena = sh.base.arena.clone();
         payload.with(arena.as_ref(), |view| {
             let txn = view.txn();
             let own = self.local_pending.remove(&txn);
-            let mut noted = self.base.tier.is_some().then(|| WriteSet {
+            let mut noted = sh.base.tier.is_some().then(|| WriteSet {
                 txn,
                 writes: Vec::with_capacity(view.len()),
             });
@@ -280,14 +253,14 @@ impl LazyUeServer {
                 // An optimistic local value that had not reached the
                 // total order yet is being overridden: that is a
                 // reconciliation.
-                if let Some(current) = self.base.store.read(w.key) {
+                if let Some(current) = sh.base.store.read(w.key) {
                     if let Some(writer) = current.writer {
                         if writer != txn && self.local_pending.contains(&writer) {
                             self.reconciliations += 1;
                         }
                     }
                 }
-                let after = self.base.store.write(w.key, w.value, txn);
+                let after = sh.base.store.write(w.key, w.value, txn);
                 if let Some(n) = &mut noted {
                     n.writes.push(WriteRecord {
                         key: w.key,
@@ -296,38 +269,35 @@ impl LazyUeServer {
                     });
                 }
                 if !own {
-                    self.base.history.record(
-                        self.base.site,
-                        txn,
-                        w.key,
-                        repl_db::AccessKind::Write,
-                    );
+                    sh.base
+                        .history
+                        .record(sh.base.site, txn, w.key, repl_db::AccessKind::Write);
                 }
             }
             // The tier notes at *delivery*, not at the optimistic local
             // commit: the sealed state is then exactly a prefix of the
             // total order, so a restore can rewind the stream to the
             // frame token and replay forward consistently.
-            if let (Some(t), Some(noted)) = (&mut self.base.tier, noted) {
+            if let (Some(t), Some(noted)) = (&mut sh.base.tier, noted) {
                 t.note_commit(&noted);
             }
             if !own {
-                self.base.history.mark_committed(txn);
-                self.base.committed += 1;
+                sh.base.history.mark_committed(txn);
+                sh.base.committed += 1;
             }
         });
-        self.base.release_payload(&payload);
+        sh.base.release_payload(&payload);
     }
 
     /// Every key this replica has accepted a stamped write for, with its
     /// winning stamp, key-sorted (the `last_writer` map iterates in hash
     /// order, which must not leak into the wire stream).
-    fn stamped_state(&self) -> Vec<(Key, Value, u64, u32)> {
+    fn stamped_state(&self, sh: &Shell) -> Vec<(Key, Value, u64, u32)> {
         let mut items: Vec<(Key, Value, u64, u32)> = self
             .last_writer
             .iter()
             .map(|(&k, &(ts, site))| {
-                let v = self.base.store.read(k).map_or(Value(0), |v| v.value);
+                let v = sh.base.store.read(k).map_or(Value(0), |v| v.value);
                 (k, v, ts, site)
             })
             .collect();
@@ -339,7 +309,7 @@ impl LazyUeServer {
     /// the peer never saw keep this replica's surviving values; losing
     /// stamps are not counted as reconciliations (nothing optimistic is
     /// being discarded — this is catch-up, not conflict).
-    fn merge_stamped(&mut self, items: Vec<(Key, Value, u64, u32)>) {
+    fn merge_stamped(&mut self, sh: &mut Shell, items: Vec<(Key, Value, u64, u32)>) {
         for (k, v, ts, site) in items {
             let stamp = (ts, site);
             let current = self.last_writer.get(&k).copied().unwrap_or((0, u32::MAX));
@@ -347,8 +317,8 @@ impl LazyUeServer {
             if newer {
                 self.last_writer.insert(k, stamp);
                 let txn = TxnId::new(ts, site);
-                let after = self.base.store.write(k, v, txn);
-                if let Some(t) = &mut self.base.tier {
+                let after = sh.base.store.write(k, v, txn);
+                if let Some(t) = &mut sh.base.tier {
                     t.note_commit(&WriteSet {
                         txn,
                         writes: vec![WriteRecord {
@@ -363,11 +333,11 @@ impl LazyUeServer {
     }
 
     /// Applies a remote writeset under the Thomas write rule.
-    fn reconcile(&mut self, view: WsView<'_>, commit_ts: u64, site: u32) {
+    fn reconcile(&mut self, sh: &mut Shell, view: WsView<'_>, commit_ts: u64, site: u32) {
         let txn = view.txn();
         let mut any_applied = false;
         // The winning subset is collected for the durable tier only.
-        let mut applied: Option<Vec<WriteRecord>> = self.base.tier.is_some().then(Vec::new);
+        let mut applied: Option<Vec<WriteRecord>> = sh.base.tier.is_some().then(Vec::new);
         for w in view.iter() {
             let stamp = (commit_ts, site);
             let current = self
@@ -381,10 +351,10 @@ impl LazyUeServer {
             let newer = stamp.0 > current.0 || (stamp.0 == current.0 && stamp.1 < current.1);
             if newer {
                 self.last_writer.insert(w.key, stamp);
-                let after = self.base.store.write(w.key, w.value, txn);
-                self.base
+                let after = sh.base.store.write(w.key, w.value, txn);
+                sh.base
                     .history
-                    .record(self.base.site, txn, w.key, repl_db::AccessKind::Write);
+                    .record(sh.base.site, txn, w.key, repl_db::AccessKind::Write);
                 if let Some(a) = &mut applied {
                     a.push(WriteRecord {
                         key: w.key,
@@ -398,10 +368,10 @@ impl LazyUeServer {
             }
         }
         if any_applied {
-            self.base.history.mark_committed(txn);
-            self.base.committed += 1;
+            sh.base.history.mark_committed(txn);
+            sh.base.committed += 1;
             // Only the winning subset is durable state worth restoring.
-            if let (Some(t), Some(applied)) = (&mut self.base.tier, applied) {
+            if let (Some(t), Some(applied)) = (&mut sh.base.tier, applied) {
                 t.note_commit(&WriteSet {
                     txn,
                     writes: applied,
@@ -410,27 +380,27 @@ impl LazyUeServer {
         }
     }
 
-    /// Accepts a client operation, honouring the elastic lifecycle: answer
-    /// from cache, reroute while draining, buffer while joining, else the
-    /// normal optimistic local execute-and-reply path.
-    fn invoke(&mut self, ctx: &mut Context<'_, LazyUeMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, LazyUeMsg::Reply(resp));
-            return;
+    /// Sends `SyncReq` to every peer: anti-entropy under the Thomas write
+    /// rule (recovery completes on the first reply).
+    fn request_sync(sh: &Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+        for s in sh.peers() {
+            ctx.send(s, LazyUeMsg::SyncReq);
         }
-        if self.elastic.rerouting() {
-            let servers = self.elastic.remaining();
-            ctx.send(
-                op.client,
-                LazyUeMsg::Member(MemberMsg::Reroute { op: op.id, servers }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
-        if self.elastic.answered.contains(&op.id) {
+    }
+
+    /// Re-enters the ordered stream (AbcastOrder): the stream is the
+    /// shared log, so the sequencer resupplies the missed deliveries.
+    fn rejoin_stream(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+        self.ab.rejoin(&mut self.ab_out);
+        self.drive_ab(sh, ctx);
+    }
+}
+
+impl Technique for LazyUe {
+    type Msg = LazyUeMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, op: ClientOp) {
+        if sh.answered_before_join(op.id) {
             // Answered by the join donor before our state merge: the
             // donor's cache serves the retry; re-executing would
             // double-commit.
@@ -446,16 +416,16 @@ impl LazyUeServer {
         for tpl in op.txn.ops.iter() {
             match *tpl {
                 OpTemplate::Read(k) => {
-                    reads.push((k, self.base.read_committed(txn, k)));
+                    reads.push((k, sh.base.read_committed(txn, k)));
                 }
                 OpTemplate::Write(k, v) => {
-                    let v = self.base.effective_value(v);
-                    let after = self.base.store.write(k, v, txn);
-                    self.base
+                    let v = sh.base.effective_value(v);
+                    let after = sh.base.store.write(k, v, txn);
+                    sh.base
                         .history
-                        .record(self.base.site, txn, k, repl_db::AccessKind::Write);
+                        .record(sh.base.site, txn, k, repl_db::AccessKind::Write);
                     self.last_writer
-                        .insert(k, (ctx.now().ticks(), self.base.site));
+                        .insert(k, (ctx.now().ticks(), sh.base.site));
                     writes.push(repl_db::WriteRecord {
                         key: k,
                         value: v,
@@ -464,14 +434,14 @@ impl LazyUeServer {
                 }
             }
         }
-        self.base.history.mark_committed(txn);
-        self.base.committed += 1;
+        sh.base.history.mark_committed(txn);
+        sh.base.committed += 1;
         let resp = Response {
             op: op.id,
             committed: true,
             reads,
         };
-        self.base.remember(&resp);
+        sh.base.remember(&resp);
         // Lazy: reply before any coordination.
         ctx.send(op.client, LazyUeMsg::Reply(resp));
         if !writes.is_empty() {
@@ -484,13 +454,13 @@ impl LazyUeServer {
             // instead (see `drive_ab`), so a restored store is a
             // clean prefix of the stream.
             if self.mode == ReconcileMode::Lww {
-                if let Some(t) = &mut self.base.tier {
+                if let Some(t) = &mut sh.base.tier {
                     t.note_commit(&ws);
                 }
             }
             self.outbound.push((ws, ctx.now().ticks()));
             if self.propagation_delay.is_zero() {
-                self.flush(ctx);
+                self.flush(sh, ctx);
             } else if !self.flush_armed {
                 self.flush_armed = true;
                 ctx.set_timer(self.propagation_delay, FLUSH_TAG);
@@ -498,316 +468,121 @@ impl LazyUeServer {
         }
     }
 
-    /// Handles elastic-membership traffic.
-    fn member(&mut self, ctx: &mut Context<'_, LazyUeMsg>, from: NodeId, msg: MemberMsg) {
+    fn on_protocol_msg(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, LazyUeMsg>,
+        from: NodeId,
+        msg: LazyUeMsg,
+    ) {
         match msg {
-            MemberMsg::JoinReq => {
-                // Rank-0 admits (idempotently on retransmit). Lww joiners
-                // fetch state by anti-entropy from every member after the
-                // Welcome; AbcastOrder joiners get a snapshot stamped with
-                // the ordered-stream position.
-                if !self.elastic.is_coordinator()
-                    || self.elastic.joining
-                    || self.elastic.rerouting()
-                {
-                    return;
-                }
-                self.elastic.admit(from);
-                self.servers = self.elastic.servers.clone();
-                self.ab.set_group(self.servers.clone());
-                for &n in &self.servers.clone() {
-                    if n != self.me && n != from {
-                        ctx.send(
-                            n,
-                            LazyUeMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                let (transfer, pos, gpos) = match self.mode {
-                    ReconcileMode::Lww => (None, 0, 0),
-                    ReconcileMode::AbcastOrder => (
-                        Some(Box::new(repl_db::Transfer::snapshot(
-                            &self.base.store,
-                            self.ab.position(),
-                        ))),
-                        self.ab.position(),
-                        self.ab.delivered_gseq(),
-                    ),
-                };
-                ctx.send(
-                    from,
-                    LazyUeMsg::Member(MemberMsg::Welcome {
-                        servers: self.servers.clone(),
-                        transfer,
-                        pos,
-                        gpos,
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.servers = self.elastic.servers.clone();
-                self.ab.set_group(self.servers.clone());
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos,
-                gpos,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return;
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.servers = self.elastic.servers.clone();
-                self.ab.set_group(self.servers.clone());
-                self.elastic.answered = answered.into_iter().collect();
-                match self.mode {
-                    ReconcileMode::Lww => {
-                        // Anti-entropy join: merge every member's stamped
-                        // state (recovery completes on the first reply).
-                        for &s in &self.servers.clone() {
-                            if s != self.me {
-                                ctx.send(s, LazyUeMsg::SyncReq);
-                            }
-                        }
-                    }
-                    ReconcileMode::AbcastOrder => {
-                        if let Some(t) = transfer {
-                            self.base
-                                .recovery
-                                .record_transfer(t.strategy, t.wire_size() as u64);
-                            self.base.store.install_snapshot(&t.snapshot);
-                            self.base.note_snapshot(&t.snapshot);
-                        }
-                        self.ab.skip_to(pos, gpos);
-                        self.ab.rejoin(&mut self.ab_out);
-                        self.drive_ab(ctx);
-                        self.base.recovery.complete(ctx.now().ticks());
-                    }
-                }
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.servers = self.elastic.servers.clone();
-                self.ab.set_group(self.servers.clone());
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    /// Completes a drain once the propagation queue (and, under ordered
-    /// reconciliation, the local unordered backlog) has quiesced.
-    fn try_retire(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if !self.outbound.is_empty()
-            || (self.mode == ReconcileMode::AbcastOrder && !self.local_pending.is_empty())
-        {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let was_orderer = self.ab.is_orderer(self.elastic.me);
-        let remaining = self.elastic.remaining();
-        self.ab.set_group(remaining.clone());
-        if was_orderer {
-            self.ab.handoff(remaining[0], &mut self.ab_out);
-            self.drive_ab(ctx);
-        }
-        for &n in &remaining {
-            ctx.send(
-                n,
-                LazyUeMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.servers = remaining.clone();
-        self.elastic.servers = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-
-    /// Re-enters service after the database state is back in place
-    /// (directly on crash recovery; after the restore download when a
-    /// volume loss forced a rebuild from the durable tier).
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
-        // Timers died with the crash: anything still queued for
-        // propagation goes out now.
-        self.flush_armed = false;
-        if !self.outbound.is_empty() {
-            self.flush(ctx);
-        }
-        let reship = std::mem::take(&mut self.reship);
-        if !reship.is_empty() {
-            let site = self.base.site;
-            for ws in &reship {
-                // Resends are built from retained materialized state and
-                // ship inline (fault paths run with arena GC disarmed).
-                let ws = WsPayload::inline(ws.clone());
-                for &s in &self.servers {
-                    if s != self.me {
-                        ctx.send(
-                            s,
-                            LazyUeMsg::Propagate {
-                                ws: ws.clone(),
-                                commit_ts: 0,
-                                site,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        match self.mode {
-            ReconcileMode::Lww => {
-                if self.servers.len() <= 1 {
-                    let now = ctx.now().ticks();
-                    self.base.recovery.complete(now);
-                    return;
-                }
-                for &s in &self.servers {
-                    if s != self.me {
-                        ctx.send(s, LazyUeMsg::SyncReq);
-                    }
-                }
-            }
-            ReconcileMode::AbcastOrder => {
-                // The ordered stream is the shared log: re-request the
-                // missed deliveries from the sequencer.
-                self.ab.rejoin(&mut self.ab_out);
-                self.drive_ab(ctx);
-            }
-        }
-    }
-}
-
-impl Actor<LazyUeMsg> for LazyUeServer {
-    fn on_recover(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            match self.mode {
-                ReconcileMode::Lww => {
-                    // Stamps cannot be restored (the tier keeps values,
-                    // not clocks): re-propagate the restored entries at
-                    // stamp 0 so peers adopt only keys they never saw,
-                    // and let the rejoin anti-entropy reinstate the
-                    // group's winning stamps here.
-                    self.reship = plan.entries;
-                }
-                ReconcileMode::AbcastOrder => self.ab.rewind_to(plan.token),
-            }
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
-        }
-        self.rejoin_now(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, LazyUeMsg>, from: NodeId, msg: LazyUeMsg) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
-        match msg {
-            LazyUeMsg::Invoke(op) => {
-                self.invoke(ctx, op);
-            }
+            LazyUeMsg::Invoke(op) => sh.invoke(self, ctx, op),
             LazyUeMsg::Propagate {
                 ws,
                 commit_ts,
                 site,
             } => {
-                let arena = self.base.arena.clone();
-                ws.with(arena.as_ref(), |view| self.reconcile(view, commit_ts, site));
-                self.base.release_payload(&ws);
+                let arena = sh.base.arena.clone();
+                ws.with(arena.as_ref(), |view| {
+                    self.reconcile(sh, view, commit_ts, site)
+                });
+                sh.base.release_payload(&ws);
             }
             LazyUeMsg::Ab(m) => {
                 self.ab.on_message(from, m, &mut self.ab_out);
-                self.drive_ab(ctx);
+                self.drive_ab(sh, ctx);
             }
             LazyUeMsg::SyncReq => {
-                let items = self.stamped_state();
+                let items = self.stamped_state(sh);
                 ctx.send(from, LazyUeMsg::SyncData { items });
             }
             LazyUeMsg::SyncData { items } => {
                 // First reply ends the recovery window (this replica can
                 // serve again); later replies still merge — anti-entropy
                 // is commutative, extra rounds only add coverage.
-                self.base
+                sh.base
                     .recovery
                     .record_transfer(TransferStrategy::Snapshot, (8 + items.len() * 28) as u64);
-                self.merge_stamped(items);
-                self.base.recovery.complete(ctx.now().ticks());
+                self.merge_stamped(sh, items);
+                sh.base.recovery.complete(ctx.now().ticks());
             }
-            LazyUeMsg::Reply(_) => {}
-            LazyUeMsg::Member(m) => {
-                self.member(ctx, from, m);
-            }
+            LazyUeMsg::Reply(_) | LazyUeMsg::Member(_) => {}
         }
     }
 
-    fn on_start(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
-        if self.elastic.joining {
-            // Cold joiner: ask rank 0 for admission.
-            self.base.recovery.begin(ctx.now().ticks());
-            let target = self.elastic.join_target();
-            ctx.send(target, LazyUeMsg::Member(MemberMsg::JoinReq));
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-        }
-    }
-
-    fn on_drain(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, LazyUeMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
-        // Elastic tags sit near u64::MAX and must not reach the ABCAST.
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                let target = self.elastic.join_target();
-                ctx.send(target, LazyUeMsg::Member(MemberMsg::JoinReq));
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, tag: u64) {
         if tag == FLUSH_TAG {
-            self.flush(ctx);
-            if self.elastic.drain == DrainState::Draining {
-                self.try_retire(ctx);
-            }
+            self.flush(sh, ctx);
+            // The flush may be what a drain was waiting for.
+            sh.try_retire(self, ctx);
         } else {
             self.ab.on_timer(tag, &mut self.ab_out);
-            self.drive_ab(ctx);
+            self.drive_ab(sh, ctx);
         }
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
+    fn view_changed(&mut self, sh: &mut Shell) {
+        self.ab.set_group(sh.servers().to_vec());
+    }
+
+    fn can_admit(&self, sh: &Shell) -> bool {
+        !sh.rerouting()
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        match self.mode {
+            // Lww joiners fetch state by anti-entropy from every member
+            // after the welcome.
+            ReconcileMode::Lww => (None, 0, 0),
+            // AbcastOrder joiners get a snapshot stamped with the
+            // ordered-stream position.
+            ReconcileMode::AbcastOrder => {
+                let pos = self.ab.position();
+                let snapshot = Transfer::snapshot(&sh.base.store, pos);
+                (Some(snapshot), pos, self.ab.delivered_gseq())
+            }
+        }
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, LazyUeMsg>,
+        transfer: Option<&Transfer>,
+        pos: u64,
+        gpos: u64,
+    ) {
+        match self.mode {
+            ReconcileMode::Lww => Self::request_sync(sh, ctx),
+            ReconcileMode::AbcastOrder => {
+                if let Some(t) = transfer {
+                    sh.base
+                        .recovery
+                        .record_transfer(t.strategy, t.wire_size() as u64);
+                    sh.base.store.install_snapshot(&t.snapshot);
+                    sh.base.note_snapshot(&t.snapshot);
+                }
+                self.ab.skip_to(pos, gpos);
+                self.rejoin_stream(sh, ctx);
+                sh.base.recovery.complete(ctx.now().ticks());
+            }
+        }
+    }
+
+    /// The propagation queue (and, under ordered reconciliation, the
+    /// local unordered backlog) has drained.
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.outbound.is_empty()
+            && (self.mode != ReconcileMode::AbcastOrder || self.local_pending.is_empty())
+    }
+
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, remaining: &[NodeId]) {
+        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
+            self.drive_ab(sh, ctx);
+        }
+    }
+
+    fn volume_lost(&mut self, sh: &mut Shell) {
         // Acked commits still waiting for the total order vanish with the
         // volume (they were never noted): claim them so silent-loss
         // accounting holds. The sequencer may still resupply the flushed
@@ -815,11 +590,10 @@ impl Actor<LazyUeMsg> for LazyUeServer {
         if self.mode == ReconcileMode::AbcastOrder {
             let mut pend: Vec<TxnId> = self.local_pending.iter().copied().collect();
             pend.sort();
-            if let Some(t) = &mut self.base.tier {
+            if let Some(t) = &mut sh.base.tier {
                 t.lost.extend(pend);
             }
         }
-        self.base.wipe_volume(now.ticks());
         self.last_writer.clear();
         self.outbound.clear();
         self.flush_armed = false;
@@ -827,16 +601,66 @@ impl Actor<LazyUeMsg> for LazyUeServer {
         self.reship.clear();
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, LazyUeMsg>) {
-        let token = match self.mode {
-            // No stream exists; Lww restores never rewind by token.
-            ReconcileMode::Lww => self.base.committed,
-            ReconcileMode::AbcastOrder => self.ab.position(),
-        };
-        self.base.seal_now(ctx.now().ticks(), token);
+    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+        match self.mode {
+            ReconcileMode::Lww => {
+                // Stamps cannot be restored (the tier keeps values,
+                // not clocks): re-propagate the restored entries at
+                // stamp 0 so peers adopt only keys they never saw,
+                // and let the rejoin anti-entropy reinstate the
+                // group's winning stamps here.
+                self.reship = plan.entries;
+            }
+            ReconcileMode::AbcastOrder => self.ab.rewind_to(plan.token),
+        }
     }
 
-    impl_as_any!();
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+        // Timers died with the crash: anything still queued for
+        // propagation goes out now.
+        self.flush_armed = false;
+        if !self.outbound.is_empty() {
+            self.flush(sh, ctx);
+        }
+        let site = sh.base.site;
+        for ws in std::mem::take(&mut self.reship) {
+            // Resends are built from retained materialized state and
+            // ship inline (fault paths run with arena GC disarmed).
+            let ws = WsPayload::inline(ws);
+            for s in sh.peers() {
+                ctx.send(
+                    s,
+                    LazyUeMsg::Propagate {
+                        ws: ws.clone(),
+                        commit_ts: 0,
+                        site,
+                    },
+                );
+            }
+        }
+        match self.mode {
+            ReconcileMode::Lww if sh.servers().len() <= 1 => {
+                sh.base.recovery.complete(ctx.now().ticks());
+            }
+            ReconcileMode::Lww => Self::request_sync(sh, ctx),
+            ReconcileMode::AbcastOrder => self.rejoin_stream(sh, ctx),
+        }
+    }
+
+    fn position(&self, sh: &Shell) -> u64 {
+        match self.mode {
+            // No stream exists; Lww restores never rewind by token.
+            ReconcileMode::Lww => sh.base.committed,
+            ReconcileMode::AbcastOrder => self.ab.position(),
+        }
+    }
+
+    fn extra_stats(&self) -> ExtraStats {
+        ExtraStats {
+            reconciliations: self.reconciliations,
+            wounds: 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -898,13 +722,14 @@ mod tests {
         world.run_until(SimTime::from_ticks(300_000));
         let fp0 = world
             .actor_ref::<LazyUeServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             let srv = world.actor_ref::<LazyUeServer>(s);
-            assert_eq!(srv.base.store.fingerprint(), fp0);
-            assert_eq!(srv.reconciliations, 0);
+            assert_eq!(srv.shell.base.store.fingerprint(), fp0);
+            assert_eq!(srv.tech.reconciliations, 0);
         }
     }
 
@@ -922,11 +747,11 @@ mod tests {
         }
         let s0 = world.actor_ref::<LazyUeServer>(servers[0]);
         let s1 = world.actor_ref::<LazyUeServer>(servers[1]);
-        let v0 = s0.base.store.read(Key(0)).expect("e").value;
-        let v1 = s1.base.store.read(Key(0)).expect("e").value;
+        let v0 = s0.shell.base.store.read(Key(0)).expect("e").value;
+        let v1 = s1.shell.base.store.read(Key(0)).expect("e").value;
         assert_eq!(v0, v1, "reconciliation did not converge");
         assert!(v0 == Value(111) || v0 == Value(222));
-        let total_reconciliations = s0.reconciliations + s1.reconciliations;
+        let total_reconciliations = s0.tech.reconciliations + s1.tech.reconciliations;
         assert!(
             total_reconciliations >= 1,
             "a conflicting write must have been discarded"
@@ -950,6 +775,7 @@ mod tests {
         }
         let winner = world
             .actor_ref::<LazyUeServer>(servers[0])
+            .shell
             .base
             .store
             .read(Key(0))
@@ -976,7 +802,7 @@ mod tests {
             world.run_until(SimTime::from_ticks(1_000_000));
             servers
                 .iter()
-                .map(|&s| world.actor_ref::<LazyUeServer>(s).reconciliations)
+                .map(|&s| world.actor_ref::<LazyUeServer>(s).tech.reconciliations)
                 .sum()
         };
         let hot = run(false, 4);

@@ -23,5 +23,6 @@ pub mod eager_ue_lock;
 pub mod lazy_primary;
 pub mod lazy_ue;
 pub mod passive;
+pub mod replica;
 pub mod semi_active;
 pub mod semi_passive;

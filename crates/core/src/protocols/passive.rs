@@ -16,15 +16,13 @@ use std::sync::Arc;
 
 use repl_db::{Keyspace, Transfer, WsPayload};
 use repl_gcs::{Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId};
 
-use crate::client::ProtocolMsg;
+use crate::client::impl_protocol_msg;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, DrainState, Elastic, ExecutionMode, MemberMsg, ServerBase, DRAIN_TICK_TAG,
-    DRAIN_TICK_TICKS, JOIN_RETRY_TAG, JOIN_RETRY_TICKS, RESTORE_TAG,
-};
+use crate::protocols::common::{global_txn, ExecutionMode};
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// The update a primary ships to its backups.
 #[derive(Debug, Clone)]
@@ -85,23 +83,7 @@ impl Message for PassiveMsg {
     }
 }
 
-impl ProtocolMsg for PassiveMsg {
-    fn invoke(op: ClientOp) -> Self {
-        PassiveMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            PassiveMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            PassiveMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(PassiveMsg);
 
 #[derive(Debug)]
 struct PendingAck {
@@ -110,13 +92,9 @@ struct PendingAck {
     awaiting: HashSet<NodeId>,
 }
 
-/// A passive-replication server (primary or backup, depending on the
-/// current view).
-pub struct PassiveServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
-    group: Vec<NodeId>,
+/// Passive replication: primary or backup, depending on the current
+/// view.
+pub struct Passive {
     vg: ViewGroup<Update>,
     /// What `vg` queued while handling one input; drained by `drive`.
     vg_out: Outbox<VsMsg<Update>, VsEvent<Update>>,
@@ -124,9 +102,10 @@ pub struct PassiveServer {
     /// Waiting for the first state-transfer reply after a crash.
     recovering: bool,
     vs: VsConfig,
-    /// Elastic-membership lifecycle (dormant without a membership plan).
-    pub elastic: Elastic,
 }
+
+/// A passive-replication server.
+pub type PassiveServer = Replica<Passive>;
 
 impl PassiveServer {
     /// Creates server `site` of `group`; the initial primary is the
@@ -139,65 +118,65 @@ impl PassiveServer {
         exec: ExecutionMode,
         vs: VsConfig,
     ) -> Self {
-        PassiveServer {
-            base: ServerBase::new(site, keyspace, exec),
-            me,
+        let tech = Passive {
             vg: ViewGroup::new(me, group.clone(), vs),
             vg_out: Outbox::new(),
-            elastic: Elastic::new(me, group.clone()),
-            group,
             pending: HashMap::new(),
             recovering: false,
             vs,
-        }
-    }
-
-    /// Marks this server a cold joiner: it boots with no state, rebuilds
-    /// its view endpoint in join mode, and runs the join handshake on
-    /// start before serving.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
-        self.vg = ViewGroup::join(self.me, self.elastic.remaining(), self.vs);
+        };
+        Replica::around(site, me, group, keyspace, exec, tech)
     }
 
     /// The primary of the currently installed view.
     pub fn primary(&self) -> NodeId {
+        self.tech.primary()
+    }
+}
+
+impl Passive {
+    fn primary(&self) -> NodeId {
         self.vg.view().primary()
     }
 
-    fn is_primary(&self) -> bool {
-        self.primary() == self.me && !self.vg.is_excluded()
+    fn is_primary(&self, sh: &Shell) -> bool {
+        self.primary() == sh.me() && !self.vg.is_excluded()
     }
 
     /// Applies what the view group queued and reacts to what it
     /// delivered or installed.
-    fn drive(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
+    fn drive(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
         let mut out = std::mem::take(&mut self.vg_out);
         repl_gcs::apply_outbox(ctx, &mut out, 0, PassiveMsg::Vs, |ctx, ev| {
-            self.on_vs_event(ctx, ev)
+            self.on_vs_event(sh, ctx, ev)
         });
         self.vg_out = out;
     }
 
-    fn on_vs_event(&mut self, ctx: &mut Context<'_, PassiveMsg>, ev: VsEvent<Update>) {
+    fn on_vs_event(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, PassiveMsg>,
+        ev: VsEvent<Update>,
+    ) {
         match ev {
             VsEvent::Deliver { from, payload, .. } => {
-                if from == self.me {
+                if from == sh.me() {
                     return; // the primary already executed it
                 }
                 // Backup path: install without re-execution, cache the
                 // response for failover, acknowledge.
-                if self.base.cached(payload.op).is_none() {
-                    self.base.install_payload(&payload.ws);
-                    self.base.remember(&payload.resp);
+                if sh.base.cached(payload.op).is_none() {
+                    sh.base.install_payload(&payload.ws);
+                    sh.base.remember(&payload.resp);
                 }
-                self.base.release_payload(&payload.ws);
+                sh.base.release_payload(&payload.ws);
                 ctx.send(from, PassiveMsg::Ack { op: payload.op });
             }
             VsEvent::ViewInstalled(view) => {
                 // Back in a view after a crash: recovery is over.
-                if self.base.recovery.is_recovering() && view.contains(self.me) {
-                    self.base.recovery.complete(ctx.now().ticks());
+                if sh.base.recovery.is_recovering() && view.contains(sh.me()) {
+                    sh.base.recovery.complete(ctx.now().ticks());
                 }
                 // Crashed backups no longer owe acks.
                 let members: HashSet<NodeId> = view.members.iter().copied().collect();
@@ -227,10 +206,15 @@ impl PassiveServer {
         }
     }
 
-    fn execute_as_primary(&mut self, ctx: &mut Context<'_, PassiveMsg>, op: ClientOp) {
+    fn execute_as_primary(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, PassiveMsg>,
+        op: ClientOp,
+    ) {
         ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        let (ws, resp) = self.base.execute_commit(&op, global_txn(op.id));
-        self.base.remember(&resp);
+        let (ws, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+        sh.base.remember(&resp);
         ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
         let backups: HashSet<NodeId> = self
             .vg
@@ -238,15 +222,15 @@ impl PassiveServer {
             .members
             .iter()
             .copied()
-            .filter(|&n| n != self.me)
+            .filter(|&n| n != sh.me())
             .collect();
         let update = Update {
             op: op.id,
-            ws: self.base.make_payload(ws, backups.len() as u32),
+            ws: sh.base.make_payload(ws, backups.len() as u32),
             resp: Arc::new(resp.clone()),
         };
         self.vg.broadcast(update, &mut self.vg_out);
-        self.drive(ctx);
+        self.drive(sh, ctx);
         if backups.is_empty() {
             ctx.send(op.client, PassiveMsg::Reply(resp));
         } else {
@@ -261,188 +245,53 @@ impl PassiveServer {
         }
     }
 
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        if self.group.len() == 1 {
-            self.vg.rejoin(&mut self.vg_out);
-            self.drive(ctx);
-            self.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        self.recovering = true;
-        for &n in &self.group {
-            if n != self.me {
-                ctx.send(n, PassiveMsg::RecoverReq);
-            }
-        }
+    /// A committed-state snapshot for a recovering or joining peer:
+    /// backups hold no redo log to cut a suffix from, and the join view's
+    /// flush exchange covers in-flight updates.
+    fn snapshot(sh: &Shell) -> Transfer {
+        Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, 0)
     }
 
-    fn invoke(&mut self, ctx: &mut Context<'_, PassiveMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, PassiveMsg::Reply(resp));
-            return;
-        }
-        if self.elastic.rerouting() {
-            ctx.send(
-                op.client,
-                PassiveMsg::Member(MemberMsg::Reroute {
-                    op: op.id,
-                    servers: self.elastic.remaining(),
-                }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
+    /// State is installed: ask the view group for (re)admission.
+    fn enter_view(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+        self.vg.rejoin(&mut self.vg_out);
+        self.drive(sh, ctx);
+    }
+}
+
+impl Technique for Passive {
+    type Msg = PassiveMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, op: ClientOp) {
         if self.recovering || self.vg.is_joining() {
             return; // stale view; let the client retry elsewhere
         }
-        if self.is_primary() {
+        if self.is_primary(sh) {
             if !self.pending.contains_key(&op.id) {
-                self.execute_as_primary(ctx, op);
+                self.execute_as_primary(sh, ctx, op);
             }
         } else {
             // Not the primary: forward (replication stays
             // transparent to the client's addressing).
             let primary = self.primary();
-            if primary != self.me {
+            if primary != sh.me() {
                 ctx.send(primary, PassiveMsg::Invoke(op));
             }
         }
     }
 
-    fn member(&mut self, ctx: &mut Context<'_, PassiveMsg>, from: NodeId, m: MemberMsg) {
-        match m {
-            MemberMsg::JoinReq => {
-                if !self.elastic.is_coordinator() || self.elastic.joining || self.recovering {
-                    return;
-                }
-                self.elastic.admit(from);
-                self.group = self.elastic.servers.clone();
-                for &n in &self.elastic.servers {
-                    if n != self.elastic.me && n != from {
-                        ctx.send(
-                            n,
-                            PassiveMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.elastic.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                // Mirror the RecoverReq donor path: a committed-state
-                // snapshot (backups hold no redo log to cut a suffix
-                // from); the join view's flush covers in-flight updates.
-                let t = Transfer::committed_snapshot(&self.base.store, &self.base.tm, 0);
-                ctx.send(
-                    from,
-                    PassiveMsg::Member(MemberMsg::Welcome {
-                        servers: self.elastic.servers.clone(),
-                        transfer: Some(Box::new(t)),
-                        pos: 0,
-                        gpos: 0,
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.group = self.elastic.servers.clone();
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                answered,
-                ..
-            } => {
-                if !self.elastic.joining {
-                    return; // duplicate welcome (retried JoinReq)
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.group = self.elastic.servers.clone();
-                if let Some(t) = transfer {
-                    self.base.install_transfer(&t);
-                }
-                self.elastic.answered = answered.into_iter().collect();
-                // State installed; the view group admits us next (the
-                // join view's flush exchange covers in-flight updates).
-                self.vg.rejoin(&mut self.vg_out);
-                self.drive(ctx);
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.group = self.elastic.servers.clone();
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    fn try_retire(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        // Quiesce: every update this node originated as primary has been
-        // acknowledged and answered (backups owe nothing — their acks
-        // ride on delivery, which continues until the view excludes us).
-        if !self.pending.is_empty() {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let remaining = self.elastic.remaining();
-        // Voluntary view-group exit: the shrunk view elects the next
-        // primary and flushes in-flight updates.
-        self.vg.leave(&mut self.vg_out);
-        self.drive(ctx);
-        for &n in &remaining {
-            ctx.send(
-                n,
-                PassiveMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.elastic.servers = remaining.clone();
-        self.group = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-}
-
-impl Actor<PassiveMsg> for PassiveServer {
-    fn on_start(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
-        self.drive(ctx);
-        if self.elastic.joining {
-            self.base.recovery.begin(ctx.now().ticks());
-            ctx.send(
-                self.elastic.join_target(),
-                PassiveMsg::Member(MemberMsg::JoinReq),
-            );
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-        }
-    }
-
-    fn on_drain(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, PassiveMsg>, from: NodeId, msg: PassiveMsg) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
+    fn on_protocol_msg(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, PassiveMsg>,
+        from: NodeId,
+        msg: PassiveMsg,
+    ) {
         match msg {
-            PassiveMsg::Invoke(op) => self.invoke(ctx, op),
-            PassiveMsg::Member(m) => self.member(ctx, from, m),
+            PassiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             PassiveMsg::Vs(m) => {
                 repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
-                self.drive(ctx);
+                self.drive(sh, ctx);
             }
             PassiveMsg::Ack { op } => {
                 if let Some(p) = self.pending.get_mut(&op) {
@@ -452,91 +301,103 @@ impl Actor<PassiveMsg> for PassiveServer {
                     }
                 }
             }
-            PassiveMsg::Reply(_) => {}
             PassiveMsg::RecoverReq => {
                 // Any live in-view member donates; the requester keeps
-                // the first reply. Always a snapshot: passive backups
-                // hold no redo log to cut a suffix from.
+                // the first reply.
                 if !self.vg.is_excluded()
                     && !self.vg.is_joining()
                     && !self.recovering
-                    && !self.elastic.joining
+                    && !sh.joining()
                 {
-                    let t = Transfer::committed_snapshot(&self.base.store, &self.base.tm, 0);
-                    ctx.send(from, PassiveMsg::RecoverData(Box::new(t)));
+                    ctx.send(from, PassiveMsg::RecoverData(Box::new(Self::snapshot(sh))));
                 }
             }
             PassiveMsg::RecoverData(t) => {
                 if self.recovering {
                     self.recovering = false;
-                    self.base.install_transfer(&t);
-                    // State installed; now ask the group for readmission
-                    // (the join view's flush covers in-flight updates).
-                    self.vg.rejoin(&mut self.vg_out);
-                    self.drive(ctx);
+                    sh.base.install_transfer(&t);
+                    self.enter_view(sh, ctx);
                 }
             }
+            PassiveMsg::Reply(_) | PassiveMsg::Member(_) => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, PassiveMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                ctx.send(
-                    self.elastic.join_target(),
-                    PassiveMsg::Member(MemberMsg::JoinReq),
-                );
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, tag: u64) {
         repl_gcs::Component::on_timer(&mut self.vg, tag, &mut self.vg_out);
-        self.drive(ctx);
+        self.drive(sh, ctx);
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        // Two-step rejoin: fetch a db-level snapshot from a live member
-        // first, then run the group-level join so the new view only
-        // ever admits a caught-up replica.
-        self.base.recovery.begin(ctx.now().ticks());
-        self.pending.clear();
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            // There is no ordered stream to rewind: the durable tier
-            // restored a floor, and the peer snapshot fetched afterwards
-            // covers whatever the disaster erased (if any peer is up).
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+        repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
+        self.drive(sh, ctx);
+    }
+
+    fn cold_start(&mut self, sh: &mut Shell) {
+        // The view endpoint boots in join mode.
+        self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
+    }
+
+    fn can_admit(&self, _sh: &Shell) -> bool {
+        !self.recovering
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        (Some(Self::snapshot(sh)), 0, 0)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, PassiveMsg>,
+        transfer: Option<&Transfer>,
+        _pos: u64,
+        _gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            sh.base.install_transfer(t);
         }
-        self.rejoin_now(ctx);
+        self.enter_view(sh, ctx);
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
-        self.base.wipe_volume(now.ticks());
+    /// Every update this node originated as primary has been acknowledged
+    /// and answered (backups owe nothing — their acks ride on delivery,
+    /// which continues until the view excludes us).
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.pending.is_empty()
+    }
+
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, _remaining: &[NodeId]) {
+        // Voluntary view-group exit: the shrunk view elects the next
+        // primary and flushes in-flight updates.
+        self.vg.leave(&mut self.vg_out);
+        self.drive(sh, ctx);
+    }
+
+    fn volume_lost(&mut self, _sh: &mut Shell) {
         self.pending.clear();
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, PassiveMsg>) {
-        // No stream position exists; the committed count is the frame
-        // token (passive restores never rewind by token anyway).
-        self.base.seal_now(ctx.now().ticks(), self.base.committed);
+    fn recovering(&mut self, _sh: &mut Shell) {
+        self.pending.clear();
     }
 
-    impl_as_any!();
+    /// Two-step rejoin: fetch a db-level snapshot from a live member
+    /// first, then run the group-level join so the new view only ever
+    /// admits a caught-up replica. (There is no ordered stream to rewind
+    /// after a volume restore: the tier restored a floor, and the peer
+    /// snapshot covers whatever the disaster erased, if any peer is up.)
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+        if sh.servers().len() == 1 {
+            self.enter_view(sh, ctx);
+            sh.base.recovery.complete(ctx.now().ticks());
+            return;
+        }
+        self.recovering = true;
+        for n in sh.peers() {
+            ctx.send(n, PassiveMsg::RecoverReq);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -606,14 +467,15 @@ mod tests {
         assert!(client.is_done());
         let fp0 = world
             .actor_ref::<PassiveServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             let srv = world.actor_ref::<PassiveServer>(s);
-            assert_eq!(srv.base.store.fingerprint(), fp0, "backup diverged");
+            assert_eq!(srv.shell.base.store.fingerprint(), fp0, "backup diverged");
             // Backups never executed, they only installed.
-            assert_eq!(srv.base.tm.stats(), (0, 0));
+            assert_eq!(srv.shell.base.tm.stats(), (0, 0));
         }
     }
 
@@ -631,12 +493,18 @@ mod tests {
         world.run_until(SimTime::from_ticks(100_000));
         let fp0 = world
             .actor_ref::<PassiveServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
         for &s in &servers[1..] {
             assert_eq!(
-                world.actor_ref::<PassiveServer>(s).base.store.fingerprint(),
+                world
+                    .actor_ref::<PassiveServer>(s)
+                    .shell
+                    .base
+                    .store
+                    .fingerprint(),
                 fp0,
                 "passive replication must tolerate non-determinism"
             );
@@ -661,10 +529,13 @@ mod tests {
         let s1 = world.actor_ref::<PassiveServer>(servers[1]);
         assert_eq!(s1.primary(), servers[1]);
         // Survivors agree on the final state and it reflects all writes.
-        let fp1 = s1.base.store.fingerprint();
+        let fp1 = s1.shell.base.store.fingerprint();
         let s2 = world.actor_ref::<PassiveServer>(servers[2]);
-        assert_eq!(s2.base.store.fingerprint(), fp1);
-        assert_eq!(s1.base.store.read(Key(2)).expect("exists").value, Value(3));
+        assert_eq!(s2.shell.base.store.fingerprint(), fp1);
+        assert_eq!(
+            s1.shell.base.store.read(Key(2)).expect("exists").value,
+            Value(3)
+        );
     }
 
     #[test]
@@ -686,7 +557,14 @@ mod tests {
             assert!(client.is_done(), "seed {seed}: client stuck");
             let fps: Vec<u64> = servers[1..]
                 .iter()
-                .map(|&s| world.actor_ref::<PassiveServer>(s).base.store.fingerprint())
+                .map(|&s| {
+                    world
+                        .actor_ref::<PassiveServer>(s)
+                        .shell
+                        .base
+                        .store
+                        .fingerprint()
+                })
                 .collect();
             assert!(
                 fps.windows(2).all(|w| w[0] == w[1]),
@@ -696,7 +574,7 @@ mod tests {
             let s1 = world.actor_ref::<PassiveServer>(servers[1]);
             for rec in client.completed() {
                 if let OpTemplate::Write(k, v) = rec.txn.ops[0] {
-                    let stored = s1.base.store.read(k).expect("exists").value;
+                    let stored = s1.shell.base.store.read(k).expect("exists").value;
                     assert_eq!(stored, v, "seed {seed}: lost committed write to {k}");
                 }
             }

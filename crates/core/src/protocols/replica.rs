@@ -1,0 +1,1101 @@
+//! The replica shell: the one server actor under all ten techniques.
+//!
+//! The paper's thesis is that the techniques differ only in how they
+//! arrange five phases. Everything else a replica does — answer retries
+//! from its cache, join a running group, drain out of it, survive a crash
+//! or a lost volume, seal durability frames, know its shard — is the same
+//! procedure whatever the replication scheme, so it lives here once.
+//! [`Replica<T>`] is the only `impl Actor` for a server; a technique is a
+//! plain struct implementing [`Technique`]: its five-phase flow plus the
+//! few facts the lifecycle needs from it.
+//!
+//! The lifecycle is gated by a [`Status`] in the shape of `status[r]` in
+//! viewstamped replication's specification: a `Restoring` replica is deaf,
+//! a `Joining` one buffers client work until welcomed, a `Draining` or
+//! `Retired` one bounces it to the remaining members.
+
+use std::collections::HashSet;
+
+use repl_db::{Keyspace, SharedArena, Transfer};
+use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+
+use crate::client::ProtocolMsg;
+use crate::durability::{DurabilityConfig, RestorePlan};
+use crate::op::{ClientOp, OpId};
+use crate::protocols::common::{ExecutionMode, ServerBase, ShardCtx};
+
+/// Timer tag of the restore-download completion. Far outside all
+/// protocol and component tag spaces.
+pub const RESTORE_TAG: u64 = u64::MAX - 0xD15A;
+
+/// Timer tag re-sending a joiner's admission request until the group
+/// answers.
+pub const JOIN_RETRY_TAG: u64 = u64::MAX - 0xADD1;
+
+/// Timer tag polling a draining node's quiesce condition.
+pub const DRAIN_TICK_TAG: u64 = u64::MAX - 0xDBA1;
+
+/// Cadence of [`JOIN_RETRY_TAG`] (ticks).
+pub const JOIN_RETRY_TICKS: u64 = 5_000;
+
+/// Cadence of [`DRAIN_TICK_TAG`] (ticks).
+pub const DRAIN_TICK_TICKS: u64 = 1_000;
+
+/// Where a replica stands in its lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Status {
+    /// Member in good standing: accepts client work.
+    #[default]
+    Normal,
+    /// Cold joiner: from boot until the welcome installs. Client work is
+    /// buffered and replayed afterwards.
+    Joining,
+    /// Downloading a wiped volume from the durable tier: deaf to messages
+    /// and protocol timers until the download completes.
+    Restoring,
+    /// Drain started: client work is rerouted, in-flight work finishes.
+    Draining,
+    /// Handed off and removed from the group; stays up as a passive
+    /// relay (answers stragglers from its cache, forwards old traffic)
+    /// but is no longer a member.
+    Retired,
+}
+
+/// Wire messages of the membership handshake, shared by every technique
+/// (each wire type wraps them in one variant, see
+/// [`ProtocolMsg::member`]).
+#[derive(Debug, Clone)]
+pub enum MemberMsg {
+    /// Joiner → group rank 0: admit me (retried until welcomed).
+    JoinReq,
+    /// Coordinator → members: the group now spans `servers`.
+    ViewAdd {
+        /// The new membership, sorted.
+        servers: Vec<NodeId>,
+    },
+    /// Member → coordinator: the view change is applied here. Only the
+    /// techniques that must reach every cohort before transferring state
+    /// (distributed locking's 2PC) wait for these.
+    ViewAck {
+        /// The joiner the acked view change admitted.
+        joiner: NodeId,
+    },
+    /// Coordinator → joiner: membership plus bootstrap state.
+    Welcome {
+        /// The new membership, sorted (includes the joiner).
+        servers: Vec<NodeId>,
+        /// Committed-state snapshot, when the technique ships one up
+        /// front (techniques with their own pull-style transfer omit it).
+        transfer: Option<Box<Transfer>>,
+        /// Donor's ordered-stream position at the snapshot instant.
+        pos: u64,
+        /// Donor's delivered-gseq watermark at the snapshot instant.
+        gpos: u64,
+        /// Operations the donor has already answered (sorted). The
+        /// joiner must not re-execute one if a client retry re-enters it
+        /// into the ordered stream after the snapshot — members suppress
+        /// such duplicates through their response caches, which the
+        /// snapshot does not carry.
+        answered: Vec<OpId>,
+    },
+    /// Decommissioned member → members: remove me from the group (sent
+    /// after the drain quiesced and any role was handed off).
+    ViewDrop {
+        /// The leaving node.
+        node: NodeId,
+    },
+    /// Draining/retired server → client: this node no longer takes work;
+    /// re-resolve against `servers` and re-submit `op` there.
+    Reroute {
+        /// The operation being bounced.
+        op: OpId,
+        /// The membership without the leaving node, sorted.
+        servers: Vec<NodeId>,
+    },
+}
+
+impl Message for MemberMsg {
+    fn wire_size(&self) -> usize {
+        match self {
+            MemberMsg::JoinReq => 8,
+            MemberMsg::ViewAdd { servers } => 8 + 4 * servers.len(),
+            MemberMsg::ViewAck { .. } => 12,
+            MemberMsg::Welcome {
+                servers,
+                transfer,
+                answered,
+                ..
+            } => {
+                24 + 4 * servers.len()
+                    + 8 * answered.len()
+                    + transfer.as_ref().map_or(0, |t| t.wire_size())
+            }
+            MemberMsg::ViewDrop { .. } => 12,
+            MemberMsg::Reroute { servers, .. } => 16 + 4 * servers.len(),
+        }
+    }
+}
+
+/// Technique-specific counters the run report carries.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExtraStats {
+    /// Optimistic writes overridden by reconciliation (lazy UE).
+    pub reconciliations: u64,
+    /// Wound events observed (distributed locking).
+    pub wounds: u64,
+}
+
+/// What makes a replica one technique rather than another: its
+/// five-phase flow, and the facts the shell's lifecycle asks of it. Every
+/// hook receives the [`Shell`] (database kernel, membership view, shard
+/// scope) next to the technique's own state.
+pub trait Technique: Sized + 'static {
+    /// The technique's wire type.
+    type Msg: ProtocolMsg;
+
+    /// A client operation the shell accepted (not cached, not rerouted,
+    /// not buffered): phases RE onwards.
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, op: ClientOp);
+
+    /// Any non-membership message. Invocations arrive here too, so a
+    /// technique can gate them; it passes them on with [`Shell::invoke`].
+    fn on_protocol_msg(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, Self::Msg>,
+        from: NodeId,
+        msg: Self::Msg,
+    );
+
+    /// A timer that is not one of the shell's.
+    fn on_protocol_timer(&mut self, _sh: &mut Shell, _ctx: &mut Context<'_, Self::Msg>, _tag: u64) {
+    }
+
+    /// World start (also for a cold joiner, before its join request).
+    fn on_start(&mut self, _sh: &mut Shell, _ctx: &mut Context<'_, Self::Msg>) {}
+
+    /// The replica was marked a cold joiner, before the world starts.
+    fn cold_start(&mut self, _sh: &mut Shell) {}
+
+    /// The membership view changed ([`Shell::servers`] is the new one):
+    /// re-derive whatever the technique computes from it.
+    fn view_changed(&mut self, _sh: &mut Shell) {}
+
+    /// Whether the coordinator may admit a joiner right now.
+    fn can_admit(&self, _sh: &Shell) -> bool {
+        true
+    }
+
+    /// Coordinator: admit `joiner`. The default is [`Shell::admit`] —
+    /// view change, `ViewAdd` fan-out and welcome in one event.
+    fn admit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, joiner: NodeId) {
+        sh.admit(self, ctx, joiner);
+    }
+
+    /// Member: the coordinator announced a grown view.
+    fn view_added(
+        &mut self,
+        sh: &mut Shell,
+        _ctx: &mut Context<'_, Self::Msg>,
+        _from: NodeId,
+        servers: &[NodeId],
+    ) {
+        sh.install_view(self, servers);
+    }
+
+    /// Coordinator: a member confirmed a view change (only techniques
+    /// whose [`Technique::admit`] waits for confirmations see any).
+    fn view_acked(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, Self::Msg>,
+        _from: NodeId,
+        _joiner: NodeId,
+    ) {
+    }
+
+    /// Coordinator: the bootstrap state for `joiner` — a snapshot if the
+    /// technique ships one up front, and the stream coordinates (`pos`,
+    /// `gpos`) it was cut at.
+    fn welcome_state(&mut self, sh: &mut Shell, joiner: NodeId) -> (Option<Transfer>, u64, u64);
+
+    /// Joiner: the welcome arrived; the view and the answered floor are
+    /// installed. Install the state and enter the group.
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, Self::Msg>,
+        transfer: Option<&Transfer>,
+        pos: u64,
+        gpos: u64,
+    );
+
+    /// A decommissioned member left (the view is already shrunk);
+    /// `was_first` tells whether it held rank 0.
+    fn member_left(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, Self::Msg>,
+        _node: NodeId,
+        _was_first: bool,
+    ) {
+    }
+
+    /// Draining: has everything this node must not abandon finished?
+    fn quiesced(&self, sh: &Shell) -> bool;
+
+    /// Draining and quiesced: hand off any distinguished role and leave
+    /// the technique's own groups; `remaining` is the view without this
+    /// node (the shell installs it afterwards).
+    fn retire(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, Self::Msg>,
+        _remaining: &[NodeId],
+    ) {
+    }
+
+    /// The process crashed: drop volatile state that must not survive.
+    fn crashed(&mut self, _sh: &mut Shell) {}
+
+    /// The volume is gone (the shell already wiped the database kernel):
+    /// drop what the technique kept on it.
+    fn volume_lost(&mut self, _sh: &mut Shell) {}
+
+    /// The process is back up, before any restore: undo in-flight work
+    /// that died with it.
+    fn recovering(&mut self, _sh: &mut Shell) {}
+
+    /// A wiped volume was restored up to `plan.token`: rewind the
+    /// technique's cursors there so the rejoin replays the rest.
+    fn rewind_to(&mut self, _sh: &mut Shell, _plan: RestorePlan) {}
+
+    /// Re-enter the group: after a crash, and after a restore download.
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>);
+
+    /// The durable frame token: the position in the technique's stream
+    /// that the committed state reflects. Techniques without a stream
+    /// keep the committed count.
+    fn position(&self, sh: &Shell) -> u64 {
+        sh.base.committed
+    }
+
+    /// Switch to the cross-shard mode ([`Shell::shard`] is set). Only
+    /// techniques with a cross-group commit path are ever asked.
+    fn enable_cross_shard(&mut self, _sh: &mut Shell) {
+        unreachable!("technique has no cross-group commit path");
+    }
+
+    /// Technique-specific report counters.
+    fn extra_stats(&self) -> ExtraStats {
+        ExtraStats::default()
+    }
+}
+
+/// Everything a replica owns that is not its technique: the database
+/// kernel, the membership view, the lifecycle status and the shard scope.
+#[derive(Debug)]
+pub struct Shell {
+    /// Database kernel, response cache, recovery tracker, durable tier
+    /// and payload arena handle (public for post-run inspection).
+    pub base: ServerBase,
+    me: NodeId,
+    /// The one membership view, sorted (includes `me` while a member).
+    servers: Vec<NodeId>,
+    /// Never [`Status::Restoring`]: that state is the durable tier's.
+    membership: Status,
+    /// Client operations buffered while joining.
+    buffered: Vec<ClientOp>,
+    /// Operations answered group-wide before this node joined (the
+    /// welcome's dedup floor): never re-execute one on re-delivery.
+    answered: HashSet<OpId>,
+    /// The sharded topology, on cross-shard runs.
+    shard: Option<ShardCtx>,
+}
+
+impl Shell {
+    /// This node.
+    pub fn me(&self) -> NodeId {
+        self.me
+    }
+
+    /// The current membership view, sorted.
+    pub fn servers(&self) -> &[NodeId] {
+        &self.servers
+    }
+
+    /// The other members of the view, ascending.
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.servers.iter().copied().filter(|&n| n != self.me)
+    }
+
+    /// The membership without this node: role-handoff and reroute
+    /// targets.
+    pub fn remaining(&self) -> Vec<NodeId> {
+        self.peers().collect()
+    }
+
+    /// The lifecycle status.
+    pub fn status(&self) -> Status {
+        if self.base.restoring() {
+            Status::Restoring
+        } else {
+            self.membership
+        }
+    }
+
+    /// True from boot until the join handshake completes.
+    pub fn joining(&self) -> bool {
+        self.membership == Status::Joining
+    }
+
+    /// True while this node bounces client work (draining or retired).
+    pub fn rerouting(&self) -> bool {
+        matches!(self.membership, Status::Draining | Status::Retired)
+    }
+
+    /// True once this node has left the group.
+    pub fn retired(&self) -> bool {
+        self.membership == Status::Retired
+    }
+
+    /// True when this node coordinates membership changes (rank 0).
+    pub fn is_coordinator(&self) -> bool {
+        self.servers.first() == Some(&self.me)
+    }
+
+    /// True if the group answered `op` before this node joined.
+    pub fn answered_before_join(&self, op: OpId) -> bool {
+        self.answered.contains(&op)
+    }
+
+    /// The sharded topology, on cross-shard runs.
+    pub fn shard(&self) -> Option<&ShardCtx> {
+        self.shard.as_ref()
+    }
+
+    /// Client entry point: answer from the cache, bounce while leaving,
+    /// buffer while joining, else hand the operation to the technique.
+    pub fn invoke<T: Technique>(
+        &mut self,
+        tech: &mut T,
+        ctx: &mut Context<'_, T::Msg>,
+        op: ClientOp,
+    ) {
+        if let Some(resp) = self.base.cached(op.id) {
+            ctx.send(op.client, T::Msg::reply(resp));
+        } else if self.rerouting() {
+            let bounce = MemberMsg::Reroute {
+                op: op.id,
+                servers: self.remaining(),
+            };
+            ctx.send(op.client, T::Msg::member(bounce));
+        } else if self.joining() {
+            self.buffered.push(op);
+        } else {
+            tech.on_invoke(self, ctx, op);
+        }
+    }
+
+    /// Completes a drain once the technique has quiesced: role handoff,
+    /// one `ViewDrop` per remaining member, retirement. Polls again on
+    /// [`DRAIN_TICK_TAG`] otherwise. A technique calls this itself where
+    /// finishing a piece of work may be what the drain waits for.
+    pub fn try_retire<T: Technique>(&mut self, tech: &mut T, ctx: &mut Context<'_, T::Msg>) {
+        if self.membership != Status::Draining {
+            return;
+        }
+        if !tech.quiesced(self) {
+            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
+            return;
+        }
+        let remaining = self.remaining();
+        tech.retire(self, ctx, &remaining);
+        for &n in &remaining {
+            ctx.send(n, T::Msg::member(MemberMsg::ViewDrop { node: self.me }));
+        }
+        self.servers = remaining;
+        self.membership = Status::Retired;
+    }
+
+    /// The default admission: the view grows, every other member hears
+    /// `ViewAdd`, and the joiner is welcomed — all in this one event, so
+    /// every stream message after it reaches the joiner and everything
+    /// before is in the snapshot. A retried `JoinReq` re-sends the
+    /// (idempotent) welcome.
+    pub fn admit<T: Technique>(
+        &mut self,
+        tech: &mut T,
+        ctx: &mut Context<'_, T::Msg>,
+        joiner: NodeId,
+    ) {
+        self.add_member(tech, joiner);
+        for &n in &self.servers {
+            if n != self.me && n != joiner {
+                let grown = MemberMsg::ViewAdd {
+                    servers: self.servers.clone(),
+                };
+                ctx.send(n, T::Msg::member(grown));
+            }
+        }
+        self.welcome(tech, ctx, joiner);
+    }
+
+    /// Adds `joiner` to the view (a no-op for a known member).
+    pub fn add_member<T: Technique>(&mut self, tech: &mut T, joiner: NodeId) {
+        if !self.servers.contains(&joiner) {
+            self.servers.push(joiner);
+            self.servers.sort();
+        }
+        tech.view_changed(self);
+    }
+
+    /// Replaces the view wholesale (`ViewAdd` / `Welcome` install).
+    pub fn install_view<T: Technique>(&mut self, tech: &mut T, servers: &[NodeId]) {
+        self.servers.clear();
+        self.servers.extend_from_slice(servers);
+        tech.view_changed(self);
+    }
+
+    /// Sends `joiner` its welcome: the view, the technique's bootstrap
+    /// state, and every operation this server has already answered.
+    pub fn welcome<T: Technique>(
+        &mut self,
+        tech: &mut T,
+        ctx: &mut Context<'_, T::Msg>,
+        joiner: NodeId,
+    ) {
+        let (transfer, pos, gpos) = tech.welcome_state(self, joiner);
+        let mut answered: Vec<OpId> = self.base.cache.keys().copied().collect(); // sorted-below
+        answered.sort_unstable();
+        let welcome = MemberMsg::Welcome {
+            servers: self.servers.clone(),
+            transfer: transfer.map(Box::new),
+            pos,
+            gpos,
+            answered,
+        };
+        ctx.send(joiner, T::Msg::member(welcome));
+    }
+
+    /// Asks the seed membership's first other member for admission and
+    /// arms the retry.
+    fn request_join<M: ProtocolMsg>(&self, ctx: &mut Context<'_, M>) {
+        let target = self
+            .peers()
+            .next()
+            .expect("join seed names at least one member");
+        ctx.send(target, M::member(MemberMsg::JoinReq));
+        ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
+    }
+
+    fn on_member<T: Technique>(
+        &mut self,
+        tech: &mut T,
+        ctx: &mut Context<'_, T::Msg>,
+        from: NodeId,
+        m: &MemberMsg,
+    ) {
+        match m {
+            MemberMsg::JoinReq => {
+                if self.is_coordinator() && !self.joining() && tech.can_admit(self) {
+                    tech.admit(self, ctx, from);
+                }
+            }
+            MemberMsg::ViewAdd { servers } => tech.view_added(self, ctx, from, servers),
+            MemberMsg::ViewAck { joiner } => tech.view_acked(self, ctx, from, *joiner),
+            MemberMsg::Welcome {
+                servers,
+                transfer,
+                pos,
+                gpos,
+                answered,
+            } => {
+                if !self.joining() {
+                    return; // duplicate welcome (retried JoinReq)
+                }
+                self.membership = Status::Normal;
+                self.install_view(tech, servers);
+                self.answered = answered.iter().copied().collect();
+                tech.welcomed(self, ctx, transfer.as_deref(), *pos, *gpos);
+                for op in std::mem::take(&mut self.buffered) {
+                    self.invoke(tech, ctx, op);
+                }
+            }
+            MemberMsg::ViewDrop { node } => {
+                let was_first = self.servers.first() == Some(node);
+                self.servers.retain(|n| n != node);
+                tech.view_changed(self);
+                tech.member_left(self, ctx, *node, was_first);
+            }
+            MemberMsg::Reroute { .. } => {}
+        }
+    }
+}
+
+/// A replica server: the lifecycle shell around technique `T`.
+pub struct Replica<T: Technique> {
+    /// The technique-independent part (public for post-run inspection).
+    pub shell: Shell,
+    /// The technique's own state (public for post-run inspection).
+    pub tech: T,
+}
+
+impl<T: Technique> Replica<T> {
+    /// Creates server `site` (node `me`) of `group` around `tech`.
+    pub fn around(
+        site: u32,
+        me: NodeId,
+        group: Vec<NodeId>,
+        keyspace: impl Into<Keyspace>,
+        exec: ExecutionMode,
+        tech: T,
+    ) -> Self {
+        Replica {
+            shell: Shell {
+                base: ServerBase::new(site, keyspace, exec),
+                me,
+                servers: group,
+                membership: Status::Normal,
+                buffered: Vec::new(),
+                answered: HashSet::new(),
+                shard: None,
+            },
+            tech,
+        }
+    }
+
+    /// Marks this server a cold joiner: it boots with no state and runs
+    /// the join handshake on start before serving.
+    pub fn begin_join(&mut self) {
+        self.shell.membership = Status::Joining;
+        self.tech.cold_start(&mut self.shell);
+    }
+
+    /// Applies the run-wide server setup: durable tier (a no-op when
+    /// `durability` is disabled), lean mode and the shared payload arena.
+    pub fn equip(
+        &mut self,
+        durability: &DurabilityConfig,
+        fsync_ticks: u64,
+        lean: bool,
+        arena: Option<SharedArena>,
+    ) {
+        self.shell.base.set_durability(durability, fsync_ticks);
+        self.shell.base.set_lean(lean);
+        self.shell.base.set_arena(arena);
+    }
+
+    /// Switches this server to the sharded cross-shard mode. Call before
+    /// the run starts; faults and membership changes are not supported in
+    /// this mode (the runner rejects such plans).
+    pub fn enable_cross_shard(&mut self, ctx: ShardCtx) {
+        self.shell.shard = Some(ctx);
+        self.tech.enable_cross_shard(&mut self.shell);
+    }
+}
+
+impl<T: Technique> Actor<T::Msg> for Replica<T> {
+    fn on_start(&mut self, ctx: &mut Context<'_, T::Msg>) {
+        let Replica { shell, tech } = self;
+        tech.on_start(shell, ctx);
+        if shell.joining() {
+            shell.base.recovery.begin(ctx.now().ticks());
+            shell.request_join(ctx);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, T::Msg>, from: NodeId, msg: T::Msg) {
+        let Replica { shell, tech } = self;
+        if shell.base.restoring() {
+            return; // deaf until the volume restore download completes
+        }
+        match msg.as_member() {
+            Some(m) => shell.on_member(tech, ctx, from, m),
+            None => tech.on_protocol_msg(shell, ctx, from, msg),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, T::Msg>, _timer: TimerId, tag: u64) {
+        let Replica { shell, tech } = self;
+        match tag {
+            RESTORE_TAG => {
+                shell.base.finish_restore();
+                tech.rejoin(shell, ctx);
+            }
+            JOIN_RETRY_TAG => {
+                if shell.joining() {
+                    shell.request_join(ctx);
+                }
+            }
+            DRAIN_TICK_TAG => shell.try_retire(tech, ctx),
+            _ if shell.base.restoring() => {}
+            _ => tech.on_protocol_timer(shell, ctx, tag),
+        }
+    }
+
+    fn on_crash(&mut self, _now: SimTime) {
+        self.tech.crashed(&mut self.shell);
+    }
+
+    fn on_recover(&mut self, ctx: &mut Context<'_, T::Msg>) {
+        let Replica { shell, tech } = self;
+        let now = ctx.now().ticks();
+        shell.base.recovery.begin(now);
+        tech.recovering(shell);
+        if let Some(plan) = shell.base.begin_restore(now) {
+            // The volume is gone: the durable tier restored a prefix;
+            // the technique rewinds to it so the rejoin covers the rest.
+            let delay = plan.delay;
+            tech.rewind_to(shell, plan);
+            if delay > 0 {
+                ctx.set_timer(SimDuration::from_ticks(delay), RESTORE_TAG);
+                return;
+            }
+            shell.base.finish_restore();
+        }
+        tech.rejoin(shell, ctx);
+    }
+
+    fn on_drain(&mut self, ctx: &mut Context<'_, T::Msg>) {
+        let Replica { shell, tech } = self;
+        if matches!(shell.membership, Status::Normal | Status::Joining) {
+            shell.membership = Status::Draining;
+            shell.try_retire(tech, ctx);
+        }
+    }
+
+    fn on_volume_loss(&mut self, now: SimTime) {
+        let Replica { shell, tech } = self;
+        tech.crashed(shell);
+        shell.base.wipe_volume(now.ticks());
+        tech.volume_lost(shell);
+    }
+
+    fn on_settle(&mut self, ctx: &mut Context<'_, T::Msg>) {
+        let token = self.tech.position(&self.shell);
+        self.shell.base.seal_now(ctx.now().ticks(), token);
+    }
+
+    impl_as_any!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::impl_protocol_msg;
+    use crate::op::Response;
+    use crate::protocols::common::global_txn;
+    use repl_db::{Key, Value};
+    use repl_sim::{SimConfig, World};
+    use repl_workload::{OpTemplate, TxnTemplate};
+
+    #[derive(Debug, Clone)]
+    enum StubMsg {
+        Invoke(ClientOp),
+        Reply(Response),
+        Member(MemberMsg),
+        Ping,
+    }
+    impl Message for StubMsg {}
+    impl_protocol_msg!(StubMsg);
+
+    const TICK: u64 = 7;
+
+    /// A fake technique: executes invokes locally and logs every hook.
+    #[derive(Default)]
+    struct Stub {
+        invoked: Vec<OpId>,
+        pings: Vec<u64>,
+        ticks: Vec<u64>,
+        views: u32,
+        welcomes: Vec<(u64, u64)>,
+        retired_with: Vec<Vec<NodeId>>,
+        quiet: bool,
+        /// Lifecycle hooks in call order; `rejoin` carries its time.
+        log: Vec<(&'static str, u64)>,
+    }
+
+    impl Technique for Stub {
+        type Msg = StubMsg;
+
+        fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, op: ClientOp) {
+            self.invoked.push(op.id);
+            let (_, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+            sh.base.remember(&resp);
+            ctx.send(op.client, StubMsg::Reply(resp));
+        }
+        fn on_protocol_msg(
+            &mut self,
+            sh: &mut Shell,
+            ctx: &mut Context<'_, StubMsg>,
+            _from: NodeId,
+            msg: StubMsg,
+        ) {
+            match msg {
+                StubMsg::Invoke(op) => sh.invoke(self, ctx, op),
+                StubMsg::Ping => self.pings.push(ctx.now().ticks()),
+                _ => {}
+            }
+        }
+        fn on_protocol_timer(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, tag: u64) {
+            assert_eq!(tag, TICK);
+            self.ticks.push(ctx.now().ticks());
+        }
+        fn on_start(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>) {
+            // One-shot protocol timers every 100 ticks: timers set before
+            // a crash still fire after the recovery, so some land inside
+            // a restore window.
+            for i in 1..=300 {
+                ctx.set_timer(SimDuration::from_ticks(i * 100), TICK);
+            }
+        }
+        fn view_changed(&mut self, _sh: &mut Shell) {
+            self.views += 1;
+        }
+        fn welcome_state(&mut self, _sh: &mut Shell, _j: NodeId) -> (Option<Transfer>, u64, u64) {
+            (None, 0, 0)
+        }
+        fn welcomed(
+            &mut self,
+            _sh: &mut Shell,
+            _ctx: &mut Context<'_, StubMsg>,
+            _transfer: Option<&Transfer>,
+            pos: u64,
+            gpos: u64,
+        ) {
+            self.welcomes.push((pos, gpos));
+        }
+        fn quiesced(&self, _sh: &Shell) -> bool {
+            self.quiet
+        }
+        fn retire(&mut self, _sh: &mut Shell, _ctx: &mut Context<'_, StubMsg>, rem: &[NodeId]) {
+            self.retired_with.push(rem.to_vec());
+        }
+        fn volume_lost(&mut self, _sh: &mut Shell) {
+            self.log.push(("volume_lost", 0));
+        }
+        fn recovering(&mut self, _sh: &mut Shell) {
+            self.log.push(("recovering", 0));
+        }
+        fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+            self.log.push(("rewind_to", plan.token));
+        }
+        fn rejoin(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>) {
+            self.log.push(("rejoin", ctx.now().ticks()));
+        }
+        fn position(&self, _sh: &Shell) -> u64 {
+            1_000 + self.invoked.len() as u64
+        }
+    }
+
+    /// A scripted peer: sends `script[i]` at its time, records what it
+    /// receives.
+    struct Probe {
+        script: Vec<(u64, NodeId, StubMsg)>,
+        got: Vec<(u64, StubMsg)>,
+    }
+    impl Actor<StubMsg> for Probe {
+        fn on_start(&mut self, ctx: &mut Context<'_, StubMsg>) {
+            for (i, (at, _, _)) in self.script.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_ticks(*at), i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, StubMsg>, _t: TimerId, tag: u64) {
+            let (_, to, msg) = self.script[tag as usize].clone();
+            ctx.send(to, msg);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, StubMsg>, _from: NodeId, msg: StubMsg) {
+            self.got.push((ctx.now().ticks(), msg));
+        }
+        impl_as_any!();
+    }
+
+    fn n(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
+
+    fn write_op(id: u64, client: NodeId) -> ClientOp {
+        ClientOp {
+            id: OpId(id),
+            client,
+            txn: TxnTemplate {
+                ops: vec![OpTemplate::Write(Key(id), Value(id as i64))].into(),
+            },
+        }
+    }
+
+    fn replica(me: u32, group: &[u32]) -> Replica<Stub> {
+        let group = group.iter().map(|&i| n(i)).collect();
+        Replica::around(
+            me,
+            n(me),
+            group,
+            16,
+            ExecutionMode::Deterministic,
+            Stub::default(),
+        )
+    }
+
+    fn probe(script: Vec<(u64, NodeId, StubMsg)>) -> Box<Probe> {
+        Box::new(Probe {
+            script,
+            got: Vec::new(),
+        })
+    }
+
+    fn at(world: &mut World<StubMsg>, ticks: u64) {
+        world.run_until(SimTime::from_ticks(ticks));
+    }
+
+    #[test]
+    fn cold_join_retries_buffers_and_ignores_a_second_welcome() {
+        let welcome = |pos| {
+            StubMsg::Member(MemberMsg::Welcome {
+                servers: vec![n(0), n(1)],
+                transfer: None,
+                pos,
+                gpos: pos + 2,
+                answered: vec![OpId(9)],
+            })
+        };
+        let mut world: World<StubMsg> = World::new(SimConfig::new(1));
+        let coord = world.add_actor(probe(vec![
+            (300, n(1), StubMsg::Invoke(write_op(1, n(0)))),
+            (400, n(1), StubMsg::Invoke(write_op(2, n(0)))),
+            (12_000, n(1), welcome(7)),
+            (12_500, n(1), welcome(70)),
+        ]));
+        let mut joiner = replica(1, &[0, 1]);
+        joiner.begin_join();
+        let joiner = world.add_actor(Box::new(joiner));
+        world.start();
+        at(&mut world, 11_000);
+        let j = world.actor_ref::<Replica<Stub>>(joiner);
+        assert_eq!(j.shell.status(), Status::Joining);
+        assert!(j.tech.invoked.is_empty(), "invokes are buffered, not run");
+        assert!(j.shell.base.recovery.is_recovering());
+        at(&mut world, 30_000);
+        let j = world.actor_ref::<Replica<Stub>>(joiner);
+        assert_eq!(j.shell.status(), Status::Normal);
+        assert_eq!(j.tech.welcomes, vec![(7, 9)], "the duplicate is ignored");
+        assert_eq!(j.tech.views, 1);
+        assert_eq!(j.tech.invoked, vec![OpId(1), OpId(2)], "arrival order");
+        assert!(j.shell.answered_before_join(OpId(9)));
+        let got = &world.actor_ref::<Probe>(coord).got;
+        let join_reqs = got
+            .iter()
+            .filter(|(_, m)| matches!(m, StubMsg::Member(MemberMsg::JoinReq)))
+            .count();
+        // Sent at 0, 5 000 and 10 000; the welcome at ~12 100 stops them.
+        assert_eq!(join_reqs, 3);
+        let replies = got
+            .iter()
+            .filter(|(_, m)| matches!(m, StubMsg::Reply(_)))
+            .count();
+        assert_eq!(replies, 2);
+    }
+
+    #[test]
+    fn drain_reroutes_then_retires_once_quiesced() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(2));
+        let node = world.add_actor(Box::new(replica(0, &[0, 1, 2])));
+        let peer1 = world.add_actor(probe(vec![
+            (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),
+            (1_500, n(0), StubMsg::Invoke(write_op(2, n(1)))),
+            (6_000, n(0), StubMsg::Invoke(write_op(1, n(1)))),
+            (6_100, n(0), StubMsg::Invoke(write_op(3, n(1)))),
+        ]));
+        let peer2 = world.add_actor(probe(Vec::new()));
+        world.schedule_drain(SimTime::from_ticks(1_000), node);
+        world.start();
+        at(&mut world, 3_400);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.shell.status(), Status::Draining);
+        assert!(r.tech.retired_with.is_empty(), "not quiesced yet");
+        let bounced = |p: &Probe, op: u64| {
+            p.got.iter().any(|(_, m)| {
+                matches!(m.reroute(), Some((id, servers)) if id == OpId(op) && servers == [n(1), n(2)])
+            })
+        };
+        assert!(bounced(world.actor_ref::<Probe>(peer1), 2));
+        world.actor_mut::<Replica<Stub>>(node).tech.quiet = true;
+        at(&mut world, 10_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.shell.status(), Status::Retired);
+        assert_eq!(r.tech.retired_with, vec![vec![n(1), n(2)]]);
+        assert_eq!(r.shell.servers(), [n(1), n(2)]);
+        assert_eq!(r.tech.invoked, vec![OpId(1)], "nothing ran after the drain");
+        for p in [peer1, peer2] {
+            let drops = world
+                .actor_ref::<Probe>(p)
+                .got
+                .iter()
+                .filter(|(_, m)| {
+                    matches!(m, StubMsg::Member(MemberMsg::ViewDrop { node }) if *node == n(0))
+                })
+                .count();
+            assert_eq!(drops, 1, "one ViewDrop per remaining member");
+        }
+        let p1 = world.actor_ref::<Probe>(peer1);
+        let cached = p1
+            .got
+            .iter()
+            .filter(|(t, m)| *t > 6_000 && m.response().is_some_and(|r| r.op == OpId(1)))
+            .count();
+        assert_eq!(cached, 1, "the cache still answers after retirement");
+        assert!(bounced(p1, 3));
+    }
+
+    /// One replica with a durable tier (replaying a restored suffix costs
+    /// 1 000 ticks), a committed op, pings every 100 ticks, and a crash
+    /// (with or without the volume) at 2 000 that recovers at 3 000.
+    fn crash_run(wipe: bool) -> (World<StubMsg>, NodeId) {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(3));
+        let mut r = replica(0, &[0, 1]);
+        r.equip(&DurabilityConfig::with_upload_lag(0), 1_000, false, None);
+        let node = world.add_actor(Box::new(r));
+        let mut script = vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))];
+        script.extend((1..=200).map(|i| (i * 100 + 50, n(0), StubMsg::Ping)));
+        world.add_actor(probe(script));
+        if wipe {
+            world.schedule_volume_loss(SimTime::from_ticks(2_000), node);
+        } else {
+            world.schedule_crash(SimTime::from_ticks(2_000), node);
+        }
+        world.schedule_recover(SimTime::from_ticks(3_000), node);
+        world.start();
+        at(&mut world, 25_000);
+        (world, node)
+    }
+
+    #[test]
+    fn plain_crash_rejoins_at_once() {
+        let (world, node) = crash_run(false);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.tech.log, vec![("recovering", 0), ("rejoin", 3_000)]);
+        // Down from 2 000 to 3 000, never deaf afterwards.
+        assert!(r.tech.ticks.contains(&3_100));
+        assert!(r.tech.pings.iter().any(|&t| (3_000..3_400).contains(&t)));
+    }
+
+    #[test]
+    fn wiped_volume_rewinds_stays_deaf_then_rejoins_once() {
+        let (world, node) = crash_run(true);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        let tier = r.shell.base.tier.as_ref().expect("tier attached");
+        let back = 3_000 + tier.restore_ticks;
+        assert!(tier.restore_ticks > 200, "the window must span some timers");
+        // `on_settle` sealed the committed op at `position()` (1 000 + one
+        // invoke): that is the token the restore rewinds to, before the
+        // download delay; exactly one rejoin follows it.
+        assert_eq!(
+            r.tech.log,
+            vec![
+                ("volume_lost", 0),
+                ("recovering", 0),
+                ("rewind_to", 1_001),
+                ("rejoin", back)
+            ]
+        );
+        assert_eq!(r.shell.status(), Status::Normal);
+        let deaf = |t: &u64| (3_000..back).contains(t);
+        assert!(!r.tech.pings.iter().any(deaf), "deaf to messages");
+        assert!(!r.tech.ticks.iter().any(deaf), "deaf to protocol timers");
+        assert!(r.tech.pings.iter().any(|&t| t > back));
+        assert!(r.tech.ticks.iter().any(|&t| t > back));
+    }
+
+    #[test]
+    fn coordinator_admits_in_one_event_and_rewelcomes_a_retry() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(5));
+        let coord = world.add_actor(Box::new(replica(0, &[0, 1])));
+        let member = world.add_actor(probe(vec![(100, n(0), StubMsg::Invoke(write_op(4, n(1))))]));
+        let join = || StubMsg::Member(MemberMsg::JoinReq);
+        let joiner = world.add_actor(probe(vec![(1_000, n(0), join()), (2_000, n(0), join())]));
+        world.start();
+        at(&mut world, 5_000);
+        let c = world.actor_ref::<Replica<Stub>>(coord);
+        assert_eq!(c.shell.servers(), [n(0), n(1), n(2)]);
+        assert_eq!(
+            c.tech.views, 2,
+            "the retry re-runs the (idempotent) admission"
+        );
+        let view_adds = world
+            .actor_ref::<Probe>(member)
+            .got
+            .iter()
+            .filter(|(_, m)| {
+                matches!(m, StubMsg::Member(MemberMsg::ViewAdd { servers }) if servers.len() == 3)
+            })
+            .count();
+        assert_eq!(view_adds, 2);
+        let welcomes: Vec<_> = world
+            .actor_ref::<Probe>(joiner)
+            .got
+            .iter()
+            .filter_map(|(_, m)| match m {
+                StubMsg::Member(MemberMsg::Welcome {
+                    servers, answered, ..
+                }) => Some((servers.len(), answered.clone())),
+                _ => None,
+            })
+            .collect();
+        // The welcome carries the view and the donor's answered floor.
+        assert_eq!(welcomes, vec![(3, vec![OpId(4)]); 2]);
+    }
+
+    #[test]
+    fn a_joiner_drained_before_its_welcome_retires_and_ignores_it() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(6));
+        let coord = world.add_actor(probe(vec![(
+            3_000,
+            n(1),
+            StubMsg::Member(MemberMsg::Welcome {
+                servers: vec![n(0), n(1)],
+                transfer: None,
+                pos: 0,
+                gpos: 0,
+                answered: Vec::new(),
+            }),
+        )]));
+        let mut joiner = replica(1, &[0, 1]);
+        joiner.tech.quiet = true;
+        joiner.begin_join();
+        let joiner = world.add_actor(Box::new(joiner));
+        world.schedule_drain(SimTime::from_ticks(1_000), joiner);
+        world.start();
+        at(&mut world, 8_000);
+        let j = world.actor_ref::<Replica<Stub>>(joiner);
+        assert_eq!(j.shell.status(), Status::Retired);
+        assert!(j.tech.welcomes.is_empty());
+        let got = &world.actor_ref::<Probe>(coord).got;
+        let count = |f: fn(&MemberMsg) -> bool| {
+            got.iter()
+                .filter(|(_, m)| m.as_member().is_some_and(f))
+                .count()
+        };
+        assert_eq!(count(|m| matches!(m, MemberMsg::JoinReq)), 1, "no retry");
+        assert_eq!(count(|m| matches!(m, MemberMsg::ViewDrop { .. })), 1);
+    }
+
+    #[test]
+    fn settle_seals_frames_at_the_technique_position() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(4));
+        let mut r = replica(0, &[0, 1]);
+        r.equip(&DurabilityConfig::with_upload_lag(0), 120, false, None);
+        let node = world.add_actor(Box::new(r));
+        world.add_actor(probe(vec![
+            (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),
+            (300, n(0), StubMsg::Invoke(write_op(2, n(1)))),
+        ]));
+        world.start();
+        at(&mut world, 1_000);
+        let r = world.actor_mut::<Replica<Stub>>(node);
+        let tier = r.shell.base.tier.as_mut().expect("tier attached");
+        assert_eq!(tier.frames_sealed(), 2, "one frame per committing event");
+        tier.wipe(1_000);
+        let (_, plan) = tier.plan_restore(1_000).expect("wiped");
+        assert_eq!(plan.token, 1_002, "the last frame carries position()");
+    }
+}

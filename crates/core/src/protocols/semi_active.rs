@@ -17,16 +17,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use repl_db::{Key, Keyspace, Transfer, Value};
 use repl_gcs::{AbDeliver, BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId};
 
-use crate::client::ProtocolMsg;
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
 use crate::op::{accesses, ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, DrainState, Elastic,
-    ExecutionMode, MemberMsg, ServerBase, DRAIN_TICK_TAG, DRAIN_TICK_TICKS, JOIN_RETRY_TAG,
-    JOIN_RETRY_TICKS, RESTORE_TAG,
+    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// The leader's resolution of an operation's non-deterministic choices.
 #[derive(Debug, Clone)]
@@ -82,30 +82,11 @@ impl Message for SemiActiveMsg {
     }
 }
 
-impl ProtocolMsg for SemiActiveMsg {
-    fn invoke(op: ClientOp) -> Self {
-        SemiActiveMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            SemiActiveMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            SemiActiveMsg::Member(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(SemiActiveMsg);
 
-/// A semi-active replication server.
-pub struct SemiActiveServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    me: NodeId,
-    group: Vec<NodeId>,
+/// Semi-active replication: the ordered request stream of active
+/// replication plus leader-imposed choices over VSCAST.
+pub struct SemiActive {
     ab: AbcastEndpoint<ClientOp>,
     vg: ViewGroup<Choice>,
     /// What `ab` / `vg` queued while handling one input; drained by
@@ -122,9 +103,10 @@ pub struct SemiActiveServer {
     issued: HashSet<OpId>,
     marks: bool,
     vs: VsConfig,
-    /// Elastic-membership lifecycle (dormant without a membership plan).
-    pub elastic: Elastic,
 }
+
+/// A semi-active replication server.
+pub type SemiActiveServer = Replica<SemiActive>;
 
 impl SemiActiveServer {
     /// Creates server `site` of `group`.
@@ -137,16 +119,11 @@ impl SemiActiveServer {
         abcast: AbcastImpl,
         vs: VsConfig,
     ) -> Self {
-        let cons = vs.consensus;
-        SemiActiveServer {
-            base: ServerBase::new(site, keyspace, exec),
-            me,
-            ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
+        let tech = SemiActive {
+            ab: AbcastEndpoint::new(abcast, me, group.clone(), vs.consensus),
             vg: ViewGroup::new(me, group.clone(), vs),
             ab_out: Outbox::new(),
             vg_out: Outbox::new(),
-            elastic: Elastic::new(me, group.clone()),
-            group,
             relayed: HashSet::new(),
             recovering: false,
             waiting: BTreeMap::new(),
@@ -155,54 +132,49 @@ impl SemiActiveServer {
             issued: HashSet::new(),
             marks: site == 0,
             vs,
-        }
-    }
-
-    /// Marks this server a cold joiner: it boots with no state, rebuilds
-    /// its view endpoint in join mode, and runs the join handshake on
-    /// start before serving.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
-        self.vg = ViewGroup::join(self.me, self.elastic.remaining(), self.vs);
+        };
+        Replica::around(site, me, group, keyspace, exec, tech)
     }
 
     /// Sets the ordering-layer batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.ab.set_batching(batch);
+        self.tech.ab.set_batching(batch);
         self
     }
 
     /// The current leader (lowest member of the installed view).
     pub fn leader(&self) -> NodeId {
-        self.vg.view().primary()
+        self.tech.vg.view().primary()
     }
+}
 
-    fn is_leader(&self) -> bool {
-        self.leader() == self.me && !self.vg.is_excluded()
+impl SemiActive {
+    fn is_leader(&self, sh: &Shell) -> bool {
+        self.vg.view().primary() == sh.me() && !self.vg.is_excluded()
     }
 
     /// Whether `op` needs a leader choice at all.
-    fn needs_choice(&self, op: &ClientOp) -> bool {
-        self.base.exec == ExecutionMode::NonDeterministic && op.txn.ops.iter().any(|o| o.is_write())
+    fn needs_choice(sh: &Shell, op: &ClientOp) -> bool {
+        sh.base.exec == ExecutionMode::NonDeterministic && op.txn.ops.iter().any(|o| o.is_write())
     }
 
-    fn resolve_choice(&self, op: &ClientOp) -> Choice {
+    fn resolve_choice(sh: &Shell, op: &ClientOp) -> Choice {
         let writes = accesses(&op.txn)
-            .filter_map(|(k, w)| w.map(|v| (k, self.base.effective_value(v))))
+            .filter_map(|(k, w)| w.map(|v| (k, sh.base.effective_value(v))))
             .collect();
         Choice { op: op.id, writes }
     }
 
     /// Applies what the ABCAST endpoint queued, parks what it ordered and
     /// applies whatever became applicable.
-    fn drive_ab(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
         let mut out = std::mem::take(&mut self.ab_out);
         repl_gcs::apply_outbox(ctx, &mut out, 0, SemiActiveMsg::Ab, |ctx, d| {
             self.on_ordered(ctx, d)
         });
         self.ab_out = out;
-        self.process(ctx);
-        settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
+        self.process(sh, ctx);
+        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
     }
 
     fn on_ordered(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, d: AbDeliver<ClientOp>) {
@@ -214,13 +186,13 @@ impl SemiActiveServer {
 
     /// Applies what the view group queued, records the choices it
     /// delivered and applies whatever became applicable.
-    fn drive_vs(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn drive_vs(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
         let mut out = std::mem::take(&mut self.vg_out);
         repl_gcs::apply_outbox(ctx, &mut out, VG_BASE, SemiActiveMsg::Vs, |_, ev| {
             self.on_vs_event(ev)
         });
         self.vg_out = out;
-        self.process(ctx);
+        self.process(sh, ctx);
     }
 
     fn on_vs_event(&mut self, ev: VsEvent<Choice>) {
@@ -238,27 +210,27 @@ impl SemiActiveServer {
 
     /// Applies ordered operations in sequence, pausing at operations whose
     /// choice has not arrived yet.
-    fn process(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn process(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
         loop {
             let Some(op) = self.waiting.get(&self.next_apply).cloned() else {
                 return;
             };
-            if self.base.cached(op.id).is_some() || self.elastic.answered.contains(&op.id) {
+            if sh.base.cached(op.id).is_some() || sh.answered_before_join(op.id) {
                 self.waiting.remove(&self.next_apply);
                 self.next_apply += 1;
                 continue;
             }
-            let needs = self.needs_choice(&op);
+            let needs = Self::needs_choice(sh, &op);
             if needs && !self.choices.contains_key(&op.id) {
                 // Leader resolves; followers wait.
-                if self.is_leader() && !self.issued.contains(&op.id) {
+                if self.is_leader(sh) && !self.issued.contains(&op.id) {
                     self.issued.insert(op.id);
                     if self.marks {
                         ctx.mark(Phase::Execution.tag(), op.id.0, 0);
                     }
-                    let choice = self.resolve_choice(&op);
+                    let choice = Self::resolve_choice(sh, &op);
                     self.vg.broadcast(choice, &mut self.vg_out);
-                    self.drive_vs(ctx);
+                    self.drive_vs(sh, ctx);
                     // drive_vs re-enters process(); stop this iteration.
                 }
                 return;
@@ -272,53 +244,50 @@ impl SemiActiveServer {
                     ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
                 }
             }
-            let resp = self.execute(&op);
-            self.base.remember(&resp);
+            let resp = self.execute(sh, &op);
+            sh.base.remember(&resp);
             ctx.send(op.client, SemiActiveMsg::Reply(resp));
         }
     }
 
     /// Executes with the agreed choice (or deterministically).
-    fn execute(&mut self, op: &ClientOp) -> Response {
+    fn execute(&mut self, sh: &mut Shell, op: &ClientOp) -> Response {
+        let base = &mut sh.base;
         let txn = global_txn(op.id);
         let choice: HashMap<Key, Value> = self
             .choices
             .remove(&op.id)
             .map(|w| w.into_iter().collect())
             .unwrap_or_default();
-        self.base.tm.begin(txn);
+        base.tm.begin(txn);
         let mut reads = Vec::new();
         for (key, write) in accesses(&op.txn) {
             match write {
                 None => {
-                    let v = self
-                        .base
+                    let v = base
                         .tm
-                        .read(&self.base.store, txn, key)
+                        .read(&base.store, txn, key)
                         .expect("txn active")
                         .map_or(Value(0), |v| v.value);
-                    self.base
-                        .history
-                        .record(self.base.site, txn, key, repl_db::AccessKind::Read);
+                    base.history
+                        .record(base.site, txn, key, repl_db::AccessKind::Read);
                     reads.push((key, v));
                 }
                 Some(v) => {
                     // The leader's choice overrides local non-determinism.
                     let v = choice.get(&key).copied().unwrap_or(v);
-                    self.base
-                        .tm
-                        .write(&mut self.base.store, txn, key, v)
+                    base.tm
+                        .write(&mut base.store, txn, key, v)
                         .expect("txn active");
-                    self.base
-                        .history
-                        .record(self.base.site, txn, key, repl_db::AccessKind::Write);
+                    base.history
+                        .record(base.site, txn, key, repl_db::AccessKind::Write);
                 }
             }
         }
-        let ws = self.base.tm.commit(txn).expect("txn active");
-        self.base.history.mark_committed(txn);
-        self.base.committed += 1;
-        if let Some(t) = &mut self.base.tier {
+        let ws = base.tm.commit(txn).expect("txn active");
+        base.history.mark_committed(txn);
+        base.committed += 1;
+        if let Some(t) = &mut base.tier {
             t.note_commit(&ws);
         }
         Response {
@@ -328,298 +297,160 @@ impl SemiActiveServer {
         }
     }
 
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        if self.group.len() == 1 {
-            self.ab.rejoin(&mut self.ab_out);
-            self.drive_ab(ctx);
-            self.vg.rejoin(&mut self.vg_out);
-            self.drive_vs(ctx);
-            return;
-        }
-        self.recovering = true;
-        for &n in &self.group {
-            if n != self.me {
-                ctx.send(n, SemiActiveMsg::SyncReq);
-            }
-        }
+    /// A snapshot of applied state only, stamped with the applied
+    /// watermark: waiting operations lack leader choices, and missed
+    /// choices cannot be replayed, so a gap is covered by state, not
+    /// re-execution.
+    fn snapshot(&self, sh: &Shell) -> Transfer {
+        Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, self.next_apply)
     }
 
-    fn invoke(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, SemiActiveMsg::Reply(resp));
-            return;
-        }
-        if self.elastic.rerouting() {
-            ctx.send(
-                op.client,
-                SemiActiveMsg::Member(MemberMsg::Reroute {
-                    op: op.id,
-                    servers: self.elastic.remaining(),
-                }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
+    /// Installs a peer snapshot and fast-forwards past it (those
+    /// operations' leader choices are gone and their effects are already
+    /// in the installed state).
+    fn install_snapshot(&mut self, sh: &mut Shell, t: &Transfer) {
+        let high = sh.base.install_transfer(t);
+        self.next_apply = self.next_apply.max(high);
+        self.waiting = self.waiting.split_off(&self.next_apply);
+    }
+
+    /// State is installed: refill the ordered stream, then ask the view
+    /// group for (re)admission.
+    fn enter_groups(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+        self.ab.rejoin(&mut self.ab_out);
+        self.drive_ab(sh, ctx);
+        self.vg.rejoin(&mut self.vg_out);
+        self.drive_vs(sh, ctx);
+    }
+}
+
+impl Technique for SemiActive {
+    type Msg = SemiActiveMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>, op: ClientOp) {
         if !self.relayed.insert(op.id) {
             return;
         }
         self.ab.broadcast(op, &mut self.ab_out);
-        self.drive_ab(ctx);
+        self.drive_ab(sh, ctx);
     }
 
-    fn member(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, from: NodeId, m: MemberMsg) {
-        match m {
-            MemberMsg::JoinReq => {
-                if !self.elastic.is_coordinator() || self.elastic.joining || self.recovering {
-                    return;
-                }
-                // Admission, ordering-group switch and snapshot are
-                // atomic here: every ordered request past `next_apply`
-                // reaches the joiner, everything below is in the
-                // snapshot. (The view group runs its own admission: the
-                // joiner calls vg.rejoin after installing this state.)
-                self.elastic.admit(from);
-                self.group = self.elastic.servers.clone();
-                self.ab.set_group(self.elastic.servers.clone());
-                for &n in &self.elastic.servers {
-                    if n != self.elastic.me && n != from {
-                        ctx.send(
-                            n,
-                            SemiActiveMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.elastic.servers.clone(),
-                            }),
-                        );
-                    }
-                }
-                // Mirror the SyncReq donor path: snapshot of applied
-                // state only — waiting operations lack leader choices.
-                let t =
-                    Transfer::committed_snapshot(&self.base.store, &self.base.tm, self.next_apply);
-                let (pos, gpos) = if self.ab.is_seq() {
-                    (self.next_apply, self.next_apply)
-                } else {
-                    (0, 0) // full-history refill; instance cursor unknown
-                };
-                ctx.send(
-                    from,
-                    SemiActiveMsg::Member(MemberMsg::Welcome {
-                        servers: self.elastic.servers.clone(),
-                        transfer: Some(Box::new(t)),
-                        pos,
-                        gpos,
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.group = self.elastic.servers.clone();
-                self.ab.set_group(self.elastic.servers.clone());
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos,
-                gpos,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return; // duplicate welcome (retried JoinReq)
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.group = self.elastic.servers.clone();
-                self.ab.set_group(self.elastic.servers.clone());
-                if let Some(t) = transfer {
-                    let high = self.base.install_transfer(&t);
-                    self.next_apply = self.next_apply.max(high);
-                    self.waiting = self.waiting.split_off(&self.next_apply);
-                }
-                self.elastic.answered = answered.into_iter().collect();
-                self.ab.skip_to(pos, gpos);
-                self.ab.rejoin(&mut self.ab_out);
-                self.drive_ab(ctx);
-                // State is installed: ask the view group to admit us.
-                self.vg.rejoin(&mut self.vg_out);
-                self.drive_vs(ctx);
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.group = self.elastic.servers.clone();
-                self.ab.set_group(self.elastic.servers.clone());
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    fn try_retire(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if self.ab.pending() > 0 {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let was_orderer = self.ab.is_orderer(self.elastic.me);
-        let remaining = self.elastic.remaining();
-        self.ab.set_group(remaining.clone());
-        if was_orderer {
-            // Sequencer flavour: ship the order log to the successor so
-            // gseq assignment continues where this node stopped.
-            self.ab.handoff(remaining[0], &mut self.ab_out);
-            self.drive_ab(ctx);
-        }
-        // Voluntary view-group exit: survivors install the shrunk view
-        // and the next leader re-issues any stuck choices.
-        self.vg.leave(&mut self.vg_out);
-        self.drive_vs(ctx);
-        for &n in &remaining {
-            ctx.send(
-                n,
-                SemiActiveMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.elastic.servers = remaining.clone();
-        self.group = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-}
-
-impl Actor<SemiActiveMsg> for SemiActiveServer {
-    fn on_start(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
-        self.drive_vs(ctx);
-        if self.elastic.joining {
-            self.base.recovery.begin(ctx.now().ticks());
-            ctx.send(
-                self.elastic.join_target(),
-                SemiActiveMsg::Member(MemberMsg::JoinReq),
-            );
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-        }
-    }
-
-    fn on_drain(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
-        }
-    }
-
-    fn on_message(
+    fn on_protocol_msg(
         &mut self,
+        sh: &mut Shell,
         ctx: &mut Context<'_, SemiActiveMsg>,
         from: NodeId,
         msg: SemiActiveMsg,
     ) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
         match msg {
-            SemiActiveMsg::Invoke(op) => self.invoke(ctx, op),
+            SemiActiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             SemiActiveMsg::Ab(m) => {
                 self.ab.on_message(from, m, &mut self.ab_out);
-                self.drive_ab(ctx);
+                self.drive_ab(sh, ctx);
             }
             SemiActiveMsg::Vs(m) => {
                 repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
-                self.drive_vs(ctx);
+                self.drive_vs(sh, ctx);
             }
-            SemiActiveMsg::Reply(_) => {}
-            SemiActiveMsg::Member(m) => self.member(ctx, from, m),
             SemiActiveMsg::SyncReq => {
                 if !self.recovering
                     && !self.vg.is_excluded()
                     && !self.vg.is_joining()
-                    && !self.elastic.joining
+                    && !sh.joining()
                 {
-                    let t = Transfer::committed_snapshot(
-                        &self.base.store,
-                        &self.base.tm,
-                        self.next_apply,
-                    );
-                    ctx.send(from, SemiActiveMsg::SyncData(Box::new(t)));
+                    ctx.send(from, SemiActiveMsg::SyncData(Box::new(self.snapshot(sh))));
                 }
             }
             SemiActiveMsg::SyncData(t) => {
                 if self.recovering {
                     self.recovering = false;
-                    let high = self.base.install_transfer(&t);
-                    // Fast-forward past the snapshot: those operations'
-                    // leader choices are gone and their effects are
-                    // already in the installed state.
-                    self.next_apply = self.next_apply.max(high);
-                    self.waiting = self.waiting.split_off(&self.next_apply);
-                    self.ab.rejoin(&mut self.ab_out);
-                    self.drive_ab(ctx);
-                    self.vg.rejoin(&mut self.vg_out);
-                    self.drive_vs(ctx);
+                    self.install_snapshot(sh, &t);
+                    self.enter_groups(sh, ctx);
                 }
             }
+            SemiActiveMsg::Reply(_) | SemiActiveMsg::Member(_) => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, _timer: TimerId, tag: u64) {
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                ctx.send(
-                    self.elastic.join_target(),
-                    SemiActiveMsg::Member(MemberMsg::JoinReq),
-                );
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
+    fn on_protocol_timer(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiActiveMsg>,
+        tag: u64,
+    ) {
         if tag >= VG_BASE {
             repl_gcs::Component::on_timer(&mut self.vg, tag - VG_BASE, &mut self.vg_out);
-            self.drive_vs(ctx);
+            self.drive_vs(sh, ctx);
         } else {
             self.ab.on_timer(tag, &mut self.ab_out);
-            self.drive_ab(ctx);
+            self.drive_ab(sh, ctx);
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            // The durable tier restored the prefix up to `plan.token`;
-            // the leader choices behind the erased suffix are gone, so
-            // (as with plain crashes) the remaining gap is covered by a
-            // peer snapshot through the normal SyncReq path afterwards.
-            self.next_apply = plan.token;
-            self.ab.rewind_to(plan.token);
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
-        }
-        self.rejoin_now(ctx);
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+        repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
+        self.drive_vs(sh, ctx);
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
-        self.base.wipe_volume(now.ticks());
+    fn cold_start(&mut self, sh: &mut Shell) {
+        // The view endpoint boots in join mode.
+        self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
+    }
+
+    fn view_changed(&mut self, sh: &mut Shell) {
+        // The view group runs its own admission: a joiner calls
+        // `vg.rejoin` once welcomed.
+        self.ab.set_group(sh.servers().to_vec());
+    }
+
+    fn can_admit(&self, _sh: &Shell) -> bool {
+        !self.recovering
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        // Every ordered request past `next_apply` reaches the joiner,
+        // everything below is in the snapshot. The applied cursor counts
+        // in gseq units, which only the sequencer flavour can resume
+        // from; consensus joiners refill the whole history.
+        let pos = if self.ab.is_seq() { self.next_apply } else { 0 };
+        (Some(self.snapshot(sh)), pos, pos)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiActiveMsg>,
+        transfer: Option<&Transfer>,
+        pos: u64,
+        gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            self.install_snapshot(sh, t);
+        }
+        self.ab.skip_to(pos, gpos);
+        self.enter_groups(sh, ctx);
+    }
+
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.ab.pending() == 0
+    }
+
+    fn retire(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiActiveMsg>,
+        remaining: &[NodeId],
+    ) {
+        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
+            self.drive_ab(sh, ctx);
+        }
+        // Voluntary view-group exit: survivors install the shrunk view
+        // and the next leader re-issues any stuck choices.
+        self.vg.leave(&mut self.vg_out);
+        self.drive_vs(sh, ctx);
+    }
+
+    fn volume_lost(&mut self, _sh: &mut Shell) {
         // The applied cursor and the buffered stream die with the volume.
         self.waiting.clear();
         self.choices.clear();
@@ -627,11 +458,28 @@ impl Actor<SemiActiveMsg> for SemiActiveServer {
         self.next_apply = 0;
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, SemiActiveMsg>) {
-        self.base.seal_now(ctx.now().ticks(), self.next_apply);
+    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+        // The leader choices behind the erased suffix are gone, so (as
+        // with plain crashes) the remaining gap is covered by a peer
+        // snapshot through the normal SyncReq path afterwards.
+        self.next_apply = plan.token;
+        self.ab.rewind_to(plan.token);
     }
 
-    impl_as_any!();
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+        if sh.servers().len() == 1 {
+            self.enter_groups(sh, ctx);
+            return;
+        }
+        self.recovering = true;
+        for n in sh.peers() {
+            ctx.send(n, SemiActiveMsg::SyncReq);
+        }
+    }
+
+    fn position(&self, _sh: &Shell) -> u64 {
+        self.next_apply
+    }
 }
 
 #[cfg(test)]
@@ -706,6 +554,7 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<SemiActiveServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -713,6 +562,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<SemiActiveServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -756,6 +606,7 @@ mod tests {
         assert_eq!(pt.canonical().expect("op done").to_string(), "RE SC EX END");
         let fp0 = world
             .actor_ref::<SemiActiveServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -763,6 +614,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<SemiActiveServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -805,11 +657,13 @@ mod tests {
         assert!(client.is_done(), "client stuck after leader crash");
         let fp1 = world
             .actor_ref::<SemiActiveServer>(servers[1])
+            .shell
             .base
             .store
             .fingerprint();
         let fp2 = world
             .actor_ref::<SemiActiveServer>(servers[2])
+            .shell
             .base
             .store
             .fingerprint();

@@ -18,15 +18,14 @@ use repl_gcs::{
     ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, FdConfig, FdEvent, FdMsg, HeartbeatFd,
     Outbox,
 };
-use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
+use repl_sim::{Context, Message, NodeId, SimDuration};
 
-use crate::client::ProtocolMsg;
+use crate::client::impl_protocol_msg;
+use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, DrainState, Elastic, ExecutionMode, MemberMsg, ServerBase, DRAIN_TICK_TAG,
-    DRAIN_TICK_TICKS, JOIN_RETRY_TAG, JOIN_RETRY_TICKS, RESTORE_TAG,
-};
+use crate::protocols::common::{global_txn, ExecutionMode};
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 
 /// What a deferred coordinator proposes for a slot: the operation it
 /// picked, the update its execution produced, and the client response.
@@ -94,31 +93,10 @@ impl Message for SemiPassiveMsg {
     }
 }
 
-impl ProtocolMsg for SemiPassiveMsg {
-    fn invoke(op: ClientOp) -> Self {
-        SemiPassiveMsg::Invoke(op)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            SemiPassiveMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self {
-            SemiPassiveMsg::Member(MemberMsg::Reroute { op, servers }) => {
-                Some((*op, servers.as_slice()))
-            }
-            _ => None,
-        }
-    }
-}
+impl_protocol_msg!(SemiPassiveMsg);
 
-/// A semi-passive replication server.
-pub struct SemiPassiveServer {
-    /// Shared database/server state (public for post-run inspection).
-    pub base: ServerBase,
-    group: Vec<NodeId>,
+/// Semi-passive replication: consensus with deferred initial values.
+pub struct SemiPassive {
     rank: usize,
     defer: SimDuration,
     pool: ConsensusPool<Proposal>,
@@ -141,9 +119,10 @@ pub struct SemiPassiveServer {
     /// fresh decision log.
     wal_retention: Option<usize>,
     marks: bool,
-    /// Elastic-membership state (join / drain lifecycle).
-    pub elastic: Elastic,
 }
+
+/// A semi-passive replication server.
+pub type SemiPassiveServer = Replica<SemiPassive>;
 
 impl SemiPassiveServer {
     /// Creates server `site` of `group`; `defer` is the per-rank deferral
@@ -157,11 +136,8 @@ impl SemiPassiveServer {
         defer: SimDuration,
         cons: ConsensusConfig,
     ) -> Self {
-        let rank = group.iter().position(|&n| n == me).expect("member");
-        SemiPassiveServer {
-            base: ServerBase::new(site, keyspace, exec),
-            group: group.clone(),
-            rank,
+        let tech = SemiPassive {
+            rank: group.iter().position(|&n| n == me).expect("member"),
             defer,
             pool: ConsensusPool::new(me, group.clone(), cons),
             fd: HeartbeatFd::new(me, group.clone(), FdConfig::default()),
@@ -175,210 +151,38 @@ impl SemiPassiveServer {
             recovering: false,
             wal_retention: None,
             marks: site == 0,
-            elastic: Elastic::new(me, group),
-        }
-    }
-
-    /// Marks this server as a cold joiner: it starts outside the view and
-    /// acquires state + membership via `JoinReq`/`Welcome`.
-    pub fn begin_join(&mut self) {
-        self.elastic.begin_join();
-    }
-
-    /// Re-syncs the derived membership views (forward group, consensus
-    /// group, fd peers, deferral rank) from `elastic.servers`.
-    fn sync_membership(&mut self) {
-        self.group = self.elastic.servers.clone();
-        self.pool.set_group(self.group.clone());
-        self.fd.set_peers(self.group.clone());
-        self.rank = self
-            .group
-            .iter()
-            .position(|&n| n == self.elastic.me)
-            .unwrap_or(0);
+        };
+        Replica::around(site, me, group, keyspace, exec, tech)
     }
 
     /// Caps the decision log's retention (`None` = unbounded). A finite
     /// cap forces snapshot transfers for peers that fall behind the
     /// truncation point.
-    pub fn set_log_retention(&mut self, max_entries: Option<usize>) {
-        self.wal_retention = max_entries;
-        self.wal.set_retention(max_entries);
+    pub fn with_log_retention(mut self, max_entries: Option<usize>) -> Self {
+        self.tech.wal_retention = max_entries;
+        self.tech.wal.set_retention(max_entries);
+        self
     }
+}
 
-    /// Accepts a client operation, honouring the elastic lifecycle: answer
-    /// from cache, reroute while draining, buffer while joining, else feed
-    /// the normal pending/forward/engage path.
-    fn invoke(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, SemiPassiveMsg::Reply(resp));
-            return;
-        }
-        if self.elastic.rerouting() {
-            let servers = self.elastic.remaining();
-            ctx.send(
-                op.client,
-                SemiPassiveMsg::Member(MemberMsg::Reroute { op: op.id, servers }),
-            );
-            return;
-        }
-        if self.elastic.joining {
-            self.elastic.buffered.push(op);
-            return;
-        }
-        if self.recovering || self.pending.contains_key(&op.id) {
-            return;
-        }
-        self.pending.insert(op.id, op.clone());
-        for &m in &self.group.clone() {
-            if m != ctx.me() {
-                ctx.send(m, SemiPassiveMsg::Fwd(op.clone()));
-            }
-        }
-        self.engage(ctx);
-    }
-
-    /// Handles elastic-membership traffic.
-    fn member(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>, from: NodeId, msg: MemberMsg) {
-        match msg {
-            MemberMsg::JoinReq => {
-                // Rank-0 admits (idempotently on retransmit): the group
-                // update and the state snapshot are taken atomically, so
-                // the joiner's slot cursor matches the transferred store.
-                if !self.elastic.is_coordinator()
-                    || self.elastic.joining
-                    || self.recovering
-                    || self.elastic.rerouting()
-                {
-                    return;
-                }
-                self.elastic.admit(from);
-                self.sync_membership();
-                for &n in &self.group.clone() {
-                    if n != self.elastic.me && n != from {
-                        ctx.send(
-                            n,
-                            SemiPassiveMsg::Member(MemberMsg::ViewAdd {
-                                servers: self.group.clone(),
-                            }),
-                        );
-                    }
-                }
-                // The store reflects slots `[0, next_slot)` exactly, so a
-                // snapshot at the slot cursor hands the joiner a
-                // consistent prefix; consensus refills anything beyond.
-                let transfer = Transfer::snapshot(&self.base.store, self.next_slot);
-                ctx.send(
-                    from,
-                    SemiPassiveMsg::Member(MemberMsg::Welcome {
-                        servers: self.group.clone(),
-                        transfer: Some(Box::new(transfer)),
-                        pos: self.next_slot,
-                        gpos: self.next_slot,
-                        answered: Elastic::answered_floor(&self.base),
-                    }),
-                );
-            }
-            MemberMsg::ViewAdd { servers } => {
-                self.elastic.install(servers);
-                self.sync_membership();
-            }
-            MemberMsg::ViewAck { .. } => {}
-            MemberMsg::Welcome {
-                servers,
-                transfer,
-                pos: _,
-                gpos: _,
-                answered,
-            } => {
-                if !self.elastic.joining {
-                    return;
-                }
-                self.elastic.joining = false;
-                self.elastic.install(servers);
-                self.sync_membership();
-                if let Some(t) = transfer {
-                    let high = self.base.install_transfer(&t);
-                    match t.strategy {
-                        TransferStrategy::LogSuffix => {
-                            for ws in &t.entries {
-                                self.wal.append(ws.clone());
-                            }
-                        }
-                        TransferStrategy::Snapshot => self.wal.skip_to(high),
-                    }
-                    self.next_slot = self.next_slot.max(high);
-                    self.decided = self.decided.split_off(&self.next_slot);
-                }
-                self.engaged_slot = None;
-                self.elastic.answered = answered.into_iter().collect();
-                self.base.recovery.complete(ctx.now().ticks());
-                // Start heartbeats now that the group knows us, re-enter
-                // any undecided instance, then work the buffered backlog.
-                self.fd.reset();
-                repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
-                self.drive_fd(ctx);
-                self.pool.resume(&mut self.pool_out);
-                self.drive_pool(ctx);
-                for op in std::mem::take(&mut self.elastic.buffered) {
-                    self.invoke(ctx, op);
-                }
-                self.engage(ctx);
-            }
-            MemberMsg::ViewDrop { node } => {
-                self.elastic.remove(node);
-                self.sync_membership();
-                self.engage(ctx);
-            }
-            MemberMsg::Reroute { .. } => {}
-        }
-    }
-
-    /// Completes a drain once local work has quiesced: leave the group,
-    /// announce the departure, and retire.
-    fn try_retire(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        if self.elastic.drain != DrainState::Draining {
-            return;
-        }
-        if !self.pending.is_empty() {
-            ctx.set_timer(SimDuration::from_ticks(DRAIN_TICK_TICKS), DRAIN_TICK_TAG);
-            return;
-        }
-        let remaining = self.elastic.remaining();
-        self.pool.set_group(remaining.clone());
-        // Stop heartbeating: the survivors drop us from their detectors on
-        // `ViewDrop`, so going quiet cannot raise a suspicion there.
-        self.fd.set_peers(Vec::new());
-        for &n in &remaining {
-            ctx.send(
-                n,
-                SemiPassiveMsg::Member(MemberMsg::ViewDrop {
-                    node: self.elastic.me,
-                }),
-            );
-        }
-        self.group = remaining.clone();
-        self.elastic.servers = remaining;
-        self.elastic.drain = DrainState::Retired;
-    }
-
+impl SemiPassive {
     /// The effective deferral rank: servers suspected by our failure
     /// detector no longer count ahead of us.
-    fn effective_rank(&self) -> usize {
-        self.group[..self.rank]
+    fn effective_rank(&self, sh: &Shell) -> usize {
+        sh.servers()[..self.rank]
             .iter()
             .filter(|&&s| !self.fd.is_suspected(s))
             .count()
     }
 
-    fn engage(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn engage(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
         if self.recovering || self.pending.is_empty() || self.engaged_slot == Some(self.next_slot) {
             return;
         }
         self.engaged_slot = Some(self.next_slot);
-        let rank = self.effective_rank();
+        let rank = self.effective_rank(sh);
         if rank == 0 {
-            self.execute_and_propose(ctx);
+            self.execute_and_propose(sh, ctx);
         } else {
             // Deferred initial value: only execute if the slot is still
             // undecided after our rank's suspicion delay.
@@ -387,29 +191,29 @@ impl SemiPassiveServer {
     }
 
     /// Applies what the failure detector queued and reacts to its verdicts.
-    fn drive_fd(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
         let mut out = std::mem::take(&mut self.fd_out);
         repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, SemiPassiveMsg::Fd, |ctx, ev| {
-            self.on_fd_event(ctx, ev)
+            self.on_fd_event(sh, ctx, ev)
         });
         self.fd_out = out;
     }
 
-    fn on_fd_event(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>, ev: FdEvent) {
+    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>, ev: FdEvent) {
         if let FdEvent::Suspect(_) = ev {
             // A predecessor died: if we are now first in line for the
             // current slot, act immediately instead of waiting out the
             // deferral timer.
-            if self.effective_rank() == 0
+            if self.effective_rank(sh) == 0
                 && !self.pending.is_empty()
                 && self.engaged_slot == Some(self.next_slot)
             {
-                self.execute_and_propose(ctx);
+                self.execute_and_propose(sh, ctx);
             }
         }
     }
 
-    fn execute_and_propose(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn execute_and_propose(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
         let Some((_, op)) = self.pending.iter().next() else {
             return;
         };
@@ -418,21 +222,22 @@ impl SemiPassiveServer {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
         let txn = global_txn(op.id);
-        let (_rs, ws, resp) = self.base.execute_shadow(&op, txn);
+        let (_rs, ws, resp) = sh.base.execute_shadow(&op, txn);
         // Every member consumes the decided slot exactly once (losing
         // proposals leak their span, which is safe and rare).
-        let ws = self.base.make_payload(ws, self.group.len() as u32);
+        let members = sh.servers().len() as u32;
+        let ws = sh.base.make_payload(ws, members);
         self.pool.propose(
             self.next_slot,
             Proposal { op, ws, resp },
             &mut self.pool_out,
         );
-        self.drive_pool(ctx);
+        self.drive_pool(sh, ctx);
     }
 
     /// Applies what the consensus pool queued, records the slots it
     /// decided and installs the decided prefix.
-    fn drive_pool(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn drive_pool(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
         let mut out = std::mem::take(&mut self.pool_out);
         repl_gcs::apply_outbox(
             ctx,
@@ -452,110 +257,104 @@ impl SemiPassiveServer {
             self.pending.remove(&p.op.id);
             // Mirror every decision so wal index == slot, even for
             // duplicate decision content (keeps donor watermarks exact).
-            self.wal.append(self.base.materialize_payload(&p.ws));
-            if self.base.cached(p.op.id).is_some() || self.elastic.answered.contains(&p.op.id) {
+            self.wal.append(sh.base.materialize_payload(&p.ws));
+            if sh.base.cached(p.op.id).is_some() || sh.answered_before_join(p.op.id) {
                 // Already installed (duplicate decision content, or the
                 // join donor answered it before the snapshot); this site
                 // still consumed the slot.
-                self.base.release_payload(&p.ws);
+                sh.base.release_payload(&p.ws);
                 continue;
             }
             if self.marks {
                 ctx.mark(Phase::AgreementCoordination.tag(), p.op.id.0, 0);
             }
-            self.base.install_payload(&p.ws);
-            self.base.release_payload(&p.ws);
-            self.base.remember(&p.resp);
+            sh.base.install_payload(&p.ws);
+            sh.base.release_payload(&p.ws);
+            sh.base.remember(&p.resp);
             ctx.send(p.op.client, SemiPassiveMsg::Reply(p.resp));
         }
         if progressed {
-            self.engage(ctx);
+            self.engage(sh, ctx);
         }
     }
 
-    /// Re-enters the group after the database state is back in place
-    /// (directly on crash recovery; after the restore download when a
-    /// volume loss forced a rebuild from the durable tier).
-    fn rejoin_now(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        // Timers died with the process: restart heartbeats, dropping
-        // pre-crash miss counters so the first tick cannot suspect a
-        // live peer on stale evidence.
+    /// (Re)starts heartbeats, dropping stale miss counters so the first
+    /// tick cannot suspect a live peer on old evidence.
+    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
         self.fd.reset();
         repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
-        self.drive_fd(ctx);
-        // Pending requests may have been decided while we were down;
-        // clients re-forward anything genuinely unanswered.
-        self.pending.clear();
-        self.engaged_slot = None;
-        if self.group.len() == 1 {
-            self.pool.resume(&mut self.pool_out);
-            self.drive_pool(ctx);
-            self.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        self.recovering = true;
-        for &m in &self.group.clone() {
-            if m != ctx.me() {
-                ctx.send(m, SemiPassiveMsg::SyncReq(self.next_slot));
+        self.drive_fd(sh, ctx);
+    }
+
+    /// Installs a catch-up transfer and moves the slot cursor past it:
+    /// a suffix extends the decision log, a snapshot rebases it.
+    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer) {
+        let high = sh.base.install_transfer(t);
+        match t.strategy {
+            TransferStrategy::LogSuffix => {
+                for ws in &t.entries {
+                    self.wal.append(ws.clone());
+                }
             }
+            TransferStrategy::Snapshot => self.wal.skip_to(high),
         }
+        self.next_slot = self.next_slot.max(high);
+        self.decided = self.decided.split_off(&self.next_slot);
+    }
+
+    /// A fresh decision log based at `slot`.
+    fn reset_wal(&mut self, slot: u64) {
+        self.wal = RedoLog::new();
+        self.wal.set_retention(self.wal_retention);
+        self.wal.skip_to(slot);
     }
 }
 
-impl Actor<SemiPassiveMsg> for SemiPassiveServer {
-    fn on_start(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        if self.elastic.joining {
-            // Cold joiner: ask the coordinator for admission + state and
-            // stay quiet (no heartbeats) until welcomed.
-            self.base.recovery.begin(ctx.now().ticks());
-            let target = self.elastic.join_target();
-            ctx.send(target, SemiPassiveMsg::Member(MemberMsg::JoinReq));
-            ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
+impl Technique for SemiPassive {
+    type Msg = SemiPassiveMsg;
+
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>, op: ClientOp) {
+        if self.recovering || self.pending.contains_key(&op.id) {
             return;
         }
-        repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
-        self.drive_fd(ctx);
+        self.pending.insert(op.id, op.clone());
+        for m in sh.peers() {
+            ctx.send(m, SemiPassiveMsg::Fwd(op.clone()));
+        }
+        self.engage(sh, ctx);
     }
 
-    fn on_message(
+    fn on_protocol_msg(
         &mut self,
+        sh: &mut Shell,
         ctx: &mut Context<'_, SemiPassiveMsg>,
         from: NodeId,
         msg: SemiPassiveMsg,
     ) {
-        if self.base.restoring() {
-            return; // deaf until the volume restore download completes
-        }
         match msg {
-            SemiPassiveMsg::Invoke(op) => {
-                self.invoke(ctx, op);
-            }
+            SemiPassiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             SemiPassiveMsg::Fwd(op) => {
                 if !self.recovering
-                    && !self.elastic.joining
-                    && !self.elastic.rerouting()
-                    && self.base.cached(op.id).is_none()
+                    && !sh.joining()
+                    && !sh.rerouting()
+                    && sh.base.cached(op.id).is_none()
                     && !self.pending.contains_key(&op.id)
                 {
                     self.pending.insert(op.id, op);
-                    self.engage(ctx);
+                    self.engage(sh, ctx);
                 }
             }
             SemiPassiveMsg::Cons(c) => {
                 repl_gcs::Component::on_message(&mut self.pool, from, c, &mut self.pool_out);
-                self.drive_pool(ctx);
+                self.drive_pool(sh, ctx);
             }
             SemiPassiveMsg::Fd(m) => {
                 repl_gcs::Component::on_message(&mut self.fd, from, m, &mut self.fd_out);
-                self.drive_fd(ctx);
-            }
-            SemiPassiveMsg::Reply(_) => {}
-            SemiPassiveMsg::Member(m) => {
-                self.member(ctx, from, m);
+                self.drive_fd(sh, ctx);
             }
             SemiPassiveMsg::SyncReq(have) => {
-                if !self.recovering && !self.elastic.joining {
-                    let t = Transfer::from_log(&self.wal, &self.base.store, have);
+                if !self.recovering && !sh.joining() {
+                    let t = Transfer::from_log(&self.wal, &sh.base.store, have);
                     ctx.send(from, SemiPassiveMsg::SyncData(Box::new(t)));
                 }
             }
@@ -564,112 +363,154 @@ impl Actor<SemiPassiveMsg> for SemiPassiveServer {
                     return;
                 }
                 self.recovering = false;
-                let high = self.base.install_transfer(&t);
-                match t.strategy {
-                    TransferStrategy::LogSuffix => {
-                        for ws in &t.entries {
-                            self.wal.append(ws.clone());
-                        }
-                    }
-                    TransferStrategy::Snapshot => self.wal.skip_to(high),
-                }
-                self.next_slot = self.next_slot.max(high);
-                self.decided = self.decided.split_off(&self.next_slot);
+                self.install_catch_up(sh, &t);
                 self.engaged_slot = None;
-                self.base.recovery.complete(ctx.now().ticks());
+                sh.base.recovery.complete(ctx.now().ticks());
                 // Re-enter any instance still undecided group-wide, then
                 // start working the backlog again.
                 self.pool.resume(&mut self.pool_out);
-                self.drive_pool(ctx);
-                self.engage(ctx);
+                self.drive_pool(sh, ctx);
+                self.engage(sh, ctx);
             }
+            SemiPassiveMsg::Reply(_) | SemiPassiveMsg::Member(_) => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>, _timer: TimerId, tag: u64) {
-        // RESTORE_TAG exceeds FD_BASE, so it must be matched before the
-        // range dispatch below.
-        if tag == RESTORE_TAG {
-            self.base.finish_restore();
-            self.rejoin_now(ctx);
-            return;
-        }
-        if self.base.restoring() {
-            return;
-        }
-        // Elastic tags sit near u64::MAX, above the component ranges.
-        if tag == JOIN_RETRY_TAG {
-            if self.elastic.joining {
-                let target = self.elastic.join_target();
-                ctx.send(target, SemiPassiveMsg::Member(MemberMsg::JoinReq));
-                ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
-            }
-            return;
-        }
-        if tag == DRAIN_TICK_TAG {
-            self.try_retire(ctx);
-            return;
-        }
+    fn on_protocol_timer(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiPassiveMsg>,
+        tag: u64,
+    ) {
         if tag >= FD_BASE {
             repl_gcs::Component::on_timer(&mut self.fd, tag - FD_BASE, &mut self.fd_out);
-            self.drive_fd(ctx);
+            self.drive_fd(sh, ctx);
         } else if tag >= CONS_BASE {
             repl_gcs::Component::on_timer(&mut self.pool, tag - CONS_BASE, &mut self.pool_out);
-            self.drive_pool(ctx);
-        } else {
+            self.drive_pool(sh, ctx);
+        } else if tag == self.next_slot && !self.pending.is_empty() {
             // Deferral timer for a slot: execute only if still undecided.
-            if tag == self.next_slot && !self.pending.is_empty() {
-                self.execute_and_propose(ctx);
-            }
+            self.execute_and_propose(sh, ctx);
         }
     }
 
-    fn on_drain(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        if self.elastic.drain == DrainState::Active {
-            self.elastic.drain = DrainState::Draining;
-            self.try_retire(ctx);
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+        // A cold joiner stays quiet (no heartbeats) until welcomed.
+        if !sh.joining() {
+            repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
+            self.drive_fd(sh, ctx);
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        self.base.recovery.begin(ctx.now().ticks());
-        if let Some(plan) = self.base.begin_restore(ctx.now().ticks()) {
-            // The durable tier cannot reconstruct the slot-indexed
-            // decision log (duplicate decisions are logged but never
-            // noted), so treat the restore like a snapshot catch-up: an
-            // empty log based at the restored cursor. Earlier suffixes
-            // are simply donated by peers instead of us.
-            self.wal = RedoLog::new();
-            self.wal.set_retention(self.wal_retention);
-            self.wal.skip_to(plan.token);
-            self.next_slot = plan.token;
-            self.decided.clear();
-            if plan.delay > 0 {
-                ctx.set_timer(SimDuration::from_ticks(plan.delay), RESTORE_TAG);
-                return;
-            }
-            self.base.finish_restore();
-        }
-        self.rejoin_now(ctx);
+    /// Re-derives the consensus group, the fd peers and the deferral rank
+    /// from the view.
+    fn view_changed(&mut self, sh: &mut Shell) {
+        self.pool.set_group(sh.servers().to_vec());
+        self.fd.set_peers(sh.servers().to_vec());
+        self.rank = sh.servers().iter().position(|&n| n == sh.me()).unwrap_or(0);
     }
 
-    fn on_volume_loss(&mut self, now: SimTime) {
-        self.base.wipe_volume(now.ticks());
-        self.wal = RedoLog::new();
-        self.wal.set_retention(self.wal_retention);
+    fn can_admit(&self, sh: &Shell) -> bool {
+        !self.recovering && !sh.rerouting()
+    }
+
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+        // The store reflects slots `[0, next_slot)` exactly, so a
+        // snapshot at the slot cursor hands the joiner a consistent
+        // prefix; consensus refills anything beyond.
+        let snapshot = Transfer::snapshot(&sh.base.store, self.next_slot);
+        (Some(snapshot), self.next_slot, self.next_slot)
+    }
+
+    fn welcomed(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiPassiveMsg>,
+        transfer: Option<&Transfer>,
+        _pos: u64,
+        _gpos: u64,
+    ) {
+        if let Some(t) = transfer {
+            self.install_catch_up(sh, t);
+        }
+        self.engaged_slot = None;
+        sh.base.recovery.complete(ctx.now().ticks());
+        // Start heartbeats now that the group knows us and re-enter any
+        // undecided instance; the buffered backlog follows.
+        self.restart_fd(sh, ctx);
+        self.pool.resume(&mut self.pool_out);
+        self.drive_pool(sh, ctx);
+    }
+
+    fn member_left(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiPassiveMsg>,
+        _node: NodeId,
+        _was_first: bool,
+    ) {
+        self.engage(sh, ctx);
+    }
+
+    fn quiesced(&self, _sh: &Shell) -> bool {
+        self.pending.is_empty()
+    }
+
+    fn retire(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, SemiPassiveMsg>,
+        remaining: &[NodeId],
+    ) {
+        self.pool.set_group(remaining.to_vec());
+        // Stop heartbeating: the survivors drop us from their detectors on
+        // `ViewDrop`, so going quiet cannot raise a suspicion there.
+        self.fd.set_peers(Vec::new());
+    }
+
+    fn volume_lost(&mut self, _sh: &mut Shell) {
+        self.reset_wal(0);
         self.pending.clear();
         self.decided.clear();
         self.engaged_slot = None;
         self.next_slot = 0;
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        // The slot cursor is the frame token: a restore resumes exactly
-        // at the next undecided slot the sealed state reflects.
-        self.base.seal_now(ctx.now().ticks(), self.next_slot);
+    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+        // The durable tier cannot reconstruct the slot-indexed decision
+        // log (duplicate decisions are logged but never noted), so treat
+        // the restore like a snapshot catch-up: an empty log based at the
+        // restored cursor. Earlier suffixes are simply donated by peers
+        // instead of us.
+        self.reset_wal(plan.token);
+        self.next_slot = plan.token;
+        self.decided.clear();
     }
 
-    impl_as_any!();
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+        // Timers died with the process.
+        self.restart_fd(sh, ctx);
+        // Pending requests may have been decided while we were down;
+        // clients re-forward anything genuinely unanswered.
+        self.pending.clear();
+        self.engaged_slot = None;
+        if sh.servers().len() == 1 {
+            self.pool.resume(&mut self.pool_out);
+            self.drive_pool(sh, ctx);
+            sh.base.recovery.complete(ctx.now().ticks());
+            return;
+        }
+        self.recovering = true;
+        for m in sh.peers() {
+            ctx.send(m, SemiPassiveMsg::SyncReq(self.next_slot));
+        }
+    }
+
+    /// The slot cursor: a restore resumes exactly at the next undecided
+    /// slot the sealed state reflects.
+    fn position(&self, _sh: &Shell) -> u64 {
+        self.next_slot
+    }
 }
 
 #[cfg(test)]
@@ -742,6 +583,7 @@ mod tests {
         // coordinator's execution counts.
         let fp0 = world
             .actor_ref::<SemiPassiveServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -749,6 +591,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<SemiPassiveServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -772,11 +615,13 @@ mod tests {
         assert!(client.is_done(), "client stuck after coordinator crash");
         let fp1 = world
             .actor_ref::<SemiPassiveServer>(servers[1])
+            .shell
             .base
             .store
             .fingerprint();
         let fp2 = world
             .actor_ref::<SemiPassiveServer>(servers[2])
+            .shell
             .base
             .store
             .fingerprint();
@@ -784,6 +629,7 @@ mod tests {
         assert_eq!(
             world
                 .actor_ref::<SemiPassiveServer>(servers[1])
+                .shell
                 .base
                 .store
                 .read(Key(1))
@@ -811,6 +657,7 @@ mod tests {
         }
         let fp0 = world
             .actor_ref::<SemiPassiveServer>(servers[0])
+            .shell
             .base
             .store
             .fingerprint();
@@ -818,6 +665,7 @@ mod tests {
             assert_eq!(
                 world
                     .actor_ref::<SemiPassiveServer>(s)
+                    .shell
                     .base
                     .store
                     .fingerprint(),
@@ -826,7 +674,7 @@ mod tests {
         }
         let mut merged = repl_db::ReplicatedHistory::new();
         for &s in &servers {
-            merged.merge(&world.actor_ref::<SemiPassiveServer>(s).base.history);
+            merged.merge(&world.actor_ref::<SemiPassiveServer>(s).shell.base.history);
         }
         assert!(merged.check_one_copy_serializable().is_ok());
     }

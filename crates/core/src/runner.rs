@@ -4,34 +4,29 @@
 use repl_db::DeadlockPolicy;
 use repl_gcs::{BatchConfig, ConsensusConfig, FdConfig, VsConfig};
 use repl_sim::{
-    Actor, LatencyHistogram, LatencyStats, Message, NetworkConfig, NodeId, SimConfig, SimDuration,
-    SimTime, World,
+    Actor, LatencyHistogram, LatencyStats, NetworkConfig, NodeId, SimConfig, SimDuration, SimTime,
+    World,
 };
 use repl_workload::{
-    ArrivalDist, ArrivalStream, CrashSchedule, FaultEvent, FaultPlan, FaultPlanError,
-    MembershipEvent, MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
+    ArrivalDist, ArrivalStream, FaultEvent, FaultPlan, FaultPlanError, MembershipEvent,
+    MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
 };
 
-use crate::client::{AggregateClients, ClientActor, ClientGroup, OpenLoopClient, ProtocolMsg};
+use crate::client::{AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient};
 use crate::durability::DurabilityConfig;
 use crate::phase::PhaseTrace;
 use crate::protocols::common::{op_of_txn, AbcastImpl, ExecutionMode, ShardCtx};
 use crate::protocols::lazy_ue::ReconcileMode;
+use crate::protocols::replica::{Replica, Technique as Flow};
 use crate::protocols::{
-    active::{ActiveMsg, ActiveServer},
-    certification::{CertMsg, CertServer},
-    eager_primary::{EagerPrimaryMsg, EagerPrimaryServer},
-    eager_ue_abcast::{EuaMsg, EuaServer},
-    eager_ue_lock::{EulMsg, EulServer},
-    lazy_primary::{LazyPrimaryMsg, LazyPrimaryServer},
-    lazy_ue::{LazyUeMsg, LazyUeServer},
-    passive::{PassiveMsg, PassiveServer},
-    semi_active::{SemiActiveMsg, SemiActiveServer},
-    semi_passive::{SemiPassiveMsg, SemiPassiveServer},
+    active::ActiveServer, certification::CertServer, eager_primary::EagerPrimaryServer,
+    eager_ue_abcast::EuaServer, eager_ue_lock::EulServer, lazy_primary::LazyPrimaryServer,
+    lazy_ue::LazyUeServer, passive::PassiveServer, semi_active::SemiActiveServer,
+    semi_passive::SemiPassiveServer,
 };
-use crate::report::{RunReport, ShardingReport};
+use crate::report::{Availability, DurabilityReport, NodeRecovery, RunReport, ShardingReport};
 use crate::sharded_client::{ReplyMode, ShardedClient};
-use crate::technique::{Technique, UpdateLocation};
+use crate::technique::Technique;
 
 /// How clients generate load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -197,13 +192,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets a crash-only fault load (compatibility shim over
-    /// [`RunConfig::with_faults`]).
-    pub fn with_crashes(mut self, c: CrashSchedule) -> Self {
-        self.faults = FaultPlan::from(c);
-        self
-    }
-
     /// Sets the elastic-membership plan (mid-run joins and drains).
     pub fn with_membership(mut self, m: MembershipPlan) -> Self {
         self.membership = m;
@@ -354,26 +342,6 @@ fn tuned_vs(net: &NetworkConfig) -> VsConfig {
 /// Semi-passive deferral step scaled to the network.
 fn tuned_defer(net: &NetworkConfig) -> SimDuration {
     SimDuration::from_ticks((6 * max_delay(net)).max(3_000))
-}
-
-/// Per-server statistics the collector extracts after a run. The
-/// history stays with the server: the driver only merges from it.
-struct ServerStats<'a> {
-    history: &'a repl_db::ReplicatedHistory,
-    fingerprint: u64,
-    aborted: u64,
-    reconciliations: u64,
-    wounds: u64,
-    recovery: repl_db::RecoveryTracker,
-    volume_wipes: u64,
-    lost: Vec<repl_db::TxnId>,
-    restores: u64,
-    restore_bytes: u64,
-    restore_ticks: u64,
-    upload_puts: u64,
-    upload_bytes: u64,
-    upload_cost: u64,
-    frames_sealed: u64,
 }
 
 /// Why an experiment run could not be performed.
@@ -599,316 +567,396 @@ fn validate_sharded(cfg: &RunConfig) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Routes a technique to the flat or the sharded driver. The `cross`
-/// hook enables a server's cross-shard mode (present exactly for the
-/// three techniques with a cross-group commit path); it is applied only
-/// when the workload actually produces cross-shard transactions, so a
-/// `cross_shard_ratio == 0` run uses the stock protocol per group.
-fn route<M, S>(
+/// Routes a technique to the flat or the sharded driver. `build` makes
+/// one bare server of the technique; the drivers seat it (see [`seat`]).
+fn route<T: Flow>(
     cfg: &RunConfig,
-    build: impl Fn(u32, NodeId, Vec<NodeId>, &RunConfig, bool) -> Box<dyn Actor<M>>,
-    cross: Option<fn(&mut S, ShardCtx)>,
-    collect: impl Fn(&S) -> ServerStats<'_>,
-) -> RunReport
-where
-    M: Message + ProtocolMsg,
-    S: 'static,
-{
+    build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
+) -> RunReport {
     if cfg.workload.shards > 1 {
-        drive_sharded(cfg, build, cross, collect)
+        drive_sharded(cfg, build)
     } else {
-        drive(cfg, build, collect)
+        drive(cfg, build)
     }
 }
 
-/// Technique dispatch: monomorphises [`drive`] for the technique's
-/// message and server types. Assumes `cfg` was already validated.
+/// Technique dispatch: monomorphises the drivers for the technique's
+/// server type. Assumes `cfg` was already validated.
 fn dispatch(cfg: &RunConfig) -> RunReport {
-    match cfg.technique {
-        Technique::Active => route::<ActiveMsg, ActiveServer>(
-            cfg,
-            |site, me, group, c, joiner| {
-                let mut srv = ActiveServer::new(
-                    site,
-                    me,
-                    group,
-                    c.workload.keyspace(),
-                    c.exec,
-                    c.abcast,
-                    tuned_consensus(&c.network),
-                )
-                .with_batching(c.batching);
-                if joiner {
-                    srv.begin_join();
-                }
-                srv.base.set_durability(&c.durability, c.fsync_ticks);
-                srv.base.set_lean(c.lean_servers());
-                Box::new(srv)
-            },
-            Some(|s: &mut ActiveServer, sc| s.enable_cross_shard(sc)),
-            |s| base_stats(&s.base),
-        ),
-        Technique::Passive => {
-            let arena = run_arena(cfg);
-            route::<PassiveMsg, PassiveServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = PassiveServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        tuned_vs(&c.network),
-                    );
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
-        Technique::SemiActive => route::<SemiActiveMsg, SemiActiveServer>(
-            cfg,
-            |site, me, group, c, joiner| {
-                let mut srv = SemiActiveServer::new(
-                    site,
-                    me,
-                    group,
-                    c.workload.keyspace(),
-                    c.exec,
-                    c.abcast,
-                    tuned_vs(&c.network),
-                )
-                .with_batching(c.batching);
-                if joiner {
-                    srv.begin_join();
-                }
-                srv.base.set_durability(&c.durability, c.fsync_ticks);
-                srv.base.set_lean(c.lean_servers());
-                Box::new(srv)
-            },
-            None,
-            |s| base_stats(&s.base),
-        ),
-        Technique::SemiPassive => {
-            let arena = run_arena(cfg);
-            route::<SemiPassiveMsg, SemiPassiveServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = SemiPassiveServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        tuned_defer(&c.network),
-                        tuned_consensus(&c.network),
-                    );
-                    srv.set_log_retention(c.log_retention);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
-        Technique::EagerPrimary => {
-            let arena = run_arena(cfg);
-            route::<EagerPrimaryMsg, EagerPrimaryServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = EagerPrimaryServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        tuned_fd(&c.network),
-                    )
-                    .with_batching(c.batching);
-                    srv.set_log_retention(c.log_retention);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
-        Technique::EagerUpdateEverywhereLocking => route::<EulMsg, EulServer>(
-            cfg,
-            |site, me, group, c, joiner| {
-                let mut srv =
-                    EulServer::new(site, me, group, c.workload.keyspace(), c.exec, c.deadlock)
-                        .with_rowa(c.rowa);
-                if joiner {
-                    srv.begin_join();
-                }
-                srv.base.set_durability(&c.durability, c.fsync_ticks);
-                srv.base.set_lean(c.lean_servers());
-                Box::new(srv)
-            },
-            Some(|s: &mut EulServer, sc| s.enable_cross_shard(sc)),
-            |s| {
-                let mut stats = base_stats(&s.base);
-                stats.wounds = s.wounds;
-                stats
-            },
-        ),
-        Technique::EagerUpdateEverywhereAbcast => route::<EuaMsg, EuaServer>(
-            cfg,
-            |site, me, group, c, joiner| {
-                let mut srv = EuaServer::new(
-                    site,
-                    me,
-                    group,
-                    c.workload.keyspace(),
-                    c.exec,
-                    c.abcast,
-                    tuned_consensus(&c.network),
-                )
-                .with_batching(c.batching);
-                if joiner {
-                    srv.begin_join();
-                }
-                srv.base.set_durability(&c.durability, c.fsync_ticks);
-                srv.base.set_lean(c.lean_servers());
-                Box::new(srv)
-            },
-            Some(|s: &mut EuaServer, sc| s.enable_cross_shard(sc)),
-            |s| base_stats(&s.base),
-        ),
-        Technique::LazyPrimary => {
-            let arena = run_arena(cfg);
-            route::<LazyPrimaryMsg, LazyPrimaryServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = LazyPrimaryServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        c.propagation_delay,
-                    )
-                    .with_batching(c.batching);
-                    srv.set_log_retention(c.log_retention);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
-        Technique::LazyUpdateEverywhere => {
-            let arena = run_arena(cfg);
-            route::<LazyUeMsg, LazyUeServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = LazyUeServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        c.propagation_delay,
-                    )
-                    .with_reconcile(c.reconcile);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| {
-                    let mut stats = base_stats(&s.base);
-                    stats.reconciliations = s.reconciliations;
-                    stats
-                },
-            )
-        }
-        Technique::Certification => {
-            let arena = run_arena(cfg);
-            route::<CertMsg, CertServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = CertServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        c.abcast,
-                        tuned_consensus(&c.network),
-                    )
-                    .with_batching(c.batching);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
+    let c = cfg;
+    let ks = c.workload.keyspace();
+    let (cons, vs, fd) = (
+        tuned_consensus(&c.network),
+        tuned_vs(&c.network),
+        tuned_fd(&c.network),
+    );
+    let (delay, defer) = (c.propagation_delay, tuned_defer(&c.network));
+    match c.technique {
+        Technique::Active => route(c, |site, me, group| {
+            ActiveServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
+        }),
+        Technique::Passive => route(c, |site, me, group| {
+            PassiveServer::new(site, me, group, ks, c.exec, vs)
+        }),
+        Technique::SemiActive => route(c, |site, me, group| {
+            SemiActiveServer::new(site, me, group, ks, c.exec, c.abcast, vs)
+                .with_batching(c.batching)
+        }),
+        Technique::SemiPassive => route(c, |site, me, group| {
+            SemiPassiveServer::new(site, me, group, ks, c.exec, defer, cons)
+                .with_log_retention(c.log_retention)
+        }),
+        Technique::EagerPrimary => route(c, |site, me, group| {
+            EagerPrimaryServer::new(site, me, group, ks, c.exec, fd)
+                .with_batching(c.batching)
+                .with_log_retention(c.log_retention)
+        }),
+        Technique::EagerUpdateEverywhereLocking => route(c, |site, me, group| {
+            EulServer::new(site, me, group, ks, c.exec, c.deadlock).with_rowa(c.rowa)
+        }),
+        Technique::EagerUpdateEverywhereAbcast => route(c, |site, me, group| {
+            EuaServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
+        }),
+        Technique::LazyPrimary => route(c, |site, me, group| {
+            LazyPrimaryServer::new(site, me, group, ks, c.exec, delay)
+                .with_batching(c.batching)
+                .with_log_retention(c.log_retention)
+        }),
+        Technique::LazyUpdateEverywhere => route(c, |site, me, group| {
+            LazyUeServer::new(site, me, group, ks, c.exec, delay).with_reconcile(c.reconcile)
+        }),
+        Technique::Certification => route(c, |site, me, group| {
+            CertServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
+        }),
+    }
+}
+
+/// Adds a bare server to the world after applying the run-wide setup
+/// (durable tier, lean mode, the run's shared payload arena); `cross`
+/// switches it to the cross-shard mode, `joiner` boots it as a dormant
+/// cold joiner.
+fn seat<T: Flow>(
+    world: &mut World<T::Msg>,
+    cfg: &RunConfig,
+    arena: &Option<repl_db::SharedArena>,
+    mut srv: Replica<T>,
+    joiner: bool,
+    cross: Option<ShardCtx>,
+) {
+    srv.equip(
+        &cfg.durability,
+        cfg.fsync_ticks,
+        cfg.lean_servers(),
+        arena.clone(),
+    );
+    if let Some(ctx) = cross {
+        srv.enable_cross_shard(ctx);
+    }
+    if joiner {
+        srv.begin_join();
+        world.add_dormant_actor(Box::new(srv));
+    } else {
+        world.add_actor(Box::new(srv));
+    }
+}
+
+/// A world for `nodes` servers, its trace pre-sized from the workload:
+/// each transaction costs a few messages per server (send + deliver
+/// records) plus phase marks. The cap bounds the up-front buy for huge
+/// sweeps.
+fn new_world<M: repl_sim::Message>(cfg: &RunConfig, nodes: u32) -> World<M> {
+    let txns = u64::from(cfg.clients) * u64::from(cfg.workload.txns_per_client);
+    let est = txns.saturating_mul(8 * u64::from(nodes) + 8).min(1 << 22) as usize;
+    World::new(
+        SimConfig::new(cfg.seed)
+            .with_network(cfg.network.clone())
+            .with_trace(cfg.trace)
+            .with_trace_capacity(est)
+            .with_coordination_nodes(nodes),
+    )
+}
+
+/// Schedules the fault plan into the world.
+fn schedule_faults<M: repl_sim::Message>(world: &mut World<M>, faults: &FaultPlan) {
+    for ev in faults.events() {
+        match ev {
+            FaultEvent::Crash { at, node } => world.schedule_crash(*at, *node),
+            FaultEvent::Recover { at, node } => world.schedule_recover(*at, *node),
+            FaultEvent::Net { at, fault } => world.schedule_net_fault(*at, fault.clone()),
+            FaultEvent::VolumeLoss { at, node } => world.schedule_volume_loss(*at, *node),
         }
     }
 }
 
-fn base_stats(base: &crate::protocols::common::ServerBase) -> ServerStats<'_> {
-    let mut stats = ServerStats {
-        history: &base.history,
-        fingerprint: base.store.fingerprint(),
-        aborted: base.aborted,
+/// Where the workload stood when the clients finished (or the deadline
+/// hit), before the grace drain.
+struct Completion {
+    /// Message accounting stops here: the drain only exists to let lazy
+    /// propagation settle, and its background traffic (heartbeats) must
+    /// not be charged to the workload.
+    messages: repl_sim::Metrics,
+    /// Unanswered operations have their unavailability window measured
+    /// to this instant.
+    at: SimTime,
+}
+
+/// Starts the world, runs it until `all_done` or the deadline, then lets
+/// lazy propagation, pending decisions and flush traffic drain so
+/// convergence is measured after quiescence.
+fn run_to_quiescence<M: repl_sim::Message>(
+    world: &mut World<M>,
+    cfg: &RunConfig,
+    all_done: impl Fn(&World<M>) -> bool,
+) -> Completion {
+    world.start();
+    let chunk = SimDuration::from_ticks(5_000);
+    loop {
+        let next = world.now() + chunk;
+        world.run_until(next);
+        if all_done(world) || world.now() >= cfg.max_time {
+            break;
+        }
+    }
+    let completion = Completion {
+        messages: world.metrics(),
+        at: world.now(),
+    };
+    let grace = cfg.propagation_delay + SimDuration::from_ticks(50_000);
+    world.run_until(world.now() + grace);
+    completion
+}
+
+/// What the clients observed, tallied once for both drivers.
+struct ClientTally {
+    latencies: LatencyStats,
+    records: Vec<(u32, OpRecord)>,
+    completed: u64,
+    committed: u64,
+    aborted: u64,
+    unanswered: u64,
+    retries: u64,
+    /// Aggregated open loop only: the merged streaming histogram.
+    latency_hist: Option<LatencyHistogram>,
+    peak_outstanding: u64,
+    /// Aggregated open loop only: one worst gap per client *group*, and
+    /// the latest response over all groups.
+    group_worst_gaps: Vec<SimDuration>,
+    group_last_response: Option<SimTime>,
+}
+
+impl ClientTally {
+    fn new() -> Self {
+        ClientTally {
+            latencies: LatencyStats::new(),
+            records: Vec::new(),
+            completed: 0,
+            committed: 0,
+            aborted: 0,
+            unanswered: 0,
+            retries: 0,
+            latency_hist: None,
+            peak_outstanding: 0,
+            group_worst_gaps: Vec::new(),
+            group_last_response: None,
+        }
+    }
+
+    /// Counts one client's per-operation record; returns its latency if
+    /// the operation was answered.
+    fn add(&mut self, client: u32, rec: &OpRecord) -> Option<SimDuration> {
+        self.retries += rec.retries as u64;
+        let latency = rec.latency();
+        match latency {
+            Some(lat) => {
+                self.completed += 1;
+                if rec.committed() {
+                    self.committed += 1;
+                } else {
+                    self.aborted += 1;
+                }
+                self.latencies.record(lat);
+            }
+            None => self.unanswered += 1,
+        }
+        self.records.push((client, rec.clone()));
+        latency
+    }
+}
+
+/// What the servers hold after a run, folded once for both drivers.
+struct ServerFold {
+    history: repl_db::ReplicatedHistory,
+    fingerprints: Vec<u64>,
+    aborts: u64,
+    reconciliations: u64,
+    wounds: u64,
+    recoveries: Vec<NodeRecovery>,
+    durability: DurabilityReport,
+}
+
+/// Folds every node of `nodes` that was ever a member: histories merge,
+/// counters and durability figures add up, recoveries are listed per
+/// site. Convergence fingerprints come from the nodes `converges` admits
+/// only — a drained node's store is legitimately frozen at its departure.
+fn fold_servers<T: Flow>(
+    world: &World<T::Msg>,
+    cfg: &RunConfig,
+    nodes: u32,
+    converges: impl Fn(NodeId) -> bool,
+) -> ServerFold {
+    let mut fold = ServerFold {
+        history: repl_db::ReplicatedHistory::new(),
+        fingerprints: Vec::new(),
+        aborts: 0,
         reconciliations: 0,
         wounds: 0,
-        recovery: base.recovery.clone(),
-        volume_wipes: base.volume_wipes,
-        lost: Vec::new(),
-        restores: 0,
-        restore_bytes: 0,
-        restore_ticks: 0,
-        upload_puts: 0,
-        upload_bytes: 0,
-        upload_cost: 0,
-        frames_sealed: 0,
+        recoveries: Vec::new(),
+        durability: DurabilityReport {
+            enabled: cfg.durability.enabled,
+            ..Default::default()
+        },
     };
-    if let Some(tier) = &base.tier {
-        stats.lost = tier.lost.clone();
-        stats.restores = tier.restores;
-        stats.restore_bytes = tier.restore_bytes;
-        stats.restore_ticks = tier.restore_ticks;
-        stats.upload_puts = tier.object().puts();
-        stats.upload_bytes = tier.object().bytes_uploaded();
-        stats.upload_cost = tier.object().cost();
-        stats.frames_sealed = tier.frames_sealed();
+    let d = &mut fold.durability;
+    for site in 0..nodes {
+        let node = NodeId::new(site);
+        let srv = world.actor_ref::<Replica<T>>(node);
+        let base = &srv.shell.base;
+        fold.history.merge(&base.history);
+        if converges(node) {
+            fold.fingerprints.push(base.store.fingerprint());
+        }
+        fold.aborts += base.aborted;
+        let extra = srv.tech.extra_stats();
+        fold.reconciliations += extra.reconciliations;
+        fold.wounds += extra.wounds;
+        d.volume_wipes += base.volume_wipes;
+        if let Some(tier) = &base.tier {
+            d.lost_commits += tier.lost.len() as u64;
+            d.claimed_lost
+                .extend(tier.lost.iter().map(|&t| op_of_txn(t)));
+            d.restores += tier.restores;
+            d.restore_bytes += tier.restore_bytes;
+            d.restore_ticks += tier.restore_ticks;
+            d.upload_puts += tier.object().puts();
+            d.upload_bytes += tier.object().bytes_uploaded();
+            d.upload_cost += tier.object().cost();
+            d.frames_sealed += tier.frames_sealed();
+        }
+        let r = &base.recovery;
+        if r.recoveries > 0 {
+            fold.recoveries.push(NodeRecovery {
+                site,
+                recoveries: r.recoveries,
+                rejoin_at: r.rejoin_at,
+                catch_up_ticks: r.catch_up_ticks(),
+                transfer_bytes: r.transfer_bytes,
+                log_suffix_transfers: r.log_suffix_transfers,
+                snapshot_transfers: r.snapshot_transfers,
+            });
+        }
     }
-    stats
+    d.claimed_lost.sort_unstable();
+    d.claimed_lost.dedup();
+    fold
+}
+
+/// Availability: per-client worst request→response gap (unanswered ops
+/// count to `completed_at`), and failover latency anchored at the plan's
+/// first crash. Fault counts come from the world's final metrics so
+/// faults applied during the drain are still visible. On aggregated runs
+/// the gap vector is per *group* (one aggregate actor per server group),
+/// not per client.
+fn availability(
+    cfg: &RunConfig,
+    tally: &mut ClientTally,
+    completed_at: SimTime,
+    final_metrics: &repl_sim::Metrics,
+    recoveries: Vec<NodeRecovery>,
+) -> Availability {
+    let per_client_worst_gap = if tally.latency_hist.is_some() {
+        std::mem::take(&mut tally.group_worst_gaps)
+    } else {
+        let mut worst_gaps = vec![SimDuration::ZERO; cfg.clients as usize];
+        for (cno, rec) in &tally.records {
+            let gap = rec.responded.unwrap_or(completed_at) - rec.invoked;
+            let worst = &mut worst_gaps[*cno as usize];
+            *worst = (*worst).max(gap);
+        }
+        worst_gaps
+    };
+    let failover_latency = cfg.faults.first_crash_time().and_then(|crash| {
+        tally
+            .records
+            .iter()
+            .filter_map(|(_, r)| match (r.responded, r.committed()) {
+                (Some(at), true) if at >= crash => Some(at),
+                _ => None,
+            })
+            .min()
+            .map(|at| at - crash)
+    });
+    Availability {
+        per_client_worst_gap,
+        failover_latency,
+        faults_injected: final_metrics.faults_injected(),
+        repairs_applied: final_metrics.repairs_applied(),
+        recoveries,
+    }
+}
+
+/// Assembles the report of a finished world from the client tally and
+/// the server fold.
+fn report<M: repl_sim::Message>(
+    cfg: &RunConfig,
+    world: &World<M>,
+    servers: u32,
+    completion: Completion,
+    mut tally: ClientTally,
+    fold: ServerFold,
+    sharding: ShardingReport,
+) -> RunReport {
+    let availability = availability(
+        cfg,
+        &mut tally,
+        completion.at,
+        &world.metrics(),
+        fold.recoveries,
+    );
+    // Duration = completion of the workload (last client response), not
+    // the grace period: throughput must not be diluted by idle drain time.
+    let duration = tally
+        .records
+        .iter()
+        .filter_map(|(_, r)| r.responded)
+        .max()
+        .or(tally.group_last_response)
+        .unwrap_or_else(|| world.now());
+    RunReport {
+        technique: cfg.technique,
+        servers,
+        clients: cfg.clients,
+        duration,
+        latencies: tally.latencies,
+        latency_hist: tally.latency_hist,
+        peak_outstanding: tally.peak_outstanding,
+        ops_completed: tally.completed,
+        ops_committed: tally.committed,
+        ops_aborted: tally.aborted,
+        ops_unanswered: tally.unanswered,
+        client_retries: tally.retries,
+        messages: completion.messages,
+        fingerprints: fold.fingerprints,
+        history: fold.history,
+        phase_trace: PhaseTrace::from_trace(world.trace()),
+        records: tally.records,
+        reconciliations: fold.reconciliations,
+        wounds: fold.wounds,
+        server_aborts: fold.aborts,
+        availability,
+        durability: fold.durability,
+        sharding,
+        trace_hash: world.trace().hash(),
+    }
 }
 
 /// The server a given client prefers: the primary for the primary-copy
@@ -917,10 +965,7 @@ fn base_stats(base: &crate::protocols::common::ServerBase) -> ServerStats<'_> {
 fn preferred_server(technique: Technique, client: u32, servers: u32) -> usize {
     match technique {
         Technique::Passive | Technique::EagerPrimary => 0,
-        _ => {
-            let _ = technique.info().location == UpdateLocation::Everywhere;
-            (client % servers) as usize
-        }
+        _ => (client % servers) as usize,
     }
 }
 
@@ -960,59 +1005,42 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
     }
 }
 
-fn drive<M, S>(
+fn drive<T: Flow>(
     cfg: &RunConfig,
-    build: impl Fn(u32, NodeId, Vec<NodeId>, &RunConfig, bool) -> Box<dyn Actor<M>>,
-    collect: impl Fn(&S) -> ServerStats<'_>,
-) -> RunReport
-where
-    M: Message + ProtocolMsg,
-    S: 'static,
-{
+    build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
+) -> RunReport {
     // Elastic membership: joiners occupy the actor slots right after the
     // initial servers (dormant until their scheduled spawn). The empty
     // plan makes `peak == cfg.servers` and every branch below collapses
     // to the static path, byte for byte.
     let peak = cfg.membership.peak_servers(cfg.servers);
-    // Pre-size the trace from the workload: each transaction costs a few
-    // messages per server (send + deliver records) plus phase marks. The
-    // cap bounds the up-front buy for huge sweeps.
-    let txns = u64::from(cfg.clients) * u64::from(cfg.workload.txns_per_client);
-    let est = txns
-        .saturating_mul(8 * u64::from(cfg.servers) + 8)
-        .min(1 << 22) as usize;
-    let sim = SimConfig::new(cfg.seed)
-        .with_network(cfg.network.clone())
-        .with_trace(cfg.trace)
-        .with_trace_capacity(est)
-        .with_coordination_nodes(peak);
-    let mut world: World<M> = World::new(sim);
+    let mut world: World<T::Msg> = new_world(cfg, peak);
+    let arena = run_arena(cfg);
     let servers: Vec<NodeId> = (0..cfg.servers).map(NodeId::new).collect();
-    for site in 0..cfg.servers {
-        let actor = build(site, NodeId::new(site), servers.clone(), cfg, false);
-        world.add_actor(actor);
-    }
-    for site in cfg.servers..peak {
+    for site in 0..peak {
+        let me = NodeId::new(site);
+        let joiner = site >= cfg.servers;
         // A joiner is seeded with the initial membership plus itself so
         // its join handshake can address rank 0; the Welcome replaces
         // that seed with the live view.
-        let me = NodeId::new(site);
-        let mut seed_group = servers.clone();
-        seed_group.push(me);
-        let actor = build(site, me, seed_group, cfg, true);
-        world.add_dormant_actor(actor);
+        let mut group = servers.clone();
+        if joiner {
+            group.push(me);
+        }
+        seat(
+            &mut world,
+            cfg,
+            &arena,
+            build(site, me, group),
+            joiner,
+            None,
+        );
     }
     // Clients of an elastic run know the whole peak server set (so
     // reroutes and retries can land anywhere); a client whose preferred
     // server is a planned joiner starts submitting only after the join
     // fires, plus a margin for the state transfer.
-    let peak_servers: Vec<NodeId>;
-    let client_servers: &[NodeId] = if peak == cfg.servers {
-        &servers
-    } else {
-        peak_servers = (0..peak).map(NodeId::new).collect();
-        &peak_servers
-    };
+    let client_servers: Vec<NodeId> = (0..peak).map(NodeId::new).collect();
     let join_start_after = |preferred: usize| -> SimDuration {
         cfg.membership
             .events()
@@ -1045,9 +1073,9 @@ where
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(gi as u64 ^ 0x9E37_79B9_7F4A_7C15),
             );
-            let actor: Box<dyn Actor<M>> = Box::new(AggregateClients::<M>::new(
+            let actor: Box<dyn Actor<T::Msg>> = Box::new(AggregateClients::<T::Msg>::new(
                 group,
-                client_servers.to_vec(),
+                client_servers.clone(),
                 preferred,
                 gen,
                 arrivals,
@@ -1069,11 +1097,11 @@ where
                 Arrival::Closed => preferred_server(cfg.technique, c, peak),
                 _ => preferred_server(cfg.technique, c, cfg.servers),
             };
-            let actor: Box<dyn Actor<M>> = match cfg.arrival {
+            let actor: Box<dyn Actor<T::Msg>> = match cfg.arrival {
                 Arrival::Closed => Box::new(
-                    ClientActor::<M>::new(
+                    ClientActor::<T::Msg>::new(
                         c,
-                        client_servers.to_vec(),
+                        client_servers.clone(),
                         preferred,
                         txns,
                         cfg.workload.think_time,
@@ -1081,9 +1109,9 @@ where
                     )
                     .with_start_after(join_start_after(preferred)),
                 ),
-                Arrival::Open(mean) => Box::new(OpenLoopClient::<M>::new(
+                Arrival::Open(mean) => Box::new(OpenLoopClient::<T::Msg>::new(
                     c,
-                    client_servers.to_vec(),
+                    client_servers.clone(),
                     preferred,
                     txns,
                     SimDuration::from_ticks(mean),
@@ -1093,247 +1121,72 @@ where
             clients.push(world.add_actor(actor));
         }
     }
-    for ev in cfg.faults.events() {
-        match ev {
-            FaultEvent::Crash { at, node } => world.schedule_crash(*at, *node),
-            FaultEvent::Recover { at, node } => world.schedule_recover(*at, *node),
-            FaultEvent::Net { at, fault } => world.schedule_net_fault(*at, fault.clone()),
-            FaultEvent::VolumeLoss { at, node } => world.schedule_volume_loss(*at, *node),
-        }
-    }
+    schedule_faults(&mut world, &cfg.faults);
     for ev in cfg.membership.events() {
         match ev {
             MembershipEvent::Join { at, node } => world.schedule_spawn(*at, *node),
             MembershipEvent::Drain { at, node } => world.schedule_drain(*at, *node),
         }
     }
-    world.start();
-    let chunk = SimDuration::from_ticks(5_000);
-    let client_done = |world: &World<M>, c: NodeId| match cfg.arrival {
-        Arrival::Closed => world.actor_ref::<ClientActor<M>>(c).is_done(),
-        Arrival::Open(_) => world.actor_ref::<OpenLoopClient<M>>(c).is_done(),
-        Arrival::OpenAggregated { .. } => world.actor_ref::<AggregateClients<M>>(c).is_done(),
-    };
-    loop {
-        let next = world.now() + chunk;
-        world.run_until(next);
-        let all_done = clients.iter().all(|&c| client_done(&world, c));
-        if all_done || world.now() >= cfg.max_time {
-            break;
-        }
-    }
-    // Message accounting stops here: the drain below only exists to let
-    // lazy propagation settle, and its background traffic (heartbeats)
-    // must not be charged to the workload.
-    let metrics_at_completion = world.metrics();
-    // Unanswered operations have their unavailability window measured to
-    // this instant (the deadline or the last client's completion).
-    let completed_at = world.now();
-    // Grace period: let lazy propagation, pending decisions and flush
-    // traffic drain so convergence is measured after quiescence.
-    let grace = cfg.propagation_delay + SimDuration::from_ticks(50_000);
-    world.run_until(world.now() + grace);
+    let completion = run_to_quiescence(&mut world, cfg, |world| {
+        clients.iter().all(|&c| match cfg.arrival {
+            Arrival::Closed => world.actor_ref::<ClientActor<T::Msg>>(c).is_done(),
+            Arrival::Open(_) => world.actor_ref::<OpenLoopClient<T::Msg>>(c).is_done(),
+            Arrival::OpenAggregated { .. } => {
+                world.actor_ref::<AggregateClients<T::Msg>>(c).is_done()
+            }
+        })
+    });
 
-    // Collect.
-    let mut latencies = LatencyStats::new();
-    let mut records = Vec::new();
-    let mut ops_completed = 0u64;
-    let mut ops_committed = 0u64;
-    let mut ops_aborted = 0u64;
-    let mut ops_unanswered = 0u64;
-    let mut client_retries = 0u64;
-    let mut latency_hist: Option<LatencyHistogram> = None;
-    let mut peak_outstanding = 0u64;
-    let mut agg_worst_gaps: Vec<SimDuration> = Vec::new();
-    let mut agg_last_response: Option<SimTime> = None;
+    let mut tally = ClientTally::new();
     if matches!(cfg.arrival, Arrival::OpenAggregated { .. }) {
         // Constant-memory collection: merge each group's streaming
         // histogram and counters; no per-operation records exist.
         let mut hist = LatencyHistogram::new();
         for &c in &clients {
-            let a = world.actor_ref::<AggregateClients<M>>(c);
+            let a = world.actor_ref::<AggregateClients<T::Msg>>(c);
             hist.merge(&a.hist);
-            ops_committed += a.committed;
-            ops_aborted += a.aborted;
-            ops_completed += a.committed + a.aborted;
-            ops_unanswered += a.outstanding.len() as u64;
-            peak_outstanding = peak_outstanding.max(a.peak_outstanding);
+            tally.committed += a.committed;
+            tally.aborted += a.aborted;
+            tally.completed += a.committed + a.aborted;
+            tally.unanswered += a.outstanding.len() as u64;
+            tally.peak_outstanding = tally.peak_outstanding.max(a.peak_outstanding);
             // The group's worst unavailability window: answered ops use
             // their response gap, in-flight ops count to the end of the
-            // run, same convention as the per-client records below.
-            let mut worst = a.worst_gap;
-            for &(invoked, _) in a.outstanding.values()
-            // sorted-below: commutative max, order cannot leak
-            {
-                let gap = completed_at - invoked;
-                if gap > worst {
-                    worst = gap;
-                }
-            }
-            agg_worst_gaps.push(worst);
-            if let Some(t) = a.last_response {
-                agg_last_response = Some(agg_last_response.map_or(t, |prev| prev.max(t)));
-            }
+            // run, same convention as the per-client records.
+            let in_flight = a.outstanding.values(); // sorted-below: commutative max
+            let worst = in_flight.fold(a.worst_gap, |worst, &(invoked, _)| {
+                worst.max(completion.at - invoked)
+            });
+            tally.group_worst_gaps.push(worst);
+            tally.group_last_response = tally.group_last_response.max(a.last_response);
         }
-        latency_hist = Some(hist);
+        tally.latency_hist = Some(hist);
     } else {
         for (cno, &c) in clients.iter().enumerate() {
-            let recs: &[crate::client::OpRecord] = match cfg.arrival {
-                Arrival::Closed => &world.actor_ref::<ClientActor<M>>(c).records,
-                Arrival::Open(_) => &world.actor_ref::<OpenLoopClient<M>>(c).records,
+            let recs: &[OpRecord] = match cfg.arrival {
+                Arrival::Closed => &world.actor_ref::<ClientActor<T::Msg>>(c).records,
+                Arrival::Open(_) => &world.actor_ref::<OpenLoopClient<T::Msg>>(c).records,
                 Arrival::OpenAggregated { .. } => unreachable!("handled above"),
             };
             for rec in recs {
-                client_retries += rec.retries as u64;
-                match (&rec.responded, rec.committed()) {
-                    (Some(_), true) => {
-                        ops_completed += 1;
-                        ops_committed += 1;
-                        latencies.record(rec.latency().expect("responded"));
-                    }
-                    (Some(_), false) => {
-                        ops_completed += 1;
-                        ops_aborted += 1;
-                        latencies.record(rec.latency().expect("responded"));
-                    }
-                    (None, _) => ops_unanswered += 1,
-                }
-                records.push((cno as u32, rec.clone()));
+                tally.add(cno as u32, rec);
             }
         }
     }
-    let mut history = repl_db::ReplicatedHistory::new();
-    let mut fingerprints = Vec::new();
-    let mut server_aborts = 0u64;
-    let mut reconciliations = 0u64;
-    let mut wounds = 0u64;
-    let mut recoveries = Vec::new();
-    let mut durability = crate::report::DurabilityReport {
-        enabled: cfg.durability.enabled,
-        ..Default::default()
-    };
-    let mut claimed_lost: Vec<crate::op::OpId> = Vec::new();
     // Collect from every node that was ever a member (joiners included);
-    // convergence fingerprints come from the *final* membership only — a
-    // drained node's store is legitimately frozen at its departure.
+    // convergence is judged over the *final* membership only.
     let drained = cfg.membership.drained_nodes();
-    let ever_members: Vec<NodeId>;
-    let all_server_nodes: &[NodeId] = if peak == cfg.servers {
-        &servers
-    } else {
-        ever_members = (0..peak).map(NodeId::new).collect();
-        &ever_members
-    };
-    for (site, &s) in all_server_nodes.iter().enumerate() {
-        let stats = collect(world.actor_ref::<S>(s));
-        history.merge(stats.history);
-        if !drained.contains(&s) {
-            fingerprints.push(stats.fingerprint);
-        }
-        server_aborts += stats.aborted;
-        reconciliations += stats.reconciliations;
-        wounds += stats.wounds;
-        durability.volume_wipes += stats.volume_wipes;
-        durability.lost_commits += stats.lost.len() as u64;
-        claimed_lost.extend(stats.lost.iter().map(|&t| op_of_txn(t)));
-        durability.restores += stats.restores;
-        durability.restore_bytes += stats.restore_bytes;
-        durability.restore_ticks += stats.restore_ticks;
-        durability.upload_puts += stats.upload_puts;
-        durability.upload_bytes += stats.upload_bytes;
-        durability.upload_cost += stats.upload_cost;
-        durability.frames_sealed += stats.frames_sealed;
-        if stats.recovery.recoveries > 0 {
-            recoveries.push(crate::report::NodeRecovery {
-                site: site as u32,
-                recoveries: stats.recovery.recoveries,
-                rejoin_at: stats.recovery.rejoin_at,
-                catch_up_ticks: stats.recovery.catch_up_ticks(),
-                transfer_bytes: stats.recovery.transfer_bytes,
-                log_suffix_transfers: stats.recovery.log_suffix_transfers,
-                snapshot_transfers: stats.recovery.snapshot_transfers,
-            });
-        }
-    }
-    claimed_lost.sort_unstable();
-    claimed_lost.dedup();
-    durability.claimed_lost = claimed_lost;
-    let phase_trace = PhaseTrace::from_trace(world.trace());
-    let trace_hash = world.trace().hash();
-    // Availability: per-client worst request→response gap (unanswered ops
-    // count to the end of the run), and failover latency anchored at the
-    // plan's first crash. Fault counts come from the world's final
-    // metrics so faults applied during the drain are still visible.
-    // On aggregated runs the vector is per *group* (one aggregate actor
-    // per server group), not per client.
-    let per_client_worst_gap = if matches!(cfg.arrival, Arrival::OpenAggregated { .. }) {
-        agg_worst_gaps
-    } else {
-        let mut worst_gaps = vec![SimDuration::ZERO; cfg.clients as usize];
-        for (cno, rec) in &records {
-            let gap = match rec.responded {
-                Some(at) => at - rec.invoked,
-                None => completed_at - rec.invoked,
-            };
-            let worst = &mut worst_gaps[*cno as usize];
-            if gap > *worst {
-                *worst = gap;
-            }
-        }
-        worst_gaps
-    };
-    let failover_latency = cfg.faults.first_crash_time().and_then(|crash| {
-        records
-            .iter()
-            .filter_map(|(_, r)| match (r.responded, r.committed()) {
-                (Some(at), true) if at >= crash => Some(at),
-                _ => None,
-            })
-            .min()
-            .map(|at| at - crash)
-    });
-    let final_metrics = world.metrics();
-    let availability = crate::report::Availability {
-        per_client_worst_gap,
-        failover_latency,
-        faults_injected: final_metrics.faults_injected(),
-        repairs_applied: final_metrics.repairs_applied(),
-        recoveries,
-    };
-    // Duration = completion of the workload (last client response), not
-    // the grace period: throughput must not be diluted by idle drain time.
-    let last_response = records
-        .iter()
-        .filter_map(|(_, r)| r.responded)
-        .max()
-        .or(agg_last_response)
-        .unwrap_or_else(|| world.now());
-    RunReport {
-        technique: cfg.technique,
-        servers: cfg.servers,
-        clients: cfg.clients,
-        duration: last_response,
-        latencies,
-        latency_hist,
-        peak_outstanding,
-        ops_completed,
-        ops_committed,
-        ops_aborted,
-        ops_unanswered,
-        client_retries,
-        messages: metrics_at_completion,
-        fingerprints,
-        history,
-        phase_trace,
-        records,
-        reconciliations,
-        wounds,
-        server_aborts,
-        availability,
-        durability,
-        sharding: ShardingReport::default(),
-        trace_hash,
-    }
+    let fold = fold_servers::<T>(&world, cfg, peak, |node| !drained.contains(&node));
+    report(
+        cfg,
+        &world,
+        cfg.servers,
+        completion,
+        tally,
+        fold,
+        ShardingReport::default(),
+    )
 }
 
 /// The sharded driver: `shards` replica groups of `cfg.servers` nodes
@@ -1346,43 +1199,29 @@ where
 /// Single-shard transactions go to the owning group and run the stock
 /// protocol there; with `cross_shard_ratio > 0` the three cross-capable
 /// techniques coordinate across the touched groups (genuine atomic
-/// multicast or union-cohort 2PC — see `route`). Histories merge across
-/// *all* groups before the 1SR oracle: cross-shard transactions carry
-/// one global transaction id, so the merged history splices their
-/// per-shard pieces back into single serialization points.
-fn drive_sharded<M, S>(
+/// multicast or union-cohort 2PC). A server's cross-shard mode is enabled
+/// only when the workload actually produces cross-shard transactions, so
+/// a `cross_shard_ratio == 0` run uses the stock protocol per group.
+/// Histories merge across *all* groups before the 1SR oracle: cross-shard
+/// transactions carry one global transaction id, so the merged history
+/// splices their per-shard pieces back into single serialization points.
+fn drive_sharded<T: Flow>(
     cfg: &RunConfig,
-    build: impl Fn(u32, NodeId, Vec<NodeId>, &RunConfig, bool) -> Box<dyn Actor<M>>,
-    cross: Option<fn(&mut S, ShardCtx)>,
-    collect: impl Fn(&S) -> ServerStats<'_>,
-) -> RunReport
-where
-    M: Message + ProtocolMsg,
-    S: 'static,
-{
+    build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
+) -> RunReport {
     let map = cfg.workload.shard_map();
     let shards = map.shards();
     let n = cfg.servers;
     let total = shards * n;
-    let txns = u64::from(cfg.clients) * u64::from(cfg.workload.txns_per_client);
-    let est = txns.saturating_mul(8 * u64::from(total) + 8).min(1 << 22) as usize;
-    let sim = SimConfig::new(cfg.seed)
-        .with_network(cfg.network.clone())
-        .with_trace(cfg.trace)
-        .with_trace_capacity(est)
-        .with_coordination_nodes(total);
-    let mut world: World<M> = World::new(sim);
+    let mut world: World<T::Msg> = new_world(cfg, total);
+    let arena = run_arena(cfg);
     let cross_enabled = cfg.workload.cross_shard_ratio > 0.0;
     for gid in 0..shards {
         let group: Vec<NodeId> = (gid * n..(gid + 1) * n).map(NodeId::new).collect();
         for &me in &group {
-            let site = me.index() as u32;
-            let node = world.add_actor(build(site, me, group.clone(), cfg, false));
-            if cross_enabled {
-                if let Some(enable) = cross {
-                    enable(world.actor_mut::<S>(node), ShardCtx::new(map, n, gid));
-                }
-            }
+            let srv = build(me.index() as u32, me, group.clone());
+            let cross = cross_enabled.then(|| ShardCtx::new(map, n, gid));
+            seat(&mut world, cfg, &arena, srv, false, cross);
         }
     }
     // Closed-loop sharded clients: routing is by content (the generator
@@ -1408,7 +1247,7 @@ where
     for c in 0..cfg.clients {
         let mut gen = WorkloadGen::new(&cfg.workload, cfg.seed.wrapping_mul(1_000_003) + c as u64);
         let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
-        let mut client = ShardedClient::<M>::new(
+        let mut client = ShardedClient::<T::Msg>::new(
             c,
             map,
             n,
@@ -1425,181 +1264,39 @@ where
         }
         clients.push(world.add_actor(Box::new(client)));
     }
-    for ev in cfg.faults.events() {
-        match ev {
-            FaultEvent::Crash { at, node } => world.schedule_crash(*at, *node),
-            FaultEvent::Recover { at, node } => world.schedule_recover(*at, *node),
-            FaultEvent::Net { at, fault } => world.schedule_net_fault(*at, fault.clone()),
-            FaultEvent::VolumeLoss { at, node } => world.schedule_volume_loss(*at, *node),
-        }
-    }
-    world.start();
-    let chunk = SimDuration::from_ticks(5_000);
-    loop {
-        let next = world.now() + chunk;
-        world.run_until(next);
-        let all_done = clients
+    schedule_faults(&mut world, &cfg.faults);
+    let completion = run_to_quiescence(&mut world, cfg, |world| {
+        clients
             .iter()
-            .all(|&c| world.actor_ref::<ShardedClient<M>>(c).is_done());
-        if all_done || world.now() >= cfg.max_time {
-            break;
-        }
-    }
-    let metrics_at_completion = world.metrics();
-    let completed_at = world.now();
-    let grace = cfg.propagation_delay + SimDuration::from_ticks(50_000);
-    world.run_until(world.now() + grace);
+            .all(|&c| world.actor_ref::<ShardedClient<T::Msg>>(c).is_done())
+    });
 
-    // Collect, classifying every record by how many shards it touches.
-    let mut latencies = LatencyStats::new();
-    let mut records = Vec::new();
-    let mut ops_completed = 0u64;
-    let mut ops_committed = 0u64;
-    let mut ops_aborted = 0u64;
-    let mut ops_unanswered = 0u64;
-    let mut client_retries = 0u64;
+    // Classify every answered record by how many shards it touches.
+    let mut tally = ClientTally::new();
     let mut sharding = ShardingReport {
         shards,
         per_shard_ops: vec![0; shards as usize],
         ..Default::default()
     };
     for (cno, &c) in clients.iter().enumerate() {
-        for rec in &world.actor_ref::<ShardedClient<M>>(c).records {
-            client_retries += rec.retries as u64;
-            let touched = map.shards_of(&rec.txn);
-            match (&rec.responded, rec.committed()) {
-                (Some(_), committed) => {
-                    ops_completed += 1;
-                    if committed {
-                        ops_committed += 1;
-                    } else {
-                        ops_aborted += 1;
-                    }
-                    let lat = rec.latency().expect("responded");
-                    latencies.record(lat);
-                    if touched.len() > 1 {
-                        sharding.cross_shard_ops += 1;
-                        sharding.cross_latency.record(lat);
-                    } else {
-                        sharding.single_shard_ops += 1;
-                        sharding.single_latency.record(lat);
-                    }
-                    // Home-shard accounting (first key's owner).
-                    sharding.per_shard_ops[touched[0] as usize] += 1;
-                }
-                (None, _) => ops_unanswered += 1,
-            }
-            records.push((cno as u32, rec.clone()));
-        }
-    }
-    let mut history = repl_db::ReplicatedHistory::new();
-    let mut fingerprints = Vec::new();
-    let mut server_aborts = 0u64;
-    let mut reconciliations = 0u64;
-    let mut wounds = 0u64;
-    let mut recoveries = Vec::new();
-    let mut durability = crate::report::DurabilityReport {
-        enabled: cfg.durability.enabled,
-        ..Default::default()
-    };
-    let mut claimed_lost: Vec<crate::op::OpId> = Vec::new();
-    for site in 0..total {
-        let stats = collect(world.actor_ref::<S>(NodeId::new(site)));
-        history.merge(stats.history);
-        fingerprints.push(stats.fingerprint);
-        server_aborts += stats.aborted;
-        reconciliations += stats.reconciliations;
-        wounds += stats.wounds;
-        durability.volume_wipes += stats.volume_wipes;
-        durability.lost_commits += stats.lost.len() as u64;
-        claimed_lost.extend(stats.lost.iter().map(|&t| op_of_txn(t)));
-        durability.restores += stats.restores;
-        durability.restore_bytes += stats.restore_bytes;
-        durability.restore_ticks += stats.restore_ticks;
-        durability.upload_puts += stats.upload_puts;
-        durability.upload_bytes += stats.upload_bytes;
-        durability.upload_cost += stats.upload_cost;
-        durability.frames_sealed += stats.frames_sealed;
-        if stats.recovery.recoveries > 0 {
-            recoveries.push(crate::report::NodeRecovery {
-                site,
-                recoveries: stats.recovery.recoveries,
-                rejoin_at: stats.recovery.rejoin_at,
-                catch_up_ticks: stats.recovery.catch_up_ticks(),
-                transfer_bytes: stats.recovery.transfer_bytes,
-                log_suffix_transfers: stats.recovery.log_suffix_transfers,
-                snapshot_transfers: stats.recovery.snapshot_transfers,
-            });
-        }
-    }
-    claimed_lost.sort_unstable();
-    claimed_lost.dedup();
-    durability.claimed_lost = claimed_lost;
-    let phase_trace = PhaseTrace::from_trace(world.trace());
-    let trace_hash = world.trace().hash();
-    let per_client_worst_gap = {
-        let mut worst_gaps = vec![SimDuration::ZERO; cfg.clients as usize];
-        for (cno, rec) in &records {
-            let gap = match rec.responded {
-                Some(at) => at - rec.invoked,
-                None => completed_at - rec.invoked,
+        for rec in &world.actor_ref::<ShardedClient<T::Msg>>(c).records {
+            let Some(lat) = tally.add(cno as u32, rec) else {
+                continue;
             };
-            let worst = &mut worst_gaps[*cno as usize];
-            if gap > *worst {
-                *worst = gap;
+            let touched = map.shards_of(&rec.txn);
+            if touched.len() > 1 {
+                sharding.cross_shard_ops += 1;
+                sharding.cross_latency.record(lat);
+            } else {
+                sharding.single_shard_ops += 1;
+                sharding.single_latency.record(lat);
             }
+            // Home-shard accounting (first key's owner).
+            sharding.per_shard_ops[touched[0] as usize] += 1;
         }
-        worst_gaps
-    };
-    let failover_latency = cfg.faults.first_crash_time().and_then(|crash| {
-        records
-            .iter()
-            .filter_map(|(_, r)| match (r.responded, r.committed()) {
-                (Some(at), true) if at >= crash => Some(at),
-                _ => None,
-            })
-            .min()
-            .map(|at| at - crash)
-    });
-    let final_metrics = world.metrics();
-    let availability = crate::report::Availability {
-        per_client_worst_gap,
-        failover_latency,
-        faults_injected: final_metrics.faults_injected(),
-        repairs_applied: final_metrics.repairs_applied(),
-        recoveries,
-    };
-    let last_response = records
-        .iter()
-        .filter_map(|(_, r)| r.responded)
-        .max()
-        .unwrap_or_else(|| world.now());
-    RunReport {
-        technique: cfg.technique,
-        servers: total,
-        clients: cfg.clients,
-        duration: last_response,
-        latencies,
-        latency_hist: None,
-        peak_outstanding: 0,
-        ops_completed,
-        ops_committed,
-        ops_aborted,
-        ops_unanswered,
-        client_retries,
-        messages: metrics_at_completion,
-        fingerprints,
-        history,
-        phase_trace,
-        records,
-        reconciliations,
-        wounds,
-        server_aborts,
-        availability,
-        durability,
-        sharding,
-        trace_hash,
     }
+    let fold = fold_servers::<T>(&world, cfg, total, |_| true);
+    report(cfg, &world, total, completion, tally, fold, sharding)
 }
 
 #[cfg(test)]
@@ -1698,22 +1395,6 @@ mod tests {
         // The worst gap is just the worst response time.
         let mut l = report.latencies.clone();
         assert_eq!(report.availability.worst_gap(), l.percentile(1.0));
-    }
-
-    #[test]
-    fn with_crashes_shim_matches_explicit_fault_plan() {
-        let sched = CrashSchedule::new()
-            .crash_at(SimTime::from_ticks(2_000), NodeId::new(2))
-            .recover_at(SimTime::from_ticks(8_000), NodeId::new(2));
-        let a = small(Technique::Active).with_crashes(sched.clone());
-        let b = small(Technique::Active).with_faults(FaultPlan::from(sched));
-        assert_eq!(a.faults, b.faults);
-        let ra = run(&a);
-        let rb = run(&b);
-        assert_eq!(ra.fingerprints, rb.fingerprints);
-        assert_eq!(ra.messages, rb.messages);
-        assert_eq!(ra.faults_injected(), 1);
-        assert!(ra.availability.failover_latency.is_some());
     }
 
     #[test]

@@ -311,19 +311,10 @@ mod tests {
     enum EchoMsg {
         Invoke(ClientOp),
         Reply(Response),
+        Member(crate::protocols::replica::MemberMsg),
     }
     impl Message for EchoMsg {}
-    impl ProtocolMsg for EchoMsg {
-        fn invoke(op: ClientOp) -> Self {
-            EchoMsg::Invoke(op)
-        }
-        fn response(&self) -> Option<&Response> {
-            match self {
-                EchoMsg::Reply(r) => Some(r),
-                _ => None,
-            }
-        }
-    }
+    crate::client::impl_protocol_msg!(EchoMsg);
 
     /// A server standing in for one member of a sharded group: answers
     /// only the ops on its own shard's keys (reads echo `key * 10`), and

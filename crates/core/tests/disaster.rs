@@ -234,7 +234,7 @@ fn data_loss_window_is_zero_at_lag_zero_and_monotone_in_lag() {
 /// untouched. Liveness, the no-silent-loss oracle and untouched-replica
 /// convergence must all hold through the composition.
 #[test]
-fn volume_loss_composes_with_crashes_and_partitions() {
+fn volume_loss_composes_with_a_crash_and_a_partition() {
     const N: u32 = 4;
     let wiped = NodeId::new(N - 1);
     let plan = FaultPlan::new()

@@ -18,7 +18,6 @@
 //! * [`FaultPlan`] — declarative fault loads: crashes/recoveries,
 //!   partitions/heals, link drops and latency spikes, plus the seeded
 //!   nemesis generator [`FaultPlan::random`],
-//! * [`CrashSchedule`] — the crash-only subset, kept for compatibility,
 //! * [`MembershipPlan`] — declarative elastic-membership loads: online
 //!   joins of brand-new sites and planned decommissions (drains).
 
@@ -26,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod arrivals;
-mod crashes;
 mod faults;
 mod generator;
 mod membership;
@@ -35,7 +33,6 @@ mod spec;
 mod zipf;
 
 pub use arrivals::{ArrivalDist, ArrivalStream};
-pub use crashes::{CrashEvent, CrashSchedule};
 pub use faults::{FaultEvent, FaultPlan, FaultPlanError};
 pub use generator::{OpTemplate, TxnTemplate, WorkloadGen};
 pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};

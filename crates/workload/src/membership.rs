@@ -349,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn survivability_composes_drains_with_crashes() {
+    fn survivability_composes_drains_and_crashes() {
         // 3 initial; drain one → 2 members, quorum 2. A crash of one of
         // the remaining two drops live below quorum.
         let m = MembershipPlan::new()

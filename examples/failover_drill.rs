@@ -14,7 +14,7 @@
 use repl_core::protocols::common::AbcastImpl;
 use repl_sim::NodeId;
 use replication::sim::SimTime;
-use replication::workload::CrashSchedule;
+use replication::workload::FaultPlan;
 use replication::{run, RunConfig, Technique, WorkloadSpec};
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
             .with_seed(11)
             // Active replication needs the crash-tolerant ABCAST.
             .with_abcast(AbcastImpl::Consensus)
-            .with_crashes(CrashSchedule::new().crash_at(crash_at, NodeId::new(0)))
+            .with_faults(FaultPlan::new().crash_at(crash_at, NodeId::new(0)))
             .with_workload(
                 WorkloadSpec::default()
                     .with_items(64)

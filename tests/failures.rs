@@ -4,11 +4,11 @@
 
 use replication::core::protocols::common::AbcastImpl;
 use replication::sim::{NodeId, SimTime};
-use replication::workload::CrashSchedule;
+use replication::workload::FaultPlan;
 use replication::{run, RunConfig, Technique, WorkloadSpec};
 
-fn crash_zero_at(t: u64) -> CrashSchedule {
-    CrashSchedule::new().crash_at(SimTime::from_ticks(t), NodeId::new(0))
+fn crash_zero_at(t: u64) -> FaultPlan {
+    FaultPlan::new().crash_at(SimTime::from_ticks(t), NodeId::new(0))
 }
 
 fn updates(n: u32) -> WorkloadSpec {
@@ -25,7 +25,7 @@ fn active_replication_masks_replica_crash() {
         .with_clients(2)
         .with_seed(3)
         .with_abcast(AbcastImpl::Consensus)
-        .with_crashes(crash_zero_at(15_000))
+        .with_faults(crash_zero_at(15_000))
         .with_workload(updates(8));
     let report = run(&cfg);
     assert_eq!(report.ops_unanswered, 0, "crash must be transparent");
@@ -43,7 +43,7 @@ fn passive_replication_survives_primary_crash_with_view_change() {
         .with_servers(4)
         .with_clients(2)
         .with_seed(5)
-        .with_crashes(crash_zero_at(12_000))
+        .with_faults(crash_zero_at(12_000))
         .with_workload(updates(8));
     let report = run(&cfg);
     assert_eq!(report.ops_unanswered, 0, "failover must complete the run");
@@ -60,7 +60,7 @@ fn semi_passive_survives_coordinator_crash_without_views() {
         .with_servers(3)
         .with_clients(2)
         .with_seed(7)
-        .with_crashes(crash_zero_at(10_000))
+        .with_faults(crash_zero_at(10_000))
         .with_workload(updates(6));
     let report = run(&cfg);
     assert_eq!(report.ops_unanswered, 0);
@@ -73,7 +73,7 @@ fn eager_primary_hot_standby_takes_over() {
         .with_servers(3)
         .with_clients(2)
         .with_seed(9)
-        .with_crashes(crash_zero_at(12_000))
+        .with_faults(crash_zero_at(12_000))
         .with_workload(updates(8));
     let report = run(&cfg);
     assert_eq!(report.ops_unanswered, 0, "takeover failed");
@@ -93,7 +93,7 @@ fn failover_pause_is_visible_in_latency_but_bounded() {
         .with_servers(3)
         .with_clients(1)
         .with_seed(13)
-        .with_crashes(crash_zero_at(2_000))
+        .with_faults(crash_zero_at(2_000))
         .with_workload(updates(10));
     let report = run(&cfg);
     let mut lat = report.latencies.clone();
@@ -113,7 +113,7 @@ fn crash_after_quiescence_changes_nothing() {
         .with_seed(21)
         .with_workload(updates(3));
     let baseline = run(&quiet);
-    let crashed = run(&quiet.clone().with_crashes(crash_zero_at(20_000_000)));
+    let crashed = run(&quiet.clone().with_faults(crash_zero_at(20_000_000)));
     assert_eq!(baseline.ops_completed, crashed.ops_completed);
 }
 
@@ -124,8 +124,8 @@ fn multiple_crashes_leave_a_majority_and_still_finish() {
         .with_clients(2)
         .with_seed(29)
         .with_abcast(AbcastImpl::Consensus)
-        .with_crashes(
-            CrashSchedule::new()
+        .with_faults(
+            FaultPlan::new()
                 .crash_at(SimTime::from_ticks(10_000), NodeId::new(0))
                 .crash_at(SimTime::from_ticks(40_000), NodeId::new(1)),
         )
@@ -144,7 +144,7 @@ fn certification_with_consensus_abcast_survives_crash() {
         .with_clients(3)
         .with_seed(31)
         .with_abcast(AbcastImpl::Consensus)
-        .with_crashes(crash_zero_at(10_000))
+        .with_faults(crash_zero_at(10_000))
         .with_workload(updates(6));
     let report = run(&cfg);
     assert_eq!(
@@ -168,7 +168,7 @@ fn eager_ue_abcast_with_consensus_survives_delegate_crash() {
         .with_clients(3)
         .with_seed(37)
         .with_abcast(AbcastImpl::Consensus)
-        .with_crashes(crash_zero_at(10_000))
+        .with_faults(crash_zero_at(10_000))
         .with_workload(updates(6));
     let report = run(&cfg);
     assert_eq!(
