@@ -1,30 +1,19 @@
 //! A2 — sequencer- vs consensus-based Atomic Broadcast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{abcast_impls_table, render, update_workload};
-use repl_core::protocols::common::AbcastImpl;
-use repl_core::{run, RunConfig, Technique};
+use repl_bench::abcast_impls;
+use repl_bench::sweep::default_threads;
+use repl_core::run;
 
 fn bench(c: &mut Criterion) {
-    println!(
-        "{}",
-        render("A2 — ABCAST implementations", &abcast_impls_table())
-    );
+    let study = abcast_impls();
+    println!("{}", study.render(default_threads()));
     let mut g = c.benchmark_group("abcast_impls");
     g.sample_size(10);
-    for (label, which) in [
-        ("sequencer", AbcastImpl::Sequencer),
-        ("consensus", AbcastImpl::Consensus),
-    ] {
-        let cfg = RunConfig::new(Technique::Active)
-            .with_servers(4)
-            .with_clients(2)
-            .with_seed(131)
-            .with_trace(false)
-            .with_abcast(which)
-            .with_workload(update_workload(10));
-        g.bench_function(label, |b| {
-            b.iter(|| std::hint::black_box(run(&cfg)).ops_completed)
+    // Active replication over the sequencer, then over consensus.
+    for cell in study.sweep_cells().into_iter().take(2) {
+        g.bench_function(cell.label, |b| {
+            b.iter(|| std::hint::black_box(run(&cell.cfg)).ops_completed)
         });
     }
     g.finish();

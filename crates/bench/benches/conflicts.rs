@@ -1,39 +1,21 @@
 //! P4 — conflict behaviour (aborts, wounds, reconciliations) vs skew.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{conflicts_table, render};
-use repl_core::{run, RunConfig, Technique};
-use repl_sim::SimDuration;
-use repl_workload::WorkloadSpec;
+use repl_bench::conflicts;
+use repl_bench::sweep::default_threads;
+use repl_core::run;
 
 fn bench(c: &mut Criterion) {
     println!(
         "{}",
-        render(
-            "P4 — conflicts vs access skew (4 clients, 32 items, rmw txns)",
-            &conflicts_table(&[0.0, 0.5, 1.0, 1.5]),
-        )
+        conflicts(&[0.0, 0.5, 1.0, 1.5]).render(default_threads())
     );
-    let hot = WorkloadSpec::default()
-        .with_items(32)
-        .with_read_ratio(0.5)
-        .with_ops_per_txn(2)
-        .with_skew(1.0)
-        .with_txns_per_client(10)
-        .with_think_time(SimDuration::from_ticks(50));
     let mut g = c.benchmark_group("conflicts");
     g.sample_size(10);
-    for technique in [
-        Technique::Certification,
-        Technique::EagerUpdateEverywhereLocking,
-    ] {
-        let cfg = RunConfig::new(technique)
-            .with_servers(3)
-            .with_clients(4)
-            .with_seed(109)
-            .with_trace(false)
-            .with_workload(hot.clone());
-        g.bench_function(format!("{technique}/zipf1.0"), |b| {
+    // The certification and locking runs of the zipf-1.0 row.
+    for cell in conflicts(&[1.0]).sweep_cells().into_iter().take(2) {
+        let cfg = cell.cfg;
+        g.bench_function(format!("{}/zipf1.0", cfg.technique), |b| {
             b.iter(|| std::hint::black_box(run(&cfg)).ops_completed)
         });
     }

@@ -7,7 +7,8 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{kernel_table, microcycle_keys, render, SeedLockManager};
+use repl_bench::sweep::default_threads;
+use repl_bench::{kernel, microcycle_keys, SeedLockManager};
 use repl_db::{
     AccessKind, Certifier, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, ReplicatedHistory,
     TxnId, Value, WriteRecord, WriteSet,
@@ -159,13 +160,7 @@ fn bench_history_check(c: &mut Criterion) {
 
 fn report_p10(c: &mut Criterion) {
     let _ = c;
-    println!(
-        "{}",
-        render(
-            "P10 — kernel scaling (3 replicas, technique × keyspace × clients)",
-            &kernel_table(&[64, 1024], &[4])
-        )
-    );
+    println!("{}", kernel(&[64, 1024], &[4]).render(default_threads()));
 }
 
 criterion_group!(

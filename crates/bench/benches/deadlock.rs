@@ -1,42 +1,17 @@
 //! A3 — wound-wait prevention vs distributed deadlock detection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{deadlock_table, render};
-use repl_core::{run, RunConfig, Technique};
-use repl_db::DeadlockPolicy;
-use repl_sim::SimDuration;
-use repl_workload::WorkloadSpec;
+use repl_bench::deadlock;
+use repl_bench::sweep::default_threads;
+use repl_core::run;
 
 fn bench(c: &mut Criterion) {
-    println!(
-        "{}",
-        render(
-            "A3 — deadlock handling under contention",
-            &deadlock_table(&[0.5, 1.0, 1.5])
-        )
-    );
-    let contended = WorkloadSpec::default()
-        .with_items(8)
-        .with_read_ratio(0.0)
-        .with_ops_per_txn(2)
-        .with_skew(1.0)
-        .with_txns_per_client(6)
-        .with_think_time(SimDuration::from_ticks(100));
+    println!("{}", deadlock(&[0.5, 1.0, 1.5]).render(default_threads()));
     let mut g = c.benchmark_group("deadlock");
     g.sample_size(10);
-    for (label, policy) in [
-        ("wound_wait", DeadlockPolicy::WoundWait),
-        ("detection", DeadlockPolicy::Detect),
-    ] {
-        let cfg = RunConfig::new(Technique::EagerUpdateEverywhereLocking)
-            .with_servers(3)
-            .with_clients(3)
-            .with_seed(137)
-            .with_trace(false)
-            .with_deadlock(policy)
-            .with_workload(contended.clone());
-        g.bench_function(label, |b| {
-            b.iter(|| std::hint::black_box(run(&cfg)).ops_completed)
+    for cell in deadlock(&[1.0]).sweep_cells() {
+        g.bench_function(cell.label, |b| {
+            b.iter(|| std::hint::black_box(run(&cell.cfg)).ops_completed)
         });
     }
     g.finish();

@@ -1,39 +1,21 @@
 //! P6 — the eager/lazy trade-off: latency against staleness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{eager_vs_lazy_table, render};
-use repl_core::{run, RunConfig, Technique};
-use repl_sim::SimDuration;
-use repl_workload::WorkloadSpec;
+use repl_bench::eager_vs_lazy;
+use repl_bench::sweep::default_threads;
+use repl_core::run;
 
 fn bench(c: &mut Criterion) {
     println!(
         "{}",
-        render(
-            "P6 — eager vs lazy: latency against staleness",
-            &eager_vs_lazy_table(&[1_000, 10_000, 50_000]),
-        )
+        eager_vs_lazy(&[1_000, 10_000, 50_000]).render(default_threads())
     );
-    let workload = WorkloadSpec::default()
-        .with_items(16)
-        .with_read_ratio(0.6)
-        .with_txns_per_client(12);
     let mut g = c.benchmark_group("eager_vs_lazy");
     g.sample_size(10);
-    for (label, technique, delay) in [
-        ("eager_primary", Technique::EagerPrimary, 0u64),
-        ("lazy_primary", Technique::LazyPrimary, 10_000),
-        ("lazy_ue", Technique::LazyUpdateEverywhere, 10_000),
-    ] {
-        let cfg = RunConfig::new(technique)
-            .with_servers(3)
-            .with_clients(3)
-            .with_seed(127)
-            .with_trace(false)
-            .with_propagation_delay(SimDuration::from_ticks(delay))
-            .with_workload(workload.clone());
-        g.bench_function(label, |b| {
-            b.iter(|| std::hint::black_box(run(&cfg)).ops_completed)
+    // Both eager techniques, and both lazy ones at a 10 000-tick window.
+    for cell in eager_vs_lazy(&[10_000]).sweep_cells() {
+        g.bench_function(cell.label, |b| {
+            b.iter(|| std::hint::black_box(run(&cell.cfg)).ops_completed)
         });
     }
     g.finish();

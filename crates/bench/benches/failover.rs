@@ -2,48 +2,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use repl_bench::sweep::{default_threads, run_sweep, SweepCell};
-use repl_bench::{availability_table, failover_table, render, update_workload};
-use repl_core::protocols::common::AbcastImpl;
-use repl_core::{RunConfig, Technique};
-use repl_sim::{NodeId, SimTime};
-use repl_workload::FaultPlan;
+use repl_bench::{availability, failover};
+use repl_core::Technique;
 
 fn bench(c: &mut Criterion) {
-    println!(
-        "{}",
-        render(
-            "P5 — failover: rank-0 server crashes mid-run (5 replicas)",
-            &failover_table()
-        )
-    );
-    println!(
-        "{}",
-        render(
-            "P5b — availability under a primary crash (failover latency, unavailability windows)",
-            &availability_table()
-        )
-    );
-    let crash = FaultPlan::new().crash_at(SimTime::from_ticks(12_000), NodeId::new(0));
-    let cells: Vec<SweepCell> = [
-        Technique::Active,
-        Technique::Passive,
-        Technique::EagerPrimary,
-    ]
-    .into_iter()
-    .map(|technique| {
-        SweepCell::new(
-            format!("{technique}/crash"),
-            RunConfig::new(technique)
-                .with_servers(5)
-                .with_clients(2)
-                .with_seed(113)
-                .with_trace(false)
-                .with_abcast(AbcastImpl::Consensus)
-                .with_faults(crash.clone())
-                .with_workload(update_workload(10)),
-        )
-    })
-    .collect();
+    let threads = default_threads();
+    let study = failover();
+    println!("{}", study.render(threads));
+    println!("{}", availability().render(threads));
+    // The crashed run (not its fault-free baseline) of three rows.
+    let cells: Vec<SweepCell> = study
+        .rows
+        .iter()
+        .map(|row| SweepCell::new(format!("{}/crash", row.label), row.runs[0].clone()))
+        .filter(|cell| {
+            matches!(
+                cell.cfg.technique,
+                Technique::Active | Technique::Passive | Technique::EagerPrimary
+            )
+        })
+        .collect();
 
     let mut g = c.benchmark_group("failover");
     g.sample_size(10);
@@ -61,7 +39,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     // The whole crash matrix fanned across available cores.
-    let threads = default_threads();
     g.bench_function(format!("sweep3/threads={threads}"), |b| {
         b.iter(|| {
             std::hint::black_box(run_sweep(&cells, threads))

@@ -1,34 +1,27 @@
 //! P1 — response time per technique vs replication degree.
 //!
-//! Prints the experiment table once, then benchmarks representative runs.
+//! Prints the experiment table once, then benchmarks representative
+//! cells of the same study.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{render, response_time_table, update_workload};
-use repl_core::{run, RunConfig, Technique};
+use repl_bench::response_time;
+use repl_bench::sweep::default_threads;
+use repl_core::{run, Technique};
 
 fn bench(c: &mut Criterion) {
     println!(
         "{}",
-        render(
-            "P1 — mean response time vs replication degree",
-            &response_time_table(&[2, 4, 8, 16]),
-        )
+        response_time(&[2, 4, 8, 16]).render(default_threads())
     );
     let mut g = c.benchmark_group("response_time");
     g.sample_size(10);
-    for technique in [
-        Technique::Active,
-        Technique::Passive,
-        Technique::LazyPrimary,
-    ] {
-        for n in [2u32, 8] {
-            let cfg = RunConfig::new(technique)
-                .with_servers(n)
-                .with_clients(2)
-                .with_seed(101)
-                .with_trace(false)
-                .with_workload(update_workload(12));
-            g.bench_function(format!("{technique}/n{n}"), |b| {
+    for cell in response_time(&[2, 8]).sweep_cells() {
+        let cfg = cell.cfg;
+        if matches!(
+            cfg.technique,
+            Technique::Active | Technique::Passive | Technique::LazyPrimary
+        ) {
+            g.bench_function(format!("{}/n{}", cfg.technique, cfg.servers), |b| {
                 b.iter(|| std::hint::black_box(run(&cfg)).ops_completed)
             });
         }

@@ -1,28 +1,21 @@
 //! P2 — closed-loop throughput per technique vs client count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use repl_bench::{render, throughput_table, update_workload};
-use repl_core::{run, RunConfig, Technique};
+use repl_bench::sweep::default_threads;
+use repl_bench::throughput;
+use repl_core::{run, Technique};
 
 fn bench(c: &mut Criterion) {
-    println!(
-        "{}",
-        render(
-            "P2 — throughput vs clients (3 replicas)",
-            &throughput_table(&[1, 2, 4, 8])
-        )
-    );
+    println!("{}", throughput(&[1, 2, 4, 8]).render(default_threads()));
     let mut g = c.benchmark_group("throughput");
     g.sample_size(10);
-    for technique in [Technique::Active, Technique::EagerUpdateEverywhereAbcast] {
-        for clients in [2u32, 8] {
-            let cfg = RunConfig::new(technique)
-                .with_servers(3)
-                .with_clients(clients)
-                .with_seed(103)
-                .with_trace(false)
-                .with_workload(update_workload(10));
-            g.bench_function(format!("{technique}/c{clients}"), |b| {
+    for cell in throughput(&[2, 8]).sweep_cells() {
+        let cfg = cell.cfg;
+        if matches!(
+            cfg.technique,
+            Technique::Active | Technique::EagerUpdateEverywhereAbcast
+        ) {
+            g.bench_function(format!("{}/c{}", cfg.technique, cfg.clients), |b| {
                 b.iter(|| std::hint::black_box(run(&cfg)).throughput())
             });
         }

@@ -3,41 +3,23 @@
 //!
 //! Two instruments share this module:
 //!
-//! * [`kernel_table`] / [`kernel_cells`] — end-to-end simulator runs of
-//!   the lock- and certification-based techniques across keyspace sizes
-//!   and client counts. The printed numbers are deterministic (simulator
-//!   ticks); the dense and sparse backings must produce *identical*
-//!   reports, which `dense_and_sparse_kernel_runs_are_identical` checks
-//!   by digest.
-//! * [`lock_microcycle_secs`] / [`seed_lock_microcycle_secs`] — wall-clock
-//!   microbenchmarks of the uncontended lock acquire→commit→release
-//!   cycle, shared by the `db_kernel` criterion bench and the
-//!   `BENCH_PR5.json` kernel section. The seed baseline is a faithful
-//!   copy of the pre-dense lock manager (SipHash `HashMap` table, whole-
-//!   table scan in `release_all`), kept so the speedup claim is measured
-//!   against what the code actually did, not a strawman.
+//! * [`kernel`] — end-to-end simulator runs of the lock- and
+//!   certification-based techniques across keyspace sizes and client
+//!   counts. The printed numbers are deterministic (simulator ticks); the
+//!   dense and sparse backings must produce *identical* reports, which
+//!   `dense_and_sparse_kernel_runs_are_identical` checks by digest.
+//! * [`microcycle_keys`] / [`SeedLockManager`] — the uncontended lock
+//!   acquire→commit→release cycle the `db_kernel` criterion bench times.
+//!   The seed baseline is a faithful copy of the pre-dense lock manager
+//!   (SipHash `HashMap` table, whole-table scan in `release_all`), kept so
+//!   the speedup claim is measured against what the code actually did,
+//!   not a strawman.
 
-use std::time::Instant;
-
-use repl_core::{RunConfig, Technique};
-use repl_db::{DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TxnId};
+use repl_core::Technique;
+use repl_db::{Key, LockMode, TxnId};
 use repl_workload::WorkloadSpec;
 
-use crate::sweep::sweep_reports;
-use crate::Row;
-
-/// One cell of the P10 kernel scaling study.
-#[derive(Debug, Clone)]
-pub struct KernelCell {
-    /// Technique under study.
-    pub technique: Technique,
-    /// Declared keyspace size (workload items).
-    pub keyspace: u64,
-    /// Closed-loop client count.
-    pub clients: u32,
-    /// The run configuration (dense keyspace, the workload default).
-    pub cfg: RunConfig,
-}
+use crate::study::{col, Study, StudyRow};
 
 /// The techniques whose servers exercise the db kernel's lock table or
 /// certifier on every transaction — the ones keyspace scaling can move.
@@ -50,71 +32,43 @@ pub fn kernel_techniques() -> [Technique; 4] {
     ]
 }
 
-/// Builds the P10 cell matrix: kernel-bound technique × keyspace size ×
-/// client count. The workload is update-heavy (80% writes) so lock and
-/// certification traffic dominates, and uniform so the keyspace axis
-/// scales the *table*, not the conflict rate.
-pub fn kernel_cells(keyspaces: &[u64], clients: &[u32]) -> Vec<KernelCell> {
-    let mut cells = Vec::new();
+/// P10 — kernel scaling: throughput, latency, message cost and server
+/// aborts per kernel-bound technique × keyspace × clients. The workload
+/// is update-heavy (80% writes) so lock and certification traffic
+/// dominates, and uniform so the keyspace axis scales the *table*, not
+/// the conflict rate. All printed values are simulator-deterministic; the
+/// wall-clock payoff of the dense backing is measured separately by the
+/// `db_kernel` bench.
+pub fn kernel(keyspaces: &[u64], clients: &[u32]) -> Study {
+    let mut rows = Vec::new();
     for technique in kernel_techniques() {
         for &keyspace in keyspaces {
             for &c in clients {
-                let cfg = RunConfig::new(technique)
-                    .with_servers(3)
-                    .with_clients(c)
-                    .with_seed(211)
-                    .with_trace(false)
-                    .with_workload(
+                rows.push(StudyRow::new(
+                    format!("{} / k={keyspace} / c={c}", technique.name()),
+                    [crate::lean(technique, 3, c).with_seed(211).with_workload(
                         WorkloadSpec::default()
                             .with_items(keyspace)
                             .with_read_ratio(0.2)
                             .with_txns_per_client(20),
-                    );
-                cells.push(KernelCell {
-                    technique,
-                    keyspace,
-                    clients: c,
-                    cfg,
-                });
+                    )],
+                ));
             }
         }
     }
-    cells
-}
-
-/// The display label of a P10 cell (shared by the table and the JSON).
-pub fn kernel_cell_label(cell: &KernelCell) -> String {
-    format!(
-        "{} / k={} / c={}",
-        cell.technique.name(),
-        cell.keyspace,
-        cell.clients
+    let columns = vec![
+        col("thru", |r| format!("{:.0}/s", r[0].throughput())),
+        col("p50", |r| crate::percentile(&r[0], 0.5)),
+        col("p99", |r| crate::percentile(&r[0], 0.99)),
+        col("msgs/txn", |r| crate::msgs_per_op(&r[0])),
+        col("aborts", |r| r[0].server_aborts.to_string()),
+    ];
+    Study::new(
+        "P10",
+        "kernel scaling (3 replicas, technique × keyspace × clients)",
+        rows,
+        columns,
     )
-}
-
-/// P10 — kernel scaling: throughput, latency, message cost and server
-/// aborts per technique × keyspace × clients. All printed values are
-/// simulator-deterministic; the wall-clock payoff of the dense backing
-/// is measured separately by the `db_kernel` bench and the JSON
-/// artifact's microcycle section.
-pub fn kernel_table(keyspaces: &[u64], clients: &[u32]) -> Vec<Row> {
-    let cells = kernel_cells(keyspaces, clients);
-    let cfgs = cells.iter().map(|c| c.cfg.clone()).collect();
-    cells
-        .iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(cell, report)| {
-            let mut lat = report.latencies.clone();
-            let p50 = lat.percentile(0.5).ticks();
-            let p99 = lat.percentile(0.99).ticks();
-            Row::new(kernel_cell_label(cell))
-                .cell("thru", format!("{:.0}/s", report.throughput()))
-                .cell("p50", format!("{p50}t"))
-                .cell("p99", format!("{p99}t"))
-                .cell("msgs/txn", format!("{:.1}", report.messages_per_op()))
-                .cell("aborts", report.server_aborts)
-        })
-        .collect()
 }
 
 /// Locks each microcycle transaction takes before "committing".
@@ -132,41 +86,6 @@ pub fn microcycle_keys(items: u64, round: u64) -> [Key; MICROCYCLE_OPS as usize]
         Key((base + 2 * stride) % items),
         Key((base + 3 * stride) % items),
     ]
-}
-
-/// Wall-clock seconds for `rounds` uncontended lock acquire→commit
-/// microcycles (each: `MICROCYCLE_OPS` exclusive acquires, then
-/// `release_all`) on a `items`-key table with the chosen backing.
-pub fn lock_microcycle_secs(items: u64, dense: bool, rounds: u64) -> f64 {
-    let ks = if dense {
-        Keyspace::dense(items)
-    } else {
-        Keyspace::sparse(items)
-    };
-    let mut lm = LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks);
-    let start = Instant::now();
-    for r in 0..rounds {
-        let txn = TxnId::new(r + 1, 0);
-        for key in microcycle_keys(items, r) {
-            std::hint::black_box(lm.acquire(txn, key, LockMode::Exclusive));
-        }
-        std::hint::black_box(lm.release_all(txn).len());
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// The same microcycle on [`SeedLockManager`], the measured baseline.
-pub fn seed_lock_microcycle_secs(items: u64, rounds: u64) -> f64 {
-    let mut lm = SeedLockManager::default();
-    let start = Instant::now();
-    for r in 0..rounds {
-        let txn = TxnId::new(r + 1, 0);
-        for key in microcycle_keys(items, r) {
-            std::hint::black_box(lm.acquire(txn, key, LockMode::Exclusive));
-        }
-        lm.release_all(txn);
-    }
-    start.elapsed().as_secs_f64()
 }
 
 #[derive(Default)]
@@ -251,10 +170,11 @@ impl SeedLockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repl_db::{DeadlockPolicy, Keyspace, LockManager};
 
     #[test]
     fn kernel_table_covers_the_matrix() {
-        let rows = kernel_table(&[64], &[2]);
+        let rows = kernel(&[64], &[2]).table(2);
         assert_eq!(rows.len(), kernel_techniques().len());
         for r in &rows {
             assert!(r.label.contains("k=64"), "{}", r.label);
@@ -266,11 +186,9 @@ mod tests {
         // The dense backing is a representation change only: the same
         // cell run with the sparse fallback must produce a bit-identical
         // report digest.
-        for technique in kernel_techniques() {
-            let cell = &kernel_cells(&[64], &[2])
-                .into_iter()
-                .find(|c| c.technique == technique)
-                .expect("cell per technique");
+        let cells = kernel(&[64], &[2]).sweep_cells();
+        assert_eq!(cells.len(), kernel_techniques().len());
+        for cell in cells {
             let dense = repl_core::run(&cell.cfg);
             let mut sparse_cfg = cell.cfg.clone();
             sparse_cfg.workload = sparse_cfg.workload.clone().with_dense_keyspace(false);
@@ -278,7 +196,8 @@ mod tests {
             assert_eq!(
                 dense.digest(),
                 sparse.digest(),
-                "{technique:?}: dense and sparse runs diverged"
+                "{}: dense and sparse runs diverged",
+                cell.label
             );
         }
     }

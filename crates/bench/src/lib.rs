@@ -5,91 +5,117 @@
 //! assumptions." — Wiesmann et al., ICDCS 2000, Section 6.
 //!
 //! This crate *is* that study, over the reproduction's simulator. Each
-//! experiment is a pure function returning printable rows, shared by:
+//! experiment is one [`Study`] declaration — labelled rows of runs and
+//! the columns folded from their reports — registered in [`studies`] and
+//! shared by:
 //!
-//! * `cargo run --bin perfstudy` — prints every table (the artifact
-//!   recorded in EXPERIMENTS.md),
+//! * `cargo run --bin perfstudy` — prints every table (recorded in
+//!   EXPERIMENTS.md and pinned by `tests/study_tables.rs`),
 //! * `cargo run --bin figures` — regenerates the paper's figures,
-//! * `cargo bench` — Criterion benchmarks, one target per experiment.
+//! * `cargo bench` — Criterion benchmarks over the studies' own cells.
 //!
 //! Absolute numbers are simulator ticks (≈ µs at LAN latencies); the
 //! *shapes* — who wins, by what factor, where the curves bend — are the
 //! reproduction targets.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use repl_core::protocols::common::{AbcastImpl, ExecutionMode};
-use repl_core::{BatchConfig, DurabilityConfig, RunConfig, RunReport, Technique};
+use repl_core::protocols::lazy_ue::ReconcileMode;
+use repl_core::{
+    Arrival, BatchConfig, DurabilityConfig, Propagation, RunConfig, RunReport, Technique,
+};
 use repl_db::DeadlockPolicy;
 use repl_sim::{NodeId, SimDuration, SimTime};
-use repl_workload::{FaultPlan, MembershipPlan, WorkloadSpec};
+use repl_workload::{ArrivalDist, FaultPlan, MembershipPlan, WorkloadSpec};
 
 pub mod kernel;
+pub mod study;
 pub mod sweep;
 
-pub use kernel::{
-    kernel_cell_label, kernel_cells, kernel_table, kernel_techniques, lock_microcycle_secs,
-    microcycle_keys, seed_lock_microcycle_secs, KernelCell, SeedLockManager, MICROCYCLE_OPS,
-};
-use sweep::sweep_reports;
+pub use kernel::{kernel, microcycle_keys, SeedLockManager, MICROCYCLE_OPS};
+pub use study::{col, render, Column, Row, Study, StudyRow};
 
-/// One row of an experiment table: a label and named columns.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Row label (technique, parameter value, …).
-    pub label: String,
-    /// `(column name, value)` pairs.
-    pub cells: Vec<(&'static str, String)>,
+/// Every study of the evaluation with its canonical axes, in the order
+/// `perfstudy` prints them. Adding a study is one constructor below and
+/// one line here; the table, the `--<id>-only` flag, the golden-table
+/// check and the sweep cells all follow from the declaration.
+pub fn studies() -> Vec<Study> {
+    vec![
+        response_time(&DEGREES),
+        throughput(&[1, 2, 4, 8, 16]),
+        message_cost(&DEGREES),
+        conflicts(&[0.0, 0.5, 1.0, 1.5]),
+        failover(),
+        availability(),
+        eager_vs_lazy(&[1_000, 10_000, 50_000]),
+        open_loop(&[2_000, 500, 120, 40]),
+        abcast_impls(),
+        deadlock(&[0.5, 1.0, 1.5]),
+        lock_scope(&[0.2, 0.5, 0.9]),
+        reconcile(),
+        batching(&P8_CLIENTS, &P8_WINDOWS),
+        recovery(&P9_DOWNTIMES, &P9_WRITE_RATIOS),
+        kernel(&P10_KEYSPACES, &P10_CLIENTS),
+        disaster(&P12_UPLOAD_LAGS),
+        open_loop_scale(&P13_TECHNIQUES, &P13_CLIENTS, &P13_RATES),
+        payload_plane(),
+        elasticity(),
+        sharding(),
+    ]
 }
 
-impl Row {
-    /// Creates a row.
-    pub fn new(label: impl Into<String>) -> Self {
-        Row {
-            label: label.into(),
-            cells: Vec::new(),
-        }
-    }
+/// Replication degrees swept by P1 and P3.
+const DEGREES: [u32; 4] = [2, 4, 8, 16];
 
-    /// Adds a cell.
-    pub fn cell(mut self, name: &'static str, value: impl std::fmt::Display) -> Self {
-        self.cells.push((name, value.to_string()));
-        self
-    }
-}
+/// The batching windows (in ticks) swept by P8. 0 is the unbatched
+/// baseline; 250 is sub-round-trip; 1000 spans several LAN round trips.
+pub const P8_WINDOWS: [u64; 3] = [0, 250, 1_000];
 
-/// Renders rows as an aligned text table.
-pub fn render(title: &str, rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "### {title}");
-    if rows.is_empty() {
-        let _ = writeln!(s, "(no rows)");
-        return s;
-    }
-    let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(5).max(5);
-    let _ = write!(s, "{:<label_w$}", "");
-    let mut col_w = Vec::new();
-    for (name, _) in &rows[0].cells {
-        let w = rows
-            .iter()
-            .flat_map(|r| r.cells.iter())
-            .filter(|(n, _)| n == name)
-            .map(|(_, v)| v.len())
-            .max()
-            .unwrap_or(0)
-            .max(name.len());
-        col_w.push(w);
-        let _ = write!(s, "  {name:>w$}");
-    }
-    let _ = writeln!(s);
-    for r in rows {
-        let _ = write!(s, "{:<label_w$}", r.label);
-        for ((_, v), w) in r.cells.iter().zip(&col_w) {
-            let _ = write!(s, "  {v:>w$}");
-        }
-        let _ = writeln!(s);
-    }
-    s
-}
+/// The closed-loop client counts swept by P8: window amortization scales
+/// with how many submissions share a window, so the same window is
+/// measured from light load to high concurrency.
+pub const P8_CLIENTS: [u32; 3] = [4, 16, 48];
+
+/// The outage lengths (in ticks) swept by P9. Both land while clients are
+/// still active, so the rejoined replica always sees post-recovery
+/// traffic; the long outage misses roughly a third of the run.
+const P9_DOWNTIMES: [u64; 2] = [15_000, 40_000];
+
+/// The update fractions swept by P9: catch-up volume (and so MTTR and the
+/// transfer strategy) scales with how much state churned while the victim
+/// was down.
+const P9_WRITE_RATIOS: [f64; 2] = [0.2, 1.0];
+
+/// The keyspace sizes swept by P10: small enough to fit a cache line's
+/// worth of lock slots, the dense sweet spot, and large enough that
+/// hashed tables start paying for resizes.
+const P10_KEYSPACES: [u64; 3] = [64, 1024, 65536];
+
+/// The client counts swept by P10 (light and heavy load).
+const P10_CLIENTS: [u32; 2] = [4, 16];
+
+/// The durable-tier upload lags (in ticks) swept by P12. 0 is the
+/// synchronous tier (nothing acknowledged can be lost); 2 000 leaves a
+/// couple of rounds of commits in flight when the disaster hits; 20 000
+/// leaves essentially everything since the start of the run exposed.
+const P12_UPLOAD_LAGS: [u64; 3] = [0, 2_000, 20_000];
+
+/// The techniques P13 prints: an ABCAST-ordered state machine, the eager
+/// primary, and the cheapest lazy protocol — three points on the
+/// coordination-cost spectrum.
+const P13_TECHNIQUES: [Technique; 3] = [
+    Technique::Active,
+    Technique::EagerPrimary,
+    Technique::LazyUpdateEverywhere,
+];
+
+/// The virtual client populations P13 prints.
+const P13_CLIENTS: [u32; 2] = [1_000, 100_000];
+
+/// The total offered rates (ops/s across the population) P13 prints.
+const P13_RATES: [u64; 2] = [100_000, 200_000];
 
 /// The baseline update workload used across the study.
 pub fn update_workload(txns: u32) -> WorkloadSpec {
@@ -99,100 +125,99 @@ pub fn update_workload(txns: u32) -> WorkloadSpec {
         .with_txns_per_client(txns)
 }
 
-fn p99(report: &RunReport) -> u64 {
-    let mut l = report.latencies.clone();
-    l.percentile(0.99).ticks()
+/// The untraced `servers` × `clients` run every study cell starts from.
+fn lean(technique: Technique, servers: u32, clients: u32) -> RunConfig {
+    RunConfig::new(technique)
+        .with_servers(servers)
+        .with_clients(clients)
+        .with_trace(false)
 }
 
-fn worst(report: &RunReport) -> u64 {
-    let mut l = report.latencies.clone();
-    l.percentile(1.0).ticks()
+/// Gives lazy techniques a short propagation window, so the traffic that
+/// follows a recovery, restore or join settles inside the drain.
+fn settle_lazy(cfg: RunConfig) -> RunConfig {
+    if cfg.technique.info().propagation == Propagation::Lazy {
+        cfg.with_propagation_delay(SimDuration::from_ticks(1_000))
+    } else {
+        cfg
+    }
 }
 
-/// The techniques included in the latency/throughput/message sweeps.
-pub fn study_techniques() -> Vec<Technique> {
-    Technique::ALL.to_vec()
+fn mean(report: &RunReport) -> String {
+    format!("{}t", report.latencies.mean().ticks())
+}
+
+fn percentile(report: &RunReport, q: f64) -> String {
+    let mut l = report.latencies.clone();
+    format!("{}t", l.percentile(q).ticks())
+}
+
+fn msgs_per_op(report: &RunReport) -> String {
+    format!("{:.1}", report.messages_per_op())
+}
+
+fn opt_ticks(ticks: Option<u64>) -> String {
+    ticks.map_or_else(|| "-".into(), |t| format!("{t}t"))
+}
+
+/// Throughput of the undisturbed run over the disturbed one.
+fn dip(baseline: &RunReport, disturbed: &RunReport) -> String {
+    let dip = baseline.throughput() / disturbed.throughput().max(f64::MIN_POSITIVE);
+    format!("{dip:.2}x")
+}
+
+/// A technique × axis study (P1–P3): one row per technique, one run and
+/// one column per axis value.
+fn per_technique(
+    id: &'static str,
+    title: &'static str,
+    (axis_name, axis): (&str, &[u32]),
+    cfg: impl Fn(Technique, u32) -> RunConfig,
+    value: fn(&RunReport) -> String,
+) -> Study {
+    let rows = Technique::ALL
+        .iter()
+        .map(|&t| {
+            let runs: Vec<RunConfig> = axis.iter().map(|&v| cfg(t, v)).collect();
+            StudyRow::new(t.name(), runs)
+        })
+        .collect();
+    let columns = axis
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| col(format!("{axis_name}={v}"), move |r| value(&r[i])))
+        .collect();
+    Study::new(id, title, rows, columns)
 }
 
 /// P1 — response time per technique vs replication degree.
-pub fn response_time_table(degrees: &[u32]) -> Vec<Row> {
-    let techniques = study_techniques();
-    let mut cfgs = Vec::new();
-    for &technique in &techniques {
-        for &n in degrees {
-            cfgs.push(
-                RunConfig::new(technique)
-                    .with_servers(n)
-                    .with_clients(2)
-                    .with_seed(101)
-                    .with_trace(false)
-                    .with_workload(update_workload(12)),
-            );
-        }
-    }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    let mut rows = Vec::new();
-    for technique in techniques {
-        let mut row = Row::new(technique.name());
-        for &n in degrees {
-            let report = reports.next().expect("one report per sweep cell");
-            let name: &'static str = degree_label(n);
-            row = row.cell(name, format!("{}t", report.latencies.mean().ticks()));
-        }
-        rows.push(row);
-    }
-    rows
-}
-
-fn degree_label(n: u32) -> &'static str {
-    match n {
-        2 => "n=2",
-        3 => "n=3",
-        4 => "n=4",
-        8 => "n=8",
-        16 => "n=16",
-        _ => "n=?",
-    }
-}
-
-fn clients_label(n: u32) -> &'static str {
-    match n {
-        1 => "c=1",
-        2 => "c=2",
-        4 => "c=4",
-        8 => "c=8",
-        16 => "c=16",
-        _ => "c=?",
-    }
+pub fn response_time(degrees: &[u32]) -> Study {
+    per_technique(
+        "P1",
+        "mean response time vs replication degree",
+        ("n", degrees),
+        |technique, n| {
+            lean(technique, n, 2)
+                .with_seed(101)
+                .with_workload(update_workload(12))
+        },
+        mean,
+    )
 }
 
 /// P2 — closed-loop throughput per technique vs client count.
-pub fn throughput_table(client_counts: &[u32]) -> Vec<Row> {
-    let techniques = study_techniques();
-    let mut cfgs = Vec::new();
-    for &technique in &techniques {
-        for &c in client_counts {
-            cfgs.push(
-                RunConfig::new(technique)
-                    .with_servers(3)
-                    .with_clients(c)
-                    .with_seed(103)
-                    .with_trace(false)
-                    .with_workload(update_workload(10)),
-            );
-        }
-    }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    let mut rows = Vec::new();
-    for technique in techniques {
-        let mut row = Row::new(technique.name());
-        for &c in client_counts {
-            let report = reports.next().expect("one report per sweep cell");
-            row = row.cell(clients_label(c), format!("{:.0}/s", report.throughput()));
-        }
-        rows.push(row);
-    }
-    rows
+pub fn throughput(client_counts: &[u32]) -> Study {
+    per_technique(
+        "P2",
+        "throughput vs clients (3 replicas)",
+        ("c", client_counts),
+        |technique, c| {
+            lean(technique, 3, c)
+                .with_seed(103)
+                .with_workload(update_workload(10))
+        },
+        |r| format!("{:.0}/s", r.throughput()),
+    )
 }
 
 /// P3 — messages and bytes per operation vs replication degree.
@@ -201,89 +226,75 @@ pub fn throughput_table(client_counts: &[u32]) -> Vec<Row> {
 /// O(n²) background heartbeats amortize over real work; the residual
 /// per-op cost of FD-based techniques still grows faster with n than the
 /// pure protocol cost — an honest finding, recorded in EXPERIMENTS.md.
-pub fn message_cost_table(degrees: &[u32]) -> Vec<Row> {
-    let techniques = study_techniques();
-    let mut cfgs = Vec::new();
-    for &technique in &techniques {
-        for &n in degrees {
-            cfgs.push(
-                RunConfig::new(technique)
-                    .with_servers(n)
-                    .with_clients(2)
-                    .with_seed(107)
-                    .with_trace(false)
-                    .with_workload(update_workload(80)),
-            );
-        }
-    }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    let mut rows = Vec::new();
-    for technique in techniques {
-        let mut row = Row::new(technique.name());
-        for &n in degrees {
-            let report = reports.next().expect("one report per sweep cell");
-            row = row.cell(degree_label(n), format!("{:.1}", report.messages_per_op()));
-        }
-        rows.push(row);
-    }
-    rows
+pub fn message_cost(degrees: &[u32]) -> Study {
+    per_technique(
+        "P3",
+        "messages per operation vs replication degree",
+        ("n", degrees),
+        |technique, n| {
+            lean(technique, n, 2)
+                .with_seed(107)
+                .with_workload(update_workload(80))
+        },
+        msgs_per_op,
+    )
 }
 
 /// P4 — conflict behaviour vs access skew: aborts (certification),
 /// wounds (distributed locking) and reconciliations (lazy UE).
-pub fn conflicts_table(skews: &[f64]) -> Vec<Row> {
-    let contended = |skew: f64| {
-        WorkloadSpec::default()
-            .with_items(32)
-            .with_read_ratio(0.5)
-            .with_ops_per_txn(2)
-            .with_skew(skew)
-            .with_txns_per_client(10)
-            .with_think_time(SimDuration::from_ticks(50))
+pub fn conflicts(skews: &[f64]) -> Study {
+    let cfg = |technique: Technique, skew: f64| {
+        lean(technique, 3, 4).with_seed(109).with_workload(
+            WorkloadSpec::default()
+                .with_items(32)
+                .with_read_ratio(0.5)
+                .with_ops_per_txn(2)
+                .with_skew(skew)
+                .with_txns_per_client(10)
+                .with_think_time(SimDuration::from_ticks(50)),
+        )
     };
-    let mut cfgs = Vec::new();
-    for &skew in skews {
-        cfgs.push(
-            RunConfig::new(Technique::Certification)
-                .with_servers(3)
-                .with_clients(4)
-                .with_seed(109)
-                .with_trace(false)
-                .with_workload(contended(skew)),
-        );
-        cfgs.push(
-            RunConfig::new(Technique::EagerUpdateEverywhereLocking)
-                .with_servers(3)
-                .with_clients(4)
-                .with_seed(109)
-                .with_trace(false)
-                .with_workload(contended(skew)),
-        );
-        cfgs.push(
-            RunConfig::new(Technique::LazyUpdateEverywhere)
-                .with_servers(3)
-                .with_clients(4)
-                .with_seed(109)
-                .with_trace(false)
-                .with_propagation_delay(SimDuration::from_ticks(2_000))
-                .with_workload(contended(skew)),
-        );
+    let rows = skews
+        .iter()
+        .map(|&skew| {
+            let runs = [
+                cfg(Technique::Certification, skew),
+                cfg(Technique::EagerUpdateEverywhereLocking, skew),
+                cfg(Technique::LazyUpdateEverywhere, skew)
+                    .with_propagation_delay(SimDuration::from_ticks(2_000)),
+            ];
+            StudyRow::new(format!("zipf {skew:.1}"), runs)
+        })
+        .collect();
+    let columns = vec![
+        col("cert abort%", |r| {
+            format!("{:.1}", r[0].abort_rate() * 100.0)
+        }),
+        col("lock wounds", |r| r[1].wounds.to_string()),
+        col("lock mean", |r| mean(&r[1])),
+        col("lazy reconciled", |r| r[2].reconciliations.to_string()),
+    ];
+    Study::new(
+        "P4",
+        "conflicts vs access skew (4 clients, 32 items, rmw txns)",
+        rows,
+        columns,
+    )
+}
+
+/// The P5/P5b cell: five replicas over consensus ABCAST whose rank-0
+/// server (the primary, where there is one) crashes mid-run.
+fn rank0_crash(technique: Technique) -> RunConfig {
+    let cfg = lean(technique, 5, 4)
+        .with_seed(113)
+        .with_abcast(AbcastImpl::Consensus)
+        .with_faults(FaultPlan::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0)))
+        .with_workload(update_workload(10));
+    if technique == Technique::SemiActive {
+        cfg.with_exec(ExecutionMode::NonDeterministic)
+    } else {
+        cfg
     }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    let mut rows = Vec::new();
-    for &skew in skews {
-        let cert = reports.next().expect("one report per sweep cell");
-        let lock = reports.next().expect("one report per sweep cell");
-        let lazy = reports.next().expect("one report per sweep cell");
-        rows.push(
-            Row::new(format!("zipf {skew:.1}"))
-                .cell("cert abort%", format!("{:.1}", cert.abort_rate() * 100.0))
-                .cell("lock wounds", lock.wounds)
-                .cell("lock mean", format!("{}t", lock.latencies.mean().ticks()))
-                .cell("lazy reconciled", lazy.reconciliations),
-        );
-    }
-    rows
 }
 
 /// P5 — failover: crash the rank-0 server mid-run.
@@ -292,60 +303,48 @@ pub fn conflicts_table(skews: &[f64]) -> Vec<Row> {
 /// axis made visible: under active-style techniques a client attached to
 /// a *surviving* replica never notices the crash, while primary-copy
 /// techniques stall every client (they all depend on the dead primary).
-pub fn failover_table() -> Vec<Row> {
-    let crash = FaultPlan::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0));
-    let techniques = [
+pub fn failover() -> Study {
+    let rows = [
         Technique::Active,
         Technique::SemiActive,
         Technique::SemiPassive,
         Technique::Passive,
         Technique::EagerPrimary,
-    ];
-    let mut cfgs = Vec::new();
-    for technique in techniques {
-        let mut cfg = RunConfig::new(technique)
-            .with_servers(5)
-            .with_clients(4)
-            .with_seed(113)
-            .with_trace(false)
-            .with_abcast(AbcastImpl::Consensus)
-            .with_faults(crash.clone())
-            .with_workload(update_workload(10));
-        if technique == Technique::SemiActive {
-            cfg = cfg.with_exec(ExecutionMode::NonDeterministic);
-        }
-        let mut baseline = cfg.clone();
-        baseline.faults = FaultPlan::new();
-        cfgs.push(cfg);
-        cfgs.push(baseline);
-    }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    let mut rows = Vec::new();
-    for technique in techniques {
-        let report = reports.next().expect("one report per sweep cell");
-        let baseline = reports.next().expect("one report per sweep cell");
-        // Worst latency per client; the best-off client shows whether the
-        // technique kept *anyone* fully unaffected.
-        let mut per_client_worst: std::collections::HashMap<u32, u64> =
-            std::collections::HashMap::new();
+    ]
+    .into_iter()
+    .map(|technique| {
+        let crashed = rank0_crash(technique);
+        let baseline = crashed.clone().with_faults(FaultPlan::new());
+        StudyRow::new(technique.name(), [crashed, baseline])
+    })
+    .collect();
+    // Worst latency per client; the best-off client shows whether the
+    // technique kept *anyone* fully unaffected.
+    fn unaffected(report: &RunReport) -> String {
+        let mut per_client_worst = std::collections::HashMap::new();
         for (c, rec) in &report.records {
             if let Some(l) = rec.latency() {
                 let e = per_client_worst.entry(*c).or_insert(0);
-                *e = (*e).max(l.ticks());
+                *e = l.ticks().max(*e);
             }
         }
-        let unaffected = per_client_worst.values().copied().min().unwrap_or(0);
-        rows.push(
-            Row::new(technique.name())
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("worst", format!("{}t", worst(&report)))
-                .cell("unaffected client", format!("{unaffected}t"))
-                .cell("worst (no crash)", format!("{}t", worst(&baseline)))
-                .cell("retries", report.client_retries)
-                .cell("unanswered", report.ops_unanswered),
-        );
+        let best = per_client_worst.values().copied().min().unwrap_or(0);
+        format!("{best}t")
     }
-    rows
+    let columns = vec![
+        col("mean", |r| mean(&r[0])),
+        col("worst", |r| percentile(&r[0], 1.0)),
+        col("unaffected client", |r| unaffected(&r[0])),
+        col("worst (no crash)", |r| percentile(&r[1], 1.0)),
+        col("retries", |r| r[0].client_retries.to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+    ];
+    Study::new(
+        "P5",
+        "failover: rank-0 server crashes mid-run (5 replicas)",
+        rows,
+        columns,
+    )
 }
 
 /// P5b — availability under a primary crash, via the [`FaultPlan`]
@@ -354,108 +353,121 @@ pub fn failover_table() -> Vec<Row> {
 /// request→response gap any client saw, and the best-off client's gap
 /// (the failure-transparency axis again, now including stalled
 /// operations rather than only answered ones).
-pub fn availability_table() -> Vec<Row> {
-    let plan = FaultPlan::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0));
-    let techniques = [
+pub fn availability() -> Study {
+    let rows = [
         Technique::Passive,
         Technique::SemiPassive,
         Technique::EagerPrimary,
+    ]
+    .into_iter()
+    .map(|technique| StudyRow::new(technique.name(), [rank0_crash(technique)]))
+    .collect();
+    let columns = vec![
+        col("failover", |r| {
+            opt_ticks(r[0].availability.failover_latency.map(|d| d.ticks()))
+        }),
+        col("worst gap", |r| {
+            format!("{}t", r[0].availability.worst_gap().ticks())
+        }),
+        col("best client gap", |r| {
+            format!("{}t", r[0].availability.best_client_gap().ticks())
+        }),
+        col("faults", |r| r[0].availability.faults_injected.to_string()),
+        col("retries", |r| r[0].client_retries.to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
     ];
-    let cfgs = techniques
-        .iter()
-        .map(|&technique| {
-            RunConfig::new(technique)
-                .with_servers(5)
-                .with_clients(4)
-                .with_seed(113)
-                .with_trace(false)
-                .with_abcast(AbcastImpl::Consensus)
-                .with_faults(plan.clone())
-                .with_workload(update_workload(10))
-        })
-        .collect();
-    let mut rows = Vec::new();
-    for (technique, report) in techniques.iter().zip(sweep_reports(cfgs)) {
-        let a = &report.availability;
-        let failover = match a.failover_latency {
-            Some(d) => format!("{}t", d.ticks()),
-            None => "-".into(),
-        };
-        rows.push(
-            Row::new(technique.name())
-                .cell("failover", failover)
-                .cell("worst gap", format!("{}t", a.worst_gap().ticks()))
-                .cell(
-                    "best client gap",
-                    format!("{}t", a.best_client_gap().ticks()),
-                )
-                .cell("faults", a.faults_injected)
-                .cell("retries", report.client_retries)
-                .cell("unanswered", report.ops_unanswered),
-        );
-    }
-    rows
+    Study::new(
+        "P5b",
+        "availability under a primary crash (failover latency, unavailability windows)",
+        rows,
+        columns,
+    )
 }
 
 /// P6 — eager vs lazy: response time against staleness as the
 /// propagation window widens.
-pub fn eager_vs_lazy_table(delays: &[u64]) -> Vec<Row> {
-    let workload = WorkloadSpec::default()
-        .with_items(16)
-        .with_read_ratio(0.6)
-        .with_skew(0.5)
-        .with_txns_per_client(12)
-        .with_think_time(SimDuration::from_ticks(500));
-    let eager = [
+pub fn eager_vs_lazy(delays: &[u64]) -> Study {
+    let cfg = |technique: Technique| {
+        lean(technique, 3, 3).with_seed(127).with_workload(
+            WorkloadSpec::default()
+                .with_items(16)
+                .with_read_ratio(0.6)
+                .with_skew(0.5)
+                .with_txns_per_client(12)
+                .with_think_time(SimDuration::from_ticks(500)),
+        )
+    };
+    let mut rows = Vec::new();
+    for technique in [
         Technique::EagerPrimary,
         Technique::EagerUpdateEverywhereAbcast,
-    ];
-    let lazy = [Technique::LazyPrimary, Technique::LazyUpdateEverywhere];
-    let mut cfgs = Vec::new();
-    let mut labels = Vec::new();
-    for technique in eager {
-        cfgs.push(
-            RunConfig::new(technique)
-                .with_servers(3)
-                .with_clients(3)
-                .with_seed(127)
-                .with_trace(false)
-                .with_workload(workload.clone()),
-        );
-        labels.push(technique.name().to_string());
+    ] {
+        rows.push(StudyRow::new(technique.name(), [cfg(technique)]));
     }
     for &delay in delays {
-        for technique in lazy {
-            cfgs.push(
-                RunConfig::new(technique)
-                    .with_servers(3)
-                    .with_clients(3)
-                    .with_seed(127)
-                    .with_trace(false)
-                    .with_propagation_delay(SimDuration::from_ticks(delay))
-                    .with_workload(workload.clone()),
-            );
-            labels.push(format!("{} (delay {delay}t)", technique.name()));
+        for technique in [Technique::LazyPrimary, Technique::LazyUpdateEverywhere] {
+            rows.push(StudyRow::new(
+                format!("{} (delay {delay}t)", technique.name()),
+                [cfg(technique).with_propagation_delay(SimDuration::from_ticks(delay))],
+            ));
         }
     }
-    labels
-        .into_iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(label, report)| {
-            Row::new(label)
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("p99", format!("{}t", p99(&report)))
-                .cell("stale reads", report.stale_reads().len())
-                .cell("reconciled", report.reconciliations)
-        })
-        .collect()
+    let columns = vec![
+        col("mean", |r| mean(&r[0])),
+        col("p99", |r| percentile(&r[0], 0.99)),
+        col("stale reads", |r| r[0].stale_reads().len().to_string()),
+        col("reconciled", |r| r[0].reconciliations.to_string()),
+    ];
+    Study::new(
+        "P6",
+        "eager vs lazy: latency against staleness",
+        rows,
+        columns,
+    )
+}
+
+/// P7 — open-loop saturation: Poisson arrivals at increasing offered
+/// load. Closed-loop clients self-throttle; open-loop clients expose the
+/// point where a technique's pipeline can no longer keep up (operations
+/// left unanswered at the deadline, latency blow-up).
+pub fn open_loop(mean_interarrivals: &[u64]) -> Study {
+    let mut rows = Vec::new();
+    for technique in [
+        Technique::Active,
+        Technique::SemiPassive,
+        Technique::EagerUpdateEverywhereLocking,
+        Technique::LazyUpdateEverywhere,
+    ] {
+        for &gap in mean_interarrivals {
+            let offered = 1_000_000.0 * 4.0 / gap as f64; // ops/s across clients
+            rows.push(StudyRow::new(
+                format!("{} @ {offered:.0}/s", technique.name()),
+                [lean(technique, 3, 4)
+                    .with_seed(151)
+                    .with_arrival(Arrival::Open(gap))
+                    .with_max_time(SimTime::from_ticks(400_000))
+                    .with_workload(update_workload(40))],
+            ));
+        }
+    }
+    let columns = vec![
+        col("completed", |r| r[0].ops_completed.to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+        col("mean", |r| mean(&r[0])),
+        col("p99", |r| percentile(&r[0], 0.99)),
+    ];
+    Study::new(
+        "P7",
+        "open-loop saturation (4 Poisson clients, 3 replicas)",
+        rows,
+        columns,
+    )
 }
 
 /// A2 — sequencer- vs consensus-based ABCAST underneath the same
 /// technique.
-pub fn abcast_impls_table() -> Vec<Row> {
-    let mut cfgs = Vec::new();
-    let mut labels = Vec::new();
+pub fn abcast_impls() -> Study {
+    let mut rows = Vec::new();
     for technique in [
         Technique::Active,
         Technique::EagerUpdateEverywhereAbcast,
@@ -465,288 +477,131 @@ pub fn abcast_impls_table() -> Vec<Row> {
             ("sequencer", AbcastImpl::Sequencer),
             ("consensus", AbcastImpl::Consensus),
         ] {
-            cfgs.push(
-                RunConfig::new(technique)
-                    .with_servers(4)
-                    .with_clients(2)
+            rows.push(StudyRow::new(
+                format!("{} / {label}", technique.name()),
+                [lean(technique, 4, 2)
                     .with_seed(131)
-                    .with_trace(false)
                     .with_abcast(which)
-                    .with_workload(update_workload(10)),
-            );
-            labels.push(format!("{} / {label}", technique.name()));
+                    .with_workload(update_workload(10))],
+            ));
         }
     }
-    let mut rows = Vec::new();
-    for (label, report) in labels.into_iter().zip(sweep_reports(cfgs)) {
-        rows.push(
-            Row::new(label)
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("msgs/op", format!("{:.1}", report.messages_per_op()))
-                .cell(
-                    "bytes/op",
-                    format!(
-                        "{:.0}",
-                        report.messages.bytes_sent as f64 / report.ops_completed.max(1) as f64
-                    ),
-                ),
-        );
-    }
-    rows
+    let columns = vec![
+        col("mean", |r| mean(&r[0])),
+        col("msgs/op", |r| msgs_per_op(&r[0])),
+        col("bytes/op", |r| {
+            let ops = r[0].ops_completed.max(1) as f64;
+            format!("{:.0}", r[0].messages.bytes_sent as f64 / ops)
+        }),
+    ];
+    Study::new("A2", "ABCAST implementations", rows, columns)
 }
 
 /// A3 — wound-wait vs distributed deadlock detection under rising
 /// contention.
-pub fn deadlock_table(skews: &[f64]) -> Vec<Row> {
-    let contended = |skew: f64| {
-        WorkloadSpec::default()
-            .with_items(8)
-            .with_read_ratio(0.0)
-            .with_ops_per_txn(2)
-            .with_skew(skew)
-            .with_txns_per_client(6)
-            .with_think_time(SimDuration::from_ticks(100))
-    };
-    let mut cfgs = Vec::new();
-    let mut labels = Vec::new();
+pub fn deadlock(skews: &[f64]) -> Study {
+    let mut rows = Vec::new();
     for &skew in skews {
         for (label, policy) in [
             ("wound-wait", DeadlockPolicy::WoundWait),
             ("detection", DeadlockPolicy::Detect),
         ] {
-            cfgs.push(
-                RunConfig::new(Technique::EagerUpdateEverywhereLocking)
-                    .with_servers(3)
-                    .with_clients(3)
+            rows.push(StudyRow::new(
+                format!("zipf {skew:.1} / {label}"),
+                [lean(Technique::EagerUpdateEverywhereLocking, 3, 3)
                     .with_seed(137)
-                    .with_trace(false)
                     .with_deadlock(policy)
-                    .with_workload(contended(skew)),
-            );
-            labels.push(format!("zipf {skew:.1} / {label}"));
+                    .with_workload(
+                        WorkloadSpec::default()
+                            .with_items(8)
+                            .with_read_ratio(0.0)
+                            .with_ops_per_txn(2)
+                            .with_skew(skew)
+                            .with_txns_per_client(6)
+                            .with_think_time(SimDuration::from_ticks(100)),
+                    )],
+            ));
         }
     }
-    labels
-        .into_iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(label, report)| {
-            Row::new(label)
-                .cell("duration", format!("{}t", report.duration.ticks()))
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("wounds", report.wounds)
-                .cell("server aborts", report.server_aborts)
-                .cell("unanswered", report.ops_unanswered)
-        })
-        .collect()
-}
-
-/// P7 — open-loop saturation: Poisson arrivals at increasing offered
-/// load. Closed-loop clients self-throttle; open-loop clients expose the
-/// point where a technique's pipeline can no longer keep up (operations
-/// left unanswered at the deadline, latency blow-up).
-pub fn open_loop_table(mean_interarrivals: &[u64]) -> Vec<Row> {
-    use repl_core::Arrival;
-    let mut cfgs = Vec::new();
-    let mut labels = Vec::new();
-    for technique in [
-        Technique::Active,
-        Technique::SemiPassive,
-        Technique::EagerUpdateEverywhereLocking,
-        Technique::LazyUpdateEverywhere,
-    ] {
-        for &mean in mean_interarrivals {
-            cfgs.push(
-                RunConfig::new(technique)
-                    .with_servers(3)
-                    .with_clients(4)
-                    .with_seed(151)
-                    .with_arrival(Arrival::Open(mean))
-                    .with_trace(false)
-                    .with_max_time(SimTime::from_ticks(400_000))
-                    .with_workload(update_workload(40)),
-            );
-            let offered = 1_000_000.0 * 4.0 / mean as f64; // ops/s across clients
-            labels.push(format!("{} @ {:.0}/s", technique.name(), offered));
-        }
-    }
-    labels
-        .into_iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(label, report)| {
-            Row::new(label)
-                .cell("completed", report.ops_completed)
-                .cell("unanswered", report.ops_unanswered)
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("p99", format!("{}t", p99(&report)))
-        })
-        .collect()
+    let columns = vec![
+        col("duration", |r| format!("{}t", r[0].duration.ticks())),
+        col("mean", |r| mean(&r[0])),
+        col("wounds", |r| r[0].wounds.to_string()),
+        col("server aborts", |r| r[0].server_aborts.to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+    ];
+    Study::new("A3", "deadlock handling under contention", rows, columns)
 }
 
 /// A4 — read-one/write-all vs all-site read locks (paper §5.4.1's quorum
 /// note), across read ratios.
-pub fn lock_scope_table(read_ratios: &[f64]) -> Vec<Row> {
-    let mut cfgs = Vec::new();
-    let mut labels = Vec::new();
+pub fn lock_scope(read_ratios: &[f64]) -> Study {
+    let mut rows = Vec::new();
     for &ratio in read_ratios {
         for (label, rowa) in [("all-site", false), ("read-one/write-all", true)] {
-            cfgs.push(
-                RunConfig::new(Technique::EagerUpdateEverywhereLocking)
-                    .with_servers(4)
-                    .with_clients(3)
+            rows.push(StudyRow::new(
+                format!("{:.0}% reads / {label}", ratio * 100.0),
+                [lean(Technique::EagerUpdateEverywhereLocking, 4, 3)
                     .with_seed(139)
                     .with_rowa(rowa)
-                    .with_trace(false)
                     .with_workload(
                         WorkloadSpec::default()
                             .with_items(64)
                             .with_read_ratio(ratio)
                             .with_txns_per_client(12),
-                    ),
-            );
-            labels.push(format!("{:.0}% reads / {label}", ratio * 100.0));
+                    )],
+            ));
         }
     }
-    labels
-        .into_iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(label, report)| {
-            Row::new(label)
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("msgs/op", format!("{:.1}", report.messages_per_op()))
-                .cell("1SR", report.check_one_copy_serializable().is_ok())
-        })
-        .collect()
+    let columns = vec![
+        col("mean", |r| mean(&r[0])),
+        col("msgs/op", |r| msgs_per_op(&r[0])),
+        col("1SR", |r| {
+            r[0].check_one_copy_serializable().is_ok().to_string()
+        }),
+    ];
+    Study::new(
+        "A4",
+        "lock scope: all-site reads vs read-one/write-all (§5.4.1)",
+        rows,
+        columns,
+    )
 }
 
 /// A5 — lazy reconciliation rules: per-object LWW vs ABCAST-determined
 /// after-commit order (paper §4.6), under hot-key conflicts.
-pub fn reconcile_table() -> Vec<Row> {
-    use repl_core::protocols::lazy_ue::ReconcileMode;
-    let hot = WorkloadSpec::default()
-        .with_items(4)
-        .with_read_ratio(0.0)
-        .with_skew(1.2)
-        .with_txns_per_client(8);
-    let modes = [
+pub fn reconcile() -> Study {
+    let rows = [
         ("last-writer-wins", ReconcileMode::Lww),
         ("abcast order", ReconcileMode::AbcastOrder),
-    ];
-    let cfgs = modes
-        .iter()
-        .map(|&(_, mode)| {
-            RunConfig::new(Technique::LazyUpdateEverywhere)
-                .with_servers(4)
-                .with_clients(4)
-                .with_seed(149)
-                .with_reconcile(mode)
-                .with_propagation_delay(SimDuration::from_ticks(2_000))
-                .with_trace(false)
-                .with_workload(hot.clone())
-        })
-        .collect();
-    modes
-        .iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(&(label, _), report)| {
-            Row::new(label)
-                .cell("mean", format!("{}t", report.latencies.mean().ticks()))
-                .cell("msgs/op", format!("{:.1}", report.messages_per_op()))
-                .cell("reconciled", report.reconciliations)
-                .cell("converged", report.converged())
-        })
-        .collect()
-}
-
-/// One cell of the P8 batching study: a technique at a batching window
-/// and a closed-loop client count, under one ABCAST implementation
-/// (`None` for the eager primary, whose batched round is its own
-/// decision multicast, not an ordering layer).
-pub struct BatchingCell {
-    /// The technique under test.
-    pub technique: Technique,
-    /// Which ABCAST carries the technique (None = no ordering layer).
-    pub abcast: Option<AbcastImpl>,
-    /// Closed-loop client count.
-    pub clients: u32,
-    /// The batching window in ticks (0 = batching off).
-    pub window: u64,
-    /// The fully built run configuration.
-    pub cfg: RunConfig,
-}
-
-/// The abcast-based techniques swept by the batching study.
-pub fn batching_study_techniques() -> Vec<Technique> {
-    vec![
-        Technique::Active,
-        Technique::SemiActive,
-        Technique::EagerUpdateEverywhereAbcast,
-        Technique::Certification,
     ]
-}
-
-/// Builds the P8 cell matrix: every abcast-based technique × both ABCAST
-/// implementations × each closed-loop client count × each window, plus
-/// the eager primary's batched decision round, all on 3 replicas. Window
-/// amortization scales with the number of submissions that share a
-/// window, which is why the client count is the second sweep axis.
-pub fn batching_cells(clients: &[u32], windows: &[u64]) -> Vec<BatchingCell> {
-    let base = |technique: Technique, clients: u32, window: u64| {
-        let batch = if window == 0 {
-            BatchConfig::disabled()
-        } else {
-            BatchConfig::window(window)
-        };
-        RunConfig::new(technique)
-            .with_servers(3)
-            .with_clients(clients)
-            .with_seed(157)
-            .with_trace(false)
-            .with_batching(batch)
-            .with_workload(update_workload(8))
-    };
-    let mut cells = Vec::new();
-    for technique in batching_study_techniques() {
-        for which in [AbcastImpl::Sequencer, AbcastImpl::Consensus] {
-            for &c in clients {
-                for &w in windows {
-                    cells.push(BatchingCell {
-                        technique,
-                        abcast: Some(which),
-                        clients: c,
-                        window: w,
-                        cfg: base(technique, c, w).with_abcast(which),
-                    });
-                }
-            }
-        }
-    }
-    for &c in clients {
-        for &w in windows {
-            cells.push(BatchingCell {
-                technique: Technique::EagerPrimary,
-                abcast: None,
-                clients: c,
-                window: w,
-                cfg: base(Technique::EagerPrimary, c, w),
-            });
-        }
-    }
-    cells
-}
-
-/// The display label of a P8 cell (shared by the table and the JSON).
-pub fn batching_cell_label(cell: &BatchingCell) -> String {
-    let ab = match cell.abcast {
-        Some(AbcastImpl::Sequencer) => " / seq",
-        Some(AbcastImpl::Consensus) => " / cons",
-        None => "",
-    };
-    format!(
-        "{}{} / c={} / w={}",
-        cell.technique.name(),
-        ab,
-        cell.clients,
-        cell.window
+    .into_iter()
+    .map(|(label, mode)| {
+        let cfg = lean(Technique::LazyUpdateEverywhere, 4, 4)
+            .with_seed(149)
+            .with_reconcile(mode)
+            .with_propagation_delay(SimDuration::from_ticks(2_000))
+            .with_workload(
+                WorkloadSpec::default()
+                    .with_items(4)
+                    .with_read_ratio(0.0)
+                    .with_skew(1.2)
+                    .with_txns_per_client(8),
+            );
+        StudyRow::new(label, [cfg])
+    })
+    .collect();
+    let columns = vec![
+        col("mean", |r| mean(&r[0])),
+        col("msgs/op", |r| msgs_per_op(&r[0])),
+        col("reconciled", |r| r[0].reconciliations.to_string()),
+        col("converged", |r| r[0].converged().to_string()),
+    ];
+    Study::new(
+        "A5",
+        "lazy reconciliation: LWW vs ABCAST order (§4.6)",
+        rows,
+        columns,
     )
 }
 
@@ -757,125 +612,76 @@ pub fn batching_cell_label(cell: &BatchingCell) -> String {
 /// share batching can actually amortize; `msgs/txn` additionally carries
 /// the fixed client traffic (one invoke plus one reply per answering
 /// replica), which no ordering-layer change can remove.
-pub fn batching_table(clients: &[u32], windows: &[u64]) -> Vec<Row> {
-    let cells = batching_cells(clients, windows);
-    let cfgs = cells.iter().map(|c| c.cfg.clone()).collect();
-    cells
-        .iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(cell, report)| {
-            let mut lat = report.latencies.clone();
-            let p50 = lat.percentile(0.5).ticks();
-            Row::new(batching_cell_label(cell))
-                .cell("thru", format!("{:.0}/s", report.throughput()))
-                .cell("p50", format!("{p50}t"))
-                .cell("p99", format!("{}t", p99(&report)))
-                .cell("msgs/txn", format!("{:.1}", report.messages_per_op()))
-                .cell(
-                    "coord/txn",
-                    format!("{:.2}", report.coordination_messages_per_op()),
-                )
-        })
-        .collect()
-}
-
-/// One cell of the P9 recovery study: one technique under one paired
-/// crash→recover outage, plus the identical fault-free run used as the
-/// throughput baseline.
-#[derive(Debug, Clone)]
-pub struct RecoveryCell {
-    /// Technique under study.
-    pub technique: Technique,
-    /// Outage length in ticks (the crash fires at [`RECOVERY_CRASH_AT`]).
-    pub downtime: u64,
-    /// Update fraction of the workload (1.0 = update-only).
-    pub write_ratio: f64,
-    /// The run with the outage injected.
-    pub faulted: RunConfig,
-    /// The same run without any faults.
-    pub baseline: RunConfig,
-}
-
-/// Crash tick of every P9 outage.
-pub const RECOVERY_CRASH_AT: u64 = 5_000;
-
-/// The replica the P9 nemesis takes down: the tail of the 3-replica
-/// group, so primaries and sequencers keep running and the outage
-/// measures *recovery*, not failover.
-pub const RECOVERY_VICTIM: u32 = 2;
-
-/// Builds the P9 cell matrix: every technique × outage length ×
-/// write ratio, one tail-replica outage per run. The retry timeout is
-/// tightened so runs are dominated by the outage rather than by client
-/// backoff, and lazy techniques get a short propagation window so their
-/// post-recovery traffic settles inside the drain.
-pub fn recovery_cells(downtimes: &[u64], write_ratios: &[f64]) -> Vec<RecoveryCell> {
-    let base = |technique: Technique, write_ratio: f64| {
-        let mut cfg = RunConfig::new(technique)
-            .with_servers(3)
-            .with_clients(3)
-            .with_seed(163)
-            .with_trace(false)
-            .with_retry_after(SimDuration::from_ticks(4_000))
-            .with_workload(
-                WorkloadSpec::default()
-                    .with_items(64)
-                    .with_read_ratio(1.0 - write_ratio)
-                    .with_txns_per_client(15)
-                    .with_think_time(SimDuration::from_ticks(3_000)),
-            );
-        if technique.info().propagation == repl_core::Propagation::Lazy {
-            cfg = cfg.with_propagation_delay(SimDuration::from_ticks(1_000));
+///
+/// The matrix: every abcast-based technique × both ABCAST
+/// implementations × each closed-loop client count × each window, plus
+/// the eager primary's batched decision round (its own decision
+/// multicast, not an ordering layer), all on 3 replicas. Window
+/// amortization scales with the number of submissions that share a
+/// window, which is why the client count is the second sweep axis; the
+/// window axis is innermost, so each series starts at its own baseline.
+pub fn batching(clients: &[u32], windows: &[u64]) -> Study {
+    let mut series: Vec<(Technique, Option<AbcastImpl>)> = Vec::new();
+    for technique in [
+        Technique::Active,
+        Technique::SemiActive,
+        Technique::EagerUpdateEverywhereAbcast,
+        Technique::Certification,
+    ] {
+        for which in [AbcastImpl::Sequencer, AbcastImpl::Consensus] {
+            series.push((technique, Some(which)));
         }
-        cfg
-    };
-    let mut cells = Vec::new();
-    for technique in Technique::ALL {
-        for &write_ratio in write_ratios {
-            for &downtime in downtimes {
-                let baseline = base(technique, write_ratio);
-                let faulted = baseline.clone().with_faults(FaultPlan::new().outage_at(
-                    SimTime::from_ticks(RECOVERY_CRASH_AT),
-                    NodeId::new(RECOVERY_VICTIM),
-                    SimDuration::from_ticks(downtime),
+    }
+    series.push((Technique::EagerPrimary, None));
+    let mut rows = Vec::new();
+    for (technique, abcast) in series {
+        let tag = match abcast {
+            Some(AbcastImpl::Sequencer) => " / seq",
+            Some(AbcastImpl::Consensus) => " / cons",
+            None => "",
+        };
+        for &c in clients {
+            for &w in windows {
+                let batch = match w {
+                    0 => BatchConfig::disabled(),
+                    _ => BatchConfig::window(w),
+                };
+                let mut cfg = lean(technique, 3, c)
+                    .with_seed(157)
+                    .with_batching(batch)
+                    .with_workload(update_workload(8));
+                if let Some(which) = abcast {
+                    cfg = cfg.with_abcast(which);
+                }
+                rows.push(StudyRow::new(
+                    format!("{}{tag} / c={c} / w={w}", technique.name()),
+                    [cfg],
                 ));
-                cells.push(RecoveryCell {
-                    technique,
-                    downtime,
-                    write_ratio,
-                    faulted,
-                    baseline,
-                });
             }
         }
     }
-    cells
-}
-
-/// The display label of a P9 cell (shared by the table and the JSON).
-pub fn recovery_cell_label(cell: &RecoveryCell) -> String {
-    format!(
-        "{} / down={} / wr={:.1}",
-        cell.technique.name(),
-        cell.downtime,
-        cell.write_ratio
+    let columns = vec![
+        col("thru", |r| format!("{:.0}/s", r[0].throughput())),
+        col("p50", |r| percentile(&r[0], 0.5)),
+        col("p99", |r| percentile(&r[0], 0.99)),
+        col("msgs/txn", |r| msgs_per_op(&r[0])),
+        col("coord/txn", |r| {
+            format!("{:.2}", r[0].coordination_messages_per_op())
+        }),
+    ];
+    Study::new(
+        "P8",
+        "end-to-end batching (3 replicas, clients × window in ticks)",
+        rows,
+        columns,
     )
 }
 
 /// The transfer strategies a faulted run actually used, as a short tag.
-pub fn transfer_strategy_tag(report: &RunReport) -> &'static str {
-    let suffix: u64 = report
-        .availability
-        .recoveries
-        .iter()
-        .map(|r| r.log_suffix_transfers)
-        .sum();
-    let snap: u64 = report
-        .availability
-        .recoveries
-        .iter()
-        .map(|r| r.snapshot_transfers)
-        .sum();
+fn transfer_strategy_tag(report: &RunReport) -> &'static str {
+    let recoveries = &report.availability.recoveries;
+    let suffix: u64 = recoveries.iter().map(|r| r.log_suffix_transfers).sum();
+    let snap: u64 = recoveries.iter().map(|r| r.snapshot_transfers).sum();
     match (suffix > 0, snap > 0) {
         (true, true) => "both",
         (true, false) => "suffix",
@@ -884,118 +690,76 @@ pub fn transfer_strategy_tag(report: &RunReport) -> &'static str {
     }
 }
 
-/// P9 — crash recovery: MTTR (rejoin → fully caught up), catch-up bytes
-/// on the wire, the transfer strategy the donor selected, and the
-/// throughput dip against the fault-free baseline, per technique ×
-/// outage length × write ratio. The paper stops at "different failure
-/// assumptions"; this table is the recovery half of that study.
-pub fn recovery_table(downtimes: &[u64], write_ratios: &[f64]) -> Vec<Row> {
-    let cells = recovery_cells(downtimes, write_ratios);
-    let mut cfgs = Vec::with_capacity(cells.len() * 2);
-    for cell in &cells {
-        cfgs.push(cell.faulted.clone());
-        cfgs.push(cell.baseline.clone());
-    }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    cells
-        .iter()
-        .map(|cell| {
-            let faulted = reports.next().expect("faulted report per cell");
-            let baseline = reports.next().expect("baseline report per cell");
-            let a = &faulted.availability;
-            let mttr = match a.mttr_ticks() {
-                Some(t) => format!("{t}t"),
-                None => "-".into(),
-            };
-            let dip = baseline.throughput() / faulted.throughput().max(f64::MIN_POSITIVE);
-            Row::new(recovery_cell_label(cell))
-                .cell("mttr", mttr)
-                .cell("xfer", format!("{}B", a.transfer_bytes()))
-                .cell("strategy", transfer_strategy_tag(&faulted))
-                .cell("thru dip", format!("{dip:.2}x"))
-                .cell("retries", faulted.client_retries)
-                .cell("unanswered", faulted.ops_unanswered)
-        })
-        .collect()
-}
-
-/// One cell of the P12 disaster study: one technique running over the
-/// durable log tier at one upload lag, hit by one volume-loss disaster
-/// (the victim's WAL and store are destroyed, not merely halted), plus
-/// the identical fault-free run used as the throughput baseline.
-#[derive(Debug, Clone)]
-pub struct DisasterCell {
-    /// Technique under study.
-    pub technique: Technique,
-    /// The durable tier's upload lag in ticks (0 = synchronous: every
-    /// acknowledged commit is durable the instant its frame seals).
-    pub upload_lag: u64,
-    /// The run with the disaster injected.
-    pub faulted: RunConfig,
-    /// The same run without any faults.
-    pub baseline: RunConfig,
-}
-
-/// Tick of every P12 volume loss.
-pub const DISASTER_AT: u64 = 5_000;
-
-/// The replica the P12 disaster destroys: the tail of the 3-replica
-/// group, as in P9, so the study measures restore cost rather than
-/// failover.
-pub const DISASTER_VICTIM: u32 = 2;
-
-/// Downtime before the wiped replica is brought back to restore.
-pub const DISASTER_DOWNTIME: u64 = 15_000;
-
-/// Builds the P12 cell matrix: every technique × upload lag, one
-/// tail-replica volume loss per run, all over an enabled durable tier.
-/// The upload lag is the exposure knob: at lag 0 nothing acknowledged
-/// can be lost; the wider the lag, the more of the acknowledged suffix
-/// an ill-timed disaster erases.
-pub fn disaster_cells(upload_lags: &[u64]) -> Vec<DisasterCell> {
-    let base = |technique: Technique, lag: u64| {
-        let mut cfg = RunConfig::new(technique)
-            .with_servers(3)
-            .with_clients(3)
-            .with_seed(167)
-            .with_trace(false)
+/// The P9/P12/P15 load: paced closed-loop transactions over 64 items,
+/// with the retry timeout tightened so runs are dominated by the
+/// disturbance rather than by client backoff.
+fn paced(
+    technique: Technique,
+    servers: u32,
+    clients: u32,
+    write_ratio: f64,
+    txns: u32,
+) -> RunConfig {
+    settle_lazy(
+        lean(technique, servers, clients)
             .with_retry_after(SimDuration::from_ticks(4_000))
-            .with_durability(DurabilityConfig::with_upload_lag(lag))
             .with_workload(
                 WorkloadSpec::default()
                     .with_items(64)
-                    .with_read_ratio(0.0)
-                    .with_txns_per_client(15)
+                    .with_read_ratio(1.0 - write_ratio)
+                    .with_txns_per_client(txns)
                     .with_think_time(SimDuration::from_ticks(3_000)),
-            );
-        if technique.info().propagation == repl_core::Propagation::Lazy {
-            cfg = cfg.with_propagation_delay(SimDuration::from_ticks(1_000));
-        }
-        cfg
-    };
-    let mut cells = Vec::new();
-    for technique in Technique::ALL {
-        for &lag in upload_lags {
-            let baseline = base(technique, lag);
-            let faulted = baseline.clone().with_faults(FaultPlan::new().disaster_at(
-                SimTime::from_ticks(DISASTER_AT),
-                NodeId::new(DISASTER_VICTIM),
-                SimDuration::from_ticks(DISASTER_DOWNTIME),
-            ));
-            cells.push(DisasterCell {
-                technique,
-                upload_lag: lag,
-                faulted,
-                baseline,
-            });
-        }
-    }
-    cells
+            ),
+    )
 }
 
-/// The display label of a P12 cell (shared by the table and the JSON).
-pub fn disaster_cell_label(cell: &DisasterCell) -> String {
-    format!("{} / lag={}", cell.technique.name(), cell.upload_lag)
+/// P9 — crash recovery: MTTR (rejoin → fully caught up), catch-up bytes
+/// on the wire, the transfer strategy the donor selected, and the
+/// throughput dip against the fault-free baseline, per technique ×
+/// write ratio × outage length. The paper stops at "different failure
+/// assumptions"; this table is the recovery half of that study.
+///
+/// Each row pairs the run with one outage injected at tick 5 000 with
+/// the identical fault-free run. The victim is replica 2, the tail of
+/// the 3-replica group, so primaries and sequencers keep running and the
+/// outage measures *recovery*, not failover.
+pub fn recovery(downtimes: &[u64], write_ratios: &[f64]) -> Study {
+    let mut rows = Vec::new();
+    for technique in Technique::ALL {
+        for &write_ratio in write_ratios {
+            for &downtime in downtimes {
+                let baseline = paced(technique, 3, 3, write_ratio, 15).with_seed(163);
+                let faulted = baseline.clone().with_faults(FaultPlan::new().outage_at(
+                    SimTime::from_ticks(5_000),
+                    NodeId::new(2),
+                    SimDuration::from_ticks(downtime),
+                ));
+                rows.push(StudyRow::new(
+                    format!(
+                        "{} / down={downtime} / wr={write_ratio:.1}",
+                        technique.name()
+                    ),
+                    [faulted, baseline],
+                ));
+            }
+        }
+    }
+    let columns = vec![
+        col("mttr", |r| opt_ticks(r[0].availability.mttr_ticks())),
+        col("xfer", |r| {
+            format!("{}B", r[0].availability.transfer_bytes())
+        }),
+        col("strategy", |r| transfer_strategy_tag(&r[0]).to_string()),
+        col("thru dip", |r| dip(&r[1], &r[0])),
+        col("retries", |r| r[0].client_retries.to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+    ];
+    Study::new(
+        "P9",
+        "crash recovery (3 replicas, outage × write ratio, MTTR and catch-up)",
+        rows,
+        columns,
+    )
 }
 
 /// P12 — disaster recovery over the durable log tier: the realised
@@ -1005,71 +769,75 @@ pub fn disaster_cell_label(cell: &DisasterCell) -> String {
 /// tier is synchronous and the loss column must read 0 everywhere; the
 /// loss grows with the lag while the oracle stays green — every erased
 /// acknowledgement is claimed by the accounting, never silent.
-pub fn disaster_table(upload_lags: &[u64]) -> Vec<Row> {
-    let cells = disaster_cells(upload_lags);
-    let mut cfgs = Vec::with_capacity(cells.len() * 2);
-    for cell in &cells {
-        cfgs.push(cell.faulted.clone());
-        cfgs.push(cell.baseline.clone());
+///
+/// Each row pairs the run hit by one volume loss (the victim's WAL and
+/// store are destroyed, not merely halted) with the identical fault-free
+/// run. As in P9 the victim is the tail replica, so the study measures
+/// restore cost rather than failover; it is wiped at tick 5 000 and
+/// brought back to restore 15 000 ticks later. The upload lag is the
+/// exposure knob: the wider it is, the more of the acknowledged suffix
+/// an ill-timed disaster erases.
+pub fn disaster(upload_lags: &[u64]) -> Study {
+    let mut rows = Vec::new();
+    for technique in Technique::ALL {
+        for &lag in upload_lags {
+            let baseline = paced(technique, 3, 3, 1.0, 15)
+                .with_seed(167)
+                .with_durability(DurabilityConfig::with_upload_lag(lag));
+            let faulted = baseline.clone().with_faults(FaultPlan::new().disaster_at(
+                SimTime::from_ticks(5_000),
+                NodeId::new(2),
+                SimDuration::from_ticks(15_000),
+            ));
+            rows.push(StudyRow::new(
+                format!("{} / lag={lag}", technique.name()),
+                [faulted, baseline],
+            ));
+        }
     }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    cells
-        .iter()
-        .map(|cell| {
-            let faulted = reports.next().expect("faulted report per cell");
-            let baseline = reports.next().expect("baseline report per cell");
-            let d = &faulted.durability;
-            let mttr = match faulted.availability.mttr_ticks() {
-                Some(t) => format!("{t}t"),
-                None => "-".into(),
-            };
-            let dip = baseline.throughput() / faulted.throughput().max(f64::MIN_POSITIVE);
-            Row::new(disaster_cell_label(cell))
-                .cell("wipes", d.volume_wipes)
-                .cell("lost", d.lost_commits)
-                .cell("restores", d.restores)
-                .cell("restore B", format!("{}B", d.restore_bytes))
-                .cell("deaf", format!("{}t", d.restore_ticks))
-                .cell("mttr", mttr)
-                .cell("no silent loss", faulted.check_no_silent_loss().is_ok())
-                .cell("thru dip", format!("{dip:.2}x"))
-                .cell("unanswered", faulted.ops_unanswered)
-        })
-        .collect()
-}
-
-/// One cell of the P13 open-loop scale study: one technique serving a
-/// virtual client population at a fixed *total* offered load through the
-/// aggregated open-loop engine ([`repl_core::Arrival::OpenAggregated`]).
-/// The client count is a parameter, not an actor count — the same cell
-/// shape runs at 10³ and 10⁶ clients.
-pub struct OpenLoopCell {
-    /// The technique under test.
-    pub technique: Technique,
-    /// Virtual client population.
-    pub clients: u32,
-    /// Total offered load across the population, operations per second.
-    pub rate_per_s: u64,
-    /// The full run configuration.
-    pub cfg: RunConfig,
+    let columns = vec![
+        col("wipes", |r| r[0].durability.volume_wipes.to_string()),
+        col("lost", |r| r[0].durability.lost_commits.to_string()),
+        col("restores", |r| r[0].durability.restores.to_string()),
+        col("restore B", |r| {
+            format!("{}B", r[0].durability.restore_bytes)
+        }),
+        col("deaf", |r| format!("{}t", r[0].durability.restore_ticks)),
+        col("mttr", |r| opt_ticks(r[0].availability.mttr_ticks())),
+        col("no silent loss", |r| {
+            r[0].check_no_silent_loss().is_ok().to_string()
+        }),
+        col("thru dip", |r| dip(&r[1], &r[0])),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+    ];
+    Study::new(
+        "P12",
+        "disaster recovery over the durable tier (3 replicas, technique × upload lag)",
+        rows,
+        columns,
+    )
 }
 
 /// Total operations each P13 cell aims for. Populations below this
 /// issue several transactions per client; a million clients issue one
 /// each (the population itself is the load).
-pub const P13_TARGET_OPS: u64 = 100_000;
+const P13_TARGET_OPS: u64 = 100_000;
 
-/// Builds the P13 cell matrix: every technique × population × total
-/// offered rate. The per-client mean inter-arrival gap is derived so the
-/// *population's* aggregate rate equals `rate_per_s` regardless of size.
-pub fn open_loop_scale_cells(
+/// P13 — the open-loop scale study: events processed, streaming-histogram
+/// latency percentiles and the constant-memory footprint per technique ×
+/// client population × total offered rate, through the aggregated
+/// open-loop engine ([`Arrival::OpenAggregated`]). The client count is a
+/// parameter, not an actor count — the same cell shape runs at 10³ and
+/// 10⁶ clients. Latencies come from the [`repl_sim::LatencyHistogram`]
+/// (bounded relative error, ~30 KiB regardless of operation count);
+/// `peak-out` is the high-water mark of in-flight operations across
+/// client groups.
+pub fn open_loop_scale(
     techniques: &[Technique],
     client_counts: &[u32],
     rates_per_s: &[u64],
-) -> Vec<OpenLoopCell> {
-    use repl_core::Arrival;
-    use repl_workload::ArrivalDist;
-    let mut cells = Vec::new();
+) -> Study {
+    let mut rows = Vec::new();
     for &technique in techniques {
         for &clients in client_counts {
             for &rate in rates_per_s {
@@ -1077,160 +845,148 @@ pub fn open_loop_scale_cells(
                 let txns = u32::try_from(txns).expect("P13 budget fits u32");
                 // Per-client gap in ticks (1 tick ≈ 1 µs): population
                 // rate R ops/s means each of `clients` clients fires
-                // every clients·10⁶/R ticks.
+                // every clients·10⁶/R ticks, so the *population's*
+                // aggregate rate is `rate` regardless of its size.
                 let mean = (u64::from(clients).saturating_mul(1_000_000) / rate.max(1)).max(1);
-                let cfg = RunConfig::new(technique)
-                    .with_servers(3)
-                    .with_clients(clients)
-                    .with_seed(163)
-                    .with_arrival(Arrival::OpenAggregated {
-                        mean,
-                        dist: ArrivalDist::Poisson,
-                    })
-                    .with_trace(false)
-                    .with_max_time(SimTime::from_ticks(60_000_000))
-                    .with_workload(
-                        WorkloadSpec::default()
-                            .with_items(4_096)
-                            .with_read_ratio(0.5)
-                            .with_txns_per_client(txns),
-                    );
-                cells.push(OpenLoopCell {
-                    technique,
-                    clients,
-                    rate_per_s: rate,
-                    cfg,
-                });
+                rows.push(StudyRow::new(
+                    format!("{} {clients}c @{}k/s", technique.name(), rate / 1_000),
+                    [lean(technique, 3, clients)
+                        .with_seed(163)
+                        .with_arrival(Arrival::OpenAggregated {
+                            mean,
+                            dist: ArrivalDist::Poisson,
+                        })
+                        .with_max_time(SimTime::from_ticks(60_000_000))
+                        .with_workload(
+                            WorkloadSpec::default()
+                                .with_items(4_096)
+                                .with_read_ratio(0.5)
+                                .with_txns_per_client(txns),
+                        )],
+                ));
             }
         }
     }
-    cells
-}
-
-/// The display label of a P13 cell (shared by the table and the JSON).
-pub fn open_loop_cell_label(cell: &OpenLoopCell) -> String {
-    format!(
-        "{} {}c @{}k/s",
-        cell.technique.name(),
-        cell.clients,
-        cell.rate_per_s / 1_000
+    fn hist(report: &RunReport) -> &repl_sim::LatencyHistogram {
+        report
+            .latency_hist
+            .as_ref()
+            .expect("aggregated runs stream a histogram")
+    }
+    let columns = vec![
+        col("ops", |r| r[0].ops_completed.to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+        col("events", |r| r[0].messages.events_processed.to_string()),
+        col("p50", |r| {
+            format!("{}t", hist(&r[0]).percentile(0.50).ticks())
+        }),
+        col("p99", |r| {
+            format!("{}t", hist(&r[0]).percentile(0.99).ticks())
+        }),
+        col("peak-out", |r| r[0].peak_outstanding.to_string()),
+        col("hist KiB", |r| {
+            (hist(&r[0]).memory_bytes() / 1024).to_string()
+        }),
+    ];
+    Study::new(
+        "P13",
+        "open-loop scale (3 replicas, technique × clients × total offered rate)",
+        rows,
+        columns,
     )
 }
 
-/// P13 — the open-loop scale study: events processed, streaming-histogram
-/// latency percentiles and the constant-memory footprint per technique ×
-/// client population × offered rate. Latencies come from the
-/// [`repl_sim::LatencyHistogram`] (bounded relative error, ~30 KiB
-/// regardless of operation count); `peak-out` is the high-water mark of
-/// in-flight operations across client groups.
-pub fn open_loop_scale_table(
-    techniques: &[Technique],
-    client_counts: &[u32],
-    rates_per_s: &[u64],
-) -> Vec<Row> {
-    let cells = open_loop_scale_cells(techniques, client_counts, rates_per_s);
-    let cfgs = cells.iter().map(|c| c.cfg.clone()).collect();
-    cells
-        .iter()
-        .zip(sweep_reports(cfgs))
-        .map(|(cell, report)| {
-            let hist = report
-                .latency_hist
-                .as_ref()
-                .expect("aggregated runs stream a histogram");
-            Row::new(open_loop_cell_label(cell))
-                .cell("ops", report.ops_completed)
-                .cell("unanswered", report.ops_unanswered)
-                .cell("events", report.messages.events_processed)
-                .cell("p50", format!("{}t", hist.percentile(0.50).ticks()))
-                .cell("p99", format!("{}t", hist.percentile(0.99).ticks()))
-                .cell("peak-out", report.peak_outstanding)
-                .cell("hist KiB", hist.memory_bytes() / 1024)
-        })
-        .collect()
+/// A counting global allocator for binaries that print P14: the
+/// payload-plane study reports heap allocations per transaction, which
+/// only a `#[global_allocator]` can observe. Only the count is added on
+/// the hot path; dealloc is untouched.
+pub struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's; the counter is a relaxed
+// statistic that publishes no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
 }
 
-/// One technique's measurements from the P14 payload-plane study: the
-/// same run executed with arena-handle payloads and with inline
-/// (`Arc<WriteSet>`) payloads, plus the equality verdicts the study
-/// asserts in-line (a digest or trace divergence panics the study — the
-/// arena is a representation change and must be observationally
-/// invisible).
-#[derive(Debug, Clone)]
-pub struct PayloadPlaneCell {
-    /// The technique under test.
-    pub technique: Technique,
-    /// Committed transactions (identical between representations).
-    pub ops_completed: u64,
-    /// Mean response time in ticks (identical between representations).
-    pub mean_ticks: u64,
-    /// Messages per transaction (identical between representations).
-    pub msgs_per_txn: f64,
-    /// Wire bytes per transaction (identical between representations —
-    /// handles are charged at full logical size per leg).
-    pub bytes_per_txn: f64,
-    /// Heap allocations per transaction with the arena enabled
-    /// (0 when no counting allocator is installed).
-    pub arena_allocs_per_txn: f64,
-    /// Heap allocations per transaction with inline payloads.
-    pub inline_allocs_per_txn: f64,
-    /// Wall-clock milliseconds of the arena run.
-    pub arena_wall_ms: f64,
-    /// Wall-clock milliseconds of the inline run.
-    pub inline_wall_ms: f64,
+/// Heap allocations so far in a process whose global allocator is
+/// [`CountingAlloc`]; a constant 0 in any other process.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The techniques whose protocol messages ship writesets (and therefore
-/// exercise the payload arena); the other four ship full transactions or
-/// decisions and are covered by the equivalence suite instead.
-pub fn payload_plane_techniques() -> Vec<Technique> {
-    vec![
+/// The run configuration of one P14 cell: multi-operation update
+/// transactions so every commit ships a real multi-record writeset.
+fn payload_plane_cfg(technique: Technique, arena: bool) -> RunConfig {
+    settle_lazy(
+        RunConfig::new(technique)
+            .with_servers(3)
+            .with_clients(4)
+            .with_seed(171)
+            .with_trace(true)
+            .with_payload_arena(arena)
+            .with_workload(
+                WorkloadSpec::default()
+                    .with_items(64)
+                    .with_read_ratio(0.0)
+                    .with_ops_per_txn(4)
+                    .with_txns_per_client(10)
+                    .with_think_time(SimDuration::from_ticks(200)),
+            ),
+    )
+}
+
+/// P14 — the payload-plane study: per writeset-shipping technique, the
+/// (identical) simulation observables plus what the arena is allowed to
+/// change — heap allocations per transaction. Every technique runs twice,
+/// arena handles vs inline (`Arc<WriteSet>`) payloads, and the digest and
+/// trace-hash equality between the two is asserted in-line (the arena is
+/// a representation change and must be observationally invisible), so a
+/// printed row is proof the cell passed.
+///
+/// The four techniques left out ship full transactions or decisions, not
+/// writesets, and are covered by the `arena_equiv` suite instead. The
+/// allocation columns read [`allocations`], so they are 0 unless the
+/// binary installed [`CountingAlloc`]; this is the one study that
+/// measures the host, which is why it is a [`Study::host`] running its
+/// cells serially on the calling thread — the counter diffs must be
+/// attributable.
+pub fn payload_plane() -> Study {
+    Study::host(
+        "P14",
+        "payload plane (3 replicas, arena vs inline payloads, digest-checked)",
+        payload_plane_rows,
+    )
+}
+
+fn payload_plane_rows() -> Vec<Row> {
+    let mut rows = Vec::new();
+    for technique in [
         Technique::Passive,
         Technique::SemiPassive,
         Technique::EagerPrimary,
         Technique::LazyPrimary,
         Technique::LazyUpdateEverywhere,
         Technique::Certification,
-    ]
-}
-
-/// The run configuration of one P14 cell: multi-operation update
-/// transactions so every commit ships a real multi-record writeset.
-pub fn payload_plane_cfg(technique: Technique, arena: bool) -> RunConfig {
-    let mut cfg = RunConfig::new(technique)
-        .with_servers(3)
-        .with_clients(4)
-        .with_seed(171)
-        .with_trace(true)
-        .with_payload_arena(arena)
-        .with_workload(
-            WorkloadSpec::default()
-                .with_items(64)
-                .with_read_ratio(0.0)
-                .with_ops_per_txn(4)
-                .with_txns_per_client(10)
-                .with_think_time(SimDuration::from_ticks(200)),
-        );
-    if technique.info().propagation == repl_core::Propagation::Lazy {
-        cfg = cfg.with_propagation_delay(SimDuration::from_ticks(1_000));
-    }
-    cfg
-}
-
-/// Runs the P14 payload-plane study: every writeset-shipping technique
-/// twice — arena handles vs inline payloads — asserting digest and
-/// trace-hash equality between the two, and measuring what the arena is
-/// allowed to change: allocations and wall clock.
-///
-/// `alloc_count` reads the process-wide allocation counter when the
-/// caller (the `perfstudy` binary) has installed a counting global
-/// allocator; pass `&|| 0` otherwise and the allocation columns read 0.
-/// Cells run serially on the calling thread so the counter diffs are
-/// attributable.
-pub fn payload_plane_study(alloc_count: &dyn Fn() -> u64) -> Vec<PayloadPlaneCell> {
-    use std::time::Instant;
-    let mut cells = Vec::new();
-    for technique in payload_plane_techniques() {
+    ] {
+        let name = technique.name();
         // Equality pass, traced: the digest covers every counter and
         // latency sample, the trace hash covers event-level ordering.
         let arena = repl_core::run(&payload_plane_cfg(technique, true));
@@ -1238,100 +994,53 @@ pub fn payload_plane_study(alloc_count: &dyn Fn() -> u64) -> Vec<PayloadPlaneCel
         assert_eq!(
             arena.digest(),
             inline.digest(),
-            "P14 {}: arena and inline payloads must produce identical digests",
-            technique.name()
+            "P14 {name}: arena and inline payloads must produce identical digests"
         );
         assert_eq!(
-            arena.trace_hash,
-            inline.trace_hash,
-            "P14 {}: arena and inline payloads must produce identical traces",
-            technique.name()
+            arena.trace_hash, inline.trace_hash,
+            "P14 {name}: arena and inline payloads must produce identical traces"
         );
-        assert!(arena.ops_completed > 0, "P14 {}: no work", technique.name());
+        assert!(arena.ops_completed > 0, "P14 {name}: no work");
         // Measurement pass, lean (trace off): tracing allocates one
         // record per event and would drown the payload-plane signal.
-        let timed = |on: bool| {
+        let counted = |on: bool| {
             let cfg = payload_plane_cfg(technique, on).with_trace(false);
-            let a0 = alloc_count();
-            let t0 = Instant::now();
+            let before = allocations();
             let report = repl_core::run(&cfg);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            (report, alloc_count() - a0, wall_ms)
+            (report, allocations() - before)
         };
-        let (lean_arena, arena_allocs, arena_wall_ms) = timed(true);
-        let (lean_inline, inline_allocs, inline_wall_ms) = timed(false);
+        let (lean_arena, arena_allocs) = counted(true);
+        let (lean_inline, inline_allocs) = counted(false);
         assert_eq!(
             lean_arena.digest(),
             lean_inline.digest(),
-            "P14 {}: lean-mode digests must agree too",
-            technique.name()
+            "P14 {name}: lean-mode digests must agree too"
         );
         let per_txn = |n: u64| n as f64 / arena.ops_completed.max(1) as f64;
-        cells.push(PayloadPlaneCell {
-            technique,
-            ops_completed: arena.ops_completed,
-            mean_ticks: arena.latencies.mean().ticks(),
-            msgs_per_txn: arena.messages_per_op(),
-            bytes_per_txn: per_txn(arena.messages.bytes_sent),
-            arena_allocs_per_txn: per_txn(arena_allocs),
-            inline_allocs_per_txn: per_txn(inline_allocs),
-            arena_wall_ms,
-            inline_wall_ms,
-        });
+        let (arena_allocs, inline_allocs) = (per_txn(arena_allocs), per_txn(inline_allocs));
+        let saving = if inline_allocs > 0.0 {
+            format!("{:.0}%", (1.0 - arena_allocs / inline_allocs) * 100.0)
+        } else {
+            "-".into()
+        };
+        rows.push(
+            Row::new(name)
+                .cell("txns", arena.ops_completed)
+                .cell("mean", mean(&arena))
+                .cell("msgs/txn", msgs_per_op(&arena))
+                // Handles are charged at full logical size per leg, so
+                // wire bytes are identical between representations.
+                .cell(
+                    "B/txn",
+                    format!("{:.0}", per_txn(arena.messages.bytes_sent)),
+                )
+                .cell("allocs/txn arena", format!("{arena_allocs:.1}"))
+                .cell("allocs/txn inline", format!("{inline_allocs:.1}"))
+                .cell("alloc saving", saving)
+                .cell("digest", "=="),
+        );
     }
-    cells
-}
-
-/// P14 — the payload-plane study: per writeset-shipping technique, the
-/// (identical) simulation observables plus the two things the arena may
-/// change — heap allocations per transaction and wall clock. The digest
-/// and trace equality between the representations is asserted inside
-/// [`payload_plane_study`]; a printed row is proof the cell passed.
-pub fn payload_plane_table(alloc_count: &dyn Fn() -> u64) -> Vec<Row> {
-    payload_plane_study(alloc_count)
-        .into_iter()
-        .map(|c| {
-            Row::new(c.technique.name())
-                .cell("txns", c.ops_completed)
-                .cell("mean", format!("{}t", c.mean_ticks))
-                .cell("msgs/txn", format!("{:.1}", c.msgs_per_txn))
-                .cell("B/txn", format!("{:.0}", c.bytes_per_txn))
-                .cell("allocs/txn arena", format!("{:.1}", c.arena_allocs_per_txn))
-                .cell(
-                    "allocs/txn inline",
-                    format!("{:.1}", c.inline_allocs_per_txn),
-                )
-                .cell(
-                    "alloc saving",
-                    if c.inline_allocs_per_txn > 0.0 {
-                        format!(
-                            "{:.0}%",
-                            (1.0 - c.arena_allocs_per_txn / c.inline_allocs_per_txn) * 100.0
-                        )
-                    } else {
-                        "-".into()
-                    },
-                )
-                .cell("digest", "==")
-        })
-        .collect()
-}
-
-/// One cell of the P15 elasticity study: one technique scaling
-/// 3 → 7 → 3 mid-run (four cold joins, four graceful drains), plus two
-/// static baselines — the same run pinned at the initial and at the
-/// peak replica count — used to separate the *disturbance* of changing
-/// membership from the *steady-state* cost/gain of the larger group.
-#[derive(Debug, Clone)]
-pub struct ElasticityCell {
-    /// Technique under study.
-    pub technique: Technique,
-    /// The run with the 3 → 7 → 3 membership plan.
-    pub elastic: RunConfig,
-    /// The same run pinned at the initial replica count (no plan).
-    pub baseline: RunConfig,
-    /// The same run pinned at the peak replica count (no plan).
-    pub peak: RunConfig,
+    rows
 }
 
 /// Initial replica count of every P15 cell.
@@ -1344,7 +1053,7 @@ pub const P15_PEAK: u32 = 7;
 /// admission (view change + state transfer) completes before the next
 /// starts; the drains unwind the group in join order once the run is
 /// deep into steady state.
-pub fn elasticity_plan() -> MembershipPlan {
+fn elasticity_plan() -> MembershipPlan {
     let mut plan = MembershipPlan::new();
     for (i, at) in [6_000u64, 12_000, 18_000, 24_000].into_iter().enumerate() {
         plan = plan.join_at(SimTime::from_ticks(at), NodeId::new(P15_INITIAL + i as u32));
@@ -1353,52 +1062,6 @@ pub fn elasticity_plan() -> MembershipPlan {
         plan = plan.drain_at(SimTime::from_ticks(at), NodeId::new(P15_INITIAL + i as u32));
     }
     plan
-}
-
-/// Builds the P15 cell matrix: every technique under the same
-/// update-only load, once with the 3 → 7 → 3 plan and twice statically
-/// (initial and peak group size). The retry timeout is tightened so
-/// decommission reroutes are picked up promptly, as in P9.
-pub fn elasticity_cells() -> Vec<ElasticityCell> {
-    let base = |technique: Technique, servers: u32| {
-        let mut cfg = RunConfig::new(technique)
-            .with_servers(servers)
-            .with_clients(4)
-            .with_seed(173)
-            .with_trace(false)
-            .with_retry_after(SimDuration::from_ticks(4_000))
-            .with_workload(
-                WorkloadSpec::default()
-                    .with_items(64)
-                    .with_read_ratio(0.0)
-                    .with_txns_per_client(25)
-                    .with_think_time(SimDuration::from_ticks(3_000)),
-            );
-        if technique.info().propagation == repl_core::Propagation::Lazy {
-            cfg = cfg.with_propagation_delay(SimDuration::from_ticks(1_000));
-        }
-        cfg
-    };
-    Technique::ALL
-        .into_iter()
-        .map(|technique| ElasticityCell {
-            technique,
-            elastic: base(technique, P15_INITIAL).with_membership(elasticity_plan()),
-            baseline: base(technique, P15_INITIAL),
-            peak: base(technique, P15_PEAK),
-        })
-        .collect()
-}
-
-/// The display label of a P15 cell (shared by the table and the JSON).
-pub fn elasticity_cell_label(cell: &ElasticityCell) -> String {
-    format!(
-        "{} / {}→{}→{}",
-        cell.technique.name(),
-        P15_INITIAL,
-        P15_PEAK,
-        P15_INITIAL
-    )
 }
 
 /// The joiner-side accounting of a P15 elastic run: mean join time
@@ -1430,101 +1093,65 @@ pub fn joiner_accounting(report: &RunReport) -> (Option<u64>, u64, usize) {
 /// costs per operation once the churn is over; the closed-loop load is
 /// think-time-bound, so throughput alone would read flat). The
 /// no-silent-loss oracle must stay green across every drain.
-pub fn elasticity_table() -> Vec<Row> {
-    let cells = elasticity_cells();
-    let mut cfgs = Vec::with_capacity(cells.len() * 3);
-    for cell in &cells {
-        cfgs.push(cell.elastic.clone());
-        cfgs.push(cell.baseline.clone());
-        cfgs.push(cell.peak.clone());
-    }
-    let mut reports = sweep_reports(cfgs).into_iter();
-    cells
-        .iter()
-        .map(|cell| {
-            let elastic = reports.next().expect("elastic report per cell");
-            let baseline = reports.next().expect("baseline report per cell");
-            let peak = reports.next().expect("peak report per cell");
-            let (join_mean, xfer, joined) = joiner_accounting(&elastic);
-            let join = match join_mean {
-                Some(t) => format!("{t}t"),
-                None => "-".into(),
-            };
-            let dip = baseline.throughput() / elastic.throughput().max(f64::MIN_POSITIVE);
-            // The closed-loop load is think-time-bound, so throughput is
-            // flat across group sizes; the steady-state cost of the
-            // larger group shows in response time (the paper's P1 axis).
-            let steady = peak.latencies.mean().ticks() as f64
-                / (baseline.latencies.mean().ticks() as f64).max(f64::MIN_POSITIVE);
-            Row::new(elasticity_cell_label(cell))
-                .cell("joined", format!("{joined}/4"))
-                .cell("join", join)
-                .cell("xfer", format!("{xfer}B"))
-                .cell(
-                    "worst gap",
-                    format!("{}t", elastic.availability.worst_gap().ticks()),
-                )
-                .cell(
-                    "base gap",
-                    format!("{}t", baseline.availability.worst_gap().ticks()),
-                )
-                .cell("thru dip", format!("{dip:.2}x"))
-                .cell("steady lat 7/3", format!("{steady:.2}x"))
-                .cell("no silent loss", elastic.check_no_silent_loss().is_ok())
-                .cell("unanswered", elastic.ops_unanswered)
+///
+/// Each row runs the same update-only load three times: with the
+/// membership plan (four cold joins, four graceful drains) and pinned at
+/// the initial and at the peak replica count — the two static baselines
+/// separate the *disturbance* of changing membership from the
+/// *steady-state* cost of the larger group. The retry timeout is
+/// tightened so decommission reroutes are picked up promptly, as in P9.
+pub fn elasticity() -> Study {
+    let rows = Technique::ALL
+        .into_iter()
+        .map(|technique| {
+            let cfg = |servers: u32| paced(technique, servers, 4, 1.0, 25).with_seed(173);
+            StudyRow::new(
+                format!(
+                    "{} / {P15_INITIAL}→{P15_PEAK}→{P15_INITIAL}",
+                    technique.name()
+                ),
+                [
+                    cfg(P15_INITIAL).with_membership(elasticity_plan()),
+                    cfg(P15_INITIAL),
+                    cfg(P15_PEAK),
+                ],
+            )
         })
-        .collect()
+        .collect();
+    let columns = vec![
+        col("joined", |r| format!("{}/4", joiner_accounting(&r[0]).2)),
+        col("join", |r| opt_ticks(joiner_accounting(&r[0]).0)),
+        col("xfer", |r| format!("{}B", joiner_accounting(&r[0]).1)),
+        col("worst gap", |r| {
+            format!("{}t", r[0].availability.worst_gap().ticks())
+        }),
+        col("base gap", |r| {
+            format!("{}t", r[1].availability.worst_gap().ticks())
+        }),
+        col("thru dip", |r| dip(&r[1], &r[0])),
+        col("steady lat 7/3", |r| {
+            let initial = r[1].latencies.mean().ticks() as f64;
+            let peak = r[2].latencies.mean().ticks() as f64;
+            format!("{:.2}x", peak / initial.max(f64::MIN_POSITIVE))
+        }),
+        col("no silent loss", |r| {
+            r[0].check_no_silent_loss().is_ok().to_string()
+        }),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+    ];
+    Study::new(
+        "P15",
+        "elasticity (3→7→3 mid-run per technique: join time, disturbance, steady gain)",
+        rows,
+        columns,
+    )
 }
-
-/// One cell of the P16 sharding study: a technique at a shard count and
-/// a cross-shard transaction ratio.
-#[derive(Debug, Clone)]
-pub struct ShardingCell {
-    /// Technique under study.
-    pub technique: Technique,
-    /// Shard (= replica group) count.
-    pub shards: u32,
-    /// Fraction of transactions spanning two shards.
-    pub cross_ratio: f64,
-    /// The fully built run.
-    pub cfg: RunConfig,
-}
-
-/// Shard counts swept by P16.
-pub const P16_SHARDS: [u32; 3] = [1, 4, 16];
-
-/// Cross-shard transaction ratios swept by P16 (besides 0).
-pub const P16_CROSS_RATIOS: [f64; 2] = [0.05, 0.20];
 
 /// Closed-loop clients per shard group in every P16 cell. Per-group
 /// offered load is held constant, so the aggregate-throughput curve
 /// measures the capacity each extra group adds (weak scaling) — the
 /// ROADMAP's horizontal-scaling axis, not speedup at fixed load.
 pub const P16_CLIENTS_PER_SHARD: u32 = 4;
-
-/// The P16 technique subset: the three cross-shard-capable techniques
-/// (genuine multicast for the ABCAST pair, 2PC delegation for eager UE
-/// locking) plus one primary-copy representative for the ratio-0
-/// scaling story.
-pub fn sharding_study_techniques() -> Vec<Technique> {
-    vec![
-        Technique::Active,
-        Technique::EagerUpdateEverywhereAbcast,
-        Technique::EagerUpdateEverywhereLocking,
-        Technique::Passive,
-    ]
-}
-
-/// Whether `technique` has a cross-group commit path (may run cells
-/// with `cross_ratio > 0`).
-pub fn cross_shard_capable(technique: Technique) -> bool {
-    matches!(
-        technique,
-        Technique::Active
-            | Technique::EagerUpdateEverywhereAbcast
-            | Technique::EagerUpdateEverywhereLocking
-    )
-}
 
 /// Builds one P16 run: update-only transactions of two operations over
 /// a keyspace wide enough for 16 shards, zero think time (the closed
@@ -1547,48 +1174,6 @@ pub fn sharding_cfg(technique: Technique, shards: u32, cross_ratio: f64) -> RunC
         )
 }
 
-/// Builds the P16 matrix: every study technique over [`P16_SHARDS`] at
-/// ratio 0, and the cross-capable techniques additionally over
-/// [`P16_CROSS_RATIOS`] at the multi-shard counts. (Single-shard cells
-/// have no second shard to cross into, so ratio > 0 × S = 1 is not a
-/// cell.)
-pub fn sharding_cells() -> Vec<ShardingCell> {
-    let mut cells = Vec::new();
-    for technique in sharding_study_techniques() {
-        for shards in P16_SHARDS {
-            cells.push(ShardingCell {
-                technique,
-                shards,
-                cross_ratio: 0.0,
-                cfg: sharding_cfg(technique, shards, 0.0),
-            });
-        }
-        if cross_shard_capable(technique) {
-            for shards in [4u32, 16] {
-                for cross_ratio in P16_CROSS_RATIOS {
-                    cells.push(ShardingCell {
-                        technique,
-                        shards,
-                        cross_ratio,
-                        cfg: sharding_cfg(technique, shards, cross_ratio),
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// The display label of a P16 cell (shared by the table and the JSON).
-pub fn sharding_cell_label(cell: &ShardingCell) -> String {
-    format!(
-        "{} / S={} / x={:.0}%",
-        cell.technique.name(),
-        cell.shards,
-        cell.cross_ratio * 100.0
-    )
-}
-
 /// P16 — the sharding study: per (technique, shard count, cross-shard
 /// ratio), the aggregate throughput and its ratio to the same
 /// technique's single-group cell, mean latency split into shard-local
@@ -1596,47 +1181,73 @@ pub fn sharding_cell_label(cell: &ShardingCell) -> String {
 /// group convergence, nothing unanswered). Per-group load is constant
 /// ([`P16_CLIENTS_PER_SHARD`] clients), so the throughput column reads
 /// as capacity added by sharding.
-pub fn sharding_table() -> Vec<Row> {
-    let cells = sharding_cells();
-    let reports = sweep_reports(cells.iter().map(|c| c.cfg.clone()).collect());
-    // Single-group baseline throughput per technique (the S=1, ratio-0
-    // cell each speedup column divides by).
-    let mut base = std::collections::HashMap::new();
-    for (cell, report) in cells.iter().zip(&reports) {
-        if cell.shards == 1 && cell.cross_ratio == 0.0 {
-            base.insert(cell.technique, report.throughput());
+///
+/// The matrix: the three cross-shard-capable techniques (genuine
+/// multicast for the ABCAST pair, 2PC delegation for eager UE locking)
+/// plus one primary-copy representative for the ratio-0 scaling story,
+/// over shards {1, 4, 16} at ratio 0; the cross-capable ones additionally
+/// at 5 % and 20 % on the multi-shard counts (a single shard has no
+/// second shard to cross into). Each row carries its technique's S=1,
+/// ratio-0 run as the `vs S=1` denominator.
+pub fn sharding() -> Study {
+    let mut rows = Vec::new();
+    for technique in [
+        Technique::Active,
+        Technique::EagerUpdateEverywhereAbcast,
+        Technique::EagerUpdateEverywhereLocking,
+        Technique::Passive,
+    ] {
+        let mut cells: Vec<(u32, f64)> = [1, 4, 16].map(|shards| (shards, 0.0)).to_vec();
+        if technique != Technique::Passive {
+            for shards in [4, 16] {
+                cells.extend([0.05, 0.20].map(|ratio| (shards, ratio)));
+            }
+        }
+        for (shards, ratio) in cells {
+            rows.push(StudyRow::new(
+                format!(
+                    "{} / S={shards} / x={:.0}%",
+                    technique.name(),
+                    ratio * 100.0
+                ),
+                [
+                    sharding_cfg(technique, shards, ratio),
+                    sharding_cfg(technique, 1, 0.0),
+                ],
+            ));
         }
     }
-    cells
-        .iter()
-        .zip(&reports)
-        .map(|(cell, report)| {
-            let speedup = report.throughput() / base[&cell.technique].max(f64::MIN_POSITIVE);
-            let cross_lat = if report.sharding.cross_shard_ops > 0 {
-                format!("{}t", report.sharding.cross_latency.mean().ticks())
-            } else {
-                "-".into()
-            };
-            // S=1 cells run the unsharded path, which books latencies in
-            // the plain per-run stats rather than the sharding split.
-            let local_lat = if report.sharding.sharded() {
-                report.sharding.single_latency.mean()
-            } else {
-                report.latencies.mean()
-            };
-            Row::new(sharding_cell_label(cell))
-                .cell("servers", report.servers)
-                .cell("clients", cell.cfg.clients)
-                .cell("thru", format!("{:.1}/s", report.throughput()))
-                .cell("vs S=1", format!("{speedup:.2}x"))
-                .cell("local lat", format!("{}t", local_lat.ticks()))
-                .cell("cross lat", cross_lat)
-                .cell("cross ops", report.sharding.cross_shard_ops)
-                .cell("1SR", report.check_one_copy_serializable().is_ok())
-                .cell("converged", report.converged())
-                .cell("unanswered", report.ops_unanswered)
-        })
-        .collect()
+    let columns = vec![
+        col("servers", |r| r[0].servers.to_string()),
+        col("clients", |r| r[0].clients.to_string()),
+        col("thru", |r| format!("{:.1}/s", r[0].throughput())),
+        col("vs S=1", |r| {
+            let speedup = r[0].throughput() / r[1].throughput().max(f64::MIN_POSITIVE);
+            format!("{speedup:.2}x")
+        }),
+        // S=1 cells run the unsharded path, which books latencies in the
+        // plain per-run stats rather than the sharding split.
+        col("local lat", |r| match r[0].sharding.sharded() {
+            true => format!("{}t", r[0].sharding.single_latency.mean().ticks()),
+            false => mean(&r[0]),
+        }),
+        col("cross lat", |r| match r[0].sharding.cross_shard_ops {
+            0 => "-".into(),
+            _ => format!("{}t", r[0].sharding.cross_latency.mean().ticks()),
+        }),
+        col("cross ops", |r| r[0].sharding.cross_shard_ops.to_string()),
+        col("1SR", |r| {
+            r[0].check_one_copy_serializable().is_ok().to_string()
+        }),
+        col("converged", |r| r[0].converged().to_string()),
+        col("unanswered", |r| r[0].ops_unanswered.to_string()),
+    ];
+    Study::new(
+        "P16",
+        "sharding (shards × cross-shard ratio, constant per-group load)",
+        rows,
+        columns,
+    )
 }
 
 /// The run used by the phase-trace benchmark and Figures 2–4/7–14.
@@ -1654,7 +1265,7 @@ pub fn figure_config(technique: Technique, ops_per_txn: u32) -> RunConfig {
     if technique == Technique::SemiActive {
         cfg = cfg.with_exec(ExecutionMode::NonDeterministic);
     }
-    if technique.info().propagation == repl_core::Propagation::Lazy {
+    if technique.info().propagation == Propagation::Lazy {
         cfg = cfg.with_propagation_delay(SimDuration::from_ticks(2_000));
     }
     cfg
@@ -1677,36 +1288,48 @@ mod tests {
     }
 
     #[test]
-    fn response_time_table_has_all_techniques() {
-        let rows = response_time_table(&[2]);
+    fn axis_headers_name_their_value() {
+        // Regression: headers used to come from a five-entry lookup, so
+        // any other degree printed as `n=?` and two of them collided.
+        let study = response_time(&[3, 5]);
+        let rows = study.table(2);
         assert_eq!(rows.len(), Technique::ALL.len());
+        let names: Vec<&str> = rows[0].cells.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["n=3", "n=5"]);
+        let s = render(&study.heading(), &rows);
+        assert!(s.contains("n=3") && s.contains("n=5") && !s.contains('?'));
+    }
+
+    #[test]
+    fn registry_ids_are_unique_and_every_row_has_a_run() {
+        let all = studies();
+        assert_eq!(all.len(), 20);
+        for (i, s) in all.iter().enumerate() {
+            assert!(all[..i].iter().all(|o| o.id != s.id), "duplicate {}", s.id);
+            assert!(s.rows.iter().all(|r| !r.runs.is_empty()), "{}", s.id);
+            let runs: usize = s.rows.iter().map(|r| r.runs.len()).sum();
+            assert_eq!(s.sweep_cells().len(), runs, "{}", s.id);
+        }
     }
 
     #[test]
     fn recovery_table_reports_finite_mttr_and_both_strategies() {
-        let rows = recovery_table(&[15_000], &[1.0]);
+        let rows = recovery(&[15_000], &[1.0]).table(2);
         assert_eq!(rows.len(), Technique::ALL.len());
-        let col = |r: &Row, name: &str| {
-            r.cells
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| v.clone())
-                .expect("column present")
-        };
         for r in &rows {
-            assert_ne!(col(r, "mttr"), "-", "{}: no MTTR", r.label);
-            assert_eq!(col(r, "unanswered"), "0", "{}", r.label);
-            assert_ne!(col(r, "strategy"), "-", "{}: no transfer", r.label);
+            assert_ne!(r.get("mttr"), "-", "{}: no MTTR", r.label);
+            assert_eq!(r.get("unanswered"), "0", "{}", r.label);
+            assert_ne!(r.get("strategy"), "-", "{}: no transfer", r.label);
         }
-        let tags: Vec<String> = rows.iter().map(|r| col(r, "strategy")).collect();
-        let used = |t: &str| tags.iter().any(|s| s == t || s == "both");
+        let tags: Vec<&str> = rows.iter().map(|r| r.get("strategy")).collect();
+        let used = |t: &str| tags.iter().any(|&s| s == t || s == "both");
         assert!(used("suffix"), "no cell used a log suffix: {tags:?}");
         assert!(used("snapshot"), "no cell used a snapshot: {tags:?}");
     }
 
     #[test]
     fn conflicts_table_rows_per_skew() {
-        let rows = conflicts_table(&[0.0]);
+        let rows = conflicts(&[0.0]).table(1);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cells.len(), 4);
     }

@@ -71,9 +71,11 @@ impl CellResult {
     }
 }
 
-/// Number of worker threads to use: the `REPL_SWEEP_THREADS`
-/// environment variable if set and positive, else the machine's
-/// available parallelism, else 1.
+/// Number of worker threads to use when the caller was not told: the
+/// `REPL_SWEEP_THREADS` environment variable if set and positive, else
+/// the machine's available parallelism, else 1. Read once, by the
+/// binaries and benches, and passed down — nothing below them consults
+/// the environment.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("REPL_SWEEP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -134,23 +136,6 @@ fn run_cell(cell: &SweepCell) -> CellResult {
         result,
         wall: start.elapsed(),
     }
-}
-
-/// Convenience for the study tables: sweep bare configs (labelled by
-/// index) at [`default_threads`] and unwrap every report.
-///
-/// Panics if any cell fails — table configs are static and a failure
-/// is a bug, not an operational condition.
-pub fn sweep_reports(cfgs: Vec<RunConfig>) -> Vec<RunReport> {
-    let cells: Vec<SweepCell> = cfgs
-        .into_iter()
-        .enumerate()
-        .map(|(i, cfg)| SweepCell::new(format!("cell[{i}]"), cfg))
-        .collect();
-    run_sweep(&cells, default_threads())
-        .into_iter()
-        .map(CellResult::expect_report)
-        .collect()
 }
 
 #[cfg(test)]

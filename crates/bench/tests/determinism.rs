@@ -11,8 +11,18 @@
 //! digest mismatch naming the exact technique/seed cell.
 
 use repl_bench::sweep::{run_sweep, SweepCell};
-use repl_bench::update_workload;
+use repl_bench::{update_workload, Study};
 use repl_core::{RunConfig, Technique};
+
+/// The first run of every row of `study` — the disturbed run where rows
+/// pair one with baselines — with tracing switched on.
+fn traced_cells(study: &Study) -> Vec<SweepCell> {
+    study
+        .rows
+        .iter()
+        .map(|row| SweepCell::new(row.label.clone(), row.runs[0].clone().with_trace(true)))
+        .collect()
+}
 
 fn study_cells() -> Vec<SweepCell> {
     let mut cells = Vec::new();
@@ -96,14 +106,7 @@ fn batching_cells_are_deterministic() {
     // of it may leak across cells or threads. Every ABCAST technique ×
     // implementation × window must agree digest-for-digest and
     // trace-for-trace between the serial reference and a parallel sweep.
-    use repl_bench::{batching_cell_label, batching_cells};
-    let cells: Vec<SweepCell> = batching_cells(&[2], &[250, 1_000])
-        .into_iter()
-        .map(|cell| {
-            let label = batching_cell_label(&cell);
-            SweepCell::new(label, cell.cfg.with_trace(true))
-        })
-        .collect();
+    let cells = traced_cells(&repl_bench::batching(&[2], &[250, 1_000]));
     assert!(!cells.is_empty());
     let serial = run_sweep(&cells, 1);
     let parallel = run_sweep(&cells, 3);
@@ -123,11 +126,7 @@ fn recovery_cells_are_deterministic() {
     // technique under a paired outage must agree digest-for-digest and
     // trace-for-trace between the serial reference and a parallel
     // sweep — and must actually have recovered, or the cell is vacuous.
-    use repl_bench::{recovery_cell_label, recovery_cells};
-    let cells: Vec<SweepCell> = recovery_cells(&[15_000], &[1.0])
-        .into_iter()
-        .map(|cell| SweepCell::new(recovery_cell_label(&cell), cell.faulted.with_trace(true)))
-        .collect();
+    let cells = traced_cells(&repl_bench::recovery(&[15_000], &[1.0]));
     assert_eq!(cells.len(), Technique::ALL.len());
     let serial = run_sweep(&cells, 1);
     let parallel = run_sweep(&cells, 3);
@@ -152,11 +151,7 @@ fn disaster_cells_are_deterministic() {
     // technique under the P12 disaster must agree digest-for-digest and
     // trace-for-trace between the serial reference and a parallel
     // sweep — and must actually have restored, or the cell is vacuous.
-    use repl_bench::{disaster_cell_label, disaster_cells};
-    let cells: Vec<SweepCell> = disaster_cells(&[2_000])
-        .into_iter()
-        .map(|cell| SweepCell::new(disaster_cell_label(&cell), cell.faulted.with_trace(true)))
-        .collect();
+    let cells = traced_cells(&repl_bench::disaster(&[2_000]));
     assert_eq!(cells.len(), Technique::ALL.len());
     let serial = run_sweep(&cells, 1);
     let parallel = run_sweep(&cells, 3);
@@ -187,11 +182,8 @@ fn elasticity_cells_are_deterministic() {
     // and trace-for-trace between the serial reference and a parallel
     // sweep — and every joiner must actually have joined, or the cell
     // is vacuous.
-    use repl_bench::{elasticity_cell_label, elasticity_cells, joiner_accounting};
-    let cells: Vec<SweepCell> = elasticity_cells()
-        .into_iter()
-        .map(|cell| SweepCell::new(elasticity_cell_label(&cell), cell.elastic.with_trace(true)))
-        .collect();
+    use repl_bench::joiner_accounting;
+    let cells = traced_cells(&repl_bench::elasticity());
     assert_eq!(cells.len(), Technique::ALL.len());
     let serial = run_sweep(&cells, 1);
     let parallel = run_sweep(&cells, 3);

@@ -334,9 +334,8 @@ impl Technique for LazyPrimary {
             } else {
                 self.propagation_delay.ticks()
             };
-            if self.batching.enabled() && self.outbound.len() >= self.batching.max_batch {
-                self.flush(sh, ctx);
-            } else if delay_ticks == 0 {
+            let full = self.batching.enabled() && self.outbound.len() >= self.batching.max_batch;
+            if full || delay_ticks == 0 {
                 self.flush(sh, ctx);
             } else if !self.flush_armed {
                 self.flush_armed = true;

@@ -76,9 +76,13 @@ fn cfg(
         )
 }
 
+/// One operation as its client saw it: client, operation id, and — if it
+/// was answered — the commit verdict and the `(key, value)` reads.
+type Outcome = (u32, u64, Option<(bool, Vec<(u64, i64)>)>);
+
 /// Client-visible outcome of a run, stripped of all timing: per-client
 /// operation ids, commit verdicts and read values, in client order.
-fn outcomes(report: &RunReport) -> Vec<(u32, u64, Option<(bool, Vec<(u64, i64)>)>)> {
+fn outcomes(report: &RunReport) -> Vec<Outcome> {
     report
         .records
         .iter()
@@ -89,7 +93,7 @@ fn outcomes(report: &RunReport) -> Vec<(u32, u64, Option<(bool, Vec<(u64, i64)>)
                 rec.response.as_ref().map(|resp| {
                     (
                         resp.committed,
-                        resp.reads.iter().map(|(k, v)| (k.0, v.0 as i64)).collect(),
+                        resp.reads.iter().map(|(k, v)| (k.0, v.0)).collect(),
                     )
                 }),
             )

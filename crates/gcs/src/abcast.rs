@@ -465,7 +465,7 @@ impl<P: Message> SequencerAbcast<P> {
         }
         // Non-member origins get one confirmation batch each, holding
         // just their own entries.
-        let mut outsiders: Vec<(NodeId, Vec<(u64, MsgId, P)>)> = Vec::new();
+        let mut outsiders: Vec<(NodeId, Vec<_>)> = Vec::new();
         for e in entries.iter() {
             let origin = e.1.origin;
             if origin != self.me && !self.group.contains(&origin) {

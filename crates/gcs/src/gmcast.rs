@@ -390,7 +390,7 @@ impl<P: Message> GenuineMulticast<P> {
         let ts = collect.got.values().copied().max().expect("nonempty");
         // Announce to every destination orderer; `got`'s keys are exactly
         // the destination groups (BTreeMap — deterministic order).
-        for (&gid, _) in &collect.got {
+        for &gid in collect.got.keys() {
             let orderer = self.orderer_of(gid);
             if orderer == self.me {
                 self.on_final(id, ts, out);
@@ -554,15 +554,15 @@ mod tests {
         build(&mut world, &groups, &steps);
         world.start();
         world.run_until(SimTime::from_ticks(100_000));
-        for g in 0..2 {
-            let reference = deliveries(&world, groups[g][0]);
+        for (g, group) in groups.iter().enumerate() {
+            let reference = deliveries(&world, group[0]);
             assert_eq!(reference.len(), 2, "group {g} missing deliveries");
             assert_eq!(
                 reference.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
                 vec![0, 1],
                 "group {g} gseq not dense from 0"
             );
-            for &n in &groups[g][1..] {
+            for &n in &group[1..] {
                 assert_eq!(deliveries(&world, n), reference, "order differs at {n}");
             }
         }

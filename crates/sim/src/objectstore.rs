@@ -213,6 +213,7 @@ mod tests {
         let mut os = ObjectStore::new(cfg);
         os.upload(0, 2048);
         os.upload(1, 100);
-        assert_eq!(os.cost(), 5 + 4 + 5 + 0);
+        // Each put costs 5; 2 KiB add 4, and 100 bytes round down to 0 KiB.
+        assert_eq!(os.cost(), 5 + 4 + 5);
     }
 }

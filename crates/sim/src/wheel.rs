@@ -421,17 +421,15 @@ mod tests {
         let mut w = TimingWheel::new();
         let mut reference: Vec<(u64, u64)> = Vec::new();
         let mut x: u64 = 0x2545F4914F6CDD1D;
-        let mut seq = 0u64;
         let mut now = 0u64;
-        for round in 0..2_000 {
+        for seq in 0..2_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let t = now + (x >> 33) % 10_000;
             w.push(t, seq, (t, seq));
             reference.push((t, seq));
-            seq += 1;
-            if round % 3 == 0 {
+            if seq % 3 == 0 {
                 let e = w.pop().expect("pushed at least one");
                 now = e.time;
                 reference.sort_unstable();

@@ -50,6 +50,8 @@ fn allocations() -> u64 {
 /// (clone allocates).
 #[derive(Clone, Debug)]
 enum Msg {
+    // Never read: the fields only give the handle its real size.
+    #[allow(dead_code)]
     Handle(u64, u32),
     Deep(Vec<u8>),
 }

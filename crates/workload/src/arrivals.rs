@@ -141,7 +141,7 @@ mod tests {
         // to zero, some to one; the stream must not get stuck.
         let mut s = ArrivalStream::new(ArrivalDist::Poisson, 0.1, 9);
         let gaps: Vec<u64> = (0..1_000).map(|_| s.next_gap()).collect();
-        assert!(gaps.iter().any(|&g| g == 0));
+        assert!(gaps.contains(&0));
         assert!(gaps.iter().sum::<u64>() < 1_000);
     }
 

@@ -244,11 +244,9 @@ impl MembershipPlan {
             for ev in faults.events() {
                 match ev {
                     FaultEvent::Crash { at, node } | FaultEvent::VolumeLoss { at, node }
-                        if *at <= t =>
+                        if *at <= t && !down.contains(node) =>
                     {
-                        if !down.contains(node) {
-                            down.push(*node);
-                        }
+                        down.push(*node);
                     }
                     FaultEvent::Recover { at, node } if *at <= t => {
                         down.retain(|d| d != node);
