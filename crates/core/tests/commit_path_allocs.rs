@@ -17,6 +17,12 @@
 //! cannot flake. It lives in its own integration-test crate because the
 //! library forbids `unsafe_code` and a `GlobalAlloc` impl is necessarily
 //! unsafe.
+//!
+//! The same two runs also give the marginal *retained heap*: peak live
+//! bytes at 2N minus peak at N, per extra transaction — what a
+//! transaction leaves behind in the ordering layer's logs and indexes
+//! for the rest of the run. It is exact for a seed (table and `Vec`
+//! capacities depend on counts only).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,19 +34,29 @@ use repl_workload::{ArrivalDist, WorkloadSpec};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grew(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -93,9 +109,12 @@ fn sharded_cell(txns: u32) -> RunConfig {
         )
 }
 
-/// Allocations of one whole run, report drop included.
-fn allocations(cfg: &RunConfig) -> u64 {
+/// Allocations and peak live heap bytes of one whole run, report drop
+/// included.
+fn cost(cfg: &RunConfig) -> (u64, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live_before, Ordering::Relaxed);
     let report = try_run(cfg).expect("cell runs");
     assert_eq!(report.ops_unanswered, 0, "cell left operations unanswered");
     assert_eq!(
@@ -104,22 +123,44 @@ fn allocations(cfg: &RunConfig) -> u64 {
         "cell did not drain its budget"
     );
     drop(report);
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    (
+        ALLOCATIONS.load(Ordering::Relaxed) - before,
+        PEAK_BYTES.load(Ordering::Relaxed) - live_before,
+    )
 }
 
-fn marginal(cell: impl Fn(u32) -> RunConfig) -> f64 {
-    let short = allocations(&cell(TXNS));
-    let long = allocations(&cell(2 * TXNS));
-    (long - short) as f64 / f64::from(CLIENTS * TXNS)
+/// Marginal (allocations, retained heap bytes) per transaction.
+fn marginal(cell: impl Fn(u32) -> RunConfig) -> (f64, f64) {
+    let short = cost(&cell(TXNS));
+    let long = cost(&cell(2 * TXNS));
+    let extra = f64::from(CLIENTS * TXNS);
+    (
+        (long.0 - short.0) as f64 / extra,
+        (long.1 - short.1) as f64 / extra,
+    )
 }
 
 /// One guarded cell: its marginal allocations per transaction at PR 13
-/// and the budget it must stay under now.
+/// and the budget it must stay under now; for the lean ABCAST cells
+/// also a bound on the marginal retained heap.
 struct Guard {
     label: &'static str,
     parent: f64,
     budget: f64,
+    heap: Option<Heap>,
     cell: fn(u32) -> RunConfig,
+}
+
+/// Marginal retained bytes per transaction at PR 16, when every
+/// delivered id sat in three hash sets and the sequencer's id → gseq
+/// map, and the share of it the cell may retain now that those are
+/// run-compressed (measured: 138.3 and 137.1 bytes). Certification
+/// broadcasts only its update half and logs a whole `CertRequest` per
+/// broadcast, so the order log — not the id sets — is most of what it
+/// keeps, and its share is higher.
+struct Heap {
+    parent: f64,
+    share: f64,
 }
 
 // Each budget is the value measured when the commit path was made
@@ -132,39 +173,59 @@ const GUARDS: [Guard; 4] = [
         label: "Active / 3 lean replicas",
         parent: 28.921,
         budget: 4.41,
+        heap: Some(Heap {
+            parent: 233.9,
+            share: 0.6,
+        }),
         cell: |t| open_cell(Technique::Active, t),
     },
     Guard {
         label: "Certification / 3 lean replicas",
         parent: 14.058,
         budget: 2.75,
+        heap: Some(Heap {
+            parent: 186.3,
+            share: 0.75,
+        }),
         cell: |t| open_cell(Technique::Certification, t),
     },
     Guard {
         label: "Passive / 3 lean replicas",
         parent: 14.878,
         budget: 5.51,
+        heap: None,
         cell: |t| open_cell(Technique::Passive, t),
     },
     Guard {
         label: "Active / 4 groups, 5 % cross-shard",
         parent: 83.031,
         budget: 11.31,
+        heap: None,
         cell: sharded_cell,
     },
 ];
 
-// One test function on purpose: the counter is process-global, and
+// One test function on purpose: the counters are process-global, and
 // cargo runs `#[test]` functions concurrently.
 #[test]
 fn marginal_allocations_per_transaction_stay_within_budget() {
     let mut over = Vec::new();
     for g in GUARDS {
-        let per_txn = marginal(g.cell);
+        let (per_txn, heap) = marginal(g.cell);
         println!(
-            "{}: {per_txn:.3} allocations per transaction (PR 13: {})",
+            "{}: {per_txn:.3} allocations per transaction (PR 13: {}), \
+             {heap:.1} retained bytes per transaction",
             g.label, g.parent
         );
+        if let Some(Heap { parent, share }) = g.heap {
+            if heap > share * parent {
+                over.push(format!(
+                    "{}: {heap:.1} retained bytes per transaction, \
+                     more than {share} of the PR 16 value {parent}",
+                    g.label
+                ));
+            }
+        }
         assert!(
             g.budget <= g.parent / 2.0,
             "{}: budget {} is more than half the PR 13 value {}",

@@ -13,7 +13,7 @@
 //! Both deliver [`AbDeliver`] events carrying a dense global sequence
 //! number; within a batch, messages are ordered by [`MsgId`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use repl_sim::{Message, NodeId, SimDuration};
@@ -21,6 +21,8 @@ use repl_sim::{Message, NodeId, SimDuration};
 use crate::component::{Component, Outbox};
 use crate::consensus::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool};
 use crate::rbcast::MsgId;
+use crate::receiver::OrderedReceiver;
+use crate::runset::RunSet;
 
 /// A totally ordered delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,6 +184,27 @@ const FLUSH_TAG: u64 = 1;
 /// Sequencer role: close the accumulation window and disseminate.
 const ORDER_FLUSH_TAG: u64 = 2;
 
+/// "No gseq yet" in a [`GseqIndex`] slot.
+const UNASSIGNED: u64 = u64::MAX;
+
+/// Sequencer role: the gseq assigned to each id. Origins number their
+/// broadcasts densely from 0, so the map is one slot table per origin,
+/// indexed by the origin's local sequence number.
+#[derive(Debug, Default)]
+struct GseqIndex(BTreeMap<NodeId, Vec<u64>>);
+
+impl GseqIndex {
+    /// The slot of `id`, [`UNASSIGNED`] until written.
+    fn slot(&mut self, id: MsgId) -> &mut u64 {
+        let slots = self.0.entry(id.origin).or_default();
+        let at = id.seq as usize;
+        if at >= slots.len() {
+            slots.resize(at + 1, UNASSIGNED);
+        }
+        &mut slots[at]
+    }
+}
+
 /// Fixed-sequencer Atomic Broadcast.
 ///
 /// The sequencer is the first group member. Senders retransmit unordered
@@ -218,7 +241,7 @@ pub struct SequencerAbcast<P> {
     staged_bytes: usize,
     flush_armed: bool,
     // Sequencer role.
-    ordered: HashMap<MsgId, u64>,
+    ordered: GseqIndex,
     next_gseq: u64,
     // Sequencer role: retained ordered payloads indexed by gseq, for
     // refilling rejoining members after a crash.
@@ -226,10 +249,7 @@ pub struct SequencerAbcast<P> {
     // Sequencer role, batching: submissions accumulated in the window.
     order_staged: Vec<(u64, MsgId, P)>,
     order_flush_armed: bool,
-    // Receiver role.
-    next_deliver: u64,
-    holdback: BTreeMap<u64, (MsgId, P)>,
-    delivered_ids: HashSet<MsgId>,
+    recv: OrderedReceiver<P>,
     // Recovery: a rejoin handshake in flight, bytes refilled so far,
     // and the completed-rejoin report for the host to take.
     rejoin_wait: bool,
@@ -258,14 +278,12 @@ impl<P: Message> SequencerAbcast<P> {
             staged: Vec::new(),
             staged_bytes: 0,
             flush_armed: false,
-            ordered: HashMap::new(),
+            ordered: GseqIndex::default(),
             next_gseq: 0,
             order_log: Vec::new(),
             order_staged: Vec::new(),
             order_flush_armed: false,
-            next_deliver: 0,
-            holdback: BTreeMap::new(),
-            delivered_ids: HashSet::new(),
+            recv: OrderedReceiver::new(),
             rejoin_wait: false,
             rejoin_bytes: 0,
             rejoin_done: None,
@@ -309,11 +327,7 @@ impl<P: Message> SequencerAbcast<P> {
     /// taken at stream position `gseq` starts delivering there instead
     /// of replaying history it already holds in the snapshot.
     pub fn skip_to(&mut self, gseq: u64) {
-        if gseq <= self.next_deliver {
-            return;
-        }
-        self.next_deliver = gseq;
-        self.holdback = self.holdback.split_off(&gseq);
+        self.recv.skip_to(gseq);
     }
 
     /// Sequencer role handoff (planned decommission): ships the full
@@ -378,16 +392,13 @@ impl<P: Message> SequencerAbcast<P> {
     /// Assigns `id` its global sequence number (idempotent) and retains
     /// the payload in the order log for later rejoin refills.
     fn assign_gseq(&mut self, id: MsgId, payload: &P) -> u64 {
-        match self.ordered.get(&id) {
-            Some(&g) => g,
-            None => {
-                let g = self.next_gseq;
-                self.next_gseq += 1;
-                self.ordered.insert(id, g);
-                self.order_log.push((id, payload.clone()));
-                g
-            }
+        let slot = self.ordered.slot(id);
+        if *slot == UNASSIGNED {
+            *slot = self.next_gseq;
+            self.next_gseq += 1;
+            self.order_log.push((id, payload.clone()));
         }
+        *slot
     }
 
     fn order(&mut self, id: MsgId, payload: P, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
@@ -491,9 +502,9 @@ impl<P: Message> SequencerAbcast<P> {
     /// Call once after a crash + recovery (state is retained, timers are
     /// not): re-arms the endpoint's timers and, for a non-sequencer
     /// member, asks the sequencer to refill the ordered stream from
-    /// `next_deliver`. The refill request is retransmitted alongside
-    /// pending submissions until answered. Completion (with the refill
-    /// byte count) is reported through
+    /// [`position`](Self::position). The refill request is
+    /// retransmitted alongside pending submissions until answered.
+    /// Completion (with the refill byte count) is reported through
     /// [`SequencerAbcast::take_rejoin_done`].
     pub fn rejoin(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
         self.rejoin_bytes = 0;
@@ -503,7 +514,7 @@ impl<P: Message> SequencerAbcast<P> {
             out.send(
                 self.sequencer(),
                 SeqAbMsg::Rejoin {
-                    have: self.next_deliver,
+                    have: self.recv.position(),
                 },
             );
         } else {
@@ -513,8 +524,8 @@ impl<P: Message> SequencerAbcast<P> {
             // stream restarts behind `next_gseq`. Zero wire bytes.
             // Non-members deliver nothing.
             if self.member {
-                while self.next_deliver < self.next_gseq {
-                    let g = self.next_deliver;
+                while self.recv.position() < self.next_gseq {
+                    let g = self.recv.position();
                     let (id, payload) = self.order_log[g as usize].clone();
                     self.accept(g, id, payload, out);
                 }
@@ -554,7 +565,7 @@ impl<P: Message> SequencerAbcast<P> {
     /// The receiver's stream position: the next gseq it will deliver.
     /// Everything below it has already been handed to the host.
     pub fn position(&self) -> u64 {
-        self.next_deliver
+        self.recv.position()
     }
 
     /// Rewinds the receiver stream to `gseq` (no-op if not behind the
@@ -564,16 +575,7 @@ impl<P: Message> SequencerAbcast<P> {
     /// re-delivers from `gseq` in the original order. Only receiver
     /// state moves; the sequencer role's retained order is untouched.
     pub fn rewind_to(&mut self, gseq: u64) {
-        if gseq >= self.next_deliver {
-            return;
-        }
-        self.next_deliver = gseq;
-        self.holdback.clear();
-        // Every gseq carries a unique id and re-delivery below the old
-        // position is exactly what the caller asked for, so the dedup
-        // set restarts empty (stale gseqs park in the holdback, which
-        // only drains forward from `gseq`).
-        self.delivered_ids.clear();
+        self.recv.rewind_to(gseq);
     }
 
     fn accept(
@@ -584,26 +586,8 @@ impl<P: Message> SequencerAbcast<P> {
         out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>,
     ) {
         self.pending.remove(&id);
-        if !self.member || self.delivered_ids.contains(&id) {
-            return;
-        }
-        if gseq == self.next_deliver && self.holdback.is_empty() {
-            // In order with nothing parked: no detour through the map.
-            self.deliver_next(id, payload, out);
-            return;
-        }
-        self.holdback.entry(gseq).or_insert((id, payload));
-        while let Some((id, payload)) = self.holdback.remove(&self.next_deliver) {
-            self.deliver_next(id, payload, out);
-        }
-    }
-
-    /// Receiver role: hands the message at the stream position to the host.
-    fn deliver_next(&mut self, id: MsgId, payload: P, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
-        let gseq = self.next_deliver;
-        self.next_deliver += 1;
-        if self.delivered_ids.insert(id) {
-            out.event(AbDeliver { gseq, id, payload });
+        if self.member {
+            self.recv.accept(gseq, id, payload, |d| out.event(d));
         }
     }
 }
@@ -678,7 +662,7 @@ impl<P: Message> Component for SequencerAbcast<P> {
                 }
                 if self.rejoin_wait {
                     self.rejoin_bytes += bytes as u64;
-                    if self.next_deliver >= high {
+                    if self.recv.position() >= high {
                         self.rejoin_wait = false;
                         self.rejoin_done = Some(self.rejoin_bytes);
                     }
@@ -686,9 +670,9 @@ impl<P: Message> Component for SequencerAbcast<P> {
             }
             SeqAbMsg::Handoff { entries } => {
                 if entries.len() as u64 > self.next_gseq {
-                    self.ordered.clear();
+                    self.ordered = GseqIndex::default();
                     for (g, (id, _)) in entries.iter().enumerate() {
-                        self.ordered.insert(*id, g as u64);
+                        *self.ordered.slot(*id) = g as u64;
                     }
                     self.order_log = (*entries).clone();
                     self.next_gseq = entries.len() as u64;
@@ -697,7 +681,7 @@ impl<P: Message> Component for SequencerAbcast<P> {
                 // the successor must hold every past delivery before it
                 // assigns fresh gseqs on top of them.
                 for (g, (id, payload)) in entries.iter().enumerate() {
-                    if (g as u64) >= self.next_deliver {
+                    if (g as u64) >= self.recv.position() {
                         self.accept(g as u64, *id, payload.clone(), out);
                     }
                 }
@@ -716,7 +700,7 @@ impl<P: Message> Component for SequencerAbcast<P> {
                     out.send(
                         self.sequencer(),
                         SeqAbMsg::Rejoin {
-                            have: self.next_deliver,
+                            have: self.recv.position(),
                         },
                     );
                 }
@@ -879,7 +863,7 @@ pub struct ConsensusAbcast<P> {
     staged: Vec<(MsgId, P)>,
     staged_bytes: usize,
     flush_armed: bool,
-    delivered: HashSet<MsgId>,
+    delivered: RunSet<NodeId>,
     decided: BTreeMap<u64, Batch<P>>,
     next_inst: u64,
     proposed_for: Option<u64>,
@@ -915,7 +899,7 @@ impl<P: Message> ConsensusAbcast<P> {
             staged: Vec::new(),
             staged_bytes: 0,
             flush_armed: false,
-            delivered: HashSet::new(),
+            delivered: RunSet::new(),
             decided: BTreeMap::new(),
             next_inst: 0,
             proposed_for: None,
@@ -1154,11 +1138,11 @@ impl<P: Message> ConsensusAbcast<P> {
         // whole pending sets), so the delivered-id set and the gseq
         // counter must be recomputed from the retained prefix — not
         // subtracted from the tail, which would double-count repeats.
-        let mut delivered = HashSet::new();
+        let mut delivered = RunSet::new();
         let mut next_gseq = self.base_gseq;
         for batch in &self.decided_log {
             for (id, _) in batch.entries() {
-                if delivered.insert(*id) {
+                if delivered.insert(id.origin, id.seq) {
                     next_gseq += 1;
                 }
             }
@@ -1210,7 +1194,7 @@ impl<P: Message> ConsensusAbcast<P> {
             self.decided_log.push(batch.clone());
             for (id, payload) in batch.into_entries() {
                 self.pending.remove(&id);
-                if self.delivered.insert(id) {
+                if self.delivered.insert(id.origin, id.seq) {
                     let gseq = self.next_gseq;
                     self.next_gseq += 1;
                     out.event(AbDeliver { gseq, id, payload });
@@ -1237,7 +1221,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
     ) {
         match msg {
             CAbMsg::Submit { id, payload } => {
-                if !self.delivered.contains(&id) {
+                if !self.delivered.contains(id.origin, id.seq) {
                     self.pending.insert(id, payload);
                     self.schedule_propose(out);
                 }
@@ -1245,7 +1229,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
             CAbMsg::SubmitBatch(batch) => {
                 let mut grew = false;
                 for (id, payload) in batch.into_entries() {
-                    if !self.delivered.contains(&id) {
+                    if !self.delivered.contains(id.origin, id.seq) {
                         self.pending.insert(id, payload);
                         grew = true;
                     }
@@ -1312,7 +1296,8 @@ impl<P: Message> Component for ConsensusAbcast<P> {
 mod tests {
     use super::*;
     use crate::testkit::ComponentActor;
-    use repl_sim::{NetworkConfig, SimConfig, SimTime, World};
+    use repl_sim::{NetworkConfig, SimConfig, SimDuration, SimTime, World};
+    use std::collections::HashSet;
 
     type SeqHost = ComponentActor<SequencerAbcast<u32>>;
     type ConsHost = ComponentActor<ConsensusAbcast<u32>>;
@@ -1898,6 +1883,109 @@ mod tests {
         );
         let host = world.actor_ref::<ConsHost>(group[2]);
         assert!(!host.inner.rejoin_wait, "rejoin never completed");
+    }
+
+    /// The `Ordered` copies `out` holds for `to`, as `(gseq, id)`.
+    fn ordered_for(
+        out: &mut Outbox<SeqAbMsg<u32>, AbDeliver<u32>>,
+        to: NodeId,
+    ) -> Vec<(u64, MsgId)> {
+        out.drain()
+            .into_iter()
+            .filter_map(|a| match a {
+                crate::Action::Send(n, SeqAbMsg::Ordered { gseq, id, .. }) if n == to => {
+                    Some((gseq, id))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resubmitted_id_keeps_its_first_gseq_also_after_handoff() {
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let id = |origin: usize, seq| MsgId::new(group[origin], seq);
+        let submit = |id: MsgId| SeqAbMsg::Submit {
+            id,
+            payload: id.seq as u32,
+        };
+        let mut seq = SequencerAbcast::<u32>::new(group[0], group.clone());
+        let mut out = Outbox::new();
+        // Two origins interleaved, one of them out of order, then a
+        // retransmission of an id that is already ordered.
+        for m in [id(1, 1), id(2, 0), id(1, 0), id(1, 1)] {
+            seq.on_message(m.origin, submit(m), &mut out);
+        }
+        assert_eq!(
+            ordered_for(&mut out, group[1]),
+            vec![(0, id(1, 1)), (1, id(2, 0)), (2, id(1, 0)), (0, id(1, 1))]
+        );
+        assert_eq!(
+            seq.order_log.len(),
+            3,
+            "the retransmission was logged twice"
+        );
+        // The successor rebuilds the index from the adopted log.
+        seq.set_group(group[1..].to_vec());
+        seq.handoff(group[1], &mut out);
+        let handoff = out
+            .drain()
+            .into_iter()
+            .find_map(|a| match a {
+                crate::Action::Send(_, m @ SeqAbMsg::Handoff { .. }) => Some(m),
+                _ => None,
+            })
+            .expect("handoff queued");
+        let mut succ = SequencerAbcast::<u32>::new(group[1], group[1..].to_vec());
+        succ.on_message(group[0], handoff, &mut out);
+        out.drain();
+        for m in [id(2, 0), id(2, 1), id(1, 0)] {
+            succ.on_message(m.origin, submit(m), &mut out);
+        }
+        assert_eq!(
+            ordered_for(&mut out, group[2]),
+            vec![(1, id(2, 0)), (3, id(2, 1)), (2, id(1, 0))]
+        );
+    }
+
+    #[test]
+    fn member_dedup_state_is_bounded_by_origins_not_by_stream_length() {
+        // Links that reorder by more than the send gap: submissions
+        // reach the sequencer out of origin order, `Ordered` copies
+        // reach the member out of gseq order, and the 2,000-tick
+        // retransmit timer re-disseminates young submissions.
+        fn retained_at_member(per_origin: u32) -> (usize, usize) {
+            let net = NetworkConfig {
+                jitter: SimDuration::from_ticks(400),
+                fifo_links: false,
+                ..NetworkConfig::lan()
+            };
+            let cfg = SimConfig::new(43).with_network(net).with_trace(false);
+            let mut world: World<SeqAbMsg<u32>> = World::new(cfg);
+            let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+            for i in 0..3u32 {
+                let mut actor =
+                    ComponentActor::new(SequencerAbcast::<u32>::new(NodeId::new(i), group.clone()));
+                for k in 0..per_origin {
+                    actor = actor.with_step(
+                        SimDuration::from_ticks(10 + u64::from(k) * 50 + u64::from(i)),
+                        move |ab, out| {
+                            ab.broadcast(i * 10_000 + k, out);
+                        },
+                    );
+                }
+                world.add_actor(Box::new(actor));
+            }
+            world.start();
+            world.run_until(SimTime::from_ticks(1_000_000));
+            let host = world.actor_ref::<SeqHost>(group[2]);
+            assert_eq!(host.events.len() as u32, 3 * per_origin, "lost deliveries");
+            host.inner.recv.retained()
+        }
+        let short = retained_at_member(60);
+        let long = retained_at_member(240);
+        assert_eq!(short, long, "(holdback, runs) grew with the stream");
+        assert_eq!(long, (0, 3), "one run per origin, nothing parked");
     }
 
     #[test]

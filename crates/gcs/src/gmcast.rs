@@ -48,6 +48,7 @@ use repl_sim::{GroupSet, Message, NodeId};
 use crate::abcast::AbDeliver;
 use crate::component::{Component, Outbox};
 use crate::rbcast::MsgId;
+use crate::receiver::OrderedReceiver;
 
 /// Wire message of [`GenuineMulticast`].
 #[derive(Debug, Clone)]
@@ -152,10 +153,7 @@ pub struct GenuineMulticast<P> {
     next_gseq: u64,
     // Own multicasts not yet confirmed delivered locally.
     pending: HashSet<MsgId>,
-    // Receiver role (identical to the fixed sequencer's).
-    next_deliver: u64,
-    holdback: BTreeMap<u64, (MsgId, P)>,
-    delivered_ids: HashSet<MsgId>,
+    recv: OrderedReceiver<P>,
 }
 
 impl<P: Message> GenuineMulticast<P> {
@@ -196,9 +194,7 @@ impl<P: Message> GenuineMulticast<P> {
             early: BTreeMap::new(),
             next_gseq: 0,
             pending: HashSet::new(),
-            next_deliver: 0,
-            holdback: BTreeMap::new(),
-            delivered_ids: HashSet::new(),
+            recv: OrderedReceiver::new(),
         }
     }
 
@@ -230,7 +226,7 @@ impl<P: Message> GenuineMulticast<P> {
     /// The receiver's stream position: the next group-local gseq it will
     /// deliver.
     pub fn position(&self) -> u64 {
-        self.next_deliver
+        self.recv.position()
     }
 
     /// Multicasts `payload` to the destination groups; returns its id.
@@ -301,7 +297,7 @@ impl<P: Message> GenuineMulticast<P> {
         dests: usize,
         out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
     ) {
-        if self.entries.contains_key(&id) || self.delivered_ids.contains(&id) {
+        if self.entries.contains_key(&id) || self.recv.has_delivered(id) {
             return;
         }
         self.clock += 1;
@@ -366,7 +362,7 @@ impl<P: Message> GenuineMulticast<P> {
                 self.maybe_finalize(id, out);
             }
             None => {
-                if !self.delivered_ids.contains(&id) && !self.entries.contains_key(&id) {
+                if !self.recv.has_delivered(id) && !self.entries.contains_key(&id) {
                     // The proposal outran the initiator's own Submit.
                     self.early.entry(id).or_default().push((gid, ts));
                 } else if self.entries.contains_key(&id) {
@@ -448,28 +444,10 @@ impl<P: Message> GenuineMulticast<P> {
         payload: P,
         out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
     ) {
-        if self.delivered_ids.contains(&id) {
-            return;
-        }
-        if gseq == self.next_deliver && self.holdback.is_empty() {
-            // In order with nothing parked: no detour through the map.
-            self.deliver_next(id, payload, out);
-            return;
-        }
-        self.holdback.entry(gseq).or_insert((id, payload));
-        while let Some((id, payload)) = self.holdback.remove(&self.next_deliver) {
-            self.deliver_next(id, payload, out);
-        }
-    }
-
-    /// Receiver role: hands the message at the stream position to the host.
-    fn deliver_next(&mut self, id: MsgId, payload: P, out: &mut Outbox<GmMsg<P>, AbDeliver<P>>) {
-        let gseq = self.next_deliver;
-        self.next_deliver += 1;
-        if self.delivered_ids.insert(id) {
-            self.pending.remove(&id);
-            out.event(AbDeliver { gseq, id, payload });
-        }
+        self.recv.accept(gseq, id, payload, |d| {
+            self.pending.remove(&d.id);
+            out.event(d);
+        });
     }
 }
 

@@ -33,6 +33,8 @@ mod fd;
 mod fifo;
 mod gmcast;
 mod rbcast;
+mod receiver;
+mod runset;
 pub mod testkit;
 mod vscast;
 
@@ -46,4 +48,5 @@ pub use fd::{FdConfig, FdEvent, FdMsg, HeartbeatFd};
 pub use fifo::FifoBcast;
 pub use gmcast::{GenuineMulticast, GmMsg};
 pub use rbcast::{MsgId, RbDeliver, RbMsg, RelayPolicy, ReliableBcast};
+pub use runset::RunSet;
 pub use vscast::{View, ViewGroup, VsConfig, VsEvent, VsMsg};

@@ -8,11 +8,10 @@
 //! [`RelayPolicy::None`] turns it off for cheap best-effort dissemination
 //! in failure-free runs.
 
-use std::collections::HashSet;
-
 use repl_sim::{Message, NodeId};
 
 use crate::component::{Component, Outbox};
+use crate::runset::RunSet;
 
 /// Globally unique message identifier: origin plus per-origin sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -92,7 +91,7 @@ pub struct ReliableBcast<P> {
     group: Vec<NodeId>,
     policy: RelayPolicy,
     next_seq: u64,
-    seen: HashSet<MsgId>,
+    seen: RunSet<NodeId>,
     _marker: std::marker::PhantomData<P>,
 }
 
@@ -107,7 +106,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ReliableBcast<P> {
             group,
             policy,
             next_seq: 0,
-            seen: HashSet::new(),
+            seen: RunSet::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -126,7 +125,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ReliableBcast<P> {
     pub fn broadcast(&mut self, payload: P, out: &mut Outbox<RbMsg<P>, RbDeliver<P>>) -> MsgId {
         let id = MsgId::new(self.me, self.next_seq);
         self.next_seq += 1;
-        self.seen.insert(id);
+        self.seen.insert(id.origin, id.seq);
         if self.is_member() {
             out.event(RbDeliver {
                 id,
@@ -159,7 +158,7 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ReliableBcast<P> {
         out: &mut Outbox<RbMsg<P>, RbDeliver<P>>,
     ) {
         let RbMsg::Data { id, payload } = msg;
-        if !self.seen.insert(id) {
+        if !self.seen.insert(id.origin, id.seq) {
             return;
         }
         if self.policy == RelayPolicy::Eager {

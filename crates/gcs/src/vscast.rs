@@ -37,6 +37,7 @@ use repl_sim::{Message, NodeId, SimDuration};
 use crate::component::{Component, Outbox};
 use crate::consensus::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool};
 use crate::fd::{FdConfig, FdEvent, FdMsg, HeartbeatFd};
+use crate::runset::RunSet;
 
 /// An agreed membership snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,7 +225,8 @@ pub struct ViewGroup<P> {
     fifo_next: HashMap<NodeId, u64>,
     holdback: HashMap<NodeId, BTreeMap<u64, P>>,
     received: BTreeMap<(u64, NodeId, u64), P>,
-    delivered: HashSet<(u64, NodeId, u64)>,
+    // One stream per `(view, origin)`.
+    delivered: RunSet<(u64, NodeId)>,
     // Data that arrived stamped with a future view.
     future: BTreeMap<u64, Vec<(NodeId, u64, P)>>,
     // View-change plane.
@@ -270,7 +272,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             fifo_next: HashMap::new(),
             holdback: HashMap::new(),
             received: BTreeMap::new(),
-            delivered: HashSet::new(),
+            delivered: RunSet::new(),
             future: BTreeMap::new(),
             decided_views: BTreeMap::new(),
             flushes: BTreeMap::new(),
@@ -321,7 +323,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             fifo_next: HashMap::new(),
             holdback: HashMap::new(),
             received: BTreeMap::new(),
-            delivered: HashSet::new(),
+            delivered: RunSet::new(),
             future: BTreeMap::new(),
             decided_views: BTreeMap::new(),
             flushes: BTreeMap::new(),
@@ -461,9 +463,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = (self.view.id, self.me, seq);
-        self.received.insert(key, payload.clone());
-        self.delivered.insert(key);
+        self.received
+            .insert((self.view.id, self.me, seq), payload.clone());
+        self.delivered.insert((self.view.id, self.me), seq);
         out.event(VsEvent::Deliver {
             view: self.view.id,
             from: self.me,
@@ -516,9 +518,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         let next = self.fifo_next.entry(origin).or_insert(0);
         if let Some(buf) = self.holdback.get_mut(&origin) {
             while let Some(payload) = buf.remove(next) {
-                let key = (self.view.id, origin, *next);
+                let seq = *next;
                 *next += 1;
-                if self.delivered.insert(key) {
+                if self.delivered.insert((self.view.id, origin), seq) {
                     out.event(VsEvent::Deliver {
                         view: self.view.id,
                         from: origin,
@@ -679,7 +681,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             }
         }
         for ((v, o, s), p) in union {
-            if self.delivered.insert((v, o, s)) {
+            if self.delivered.insert((v, o), s) {
                 out.event(VsEvent::Deliver {
                     view: v,
                     from: o,

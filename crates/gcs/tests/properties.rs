@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use repl_gcs::testkit::ComponentActor;
 use repl_gcs::{
-    CausalBcast, CbMsg, ConsMsg, ConsensusAbcast, ConsensusConfig, ConsensusPool, SeqAbMsg,
+    CausalBcast, CbMsg, ConsMsg, ConsensusAbcast, ConsensusConfig, ConsensusPool, RunSet, SeqAbMsg,
     SequencerAbcast,
 };
 use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
@@ -362,6 +362,58 @@ proptest! {
                     "survivor broadcast {} lost", k
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The run-compressed id set answers exactly like a `HashSet` of
+    /// `(origin, seq)` pairs under arbitrary multi-origin histories —
+    /// dense, reversed and gapped stretches, re-inserted duplicates,
+    /// clears — and never stores more runs than the model has maximal
+    /// runs (so never more entries than inserts).
+    #[test]
+    fn run_set_matches_a_hash_set_model(
+        stretches in proptest::collection::vec((0u32..3, 0u64..40, 1u64..12, 0u8..8), 1..40),
+    ) {
+        use std::collections::HashSet;
+        let mut set: RunSet<u32> = RunSet::new();
+        let mut model: HashSet<(u32, u64)> = HashSet::new();
+        for (origin, start, len, shape) in stretches {
+            let seqs: Vec<u64> = match shape {
+                0..=2 => (start..start + len).collect(),
+                3..=4 => (start..start + len).rev().collect(),
+                5..=6 => (0..len).map(|k| start + 2 * k).collect(),
+                _ => {
+                    set.clear();
+                    model.clear();
+                    continue;
+                }
+            };
+            for seq in seqs {
+                prop_assert_eq!(
+                    set.insert(origin, seq),
+                    model.insert((origin, seq)),
+                    "insert({}, {}) answered differently", origin, seq
+                );
+            }
+            for o in 0..3 {
+                for s in 0..64 {
+                    prop_assert_eq!(
+                        set.contains(o, s),
+                        model.contains(&(o, s)),
+                        "contains({}, {}) answered differently", o, s
+                    );
+                }
+            }
+            let maximal_runs = model
+                .iter()
+                .filter(|&&(o, s)| s == 0 || !model.contains(&(o, s - 1)))
+                .count();
+            prop_assert_eq!(set.runs(), maximal_runs, "runs not merged");
+            prop_assert!(set.runs() <= model.len());
         }
     }
 }
