@@ -12,111 +12,56 @@
 //! the request into the ABCAST; on timeout it re-contacts another replica
 //! (duplicates are suppressed by the order-delivery path).
 
-use std::collections::HashSet;
+use repl_db::Keyspace;
+use repl_sim::Context;
 
-use repl_db::{Keyspace, Transfer};
-use repl_gcs::{AbDeliver, BatchConfig, ConsensusConfig, Outbox};
-use repl_sim::{Context, Message, NodeId};
-
-use crate::client::impl_protocol_msg;
-use crate::durability::RestorePlan;
-use crate::op::{ClientOp, OpId, Response};
+use crate::op::ClientOp;
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
-};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::common::global_txn;
+use crate::protocols::replica::{Replica, Shell};
+use crate::protocols::stream::{Ordered, Stream, StreamMsg};
 
 /// Wire messages of active replication.
-#[derive(Debug, Clone)]
-pub enum ActiveMsg {
-    /// Client → contact replica.
-    Invoke(ClientOp),
-    /// Replica ↔ replica ABCAST traffic.
-    Ab(AbMsg<ClientOp>),
-    /// Replica → client.
-    Reply(Response),
-    /// Elastic-membership handshake (join / drain / reroute).
-    Member(MemberMsg),
-}
+pub type ActiveMsg = StreamMsg<ClientOp>;
 
-impl Message for ActiveMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            ActiveMsg::Invoke(op) => 8 + op.wire_size(),
-            ActiveMsg::Ab(m) => m.wire_size(),
-            ActiveMsg::Reply(r) => 8 + r.wire_size(),
-            ActiveMsg::Member(m) => m.wire_size(),
-        }
-    }
-}
-
-impl_protocol_msg!(ActiveMsg);
-
-/// Active replication: relay into the ABCAST, execute on delivery.
-pub struct Active {
-    ab: AbcastEndpoint<ClientOp>,
-    /// What `ab` queued while handling one input; drained by `drain`.
-    ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
-    relayed: HashSet<OpId>,
-    marks: bool,
-}
+/// Active replication: the request itself is broadcast; every replica
+/// executes it on delivery and answers.
+pub struct Active;
 
 /// An active-replication server.
-pub type ActiveServer = Replica<Active>;
+pub type ActiveServer = Replica<Stream<Active>>;
 
-impl ActiveServer {
-    /// Creates server `site` of `group`.
-    pub fn new(
-        site: u32,
-        me: NodeId,
-        group: Vec<NodeId>,
-        keyspace: impl Into<Keyspace>,
-        exec: ExecutionMode,
-        abcast: AbcastImpl,
-        cons: ConsensusConfig,
-    ) -> Self {
-        let tech = Active {
-            ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
-            ab_out: Outbox::new(),
-            relayed: HashSet::new(),
-            // Exactly one process marks server-side phases (see phase.rs).
-            marks: site == 0,
-        };
-        Replica::around(site, me, group, keyspace, exec, tech)
+impl Ordered for Active {
+    type Payload = ClientOp;
+    const CROSS_SHARD: bool = true;
+
+    fn new(_keyspace: Keyspace) -> Self {
+        Active
     }
 
-    /// Sets the ordering-layer batching window (builder form).
-    pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.tech.ab.set_batching(batch);
-        self
+    fn submit(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, ActiveMsg>,
+        op: ClientOp,
+        _marks: bool,
+    ) -> Option<ClientOp> {
+        Some(op)
     }
-}
 
-impl Active {
-    /// Applies what the ABCAST endpoint queued and executes what it
-    /// delivered.
-    fn drain(&mut self, sh: &mut Shell, ctx: &mut Context<'_, ActiveMsg>) {
-        let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, ActiveMsg::Ab, |ctx, d| {
-            self.deliver(sh, ctx, d)
-        });
-        self.ab_out = out;
-        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
+    fn op(op: &ClientOp) -> &ClientOp {
+        op
     }
 
     fn deliver(
         &mut self,
         sh: &mut Shell,
         ctx: &mut Context<'_, ActiveMsg>,
-        d: AbDeliver<ClientOp>,
+        op: ClientOp,
+        _mine: bool,
+        marks: bool,
     ) {
-        let op = d.payload;
-        if sh.base.cached(op.id).is_some() || sh.answered_before_join(op.id) {
-            return; // duplicate ordering of a retried op
-        }
-        if self.marks {
-            ctx.mark(Phase::ServerCoordination.tag(), op.id.0, d.gseq);
+        if marks {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
         // Sharded cross-shard operations: execute only this shard's
@@ -136,111 +81,14 @@ impl Active {
     }
 }
 
-impl Technique for Active {
-    type Msg = ActiveMsg;
-
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, ActiveMsg>, op: ClientOp) {
-        if !self.relayed.insert(op.id) {
-            return; // already in the ordering pipeline
-        }
-        // Sharded: the ABCAST is the genuine multicast; cross-shard
-        // operations are ordered only at the groups they touch.
-        match sh.shard() {
-            Some(sc) => {
-                let dests = sc.dests(&op.txn);
-                self.ab.multicast(op, &dests, &mut self.ab_out);
-            }
-            None => {
-                self.ab.broadcast(op, &mut self.ab_out);
-            }
-        }
-        self.drain(sh, ctx);
-    }
-
-    fn on_protocol_msg(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, ActiveMsg>,
-        from: NodeId,
-        msg: ActiveMsg,
-    ) {
-        match msg {
-            ActiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
-            ActiveMsg::Ab(m) => {
-                self.ab.on_message(from, m, &mut self.ab_out);
-                self.drain(sh, ctx);
-            }
-            ActiveMsg::Reply(_) | ActiveMsg::Member(_) => {}
-        }
-    }
-
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, ActiveMsg>, tag: u64) {
-        self.ab.on_timer(tag, &mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn view_changed(&mut self, sh: &mut Shell) {
-        self.ab.set_group(sh.servers().to_vec());
-    }
-
-    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
-        self.ab.welcome_state(&sh.base)
-    }
-
-    fn welcomed(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, ActiveMsg>,
-        transfer: Option<&Transfer>,
-        pos: u64,
-        gpos: u64,
-    ) {
-        if let Some(t) = transfer {
-            sh.base.install_transfer(t);
-        }
-        self.ab.skip_to(pos, gpos);
-        self.rejoin(sh, ctx);
-    }
-
-    fn quiesced(&self, _sh: &Shell) -> bool {
-        self.ab.pending() == 0
-    }
-
-    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, ActiveMsg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
-            self.drain(sh, ctx);
-        }
-    }
-
-    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
-        self.ab.rewind_to(plan.token);
-    }
-
-    /// State survives a crash; the ordered stream does not. Rejoining the
-    /// ABCAST refills the missed suffix, and replaying it through the
-    /// normal delivery path re-executes exactly the missed ops (executed
-    /// ones are suppressed by the response cache).
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, ActiveMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn position(&self, _sh: &Shell) -> u64 {
-        self.ab.position()
-    }
-
-    fn enable_cross_shard(&mut self, sh: &mut Shell) {
-        let ctx = sh.shard().expect("the shell sets the topology first");
-        self.ab = AbcastEndpoint::new_genuine(sh.me(), ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::common::{AbcastImpl, ExecutionMode};
     use repl_db::{Key, Value};
-    use repl_sim::{SimConfig, SimDuration, SimTime, World};
+    use repl_gcs::ConsensusConfig;
+    use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
     fn write(k: u64, v: i64) -> TxnTemplate {

@@ -16,22 +16,16 @@
 //! fresh transaction (our closed-loop client records them; the conflicts
 //! experiment sweeps the abort rate).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use repl_db::{Certifier, Key, Keyspace, Transfer, WriteRecord, WriteSet, WsPayload};
-use repl_gcs::{AbDeliver, BatchConfig, ConsensusConfig, Outbox};
+use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WsPayload};
 use repl_sim::{Context, Message, NodeId};
-use repl_workload::OpTemplate;
 
-use crate::client::impl_protocol_msg;
-use crate::durability::RestorePlan;
-use crate::op::{ClientOp, OpId, Response};
+use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
-};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::common::global_txn;
+use crate::protocols::replica::{Replica, Shell};
+use crate::protocols::stream::{Ordered, Stream, StreamMsg};
 
 /// What the delegate broadcasts after optimistic execution.
 #[derive(Debug, Clone)]
@@ -56,101 +50,76 @@ impl Message for CertRequest {
 }
 
 /// Wire messages of certification-based replication.
-#[derive(Debug, Clone)]
-pub enum CertMsg {
-    /// Client → delegate.
-    Invoke(ClientOp),
-    /// ABCAST traffic carrying certification requests.
-    Ab(AbMsg<CertRequest>),
-    /// Delegate → client.
-    Reply(Response),
-    /// Elastic-membership handshake (join / drain / reroute).
-    Member(MemberMsg),
-}
-
-impl Message for CertMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            CertMsg::Invoke(op) => 8 + op.wire_size(),
-            CertMsg::Ab(m) => m.wire_size(),
-            CertMsg::Reply(r) => 8 + r.wire_size(),
-            CertMsg::Member(m) => m.wire_size(),
-        }
-    }
-}
-
-impl_protocol_msg!(CertMsg);
+pub type CertMsg = StreamMsg<CertRequest>;
 
 /// Certification-based replication: optimistic shadow execution at the
 /// delegate, one ABCAST, the same deterministic test at every site.
 pub struct Cert {
-    ab: AbcastEndpoint<CertRequest>,
-    /// What `ab` queued while handling one input; drained by `drain`.
-    ab_out: Outbox<AbMsg<CertRequest>, AbDeliver<CertRequest>>,
     /// The deterministic certification state (identical at all sites).
+    /// It only advances with the ordered stream, so a recovering site
+    /// replays the missed suffix — a peer snapshot would leave the
+    /// version counters behind and make later verdicts diverge.
     pub certifier: Certifier,
-    relayed: HashSet<OpId>,
-    marks: bool,
 }
 
 /// A certification-based replication server.
-pub type CertServer = Replica<Cert>;
+pub type CertServer = Replica<Stream<Cert>>;
 
-impl CertServer {
-    /// Creates server `site` of `group`.
-    pub fn new(
-        site: u32,
-        me: NodeId,
-        group: Vec<NodeId>,
-        keyspace: impl Into<Keyspace>,
-        exec: ExecutionMode,
-        abcast: AbcastImpl,
-        cons: ConsensusConfig,
-    ) -> Self {
-        let ks = keyspace.into();
-        let tech = Cert {
-            ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
-            ab_out: Outbox::new(),
-            certifier: Certifier::with_keyspace(ks),
-            relayed: HashSet::new(),
-            marks: site == 0,
-        };
-        Replica::around(site, me, group, ks, exec, tech)
+impl Ordered for Cert {
+    type Payload = CertRequest;
+    const CROSS_SHARD: bool = false;
+
+    fn new(keyspace: Keyspace) -> Self {
+        Cert {
+            certifier: Certifier::with_keyspace(keyspace),
+        }
     }
 
-    /// Sets the ordering-layer batching window (builder form).
-    pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.tech.ab.set_batching(batch);
-        self
+    fn submit(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, CertMsg>,
+        op: ClientOp,
+        marks: bool,
+    ) -> Option<CertRequest> {
+        // Read-only transactions answer locally from committed state —
+        // no broadcast, no certification (the usual optimisation; their
+        // reads are snapshot-consistent at this site).
+        if op.is_read_only() {
+            let resp = sh.base.answer_read_only(&op);
+            ctx.send(op.client, CertMsg::Reply(resp));
+            return None;
+        }
+        // Phase EX: optimistic shadow execution at the delegate.
+        if marks {
+            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
+        }
+        let (read_set, ws, resp) = sh.base.execute_shadow(&op, global_txn(op.id));
+        // Every member consumes each certification request once.
+        let peers = sh.servers().len() as u32;
+        Some(CertRequest {
+            op,
+            read_set,
+            ws: sh.base.make_payload(ws, peers),
+            resp,
+            delegate: sh.me(),
+        })
     }
-}
 
-impl Cert {
-    /// Applies what the ABCAST endpoint queued and certifies what it
-    /// delivered.
-    fn drain(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>) {
-        let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, CertMsg::Ab, |ctx, d| {
-            self.deliver(sh, ctx, d)
-        });
-        self.ab_out = out;
-        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
+    fn op(req: &CertRequest) -> &ClientOp {
+        &req.op
     }
 
     fn deliver(
         &mut self,
         sh: &mut Shell,
         ctx: &mut Context<'_, CertMsg>,
-        d: AbDeliver<CertRequest>,
+        req: CertRequest,
+        _mine: bool,
+        marks: bool,
     ) {
-        let req = d.payload;
         let op_id = req.op.id;
-        if sh.base.cached(op_id).is_some() || sh.answered_before_join(op_id) {
-            sh.base.release_payload(&req.ws); // duplicate delivery
-            return;
-        }
-        if self.marks {
-            ctx.mark(Phase::ServerCoordination.tag(), op_id.0, d.gseq);
+        if marks {
             ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
         }
         let txn = global_txn(op_id);
@@ -205,9 +174,15 @@ impl Cert {
         };
         sh.base.release_payload(&req.ws);
         sh.base.remember(&resp);
+        // The request names its delegate: a retry relayed by a second
+        // server must still be answered by one site only.
         if req.delegate == sh.me() {
             ctx.send(req.op.client, CertMsg::Reply(resp));
         }
+    }
+
+    fn discard(&mut self, sh: &mut Shell, req: &CertRequest) {
+        sh.base.release_payload(&req.ws);
     }
 
     /// Rebuilds the certifier's version counters from the installed
@@ -216,7 +191,8 @@ impl Cert {
     /// verdicts for the replayed suffix match the group's. (The
     /// commit/abort tallies restart — only verdicts must survive, and the
     /// report counts client-side.)
-    fn restore_certifier(&mut self, sh: &Shell) {
+    fn store_replaced(&mut self, sh: &mut Shell) {
+        self.certifier = Certifier::with_keyspace(sh.base.keyspace());
         for (k, v) in sh.base.store.snapshot() {
             if let Some(by) = v.writer {
                 self.certifier.restore_version(k, v.version, by);
@@ -225,143 +201,15 @@ impl Cert {
     }
 }
 
-impl Technique for Cert {
-    type Msg = CertMsg;
-
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>, op: ClientOp) {
-        if !self.relayed.insert(op.id) {
-            return;
-        }
-        // Read-only transactions answer locally from committed
-        // state — no broadcast, no certification (the usual
-        // optimisation; their reads are snapshot-consistent at
-        // this site).
-        if op.is_read_only() {
-            let txn = global_txn(op.id);
-            let mut reads = Vec::new();
-            for tpl in op.txn.ops.iter() {
-                if let OpTemplate::Read(k) = tpl {
-                    reads.push((*k, sh.base.read_committed(txn, *k)));
-                }
-            }
-            sh.base.history.mark_committed(txn);
-            let resp = Response {
-                op: op.id,
-                committed: true,
-                reads,
-            };
-            sh.base.remember(&resp);
-            ctx.send(op.client, CertMsg::Reply(resp));
-            return;
-        }
-        // Phase EX: optimistic shadow execution at the delegate.
-        if self.marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
-        let txn = global_txn(op.id);
-        let (read_set, ws, resp) = sh.base.execute_shadow(&op, txn);
-        // Every member consumes each certification request once.
-        let peers = sh.servers().len() as u32;
-        let req = CertRequest {
-            op,
-            read_set,
-            ws: sh.base.make_payload(ws, peers),
-            resp,
-            delegate: sh.me(),
-        };
-        self.ab.broadcast(req, &mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn on_protocol_msg(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, CertMsg>,
-        from: NodeId,
-        msg: CertMsg,
-    ) {
-        match msg {
-            CertMsg::Invoke(op) => sh.invoke(self, ctx, op),
-            CertMsg::Ab(m) => {
-                self.ab.on_message(from, m, &mut self.ab_out);
-                self.drain(sh, ctx);
-            }
-            CertMsg::Reply(_) | CertMsg::Member(_) => {}
-        }
-    }
-
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>, tag: u64) {
-        self.ab.on_timer(tag, &mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn view_changed(&mut self, sh: &mut Shell) {
-        self.ab.set_group(sh.servers().to_vec());
-    }
-
-    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
-        self.ab.welcome_state(&sh.base)
-    }
-
-    fn welcomed(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, CertMsg>,
-        transfer: Option<&Transfer>,
-        pos: u64,
-        gpos: u64,
-    ) {
-        if let Some(t) = transfer {
-            sh.base.install_transfer(t);
-            self.certifier = Certifier::with_keyspace(sh.base.keyspace());
-            self.restore_certifier(sh);
-        }
-        self.ab.skip_to(pos, gpos);
-        self.rejoin(sh, ctx);
-    }
-
-    fn quiesced(&self, _sh: &Shell) -> bool {
-        self.ab.pending() == 0
-    }
-
-    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
-            self.drain(sh, ctx);
-        }
-    }
-
-    fn volume_lost(&mut self, sh: &mut Shell) {
-        self.certifier = Certifier::with_keyspace(sh.base.keyspace());
-    }
-
-    fn rewind_to(&mut self, sh: &mut Shell, plan: RestorePlan) {
-        // The certifier died with the volume; the restored store is the
-        // certification state at the durable token.
-        self.restore_certifier(sh);
-        self.ab.rewind_to(plan.token);
-    }
-
-    /// Certification state only advances with the ordered stream, so
-    /// recovery is a full replay of the missed suffix — a snapshot would
-    /// leave the certifier's version counters behind and make later
-    /// verdicts diverge across sites.
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, CertMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn position(&self, _sh: &Shell) -> u64 {
-        self.ab.position()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::common::{AbcastImpl, ExecutionMode};
     use repl_db::Value;
+    use repl_gcs::ConsensusConfig;
     use repl_sim::{SimConfig, SimDuration, SimTime, World};
-    use repl_workload::TxnTemplate;
+    use repl_workload::{OpTemplate, TxnTemplate};
 
     fn rmw(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {
@@ -467,11 +315,13 @@ mod tests {
         let stats0 = world
             .actor_ref::<CertServer>(servers[0])
             .tech
+            .flow
             .certifier
             .stats();
         let stats1 = world
             .actor_ref::<CertServer>(servers[1])
             .tech
+            .flow
             .certifier
             .stats();
         assert_eq!(stats0, stats1);

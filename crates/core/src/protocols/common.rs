@@ -10,11 +10,11 @@ use repl_db::{
     WriteRecord, WriteSet, WsPayload,
 };
 use repl_gcs::{
-    AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig, GenuineMulticast, GmMsg,
-    MsgId, Outbox, SeqAbMsg, SequencerAbcast,
+    apply_outbox, AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig,
+    GenuineMulticast, GmMsg, MsgId, Outbox, SeqAbMsg, SequencerAbcast,
 };
-use repl_sim::{GroupSet, Message, NodeId};
-use repl_workload::{ShardMap, TxnTemplate};
+use repl_sim::{Context, GroupSet, Message, NodeId};
+use repl_workload::{OpTemplate, ShardMap, TxnTemplate};
 
 use crate::durability::{DurabilityConfig, DurabilityTier, RestorePlan};
 use crate::op::{accesses, ClientOp, OpId, Response};
@@ -158,12 +158,14 @@ impl ShardCtx {
 }
 
 /// What an embedded ABCAST flavour queues while it handles one input,
-/// before [`relay`] moves it into the host's outbox.
+/// until [`AbcastEndpoint::drain`] applies it to the simulator.
 type Scratch<M, P> = Outbox<M, AbDeliver<P>>;
 
 /// An Atomic Broadcast endpoint backed by either implementation, each
-/// with the scratch outbox it writes into (owned for the endpoint's
-/// lifetime, so handling a message allocates nothing here).
+/// with the one outbox it writes into (owned for the endpoint's lifetime,
+/// so handling a message allocates nothing here). Every method that can
+/// queue sends, timers or deliveries leaves them there; the host calls
+/// [`AbcastEndpoint::drain`] once it has handled its input.
 #[derive(Debug)]
 pub enum AbcastEndpoint<P> {
     /// Fixed-sequencer endpoint.
@@ -176,21 +178,6 @@ pub enum AbcastEndpoint<P> {
     /// groups. Assumes no faults — the runner forbids fault plans when
     /// cross-shard traffic is on.
     Gen(GenuineMulticast<P>, Scratch<GmMsg<P>, P>),
-}
-
-/// Runs `f` against one flavour with its scratch outbox, then moves what
-/// it queued into the host's outbox: sends and timers first, lifted into
-/// the unified wire type, deliveries after them.
-fn relay<C, M, P, R>(
-    flavour: &mut C,
-    scratch: &mut Scratch<M, P>,
-    out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
-    lift: fn(M) -> AbMsg<P>,
-    f: impl FnOnce(&mut C, &mut Scratch<M, P>) -> R,
-) -> R {
-    let r = f(flavour, scratch);
-    out.absorb(scratch, 0, lift, |out, d| out.event(d));
-    r
 }
 
 impl<P: Message> AbcastEndpoint<P> {
@@ -222,16 +209,9 @@ impl<P: Message> AbcastEndpoint<P> {
     ///
     /// Panics on a non-genuine endpoint, or if `dests` violates the
     /// [`GenuineMulticast::multicast`] contract.
-    pub fn multicast(
-        &mut self,
-        p: P,
-        dests: &[u32],
-        out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
-    ) -> MsgId {
+    pub fn multicast(&mut self, p: P, dests: &[u32]) -> MsgId {
         match self {
-            AbcastEndpoint::Gen(a, s) => {
-                relay(a, s, out, AbMsg::Gen, |a, s| a.multicast(p, dests, s))
-            }
+            AbcastEndpoint::Gen(a, s) => a.multicast(p, dests, s),
             _ => panic!("multicast needs the genuine endpoint"),
         }
     }
@@ -247,43 +227,55 @@ impl<P: Message> AbcastEndpoint<P> {
     }
 
     /// Broadcasts a payload; returns its id.
-    pub fn broadcast(&mut self, p: P, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) -> MsgId {
+    pub fn broadcast(&mut self, p: P) -> MsgId {
         match self {
-            AbcastEndpoint::Seq(a, s) => relay(a, s, out, AbMsg::Seq, |a, s| a.broadcast(p, s)),
-            AbcastEndpoint::Cons(a, s) => relay(a, s, out, AbMsg::Cons, |a, s| a.broadcast(p, s)),
-            AbcastEndpoint::Gen(a, s) => relay(a, s, out, AbMsg::Gen, |a, s| a.broadcast(p, s)),
+            AbcastEndpoint::Seq(a, s) => a.broadcast(p, s),
+            AbcastEndpoint::Cons(a, s) => a.broadcast(p, s),
+            AbcastEndpoint::Gen(a, s) => a.broadcast(p, s),
         }
     }
 
     /// Routes an incoming message (mismatched flavours are ignored).
-    pub fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: AbMsg<P>,
-        out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
-    ) {
+    pub fn on_message(&mut self, from: NodeId, msg: AbMsg<P>) {
         use repl_gcs::Component;
         match (self, msg) {
-            (AbcastEndpoint::Seq(a, s), AbMsg::Seq(m)) => {
-                relay(a, s, out, AbMsg::Seq, |a, s| a.on_message(from, m, s))
-            }
-            (AbcastEndpoint::Cons(a, s), AbMsg::Cons(m)) => {
-                relay(a, s, out, AbMsg::Cons, |a, s| a.on_message(from, m, s))
-            }
-            (AbcastEndpoint::Gen(a, s), AbMsg::Gen(m)) => {
-                relay(a, s, out, AbMsg::Gen, |a, s| a.on_message(from, m, s))
-            }
+            (AbcastEndpoint::Seq(a, s), AbMsg::Seq(m)) => a.on_message(from, m, s),
+            (AbcastEndpoint::Cons(a, s), AbMsg::Cons(m)) => a.on_message(from, m, s),
+            (AbcastEndpoint::Gen(a, s), AbMsg::Gen(m)) => a.on_message(from, m, s),
             _ => {}
+        }
+    }
+
+    /// Applies what the endpoint queued since the last drain to the
+    /// simulator: every send (lifted through `wrap`) and timer first, in
+    /// queue order, then the deliveries one by one through `on_deliver`
+    /// (see [`repl_gcs::apply_outbox`]).
+    pub fn drain<W: Message>(
+        &mut self,
+        ctx: &mut Context<'_, W>,
+        wrap: impl Fn(AbMsg<P>) -> W,
+        on_deliver: impl FnMut(&mut Context<'_, W>, AbDeliver<P>),
+    ) {
+        match self {
+            AbcastEndpoint::Seq(_, s) => {
+                apply_outbox(ctx, s, 0, |m| wrap(AbMsg::Seq(m)), on_deliver)
+            }
+            AbcastEndpoint::Cons(_, s) => {
+                apply_outbox(ctx, s, 0, |m| wrap(AbMsg::Cons(m)), on_deliver)
+            }
+            AbcastEndpoint::Gen(_, s) => {
+                apply_outbox(ctx, s, 0, |m| wrap(AbMsg::Gen(m)), on_deliver)
+            }
         }
     }
 
     /// Re-enters the ordered stream after a crash: asks the group to
     /// refill the missed suffix and re-arms the implementation's timers.
     /// Completion is signalled through [`AbcastEndpoint::take_rejoin_done`].
-    pub fn rejoin(&mut self, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) {
+    pub fn rejoin(&mut self) {
         match self {
-            AbcastEndpoint::Seq(a, s) => relay(a, s, out, AbMsg::Seq, |a, s| a.rejoin(s)),
-            AbcastEndpoint::Cons(a, s) => relay(a, s, out, AbMsg::Cons, |a, s| a.rejoin(s)),
+            AbcastEndpoint::Seq(a, s) => a.rejoin(s),
+            AbcastEndpoint::Cons(a, s) => a.rejoin(s),
             // The genuine flavour runs fault-free by construction.
             AbcastEndpoint::Gen(..) => {}
         }
@@ -322,11 +314,11 @@ impl<P: Message> AbcastEndpoint<P> {
     }
 
     /// Routes a timer with a component-local tag.
-    pub fn on_timer(&mut self, tag: u64, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) {
+    pub fn on_timer(&mut self, tag: u64) {
         use repl_gcs::Component;
         match self {
-            AbcastEndpoint::Seq(a, s) => relay(a, s, out, AbMsg::Seq, |a, s| a.on_timer(tag, s)),
-            AbcastEndpoint::Cons(a, s) => relay(a, s, out, AbMsg::Cons, |a, s| a.on_timer(tag, s)),
+            AbcastEndpoint::Seq(a, s) => a.on_timer(tag, s),
+            AbcastEndpoint::Cons(a, s) => a.on_timer(tag, s),
             // The genuine flavour arms no timers.
             AbcastEndpoint::Gen(..) => {}
         }
@@ -393,9 +385,9 @@ impl<P: Message> AbcastEndpoint<P> {
     /// Hands the distinguished sequencer role to `to` (the order log
     /// ships along). A no-op for the consensus flavour, which has no
     /// distinguished role to hand off.
-    pub fn handoff(&mut self, to: NodeId, out: &mut Outbox<AbMsg<P>, AbDeliver<P>>) {
+    pub fn handoff(&mut self, to: NodeId) {
         if let AbcastEndpoint::Seq(a, s) = self {
-            relay(a, s, out, AbMsg::Seq, |a, s| a.handoff(to, s));
+            a.handoff(to, s);
         }
     }
 
@@ -403,17 +395,12 @@ impl<P: Message> AbcastEndpoint<P> {
     /// `remaining`, and a departing sequencer ships its order log to the
     /// successor so gseq assignment continues where this node stopped
     /// (the consensus flavour has no fixed role to hand off). Returns
-    /// true if a handoff was queued into `out`.
-    pub fn leave(
-        &mut self,
-        me: NodeId,
-        remaining: &[NodeId],
-        out: &mut Outbox<AbMsg<P>, AbDeliver<P>>,
-    ) -> bool {
+    /// true if a handoff was queued (the host must drain).
+    pub fn leave(&mut self, me: NodeId, remaining: &[NodeId]) -> bool {
         let was_orderer = self.is_orderer(me);
         self.set_group(remaining.to_vec());
         if was_orderer {
-            self.handoff(remaining[0], out);
+            self.handoff(remaining[0]);
         }
         was_orderer
     }
@@ -844,6 +831,28 @@ impl ServerBase {
             self.history.record(self.site, txn, key, AccessKind::Read);
         }
         self.store.read(key).map_or(Value(0), |v| v.value)
+    }
+
+    /// Answers a read-only operation from this site's committed state:
+    /// every key is read under the op's global transaction id, the
+    /// transaction is recorded as committed and the response cached.
+    /// The caller keeps its own guard, phase mark and send.
+    pub fn answer_read_only(&mut self, op: &ClientOp) -> Response {
+        let txn = global_txn(op.id);
+        let mut reads = Vec::new();
+        for tpl in op.txn.ops.iter() {
+            if let OpTemplate::Read(k) = tpl {
+                reads.push((*k, self.read_committed(txn, *k)));
+            }
+        }
+        self.history.mark_committed(txn);
+        let resp = Response {
+            op: op.id,
+            committed: true,
+            reads,
+        };
+        self.remember(&resp);
+        resp
     }
 
     /// Looks up a cached response for duplicate suppression.

@@ -185,9 +185,6 @@ pub struct EagerPrimary {
     /// Writesets awaiting the window's log force before the durable tier
     /// may see them (the tier mirrors the *flushed* stream).
     staged_notes: Vec<WriteSet>,
-    /// Remembered retention cap, re-applied when a volume loss forces a
-    /// fresh redo log.
-    wal_retention: Option<usize>,
     flush_armed: bool,
     /// Initial post-crash sync: silent (no heartbeats, no participation)
     /// until the first catch-up transfer lands.
@@ -225,7 +222,6 @@ impl EagerPrimaryServer {
             staged_decisions: Vec::new(),
             staged_replies: Vec::new(),
             staged_notes: Vec::new(),
-            wal_retention: None,
             flush_armed: false,
             recovering: false,
             resync: false,
@@ -243,7 +239,6 @@ impl EagerPrimaryServer {
     /// Bounds the redo-log retention at every replica: recovery requests
     /// that fall behind the truncation point get a snapshot transfer.
     pub fn with_log_retention(mut self, retention: Option<usize>) -> Self {
-        self.tech.wal_retention = retention;
         self.tech.wal.set_retention(retention);
         self
     }
@@ -776,13 +771,6 @@ impl EagerPrimary {
         }
     }
 
-    /// A fresh redo log based at `index`.
-    fn reset_wal(&mut self, index: u64) {
-        self.wal = RedoLog::new();
-        self.wal.set_retention(self.wal_retention);
-        self.wal.skip_to(index);
-    }
-
     fn clear_staged(&mut self) {
         self.staged_decisions.clear();
         self.staged_replies.clear();
@@ -843,20 +831,7 @@ impl Technique for EagerPrimary {
             if self.marks {
                 ctx.mark(Phase::Execution.tag(), op.id.0, 0);
             }
-            let txn = global_txn(op.id);
-            let mut reads = Vec::new();
-            for tpl in op.txn.ops.iter() {
-                if let OpTemplate::Read(k) = tpl {
-                    reads.push((*k, sh.base.read_committed(txn, *k)));
-                }
-            }
-            sh.base.history.mark_committed(txn);
-            let resp = Response {
-                op: op.id,
-                committed: true,
-                reads,
-            };
-            sh.base.remember(&resp);
+            let resp = sh.base.answer_read_only(&op);
             ctx.send(op.client, EagerPrimaryMsg::Reply(resp));
             return;
         }
@@ -1092,7 +1067,7 @@ impl Technique for EagerPrimary {
         self.tentative.clear();
         self.clear_staged();
         self.resync = false;
-        self.reset_wal(0);
+        self.wal.restart_at(0);
     }
 
     fn recovering(&mut self, sh: &mut Shell) {
@@ -1121,7 +1096,7 @@ impl Technique for EagerPrimary {
         // the restored cursor is a redo-log length; the log itself
         // restarts empty at that position (peers donate anything
         // earlier, exactly as after a snapshot catch-up).
-        self.reset_wal(plan.token);
+        self.wal.restart_at(plan.token);
     }
 
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {

@@ -12,107 +12,56 @@
 //! Like active replication this relies on deterministic execution; the
 //! paper points to \[KA98\] for when that assumption is safe.
 
-use std::collections::HashSet;
+use repl_db::Keyspace;
+use repl_sim::Context;
 
-use repl_db::{Keyspace, Transfer};
-use repl_gcs::{AbDeliver, BatchConfig, ConsensusConfig, Outbox};
-use repl_sim::{Context, Message, NodeId};
-
-use crate::client::impl_protocol_msg;
-use crate::durability::RestorePlan;
-use crate::op::{ClientOp, OpId, Response};
+use crate::op::ClientOp;
 use crate::phase::Phase;
-use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
-};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::common::global_txn;
+use crate::protocols::replica::{Replica, Shell};
+use crate::protocols::stream::{Ordered, Stream, StreamMsg};
 
 /// Wire messages of eager update everywhere over ABCAST.
-#[derive(Debug, Clone)]
-pub enum EuaMsg {
-    /// Client → local server.
-    Invoke(ClientOp),
-    /// Server ↔ server ABCAST traffic.
-    Ab(AbMsg<ClientOp>),
-    /// Local server → client.
-    Reply(Response),
-    /// Elastic-membership handshake (join / drain / reroute).
-    Member(MemberMsg),
-}
-
-impl Message for EuaMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            EuaMsg::Invoke(op) => 8 + op.wire_size(),
-            EuaMsg::Ab(m) => m.wire_size(),
-            EuaMsg::Reply(r) => 8 + r.wire_size(),
-            EuaMsg::Member(m) => m.wire_size(),
-        }
-    }
-}
-
-impl_protocol_msg!(EuaMsg);
+pub type EuaMsg = StreamMsg<ClientOp>;
 
 /// Eager update everywhere over ABCAST: the local server relays, every
 /// server executes in delivery order, the delegate answers.
-pub struct Eua {
-    ab: AbcastEndpoint<ClientOp>,
-    /// What `ab` queued while handling one input; drained by `drain`.
-    ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
-    /// Operations this server relayed (it is their delegate and answers).
-    delegated: HashSet<OpId>,
-    marks: bool,
-}
+pub struct Eua;
 
 /// A server for eager update everywhere over ABCAST.
-pub type EuaServer = Replica<Eua>;
+pub type EuaServer = Replica<Stream<Eua>>;
 
-impl EuaServer {
-    /// Creates server `site` of `group`.
-    pub fn new(
-        site: u32,
-        me: NodeId,
-        group: Vec<NodeId>,
-        keyspace: impl Into<Keyspace>,
-        exec: ExecutionMode,
-        abcast: AbcastImpl,
-        cons: ConsensusConfig,
-    ) -> Self {
-        let tech = Eua {
-            ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
-            ab_out: Outbox::new(),
-            delegated: HashSet::new(),
-            marks: site == 0,
-        };
-        Replica::around(site, me, group, keyspace, exec, tech)
+impl Ordered for Eua {
+    type Payload = ClientOp;
+    const CROSS_SHARD: bool = true;
+
+    fn new(_keyspace: Keyspace) -> Self {
+        Eua
     }
 
-    /// Sets the ordering-layer batching window (builder form).
-    pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.tech.ab.set_batching(batch);
-        self
-    }
-}
-
-impl Eua {
-    /// Applies what the ABCAST endpoint queued and executes what it
-    /// delivered.
-    fn drain(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>) {
-        let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, EuaMsg::Ab, |ctx, d| {
-            self.deliver(sh, ctx, d)
-        });
-        self.ab_out = out;
-        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
+    fn submit(
+        &mut self,
+        _sh: &mut Shell,
+        _ctx: &mut Context<'_, EuaMsg>,
+        op: ClientOp,
+        _marks: bool,
+    ) -> Option<ClientOp> {
+        Some(op)
     }
 
-    fn deliver(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, d: AbDeliver<ClientOp>) {
-        let op = d.payload;
-        if sh.base.cached(op.id).is_some() || sh.answered_before_join(op.id) {
-            return;
-        }
-        if self.marks {
-            ctx.mark(Phase::ServerCoordination.tag(), op.id.0, d.gseq);
+    fn op(op: &ClientOp) -> &ClientOp {
+        op
+    }
+
+    fn deliver(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EuaMsg>,
+        op: ClientOp,
+        mine: bool,
+        marks: bool,
+    ) {
+        if marks {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
         // Sharded cross-shard operations: execute only this shard's
@@ -121,15 +70,14 @@ impl Eua {
         // foreign groups of a cross-shard op, where the client's affine
         // member answers the foreign partial (the delegate only holds the
         // home part).
-        let delegated = self.delegated.contains(&op.id);
-        let (local, answers) = match sh.shard().filter(|sc| sc.is_cross(&op)) {
-            Some(sc) if sc.my_gid == sc.home_of(&op) => (Some(sc.local_part(&op)), delegated),
-            Some(sc) => {
-                let affine = sh.base.site % sc.group_size == op.id.client() % sc.group_size;
-                (Some(sc.local_part(&op)), affine)
+        let cross = sh.shard().filter(|sc| sc.is_cross(&op));
+        let answers = match cross {
+            Some(sc) if sc.my_gid != sc.home_of(&op) => {
+                sh.base.site % sc.group_size == op.id.client() % sc.group_size
             }
-            None => (None, delegated),
+            _ => mine,
         };
+        let local = cross.map(|sc| sc.local_part(&op));
         let (_, resp) = sh
             .base
             .execute_commit(local.as_ref().unwrap_or(&op), global_txn(op.id));
@@ -140,109 +88,14 @@ impl Eua {
     }
 }
 
-impl Technique for Eua {
-    type Msg = EuaMsg;
-
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, op: ClientOp) {
-        if !self.delegated.insert(op.id) {
-            return;
-        }
-        // Sharded: the ABCAST is the genuine multicast; cross-shard
-        // operations are ordered only at the groups they touch.
-        match sh.shard() {
-            Some(sc) => {
-                let dests = sc.dests(&op.txn);
-                self.ab.multicast(op, &dests, &mut self.ab_out);
-            }
-            None => {
-                self.ab.broadcast(op, &mut self.ab_out);
-            }
-        }
-        self.drain(sh, ctx);
-    }
-
-    fn on_protocol_msg(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, EuaMsg>,
-        from: NodeId,
-        msg: EuaMsg,
-    ) {
-        match msg {
-            EuaMsg::Invoke(op) => sh.invoke(self, ctx, op),
-            EuaMsg::Ab(m) => {
-                self.ab.on_message(from, m, &mut self.ab_out);
-                self.drain(sh, ctx);
-            }
-            EuaMsg::Reply(_) | EuaMsg::Member(_) => {}
-        }
-    }
-
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, tag: u64) {
-        self.ab.on_timer(tag, &mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn view_changed(&mut self, sh: &mut Shell) {
-        self.ab.set_group(sh.servers().to_vec());
-    }
-
-    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
-        self.ab.welcome_state(&sh.base)
-    }
-
-    fn welcomed(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, EuaMsg>,
-        transfer: Option<&Transfer>,
-        pos: u64,
-        gpos: u64,
-    ) {
-        if let Some(t) = transfer {
-            sh.base.install_transfer(t);
-        }
-        self.ab.skip_to(pos, gpos);
-        self.rejoin(sh, ctx);
-    }
-
-    fn quiesced(&self, _sh: &Shell) -> bool {
-        self.ab.pending() == 0
-    }
-
-    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
-            self.drain(sh, ctx);
-        }
-    }
-
-    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
-        self.ab.rewind_to(plan.token);
-    }
-
-    /// Refills the missed ABCAST suffix and re-executes it; the response
-    /// cache suppresses ops executed before the crash.
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EuaMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
-        self.drain(sh, ctx);
-    }
-
-    fn position(&self, _sh: &Shell) -> u64 {
-        self.ab.position()
-    }
-
-    fn enable_cross_shard(&mut self, sh: &mut Shell) {
-        let ctx = sh.shard().expect("the shell sets the topology first");
-        self.ab = AbcastEndpoint::new_genuine(sh.me(), ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::common::{AbcastImpl, ExecutionMode};
     use repl_db::{Key, Value};
-    use repl_sim::{SimConfig, SimDuration, SimTime, World};
+    use repl_gcs::ConsensusConfig;
+    use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
     fn write(k: u64, v: i64) -> TxnTemplate {

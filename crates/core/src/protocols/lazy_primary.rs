@@ -28,7 +28,6 @@ use std::sync::Arc;
 use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WsPayload};
 use repl_gcs::BatchConfig;
 use repl_sim::{Context, Message, NodeId, SimDuration};
-use repl_workload::OpTemplate;
 
 use crate::client::impl_protocol_msg;
 use crate::durability::RestorePlan;
@@ -119,9 +118,6 @@ pub struct LazyPrimary {
     pub log: RedoLog,
     /// Secondary: how many log entries have been applied.
     pub applied: u64,
-    /// Remembered retention cap, re-applied when a volume loss forces a
-    /// fresh redo log.
-    log_retention: Option<usize>,
     /// Primary only: a volume restore rebuilt the log, so the retained
     /// suffix must be re-shipped (its tail may never have propagated).
     reship: bool,
@@ -148,7 +144,6 @@ impl LazyPrimaryServer {
             batching: BatchConfig::disabled(),
             log: RedoLog::new(),
             applied: 0,
-            log_retention: None,
             reship: false,
             marks: site == 0,
         };
@@ -164,7 +159,6 @@ impl LazyPrimaryServer {
     /// Bounds the primary's redo-log retention: requesters that fall
     /// behind the truncation point get a snapshot instead of a suffix.
     pub fn with_log_retention(mut self, retention: Option<usize>) -> Self {
-        self.tech.log_retention = retention;
         self.tech.log.set_retention(retention);
         self
     }
@@ -273,13 +267,6 @@ impl LazyPrimary {
             LazyPrimaryMsg::CatchUpReq { have: self.applied },
         );
     }
-
-    /// A fresh redo log based at `index`.
-    fn reset_log(&mut self, index: u64) {
-        self.log = RedoLog::new();
-        self.log.set_retention(self.log_retention);
-        self.log.skip_to(index);
-    }
 }
 
 impl Technique for LazyPrimary {
@@ -293,20 +280,7 @@ impl Technique for LazyPrimary {
         }
         // Reads answer locally wherever they land (possibly stale).
         if op.is_read_only() {
-            let txn = global_txn(op.id);
-            let mut reads = Vec::new();
-            for tpl in op.txn.ops.iter() {
-                if let OpTemplate::Read(k) = tpl {
-                    reads.push((*k, sh.base.read_committed(txn, *k)));
-                }
-            }
-            sh.base.history.mark_committed(txn);
-            let resp = Response {
-                op: op.id,
-                committed: true,
-                reads,
-            };
-            sh.base.remember(&resp);
+            let resp = sh.base.answer_read_only(&op);
             ctx.send(op.client, LazyPrimaryMsg::Reply(resp));
             return;
         }
@@ -472,7 +446,7 @@ impl Technique for LazyPrimary {
     }
 
     fn volume_lost(&mut self, _sh: &mut Shell) {
-        self.reset_log(0);
+        self.log.restart_at(0);
         self.outbound.clear();
         self.flush_armed = false;
         self.applied = 0;
@@ -483,7 +457,7 @@ impl Technique for LazyPrimary {
             // Tier note order equals log order at the primary, so
             // the restored suffix rebuilds the propagation stream
             // in place.
-            self.reset_log(plan.start);
+            self.log.restart_at(plan.start);
             for ws in plan.entries {
                 self.log.append(ws);
             }
@@ -545,7 +519,7 @@ mod tests {
     use crate::client::ClientActor;
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, SimTime, World};
-    use repl_workload::TxnTemplate;
+    use repl_workload::{OpTemplate, TxnTemplate};
 
     fn write(k: u64, v: i64) -> TxnTemplate {
         TxnTemplate {

@@ -28,7 +28,7 @@ use repl_db::{
     Key, Keyspace, Transfer, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WsPayload,
     WsView,
 };
-use repl_gcs::{AbDeliver, Outbox};
+use repl_gcs::AbDeliver;
 use repl_sim::{Context, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
@@ -136,8 +136,6 @@ pub struct LazyUe {
     flush_armed: bool,
     mode: ReconcileMode,
     ab: AbcastEndpoint<OrderedWs>,
-    /// What `ab` queued while handling one input; drained by `drive_ab`.
-    ab_out: Outbox<AbMsg<OrderedWs>, AbDeliver<OrderedWs>>,
     /// Locally committed transactions not yet confirmed by the total
     /// order (AbcastOrder mode).
     local_pending: HashSet<TxnId>,
@@ -175,7 +173,6 @@ impl LazyUeServer {
                 servers.clone(),
                 repl_gcs::ConsensusConfig::default(),
             ),
-            ab_out: Outbox::new(),
             local_pending: HashSet::new(),
             reconciliations: 0,
             reship: Vec::new(),
@@ -220,7 +217,7 @@ impl LazyUe {
                     // Every site (self included) consumes the ordered
                     // delivery once.
                     let ws = sh.base.make_payload(ws, sh.servers().len() as u32);
-                    self.ab.broadcast(OrderedWs(ws), &mut self.ab_out);
+                    self.ab.broadcast(OrderedWs(ws));
                     self.drive_ab(sh, ctx);
                 }
             }
@@ -230,63 +227,11 @@ impl LazyUe {
     /// Applies ABCAST-ordered writesets: the total order *is* the
     /// after-commit order, so every site replays the same sequence.
     fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
-        let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, LazyUeMsg::Ab, |_, d| {
-            self.apply_ordered(sh, d)
+        let (pending, reconciliations) = (&mut self.local_pending, &mut self.reconciliations);
+        self.ab.drain(ctx, LazyUeMsg::Ab, |_, d| {
+            apply_ordered(sh, pending, reconciliations, d)
         });
-        self.ab_out = out;
         settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
-    }
-
-    /// Installs one ABCAST-ordered writeset.
-    fn apply_ordered(&mut self, sh: &mut Shell, d: AbDeliver<OrderedWs>) {
-        let payload = d.payload.0;
-        let arena = sh.base.arena.clone();
-        payload.with(arena.as_ref(), |view| {
-            let txn = view.txn();
-            let own = self.local_pending.remove(&txn);
-            let mut noted = sh.base.tier.is_some().then(|| WriteSet {
-                txn,
-                writes: Vec::with_capacity(view.len()),
-            });
-            for w in view.iter() {
-                // An optimistic local value that had not reached the
-                // total order yet is being overridden: that is a
-                // reconciliation.
-                if let Some(current) = sh.base.store.read(w.key) {
-                    if let Some(writer) = current.writer {
-                        if writer != txn && self.local_pending.contains(&writer) {
-                            self.reconciliations += 1;
-                        }
-                    }
-                }
-                let after = sh.base.store.write(w.key, w.value, txn);
-                if let Some(n) = &mut noted {
-                    n.writes.push(WriteRecord {
-                        key: w.key,
-                        value: w.value,
-                        version: after.version,
-                    });
-                }
-                if !own {
-                    sh.base
-                        .history
-                        .record(sh.base.site, txn, w.key, repl_db::AccessKind::Write);
-                }
-            }
-            // The tier notes at *delivery*, not at the optimistic local
-            // commit: the sealed state is then exactly a prefix of the
-            // total order, so a restore can rewind the stream to the
-            // frame token and replay forward consistently.
-            if let (Some(t), Some(noted)) = (&mut sh.base.tier, noted) {
-                t.note_commit(&noted);
-            }
-            if !own {
-                sh.base.history.mark_committed(txn);
-                sh.base.committed += 1;
-            }
-        });
-        sh.base.release_payload(&payload);
     }
 
     /// Every key this replica has accepted a stamped write for, with its
@@ -391,9 +336,67 @@ impl LazyUe {
     /// Re-enters the ordered stream (AbcastOrder): the stream is the
     /// shared log, so the sequencer resupplies the missed deliveries.
     fn rejoin_stream(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
+        self.ab.rejoin();
         self.drive_ab(sh, ctx);
     }
+}
+
+/// Installs one ABCAST-ordered writeset. `pending` holds the locally
+/// committed transactions the total order has not confirmed yet;
+/// overriding one of their optimistic writes counts in `reconciliations`.
+fn apply_ordered(
+    sh: &mut Shell,
+    pending: &mut HashSet<TxnId>,
+    reconciliations: &mut u64,
+    d: AbDeliver<OrderedWs>,
+) {
+    let payload = d.payload.0;
+    let arena = sh.base.arena.clone();
+    payload.with(arena.as_ref(), |view| {
+        let txn = view.txn();
+        let own = pending.remove(&txn);
+        let mut noted = sh.base.tier.is_some().then(|| WriteSet {
+            txn,
+            writes: Vec::with_capacity(view.len()),
+        });
+        for w in view.iter() {
+            // An optimistic local value that had not reached the
+            // total order yet is being overridden: that is a
+            // reconciliation.
+            if let Some(current) = sh.base.store.read(w.key) {
+                if let Some(writer) = current.writer {
+                    if writer != txn && pending.contains(&writer) {
+                        *reconciliations += 1;
+                    }
+                }
+            }
+            let after = sh.base.store.write(w.key, w.value, txn);
+            if let Some(n) = &mut noted {
+                n.writes.push(WriteRecord {
+                    key: w.key,
+                    value: w.value,
+                    version: after.version,
+                });
+            }
+            if !own {
+                sh.base
+                    .history
+                    .record(sh.base.site, txn, w.key, repl_db::AccessKind::Write);
+            }
+        }
+        // The tier notes at *delivery*, not at the optimistic local
+        // commit: the sealed state is then exactly a prefix of the
+        // total order, so a restore can rewind the stream to the
+        // frame token and replay forward consistently.
+        if let (Some(t), Some(noted)) = (&mut sh.base.tier, noted) {
+            t.note_commit(&noted);
+        }
+        if !own {
+            sh.base.history.mark_committed(txn);
+            sh.base.committed += 1;
+        }
+    });
+    sh.base.release_payload(&payload);
 }
 
 impl Technique for LazyUe {
@@ -451,7 +454,7 @@ impl Technique for LazyUe {
             let ws = WriteSet { txn, writes };
             // Lww seals optimistic commits as they happen; in
             // AbcastOrder the tier notes at ordered delivery
-            // instead (see `drive_ab`), so a restored store is a
+            // instead (see `apply_ordered`), so a restored store is a
             // clean prefix of the stream.
             if self.mode == ReconcileMode::Lww {
                 if let Some(t) = &mut sh.base.tier {
@@ -489,7 +492,7 @@ impl Technique for LazyUe {
                 sh.base.release_payload(&ws);
             }
             LazyUeMsg::Ab(m) => {
-                self.ab.on_message(from, m, &mut self.ab_out);
+                self.ab.on_message(from, m);
                 self.drive_ab(sh, ctx);
             }
             LazyUeMsg::SyncReq => {
@@ -516,7 +519,7 @@ impl Technique for LazyUe {
             // The flush may be what a drain was waiting for.
             sh.try_retire(self, ctx);
         } else {
-            self.ab.on_timer(tag, &mut self.ab_out);
+            self.ab.on_timer(tag);
             self.drive_ab(sh, ctx);
         }
     }
@@ -577,7 +580,7 @@ impl Technique for LazyUe {
     }
 
     fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
+        if self.ab.leave(sh.me(), remaining) {
             self.drive_ab(sh, ctx);
         }
     }

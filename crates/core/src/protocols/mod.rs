@@ -13,6 +13,12 @@
 //! | [`lazy_primary`] | lazy primary copy | §4.5, Fig. 10 |
 //! | [`lazy_ue`] | lazy update everywhere + reconciliation | §4.6, Fig. 11 |
 //! | [`certification`] | certification-based replication | §5.4.2, Fig. 14 |
+//!
+//! Every server is the one lifecycle shell ([`replica`]) around a
+//! technique. [`active`], [`eager_ue_abcast`] and [`certification`] —
+//! whose Server Coordination is a single ABCAST — are flows hosted by
+//! [`stream`], which owns their endpoint, relay dedup and stream
+//! lifecycle.
 
 pub mod active;
 pub mod certification;
@@ -26,3 +32,4 @@ pub mod passive;
 pub mod replica;
 pub mod semi_active;
 pub mod semi_passive;
+pub mod stream;

@@ -369,6 +369,12 @@ impl Shell {
         self.answered.contains(&op)
     }
 
+    /// True if a delivery of `op` is a duplicate: this node already
+    /// answered it, or the group did before this node joined.
+    pub fn already_answered(&self, op: OpId) -> bool {
+        self.base.cache.contains_key(&op) || self.answered_before_join(op)
+    }
+
     /// The sharded topology, on cross-shard runs.
     pub fn shard(&self) -> Option<&ShardCtx> {
         self.shard.as_ref()
@@ -681,7 +687,7 @@ impl<T: Technique> Actor<T::Msg> for Replica<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::impl_protocol_msg;
     use crate::op::Response;
@@ -789,27 +795,28 @@ mod tests {
         }
     }
 
-    /// A scripted peer: sends `script[i]` at its time, records what it
-    /// receives.
-    struct Probe {
-        script: Vec<(u64, NodeId, StubMsg)>,
-        got: Vec<(u64, StubMsg)>,
+    /// A scripted peer (shared with the ordered-stream host's tests):
+    /// sends `script[i]` at its time, records what it receives.
+    pub(crate) struct ScriptedPeer<M> {
+        pub(crate) script: Vec<(u64, NodeId, M)>,
+        pub(crate) got: Vec<(u64, M)>,
     }
-    impl Actor<StubMsg> for Probe {
-        fn on_start(&mut self, ctx: &mut Context<'_, StubMsg>) {
+    impl<M: Message> Actor<M> for ScriptedPeer<M> {
+        fn on_start(&mut self, ctx: &mut Context<'_, M>) {
             for (i, (at, _, _)) in self.script.iter().enumerate() {
                 ctx.set_timer(SimDuration::from_ticks(*at), i as u64);
             }
         }
-        fn on_timer(&mut self, ctx: &mut Context<'_, StubMsg>, _t: TimerId, tag: u64) {
+        fn on_timer(&mut self, ctx: &mut Context<'_, M>, _t: TimerId, tag: u64) {
             let (_, to, msg) = self.script[tag as usize].clone();
             ctx.send(to, msg);
         }
-        fn on_message(&mut self, ctx: &mut Context<'_, StubMsg>, _from: NodeId, msg: StubMsg) {
+        fn on_message(&mut self, ctx: &mut Context<'_, M>, _from: NodeId, msg: M) {
             self.got.push((ctx.now().ticks(), msg));
         }
         impl_as_any!();
     }
+    type Probe = ScriptedPeer<StubMsg>;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)

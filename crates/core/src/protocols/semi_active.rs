@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use repl_db::{Key, Keyspace, Transfer, Value};
-use repl_gcs::{AbDeliver, BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
+use repl_gcs::{BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{Context, Message, NodeId};
 
 use crate::client::impl_protocol_msg;
@@ -89,9 +89,7 @@ impl_protocol_msg!(SemiActiveMsg);
 pub struct SemiActive {
     ab: AbcastEndpoint<ClientOp>,
     vg: ViewGroup<Choice>,
-    /// What `ab` / `vg` queued while handling one input; drained by
-    /// `drive_ab` / `drive_vs`.
-    ab_out: Outbox<AbMsg<ClientOp>, AbDeliver<ClientOp>>,
+    /// What `vg` queued while handling one input; drained by `drive_vs`.
     vg_out: Outbox<VsMsg<Choice>, VsEvent<Choice>>,
     relayed: HashSet<OpId>,
     /// Waiting for the first snapshot reply after a crash.
@@ -122,7 +120,6 @@ impl SemiActiveServer {
         let tech = SemiActive {
             ab: AbcastEndpoint::new(abcast, me, group.clone(), vs.consensus),
             vg: ViewGroup::new(me, group.clone(), vs),
-            ab_out: Outbox::new(),
             vg_out: Outbox::new(),
             relayed: HashSet::new(),
             recovering: false,
@@ -140,11 +137,6 @@ impl SemiActiveServer {
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
         self.tech.ab.set_batching(batch);
         self
-    }
-
-    /// The current leader (lowest member of the installed view).
-    pub fn leader(&self) -> NodeId {
-        self.tech.vg.view().primary()
     }
 }
 
@@ -168,20 +160,15 @@ impl SemiActive {
     /// Applies what the ABCAST endpoint queued, parks what it ordered and
     /// applies whatever became applicable.
     fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
-        let mut out = std::mem::take(&mut self.ab_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, SemiActiveMsg::Ab, |ctx, d| {
-            self.on_ordered(ctx, d)
+        let (marks, waiting) = (self.marks, &mut self.waiting);
+        self.ab.drain(ctx, SemiActiveMsg::Ab, |ctx, d| {
+            if marks {
+                ctx.mark(Phase::ServerCoordination.tag(), d.payload.id.0, d.gseq);
+            }
+            waiting.insert(d.gseq, d.payload);
         });
-        self.ab_out = out;
         self.process(sh, ctx);
         settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
-    }
-
-    fn on_ordered(&mut self, ctx: &mut Context<'_, SemiActiveMsg>, d: AbDeliver<ClientOp>) {
-        if self.marks {
-            ctx.mark(Phase::ServerCoordination.tag(), d.payload.id.0, d.gseq);
-        }
-        self.waiting.insert(d.gseq, d.payload);
     }
 
     /// Applies what the view group queued, records the choices it
@@ -215,7 +202,7 @@ impl SemiActive {
             let Some(op) = self.waiting.get(&self.next_apply).cloned() else {
                 return;
             };
-            if sh.base.cached(op.id).is_some() || sh.answered_before_join(op.id) {
+            if sh.already_answered(op.id) {
                 self.waiting.remove(&self.next_apply);
                 self.next_apply += 1;
                 continue;
@@ -317,7 +304,7 @@ impl SemiActive {
     /// State is installed: refill the ordered stream, then ask the view
     /// group for (re)admission.
     fn enter_groups(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
-        self.ab.rejoin(&mut self.ab_out);
+        self.ab.rejoin();
         self.drive_ab(sh, ctx);
         self.vg.rejoin(&mut self.vg_out);
         self.drive_vs(sh, ctx);
@@ -331,7 +318,7 @@ impl Technique for SemiActive {
         if !self.relayed.insert(op.id) {
             return;
         }
-        self.ab.broadcast(op, &mut self.ab_out);
+        self.ab.broadcast(op);
         self.drive_ab(sh, ctx);
     }
 
@@ -345,7 +332,7 @@ impl Technique for SemiActive {
         match msg {
             SemiActiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             SemiActiveMsg::Ab(m) => {
-                self.ab.on_message(from, m, &mut self.ab_out);
+                self.ab.on_message(from, m);
                 self.drive_ab(sh, ctx);
             }
             SemiActiveMsg::Vs(m) => {
@@ -382,7 +369,7 @@ impl Technique for SemiActive {
             repl_gcs::Component::on_timer(&mut self.vg, tag - VG_BASE, &mut self.vg_out);
             self.drive_vs(sh, ctx);
         } else {
-            self.ab.on_timer(tag, &mut self.ab_out);
+            self.ab.on_timer(tag);
             self.drive_ab(sh, ctx);
         }
     }
@@ -441,7 +428,7 @@ impl Technique for SemiActive {
         ctx: &mut Context<'_, SemiActiveMsg>,
         remaining: &[NodeId],
     ) {
-        if self.ab.leave(sh.me(), remaining, &mut self.ab_out) {
+        if self.ab.leave(sh.me(), remaining) {
             self.drive_ab(sh, ctx);
         }
         // Voluntary view-group exit: survivors install the shrunk view

@@ -115,9 +115,6 @@ pub struct SemiPassive {
     wal: RedoLog,
     /// Waiting for the first catch-up reply after a crash.
     recovering: bool,
-    /// Remembered retention cap, re-applied when a volume loss forces a
-    /// fresh decision log.
-    wal_retention: Option<usize>,
     marks: bool,
 }
 
@@ -149,7 +146,6 @@ impl SemiPassiveServer {
             engaged_slot: None,
             wal: RedoLog::new(),
             recovering: false,
-            wal_retention: None,
             marks: site == 0,
         };
         Replica::around(site, me, group, keyspace, exec, tech)
@@ -159,7 +155,6 @@ impl SemiPassiveServer {
     /// cap forces snapshot transfers for peers that fall behind the
     /// truncation point.
     pub fn with_log_retention(mut self, max_entries: Option<usize>) -> Self {
-        self.tech.wal_retention = max_entries;
         self.tech.wal.set_retention(max_entries);
         self
     }
@@ -258,7 +253,7 @@ impl SemiPassive {
             // Mirror every decision so wal index == slot, even for
             // duplicate decision content (keeps donor watermarks exact).
             self.wal.append(sh.base.materialize_payload(&p.ws));
-            if sh.base.cached(p.op.id).is_some() || sh.answered_before_join(p.op.id) {
+            if sh.already_answered(p.op.id) {
                 // Already installed (duplicate decision content, or the
                 // join donor answered it before the snapshot); this site
                 // still consumed the slot.
@@ -300,13 +295,6 @@ impl SemiPassive {
         }
         self.next_slot = self.next_slot.max(high);
         self.decided = self.decided.split_off(&self.next_slot);
-    }
-
-    /// A fresh decision log based at `slot`.
-    fn reset_wal(&mut self, slot: u64) {
-        self.wal = RedoLog::new();
-        self.wal.set_retention(self.wal_retention);
-        self.wal.skip_to(slot);
     }
 }
 
@@ -469,7 +457,7 @@ impl Technique for SemiPassive {
     }
 
     fn volume_lost(&mut self, _sh: &mut Shell) {
-        self.reset_wal(0);
+        self.wal.restart_at(0);
         self.pending.clear();
         self.decided.clear();
         self.engaged_slot = None;
@@ -482,7 +470,7 @@ impl Technique for SemiPassive {
         // the restore like a snapshot catch-up: an empty log based at the
         // restored cursor. Earlier suffixes are simply donated by peers
         // instead of us.
-        self.reset_wal(plan.token);
+        self.wal.restart_at(plan.token);
         self.next_slot = plan.token;
         self.decided.clear();
     }

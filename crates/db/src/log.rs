@@ -221,6 +221,18 @@ impl RedoLog {
         self.base = 0;
     }
 
+    /// Restarts the log empty at logical position `index`, as
+    /// [`RedoLog::new`] would — no entries, nothing staged, no forces
+    /// paid — except that the retention cap is kept: the fresh log a
+    /// replica opens after its volume was lost or restored.
+    pub fn restart_at(&mut self, index: u64) {
+        *self = RedoLog {
+            base: index,
+            retention: self.retention,
+            ..RedoLog::new()
+        };
+    }
+
     /// Fast-forwards the log to logical position `index`, retaining
     /// nothing below it — used after installing a snapshot stamped with
     /// the donor's watermark, where the skipped entries were never
@@ -338,6 +350,31 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert!(log.has_suffix(3));
         assert!(!log.has_suffix(2));
+    }
+
+    #[test]
+    fn restart_at_is_a_new_log_that_keeps_its_retention() {
+        let mut log = RedoLog::new().with_retention(2);
+        for i in 0..5 {
+            log.append(WriteSet::empty(TxnId::new(i, 0)));
+        }
+        log.stage(WriteSet::empty(TxnId::new(9, 0)));
+        log.restart_at(7);
+        assert_eq!((log.len(), log.first_retained()), (7, 7));
+        assert_eq!(log.since(0).count(), 0);
+        assert_eq!((log.staged_len(), log.fsyncs()), (0, 0));
+        // The cap survived: three appends retain two.
+        for i in 0..3 {
+            assert_eq!(
+                log.append(WriteSet::empty(TxnId::new(i, 0))),
+                7 + i as usize
+            );
+        }
+        assert_eq!(log.first_retained(), 8);
+        // Position 0 is a plain fresh log.
+        log.restart_at(0);
+        assert!(log.is_empty());
+        assert_eq!(log.first_retained(), 0);
     }
 
     #[test]
