@@ -19,12 +19,7 @@
 
 use std::time::Instant;
 
-use repl_bench::{studies, CountingAlloc, Study};
-
-/// P14 reports heap allocations per transaction, which only the global
-/// allocator can count.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use repl_bench::{studies, Study};
 
 struct Args {
     threads: usize,

@@ -182,27 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_kernel_runs_are_identical() {
-        // The dense backing is a representation change only: the same
-        // cell run with the sparse fallback must produce a bit-identical
-        // report digest.
-        let cells = kernel(&[64], &[2]).sweep_cells();
-        assert_eq!(cells.len(), kernel_techniques().len());
-        for cell in cells {
-            let dense = repl_core::run(&cell.cfg);
-            let mut sparse_cfg = cell.cfg.clone();
-            sparse_cfg.workload = sparse_cfg.workload.clone().with_dense_keyspace(false);
-            let sparse = repl_core::run(&sparse_cfg);
-            assert_eq!(
-                dense.digest(),
-                sparse.digest(),
-                "{}: dense and sparse runs diverged",
-                cell.label
-            );
-        }
-    }
-
-    #[test]
     fn microcycle_keys_are_distinct_and_in_range() {
         for items in [64u64, 1024] {
             for round in 0..32 {

@@ -18,8 +18,7 @@
 //! *shapes* — who wins, by what factor, where the curves bend — are the
 //! reproduction targets.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#![forbid(unsafe_code)]
 
 use repl_core::protocols::common::{AbcastImpl, ExecutionMode};
 use repl_core::protocols::lazy_ue::ReconcileMode;
@@ -154,6 +153,11 @@ fn percentile(report: &RunReport, q: f64) -> String {
 
 fn msgs_per_op(report: &RunReport) -> String {
     format!("{:.1}", report.messages_per_op())
+}
+
+fn bytes_per_op(report: &RunReport) -> String {
+    let ops = report.ops_completed.max(1) as f64;
+    format!("{:.0}", report.messages.bytes_sent as f64 / ops)
 }
 
 fn opt_ticks(ticks: Option<u64>) -> String {
@@ -489,10 +493,7 @@ pub fn abcast_impls() -> Study {
     let columns = vec![
         col("mean", |r| mean(&r[0])),
         col("msgs/op", |r| msgs_per_op(&r[0])),
-        col("bytes/op", |r| {
-            let ops = r[0].ops_completed.max(1) as f64;
-            format!("{:.0}", r[0].messages.bytes_sent as f64 / ops)
-        }),
+        col("bytes/op", |r| bytes_per_op(&r[0])),
     ];
     Study::new("A2", "ABCAST implementations", rows, columns)
 }
@@ -896,52 +897,15 @@ pub fn open_loop_scale(
     )
 }
 
-/// A counting global allocator for binaries that print P14: the
-/// payload-plane study reports heap allocations per transaction, which
-/// only a `#[global_allocator]` can observe. Only the count is added on
-/// the hot path; dealloc is untouched.
-pub struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees are this allocator's; the counter is a relaxed
-// statistic that publishes no other data.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Heap allocations so far in a process whose global allocator is
-/// [`CountingAlloc`]; a constant 0 in any other process.
-pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 /// The run configuration of one P14 cell: multi-operation update
 /// transactions so every commit ships a real multi-record writeset.
-fn payload_plane_cfg(technique: Technique, arena: bool) -> RunConfig {
+fn payload_plane_cfg(technique: Technique) -> RunConfig {
     settle_lazy(
         RunConfig::new(technique)
             .with_servers(3)
             .with_clients(4)
             .with_seed(171)
             .with_trace(true)
-            .with_payload_arena(arena)
             .with_workload(
                 WorkloadSpec::default()
                     .with_items(64)
@@ -953,94 +917,41 @@ fn payload_plane_cfg(technique: Technique, arena: bool) -> RunConfig {
     )
 }
 
-/// P14 — the payload-plane study: per writeset-shipping technique, the
-/// (identical) simulation observables plus what the arena is allowed to
-/// change — heap allocations per transaction. Every technique runs twice,
-/// arena handles vs inline (`Arc<WriteSet>`) payloads, and the digest and
-/// trace-hash equality between the two is asserted in-line (the arena is
-/// a representation change and must be observationally invisible), so a
-/// printed row is proof the cell passed.
+/// P14 — the payload-plane study: per writeset-shipping technique, what
+/// shipping costs on the wire (handles are charged at the full logical
+/// size of the writeset they stand for) next to the arena's own
+/// counters — spans interned, retired, and still resident at the end of
+/// the run. A fault-free row must show `interned == retired`.
 ///
 /// The four techniques left out ship full transactions or decisions, not
-/// writesets, and are covered by the `arena_equiv` suite instead. The
-/// allocation columns read [`allocations`], so they are 0 unless the
-/// binary installed [`CountingAlloc`]; this is the one study that
-/// measures the host, which is why it is a [`Study::host`] running its
-/// cells serially on the calling thread — the counter diffs must be
-/// attributable.
+/// writesets, and never touch the arena.
 pub fn payload_plane() -> Study {
-    Study::host(
-        "P14",
-        "payload plane (3 replicas, arena vs inline payloads, digest-checked)",
-        payload_plane_rows,
-    )
-}
-
-fn payload_plane_rows() -> Vec<Row> {
-    let mut rows = Vec::new();
-    for technique in [
+    let rows = [
         Technique::Passive,
         Technique::SemiPassive,
         Technique::EagerPrimary,
         Technique::LazyPrimary,
         Technique::LazyUpdateEverywhere,
         Technique::Certification,
-    ] {
-        let name = technique.name();
-        // Equality pass, traced: the digest covers every counter and
-        // latency sample, the trace hash covers event-level ordering.
-        let arena = repl_core::run(&payload_plane_cfg(technique, true));
-        let inline = repl_core::run(&payload_plane_cfg(technique, false));
-        assert_eq!(
-            arena.digest(),
-            inline.digest(),
-            "P14 {name}: arena and inline payloads must produce identical digests"
-        );
-        assert_eq!(
-            arena.trace_hash, inline.trace_hash,
-            "P14 {name}: arena and inline payloads must produce identical traces"
-        );
-        assert!(arena.ops_completed > 0, "P14 {name}: no work");
-        // Measurement pass, lean (trace off): tracing allocates one
-        // record per event and would drown the payload-plane signal.
-        let counted = |on: bool| {
-            let cfg = payload_plane_cfg(technique, on).with_trace(false);
-            let before = allocations();
-            let report = repl_core::run(&cfg);
-            (report, allocations() - before)
-        };
-        let (lean_arena, arena_allocs) = counted(true);
-        let (lean_inline, inline_allocs) = counted(false);
-        assert_eq!(
-            lean_arena.digest(),
-            lean_inline.digest(),
-            "P14 {name}: lean-mode digests must agree too"
-        );
-        let per_txn = |n: u64| n as f64 / arena.ops_completed.max(1) as f64;
-        let (arena_allocs, inline_allocs) = (per_txn(arena_allocs), per_txn(inline_allocs));
-        let saving = if inline_allocs > 0.0 {
-            format!("{:.0}%", (1.0 - arena_allocs / inline_allocs) * 100.0)
-        } else {
-            "-".into()
-        };
-        rows.push(
-            Row::new(name)
-                .cell("txns", arena.ops_completed)
-                .cell("mean", mean(&arena))
-                .cell("msgs/txn", msgs_per_op(&arena))
-                // Handles are charged at full logical size per leg, so
-                // wire bytes are identical between representations.
-                .cell(
-                    "B/txn",
-                    format!("{:.0}", per_txn(arena.messages.bytes_sent)),
-                )
-                .cell("allocs/txn arena", format!("{arena_allocs:.1}"))
-                .cell("allocs/txn inline", format!("{inline_allocs:.1}"))
-                .cell("alloc saving", saving)
-                .cell("digest", "=="),
-        );
-    }
-    rows
+    ]
+    .into_iter()
+    .map(|t| StudyRow::new(t.name(), [payload_plane_cfg(t)]))
+    .collect();
+    let columns = vec![
+        col("txns", |r| r[0].ops_completed.to_string()),
+        col("mean", |r| mean(&r[0])),
+        col("msgs/txn", |r| msgs_per_op(&r[0])),
+        col("B/txn", |r| bytes_per_op(&r[0])),
+        col("interned", |r| r[0].payload.interned.to_string()),
+        col("retired", |r| r[0].payload.retired.to_string()),
+        col("resident", |r| r[0].payload.spans_resident.to_string()),
+    ];
+    Study::new(
+        "P14",
+        "payload plane (3 replicas, writesets shipped as arena handles)",
+        rows,
+        columns,
+    )
 }
 
 /// Initial replica count of every P15 cell.
@@ -1277,10 +1188,11 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let rows = vec![
-            Row::new("a").cell("x", 1).cell("yy", "long-value"),
-            Row::new("much-longer").cell("x", 22).cell("yy", 3),
-        ];
+        let row = |label: &str, x: &str, yy: &str| Row {
+            label: label.into(),
+            cells: vec![("x".into(), x.into()), ("yy".into(), yy.into())],
+        };
+        let rows = vec![row("a", "1", "long-value"), row("much-longer", "22", "3")];
         let s = render("T", &rows);
         assert!(s.contains("### T"));
         assert!(s.contains("much-longer"));

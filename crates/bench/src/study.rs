@@ -21,20 +21,6 @@ pub struct Row {
 }
 
 impl Row {
-    /// Creates a row.
-    pub fn new(label: impl Into<String>) -> Self {
-        Row {
-            label: label.into(),
-            cells: Vec::new(),
-        }
-    }
-
-    /// Adds a cell.
-    pub fn cell(mut self, name: impl Into<String>, value: impl std::fmt::Display) -> Self {
-        self.cells.push((name.into(), value.to_string()));
-        self
-    }
-
     /// The value under column `name`.
     ///
     /// # Panics
@@ -136,13 +122,10 @@ pub struct Study {
     pub rows: Vec<StudyRow>,
     /// The columns, folded from each row's reports.
     pub columns: Vec<Column>,
-    /// Set instead of `rows`/`columns` by the one study that measures
-    /// the host rather than the simulation (P14).
-    host: Option<fn() -> Vec<Row>>,
 }
 
 impl Study {
-    /// A study whose every cell is a function of simulated reports.
+    /// Declares a study: every cell is a function of its row's reports.
     pub fn new(
         id: &'static str,
         title: &'static str,
@@ -154,17 +137,6 @@ impl Study {
             title,
             rows,
             columns,
-            host: None,
-        }
-    }
-
-    /// A study whose rows come from `rows` directly: it times or counts
-    /// on the host, so it must run serially on the calling thread and
-    /// has no cells to hand to a sweep.
-    pub fn host(id: &'static str, title: &'static str, rows: fn() -> Vec<Row>) -> Self {
-        Study {
-            host: Some(rows),
-            ..Study::new(id, title, Vec::new(), Vec::new())
         }
     }
 
@@ -196,9 +168,6 @@ impl Study {
     ///
     /// If a cell fails — study configs are static, so a failure is a bug.
     pub fn table(&self, threads: usize) -> Vec<Row> {
-        if let Some(host) = self.host {
-            return host();
-        }
         let mut reports = run_sweep(&self.sweep_cells(), threads)
             .into_iter()
             .map(CellResult::expect_report);

@@ -4,18 +4,14 @@
 //! same tables" is an exact oracle for any change that is not meant to
 //! move simulated behaviour. `golden/study_tables.txt` is `perfstudy`'s
 //! output without its header and timing lines — every registered study
-//! through [`repl_bench::render`] — with the three host-side columns of
-//! P14 (allocation counts, which do move with the code) masked. A change
-//! that *is* meant to move a table replaces that study's block with the
-//! "actual" half of the failure message.
+//! through [`Study::render`]. A change that *is* meant to move a table
+//! replaces that study's block with the "actual" half of the failure
+//! message.
 
 use repl_bench::{studies, Row, Study, P8_CLIENTS, P8_WINDOWS};
 use repl_core::Technique;
 
 const GOLDEN: &str = include_str!("golden/study_tables.txt");
-
-/// P14's host-measured columns.
-const HOST_COLUMNS: [&str; 3] = ["allocs/txn arena", "allocs/txn inline", "alloc saving"];
 
 fn study(id: &str) -> Study {
     studies()
@@ -39,13 +35,7 @@ fn golden_block(heading: &str) -> String {
 /// byte for byte with its golden block.
 fn assert_matches_golden(study: &Study) {
     for threads in [1, 2] {
-        let mut rows = study.table(threads);
-        for (name, value) in rows.iter_mut().flat_map(|r| r.cells.iter_mut()) {
-            if HOST_COLUMNS.contains(&name.as_str()) {
-                *value = "*".into();
-            }
-        }
-        let actual = repl_bench::render(&study.heading(), &rows);
+        let actual = study.render(threads);
         let golden = golden_block(&study.heading());
         assert!(
             actual == golden,

@@ -14,7 +14,7 @@
 //! do not travel the simulated network, and a disabled tier leaves a
 //! run bit-for-bit unchanged (the digest-identity tests pin this).
 
-use repl_db::{DurableRestore, TxnId, WriteRecord, WriteSet};
+use repl_db::{DurableRestore, TxnId, WriteSet, WsView};
 use repl_sim::{ObjectStore, ObjectStoreConfig};
 
 /// Configuration of one run's durable log tier.
@@ -77,18 +77,6 @@ impl DurabilityConfig {
             ..DurabilityConfig::disabled()
         }
     }
-
-    /// Replaces the object-store model (builder form).
-    pub fn with_object_store(mut self, os: ObjectStoreConfig) -> Self {
-        self.object_store = os;
-        self
-    }
-
-    /// Overrides the compaction threshold (builder form).
-    pub fn with_compact_after(mut self, after: usize) -> Self {
-        self.compact_after = after.max(1);
-        self
-    }
 }
 
 /// What a protocol must do to finish a volume restore: rewind its
@@ -123,8 +111,6 @@ pub struct DurabilityTier {
     /// Writesets committed since the last seal (the exposed,
     /// not-yet-shipped tail).
     pending: Vec<WriteSet>,
-    /// Local fsync cost charged when replaying a restored suffix.
-    fsync_ticks: u64,
     /// Volume losses survived.
     pub wipes: u64,
     /// Acknowledged commits a disaster erased before they were durable
@@ -144,12 +130,11 @@ pub struct DurabilityTier {
 
 impl DurabilityTier {
     /// Creates the tier for a server whose store uses `keyspace`.
-    pub fn new(cfg: &DurabilityConfig, keyspace: repl_db::Keyspace, fsync_ticks: u64) -> Self {
+    pub fn new(cfg: &DurabilityConfig, keyspace: repl_db::Keyspace) -> Self {
         DurabilityTier {
             object: ObjectStore::new(cfg.object_store),
             log: repl_db::DurableLog::new(keyspace).with_compaction(cfg.compact_after),
             pending: Vec::new(),
-            fsync_ticks,
             wipes: 0,
             lost: Vec::new(),
             restore_bytes: 0,
@@ -163,21 +148,16 @@ impl DurabilityTier {
     /// Queues a committed writeset for the next seal. No-op while a
     /// restore is being installed (those entries are already durable).
     pub fn note_commit(&mut self, ws: &WriteSet) {
-        if !self.restoring {
-            self.pending.push(ws.clone());
-        }
+        self.note_commit_view(WsView::Rows(ws));
     }
 
-    /// [`DurabilityTier::note_commit`] over any record stream — the
-    /// payload plane's entry point. The tier retains sealed frames by
-    /// value, so this materializes (the only such allocation on the
-    /// arena path; tiers are absent in lean open-loop runs).
-    pub fn note_commit_records(&mut self, txn: TxnId, records: impl Iterator<Item = WriteRecord>) {
+    /// [`DurabilityTier::note_commit`] over a borrow view — the payload
+    /// plane's entry point. The tier retains sealed frames by value, so
+    /// this materializes (the only such allocation on the arena path;
+    /// tiers are absent in lean open-loop runs).
+    pub fn note_commit_view(&mut self, view: WsView<'_>) {
         if !self.restoring {
-            self.pending.push(WriteSet {
-                txn,
-                writes: records.collect(),
-            });
+            self.pending.push(view.to_writeset());
         }
     }
 
@@ -221,12 +201,13 @@ impl DurabilityTier {
         self.restoring = true;
         self.restores += 1;
         let restore = self.log.restore();
-        let delay = self.object.download_ticks(restore.bytes)
-            + if restore.high > 0 {
-                self.fsync_ticks
-            } else {
-                0
-            };
+        // One local force replays the restored suffix into the redo log.
+        let fsync = if restore.high > 0 {
+            repl_db::FSYNC_TICKS
+        } else {
+            0
+        };
+        let delay = self.object.download_ticks(restore.bytes) + fsync;
         self.restore_bytes += restore.bytes;
         self.restore_ticks += delay;
         let plan = RestorePlan {
@@ -286,11 +267,7 @@ mod tests {
     }
 
     fn tier(lag: u64) -> DurabilityTier {
-        DurabilityTier::new(
-            &DurabilityConfig::with_upload_lag(lag),
-            Keyspace::dense(8),
-            120,
-        )
+        DurabilityTier::new(&DurabilityConfig::with_upload_lag(lag), Keyspace::dense(8))
     }
 
     #[test]

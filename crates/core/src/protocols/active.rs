@@ -317,10 +317,9 @@ mod tests {
                     AbcastImpl::Sequencer,
                     ConsensusConfig::default(),
                 );
-                srv.shell.base.set_durability(
-                    &crate::durability::DurabilityConfig::with_upload_lag(lag),
-                    120,
-                );
+                srv.shell
+                    .base
+                    .set_durability(&crate::durability::DurabilityConfig::with_upload_lag(lag));
                 world.add_actor(Box::new(srv));
             }
             let txns: Vec<TxnTemplate> = (0..12).map(|i| write(i % 16, i as i64)).collect();

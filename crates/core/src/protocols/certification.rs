@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WsPayload};
+use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WriteSetRef};
 use repl_sim::{Context, Message, NodeId};
 
 use crate::op::{ClientOp, Response};
@@ -35,8 +35,8 @@ pub struct CertRequest {
     /// Versions read during shadow execution (shared: the request is
     /// cloned once per ordering leg).
     pub read_set: Arc<[(Key, u64)]>,
-    /// Buffered writes (arena handle or `Arc`-shared inline).
-    pub ws: WsPayload,
+    /// Buffered writes.
+    pub ws: WriteSetRef,
     /// The response computed during shadow execution.
     pub resp: Response,
     /// The delegate (answers the client).
@@ -100,7 +100,7 @@ impl Ordered for Cert {
         Some(CertRequest {
             op,
             read_set,
-            ws: sh.base.make_payload(ws, peers),
+            ws: sh.base.make_payload(&ws, peers),
             resp,
             delegate: sh.me(),
         })
@@ -123,41 +123,42 @@ impl Ordered for Cert {
             ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
         }
         let txn = global_txn(op_id);
-        let arena = sh.base.arena.clone();
-        let verdict = req.ws.with(arena.as_ref(), |view| {
-            self.certifier
-                .certify_records(&req.read_set, txn, view.iter())
-        });
-        let resp = if verdict.is_commit() {
+        let committed = sh.base.read_payload(req.ws, |base, view| {
+            let verdict = self
+                .certifier
+                .certify_records(&req.read_set, txn, view.iter());
+            if !verdict.is_commit() {
+                return false;
+            }
             // Install the writes; local versions track the certifier's
             // counters because every site applies the same stream. The
             // durable tier gets the store-assigned versions (not the
             // shadow's), so a restore reproduces them exactly — it is
             // the only consumer of the materialized records, so the
             // collection is skipped entirely on untiered runs.
-            let base = &mut sh.base;
-            let noted = req.ws.with(arena.as_ref(), |view| {
-                let mut noted = base.tier.is_some().then(|| WriteSet {
-                    txn,
-                    writes: Vec::with_capacity(view.len()),
-                });
-                for w in view.iter() {
-                    let v = base.store.write(w.key, w.value, txn);
-                    if let Some(applied) = &mut noted {
-                        applied.writes.push(WriteRecord {
-                            key: w.key,
-                            value: w.value,
-                            version: v.version,
-                        });
-                    }
-                    base.history
-                        .record(base.site, txn, w.key, repl_db::AccessKind::Write);
-                }
-                noted
+            let mut noted = base.tier.is_some().then(|| WriteSet {
+                txn,
+                writes: Vec::with_capacity(view.len()),
             });
+            for w in view.iter() {
+                let v = base.store.write(w.key, w.value, txn);
+                if let Some(applied) = &mut noted {
+                    applied.writes.push(WriteRecord {
+                        key: w.key,
+                        value: w.value,
+                        version: v.version,
+                    });
+                }
+                base.history
+                    .record(base.site, txn, w.key, repl_db::AccessKind::Write);
+            }
             if let (Some(t), Some(applied)) = (&mut base.tier, noted) {
                 t.note_commit(&applied);
             }
+            true
+        });
+        let resp = if committed {
+            let base = &mut sh.base;
             for &(k, _) in req.read_set.iter() {
                 base.history
                     .record(base.site, txn, k, repl_db::AccessKind::Read);
@@ -172,7 +173,7 @@ impl Ordered for Cert {
             sh.base.aborted += 1;
             Response::aborted(op_id)
         };
-        sh.base.release_payload(&req.ws);
+        sh.base.release_payload(req.ws);
         sh.base.remember(&resp);
         // The request names its delegate: a retry relayed by a second
         // server must still be answered by one site only.
@@ -182,7 +183,7 @@ impl Ordered for Cert {
     }
 
     fn discard(&mut self, sh: &mut Shell, req: &CertRequest) {
-        sh.base.release_payload(&req.ws);
+        sh.base.release_payload(req.ws);
     }
 
     /// Rebuilds the certifier's version counters from the installed
@@ -206,6 +207,7 @@ mod tests {
     use super::*;
     use crate::client::ClientActor;
     use crate::protocols::common::{AbcastImpl, ExecutionMode};
+    use crate::protocols::replica::tests::seat_all;
     use repl_db::Value;
     use repl_gcs::ConsensusConfig;
     use repl_sim::{SimConfig, SimDuration, SimTime, World};
@@ -233,17 +235,20 @@ mod tests {
     ) -> (World<CertMsg>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for i in 0..n {
-            world.add_actor(Box::new(CertServer::new(
-                i,
-                NodeId::new(i),
-                servers.clone(),
-                16,
-                ExecutionMode::Deterministic,
-                AbcastImpl::Sequencer,
-                ConsensusConfig::default(),
-            )));
-        }
+        seat_all(
+            &mut world,
+            (0..n).map(|i| {
+                CertServer::new(
+                    i,
+                    NodeId::new(i),
+                    servers.clone(),
+                    16,
+                    ExecutionMode::Deterministic,
+                    AbcastImpl::Sequencer,
+                    ConsensusConfig::default(),
+                )
+            }),
+        );
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
             let client = ClientActor::<CertMsg>::new(

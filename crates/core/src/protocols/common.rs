@@ -7,7 +7,7 @@ use std::sync::Arc;
 use repl_db::{
     AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, ReplicatedHistory, ShadowStore,
     SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
-    WriteRecord, WriteSet, WsPayload,
+    WriteRecord, WriteSet, WriteSetRef, WsView,
 };
 use repl_gcs::{
     apply_outbox, AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig,
@@ -461,8 +461,9 @@ pub struct ServerBase {
     pub tier: Option<DurabilityTier>,
     /// Volume-loss disasters survived by this server.
     pub volume_wipes: u64,
-    /// The run's shared payload arena (None keeps every payload inline).
-    pub arena: Option<SharedArena>,
+    /// The run's shared payload arena, attached when the server is
+    /// seated ([`ServerBase::set_arena`]).
+    arena: Option<SharedArena>,
     /// Set by an untiered wipe; a restore-from-scratch is pending.
     bare_wipe: bool,
     /// Lean mode: skip the per-operation history records and the
@@ -515,71 +516,66 @@ impl ServerBase {
     }
 
     /// Attaches a durable log tier (no-op when `cfg` is disabled).
-    /// `fsync_ticks` is the local fsync cost charged when a restored
-    /// suffix is replayed into the recovering node's redo log.
-    pub fn set_durability(&mut self, cfg: &DurabilityConfig, fsync_ticks: u64) {
+    pub fn set_durability(&mut self, cfg: &DurabilityConfig) {
         if cfg.enabled {
-            self.tier = Some(DurabilityTier::new(cfg, self.keyspace(), fsync_ticks));
+            self.tier = Some(DurabilityTier::new(cfg, self.keyspace()));
         }
     }
 
-    /// Attaches the run's shared payload arena. With one attached,
-    /// [`ServerBase::make_payload`] interns disseminated writesets into
-    /// it instead of shipping them inline.
-    pub fn set_arena(&mut self, arena: Option<SharedArena>) {
-        self.arena = arena;
+    /// Attaches the run's shared payload arena: the one place writesets
+    /// live while protocol messages carry their handles.
+    pub fn set_arena(&mut self, arena: SharedArena) {
+        self.arena = Some(arena);
     }
 
-    /// Wraps a writeset for dissemination. With an arena attached and a
-    /// positive consumer count the records are interned once and the
-    /// message carries a 16-byte handle; otherwise the writeset ships
-    /// inline (`Arc`-shared). Wire accounting is identical either way.
-    pub fn make_payload(&mut self, ws: WriteSet, expected: u32) -> WsPayload {
-        match (&self.arena, expected) {
-            (Some(arena), 1..) => WsPayload::Arena(arena.borrow_mut().intern(&ws, expected)),
-            _ => WsPayload::inline(ws),
-        }
+    /// The run's arena.
+    ///
+    /// # Panics
+    ///
+    /// On a server that was never given one: its peers could not read
+    /// anything it shipped.
+    fn arena(&self) -> &SharedArena {
+        self.arena
+            .as_ref()
+            .expect("no payload arena attached: seat the server with the run's shared arena")
     }
 
-    /// [`ServerBase::install_writeset`] for a payload: installs through
-    /// the borrow view, so an arena-backed payload is applied without
-    /// materializing its records (allocation-free on lean untiered
-    /// servers). Does not release the payload — consumption and release
-    /// are separate because some protocols read a handle more than once
-    /// before their last use.
-    pub fn install_payload(&mut self, p: &WsPayload) {
-        let arena = self.arena.clone();
-        p.with(arena.as_ref(), |view| {
-            let txn = view.txn();
-            if !self.lean {
-                for w in view.iter() {
-                    self.history
-                        .record(self.site, txn, w.key, AccessKind::Write);
-                }
-                self.history.mark_committed(txn);
-            }
-            self.store.apply_records(txn, view.iter());
-            self.committed += 1;
-            if let Some(t) = &mut self.tier {
-                t.note_commit_records(txn, view.iter());
-            }
-        });
+    /// Interns a writeset for dissemination; the message carries the
+    /// 16-byte handle. `expected` is the number of sites that will
+    /// [`release_payload`](Self::release_payload) it — with none, the
+    /// span is retired at once.
+    pub fn make_payload(&mut self, ws: &WriteSet, expected: u32) -> WriteSetRef {
+        self.arena().borrow_mut().intern(ws, expected)
     }
 
-    /// Records this site's release of an arena-backed payload (a no-op
-    /// for inline payloads). Call exactly when the site will not read
-    /// the handle again; the span is retired once every expected site
-    /// has released it.
-    pub fn release_payload(&mut self, p: &WsPayload) {
-        if let (WsPayload::Arena(r), Some(arena)) = (p, &self.arena) {
-            arena.borrow_mut().release(*r, self.site);
-        }
+    /// Runs `f` over this server and a borrow view of the payload's
+    /// records — nothing is materialized. Does not release the payload:
+    /// consumption and release are separate because some protocols read
+    /// a handle more than once before their last use.
+    ///
+    /// # Panics
+    ///
+    /// If the span was already retired (a premature release).
+    pub fn read_payload<R>(
+        &mut self,
+        ws: WriteSetRef,
+        f: impl FnOnce(&mut Self, WsView<'_>) -> R,
+    ) -> R {
+        let arena = SharedArena::clone(self.arena());
+        let arena = arena.borrow();
+        f(self, arena.view(ws))
     }
 
-    /// Materializes a payload into an owned writeset, for retained
-    /// structures (redo logs, resend buffers, state transfer).
-    pub fn materialize_payload(&self, p: &WsPayload) -> WriteSet {
-        p.materialize(self.arena.as_ref())
+    /// [`ServerBase::install`] for a payload.
+    pub fn install_payload(&mut self, ws: WriteSetRef) {
+        self.read_payload(ws, Self::install);
+    }
+
+    /// Records this site's release of a payload. Call exactly when the
+    /// site will not read the handle again; the span is retired once
+    /// every expected site has released it.
+    pub fn release_payload(&mut self, ws: WriteSetRef) {
+        self.arena().borrow_mut().release(ws, self.site);
     }
 
     /// Seals the commits of the event just processed into a durable
@@ -758,20 +754,28 @@ impl ServerBase {
         (read_set, ws, resp)
     }
 
-    /// Installs a replicated writeset (no re-execution), recording history.
-    pub fn install_writeset(&mut self, ws: &WriteSet) {
+    /// Installs replicated writes (no re-execution), recording history.
+    /// Allocation-free on lean untiered servers.
+    pub fn install(&mut self, view: WsView<'_>) {
+        let txn = view.txn();
         if !self.lean {
-            for w in &ws.writes {
+            for w in view.iter() {
                 self.history
-                    .record(self.site, ws.txn, w.key, AccessKind::Write);
+                    .record(self.site, txn, w.key, AccessKind::Write);
             }
-            self.history.mark_committed(ws.txn);
+            self.history.mark_committed(txn);
         }
-        self.store.apply_writeset(ws);
+        self.store.apply_records(txn, view.iter());
         self.committed += 1;
         if let Some(t) = &mut self.tier {
-            t.note_commit(ws);
+            t.note_commit_view(view);
         }
+    }
+
+    /// [`ServerBase::install`] for a writeset held in row form (log
+    /// entries, batches, transfers).
+    pub fn install_writeset(&mut self, ws: &WriteSet) {
+        self.install(WsView::Rows(ws));
     }
 
     /// Installs a recovery state transfer and records its accounting.
@@ -983,6 +987,34 @@ mod tests {
         b.install_writeset(&ws);
         assert_eq!(a.store.fingerprint(), b.store.fingerprint());
         assert_eq!(b.committed, 1);
+    }
+
+    #[test]
+    fn a_payload_installs_like_its_writeset_and_retires_on_the_last_release() {
+        let arena = repl_db::shared_arena();
+        let mut a = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        let mut b = ServerBase::new(1, 2, ExecutionMode::Deterministic);
+        let mut c = ServerBase::new(2, 2, ExecutionMode::Deterministic);
+        for base in [&mut a, &mut b] {
+            base.set_arena(arena.clone());
+        }
+        let o = op(3, vec![OpTemplate::Write(Key(0), Value(7))]);
+        let (ws, _) = a.execute_commit(&o, TxnId::new(3, 0));
+        let handle = a.make_payload(&ws, 1);
+        b.install_payload(handle);
+        c.install_writeset(&ws);
+        assert_eq!(b.store.fingerprint(), c.store.fingerprint());
+        assert_eq!(b.history.committed(), c.history.committed());
+        assert_eq!(arena.borrow().stats().retired, 0, "read is not release");
+        b.release_payload(handle);
+        assert_eq!(arena.borrow().stats().retired, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no payload arena attached")]
+    fn an_unseated_server_cannot_ship_a_writeset() {
+        let mut base = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        base.make_payload(&WriteSet::empty(TxnId::new(1, 0)), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, RedoLog, TpcCoordinator,
-    TpcDecision, Transfer, TransferStrategy, TxnId, Value, WriteSet, WsPayload,
+    TpcDecision, Transfer, TransferStrategy, TxnId, Value, WriteSet, WriteSetRef,
 };
 use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{Context, Message, NodeId, SimDuration};
@@ -44,9 +44,9 @@ pub enum EagerPrimaryMsg {
         txn: TxnId,
         /// Which operation of the transaction this is.
         step: u32,
-        /// The log records of this step (an arena handle when a payload
-        /// arena is attached, so the fan-out copies 16 bytes per leg).
-        ws: WsPayload,
+        /// The log records of this step (the fan-out copies the 16-byte
+        /// handle per leg).
+        ws: WriteSetRef,
     },
     /// Secondary → primary: step applied.
     PropAck {
@@ -60,9 +60,8 @@ pub enum EagerPrimaryMsg {
     Prepare {
         /// The transaction.
         txn: TxnId,
-        /// The full writeset (empty if already propagated step-wise;
-        /// an arena handle when a payload arena is attached).
-        ws: WsPayload,
+        /// The full writeset (empty if already propagated step-wise).
+        ws: WriteSetRef,
         /// The response, cached by secondaries for retried clients.
         resp: Response,
     },
@@ -121,11 +120,8 @@ impl Message for EagerPrimaryMsg {
 
     fn clone_is_cheap(&self) -> bool {
         match self {
-            EagerPrimaryMsg::Propagate { ws, .. } => ws.clone_is_cheap(),
-            EagerPrimaryMsg::Prepare { ws, resp, .. } => {
-                ws.clone_is_cheap() && resp.reads.is_empty()
-            }
-            EagerPrimaryMsg::DecisionBatch { .. } => true,
+            EagerPrimaryMsg::Propagate { .. } | EagerPrimaryMsg::DecisionBatch { .. } => true,
+            EagerPrimaryMsg::Prepare { resp, .. } => resp.reads.is_empty(),
             _ => false,
         }
     }
@@ -442,7 +438,7 @@ impl EagerPrimary {
                         let step_no = (t.step - 1) as u32;
                         if !secondaries.is_empty() {
                             let ws = sh.base.make_payload(
-                                WriteSet {
+                                &WriteSet {
                                     txn,
                                     writes: vec![repl_db::WriteRecord {
                                         key: k,
@@ -470,7 +466,7 @@ impl EagerPrimary {
                                     EagerPrimaryMsg::Propagate {
                                         txn,
                                         step: step_no,
-                                        ws: ws.clone(),
+                                        ws,
                                     },
                                 );
                             }
@@ -534,13 +530,13 @@ impl EagerPrimary {
         // propagated step-wise.
         t.phase = TxnPhase::Committing(coord);
         let full_ws = self.pending_writeset(sh, txn);
-        let ws = sh.base.make_payload(full_ws, secondaries.len() as u32);
+        let ws = sh.base.make_payload(&full_ws, secondaries.len() as u32);
         for s in secondaries {
             ctx.send(
                 s,
                 EagerPrimaryMsg::Prepare {
                     txn,
-                    ws: ws.clone(),
+                    ws,
                     resp: resp.clone(),
                 },
             );
@@ -717,18 +713,16 @@ impl EagerPrimary {
 
     /// Secondary side: applies a propagated writeset tentatively
     /// (undo-able until the primary's decision).
-    fn apply_tentatively(sh: &mut Shell, txn: TxnId, ws: &WsPayload) {
-        let base = &mut sh.base;
-        base.tm.begin(txn);
-        let arena = base.arena.clone();
-        ws.with(arena.as_ref(), |view| {
+    fn apply_tentatively(sh: &mut Shell, txn: TxnId, ws: WriteSetRef) {
+        sh.base.tm.begin(txn);
+        sh.base.read_payload(ws, |base, view| {
             for w in view.iter() {
                 let _ = base.tm.write(&mut base.store, txn, w.key, w.value);
                 base.history
                     .record(base.site, txn, w.key, repl_db::AccessKind::Write);
             }
         });
-        base.release_payload(ws);
+        sh.base.release_payload(ws);
     }
 
     /// (Re)starts heartbeats, dropping stale miss counters, which would
@@ -865,7 +859,7 @@ impl Technique for EagerPrimary {
                     // happens in fault runs, which disarm arena GC.
                     return;
                 }
-                Self::apply_tentatively(sh, txn, &ws);
+                Self::apply_tentatively(sh, txn, ws);
                 self.tentative.entry(txn).or_insert((OpId(0), None));
                 ctx.send(from, EagerPrimaryMsg::PropAck { txn, step });
             }
@@ -892,7 +886,7 @@ impl Technique for EagerPrimary {
                 }
                 // The (single-op) writeset rides the Prepare; remember
                 // the response, vote.
-                Self::apply_tentatively(sh, txn, &ws);
+                Self::apply_tentatively(sh, txn, ws);
                 self.tentative.insert(txn, (resp.op, Some(resp)));
                 ctx.send(from, EagerPrimaryMsg::Vote { txn, yes: true });
             }
@@ -1125,6 +1119,7 @@ impl Technique for EagerPrimary {
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::replica::tests::seat_all;
     use repl_sim::{SimConfig, SimDuration, SimTime, World};
     use repl_workload::TxnTemplate;
 
@@ -1149,16 +1144,19 @@ mod tests {
     ) -> (World<EagerPrimaryMsg>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for i in 0..n {
-            world.add_actor(Box::new(EagerPrimaryServer::new(
-                i,
-                NodeId::new(i),
-                servers.clone(),
-                16,
-                ExecutionMode::Deterministic,
-                FdConfig::default(),
-            )));
-        }
+        seat_all(
+            &mut world,
+            (0..n).map(|i| {
+                EagerPrimaryServer::new(
+                    i,
+                    NodeId::new(i),
+                    servers.clone(),
+                    16,
+                    ExecutionMode::Deterministic,
+                    FdConfig::default(),
+                )
+            }),
+        );
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
             let client = ClientActor::<EagerPrimaryMsg>::new(
@@ -1350,8 +1348,9 @@ mod tests {
         // replica converges after the batched decision round.
         let mut world = World::new(SimConfig::new(11));
         let servers: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3 {
-            world.add_actor(Box::new(
+        seat_all(
+            &mut world,
+            (0..3).map(|i| {
                 EagerPrimaryServer::new(
                     i,
                     NodeId::new(i),
@@ -1360,9 +1359,9 @@ mod tests {
                     ExecutionMode::Deterministic,
                     FdConfig::default(),
                 )
-                .with_batching(BatchConfig::window(2_000)),
-            ));
-        }
+                .with_batching(BatchConfig::window(2_000))
+            }),
+        );
         let mut clients = Vec::new();
         for c in 0..3u32 {
             let client = ClientActor::<EagerPrimaryMsg>::new(

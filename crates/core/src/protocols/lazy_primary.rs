@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WsPayload};
+use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WriteSetRef};
 use repl_gcs::BatchConfig;
 use repl_sim::{Context, Message, NodeId, SimDuration};
 
@@ -42,14 +42,14 @@ pub enum LazyPrimaryMsg {
     /// Client → server (updates forwarded to the primary, reads local).
     Invoke(ClientOp),
     /// Primary → secondaries: committed writesets, in commit order.
-    /// The writeset rides the payload plane (arena handle or `Arc`-shared
-    /// inline) so the per-secondary fan-out clones a handle, not the
-    /// records; `wire_size` still charges the full logical size.
+    /// The writeset rides the payload plane, so the per-secondary
+    /// fan-out copies a handle, not the records; `wire_size` still
+    /// charges the full logical size.
     Propagate {
         /// Position in the primary's redo log.
         idx: u64,
         /// The committed redo records.
-        ws: WsPayload,
+        ws: WriteSetRef,
     },
     /// Primary → secondaries: one batching window's worth of committed
     /// writesets, group-committed to the WAL with one force and shipped
@@ -89,10 +89,7 @@ impl Message for LazyPrimaryMsg {
         }
     }
     fn clone_is_cheap(&self) -> bool {
-        match self {
-            LazyPrimaryMsg::Propagate { ws, .. } => ws.clone_is_cheap(),
-            _ => false,
-        }
+        matches!(self, LazyPrimaryMsg::Propagate { .. })
     }
 }
 
@@ -213,16 +210,10 @@ impl LazyPrimary {
                 let op = crate::protocols::common::op_of_txn(ws.txn);
                 ctx.mark(Phase::AgreementCoordination.tag(), op.0, 0);
             }
-            let idx = self.log.append(ws.clone()) as u64;
-            let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
+            let handle = sh.base.make_payload(&ws, (sh.servers().len() - 1) as u32);
+            let idx = self.log.append(ws) as u64;
             for s in sh.peers() {
-                ctx.send(
-                    s,
-                    LazyPrimaryMsg::Propagate {
-                        idx,
-                        ws: ws.clone(),
-                    },
-                );
+                ctx.send(s, LazyPrimaryMsg::Propagate { idx, ws: handle });
             }
         }
     }
@@ -334,10 +325,10 @@ impl Technique for LazyPrimary {
                 // Transfer and never re-reads it.
                 let next = idx == self.applied;
                 if next {
-                    sh.base.install_payload(&ws);
+                    sh.base.install_payload(ws);
                     self.applied += 1;
                 }
-                sh.base.release_payload(&ws);
+                sh.base.release_payload(ws);
                 if !next && idx > self.applied {
                     self.request_catch_up(sh, ctx);
                 }
@@ -517,6 +508,7 @@ impl Technique for LazyPrimary {
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::replica::tests::seat_all;
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
@@ -540,16 +532,19 @@ mod tests {
     ) -> (World<LazyPrimaryMsg>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for i in 0..n {
-            world.add_actor(Box::new(LazyPrimaryServer::new(
-                i,
-                NodeId::new(i),
-                servers.clone(),
-                16,
-                ExecutionMode::Deterministic,
-                SimDuration::from_ticks(delay),
-            )));
-        }
+        seat_all(
+            &mut world,
+            (0..n).map(|i| {
+                LazyPrimaryServer::new(
+                    i,
+                    NodeId::new(i),
+                    servers.clone(),
+                    16,
+                    ExecutionMode::Deterministic,
+                    SimDuration::from_ticks(delay),
+                )
+            }),
+        );
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
             let client = ClientActor::<LazyPrimaryMsg>::new(
@@ -658,8 +653,9 @@ mod tests {
         // with one force, and still converge every replica.
         let mut world = World::new(SimConfig::new(21));
         let servers: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3 {
-            world.add_actor(Box::new(
+        seat_all(
+            &mut world,
+            (0..3).map(|i| {
                 LazyPrimaryServer::new(
                     i,
                     NodeId::new(i),
@@ -668,9 +664,9 @@ mod tests {
                     ExecutionMode::Deterministic,
                     SimDuration::ZERO,
                 )
-                .with_batching(repl_gcs::BatchConfig::window(5_000)),
-            ));
-        }
+                .with_batching(repl_gcs::BatchConfig::window(5_000))
+            }),
+        );
         let client = ClientActor::<LazyPrimaryMsg>::new(
             0,
             servers.clone(),

@@ -25,7 +25,7 @@
 use std::collections::{HashMap, HashSet};
 
 use repl_db::{
-    Key, Keyspace, Transfer, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WsPayload,
+    Key, Keyspace, Transfer, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WriteSetRef,
     WsView,
 };
 use repl_gcs::AbDeliver;
@@ -38,6 +38,7 @@ use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
     global_txn, op_of_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
+    ServerBase,
 };
 use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
 
@@ -58,14 +59,14 @@ pub enum ReconcileMode {
 /// them for performance, not fault tolerance), so the cheap primitive is
 /// the right default here.
 #[derive(Debug, Clone)]
-pub struct OrderedWs(pub WsPayload);
+pub struct OrderedWs(pub WriteSetRef);
 
 impl Message for OrderedWs {
     fn wire_size(&self) -> usize {
         self.0.wire_size()
     }
     fn clone_is_cheap(&self) -> bool {
-        self.0.clone_is_cheap()
+        true
     }
 }
 
@@ -76,8 +77,8 @@ pub enum LazyUeMsg {
     Invoke(ClientOp),
     /// Server → all other servers, after commit.
     Propagate {
-        /// The committed redo records (arena handle or inline).
-        ws: WsPayload,
+        /// The committed redo records.
+        ws: WriteSetRef,
         /// Commit timestamp (virtual-time ticks) for last-writer-wins.
         commit_ts: u64,
         /// Committing site (timestamp tie-break).
@@ -115,10 +116,7 @@ impl Message for LazyUeMsg {
         }
     }
     fn clone_is_cheap(&self) -> bool {
-        match self {
-            LazyUeMsg::Propagate { ws, .. } => ws.clone_is_cheap(),
-            _ => false,
-        }
+        matches!(self, LazyUeMsg::Propagate { .. })
     }
 }
 
@@ -192,35 +190,38 @@ impl LazyUe {
     fn flush(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
         let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
-        let site = sh.base.site;
         for (ws, commit_ts) in pending {
             if self.marks {
                 ctx.mark(Phase::AgreementCoordination.tag(), op_of_txn(ws.txn).0, 0);
             }
             match self.mode {
-                ReconcileMode::Lww => {
-                    // Only the peers consume the handle (self committed
-                    // optimistically already).
-                    let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
-                    for s in sh.peers() {
-                        ctx.send(
-                            s,
-                            LazyUeMsg::Propagate {
-                                ws: ws.clone(),
-                                commit_ts,
-                                site,
-                            },
-                        );
-                    }
-                }
+                ReconcileMode::Lww => Self::propagate(sh, ctx, &ws, commit_ts),
                 ReconcileMode::AbcastOrder => {
                     // Every site (self included) consumes the ordered
                     // delivery once.
-                    let ws = sh.base.make_payload(ws, sh.servers().len() as u32);
+                    let ws = sh.base.make_payload(&ws, sh.servers().len() as u32);
                     self.ab.broadcast(OrderedWs(ws));
                     self.drive_ab(sh, ctx);
                 }
             }
+        }
+    }
+
+    /// Lww: ships a committed writeset to every peer, stamped
+    /// `commit_ts`. Only the peers consume the handle (this site
+    /// committed already).
+    fn propagate(sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, ws: &WriteSet, commit_ts: u64) {
+        let site = sh.base.site;
+        let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
+        for s in sh.peers() {
+            ctx.send(
+                s,
+                LazyUeMsg::Propagate {
+                    ws,
+                    commit_ts,
+                    site,
+                },
+            );
         }
     }
 
@@ -278,11 +279,11 @@ impl LazyUe {
     }
 
     /// Applies a remote writeset under the Thomas write rule.
-    fn reconcile(&mut self, sh: &mut Shell, view: WsView<'_>, commit_ts: u64, site: u32) {
+    fn reconcile(&mut self, base: &mut ServerBase, view: WsView<'_>, commit_ts: u64, site: u32) {
         let txn = view.txn();
         let mut any_applied = false;
         // The winning subset is collected for the durable tier only.
-        let mut applied: Option<Vec<WriteRecord>> = sh.base.tier.is_some().then(Vec::new);
+        let mut applied: Option<Vec<WriteRecord>> = base.tier.is_some().then(Vec::new);
         for w in view.iter() {
             let stamp = (commit_ts, site);
             let current = self
@@ -296,10 +297,9 @@ impl LazyUe {
             let newer = stamp.0 > current.0 || (stamp.0 == current.0 && stamp.1 < current.1);
             if newer {
                 self.last_writer.insert(w.key, stamp);
-                let after = sh.base.store.write(w.key, w.value, txn);
-                sh.base
-                    .history
-                    .record(sh.base.site, txn, w.key, repl_db::AccessKind::Write);
+                let after = base.store.write(w.key, w.value, txn);
+                base.history
+                    .record(base.site, txn, w.key, repl_db::AccessKind::Write);
                 if let Some(a) = &mut applied {
                     a.push(WriteRecord {
                         key: w.key,
@@ -313,10 +313,10 @@ impl LazyUe {
             }
         }
         if any_applied {
-            sh.base.history.mark_committed(txn);
-            sh.base.committed += 1;
+            base.history.mark_committed(txn);
+            base.committed += 1;
             // Only the winning subset is durable state worth restoring.
-            if let (Some(t), Some(applied)) = (&mut sh.base.tier, applied) {
+            if let (Some(t), Some(applied)) = (&mut base.tier, applied) {
                 t.note_commit(&WriteSet {
                     txn,
                     writes: applied,
@@ -351,11 +351,10 @@ fn apply_ordered(
     d: AbDeliver<OrderedWs>,
 ) {
     let payload = d.payload.0;
-    let arena = sh.base.arena.clone();
-    payload.with(arena.as_ref(), |view| {
+    sh.base.read_payload(payload, |base, view| {
         let txn = view.txn();
         let own = pending.remove(&txn);
-        let mut noted = sh.base.tier.is_some().then(|| WriteSet {
+        let mut noted = base.tier.is_some().then(|| WriteSet {
             txn,
             writes: Vec::with_capacity(view.len()),
         });
@@ -363,14 +362,14 @@ fn apply_ordered(
             // An optimistic local value that had not reached the
             // total order yet is being overridden: that is a
             // reconciliation.
-            if let Some(current) = sh.base.store.read(w.key) {
+            if let Some(current) = base.store.read(w.key) {
                 if let Some(writer) = current.writer {
                     if writer != txn && pending.contains(&writer) {
                         *reconciliations += 1;
                     }
                 }
             }
-            let after = sh.base.store.write(w.key, w.value, txn);
+            let after = base.store.write(w.key, w.value, txn);
             if let Some(n) = &mut noted {
                 n.writes.push(WriteRecord {
                     key: w.key,
@@ -379,24 +378,23 @@ fn apply_ordered(
                 });
             }
             if !own {
-                sh.base
-                    .history
-                    .record(sh.base.site, txn, w.key, repl_db::AccessKind::Write);
+                base.history
+                    .record(base.site, txn, w.key, repl_db::AccessKind::Write);
             }
         }
         // The tier notes at *delivery*, not at the optimistic local
         // commit: the sealed state is then exactly a prefix of the
         // total order, so a restore can rewind the stream to the
         // frame token and replay forward consistently.
-        if let (Some(t), Some(noted)) = (&mut sh.base.tier, noted) {
+        if let (Some(t), Some(noted)) = (&mut base.tier, noted) {
             t.note_commit(&noted);
         }
         if !own {
-            sh.base.history.mark_committed(txn);
-            sh.base.committed += 1;
+            base.history.mark_committed(txn);
+            base.committed += 1;
         }
     });
-    sh.base.release_payload(&payload);
+    sh.base.release_payload(payload);
 }
 
 impl Technique for LazyUe {
@@ -485,11 +483,9 @@ impl Technique for LazyUe {
                 commit_ts,
                 site,
             } => {
-                let arena = sh.base.arena.clone();
-                ws.with(arena.as_ref(), |view| {
-                    self.reconcile(sh, view, commit_ts, site)
-                });
-                sh.base.release_payload(&ws);
+                sh.base
+                    .read_payload(ws, |base, view| self.reconcile(base, view, commit_ts, site));
+                sh.base.release_payload(ws);
             }
             LazyUeMsg::Ab(m) => {
                 self.ab.on_message(from, m);
@@ -625,21 +621,8 @@ impl Technique for LazyUe {
         if !self.outbound.is_empty() {
             self.flush(sh, ctx);
         }
-        let site = sh.base.site;
         for ws in std::mem::take(&mut self.reship) {
-            // Resends are built from retained materialized state and
-            // ship inline (fault paths run with arena GC disarmed).
-            let ws = WsPayload::inline(ws);
-            for s in sh.peers() {
-                ctx.send(
-                    s,
-                    LazyUeMsg::Propagate {
-                        ws: ws.clone(),
-                        commit_ts: 0,
-                        site,
-                    },
-                );
-            }
+            Self::propagate(sh, ctx, &ws, 0);
         }
         match self.mode {
             ReconcileMode::Lww if sh.servers().len() <= 1 => {
@@ -670,6 +653,7 @@ impl Technique for LazyUe {
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::replica::tests::seat_all;
     use repl_db::Value;
     use repl_sim::{SimConfig, SimTime, World};
     use repl_workload::TxnTemplate;
@@ -688,16 +672,19 @@ mod tests {
     ) -> (World<LazyUeMsg>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for i in 0..n {
-            world.add_actor(Box::new(LazyUeServer::new(
-                i,
-                NodeId::new(i),
-                servers.clone(),
-                16,
-                ExecutionMode::Deterministic,
-                SimDuration::from_ticks(delay),
-            )));
-        }
+        seat_all(
+            &mut world,
+            (0..n).map(|i| {
+                LazyUeServer::new(
+                    i,
+                    NodeId::new(i),
+                    servers.clone(),
+                    16,
+                    ExecutionMode::Deterministic,
+                    SimDuration::from_ticks(delay),
+                )
+            }),
+        );
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
             let client = ClientActor::<LazyUeMsg>::new(

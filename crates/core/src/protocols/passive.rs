@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use repl_db::{Keyspace, Transfer, WsPayload};
+use repl_db::{Keyspace, Transfer, WriteSetRef};
 use repl_gcs::{Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{Context, Message, NodeId};
 
@@ -29,8 +29,8 @@ use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 pub struct Update {
     /// The client operation this update came from.
     pub op: OpId,
-    /// The redo records to install (arena handle or inline).
-    pub ws: WsPayload,
+    /// The redo records to install.
+    pub ws: WriteSetRef,
     /// The response the primary computed (cached by backups so a new
     /// primary can answer retries after failover). `Arc`-shared so the
     /// per-backup VSCAST clones stay allocation-free.
@@ -42,7 +42,7 @@ impl Message for Update {
         8 + self.ws.wire_size() + self.resp.wire_size()
     }
     fn clone_is_cheap(&self) -> bool {
-        self.ws.clone_is_cheap()
+        true
     }
 }
 
@@ -167,10 +167,10 @@ impl Passive {
                 // Backup path: install without re-execution, cache the
                 // response for failover, acknowledge.
                 if sh.base.cached(payload.op).is_none() {
-                    sh.base.install_payload(&payload.ws);
+                    sh.base.install_payload(payload.ws);
                     sh.base.remember(&payload.resp);
                 }
-                sh.base.release_payload(&payload.ws);
+                sh.base.release_payload(payload.ws);
                 ctx.send(from, PassiveMsg::Ack { op: payload.op });
             }
             VsEvent::ViewInstalled(view) => {
@@ -226,7 +226,7 @@ impl Passive {
             .collect();
         let update = Update {
             op: op.id,
-            ws: sh.base.make_payload(ws, backups.len() as u32),
+            ws: sh.base.make_payload(&ws, backups.len() as u32),
             resp: Arc::new(resp.clone()),
         };
         self.vg.broadcast(update, &mut self.vg_out);
@@ -404,6 +404,7 @@ impl Technique for Passive {
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::replica::tests::seat_all;
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, SimDuration, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
@@ -427,16 +428,19 @@ mod tests {
     ) -> (World<PassiveMsg>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for i in 0..n {
-            world.add_actor(Box::new(PassiveServer::new(
-                i,
-                NodeId::new(i),
-                servers.clone(),
-                16,
-                exec,
-                VsConfig::default(),
-            )));
-        }
+        seat_all(
+            &mut world,
+            (0..n).map(|i| {
+                PassiveServer::new(
+                    i,
+                    NodeId::new(i),
+                    servers.clone(),
+                    16,
+                    exec,
+                    VsConfig::default(),
+                )
+            }),
+        );
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
             // Clients prefer the initial primary (server 0).

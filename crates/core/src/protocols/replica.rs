@@ -580,14 +580,8 @@ impl<T: Technique> Replica<T> {
 
     /// Applies the run-wide server setup: durable tier (a no-op when
     /// `durability` is disabled), lean mode and the shared payload arena.
-    pub fn equip(
-        &mut self,
-        durability: &DurabilityConfig,
-        fsync_ticks: u64,
-        lean: bool,
-        arena: Option<SharedArena>,
-    ) {
-        self.shell.base.set_durability(durability, fsync_ticks);
+    pub fn equip(&mut self, durability: &DurabilityConfig, lean: bool, arena: SharedArena) {
+        self.shell.base.set_durability(durability);
         self.shell.base.set_lean(lean);
         self.shell.base.set_arena(arena);
     }
@@ -707,6 +701,19 @@ pub(crate) mod tests {
     impl_protocol_msg!(StubMsg);
 
     const TICK: u64 = 7;
+
+    /// Adds `servers` to `world` on one shared payload arena, as the
+    /// runner seats them.
+    pub(crate) fn seat_all<T: Technique>(
+        world: &mut World<T::Msg>,
+        servers: impl IntoIterator<Item = Replica<T>>,
+    ) {
+        let arena = repl_db::shared_arena();
+        for mut srv in servers {
+            srv.shell.base.set_arena(arena.clone());
+            world.add_actor(Box::new(srv));
+        }
+    }
 
     /// A fake technique: executes invokes locally and logs every hook.
     #[derive(Default)]
@@ -954,13 +961,14 @@ pub(crate) mod tests {
         assert!(bounced(p1, 3));
     }
 
-    /// One replica with a durable tier (replaying a restored suffix costs
+    /// One replica with a durable tier (a restore download takes over
     /// 1 000 ticks), a committed op, pings every 100 ticks, and a crash
     /// (with or without the volume) at 2 000 that recovers at 3 000.
     fn crash_run(wipe: bool) -> (World<StubMsg>, NodeId) {
         let mut world: World<StubMsg> = World::new(SimConfig::new(3));
         let mut r = replica(0, &[0, 1]);
-        r.equip(&DurabilityConfig::with_upload_lag(0), 1_000, false, None);
+        let tier = DurabilityConfig::with_upload_lag(1_000);
+        r.equip(&tier, false, repl_db::shared_arena());
         let node = world.add_actor(Box::new(r));
         let mut script = vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))];
         script.extend((1..=200).map(|i| (i * 100 + 50, n(0), StubMsg::Ping)));
@@ -1090,7 +1098,8 @@ pub(crate) mod tests {
     fn settle_seals_frames_at_the_technique_position() {
         let mut world: World<StubMsg> = World::new(SimConfig::new(4));
         let mut r = replica(0, &[0, 1]);
-        r.equip(&DurabilityConfig::with_upload_lag(0), 120, false, None);
+        let tier = DurabilityConfig::with_upload_lag(0);
+        r.equip(&tier, false, repl_db::shared_arena());
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![
             (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),

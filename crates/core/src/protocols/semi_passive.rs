@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WsPayload};
+use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSetRef};
 use repl_gcs::{
     ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, FdConfig, FdEvent, FdMsg, HeartbeatFd,
     Outbox,
@@ -33,8 +33,8 @@ use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
 pub struct Proposal {
     /// The chosen operation.
     pub op: ClientOp,
-    /// The update to install everywhere (arena handle or inline).
-    pub ws: WsPayload,
+    /// The update to install everywhere.
+    pub ws: WriteSetRef,
     /// The response to hand to the client.
     pub resp: Response,
 }
@@ -221,7 +221,7 @@ impl SemiPassive {
         // Every member consumes the decided slot exactly once (losing
         // proposals leak their span, which is safe and rare).
         let members = sh.servers().len() as u32;
-        let ws = sh.base.make_payload(ws, members);
+        let ws = sh.base.make_payload(&ws, members);
         self.pool.propose(
             self.next_slot,
             Proposal { op, ws, resp },
@@ -252,19 +252,20 @@ impl SemiPassive {
             self.pending.remove(&p.op.id);
             // Mirror every decision so wal index == slot, even for
             // duplicate decision content (keeps donor watermarks exact).
-            self.wal.append(sh.base.materialize_payload(&p.ws));
+            self.wal
+                .append(sh.base.read_payload(p.ws, |_, view| view.to_writeset()));
             if sh.already_answered(p.op.id) {
                 // Already installed (duplicate decision content, or the
                 // join donor answered it before the snapshot); this site
                 // still consumed the slot.
-                sh.base.release_payload(&p.ws);
+                sh.base.release_payload(p.ws);
                 continue;
             }
             if self.marks {
                 ctx.mark(Phase::AgreementCoordination.tag(), p.op.id.0, 0);
             }
-            sh.base.install_payload(&p.ws);
-            sh.base.release_payload(&p.ws);
+            sh.base.install_payload(p.ws);
+            sh.base.release_payload(p.ws);
             sh.base.remember(&p.resp);
             ctx.send(p.op.client, SemiPassiveMsg::Reply(p.resp));
         }
@@ -505,6 +506,7 @@ impl Technique for SemiPassive {
 mod tests {
     use super::*;
     use crate::client::ClientActor;
+    use crate::protocols::replica::tests::seat_all;
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
@@ -528,17 +530,20 @@ mod tests {
     ) -> (World<SemiPassiveMsg>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for i in 0..n {
-            world.add_actor(Box::new(SemiPassiveServer::new(
-                i,
-                NodeId::new(i),
-                servers.clone(),
-                16,
-                exec,
-                SimDuration::from_ticks(3_000),
-                ConsensusConfig::default(),
-            )));
-        }
+        seat_all(
+            &mut world,
+            (0..n).map(|i| {
+                SemiPassiveServer::new(
+                    i,
+                    NodeId::new(i),
+                    servers.clone(),
+                    16,
+                    exec,
+                    SimDuration::from_ticks(3_000),
+                    ConsensusConfig::default(),
+                )
+            }),
+        );
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
             let client = ClientActor::<SemiPassiveMsg>::new(

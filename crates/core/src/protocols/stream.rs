@@ -512,7 +512,8 @@ mod tests {
         let mut world = World::new(SimConfig::new(5));
         for site in 0..3 {
             let mut srv = server(site, &[0, 1, 2]);
-            srv.equip(&DurabilityConfig::with_upload_lag(0), 120, false, None);
+            let tier = DurabilityConfig::with_upload_lag(0);
+            srv.equip(&tier, false, repl_db::shared_arena());
             world.add_actor(Box::new(srv));
         }
         world.add_actor(client(vec![invoke(100, 1, 7, 3), invoke(400, 1, 8, 3)]));

@@ -1,7 +1,7 @@
 //! The result of one experiment run: everything the figures, tables and
 //! oracles need.
 
-use repl_db::{ReplicatedHistory, SerializabilityViolation, TxnId};
+use repl_db::{ArenaStats, ReplicatedHistory, SerializabilityViolation, TxnId};
 use repl_sim::{LatencyHistogram, LatencyStats, Metrics, SimDuration, SimTime};
 
 use crate::client::OpRecord;
@@ -199,15 +199,6 @@ impl ShardingReport {
     pub fn sharded(&self) -> bool {
         self.shards > 1
     }
-
-    /// Fraction of answered operations that crossed shards.
-    pub fn cross_shard_fraction(&self) -> f64 {
-        let total = self.single_shard_ops + self.cross_shard_ops;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cross_shard_ops as f64 / total as f64
-    }
 }
 
 /// Aggregated outcome of a [`crate::run`] invocation.
@@ -263,6 +254,11 @@ pub struct RunReport {
     pub availability: Availability,
     /// Durable-tier accounting (uploads, disasters, restores, loss).
     pub durability: DurabilityReport,
+    /// The payload arena's counters at the end of the run: writesets
+    /// interned, retired and still resident. All zero for techniques
+    /// that ship no writesets; a representation detail, so not part of
+    /// [`RunReport::digest`].
+    pub payload: ArenaStats,
     /// Partial-replication accounting (`shards == 1` when unsharded).
     pub sharding: ShardingReport,
     /// FNV-1a hash of the world's full trace log (constant for the empty

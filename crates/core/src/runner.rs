@@ -103,17 +103,6 @@ pub struct RunConfig {
     /// into. Disabled (the default) reproduces the untiered behaviour
     /// bit-for-bit; enabling it arms volume-loss survival.
     pub durability: DurabilityConfig,
-    /// Simulated cost of one stable-storage force, charged when a
-    /// restore replays a durable log suffix. Defaults to
-    /// [`repl_db::FSYNC_TICKS`].
-    pub fsync_ticks: u64,
-    /// Whether writeset-carrying techniques store payloads in a per-run
-    /// [`repl_db::PayloadArena`] and ship 16-byte handles instead of
-    /// deep-copied rows on every multicast leg. Purely an engine
-    /// optimisation: digests, trace hashes and byte accounting are
-    /// identical either way (the equivalence tests pin this). On by
-    /// default; disable to A/B the allocation behaviour.
-    pub payload_arena: bool,
     /// Client retry timeout.
     pub retry_after: SimDuration,
     /// Hard deadline for the run.
@@ -146,8 +135,6 @@ impl RunConfig {
             propagation_delay: SimDuration::ZERO,
             log_retention: None,
             durability: DurabilityConfig::disabled(),
-            fsync_ticks: repl_db::FSYNC_TICKS,
-            payload_arena: true,
             retry_after: SimDuration::from_ticks(25_000),
             max_time: SimTime::from_ticks(30_000_000),
             trace: true,
@@ -249,18 +236,6 @@ impl RunConfig {
     /// Sets the durable log tier configuration.
     pub fn with_durability(mut self, d: DurabilityConfig) -> Self {
         self.durability = d;
-        self
-    }
-
-    /// Sets the simulated fsync cost (restore replay of log suffixes).
-    pub fn with_fsync_ticks(mut self, t: u64) -> Self {
-        self.fsync_ticks = t;
-        self
-    }
-
-    /// Enables or disables the shared payload arena (default on).
-    pub fn with_payload_arena(mut self, on: bool) -> Self {
-        self.payload_arena = on;
         self
     }
 
@@ -484,21 +459,17 @@ pub fn run(cfg: &RunConfig) -> RunReport {
     try_run(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Builds the per-run payload arena for a technique whose messages
-/// carry writeset handles: one arena shared by every server of the
-/// world (worlds are single-threaded, so an `Rc` suffices). Fault
+/// Builds the run's payload arena: one arena shared by every server of
+/// the world (worlds are single-threaded, so an `Rc` suffices). Fault
 /// plans disarm span GC — rejoin transfers and re-deliveries to
 /// recovering servers may skip releases, so fault runs trade a bounded
 /// leak for never retiring a span that could still be read.
-fn run_arena(cfg: &RunConfig) -> Option<repl_db::SharedArena> {
-    if !cfg.payload_arena {
-        return None;
-    }
+fn run_arena(cfg: &RunConfig) -> repl_db::SharedArena {
     let arena = repl_db::shared_arena();
     if !cfg.faults.events().is_empty() || !cfg.membership.is_empty() {
         arena.borrow_mut().set_gc(false);
     }
-    Some(arena)
+    arena
 }
 
 /// Rejects sharded configurations the engine cannot honour. Called by
@@ -638,17 +609,12 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
 fn seat<T: Flow>(
     world: &mut World<T::Msg>,
     cfg: &RunConfig,
-    arena: &Option<repl_db::SharedArena>,
+    arena: &repl_db::SharedArena,
     mut srv: Replica<T>,
     joiner: bool,
     cross: Option<ShardCtx>,
 ) {
-    srv.equip(
-        &cfg.durability,
-        cfg.fsync_ticks,
-        cfg.lean_servers(),
-        arena.clone(),
-    );
+    srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone());
     if let Some(ctx) = cross {
         srv.enable_cross_shard(ctx);
     }
@@ -792,15 +758,18 @@ struct ServerFold {
     wounds: u64,
     recoveries: Vec<NodeRecovery>,
     durability: DurabilityReport,
+    payload: repl_db::ArenaStats,
 }
 
 /// Folds every node of `nodes` that was ever a member: histories merge,
 /// counters and durability figures add up, recoveries are listed per
-/// site. Convergence fingerprints come from the nodes `converges` admits
-/// only — a drained node's store is legitimately frozen at its departure.
+/// site, and the arena they shared is read once. Convergence
+/// fingerprints come from the nodes `converges` admits only — a drained
+/// node's store is legitimately frozen at its departure.
 fn fold_servers<T: Flow>(
     world: &World<T::Msg>,
     cfg: &RunConfig,
+    arena: &repl_db::SharedArena,
     nodes: u32,
     converges: impl Fn(NodeId) -> bool,
 ) -> ServerFold {
@@ -815,6 +784,7 @@ fn fold_servers<T: Flow>(
             enabled: cfg.durability.enabled,
             ..Default::default()
         },
+        payload: arena.borrow().stats(),
     };
     let d = &mut fold.durability;
     for site in 0..nodes {
@@ -954,6 +924,7 @@ fn report<M: repl_sim::Message>(
         server_aborts: fold.aborts,
         availability,
         durability: fold.durability,
+        payload: fold.payload,
         sharding,
         trace_hash: world.trace().hash(),
     }
@@ -1177,7 +1148,7 @@ fn drive<T: Flow>(
     // Collect from every node that was ever a member (joiners included);
     // convergence is judged over the *final* membership only.
     let drained = cfg.membership.drained_nodes();
-    let fold = fold_servers::<T>(&world, cfg, peak, |node| !drained.contains(&node));
+    let fold = fold_servers::<T>(&world, cfg, &arena, peak, |node| !drained.contains(&node));
     report(
         cfg,
         &world,
@@ -1295,7 +1266,7 @@ fn drive_sharded<T: Flow>(
             sharding.per_shard_ops[touched[0] as usize] += 1;
         }
     }
-    let fold = fold_servers::<T>(&world, cfg, total, |_| true);
+    let fold = fold_servers::<T>(&world, cfg, &arena, total, |_| true);
     report(cfg, &world, total, completion, tally, fold, sharding)
 }
 

@@ -2,12 +2,11 @@
 //! writesets.
 //!
 //! Replication fan-out is the dominant cost of the eager techniques
-//! (paper phase 3, dissemination). Before this module every multicast
-//! leg either deep-copied a `Vec<WriteRecord>` or bumped an `Arc`; with
-//! the arena, a writeset is *interned once* at its origin into three
-//! parallel columns (`keys`/`values`/`versions`) and travels as a
-//! 16-byte `Copy` handle ([`WriteSetRef`]). Receivers read the records
-//! through a borrow view ([`WsView`]) without materializing them.
+//! (paper phase 3, dissemination). A writeset is *interned once* at its
+//! origin into three parallel columns (`keys`/`values`/`versions`) and
+//! travels as a 16-byte `Copy` handle ([`WriteSetRef`]) — the only form
+//! a protocol message carries. Receivers read the records through a
+//! borrow view ([`WsView`]) without materializing them.
 //!
 //! # Lifetime and GC
 //!
@@ -18,16 +17,24 @@
 //! distinct-release count reaches the expectation the span is retired,
 //! and once enough retired spans pile up at the front the dead prefix
 //! is compacted away (a memmove, no allocation), keeping the arena
-//! bounded in open-loop runs. The release points coincide with the
-//! sites' certification/apply watermarks advancing, so retirement never
-//! outruns what the `Certifier` has already absorbed.
+//! bounded in open-loop runs. A span nobody will consume (`expected`
+//! 0: a primary with no backup) is retired as it is interned. The
+//! release points coincide with the sites' certification/apply
+//! watermarks advancing, so retirement never outruns what the
+//! `Certifier` has already absorbed.
+//!
+//! The bit is `site % 64`: consumer sets are replica groups, which are
+//! contiguous runs of at most 64 node ids, so their bits are distinct
+//! wherever the group sits in a larger (sharded) world.
 //!
 //! Safety properties (all enforced here, tested below):
 //! * releasing twice from the same site is idempotent — spans cannot be
 //!   retired early by duplicate deliveries;
 //! * an *over*-estimate of expected releases only leaks (safe); an
 //!   under-estimate cannot free early because retirement requires
-//!   `expected` *distinct* sites;
+//!   `expected` *distinct* bits, and distinct bits are distinct sites;
+//! * two consumers whose ids collide modulo 64 share a bit, so the span
+//!   is under-counted and leaks — it is never retired early;
 //! * reading a retired or compacted span panics loudly instead of
 //!   returning stale records;
 //! * with GC disarmed (fault runs, where rejoin refills may re-read old
@@ -39,7 +46,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::item::{Key, TxnId, Value};
 use crate::log::{WriteRecord, WriteSet};
@@ -74,7 +80,7 @@ struct Span {
     len: u32,
     /// The owning transaction.
     txn: TxnId,
-    /// Bitmask of sites (< 64) that released this span.
+    /// Bitmask of the sites (modulo 64) that released this span.
     released: u64,
     /// Distinct releases required to retire the span.
     expected: u32,
@@ -123,10 +129,11 @@ pub struct PayloadArena {
     compactions: u64,
 }
 
-/// Retire this many spans between dead-prefix compaction scans.
-const COMPACT_EVERY: usize = 4096;
-
 impl PayloadArena {
+    /// Retirements between dead-prefix compaction scans: a fully
+    /// released arena keeps fewer than this many dead spans resident.
+    pub const COMPACT_EVERY: usize = 4096;
+
     /// Creates an empty arena with GC armed.
     pub fn new() -> Self {
         PayloadArena {
@@ -155,10 +162,9 @@ impl PayloadArena {
     ///
     /// `expected` is the number of distinct sites that will
     /// [`release`](Self::release) the handle; the span is retired when
-    /// they all have. Callers that cannot bound the consumer count
-    /// should keep the payload inline instead of interning.
+    /// they all have. With `expected == 0` nobody will, and the span is
+    /// retired here (while GC is armed) instead of pinning the prefix.
     pub fn intern(&mut self, ws: &WriteSet, expected: u32) -> WriteSetRef {
-        debug_assert!(expected > 0, "an unconsumed span would leak forever");
         let start = self.base_col + self.keys.len() as u64;
         for w in &ws.writes {
             self.keys.push(w.key);
@@ -175,9 +181,24 @@ impl PayloadArena {
             dead: false,
         });
         self.interned += 1;
+        if expected == 0 && self.gc {
+            self.retire(self.spans.len() - 1);
+        }
         WriteSetRef {
             span: id,
             len: ws.writes.len() as u32,
+        }
+    }
+
+    /// Marks `spans[idx]` dead and compacts the dead prefix every
+    /// [`Self::COMPACT_EVERY`] retirements.
+    fn retire(&mut self, idx: usize) {
+        self.spans[idx].dead = true;
+        self.retired += 1;
+        self.retired_since_scan += 1;
+        if self.retired_since_scan >= Self::COMPACT_EVERY {
+            self.retired_since_scan = 0;
+            self.compact_prefix();
         }
     }
 
@@ -210,10 +231,10 @@ impl PayloadArena {
 
     /// Records that `site` has consumed the span. Idempotent per site;
     /// retires the span once `expected` distinct sites released it.
-    /// No-op while GC is disarmed. Sites ≥ 64 are untracked (the span
-    /// then leaks, which is safe).
+    /// No-op while GC is disarmed. Sites are told apart modulo 64 (see
+    /// the module doc).
     pub fn release(&mut self, r: WriteSetRef, site: u32) {
-        if !self.gc || site >= 64 {
+        if !self.gc {
             return;
         }
         let Some(idx) = r.span.checked_sub(self.base_span) else {
@@ -223,19 +244,9 @@ impl PayloadArena {
         if span.dead {
             return;
         }
-        let bit = 1u64 << site;
-        if span.released & bit != 0 {
-            return;
-        }
-        span.released |= bit;
+        span.released |= 1u64 << (site % 64);
         if span.released.count_ones() >= span.expected {
-            span.dead = true;
-            self.retired += 1;
-            self.retired_since_scan += 1;
-            if self.retired_since_scan >= COMPACT_EVERY {
-                self.retired_since_scan = 0;
-                self.compact_prefix();
-            }
+            self.retire(idx as usize);
         }
     }
 
@@ -313,80 +324,6 @@ pub fn shared_arena() -> SharedArena {
     Rc::new(RefCell::new(PayloadArena::new()))
 }
 
-/// A writeset payload as carried inside protocol messages: either an
-/// inline (`Arc`-shared) materialized writeset or an arena handle.
-///
-/// Both variants charge identical wire bytes, so switching between them
-/// is a pure representation change — digests and byte accounting cannot
-/// move. `Inline` is the fallback for runs without an arena (and for
-/// resends built from retained materialized state).
-#[derive(Debug, Clone)]
-pub enum WsPayload {
-    /// A materialized writeset, shared across fan-out legs by `Arc`.
-    Inline(Arc<WriteSet>),
-    /// A handle into the run's [`PayloadArena`].
-    Arena(WriteSetRef),
-}
-
-impl WsPayload {
-    /// Wraps a materialized writeset.
-    pub fn inline(ws: WriteSet) -> Self {
-        WsPayload::Inline(Arc::new(ws))
-    }
-
-    /// Number of write records.
-    pub fn len(&self) -> usize {
-        match self {
-            WsPayload::Inline(ws) => ws.writes.len(),
-            WsPayload::Arena(r) => r.len as usize,
-        }
-    }
-
-    /// True if the writeset holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Logical wire bytes — identical for both representations.
-    pub fn wire_size(&self) -> usize {
-        wire::writeset_bytes(self.len())
-    }
-
-    /// True if cloning this payload is a pointer/handle copy (the
-    /// multicast pool fast path applies).
-    pub fn clone_is_cheap(&self) -> bool {
-        matches!(self, WsPayload::Arena(_))
-    }
-
-    /// Runs `f` over a borrow view of the records. `arena` must be the
-    /// run's arena when the payload is arena-backed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an arena-backed payload without an arena, or whose
-    /// span was already retired.
-    pub fn with<R>(&self, arena: Option<&SharedArena>, f: impl FnOnce(WsView<'_>) -> R) -> R {
-        match self {
-            WsPayload::Inline(ws) => f(WsView::Rows(ws)),
-            WsPayload::Arena(r) => {
-                let a = arena
-                    .expect("arena-backed payload read without an arena")
-                    .borrow();
-                f(a.view(*r))
-            }
-        }
-    }
-
-    /// Materializes the records into an owned `WriteSet` (for retained
-    /// state: redo logs, resend buffers, transfers).
-    pub fn materialize(&self, arena: Option<&SharedArena>) -> WriteSet {
-        match self {
-            WsPayload::Inline(ws) => (**ws).clone(),
-            WsPayload::Arena(_) => self.with(arena, |v| v.to_writeset()),
-        }
-    }
-}
-
 /// A borrowed, representation-agnostic view of a writeset's records.
 #[derive(Debug, Clone, Copy)]
 pub enum WsView<'a> {
@@ -457,11 +394,14 @@ impl<'a> WsView<'a> {
         rows.into_iter().flatten().chain(cols.into_iter().flatten())
     }
 
-    /// Copies the view into an owned `WriteSet`.
+    /// Copies the view into an owned `WriteSet` (one exact-size
+    /// allocation: the chained iterator has no usable size hint).
     pub fn to_writeset(&self) -> WriteSet {
+        let mut writes = Vec::with_capacity(self.len());
+        writes.extend(self.iter());
         WriteSet {
             txn: self.txn(),
-            writes: self.iter().collect(),
+            writes,
         }
     }
 }
@@ -547,19 +487,63 @@ mod tests {
     }
 
     #[test]
-    fn untracked_sites_leak_safely() {
+    fn groups_above_site_64_retire_their_spans() {
         let mut arena = PayloadArena::new();
-        let r = arena.intern(&ws(1, 1), 1);
-        arena.release(r, 64);
-        arena.release(r, 1000);
+        // Group 31 of a 32 × 3 world, and a group straddling the line.
+        for group in [[93, 94, 95], [63, 64, 65]] {
+            let r = arena.intern(&ws(1, 1), 3);
+            for site in group {
+                assert_eq!(arena.view(r).len(), 1, "retired before site {site}");
+                arena.release(r, site);
+                arena.release(r, site); // duplicate: idempotent up here too
+            }
+        }
+        assert_eq!(arena.stats().retired, 2);
+    }
+
+    #[test]
+    fn untracked_sites_leak_safely() {
+        // Sites 1 and 65 share a bit: the second release goes untracked,
+        // so the span is under-counted and leaks — never retired early.
+        let mut arena = PayloadArena::new();
+        let r = arena.intern(&ws(1, 1), 3);
+        for site in [1, 65, 2] {
+            arena.release(r, site);
+        }
         assert_eq!(arena.stats().retired, 0);
         assert_eq!(arena.view(r).len(), 1);
     }
 
     #[test]
+    fn zero_consumer_span_is_dead_at_birth_and_does_not_block_compaction() {
+        let mut arena = PayloadArena::new();
+        let unconsumed = arena.intern(&ws(0, 2), 0);
+        assert_eq!(arena.stats().retired, 1);
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = arena.view(unconsumed);
+        }));
+        assert!(boom.is_err(), "an unconsumed span must not be readable");
+        for i in 1..PayloadArena::COMPACT_EVERY as u64 {
+            let r = arena.intern(&ws(i, 1), 1);
+            arena.release(r, 0);
+        }
+        let after = arena.stats();
+        assert_eq!(after.compactions, 1);
+        assert_eq!(
+            after.spans_resident, 0,
+            "the unconsumed span pinned the prefix"
+        );
+        // Disarmed, nothing is retired — not even at birth.
+        arena.set_gc(false);
+        let kept = arena.intern(&ws(9, 1), 0);
+        assert_eq!(arena.stats().retired, after.retired);
+        assert_eq!(arena.view(kept).len(), 1);
+    }
+
+    #[test]
     fn dead_prefix_compaction_keeps_the_arena_bounded() {
         let mut arena = PayloadArena::new();
-        let rounds = COMPACT_EVERY * 3 + 17;
+        let rounds = PayloadArena::COMPACT_EVERY * 3 + 17;
         let mut live = None;
         for i in 0..rounds {
             let r = arena.intern(&ws(i as u64, 4), 1);
@@ -578,14 +562,14 @@ mod tests {
         );
         arena.release(live.expect("held"), 0);
         // Releasing the pin lets the next scan drop everything.
-        for i in 0..COMPACT_EVERY {
+        for i in 0..PayloadArena::COMPACT_EVERY {
             let r = arena.intern(&ws(900_000 + i as u64, 1), 1);
             arena.release(r, 0);
         }
         let after = arena.stats();
         assert!(after.compactions > 0, "compaction never ran");
         assert!(
-            after.spans_resident < COMPACT_EVERY + 2,
+            after.spans_resident < PayloadArena::COMPACT_EVERY + 2,
             "dead prefix retained: {} spans resident",
             after.spans_resident
         );
@@ -596,7 +580,7 @@ mod tests {
     fn compacted_span_release_is_a_noop_and_read_panics() {
         let mut arena = PayloadArena::new();
         let mut first = None;
-        for i in 0..COMPACT_EVERY + 1 {
+        for i in 0..PayloadArena::COMPACT_EVERY + 1 {
             let r = arena.intern(&ws(i as u64, 1), 1);
             if i == 0 {
                 first = Some(r);
@@ -610,29 +594,5 @@ mod tests {
             let _ = arena.view(first);
         }));
         assert!(boom.is_err(), "compacted span must not be readable");
-    }
-
-    #[test]
-    fn payload_variants_share_wire_accounting() {
-        let mut arena = shared_arena();
-        let w = ws(7, 5);
-        let inline = WsPayload::inline(w.clone());
-        let handle = WsPayload::Arena(
-            Rc::get_mut(&mut arena)
-                .expect("sole owner")
-                .get_mut()
-                .intern(&w, 1),
-        );
-        assert_eq!(inline.wire_size(), w.wire_size());
-        assert_eq!(handle.wire_size(), w.wire_size());
-        assert_eq!(inline.len(), handle.len());
-        assert!(!inline.clone_is_cheap());
-        assert!(handle.clone_is_cheap());
-        assert_eq!(inline.materialize(None), w);
-        assert_eq!(handle.materialize(Some(&arena)), w);
-        handle.with(Some(&arena), |v| {
-            assert_eq!(v.to_writeset(), w);
-            assert_eq!(v.wire_size(), w.wire_size());
-        });
     }
 }

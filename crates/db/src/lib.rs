@@ -38,9 +38,7 @@ mod twopc;
 mod txn;
 pub mod wire;
 
-pub use arena::{
-    shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef, WsPayload, WsView,
-};
+pub use arena::{shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef, WsView};
 pub use certify::{Certification, Certifier};
 pub use durable::{DurableFrame, DurableLog, DurableRestore};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

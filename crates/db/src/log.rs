@@ -59,9 +59,8 @@ impl WriteSet {
 
 /// Simulated latency of one stable-storage force (fsync), in virtual
 /// ticks. Group commit's whole point is that a window of transactions
-/// shares a single such charge. This is the *default*; runs can vary
-/// it through `RunConfig::fsync_ticks` to model faster or slower
-/// stable storage.
+/// shares a single such charge; a volume restore pays it once to
+/// replay the restored suffix.
 pub const FSYNC_TICKS: u64 = 120;
 
 /// An append-only redo log, as kept by each site for propagation and

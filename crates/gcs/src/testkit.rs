@@ -75,11 +75,6 @@ impl<C: Component> ComponentActor<C> {
         self
     }
 
-    /// The recorded events, without timestamps.
-    pub fn event_values(&self) -> Vec<&C::Event> {
-        self.events.iter().map(|(_, e)| e).collect()
-    }
-
     /// Applies what the component queued and records its events.
     fn flush(&mut self, ctx: &mut Context<'_, C::Msg>)
     where

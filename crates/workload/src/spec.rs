@@ -31,11 +31,6 @@ pub struct WorkloadSpec {
     pub txns_per_client: u32,
     /// Client think time between transactions (closed loop).
     pub think_time: SimDuration,
-    /// Whether generated keys are guaranteed to stay inside `0..items`,
-    /// letting the db kernel use dense `Vec`-indexed backing. True for
-    /// every generator in this crate; turn off only to model open key
-    /// domains (the kernel then falls back to hashed tables).
-    pub dense_keyspace: bool,
     /// Number of keyspace shards (partial replication). 1 — the default —
     /// reproduces the unsharded workload bit-for-bit; above 1 the
     /// generator routes each transaction to a home shard (uniformly) and
@@ -58,7 +53,6 @@ impl Default for WorkloadSpec {
             ops_per_txn: 1,
             txns_per_client: 20,
             think_time: SimDuration::from_ticks(200),
-            dense_keyspace: true,
             shards: 1,
             cross_shard_ratio: 0.0,
         }
@@ -118,13 +112,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Declares whether the keyspace is bounded (dense kernel backing)
-    /// or open (sparse fallback).
-    pub fn with_dense_keyspace(mut self, dense: bool) -> Self {
-        self.dense_keyspace = dense;
-        self
-    }
-
     /// Sets the shard count (1 = unsharded, the exact pre-sharding
     /// behaviour).
     ///
@@ -161,13 +148,10 @@ impl WorkloadSpec {
         crate::ShardMap::new(self.items, self.shards)
     }
 
-    /// The [`Keyspace`] the db kernel should be built for.
+    /// The [`Keyspace`] the db kernel should be built for: dense, since
+    /// no generator in this crate draws a key outside `0..items`.
     pub fn keyspace(&self) -> Keyspace {
-        if self.dense_keyspace {
-            Keyspace::dense(self.items)
-        } else {
-            Keyspace::sparse(self.items)
-        }
+        Keyspace::dense(self.items)
     }
 }
 
@@ -196,8 +180,6 @@ mod tests {
     fn keyspace_follows_the_dense_flag() {
         let s = WorkloadSpec::default().with_items(64);
         assert_eq!(s.keyspace(), Keyspace::dense(64));
-        let s = s.with_dense_keyspace(false);
-        assert_eq!(s.keyspace(), Keyspace::sparse(64));
     }
 
     #[test]
