@@ -14,11 +14,20 @@
 //! `(client, op, attempt)` rather than drawn from the simulator's RNG:
 //! retry schedules must not perturb the recorded run state, so identical
 //! seeds replay identically whether or not retries happen.
+//!
+//! A sharded run switches on content routing ([`ClientActor::with_routing`]):
+//! an operation's contact list is then its *home* group (the shard of its
+//! first key) instead of the whole server list — and, until no retry timer
+//! outlives its operation, keeps every wait at `retry_after` (`runner::drive`).
 
+use std::collections::HashMap;
+
+use repl_db::Value;
 use repl_sim::{
-    impl_as_any, Actor, Context, LatencyHistogram, Message, NodeId, SimDuration, SimTime, TimerId,
+    impl_as_any, Actor, Context, GroupSet, LatencyHistogram, Message, NodeId, SimDuration, SimTime,
+    TimerId,
 };
-use repl_workload::{ArrivalStream, TxnTemplate, WorkloadGen};
+use repl_workload::{ArrivalStream, OpTemplate, ShardMap, TxnTemplate, WorkloadGen};
 
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
@@ -170,6 +179,60 @@ fn retry_delay(retry_after: SimDuration, client_no: u32, op: OpId, attempt: u32)
     SimDuration::from_ticks(backoff + jitter)
 }
 
+/// How the touched groups answer a sharded transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyMode {
+    /// The contacted server returns the complete response (locking: the
+    /// delegate gathers foreign reads and runs the closing 2PC itself).
+    Full,
+    /// Each touched group answers its own partial (its shard's reads, its
+    /// commit verdict) and the client merges them: a genuine-multicast
+    /// server never sees a foreign shard's data, so none can answer alone.
+    PerShard,
+}
+
+/// Content routing over contiguous replica groups: group `g` owns shard
+/// `g` and is `servers[g * group_size .. (g + 1) * group_size]`.
+struct Routing {
+    map: ShardMap,
+    group_size: usize,
+    mode: ReplyMode,
+    /// Retries resend to the same contact instead of the next one.
+    sticky: bool,
+    /// Touched groups of the in-flight op, ascending.
+    expect: GroupSet,
+    /// The in-flight op's partial responses by group, kept across retries.
+    partials: HashMap<u32, Response>,
+}
+
+impl Routing {
+    /// Files `resp` as the partial of the sender's group. Once every
+    /// touched group has answered, returns the merge: committed is the
+    /// conjunction, and each read of `txn`, in program order, takes the
+    /// value its key's group reported (the generator never repeats a key
+    /// within a transaction, so the key identifies the step).
+    fn absorb(&mut self, from: NodeId, resp: &Response, txn: &TxnTemplate) -> Option<Response> {
+        let gid = (from.index() / self.group_size) as u32;
+        self.partials.entry(gid).or_insert_with(|| resp.clone());
+        if !self.expect.iter().all(|g| self.partials.contains_key(g)) {
+            return None;
+        }
+        let reads = txn.ops.iter().filter_map(|o| match o {
+            OpTemplate::Read(k) => {
+                let group = &self.partials[&self.map.shard_of(*k)].reads;
+                let reported = group.iter().find(|(key, _)| key == k);
+                Some((*k, reported.map_or(Value(0), |&(_, v)| v)))
+            }
+            OpTemplate::Write(..) => None,
+        });
+        Some(Response {
+            op: resp.op,
+            committed: self.expect.iter().all(|g| self.partials[g].committed),
+            reads: reads.collect(),
+        })
+    }
+}
+
 /// The closed-loop client actor.
 ///
 /// Generic over the protocol's wire type `M`; the technique decides which
@@ -182,6 +245,14 @@ pub struct ClientActor<M> {
     txns: Vec<TxnTemplate>,
     think: SimDuration,
     retry_after: SimDuration,
+    /// Retries after the first wait a constant `retry_after` instead of
+    /// [`retry_delay`]'s back-off.
+    flat_retries: bool,
+    /// `None` at one group: every operation's contact list is `servers`.
+    routing: Option<Routing>,
+    /// Where the in-flight operation's contact list starts in `servers`:
+    /// at its home group when routed, else 0.
+    base: usize,
     start_after: SimDuration,
     /// Completed and in-flight operation records.
     pub records: Vec<OpRecord>,
@@ -215,6 +286,9 @@ impl<M: ProtocolMsg> ClientActor<M> {
             txns,
             think,
             retry_after,
+            flat_retries: false,
+            routing: None,
+            base: 0,
             start_after: SimDuration::ZERO,
             records: Vec::new(),
             next_txn: 0,
@@ -222,6 +296,48 @@ impl<M: ProtocolMsg> ClientActor<M> {
             done: true,
             _marker: std::marker::PhantomData,
         }
+    }
+
+    /// Switches on content routing (builder form): `servers` is
+    /// `map.shards()` contiguous groups of equal size, an operation's
+    /// contact list is its *home* group — the shard of its first key,
+    /// whose member initiates any cross-group coordination — `preferred`
+    /// indexes that list, and replies are taken as `mode` says. Groups
+    /// are addressed by position, so a routed client must not be
+    /// rerouted (`validate_sharded` rejects membership plans).
+    ///
+    /// `sticky` retries resend to the *same* contact instead of the next.
+    /// Delegate-based cross-shard commit (eager UE locking) needs that:
+    /// the contact dedups resends against its response cache and
+    /// live-delegation table; a sibling has neither and would delegate
+    /// the same transaction id again after the first 2PC released its
+    /// locks. Rotation only buys crash failover, and cross-shard runs
+    /// reject fault plans.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `servers` splits into those groups and `preferred`
+    /// lies inside one.
+    pub fn with_routing(mut self, map: ShardMap, mode: ReplyMode, sticky: bool) -> Self {
+        let shards = map.shards() as usize;
+        assert_eq!(self.servers.len() % shards, 0, "one group per shard");
+        let group_size = self.servers.len() / shards;
+        assert!(self.preferred < group_size, "preferred outside the group");
+        self.routing = Some(Routing {
+            map,
+            group_size,
+            mode,
+            sticky,
+            expect: GroupSet::default(),
+            partials: HashMap::new(),
+        });
+        self
+    }
+
+    /// Chooses the retry schedule (builder form; the default backs off).
+    pub(crate) fn with_flat_retries(mut self, flat: bool) -> Self {
+        self.flat_retries = flat;
+        self
     }
 
     /// Delays the first submission (builder form): elasticity runs start
@@ -252,6 +368,11 @@ impl<M: ProtocolMsg> ClientActor<M> {
         self.next_txn += 1;
         self.done = false;
         self.target = self.preferred;
+        if let Some(r) = &mut self.routing {
+            self.base = r.map.shard_of(txn.ops[0].key()) as usize * r.group_size;
+            r.expect = r.map.shards_of(&txn);
+            r.partials.clear();
+        }
         self.records.push(OpRecord {
             op: id,
             txn: txn.clone(),
@@ -266,7 +387,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
             client: ctx.me(),
             txn,
         };
-        ctx.send(self.servers[self.target], M::invoke(op));
+        ctx.send(self.servers[self.base + self.target], M::invoke(op));
         ctx.set_timer(
             retry_delay(self.retry_after, self.client_no, id, 1),
             RETRY_TAG,
@@ -281,19 +402,25 @@ impl<M: ProtocolMsg> ClientActor<M> {
             return;
         }
         rec.retries += 1;
-        self.target = (self.target + 1) % self.servers.len();
+        match &self.routing {
+            None => self.target = (self.target + 1) % self.servers.len(),
+            Some(r) if !r.sticky => self.target = (self.target + 1) % r.group_size,
+            Some(_) => {}
+        }
         let op = ClientOp {
             id: rec.op,
             client: ctx.me(),
             txn: rec.txn.clone(),
         };
-        ctx.send(self.servers[self.target], M::invoke(op));
-        // Arm the *next* retry with backoff: this one was attempt
-        // `rec.retries`, so the wait ahead belongs to the one after it.
-        ctx.set_timer(
-            retry_delay(self.retry_after, self.client_no, rec.op, rec.retries + 1),
-            RETRY_TAG,
-        );
+        ctx.send(self.servers[self.base + self.target], M::invoke(op));
+        // Arm the *next* retry: this one was attempt `rec.retries`, so
+        // the wait ahead belongs to the one after it.
+        let wait = if self.flat_retries {
+            self.retry_after
+        } else {
+            retry_delay(self.retry_after, self.client_no, rec.op, rec.retries + 1)
+        };
+        ctx.set_timer(wait, RETRY_TAG);
     }
 
     /// A decommissioned server bounced our in-flight operation: adopt
@@ -701,7 +828,7 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, _from: NodeId, msg: M) {
+    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
         if let Some((op, servers)) = msg.reroute() {
             let servers = servers.to_vec();
             self.handle_reroute(ctx, op, &servers);
@@ -717,9 +844,16 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
         if rec.op != resp.op || rec.responded.is_some() {
             return; // stale or duplicate (active replication answers n times)
         }
+        let resp = match &mut self.routing {
+            Some(r) if r.mode == ReplyMode::PerShard => match r.absorb(from, resp, &rec.txn) {
+                Some(merged) => merged,
+                None => return,
+            },
+            _ => resp.clone(),
+        };
         rec.responded = Some(ctx.now());
-        rec.response = Some(resp.clone());
-        ctx.mark(Phase::Response.tag(), resp.op.0, 0);
+        rec.response = Some(resp);
+        ctx.mark(Phase::Response.tag(), rec.op.0, 0);
         self.done = true;
         if self.next_txn < self.txns.len() {
             ctx.set_timer(self.think, THINK_TAG);
@@ -773,6 +907,40 @@ mod tests {
                 if !self.mute {
                     ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
                 }
+            }
+        }
+        impl_as_any!();
+    }
+
+    /// A scripted server: logs every invoke's arrival and, unless mute,
+    /// repeats its answer to the previous operation — as an abort, so an
+    /// overwrite would show — before answering the new one twice.
+    struct Scripted {
+        mute: bool,
+        previous: Option<OpId>,
+        arrivals: Vec<(u64, OpId)>,
+    }
+    impl Scripted {
+        fn new(mute: bool) -> Box<Self> {
+            Box::new(Scripted {
+                mute,
+                previous: None,
+                arrivals: Vec::new(),
+            })
+        }
+    }
+    impl Actor<EchoMsg> for Scripted {
+        fn on_message(&mut self, ctx: &mut Context<'_, EchoMsg>, _: NodeId, msg: EchoMsg) {
+            let EchoMsg::Invoke(op) = msg else { return };
+            self.arrivals.push((ctx.now().ticks(), op.id));
+            if self.mute {
+                return;
+            }
+            if let Some(old) = self.previous.replace(op.id) {
+                ctx.send(op.client, EchoMsg::Reply(crate::Response::aborted(old)));
+            }
+            for _ in 0..2 {
+                ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
             }
         }
         impl_as_any!();
@@ -843,19 +1011,8 @@ mod tests {
 
     #[test]
     fn duplicate_responses_are_recorded_once() {
-        // An echo server that answers twice.
-        struct DoubleEcho;
-        impl Actor<EchoMsg> for DoubleEcho {
-            fn on_message(&mut self, ctx: &mut Context<'_, EchoMsg>, _: NodeId, msg: EchoMsg) {
-                if let EchoMsg::Invoke(op) = msg {
-                    ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
-                    ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
-                }
-            }
-            impl_as_any!();
-        }
         let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
-        let s = world.add_actor(Box::new(DoubleEcho));
+        let s = world.add_actor(Scripted::new(false)); // answers twice
         let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
             0,
             vec![s],
@@ -873,24 +1030,9 @@ mod tests {
 
     #[test]
     fn late_duplicate_reply_to_an_older_op_changes_nothing() {
-        // Answers every invoke, but first repeats its answer to the
-        // previous operation — as an abort, so an overwrite would show.
-        struct LateEcho {
-            previous: Option<OpId>,
-        }
-        impl Actor<EchoMsg> for LateEcho {
-            fn on_message(&mut self, ctx: &mut Context<'_, EchoMsg>, _: NodeId, msg: EchoMsg) {
-                if let EchoMsg::Invoke(op) = msg {
-                    if let Some(old) = self.previous.replace(op.id) {
-                        ctx.send(op.client, EchoMsg::Reply(crate::Response::aborted(old)));
-                    }
-                    ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
-                }
-            }
-            impl_as_any!();
-        }
+        // The server first repeats its answer to the previous operation.
         let mut world: World<EchoMsg> = World::new(SimConfig::new(5));
-        let s = world.add_actor(Box::new(LateEcho { previous: None }));
+        let s = world.add_actor(Scripted::new(false));
         let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
             0,
             vec![s],
@@ -1028,21 +1170,8 @@ mod tests {
         // One mute server: every attempt lands there, so the arrival
         // gaps are exactly the retry waits — first gap retry_after, later
         // gaps strictly wider, none wider than the cap allows.
-        struct Recorder {
-            arrivals: Vec<u64>,
-        }
-        impl Actor<EchoMsg> for Recorder {
-            fn on_message(&mut self, ctx: &mut Context<'_, EchoMsg>, _: NodeId, msg: EchoMsg) {
-                if let EchoMsg::Invoke(_) = msg {
-                    self.arrivals.push(ctx.now().ticks());
-                }
-            }
-            impl_as_any!();
-        }
         let mut world: World<EchoMsg> = World::new(SimConfig::new(9));
-        let s = world.add_actor(Box::new(Recorder {
-            arrivals: Vec::new(),
-        }));
+        let s = world.add_actor(Scripted::new(true));
         let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
             0,
             vec![s],
@@ -1055,9 +1184,9 @@ mod tests {
         world.run_until(SimTime::from_ticks(60_000));
         let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
         assert!(!client.is_done());
-        let arrivals = &world.actor_ref::<Recorder>(s).arrivals;
+        let arrivals = &world.actor_ref::<Scripted>(s).arrivals;
         assert!(arrivals.len() >= 5, "not enough attempts: {arrivals:?}");
-        let gaps: Vec<u64> = arrivals.windows(2).map(|w| w[1] - w[0]).collect();
+        let gaps: Vec<u64> = arrivals.windows(2).map(|w| w[1].0 - w[0].0).collect();
         // Arrival gaps carry per-message network jitter on top of the
         // timer waits; the first must still sit at ~retry_after and the
         // second must be clearly wider (the backoff doubles).
@@ -1068,6 +1197,167 @@ mod tests {
         assert!(gaps[1] > gaps[0] + 500, "no backoff: {gaps:?}");
         for g in &gaps {
             assert!(*g <= 8_000 + 2_000 + 100, "gap beyond cap+jitter: {gaps:?}");
+        }
+    }
+
+    /// Stands in for one member of a sharded group (groups of one):
+    /// answers only the ops on its own shard's keys (reads echo
+    /// `key * 10`) and, as the client's contact, forwards the op to the
+    /// other touched groups the way a home contact would.
+    struct ShardEcho {
+        map: ShardMap,
+        gid: u32,
+        served: u32,
+    }
+    impl Actor<EchoMsg> for ShardEcho {
+        fn on_message(&mut self, ctx: &mut Context<'_, EchoMsg>, from: NodeId, msg: EchoMsg) {
+            let EchoMsg::Invoke(op) = msg else { return };
+            self.served += 1;
+            for &g in self.map.shards_of(&op.txn).iter() {
+                if g != self.gid && from == op.client {
+                    ctx.send(NodeId::new(g), EchoMsg::Invoke(op.clone()));
+                }
+            }
+            let mine = |o: &OpTemplate| match o {
+                OpTemplate::Read(k) if self.map.shard_of(*k) == self.gid => {
+                    Some((*k, Value(k.0 as i64 * 10)))
+                }
+                _ => None,
+            };
+            let mut resp = crate::Response::committed(op.id);
+            resp.reads = op.txn.ops.iter().filter_map(mine).collect();
+            ctx.send(op.client, EchoMsg::Reply(resp));
+        }
+        impl_as_any!();
+    }
+
+    /// The first key of shard `g` in the `shards`-way map of `shard_run`.
+    fn first_key(shards: u32, g: u32) -> Key {
+        Key(ShardMap::new(64, shards).range(g).0)
+    }
+
+    /// Runs a routed client to completion over one `ShardEcho` per shard.
+    fn shard_run(
+        shards: u32,
+        mode: ReplyMode,
+        txns: Vec<Vec<OpTemplate>>,
+    ) -> (World<EchoMsg>, NodeId) {
+        let map = ShardMap::new(64, shards);
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(7));
+        let echo = |gid| ShardEcho {
+            map,
+            gid,
+            served: 0,
+        };
+        let servers = (0..shards).map(|g| world.add_actor(Box::new(echo(g))));
+        let txns = txns.into_iter().map(|ops| TxnTemplate { ops: ops.into() });
+        let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(50_000));
+        let client = ClientActor::<EchoMsg>::new(
+            3,
+            servers.collect(),
+            0,
+            txns.collect(),
+            think,
+            retry_after,
+        );
+        let c = world.add_actor(Box::new(client.with_routing(map, mode, false)));
+        world.start();
+        world.run_to_quiescence(SimTime::from_ticks(1_000_000));
+        assert!(world.actor_ref::<ClientActor<EchoMsg>>(c).is_done());
+        (world, c)
+    }
+
+    #[test]
+    fn single_shard_txns_route_to_the_owning_group() {
+        // One write per shard, routed by the key's owner.
+        let writes = (0..4).map(|g| vec![OpTemplate::Write(first_key(4, g), Value(1))]);
+        let (world, c) = shard_run(4, ReplyMode::PerShard, writes.collect());
+        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        assert_eq!(client.completed().count(), 4);
+        for g in 0..4 {
+            assert_eq!(world.actor_ref::<ShardEcho>(NodeId::new(g)).served, 1);
+        }
+    }
+
+    #[test]
+    fn cross_shard_partials_merge_into_program_order() {
+        let (k0, k1) = (first_key(2, 0), first_key(2, 1));
+        // Reads interleave the two shards; the merged response must come
+        // back in program order regardless of reply order.
+        let ops = vec![
+            OpTemplate::Read(k1),
+            OpTemplate::Write(k0, Value(5)),
+            OpTemplate::Read(k0),
+        ];
+        let (world, c) = shard_run(2, ReplyMode::PerShard, vec![ops]);
+        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let resp = client.records[0].response.as_ref().expect("merged");
+        assert!(resp.committed);
+        assert_eq!(
+            resp.reads,
+            vec![(k1, Value(k1.0 as i64 * 10)), (k0, Value(k0.0 as i64 * 10))]
+        );
+    }
+
+    #[test]
+    fn full_mode_takes_the_first_complete_response() {
+        let read = vec![OpTemplate::Read(first_key(2, 1))];
+        let (world, c) = shard_run(2, ReplyMode::Full, vec![read]);
+        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        assert!(client.records[0].response.as_ref().expect("resp").committed);
+    }
+
+    /// Runs `shape(client)` against one `Scripted` server per `mute`
+    /// entry on a jitter-free network (arrival gaps are send gaps), the
+    /// client preferring the first; returns its records (as text) and
+    /// every server's arrival sequence.
+    fn scripted_run(
+        mute: &[bool],
+        shape: impl Fn(ClientActor<EchoMsg>) -> ClientActor<EchoMsg>,
+    ) -> (String, Vec<Vec<(u64, OpId)>>) {
+        let net = repl_sim::NetworkConfig::lan().with_jitter(SimDuration::ZERO);
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(13).with_network(net));
+        let servers: Vec<NodeId> = (mute.iter())
+            .map(|&m| world.add_actor(Scripted::new(m)))
+            .collect();
+        let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(1_000));
+        let client = ClientActor::new(0, servers.clone(), 0, txns(3), think, retry_after);
+        let c = world.add_actor(Box::new(shape(client)));
+        world.start();
+        world.run_until(SimTime::from_ticks(60_000));
+        let records = format!("{:?}", world.actor_ref::<ClientActor<EchoMsg>>(c).records);
+        let arrivals = |&s| world.actor_ref::<Scripted>(s).arrivals.clone();
+        (records, servers.iter().map(arrivals).collect())
+    }
+
+    #[test]
+    fn one_group_routing_is_the_flat_client() {
+        // A mute preferred server makes every op's retry rotate to the
+        // live one, which answers twice and re-answers the previous op.
+        let flat = scripted_run(&[true, false], |c| c);
+        assert!(flat.0.contains("retries: 1") && !flat.0.contains("committed: false"));
+        assert!(flat.1.iter().all(|arrivals| arrivals.len() >= 3));
+        let one = ShardMap::new(64, 1);
+        for mode in [ReplyMode::Full, ReplyMode::PerShard] {
+            let routed = scripted_run(&[true, false], |c| c.with_routing(one, mode, false));
+            assert_eq!(flat, routed, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn retry_schedule_is_the_only_sharded_flat_difference() {
+        // One mute server: the arrival gaps are exactly the retry waits.
+        let gaps = |flat| -> Vec<u64> {
+            let run = scripted_run(&[true], |c| c.with_flat_retries(flat));
+            run.1[0].windows(2).map(|w| w[1].0 - w[0].0).collect()
+        };
+        let (flat, backoff) = (gaps(true), gaps(false));
+        assert_eq!(flat, vec![1_000; 59]);
+        assert_eq!(backoff[0], 1_000, "first re-submission at retry_after");
+        assert!(backoff.len() >= 5, "not enough attempts: {backoff:?}");
+        for (i, &gap) in backoff.iter().enumerate().skip(1) {
+            let base = 1_000u64 << (i as u32).min(MAX_BACKOFF_SHIFT);
+            assert!((base..=base + base / 4).contains(&gap), "{backoff:?}");
         }
     }
 

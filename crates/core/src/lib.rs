@@ -30,11 +30,10 @@ mod phase;
 pub mod protocols;
 mod report;
 mod runner;
-mod sharded_client;
 mod technique;
 
 pub use client::{
-    AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ProtocolMsg,
+    AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ProtocolMsg, ReplyMode,
 };
 pub use durability::{DurabilityConfig, DurabilityTier, RestorePlan};
 pub use op::{accesses, ClientOp, OpId, Response};
@@ -44,5 +43,4 @@ pub use report::{
     Availability, DurabilityReport, NodeRecovery, RunReport, ShardingReport, SilentLoss,
 };
 pub use runner::{run, try_run, Arrival, RunConfig, RunError, MAX_CLIENTS};
-pub use sharded_client::{ReplyMode, ShardedClient};
 pub use technique::{Community, Guarantee, Propagation, Technique, TechniqueInfo, UpdateLocation};

@@ -1,6 +1,8 @@
 //! The experiment runner: build a world for a technique, drive the
 //! workload to completion, and collect a [`RunReport`].
 
+use std::mem::take;
+
 use repl_db::DeadlockPolicy;
 use repl_gcs::{BatchConfig, ConsensusConfig, FdConfig, VsConfig};
 use repl_sim::{
@@ -12,7 +14,9 @@ use repl_workload::{
     MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
 };
 
-use crate::client::{AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient};
+use crate::client::{
+    AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ReplyMode,
+};
 use crate::durability::DurabilityConfig;
 use crate::phase::PhaseTrace;
 use crate::protocols::common::{op_of_txn, AbcastImpl, ExecutionMode, ShardCtx};
@@ -25,7 +29,6 @@ use crate::protocols::{
     semi_passive::SemiPassiveServer,
 };
 use crate::report::{Availability, DurabilityReport, NodeRecovery, RunReport, ShardingReport};
-use crate::sharded_client::{ReplyMode, ShardedClient};
 use crate::technique::Technique;
 
 /// How clients generate load.
@@ -426,17 +429,13 @@ pub fn try_run(cfg: &RunConfig) -> Result<RunReport, RunError> {
     }
     if cfg.workload.shards > 1 {
         validate_sharded(cfg)?;
-        // Sharded worlds have `shards` groups of `cfg.servers` nodes;
-        // fault ids range over the whole node set.
-        cfg.faults
-            .validate(cfg.workload.shards * cfg.servers, cfg.max_time)?;
-    } else {
-        cfg.membership.validate(cfg.servers, cfg.max_time)?;
-        // Fault node ids may target planned joiners too: validate against the
-        // peak server count (identical to `cfg.servers` for the empty plan).
-        cfg.faults
-            .validate(cfg.membership.peak_servers(cfg.servers), cfg.max_time)?;
     }
+    // `shards` groups of `cfg.servers` founders, then the planned joiners
+    // (admitted at one group only); fault ids range over all of them.
+    let founders = cfg.workload.shards.max(1) * cfg.servers;
+    cfg.membership.validate(founders, cfg.max_time)?;
+    cfg.faults
+        .validate(cfg.membership.peak_servers(founders), cfg.max_time)?;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(cfg))).map_err(|payload| {
         let msg = payload
             .downcast_ref::<&str>()
@@ -538,21 +537,9 @@ fn validate_sharded(cfg: &RunConfig) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Routes a technique to the flat or the sharded driver. `build` makes
-/// one bare server of the technique; the drivers seat it (see [`seat`]).
-fn route<T: Flow>(
-    cfg: &RunConfig,
-    build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
-) -> RunReport {
-    if cfg.workload.shards > 1 {
-        drive_sharded(cfg, build)
-    } else {
-        drive(cfg, build)
-    }
-}
-
-/// Technique dispatch: monomorphises the drivers for the technique's
-/// server type. Assumes `cfg` was already validated.
+/// Technique dispatch: monomorphises the driver for the technique's
+/// server type; each closure makes one bare server, which [`drive`]
+/// equips and seats. Assumes `cfg` was already validated.
 fn dispatch(cfg: &RunConfig) -> RunReport {
     let c = cfg;
     let ks = c.workload.keyspace();
@@ -563,66 +550,42 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
     );
     let (delay, defer) = (c.propagation_delay, tuned_defer(&c.network));
     match c.technique {
-        Technique::Active => route(c, |site, me, group| {
+        Technique::Active => drive(c, |site, me, group| {
             ActiveServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
         }),
-        Technique::Passive => route(c, |site, me, group| {
+        Technique::Passive => drive(c, |site, me, group| {
             PassiveServer::new(site, me, group, ks, c.exec, vs)
         }),
-        Technique::SemiActive => route(c, |site, me, group| {
+        Technique::SemiActive => drive(c, |site, me, group| {
             SemiActiveServer::new(site, me, group, ks, c.exec, c.abcast, vs)
                 .with_batching(c.batching)
         }),
-        Technique::SemiPassive => route(c, |site, me, group| {
+        Technique::SemiPassive => drive(c, |site, me, group| {
             SemiPassiveServer::new(site, me, group, ks, c.exec, defer, cons)
                 .with_log_retention(c.log_retention)
         }),
-        Technique::EagerPrimary => route(c, |site, me, group| {
+        Technique::EagerPrimary => drive(c, |site, me, group| {
             EagerPrimaryServer::new(site, me, group, ks, c.exec, fd)
                 .with_batching(c.batching)
                 .with_log_retention(c.log_retention)
         }),
-        Technique::EagerUpdateEverywhereLocking => route(c, |site, me, group| {
+        Technique::EagerUpdateEverywhereLocking => drive(c, |site, me, group| {
             EulServer::new(site, me, group, ks, c.exec, c.deadlock).with_rowa(c.rowa)
         }),
-        Technique::EagerUpdateEverywhereAbcast => route(c, |site, me, group| {
+        Technique::EagerUpdateEverywhereAbcast => drive(c, |site, me, group| {
             EuaServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
         }),
-        Technique::LazyPrimary => route(c, |site, me, group| {
+        Technique::LazyPrimary => drive(c, |site, me, group| {
             LazyPrimaryServer::new(site, me, group, ks, c.exec, delay)
                 .with_batching(c.batching)
                 .with_log_retention(c.log_retention)
         }),
-        Technique::LazyUpdateEverywhere => route(c, |site, me, group| {
+        Technique::LazyUpdateEverywhere => drive(c, |site, me, group| {
             LazyUeServer::new(site, me, group, ks, c.exec, delay).with_reconcile(c.reconcile)
         }),
-        Technique::Certification => route(c, |site, me, group| {
+        Technique::Certification => drive(c, |site, me, group| {
             CertServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
         }),
-    }
-}
-
-/// Adds a bare server to the world after applying the run-wide setup
-/// (durable tier, lean mode, the run's shared payload arena); `cross`
-/// switches it to the cross-shard mode, `joiner` boots it as a dormant
-/// cold joiner.
-fn seat<T: Flow>(
-    world: &mut World<T::Msg>,
-    cfg: &RunConfig,
-    arena: &repl_db::SharedArena,
-    mut srv: Replica<T>,
-    joiner: bool,
-    cross: Option<ShardCtx>,
-) {
-    srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone());
-    if let Some(ctx) = cross {
-        srv.enable_cross_shard(ctx);
-    }
-    if joiner {
-        srv.begin_join();
-        world.add_dormant_actor(Box::new(srv));
-    } else {
-        world.add_actor(Box::new(srv));
     }
 }
 
@@ -692,7 +655,7 @@ fn run_to_quiescence<M: repl_sim::Message>(
     completion
 }
 
-/// What the clients observed, tallied once for both drivers.
+/// What the clients observed.
 struct ClientTally {
     latencies: LatencyStats,
     records: Vec<(u32, OpRecord)>,
@@ -727,12 +690,10 @@ impl ClientTally {
         }
     }
 
-    /// Counts one client's per-operation record; returns its latency if
-    /// the operation was answered.
-    fn add(&mut self, client: u32, rec: &OpRecord) -> Option<SimDuration> {
+    /// Counts and keeps one client's per-operation record.
+    fn add(&mut self, client: u32, rec: OpRecord) {
         self.retries += rec.retries as u64;
-        let latency = rec.latency();
-        match latency {
+        match rec.latency() {
             Some(lat) => {
                 self.completed += 1;
                 if rec.committed() {
@@ -744,12 +705,11 @@ impl ClientTally {
             }
             None => self.unanswered += 1,
         }
-        self.records.push((client, rec.clone()));
-        latency
+        self.records.push((client, rec));
     }
 }
 
-/// What the servers hold after a run, folded once for both drivers.
+/// What the servers hold after a run.
 struct ServerFold {
     history: repl_db::ReplicatedHistory,
     fingerprints: Vec<u64>,
@@ -976,42 +936,63 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
     }
 }
 
+/// The driver. `shards` replica groups of `n = cfg.servers` nodes share
+/// one simulated world — group `g` owns shard `g` and spans nodes
+/// `g*n .. (g+1)*n` — followed by the membership plan's joiners; a fully
+/// replicated run is the one-group case. Every server stores the full
+/// keyspace but is only ever asked about its own shard's keys, so
+/// fingerprints converge per group ([`RunReport::converged`]).
+///
+/// Single-shard transactions run the stock protocol in the owning group;
+/// with `cross_shard_ratio > 0` the three cross-capable techniques
+/// coordinate across the touched groups (genuine atomic multicast or
+/// union-cohort 2PC), and only then are servers put in cross-shard mode.
+/// Histories merge across *all* groups before the 1SR oracle: a
+/// cross-shard transaction carries one global id, so the merged history
+/// splices its per-shard pieces back into one serialization point.
 fn drive<T: Flow>(
     cfg: &RunConfig,
     build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
 ) -> RunReport {
-    // Elastic membership: joiners occupy the actor slots right after the
-    // initial servers (dormant until their scheduled spawn). The empty
-    // plan makes `peak == cfg.servers` and every branch below collapses
-    // to the static path, byte for byte.
-    let peak = cfg.membership.peak_servers(cfg.servers);
-    let mut world: World<T::Msg> = new_world(cfg, peak);
+    let n = cfg.servers;
+    let shards = cfg.workload.shards.max(1);
+    // One group consults no shard map: its clients are not routed.
+    let map = (shards > 1).then(|| cfg.workload.shard_map());
+    let cross_map = map.filter(|_| cfg.workload.cross_shard_ratio > 0.0);
+    // Joiners (one-group runs only, see `validate_sharded`) occupy the
+    // actor slots after the founders, dormant until their scheduled spawn.
+    let founders = shards * n;
+    let nodes = cfg.membership.peak_servers(founders);
+    let mut world: World<T::Msg> = new_world(cfg, nodes);
     let arena = run_arena(cfg);
-    let servers: Vec<NodeId> = (0..cfg.servers).map(NodeId::new).collect();
-    for site in 0..peak {
+    for site in 0..nodes {
         let me = NodeId::new(site);
-        let joiner = site >= cfg.servers;
-        // A joiner is seeded with the initial membership plus itself so
-        // its join handshake can address rank 0; the Welcome replaces
-        // that seed with the live view.
-        let mut group = servers.clone();
+        let joiner = site >= founders;
+        // A joiner is seeded with the last group's initial membership
+        // plus itself so its join handshake can address rank 0; the
+        // Welcome replaces that seed with the live view.
+        let gid = (site / n).min(shards - 1);
+        let mut group: Vec<NodeId> = (gid * n..(gid + 1) * n).map(NodeId::new).collect();
         if joiner {
             group.push(me);
         }
-        seat(
-            &mut world,
-            cfg,
-            &arena,
-            build(site, me, group),
-            joiner,
-            None,
-        );
+        // The run-wide setup: durable tier, lean mode, the shared arena.
+        let mut srv = build(site, me, group);
+        srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone());
+        if let Some(map) = cross_map {
+            srv.enable_cross_shard(ShardCtx::new(map, n, gid));
+        }
+        if joiner {
+            srv.begin_join();
+            world.add_dormant_actor(Box::new(srv));
+        } else {
+            world.add_actor(Box::new(srv));
+        }
     }
-    // Clients of an elastic run know the whole peak server set (so
-    // reroutes and retries can land anywhere); a client whose preferred
-    // server is a planned joiner starts submitting only after the join
-    // fires, plus a margin for the state transfer.
-    let client_servers: Vec<NodeId> = (0..peak).map(NodeId::new).collect();
+    // Clients know every node (reroutes and retries can land anywhere, a
+    // routed client indexes any group); one whose preferred server is a
+    // planned joiner starts only after the join plus a transfer margin.
+    let client_servers: Vec<NodeId> = (0..nodes).map(NodeId::new).collect();
     let join_start_after = |preferred: usize| -> SimDuration {
         cfg.membership
             .events()
@@ -1024,6 +1005,27 @@ fn drive<T: Flow>(
             })
             .unwrap_or(SimDuration::ZERO)
     };
+    let reply_mode = match cfg.technique {
+        // Genuine multicast delivers to the touched groups only; each
+        // answers its own partial and the client merges them.
+        Technique::Active | Technique::EagerUpdateEverywhereAbcast => ReplyMode::PerShard,
+        // Everyone else answers in full from the contacted group (the
+        // locking delegate gathers foreign reads itself).
+        _ => ReplyMode::Full,
+    };
+    // Cross-shard delegation must see each op at exactly one delegate
+    // (see `ClientActor::with_routing`).
+    let sticky = cross_map.is_some() && cfg.technique == Technique::EagerUpdateEverywhereLocking;
+    // The one behavioural difference left between sharded and flat
+    // closed-loop clients. Each schedule wins on its own side (seed 163):
+    // back-off under sharding moves `shard16_closed` sim_p50_ticks 424 ->
+    // 436 and sim_txn_per_mtick 118,478 -> 116,043 (msgs_per_txn 18.33 ->
+    // 14.80, bytes_per_txn 881.5 -> 678.9); the flat schedule on one
+    // group moves `hot_closed` msgs_per_txn 15.22 -> 18.05 and
+    // bytes_per_txn 1,180.4 -> 1,453.3, past both bounds. They differ
+    // only because stale retry timers fire in fault-free runs: ROADMAP
+    // 1(d) cancels those and deletes this choice.
+    let flat_retries = shards > 1;
     let mut clients = Vec::new();
     if let Arrival::OpenAggregated { mean, dist } = cfg.arrival {
         // One actor per server group stands for the whole population:
@@ -1031,7 +1033,7 @@ fn drive<T: Flow>(
         // (exact superposition for Poisson). The workload generator is
         // seeded per group; the arrival stream gets an independent seed
         // so gap draws never correlate with key/op draws.
-        for (gi, (group, preferred)) in client_groups(cfg.technique, cfg.clients, cfg.servers)
+        for (gi, (group, preferred)) in client_groups(cfg.technique, cfg.clients, n)
             .into_iter()
             .enumerate()
         {
@@ -1059,18 +1061,14 @@ fn drive<T: Flow>(
             let mut gen =
                 WorkloadGen::new(&cfg.workload, cfg.seed.wrapping_mul(1_000_003) + c as u64);
             let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
-            // Closed-loop clients of an elastic run spread over the peak
-            // server set (delaying those aimed at a joiner until it is
-            // up); open-loop clients never retry, so they stay on the
-            // initial servers where a submission cannot hit a dormant
-            // node.
-            let preferred = match cfg.arrival {
-                Arrival::Closed => preferred_server(cfg.technique, c, peak),
-                _ => preferred_server(cfg.technique, c, cfg.servers),
-            };
             let actor: Box<dyn Actor<T::Msg>> = match cfg.arrival {
-                Arrival::Closed => Box::new(
-                    ClientActor::<T::Msg>::new(
+                Arrival::Closed => {
+                    // Clients spread over their contact list: the home
+                    // group when routed, else every node (those aimed at
+                    // a joiner wait until it is up).
+                    let contacts = if map.is_some() { n } else { nodes };
+                    let preferred = preferred_server(cfg.technique, c, contacts);
+                    let mut client = ClientActor::<T::Msg>::new(
                         c,
                         client_servers.clone(),
                         preferred,
@@ -1078,12 +1076,20 @@ fn drive<T: Flow>(
                         cfg.workload.think_time,
                         cfg.retry_after,
                     )
-                    .with_start_after(join_start_after(preferred)),
-                ),
+                    .with_start_after(join_start_after(preferred))
+                    .with_flat_retries(flat_retries);
+                    if let Some(map) = map {
+                        client = client.with_routing(map, reply_mode, sticky);
+                    }
+                    Box::new(client)
+                }
+                // Open-loop clients never retry, so they stay on the
+                // initial servers where a submission cannot hit a
+                // dormant node.
                 Arrival::Open(mean) => Box::new(OpenLoopClient::<T::Msg>::new(
                     c,
                     client_servers.clone(),
-                    preferred,
+                    preferred_server(cfg.technique, c, n),
                     txns,
                     SimDuration::from_ticks(mean),
                 )),
@@ -1110,6 +1116,12 @@ fn drive<T: Flow>(
     });
 
     let mut tally = ClientTally::new();
+    // Stays `ShardingReport::default()` at one group.
+    let mut sharding = ShardingReport {
+        shards,
+        per_shard_ops: vec![0; map.map_or(0, |m| m.shards() as usize)],
+        ..Default::default()
+    };
     if matches!(cfg.arrival, Arrival::OpenAggregated { .. }) {
         // Constant-memory collection: merge each group's streaming
         // histogram and counters; no per-operation records exist.
@@ -1135,12 +1147,27 @@ fn drive<T: Flow>(
         tally.latency_hist = Some(hist);
     } else {
         for (cno, &c) in clients.iter().enumerate() {
-            let recs: &[OpRecord] = match cfg.arrival {
-                Arrival::Closed => &world.actor_ref::<ClientActor<T::Msg>>(c).records,
-                Arrival::Open(_) => &world.actor_ref::<OpenLoopClient<T::Msg>>(c).records,
+            // The run is over: take the records so they exist once.
+            let recs = match cfg.arrival {
+                Arrival::Closed => take(&mut world.actor_mut::<ClientActor<T::Msg>>(c).records),
+                Arrival::Open(_) => take(&mut world.actor_mut::<OpenLoopClient<T::Msg>>(c).records),
                 Arrival::OpenAggregated { .. } => unreachable!("handled above"),
             };
             for rec in recs {
+                // A sharded run classifies its answered records by how
+                // many shards they touch.
+                if let (Some(map), Some(lat)) = (map, rec.latency()) {
+                    let touched = map.shards_of(&rec.txn);
+                    if touched.len() > 1 {
+                        sharding.cross_shard_ops += 1;
+                        sharding.cross_latency.record(lat);
+                    } else {
+                        sharding.single_shard_ops += 1;
+                        sharding.single_latency.record(lat);
+                    }
+                    // Home-shard accounting (first key's owner).
+                    sharding.per_shard_ops[touched[0] as usize] += 1;
+                }
                 tally.add(cno as u32, rec);
             }
         }
@@ -1148,126 +1175,8 @@ fn drive<T: Flow>(
     // Collect from every node that was ever a member (joiners included);
     // convergence is judged over the *final* membership only.
     let drained = cfg.membership.drained_nodes();
-    let fold = fold_servers::<T>(&world, cfg, &arena, peak, |node| !drained.contains(&node));
-    report(
-        cfg,
-        &world,
-        cfg.servers,
-        completion,
-        tally,
-        fold,
-        ShardingReport::default(),
-    )
-}
-
-/// The sharded driver: `shards` replica groups of `cfg.servers` nodes
-/// each share one simulated world. Group `g` owns shard `g` and spans
-/// nodes `g*n .. (g+1)*n`; every server stores the full keyspace but is
-/// only ever asked about its own shard's keys, so the per-group
-/// fingerprints converge per shard ([`RunReport::converged`] compares
-/// group-wise when `sharding.shards > 1`).
-///
-/// Single-shard transactions go to the owning group and run the stock
-/// protocol there; with `cross_shard_ratio > 0` the three cross-capable
-/// techniques coordinate across the touched groups (genuine atomic
-/// multicast or union-cohort 2PC). A server's cross-shard mode is enabled
-/// only when the workload actually produces cross-shard transactions, so
-/// a `cross_shard_ratio == 0` run uses the stock protocol per group.
-/// Histories merge across *all* groups before the 1SR oracle: cross-shard
-/// transactions carry one global transaction id, so the merged history
-/// splices their per-shard pieces back into single serialization points.
-fn drive_sharded<T: Flow>(
-    cfg: &RunConfig,
-    build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
-) -> RunReport {
-    let map = cfg.workload.shard_map();
-    let shards = map.shards();
-    let n = cfg.servers;
-    let total = shards * n;
-    let mut world: World<T::Msg> = new_world(cfg, total);
-    let arena = run_arena(cfg);
-    let cross_enabled = cfg.workload.cross_shard_ratio > 0.0;
-    for gid in 0..shards {
-        let group: Vec<NodeId> = (gid * n..(gid + 1) * n).map(NodeId::new).collect();
-        for &me in &group {
-            let srv = build(me.index() as u32, me, group.clone());
-            let cross = cross_enabled.then(|| ShardCtx::new(map, n, gid));
-            seat(&mut world, cfg, &arena, srv, false, cross);
-        }
-    }
-    // Closed-loop sharded clients: routing is by content (the generator
-    // already draws sharded transactions when `spec.shards > 1`), so a
-    // client is not pinned to a group — only to a *rank* within whichever
-    // group owns the transaction at hand.
-    let mode = match cfg.technique {
-        // Genuine multicast delivers to the touched groups only; each
-        // answers its own partial and the client merges them.
-        Technique::Active | Technique::EagerUpdateEverywhereAbcast => ReplyMode::PerShard,
-        // Everyone else answers in full from the contacted group (the
-        // locking delegate gathers foreign reads itself).
-        _ => ReplyMode::Full,
-    };
-    let pin = matches!(cfg.technique, Technique::Passive | Technique::EagerPrimary).then_some(0);
-    // Cross-shard delegation must see each op at exactly one delegate: a
-    // retry rotated to a sibling would start a second delegation of the
-    // same transaction id, which re-executes the writes after the first
-    // delegate's 2PC already released its locks (a serialization cycle).
-    // The sticky contact is safe because cross-shard runs reject faults.
-    let sticky = cross_enabled && cfg.technique == Technique::EagerUpdateEverywhereLocking;
-    let mut clients = Vec::new();
-    for c in 0..cfg.clients {
-        let mut gen = WorkloadGen::new(&cfg.workload, cfg.seed.wrapping_mul(1_000_003) + c as u64);
-        let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
-        let mut client = ShardedClient::<T::Msg>::new(
-            c,
-            map,
-            n,
-            txns,
-            cfg.workload.think_time,
-            cfg.retry_after,
-            mode,
-        );
-        if let Some(rank) = pin {
-            client = client.with_pinned_rank(rank);
-        }
-        if sticky {
-            client = client.with_sticky_retries();
-        }
-        clients.push(world.add_actor(Box::new(client)));
-    }
-    schedule_faults(&mut world, &cfg.faults);
-    let completion = run_to_quiescence(&mut world, cfg, |world| {
-        clients
-            .iter()
-            .all(|&c| world.actor_ref::<ShardedClient<T::Msg>>(c).is_done())
-    });
-
-    // Classify every answered record by how many shards it touches.
-    let mut tally = ClientTally::new();
-    let mut sharding = ShardingReport {
-        shards,
-        per_shard_ops: vec![0; shards as usize],
-        ..Default::default()
-    };
-    for (cno, &c) in clients.iter().enumerate() {
-        for rec in &world.actor_ref::<ShardedClient<T::Msg>>(c).records {
-            let Some(lat) = tally.add(cno as u32, rec) else {
-                continue;
-            };
-            let touched = map.shards_of(&rec.txn);
-            if touched.len() > 1 {
-                sharding.cross_shard_ops += 1;
-                sharding.cross_latency.record(lat);
-            } else {
-                sharding.single_shard_ops += 1;
-                sharding.single_latency.record(lat);
-            }
-            // Home-shard accounting (first key's owner).
-            sharding.per_shard_ops[touched[0] as usize] += 1;
-        }
-    }
-    let fold = fold_servers::<T>(&world, cfg, &arena, total, |_| true);
-    report(cfg, &world, total, completion, tally, fold, sharding)
+    let fold = fold_servers::<T>(&world, cfg, &arena, nodes, |node| !drained.contains(&node));
+    report(cfg, &world, founders, completion, tally, fold, sharding)
 }
 
 #[cfg(test)]

@@ -49,26 +49,29 @@ fn sharded_cfg(technique: Technique, shards: u32, ratio: f64) -> RunConfig {
 fn one_shard_is_the_unsharded_engine() {
     // `with_shards(1)` must not merely be *close* to the flat engine —
     // it must BE the flat engine: identical digest and trace hash, and
-    // no sharding block in the report.
-    let flat = RunConfig::new(Technique::Active)
-        .with_clients(4)
-        .with_workload(
-            WorkloadSpec::default()
-                .with_items(64)
-                .with_txns_per_client(6)
-                .with_ops_per_txn(3)
-                .with_read_ratio(0.5),
-        )
-        .with_seed(9);
-    let mut explicit = flat.clone();
-    explicit.workload = explicit.workload.with_shards(1).with_cross_shard_ratio(0.0);
-    let a = run(&flat);
-    let b = run(&explicit);
-    assert_eq!(a.digest(), b.digest(), "shards=1 changed the digest");
-    assert_eq!(a.trace_hash, b.trace_hash, "shards=1 changed the trace");
-    assert!(!a.sharding.sharded());
-    assert!(!b.sharding.sharded());
-    assert_eq!(b.sharding.shards, 1);
+    // no sharding block in the report; a cross-shard ratio stays inert.
+    for technique in Technique::ALL {
+        let flat = RunConfig::new(technique)
+            .with_clients(4)
+            .with_workload(
+                WorkloadSpec::default()
+                    .with_items(64)
+                    .with_txns_per_client(6)
+                    .with_ops_per_txn(3)
+                    .with_read_ratio(0.5),
+            )
+            .with_seed(9);
+        let mut explicit = flat.clone();
+        explicit.workload = explicit.workload.with_shards(1).with_cross_shard_ratio(0.5);
+        let (a, b) = (run(&flat), run(&explicit));
+        let same = a.digest() == b.digest() && a.trace_hash == b.trace_hash;
+        assert!(
+            same,
+            "{technique}: shards=1 changed the digest or the trace"
+        );
+        let unsharded = !a.sharding.sharded() && !b.sharding.sharded();
+        assert!(unsharded && b.sharding.shards == 1, "{technique}");
+    }
 }
 
 #[test]

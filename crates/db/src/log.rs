@@ -209,17 +209,6 @@ impl RedoLog {
         self.len() == 0
     }
 
-    /// Loses the entire log to a volume failure: committed entries,
-    /// staged records and logical position are all gone, as if the log
-    /// file never existed. The retention policy and the lifetime fsync
-    /// count (forces already paid) are kept. A restore typically
-    /// follows with [`RedoLog::skip_to`] at the durable watermark.
-    pub fn wipe(&mut self) {
-        self.entries.clear();
-        self.staged.clear();
-        self.base = 0;
-    }
-
     /// Restarts the log empty at logical position `index`, as
     /// [`RedoLog::new`] would — no entries, nothing staged, no forces
     /// paid — except that the retention cap is kept: the fresh log a
@@ -333,25 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn wipe_empties_log_but_keeps_paid_forces() {
-        let mut log = RedoLog::new().with_retention(8);
-        for i in 0..5 {
-            log.append(WriteSet::empty(TxnId::new(i, 0)));
-        }
-        log.stage(WriteSet::empty(TxnId::new(9, 0)));
-        log.wipe();
-        assert!(log.is_empty());
-        assert_eq!(log.staged_len(), 0);
-        assert_eq!(log.first_retained(), 0);
-        assert_eq!(log.fsyncs(), 5, "forces already paid are history");
-        // A restore fast-forwards to the durable watermark.
-        log.skip_to(3);
-        assert_eq!(log.len(), 3);
-        assert!(log.has_suffix(3));
-        assert!(!log.has_suffix(2));
-    }
-
-    #[test]
     fn restart_at_is_a_new_log_that_keeps_its_retention() {
         let mut log = RedoLog::new().with_retention(2);
         for i in 0..5 {
@@ -374,6 +344,10 @@ mod tests {
         log.restart_at(0);
         assert!(log.is_empty());
         assert_eq!(log.first_retained(), 0);
+        // A restore then fast-forwards it to the durable watermark.
+        log.skip_to(3);
+        assert_eq!(log.len(), 3);
+        assert!(log.has_suffix(3) && !log.has_suffix(2));
     }
 
     #[test]

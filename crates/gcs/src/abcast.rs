@@ -20,8 +20,7 @@ use repl_sim::{Message, NodeId, SimDuration};
 
 use crate::component::{Component, Outbox};
 use crate::consensus::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool};
-use crate::rbcast::MsgId;
-use crate::receiver::OrderedReceiver;
+use crate::receiver::{MsgId, OrderedReceiver};
 use crate::runset::RunSet;
 
 /// A totally ordered delivery.

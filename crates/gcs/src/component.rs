@@ -57,27 +57,6 @@ impl<M, E> Outbox<M, E> {
         self.actions.push(Action::Send(to, msg));
     }
 
-    /// Queues a send of `msg` to each target. The last target receives
-    /// the original message; earlier targets receive clones, so an
-    /// `n`-way multicast costs `n - 1` clones instead of `n` — and zero
-    /// when the payload is an arena handle whose clone is free.
-    pub fn multicast<I>(&mut self, targets: I, msg: M)
-    where
-        I: IntoIterator<Item = NodeId>,
-        M: Clone,
-    {
-        let mut it = targets.into_iter().peekable();
-        let mut msg = Some(msg);
-        while let Some(t) = it.next() {
-            let m = if it.peek().is_some() {
-                msg.clone().expect("multicast payload present")
-            } else {
-                msg.take().expect("multicast payload present")
-            };
-            self.send(t, m);
-        }
-    }
-
     /// Queues a timer request.
     ///
     /// # Panics
@@ -220,13 +199,6 @@ mod tests {
         let drained = out.drain();
         assert_eq!(drained.len(), 3);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn multicast_clones_to_each_target() {
-        let mut out: Outbox<u8, ()> = Outbox::new();
-        out.multicast([NodeId::new(0), NodeId::new(1), NodeId::new(2)], 7);
-        assert_eq!(out.len(), 3);
     }
 
     #[test]

@@ -47,8 +47,7 @@ use repl_sim::{GroupSet, Message, NodeId};
 
 use crate::abcast::AbDeliver;
 use crate::component::{Component, Outbox};
-use crate::rbcast::MsgId;
-use crate::receiver::OrderedReceiver;
+use crate::receiver::{MsgId, OrderedReceiver};
 
 /// Wire message of [`GenuineMulticast`].
 #[derive(Debug, Clone)]

@@ -5,8 +5,6 @@
 //! the paper's Section 3.1 abstractions, built from scratch on top of the
 //! [`repl_sim`] kernel.
 //!
-//! * [`ReliableBcast`], [`FifoBcast`], [`CausalBcast`] — the broadcast
-//!   hierarchy,
 //! * [`HeartbeatFd`] — eventually-perfect failure detector,
 //! * [`ConsensusPool`] — rotating-coordinator consensus (◇S style),
 //! * [`SequencerAbcast`], [`ConsensusAbcast`] — Atomic Broadcast (total
@@ -26,13 +24,10 @@
 #![warn(missing_docs)]
 
 mod abcast;
-mod causal;
 mod component;
 mod consensus;
 mod fd;
-mod fifo;
 mod gmcast;
-mod rbcast;
 mod receiver;
 mod runset;
 pub mod testkit;
@@ -41,12 +36,10 @@ mod vscast;
 pub use abcast::{
     AbDeliver, Batch, BatchConfig, CAbMsg, ConsensusAbcast, SeqAbMsg, SequencerAbcast,
 };
-pub use causal::{CausalBcast, CbDeliver, CbMsg};
 pub use component::{apply_outbox, Action, Component, Outbox, TAG_SPACE};
 pub use consensus::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool};
 pub use fd::{FdConfig, FdEvent, FdMsg, HeartbeatFd};
-pub use fifo::FifoBcast;
 pub use gmcast::{GenuineMulticast, GmMsg};
-pub use rbcast::{MsgId, RbDeliver, RbMsg, RelayPolicy, ReliableBcast};
+pub use receiver::MsgId;
 pub use runset::RunSet;
 pub use vscast::{View, ViewGroup, VsConfig, VsEvent, VsMsg};

@@ -1,4 +1,5 @@
-//! The receiver role [`SequencerAbcast`](crate::SequencerAbcast) and
+//! [`MsgId`], and the receiver role
+//! [`SequencerAbcast`](crate::SequencerAbcast) and
 //! [`GenuineMulticast`](crate::GenuineMulticast) share: hand a group
 //! orderer's `(gseq, id, payload)` triples to the host in dense gseq
 //! order, each id at most once.
@@ -8,8 +9,23 @@ use std::collections::BTreeMap;
 use repl_sim::NodeId;
 
 use crate::abcast::AbDeliver;
-use crate::rbcast::MsgId;
 use crate::runset::RunSet;
+
+/// Globally unique message identifier: origin plus per-origin sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct MsgId {
+    /// The broadcasting node.
+    pub origin: NodeId,
+    /// Sequence number local to the origin, starting at 0.
+    pub seq: u64,
+}
+
+impl MsgId {
+    /// Creates a message id.
+    pub fn new(origin: NodeId, seq: u64) -> Self {
+        MsgId { origin, seq }
+    }
+}
 
 #[derive(Debug)]
 pub(crate) struct OrderedReceiver<P> {

@@ -177,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn keyspace_follows_the_dense_flag() {
+    fn keyspace_is_dense_over_the_items() {
         let s = WorkloadSpec::default().with_items(64);
         assert_eq!(s.keyspace(), Keyspace::dense(64));
     }
