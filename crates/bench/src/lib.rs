@@ -693,7 +693,7 @@ fn transfer_strategy_tag(report: &RunReport) -> &'static str {
 
 /// The P9/P12/P15 load: paced closed-loop transactions over 64 items,
 /// with the retry timeout tightened so runs are dominated by the
-/// disturbance rather than by client backoff.
+/// disturbance rather than by client timeouts.
 fn paced(
     technique: Technique,
     servers: u32,

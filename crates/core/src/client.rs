@@ -7,18 +7,15 @@
 //! the transaction" (Section 4.1). Servers suppress duplicates through
 //! their response caches, so retries are exactly-once.
 //!
-//! The first retry fires exactly `retry_after` after submission; later
-//! retries back off exponentially (doubling, capped at 8×`retry_after`)
-//! with a small deterministic jitter so that the clients stranded by one
-//! outage do not re-submit in lockstep. The jitter is hashed from
-//! `(client, op, attempt)` rather than drawn from the simulator's RNG:
-//! retry schedules must not perturb the recorded run state, so identical
-//! seeds replay identically whether or not retries happen.
+//! A retry means "this operation timed out" and nothing else: every
+//! attempt waits a constant `retry_after`, the timer is cancelled when the
+//! response arrives, and the contact that answered is the next operation's
+//! first contact — a client whose preferred server is down pays one
+//! timeout, not one per operation.
 //!
 //! A sharded run switches on content routing ([`ClientActor::with_routing`]):
 //! an operation's contact list is then its *home* group (the shard of its
-//! first key) instead of the whole server list — and, until no retry timer
-//! outlives its operation, keeps every wait at `retry_after` (`runner::drive`).
+//! first key) instead of the whole server list.
 
 use std::collections::HashMap;
 
@@ -123,60 +120,23 @@ const THINK_TAG: u64 = 2;
 const START_TAG: u64 = 4;
 
 /// Re-resolves a client's server list after a decommission reroute:
-/// keeps the same preferred *node* when it survived, otherwise maps the
-/// old preference index onto the new list. Returns the new preferred
-/// index, or `None` when the reroute carries no servers.
+/// keeps the same contact *node* when it survived, otherwise maps the
+/// old index onto the new list. Returns the new contact index, or `None`
+/// when the reroute carries no servers.
 fn resolve_reroute(
     servers: &mut Vec<NodeId>,
-    preferred: usize,
+    contact: usize,
     new_servers: &[NodeId],
 ) -> Option<usize> {
     if new_servers.is_empty() {
         return None;
     }
-    let old = servers.get(preferred).copied();
+    let old = servers.get(contact).copied();
     *servers = new_servers.to_vec();
     Some(
         old.and_then(|n| servers.iter().position(|&s| s == n))
-            .unwrap_or(preferred % servers.len()),
+            .unwrap_or(contact % servers.len()),
     )
-}
-
-/// Growth cap for the retry backoff: waits never exceed
-/// `retry_after << MAX_BACKOFF_SHIFT` (plus jitter).
-const MAX_BACKOFF_SHIFT: u32 = 3;
-
-/// Deterministic decorrelation jitter (FNV-1a over client, op, attempt):
-/// a pseudo-random but replayable offset in `[0, bound]`.
-fn retry_jitter(client_no: u32, op: OpId, attempt: u32, bound: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in client_no
-        .to_le_bytes()
-        .into_iter()
-        .chain(op.0.to_le_bytes())
-        .chain(attempt.to_le_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if bound == 0 {
-        0
-    } else {
-        h % (bound + 1)
-    }
-}
-
-/// The wait before retry number `attempt` (1-based): exactly
-/// `retry_after` for the first, then doubling up to the cap, with jitter
-/// of at most a quarter of the backoff so staggered clients stay spread.
-fn retry_delay(retry_after: SimDuration, client_no: u32, op: OpId, attempt: u32) -> SimDuration {
-    let base = retry_after.ticks().max(1);
-    if attempt <= 1 {
-        return SimDuration::from_ticks(base);
-    }
-    let backoff = base << (attempt - 1).min(MAX_BACKOFF_SHIFT);
-    let jitter = retry_jitter(client_no, op, attempt, backoff / 4);
-    SimDuration::from_ticks(backoff + jitter)
 }
 
 /// How the touched groups answer a sharded transaction.
@@ -236,18 +196,18 @@ impl Routing {
 /// The closed-loop client actor.
 ///
 /// Generic over the protocol's wire type `M`; the technique decides which
-/// server the client prefers (its "local" server, the primary, …) via
-/// `preferred`.
+/// server the client contacts first (its "local" server, the primary, …)
+/// via `preferred`.
 pub struct ClientActor<M> {
     client_no: u32,
     servers: Vec<NodeId>,
-    preferred: usize,
+    /// Index into the contact list of the server operations go to:
+    /// `preferred` at first, advanced by each retry and kept across
+    /// operations, so the contact that answered is asked first next time.
+    contact: usize,
     txns: Vec<TxnTemplate>,
     think: SimDuration,
     retry_after: SimDuration,
-    /// Retries after the first wait a constant `retry_after` instead of
-    /// [`retry_delay`]'s back-off.
-    flat_retries: bool,
     /// `None` at one group: every operation's contact list is `servers`.
     routing: Option<Routing>,
     /// Where the in-flight operation's contact list starts in `servers`:
@@ -257,14 +217,16 @@ pub struct ClientActor<M> {
     /// Completed and in-flight operation records.
     pub records: Vec<OpRecord>,
     next_txn: usize,
-    target: usize,
+    /// The in-flight operation's armed retry timer; `None` between
+    /// operations, so a timer never outlives the attempt it guards.
+    retry_timer: Option<TimerId>,
     done: bool,
     _marker: std::marker::PhantomData<M>,
 }
 
 impl<M: ProtocolMsg> ClientActor<M> {
-    /// Creates a client that will submit `txns` in order, preferring
-    /// `servers[preferred]`.
+    /// Creates a client that will submit `txns` in order, contacting
+    /// `servers[preferred]` first.
     ///
     /// # Panics
     ///
@@ -278,21 +240,20 @@ impl<M: ProtocolMsg> ClientActor<M> {
         retry_after: SimDuration,
     ) -> Self {
         assert!(!servers.is_empty(), "client needs at least one server");
-        let preferred = preferred % servers.len();
+        let contact = preferred % servers.len();
         ClientActor {
             client_no,
             servers,
-            preferred,
+            contact,
             txns,
             think,
             retry_after,
-            flat_retries: false,
             routing: None,
             base: 0,
             start_after: SimDuration::ZERO,
             records: Vec::new(),
             next_txn: 0,
-            target: preferred,
+            retry_timer: None,
             done: true,
             _marker: std::marker::PhantomData,
         }
@@ -322,7 +283,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
         let shards = map.shards() as usize;
         assert_eq!(self.servers.len() % shards, 0, "one group per shard");
         let group_size = self.servers.len() / shards;
-        assert!(self.preferred < group_size, "preferred outside the group");
+        assert!(self.contact < group_size, "preferred outside the group");
         self.routing = Some(Routing {
             map,
             group_size,
@@ -331,12 +292,6 @@ impl<M: ProtocolMsg> ClientActor<M> {
             expect: GroupSet::default(),
             partials: HashMap::new(),
         });
-        self
-    }
-
-    /// Chooses the retry schedule (builder form; the default backs off).
-    pub(crate) fn with_flat_retries(mut self, flat: bool) -> Self {
-        self.flat_retries = flat;
         self
     }
 
@@ -367,7 +322,6 @@ impl<M: ProtocolMsg> ClientActor<M> {
         let txn = self.txns[self.next_txn].clone();
         self.next_txn += 1;
         self.done = false;
-        self.target = self.preferred;
         if let Some(r) = &mut self.routing {
             self.base = r.map.shard_of(txn.ops[0].key()) as usize * r.group_size;
             r.expect = r.map.shards_of(&txn);
@@ -387,24 +341,18 @@ impl<M: ProtocolMsg> ClientActor<M> {
             client: ctx.me(),
             txn,
         };
-        ctx.send(self.servers[self.base + self.target], M::invoke(op));
-        ctx.set_timer(
-            retry_delay(self.retry_after, self.client_no, id, 1),
-            RETRY_TAG,
-        );
+        ctx.send(self.servers[self.base + self.contact], M::invoke(op));
+        self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
     fn retry(&mut self, ctx: &mut Context<'_, M>) {
         let Some(rec) = self.records.last_mut() else {
             return;
         };
-        if rec.responded.is_some() {
-            return;
-        }
         rec.retries += 1;
         match &self.routing {
-            None => self.target = (self.target + 1) % self.servers.len(),
-            Some(r) if !r.sticky => self.target = (self.target + 1) % r.group_size,
+            None => self.contact = (self.contact + 1) % self.servers.len(),
+            Some(r) if !r.sticky => self.contact = (self.contact + 1) % r.group_size,
             Some(_) => {}
         }
         let op = ClientOp {
@@ -412,19 +360,12 @@ impl<M: ProtocolMsg> ClientActor<M> {
             client: ctx.me(),
             txn: rec.txn.clone(),
         };
-        ctx.send(self.servers[self.base + self.target], M::invoke(op));
-        // Arm the *next* retry: this one was attempt `rec.retries`, so
-        // the wait ahead belongs to the one after it.
-        let wait = if self.flat_retries {
-            self.retry_after
-        } else {
-            retry_delay(self.retry_after, self.client_no, rec.op, rec.retries + 1)
-        };
-        ctx.set_timer(wait, RETRY_TAG);
+        ctx.send(self.servers[self.base + self.contact], M::invoke(op));
+        self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
     /// A decommissioned server bounced our in-flight operation: adopt
-    /// the new membership, re-point the preference, and re-submit there
+    /// the new membership, re-resolve the contact, and re-submit there
     /// immediately (the armed retry timer keeps running as a backstop).
     fn handle_reroute(&mut self, ctx: &mut Context<'_, M>, op: OpId, new_servers: &[NodeId]) {
         let Some(rec) = self.records.last_mut() else {
@@ -433,19 +374,17 @@ impl<M: ProtocolMsg> ClientActor<M> {
         if rec.responded.is_some() || rec.op != op {
             return;
         }
-        let Some(preferred) = resolve_reroute(&mut self.servers, self.preferred, new_servers)
-        else {
+        let Some(contact) = resolve_reroute(&mut self.servers, self.contact, new_servers) else {
             return;
         };
-        self.preferred = preferred;
-        self.target = preferred;
+        self.contact = contact;
         rec.retries += 1;
         let op = ClientOp {
             id: rec.op,
             client: ctx.me(),
             txn: rec.txn.clone(),
         };
-        ctx.send(self.servers[self.target], M::invoke(op));
+        ctx.send(self.servers[self.contact], M::invoke(op));
     }
 }
 
@@ -855,14 +794,20 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
         rec.response = Some(resp);
         ctx.mark(Phase::Response.tag(), rec.op.0, 0);
         self.done = true;
+        if let Some(timer) = self.retry_timer.take() {
+            ctx.cancel_timer(timer);
+        }
         if self.next_txn < self.txns.len() {
             ctx.set_timer(self.think, THINK_TAG);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: TimerId, tag: u64) {
         match tag {
-            RETRY_TAG if !self.done => {
+            // Only the timer held: a fired id must not be cancelled later
+            // (`Context::cancel_timer`), so it is forgotten here.
+            RETRY_TAG if self.retry_timer == Some(timer) => {
+                self.retry_timer = None;
                 self.retry(ctx);
             }
             THINK_TAG if self.done => {
@@ -996,7 +941,7 @@ mod tests {
             0,
             vec![dead, live],
             0, // prefers the mute server
-            txns(2),
+            txns(3),
             SimDuration::from_ticks(100),
             SimDuration::from_ticks(2_000),
         )));
@@ -1004,9 +949,12 @@ mod tests {
         world.run_until(SimTime::from_ticks(100_000));
         let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
         assert!(client.is_done(), "failover retry did not happen");
-        assert!(client.records.iter().all(|r| r.retries >= 1));
-        assert!(world.actor_ref::<EchoServer>(dead).served >= 2);
-        assert!(world.actor_ref::<EchoServer>(live).served >= 2);
+        // The first operation times out once; the contact that answered
+        // it is asked first from then on.
+        let retries: Vec<u32> = client.records.iter().map(|r| r.retries).collect();
+        assert_eq!(retries, vec![1, 0, 0]);
+        assert_eq!(world.actor_ref::<EchoServer>(dead).served, 1);
+        assert_eq!(world.actor_ref::<EchoServer>(live).served, 3);
     }
 
     #[test]
@@ -1136,70 +1084,6 @@ mod tests {
         assert_eq!(g.budget(5), 20);
     }
 
-    #[test]
-    fn retry_backoff_is_exact_then_capped_exponential() {
-        let ra = SimDuration::from_ticks(1_000);
-        let op = OpId::compose(3, 7);
-        // The first retry interval is exactly retry_after — the failover
-        // experiments calibrate unavailability windows against it.
-        assert_eq!(retry_delay(ra, 3, op, 1), ra);
-        let mut prev = ra.ticks();
-        for attempt in 2..=10u32 {
-            let d = retry_delay(ra, 3, op, attempt).ticks();
-            let backoff = ra.ticks() << (attempt - 1).min(MAX_BACKOFF_SHIFT);
-            assert!(d >= backoff, "attempt {attempt}: {d} < base {backoff}");
-            assert!(
-                d <= backoff + backoff / 4,
-                "attempt {attempt}: jitter exceeds a quarter of the backoff"
-            );
-            assert!(d >= prev.min(backoff), "backoff shrank at {attempt}");
-            prev = d;
-        }
-        // Capped: attempts far out never exceed 8x + jitter.
-        let far = retry_delay(ra, 3, op, 40).ticks();
-        assert!(far <= 8_000 + 2_000);
-        // Deterministic and client/op-dependent.
-        assert_eq!(retry_delay(ra, 3, op, 5), retry_delay(ra, 3, op, 5));
-        let spread: std::collections::HashSet<u64> =
-            (0..16).map(|c| retry_delay(ra, c, op, 4).ticks()).collect();
-        assert!(spread.len() > 8, "jitter failed to spread clients");
-    }
-
-    #[test]
-    fn retries_back_off_against_a_mute_server() {
-        // One mute server: every attempt lands there, so the arrival
-        // gaps are exactly the retry waits — first gap retry_after, later
-        // gaps strictly wider, none wider than the cap allows.
-        let mut world: World<EchoMsg> = World::new(SimConfig::new(9));
-        let s = world.add_actor(Scripted::new(true));
-        let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
-            0,
-            vec![s],
-            0,
-            txns(1),
-            SimDuration::from_ticks(100),
-            SimDuration::from_ticks(1_000),
-        )));
-        world.start();
-        world.run_until(SimTime::from_ticks(60_000));
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
-        assert!(!client.is_done());
-        let arrivals = &world.actor_ref::<Scripted>(s).arrivals;
-        assert!(arrivals.len() >= 5, "not enough attempts: {arrivals:?}");
-        let gaps: Vec<u64> = arrivals.windows(2).map(|w| w[1].0 - w[0].0).collect();
-        // Arrival gaps carry per-message network jitter on top of the
-        // timer waits; the first must still sit at ~retry_after and the
-        // second must be clearly wider (the backoff doubles).
-        assert!(
-            (900..=1_100).contains(&gaps[0]),
-            "first retry not at retry_after: {gaps:?}"
-        );
-        assert!(gaps[1] > gaps[0] + 500, "no backoff: {gaps:?}");
-        for g in &gaps {
-            assert!(*g <= 8_000 + 2_000 + 100, "gap beyond cap+jitter: {gaps:?}");
-        }
-    }
-
     /// Stands in for one member of a sharded group (groups of one):
     /// answers only the ops on its own shard's keys (reads echo
     /// `key * 10`) and, as the client's contact, forwards the op to the
@@ -1307,58 +1191,70 @@ mod tests {
         assert!(client.records[0].response.as_ref().expect("resp").committed);
     }
 
+    const RETRY_AFTER: SimDuration = SimDuration::from_ticks(1_000);
+
     /// Runs `shape(client)` against one `Scripted` server per `mute`
     /// entry on a jitter-free network (arrival gaps are send gaps), the
-    /// client preferring the first; returns its records (as text) and
-    /// every server's arrival sequence.
+    /// client preferring the first and thinking `think` ticks; returns
+    /// its records and every server's arrival sequence.
     fn scripted_run(
         mute: &[bool],
+        think: u64,
         shape: impl Fn(ClientActor<EchoMsg>) -> ClientActor<EchoMsg>,
-    ) -> (String, Vec<Vec<(u64, OpId)>>) {
+    ) -> (Vec<OpRecord>, Vec<Vec<(u64, OpId)>>) {
         let net = repl_sim::NetworkConfig::lan().with_jitter(SimDuration::ZERO);
         let mut world: World<EchoMsg> = World::new(SimConfig::new(13).with_network(net));
         let servers: Vec<NodeId> = (mute.iter())
             .map(|&m| world.add_actor(Scripted::new(m)))
             .collect();
-        let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(1_000));
+        let (think, retry_after) = (SimDuration::from_ticks(think), RETRY_AFTER);
         let client = ClientActor::new(0, servers.clone(), 0, txns(3), think, retry_after);
         let c = world.add_actor(Box::new(shape(client)));
         world.start();
         world.run_until(SimTime::from_ticks(60_000));
-        let records = format!("{:?}", world.actor_ref::<ClientActor<EchoMsg>>(c).records);
+        let records = world.actor_ref::<ClientActor<EchoMsg>>(c).records.clone();
         let arrivals = |&s| world.actor_ref::<Scripted>(s).arrivals.clone();
         (records, servers.iter().map(arrivals).collect())
     }
 
     #[test]
     fn one_group_routing_is_the_flat_client() {
-        // A mute preferred server makes every op's retry rotate to the
+        // A mute preferred server makes the first op's retry rotate to the
         // live one, which answers twice and re-answers the previous op.
-        let flat = scripted_run(&[true, false], |c| c);
-        assert!(flat.0.contains("retries: 1") && !flat.0.contains("committed: false"));
-        assert!(flat.1.iter().all(|arrivals| arrivals.len() >= 3));
+        let text = |run: (Vec<OpRecord>, Vec<Vec<(u64, OpId)>>)| format!("{run:?}");
+        let flat = scripted_run(&[true, false], 50, |c| c);
+        assert!(flat.0.iter().all(|r| r.committed()));
+        assert_eq!((flat.1[0].len(), flat.1[1].len()), (1, 3));
+        let flat = text(flat);
         let one = ShardMap::new(64, 1);
         for mode in [ReplyMode::Full, ReplyMode::PerShard] {
-            let routed = scripted_run(&[true, false], |c| c.with_routing(one, mode, false));
-            assert_eq!(flat, routed, "{mode:?}");
+            let routed = scripted_run(&[true, false], 50, |c| c.with_routing(one, mode, false));
+            assert_eq!(flat, text(routed), "{mode:?}");
         }
     }
 
     #[test]
-    fn retry_schedule_is_the_only_sharded_flat_difference() {
+    fn successive_retries_are_exactly_retry_after_apart() {
         // One mute server: the arrival gaps are exactly the retry waits.
-        let gaps = |flat| -> Vec<u64> {
-            let run = scripted_run(&[true], |c| c.with_flat_retries(flat));
-            run.1[0].windows(2).map(|w| w[1].0 - w[0].0).collect()
-        };
-        let (flat, backoff) = (gaps(true), gaps(false));
-        assert_eq!(flat, vec![1_000; 59]);
-        assert_eq!(backoff[0], 1_000, "first re-submission at retry_after");
-        assert!(backoff.len() >= 5, "not enough attempts: {backoff:?}");
-        for (i, &gap) in backoff.iter().enumerate().skip(1) {
-            let base = 1_000u64 << (i as u32).min(MAX_BACKOFF_SHIFT);
-            assert!((base..=base + base / 4).contains(&gap), "{backoff:?}");
-        }
+        let (_, arrivals) = scripted_run(&[true], 50, |c| c);
+        let gaps: Vec<u64> = arrivals[0].windows(2).map(|w| w[1].0 - w[0].0).collect();
+        assert_eq!(gaps, vec![RETRY_AFTER.ticks(); 59]);
+    }
+
+    #[test]
+    fn an_answered_operation_is_sent_once() {
+        // Think 700 on a 100-tick link puts operation 1 in flight
+        // (900..1_100) when operation 0's retry timer would have fired.
+        let (records, arrivals) = scripted_run(&[false, false], 700, |c| c);
+        let at = SimTime::ZERO + RETRY_AFTER;
+        assert!(records[1].invoked < at && at < records[1].responded.expect("answered"));
+        assert!(records.iter().all(|r| r.retries == 0), "{records:?}");
+        let sent: Vec<OpId> = arrivals[0].iter().map(|&(_, op)| op).collect();
+        assert_eq!(
+            sent,
+            (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
+        );
+        assert!(arrivals[1].is_empty(), "hedged to the next server");
     }
 
     #[test]

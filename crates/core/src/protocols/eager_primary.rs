@@ -114,7 +114,7 @@ impl Message for EagerPrimaryMsg {
             EagerPrimaryMsg::Reply(r) => 8 + r.wire_size(),
             EagerPrimaryMsg::SyncReq(_) => 16,
             EagerPrimaryMsg::SyncData(t) => 8 + t.wire_size(),
-            EagerPrimaryMsg::Member(m) => 8 + m.wire_size(),
+            EagerPrimaryMsg::Member(m) => m.wire_size(),
         }
     }
 

@@ -162,7 +162,7 @@ impl Message for EulMsg {
             EulMsg::SyncReq => 8,
             EulMsg::SyncData(t) => 8 + t.wire_size(),
             EulMsg::Reply(r) => 8 + r.wire_size(),
-            EulMsg::Member(m) => 8 + m.wire_size(),
+            EulMsg::Member(m) => m.wire_size(),
         }
     }
 }

@@ -85,7 +85,7 @@ impl Message for LazyPrimaryMsg {
             LazyPrimaryMsg::CatchUpReq { .. } => 16,
             LazyPrimaryMsg::CatchUpData(t) => 8 + t.wire_size(),
             LazyPrimaryMsg::Reply(r) => 8 + r.wire_size(),
-            LazyPrimaryMsg::Member(m) => 8 + m.wire_size(),
+            LazyPrimaryMsg::Member(m) => m.wire_size(),
         }
     }
     fn clone_is_cheap(&self) -> bool {

@@ -112,7 +112,7 @@ impl Message for LazyUeMsg {
             LazyUeMsg::SyncReq => 8,
             LazyUeMsg::SyncData { items } => 8 + items.len() * 28,
             LazyUeMsg::Reply(r) => 8 + r.wire_size(),
-            LazyUeMsg::Member(m) => 8 + m.wire_size(),
+            LazyUeMsg::Member(m) => m.wire_size(),
         }
     }
     fn clone_is_cheap(&self) -> bool {
@@ -130,6 +130,11 @@ pub struct LazyUe {
     propagation_delay: SimDuration,
     /// Last accepted writer per key: `(commit_ts, site)`.
     last_writer: HashMap<Key, (u64, u32)>,
+    /// Logical clock behind `commit_ts`: follows simulated time but
+    /// ticks once per local commit and past every stamp seen, so no two
+    /// transactions of this site share a stamp and a local commit
+    /// supersedes what it overwrote.
+    clock: u64,
     outbound: Vec<(WriteSet, u64)>,
     flush_armed: bool,
     mode: ReconcileMode,
@@ -162,6 +167,7 @@ impl LazyUeServer {
         let tech = LazyUe {
             propagation_delay,
             last_writer: HashMap::new(),
+            clock: 0,
             outbound: Vec::new(),
             flush_armed: false,
             mode: ReconcileMode::Lww,
@@ -261,6 +267,7 @@ impl LazyUe {
             let current = self.last_writer.get(&k).copied().unwrap_or((0, u32::MAX));
             let newer = stamp.0 > current.0 || (stamp.0 == current.0 && stamp.1 < current.1);
             if newer {
+                self.clock = self.clock.max(ts);
                 self.last_writer.insert(k, stamp);
                 let txn = TxnId::new(ts, site);
                 let after = sh.base.store.write(k, v, txn);
@@ -281,6 +288,7 @@ impl LazyUe {
     /// Applies a remote writeset under the Thomas write rule.
     fn reconcile(&mut self, base: &mut ServerBase, view: WsView<'_>, commit_ts: u64, site: u32) {
         let txn = view.txn();
+        self.clock = self.clock.max(commit_ts);
         let mut any_applied = false;
         // The winning subset is collected for the durable tier only.
         let mut applied: Option<Vec<WriteRecord>> = base.tier.is_some().then(Vec::new);
@@ -411,6 +419,8 @@ impl Technique for LazyUe {
             ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         }
         let txn = global_txn(op.id);
+        self.clock = (self.clock + 1).max(ctx.now().ticks());
+        let commit_ts = self.clock;
         // Execute locally, against possibly-divergent local state.
         let mut reads = Vec::new();
         let mut writes = Vec::new();
@@ -425,8 +435,7 @@ impl Technique for LazyUe {
                     sh.base
                         .history
                         .record(sh.base.site, txn, k, repl_db::AccessKind::Write);
-                    self.last_writer
-                        .insert(k, (ctx.now().ticks(), sh.base.site));
+                    self.last_writer.insert(k, (commit_ts, sh.base.site));
                     writes.push(repl_db::WriteRecord {
                         key: k,
                         value: v,
@@ -459,7 +468,7 @@ impl Technique for LazyUe {
                     t.note_commit(&ws);
                 }
             }
-            self.outbound.push((ws, ctx.now().ticks()));
+            self.outbound.push((ws, commit_ts));
             if self.propagation_delay.is_zero() {
                 self.flush(sh, ctx);
             } else if !self.flush_armed {
@@ -720,6 +729,64 @@ mod tests {
             let srv = world.actor_ref::<LazyUeServer>(s);
             assert_eq!(srv.shell.base.store.fingerprint(), fp0);
             assert_eq!(srv.tech.reconciliations, 0);
+        }
+    }
+
+    /// Stands in for a peer: logs the stamp of every writeset shipped.
+    #[derive(Default)]
+    struct StampSpy {
+        stamps: Vec<(u64, u32)>,
+    }
+    impl repl_sim::Actor<LazyUeMsg> for StampSpy {
+        fn on_message(&mut self, _: &mut Context<'_, LazyUeMsg>, _: NodeId, msg: LazyUeMsg) {
+            if let LazyUeMsg::Propagate {
+                commit_ts, site, ..
+            } = msg
+            {
+                self.stamps.push((commit_ts, site));
+            }
+        }
+        repl_sim::impl_as_any!();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Last-writer-wins decides a conflicting pair by stamp alone, so
+        /// the stamps of one site must totally order its transactions —
+        /// also those it commits within one tick (lockstep clients on a
+        /// jitter-free link land their invokes together).
+        #[test]
+        fn writesets_shipped_by_one_site_carry_distinct_stamps(
+            clients in 1u32..6,
+            txns in 1u64..6,
+            seed in proptest::any::<u64>(),
+        ) {
+            let net = repl_sim::NetworkConfig::lan().with_jitter(SimDuration::ZERO);
+            let mut world = World::new(SimConfig::new(seed).with_network(net));
+            let nodes = vec![NodeId::new(0), NodeId::new(1)];
+            let server = LazyUeServer::new(
+                0,
+                nodes[0],
+                nodes.clone(),
+                16,
+                ExecutionMode::Deterministic,
+                SimDuration::ZERO,
+            );
+            seat_all(&mut world, [server]);
+            let spy = world.add_actor(Box::new(StampSpy::default()));
+            for c in 0..clients {
+                let txns = (0..txns).map(|i| write(i % 16, i as i64)).collect();
+                let (think, retry_after) = (SimDuration::ZERO, SimDuration::from_ticks(20_000));
+                let client = ClientActor::new(c, vec![nodes[0]], 0, txns, think, retry_after);
+                world.add_actor(Box::new(client));
+            }
+            world.start();
+            world.run_until(SimTime::from_ticks(100_000));
+            let stamps = &world.actor_ref::<StampSpy>(spy).stamps;
+            proptest::prop_assert_eq!(stamps.len() as u64, u64::from(clients) * txns);
+            let distinct: HashSet<_> = stamps.iter().collect();
+            proptest::prop_assert_eq!(distinct.len(), stamps.len(), "{:?}", stamps);
         }
     }
 

@@ -88,7 +88,7 @@ impl Message for SemiPassiveMsg {
             SemiPassiveMsg::Reply(r) => 8 + r.wire_size(),
             SemiPassiveMsg::SyncReq(_) => 16,
             SemiPassiveMsg::SyncData(t) => 8 + t.wire_size(),
-            SemiPassiveMsg::Member(m) => 8 + m.wire_size(),
+            SemiPassiveMsg::Member(m) => m.wire_size(),
         }
     }
 }

@@ -242,7 +242,7 @@ impl RunConfig {
         self
     }
 
-    /// Sets the client retry timeout (base of the retry backoff).
+    /// Sets the client retry timeout: the wait before every re-submission.
     pub fn with_retry_after(mut self, d: SimDuration) -> Self {
         self.retry_after = d;
         self
@@ -1016,16 +1016,6 @@ fn drive<T: Flow>(
     // Cross-shard delegation must see each op at exactly one delegate
     // (see `ClientActor::with_routing`).
     let sticky = cross_map.is_some() && cfg.technique == Technique::EagerUpdateEverywhereLocking;
-    // The one behavioural difference left between sharded and flat
-    // closed-loop clients. Each schedule wins on its own side (seed 163):
-    // back-off under sharding moves `shard16_closed` sim_p50_ticks 424 ->
-    // 436 and sim_txn_per_mtick 118,478 -> 116,043 (msgs_per_txn 18.33 ->
-    // 14.80, bytes_per_txn 881.5 -> 678.9); the flat schedule on one
-    // group moves `hot_closed` msgs_per_txn 15.22 -> 18.05 and
-    // bytes_per_txn 1,180.4 -> 1,453.3, past both bounds. They differ
-    // only because stale retry timers fire in fault-free runs: ROADMAP
-    // 1(d) cancels those and deletes this choice.
-    let flat_retries = shards > 1;
     let mut clients = Vec::new();
     if let Arrival::OpenAggregated { mean, dist } = cfg.arrival {
         // One actor per server group stands for the whole population:
@@ -1076,8 +1066,7 @@ fn drive<T: Flow>(
                         cfg.workload.think_time,
                         cfg.retry_after,
                     )
-                    .with_start_after(join_start_after(preferred))
-                    .with_flat_retries(flat_retries);
+                    .with_start_after(join_start_after(preferred));
                     if let Some(map) = map {
                         client = client.with_routing(map, reply_mode, sticky);
                     }

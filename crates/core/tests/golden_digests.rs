@@ -5,7 +5,7 @@
 //! run; `trace_hash` covers every simulator event in order. The other
 //! equivalence suites compare two runs of the *same* build (arena vs
 //! inline, serial vs parallel, batched vs not); this one compares the
-//! build against values recorded at PR 13, so a change that moves an RNG
+//! build against values recorded at PR 21, so a change that moves an RNG
 //! draw, an event sequence number, a wire size or a reply — in every
 //! build alike — fails `cargo test` instead of passing unnoticed.
 //!
@@ -33,59 +33,59 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("p1/Eager Primary Copy/seed=8675309", 0x2a503f0c08e4b1a2, 0x10ece1ee97ab6e91),
     ("p1/Eager UE (Distributed Locking)/seed=11", 0x18f6f7fe78b4ed6c, 0x75c13defc84ab66e),
     ("p1/Eager UE (Distributed Locking)/seed=8675309", 0x3d7dd36a43417c1f, 0x8aa94f3d9004b24b),
-    ("p1/Eager UE (ABCAST)/seed=11", 0xb09634d25489f409, 0x7c43710eeabf1d6c),
-    ("p1/Eager UE (ABCAST)/seed=8675309", 0xfe4706a8321e9d77, 0x88afedf1bf36fa72),
+    ("p1/Eager UE (ABCAST)/seed=11", 0xc45ff987911a8350, 0xa87184ffee8ba8c6),
+    ("p1/Eager UE (ABCAST)/seed=8675309", 0x53da1d0c0cabc924, 0x5bccce91f0ab0bc5),
     ("p1/Lazy Primary Copy/seed=11", 0x65199f5a9c6fde18, 0x0346f753830c50a6),
     ("p1/Lazy Primary Copy/seed=8675309", 0xf8e60baba94f0a01, 0x15d121cf605a4185),
     ("p1/Lazy Update Everywhere/seed=11", 0xc793e810b66ee9be, 0x8fc926a5579ef9c8),
     ("p1/Lazy Update Everywhere/seed=8675309", 0xf08d2190593d76ed, 0x9898aad37e620820),
-    ("p1/Certification Based/seed=11", 0x45d3731bfe69ad88, 0x47b2f2df0a6a0e75),
-    ("p1/Certification Based/seed=8675309", 0xc7c966c1a7c85e93, 0x39e5b1c4de48cfe4),
+    ("p1/Certification Based/seed=11", 0x7fbffa78d5066569, 0x655c3e9656be416f),
+    ("p1/Certification Based/seed=8675309", 0xf6f5705c60926838, 0xf909245dcc69c95f),
     ("consensus/Active", 0xdbdce6c190c6fa75, 0x6ee76a1a3d09936c),
     ("consensus/Semi-Active", 0xf3eb630969e26be0, 0x43b94a9734dc7b6f),
     ("consensus/Eager UE (ABCAST)", 0x9ba4654ae368b8f9, 0xebeba9b6fb2764a1),
     ("consensus/Certification Based", 0xc2d6910693faa295, 0xd082dd19a5f3bb8b),
-    ("batched/Active/seq/w=250", 0xd5a7df2f4a63de4d, 0x7eca89f786e46f52),
-    ("batched/Certification/cons/w=1000", 0x950b0c9a4e61dde9, 0xbbadb69cbfc0ec52),
+    ("batched/Active/seq/w=250", 0xa9cfd31fedf0b54f, 0xebc195e4aeb8b648),
+    ("batched/Certification/cons/w=1000", 0x2fd4e65b20fcd515, 0xbbadb69cbfc0ec52),
     ("batched/EagerPrimary/w=250", 0x974318d5c2a024f4, 0x1d23ceddc623fca8),
-    ("outage/Active", 0x1dbfd3108e70a335, 0xd9e453b561cde2f5),
-    ("disaster/Active", 0x7ca5440db649b73f, 0x32ea7320aa62c158),
-    ("elastic/Active", 0x05035b28e0c58baf, 0xebfaab8f3897f4b0),
-    ("outage/Passive", 0x260d3a7d8bd79061, 0x1e5a539fb3d10514),
-    ("disaster/Passive", 0x4203186bfed23423, 0x9ec208382fe31cf3),
-    ("elastic/Passive", 0x79912542de84a9f8, 0x7d76016a3619de70),
-    ("outage/Semi-Active", 0x260550d4261cae30, 0x97242a4ee16fbd9e),
-    ("disaster/Semi-Active", 0x40cd063d9bc4751b, 0xc3291d11042a6e14),
-    ("elastic/Semi-Active", 0x43067d561c4a4e6a, 0x04e0493c2fb4807a),
-    ("outage/Semi-Passive", 0x8d2945b11e72f6e2, 0x7a9aa7a114305103),
-    ("disaster/Semi-Passive", 0x0984e0712f3b1cd6, 0xb37d8197b4268b89),
-    ("elastic/Semi-Passive", 0x69091eb47bdc9fdf, 0x51dc8be716ee1d3c),
-    ("outage/Eager Primary Copy", 0x20f0242b9976bfa1, 0xd682babe0ff3affb),
-    ("disaster/Eager Primary Copy", 0x8d7d88ec4a3d99a1, 0x4e96a029865052bc),
-    ("elastic/Eager Primary Copy", 0x6f67d76241f1a407, 0xd6e5cf266286d582),
-    ("outage/Eager UE (Distributed Locking)", 0x21aea9b92eee5184, 0x803a1954ad224958),
-    ("disaster/Eager UE (Distributed Locking)", 0x2d72d5e26b6e06d3, 0xfe39932cdfb58878),
-    ("elastic/Eager UE (Distributed Locking)", 0x5e28c4c5433f73ee, 0xb9f2ae8763f9442c),
-    ("outage/Eager UE (ABCAST)", 0x6a71caf0deb221ff, 0x7b4ebf6fe1e05044),
-    ("disaster/Eager UE (ABCAST)", 0xd221b4616e2d0a64, 0xb8d6da1c063f4878),
-    ("elastic/Eager UE (ABCAST)", 0x0879f2e64a3af5df, 0xe94fb74346afc376),
-    ("outage/Lazy Primary Copy", 0xf42d33d6c8c791f7, 0xdd30f38d9c9368bd),
-    ("disaster/Lazy Primary Copy", 0x129fd1fe6c8666da, 0x2ed2afd5bb3a0469),
-    ("elastic/Lazy Primary Copy", 0xbc252089f4fc98ca, 0x7ab394c7928d8c3a),
-    ("outage/Lazy Update Everywhere", 0x2220a7d0384f671d, 0x886e88196c988da2),
-    ("disaster/Lazy Update Everywhere", 0x9a9c7ff1d9b0a7c7, 0xf67e2ecf821e3bae),
-    ("elastic/Lazy Update Everywhere", 0x5c40cafe937fac58, 0x297ba0e4fcb9ad8c),
-    ("outage/Certification Based", 0xd55eca85115227d2, 0xe0390457cd6fa262),
-    ("disaster/Certification Based", 0xd8352b94cf835fa7, 0x811631fc3ab1e5e1),
-    ("elastic/Certification Based", 0xdb993b93438aec8f, 0x83a52f8d116cac30),
-    ("outage/Active/consensus/coordinator", 0x52b5c4fd74e6f165, 0x446e52044b0edd7f),
+    ("outage/Active", 0x19aaa02a3d3a7117, 0x0c39f0b921412624),
+    ("disaster/Active", 0x30afe2b7311e90cd, 0xf416352edffce55b),
+    ("elastic/Active", 0xadc216d689380e0d, 0x79067e82b06dd1c5),
+    ("outage/Passive", 0x3ea8f5c4acdb8f0b, 0x1e5a539fb3d10514),
+    ("disaster/Passive", 0xc1fce2b139469171, 0x9ec208382fe31cf3),
+    ("elastic/Passive", 0xf6fe0bece233aacc, 0x7f802546dfa11533),
+    ("outage/Semi-Active", 0x063ee33890522e26, 0x79ea11ebc5c48c2e),
+    ("disaster/Semi-Active", 0xa4259735f4676255, 0xfd578e8f51bff864),
+    ("elastic/Semi-Active", 0x51cdd0fc0f76782c, 0x8adb3a531e93c34a),
+    ("outage/Semi-Passive", 0x5a9786e992783394, 0xa536e779539faf7b),
+    ("disaster/Semi-Passive", 0xb60c8a677d62ea8d, 0xefce580cf6e0e4c2),
+    ("elastic/Semi-Passive", 0x1e81f6e1efc7e419, 0xcacadf0d70bb081b),
+    ("outage/Eager Primary Copy", 0x93cd444577349c03, 0xd682babe0ff3affb),
+    ("disaster/Eager Primary Copy", 0xdcf6e85b5cd9ff8f, 0x4e96a029865052bc),
+    ("elastic/Eager Primary Copy", 0xee8a1d131dac2cb4, 0x7fafb0d78f635c07),
+    ("outage/Eager UE (Distributed Locking)", 0x4398143b8e546a6c, 0xa03e4c7637a90296),
+    ("disaster/Eager UE (Distributed Locking)", 0xe08310fdf7e9aa16, 0x41cff366d01d17a7),
+    ("elastic/Eager UE (Distributed Locking)", 0xf7a31785cdd47c32, 0x6501db3c2a90208d),
+    ("outage/Eager UE (ABCAST)", 0xca0ae777918ca23e, 0x49df8101f7b02456),
+    ("disaster/Eager UE (ABCAST)", 0x1b3ab2a11a26c823, 0xf5fc4953d9327931),
+    ("elastic/Eager UE (ABCAST)", 0x17bf310e0b6af13c, 0x193ed2a59a974dce),
+    ("outage/Lazy Primary Copy", 0xf12aa04939bdf49d, 0xab01b2484e982bb1),
+    ("disaster/Lazy Primary Copy", 0x436b93d0a52506b8, 0x61294ad8c3e730bc),
+    ("elastic/Lazy Primary Copy", 0x58418b4d40e7c654, 0x2dbb800c99e2ae7a),
+    ("outage/Lazy Update Everywhere", 0xd7c39e3844eaf882, 0x1f8ec951ac2b824f),
+    ("disaster/Lazy Update Everywhere", 0xc832fa1fc1dc2f72, 0x4d0e3592fffdfc09),
+    ("elastic/Lazy Update Everywhere", 0xd01aabe44db55c6d, 0xf86abf0d44e8162c),
+    ("outage/Certification Based", 0x03cf23698fd70f12, 0x2f4d94e9568d27b7),
+    ("disaster/Certification Based", 0x0c2b4c2ee98fdbad, 0xf04ce0548736b393),
+    ("elastic/Certification Based", 0x67dd5d204eb5dc8b, 0x71445b08b7e23f33),
+    ("outage/Active/consensus/coordinator", 0x9ec4b07e7a188a4f, 0x003216f4ea6ae8d3),
     ("shard4/Active/x=20%", 0x621085459269c181, 0xbcb7e26fd963d25a),
     ("shard4/Eager UE (ABCAST)/x=20%", 0xfbf139760a857f23, 0xe2bd53b8b9df1a09),
     ("shard4/Eager UE (Distributed Locking)/x=20%", 0x8f23be7f32e26762, 0x56a84e271b8130d4),
     ("shard4/Passive/x=0%", 0x8b04d3fe40a3347e, 0xad54569de18f4895),
     ("shard4/Certification Based/x=0%", 0xa462a3c1de302fdc, 0xbe7f8ede14b63f9c),
-    ("open/Active", 0xccafdb97933e0e2a, 0xdcf5fb7724be5cf4),
-    ("open/Certification Based", 0xe460785e84c5ec82, 0x5028f575862a8600),
+    ("open/Active", 0xdf2a1f098847a005, 0x26d774c013f39c7b),
+    ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
 ];
 
 fn update_workload(txns: u32) -> WorkloadSpec {

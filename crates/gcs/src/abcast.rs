@@ -235,6 +235,9 @@ pub struct SequencerAbcast<P> {
     // BTreeMap so retransmission iterates in MsgId order (deterministic).
     pending: BTreeMap<MsgId, P>,
     timer_armed: bool,
+    // `next_local` when the retransmit timer was armed: its firing
+    // resends only the submissions below it.
+    resend_below: u64,
     // Sender role, batching: own broadcasts staged for the next flush.
     staged: Vec<(MsgId, P)>,
     staged_bytes: usize,
@@ -274,6 +277,7 @@ impl<P: Message> SequencerAbcast<P> {
             next_local: 0,
             pending: BTreeMap::new(),
             timer_armed: false,
+            resend_below: 0,
             staged: Vec::new(),
             staged_bytes: 0,
             flush_armed: false,
@@ -372,9 +376,17 @@ impl<P: Message> SequencerAbcast<P> {
         }
         if !self.timer_armed {
             self.timer_armed = true;
-            out.timer(self.retransmit_every, RETRANSMIT_TAG);
+            self.arm_retransmit(out);
         }
         id
+    }
+
+    /// Arms the retransmit timer and remembers what exists now: the
+    /// firing resends only those submissions, by then one period old — a
+    /// younger one's confirmation is still on its way.
+    fn arm_retransmit(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
+        self.resend_below = self.next_local;
+        out.timer(self.retransmit_every, RETRANSMIT_TAG);
     }
 
     /// Sender role: ship the staged batch to the sequencer in one message.
@@ -534,7 +546,7 @@ impl<P: Message> SequencerAbcast<P> {
         }
         self.timer_armed = !self.pending.is_empty() || self.rejoin_wait;
         if self.timer_armed {
-            out.timer(self.retransmit_every, RETRANSMIT_TAG);
+            self.arm_retransmit(out);
         }
         self.flush_armed = self.batch.enabled() && !self.staged.is_empty();
         if self.flush_armed {
@@ -705,23 +717,24 @@ impl<P: Message> Component for SequencerAbcast<P> {
                 }
                 if self.pending.is_empty() {
                     if self.rejoin_wait {
-                        out.timer(self.retransmit_every, RETRANSMIT_TAG);
+                        self.arm_retransmit(out);
                     } else {
                         self.timer_armed = false;
                     }
                     return;
                 }
                 let seq = self.sequencer();
+                // Own ids sort by `seq`: the submissions a period old.
+                let aged = MsgId::new(self.me, self.resend_below);
+                let old = self.pending.range(..aged);
                 if self.batch.enabled() {
-                    // Retransmit everything unconfirmed as one batch.
-                    let entries: Vec<(MsgId, P)> = self
-                        .pending
-                        .iter()
-                        .map(|(&id, p)| (id, p.clone()))
-                        .collect();
-                    out.send(seq, SeqAbMsg::SubmitBatch(Batch::new(entries)));
+                    // Retransmit them as one batch.
+                    let entries: Vec<(MsgId, P)> = old.map(|(&id, p)| (id, p.clone())).collect();
+                    if !entries.is_empty() {
+                        out.send(seq, SeqAbMsg::SubmitBatch(Batch::new(entries)));
+                    }
                 } else {
-                    for (&id, payload) in &self.pending {
+                    for (&id, payload) in old {
                         out.send(
                             seq,
                             SeqAbMsg::Submit {
@@ -731,7 +744,7 @@ impl<P: Message> Component for SequencerAbcast<P> {
                         );
                     }
                 }
-                out.timer(self.retransmit_every, RETRANSMIT_TAG);
+                self.arm_retransmit(out);
             }
             _ => {}
         }
@@ -1294,6 +1307,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::Action;
     use crate::testkit::ComponentActor;
     use repl_sim::{NetworkConfig, SimConfig, SimDuration, SimTime, World};
     use std::collections::HashSet;
@@ -1372,6 +1386,67 @@ mod tests {
             deliveries_seq(&world, group[2]).contains(&(0, 99)),
             "sender's own message never confirmed"
         );
+    }
+
+    #[test]
+    fn retransmission_spares_submissions_younger_than_a_period() {
+        // Drives a non-sequencer endpoint by hand; the sequencer never
+        // answers, so every submission stays pending.
+        fn resent(out: &mut Outbox<SeqAbMsg<u32>, AbDeliver<u32>>) -> Vec<Vec<u32>> {
+            let sends = out.drain().into_iter().filter_map(|a| match a {
+                Action::Send(_, SeqAbMsg::Submit { payload, .. }) => Some(vec![payload]),
+                Action::Send(_, SeqAbMsg::SubmitBatch(b)) => {
+                    Some(b.into_entries().into_iter().map(|(_, p)| p).collect())
+                }
+                _ => None,
+            });
+            sends.collect()
+        }
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        for batch in [BatchConfig::disabled(), BatchConfig::window(50)] {
+            let mut ab = SequencerAbcast::<u32>::new(group[1], group.clone()).with_batching(batch);
+            let mut out = Outbox::new();
+            let each = |ps: &[u32]| -> Vec<Vec<u32>> {
+                if batch.enabled() {
+                    vec![ps.to_vec()]
+                } else {
+                    ps.iter().map(|&p| vec![p]).collect()
+                }
+            };
+            ab.broadcast(1, &mut out); // arms the timer
+            ab.broadcast(2, &mut out); // just before the first firing
+            out.drain();
+            ab.on_timer(RETRANSMIT_TAG, &mut out);
+            assert_eq!(resent(&mut out), each(&[1]), "2 is younger than a period");
+            ab.on_timer(RETRANSMIT_TAG, &mut out);
+            assert_eq!(
+                resent(&mut out),
+                each(&[1, 2]),
+                "the next firing resends it"
+            );
+            ab.broadcast(3, &mut out);
+            out.drain();
+            ab.on_timer(RETRANSMIT_TAG, &mut out);
+            assert_eq!(resent(&mut out), each(&[1, 2]), "an old one every period");
+            // Confirming everything old leaves nothing to resend: no
+            // empty batch goes out.
+            for (gseq, seq) in [(0, 0), (1, 1)] {
+                let id = MsgId::new(group[1], seq);
+                ab.on_message(
+                    group[0],
+                    SeqAbMsg::Ordered {
+                        gseq,
+                        id,
+                        payload: 0,
+                    },
+                    &mut out,
+                );
+            }
+            ab.broadcast(4, &mut out);
+            out.drain();
+            ab.on_timer(RETRANSMIT_TAG, &mut out);
+            assert_eq!(resent(&mut out), each(&[3]));
+        }
     }
 
     #[test]

@@ -283,8 +283,10 @@ impl<'a, M: Message> Context<'a, M> {
         id
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired or unknown
-    /// timer is a no-op.
+    /// Cancels a pending timer. Only cancel an id that has not fired: the
+    /// id of a fired (or unknown) timer is never looked up again, so it
+    /// stays in the cancelled set for the rest of the run — an actor that
+    /// keeps its timer's id must forget it when the timer fires.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.core.cancelled.insert(id.0);
     }

@@ -157,3 +157,29 @@ fn lazy_update_everywhere_violates_strong_criteria_but_converges() {
         "no observable weakness despite conflicts"
     );
 }
+
+#[test]
+fn lazy_update_everywhere_converges_under_hot_updates() {
+    // 16 zero-think clients on 256 Zipf keys commit several transactions
+    // per tick at one site; last-writer-wins converges only if each of
+    // them gets a stamp of its own. Seeds where (tick, site) stamps did not.
+    for seed in [30, 47, 67, 907] {
+        let cfg = RunConfig::new(Technique::LazyUpdateEverywhere)
+            .with_servers(3)
+            .with_clients(16)
+            .with_seed(seed)
+            .with_trace(false)
+            .with_workload(
+                WorkloadSpec::default()
+                    .with_items(256)
+                    .with_skew(0.8)
+                    .with_read_ratio(0.0)
+                    .with_ops_per_txn(4)
+                    .with_txns_per_client(150)
+                    .with_think_time(SimDuration::ZERO),
+            );
+        let report = run(&cfg);
+        assert_eq!(report.ops_unanswered, 0, "seed {seed}");
+        assert!(report.converged(), "seed {seed}: replicas did not converge");
+    }
+}
