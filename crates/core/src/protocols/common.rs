@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use repl_db::{
-    AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, ReplicatedHistory, ShadowStore,
+    AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
     SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
     WriteRecord, WriteSet, WriteSetRef, WsView,
 };
@@ -795,6 +795,30 @@ impl ServerBase {
             TransferStrategy::Snapshot => {
                 self.store.install_snapshot(&t.snapshot);
                 self.note_snapshot(&t.snapshot);
+            }
+        }
+        t.high
+    }
+
+    /// [`ServerBase::install_transfer`] for a technique that mirrors its
+    /// decisions in a redo log: installs `t` from log position `from` on
+    /// (a staler transfer may have covered the prefix) and keeps `wal` in
+    /// step — a suffix extends it, a snapshot rebases it.
+    pub fn install_catch_up(&mut self, wal: &mut RedoLog, t: &Transfer, from: u64) -> u64 {
+        match t.strategy {
+            TransferStrategy::LogSuffix => {
+                self.recovery
+                    .record_transfer(t.strategy, t.wire_size() as u64);
+                for (ws, idx) in t.entries.iter().zip(t.start..) {
+                    if idx >= from {
+                        self.install_writeset(ws);
+                        wal.append(ws.clone());
+                    }
+                }
+            }
+            TransferStrategy::Snapshot => {
+                self.install_transfer(t);
+                wal.skip_to(t.high);
             }
         }
         t.high

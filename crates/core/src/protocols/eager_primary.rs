@@ -20,13 +20,13 @@ use std::sync::Arc;
 
 use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, RedoLog, TpcCoordinator,
-    TpcDecision, Transfer, TransferStrategy, TxnId, Value, WriteSet, WriteSetRef,
+    TpcDecision, Transfer, TxnId, Value, WriteSet, WriteSetRef,
 };
 use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{Context, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::impl_protocol_msg;
+use crate::client::{impl_protocol_msg, ProtocolMsg};
 use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
@@ -90,12 +90,6 @@ pub enum EagerPrimaryMsg {
     Fd(FdMsg),
     /// Server → client.
     Reply(Response),
-    /// Recovering server → group: request catch-up from the carried
-    /// redo-log position. Receipt doubles as proof of life: the donor
-    /// re-trusts the sender so subsequent decisions reach it.
-    SyncReq(u64),
-    /// Donor → recovering server: log suffix or snapshot.
-    SyncData(Box<Transfer>),
     /// Elastic-membership traffic (join / drain / reroute).
     Member(MemberMsg),
 }
@@ -112,8 +106,6 @@ impl Message for EagerPrimaryMsg {
             EagerPrimaryMsg::DecisionBatch { entries } => 8 + 24 * entries.len(),
             EagerPrimaryMsg::Fd(m) => m.wire_size(),
             EagerPrimaryMsg::Reply(r) => 8 + r.wire_size(),
-            EagerPrimaryMsg::SyncReq(_) => 16,
-            EagerPrimaryMsg::SyncData(t) => 8 + t.wire_size(),
             EagerPrimaryMsg::Member(m) => m.wire_size(),
         }
     }
@@ -163,7 +155,6 @@ pub struct EagerPrimary {
     fd: HeartbeatFd,
     /// What `fd` queued while handling one input; drained by `drive_fd`.
     fd_out: Outbox<FdMsg, FdEvent>,
-    alive: HashSet<NodeId>,
     /// Primary-side in-flight transactions.
     inflight: HashMap<TxnId, PrimaryTxn>,
     /// Ops wounded and awaiting re-execution.
@@ -182,9 +173,6 @@ pub struct EagerPrimary {
     /// may see them (the tier mirrors the *flushed* stream).
     staged_notes: Vec<WriteSet>,
     flush_armed: bool,
-    /// Initial post-crash sync: silent (no heartbeats, no participation)
-    /// until the first catch-up transfer lands.
-    recovering: bool,
     /// Filling a decision gap noticed after rejoining; participates
     /// normally while the suffix is in flight.
     resync: bool,
@@ -209,7 +197,6 @@ impl EagerPrimaryServer {
             lm: LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks),
             fd: HeartbeatFd::new(me, servers.clone(), fd),
             fd_out: Outbox::new(),
-            alive: HashSet::new(),
             inflight: HashMap::new(),
             requeue: VecDeque::new(),
             tentative: HashMap::new(),
@@ -219,7 +206,6 @@ impl EagerPrimaryServer {
             staged_replies: Vec::new(),
             staged_notes: Vec::new(),
             flush_armed: false,
-            recovering: false,
             resync: false,
             marks: site == 0,
         };
@@ -276,14 +262,8 @@ impl EagerPrimary {
     }
 
     fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, ev: FdEvent) {
-        match ev {
-            FdEvent::Suspect(n) => {
-                self.alive.remove(&n);
-                self.on_server_death(sh, ctx, n);
-            }
-            FdEvent::Trust(n) => {
-                self.alive.insert(n);
-            }
+        if let FdEvent::Suspect(n) = ev {
+            self.on_server_death(sh, ctx, n);
         }
     }
 
@@ -335,7 +315,6 @@ impl EagerPrimary {
                 self.abort_tentative(sh, txn);
             }
         }
-        let _ = ctx;
     }
 
     fn abort_tentative(&mut self, sh: &mut Shell, txn: TxnId) {
@@ -469,9 +448,6 @@ impl EagerPrimary {
                                         ws,
                                     },
                                 );
-                            }
-                            if self.marks && t.step < total {
-                                // Next EX will be marked when we resume.
                             }
                             return;
                         }
@@ -707,7 +683,8 @@ impl EagerPrimary {
     fn request_resync(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, donor: NodeId) {
         if !self.resync {
             self.resync = true;
-            ctx.send(donor, EagerPrimaryMsg::SyncReq(self.wal.len() as u64));
+            let have = Some(self.wal.len() as u64);
+            ctx.send(donor, EagerPrimaryMsg::member(MemberMsg::StateReq { have }));
         }
     }
 
@@ -739,30 +716,6 @@ impl EagerPrimary {
     /// race ahead of the snapshot).
     fn committed_snapshot(&self, sh: &Shell) -> Transfer {
         Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, self.wal.len() as u64)
-    }
-
-    /// Installs a catch-up transfer from `from` onwards, mirroring it
-    /// into the local redo log: a suffix extends the log, a snapshot
-    /// rebases it.
-    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer, from: u64) {
-        sh.base
-            .recovery
-            .record_transfer(t.strategy, t.wire_size() as u64);
-        match t.strategy {
-            TransferStrategy::LogSuffix => {
-                for (i, ws) in t.entries.iter().enumerate() {
-                    if t.start + i as u64 >= from {
-                        sh.base.install_writeset(ws);
-                        self.wal.append(ws.clone());
-                    }
-                }
-            }
-            TransferStrategy::Snapshot => {
-                sh.base.store.install_snapshot(&t.snapshot);
-                sh.base.note_snapshot(&t.snapshot);
-                self.wal.skip_to(t.high);
-            }
-        }
     }
 
     fn clear_staged(&mut self) {
@@ -813,7 +766,7 @@ impl Technique for EagerPrimary {
             // would double-apply; the donor's cache serves the retry.
             return;
         }
-        if self.recovering {
+        if sh.catching_up() {
             return; // not a member yet; the client retries elsewhere
         }
         // Read-only transactions execute locally at any secondary —
@@ -853,7 +806,7 @@ impl Technique for EagerPrimary {
         match msg {
             EagerPrimaryMsg::Invoke(op) => sh.invoke(self, ctx, op),
             EagerPrimaryMsg::Propagate { txn, step, ws } => {
-                if self.recovering {
+                if sh.catching_up() {
                     // The primary is not awaiting us while excluded. The
                     // skipped release leaks the span safely: recovery only
                     // happens in fault runs, which disarm arena GC.
@@ -881,7 +834,7 @@ impl Technique for EagerPrimary {
                 }
             }
             EagerPrimaryMsg::Prepare { txn, ws, resp } => {
-                if self.recovering {
+                if sh.catching_up() {
                     return; // not in this transaction's 2PC cohort
                 }
                 // The (single-op) writeset rides the Prepare; remember
@@ -907,7 +860,7 @@ impl Technique for EagerPrimary {
                 }
             }
             EagerPrimaryMsg::Decision { txn, commit } => {
-                if self.recovering {
+                if sh.catching_up() {
                     return; // covered by the pending state transfer
                 }
                 if !self.apply_decision(sh, txn, commit) {
@@ -915,7 +868,7 @@ impl Technique for EagerPrimary {
                 }
             }
             EagerPrimaryMsg::DecisionBatch { entries } => {
-                if self.recovering {
+                if sh.catching_up() {
                     return;
                 }
                 let mut gap = false;
@@ -929,39 +882,6 @@ impl Technique for EagerPrimary {
             EagerPrimaryMsg::Fd(m) => {
                 self.fd.on_message(from, m, &mut self.fd_out);
                 self.drive_fd(sh, ctx);
-            }
-            EagerPrimaryMsg::SyncReq(have) => {
-                if self.recovering || self.resync {
-                    return;
-                }
-                // Proof of life: re-admit the requester *before* building
-                // the transfer, so every decision from this instant on is
-                // multicast to it — the transfer covers everything prior,
-                // leaving no gap in between.
-                self.fd.trust(from, &mut self.fd_out);
-                self.drive_fd(sh, ctx);
-                let t = if self.wal.has_suffix(have) {
-                    Transfer::from_log(&self.wal, &sh.base.store, have)
-                } else {
-                    self.committed_snapshot(sh)
-                };
-                ctx.send(from, EagerPrimaryMsg::SyncData(Box::new(t)));
-            }
-            EagerPrimaryMsg::SyncData(t) => {
-                // Several donors may answer; skip the prefix an earlier
-                // (staler) transfer already installed.
-                let cur = self.wal.len() as u64;
-                if t.high > cur {
-                    self.install_catch_up(sh, &t, cur);
-                }
-                if self.recovering {
-                    self.recovering = false;
-                    // Resume heartbeats only now: announcing earlier would
-                    // draw 2PC traffic at a server with a stale store.
-                    self.restart_fd(sh, ctx);
-                }
-                self.resync = false;
-                sh.base.recovery.complete(ctx.now().ticks());
             }
             EagerPrimaryMsg::Reply(_) | EagerPrimaryMsg::Member(_) => {}
         }
@@ -985,7 +905,6 @@ impl Technique for EagerPrimary {
     fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
         // A cold joiner stays quiet (no heartbeats) until welcomed.
         if !sh.joining() {
-            self.alive = sh.servers().iter().copied().collect();
             self.fd.on_start(&mut self.fd_out);
             self.drive_fd(sh, ctx);
         }
@@ -996,15 +915,14 @@ impl Technique for EagerPrimary {
     }
 
     fn can_admit(&self, sh: &Shell) -> bool {
-        !self.recovering && !sh.rerouting()
+        !sh.rerouting()
     }
 
-    fn welcome_state(&mut self, sh: &mut Shell, joiner: NodeId) -> (Option<Transfer>, u64, u64) {
+    fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         // The view update and the snapshot are taken in one event, so the
         // joiner's log cursor matches the transferred store, and FIFO
         // links order the welcome before any later decision multicast
         // that now includes the joiner.
-        self.alive.insert(joiner);
         let cursor = self.wal.len() as u64;
         (Some(self.committed_snapshot(sh)), cursor, cursor)
     }
@@ -1018,12 +936,51 @@ impl Technique for EagerPrimary {
         _gpos: u64,
     ) {
         if let Some(t) = transfer {
-            self.install_catch_up(sh, t, 0);
+            sh.base.install_catch_up(&mut self.wal, t, 0);
         }
         sh.base.recovery.complete(ctx.now().ticks());
         // Start heartbeats now that the group knows us.
-        self.alive = sh.servers().iter().copied().collect();
         self.restart_fd(sh, ctx);
+    }
+
+    /// The redo log lets a donor ship just the suffix past `have` (a server
+    /// filling a gap of its own has a hole there, and refuses). The request
+    /// is proof of life: its sender is re-trusted *before* the transfer is
+    /// cut, so every later decision is multicast to it — no gap in between
+    /// (the queued `Trust` event is one `on_fd_event` ignores: no drive).
+    fn donate(&mut self, sh: &mut Shell, to: NodeId, have: u64) -> Option<Transfer> {
+        if self.resync {
+            return None;
+        }
+        self.fd.trust(to, &mut self.fd_out);
+        Some(if self.wal.has_suffix(have) {
+            Transfer::from_log(&self.wal, &sh.base.store, have)
+        } else {
+            self.committed_snapshot(sh)
+        })
+    }
+
+    /// Not only the first: several donors may answer, and a gap fill is a
+    /// plain `StateReq`. Whatever extends the log is installed, past the
+    /// prefix an earlier (staler) transfer already covered.
+    fn caught_up(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        t: &Transfer,
+        first: bool,
+    ) {
+        let cur = self.wal.len() as u64;
+        if t.high > cur {
+            sh.base.install_catch_up(&mut self.wal, t, cur);
+        }
+        if first {
+            // Resume heartbeats only now: announcing earlier would draw
+            // 2PC traffic at a server with a stale store.
+            self.restart_fd(sh, ctx);
+        }
+        self.resync = false;
+        sh.base.recovery.complete(ctx.now().ticks());
     }
 
     /// Local 2PC work has finished. (A drained server leaves nothing
@@ -1094,17 +1051,11 @@ impl Technique for EagerPrimary {
     }
 
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
-        if sh.servers().len() == 1 {
-            self.restart_fd(sh, ctx);
-            sh.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
         // Stay silent (no heartbeats) until the transfer lands, so the
         // acting primary keeps excluding us from 2PC cohorts meanwhile.
-        self.recovering = true;
-        let have = self.wal.len() as u64;
-        for s in sh.peers() {
-            ctx.send(s, EagerPrimaryMsg::SyncReq(have));
+        if !sh.pull_state(ctx, Some(self.wal.len() as u64)) {
+            self.restart_fd(sh, ctx);
+            sh.base.recovery.complete(ctx.now().ticks());
         }
     }
 

@@ -133,12 +133,6 @@ pub enum EulMsg {
         /// `waiter → holder` pairs.
         edges: Vec<(TxnId, TxnId)>,
     },
-    /// Recovering replica → group: request a committed-state snapshot
-    /// (all-site locking keeps no redo log; snapshots are the only
-    /// transfer form).
-    SyncReq,
-    /// Live replica → recovering replica: committed-state snapshot.
-    SyncData(Box<Transfer>),
     /// Server → client.
     Reply(Response),
     /// Elastic-membership traffic (join / drain / reroute).
@@ -159,8 +153,6 @@ impl Message for EulMsg {
             EulMsg::Decision { .. } => 24,
             EulMsg::ProbeReq => 8,
             EulMsg::ProbeEdges { edges } => 8 + edges.len() * 24,
-            EulMsg::SyncReq => 8,
-            EulMsg::SyncData(t) => 8 + t.wire_size(),
             EulMsg::Reply(r) => 8 + r.wire_size(),
             EulMsg::Member(m) => m.wire_size(),
         }
@@ -222,8 +214,6 @@ pub struct Eul {
     pub wounds: u64,
     /// Read-one/write-all: reads lock and execute locally only.
     rowa: bool,
-    /// Waiting for the first snapshot reply after a crash.
-    recovering: bool,
     /// Exec/Decision traffic that arrived mid-transfer, replayed once
     /// the snapshot lands (its writes must sit *on top* of the
     /// transferred state, not under it).
@@ -269,7 +259,6 @@ impl EulServer {
             probe_answers: 0,
             wounds: 0,
             rowa: false,
-            recovering: false,
             replay: Vec::new(),
             marks: site == 0,
             admitting: None,
@@ -768,10 +757,10 @@ impl Technique for Eul {
             }
             return;
         }
-        if (sh.joining() || self.recovering)
+        if (sh.joining() || sh.catching_up())
             && matches!(msg, EulMsg::Exec { .. } | EulMsg::Decision { .. })
         {
-            // Joining or recovering: keep granting locks, voting, and
+            // Joining or catching up: keep granting locks, voting, and
             // answering probes so the group never wedges on us, but hold
             // writes and verdicts back until the snapshot is in place.
             self.replay.push((from, msg));
@@ -779,9 +768,8 @@ impl Technique for Eul {
         }
         match msg {
             EulMsg::Invoke(op) => {
-                // A recovering delegate with a stale store would serve
-                // stale reads.
-                if !self.recovering {
+                // A delegate with a stale store would serve stale reads.
+                if !sh.catching_up() {
                     sh.invoke(self, ctx, op);
                 }
             }
@@ -926,21 +914,6 @@ impl Technique for Eul {
                 self.probe_answers += 1;
                 self.maybe_resolve_deadlock(sh, ctx);
             }
-            EulMsg::SyncReq => {
-                if !self.recovering && !sh.joining() {
-                    let t = Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, 0);
-                    ctx.send(from, EulMsg::SyncData(Box::new(t)));
-                }
-            }
-            EulMsg::SyncData(t) => {
-                if !self.recovering {
-                    return;
-                }
-                self.recovering = false;
-                sh.base.install_transfer(&t);
-                self.replay_held(sh, ctx);
-                sh.base.recovery.complete(ctx.now().ticks());
-            }
             EulMsg::Reply(_) | EulMsg::Member(_) => {}
         }
     }
@@ -971,7 +944,7 @@ impl Technique for Eul {
     }
 
     fn can_admit(&self, sh: &Shell) -> bool {
-        !self.recovering && !sh.rerouting()
+        !sh.rerouting()
     }
 
     /// Admission with a barrier: the welcome snapshot must wait until
@@ -1138,14 +1111,9 @@ impl Technique for Eul {
         if self.policy == DeadlockPolicy::Detect && sh.base.site == 0 {
             ctx.set_timer(self.detect_every, DETECT_TICK);
         }
-        if sh.servers().len() == 1 {
-            sh.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        self.recovering = true;
         self.replay.clear();
-        for s in sh.peers() {
-            ctx.send(s, EulMsg::SyncReq);
+        if !sh.pull_state(ctx, None) {
+            sh.base.recovery.complete(ctx.now().ticks());
         }
     }
 

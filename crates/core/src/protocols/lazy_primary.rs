@@ -29,7 +29,7 @@ use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WriteSetR
 use repl_gcs::BatchConfig;
 use repl_sim::{Context, Message, NodeId, SimDuration};
 
-use crate::client::impl_protocol_msg;
+use crate::client::{impl_protocol_msg, ProtocolMsg};
 use crate::durability::RestorePlan;
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
@@ -60,14 +60,6 @@ pub enum LazyPrimaryMsg {
         /// The committed redo records, in commit order.
         entries: Arc<Vec<WriteSet>>,
     },
-    /// Recovering/gapped secondary → primary: send me the log from `have`.
-    CatchUpReq {
-        /// Number of log entries the secondary has applied.
-        have: u64,
-    },
-    /// Primary → secondary: log suffix or snapshot, per the donor's
-    /// retention (boxed: the payload dwarfs the other variants).
-    CatchUpData(Box<Transfer>),
     /// Server → client.
     Reply(Response),
     /// Elastic-membership traffic (join / drain / reroute).
@@ -82,8 +74,6 @@ impl Message for LazyPrimaryMsg {
             LazyPrimaryMsg::PropagateBatch { entries, .. } => {
                 16 + entries.iter().map(|w| 8 + w.wire_size()).sum::<usize>()
             }
-            LazyPrimaryMsg::CatchUpReq { .. } => 16,
-            LazyPrimaryMsg::CatchUpData(t) => 8 + t.wire_size(),
             LazyPrimaryMsg::Reply(r) => 8 + r.wire_size(),
             LazyPrimaryMsg::Member(m) => m.wire_size(),
         }
@@ -228,34 +218,41 @@ impl LazyPrimary {
         true
     }
 
-    /// Installs a catch-up transfer: a suffix replays in log order from
-    /// the applied watermark; a snapshot replaces the store, unless it is
-    /// no newer than `floor`. Returns whether anything was installed.
-    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer, floor: Option<u64>) -> bool {
+    /// Installs a catch-up transfer and, unless it brought nothing,
+    /// records it: a suffix replays in log order from the applied
+    /// watermark; a snapshot replaces the store, unless it is no newer
+    /// than `floor`.
+    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer, floor: Option<u64>) {
         match t.strategy {
             TransferStrategy::LogSuffix => {
                 for (i, ws) in t.entries.iter().enumerate() {
                     self.apply_entry(sh, t.start + i as u64, ws);
                 }
-                !t.entries.is_empty()
+                if t.entries.is_empty() {
+                    return;
+                }
             }
             TransferStrategy::Snapshot => {
                 if floor.is_some_and(|f| t.high <= f) {
-                    return false;
+                    return;
                 }
                 sh.base.store.install_snapshot(&t.snapshot);
                 sh.base.note_snapshot(&t.snapshot);
                 self.applied = t.high;
-                true
             }
         }
+        sh.base
+            .recovery
+            .record_transfer(t.strategy, t.wire_size() as u64);
     }
 
-    /// Asks the primary for the log from the applied watermark onwards.
+    /// Asks the primary — the one donor, so no "first answer" to wait
+    /// for — for the log from the applied watermark onwards.
     fn request_catch_up(&self, sh: &Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+        let have = Some(self.applied);
         ctx.send(
             primary(sh),
-            LazyPrimaryMsg::CatchUpReq { have: self.applied },
+            LazyPrimaryMsg::member(MemberMsg::StateReq { have }),
         );
     }
 }
@@ -313,7 +310,7 @@ impl Technique for LazyPrimary {
         &mut self,
         sh: &mut Shell,
         ctx: &mut Context<'_, LazyPrimaryMsg>,
-        from: NodeId,
+        _from: NodeId,
         msg: LazyPrimaryMsg,
     ) {
         match msg {
@@ -344,25 +341,6 @@ impl Technique for LazyPrimary {
                 if gap {
                     self.request_catch_up(sh, ctx);
                 }
-            }
-            LazyPrimaryMsg::CatchUpReq { have } => {
-                // A retired ex-primary still answers: in-flight gap repairs
-                // addressed before its `ViewDrop` landed must not be lost.
-                if sh.me() == primary(sh) || sh.retired() {
-                    // Suffix while retained, snapshot once truncated past
-                    // the requester. Reply even when there is nothing to
-                    // ship so the requester's recovery clock can stop.
-                    let t = Transfer::from_log(&self.log, &sh.base.store, have);
-                    ctx.send(from, LazyPrimaryMsg::CatchUpData(Box::new(t)));
-                }
-            }
-            LazyPrimaryMsg::CatchUpData(t) => {
-                if self.install_catch_up(sh, &t, Some(self.applied)) {
-                    sh.base
-                        .recovery
-                        .record_transfer(t.strategy, t.wire_size() as u64);
-                }
-                sh.base.recovery.complete(ctx.now().ticks());
             }
             LazyPrimaryMsg::Reply(_) | LazyPrimaryMsg::Member(_) => {}
         }
@@ -407,11 +385,29 @@ impl Technique for LazyPrimary {
         _gpos: u64,
     ) {
         if let Some(t) = transfer {
-            sh.base
-                .recovery
-                .record_transfer(t.strategy, t.wire_size() as u64);
             self.install_catch_up(sh, t, None);
         }
+        sh.base.recovery.complete(ctx.now().ticks());
+    }
+
+    /// Only the primary donates — and a retired ex-primary still does:
+    /// gap repairs addressed before its `ViewDrop` landed must not be lost.
+    /// Suffix while retained, snapshot once truncated past the requester;
+    /// an empty suffix still goes out, to stop the recovery clock.
+    fn donate(&mut self, sh: &mut Shell, _to: NodeId, have: u64) -> Option<Transfer> {
+        (sh.me() == primary(sh) || sh.retired())
+            .then(|| Transfer::from_log(&self.log, &sh.base.store, have))
+    }
+
+    /// Gap repairs land here too: whatever passes the watermark installs.
+    fn caught_up(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, LazyPrimaryMsg>,
+        t: &Transfer,
+        _first: bool,
+    ) {
+        self.install_catch_up(sh, t, Some(self.applied));
         sh.base.recovery.complete(ctx.now().ticks());
     }
 

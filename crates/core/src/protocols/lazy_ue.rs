@@ -90,6 +90,9 @@ pub enum LazyUeMsg {
     /// committed state. Propagations sent during the outage were dropped
     /// and are never re-sent, so rejoin is anti-entropy: merge each
     /// peer's state under the same Thomas write rule as live traffic.
+    /// (Not the shell's `StateReq`/`StateData`: that exchange ships a
+    /// `Transfer`, which carries no stamps, and keeps the first reply
+    /// where this one merges every reply.)
     SyncReq,
     /// Peer → recovering replica: stamped committed state, key-sorted.
     SyncData {

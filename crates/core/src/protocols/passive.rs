@@ -60,11 +60,6 @@ pub enum PassiveMsg {
     },
     /// Primary → client.
     Reply(Response),
-    /// Recovering replica → group: request db-level state transfer.
-    RecoverReq,
-    /// Live member → recovering replica: the state transfer (boxed —
-    /// snapshots dwarf the other variants).
-    RecoverData(Box<Transfer>),
     /// Elastic-membership handshake (join / drain / reroute).
     Member(MemberMsg),
 }
@@ -76,8 +71,6 @@ impl Message for PassiveMsg {
             PassiveMsg::Vs(m) => 8 + m.wire_size(),
             PassiveMsg::Ack { .. } => 16,
             PassiveMsg::Reply(r) => 8 + r.wire_size(),
-            PassiveMsg::RecoverReq => 8,
-            PassiveMsg::RecoverData(t) => 8 + t.wire_size(),
             PassiveMsg::Member(m) => m.wire_size(),
         }
     }
@@ -99,8 +92,6 @@ pub struct Passive {
     /// What `vg` queued while handling one input; drained by `drive`.
     vg_out: Outbox<VsMsg<Update>, VsEvent<Update>>,
     pending: HashMap<OpId, PendingAck>,
-    /// Waiting for the first state-transfer reply after a crash.
-    recovering: bool,
     vs: VsConfig,
 }
 
@@ -122,7 +113,6 @@ impl PassiveServer {
             vg: ViewGroup::new(me, group.clone(), vs),
             vg_out: Outbox::new(),
             pending: HashMap::new(),
-            recovering: false,
             vs,
         };
         Replica::around(site, me, group, keyspace, exec, tech)
@@ -263,7 +253,7 @@ impl Technique for Passive {
     type Msg = PassiveMsg;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, op: ClientOp) {
-        if self.recovering || self.vg.is_joining() {
+        if sh.catching_up() || self.vg.is_joining() {
             return; // stale view; let the client retry elsewhere
         }
         if self.is_primary(sh) {
@@ -301,24 +291,6 @@ impl Technique for Passive {
                     }
                 }
             }
-            PassiveMsg::RecoverReq => {
-                // Any live in-view member donates; the requester keeps
-                // the first reply.
-                if !self.vg.is_excluded()
-                    && !self.vg.is_joining()
-                    && !self.recovering
-                    && !sh.joining()
-                {
-                    ctx.send(from, PassiveMsg::RecoverData(Box::new(Self::snapshot(sh))));
-                }
-            }
-            PassiveMsg::RecoverData(t) => {
-                if self.recovering {
-                    self.recovering = false;
-                    sh.base.install_transfer(&t);
-                    self.enter_view(sh, ctx);
-                }
-            }
             PassiveMsg::Reply(_) | PassiveMsg::Member(_) => {}
         }
     }
@@ -338,10 +310,6 @@ impl Technique for Passive {
         self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
     }
 
-    fn can_admit(&self, _sh: &Shell) -> bool {
-        !self.recovering
-    }
-
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         (Some(Self::snapshot(sh)), 0, 0)
     }
@@ -358,6 +326,12 @@ impl Technique for Passive {
             sh.base.install_transfer(t);
         }
         self.enter_view(sh, ctx);
+    }
+
+    /// Only a member of the installed view donates: outside it (excluded,
+    /// or readmission still pending) this store misses whole views.
+    fn donate(&mut self, sh: &mut Shell, _to: NodeId, _have: u64) -> Option<Transfer> {
+        (!self.vg.is_excluded() && !self.vg.is_joining()).then(|| Self::snapshot(sh))
     }
 
     /// Every update this node originated as primary has been acknowledged
@@ -388,14 +362,9 @@ impl Technique for Passive {
     /// after a volume restore: the tier restored a floor, and the peer
     /// snapshot covers whatever the disaster erased, if any peer is up.)
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
-        if sh.servers().len() == 1 {
+        if !sh.pull_state(ctx, None) {
             self.enter_view(sh, ctx);
             sh.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        self.recovering = true;
-        for n in sh.peers() {
-            ctx.send(n, PassiveMsg::RecoverReq);
         }
     }
 }

@@ -11,8 +11,11 @@
 //!
 //! The lifecycle is gated by a [`Status`] in the shape of `status[r]` in
 //! viewstamped replication's specification: a `Restoring` replica is deaf,
-//! a `Joining` one buffers client work until welcomed, a `Draining` or
-//! `Retired` one bounces it to the remaining members.
+//! a `Joining` one buffers client work until welcomed, a `CatchingUp` one
+//! has asked its peers for the state it missed, a `Draining` or `Retired`
+//! one bounces client work to the remaining members. Join and recovery are
+//! one state transfer — pushed in a `Welcome`, pulled with a `StateReq`,
+//! same donor, same installer: recovery is a join that remembers.
 
 use std::collections::HashSet;
 
@@ -53,6 +56,9 @@ pub enum Status {
     /// Downloading a wiped volume from the durable tier: deaf to messages
     /// and protocol timers until the download completes.
     Restoring,
+    /// Back after a crash, until the first `StateData` lands: has asked
+    /// for state, and neither donates any nor admits joiners.
+    CatchingUp,
     /// Drain started: client work is rerouted, in-flight work finishes.
     Draining,
     /// Handed off and removed from the group; stays up as a passive
@@ -104,6 +110,14 @@ pub enum MemberMsg {
         /// The leaving node.
         node: NodeId,
     },
+    /// Recovered replica → peers: send me the state I missed.
+    StateReq {
+        /// The requester's log position, where the technique keeps a log
+        /// (the donor may then ship a suffix).
+        have: Option<u64>,
+    },
+    /// Donor → recovered replica: log suffix or snapshot.
+    StateData(Box<Transfer>),
     /// Draining/retired server → client: this node no longer takes work;
     /// re-resolve against `servers` and re-submit `op` there.
     Reroute {
@@ -131,6 +145,8 @@ impl Message for MemberMsg {
                     + transfer.as_ref().map_or(0, |t| t.wire_size())
             }
             MemberMsg::ViewDrop { .. } => 12,
+            MemberMsg::StateReq { have } => 8 + have.map_or(0, |_| 8),
+            MemberMsg::StateData(t) => 8 + t.wire_size(),
             MemberMsg::Reroute { servers, .. } => 16 + 4 * servers.len(),
         }
     }
@@ -230,6 +246,34 @@ pub trait Technique: Sized + 'static {
         gpos: u64,
     );
 
+    /// Donor (the shell never asks one that is itself joining or catching
+    /// up): the state for `to`, which holds the log prefix `[0, have)`. The
+    /// default is the join snapshot, unless retired — that store froze. An
+    /// override states what differs: a retained log suffix, another gate.
+    fn donate(&mut self, sh: &mut Shell, to: NodeId, _have: u64) -> Option<Transfer> {
+        if sh.retired() {
+            return None;
+        }
+        self.welcome_state(sh, to).0
+    }
+
+    /// A `StateData` arrived; `first` marks the one that ended
+    /// [`Status::CatchingUp`] (slower donors, and answers to a `StateReq`
+    /// sent without [`Shell::pull_state`], come unmarked). The default
+    /// installs the first like a welcome — at stream coordinates (0, 0),
+    /// which fast-forward no cursor the replica kept — and drops the rest.
+    fn caught_up(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, Self::Msg>,
+        t: &Transfer,
+        first: bool,
+    ) {
+        if first {
+            self.welcomed(sh, ctx, Some(t), 0, 0);
+        }
+    }
+
     /// A decommissioned member left (the view is already shrunk);
     /// `was_first` tells whether it held rank 0.
     fn member_left(
@@ -304,6 +348,8 @@ pub struct Shell {
     servers: Vec<NodeId>,
     /// Never [`Status::Restoring`]: that state is the durable tier's.
     membership: Status,
+    /// Set by [`Shell::pull_state`], cleared by the first `StateData`.
+    catching_up: bool,
     /// Client operations buffered while joining.
     buffered: Vec<ClientOp>,
     /// Operations answered group-wide before this node joined (the
@@ -339,9 +385,16 @@ impl Shell {
     pub fn status(&self) -> Status {
         if self.base.restoring() {
             Status::Restoring
+        } else if self.catching_up {
+            Status::CatchingUp
         } else {
             self.membership
         }
+    }
+
+    /// True from [`Shell::pull_state`] until the first `StateData`.
+    pub fn catching_up(&self) -> bool {
+        self.catching_up
     }
 
     /// True from boot until the join handshake completes.
@@ -495,6 +548,23 @@ impl Shell {
         ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
     }
 
+    /// Recovery's pull: asks every peer for the state this replica missed
+    /// (`have` as in [`MemberMsg::StateReq`]); the first answer wins.
+    /// Returns false for a lone member — nobody to ask, nothing missed.
+    pub fn pull_state<M: ProtocolMsg>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        have: Option<u64>,
+    ) -> bool {
+        let mut asked = false;
+        for n in self.peers() {
+            ctx.send(n, M::member(MemberMsg::StateReq { have }));
+            asked = true;
+        }
+        self.catching_up = asked;
+        asked
+    }
+
     fn on_member<T: Technique>(
         &mut self,
         tech: &mut T,
@@ -504,7 +574,8 @@ impl Shell {
     ) {
         match m {
             MemberMsg::JoinReq => {
-                if self.is_coordinator() && !self.joining() && tech.can_admit(self) {
+                let has_state = !self.joining() && !self.catching_up;
+                if self.is_coordinator() && has_state && tech.can_admit(self) {
                     tech.admit(self, ctx, from);
                 }
             }
@@ -533,6 +604,20 @@ impl Shell {
                 self.servers.retain(|n| n != node);
                 tech.view_changed(self);
                 tech.member_left(self, ctx, *node, was_first);
+            }
+            MemberMsg::StateReq { have } => {
+                // Whoever still waits for state has none to give: a cold
+                // joiner's empty store must never end someone's recovery.
+                if self.joining() || self.catching_up {
+                    return;
+                }
+                if let Some(t) = tech.donate(self, from, have.unwrap_or(0)) {
+                    ctx.send(from, T::Msg::member(MemberMsg::StateData(Box::new(t))));
+                }
+            }
+            MemberMsg::StateData(t) => {
+                let first = std::mem::take(&mut self.catching_up);
+                tech.caught_up(self, ctx, t, first);
             }
             MemberMsg::Reroute { .. } => {}
         }
@@ -563,6 +648,7 @@ impl<T: Technique> Replica<T> {
                 me,
                 servers: group,
                 membership: Status::Normal,
+                catching_up: false,
                 buffered: Vec::new(),
                 answered: HashSet::new(),
                 shard: None,
@@ -727,6 +813,12 @@ pub(crate) mod tests {
         quiet: bool,
         /// Lifecycle hooks in call order; `rejoin` carries its time.
         log: Vec<(&'static str, u64)>,
+        /// `rejoin` pulls state (from log position 7).
+        pulls: bool,
+        /// Has a join snapshot, hence (by default) state to donate.
+        donor: bool,
+        /// Every `caught_up` call: the transfer's watermark and `first`.
+        transfers: Vec<(u64, bool)>,
     }
 
     impl Technique for Stub {
@@ -766,8 +858,18 @@ pub(crate) mod tests {
         fn view_changed(&mut self, _sh: &mut Shell) {
             self.views += 1;
         }
-        fn welcome_state(&mut self, _sh: &mut Shell, _j: NodeId) -> (Option<Transfer>, u64, u64) {
-            (None, 0, 0)
+        fn welcome_state(&mut self, sh: &mut Shell, _j: NodeId) -> (Option<Transfer>, u64, u64) {
+            let snapshot = self.donor.then(|| Transfer::snapshot(&sh.base.store, 0));
+            (snapshot, 0, 0)
+        }
+        fn caught_up(
+            &mut self,
+            _sh: &mut Shell,
+            _ctx: &mut Context<'_, StubMsg>,
+            t: &Transfer,
+            first: bool,
+        ) {
+            self.transfers.push((t.high, first));
         }
         fn welcomed(
             &mut self,
@@ -794,8 +896,11 @@ pub(crate) mod tests {
         fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
             self.log.push(("rewind_to", plan.token));
         }
-        fn rejoin(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>) {
+        fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>) {
             self.log.push(("rejoin", ctx.now().ticks()));
+            if self.pulls {
+                sh.pull_state(ctx, Some(7));
+            }
         }
         fn position(&self, _sh: &Shell) -> u64 {
             1_000 + self.invoked.len() as u64
@@ -1019,6 +1124,166 @@ pub(crate) mod tests {
         assert!(!r.tech.ticks.iter().any(deaf), "deaf to protocol timers");
         assert!(r.tech.pings.iter().any(|&t| t > back));
         assert!(r.tech.ticks.iter().any(|&t| t > back));
+    }
+
+    fn state_req(have: Option<u64>) -> StubMsg {
+        StubMsg::Member(MemberMsg::StateReq { have })
+    }
+
+    fn state_data(high: u64) -> StubMsg {
+        let t = Transfer::snapshot(&repl_db::Store::new(), high);
+        StubMsg::Member(MemberMsg::StateData(Box::new(t)))
+    }
+
+    fn count(p: &Probe, f: fn(&MemberMsg) -> bool) -> usize {
+        p.got
+            .iter()
+            .filter(|(_, m)| m.as_member().is_some_and(f))
+            .count()
+    }
+
+    /// A pulling replica among `group` that crashes at 1 000 and is back
+    /// at 2 000, next to one scripted peer per entry of `scripts`.
+    fn pull_run(
+        group: &[u32],
+        donor: bool,
+        scripts: Vec<Vec<(u64, NodeId, StubMsg)>>,
+    ) -> (World<StubMsg>, NodeId, Vec<NodeId>) {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(7));
+        let mut r = replica(0, group);
+        r.tech.pulls = true;
+        r.tech.donor = donor;
+        let node = world.add_actor(Box::new(r));
+        let peers = scripts
+            .into_iter()
+            .map(|s| world.add_actor(probe(s)))
+            .collect();
+        world.schedule_crash(SimTime::from_ticks(1_000), node);
+        world.schedule_recover(SimTime::from_ticks(2_000), node);
+        world.start();
+        (world, node, peers)
+    }
+
+    #[test]
+    fn a_recovered_replica_asks_every_peer_once_and_a_lone_one_nobody() {
+        let (mut world, node, peers) = pull_run(&[0, 1, 2], false, vec![vec![], vec![]]);
+        at(&mut world, 5_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.shell.status(), Status::CatchingUp);
+        assert!(r.shell.catching_up());
+        for p in peers {
+            let p = world.actor_ref::<Probe>(p);
+            let asked = |m: &MemberMsg| matches!(m, MemberMsg::StateReq { have: Some(7) });
+            assert_eq!(count(p, asked), 1, "one StateReq per peer");
+        }
+        // Alone in its view: nobody to ask, nothing to wait for.
+        let (mut world, node, peers) = pull_run(&[0], false, vec![vec![]]);
+        at(&mut world, 5_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.tech.log, vec![("recovering", 0), ("rejoin", 2_000)]);
+        assert_eq!(r.shell.status(), Status::Normal);
+        assert!(world.actor_ref::<Probe>(peers[0]).got.is_empty());
+    }
+
+    #[test]
+    fn the_first_state_data_ends_catch_up_and_later_ones_say_so() {
+        let (mut world, node, _) = pull_run(
+            &[0, 1, 2],
+            false,
+            vec![
+                vec![(2_500, n(0), state_data(1))],
+                vec![(3_500, n(0), state_data(2))],
+            ],
+        );
+        at(&mut world, 2_400);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.shell.status(), Status::CatchingUp);
+        at(&mut world, 3_400);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.shell.status(), Status::Normal, "the first answer wins");
+        assert_eq!(r.tech.transfers, vec![(1, true)]);
+        at(&mut world, 5_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.tech.transfers, vec![(1, true), (2, false)]);
+        assert_eq!(r.shell.status(), Status::Normal);
+    }
+
+    #[test]
+    fn a_replica_waiting_for_state_never_donates_any() {
+        let data = |m: &MemberMsg| matches!(m, MemberMsg::StateData(_));
+        // Catching up itself: silent until its own transfer landed.
+        let (mut world, _, peers) = pull_run(
+            &[0, 1],
+            true,
+            vec![vec![
+                (500, n(0), state_req(None)),
+                (2_500, n(0), state_req(None)),
+                (3_000, n(0), state_data(0)),
+                (3_500, n(0), state_req(Some(3))),
+            ]],
+        );
+        at(&mut world, 900);
+        assert_eq!(count(world.actor_ref::<Probe>(peers[0]), data), 1);
+        at(&mut world, 3_400);
+        assert_eq!(count(world.actor_ref::<Probe>(peers[0]), data), 1);
+        at(&mut world, 5_000);
+        assert_eq!(count(world.actor_ref::<Probe>(peers[0]), data), 2);
+        // A cold joiner before its welcome: an empty store is no answer.
+        let mut world: World<StubMsg> = World::new(SimConfig::new(8));
+        let asker = world.add_actor(probe(vec![(300, n(1), state_req(Some(0)))]));
+        let mut joiner = replica(1, &[0, 1]);
+        joiner.tech.donor = true;
+        joiner.begin_join();
+        world.add_actor(Box::new(joiner));
+        world.start();
+        at(&mut world, 4_000);
+        assert_eq!(count(world.actor_ref::<Probe>(asker), data), 0);
+    }
+
+    #[test]
+    fn restoring_outranks_catching_up() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(9));
+        let mut r = replica(0, &[0, 1]);
+        r.tech.pulls = true;
+        r.equip(
+            &DurabilityConfig::with_upload_lag(1_000),
+            false,
+            repl_db::shared_arena(),
+        );
+        let node = world.add_actor(Box::new(r));
+        world.add_actor(probe(vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))]));
+        world.schedule_crash(SimTime::from_ticks(1_000), node);
+        world.schedule_recover(SimTime::from_ticks(2_000), node);
+        // Still catching up (the peer never answers) when the volume goes.
+        world.schedule_volume_loss(SimTime::from_ticks(3_000), node);
+        world.schedule_recover(SimTime::from_ticks(4_000), node);
+        world.start();
+        at(&mut world, 2_900);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.shell.status(), Status::CatchingUp);
+        at(&mut world, 4_100);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert!(r.shell.catching_up());
+        assert_eq!(r.shell.status(), Status::Restoring);
+        at(&mut world, 25_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(
+            r.shell.status(),
+            Status::CatchingUp,
+            "the rejoin pulls again"
+        );
+    }
+
+    #[test]
+    fn the_state_exchange_is_sized_like_the_pairs_it_replaced() {
+        // The six per-technique pairs: a bare request 8 bytes, one with a
+        // log position 16, a reply 8 + the transfer.
+        assert_eq!(MemberMsg::StateReq { have: None }.wire_size(), 8);
+        assert_eq!(MemberMsg::StateReq { have: Some(9) }.wire_size(), 16);
+        let t = Transfer::snapshot(&repl_db::Store::with_items(16, Value(0)), 5);
+        assert!(t.wire_size() > 16 * 40);
+        let data = MemberMsg::StateData(Box::new(t.clone()));
+        assert_eq!(data.wire_size(), 8 + t.wire_size());
     }
 
     #[test]

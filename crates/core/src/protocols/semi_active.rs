@@ -58,12 +58,6 @@ pub enum SemiActiveMsg {
     Vs(VsMsg<Choice>),
     /// Replica → client.
     Reply(Response),
-    /// Recovering replica → group: request a state snapshot.
-    SyncReq,
-    /// Live member → recovering replica: snapshot stamped with the
-    /// donor's applied watermark (missed leader choices cannot be
-    /// replayed, so the gap is covered by state, not re-execution).
-    SyncData(Box<Transfer>),
     /// Elastic-membership handshake (join / drain / reroute).
     Member(MemberMsg),
 }
@@ -75,8 +69,6 @@ impl Message for SemiActiveMsg {
             SemiActiveMsg::Ab(m) => m.wire_size(),
             SemiActiveMsg::Vs(m) => 8 + m.wire_size(),
             SemiActiveMsg::Reply(r) => 8 + r.wire_size(),
-            SemiActiveMsg::SyncReq => 8,
-            SemiActiveMsg::SyncData(t) => 8 + t.wire_size(),
             SemiActiveMsg::Member(m) => m.wire_size(),
         }
     }
@@ -92,8 +84,6 @@ pub struct SemiActive {
     /// What `vg` queued while handling one input; drained by `drive_vs`.
     vg_out: Outbox<VsMsg<Choice>, VsEvent<Choice>>,
     relayed: HashSet<OpId>,
-    /// Waiting for the first snapshot reply after a crash.
-    recovering: bool,
     /// Ordered-but-not-yet-applied operations, by global sequence.
     waiting: BTreeMap<u64, ClientOp>,
     next_apply: u64,
@@ -122,7 +112,6 @@ impl SemiActiveServer {
             vg: ViewGroup::new(me, group.clone(), vs),
             vg_out: Outbox::new(),
             relayed: HashSet::new(),
-            recovering: false,
             waiting: BTreeMap::new(),
             next_apply: 0,
             choices: HashMap::new(),
@@ -339,22 +328,6 @@ impl Technique for SemiActive {
                 repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
                 self.drive_vs(sh, ctx);
             }
-            SemiActiveMsg::SyncReq => {
-                if !self.recovering
-                    && !self.vg.is_excluded()
-                    && !self.vg.is_joining()
-                    && !sh.joining()
-                {
-                    ctx.send(from, SemiActiveMsg::SyncData(Box::new(self.snapshot(sh))));
-                }
-            }
-            SemiActiveMsg::SyncData(t) => {
-                if self.recovering {
-                    self.recovering = false;
-                    self.install_snapshot(sh, &t);
-                    self.enter_groups(sh, ctx);
-                }
-            }
             SemiActiveMsg::Reply(_) | SemiActiveMsg::Member(_) => {}
         }
     }
@@ -390,10 +363,6 @@ impl Technique for SemiActive {
         self.ab.set_group(sh.servers().to_vec());
     }
 
-    fn can_admit(&self, _sh: &Shell) -> bool {
-        !self.recovering
-    }
-
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         // Every ordered request past `next_apply` reaches the joiner,
         // everything below is in the snapshot. The applied cursor counts
@@ -416,6 +385,12 @@ impl Technique for SemiActive {
         }
         self.ab.skip_to(pos, gpos);
         self.enter_groups(sh, ctx);
+    }
+
+    /// Only a member of the installed view donates: outside it (excluded,
+    /// or readmission still pending) this store misses leader choices.
+    fn donate(&mut self, sh: &mut Shell, _to: NodeId, _have: u64) -> Option<Transfer> {
+        (!self.vg.is_excluded() && !self.vg.is_joining()).then(|| self.snapshot(sh))
     }
 
     fn quiesced(&self, _sh: &Shell) -> bool {
@@ -448,19 +423,14 @@ impl Technique for SemiActive {
     fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
         // The leader choices behind the erased suffix are gone, so (as
         // with plain crashes) the remaining gap is covered by a peer
-        // snapshot through the normal SyncReq path afterwards.
+        // snapshot through the normal catch-up afterwards.
         self.next_apply = plan.token;
         self.ab.rewind_to(plan.token);
     }
 
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
-        if sh.servers().len() == 1 {
+        if !sh.pull_state(ctx, None) {
             self.enter_groups(sh, ctx);
-            return;
-        }
-        self.recovering = true;
-        for n in sh.peers() {
-            ctx.send(n, SemiActiveMsg::SyncReq);
         }
     }
 

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSetRef};
+use repl_db::{Keyspace, RedoLog, Transfer, WriteSetRef};
 use repl_gcs::{
     ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, FdConfig, FdEvent, FdMsg, HeartbeatFd,
     Outbox,
@@ -25,7 +25,7 @@ use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{MemberMsg, Replica, Shell, Status, Technique};
 
 /// What a deferred coordinator proposes for a slot: the operation it
 /// picked, the update its execution produced, and the client response.
@@ -41,12 +41,8 @@ pub struct Proposal {
 
 impl Message for Proposal {
     fn wire_size(&self) -> usize {
-        op_size(&self.op) + self.ws.wire_size() + self.resp.wire_size()
+        self.op.wire_size() + self.ws.wire_size() + self.resp.wire_size()
     }
-}
-
-fn op_size(op: &ClientOp) -> usize {
-    op.wire_size()
 }
 
 /// Timer-tag base of the embedded consensus pool; slot-deferral timers use
@@ -70,11 +66,6 @@ pub enum SemiPassiveMsg {
     Fd(FdMsg),
     /// Server → client.
     Reply(Response),
-    /// Recovering server → group: request catch-up from the carried
-    /// decision-log position.
-    SyncReq(u64),
-    /// Live server → recovering server: log suffix or snapshot.
-    SyncData(Box<Transfer>),
     /// Elastic-membership traffic (join / drain / reroute).
     Member(MemberMsg),
 }
@@ -86,8 +77,6 @@ impl Message for SemiPassiveMsg {
             SemiPassiveMsg::Cons(c) => 8 + c.wire_size(),
             SemiPassiveMsg::Fd(m) => m.wire_size(),
             SemiPassiveMsg::Reply(r) => 8 + r.wire_size(),
-            SemiPassiveMsg::SyncReq(_) => 16,
-            SemiPassiveMsg::SyncData(t) => 8 + t.wire_size(),
             SemiPassiveMsg::Member(m) => m.wire_size(),
         }
     }
@@ -113,8 +102,6 @@ pub struct SemiPassive {
     /// Decided writesets in slot order (slot == log index), so live
     /// servers can donate a catch-up suffix to a recovering peer.
     wal: RedoLog,
-    /// Waiting for the first catch-up reply after a crash.
-    recovering: bool,
     marks: bool,
 }
 
@@ -145,7 +132,6 @@ impl SemiPassiveServer {
             next_slot: 0,
             engaged_slot: None,
             wal: RedoLog::new(),
-            recovering: false,
             marks: site == 0,
         };
         Replica::around(site, me, group, keyspace, exec, tech)
@@ -171,7 +157,8 @@ impl SemiPassive {
     }
 
     fn engage(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
-        if self.recovering || self.pending.is_empty() || self.engaged_slot == Some(self.next_slot) {
+        if sh.catching_up() || self.pending.is_empty() || self.engaged_slot == Some(self.next_slot)
+        {
             return;
         }
         self.engaged_slot = Some(self.next_slot);
@@ -282,20 +269,23 @@ impl SemiPassive {
         self.drive_fd(sh, ctx);
     }
 
-    /// Installs a catch-up transfer and moves the slot cursor past it:
-    /// a suffix extends the decision log, a snapshot rebases it.
-    fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer) {
-        let high = sh.base.install_transfer(t);
-        match t.strategy {
-            TransferStrategy::LogSuffix => {
-                for ws in &t.entries {
-                    self.wal.append(ws.clone());
-                }
-            }
-            TransferStrategy::Snapshot => self.wal.skip_to(high),
+    /// Installs the bootstrap or catch-up state, moves the slot cursor
+    /// past it and re-enters any instance still undecided group-wide.
+    fn resume_from(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiPassiveMsg>,
+        t: Option<&Transfer>,
+    ) {
+        if let Some(t) = t {
+            let high = sh.base.install_catch_up(&mut self.wal, t, 0);
+            self.next_slot = self.next_slot.max(high);
+            self.decided = self.decided.split_off(&self.next_slot);
         }
-        self.next_slot = self.next_slot.max(high);
-        self.decided = self.decided.split_off(&self.next_slot);
+        self.engaged_slot = None;
+        sh.base.recovery.complete(ctx.now().ticks());
+        self.pool.resume(&mut self.pool_out);
+        self.drive_pool(sh, ctx);
     }
 }
 
@@ -303,7 +293,7 @@ impl Technique for SemiPassive {
     type Msg = SemiPassiveMsg;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>, op: ClientOp) {
-        if self.recovering || self.pending.contains_key(&op.id) {
+        if sh.catching_up() || self.pending.contains_key(&op.id) {
             return;
         }
         self.pending.insert(op.id, op.clone());
@@ -323,9 +313,7 @@ impl Technique for SemiPassive {
         match msg {
             SemiPassiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             SemiPassiveMsg::Fwd(op) => {
-                if !self.recovering
-                    && !sh.joining()
-                    && !sh.rerouting()
+                if sh.status() == Status::Normal
                     && sh.base.cached(op.id).is_none()
                     && !self.pending.contains_key(&op.id)
                 {
@@ -340,26 +328,6 @@ impl Technique for SemiPassive {
             SemiPassiveMsg::Fd(m) => {
                 repl_gcs::Component::on_message(&mut self.fd, from, m, &mut self.fd_out);
                 self.drive_fd(sh, ctx);
-            }
-            SemiPassiveMsg::SyncReq(have) => {
-                if !self.recovering && !sh.joining() {
-                    let t = Transfer::from_log(&self.wal, &sh.base.store, have);
-                    ctx.send(from, SemiPassiveMsg::SyncData(Box::new(t)));
-                }
-            }
-            SemiPassiveMsg::SyncData(t) => {
-                if !self.recovering {
-                    return;
-                }
-                self.recovering = false;
-                self.install_catch_up(sh, &t);
-                self.engaged_slot = None;
-                sh.base.recovery.complete(ctx.now().ticks());
-                // Re-enter any instance still undecided group-wide, then
-                // start working the backlog again.
-                self.pool.resume(&mut self.pool_out);
-                self.drive_pool(sh, ctx);
-                self.engage(sh, ctx);
             }
             SemiPassiveMsg::Reply(_) | SemiPassiveMsg::Member(_) => {}
         }
@@ -400,7 +368,7 @@ impl Technique for SemiPassive {
     }
 
     fn can_admit(&self, sh: &Shell) -> bool {
-        !self.recovering && !sh.rerouting()
+        !sh.rerouting()
     }
 
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
@@ -419,16 +387,29 @@ impl Technique for SemiPassive {
         _pos: u64,
         _gpos: u64,
     ) {
-        if let Some(t) = transfer {
-            self.install_catch_up(sh, t);
-        }
-        self.engaged_slot = None;
-        sh.base.recovery.complete(ctx.now().ticks());
-        // Start heartbeats now that the group knows us and re-enter any
-        // undecided instance; the buffered backlog follows.
+        // Start heartbeats now that the group knows us; the buffered
+        // backlog follows.
         self.restart_fd(sh, ctx);
-        self.pool.resume(&mut self.pool_out);
-        self.drive_pool(sh, ctx);
+        self.resume_from(sh, ctx, transfer);
+    }
+
+    /// The decision log lets a donor ship just the suffix past `have`
+    /// (a snapshot once retention truncated it).
+    fn donate(&mut self, sh: &mut Shell, _to: NodeId, have: u64) -> Option<Transfer> {
+        Some(Transfer::from_log(&self.wal, &sh.base.store, have))
+    }
+
+    /// A welcome minus the heartbeat restart: `rejoin` already did it.
+    fn caught_up(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Context<'_, SemiPassiveMsg>,
+        t: &Transfer,
+        first: bool,
+    ) {
+        if first {
+            self.resume_from(sh, ctx, Some(t));
+        }
     }
 
     fn member_left(
@@ -483,15 +464,8 @@ impl Technique for SemiPassive {
         // clients re-forward anything genuinely unanswered.
         self.pending.clear();
         self.engaged_slot = None;
-        if sh.servers().len() == 1 {
-            self.pool.resume(&mut self.pool_out);
-            self.drive_pool(sh, ctx);
-            sh.base.recovery.complete(ctx.now().ticks());
-            return;
-        }
-        self.recovering = true;
-        for m in sh.peers() {
-            ctx.send(m, SemiPassiveMsg::SyncReq(self.next_slot));
+        if !sh.pull_state(ctx, Some(self.next_slot)) {
+            self.resume_from(sh, ctx, None);
         }
     }
 
