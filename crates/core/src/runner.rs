@@ -726,8 +726,13 @@ struct ServerFold {
 /// site, and the arena they shared is read once. Convergence
 /// fingerprints come from the nodes `converges` admits only — a drained
 /// node's store is legitimately frozen at its departure.
+///
+/// Each replica's history is *taken*: every replica records under its
+/// own site only, so the fold moves whole site logs and the run never
+/// holds a second copy. Nothing reads a replica's history after this —
+/// [`report`] reads `fold.history` and the world's metrics and trace.
 fn fold_servers<T: Flow>(
-    world: &World<T::Msg>,
+    world: &mut World<T::Msg>,
     cfg: &RunConfig,
     arena: &repl_db::SharedArena,
     nodes: u32,
@@ -749,9 +754,9 @@ fn fold_servers<T: Flow>(
     let d = &mut fold.durability;
     for site in 0..nodes {
         let node = NodeId::new(site);
-        let srv = world.actor_ref::<Replica<T>>(node);
+        let srv = world.actor_mut::<Replica<T>>(node);
+        fold.history.absorb(take(&mut srv.shell.base.history));
         let base = &srv.shell.base;
-        fold.history.merge(&base.history);
         if converges(node) {
             fold.fingerprints.push(base.store.fingerprint());
         }
@@ -1164,7 +1169,9 @@ fn drive<T: Flow>(
     // Collect from every node that was ever a member (joiners included);
     // convergence is judged over the *final* membership only.
     let drained = cfg.membership.drained_nodes();
-    let fold = fold_servers::<T>(&world, cfg, &arena, nodes, |node| !drained.contains(&node));
+    let fold = fold_servers::<T>(&mut world, cfg, &arena, nodes, |node| {
+        !drained.contains(&node)
+    });
     report(cfg, &world, founders, completion, tally, fold, sharding)
 }
 
@@ -1240,6 +1247,25 @@ mod tests {
                 .check_one_copy_serializable()
                 .unwrap_or_else(|e| panic!("{technique}: {e}"));
         }
+    }
+
+    #[test]
+    fn each_replica_log_reaches_the_report_exactly_once() {
+        // Fault-free Active, update-only: every replica executes every
+        // write once, so the folded history holds exactly one copy of
+        // each replica's log.
+        let cfg = small(Technique::Active).with_servers(3).with_workload(
+            WorkloadSpec::default()
+                .with_items(32)
+                .with_txns_per_client(5)
+                .with_ops_per_txn(3)
+                .with_read_ratio(0.0),
+        );
+        let report = run(&cfg);
+        let w = &cfg.workload;
+        let expected = cfg.servers * cfg.clients * w.txns_per_client * w.ops_per_txn;
+        assert_eq!(report.history.len(), expected as usize);
+        report.check_one_copy_serializable().expect("Active is 1SR");
     }
 
     #[test]

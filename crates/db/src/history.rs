@@ -8,44 +8,81 @@
 //! (Bernstein, Hadzilacos & Goodman 1987) — the paper's correctness
 //! criterion for database replication (Section 4.1).
 //!
-//! Recording is plain appends to the site logs; the graph is built when
-//! it is read, in one linear pass, from the **covering edges** of each
-//! (site, key) stream of committed accesses: write → next write, write →
-//! each read before the next write, and each read → the next write.
-//! Every covering edge joins two conflicting accesses in stream order,
-//! and every conflicting pair is joined by a path of covering edges, so
-//! the covering graph is a subgraph of the all-pairs conflict graph with
-//! the same transitive closure: it is cyclic iff the all-pairs graph is,
-//! and — a node being ready exactly when all its ancestors are out —
-//! smallest-ready-first topological sorting yields the same witness
-//! order. There are at most two covering edges per committed access.
+//! Recording is a plain append to the site's log, which carries its own
+//! purge index (the seq of each transaction's first op there), so
+//! merging the histories of distinct sites moves whole logs
+//! ([`ReplicatedHistory::absorb`]) and copies nothing. The graph is
+//! built when it is read, in one linear pass, from the **covering
+//! edges** of each (site, key) stream of committed accesses: write →
+//! next write, write → each read before the next write, and each read →
+//! the next write. Every covering edge joins two conflicting accesses in
+//! stream order, and every conflicting pair is joined by a path of
+//! covering edges, so the covering graph is a subgraph of the all-pairs
+//! conflict graph with the same transitive closure: it is cyclic iff the
+//! all-pairs graph is, and — a node being ready exactly when all its
+//! ancestors are out — smallest-ready-first topological sorting yields
+//! the same witness order. There are at most two covering edges per
+//! committed access.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::hash::FxHashMap;
 use crate::item::{AccessKind, Key, TxnId};
 
-/// One physical operation as recorded by a site.
+/// One physical operation as recorded by a site (the site is the log's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistOp {
-    /// The recording site.
-    pub site: u32,
+struct HistOp {
     /// The transaction performing the access.
-    pub txn: TxnId,
+    txn: TxnId,
     /// The logical item accessed (this site's physical copy).
-    pub key: Key,
+    key: Key,
     /// Read or write.
-    pub kind: AccessKind,
+    kind: AccessKind,
 }
 
 /// One site's operation stream. Each op carries a site-local sequence
 /// number that survives `purge` compaction, so a transaction's ops can
-/// be found again by binary search.
+/// be found again by binary search from the seq of its first op.
 #[derive(Debug, Clone, Default)]
 struct SiteLog {
     next_seq: u64,
     ops: Vec<(u64, HistOp)>,
+    /// The purge index: the seq of each transaction's first op in `ops`.
+    /// One flat table entry per transaction, no per-transaction heap
+    /// allocation, and it travels with the log when histories merge.
+    first: FxHashMap<TxnId, u64>,
+}
+
+impl SiteLog {
+    fn push(&mut self, op: HistOp) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.first.entry(op.txn).or_insert(seq);
+        self.ops.push((seq, op));
+    }
+
+    /// Removes every op of `txn`, compacting from its first one onward
+    /// (an aborted attempt's ops are recent, so the tail that moves is
+    /// short). Returns how many ops were removed.
+    fn purge(&mut self, txn: TxnId) -> usize {
+        let Some(first_seq) = self.first.remove(&txn) else {
+            return 0;
+        };
+        let ops = &mut self.ops;
+        let from = ops.partition_point(|&(seq, _)| seq < first_seq);
+        let mut kept = from;
+        for i in from..ops.len() {
+            if ops[i].1.txn != txn {
+                ops[kept] = ops[i];
+                kept += 1;
+            }
+        }
+        let removed = ops.len() - kept;
+        ops.truncate(kept);
+        removed
+    }
 }
 
 /// A multi-site execution history.
@@ -66,12 +103,10 @@ struct SiteLog {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReplicatedHistory {
-    /// Per-site operation streams, in execution order.
+    /// Per-site operation streams, in execution order, each with its own
+    /// purge index.
     per_site: FxHashMap<u32, SiteLog>,
     committed: HashSet<TxnId>,
-    /// Where every transaction's ops sit — (site, site seq), ascending
-    /// per site — so `purge` finds them without scanning the logs.
-    ops_by_txn: FxHashMap<TxnId, Vec<(u32, u64)>>,
     total_ops: usize,
     /// When set, `record`/`mark_committed` are no-ops: the open-loop
     /// scale path trades post-run serializability checking for constant
@@ -135,19 +170,8 @@ impl ReplicatedHistory {
         if self.paused {
             return;
         }
-        let log = self.per_site.entry(site).or_default();
-        let seq = log.next_seq;
-        log.next_seq += 1;
-        log.ops.push((
-            seq,
-            HistOp {
-                site,
-                txn,
-                key,
-                kind,
-            },
-        ));
-        self.ops_by_txn.entry(txn).or_default().push((site, seq));
+        let op = HistOp { txn, key, kind };
+        self.per_site.entry(site).or_default().push(op);
         self.total_ops += 1;
     }
 
@@ -180,50 +204,48 @@ impl ReplicatedHistory {
     /// attempt's operations must not count once the retry commits).
     pub fn purge(&mut self, txn: TxnId) {
         self.committed.remove(&txn);
-        let Some(mut ops) = self.ops_by_txn.remove(&txn) else {
-            return;
-        };
-        self.total_ops -= ops.len();
-        ops.sort_unstable();
-        // One compaction per touched site, from the transaction's first
-        // op there onward: an aborted attempt's ops are recent, so the
-        // tail that moves is short.
-        for at_site in ops.chunk_by(|a, b| a.0 == b.0) {
-            let (site, first_seq) = at_site[0];
-            let log = &mut self
-                .per_site
-                .get_mut(&site)
-                .expect("indexed ops were recorded at this site")
-                .ops;
-            let first = log.partition_point(|&(seq, _)| seq < first_seq);
-            let mut kept = first;
-            for i in first..log.len() {
-                if log[i].1.txn != txn {
-                    log[kept] = log[i];
-                    kept += 1;
-                }
-            }
-            log.truncate(kept);
+        // Removal counts add up, so the map order is unobservable.
+        for log in self.per_site.values_mut() {
+            self.total_ops -= log.purge(txn);
         }
     }
 
-    /// Merges another history (e.g. collected from another site's actor).
-    pub fn merge(&mut self, other: &ReplicatedHistory) {
+    /// Merges another history into this one by move (e.g. a replica's
+    /// history at the end of a run). A site new here takes `other`'s log
+    /// whole, purge index included; a site present in both gets
+    /// `other`'s ops appended in order. A paused history ignores it.
+    pub fn absorb(&mut self, other: ReplicatedHistory) {
         if self.paused {
             return;
         }
         // Site logs are independent streams and `committed` is a set, so
         // the map iteration order cannot reach anything observable.
-        for (&site, log) in &other.per_site {
-            let mine = &mut self.per_site.entry(site).or_default().ops;
-            mine.reserve(log.ops.len());
-            for &(_, op) in &log.ops {
-                self.record(site, op.txn, op.key, op.kind);
+        for (site, log) in other.per_site {
+            self.total_ops += log.ops.len();
+            match self.per_site.entry(site) {
+                Entry::Vacant(slot) => {
+                    slot.insert(log);
+                }
+                Entry::Occupied(mut mine) => {
+                    let mine = mine.get_mut();
+                    mine.ops.reserve(log.ops.len());
+                    for (_, op) in log.ops {
+                        mine.push(op);
+                    }
+                }
             }
         }
-        for &txn in &other.committed {
-            self.mark_committed(txn);
+        if self.committed.is_empty() {
+            self.committed = other.committed;
+        } else {
+            self.committed.extend(other.committed);
         }
+    }
+
+    /// Merges a copy of another history: [`absorb`](Self::absorb) for a
+    /// history the caller keeps.
+    pub fn merge(&mut self, other: &ReplicatedHistory) {
+        self.absorb(other.clone());
     }
 
     /// The committed transactions in id order. A transaction's position
@@ -547,6 +569,71 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.committed().len(), 2);
+    }
+
+    #[test]
+    fn purge_after_absorb_uses_the_index_that_travelled_with_the_log() {
+        let mut at_site = ReplicatedHistory::new();
+        at_site.record(0, t(1), Key(0), Write);
+        at_site.record(0, t(2), Key(0), Write);
+        at_site.record(0, t(1), Key(1), Write);
+        at_site.mark_committed(t(1));
+        at_site.mark_committed(t(2));
+        let mut merged = ReplicatedHistory::new();
+        merged.absorb(at_site);
+        merged.purge(t(1));
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged.committed().len(), 1);
+        // Seqs continue past the moved ones: the retry purges cleanly.
+        merged.record(0, t(1), Key(0), Write);
+        merged.purge(t(1));
+        assert_eq!(merged.len(), 1);
+        merged.record(0, t(3), Key(0), Write);
+        merged.mark_committed(t(3));
+        assert_eq!(merged.conflict_edges(), vec![(t(2), t(3))]);
+    }
+
+    #[test]
+    fn absorbing_a_shared_site_equals_recording_op_by_op() {
+        let ops = |h: &mut ReplicatedHistory, from: u64| {
+            for i in from..from + 4 {
+                let kind = if i % 3 == 0 { Read } else { Write };
+                for site in 0..2 {
+                    h.record(site, t(i), Key(i % 2), kind);
+                }
+                h.mark_committed(t(i));
+            }
+        };
+        let mut a = ReplicatedHistory::new();
+        ops(&mut a, 1);
+        let mut b = ReplicatedHistory::new();
+        ops(&mut b, 5);
+        b.record(2, t(5), Key(0), Write);
+        let mut by_record = ReplicatedHistory::new();
+        ops(&mut by_record, 1);
+        ops(&mut by_record, 5);
+        by_record.record(2, t(5), Key(0), Write);
+        a.absorb(b);
+        assert_eq!(a.len(), by_record.len());
+        assert_eq!(a.committed(), by_record.committed());
+        assert_eq!(a.conflict_edges(), by_record.conflict_edges());
+        assert_eq!(
+            a.check_one_copy_serializable(),
+            by_record.check_one_copy_serializable()
+        );
+    }
+
+    #[test]
+    fn absorb_into_a_paused_history_is_a_no_op() {
+        let mut other = ReplicatedHistory::new();
+        other.record(0, t(1), Key(0), Write);
+        other.mark_committed(t(1));
+        let mut paused = ReplicatedHistory::new();
+        paused.set_recording(false);
+        paused.absorb(other.clone());
+        paused.merge(&other);
+        assert!(paused.is_empty());
+        assert!(paused.committed().is_empty());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use arena::{shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef
 pub use certify::{Certification, Certifier};
 pub use durable::{DurableFrame, DurableLog, DurableRestore};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use history::{HistOp, ReplicatedHistory, SerializabilityViolation};
+pub use history::{ReplicatedHistory, SerializabilityViolation};
 pub use item::{AccessKind, Key, Keyspace, TxnId, Value};
 pub use locks::{Acquire, DeadlockPolicy, LockManager, LockMode};
 pub use log::{RedoLog, WriteRecord, WriteSet, FSYNC_TICKS};
