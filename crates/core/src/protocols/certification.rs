@@ -194,7 +194,7 @@ impl Ordered for Cert {
     /// report counts client-side.)
     fn store_replaced(&mut self, sh: &mut Shell) {
         self.certifier = Certifier::with_keyspace(sh.base.keyspace());
-        for (k, v) in sh.base.store.snapshot() {
+        for (k, v) in sh.base.store.iter() {
             if let Some(by) = v.writer {
                 self.certifier.restore_version(k, v.version, by);
             }

@@ -31,7 +31,7 @@ use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
 
 /// Wire messages of eager primary copy replication.
 #[derive(Debug, Clone)]
@@ -1063,6 +1063,13 @@ impl Technique for EagerPrimary {
     /// lockstep on both primaries and secondaries.
     fn position(&self, _sh: &Shell) -> u64 {
         self.wal.len() as u64
+    }
+
+    fn extra_stats(&self) -> ExtraStats {
+        ExtraStats {
+            spilled_locks: self.lm.spilled() as u64,
+            ..ExtraStats::default()
+        }
     }
 }
 

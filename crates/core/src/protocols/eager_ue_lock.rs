@@ -1134,6 +1134,7 @@ impl Technique for Eul {
         ExtraStats {
             reconciliations: 0,
             wounds: self.wounds,
+            spilled_locks: self.lm.spilled() as u64,
         }
     }
 }

@@ -656,7 +656,7 @@ impl Technique for LazyUe {
     fn extra_stats(&self) -> ExtraStats {
         ExtraStats {
             reconciliations: self.reconciliations,
-            wounds: 0,
+            ..ExtraStats::default()
         }
     }
 }

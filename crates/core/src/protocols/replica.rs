@@ -159,6 +159,9 @@ pub struct ExtraStats {
     pub reconciliations: u64,
     /// Wound events observed (distributed locking).
     pub wounds: u64,
+    /// Lock-table entries held outside the kernel's dense window
+    /// ([`repl_db::LockManager::spilled`]); zero without a lock table.
+    pub spilled_locks: u64,
 }
 
 /// What makes a replica one technique rather than another: its

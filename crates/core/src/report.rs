@@ -179,6 +179,12 @@ pub struct ShardingReport {
     pub cross_latency: LatencyStats,
     /// Answered operations attributed to each home shard (shard order).
     pub per_shard_ops: Vec<u64>,
+    /// Entries the founders' kernels hold for keys outside their own
+    /// group's shard at the end of the run: dense slots their keyspace
+    /// window has beyond the shard's range, plus store and lock-table
+    /// entries spilled outside the window. Zero when partial replication
+    /// is partial in memory. A residency count, not part of the digest.
+    pub foreign_resident: u64,
 }
 
 impl Default for ShardingReport {
@@ -190,6 +196,7 @@ impl Default for ShardingReport {
             single_latency: LatencyStats::default(),
             cross_latency: LatencyStats::default(),
             per_shard_ops: Vec::new(),
+            foreign_resident: 0,
         }
     }
 }

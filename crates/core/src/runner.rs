@@ -3,7 +3,7 @@
 
 use std::mem::take;
 
-use repl_db::DeadlockPolicy;
+use repl_db::{DeadlockPolicy, Keyspace};
 use repl_gcs::{BatchConfig, ConsensusConfig, FdConfig, VsConfig};
 use repl_sim::{
     Actor, LatencyHistogram, LatencyStats, NetworkConfig, NodeId, SimConfig, SimDuration, SimTime,
@@ -538,11 +538,11 @@ fn validate_sharded(cfg: &RunConfig) -> Result<(), RunError> {
 }
 
 /// Technique dispatch: monomorphises the driver for the technique's
-/// server type; each closure makes one bare server, which [`drive`]
-/// equips and seats. Assumes `cfg` was already validated.
+/// server type; each closure makes one bare server over the keyspace
+/// [`drive`] scopes it to, which `drive` then equips and seats. Assumes
+/// `cfg` was already validated.
 fn dispatch(cfg: &RunConfig) -> RunReport {
     let c = cfg;
-    let ks = c.workload.keyspace();
     let (cons, vs, fd) = (
         tuned_consensus(&c.network),
         tuned_vs(&c.network),
@@ -550,40 +550,40 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
     );
     let (delay, defer) = (c.propagation_delay, tuned_defer(&c.network));
     match c.technique {
-        Technique::Active => drive(c, |site, me, group| {
+        Technique::Active => drive(c, |site, me, group, ks| {
             ActiveServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
         }),
-        Technique::Passive => drive(c, |site, me, group| {
+        Technique::Passive => drive(c, |site, me, group, ks| {
             PassiveServer::new(site, me, group, ks, c.exec, vs)
         }),
-        Technique::SemiActive => drive(c, |site, me, group| {
+        Technique::SemiActive => drive(c, |site, me, group, ks| {
             SemiActiveServer::new(site, me, group, ks, c.exec, c.abcast, vs)
                 .with_batching(c.batching)
         }),
-        Technique::SemiPassive => drive(c, |site, me, group| {
+        Technique::SemiPassive => drive(c, |site, me, group, ks| {
             SemiPassiveServer::new(site, me, group, ks, c.exec, defer, cons)
                 .with_log_retention(c.log_retention)
         }),
-        Technique::EagerPrimary => drive(c, |site, me, group| {
+        Technique::EagerPrimary => drive(c, |site, me, group, ks| {
             EagerPrimaryServer::new(site, me, group, ks, c.exec, fd)
                 .with_batching(c.batching)
                 .with_log_retention(c.log_retention)
         }),
-        Technique::EagerUpdateEverywhereLocking => drive(c, |site, me, group| {
+        Technique::EagerUpdateEverywhereLocking => drive(c, |site, me, group, ks| {
             EulServer::new(site, me, group, ks, c.exec, c.deadlock).with_rowa(c.rowa)
         }),
-        Technique::EagerUpdateEverywhereAbcast => drive(c, |site, me, group| {
+        Technique::EagerUpdateEverywhereAbcast => drive(c, |site, me, group, ks| {
             EuaServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
         }),
-        Technique::LazyPrimary => drive(c, |site, me, group| {
+        Technique::LazyPrimary => drive(c, |site, me, group, ks| {
             LazyPrimaryServer::new(site, me, group, ks, c.exec, delay)
                 .with_batching(c.batching)
                 .with_log_retention(c.log_retention)
         }),
-        Technique::LazyUpdateEverywhere => drive(c, |site, me, group| {
+        Technique::LazyUpdateEverywhere => drive(c, |site, me, group, ks| {
             LazyUeServer::new(site, me, group, ks, c.exec, delay).with_reconcile(c.reconcile)
         }),
-        Technique::Certification => drive(c, |site, me, group| {
+        Technique::Certification => drive(c, |site, me, group, ks| {
             CertServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
         }),
     }
@@ -719,6 +719,8 @@ struct ServerFold {
     recoveries: Vec<NodeRecovery>,
     durability: DurabilityReport,
     payload: repl_db::ArenaStats,
+    /// Sharded runs: [`ShardingReport::foreign_resident`].
+    foreign_resident: u64,
 }
 
 /// Folds every node of `nodes` that was ever a member: histories merge,
@@ -736,6 +738,7 @@ fn fold_servers<T: Flow>(
     cfg: &RunConfig,
     arena: &repl_db::SharedArena,
     nodes: u32,
+    map: Option<ShardMap>,
     converges: impl Fn(NodeId) -> bool,
 ) -> ServerFold {
     let mut fold = ServerFold {
@@ -750,6 +753,7 @@ fn fold_servers<T: Flow>(
             ..Default::default()
         },
         payload: arena.borrow().stats(),
+        foreign_resident: 0,
     };
     let d = &mut fold.durability;
     for site in 0..nodes {
@@ -764,6 +768,14 @@ fn fold_servers<T: Flow>(
         let extra = srv.tech.extra_stats();
         fold.reconciliations += extra.reconciliations;
         fold.wounds += extra.wounds;
+        // Sharded runs have founders only: each holds one shard.
+        if let Some(map) = map {
+            let (lo, hi) = map.range(site / cfg.servers);
+            let (wlo, whi) = base.keyspace().window();
+            let in_shard = whi.min(hi).saturating_sub(wlo.max(lo));
+            fold.foreign_resident +=
+                whi - wlo - in_shard + base.store.spilled() as u64 + extra.spilled_locks;
+        }
         d.volume_wipes += base.volume_wipes;
         if let Some(tier) = &base.tier {
             d.lost_commits += tier.lost.len() as u64;
@@ -944,9 +956,13 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
 /// The driver. `shards` replica groups of `n = cfg.servers` nodes share
 /// one simulated world — group `g` owns shard `g` and spans nodes
 /// `g*n .. (g+1)*n` — followed by the membership plan's joiners; a fully
-/// replicated run is the one-group case. Every server stores the full
-/// keyspace but is only ever asked about its own shard's keys, so
-/// fingerprints converge per group ([`RunReport::converged`]).
+/// replicated run is the one-group case. Partial replication is partial
+/// in memory: `build` gets the workload's keyspace scoped to the group's
+/// [`ShardMap::range`], so a founder's store, lock table and certifier
+/// hold slots for its own shard only, while still answering for the
+/// whole domain (snapshots and fingerprints cover it, other keys stay
+/// implicit). Joiners and one-group runs get the full window.
+/// Fingerprints converge per group ([`RunReport::converged`]).
 ///
 /// Single-shard transactions run the stock protocol in the owning group;
 /// with `cross_shard_ratio > 0` the three cross-capable techniques
@@ -957,7 +973,7 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
 /// splices its per-shard pieces back into one serialization point.
 fn drive<T: Flow>(
     cfg: &RunConfig,
-    build: impl Fn(u32, NodeId, Vec<NodeId>) -> Replica<T>,
+    build: impl Fn(u32, NodeId, Vec<NodeId>, Keyspace) -> Replica<T>,
 ) -> RunReport {
     let n = cfg.servers;
     let shards = cfg.workload.shards.max(1);
@@ -981,8 +997,13 @@ fn drive<T: Flow>(
         if joiner {
             group.push(me);
         }
+        // Joiners exist in one-group runs only, which consult no map.
+        let ks = map.map_or(cfg.workload.keyspace(), |m| {
+            let (lo, hi) = m.range(gid);
+            cfg.workload.keyspace().scoped(lo, hi)
+        });
         // The run-wide setup: durable tier, lean mode, the shared arena.
-        let mut srv = build(site, me, group);
+        let mut srv = build(site, me, group, ks);
         srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone());
         if let Some(map) = cross_map {
             srv.enable_cross_shard(ShardCtx::new(map, n, gid));
@@ -1169,9 +1190,10 @@ fn drive<T: Flow>(
     // Collect from every node that was ever a member (joiners included);
     // convergence is judged over the *final* membership only.
     let drained = cfg.membership.drained_nodes();
-    let fold = fold_servers::<T>(&mut world, cfg, &arena, nodes, |node| {
+    let fold = fold_servers::<T>(&mut world, cfg, &arena, nodes, map, |node| {
         !drained.contains(&node)
     });
+    sharding.foreign_resident = fold.foreign_resident;
     report(cfg, &world, founders, completion, tally, fold, sharding)
 }
 

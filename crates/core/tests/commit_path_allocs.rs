@@ -23,9 +23,14 @@
 //! transaction leaves behind in the ordering layer's logs and indexes
 //! for the rest of the run. It is exact for a seed (table and `Vec`
 //! capacities depend on counts only).
+//!
+//! A second guard holds partial replication to its memory model: the
+//! peak heap of a sixteen-group run may grow with the keyspace only as
+//! fast as one shard of it per server.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use repl_core::{try_run, Arrival, RunConfig, Technique};
 use repl_sim::SimDuration;
@@ -63,6 +68,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The counters are process-global and cargo runs `#[test]` functions
+/// concurrently: every test measures while holding this.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // The guarded value is `()`: a test that panicked left nothing
+    // half-updated.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const CLIENTS: u32 = 48;
 const TXNS: u32 = 250;
@@ -215,10 +230,9 @@ const GUARDS: [Guard; 4] = [
     },
 ];
 
-// One test function on purpose: the counters are process-global, and
-// cargo runs `#[test]` functions concurrently.
 #[test]
 fn marginal_allocations_per_transaction_stay_within_budget() {
+    let _serial = serial();
     let mut over = Vec::new();
     for g in GUARDS {
         let (per_txn, heap) = marginal(g.cell);
@@ -248,4 +262,49 @@ fn marginal_allocations_per_transaction_stay_within_budget() {
         }
     }
     assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+/// Sixteen groups of three under distributed locking — the
+/// `shard16_closed` layout and the technique with the most per-item
+/// state (store slot and lock-table entry) — for a handful of
+/// transactions, so the kernels' tables dominate the difference between
+/// two keyspace sizes.
+fn shard16_locking(items: u64) -> RunConfig {
+    RunConfig::new(Technique::EagerUpdateEverywhereLocking)
+        .with_servers(3)
+        .with_clients(16)
+        .with_seed(29)
+        .with_trace(false)
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(items)
+                .with_read_ratio(0.0)
+                .with_ops_per_txn(2)
+                .with_txns_per_client(2)
+                .with_think_time(SimDuration::ZERO)
+                .with_shards(16),
+        )
+}
+
+/// Peak-heap growth from 4,096 to 16,384 items when every one of the 48
+/// servers held the whole keyspace, measured: 48 × 12,288 items × 120 B
+/// of store slot and lock state is 70,778,880 B of it. With each server
+/// holding its shard the slots grow by 48 × 768 × 120 B ≈ 4.4 MB.
+const FULL_REPLICA_GROWTH: u64 = 71_172_384;
+
+#[test]
+fn sharded_peak_heap_grows_with_the_shard_not_the_keyspace() {
+    let _serial = serial();
+    let small = cost(&shard16_locking(4_096)).1;
+    let large = cost(&shard16_locking(16_384)).1;
+    let growth = large.saturating_sub(small);
+    println!(
+        "16 groups, locking: peak heap {small} B at 4,096 items, {large} B at 16,384 \
+         (+{growth} B; {FULL_REPLICA_GROWTH} B with full replicas)"
+    );
+    assert!(
+        growth <= FULL_REPLICA_GROWTH / 8,
+        "peak heap grew by {growth} B for 12,288 more items, more than 1/8 of the \
+         {FULL_REPLICA_GROWTH} B it grew by when every server held the whole keyspace"
+    );
 }

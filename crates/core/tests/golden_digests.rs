@@ -86,6 +86,13 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("shard4/Certification Based/x=0%", 0xa462a3c1de302fdc, 0xbe7f8ede14b63f9c),
     ("open/Active", 0xdf2a1f098847a005, 0x26d774c013f39c7b),
     ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
+    ("shard4/outage/ret=1/Passive", 0x58bf11b58cca3685, 0xb4aa1c7ee02ac057),
+    ("shard4/outage/ret=1/Semi-Passive", 0x6ff3c962e9d097c4, 0xafee5e1c1faf02d0),
+    ("shard4/outage/ret=1/Eager Primary Copy", 0x19b002548e327e26, 0x6baff43b71ab7d58),
+    ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
+    ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0x6d03c0a83b237eb0, 0x8abd7a482e71f1aa),
+    ("shard4/disaster/Passive", 0xe19a700c1556632d, 0xd26cf90587767f5a),
+    ("shard4/disaster/Certification Based", 0x2ffe4e4ec493c802, 0x28e1306993222f84),
 ];
 
 fn update_workload(txns: u32) -> WorkloadSpec {
@@ -139,6 +146,10 @@ fn sharded(technique: Technique, cross_ratio: f64) -> RunConfig {
                 .with_cross_shard_ratio(cross_ratio),
         )
 }
+
+/// Label prefix of the sharded outage cells, which must keep exercising
+/// the snapshot path.
+const SHARD_OUTAGE: &str = "shard4/outage/ret=1/";
 
 fn cells() -> Vec<(String, RunConfig)> {
     let mut cells = Vec::new();
@@ -263,6 +274,45 @@ fn cells() -> Vec<(String, RunConfig)> {
                 .with_workload(update_workload(4)),
         ));
     }
+    // Sharded recovery: a group-1 backup misses part of its shard's
+    // stream and catches up by state transfer. A retention of one entry
+    // forces the log-keeping techniques onto the snapshot path too, so
+    // every cell ships the logical store a group member holds. These
+    // cells were recorded while every server still held the whole
+    // keyspace: they pin that a shard-scoped store transfers and
+    // fingerprints exactly what the full store did.
+    let shard_outage = FaultPlan::new().outage_at(
+        SimTime::from_ticks(1_000),
+        NodeId::new(5),
+        SimDuration::from_ticks(3_000),
+    );
+    for technique in [
+        Technique::Passive,
+        Technique::SemiPassive,
+        Technique::EagerPrimary,
+        Technique::LazyPrimary,
+        Technique::EagerUpdateEverywhereLocking,
+    ] {
+        cells.push((
+            format!("{SHARD_OUTAGE}{}", technique.name()),
+            sharded(technique, 0.0)
+                .with_log_retention(Some(1))
+                .with_faults(shard_outage.clone()),
+        ));
+    }
+    let shard_disaster = FaultPlan::new().disaster_at(
+        SimTime::from_ticks(1_000),
+        NodeId::new(5),
+        SimDuration::from_ticks(3_000),
+    );
+    for technique in [Technique::Passive, Technique::Certification] {
+        cells.push((
+            format!("shard4/disaster/{}", technique.name()),
+            sharded(technique, 0.0)
+                .with_durability(DurabilityConfig::with_upload_lag(2_000))
+                .with_faults(shard_disaster.clone()),
+        ));
+    }
     cells
 }
 
@@ -275,6 +325,15 @@ fn digests_and_traces_match_the_recorded_values() {
                 .unwrap_or_else(|e| panic!("cell `{label}` was refused: {e}"));
             assert!(report.ops_completed > 0, "cell `{label}` did no work");
             assert_ne!(report.trace_hash, 0, "cell `{label}` produced no trace");
+            if label.starts_with(SHARD_OUTAGE) {
+                let snapshots: u64 = report
+                    .availability
+                    .recoveries
+                    .iter()
+                    .map(|r| r.snapshot_transfers)
+                    .sum();
+                assert!(snapshots > 0, "cell `{label}` shipped no snapshot");
+            }
             (label, report.digest(), report.trace_hash)
         })
         .collect();

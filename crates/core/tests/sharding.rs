@@ -155,6 +155,30 @@ fn cross_shard_transactions_commit_and_stay_serializable() {
     }
 }
 
+/// Partial replication is partial in memory: each founder's store and
+/// lock table cover its own shard's range only, and cross-shard
+/// execution — genuine multicast's local parts, distributed locking's
+/// per-owner steps — never makes a server store or lock a foreign key.
+#[test]
+fn a_sharded_server_materialises_only_its_own_shard() {
+    let cells = CROSS_CAPABLE
+        .map(|technique| (technique, 0.2))
+        .into_iter()
+        .chain([(Technique::Passive, 0.0)]);
+    for (technique, ratio) in cells {
+        let report = run(&sharded_cfg(technique, 4, ratio));
+        assert_eq!(report.ops_unanswered, 0, "{technique}: unanswered ops");
+        assert!(
+            ratio == 0.0 || report.sharding.cross_shard_ops > 0,
+            "{technique}: no cross-shard traffic to test"
+        );
+        assert_eq!(
+            report.sharding.foreign_resident, 0,
+            "{technique}: a founder holds keys outside its shard"
+        );
+    }
+}
+
 #[test]
 fn cross_shard_reads_return_foreign_values() {
     // Update-then-read across shards: an all-write warmup makes foreign

@@ -7,6 +7,11 @@
 //! all sites reach the same commit/abort verdict without an extra round
 //! of coordination: commit iff no transaction that certified earlier (and
 //! after the candidate's snapshot) wrote any item the candidate read.
+//!
+//! The installed-version table is dense over the [`Keyspace`]'s window
+//! (a partial replica's shard) and falls back to an Fx-hashed map for
+//! every other key; an absent entry means version 0, so both backings
+//! give the same verdicts.
 
 use crate::hash::FxHashMap;
 use crate::item::{Key, Keyspace, TxnId};
@@ -49,8 +54,8 @@ const INITIAL: Installed = (0, TxnId { ts: 0, site: 0 });
 /// Agreement Coordination phase.
 ///
 /// Built with a bounded [`Keyspace`], the version table is a dense `Vec`
-/// indexed by `Key`; otherwise an Fx-hashed map (with dense-range
-/// overflow handled transparently).
+/// over the keyspace's window, at offset `key - lo`; otherwise an
+/// Fx-hashed map (with keys outside the window handled transparently).
 ///
 /// # Examples
 ///
@@ -69,11 +74,12 @@ const INITIAL: Installed = (0, TxnId { ts: 0, site: 0 });
 /// ```
 #[derive(Debug, Clone)]
 pub struct Certifier {
-    /// Dense installed-version table: slot `i` is `Key(i)`. Empty when
-    /// sparse.
+    ks: Keyspace,
+    /// Dense installed-version table: slot `i` is `Key(lo + i)`. Empty
+    /// when sparse.
     dense: Vec<Installed>,
     /// Sparse installed-version table; on the dense path only serves keys
-    /// outside the declared range.
+    /// outside the window.
     sparse: FxHashMap<Key, Installed>,
     committed: u64,
     aborted: u64,
@@ -95,11 +101,8 @@ impl Certifier {
     /// Creates a certifier backed for `ks`.
     pub fn with_keyspace(ks: Keyspace) -> Self {
         Certifier {
-            dense: if ks.dense {
-                vec![INITIAL; ks.items as usize]
-            } else {
-                Vec::new()
-            },
+            ks,
+            dense: vec![INITIAL; ks.slots()],
             sparse: FxHashMap::default(),
             committed: 0,
             aborted: 0,
@@ -108,8 +111,8 @@ impl Certifier {
 
     #[inline(always)]
     fn get(&self, key: Key) -> Option<Installed> {
-        match self.dense.get(key.0 as usize) {
-            Some(&e) => Some(e),
+        match self.ks.slot(key) {
+            Some(i) => Some(self.dense[i]),
             None => self.sparse.get(&key).copied(),
         }
     }
@@ -139,10 +142,9 @@ impl Certifier {
             }
         }
         for w in writes {
-            let entry: &mut Installed = if (w.key.0 as usize) < self.dense.len() {
-                &mut self.dense[w.key.0 as usize]
-            } else {
-                self.sparse.entry(w.key).or_insert((0, txn))
+            let entry: &mut Installed = match self.ks.slot(w.key) {
+                Some(i) => &mut self.dense[i],
+                None => self.sparse.entry(w.key).or_insert((0, txn)),
             };
             entry.0 += 1;
             entry.1 = txn;
@@ -162,10 +164,9 @@ impl Certifier {
         if version == 0 {
             return;
         }
-        let entry = if (key.0 as usize) < self.dense.len() {
-            &mut self.dense[key.0 as usize]
-        } else {
-            self.sparse.entry(key).or_insert(INITIAL)
+        let entry = match self.ks.slot(key) {
+            Some(i) => &mut self.dense[i],
+            None => self.sparse.entry(key).or_insert(INITIAL),
         };
         *entry = (version, by);
     }
@@ -192,6 +193,8 @@ impl Certifier {
 
     /// Garbage-collects sparse installed-version entries last written by a
     /// transaction older than `watermark`. Returns the number evicted.
+    /// On the dense path only keys beyond the domain are candidates, as
+    /// if every domain key had a slot.
     ///
     /// # Caller contract
     ///
@@ -204,12 +207,14 @@ impl Certifier {
     /// replication protocols in this reproduction keep certifier versions
     /// in lockstep with store versions and therefore never call this on
     /// the hot path; it exists for long-running sparse deployments where
-    /// the installed table would otherwise grow without bound. On the
-    /// dense path the table is fixed-size and this is a no-op.
+    /// the installed table would otherwise grow without bound. On a
+    /// bounded workload's dense path the table is fixed-size and this is
+    /// a no-op.
     pub fn gc(&mut self, watermark: TxnId) -> usize {
         let before = self.sparse.len();
+        let ks = self.ks;
         self.sparse
-            .retain(|_, &mut (_, by)| !by.is_older_than(watermark));
+            .retain(|k, &mut (_, by)| (ks.dense && k.0 < ks.items) || !by.is_older_than(watermark));
         before - self.sparse.len()
     }
 }
@@ -290,8 +295,11 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_certifiers_agree() {
+        // The full dense table is the reference for the sparse one and
+        // for a table scoped to keys 3..6 of the same domain.
         let mut d = Certifier::with_keyspace(Keyspace::dense(8));
-        let mut sp = Certifier::with_keyspace(Keyspace::sparse(8));
+        let mut others =
+            [Keyspace::sparse(8), Keyspace::dense(8).scoped(3, 6)].map(Certifier::with_keyspace);
         let mut s = 5u64;
         for ts in 1..=200u64 {
             s = s
@@ -301,11 +309,17 @@ mod tests {
             let rv = (s >> 33) % 3;
             let w = ws(t(ts), &[k, (k + 1) % 8]);
             let reads = [(Key(k), rv)];
-            assert_eq!(d.certify(&reads, &w), sp.certify(&reads, &w), "ts {ts}");
+            let verdict = d.certify(&reads, &w);
+            for o in &mut others {
+                assert_eq!(o.certify(&reads, &w), verdict, "ts {ts}");
+            }
         }
-        assert_eq!(d.stats(), sp.stats());
-        for k in 0..8 {
-            assert_eq!(d.version_of(Key(k)), sp.version_of(Key(k)));
+        for o in &others {
+            assert_eq!(o.stats(), d.stats());
+            assert_eq!(o.tracked_keys(), d.tracked_keys());
+            for k in 0..8 {
+                assert_eq!(o.version_of(Key(k)), d.version_of(Key(k)));
+            }
         }
     }
 
@@ -349,9 +363,12 @@ mod tests {
 
     #[test]
     fn gc_is_a_no_op_on_the_dense_path() {
-        let mut c = Certifier::with_keyspace(Keyspace::dense(4));
-        assert!(c.certify(&[], &ws(t(1), &[0])).is_commit());
-        assert_eq!(c.gc(t(100)), 0);
-        assert_eq!(c.version_of(Key(0)), 1);
+        // Also for a key outside a scoped window, held in the map.
+        for ks in [Keyspace::dense(4), Keyspace::dense(4).scoped(2, 4)] {
+            let mut c = Certifier::with_keyspace(ks);
+            assert!(c.certify(&[], &ws(t(1), &[0])).is_commit());
+            assert_eq!(c.gc(t(100)), 0);
+            assert_eq!(c.version_of(Key(0)), 1);
+        }
     }
 }

@@ -84,19 +84,33 @@ impl fmt::Display for TxnId {
 /// Workloads in this reproduction draw keys from a bounded, dense range
 /// `0..items` (the paper's experiments fix the database size up front).
 /// When a structure knows that, it can back itself with a `Vec` indexed
-/// directly by `Key` instead of a hash map — the dense path. The sparse
-/// path keeps a map and makes no assumption about the key range; it is
-/// the fallback for open-ended key domains.
+/// by `Key` instead of a hash map — the dense path. The sparse path
+/// keeps a map and makes no assumption about the key range; it is the
+/// fallback for open-ended key domains.
+///
+/// A dense keyspace also has a **window** `[lo, hi)` inside `0..items`:
+/// the keys its dense tables hold a slot for, at offset `key - lo`. The
+/// window is the whole domain unless [`Keyspace::scoped`] narrows it to
+/// the shard a partial replica stores. Keys outside the window stay
+/// legal: a store keeps them *implicit* (at the initial value, costing
+/// nothing) until first written, and every structure serves them from
+/// its hash-map fallback with the same answers the full table gives.
 ///
 /// A bare item count converts to a dense keyspace, so existing
 /// `new(site, items, ...)` call sites keep working unchanged:
 ///
 /// ```
-/// use repl_db::Keyspace;
+/// use repl_db::{Key, Keyspace};
 /// let ks: Keyspace = 128u64.into();
 /// assert!(ks.dense);
 /// assert_eq!(ks.items, 128);
+/// assert_eq!(ks.window(), (0, 128));
 /// assert!(!Keyspace::sparse(128).dense);
+/// // A shard's replica: same domain, slots only for keys 32..64.
+/// let shard = ks.scoped(32, 64);
+/// assert_eq!(shard.items, 128);
+/// assert_eq!(shard.slot(Key(40)), Some(8));
+/// assert_eq!(shard.slot(Key(7)), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Keyspace {
@@ -107,12 +121,22 @@ pub struct Keyspace {
     /// True when keys are guaranteed to stay inside `0..items`, which
     /// licenses `Vec`-indexed dense backing.
     pub dense: bool,
+    /// The dense window `[lo, hi)`: `lo <= hi <= items`, empty when
+    /// sparse.
+    lo: u64,
+    hi: u64,
 }
 
 impl Keyspace {
-    /// A bounded keyspace: keys stay in `0..items`, dense backing allowed.
+    /// A bounded keyspace: keys stay in `0..items`, dense backing allowed
+    /// over the whole domain.
     pub fn dense(items: u64) -> Self {
-        Keyspace { items, dense: true }
+        Keyspace {
+            items,
+            dense: true,
+            lo: 0,
+            hi: items,
+        }
     }
 
     /// An open keyspace: `items` initial keys, but arbitrary keys may
@@ -121,13 +145,45 @@ impl Keyspace {
         Keyspace {
             items,
             dense: false,
+            lo: 0,
+            hi: 0,
         }
     }
 
-    /// True if `key` falls inside the declared dense range.
+    /// The same logical domain with the dense window narrowed to
+    /// `[lo, hi)`. A sparse keyspace has no window and is returned as is.
+    ///
+    /// # Panics
+    ///
+    /// If `lo <= hi <= items` does not hold.
+    pub fn scoped(self, lo: u64, hi: u64) -> Self {
+        assert!(
+            lo <= hi && hi <= self.items,
+            "window [{lo}, {hi}) outside the domain 0..{}",
+            self.items
+        );
+        if !self.dense {
+            return self;
+        }
+        Keyspace { lo, hi, ..self }
+    }
+
+    /// The dense window `(lo, hi)`; `(0, 0)` on a sparse keyspace.
+    pub fn window(&self) -> (u64, u64) {
+        (self.lo, self.hi)
+    }
+
+    /// The number of dense slots a table over this keyspace holds.
+    pub fn slots(&self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+
+    /// `key`'s dense-table offset, or `None` outside the window (always
+    /// on a sparse keyspace).
     #[inline(always)]
-    pub fn contains(&self, key: Key) -> bool {
-        key.0 < self.items
+    pub fn slot(&self, key: Key) -> Option<usize> {
+        let offset = key.0.wrapping_sub(self.lo);
+        (offset < self.hi - self.lo).then_some(offset as usize)
     }
 }
 

@@ -16,8 +16,13 @@
 //!
 //! ## Hot-path design
 //!
-//! The lock table is dense (`Vec` indexed by `Key`) when built with a
-//! bounded [`Keyspace`], with an Fx-hashed map as the sparse fallback.
+//! The lock table is dense (a `Vec` slot per key of the [`Keyspace`]'s
+//! window, at offset `key - lo`) when built with a bounded keyspace, with
+//! an Fx-hashed map as the sparse fallback, which also serves keys
+//! outside the window. A partial replica's window is its shard, so its
+//! table costs O(shard) rather than O(keyspace); a key outside it is
+//! locked through the map with the same decisions.
+//!
 //! The wait-for graph is maintained *incrementally*: each key caches its
 //! own edge contribution and a global sorted multiset is patched on
 //! acquire/release/promote, so [`LockManager::wait_for_edges`] and
@@ -123,10 +128,11 @@ const BLACK: u8 = 2;
 pub struct LockManager {
     policy: DeadlockPolicy,
     ks: Keyspace,
-    /// Dense table: slot `i` is `Key(i)`'s lock state. Empty when sparse.
+    /// Dense table: slot `i` is `Key(lo + i)`'s lock state. Empty when
+    /// sparse.
     dense: Vec<LockState>,
     /// Sparse table; on the dense path this only serves keys outside the
-    /// declared range.
+    /// window.
     sparse: FxHashMap<Key, LockState>,
     /// Keys each transaction holds (sorted per txn for deterministic
     /// release order).
@@ -166,13 +172,11 @@ impl LockManager {
         LockManager::with_keyspace(policy, Keyspace::sparse(0))
     }
 
-    /// Creates a lock table backed for `ks`: dense `Vec` slots for a
-    /// bounded keyspace, a hash table otherwise.
+    /// Creates a lock table backed for `ks`: dense `Vec` slots over a
+    /// bounded keyspace's window, a hash table otherwise.
     pub fn with_keyspace(policy: DeadlockPolicy, ks: Keyspace) -> Self {
         let mut dense = Vec::new();
-        if ks.dense {
-            dense.resize_with(ks.items as usize, LockState::default);
-        }
+        dense.resize_with(ks.slots(), LockState::default);
         LockManager {
             policy,
             ks,
@@ -203,10 +207,17 @@ impl LockManager {
         self.ks
     }
 
+    /// Lock-table entries held outside the dense window (every entry of
+    /// a sparse table): a residency count, zero on a partial replica that
+    /// only ever locked keys of its own shard. Entries stay once created.
+    pub fn spilled(&self) -> usize {
+        self.sparse.len()
+    }
+
     #[inline(always)]
     fn state(&self, key: Key) -> Option<&LockState> {
-        match self.dense.get(key.0 as usize) {
-            Some(s) => Some(s),
+        match self.ks.slot(key) {
+            Some(i) => Some(&self.dense[i]),
             None => self.sparse.get(&key),
         }
     }
@@ -217,10 +228,9 @@ impl LockManager {
     /// a shared holder requesting exclusive performs an upgrade (granted if
     /// sole holder, otherwise queued with priority).
     pub fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode) -> Acquire {
-        let state: &mut LockState = if (key.0 as usize) < self.dense.len() {
-            &mut self.dense[key.0 as usize]
-        } else {
-            self.sparse.entry(key).or_default()
+        let state: &mut LockState = match self.ks.slot(key) {
+            Some(i) => &mut self.dense[i],
+            None => self.sparse.entry(key).or_default(),
         };
         if let Some(held_mode) = state.holds(txn) {
             match (held_mode, mode) {
@@ -356,13 +366,12 @@ impl LockManager {
         if !self.track_edges {
             return;
         }
-        let state: &mut LockState = if (key.0 as usize) < self.dense.len() {
-            &mut self.dense[key.0 as usize]
-        } else {
-            match self.sparse.get_mut(&key) {
+        let state: &mut LockState = match self.ks.slot(key) {
+            Some(i) => &mut self.dense[i],
+            None => match self.sparse.get_mut(&key) {
                 Some(s) => s,
                 None => return,
-            }
+            },
         };
         if state.waiters.is_empty() && state.edges.is_empty() {
             return;
@@ -402,13 +411,12 @@ impl LockManager {
         touched.dedup();
         let mut granted = Vec::new();
         for &key in &touched {
-            let state: &mut LockState = if (key.0 as usize) < self.dense.len() {
-                &mut self.dense[key.0 as usize]
-            } else {
-                match self.sparse.get_mut(&key) {
+            let state: &mut LockState = match self.ks.slot(key) {
+                Some(i) => &mut self.dense[i],
+                None => match self.sparse.get_mut(&key) {
                     Some(s) => s,
                     None => continue,
-                }
+                },
             };
             state.holders.retain(|(t, _)| *t != txn);
             state.waiters.retain(|(t, _)| *t != txn);
@@ -421,13 +429,12 @@ impl LockManager {
 
     /// Promotes waiters on `key` that have become grantable.
     fn promote(&mut self, key: Key, granted: &mut Vec<(TxnId, Key, LockMode)>) {
-        let state: &mut LockState = if (key.0 as usize) < self.dense.len() {
-            &mut self.dense[key.0 as usize]
-        } else {
-            match self.sparse.get_mut(&key) {
+        let state: &mut LockState = match self.ks.slot(key) {
+            Some(i) => &mut self.dense[i],
+            None => match self.sparse.get_mut(&key) {
                 Some(s) => s,
                 None => return,
-            }
+            },
         };
         while let Some(&(txn, mode)) = state.waiters.front() {
             // Upgrade case: txn already holds shared and waits for
@@ -800,11 +807,15 @@ mod tests {
 
     #[test]
     fn incremental_edges_match_full_rescan_under_random_load() {
-        // Drive both policies and both backings through random
+        // Drive both policies and every backing through random
         // acquire/release traffic; after every mutation the maintained
         // edge multiset must equal a from-scratch table scan.
         for policy in [DeadlockPolicy::WoundWait, DeadlockPolicy::Detect] {
-            for ks in [Keyspace::dense(6), Keyspace::sparse(6)] {
+            for ks in [
+                Keyspace::dense(6),
+                Keyspace::sparse(6),
+                Keyspace::dense(6).scoped(2, 4),
+            ] {
                 let mut lm = LockManager::with_keyspace(policy, ks);
                 let mut s = 97u64;
                 for _ in 0..400 {
@@ -835,8 +846,11 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_lock_tables_agree() {
+        // The full dense table is the reference for the sparse one and
+        // for a table scoped to keys 1..3 of the same domain.
         let mut d = LockManager::with_keyspace(DeadlockPolicy::WoundWait, Keyspace::dense(4));
-        let mut sp = LockManager::with_keyspace(DeadlockPolicy::WoundWait, Keyspace::sparse(4));
+        let mut others = [Keyspace::sparse(4), Keyspace::dense(4).scoped(1, 3)]
+            .map(|ks| LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks));
         let mut s = 31u64;
         for _ in 0..300 {
             s = s
@@ -849,15 +863,28 @@ mod tests {
             } else {
                 Exclusive
             };
-            if s.is_multiple_of(7) {
-                assert_eq!(d.release_all(txn), sp.release_all(txn));
+            let release = s.is_multiple_of(7);
+            let (granted, acquired) = if release {
+                (d.release_all(txn), None)
             } else {
-                assert_eq!(d.acquire(txn, key, mode), sp.acquire(txn, key, mode));
+                (Vec::new(), Some(d.acquire(txn, key, mode)))
+            };
+            for o in &mut others {
+                if release {
+                    assert_eq!(o.release_all(txn), granted, "{:?}", o.keyspace());
+                } else {
+                    assert_eq!(Some(o.acquire(txn, key, mode)), acquired);
+                }
+                assert_eq!(o.wait_for_edges(), d.wait_for_edges());
+                assert_eq!(o.find_deadlock(), d.find_deadlock());
+                assert_eq!(o.locks_of(txn), d.locks_of(txn));
+                for k in 0..4 {
+                    assert_eq!(o.holders(Key(k)), d.holders(Key(k)));
+                    assert_eq!(o.waiters(Key(k)), d.waiters(Key(k)));
+                }
             }
-            assert_eq!(d.wait_for_edges(), sp.wait_for_edges());
-            assert_eq!(d.find_deadlock(), sp.find_deadlock());
-            assert_eq!(d.locks_of(txn), sp.locks_of(txn));
         }
+        assert_eq!(others[1].spilled(), 2, "keys 0 and 3 live in the map");
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! The versioned in-memory store: one site's physical copies.
 //!
 //! Two backings share one API. When the workload declares a bounded
-//! [`Keyspace`], the store is *dense*: a `Vec<Option<Versioned>>`
-//! indexed directly by `Key`, so the hot read/write path is a bounds
-//! check and a pointer offset instead of a hash probe. The *sparse*
-//! path keeps a hash map (Fx, not SipHash) for open-ended key domains,
-//! and also catches the rare out-of-range key on a dense store so the
-//! dense assumption can never corrupt semantics — only speed.
+//! [`Keyspace`], the store is *dense*: a `Vec<Option<Versioned>>` with
+//! one slot per key of the keyspace's window, so the hot read/write path
+//! is a bounds check and a pointer offset instead of a hash probe. The
+//! *sparse* path keeps a hash map (Fx, not SipHash) for open-ended key
+//! domains; on a dense store the same map holds the keys outside the
+//! window, so the dense assumption can never corrupt semantics — only
+//! speed.
+//!
+//! A partial replica's window is its shard, a slice of the logical
+//! domain `0..items`. The store still answers for the whole domain,
+//! exactly as a store over the full window would: a domain key outside
+//! the window is *implicit* — present at the initial value, stored
+//! nowhere — until it is first written, and from then on lives in the
+//! map. Snapshots and fingerprints walk the logical domain in key order,
+//! so a scoped store ships and hashes what the full store does.
 
 use crate::hash::FxHashMap;
 use crate::item::{Key, Keyspace, TxnId, Value};
@@ -53,13 +62,21 @@ impl Versioned {
 #[derive(Debug, Clone)]
 pub struct Store {
     ks: Keyspace,
-    /// Dense backing: slot `i` is `Key(i)`'s copy. Empty when sparse.
+    /// Every domain key's initial state, and the value of the implicit
+    /// ones.
+    initial: Versioned,
+    /// Dense backing: slot `i` is `Key(lo + i)`'s copy. Empty when sparse.
     dense: Vec<Option<Versioned>>,
     /// Number of `Some` slots in `dense`.
     dense_len: usize,
     /// Sparse backing; on the dense path this only holds keys outside
-    /// the declared range (a correctness escape hatch, not a fast path).
+    /// the window that have explicit state (a written domain key, or any
+    /// key beyond the domain).
     sparse: FxHashMap<Key, Versioned>,
+    /// Whether a domain key outside the window that `sparse` lacks
+    /// exists at `initial`. True on a dense store until it installs a
+    /// snapshot that leaves such a key out.
+    implicit: bool,
 }
 
 impl Default for Store {
@@ -71,12 +88,7 @@ impl Default for Store {
 impl Store {
     /// Creates an empty store with an open (sparse) keyspace.
     pub fn new() -> Self {
-        Store {
-            ks: Keyspace::sparse(0),
-            dense: Vec::new(),
-            dense_len: 0,
-            sparse: FxHashMap::default(),
-        }
+        Store::with_keyspace(Keyspace::sparse(0), Value(0))
     }
 
     /// Creates a store with keys `0..n`, all at `initial`, densely backed.
@@ -85,27 +97,24 @@ impl Store {
     }
 
     /// Creates a store with keys `0..ks.items` at `initial`, using the
-    /// backing the keyspace declares.
+    /// backing the keyspace declares; a dense store materializes only
+    /// its window.
     pub fn with_keyspace(ks: Keyspace, initial: Value) -> Self {
-        if ks.dense {
-            Store {
-                ks,
-                dense: vec![Some(Versioned::initial(initial)); ks.items as usize],
-                dense_len: ks.items as usize,
-                sparse: FxHashMap::default(),
-            }
-        } else {
-            let mut sparse = FxHashMap::default();
+        let initial = Versioned::initial(initial);
+        let mut sparse = FxHashMap::default();
+        if !ks.dense {
             sparse.reserve(ks.items as usize);
             for k in 0..ks.items {
-                sparse.insert(Key(k), Versioned::initial(initial));
+                sparse.insert(Key(k), initial);
             }
-            Store {
-                ks,
-                dense: Vec::new(),
-                dense_len: 0,
-                sparse,
-            }
+        }
+        Store {
+            ks,
+            initial,
+            dense: vec![Some(initial); ks.slots()],
+            dense_len: ks.slots(),
+            sparse,
+            implicit: ks.dense,
         }
     }
 
@@ -114,9 +123,15 @@ impl Store {
         self.ks
     }
 
-    /// Number of items.
+    /// Number of items: the logical count, implicit items included.
     pub fn len(&self) -> usize {
-        self.dense_len + self.sparse.len()
+        let implicit = if self.implicit {
+            let written = self.sparse.keys().filter(|k| self.is_implicit(**k)).count();
+            self.implicit_keys() - written
+        } else {
+            0
+        };
+        self.dense_len + self.sparse.len() + implicit
     }
 
     /// True if the store holds no items.
@@ -124,27 +139,63 @@ impl Store {
         self.len() == 0
     }
 
-    /// Reads the physical copy of `key`.
+    /// Entries held outside the dense window: written implicit items and
+    /// keys beyond the domain (every entry of a sparse store). A
+    /// residency count; zero on a partial replica that was only ever
+    /// asked about its own shard.
+    pub fn spilled(&self) -> usize {
+        self.sparse.len()
+    }
+
+    /// True for a domain key outside a dense window: implicit until
+    /// written.
     #[inline(always)]
-    pub fn read(&self, key: Key) -> Option<Versioned> {
-        match self.dense.get(key.0 as usize) {
-            Some(slot) => *slot,
-            None => self.sparse.get(&key).copied(),
+    fn is_implicit(&self, key: Key) -> bool {
+        self.ks.dense && key.0 < self.ks.items && self.ks.slot(key).is_none()
+    }
+
+    /// How many domain keys lie outside the dense window.
+    fn implicit_keys(&self) -> usize {
+        if self.ks.dense {
+            self.ks.items as usize - self.ks.slots()
+        } else {
+            0
         }
     }
 
-    /// The slot for `key`, created at `default` if absent.
+    /// `key`'s copy, if it exists.
+    #[inline(always)]
+    fn get(&self, key: Key) -> Option<&Versioned> {
+        match self.ks.slot(key) {
+            Some(i) => self.dense[i].as_ref(),
+            None => self
+                .sparse
+                .get(&key)
+                .or_else(|| (self.implicit && self.is_implicit(key)).then_some(&self.initial)),
+        }
+    }
+
+    /// Reads the physical copy of `key`.
+    #[inline(always)]
+    pub fn read(&self, key: Key) -> Option<Versioned> {
+        self.get(key).copied()
+    }
+
+    /// The slot for `key`, created at `default` if absent. An implicit
+    /// item materializes at `default`, so callers pass a version-0 state
+    /// or overwrite the whole entry.
     #[inline(always)]
     fn entry_or_insert(&mut self, key: Key, default: Versioned) -> &mut Versioned {
-        if (key.0 as usize) < self.dense.len() {
-            let slot = &mut self.dense[key.0 as usize];
-            if slot.is_none() {
-                *slot = Some(default);
-                self.dense_len += 1;
+        match self.ks.slot(key) {
+            Some(i) => {
+                let slot = &mut self.dense[i];
+                if slot.is_none() {
+                    *slot = Some(default);
+                    self.dense_len += 1;
+                }
+                slot.as_mut().expect("slot populated above")
             }
-            slot.as_mut().expect("slot populated above")
-        } else {
-            self.sparse.entry(key).or_insert(default)
+            None => self.sparse.entry(key).or_insert(default),
         }
     }
 
@@ -183,47 +234,68 @@ impl Store {
         }
     }
 
-    /// Iterates over all items in unspecified order.
+    /// Iterates over all items in key order: the domain `0..items`, then
+    /// any keys beyond it. Implicit items are visited at their initial
+    /// state, so a scoped store yields what the full store would.
     pub fn iter(&self) -> impl Iterator<Item = (Key, &Versioned)> {
-        self.dense
+        let domain = (0..self.ks.items).filter_map(|k| self.get(Key(k)).map(|v| (Key(k), v)));
+        // Only keys beyond the domain need sorting, and a bounded
+        // workload has none: this collects nothing.
+        let mut beyond: Vec<(Key, &Versioned)> = self
+            .sparse
             .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|v| (Key(i as u64), v)))
-            .chain(self.sparse.iter().map(|(k, v)| (*k, v)))
+            .filter(|(k, _)| k.0 >= self.ks.items)
+            .map(|(k, v)| (*k, v))
+            .collect();
+        beyond.sort_unstable_by_key(|(k, _)| *k);
+        domain.chain(beyond)
     }
 
     /// Exports the full database state, key-sorted, for state transfer
     /// to a recovering replica. The order is deterministic so shipping
-    /// the snapshot over the simulated network stays reproducible.
+    /// the snapshot over the simulated network stays reproducible, and
+    /// it covers the whole logical domain whatever the window.
     pub fn snapshot(&self) -> Vec<(Key, Versioned)> {
-        let mut entries: Vec<(Key, Versioned)> = self.iter().map(|(k, v)| (k, *v)).collect();
-        entries.sort_by_key(|(k, _)| *k);
-        entries
+        self.iter().map(|(k, v)| (k, *v)).collect()
     }
 
     /// Replaces the entire database state with a donor's snapshot
     /// (values, versions and writers). The inverse of
     /// [`Store::snapshot`]: afterwards the two stores have equal
-    /// fingerprints.
+    /// fingerprints. An implicit item the snapshot carries at its
+    /// initial state stays implicit.
     pub fn install_snapshot(&mut self, snapshot: &[(Key, Versioned)]) {
-        for slot in &mut self.dense {
-            *slot = None;
-        }
+        self.dense.fill(None);
         self.dense_len = 0;
         self.sparse.clear();
-        for (k, v) in snapshot {
-            *self.entry_or_insert(*k, *v) = *v;
+        self.implicit = self.ks.dense && self.covers_implicit(snapshot);
+        for &(k, v) in snapshot {
+            if !(self.implicit && v == self.initial && self.is_implicit(k)) {
+                *self.entry_or_insert(k, v) = v;
+            }
         }
     }
 
+    /// True if `snapshot` is strictly key-sorted and carries every
+    /// implicit key — as a snapshot of a store over the same domain does.
+    /// Otherwise the install makes every entry explicit, and the keys it
+    /// leaves out are absent, as in a full store.
+    fn covers_implicit(&self, snapshot: &[(Key, Versioned)]) -> bool {
+        snapshot.windows(2).all(|w| w[0].0 < w[1].0)
+            && snapshot
+                .iter()
+                .filter(|(k, _)| self.is_implicit(*k))
+                .count()
+                == self.implicit_keys()
+    }
+
     /// A deterministic fingerprint of the full database state, used by the
-    /// experiments to compare replica convergence.
+    /// experiments to compare replica convergence. Streams over
+    /// [`Store::iter`]'s key order.
     pub fn fingerprint(&self) -> u64 {
-        let mut entries: Vec<(Key, &Versioned)> = self.iter().collect();
-        entries.sort_by_key(|(k, _)| *k);
         // FNV-1a over the sorted (key, value) stream.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (k, v) in entries {
+        for (k, v) in self.iter() {
             for word in [k.0, v.value.0 as u64] {
                 for byte in word.to_le_bytes() {
                     h ^= byte as u64;
@@ -475,21 +547,75 @@ mod more_tests {
 
     #[test]
     fn dense_and_sparse_backings_agree() {
-        let mut d = Store::with_keyspace(Keyspace::dense(8), Value(0));
-        let mut s = Store::with_keyspace(Keyspace::sparse(8), Value(0));
+        let backings = [
+            Keyspace::dense(8),
+            Keyspace::sparse(8),
+            Keyspace::dense(8).scoped(2, 5),
+        ];
+        let mut stores = backings.map(|ks| Store::with_keyspace(ks, Value(4)));
         let t = TxnId::new(1, 0);
-        for k in [3u64, 0, 7, 3, 5] {
-            assert_eq!(
-                d.write(Key(k), Value(k as i64), t),
-                s.write(Key(k), Value(k as i64), t)
-            );
+        let u = TxnId::new(2, 1);
+        for (i, k) in [3u64, 0, 7, 3, 5, 9, 0].into_iter().enumerate() {
+            let writes = stores
+                .each_mut()
+                .map(|s| s.write(Key(k), Value(k as i64), t));
+            assert!(writes.iter().all(|w| *w == writes[0]), "write #{i} of x{k}");
         }
-        assert_eq!(d.len(), s.len());
-        assert_eq!(d.fingerprint(), s.fingerprint());
-        assert_eq!(d.snapshot(), s.snapshot());
-        for k in 0..8 {
-            assert_eq!(d.read(Key(k)), s.read(Key(k)));
+        let undo = Versioned::initial(Value(4));
+        let records = [(6u64, 3u64), (2, 2), (11, 1)].map(|(k, version)| WriteRecord {
+            key: Key(k),
+            value: Value(-1),
+            version,
+        });
+        for s in &mut stores {
+            s.restore(Key(7), undo);
+            s.apply_records(u, records.iter().copied());
         }
+        let [d, rest @ ..] = &stores;
+        for s in rest {
+            assert_eq!(d.len(), s.len());
+            assert_eq!(d.fingerprint(), s.fingerprint());
+            assert_eq!(d.snapshot(), s.snapshot());
+            for k in 0..12 {
+                assert_eq!(d.read(Key(k)), s.read(Key(k)), "x{k}");
+            }
+        }
+        // A snapshot round trip into a fresh store of each backing.
+        let snap = d.snapshot();
+        for ks in backings {
+            let mut fresh = Store::with_keyspace(ks, Value(4));
+            fresh.install_snapshot(&snap);
+            assert_eq!(fresh.len(), d.len(), "{ks:?}");
+            assert_eq!(fresh.fingerprint(), d.fingerprint(), "{ks:?}");
+            assert_eq!(fresh.snapshot(), snap, "{ks:?}");
+        }
+    }
+
+    #[test]
+    fn a_scoped_store_spills_only_what_is_written_outside_its_window() {
+        let ks = Keyspace::dense(16).scoped(4, 8);
+        let mut s = Store::with_keyspace(ks, Value(1));
+        assert_eq!((s.len(), s.spilled()), (16, 0));
+        assert_eq!(s.read(Key(12)), Some(Versioned::initial(Value(1))));
+        // Writing an implicit item spills exactly that one entry.
+        s.write(Key(12), Value(5), TxnId::new(1, 0));
+        s.write(Key(6), Value(5), TxnId::new(1, 0));
+        assert_eq!((s.len(), s.spilled()), (16, 1));
+        // Installing a full-domain snapshot spills nothing but what
+        // differs from the initial state outside the window.
+        let full = Store::with_items(16, Value(1));
+        s.install_snapshot(&full.snapshot());
+        assert_eq!((s.len(), s.spilled()), (16, 0));
+        assert_eq!(s.fingerprint(), full.fingerprint());
+        // A snapshot that leaves domain keys out makes them absent, as in
+        // the full store, instead of implicit.
+        let mut full = Store::with_items(16, Value(1));
+        let partial = Store::with_items(3, Value(1)).snapshot();
+        full.install_snapshot(&partial);
+        s.install_snapshot(&partial);
+        assert_eq!(s.read(Key(12)), None);
+        assert_eq!((s.len(), s.fingerprint()), (full.len(), full.fingerprint()));
+        assert_eq!(s.write(Key(12), Value(2), TxnId::new(3, 0)).version, 1);
     }
 
     #[test]

@@ -336,17 +336,20 @@ impl RefLockManager {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The dense Vec-backed lock table agrees with the naive reference
-    /// model decision-for-decision: grants, wound victims, promotion
-    /// order and the resulting holder/waiter state, under both policies
-    /// (with wounded transactions aborted, as the protocols do).
+    /// The dense Vec-backed lock table — over the whole domain, and
+    /// scoped to a window of it as a partial replica's is — agrees with
+    /// the naive reference model decision-for-decision: grants, wound
+    /// victims, promotion order and the resulting holder/waiter state,
+    /// under both policies (with wounded transactions aborted, as the
+    /// protocols do).
     #[test]
     fn dense_lock_table_matches_reference_model(
         ops in lock_ops(),
         detect in any::<bool>(),
     ) {
         let policy = if detect { DeadlockPolicy::Detect } else { DeadlockPolicy::WoundWait };
-        let mut lm = LockManager::with_keyspace(policy, Keyspace::dense(4));
+        let mut tables = [Keyspace::dense(4), Keyspace::dense(4).scoped(1, 3)]
+            .map(|ks| LockManager::with_keyspace(policy, ks));
         let mut reference = RefLockManager::new(policy);
         let mut dead: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
         for op in ops {
@@ -357,32 +360,34 @@ proptest! {
                         continue;
                     }
                     let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                    let got = lm.acquire(txn, Key(key as u64), mode);
                     let want = reference.acquire(txn, Key(key as u64), mode);
-                    prop_assert_eq!(&got, &want, "acquire decisions diverged");
-                    if let Acquire::Waiting { wounded } = got {
+                    for lm in &mut tables {
+                        let got = lm.acquire(txn, Key(key as u64), mode);
+                        prop_assert_eq!(&got, &want, "acquire decisions diverged");
+                    }
+                    if let Acquire::Waiting { wounded } = want {
                         for v in wounded {
                             dead.insert(v);
-                            prop_assert_eq!(
-                                lm.release_all(v),
-                                reference.release_all(v),
-                                "abort grants diverged"
-                            );
+                            let want = reference.release_all(v);
+                            for lm in &mut tables {
+                                prop_assert_eq!(&lm.release_all(v), &want, "abort grants diverged");
+                            }
                         }
                     }
                 }
                 LockOp::Release { txn } => {
                     dead.remove(&t(txn));
-                    prop_assert_eq!(
-                        lm.release_all(t(txn)),
-                        reference.release_all(t(txn)),
-                        "release grants diverged"
-                    );
+                    let want = reference.release_all(t(txn));
+                    for lm in &mut tables {
+                        prop_assert_eq!(&lm.release_all(t(txn)), &want, "release grants diverged");
+                    }
                 }
             }
-            for key in 0..4 {
-                prop_assert_eq!(lm.holders(Key(key)), reference.holders(Key(key)));
-                prop_assert_eq!(lm.waiters(Key(key)), reference.waiters(Key(key)));
+            for lm in &tables {
+                for key in 0..4 {
+                    prop_assert_eq!(lm.holders(Key(key)), reference.holders(Key(key)));
+                    prop_assert_eq!(lm.waiters(Key(key)), reference.waiters(Key(key)));
+                }
             }
         }
     }
