@@ -9,10 +9,12 @@
 //! the columns folded from their reports — registered in [`studies`] and
 //! shared by:
 //!
-//! * `cargo run --bin perfstudy` — prints every table (recorded in
-//!   EXPERIMENTS.md and pinned by `tests/study_tables.rs`),
+//! * `cargo run --bin perfstudy` — prints every table (pinned by
+//!   `tests/study_tables.rs`, which also holds EXPERIMENTS.md's quotes to
+//!   them),
 //! * `cargo run --bin figures` — regenerates the paper's figures,
-//! * `cargo bench` — Criterion benchmarks over the studies' own cells.
+//! * `tests/determinism.rs` — reruns the studies' cells serially and in
+//!   parallel.
 //!
 //! Absolute numbers are simulator ticks (≈ µs at LAN latencies); the
 //! *shapes* — who wins, by what factor, where the curves bend — are the
@@ -29,11 +31,9 @@ use repl_db::DeadlockPolicy;
 use repl_sim::{NodeId, SimDuration, SimTime};
 use repl_workload::{ArrivalDist, FaultPlan, MembershipPlan, WorkloadSpec};
 
-pub mod kernel;
 pub mod study;
 pub mod sweep;
 
-pub use kernel::{kernel, microcycle_keys, SeedLockManager, MICROCYCLE_OPS};
 pub use study::{col, render, Column, Row, Study, StudyRow};
 
 /// Every study of the evaluation with its canonical axes, in the order
@@ -763,6 +763,56 @@ pub fn recovery(downtimes: &[u64], write_ratios: &[f64]) -> Study {
     )
 }
 
+/// The techniques whose servers exercise the db kernel's lock table or
+/// certifier on every transaction — the ones keyspace scaling can move.
+fn kernel_techniques() -> [Technique; 4] {
+    [
+        Technique::EagerPrimary,
+        Technique::EagerUpdateEverywhereLocking,
+        Technique::EagerUpdateEverywhereAbcast,
+        Technique::Certification,
+    ]
+}
+
+/// P10 — kernel scaling: throughput, latency, message cost and server
+/// aborts per kernel-bound technique × keyspace × clients. The workload
+/// is update-heavy (80% writes) so lock and certification traffic
+/// dominates, and uniform so the keyspace axis scales the *table*, not
+/// the conflict rate. All printed values are simulator-deterministic;
+/// the host cost of the kernel structures is `benchmark/`'s `db.*`
+/// drivers.
+pub fn kernel(keyspaces: &[u64], clients: &[u32]) -> Study {
+    let mut rows = Vec::new();
+    for technique in kernel_techniques() {
+        for &keyspace in keyspaces {
+            for &c in clients {
+                rows.push(StudyRow::new(
+                    format!("{} / k={keyspace} / c={c}", technique.name()),
+                    [lean(technique, 3, c).with_seed(211).with_workload(
+                        WorkloadSpec::default()
+                            .with_items(keyspace)
+                            .with_read_ratio(0.2)
+                            .with_txns_per_client(20),
+                    )],
+                ));
+            }
+        }
+    }
+    let columns = vec![
+        col("thru", |r| format!("{:.0}/s", r[0].throughput())),
+        col("p50", |r| percentile(&r[0], 0.5)),
+        col("p99", |r| percentile(&r[0], 0.99)),
+        col("msgs/txn", |r| msgs_per_op(&r[0])),
+        col("aborts", |r| r[0].server_aborts.to_string()),
+    ];
+    Study::new(
+        "P10",
+        "kernel scaling (3 replicas, technique × keyspace × clients)",
+        rows,
+        columns,
+    )
+}
+
 /// P12 — disaster recovery over the durable log tier: the realised
 /// data-loss window (acknowledged commits the wipe erased before they
 /// were durable), restore volume and restore deafness, rejoin MTTR, and
@@ -1161,27 +1211,6 @@ pub fn sharding() -> Study {
     )
 }
 
-/// The run used by the phase-trace benchmark and Figures 2–4/7–14.
-pub fn figure_config(technique: Technique, ops_per_txn: u32) -> RunConfig {
-    let mut cfg = RunConfig::new(technique)
-        .with_clients(1)
-        .with_seed(42)
-        .with_workload(
-            WorkloadSpec::default()
-                .with_items(16)
-                .with_read_ratio(0.0)
-                .with_ops_per_txn(ops_per_txn)
-                .with_txns_per_client(4),
-        );
-    if technique == Technique::SemiActive {
-        cfg = cfg.with_exec(ExecutionMode::NonDeterministic);
-    }
-    if technique.info().propagation == Propagation::Lazy {
-        cfg = cfg.with_propagation_delay(SimDuration::from_ticks(2_000));
-    }
-    cfg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1237,6 +1266,15 @@ mod tests {
         let used = |t: &str| tags.iter().any(|&s| s == t || s == "both");
         assert!(used("suffix"), "no cell used a log suffix: {tags:?}");
         assert!(used("snapshot"), "no cell used a snapshot: {tags:?}");
+    }
+
+    #[test]
+    fn kernel_table_covers_the_matrix() {
+        let rows = kernel(&[64], &[2]).table(2);
+        assert_eq!(rows.len(), kernel_techniques().len());
+        for r in &rows {
+            assert!(r.label.contains("k=64"), "{}", r.label);
+        }
     }
 
     #[test]

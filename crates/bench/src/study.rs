@@ -3,7 +3,7 @@
 //!
 //! A [`Study`] is declared once (see the constructors in the crate root)
 //! and read three ways: [`Study::sweep_cells`] hands its runs to anything
-//! that wants raw reports (the determinism suite, the criterion benches),
+//! that wants raw reports (the determinism suite),
 //! [`Study::table`] sweeps them and folds the printable [`Row`]s, and the
 //! `perfstudy` binary selects studies by [`Study::id`].
 

@@ -21,7 +21,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use repl_core::{try_run, RunConfig, RunError, RunReport};
 
@@ -44,8 +43,7 @@ impl SweepCell {
     }
 }
 
-/// Outcome of one cell: the run's report (or typed error) plus the
-/// wall-clock time that cell took on its worker thread.
+/// Outcome of one cell: the run's report or its typed error.
 #[derive(Debug)]
 pub struct CellResult {
     /// Label copied from the input cell.
@@ -53,8 +51,6 @@ pub struct CellResult {
     /// The run outcome; `Err` carries [`RunError`] without aborting the
     /// rest of the sweep.
     pub result: Result<RunReport, RunError>,
-    /// Wall-clock duration of this cell alone.
-    pub wall: Duration,
 }
 
 impl CellResult {
@@ -74,8 +70,8 @@ impl CellResult {
 /// Number of worker threads to use when the caller was not told: the
 /// `REPL_SWEEP_THREADS` environment variable if set and positive, else
 /// the machine's available parallelism, else 1. Read once, by the
-/// binaries and benches, and passed down — nothing below them consults
-/// the environment.
+/// binaries, and passed down — nothing below them consults the
+/// environment.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("REPL_SWEEP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -129,12 +125,9 @@ pub fn run_sweep(cells: &[SweepCell], threads: usize) -> Vec<CellResult> {
 }
 
 fn run_cell(cell: &SweepCell) -> CellResult {
-    let start = Instant::now();
-    let result = try_run(&cell.cfg);
     CellResult {
         label: cell.label.clone(),
-        result,
-        wall: start.elapsed(),
+        result: try_run(&cell.cfg),
     }
 }
 
@@ -204,12 +197,5 @@ mod tests {
         let results = run_sweep(&cells, 64);
         assert_eq!(results.len(), 1);
         assert!(results[0].result.is_ok());
-    }
-
-    #[test]
-    fn wall_clock_is_recorded() {
-        let cells = vec![SweepCell::new("timed", small_cfg(2))];
-        let results = run_sweep(&cells, 1);
-        assert!(results[0].wall > Duration::ZERO);
     }
 }

@@ -7,11 +7,15 @@
 //! through [`Study::render`]. A change that *is* meant to move a table
 //! replaces that study's block with the "actual" half of the failure
 //! message.
+//!
+//! EXPERIMENTS.md publishes these tables by quoting the golden file, so a
+//! re-recording updates the docs or fails here too.
 
 use repl_bench::{studies, Row, Study, P8_CLIENTS, P8_WINDOWS};
 use repl_core::Technique;
 
 const GOLDEN: &str = include_str!("golden/study_tables.txt");
+const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
 
 fn study(id: &str) -> Study {
     studies()
@@ -66,6 +70,61 @@ fn every_study_matches_its_golden_table() {
 )]
 fn p13_matches_its_golden_table() {
     assert_matches_golden(&study("P13"));
+}
+
+/// Every fenced block of EXPERIMENTS.md is a shell recipe (tagged `sh`)
+/// or a quote of one golden table: its `### <id> — <title>` heading, its
+/// column-header line, then some of its rows in golden order, each byte
+/// for byte.
+#[test]
+fn experiments_md_quotes_the_golden_tables() {
+    let mut lines = EXPERIMENTS.lines().enumerate();
+    let mut quoted = 0;
+    while let Some((n, line)) = lines.next() {
+        let Some(tag) = line.strip_prefix("```") else {
+            continue;
+        };
+        let at = n + 1;
+        let block: Vec<&str> = lines
+            .by_ref()
+            .map(|(_, l)| l)
+            .take_while(|l| !l.starts_with("```"))
+            .collect();
+        match tag {
+            "sh" => continue,
+            "" => {}
+            _ => panic!(
+                "EXPERIMENTS.md:{at}: a fence is tagged `sh` or quotes a golden table, not `{tag}`"
+            ),
+        }
+        let Some((heading, quote)) = block.split_first() else {
+            panic!("EXPERIMENTS.md:{at}: empty fence");
+        };
+        let Some(heading) = heading.strip_prefix("### ") else {
+            panic!("EXPERIMENTS.md:{at}: an untagged fence must open with a golden `### <id> — <title>` heading");
+        };
+        let golden = golden_block(heading);
+        let mut rows = golden.lines().skip(1);
+        let header = rows.next().expect("a golden table has a header line");
+        assert_eq!(
+            quote.first(),
+            Some(&header),
+            "EXPERIMENTS.md:{at}: `{heading}` must quote the golden column headers"
+        );
+        assert!(
+            quote.len() > 1,
+            "EXPERIMENTS.md:{at}: `{heading}` quotes no rows"
+        );
+        for row in &quote[1..] {
+            assert!(
+                rows.any(|g| g == *row),
+                "EXPERIMENTS.md:{at}: `{heading}` has a row that is not in its golden block, \
+                 or not in golden order:\n{row}\n--- golden\n{golden}"
+            );
+        }
+        quoted += 1;
+    }
+    assert!(quoted > 0, "EXPERIMENTS.md quotes no golden table");
 }
 
 fn ratio(cell: &str) -> f64 {

@@ -121,22 +121,29 @@ const START_TAG: u64 = 4;
 
 /// Re-resolves a client's server list after a decommission reroute:
 /// keeps the same contact *node* when it survived, otherwise maps the
-/// old index onto the new list. Returns the new contact index, or `None`
-/// when the reroute carries no servers.
+/// old index onto the new list. Returns the new contact, or `None` (and
+/// changes nothing) when the reroute carries no servers.
 fn resolve_reroute(
     servers: &mut Vec<NodeId>,
-    contact: usize,
+    contact: &mut usize,
     new_servers: &[NodeId],
-) -> Option<usize> {
+) -> Option<NodeId> {
     if new_servers.is_empty() {
         return None;
     }
-    let old = servers.get(contact).copied();
+    let old = servers.get(*contact).copied();
     *servers = new_servers.to_vec();
-    Some(
-        old.and_then(|n| servers.iter().position(|&s| s == n))
-            .unwrap_or(contact % servers.len()),
-    )
+    *contact = old
+        .and_then(|n| servers.iter().position(|&s| s == n))
+        .unwrap_or(*contact % servers.len());
+    Some(servers[*contact])
+}
+
+/// Submits `txn` as operation `id` to `to`: every client's first
+/// submission, retry and reroute goes out through here.
+fn send_op<M: ProtocolMsg>(ctx: &mut Context<'_, M>, to: NodeId, id: OpId, txn: TxnTemplate) {
+    let client = ctx.me();
+    ctx.send(to, M::invoke(ClientOp { id, client, txn }));
 }
 
 /// How the touched groups answer a sharded transaction.
@@ -336,12 +343,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
             retries: 0,
         });
         ctx.mark(Phase::Request.tag(), id.0, 0);
-        let op = ClientOp {
-            id,
-            client: ctx.me(),
-            txn,
-        };
-        ctx.send(self.servers[self.base + self.contact], M::invoke(op));
+        send_op(ctx, self.servers[self.base + self.contact], id, txn);
         self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
@@ -355,12 +357,8 @@ impl<M: ProtocolMsg> ClientActor<M> {
             Some(r) if !r.sticky => self.contact = (self.contact + 1) % r.group_size,
             Some(_) => {}
         }
-        let op = ClientOp {
-            id: rec.op,
-            client: ctx.me(),
-            txn: rec.txn.clone(),
-        };
-        ctx.send(self.servers[self.base + self.contact], M::invoke(op));
+        let to = self.servers[self.base + self.contact];
+        send_op(ctx, to, rec.op, rec.txn.clone());
         self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
@@ -374,17 +372,11 @@ impl<M: ProtocolMsg> ClientActor<M> {
         if rec.responded.is_some() || rec.op != op {
             return;
         }
-        let Some(contact) = resolve_reroute(&mut self.servers, self.contact, new_servers) else {
+        let Some(to) = resolve_reroute(&mut self.servers, &mut self.contact, new_servers) else {
             return;
         };
-        self.contact = contact;
         rec.retries += 1;
-        let op = ClientOp {
-            id: rec.op,
-            client: ctx.me(),
-            txn: rec.txn.clone(),
-        };
-        ctx.send(self.servers[self.contact], M::invoke(op));
+        send_op(ctx, to, rec.op, rec.txn.clone());
     }
 }
 
@@ -398,7 +390,8 @@ pub struct OpenLoopClient<M> {
     preferred: usize,
     txns: Vec<TxnTemplate>,
     mean_interarrival: SimDuration,
-    /// Completed and in-flight operation records.
+    /// Completed and in-flight operation records, in submission order:
+    /// operation `seq` is `records[seq]`.
     pub records: Vec<OpRecord>,
     next_txn: usize,
     _marker: std::marker::PhantomData<M>,
@@ -475,12 +468,14 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
             retries: 0,
         });
         ctx.mark(Phase::Request.tag(), id.0, 0);
-        let op = ClientOp {
-            id,
-            client: ctx.me(),
-            txn,
-        };
-        ctx.send(self.servers[self.preferred], M::invoke(op));
+        send_op(ctx, self.servers[self.preferred], id, txn);
+    }
+
+    /// The record of operation `op`, found by its sequence number.
+    fn record_mut(&mut self, op: OpId) -> Option<&mut OpRecord> {
+        self.records
+            .get_mut(op.seq() as usize)
+            .filter(|r| r.op == op)
     }
 }
 
@@ -638,12 +633,7 @@ impl<M: ProtocolMsg> AggregateClients<M> {
         self.outstanding.insert(id, (ctx.now(), txn.clone()));
         self.peak_outstanding = self.peak_outstanding.max(self.outstanding.len() as u64);
         ctx.mark(Phase::Request.tag(), id.0, 0);
-        let op = ClientOp {
-            id,
-            client: ctx.me(),
-            txn,
-        };
-        ctx.send(self.servers[self.preferred], M::invoke(op));
+        send_op(ctx, self.servers[self.preferred], id, txn);
     }
 }
 
@@ -654,19 +644,11 @@ impl<M: ProtocolMsg> Actor<M> for AggregateClients<M> {
 
     fn on_message(&mut self, ctx: &mut Context<'_, M>, _from: NodeId, msg: M) {
         if let Some((op, servers)) = msg.reroute() {
-            let servers = servers.to_vec();
-            let Some(preferred) = resolve_reroute(&mut self.servers, self.preferred, &servers)
-            else {
+            let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, servers) else {
                 return;
             };
-            self.preferred = preferred;
             if let Some((_, txn)) = self.outstanding.get(&op) {
-                let op = ClientOp {
-                    id: op,
-                    client: ctx.me(),
-                    txn: txn.clone(),
-                };
-                ctx.send(self.servers[self.preferred], M::invoke(op));
+                send_op(ctx, to, op, txn.clone());
             }
             return;
         }
@@ -713,31 +695,19 @@ impl<M: ProtocolMsg> Actor<M> for OpenLoopClient<M> {
             // Not a timeout retry (open loops never retry): an explicit
             // bounce off a decommissioned server is re-submitted to the
             // new membership so the operation is not stranded.
-            let servers = servers.to_vec();
-            let Some(preferred) = resolve_reroute(&mut self.servers, self.preferred, &servers)
-            else {
+            let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, servers) else {
                 return;
             };
-            self.preferred = preferred;
-            if let Some(rec) = self
-                .records
-                .iter_mut()
-                .find(|r| r.op == op && r.responded.is_none())
-            {
+            if let Some(rec) = self.record_mut(op).filter(|r| r.responded.is_none()) {
                 rec.retries += 1;
-                let op = ClientOp {
-                    id: rec.op,
-                    client: ctx.me(),
-                    txn: rec.txn.clone(),
-                };
-                ctx.send(self.servers[self.preferred], M::invoke(op));
+                send_op(ctx, to, op, rec.txn.clone());
             }
             return;
         }
         let Some(resp) = msg.response() else {
             return;
         };
-        let Some(rec) = self.records.iter_mut().find(|r| r.op == resp.op) else {
+        let Some(rec) = self.record_mut(resp.op) else {
             return;
         };
         if rec.responded.is_some() {
@@ -769,8 +739,7 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
 
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
         if let Some((op, servers)) = msg.reroute() {
-            let servers = servers.to_vec();
-            self.handle_reroute(ctx, op, &servers);
+            self.handle_reroute(ctx, op, servers);
             return;
         }
         let Some(resp) = msg.response() else {

@@ -53,9 +53,8 @@ const INITIAL: Installed = (0, TxnId { ts: 0, site: 0 });
 /// identical everywhere — this is what lets the technique skip the
 /// Agreement Coordination phase.
 ///
-/// Built with a bounded [`Keyspace`], the version table is a dense `Vec`
-/// over the keyspace's window, at offset `key - lo`; otherwise an
-/// Fx-hashed map (with keys outside the window handled transparently).
+/// The version table is a dense `Vec` over the [`Keyspace`]'s window, at
+/// offset `key - lo`, and an Fx-hashed map for every key outside it.
 ///
 /// # Examples
 ///
@@ -75,11 +74,9 @@ const INITIAL: Installed = (0, TxnId { ts: 0, site: 0 });
 #[derive(Debug, Clone)]
 pub struct Certifier {
     ks: Keyspace,
-    /// Dense installed-version table: slot `i` is `Key(lo + i)`. Empty
-    /// when sparse.
+    /// Dense installed-version table: slot `i` is `Key(lo + i)`.
     dense: Vec<Installed>,
-    /// Sparse installed-version table; on the dense path only serves keys
-    /// outside the window.
+    /// Installed versions of the keys outside the window.
     sparse: FxHashMap<Key, Installed>,
     committed: u64,
     aborted: u64,
@@ -92,10 +89,10 @@ impl Default for Certifier {
 }
 
 impl Certifier {
-    /// Creates an empty certifier (every item at initial version 0) over
-    /// an open (sparse) keyspace.
+    /// Creates an empty certifier (every item at initial version 0)
+    /// with no window: every key lives in the map.
     pub fn new() -> Self {
-        Certifier::with_keyspace(Keyspace::sparse(0))
+        Certifier::with_keyspace(Keyspace::dense(0))
     }
 
     /// Creates a certifier backed for `ks`.
@@ -191,10 +188,9 @@ impl Certifier {
             + self.sparse.len()
     }
 
-    /// Garbage-collects sparse installed-version entries last written by a
-    /// transaction older than `watermark`. Returns the number evicted.
-    /// On the dense path only keys beyond the domain are candidates, as
-    /// if every domain key had a slot.
+    /// Garbage-collects map entries last written by a transaction older
+    /// than `watermark`. Returns the number evicted. Only keys beyond the
+    /// domain are candidates, as if every domain key had a slot.
     ///
     /// # Caller contract
     ///
@@ -206,15 +202,15 @@ impl Certifier {
     /// *and* whose read sets have drained from the ABCAST stream. The
     /// replication protocols in this reproduction keep certifier versions
     /// in lockstep with store versions and therefore never call this on
-    /// the hot path; it exists for long-running sparse deployments where
-    /// the installed table would otherwise grow without bound. On a
-    /// bounded workload's dense path the table is fixed-size and this is
-    /// a no-op.
+    /// the hot path; it exists for long-running deployments over an
+    /// open key domain, where the installed table would otherwise grow
+    /// without bound. On a bounded workload the table is fixed-size and
+    /// this is a no-op.
     pub fn gc(&mut self, watermark: TxnId) -> usize {
         let before = self.sparse.len();
         let ks = self.ks;
         self.sparse
-            .retain(|k, &mut (_, by)| (ks.dense && k.0 < ks.items) || !by.is_older_than(watermark));
+            .retain(|k, &mut (_, by)| k.0 < ks.items || !by.is_older_than(watermark));
         before - self.sparse.len()
     }
 }
@@ -295,11 +291,14 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_certifiers_agree() {
-        // The full dense table is the reference for the sparse one and
-        // for a table scoped to keys 3..6 of the same domain.
+        // The full window is the reference for an all-map table and for
+        // a table scoped to keys 3..6 of the same domain.
         let mut d = Certifier::with_keyspace(Keyspace::dense(8));
-        let mut others =
-            [Keyspace::sparse(8), Keyspace::dense(8).scoped(3, 6)].map(Certifier::with_keyspace);
+        let mut others = [
+            Keyspace::dense(8).scoped(0, 0),
+            Keyspace::dense(8).scoped(3, 6),
+        ]
+        .map(Certifier::with_keyspace);
         let mut s = 5u64;
         for ts in 1..=200u64 {
             s = s

@@ -17,8 +17,7 @@
 //! ## Hot-path design
 //!
 //! The lock table is dense (a `Vec` slot per key of the [`Keyspace`]'s
-//! window, at offset `key - lo`) when built with a bounded keyspace, with
-//! an Fx-hashed map as the sparse fallback, which also serves keys
+//! window, at offset `key - lo`), with an Fx-hashed map serving every key
 //! outside the window. A partial replica's window is its shard, so its
 //! table costs O(shard) rather than O(keyspace); a key outside it is
 //! locked through the map with the same decisions.
@@ -128,11 +127,9 @@ const BLACK: u8 = 2;
 pub struct LockManager {
     policy: DeadlockPolicy,
     ks: Keyspace,
-    /// Dense table: slot `i` is `Key(lo + i)`'s lock state. Empty when
-    /// sparse.
+    /// Dense table: slot `i` is `Key(lo + i)`'s lock state.
     dense: Vec<LockState>,
-    /// Sparse table; on the dense path this only serves keys outside the
-    /// window.
+    /// Lock states of the keys outside the window.
     sparse: FxHashMap<Key, LockState>,
     /// Keys each transaction holds (sorted per txn for deterministic
     /// release order).
@@ -167,13 +164,14 @@ impl Default for LockManager {
 }
 
 impl LockManager {
-    /// Creates an empty lock table over an open (sparse) keyspace.
+    /// Creates an empty lock table with no window: every key lives in the
+    /// map.
     pub fn new(policy: DeadlockPolicy) -> Self {
-        LockManager::with_keyspace(policy, Keyspace::sparse(0))
+        LockManager::with_keyspace(policy, Keyspace::dense(0))
     }
 
-    /// Creates a lock table backed for `ks`: dense `Vec` slots over a
-    /// bounded keyspace's window, a hash table otherwise.
+    /// Creates a lock table backed for `ks`: dense `Vec` slots over the
+    /// keyspace's window, a hash table for every other key.
     pub fn with_keyspace(policy: DeadlockPolicy, ks: Keyspace) -> Self {
         let mut dense = Vec::new();
         dense.resize_with(ks.slots(), LockState::default);
@@ -207,8 +205,8 @@ impl LockManager {
         self.ks
     }
 
-    /// Lock-table entries held outside the dense window (every entry of
-    /// a sparse table): a residency count, zero on a partial replica that
+    /// Lock-table entries held outside the dense window: a residency
+    /// count, zero on a partial replica that
     /// only ever locked keys of its own shard. Entries stay once created.
     pub fn spilled(&self) -> usize {
         self.sparse.len()
@@ -813,7 +811,7 @@ mod tests {
         for policy in [DeadlockPolicy::WoundWait, DeadlockPolicy::Detect] {
             for ks in [
                 Keyspace::dense(6),
-                Keyspace::sparse(6),
+                Keyspace::dense(6).scoped(0, 0),
                 Keyspace::dense(6).scoped(2, 4),
             ] {
                 let mut lm = LockManager::with_keyspace(policy, ks);
@@ -846,11 +844,14 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_lock_tables_agree() {
-        // The full dense table is the reference for the sparse one and
-        // for a table scoped to keys 1..3 of the same domain.
+        // The full window is the reference for an all-map table and for
+        // a table scoped to keys 1..3 of the same domain.
         let mut d = LockManager::with_keyspace(DeadlockPolicy::WoundWait, Keyspace::dense(4));
-        let mut others = [Keyspace::sparse(4), Keyspace::dense(4).scoped(1, 3)]
-            .map(|ks| LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks));
+        let mut others = [
+            Keyspace::dense(4).scoped(0, 0),
+            Keyspace::dense(4).scoped(1, 3),
+        ]
+        .map(|ks| LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks));
         let mut s = 31u64;
         for _ in 0..300 {
             s = s

@@ -1,12 +1,10 @@
 //! The versioned in-memory store: one site's physical copies.
 //!
-//! Two backings share one API. When the workload declares a bounded
-//! [`Keyspace`], the store is *dense*: a `Vec<Option<Versioned>>` with
-//! one slot per key of the keyspace's window, so the hot read/write path
-//! is a bounds check and a pointer offset instead of a hash probe. The
-//! *sparse* path keeps a hash map (Fx, not SipHash) for open-ended key
-//! domains; on a dense store the same map holds the keys outside the
-//! window, so the dense assumption can never corrupt semantics — only
+//! Two backings share one API. The store holds a `Vec<Option<Versioned>>`
+//! with one slot per key of its [`Keyspace`]'s window, so the hot
+//! read/write path is a bounds check and a pointer offset instead of a
+//! hash probe, and a hash map (Fx, not SipHash) for every explicit key
+//! outside the window, so the window can never corrupt semantics — only
 //! speed.
 //!
 //! A partial replica's window is its shard, a slice of the logical
@@ -65,17 +63,16 @@ pub struct Store {
     /// Every domain key's initial state, and the value of the implicit
     /// ones.
     initial: Versioned,
-    /// Dense backing: slot `i` is `Key(lo + i)`'s copy. Empty when sparse.
+    /// Dense backing: slot `i` is `Key(lo + i)`'s copy.
     dense: Vec<Option<Versioned>>,
     /// Number of `Some` slots in `dense`.
     dense_len: usize,
-    /// Sparse backing; on the dense path this only holds keys outside
-    /// the window that have explicit state (a written domain key, or any
-    /// key beyond the domain).
+    /// The keys outside the window that have explicit state (a written
+    /// domain key, or any key beyond the domain).
     sparse: FxHashMap<Key, Versioned>,
     /// Whether a domain key outside the window that `sparse` lacks
-    /// exists at `initial`. True on a dense store until it installs a
-    /// snapshot that leaves such a key out.
+    /// exists at `initial`. True until the store installs a snapshot
+    /// that leaves such a key out.
     implicit: bool,
 }
 
@@ -86,9 +83,9 @@ impl Default for Store {
 }
 
 impl Store {
-    /// Creates an empty store with an open (sparse) keyspace.
+    /// Creates an empty store: no domain, every key lives in the map.
     pub fn new() -> Self {
-        Store::with_keyspace(Keyspace::sparse(0), Value(0))
+        Store::with_keyspace(Keyspace::dense(0), Value(0))
     }
 
     /// Creates a store with keys `0..n`, all at `initial`, densely backed.
@@ -96,25 +93,17 @@ impl Store {
         Store::with_keyspace(Keyspace::dense(n), initial)
     }
 
-    /// Creates a store with keys `0..ks.items` at `initial`, using the
-    /// backing the keyspace declares; a dense store materializes only
-    /// its window.
+    /// Creates a store with keys `0..ks.items` at `initial`; it
+    /// materializes only the keyspace's window.
     pub fn with_keyspace(ks: Keyspace, initial: Value) -> Self {
         let initial = Versioned::initial(initial);
-        let mut sparse = FxHashMap::default();
-        if !ks.dense {
-            sparse.reserve(ks.items as usize);
-            for k in 0..ks.items {
-                sparse.insert(Key(k), initial);
-            }
-        }
         Store {
             ks,
             initial,
             dense: vec![Some(initial); ks.slots()],
             dense_len: ks.slots(),
-            sparse,
-            implicit: ks.dense,
+            sparse: FxHashMap::default(),
+            implicit: true,
         }
     }
 
@@ -140,27 +129,22 @@ impl Store {
     }
 
     /// Entries held outside the dense window: written implicit items and
-    /// keys beyond the domain (every entry of a sparse store). A
-    /// residency count; zero on a partial replica that was only ever
-    /// asked about its own shard.
+    /// keys beyond the domain. A residency count; zero on a partial
+    /// replica that was only ever asked about its own shard.
     pub fn spilled(&self) -> usize {
         self.sparse.len()
     }
 
-    /// True for a domain key outside a dense window: implicit until
+    /// True for a domain key outside the window: implicit until
     /// written.
     #[inline(always)]
     fn is_implicit(&self, key: Key) -> bool {
-        self.ks.dense && key.0 < self.ks.items && self.ks.slot(key).is_none()
+        key.0 < self.ks.items && self.ks.slot(key).is_none()
     }
 
-    /// How many domain keys lie outside the dense window.
+    /// How many domain keys lie outside the window.
     fn implicit_keys(&self) -> usize {
-        if self.ks.dense {
-            self.ks.items as usize - self.ks.slots()
-        } else {
-            0
-        }
+        self.ks.items as usize - self.ks.slots()
     }
 
     /// `key`'s copy, if it exists.
@@ -268,7 +252,7 @@ impl Store {
         self.dense.fill(None);
         self.dense_len = 0;
         self.sparse.clear();
-        self.implicit = self.ks.dense && self.covers_implicit(snapshot);
+        self.implicit = self.covers_implicit(snapshot);
         for &(k, v) in snapshot {
             if !(self.implicit && v == self.initial && self.is_implicit(k)) {
                 *self.entry_or_insert(k, v) = v;
@@ -547,9 +531,11 @@ mod more_tests {
 
     #[test]
     fn dense_and_sparse_backings_agree() {
+        // The full window is the reference for an all-map store and for
+        // one scoped to keys 2..5 of the same domain.
         let backings = [
             Keyspace::dense(8),
-            Keyspace::sparse(8),
+            Keyspace::dense(8).scoped(0, 0),
             Keyspace::dense(8).scoped(2, 5),
         ];
         let mut stores = backings.map(|ks| Store::with_keyspace(ks, Value(4)));
@@ -622,8 +608,8 @@ mod more_tests {
     fn dense_store_tolerates_out_of_range_keys() {
         let mut d = Store::with_keyspace(Keyspace::dense(4), Value(0));
         let t = TxnId::new(2, 1);
-        // A key beyond the declared bound lands in the sparse overflow
-        // with identical semantics (created at version 1).
+        // A key beyond the declared bound lands in the map with
+        // identical semantics (created at version 1).
         let v = d.write(Key(100), Value(6), t);
         assert_eq!(v.version, 1);
         assert_eq!(d.len(), 5);

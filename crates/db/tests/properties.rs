@@ -336,8 +336,9 @@ impl RefLockManager {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The dense Vec-backed lock table — over the whole domain, and
-    /// scoped to a window of it as a partial replica's is — agrees with
+    /// The dense Vec-backed lock table — over the whole domain, scoped
+    /// to a window of it as a partial replica's is, and with no window at
+    /// all (every key in the map) — agrees with
     /// the naive reference model decision-for-decision: grants, wound
     /// victims, promotion order and the resulting holder/waiter state,
     /// under both policies (with wounded transactions aborted, as the
@@ -348,8 +349,12 @@ proptest! {
         detect in any::<bool>(),
     ) {
         let policy = if detect { DeadlockPolicy::Detect } else { DeadlockPolicy::WoundWait };
-        let mut tables = [Keyspace::dense(4), Keyspace::dense(4).scoped(1, 3)]
-            .map(|ks| LockManager::with_keyspace(policy, ks));
+        let mut tables = [
+            Keyspace::dense(4),
+            Keyspace::dense(4).scoped(1, 3),
+            Keyspace::dense(4).scoped(0, 0),
+        ]
+        .map(|ks| LockManager::with_keyspace(policy, ks));
         let mut reference = RefLockManager::new(policy);
         let mut dead: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
         for op in ops {

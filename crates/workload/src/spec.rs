@@ -148,8 +148,9 @@ impl WorkloadSpec {
         crate::ShardMap::new(self.items, self.shards)
     }
 
-    /// The [`Keyspace`] the db kernel should be built for: dense, since
-    /// no generator in this crate draws a key outside `0..items`.
+    /// The [`Keyspace`] the db kernel should be built for: the window
+    /// covers the whole domain, since no generator in this crate draws a
+    /// key outside `0..items`.
     pub fn keyspace(&self) -> Keyspace {
         Keyspace::dense(self.items)
     }
@@ -178,8 +179,8 @@ mod tests {
 
     #[test]
     fn keyspace_is_dense_over_the_items() {
-        let s = WorkloadSpec::default().with_items(64);
-        assert_eq!(s.keyspace(), Keyspace::dense(64));
+        let ks = WorkloadSpec::default().with_items(64).keyspace();
+        assert_eq!((ks.items, ks.window(), ks.slots()), (64, (0, 64), 64));
     }
 
     #[test]
