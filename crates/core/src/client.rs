@@ -21,70 +21,13 @@ use std::collections::HashMap;
 
 use repl_db::Value;
 use repl_sim::{
-    impl_as_any, Actor, Context, GroupSet, LatencyHistogram, Message, NodeId, SimDuration, SimTime,
-    TimerId,
+    impl_as_any, Actor, GroupSet, LatencyHistogram, Message, NodeId, SimDuration, SimTime, TimerId,
 };
 use repl_workload::{ArrivalStream, OpTemplate, ShardMap, TxnTemplate, WorkloadGen};
 
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
-use crate::protocols::replica::MemberMsg;
-
-/// A protocol wire type that clients can talk: carries invocations in and
-/// responses out, and wraps the membership handshake the replica shell
-/// speaks on every technique's behalf.
-pub trait ProtocolMsg: Message {
-    /// Wraps a client operation for submission.
-    fn invoke(op: ClientOp) -> Self;
-    /// Wraps a response for the client.
-    fn reply(resp: Response) -> Self;
-    /// Extracts a response, if this message is one.
-    fn response(&self) -> Option<&Response>;
-    /// Wraps a membership-handshake message.
-    fn member(m: MemberMsg) -> Self;
-    /// Extracts the membership-handshake message, if this is one.
-    fn as_member(&self) -> Option<&MemberMsg>;
-    /// Extracts a decommission reroute, if this message is one: the
-    /// bounced operation and the membership to re-resolve against.
-    fn reroute(&self) -> Option<(OpId, &[NodeId])> {
-        match self.as_member() {
-            Some(MemberMsg::Reroute { op, servers }) => Some((*op, servers)),
-            _ => None,
-        }
-    }
-}
-
-/// Implements [`ProtocolMsg`] for a wire enum with the three variants
-/// every technique shares: `Invoke(ClientOp)`, `Reply(Response)` and
-/// `Member(MemberMsg)`.
-macro_rules! impl_protocol_msg {
-    ($msg:ident) => {
-        impl $crate::client::ProtocolMsg for $msg {
-            fn invoke(op: $crate::op::ClientOp) -> Self {
-                $msg::Invoke(op)
-            }
-            fn reply(resp: $crate::op::Response) -> Self {
-                $msg::Reply(resp)
-            }
-            fn response(&self) -> Option<&$crate::op::Response> {
-                match self {
-                    $msg::Reply(r) => Some(r),
-                    _ => None,
-                }
-            }
-            fn member(m: $crate::protocols::replica::MemberMsg) -> Self {
-                $msg::Member(m)
-            }
-            fn as_member(&self) -> Option<&$crate::protocols::replica::MemberMsg> {
-                match self {
-                    $msg::Member(m) => Some(m),
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-pub(crate) use impl_protocol_msg;
+use crate::protocols::replica::{Ctx, MemberMsg, Wire};
 
 /// What a client observed for one operation.
 #[derive(Debug, Clone)]
@@ -141,9 +84,9 @@ fn resolve_reroute(
 
 /// Submits `txn` as operation `id` to `to`: every client's first
 /// submission, retry and reroute goes out through here.
-fn send_op<M: ProtocolMsg>(ctx: &mut Context<'_, M>, to: NodeId, id: OpId, txn: TxnTemplate) {
+fn send_op<P: Message>(ctx: &mut Ctx<'_, P>, to: NodeId, id: OpId, txn: TxnTemplate) {
     let client = ctx.me();
-    ctx.send(to, M::invoke(ClientOp { id, client, txn }));
+    ctx.send(to, Wire::Invoke(ClientOp { id, client, txn }));
 }
 
 /// How the touched groups answer a sharded transaction.
@@ -202,10 +145,10 @@ impl Routing {
 
 /// The closed-loop client actor.
 ///
-/// Generic over the protocol's wire type `M`; the technique decides which
-/// server the client contacts first (its "local" server, the primary, …)
-/// via `preferred`.
-pub struct ClientActor<M> {
+/// Speaks [`Wire<P>`] for the technique's traffic `P`, which it never
+/// reads; the technique decides which server the client contacts first
+/// (its "local" server, the primary, …) via `preferred`.
+pub struct ClientActor<P> {
     client_no: u32,
     servers: Vec<NodeId>,
     /// Index into the contact list of the server operations go to:
@@ -228,10 +171,10 @@ pub struct ClientActor<M> {
     /// operations, so a timer never outlives the attempt it guards.
     retry_timer: Option<TimerId>,
     done: bool,
-    _marker: std::marker::PhantomData<M>,
+    _marker: std::marker::PhantomData<P>,
 }
 
-impl<M: ProtocolMsg> ClientActor<M> {
+impl<P: Message> ClientActor<P> {
     /// Creates a client that will submit `txns` in order, contacting
     /// `servers[preferred]` first.
     ///
@@ -320,7 +263,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
         self.records.iter().filter(|r| r.responded.is_some())
     }
 
-    fn submit_next(&mut self, ctx: &mut Context<'_, M>) {
+    fn submit_next(&mut self, ctx: &mut Ctx<'_, P>) {
         if self.next_txn >= self.txns.len() {
             return;
         }
@@ -347,7 +290,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
         self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
-    fn retry(&mut self, ctx: &mut Context<'_, M>) {
+    fn retry(&mut self, ctx: &mut Ctx<'_, P>) {
         let Some(rec) = self.records.last_mut() else {
             return;
         };
@@ -365,7 +308,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
     /// A decommissioned server bounced our in-flight operation: adopt
     /// the new membership, re-resolve the contact, and re-submit there
     /// immediately (the armed retry timer keeps running as a backstop).
-    fn handle_reroute(&mut self, ctx: &mut Context<'_, M>, op: OpId, new_servers: &[NodeId]) {
+    fn handle_reroute(&mut self, ctx: &mut Ctx<'_, P>, op: OpId, new_servers: &[NodeId]) {
         let Some(rec) = self.records.last_mut() else {
             return;
         };
@@ -384,7 +327,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
 /// inter-arrival times regardless of responses, so several operations may
 /// be outstanding at once. Unanswered operations are *not* retried — the
 /// point of an open-loop driver is to expose saturation, not to mask it.
-pub struct OpenLoopClient<M> {
+pub struct OpenLoopClient<P> {
     client_no: u32,
     servers: Vec<NodeId>,
     preferred: usize,
@@ -394,12 +337,12 @@ pub struct OpenLoopClient<M> {
     /// operation `seq` is `records[seq]`.
     pub records: Vec<OpRecord>,
     next_txn: usize,
-    _marker: std::marker::PhantomData<M>,
+    _marker: std::marker::PhantomData<P>,
 }
 
 const SUBMIT_TAG: u64 = 3;
 
-impl<M: ProtocolMsg> OpenLoopClient<M> {
+impl<P: Message> OpenLoopClient<P> {
     /// Creates an open-loop client with the given mean inter-arrival time.
     ///
     /// # Panics
@@ -441,7 +384,7 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
         self.records.iter().filter(|r| r.responded.is_some())
     }
 
-    fn arm_next(&mut self, ctx: &mut Context<'_, M>) {
+    fn arm_next(&mut self, ctx: &mut Ctx<'_, P>) {
         if self.next_txn >= self.txns.len() {
             return;
         }
@@ -451,7 +394,7 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
         ctx.set_timer(SimDuration::from_ticks(ticks.max(1)), SUBMIT_TAG);
     }
 
-    fn submit(&mut self, ctx: &mut Context<'_, M>) {
+    fn submit(&mut self, ctx: &mut Ctx<'_, P>) {
         if self.next_txn >= self.txns.len() {
             return;
         }
@@ -528,7 +471,7 @@ impl ClientGroup {
 /// [`LatencyHistogram`], and only the in-flight operations are tracked.
 /// Like [`OpenLoopClient`], it never retries — open loops expose
 /// saturation rather than masking it.
-pub struct AggregateClients<M> {
+pub struct AggregateClients<P> {
     group: ClientGroup,
     servers: Vec<NodeId>,
     preferred: usize,
@@ -552,10 +495,10 @@ pub struct AggregateClients<M> {
     pub worst_gap: SimDuration,
     /// High-water mark of in-flight operations.
     pub peak_outstanding: u64,
-    _marker: std::marker::PhantomData<M>,
+    _marker: std::marker::PhantomData<P>,
 }
 
-impl<M: ProtocolMsg> AggregateClients<M> {
+impl<P: Message> AggregateClients<P> {
     /// Creates the aggregate for `group`, submitting to
     /// `servers[preferred]`. `gen` supplies the transactions (one
     /// generator for the whole group), `arrivals` the aggregate gap
@@ -614,7 +557,7 @@ impl<M: ProtocolMsg> AggregateClients<M> {
         self.issued >= self.budget && self.outstanding.is_empty()
     }
 
-    fn arm_next(&mut self, ctx: &mut Context<'_, M>) {
+    fn arm_next(&mut self, ctx: &mut Ctx<'_, P>) {
         if self.issued >= self.budget {
             return;
         }
@@ -622,7 +565,7 @@ impl<M: ProtocolMsg> AggregateClients<M> {
         ctx.set_timer(SimDuration::from_ticks(gap), SUBMIT_TAG);
     }
 
-    fn submit(&mut self, ctx: &mut Context<'_, M>) {
+    fn submit(&mut self, ctx: &mut Ctx<'_, P>) {
         if self.issued >= self.budget {
             return;
         }
@@ -637,23 +580,25 @@ impl<M: ProtocolMsg> AggregateClients<M> {
     }
 }
 
-impl<M: ProtocolMsg> Actor<M> for AggregateClients<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+impl<P: Message> Actor<Wire<P>> for AggregateClients<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
         self.arm_next(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, _from: NodeId, msg: M) {
-        if let Some((op, servers)) = msg.reroute() {
-            let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, servers) else {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, P>, _from: NodeId, msg: Wire<P>) {
+        let resp = match msg {
+            Wire::Reply(resp) => resp,
+            Wire::Member(MemberMsg::Reroute { op, servers }) => {
+                let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, &servers)
+                else {
+                    return;
+                };
+                if let Some((_, txn)) = self.outstanding.get(&op) {
+                    send_op(ctx, to, op, txn.clone());
+                }
                 return;
-            };
-            if let Some((_, txn)) = self.outstanding.get(&op) {
-                send_op(ctx, to, op, txn.clone());
             }
-            return;
-        }
-        let Some(resp) = msg.response() else {
-            return;
+            _ => return,
         };
         // Active-style techniques answer once per replica; only the first
         // response of an op still in flight counts.
@@ -675,7 +620,7 @@ impl<M: ProtocolMsg> Actor<M> for AggregateClients<M> {
         ctx.mark(Phase::Response.tag(), resp.op.0, 0);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, P>, _timer: TimerId, tag: u64) {
         if tag == SUBMIT_TAG {
             self.submit(ctx);
             self.arm_next(ctx);
@@ -685,40 +630,43 @@ impl<M: ProtocolMsg> Actor<M> for AggregateClients<M> {
     impl_as_any!();
 }
 
-impl<M: ProtocolMsg> Actor<M> for OpenLoopClient<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+impl<P: Message> Actor<Wire<P>> for OpenLoopClient<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
         self.arm_next(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, _from: NodeId, msg: M) {
-        if let Some((op, servers)) = msg.reroute() {
-            // Not a timeout retry (open loops never retry): an explicit
-            // bounce off a decommissioned server is re-submitted to the
-            // new membership so the operation is not stranded.
-            let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, servers) else {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, P>, _from: NodeId, msg: Wire<P>) {
+        let resp = match msg {
+            Wire::Reply(resp) => resp,
+            Wire::Member(MemberMsg::Reroute { op, servers }) => {
+                // Not a timeout retry (open loops never retry): an explicit
+                // bounce off a decommissioned server is re-submitted to the
+                // new membership so the operation is not stranded.
+                let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, &servers)
+                else {
+                    return;
+                };
+                if let Some(rec) = self.record_mut(op).filter(|r| r.responded.is_none()) {
+                    rec.retries += 1;
+                    send_op(ctx, to, op, rec.txn.clone());
+                }
                 return;
-            };
-            if let Some(rec) = self.record_mut(op).filter(|r| r.responded.is_none()) {
-                rec.retries += 1;
-                send_op(ctx, to, op, rec.txn.clone());
             }
-            return;
-        }
-        let Some(resp) = msg.response() else {
-            return;
+            _ => return,
         };
-        let Some(rec) = self.record_mut(resp.op) else {
+        let op = resp.op;
+        let Some(rec) = self.record_mut(op) else {
             return;
         };
         if rec.responded.is_some() {
             return;
         }
         rec.responded = Some(ctx.now());
-        rec.response = Some(resp.clone());
-        ctx.mark(Phase::Response.tag(), resp.op.0, 0);
+        rec.response = Some(resp);
+        ctx.mark(Phase::Response.tag(), op.0, 0);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, P>, _timer: TimerId, tag: u64) {
         if tag == SUBMIT_TAG {
             self.submit(ctx);
             self.arm_next(ctx);
@@ -728,8 +676,8 @@ impl<M: ProtocolMsg> Actor<M> for OpenLoopClient<M> {
     impl_as_any!();
 }
 
-impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
         if self.start_after.is_zero() {
             self.submit_next(ctx);
         } else {
@@ -737,13 +685,13 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        if let Some((op, servers)) = msg.reroute() {
-            self.handle_reroute(ctx, op, servers);
-            return;
-        }
-        let Some(resp) = msg.response() else {
-            return;
+    fn on_message(&mut self, ctx: &mut Ctx<'_, P>, from: NodeId, msg: Wire<P>) {
+        let resp = match msg {
+            Wire::Reply(resp) => resp,
+            Wire::Member(MemberMsg::Reroute { op, servers }) => {
+                return self.handle_reroute(ctx, op, &servers);
+            }
+            _ => return,
         };
         // The in-flight operation is always the last record.
         let Some(rec) = self.records.last_mut() else {
@@ -753,11 +701,11 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
             return; // stale or duplicate (active replication answers n times)
         }
         let resp = match &mut self.routing {
-            Some(r) if r.mode == ReplyMode::PerShard => match r.absorb(from, resp, &rec.txn) {
+            Some(r) if r.mode == ReplyMode::PerShard => match r.absorb(from, &resp, &rec.txn) {
                 Some(merged) => merged,
                 None => return,
             },
-            _ => resp.clone(),
+            _ => resp,
         };
         rec.responded = Some(ctx.now());
         rec.response = Some(resp);
@@ -771,7 +719,7 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, P>, timer: TimerId, tag: u64) {
         match tag {
             // Only the timer held: a fired id must not be cancelled later
             // (`Context::cancel_timer`), so it is forgotten here.
@@ -796,18 +744,12 @@ impl<M: ProtocolMsg> Actor<M> for ClientActor<M> {
 mod tests {
     use super::*;
     use repl_db::{Key, Value};
-    use repl_sim::{Message, SimConfig, SimTime, World};
+    use repl_sim::{Context, SimConfig, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
-    /// A trivial wire type for driving the clients directly.
-    #[derive(Debug, Clone)]
-    enum EchoMsg {
-        Invoke(ClientOp),
-        Reply(crate::Response),
-        Member(MemberMsg),
-    }
-    impl Message for EchoMsg {}
-    impl_protocol_msg!(EchoMsg);
+    /// The envelope with no technique traffic, for driving the clients
+    /// directly.
+    type EchoMsg = Wire<()>;
 
     /// A server that answers every invoke — unless mute.
     struct EchoServer {
@@ -875,7 +817,7 @@ mod tests {
             mute: false,
             served: 0,
         }));
-        let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
+        let c = world.add_actor(Box::new(ClientActor::<()>::new(
             0,
             vec![s],
             0,
@@ -885,7 +827,7 @@ mod tests {
         )));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         assert!(client.is_done());
         assert_eq!(client.completed().count(), 5);
         // Strictly sequential: each op invoked after the previous response.
@@ -906,7 +848,7 @@ mod tests {
             mute: false,
             served: 0,
         }));
-        let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
+        let c = world.add_actor(Box::new(ClientActor::<()>::new(
             0,
             vec![dead, live],
             0, // prefers the mute server
@@ -916,7 +858,7 @@ mod tests {
         )));
         world.start();
         world.run_until(SimTime::from_ticks(100_000));
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         assert!(client.is_done(), "failover retry did not happen");
         // The first operation times out once; the contact that answered
         // it is asked first from then on.
@@ -930,7 +872,7 @@ mod tests {
     fn duplicate_responses_are_recorded_once() {
         let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
         let s = world.add_actor(Scripted::new(false)); // answers twice
-        let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
+        let c = world.add_actor(Box::new(ClientActor::<()>::new(
             0,
             vec![s],
             0,
@@ -940,7 +882,7 @@ mod tests {
         )));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         assert!(client.is_done());
         assert_eq!(client.records.len(), 3, "no duplicate records");
     }
@@ -950,7 +892,7 @@ mod tests {
         // The server first repeats its answer to the previous operation.
         let mut world: World<EchoMsg> = World::new(SimConfig::new(5));
         let s = world.add_actor(Scripted::new(false));
-        let c = world.add_actor(Box::new(ClientActor::<EchoMsg>::new(
+        let c = world.add_actor(Box::new(ClientActor::<()>::new(
             0,
             vec![s],
             0,
@@ -960,7 +902,7 @@ mod tests {
         )));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         assert!(client.is_done());
         assert_eq!(client.records.len(), 4);
         for (i, rec) in client.records.iter().enumerate() {
@@ -983,7 +925,7 @@ mod tests {
             mute: true,
             served: 0,
         }));
-        let c = world.add_actor(Box::new(OpenLoopClient::<EchoMsg>::new(
+        let c = world.add_actor(Box::new(OpenLoopClient::<()>::new(
             0,
             vec![s],
             0,
@@ -992,7 +934,7 @@ mod tests {
         )));
         world.start();
         world.run_until(SimTime::from_ticks(50_000));
-        let client = world.actor_ref::<OpenLoopClient<EchoMsg>>(c);
+        let client = world.actor_ref::<OpenLoopClient<()>>(c);
         // All submitted (server is mute, so none answered) — open loop
         // does not block on responses.
         assert_eq!(client.records.len(), 4);
@@ -1014,7 +956,7 @@ mod tests {
             count: 10,
         };
         let spec = WorkloadSpec::default().with_txns_per_client(3);
-        let agg = AggregateClients::<EchoMsg>::new(
+        let agg = AggregateClients::<()>::new(
             group,
             vec![s],
             0,
@@ -1027,7 +969,7 @@ mod tests {
         let c = world.add_actor(Box::new(agg));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        let agg = world.actor_ref::<AggregateClients<EchoMsg>>(c);
+        let agg = world.actor_ref::<AggregateClients<()>>(c);
         assert!(agg.is_done());
         assert_eq!(agg.issued(), 30);
         assert_eq!(agg.committed, 30);
@@ -1105,18 +1047,12 @@ mod tests {
         let servers = (0..shards).map(|g| world.add_actor(Box::new(echo(g))));
         let txns = txns.into_iter().map(|ops| TxnTemplate { ops: ops.into() });
         let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(50_000));
-        let client = ClientActor::<EchoMsg>::new(
-            3,
-            servers.collect(),
-            0,
-            txns.collect(),
-            think,
-            retry_after,
-        );
+        let client =
+            ClientActor::<()>::new(3, servers.collect(), 0, txns.collect(), think, retry_after);
         let c = world.add_actor(Box::new(client.with_routing(map, mode, false)));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        assert!(world.actor_ref::<ClientActor<EchoMsg>>(c).is_done());
+        assert!(world.actor_ref::<ClientActor<()>>(c).is_done());
         (world, c)
     }
 
@@ -1125,7 +1061,7 @@ mod tests {
         // One write per shard, routed by the key's owner.
         let writes = (0..4).map(|g| vec![OpTemplate::Write(first_key(4, g), Value(1))]);
         let (world, c) = shard_run(4, ReplyMode::PerShard, writes.collect());
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         assert_eq!(client.completed().count(), 4);
         for g in 0..4 {
             assert_eq!(world.actor_ref::<ShardEcho>(NodeId::new(g)).served, 1);
@@ -1143,7 +1079,7 @@ mod tests {
             OpTemplate::Read(k0),
         ];
         let (world, c) = shard_run(2, ReplyMode::PerShard, vec![ops]);
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         let resp = client.records[0].response.as_ref().expect("merged");
         assert!(resp.committed);
         assert_eq!(
@@ -1156,7 +1092,7 @@ mod tests {
     fn full_mode_takes_the_first_complete_response() {
         let read = vec![OpTemplate::Read(first_key(2, 1))];
         let (world, c) = shard_run(2, ReplyMode::Full, vec![read]);
-        let client = world.actor_ref::<ClientActor<EchoMsg>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         assert!(client.records[0].response.as_ref().expect("resp").committed);
     }
 
@@ -1169,7 +1105,7 @@ mod tests {
     fn scripted_run(
         mute: &[bool],
         think: u64,
-        shape: impl Fn(ClientActor<EchoMsg>) -> ClientActor<EchoMsg>,
+        shape: impl Fn(ClientActor<()>) -> ClientActor<()>,
     ) -> (Vec<OpRecord>, Vec<Vec<(u64, OpId)>>) {
         let net = repl_sim::NetworkConfig::lan().with_jitter(SimDuration::ZERO);
         let mut world: World<EchoMsg> = World::new(SimConfig::new(13).with_network(net));
@@ -1181,7 +1117,7 @@ mod tests {
         let c = world.add_actor(Box::new(shape(client)));
         world.start();
         world.run_until(SimTime::from_ticks(60_000));
-        let records = world.actor_ref::<ClientActor<EchoMsg>>(c).records.clone();
+        let records = world.actor_ref::<ClientActor<()>>(c).records.clone();
         let arrivals = |&s| world.actor_ref::<Scripted>(s).arrivals.clone();
         (records, servers.iter().map(arrivals).collect())
     }

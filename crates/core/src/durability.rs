@@ -1,21 +1,22 @@
-//! Tiered durability: each server's asynchronous uploader into the
-//! simulated object store, and the disaster bookkeeping around it.
+//! Tiered durability: each server's asynchronous uploader into an
+//! off-node object store, and the disaster bookkeeping around it.
 //!
 //! The local WAL and store live on a losable volume; a
 //! [`DurabilityTier`] ships every committed writeset to an off-node
-//! [`DurableLog`] as sealed frames through an [`ObjectStore`] model.
-//! Frames become durable `upload_lag` ticks after sealing (paced by the
-//! configured bandwidth), so at any instant the tier splits the node's
-//! acknowledged commits into a *durable prefix* and an *exposed
-//! suffix* — the data-loss window a volume-loss disaster realises.
+//! [`DurableLog`](repl_db::DurableLog) as sealed frames. A frame becomes
+//! durable `upload_lag` ticks after it is sealed, so at any instant the
+//! tier splits the node's acknowledged commits into a *durable prefix*
+//! and an *exposed suffix* — the data-loss window a volume-loss disaster
+//! realises.
 //!
 //! The tier is strictly passive with respect to the simulation: sealing
 //! happens from the settle hook after normal event processing, uploads
-//! do not travel the simulated network, and a disabled tier leaves a
-//! run bit-for-bit unchanged (the digest-identity tests pin this).
+//! do not travel the simulated network (backup traffic has its own path
+//! and must not contend with replication traffic), and a disabled tier
+//! leaves a run bit-for-bit unchanged (the digest-identity tests pin
+//! this).
 
 use repl_db::{DurableRestore, TxnId, WriteSet, WsView};
-use repl_sim::{ObjectStore, ObjectStoreConfig};
 
 /// Configuration of one run's durable log tier.
 ///
@@ -28,19 +29,17 @@ use repl_sim::{ObjectStore, ObjectStoreConfig};
 /// assert!(!off.enabled);
 /// let tiered = DurabilityConfig::with_upload_lag(2_000);
 /// assert!(tiered.enabled);
-/// assert_eq!(tiered.object_store.upload_lag, 2_000);
+/// assert_eq!(tiered.upload_lag, 2_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Whether servers run an uploader at all. Disabled (the default)
     /// reproduces the untiered behaviour bit-for-bit.
     pub enabled: bool,
-    /// The object-store model backing the tier (latency, bandwidth,
-    /// cost accounting).
-    pub object_store: ObjectStoreConfig,
-    /// Fold durable frames into the tier's backup snapshot once more
-    /// than this many entries are retained (restore-cost bound).
-    pub compact_after: usize,
+    /// Latency of one object-store request, in ticks: a sealed frame is
+    /// durable this long after the seal, and a restore's download takes
+    /// as long. Zero is a synchronous tier, which loses nothing.
+    pub upload_lag: u64,
 }
 
 impl Default for DurabilityConfig {
@@ -54,27 +53,16 @@ impl DurabilityConfig {
     pub fn disabled() -> Self {
         DurabilityConfig {
             enabled: false,
-            object_store: ObjectStoreConfig::default(),
-            compact_after: 64,
+            upload_lag: 0,
         }
     }
 
-    /// A synchronous durable tier: every commit is durable the instant
-    /// it seals, so a disaster loses nothing.
-    pub fn synchronous() -> Self {
-        DurabilityConfig {
-            enabled: true,
-            ..DurabilityConfig::disabled()
-        }
-    }
-
-    /// An asynchronous tier whose PUTs take `lag` ticks — the knob the
-    /// P12 study sweeps against the data-loss window.
+    /// A tier whose requests take `lag` ticks — the knob the P12 study
+    /// sweeps against the data-loss window.
     pub fn with_upload_lag(lag: u64) -> Self {
         DurabilityConfig {
             enabled: true,
-            object_store: ObjectStoreConfig::with_lag(lag),
-            ..DurabilityConfig::disabled()
+            upload_lag: lag,
         }
     }
 }
@@ -106,7 +94,8 @@ pub struct RestorePlan {
 /// disaster/restore accounting the report collects.
 #[derive(Debug)]
 pub struct DurabilityTier {
-    object: ObjectStore,
+    /// [`DurabilityConfig::upload_lag`].
+    upload_lag: u64,
     log: repl_db::DurableLog,
     /// Writesets committed since the last seal (the exposed,
     /// not-yet-shipped tail).
@@ -132,8 +121,8 @@ impl DurabilityTier {
     /// Creates the tier for a server whose store uses `keyspace`.
     pub fn new(cfg: &DurabilityConfig, keyspace: repl_db::Keyspace) -> Self {
         DurabilityTier {
-            object: ObjectStore::new(cfg.object_store),
-            log: repl_db::DurableLog::new(keyspace).with_compaction(cfg.compact_after),
+            upload_lag: cfg.upload_lag,
+            log: repl_db::DurableLog::new(keyspace),
             pending: Vec::new(),
             wipes: 0,
             lost: Vec::new(),
@@ -170,9 +159,7 @@ impl DurabilityTier {
             return;
         }
         let entries = std::mem::take(&mut self.pending);
-        let bytes: u64 = entries.iter().map(|w| w.wire_size() as u64).sum();
-        let durable_at = self.object.upload(now, bytes);
-        self.log.seal(now, durable_at, token, entries);
+        self.log.seal(now, now + self.upload_lag, token, entries);
     }
 
     /// A disaster at `now`: drops in-flight frames and the unsealed
@@ -207,7 +194,7 @@ impl DurabilityTier {
         } else {
             0
         };
-        let delay = self.object.download_ticks(restore.bytes) + fsync;
+        let delay = self.upload_lag + fsync;
         self.restore_bytes += restore.bytes;
         self.restore_ticks += delay;
         let plan = RestorePlan {
@@ -231,17 +218,6 @@ impl DurabilityTier {
     /// True during the restore download window.
     pub fn restoring(&self) -> bool {
         self.restoring
-    }
-
-    /// Commits acknowledged but not yet durable at `now` — the live
-    /// data-loss exposure (what a disaster right now would erase).
-    pub fn exposed(&self, now: u64) -> u64 {
-        self.pending.len() as u64 + (self.log.len() - self.log.durable_high(now))
-    }
-
-    /// The object-store model, for upload accounting.
-    pub fn object(&self) -> &ObjectStore {
-        &self.object
     }
 
     /// Frames sealed over the tier's lifetime.
@@ -274,9 +250,13 @@ mod tests {
     fn synchronous_tier_has_no_exposure() {
         let mut t = tier(0);
         t.note_commit(&ws(1, 0, 5));
-        assert_eq!(t.exposed(10), 1, "unsealed tail is exposed");
+        assert_eq!(t.pending.len(), 1, "unsealed tail is exposed");
         t.seal(10, 1);
-        assert_eq!(t.exposed(10), 0, "lag 0: durable at the seal instant");
+        assert_eq!(
+            t.log.durable_high(10),
+            1,
+            "lag 0: durable at the seal instant"
+        );
         assert!(t.wipe(10).is_empty());
         assert!(t.lost.is_empty());
     }
@@ -300,7 +280,7 @@ mod tests {
         assert_eq!(t.restores, 1);
         assert!(t.restoring());
         t.note_commit(&ws(9, 0, 9));
-        assert_eq!(t.exposed(600), 0, "restore installs are not re-queued");
+        assert!(t.pending.is_empty(), "restore installs are not re-queued");
         t.finish_restore();
         assert!(t.plan_restore(700).is_none(), "restore is one-shot");
     }

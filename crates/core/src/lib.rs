@@ -32,12 +32,11 @@ mod report;
 mod runner;
 mod technique;
 
-pub use client::{
-    AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ProtocolMsg, ReplyMode,
-};
+pub use client::{AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ReplyMode};
 pub use durability::{DurabilityConfig, DurabilityTier, RestorePlan};
 pub use op::{accesses, ClientOp, OpId, Response};
 pub use phase::{Phase, PhaseMark, PhaseSkeleton, PhaseTrace};
+pub use protocols::replica::Wire;
 pub use repl_gcs::BatchConfig;
 pub use report::{
     Availability, DurabilityReport, NodeRecovery, RunReport, ShardingReport, SilentLoss,

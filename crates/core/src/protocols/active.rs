@@ -13,16 +13,15 @@
 //! (duplicates are suppressed by the order-delivery path).
 
 use repl_db::Keyspace;
-use repl_sim::Context;
 
 use crate::op::ClientOp;
 use crate::phase::Phase;
-use crate::protocols::common::global_txn;
-use crate::protocols::replica::{Replica, Shell};
-use crate::protocols::stream::{Ordered, Stream, StreamMsg};
+use crate::protocols::common::{global_txn, AbMsg};
+use crate::protocols::replica::{Ctx, Replica, Shell, Wire};
+use crate::protocols::stream::{Ordered, Stream};
 
-/// Wire messages of active replication.
-pub type ActiveMsg = StreamMsg<ClientOp>;
+/// Coordination traffic of active replication: the request ABCAST.
+pub type ActiveMsg = AbMsg<ClientOp>;
 
 /// Active replication: the request itself is broadcast; every replica
 /// executes it on delivery and answers.
@@ -41,10 +40,9 @@ impl Ordered for Active {
 
     fn submit(
         &mut self,
-        _sh: &mut Shell,
-        _ctx: &mut Context<'_, ActiveMsg>,
+        _: &mut Shell,
+        _: &mut Ctx<'_, ActiveMsg>,
         op: ClientOp,
-        _marks: bool,
     ) -> Option<ClientOp> {
         Some(op)
     }
@@ -53,17 +51,8 @@ impl Ordered for Active {
         op
     }
 
-    fn deliver(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, ActiveMsg>,
-        op: ClientOp,
-        _mine: bool,
-        marks: bool,
-    ) {
-        if marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
+    fn deliver(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, ActiveMsg>, op: ClientOp, _mine: bool) {
+        sh.mark(ctx, Phase::Execution, op.id, 0);
         // Sharded cross-shard operations: execute only this shard's
         // part, under the op's global transaction id — the touched
         // groups' histories splice into one transaction.
@@ -77,7 +66,7 @@ impl Ordered for Active {
         sh.base.remember(&resp);
         // Every replica answers; the client keeps the first reply
         // (per group, in the sharded mode — partials merge there).
-        ctx.send(op.client, ActiveMsg::Reply(resp));
+        ctx.send(op.client, Wire::Reply(resp));
     }
 }
 
@@ -108,7 +97,7 @@ mod tests {
         abcast: AbcastImpl,
         exec: ExecutionMode,
         seed: u64,
-    ) -> (World<ActiveMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<ActiveMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n_servers).map(NodeId::new).collect();
         for i in 0..n_servers {

@@ -19,13 +19,13 @@
 use std::sync::Arc;
 
 use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WriteSetRef};
-use repl_sim::{Context, Message, NodeId};
+use repl_sim::{Message, NodeId};
 
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
-use crate::protocols::common::global_txn;
-use crate::protocols::replica::{Replica, Shell};
-use crate::protocols::stream::{Ordered, Stream, StreamMsg};
+use crate::protocols::common::{global_txn, AbMsg};
+use crate::protocols::replica::{Ctx, Replica, Shell, Wire};
+use crate::protocols::stream::{Ordered, Stream};
 
 /// What the delegate broadcasts after optimistic execution.
 #[derive(Debug, Clone)]
@@ -49,8 +49,9 @@ impl Message for CertRequest {
     }
 }
 
-/// Wire messages of certification-based replication.
-pub type CertMsg = StreamMsg<CertRequest>;
+/// Coordination traffic of certification-based replication: the
+/// certification-request ABCAST.
+pub type CertMsg = AbMsg<CertRequest>;
 
 /// Certification-based replication: optimistic shadow execution at the
 /// delegate, one ABCAST, the same deterministic test at every site.
@@ -78,22 +79,19 @@ impl Ordered for Cert {
     fn submit(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, CertMsg>,
+        ctx: &mut Ctx<'_, CertMsg>,
         op: ClientOp,
-        marks: bool,
     ) -> Option<CertRequest> {
         // Read-only transactions answer locally from committed state —
         // no broadcast, no certification (the usual optimisation; their
         // reads are snapshot-consistent at this site).
         if op.is_read_only() {
             let resp = sh.base.answer_read_only(&op);
-            ctx.send(op.client, CertMsg::Reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
             return None;
         }
         // Phase EX: optimistic shadow execution at the delegate.
-        if marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
+        sh.mark(ctx, Phase::Execution, op.id, 0);
         let (read_set, ws, resp) = sh.base.execute_shadow(&op, global_txn(op.id));
         // Every member consumes each certification request once.
         let peers = sh.servers().len() as u32;
@@ -113,15 +111,12 @@ impl Ordered for Cert {
     fn deliver(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, CertMsg>,
+        ctx: &mut Ctx<'_, CertMsg>,
         req: CertRequest,
         _mine: bool,
-        marks: bool,
     ) {
         let op_id = req.op.id;
-        if marks {
-            ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
-        }
+        sh.mark(ctx, Phase::AgreementCoordination, op_id, 0);
         let txn = global_txn(op_id);
         let committed = sh.base.read_payload(req.ws, |base, view| {
             let verdict = self
@@ -178,7 +173,7 @@ impl Ordered for Cert {
         // The request names its delegate: a retry relayed by a second
         // server must still be answered by one site only.
         if req.delegate == sh.me() {
-            ctx.send(req.op.client, CertMsg::Reply(resp));
+            ctx.send(req.op.client, Wire::Reply(resp));
         }
     }
 
@@ -232,7 +227,7 @@ mod tests {
         n: u32,
         txns: Vec<Vec<TxnTemplate>>,
         seed: u64,
-    ) -> (World<CertMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<CertMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         seat_all(

@@ -23,21 +23,18 @@ use repl_db::{
     TpcDecision, Transfer, TxnId, Value, WriteSet, WriteSetRef,
 };
 use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
-use repl_sim::{Context, Message, NodeId, SimDuration};
+use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::{impl_protocol_msg, ProtocolMsg};
 use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
-use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{Ctx, ExtraStats, MemberMsg, Replica, Shell, Technique, Wire};
 
-/// Wire messages of eager primary copy replication.
+/// Coordination traffic of eager primary copy replication.
 #[derive(Debug, Clone)]
 pub enum EagerPrimaryMsg {
-    /// Client → primary (any server forwards).
-    Invoke(ClientOp),
     /// Primary → secondaries: one operation's log records (multi-op loop).
     Propagate {
         /// The transaction.
@@ -88,16 +85,11 @@ pub enum EagerPrimaryMsg {
     },
     /// Failure-detector heartbeats among servers.
     Fd(FdMsg),
-    /// Server → client.
-    Reply(Response),
-    /// Elastic-membership traffic (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for EagerPrimaryMsg {
     fn wire_size(&self) -> usize {
         match self {
-            EagerPrimaryMsg::Invoke(op) => 8 + op.wire_size(),
             EagerPrimaryMsg::Propagate { ws, .. } => 24 + ws.wire_size(),
             EagerPrimaryMsg::PropAck { .. } => 24,
             EagerPrimaryMsg::Prepare { ws, resp, .. } => 16 + ws.wire_size() + resp.wire_size(),
@@ -105,21 +97,9 @@ impl Message for EagerPrimaryMsg {
             EagerPrimaryMsg::Decision { .. } => 24,
             EagerPrimaryMsg::DecisionBatch { entries } => 8 + 24 * entries.len(),
             EagerPrimaryMsg::Fd(m) => m.wire_size(),
-            EagerPrimaryMsg::Reply(r) => 8 + r.wire_size(),
-            EagerPrimaryMsg::Member(m) => m.wire_size(),
-        }
-    }
-
-    fn clone_is_cheap(&self) -> bool {
-        match self {
-            EagerPrimaryMsg::Propagate { .. } | EagerPrimaryMsg::DecisionBatch { .. } => true,
-            EagerPrimaryMsg::Prepare { resp, .. } => resp.reads.is_empty(),
-            _ => false,
         }
     }
 }
-
-impl_protocol_msg!(EagerPrimaryMsg);
 
 /// Where an in-flight primary-side transaction stands.
 #[derive(Debug)]
@@ -176,7 +156,6 @@ pub struct EagerPrimary {
     /// Filling a decision gap noticed after rejoining; participates
     /// normally while the suffix is in flight.
     resync: bool,
-    marks: bool,
 }
 
 /// An eager-primary-copy server.
@@ -207,7 +186,6 @@ impl EagerPrimaryServer {
             staged_notes: Vec::new(),
             flush_armed: false,
             resync: false,
-            marks: site == 0,
         };
         Replica::around(site, me, servers, ks, exec, tech)
     }
@@ -253,15 +231,16 @@ impl EagerPrimary {
     }
 
     /// Applies what the failure detector queued and reacts to its verdicts.
-    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
         let mut out = std::mem::take(&mut self.fd_out);
-        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, EagerPrimaryMsg::Fd, |ctx, ev| {
+        let wrap = |m| Wire::Proto(EagerPrimaryMsg::Fd(m));
+        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, wrap, |ctx, ev| {
             self.on_fd_event(sh, ctx, ev)
         });
         self.fd_out = out;
     }
 
-    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, ev: FdEvent) {
+    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, ev: FdEvent) {
         if let FdEvent::Suspect(n) = ev {
             self.on_server_death(sh, ctx, n);
         }
@@ -273,7 +252,7 @@ impl EagerPrimary {
     fn on_server_death(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         dead: NodeId,
     ) {
         if dead == sh.me() {
@@ -329,7 +308,7 @@ impl EagerPrimary {
     fn begin_txn(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         op: ClientOp,
         retries: u32,
     ) {
@@ -337,8 +316,8 @@ impl EagerPrimary {
         if self.inflight.contains_key(&txn) {
             return;
         }
-        if self.marks && retries == 0 {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
+        if retries == 0 {
+            sh.mark(ctx, Phase::Execution, op.id, 0);
         }
         sh.base.tm.begin(txn);
         self.inflight.insert(
@@ -355,7 +334,7 @@ impl EagerPrimary {
     }
 
     /// Drives a primary-side transaction as far as possible.
-    fn advance(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
+    fn advance(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, txn: TxnId) {
         loop {
             let Some(t) = self.inflight.get(&txn) else {
                 return;
@@ -427,13 +406,8 @@ impl EagerPrimary {
                                 },
                                 secondaries.len() as u32,
                             );
-                            if self.marks {
-                                ctx.mark(
-                                    Phase::AgreementCoordination.tag(),
-                                    t.op.id.0,
-                                    step_no as u64,
-                                );
-                            }
+                            let step = u64::from(step_no);
+                            sh.mark(ctx, Phase::AgreementCoordination, t.op.id, step);
                             let awaiting: HashSet<NodeId> = secondaries.iter().copied().collect();
                             t.phase = TxnPhase::PropWait {
                                 step: step_no,
@@ -442,11 +416,11 @@ impl EagerPrimary {
                             for s in secondaries {
                                 ctx.send(
                                     s,
-                                    EagerPrimaryMsg::Propagate {
+                                    Wire::Proto(EagerPrimaryMsg::Propagate {
                                         txn,
                                         step: step_no,
                                         ws,
-                                    },
+                                    }),
                                 );
                             }
                             return;
@@ -454,25 +428,23 @@ impl EagerPrimary {
                     }
                 }
             }
-            if self.marks {
-                if let Some(t) = self.inflight.get(&txn) {
-                    if t.step < total && total > 1 {
-                        ctx.mark(Phase::Execution.tag(), t.op.id.0, t.step as u64);
-                    }
+            if let Some(t) = self.inflight.get(&txn) {
+                if t.step < total && total > 1 {
+                    sh.mark(ctx, Phase::Execution, t.op.id, t.step as u64);
                 }
             }
         }
     }
 
     /// Resumes a transaction blocked on propagation acks or votes.
-    fn resume(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
+    fn resume(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, txn: TxnId) {
         let Some(t) = self.inflight.get_mut(&txn) else {
             return;
         };
         match &t.phase {
             TxnPhase::PropWait { .. } => {
-                if self.marks && t.step < t.op.txn.ops.len() {
-                    ctx.mark(Phase::Execution.tag(), t.op.id.0, t.step as u64);
+                if t.step < t.op.txn.ops.len() {
+                    sh.mark(ctx, Phase::Execution, t.op.id, t.step as u64);
                 }
                 self.advance(sh, ctx, txn);
             }
@@ -482,7 +454,7 @@ impl EagerPrimary {
     }
 
     /// Begins the final 2PC round (Agreement Coordination).
-    fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, txn: TxnId) {
+    fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, txn: TxnId) {
         let secondaries = self.secondaries(sh);
         let t = self.inflight.get_mut(&txn).expect("present");
         let resp = Response {
@@ -490,9 +462,7 @@ impl EagerPrimary {
             committed: true,
             reads: t.reads.clone(),
         };
-        if self.marks {
-            ctx.mark(Phase::AgreementCoordination.tag(), t.op.id.0, u64::MAX);
-        }
+        sh.mark(ctx, Phase::AgreementCoordination, t.op.id, u64::MAX);
         let mut coord = TpcCoordinator::new(secondaries.clone());
         coord.start();
         if secondaries.is_empty() {
@@ -510,11 +480,11 @@ impl EagerPrimary {
         for s in secondaries {
             ctx.send(
                 s,
-                EagerPrimaryMsg::Prepare {
+                Wire::Proto(EagerPrimaryMsg::Prepare {
                     txn,
                     ws,
                     resp: resp.clone(),
-                },
+                }),
             );
         }
     }
@@ -546,7 +516,7 @@ impl EagerPrimary {
     fn finish_commit(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         txn: TxnId,
         commit: bool,
     ) {
@@ -577,7 +547,7 @@ impl EagerPrimary {
                 self.wal.stage(ws);
                 self.staged_decisions.push((txn, commit));
                 self.staged_replies.push((t.op.client, resp));
-                if self.staged_decisions.len() >= self.batching.max_batch {
+                if self.staged_decisions.len() >= BatchConfig::MAX_BATCH {
                     self.flush_decisions(sh, ctx);
                 } else if !self.flush_armed {
                     self.flush_armed = true;
@@ -592,15 +562,15 @@ impl EagerPrimary {
                 }
                 self.wal.append(ws);
                 for s in self.secondaries(sh) {
-                    ctx.send(s, EagerPrimaryMsg::Decision { txn, commit });
+                    ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
                 }
-                ctx.send(t.op.client, EagerPrimaryMsg::Reply(resp));
+                ctx.send(t.op.client, Wire::Reply(resp));
             }
         } else {
             // Aborts are never batched: the sooner secondaries undo a
             // doomed tentative transaction, the sooner its locks clear.
             for s in self.secondaries(sh) {
-                ctx.send(s, EagerPrimaryMsg::Decision { txn, commit });
+                ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
             }
             let _ = sh.base.tm.abort(&mut sh.base.store, txn);
             sh.base.history.purge(txn);
@@ -618,7 +588,7 @@ impl EagerPrimary {
 
     /// Flushes the staged decision window: one shared log force, one
     /// batched decision message per secondary, then the deferred acks.
-    fn flush_decisions(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn flush_decisions(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
         if self.staged_decisions.is_empty() {
             return;
         }
@@ -630,15 +600,13 @@ impl EagerPrimary {
         }
         let entries = Arc::new(std::mem::take(&mut self.staged_decisions));
         for s in self.secondaries(sh) {
-            ctx.send(
-                s,
-                EagerPrimaryMsg::DecisionBatch {
-                    entries: entries.clone(),
-                },
-            );
+            let batch = EagerPrimaryMsg::DecisionBatch {
+                entries: entries.clone(),
+            };
+            ctx.send(s, Wire::Proto(batch));
         }
         for (client, resp) in std::mem::take(&mut self.staged_replies) {
-            ctx.send(client, EagerPrimaryMsg::Reply(resp));
+            ctx.send(client, Wire::Reply(resp));
         }
     }
 
@@ -680,11 +648,11 @@ impl EagerPrimary {
 
     /// Asks `donor` for the decisions we turned out to have missed
     /// (noticed via a commit decision for an unknown transaction).
-    fn request_resync(&mut self, ctx: &mut Context<'_, EagerPrimaryMsg>, donor: NodeId) {
+    fn request_resync(&mut self, ctx: &mut Ctx<'_, EagerPrimaryMsg>, donor: NodeId) {
         if !self.resync {
             self.resync = true;
             let have = Some(self.wal.len() as u64);
-            ctx.send(donor, EagerPrimaryMsg::member(MemberMsg::StateReq { have }));
+            ctx.send(donor, Wire::Member(MemberMsg::StateReq { have }));
         }
     }
 
@@ -704,7 +672,7 @@ impl EagerPrimary {
 
     /// (Re)starts heartbeats, dropping stale miss counters, which would
     /// otherwise let the first tick suspect a live peer.
-    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
         self.fd.reset();
         self.fd.on_start(&mut self.fd_out);
         self.drive_fd(sh, ctx);
@@ -726,18 +694,16 @@ impl EagerPrimary {
     }
 
     /// Wounds (aborts and requeues) a younger transaction.
-    fn wound(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, victim: TxnId) {
+    fn wound(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, victim: TxnId) {
         let Some(t) = self.inflight.remove(&victim) else {
             return;
         };
         for s in self.secondaries(sh) {
-            ctx.send(
-                s,
-                EagerPrimaryMsg::Decision {
-                    txn: victim,
-                    commit: false,
-                },
-            );
+            let abort = EagerPrimaryMsg::Decision {
+                txn: victim,
+                commit: false,
+            };
+            ctx.send(s, Wire::Proto(abort));
         }
         let _ = sh.base.tm.abort(&mut sh.base.store, victim);
         sh.base.history.purge(victim);
@@ -746,10 +712,7 @@ impl EagerPrimary {
         if t.retries < MAX_WOUND_RETRIES {
             self.requeue.push_back((t.op, t.retries + 1));
         } else {
-            ctx.send(
-                t.op.client,
-                EagerPrimaryMsg::Reply(Response::aborted(t.op.id)),
-            );
+            ctx.send(t.op.client, Wire::Reply(Response::aborted(t.op.id)));
         }
         for (g, _, _) in granted {
             self.resume(sh, ctx, g);
@@ -760,7 +723,7 @@ impl EagerPrimary {
 impl Technique for EagerPrimary {
     type Msg = EagerPrimaryMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, op: ClientOp) {
         if sh.answered_before_join(op.id) {
             // Answered by the join donor before our snapshot: re-executing
             // would double-apply; the donor's cache serves the retry.
@@ -775,11 +738,9 @@ impl Technique for EagerPrimary {
         // observing dirty data. At the primary, read-only
         // transactions go through the lock manager like any other.
         if op.is_read_only() && !self.is_primary(sh) && self.tentative.is_empty() {
-            if self.marks {
-                ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-            }
+            sh.mark(ctx, Phase::Execution, op.id, 0);
             let resp = sh.base.answer_read_only(&op);
-            ctx.send(op.client, EagerPrimaryMsg::Reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
             return;
         }
         if self.is_primary(sh) {
@@ -791,7 +752,7 @@ impl Technique for EagerPrimary {
         } else {
             let p = self.primary(sh);
             if p != sh.me() {
-                ctx.send(p, EagerPrimaryMsg::Invoke(op));
+                ctx.send(p, Wire::Invoke(op));
             }
         }
     }
@@ -799,12 +760,11 @@ impl Technique for EagerPrimary {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         from: NodeId,
         msg: EagerPrimaryMsg,
     ) {
         match msg {
-            EagerPrimaryMsg::Invoke(op) => sh.invoke(self, ctx, op),
             EagerPrimaryMsg::Propagate { txn, step, ws } => {
                 if sh.catching_up() {
                     // The primary is not awaiting us while excluded. The
@@ -814,7 +774,7 @@ impl Technique for EagerPrimary {
                 }
                 Self::apply_tentatively(sh, txn, ws);
                 self.tentative.entry(txn).or_insert((OpId(0), None));
-                ctx.send(from, EagerPrimaryMsg::PropAck { txn, step });
+                ctx.send(from, Wire::Proto(EagerPrimaryMsg::PropAck { txn, step }));
             }
             EagerPrimaryMsg::PropAck { txn, step } => {
                 let done = {
@@ -841,7 +801,7 @@ impl Technique for EagerPrimary {
                 // the response, vote.
                 Self::apply_tentatively(sh, txn, ws);
                 self.tentative.insert(txn, (resp.op, Some(resp)));
-                ctx.send(from, EagerPrimaryMsg::Vote { txn, yes: true });
+                ctx.send(from, Wire::Proto(EagerPrimaryMsg::Vote { txn, yes: true }));
             }
             EagerPrimaryMsg::Vote { txn, yes } => {
                 let decision = {
@@ -883,16 +843,10 @@ impl Technique for EagerPrimary {
                 self.fd.on_message(from, m, &mut self.fd_out);
                 self.drive_fd(sh, ctx);
             }
-            EagerPrimaryMsg::Reply(_) | EagerPrimaryMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
-        tag: u64,
-    ) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, tag: u64) {
         if tag >= FD_BASE {
             self.fd.on_timer(tag - FD_BASE, &mut self.fd_out);
             self.drive_fd(sh, ctx);
@@ -902,7 +856,7 @@ impl Technique for EagerPrimary {
         }
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
         // A cold joiner stays quiet (no heartbeats) until welcomed.
         if !sh.joining() {
             self.fd.on_start(&mut self.fd_out);
@@ -930,7 +884,7 @@ impl Technique for EagerPrimary {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         transfer: Option<&Transfer>,
         _pos: u64,
         _gpos: u64,
@@ -966,7 +920,7 @@ impl Technique for EagerPrimary {
     fn caught_up(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EagerPrimaryMsg>,
+        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         t: &Transfer,
         first: bool,
     ) {
@@ -996,7 +950,7 @@ impl Technique for EagerPrimary {
     fn retire(
         &mut self,
         _sh: &mut Shell,
-        _ctx: &mut Context<'_, EagerPrimaryMsg>,
+        _ctx: &mut Ctx<'_, EagerPrimaryMsg>,
         _remaining: &[NodeId],
     ) {
         // Go quiet: the survivors drop us from their detectors on
@@ -1050,7 +1004,7 @@ impl Technique for EagerPrimary {
         self.wal.restart_at(plan.token);
     }
 
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EagerPrimaryMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
         // Stay silent (no heartbeats) until the transfer lands, so the
         // acting primary keeps excluding us from 2PC cohorts meanwhile.
         if !sh.pull_state(ctx, Some(self.wal.len() as u64)) {
@@ -1099,7 +1053,7 @@ mod tests {
         n: u32,
         txns: Vec<Vec<TxnTemplate>>,
         seed: u64,
-    ) -> (World<EagerPrimaryMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<EagerPrimaryMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         seat_all(

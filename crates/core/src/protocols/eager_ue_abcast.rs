@@ -13,16 +13,16 @@
 //! paper points to \[KA98\] for when that assumption is safe.
 
 use repl_db::Keyspace;
-use repl_sim::Context;
 
 use crate::op::ClientOp;
 use crate::phase::Phase;
-use crate::protocols::common::global_txn;
-use crate::protocols::replica::{Replica, Shell};
-use crate::protocols::stream::{Ordered, Stream, StreamMsg};
+use crate::protocols::common::{global_txn, AbMsg};
+use crate::protocols::replica::{Ctx, Replica, Shell, Wire};
+use crate::protocols::stream::{Ordered, Stream};
 
-/// Wire messages of eager update everywhere over ABCAST.
-pub type EuaMsg = StreamMsg<ClientOp>;
+/// Coordination traffic of eager update everywhere over ABCAST: the
+/// operation ABCAST.
+pub type EuaMsg = AbMsg<ClientOp>;
 
 /// Eager update everywhere over ABCAST: the local server relays, every
 /// server executes in delivery order, the delegate answers.
@@ -39,13 +39,7 @@ impl Ordered for Eua {
         Eua
     }
 
-    fn submit(
-        &mut self,
-        _sh: &mut Shell,
-        _ctx: &mut Context<'_, EuaMsg>,
-        op: ClientOp,
-        _marks: bool,
-    ) -> Option<ClientOp> {
+    fn submit(&mut self, _: &mut Shell, _: &mut Ctx<'_, EuaMsg>, op: ClientOp) -> Option<ClientOp> {
         Some(op)
     }
 
@@ -53,17 +47,8 @@ impl Ordered for Eua {
         op
     }
 
-    fn deliver(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, EuaMsg>,
-        op: ClientOp,
-        mine: bool,
-        marks: bool,
-    ) {
-        if marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
+    fn deliver(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EuaMsg>, op: ClientOp, mine: bool) {
+        sh.mark(ctx, Phase::Execution, op.id, 0);
         // Sharded cross-shard operations: execute only this shard's
         // part, under the op's global transaction id. Only the delegate
         // (the server the client contacted) answers — except at the
@@ -83,7 +68,7 @@ impl Ordered for Eua {
             .execute_commit(local.as_ref().unwrap_or(&op), global_txn(op.id));
         sh.base.remember(&resp);
         if answers {
-            ctx.send(op.client, EuaMsg::Reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
         }
     }
 }
@@ -117,7 +102,7 @@ mod tests {
         n: u32,
         txns: Vec<Vec<TxnTemplate>>,
         seed: u64,
-    ) -> (World<EuaMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<EuaMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         for i in 0..n {

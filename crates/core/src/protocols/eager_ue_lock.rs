@@ -38,20 +38,18 @@ use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TpcCoordinator, TpcDecision,
     Transfer, TxnId, Value,
 };
-use repl_sim::{Context, Message, NodeId, SimDuration};
+use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::{impl_protocol_msg, ProtocolMsg};
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
-use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{Ctx, ExtraStats, MemberMsg, Replica, Shell, Technique, Wire};
 
-/// Wire messages of eager update everywhere with distributed locking.
+/// Coordination traffic of eager update everywhere with distributed
+/// locking.
 #[derive(Debug, Clone)]
 pub enum EulMsg {
-    /// Client → delegate server.
-    Invoke(ClientOp),
     /// Delegate → all replicas: request a lock for one operation.
     LockReq {
         /// The transaction.
@@ -133,16 +131,11 @@ pub enum EulMsg {
         /// `waiter → holder` pairs.
         edges: Vec<(TxnId, TxnId)>,
     },
-    /// Server → client.
-    Reply(Response),
-    /// Elastic-membership traffic (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for EulMsg {
     fn wire_size(&self) -> usize {
         match self {
-            EulMsg::Invoke(op) => 8 + op.wire_size(),
             EulMsg::LockReq { .. } => 40,
             EulMsg::LockGrant { .. } => 24,
             EulMsg::Wound { .. } => 20,
@@ -153,13 +146,9 @@ impl Message for EulMsg {
             EulMsg::Decision { .. } => 24,
             EulMsg::ProbeReq => 8,
             EulMsg::ProbeEdges { edges } => 8 + edges.len() * 24,
-            EulMsg::Reply(r) => 8 + r.wire_size(),
-            EulMsg::Member(m) => m.wire_size(),
         }
     }
 }
-
-impl_protocol_msg!(EulMsg);
 
 #[derive(Debug)]
 enum DelPhase {
@@ -218,7 +207,6 @@ pub struct Eul {
     /// the snapshot lands (its writes must sit *on top* of the
     /// transferred state, not under it).
     replay: Vec<(NodeId, EulMsg)>,
-    marks: bool,
     /// Coordinator side of an admission: the joiner plus the cohort
     /// members whose `ViewAck` the Welcome snapshot still waits for.
     admitting: Option<(NodeId, HashSet<NodeId>)>,
@@ -260,7 +248,6 @@ impl EulServer {
             wounds: 0,
             rowa: false,
             replay: Vec::new(),
-            marks: site == 0,
             admitting: None,
             ack_wait: None,
             last_admitted: None,
@@ -277,13 +264,7 @@ impl EulServer {
 }
 
 impl Eul {
-    fn start_txn(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
-        op: ClientOp,
-        retries: u32,
-    ) {
+    fn start_txn(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, op: ClientOp, retries: u32) {
         let txn = global_txn(op.id);
         if self.delegated.contains_key(&txn) {
             return;
@@ -317,7 +298,7 @@ impl Eul {
 
     /// Sends the lock request for the current step to every replica
     /// (including this one, via loopback, for uniformity).
-    fn request_lock(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+    fn request_lock(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId) {
         let Some(t) = self.delegated.get_mut(&txn) else {
             return;
         };
@@ -330,9 +311,7 @@ impl Eul {
             OpTemplate::Read(k) => (k, false),
             OpTemplate::Write(k, _) => (k, true),
         };
-        if self.marks {
-            ctx.mark(Phase::ServerCoordination.tag(), t.op.id.0, step as u64);
-        }
+        sh.mark(ctx, Phase::ServerCoordination, t.op.id, step as u64);
         // Sharded: the step locks at the key-owning group only (that is
         // the whole point of partial replication — foreign groups never
         // see this key). Read-one/write-all: a read locks only the
@@ -351,19 +330,19 @@ impl Eul {
         for &s in &targets {
             ctx.send(
                 s,
-                EulMsg::LockReq {
+                Wire::Proto(EulMsg::LockReq {
                     txn,
                     step: step as u32,
                     key,
                     exclusive,
                     delegate: sh.me(),
-                },
+                }),
             );
         }
     }
 
     /// All sites granted: execute the step everywhere and move on.
-    fn step_granted(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+    fn step_granted(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId) {
         let Some(t) = self.delegated.get_mut(&txn) else {
             return;
         };
@@ -372,9 +351,7 @@ impl Eul {
             OpTemplate::Read(k) => (k, None),
             OpTemplate::Write(k, v) => (k, Some(v)),
         };
-        if self.marks {
-            ctx.mark(Phase::Execution.tag(), t.op.id.0, step as u64);
-        }
+        sh.mark(ctx, Phase::Execution, t.op.id, step as u64);
         t.step += 1;
         // Sharded: execute at the key-owning group; a *foreign* read also
         // asks one member (the owning group's first) to send the observed
@@ -396,13 +373,13 @@ impl Eul {
             };
             ctx.send(
                 s,
-                EulMsg::Exec {
+                Wire::Proto(EulMsg::Exec {
                     txn,
                     step: step as u32,
                     key,
                     write,
                     read_back,
-                },
+                }),
             );
         }
         // The delegate's local Exec arrives by loopback and records the
@@ -418,7 +395,7 @@ impl Eul {
         self.request_lock(sh, ctx, txn);
     }
 
-    fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+    fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId) {
         let me = sh.me();
         let others: Vec<NodeId> = {
             let Some(t) = self.delegated.get(&txn) else {
@@ -435,9 +412,7 @@ impl Eul {
         let Some(t) = self.delegated.get_mut(&txn) else {
             return;
         };
-        if self.marks {
-            ctx.mark(Phase::AgreementCoordination.tag(), t.op.id.0, u64::MAX);
-        }
+        sh.mark(ctx, Phase::AgreementCoordination, t.op.id, u64::MAX);
         let mut coord = TpcCoordinator::new(others.clone());
         coord.start();
         t.phase = DelPhase::Committing(coord);
@@ -446,18 +421,18 @@ impl Eul {
             return;
         }
         for s in others {
-            ctx.send(s, EulMsg::Prepare { txn });
+            ctx.send(s, Wire::Proto(EulMsg::Prepare { txn }));
         }
     }
 
-    fn finish(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, txn: TxnId, commit: bool) {
+    fn finish(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId, commit: bool) {
         let Some(mut t) = self.delegated.remove(&txn) else {
             return;
         };
         let audience = t.cohort.take().unwrap_or_else(|| sh.servers().to_vec());
         for &s in &audience {
             if s != sh.me() {
-                ctx.send(s, EulMsg::Decision { txn, commit });
+                ctx.send(s, Wire::Proto(EulMsg::Decision { txn, commit }));
             }
         }
         self.apply_decision(sh, ctx, txn, commit);
@@ -482,13 +457,13 @@ impl Eul {
         };
         if commit {
             sh.base.remember(&resp);
-            ctx.send(t.op.client, EulMsg::Reply(resp));
+            ctx.send(t.op.client, Wire::Reply(resp));
         } else if t.retries < MAX_RETRIES {
             self.requeue.push((t.op, t.retries + 1));
             let backoff = SimDuration::from_ticks(400 + 150 * t.retries as u64);
             ctx.set_timer(backoff, RETRY_TICK);
         } else {
-            ctx.send(t.op.client, EulMsg::Reply(resp));
+            ctx.send(t.op.client, Wire::Reply(resp));
         }
         // A pending view-change ack waits for this site's old-view
         // delegated transactions; the Decision sends above precede the
@@ -511,7 +486,7 @@ impl Eul {
     fn begin_view_ack(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         coord: NodeId,
         joiner: NodeId,
     ) {
@@ -526,14 +501,14 @@ impl Eul {
     fn deliver_ack(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         coord: NodeId,
         joiner: NodeId,
     ) {
         if coord == sh.me() {
             self.note_ack(sh, ctx, joiner, sh.me());
         } else {
-            ctx.send(coord, EulMsg::member(MemberMsg::ViewAck { joiner }));
+            ctx.send(coord, Wire::Member(MemberMsg::ViewAck { joiner }));
         }
     }
 
@@ -541,7 +516,7 @@ impl Eul {
     fn note_ack(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         joiner: NodeId,
         member: NodeId,
     ) {
@@ -561,7 +536,7 @@ impl Eul {
     /// Replays the Exec/Decision traffic that raced a snapshot on top of
     /// it (value writes are idempotent when the snapshot already carries
     /// them).
-    fn replay_held(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+    fn replay_held(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>) {
         for (peer, m) in std::mem::take(&mut self.replay) {
             self.on_protocol_msg(sh, ctx, peer, m);
         }
@@ -570,7 +545,7 @@ impl Eul {
     /// Coordinator: (re)starts the ack round for `joiner` over the
     /// current view and announces the view change; the welcome goes out
     /// once every cohort member confirmed.
-    fn announce_view(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, joiner: NodeId) {
+    fn announce_view(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, joiner: NodeId) {
         let members: Vec<NodeId> = sh
             .servers()
             .iter()
@@ -585,7 +560,7 @@ impl Eul {
                 let grown = MemberMsg::ViewAdd {
                     servers: sh.servers().to_vec(),
                 };
-                ctx.send(n, EulMsg::member(grown));
+                ctx.send(n, Wire::Member(grown));
             }
         }
     }
@@ -594,7 +569,7 @@ impl Eul {
     fn apply_decision(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         txn: TxnId,
         commit: bool,
     ) {
@@ -621,30 +596,30 @@ impl Eul {
     }
 
     /// A queued lock request of `txn` became grantable at this site.
-    fn granted_locally(&mut self, ctx: &mut Context<'_, EulMsg>, txn: TxnId) {
+    fn granted_locally(&mut self, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId) {
         if let Some(&(delegate, step)) = self.lock_owner.get(&txn) {
-            ctx.send(delegate, EulMsg::LockGrant { txn, step });
+            ctx.send(delegate, Wire::Proto(EulMsg::LockGrant { txn, step }));
         }
     }
 
     /// A site (or the detector) wounded `victim`, for which we delegate.
-    fn wound_delegated(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, victim: TxnId) {
+    fn wound_delegated(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, victim: TxnId) {
         if self.delegated.contains_key(&victim) {
             self.wounds += 1;
             self.finish(sh, ctx, victim, false);
         }
     }
 
-    fn run_detection(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+    fn run_detection(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>) {
         self.probe_edges = self.lm.wait_for_edges();
         self.probe_answers = 1;
         for s in sh.peers() {
-            ctx.send(s, EulMsg::ProbeReq);
+            ctx.send(s, Wire::Proto(EulMsg::ProbeReq));
         }
         self.maybe_resolve_deadlock(sh, ctx);
     }
 
-    fn maybe_resolve_deadlock(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+    fn maybe_resolve_deadlock(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>) {
         if self.probe_answers < sh.servers().len() {
             return;
         }
@@ -652,7 +627,7 @@ impl Eul {
         // scratch structure.
         if let Some(victim) = find_cycle_victim(&self.probe_edges) {
             for &s in sh.servers() {
-                ctx.send(s, EulMsg::Wound { victim });
+                ctx.send(s, Wire::Proto(EulMsg::Wound { victim }));
             }
         }
         self.probe_answers = 0;
@@ -715,7 +690,10 @@ fn find_cycle_victim(edges: &[(TxnId, TxnId)]) -> Option<TxnId> {
 impl Technique for Eul {
     type Msg = EulMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, op: ClientOp) {
+        if sh.catching_up() {
+            return; // a delegate with a stale store would serve stale reads
+        }
         if sh.answered_before_join(op.id) {
             // Answered by the join donor before our snapshot: re-running
             // the whole transaction would duplicate it in the merged
@@ -731,7 +709,7 @@ impl Technique for Eul {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         from: NodeId,
         msg: EulMsg,
     ) {
@@ -739,7 +717,7 @@ impl Technique for Eul {
             // A retired site relays just enough to keep delegates that
             // have not yet processed our ViewDrop from wedging: grant and
             // vote vacuously (every remaining site still serializes the
-            // conflict), reroute clients; drop the rest.
+            // conflict); drop the rest. (The shell reroutes clients.)
             match msg {
                 EulMsg::LockReq {
                     txn,
@@ -747,12 +725,11 @@ impl Technique for Eul {
                     delegate,
                     ..
                 } => {
-                    ctx.send(delegate, EulMsg::LockGrant { txn, step });
+                    ctx.send(delegate, Wire::Proto(EulMsg::LockGrant { txn, step }));
                 }
                 EulMsg::Prepare { txn } => {
-                    ctx.send(from, EulMsg::Vote { txn, yes: true });
+                    ctx.send(from, Wire::Proto(EulMsg::Vote { txn, yes: true }));
                 }
-                EulMsg::Invoke(op) => sh.invoke(self, ctx, op),
                 _ => {}
             }
             return;
@@ -767,12 +744,6 @@ impl Technique for Eul {
             return;
         }
         match msg {
-            EulMsg::Invoke(op) => {
-                // A delegate with a stale store would serve stale reads.
-                if !sh.catching_up() {
-                    sh.invoke(self, ctx, op);
-                }
-            }
             EulMsg::LockReq {
                 txn,
                 step,
@@ -788,13 +759,13 @@ impl Technique for Eul {
                 };
                 match self.lm.acquire(txn, key, mode) {
                     Acquire::Granted => {
-                        ctx.send(delegate, EulMsg::LockGrant { txn, step });
+                        ctx.send(delegate, Wire::Proto(EulMsg::LockGrant { txn, step }));
                     }
                     Acquire::Waiting { wounded } => {
                         for v in wounded {
                             self.wounds += 1;
                             if let Some(&(d, _)) = self.lock_owner.get(&v) {
-                                ctx.send(d, EulMsg::Wound { victim: v });
+                                ctx.send(d, Wire::Proto(EulMsg::Wound { victim: v }));
                             }
                         }
                     }
@@ -858,12 +829,12 @@ impl Technique for Eul {
                             let value = read.ok().flatten().map_or(Value(0), |ver| ver.value);
                             ctx.send(
                                 delegate,
-                                EulMsg::XReadVal {
+                                Wire::Proto(EulMsg::XReadVal {
                                     txn,
                                     step,
                                     key,
                                     value,
-                                },
+                                }),
                             );
                         }
                     }
@@ -880,7 +851,7 @@ impl Technique for Eul {
                 }
             }
             EulMsg::Prepare { txn } => {
-                ctx.send(from, EulMsg::Vote { txn, yes: true });
+                ctx.send(from, Wire::Proto(EulMsg::Vote { txn, yes: true }));
             }
             EulMsg::Vote { txn, yes } => {
                 let decision = {
@@ -902,23 +873,18 @@ impl Technique for Eul {
                 self.apply_decision(sh, ctx, txn, commit);
             }
             EulMsg::ProbeReq => {
-                ctx.send(
-                    from,
-                    EulMsg::ProbeEdges {
-                        edges: self.lm.wait_for_edges(),
-                    },
-                );
+                let edges = self.lm.wait_for_edges();
+                ctx.send(from, Wire::Proto(EulMsg::ProbeEdges { edges }));
             }
             EulMsg::ProbeEdges { edges } => {
                 self.probe_edges.extend(edges);
                 self.probe_answers += 1;
                 self.maybe_resolve_deadlock(sh, ctx);
             }
-            EulMsg::Reply(_) | EulMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, tag: u64) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, tag: u64) {
         match tag {
             DETECT_TICK => {
                 self.run_detection(sh, ctx);
@@ -934,7 +900,7 @@ impl Technique for Eul {
         }
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>) {
         // A cold joiner grants locks and votes from the moment the first
         // ViewAdd lands the group on it, but never runs the detector
         // before it is welcomed.
@@ -951,7 +917,7 @@ impl Technique for Eul {
     /// every cohort member has applied the view change *and* decided the
     /// transactions it delegated under the old view (their Execs missed
     /// the joiner).
-    fn admit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>, joiner: NodeId) {
+    fn admit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, joiner: NodeId) {
         match &self.admitting {
             // One admission at a time; this joiner retries.
             Some((j, _)) if *j != joiner => return,
@@ -981,7 +947,7 @@ impl Technique for Eul {
     fn view_added(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         from: NodeId,
         servers: &[NodeId],
     ) {
@@ -995,7 +961,7 @@ impl Technique for Eul {
             // a departed cohort member (our ViewDrop may still be in
             // flight toward the coordinator).
             if let Some(j) = newcomer {
-                ctx.send(from, EulMsg::member(MemberMsg::ViewAck { joiner: j }));
+                ctx.send(from, Wire::Member(MemberMsg::ViewAck { joiner: j }));
             }
             return;
         }
@@ -1009,7 +975,7 @@ impl Technique for Eul {
     fn view_acked(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         from: NodeId,
         joiner: NodeId,
     ) {
@@ -1030,7 +996,7 @@ impl Technique for Eul {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         transfer: Option<&Transfer>,
         _pos: u64,
         _gpos: u64,
@@ -1045,7 +1011,7 @@ impl Technique for Eul {
     fn member_left(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, EulMsg>,
+        ctx: &mut Ctx<'_, EulMsg>,
         node: NodeId,
         _was_first: bool,
     ) {
@@ -1106,7 +1072,7 @@ impl Technique for Eul {
     /// closing the gap in committed state via a peer snapshot — all-site
     /// locking keeps no redo log to replay, and after a volume restore no
     /// stream or cursor exists to rewind either.
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, EulMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>) {
         // Timers do not survive a crash: re-arm the deadlock detector.
         if self.policy == DeadlockPolicy::Detect && sh.base.site == 0 {
             ctx.set_timer(self.detect_every, DETECT_TICK);
@@ -1165,7 +1131,7 @@ mod tests {
         txns: Vec<Vec<TxnTemplate>>,
         policy: DeadlockPolicy,
         seed: u64,
-    ) -> (World<EulMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<EulMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         for i in 0..n {
@@ -1496,5 +1462,54 @@ mod tests {
                 fp0
             );
         }
+    }
+
+    #[test]
+    fn a_catching_up_replica_starts_no_delegation_for_a_client_invoke() {
+        use crate::op::OpId;
+        use crate::protocols::replica::tests::ScriptedPeer;
+        use crate::protocols::replica::Status;
+        type Peer = ScriptedPeer<Wire<EulMsg>>;
+        let (me, other) = (NodeId::new(0), NodeId::new(1));
+        let invoke = |id: u64| {
+            let txn = write(id, 1);
+            Wire::Invoke(ClientOp {
+                id: OpId(id),
+                client: other,
+                txn,
+            })
+        };
+        let mut world: World<Wire<EulMsg>> = World::new(SimConfig::new(3));
+        let policy = DeadlockPolicy::WoundWait;
+        let exec = ExecutionMode::Deterministic;
+        world.add_actor(Box::new(EulServer::new(
+            0,
+            me,
+            vec![me, other],
+            16,
+            exec,
+            policy,
+        )));
+        // The only peer never answers a StateReq: once recovered, the
+        // server stays catching up.
+        let script = vec![(100, me, invoke(1)), (3_000, me, invoke(2))];
+        world.add_actor(Box::new(Peer {
+            script,
+            got: Vec::new(),
+        }));
+        world.schedule_crash(SimTime::from_ticks(1_000), me);
+        world.schedule_recover(SimTime::from_ticks(2_000), me);
+        world.start();
+        world.run_until(SimTime::from_ticks(10_000));
+        let srv = world.actor_ref::<EulServer>(me);
+        assert_eq!(srv.shell.status(), Status::CatchingUp);
+        assert!(srv.tech.delegated.is_empty());
+        let locked: Vec<TxnId> = (world.actor_ref::<Peer>(other).got.iter())
+            .filter_map(|(_, m)| match m {
+                Wire::Proto(EulMsg::LockReq { txn, .. }) => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(locked, vec![global_txn(OpId(1))], "only before the crash");
     }
 }

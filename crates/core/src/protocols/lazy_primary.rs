@@ -27,20 +27,17 @@ use std::sync::Arc;
 
 use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WriteSetRef};
 use repl_gcs::BatchConfig;
-use repl_sim::{Context, Message, NodeId, SimDuration};
+use repl_sim::{Message, NodeId, SimDuration};
 
-use crate::client::{impl_protocol_msg, ProtocolMsg};
 use crate::durability::RestorePlan;
-use crate::op::{ClientOp, Response};
+use crate::op::ClientOp;
 use crate::phase::Phase;
-use crate::protocols::common::{global_txn, ExecutionMode};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
+use crate::protocols::replica::{Ctx, MemberMsg, Replica, Shell, Technique, Wire};
 
-/// Wire messages of lazy primary copy replication.
+/// Coordination traffic of lazy primary copy replication.
 #[derive(Debug, Clone)]
 pub enum LazyPrimaryMsg {
-    /// Client → server (updates forwarded to the primary, reads local).
-    Invoke(ClientOp),
     /// Primary → secondaries: committed writesets, in commit order.
     /// The writeset rides the payload plane, so the per-secondary
     /// fan-out copies a handle, not the records; `wire_size` still
@@ -60,30 +57,18 @@ pub enum LazyPrimaryMsg {
         /// The committed redo records, in commit order.
         entries: Arc<Vec<WriteSet>>,
     },
-    /// Server → client.
-    Reply(Response),
-    /// Elastic-membership traffic (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for LazyPrimaryMsg {
     fn wire_size(&self) -> usize {
         match self {
-            LazyPrimaryMsg::Invoke(op) => 8 + op.wire_size(),
             LazyPrimaryMsg::Propagate { ws, .. } => 16 + ws.wire_size(),
             LazyPrimaryMsg::PropagateBatch { entries, .. } => {
                 16 + entries.iter().map(|w| 8 + w.wire_size()).sum::<usize>()
             }
-            LazyPrimaryMsg::Reply(r) => 8 + r.wire_size(),
-            LazyPrimaryMsg::Member(m) => m.wire_size(),
         }
     }
-    fn clone_is_cheap(&self) -> bool {
-        matches!(self, LazyPrimaryMsg::Propagate { .. })
-    }
 }
-
-impl_protocol_msg!(LazyPrimaryMsg);
 
 const FLUSH_TAG: u64 = 1;
 
@@ -108,7 +93,6 @@ pub struct LazyPrimary {
     /// Primary only: a volume restore rebuilt the log, so the retained
     /// suffix must be re-shipped (its tail may never have propagated).
     reship: bool,
-    marks: bool,
 }
 
 /// A lazy-primary-copy server.
@@ -132,7 +116,6 @@ impl LazyPrimaryServer {
             log: RedoLog::new(),
             applied: 0,
             reship: false,
-            marks: site == 0,
         };
         Replica::around(site, me, servers, keyspace, exec, tech)
     }
@@ -162,7 +145,7 @@ fn primary(sh: &Shell) -> NodeId {
 }
 
 impl LazyPrimary {
-    fn flush(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+    fn flush(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>) {
         let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
         if pending.is_empty() {
@@ -174,11 +157,8 @@ impl LazyPrimary {
             // per secondary carries the whole window.
             let start = self.log.len() as u64;
             for ws in &pending {
-                if self.marks {
-                    // AC happens *after* END: the lazy signature.
-                    let op = crate::protocols::common::op_of_txn(ws.txn);
-                    ctx.mark(Phase::AgreementCoordination.tag(), op.0, 0);
-                }
+                // AC happens *after* END: the lazy signature.
+                sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(ws.txn), 0);
                 self.log.stage(ws.clone());
             }
             self.log.flush_group();
@@ -186,24 +166,24 @@ impl LazyPrimary {
             for s in sh.peers() {
                 ctx.send(
                     s,
-                    LazyPrimaryMsg::PropagateBatch {
+                    Wire::Proto(LazyPrimaryMsg::PropagateBatch {
                         start,
                         entries: Arc::clone(&entries),
-                    },
+                    }),
                 );
             }
             return;
         }
         for ws in pending {
-            if self.marks {
-                // AC happens *after* END: the lazy signature.
-                let op = crate::protocols::common::op_of_txn(ws.txn);
-                ctx.mark(Phase::AgreementCoordination.tag(), op.0, 0);
-            }
+            // AC happens *after* END: the lazy signature.
+            sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(ws.txn), 0);
             let handle = sh.base.make_payload(&ws, (sh.servers().len() - 1) as u32);
             let idx = self.log.append(ws) as u64;
             for s in sh.peers() {
-                ctx.send(s, LazyPrimaryMsg::Propagate { idx, ws: handle });
+                ctx.send(
+                    s,
+                    Wire::Proto(LazyPrimaryMsg::Propagate { idx, ws: handle }),
+                );
             }
         }
     }
@@ -248,19 +228,16 @@ impl LazyPrimary {
 
     /// Asks the primary — the one donor, so no "first answer" to wait
     /// for — for the log from the applied watermark onwards.
-    fn request_catch_up(&self, sh: &Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+    fn request_catch_up(&self, sh: &Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>) {
         let have = Some(self.applied);
-        ctx.send(
-            primary(sh),
-            LazyPrimaryMsg::member(MemberMsg::StateReq { have }),
-        );
+        ctx.send(primary(sh), Wire::Member(MemberMsg::StateReq { have }));
     }
 }
 
 impl Technique for LazyPrimary {
     type Msg = LazyPrimaryMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyPrimaryMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>, op: ClientOp) {
         if sh.answered_before_join(op.id) {
             // Answered by the join donor before our snapshot: re-executing
             // would double-apply; the donor's cache serves the retry.
@@ -269,21 +246,19 @@ impl Technique for LazyPrimary {
         // Reads answer locally wherever they land (possibly stale).
         if op.is_read_only() {
             let resp = sh.base.answer_read_only(&op);
-            ctx.send(op.client, LazyPrimaryMsg::Reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
             return;
         }
         // Updates must reach the primary.
         if sh.me() != primary(sh) {
-            ctx.send(primary(sh), LazyPrimaryMsg::Invoke(op));
+            ctx.send(primary(sh), Wire::Invoke(op));
             return;
         }
-        if self.marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
+        sh.mark(ctx, Phase::Execution, op.id, 0);
         let (ws, resp) = sh.base.execute_commit(&op, global_txn(op.id));
         sh.base.remember(&resp);
         // Lazy: reply *now*, coordinate later.
-        ctx.send(op.client, LazyPrimaryMsg::Reply(resp));
+        ctx.send(op.client, Wire::Reply(resp));
         if !ws.is_empty() {
             self.outbound.push(ws);
             // With batching on, the flush waits for the wider of
@@ -296,7 +271,7 @@ impl Technique for LazyPrimary {
             } else {
                 self.propagation_delay.ticks()
             };
-            let full = self.batching.enabled() && self.outbound.len() >= self.batching.max_batch;
+            let full = self.batching.enabled() && self.outbound.len() >= BatchConfig::MAX_BATCH;
             if full || delay_ticks == 0 {
                 self.flush(sh, ctx);
             } else if !self.flush_armed {
@@ -309,12 +284,11 @@ impl Technique for LazyPrimary {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, LazyPrimaryMsg>,
+        ctx: &mut Ctx<'_, LazyPrimaryMsg>,
         _from: NodeId,
         msg: LazyPrimaryMsg,
     ) {
         match msg {
-            LazyPrimaryMsg::Invoke(op) => sh.invoke(self, ctx, op),
             LazyPrimaryMsg::Propagate { idx, ws } => {
                 // Secondary: install in log order; on a gap (messages sent
                 // while this secondary was crashed), ask for the suffix.
@@ -342,16 +316,10 @@ impl Technique for LazyPrimary {
                     self.request_catch_up(sh, ctx);
                 }
             }
-            LazyPrimaryMsg::Reply(_) | LazyPrimaryMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, LazyPrimaryMsg>,
-        tag: u64,
-    ) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>, tag: u64) {
         if tag == FLUSH_TAG {
             self.flush(sh, ctx);
             // The flush may be what a drain was waiting for.
@@ -379,7 +347,7 @@ impl Technique for LazyPrimary {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, LazyPrimaryMsg>,
+        ctx: &mut Ctx<'_, LazyPrimaryMsg>,
         transfer: Option<&Transfer>,
         _pos: u64,
         _gpos: u64,
@@ -403,7 +371,7 @@ impl Technique for LazyPrimary {
     fn caught_up(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, LazyPrimaryMsg>,
+        ctx: &mut Ctx<'_, LazyPrimaryMsg>,
         t: &Transfer,
         _first: bool,
     ) {
@@ -414,7 +382,7 @@ impl Technique for LazyPrimary {
     fn member_left(
         &mut self,
         sh: &mut Shell,
-        _ctx: &mut Context<'_, LazyPrimaryMsg>,
+        _ctx: &mut Ctx<'_, LazyPrimaryMsg>,
         _node: NodeId,
         was_first: bool,
     ) {
@@ -454,7 +422,7 @@ impl Technique for LazyPrimary {
         }
     }
 
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyPrimaryMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>) {
         if sh.me() != primary(sh) {
             // Ask the primary for everything missed.
             self.request_catch_up(sh, ctx);
@@ -480,10 +448,10 @@ impl Technique for LazyPrimary {
                 for s in sh.peers() {
                     ctx.send(
                         s,
-                        LazyPrimaryMsg::PropagateBatch {
+                        Wire::Proto(LazyPrimaryMsg::PropagateBatch {
                             start,
                             entries: Arc::clone(&entries),
-                        },
+                        }),
                     );
                 }
             }
@@ -525,7 +493,7 @@ mod tests {
         txns: Vec<Vec<TxnTemplate>>,
         delay: u64,
         seed: u64,
-    ) -> (World<LazyPrimaryMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<LazyPrimaryMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         seat_all(

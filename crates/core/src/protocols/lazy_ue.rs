@@ -29,10 +29,9 @@ use repl_db::{
     WsView,
 };
 use repl_gcs::AbDeliver;
-use repl_sim::{Context, Message, NodeId, SimDuration};
+use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::client::impl_protocol_msg;
 use crate::durability::RestorePlan;
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
@@ -40,7 +39,7 @@ use crate::protocols::common::{
     global_txn, op_of_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
     ServerBase,
 };
-use crate::protocols::replica::{ExtraStats, MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{Ctx, ExtraStats, Replica, Shell, Technique, Wire};
 
 /// How conflicting lazy updates are reconciled (paper §4.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,16 +64,11 @@ impl Message for OrderedWs {
     fn wire_size(&self) -> usize {
         self.0.wire_size()
     }
-    fn clone_is_cheap(&self) -> bool {
-        true
-    }
 }
 
-/// Wire messages of lazy update everywhere.
+/// Coordination traffic of lazy update everywhere.
 #[derive(Debug, Clone)]
 pub enum LazyUeMsg {
-    /// Client → its local server.
-    Invoke(ClientOp),
     /// Server → all other servers, after commit.
     Propagate {
         /// The committed redo records.
@@ -100,30 +94,18 @@ pub enum LazyUeMsg {
         /// accepted a stamped write for.
         items: Vec<(Key, Value, u64, u32)>,
     },
-    /// Server → client.
-    Reply(Response),
-    /// Elastic-membership traffic (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for LazyUeMsg {
     fn wire_size(&self) -> usize {
         match self {
-            LazyUeMsg::Invoke(op) => 8 + op.wire_size(),
             LazyUeMsg::Propagate { ws, .. } => 20 + ws.wire_size(),
             LazyUeMsg::Ab(m) => m.wire_size(),
             LazyUeMsg::SyncReq => 8,
             LazyUeMsg::SyncData { items } => 8 + items.len() * 28,
-            LazyUeMsg::Reply(r) => 8 + r.wire_size(),
-            LazyUeMsg::Member(m) => m.wire_size(),
         }
     }
-    fn clone_is_cheap(&self) -> bool {
-        matches!(self, LazyUeMsg::Propagate { .. })
-    }
 }
-
-impl_protocol_msg!(LazyUeMsg);
 
 const FLUSH_TAG: u64 = 1;
 
@@ -151,7 +133,6 @@ pub struct LazyUe {
     /// Lww only: restored entries to re-propagate at stamp 0 once the
     /// restore download completes (peers adopt only keys they never saw).
     reship: Vec<WriteSet>,
-    marks: bool,
 }
 
 /// A lazy-update-everywhere server.
@@ -183,7 +164,6 @@ impl LazyUeServer {
             local_pending: HashSet::new(),
             reconciliations: 0,
             reship: Vec::new(),
-            marks: site == 0,
         };
         Replica::around(site, me, servers, keyspace, exec, tech)
     }
@@ -196,13 +176,11 @@ impl LazyUeServer {
 }
 
 impl LazyUe {
-    fn flush(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+    fn flush(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
         let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
         for (ws, commit_ts) in pending {
-            if self.marks {
-                ctx.mark(Phase::AgreementCoordination.tag(), op_of_txn(ws.txn).0, 0);
-            }
+            sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(ws.txn), 0);
             match self.mode {
                 ReconcileMode::Lww => Self::propagate(sh, ctx, &ws, commit_ts),
                 ReconcileMode::AbcastOrder => {
@@ -219,28 +197,30 @@ impl LazyUe {
     /// Lww: ships a committed writeset to every peer, stamped
     /// `commit_ts`. Only the peers consume the handle (this site
     /// committed already).
-    fn propagate(sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, ws: &WriteSet, commit_ts: u64) {
+    fn propagate(sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, ws: &WriteSet, commit_ts: u64) {
         let site = sh.base.site;
         let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
         for s in sh.peers() {
             ctx.send(
                 s,
-                LazyUeMsg::Propagate {
+                Wire::Proto(LazyUeMsg::Propagate {
                     ws,
                     commit_ts,
                     site,
-                },
+                }),
             );
         }
     }
 
     /// Applies ABCAST-ordered writesets: the total order *is* the
     /// after-commit order, so every site replays the same sequence.
-    fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+    fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
         let (pending, reconciliations) = (&mut self.local_pending, &mut self.reconciliations);
-        self.ab.drain(ctx, LazyUeMsg::Ab, |_, d| {
-            apply_ordered(sh, pending, reconciliations, d)
-        });
+        self.ab.drain(
+            ctx,
+            |m| Wire::Proto(LazyUeMsg::Ab(m)),
+            |_, d| apply_ordered(sh, pending, reconciliations, d),
+        );
         settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
     }
 
@@ -338,15 +318,15 @@ impl LazyUe {
 
     /// Sends `SyncReq` to every peer: anti-entropy under the Thomas write
     /// rule (recovery completes on the first reply).
-    fn request_sync(sh: &Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+    fn request_sync(sh: &Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
         for s in sh.peers() {
-            ctx.send(s, LazyUeMsg::SyncReq);
+            ctx.send(s, Wire::Proto(LazyUeMsg::SyncReq));
         }
     }
 
     /// Re-enters the ordered stream (AbcastOrder): the stream is the
     /// shared log, so the sequencer resupplies the missed deliveries.
-    fn rejoin_stream(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+    fn rejoin_stream(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
         self.ab.rejoin();
         self.drive_ab(sh, ctx);
     }
@@ -411,16 +391,14 @@ fn apply_ordered(
 impl Technique for LazyUe {
     type Msg = LazyUeMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, op: ClientOp) {
         if sh.answered_before_join(op.id) {
             // Answered by the join donor before our state merge: the
             // donor's cache serves the retry; re-executing would
             // double-commit.
             return;
         }
-        if self.marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
+        sh.mark(ctx, Phase::Execution, op.id, 0);
         let txn = global_txn(op.id);
         self.clock = (self.clock + 1).max(ctx.now().ticks());
         let commit_ts = self.clock;
@@ -456,7 +434,7 @@ impl Technique for LazyUe {
         };
         sh.base.remember(&resp);
         // Lazy: reply before any coordination.
-        ctx.send(op.client, LazyUeMsg::Reply(resp));
+        ctx.send(op.client, Wire::Reply(resp));
         if !writes.is_empty() {
             if self.mode == ReconcileMode::AbcastOrder {
                 self.local_pending.insert(txn);
@@ -484,12 +462,11 @@ impl Technique for LazyUe {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, LazyUeMsg>,
+        ctx: &mut Ctx<'_, LazyUeMsg>,
         from: NodeId,
         msg: LazyUeMsg,
     ) {
         match msg {
-            LazyUeMsg::Invoke(op) => sh.invoke(self, ctx, op),
             LazyUeMsg::Propagate {
                 ws,
                 commit_ts,
@@ -505,7 +482,7 @@ impl Technique for LazyUe {
             }
             LazyUeMsg::SyncReq => {
                 let items = self.stamped_state(sh);
-                ctx.send(from, LazyUeMsg::SyncData { items });
+                ctx.send(from, Wire::Proto(LazyUeMsg::SyncData { items }));
             }
             LazyUeMsg::SyncData { items } => {
                 // First reply ends the recovery window (this replica can
@@ -517,11 +494,10 @@ impl Technique for LazyUe {
                 self.merge_stamped(sh, items);
                 sh.base.recovery.complete(ctx.now().ticks());
             }
-            LazyUeMsg::Reply(_) | LazyUeMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, tag: u64) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, tag: u64) {
         if tag == FLUSH_TAG {
             self.flush(sh, ctx);
             // The flush may be what a drain was waiting for.
@@ -558,7 +534,7 @@ impl Technique for LazyUe {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, LazyUeMsg>,
+        ctx: &mut Ctx<'_, LazyUeMsg>,
         transfer: Option<&Transfer>,
         pos: u64,
         gpos: u64,
@@ -587,7 +563,7 @@ impl Technique for LazyUe {
             && (self.mode != ReconcileMode::AbcastOrder || self.local_pending.is_empty())
     }
 
-    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>, remaining: &[NodeId]) {
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, remaining: &[NodeId]) {
         if self.ab.leave(sh.me(), remaining) {
             self.drive_ab(sh, ctx);
         }
@@ -626,7 +602,7 @@ impl Technique for LazyUe {
         }
     }
 
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, LazyUeMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
         // Timers died with the crash: anything still queued for
         // propagation goes out now.
         self.flush_armed = false;
@@ -681,7 +657,7 @@ mod tests {
         txns: Vec<Vec<TxnTemplate>>,
         delay: u64,
         seed: u64,
-    ) -> (World<LazyUeMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<LazyUeMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         seat_all(
@@ -740,11 +716,11 @@ mod tests {
     struct StampSpy {
         stamps: Vec<(u64, u32)>,
     }
-    impl repl_sim::Actor<LazyUeMsg> for StampSpy {
-        fn on_message(&mut self, _: &mut Context<'_, LazyUeMsg>, _: NodeId, msg: LazyUeMsg) {
-            if let LazyUeMsg::Propagate {
+    impl repl_sim::Actor<Wire<LazyUeMsg>> for StampSpy {
+        fn on_message(&mut self, _: &mut Ctx<'_, LazyUeMsg>, _: NodeId, msg: Wire<LazyUeMsg>) {
+            if let Wire::Proto(LazyUeMsg::Propagate {
                 commit_ts, site, ..
-            } = msg
+            }) = msg
             {
                 self.stamps.push((commit_ts, site));
             }

@@ -16,13 +16,12 @@ use std::sync::Arc;
 
 use repl_db::{Keyspace, Transfer, WriteSetRef};
 use repl_gcs::{Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
-use repl_sim::{Context, Message, NodeId};
+use repl_sim::{Message, NodeId};
 
-use crate::client::impl_protocol_msg;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
 
 /// The update a primary ships to its backups.
 #[derive(Debug, Clone)]
@@ -41,16 +40,11 @@ impl Message for Update {
     fn wire_size(&self) -> usize {
         8 + self.ws.wire_size() + self.resp.wire_size()
     }
-    fn clone_is_cheap(&self) -> bool {
-        true
-    }
 }
 
-/// Wire messages of passive replication.
+/// Coordination traffic of passive replication.
 #[derive(Debug, Clone)]
 pub enum PassiveMsg {
-    /// Client → primary (or any replica, which forwards).
-    Invoke(ClientOp),
     /// View-synchronous group traffic.
     Vs(VsMsg<Update>),
     /// Backup → primary: update applied.
@@ -58,25 +52,16 @@ pub enum PassiveMsg {
         /// The acknowledged operation.
         op: OpId,
     },
-    /// Primary → client.
-    Reply(Response),
-    /// Elastic-membership handshake (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for PassiveMsg {
     fn wire_size(&self) -> usize {
         match self {
-            PassiveMsg::Invoke(op) => 8 + op.wire_size(),
             PassiveMsg::Vs(m) => 8 + m.wire_size(),
             PassiveMsg::Ack { .. } => 16,
-            PassiveMsg::Reply(r) => 8 + r.wire_size(),
-            PassiveMsg::Member(m) => m.wire_size(),
         }
     }
 }
-
-impl_protocol_msg!(PassiveMsg);
 
 #[derive(Debug)]
 struct PendingAck {
@@ -135,20 +120,19 @@ impl Passive {
 
     /// Applies what the view group queued and reacts to what it
     /// delivered or installed.
-    fn drive(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+    fn drive(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>) {
         let mut out = std::mem::take(&mut self.vg_out);
-        repl_gcs::apply_outbox(ctx, &mut out, 0, PassiveMsg::Vs, |ctx, ev| {
-            self.on_vs_event(sh, ctx, ev)
-        });
+        repl_gcs::apply_outbox(
+            ctx,
+            &mut out,
+            0,
+            |m| Wire::Proto(PassiveMsg::Vs(m)),
+            |ctx, ev| self.on_vs_event(sh, ctx, ev),
+        );
         self.vg_out = out;
     }
 
-    fn on_vs_event(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, PassiveMsg>,
-        ev: VsEvent<Update>,
-    ) {
+    fn on_vs_event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, ev: VsEvent<Update>) {
         match ev {
             VsEvent::Deliver { from, payload, .. } => {
                 if from == sh.me() {
@@ -161,7 +145,7 @@ impl Passive {
                     sh.base.remember(&payload.resp);
                 }
                 sh.base.release_payload(payload.ws);
-                ctx.send(from, PassiveMsg::Ack { op: payload.op });
+                ctx.send(from, Wire::Proto(PassiveMsg::Ack { op: payload.op }));
             }
             VsEvent::ViewInstalled(view) => {
                 // Back in a view after a crash: recovery is over.
@@ -190,18 +174,13 @@ impl Passive {
         }
     }
 
-    fn finish(&mut self, ctx: &mut Context<'_, PassiveMsg>, op: OpId) {
+    fn finish(&mut self, ctx: &mut Ctx<'_, PassiveMsg>, op: OpId) {
         if let Some(p) = self.pending.remove(&op) {
-            ctx.send(p.client, PassiveMsg::Reply(p.resp));
+            ctx.send(p.client, Wire::Reply(p.resp));
         }
     }
 
-    fn execute_as_primary(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, PassiveMsg>,
-        op: ClientOp,
-    ) {
+    fn execute_as_primary(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, op: ClientOp) {
         ctx.mark(Phase::Execution.tag(), op.id.0, 0);
         let (ws, resp) = sh.base.execute_commit(&op, global_txn(op.id));
         sh.base.remember(&resp);
@@ -222,7 +201,7 @@ impl Passive {
         self.vg.broadcast(update, &mut self.vg_out);
         self.drive(sh, ctx);
         if backups.is_empty() {
-            ctx.send(op.client, PassiveMsg::Reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
         } else {
             self.pending.insert(
                 op.id,
@@ -243,7 +222,7 @@ impl Passive {
     }
 
     /// State is installed: ask the view group for (re)admission.
-    fn enter_view(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+    fn enter_view(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>) {
         self.vg.rejoin(&mut self.vg_out);
         self.drive(sh, ctx);
     }
@@ -252,7 +231,7 @@ impl Passive {
 impl Technique for Passive {
     type Msg = PassiveMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, op: ClientOp) {
         if sh.catching_up() || self.vg.is_joining() {
             return; // stale view; let the client retry elsewhere
         }
@@ -265,7 +244,7 @@ impl Technique for Passive {
             // transparent to the client's addressing).
             let primary = self.primary();
             if primary != sh.me() {
-                ctx.send(primary, PassiveMsg::Invoke(op));
+                ctx.send(primary, Wire::Invoke(op));
             }
         }
     }
@@ -273,12 +252,11 @@ impl Technique for Passive {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, PassiveMsg>,
+        ctx: &mut Ctx<'_, PassiveMsg>,
         from: NodeId,
         msg: PassiveMsg,
     ) {
         match msg {
-            PassiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             PassiveMsg::Vs(m) => {
                 repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
                 self.drive(sh, ctx);
@@ -291,16 +269,15 @@ impl Technique for Passive {
                     }
                 }
             }
-            PassiveMsg::Reply(_) | PassiveMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, tag: u64) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, tag: u64) {
         repl_gcs::Component::on_timer(&mut self.vg, tag, &mut self.vg_out);
         self.drive(sh, ctx);
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>) {
         repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
         self.drive(sh, ctx);
     }
@@ -317,7 +294,7 @@ impl Technique for Passive {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, PassiveMsg>,
+        ctx: &mut Ctx<'_, PassiveMsg>,
         transfer: Option<&Transfer>,
         _pos: u64,
         _gpos: u64,
@@ -341,7 +318,7 @@ impl Technique for Passive {
         self.pending.is_empty()
     }
 
-    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>, _remaining: &[NodeId]) {
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, _remaining: &[NodeId]) {
         // Voluntary view-group exit: the shrunk view elects the next
         // primary and flushes in-flight updates.
         self.vg.leave(&mut self.vg_out);
@@ -361,7 +338,7 @@ impl Technique for Passive {
     /// admits a caught-up replica. (There is no ordered stream to rewind
     /// after a volume restore: the tier restored a floor, and the peer
     /// snapshot covers whatever the disaster erased, if any peer is up.)
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, PassiveMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>) {
         if !sh.pull_state(ctx, None) {
             self.enter_view(sh, ctx);
             sh.base.recovery.complete(ctx.now().ticks());
@@ -394,7 +371,7 @@ mod tests {
         txns: Vec<Vec<TxnTemplate>>,
         exec: ExecutionMode,
         seed: u64,
-    ) -> (World<PassiveMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<PassiveMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         seat_all(

@@ -16,15 +16,19 @@
 //! one bounces client work to the remaining members. Join and recovery are
 //! one state transfer — pushed in a `Welcome`, pulled with a `StateReq`,
 //! same donor, same installer: recovery is a join that remembers.
+//!
+//! Every replica and client speaks one envelope, [`Wire`]: the client
+//! protocol and the membership handshake are the shell's, and a
+//! technique's own message type carries only its coordination traffic.
 
 use std::collections::HashSet;
 
 use repl_db::{Keyspace, SharedArena, Transfer};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
-use crate::client::ProtocolMsg;
 use crate::durability::{DurabilityConfig, RestorePlan};
-use crate::op::{ClientOp, OpId};
+use crate::op::{ClientOp, OpId, Response};
+use crate::phase::Phase;
 use crate::protocols::common::{ExecutionMode, ServerBase, ShardCtx};
 
 /// Timer tag of the restore-download completion. Far outside all
@@ -68,8 +72,7 @@ pub enum Status {
 }
 
 /// Wire messages of the membership handshake, shared by every technique
-/// (each wire type wraps them in one variant, see
-/// [`ProtocolMsg::member`]).
+/// (carried as [`Wire::Member`]).
 #[derive(Debug, Clone)]
 pub enum MemberMsg {
     /// Joiner → group rank 0: admit me (retried until welcomed).
@@ -152,6 +155,36 @@ impl Message for MemberMsg {
     }
 }
 
+/// The one envelope replicas and clients exchange: the shell's client
+/// protocol and membership handshake around a technique's own
+/// coordination traffic `P`.
+#[derive(Debug, Clone)]
+pub enum Wire<P> {
+    /// Client → server (or a server forwarding to the one that executes).
+    Invoke(ClientOp),
+    /// Server → client.
+    Reply(Response),
+    /// The membership handshake (join / drain / state transfer / reroute).
+    Member(MemberMsg),
+    /// The technique's own Server / Agreement Coordination and Execution
+    /// traffic.
+    Proto(P),
+}
+
+impl<P: Message> Message for Wire<P> {
+    fn wire_size(&self) -> usize {
+        match self {
+            Wire::Invoke(op) => 8 + op.wire_size(),
+            Wire::Reply(r) => 8 + r.wire_size(),
+            Wire::Member(m) => m.wire_size(),
+            Wire::Proto(p) => p.wire_size(),
+        }
+    }
+}
+
+/// The simulator context of an actor speaking [`Wire<P>`].
+pub type Ctx<'a, P> = Context<'a, Wire<P>>;
+
 /// Technique-specific counters the run report carries.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtraStats {
@@ -169,29 +202,28 @@ pub struct ExtraStats {
 /// hook receives the [`Shell`] (database kernel, membership view, shard
 /// scope) next to the technique's own state.
 pub trait Technique: Sized + 'static {
-    /// The technique's wire type.
-    type Msg: ProtocolMsg;
+    /// The technique's own coordination traffic (carried as
+    /// [`Wire::Proto`]).
+    type Msg: Message;
 
     /// A client operation the shell accepted (not cached, not rerouted,
     /// not buffered): phases RE onwards.
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, op: ClientOp);
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, op: ClientOp);
 
-    /// Any non-membership message. Invocations arrive here too, so a
-    /// technique can gate them; it passes them on with [`Shell::invoke`].
+    /// A message of the technique's own coordination traffic.
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, Self::Msg>,
+        ctx: &mut Ctx<'_, Self::Msg>,
         from: NodeId,
         msg: Self::Msg,
     );
 
     /// A timer that is not one of the shell's.
-    fn on_protocol_timer(&mut self, _sh: &mut Shell, _ctx: &mut Context<'_, Self::Msg>, _tag: u64) {
-    }
+    fn on_protocol_timer(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>, _tag: u64) {}
 
     /// World start (also for a cold joiner, before its join request).
-    fn on_start(&mut self, _sh: &mut Shell, _ctx: &mut Context<'_, Self::Msg>) {}
+    fn on_start(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>) {}
 
     /// The replica was marked a cold joiner, before the world starts.
     fn cold_start(&mut self, _sh: &mut Shell) {}
@@ -207,7 +239,7 @@ pub trait Technique: Sized + 'static {
 
     /// Coordinator: admit `joiner`. The default is [`Shell::admit`] —
     /// view change, `ViewAdd` fan-out and welcome in one event.
-    fn admit(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, joiner: NodeId) {
+    fn admit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, joiner: NodeId) {
         sh.admit(self, ctx, joiner);
     }
 
@@ -215,7 +247,7 @@ pub trait Technique: Sized + 'static {
     fn view_added(
         &mut self,
         sh: &mut Shell,
-        _ctx: &mut Context<'_, Self::Msg>,
+        _ctx: &mut Ctx<'_, Self::Msg>,
         _from: NodeId,
         servers: &[NodeId],
     ) {
@@ -227,7 +259,7 @@ pub trait Technique: Sized + 'static {
     fn view_acked(
         &mut self,
         _sh: &mut Shell,
-        _ctx: &mut Context<'_, Self::Msg>,
+        _ctx: &mut Ctx<'_, Self::Msg>,
         _from: NodeId,
         _joiner: NodeId,
     ) {
@@ -243,7 +275,7 @@ pub trait Technique: Sized + 'static {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, Self::Msg>,
+        ctx: &mut Ctx<'_, Self::Msg>,
         transfer: Option<&Transfer>,
         pos: u64,
         gpos: u64,
@@ -268,7 +300,7 @@ pub trait Technique: Sized + 'static {
     fn caught_up(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, Self::Msg>,
+        ctx: &mut Ctx<'_, Self::Msg>,
         t: &Transfer,
         first: bool,
     ) {
@@ -282,7 +314,7 @@ pub trait Technique: Sized + 'static {
     fn member_left(
         &mut self,
         _sh: &mut Shell,
-        _ctx: &mut Context<'_, Self::Msg>,
+        _ctx: &mut Ctx<'_, Self::Msg>,
         _node: NodeId,
         _was_first: bool,
     ) {
@@ -294,13 +326,7 @@ pub trait Technique: Sized + 'static {
     /// Draining and quiesced: hand off any distinguished role and leave
     /// the technique's own groups; `remaining` is the view without this
     /// node (the shell installs it afterwards).
-    fn retire(
-        &mut self,
-        _sh: &mut Shell,
-        _ctx: &mut Context<'_, Self::Msg>,
-        _remaining: &[NodeId],
-    ) {
-    }
+    fn retire(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>, _remaining: &[NodeId]) {}
 
     /// The process crashed: drop volatile state that must not survive.
     fn crashed(&mut self, _sh: &mut Shell) {}
@@ -318,7 +344,7 @@ pub trait Technique: Sized + 'static {
     fn rewind_to(&mut self, _sh: &mut Shell, _plan: RestorePlan) {}
 
     /// Re-enter the group: after a crash, and after a restore download.
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>);
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>);
 
     /// The durable frame token: the position in the technique's stream
     /// that the committed state reflects. Techniques without a stream
@@ -436,22 +462,25 @@ impl Shell {
         self.shard.as_ref()
     }
 
-    /// Client entry point: answer from the cache, bounce while leaving,
+    /// Records a phase mark for `op` at site 0 only, the one process
+    /// `phase.rs` reads.
+    pub fn mark<P: Message>(&self, ctx: &mut Ctx<'_, P>, phase: Phase, op: OpId, b: u64) {
+        if self.base.site == 0 {
+            ctx.mark(phase.tag(), op.0, b);
+        }
+    }
+
+    /// The client prologue: answer from the cache, bounce while leaving,
     /// buffer while joining, else hand the operation to the technique.
-    pub fn invoke<T: Technique>(
-        &mut self,
-        tech: &mut T,
-        ctx: &mut Context<'_, T::Msg>,
-        op: ClientOp,
-    ) {
+    fn invoke<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>, op: ClientOp) {
         if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, T::Msg::reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
         } else if self.rerouting() {
             let bounce = MemberMsg::Reroute {
                 op: op.id,
                 servers: self.remaining(),
             };
-            ctx.send(op.client, T::Msg::member(bounce));
+            ctx.send(op.client, Wire::Member(bounce));
         } else if self.joining() {
             self.buffered.push(op);
         } else {
@@ -463,7 +492,7 @@ impl Shell {
     /// one `ViewDrop` per remaining member, retirement. Polls again on
     /// [`DRAIN_TICK_TAG`] otherwise. A technique calls this itself where
     /// finishing a piece of work may be what the drain waits for.
-    pub fn try_retire<T: Technique>(&mut self, tech: &mut T, ctx: &mut Context<'_, T::Msg>) {
+    pub fn try_retire<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>) {
         if self.membership != Status::Draining {
             return;
         }
@@ -474,7 +503,7 @@ impl Shell {
         let remaining = self.remaining();
         tech.retire(self, ctx, &remaining);
         for &n in &remaining {
-            ctx.send(n, T::Msg::member(MemberMsg::ViewDrop { node: self.me }));
+            ctx.send(n, Wire::Member(MemberMsg::ViewDrop { node: self.me }));
         }
         self.servers = remaining;
         self.membership = Status::Retired;
@@ -485,19 +514,14 @@ impl Shell {
     /// every stream message after it reaches the joiner and everything
     /// before is in the snapshot. A retried `JoinReq` re-sends the
     /// (idempotent) welcome.
-    pub fn admit<T: Technique>(
-        &mut self,
-        tech: &mut T,
-        ctx: &mut Context<'_, T::Msg>,
-        joiner: NodeId,
-    ) {
+    pub fn admit<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>, joiner: NodeId) {
         self.add_member(tech, joiner);
         for &n in &self.servers {
             if n != self.me && n != joiner {
                 let grown = MemberMsg::ViewAdd {
                     servers: self.servers.clone(),
                 };
-                ctx.send(n, T::Msg::member(grown));
+                ctx.send(n, Wire::Member(grown));
             }
         }
         self.welcome(tech, ctx, joiner);
@@ -524,7 +548,7 @@ impl Shell {
     pub fn welcome<T: Technique>(
         &mut self,
         tech: &mut T,
-        ctx: &mut Context<'_, T::Msg>,
+        ctx: &mut Ctx<'_, T::Msg>,
         joiner: NodeId,
     ) {
         let (transfer, pos, gpos) = tech.welcome_state(self, joiner);
@@ -537,31 +561,27 @@ impl Shell {
             gpos,
             answered,
         };
-        ctx.send(joiner, T::Msg::member(welcome));
+        ctx.send(joiner, Wire::Member(welcome));
     }
 
     /// Asks the seed membership's first other member for admission and
     /// arms the retry.
-    fn request_join<M: ProtocolMsg>(&self, ctx: &mut Context<'_, M>) {
+    fn request_join<P: Message>(&self, ctx: &mut Ctx<'_, P>) {
         let target = self
             .peers()
             .next()
             .expect("join seed names at least one member");
-        ctx.send(target, M::member(MemberMsg::JoinReq));
+        ctx.send(target, Wire::Member(MemberMsg::JoinReq));
         ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
     }
 
     /// Recovery's pull: asks every peer for the state this replica missed
     /// (`have` as in [`MemberMsg::StateReq`]); the first answer wins.
     /// Returns false for a lone member — nobody to ask, nothing missed.
-    pub fn pull_state<M: ProtocolMsg>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        have: Option<u64>,
-    ) -> bool {
+    pub fn pull_state<P: Message>(&mut self, ctx: &mut Ctx<'_, P>, have: Option<u64>) -> bool {
         let mut asked = false;
         for n in self.peers() {
-            ctx.send(n, M::member(MemberMsg::StateReq { have }));
+            ctx.send(n, Wire::Member(MemberMsg::StateReq { have }));
             asked = true;
         }
         self.catching_up = asked;
@@ -571,7 +591,7 @@ impl Shell {
     fn on_member<T: Technique>(
         &mut self,
         tech: &mut T,
-        ctx: &mut Context<'_, T::Msg>,
+        ctx: &mut Ctx<'_, T::Msg>,
         from: NodeId,
         m: &MemberMsg,
     ) {
@@ -615,7 +635,7 @@ impl Shell {
                     return;
                 }
                 if let Some(t) = tech.donate(self, from, have.unwrap_or(0)) {
-                    ctx.send(from, T::Msg::member(MemberMsg::StateData(Box::new(t))));
+                    ctx.send(from, Wire::Member(MemberMsg::StateData(Box::new(t))));
                 }
             }
             MemberMsg::StateData(t) => {
@@ -684,8 +704,8 @@ impl<T: Technique> Replica<T> {
     }
 }
 
-impl<T: Technique> Actor<T::Msg> for Replica<T> {
-    fn on_start(&mut self, ctx: &mut Context<'_, T::Msg>) {
+impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let Replica { shell, tech } = self;
         tech.on_start(shell, ctx);
         if shell.joining() {
@@ -694,18 +714,20 @@ impl<T: Technique> Actor<T::Msg> for Replica<T> {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, T::Msg>, from: NodeId, msg: T::Msg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, T::Msg>, from: NodeId, msg: Wire<T::Msg>) {
         let Replica { shell, tech } = self;
         if shell.base.restoring() {
             return; // deaf until the volume restore download completes
         }
-        match msg.as_member() {
-            Some(m) => shell.on_member(tech, ctx, from, m),
-            None => tech.on_protocol_msg(shell, ctx, from, msg),
+        match msg {
+            Wire::Invoke(op) => shell.invoke(tech, ctx, op),
+            Wire::Member(m) => shell.on_member(tech, ctx, from, &m),
+            Wire::Proto(m) => tech.on_protocol_msg(shell, ctx, from, m),
+            Wire::Reply(_) => {} // a stray answer: only clients take replies
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, T::Msg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, T::Msg>, _timer: TimerId, tag: u64) {
         let Replica { shell, tech } = self;
         match tag {
             RESTORE_TAG => {
@@ -727,7 +749,7 @@ impl<T: Technique> Actor<T::Msg> for Replica<T> {
         self.tech.crashed(&mut self.shell);
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, T::Msg>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let Replica { shell, tech } = self;
         let now = ctx.now().ticks();
         shell.base.recovery.begin(now);
@@ -746,7 +768,7 @@ impl<T: Technique> Actor<T::Msg> for Replica<T> {
         tech.rejoin(shell, ctx);
     }
 
-    fn on_drain(&mut self, ctx: &mut Context<'_, T::Msg>) {
+    fn on_drain(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let Replica { shell, tech } = self;
         if matches!(shell.membership, Status::Normal | Status::Joining) {
             shell.membership = Status::Draining;
@@ -761,7 +783,7 @@ impl<T: Technique> Actor<T::Msg> for Replica<T> {
         tech.volume_lost(shell);
     }
 
-    fn on_settle(&mut self, ctx: &mut Context<'_, T::Msg>) {
+    fn on_settle(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let token = self.tech.position(&self.shell);
         self.shell.base.seal_now(ctx.now().ticks(), token);
     }
@@ -772,29 +794,23 @@ impl<T: Technique> Actor<T::Msg> for Replica<T> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::client::impl_protocol_msg;
-    use crate::op::Response;
     use crate::protocols::common::global_txn;
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
+    /// The stub technique's whole coordination traffic.
     #[derive(Debug, Clone)]
-    enum StubMsg {
-        Invoke(ClientOp),
-        Reply(Response),
-        Member(MemberMsg),
-        Ping,
-    }
-    impl Message for StubMsg {}
-    impl_protocol_msg!(StubMsg);
+    struct Ping;
+    impl Message for Ping {}
+    type StubMsg = Wire<Ping>;
 
     const TICK: u64 = 7;
 
     /// Adds `servers` to `world` on one shared payload arena, as the
     /// runner seats them.
     pub(crate) fn seat_all<T: Technique>(
-        world: &mut World<T::Msg>,
+        world: &mut World<Wire<T::Msg>>,
         servers: impl IntoIterator<Item = Replica<T>>,
     ) {
         let arena = repl_db::shared_arena();
@@ -825,7 +841,7 @@ pub(crate) mod tests {
     }
 
     impl Technique for Stub {
-        type Msg = StubMsg;
+        type Msg = Ping;
 
         fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, op: ClientOp) {
             self.invoked.push(op.id);
@@ -833,18 +849,8 @@ pub(crate) mod tests {
             sh.base.remember(&resp);
             ctx.send(op.client, StubMsg::Reply(resp));
         }
-        fn on_protocol_msg(
-            &mut self,
-            sh: &mut Shell,
-            ctx: &mut Context<'_, StubMsg>,
-            _from: NodeId,
-            msg: StubMsg,
-        ) {
-            match msg {
-                StubMsg::Invoke(op) => sh.invoke(self, ctx, op),
-                StubMsg::Ping => self.pings.push(ctx.now().ticks()),
-                _ => {}
-            }
+        fn on_protocol_msg(&mut self, _: &mut Shell, ctx: &mut Ctx<'_, Ping>, _: NodeId, _: Ping) {
+            self.pings.push(ctx.now().ticks());
         }
         fn on_protocol_timer(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, tag: u64) {
             assert_eq!(tag, TICK);
@@ -1037,7 +1043,8 @@ pub(crate) mod tests {
         assert!(r.tech.retired_with.is_empty(), "not quiesced yet");
         let bounced = |p: &Probe, op: u64| {
             p.got.iter().any(|(_, m)| {
-                matches!(m.reroute(), Some((id, servers)) if id == OpId(op) && servers == [n(1), n(2)])
+                matches!(m, StubMsg::Member(MemberMsg::Reroute { op: id, servers })
+                    if *id == OpId(op) && servers == &[n(1), n(2)])
             })
         };
         assert!(bounced(world.actor_ref::<Probe>(peer1), 2));
@@ -1063,7 +1070,7 @@ pub(crate) mod tests {
         let cached = p1
             .got
             .iter()
-            .filter(|(t, m)| *t > 6_000 && m.response().is_some_and(|r| r.op == OpId(1)))
+            .filter(|(t, m)| *t > 6_000 && matches!(m, StubMsg::Reply(r) if r.op == OpId(1)))
             .count();
         assert_eq!(cached, 1, "the cache still answers after retirement");
         assert!(bounced(p1, 3));
@@ -1079,7 +1086,7 @@ pub(crate) mod tests {
         r.equip(&tier, false, repl_db::shared_arena());
         let node = world.add_actor(Box::new(r));
         let mut script = vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))];
-        script.extend((1..=200).map(|i| (i * 100 + 50, n(0), StubMsg::Ping)));
+        script.extend((1..=200).map(|i| (i * 100 + 50, n(0), StubMsg::Proto(Ping))));
         world.add_actor(probe(script));
         if wipe {
             world.schedule_volume_loss(SimTime::from_ticks(2_000), node);
@@ -1141,7 +1148,7 @@ pub(crate) mod tests {
     fn count(p: &Probe, f: fn(&MemberMsg) -> bool) -> usize {
         p.got
             .iter()
-            .filter(|(_, m)| m.as_member().is_some_and(f))
+            .filter(|(_, m)| matches!(m, StubMsg::Member(m) if f(m)))
             .count()
     }
 
@@ -1290,6 +1297,66 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_envelope_is_sized_like_the_variants_it_replaced() {
+        // Every technique enum carried these three variants with these
+        // sizes: 8 + the operation, 8 + the response, the member message.
+        let op = write_op(3, n(1));
+        assert_eq!(StubMsg::Invoke(op.clone()).wire_size(), 8 + op.wire_size());
+        let resp = Response {
+            op: OpId(3),
+            committed: true,
+            reads: vec![(Key(1), Value(2))],
+        };
+        assert_eq!(
+            StubMsg::Reply(resp.clone()).wire_size(),
+            8 + resp.wire_size()
+        );
+        let joined = MemberMsg::ViewAdd {
+            servers: vec![n(0), n(1), n(2)],
+        };
+        for m in [
+            MemberMsg::JoinReq,
+            joined,
+            MemberMsg::StateReq { have: Some(4) },
+        ] {
+            assert_eq!(StubMsg::Member(m.clone()).wire_size(), m.wire_size());
+        }
+        assert_eq!(StubMsg::Proto(Ping).wire_size(), Ping.wire_size());
+    }
+
+    #[test]
+    fn the_technique_sees_only_its_own_traffic() {
+        // Node 1 is not the coordinator: the JoinReq is the shell's to
+        // ignore, the stray reply nobody's, the duplicate the cache's.
+        let mut world: World<StubMsg> = World::new(SimConfig::new(10));
+        let stray = Response::committed(OpId(5));
+        let peer = world.add_actor(probe(vec![
+            (100, n(1), StubMsg::Invoke(write_op(1, n(0)))),
+            (1_000, n(1), StubMsg::Invoke(write_op(1, n(0)))),
+            (1_100, n(1), StubMsg::Reply(stray)),
+            (1_200, n(1), StubMsg::Member(MemberMsg::JoinReq)),
+            (1_300, n(1), StubMsg::Proto(Ping)),
+        ]));
+        let node = world.add_actor(Box::new(replica(1, &[0, 1])));
+        world.start();
+        at(&mut world, 5_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(r.tech.invoked, vec![OpId(1)], "on_invoke runs once");
+        assert_eq!(r.tech.pings.len(), 1, "only the ping is protocol traffic");
+        assert!(r.tech.pings[0] > 1_300);
+        assert_eq!(r.tech.views, 0, "no admission at a non-coordinator");
+        let got = &world.actor_ref::<Probe>(peer).got;
+        let answers: Vec<u64> = got.iter().map(|(t, _)| *t).collect();
+        assert!(
+            got.iter()
+                .all(|(_, m)| matches!(m, StubMsg::Reply(r) if r.op == OpId(1))),
+            "{got:?}"
+        );
+        assert_eq!(answers.len(), 2, "executed once, answered twice");
+        assert!(answers[1] > 1_000, "the duplicate from the cache");
+    }
+
+    #[test]
     fn coordinator_admits_in_one_event_and_rewelcomes_a_retry() {
         let mut world: World<StubMsg> = World::new(SimConfig::new(5));
         let coord = world.add_actor(Box::new(replica(0, &[0, 1])));
@@ -1355,7 +1422,7 @@ pub(crate) mod tests {
         let got = &world.actor_ref::<Probe>(coord).got;
         let count = |f: fn(&MemberMsg) -> bool| {
             got.iter()
-                .filter(|(_, m)| m.as_member().is_some_and(f))
+                .filter(|(_, m)| matches!(m, StubMsg::Member(m) if f(m)))
                 .count()
         };
         assert_eq!(count(|m| matches!(m, MemberMsg::JoinReq)), 1, "no retry");

@@ -17,16 +17,15 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use repl_db::{Key, Keyspace, Transfer, Value};
 use repl_gcs::{BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
-use repl_sim::{Context, Message, NodeId};
+use repl_sim::{Message, NodeId};
 
-use crate::client::impl_protocol_msg;
 use crate::durability::RestorePlan;
 use crate::op::{accesses, ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
     global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
+use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
 
 /// The leader's resolution of an operation's non-deterministic choices.
 #[derive(Debug, Clone)]
@@ -47,34 +46,23 @@ impl Message for Choice {
 /// the lower tag space).
 const VG_BASE: u64 = repl_gcs::TAG_SPACE;
 
-/// Wire messages of semi-active replication.
+/// Coordination traffic of semi-active replication.
 #[derive(Debug, Clone)]
 pub enum SemiActiveMsg {
-    /// Client → contact replica.
-    Invoke(ClientOp),
     /// Request ordering (ABCAST).
     Ab(AbMsg<ClientOp>),
     /// Leader choices (VSCAST).
     Vs(VsMsg<Choice>),
-    /// Replica → client.
-    Reply(Response),
-    /// Elastic-membership handshake (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for SemiActiveMsg {
     fn wire_size(&self) -> usize {
         match self {
-            SemiActiveMsg::Invoke(op) => 8 + op.wire_size(),
             SemiActiveMsg::Ab(m) => m.wire_size(),
             SemiActiveMsg::Vs(m) => 8 + m.wire_size(),
-            SemiActiveMsg::Reply(r) => 8 + r.wire_size(),
-            SemiActiveMsg::Member(m) => m.wire_size(),
         }
     }
 }
-
-impl_protocol_msg!(SemiActiveMsg);
 
 /// Semi-active replication: the ordered request stream of active
 /// replication plus leader-imposed choices over VSCAST.
@@ -89,7 +77,6 @@ pub struct SemiActive {
     next_apply: u64,
     choices: HashMap<OpId, Vec<(Key, Value)>>,
     issued: HashSet<OpId>,
-    marks: bool,
     vs: VsConfig,
 }
 
@@ -116,7 +103,6 @@ impl SemiActiveServer {
             next_apply: 0,
             choices: HashMap::new(),
             issued: HashSet::new(),
-            marks: site == 0,
             vs,
         };
         Replica::around(site, me, group, keyspace, exec, tech)
@@ -148,12 +134,11 @@ impl SemiActive {
 
     /// Applies what the ABCAST endpoint queued, parks what it ordered and
     /// applies whatever became applicable.
-    fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
-        let (marks, waiting) = (self.marks, &mut self.waiting);
-        self.ab.drain(ctx, SemiActiveMsg::Ab, |ctx, d| {
-            if marks {
-                ctx.mark(Phase::ServerCoordination.tag(), d.payload.id.0, d.gseq);
-            }
+    fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
+        let waiting = &mut self.waiting;
+        let wrap = |m| Wire::Proto(SemiActiveMsg::Ab(m));
+        self.ab.drain(ctx, wrap, |ctx, d| {
+            sh.mark(ctx, Phase::ServerCoordination, d.payload.id, d.gseq);
             waiting.insert(d.gseq, d.payload);
         });
         self.process(sh, ctx);
@@ -162,11 +147,10 @@ impl SemiActive {
 
     /// Applies what the view group queued, records the choices it
     /// delivered and applies whatever became applicable.
-    fn drive_vs(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn drive_vs(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
         let mut out = std::mem::take(&mut self.vg_out);
-        repl_gcs::apply_outbox(ctx, &mut out, VG_BASE, SemiActiveMsg::Vs, |_, ev| {
-            self.on_vs_event(ev)
-        });
+        let wrap = |m| Wire::Proto(SemiActiveMsg::Vs(m));
+        repl_gcs::apply_outbox(ctx, &mut out, VG_BASE, wrap, |_, ev| self.on_vs_event(ev));
         self.vg_out = out;
         self.process(sh, ctx);
     }
@@ -186,7 +170,7 @@ impl SemiActive {
 
     /// Applies ordered operations in sequence, pausing at operations whose
     /// choice has not arrived yet.
-    fn process(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn process(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
         loop {
             let Some(op) = self.waiting.get(&self.next_apply).cloned() else {
                 return;
@@ -201,9 +185,7 @@ impl SemiActive {
                 // Leader resolves; followers wait.
                 if self.is_leader(sh) && !self.issued.contains(&op.id) {
                     self.issued.insert(op.id);
-                    if self.marks {
-                        ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-                    }
+                    sh.mark(ctx, Phase::Execution, op.id, 0);
                     let choice = Self::resolve_choice(sh, &op);
                     self.vg.broadcast(choice, &mut self.vg_out);
                     self.drive_vs(sh, ctx);
@@ -213,16 +195,15 @@ impl SemiActive {
             }
             self.waiting.remove(&self.next_apply);
             self.next_apply += 1;
-            if self.marks {
-                if !needs {
-                    ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-                } else {
-                    ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
-                }
-            }
+            let phase = if needs {
+                Phase::AgreementCoordination
+            } else {
+                Phase::Execution
+            };
+            sh.mark(ctx, phase, op.id, 0);
             let resp = self.execute(sh, &op);
             sh.base.remember(&resp);
-            ctx.send(op.client, SemiActiveMsg::Reply(resp));
+            ctx.send(op.client, Wire::Reply(resp));
         }
     }
 
@@ -292,7 +273,7 @@ impl SemiActive {
 
     /// State is installed: refill the ordered stream, then ask the view
     /// group for (re)admission.
-    fn enter_groups(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn enter_groups(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
         self.ab.rejoin();
         self.drive_ab(sh, ctx);
         self.vg.rejoin(&mut self.vg_out);
@@ -303,7 +284,7 @@ impl SemiActive {
 impl Technique for SemiActive {
     type Msg = SemiActiveMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>, op: ClientOp) {
         if !self.relayed.insert(op.id) {
             return;
         }
@@ -314,12 +295,11 @@ impl Technique for SemiActive {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiActiveMsg>,
+        ctx: &mut Ctx<'_, SemiActiveMsg>,
         from: NodeId,
         msg: SemiActiveMsg,
     ) {
         match msg {
-            SemiActiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             SemiActiveMsg::Ab(m) => {
                 self.ab.on_message(from, m);
                 self.drive_ab(sh, ctx);
@@ -328,16 +308,10 @@ impl Technique for SemiActive {
                 repl_gcs::Component::on_message(&mut self.vg, from, m, &mut self.vg_out);
                 self.drive_vs(sh, ctx);
             }
-            SemiActiveMsg::Reply(_) | SemiActiveMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, SemiActiveMsg>,
-        tag: u64,
-    ) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>, tag: u64) {
         if tag >= VG_BASE {
             repl_gcs::Component::on_timer(&mut self.vg, tag - VG_BASE, &mut self.vg_out);
             self.drive_vs(sh, ctx);
@@ -347,7 +321,7 @@ impl Technique for SemiActive {
         }
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
         repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
         self.drive_vs(sh, ctx);
     }
@@ -375,7 +349,7 @@ impl Technique for SemiActive {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiActiveMsg>,
+        ctx: &mut Ctx<'_, SemiActiveMsg>,
         transfer: Option<&Transfer>,
         pos: u64,
         gpos: u64,
@@ -397,12 +371,7 @@ impl Technique for SemiActive {
         self.ab.pending() == 0
     }
 
-    fn retire(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, SemiActiveMsg>,
-        remaining: &[NodeId],
-    ) {
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>, remaining: &[NodeId]) {
         if self.ab.leave(sh.me(), remaining) {
             self.drive_ab(sh, ctx);
         }
@@ -428,7 +397,7 @@ impl Technique for SemiActive {
         self.ab.rewind_to(plan.token);
     }
 
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiActiveMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
         if !sh.pull_state(ctx, None) {
             self.enter_groups(sh, ctx);
         }
@@ -463,7 +432,7 @@ mod tests {
         exec: ExecutionMode,
         abcast: AbcastImpl,
         seed: u64,
-    ) -> (World<SemiActiveMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<SemiActiveMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         for i in 0..n {

@@ -18,14 +18,13 @@ use repl_gcs::{
     ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, FdConfig, FdEvent, FdMsg, HeartbeatFd,
     Outbox,
 };
-use repl_sim::{Context, Message, NodeId, SimDuration};
+use repl_sim::{Message, NodeId, SimDuration};
 
-use crate::client::impl_protocol_msg;
 use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Status, Technique};
+use crate::protocols::replica::{Ctx, Replica, Shell, Status, Technique, Wire};
 
 /// What a deferred coordinator proposes for a slot: the operation it
 /// picked, the update its execution produced, and the client response.
@@ -53,36 +52,26 @@ const CONS_BASE: u64 = 1 << 40;
 /// deferral rank adapts to suspicions instead of paying the delay forever).
 const FD_BASE: u64 = 2 << 40;
 
-/// Wire messages of semi-passive replication.
+/// Coordination traffic of semi-passive replication.
 #[derive(Debug, Clone)]
 pub enum SemiPassiveMsg {
-    /// Client → contact server.
-    Invoke(ClientOp),
     /// Contact server → all servers (request dissemination).
     Fwd(ClientOp),
     /// Consensus traffic.
     Cons(ConsMsg<Proposal>),
     /// Failure-detector heartbeats.
     Fd(FdMsg),
-    /// Server → client.
-    Reply(Response),
-    /// Elastic-membership traffic (join / drain / reroute).
-    Member(MemberMsg),
 }
 
 impl Message for SemiPassiveMsg {
     fn wire_size(&self) -> usize {
         match self {
-            SemiPassiveMsg::Invoke(op) | SemiPassiveMsg::Fwd(op) => 8 + op.wire_size(),
+            SemiPassiveMsg::Fwd(op) => 8 + op.wire_size(),
             SemiPassiveMsg::Cons(c) => 8 + c.wire_size(),
             SemiPassiveMsg::Fd(m) => m.wire_size(),
-            SemiPassiveMsg::Reply(r) => 8 + r.wire_size(),
-            SemiPassiveMsg::Member(m) => m.wire_size(),
         }
     }
 }
-
-impl_protocol_msg!(SemiPassiveMsg);
 
 /// Semi-passive replication: consensus with deferred initial values.
 pub struct SemiPassive {
@@ -102,7 +91,6 @@ pub struct SemiPassive {
     /// Decided writesets in slot order (slot == log index), so live
     /// servers can donate a catch-up suffix to a recovering peer.
     wal: RedoLog,
-    marks: bool,
 }
 
 /// A semi-passive replication server.
@@ -132,7 +120,6 @@ impl SemiPassiveServer {
             next_slot: 0,
             engaged_slot: None,
             wal: RedoLog::new(),
-            marks: site == 0,
         };
         Replica::around(site, me, group, keyspace, exec, tech)
     }
@@ -156,7 +143,7 @@ impl SemiPassive {
             .count()
     }
 
-    fn engage(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn engage(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         if sh.catching_up() || self.pending.is_empty() || self.engaged_slot == Some(self.next_slot)
         {
             return;
@@ -173,15 +160,16 @@ impl SemiPassive {
     }
 
     /// Applies what the failure detector queued and reacts to its verdicts.
-    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         let mut out = std::mem::take(&mut self.fd_out);
-        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, SemiPassiveMsg::Fd, |ctx, ev| {
+        let wrap = |m| Wire::Proto(SemiPassiveMsg::Fd(m));
+        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, wrap, |ctx, ev| {
             self.on_fd_event(sh, ctx, ev)
         });
         self.fd_out = out;
     }
 
-    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>, ev: FdEvent) {
+    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, ev: FdEvent) {
         if let FdEvent::Suspect(_) = ev {
             // A predecessor died: if we are now first in line for the
             // current slot, act immediately instead of waiting out the
@@ -195,14 +183,12 @@ impl SemiPassive {
         }
     }
 
-    fn execute_and_propose(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn execute_and_propose(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         let Some((_, op)) = self.pending.iter().next() else {
             return;
         };
         let op = op.clone();
-        if self.marks {
-            ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        }
+        sh.mark(ctx, Phase::Execution, op.id, 0);
         let txn = global_txn(op.id);
         let (_rs, ws, resp) = sh.base.execute_shadow(&op, txn);
         // Every member consumes the decided slot exactly once (losing
@@ -219,13 +205,13 @@ impl SemiPassive {
 
     /// Applies what the consensus pool queued, records the slots it
     /// decided and installs the decided prefix.
-    fn drive_pool(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn drive_pool(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         let mut out = std::mem::take(&mut self.pool_out);
         repl_gcs::apply_outbox(
             ctx,
             &mut out,
             CONS_BASE,
-            SemiPassiveMsg::Cons,
+            |m| Wire::Proto(SemiPassiveMsg::Cons(m)),
             |_, ConsEvent::Decided { inst, value }| {
                 self.decided.insert(inst, value);
             },
@@ -248,13 +234,11 @@ impl SemiPassive {
                 sh.base.release_payload(p.ws);
                 continue;
             }
-            if self.marks {
-                ctx.mark(Phase::AgreementCoordination.tag(), p.op.id.0, 0);
-            }
+            sh.mark(ctx, Phase::AgreementCoordination, p.op.id, 0);
             sh.base.install_payload(p.ws);
             sh.base.release_payload(p.ws);
             sh.base.remember(&p.resp);
-            ctx.send(p.op.client, SemiPassiveMsg::Reply(p.resp));
+            ctx.send(p.op.client, Wire::Reply(p.resp));
         }
         if progressed {
             self.engage(sh, ctx);
@@ -263,7 +247,7 @@ impl SemiPassive {
 
     /// (Re)starts heartbeats, dropping stale miss counters so the first
     /// tick cannot suspect a live peer on old evidence.
-    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         self.fd.reset();
         repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
         self.drive_fd(sh, ctx);
@@ -274,7 +258,7 @@ impl SemiPassive {
     fn resume_from(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
+        ctx: &mut Ctx<'_, SemiPassiveMsg>,
         t: Option<&Transfer>,
     ) {
         if let Some(t) = t {
@@ -292,13 +276,13 @@ impl SemiPassive {
 impl Technique for SemiPassive {
     type Msg = SemiPassiveMsg;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, op: ClientOp) {
         if sh.catching_up() || self.pending.contains_key(&op.id) {
             return;
         }
         self.pending.insert(op.id, op.clone());
         for m in sh.peers() {
-            ctx.send(m, SemiPassiveMsg::Fwd(op.clone()));
+            ctx.send(m, Wire::Proto(SemiPassiveMsg::Fwd(op.clone())));
         }
         self.engage(sh, ctx);
     }
@@ -306,12 +290,11 @@ impl Technique for SemiPassive {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
+        ctx: &mut Ctx<'_, SemiPassiveMsg>,
         from: NodeId,
         msg: SemiPassiveMsg,
     ) {
         match msg {
-            SemiPassiveMsg::Invoke(op) => sh.invoke(self, ctx, op),
             SemiPassiveMsg::Fwd(op) => {
                 if sh.status() == Status::Normal
                     && sh.base.cached(op.id).is_none()
@@ -329,16 +312,10 @@ impl Technique for SemiPassive {
                 repl_gcs::Component::on_message(&mut self.fd, from, m, &mut self.fd_out);
                 self.drive_fd(sh, ctx);
             }
-            SemiPassiveMsg::Reply(_) | SemiPassiveMsg::Member(_) => {}
         }
     }
 
-    fn on_protocol_timer(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
-        tag: u64,
-    ) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, tag: u64) {
         if tag >= FD_BASE {
             repl_gcs::Component::on_timer(&mut self.fd, tag - FD_BASE, &mut self.fd_out);
             self.drive_fd(sh, ctx);
@@ -351,7 +328,7 @@ impl Technique for SemiPassive {
         }
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         // A cold joiner stays quiet (no heartbeats) until welcomed.
         if !sh.joining() {
             repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
@@ -382,7 +359,7 @@ impl Technique for SemiPassive {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
+        ctx: &mut Ctx<'_, SemiPassiveMsg>,
         transfer: Option<&Transfer>,
         _pos: u64,
         _gpos: u64,
@@ -403,7 +380,7 @@ impl Technique for SemiPassive {
     fn caught_up(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
+        ctx: &mut Ctx<'_, SemiPassiveMsg>,
         t: &Transfer,
         first: bool,
     ) {
@@ -415,7 +392,7 @@ impl Technique for SemiPassive {
     fn member_left(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, SemiPassiveMsg>,
+        ctx: &mut Ctx<'_, SemiPassiveMsg>,
         _node: NodeId,
         _was_first: bool,
     ) {
@@ -429,7 +406,7 @@ impl Technique for SemiPassive {
     fn retire(
         &mut self,
         _sh: &mut Shell,
-        _ctx: &mut Context<'_, SemiPassiveMsg>,
+        _ctx: &mut Ctx<'_, SemiPassiveMsg>,
         remaining: &[NodeId],
     ) {
         self.pool.set_group(remaining.to_vec());
@@ -457,7 +434,7 @@ impl Technique for SemiPassive {
         self.decided.clear();
     }
 
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, SemiPassiveMsg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         // Timers died with the process.
         self.restart_fd(sh, ctx);
         // Pending requests may have been decided while we were down;
@@ -501,7 +478,7 @@ mod tests {
         txns: Vec<Vec<TxnTemplate>>,
         exec: ExecutionMode,
         seed: u64,
-    ) -> (World<SemiPassiveMsg>, Vec<NodeId>, Vec<NodeId>) {
+    ) -> (World<Wire<SemiPassiveMsg>>, Vec<NodeId>, Vec<NodeId>) {
         let mut world = World::new(SimConfig::new(seed));
         let servers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         seat_all(

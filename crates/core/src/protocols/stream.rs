@@ -14,62 +14,13 @@ use std::collections::HashSet;
 
 use repl_db::{Keyspace, Transfer};
 use repl_gcs::{BatchConfig, ConsensusConfig};
-use repl_sim::{Context, Message, NodeId};
+use repl_sim::{Message, NodeId};
 
-use crate::client::ProtocolMsg;
 use crate::durability::RestorePlan;
-use crate::op::{ClientOp, OpId, Response};
+use crate::op::{ClientOp, OpId};
 use crate::phase::Phase;
 use crate::protocols::common::{settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode};
-use crate::protocols::replica::{MemberMsg, Replica, Shell, Technique};
-
-/// Wire messages of an ordered-stream technique broadcasting `P`.
-#[derive(Debug, Clone)]
-pub enum StreamMsg<P> {
-    /// Client → contact server.
-    Invoke(ClientOp),
-    /// Server ↔ server ABCAST traffic.
-    Ab(AbMsg<P>),
-    /// Server → client.
-    Reply(Response),
-    /// Elastic-membership handshake (join / drain / reroute).
-    Member(MemberMsg),
-}
-
-impl<P: Message> Message for StreamMsg<P> {
-    fn wire_size(&self) -> usize {
-        match self {
-            StreamMsg::Invoke(op) => 8 + op.wire_size(),
-            StreamMsg::Ab(m) => m.wire_size(),
-            StreamMsg::Reply(r) => 8 + r.wire_size(),
-            StreamMsg::Member(m) => m.wire_size(),
-        }
-    }
-}
-
-impl<P: Message> ProtocolMsg for StreamMsg<P> {
-    fn invoke(op: ClientOp) -> Self {
-        StreamMsg::Invoke(op)
-    }
-    fn reply(resp: Response) -> Self {
-        StreamMsg::Reply(resp)
-    }
-    fn response(&self) -> Option<&Response> {
-        match self {
-            StreamMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-    fn member(m: MemberMsg) -> Self {
-        StreamMsg::Member(m)
-    }
-    fn as_member(&self) -> Option<&MemberMsg> {
-        match self {
-            StreamMsg::Member(m) => Some(m),
-            _ => None,
-        }
-    }
-}
+use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
 
 /// What makes an ordered-stream replica one technique rather than
 /// another: what precedes the ABCAST and what follows a delivery.
@@ -90,9 +41,8 @@ pub trait Ordered: Sized + 'static {
     fn submit(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, StreamMsg<Self::Payload>>,
+        ctx: &mut Ctx<'_, AbMsg<Self::Payload>>,
         op: ClientOp,
-        marks: bool,
     ) -> Option<Self::Payload>;
 
     /// The client operation a payload carries.
@@ -104,10 +54,9 @@ pub trait Ordered: Sized + 'static {
     fn deliver(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, StreamMsg<Self::Payload>>,
+        ctx: &mut Ctx<'_, AbMsg<Self::Payload>>,
         payload: Self::Payload,
         mine: bool,
-        marks: bool,
     );
 
     /// A duplicate delivery is dropped: release what the payload holds.
@@ -126,8 +75,6 @@ pub struct Stream<F: Ordered> {
     ab: AbcastEndpoint<F::Payload>,
     /// Operations this server relayed into the stream.
     relayed: HashSet<OpId>,
-    /// Exactly one process marks server-side phases (see phase.rs).
-    marks: bool,
 }
 
 impl<F: Ordered> Replica<Stream<F>> {
@@ -146,7 +93,6 @@ impl<F: Ordered> Replica<Stream<F>> {
             flow: F::new(ks),
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
             relayed: HashSet::new(),
-            marks: site == 0,
         };
         Replica::around(site, me, group, ks, exec, tech)
     }
@@ -161,36 +107,29 @@ impl<F: Ordered> Replica<Stream<F>> {
 impl<F: Ordered> Stream<F> {
     /// Applies what the ABCAST endpoint queued and hands what it
     /// delivered to the flow.
-    fn drain(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StreamMsg<F::Payload>>) {
-        let Stream {
-            flow,
-            ab,
-            relayed,
-            marks,
-        } = self;
-        ab.drain(ctx, StreamMsg::Ab, |ctx, d| {
+    fn drain(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, AbMsg<F::Payload>>) {
+        let Stream { flow, ab, relayed } = self;
+        ab.drain(ctx, Wire::Proto, |ctx, d| {
             let id = F::op(&d.payload).id;
             if sh.already_answered(id) {
                 flow.discard(sh, &d.payload); // duplicate ordering of a retried op
                 return;
             }
-            if *marks {
-                ctx.mark(Phase::ServerCoordination.tag(), id.0, d.gseq);
-            }
-            flow.deliver(sh, ctx, d.payload, relayed.contains(&id), *marks);
+            sh.mark(ctx, Phase::ServerCoordination, id, d.gseq);
+            flow.deliver(sh, ctx, d.payload, relayed.contains(&id));
         });
         settle_rejoin(ab, &mut sh.base, ctx.now().ticks());
     }
 }
 
 impl<F: Ordered> Technique for Stream<F> {
-    type Msg = StreamMsg<F::Payload>;
+    type Msg = AbMsg<F::Payload>;
 
-    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, op: ClientOp) {
+    fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, op: ClientOp) {
         if !self.relayed.insert(op.id) {
             return; // already in the ordering pipeline
         }
-        let Some(payload) = self.flow.submit(sh, ctx, op, self.marks) else {
+        let Some(payload) = self.flow.submit(sh, ctx, op) else {
             return;
         };
         // Sharded: the ABCAST is the genuine multicast; cross-shard
@@ -210,21 +149,15 @@ impl<F: Ordered> Technique for Stream<F> {
     fn on_protocol_msg(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, Self::Msg>,
+        ctx: &mut Ctx<'_, Self::Msg>,
         from: NodeId,
         msg: Self::Msg,
     ) {
-        match msg {
-            StreamMsg::Invoke(op) => sh.invoke(self, ctx, op),
-            StreamMsg::Ab(m) => {
-                self.ab.on_message(from, m);
-                self.drain(sh, ctx);
-            }
-            StreamMsg::Reply(_) | StreamMsg::Member(_) => {}
-        }
+        self.ab.on_message(from, msg);
+        self.drain(sh, ctx);
     }
 
-    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, tag: u64) {
+    fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, tag: u64) {
         self.ab.on_timer(tag);
         self.drain(sh, ctx);
     }
@@ -240,7 +173,7 @@ impl<F: Ordered> Technique for Stream<F> {
     fn welcomed(
         &mut self,
         sh: &mut Shell,
-        ctx: &mut Context<'_, Self::Msg>,
+        ctx: &mut Ctx<'_, Self::Msg>,
         transfer: Option<&Transfer>,
         pos: u64,
         gpos: u64,
@@ -257,7 +190,7 @@ impl<F: Ordered> Technique for Stream<F> {
         self.ab.pending() == 0
     }
 
-    fn retire(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>, remaining: &[NodeId]) {
+    fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, remaining: &[NodeId]) {
         if self.ab.leave(sh.me(), remaining) {
             self.drain(sh, ctx);
         }
@@ -278,7 +211,7 @@ impl<F: Ordered> Technique for Stream<F> {
     /// (answered ones are suppressed by the response cache). Whatever a
     /// flow derives from the stream therefore recovers by replay, never
     /// from a peer snapshot.
-    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Self::Msg>) {
+    fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>) {
         self.ab.rejoin();
         self.drain(sh, ctx);
     }
@@ -318,7 +251,8 @@ mod tests {
         replaced: Vec<usize>,
     }
 
-    type ProbeMsg = StreamMsg<ClientOp>;
+    type ProbeMsg = Wire<AbMsg<ClientOp>>;
+    type ProbeCtx<'a> = Ctx<'a, AbMsg<ClientOp>>;
     type ProbeServer = Replica<Stream<Probe>>;
 
     impl Ordered for Probe {
@@ -328,31 +262,16 @@ mod tests {
         fn new(_keyspace: Keyspace) -> Self {
             Probe::default()
         }
-        fn submit(
-            &mut self,
-            _sh: &mut Shell,
-            _ctx: &mut Context<'_, ProbeMsg>,
-            op: ClientOp,
-            _marks: bool,
-        ) -> Option<ClientOp> {
+        fn submit(&mut self, _: &mut Shell, _: &mut ProbeCtx, op: ClientOp) -> Option<ClientOp> {
             self.submitted.push(op.id);
             Some(op)
         }
         fn op(op: &ClientOp) -> &ClientOp {
             op
         }
-        fn deliver(
-            &mut self,
-            sh: &mut Shell,
-            ctx: &mut Context<'_, ProbeMsg>,
-            op: ClientOp,
-            mine: bool,
-            marks: bool,
-        ) {
+        fn deliver(&mut self, sh: &mut Shell, ctx: &mut ProbeCtx, op: ClientOp, mine: bool) {
             self.delivered.push((op.id, mine));
-            if marks {
-                ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-            }
+            sh.mark(ctx, Phase::Execution, op.id, 0);
             let (_, resp) = sh.base.execute_commit(&op, global_txn(op.id));
             sh.base.remember(&resp);
             if mine {
@@ -437,7 +356,10 @@ mod tests {
             .actor_ref::<ScriptedPeer<ProbeMsg>>(n(3))
             .got
             .iter()
-            .filter_map(|(_, m)| m.response().map(|r| r.op))
+            .filter_map(|(_, m)| match m {
+                ProbeMsg::Reply(r) => Some(r.op),
+                _ => None,
+            })
             .collect();
         assert_eq!(replies, vec![OpId(7)]);
     }

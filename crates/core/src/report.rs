@@ -32,8 +32,7 @@ pub struct NodeRecovery {
 }
 
 /// Durable-tier and disaster accounting of one run, aggregated across
-/// servers. All-zero (except possibly the upload counters) on runs
-/// without volume-loss faults; entirely zero with the tier disabled.
+/// servers. All-zero on runs without volume-loss faults.
 #[derive(Debug, Clone, Default)]
 pub struct DurabilityReport {
     /// Whether the run configured a durable log tier at all.
@@ -53,14 +52,6 @@ pub struct DurabilityReport {
     pub restore_bytes: u64,
     /// Ticks servers spent deaf in restore downloads and log replay.
     pub restore_ticks: u64,
-    /// Object-store PUTs issued by the uploaders.
-    pub upload_puts: u64,
-    /// Bytes shipped to the object store.
-    pub upload_bytes: u64,
-    /// Accumulated object-store cost units (per-request + per-KiB).
-    pub upload_cost: u64,
-    /// Log frames sealed across servers.
-    pub frames_sealed: u64,
 }
 
 impl DurabilityReport {

@@ -21,7 +21,7 @@ use crate::durability::DurabilityConfig;
 use crate::phase::PhaseTrace;
 use crate::protocols::common::{op_of_txn, AbcastImpl, ExecutionMode, ShardCtx};
 use crate::protocols::lazy_ue::ReconcileMode;
-use crate::protocols::replica::{Replica, Technique as Flow};
+use crate::protocols::replica::{Replica, Technique as Flow, Wire};
 use crate::protocols::{
     active::ActiveServer, certification::CertServer, eager_primary::EagerPrimaryServer,
     eager_ue_abcast::EuaServer, eager_ue_lock::EulServer, lazy_primary::LazyPrimaryServer,
@@ -734,7 +734,7 @@ struct ServerFold {
 /// holds a second copy. Nothing reads a replica's history after this —
 /// [`report`] reads `fold.history` and the world's metrics and trace.
 fn fold_servers<T: Flow>(
-    world: &mut World<T::Msg>,
+    world: &mut World<Wire<T::Msg>>,
     cfg: &RunConfig,
     arena: &repl_db::SharedArena,
     nodes: u32,
@@ -784,10 +784,6 @@ fn fold_servers<T: Flow>(
             d.restores += tier.restores;
             d.restore_bytes += tier.restore_bytes;
             d.restore_ticks += tier.restore_ticks;
-            d.upload_puts += tier.object().puts();
-            d.upload_bytes += tier.object().bytes_uploaded();
-            d.upload_cost += tier.object().cost();
-            d.frames_sealed += tier.frames_sealed();
         }
         let r = &base.recovery;
         if r.recoveries > 0 {
@@ -984,7 +980,7 @@ fn drive<T: Flow>(
     // actor slots after the founders, dormant until their scheduled spawn.
     let founders = shards * n;
     let nodes = cfg.membership.peak_servers(founders);
-    let mut world: World<T::Msg> = new_world(cfg, nodes);
+    let mut world: World<Wire<T::Msg>> = new_world(cfg, nodes);
     let arena = run_arena(cfg);
     for site in 0..nodes {
         let me = NodeId::new(site);
@@ -1062,7 +1058,7 @@ fn drive<T: Flow>(
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(gi as u64 ^ 0x9E37_79B9_7F4A_7C15),
             );
-            let actor: Box<dyn Actor<T::Msg>> = Box::new(AggregateClients::<T::Msg>::new(
+            let actor: Box<dyn Actor<Wire<T::Msg>>> = Box::new(AggregateClients::<T::Msg>::new(
                 group,
                 client_servers.clone(),
                 preferred,
@@ -1077,7 +1073,7 @@ fn drive<T: Flow>(
             let mut gen =
                 WorkloadGen::new(&cfg.workload, cfg.seed.wrapping_mul(1_000_003) + c as u64);
             let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
-            let actor: Box<dyn Actor<T::Msg>> = match cfg.arrival {
+            let actor: Box<dyn Actor<Wire<T::Msg>>> = match cfg.arrival {
                 Arrival::Closed => {
                     // Clients spread over their contact list: the home
                     // group when routed, else every node (those aimed at

@@ -102,15 +102,14 @@ pub struct DurableLog {
     snap_token: u64,
     /// History-rebuild records for folded entries, in commit order.
     folded: Vec<(TxnId, Vec<Key>)>,
-    /// Fold durable frames once more than this many entries are retained.
-    compact_after: usize,
     /// Frames sealed over the tier's lifetime (survives wipes).
     frames_sealed: u64,
 }
 
-/// Fold threshold balancing restore cost (long suffix replay) against
-/// fold work; tuned nothing — any positive value is correct.
-const DEFAULT_COMPACT_AFTER: usize = 64;
+/// Durable frames are folded into the backup store once more than this
+/// many entries are retained: the bound on a restore's suffix replay.
+/// Any positive value is correct.
+const COMPACT_AFTER: usize = 64;
 
 impl DurableLog {
     /// Creates an empty tier for a site whose store uses `keyspace`.
@@ -122,15 +121,8 @@ impl DurableLog {
             snap_high: 0,
             snap_token: 0,
             folded: Vec::new(),
-            compact_after: DEFAULT_COMPACT_AFTER,
             frames_sealed: 0,
         }
-    }
-
-    /// Overrides the compaction threshold (builder form).
-    pub fn with_compaction(mut self, after_entries: usize) -> Self {
-        self.compact_after = after_entries.max(1);
-        self
     }
 
     /// Seals `entries` into a frame shipped at `sealed_at` and durable
@@ -172,9 +164,9 @@ impl DurableLog {
     }
 
     /// Folds frames already durable at `now` into the backup store while
-    /// more than `compact_after` entries are retained.
+    /// more than [`COMPACT_AFTER`] entries are retained.
     fn compact(&mut self, now: u64) {
-        while self.entries.len() > self.compact_after
+        while self.entries.len() > COMPACT_AFTER
             && self.frames.first().is_some_and(|f| f.durable_at <= now)
         {
             let frame = self.frames.remove(0);
@@ -260,11 +252,6 @@ impl DurableLog {
         self.len() == 0
     }
 
-    /// Frames currently retained (sealed, not yet folded).
-    pub fn retained_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Frames sealed over the tier's lifetime.
     pub fn frames_sealed(&self) -> u64 {
         self.frames_sealed
@@ -335,12 +322,13 @@ mod tests {
 
     #[test]
     fn compaction_folds_durable_prefix_and_restore_uses_both_strategies() {
-        let mut tier = DurableLog::new(Keyspace::dense(8)).with_compaction(2);
-        for i in 0..6u64 {
+        let mut tier = DurableLog::new(Keyspace::dense(8));
+        let n = COMPACT_AFTER as u64 + 6;
+        for i in 0..n {
             tier.seal(i * 10, i * 10, i + 1, vec![ws(i + 1, i % 8, i as i64, 1)]);
         }
-        assert!(tier.snap_high > 0, "old frames folded");
-        assert!(tier.retained_frames() < 6);
+        assert_eq!(tier.snap_high, 6, "the frames past the threshold folded");
+        assert_eq!(tier.frames.len(), COMPACT_AFTER);
         let r = tier.restore();
         let snap = r.snapshot.expect("compacted prefix");
         assert_eq!(snap.strategy, TransferStrategy::Snapshot);
@@ -348,8 +336,8 @@ mod tests {
         let suffix = r.suffix.expect("retained frames");
         assert_eq!(suffix.strategy, TransferStrategy::LogSuffix);
         assert_eq!(suffix.start, tier.snap_high);
-        assert_eq!(r.high, 6);
-        assert_eq!(r.token, 6);
+        assert_eq!(r.high, n);
+        assert_eq!(r.token, n);
         assert_eq!(r.folded_history.len(), tier.snap_high as usize);
         assert!(r.bytes > 0);
 
@@ -358,7 +346,7 @@ mod tests {
         snap.apply(&mut restored);
         suffix.apply(&mut restored);
         let mut replayed = Store::with_keyspace(Keyspace::dense(8), Value(0));
-        for i in 0..6u64 {
+        for i in 0..n {
             replayed.apply_writeset(&ws(i + 1, i % 8, i as i64, 1));
         }
         assert_eq!(restored.fingerprint(), replayed.fingerprint());
@@ -366,14 +354,15 @@ mod tests {
 
     #[test]
     fn compaction_never_folds_inflight_frames() {
-        let mut tier = DurableLog::new(Keyspace::dense(4)).with_compaction(1);
-        // Durable far in the future: nothing may fold, so a wipe can
-        // still return these entries as lost.
-        for i in 0..5u64 {
+        let mut tier = DurableLog::new(Keyspace::dense(4));
+        // Past the threshold but durable far in the future: nothing may
+        // fold, so a wipe can still return these entries as lost.
+        let n = COMPACT_AFTER as u64 + 5;
+        for i in 0..n {
             tier.seal(i, 1_000_000, i + 1, vec![ws(i + 1, 0, i as i64, 1)]);
         }
-        assert_eq!(tier.retained_frames(), 5);
-        assert_eq!(tier.wipe(10).len(), 5);
+        assert_eq!(tier.frames.len() as u64, n);
+        assert_eq!(tier.wipe(10).len() as u64, n);
         assert!(tier.restore().snapshot.is_none());
     }
 }

@@ -40,8 +40,9 @@ pub struct AbDeliver<P> {
 /// are staged for up to `max_delay_ticks` and submitted as one
 /// [`Batch`], so a group of messages pays for a single ordering round.
 /// The sequencer additionally coalesces submissions that arrive within
-/// one window into a single dissemination round. `max_batch` /
-/// `max_bytes` bound a batch and force an early flush.
+/// one window into a single dissemination round.
+/// [`BatchConfig::MAX_BATCH`] / [`BatchConfig::MAX_BYTES`] bound a batch
+/// and force an early flush.
 ///
 /// `BatchConfig::disabled()` (window 0) is the default and keeps the
 /// unbatched code paths byte-for-byte: no staging, no extra timers.
@@ -49,29 +50,23 @@ pub struct AbDeliver<P> {
 pub struct BatchConfig {
     /// Maximum staging delay before a batch is flushed (0 = batching off).
     pub max_delay_ticks: u64,
-    /// Flush early once this many messages are staged.
-    pub max_batch: usize,
-    /// Flush early once the staged payloads reach this many wire bytes.
-    pub max_bytes: usize,
 }
 
 impl BatchConfig {
+    /// Flush early once this many messages are staged.
+    pub const MAX_BATCH: usize = 64;
+    /// Flush early once the staged payloads reach this many wire bytes.
+    pub const MAX_BYTES: usize = 64 << 10;
+
     /// Batching off: every broadcast pays its own ordering round.
     pub const fn disabled() -> Self {
-        BatchConfig {
-            max_delay_ticks: 0,
-            max_batch: usize::MAX,
-            max_bytes: usize::MAX,
-        }
+        BatchConfig::window(0)
     }
 
-    /// A batching window of `ticks` with the default size bounds
-    /// (64 messages / 64 KiB per batch).
+    /// A batching window of `ticks`.
     pub const fn window(ticks: u64) -> Self {
         BatchConfig {
             max_delay_ticks: ticks,
-            max_batch: 64,
-            max_bytes: 64 << 10,
         }
     }
 
@@ -360,8 +355,8 @@ impl<P: Message> SequencerAbcast<P> {
         if self.batch.enabled() {
             self.staged_bytes += payload.wire_size();
             self.staged.push((id, payload));
-            if self.staged.len() >= self.batch.max_batch
-                || self.staged_bytes >= self.batch.max_bytes
+            if self.staged.len() >= BatchConfig::MAX_BATCH
+                || self.staged_bytes >= BatchConfig::MAX_BYTES
             {
                 self.flush_submit(out);
             } else if !self.flush_armed {
@@ -457,7 +452,7 @@ impl<P: Message> SequencerAbcast<P> {
             let gseq = self.assign_gseq(id, &payload);
             self.order_staged.push((gseq, id, payload));
         }
-        if self.order_staged.len() >= self.batch.max_batch {
+        if self.order_staged.len() >= BatchConfig::MAX_BATCH {
             self.flush_order(out);
         } else if !self.order_staged.is_empty() && !self.order_flush_armed {
             self.order_flush_armed = true;
@@ -990,8 +985,8 @@ impl<P: Message> ConsensusAbcast<P> {
         if self.batch.enabled() {
             self.staged_bytes += payload.wire_size();
             self.staged.push((id, payload));
-            if self.staged.len() >= self.batch.max_batch
-                || self.staged_bytes >= self.batch.max_bytes
+            if self.staged.len() >= BatchConfig::MAX_BATCH
+                || self.staged_bytes >= BatchConfig::MAX_BYTES
             {
                 self.flush(out);
             } else if !self.flush_armed {

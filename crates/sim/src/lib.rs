@@ -58,7 +58,6 @@ mod actor;
 mod ids;
 mod metrics;
 mod network;
-mod objectstore;
 mod time;
 mod trace;
 mod wheel;
@@ -68,7 +67,6 @@ pub use actor::{Actor, Message};
 pub use ids::{GroupSet, NodeId, TimerId};
 pub use metrics::{LatencyHistogram, LatencyStats, Metrics};
 pub use network::{Delivery, LinkQuality, NetFault, Network, NetworkConfig};
-pub use objectstore::{ObjectStore, ObjectStoreConfig};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog, TraceRecord};
 pub use wheel::{TimingWheel, WheelEntry};
