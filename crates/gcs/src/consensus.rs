@@ -24,8 +24,13 @@
 //! whose round stalls moves on, which rotates the coordinator. Safety never
 //! depends on the timeouts; liveness requires a majority of the group to
 //! stay alive (the usual requirement).
+//!
+//! A ballot is transient: once an instance decides, its round, estimates,
+//! proposal and acks are of no further use, so the ballot returns to a free
+//! list and only the decided value stays — the answer to a participant that
+//! starts or re-sends an estimate late.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 
 use repl_sim::{Message, NodeId, SimDuration};
 
@@ -119,29 +124,45 @@ impl Default for ConsensusConfig {
     }
 }
 
+/// The last adopted `(value, adoption timestamp)`, if any.
+type Estimate<V> = Option<(V, u64)>;
+
+/// What a participant knows of an undecided instance. The group is a
+/// handful of nodes, so the per-sender tables are short vectors; a recycled
+/// ballot keeps their capacity.
 #[derive(Debug)]
-struct Inst<V> {
+struct Ballot<V> {
     round: u64,
-    est: Option<(V, u64)>,
-    /// Latest estimate received from each node: (round, estimate, sender id).
-    estimates: HashMap<NodeId, (u64, Option<(V, u64)>)>,
+    est: Estimate<V>,
+    /// Latest estimate received from each node: (sender, round, estimate).
+    estimates: Vec<(NodeId, u64, Estimate<V>)>,
     proposal: Option<(u64, V)>, // (round proposed in, value)
-    acks: HashSet<NodeId>,
-    decided: Option<V>,
+    acks: Vec<NodeId>,
     entered: bool,
 }
 
-impl<V> Default for Inst<V> {
+impl<V> Default for Ballot<V> {
     fn default() -> Self {
-        Inst {
+        Ballot {
             round: 0,
             est: None,
-            estimates: HashMap::new(),
+            estimates: Vec::new(),
             proposal: None,
-            acks: HashSet::new(),
-            decided: None,
+            acks: Vec::new(),
             entered: false,
         }
+    }
+}
+
+impl<V> Ballot<V> {
+    /// Empties the ballot for the next instance, keeping its capacity.
+    fn reset(&mut self) {
+        self.round = 0;
+        self.est = None;
+        self.estimates.clear();
+        self.proposal = None;
+        self.acks.clear();
+        self.entered = false;
     }
 }
 
@@ -154,7 +175,7 @@ impl<V> Default for Inst<V> {
 /// use repl_sim::NodeId;
 ///
 /// let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-/// let mut pool: ConsensusPool<u64> = ConsensusPool::new(group[0], group.clone(),
+/// let mut pool: ConsensusPool<u64> = ConsensusPool::new(group[0], group.to_vec(),
 ///     ConsensusConfig::default());
 /// let mut out = Outbox::new();
 /// pool.propose(0, 42, &mut out);
@@ -165,7 +186,12 @@ pub struct ConsensusPool<V> {
     me: NodeId,
     group: Vec<NodeId>,
     config: ConsensusConfig,
-    instances: HashMap<u64, Inst<V>>,
+    /// Undecided instances this member has heard of.
+    live: HashMap<u64, Ballot<V>>,
+    /// Ballots of decided instances, emptied for reuse.
+    free: Vec<Ballot<V>>,
+    /// Decided values by instance (ordered: ids jump after a catch-up).
+    decided: BTreeMap<u64, V>,
 }
 
 impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
@@ -183,7 +209,9 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
             me,
             group,
             config,
-            instances: HashMap::new(),
+            live: HashMap::new(),
+            free: Vec::new(),
+            decided: BTreeMap::new(),
         }
     }
 
@@ -213,7 +241,25 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
 
     /// The decided value of `inst`, if any.
     pub fn decided(&self, inst: u64) -> Option<&V> {
-        self.instances.get(&inst).and_then(|i| i.decided.as_ref())
+        self.decided.get(&inst)
+    }
+
+    /// The live ballot of `inst`, taken from the free list if this member
+    /// has not heard of the instance yet; `None` once it is decided. The
+    /// live map is asked first: most messages are about a running round.
+    fn ballot(&mut self, inst: u64) -> Option<&mut Ballot<V>> {
+        match self.live.entry(inst) {
+            hash_map::Entry::Occupied(b) => Some(b.into_mut()),
+            hash_map::Entry::Vacant(_) if self.decided.contains_key(&inst) => None,
+            hash_map::Entry::Vacant(slot) => Some(slot.insert(self.free.pop().unwrap_or_default())),
+        }
+    }
+
+    /// Answers a late message about decided instance `inst` with the
+    /// decision.
+    fn answer_decided(&self, to: NodeId, inst: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
+        let value = self.decided.get(&inst).expect("no ballot: decided").clone();
+        out.send(to, ConsMsg::Decide { inst, value });
     }
 
     /// Proposes `v` for instance `inst`. Idempotent: later proposals for a
@@ -224,16 +270,15 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
     /// Panics if `inst >= 2^24` (timer-tag space).
     pub fn propose(&mut self, inst: u64, v: V, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
         assert!(inst < MAX_INST, "consensus instance id too large");
-        let i = self.instances.entry(inst).or_default();
-        if i.decided.is_some() {
+        let Some(b) = self.ballot(inst) else {
             return;
+        };
+        if b.est.is_none() {
+            b.est = Some((v, 0));
         }
-        if i.est.is_none() {
-            i.est = Some((v, 0));
-        }
-        if !i.entered {
-            let round = i.round;
-            for &m in &self.group.clone() {
+        if !b.entered {
+            let round = b.round;
+            for &m in &self.group {
                 if m != self.me {
                     out.send(m, ConsMsg::Start { inst });
                 }
@@ -245,10 +290,10 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
     fn enter_round(&mut self, inst: u64, round: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
         assert!(round < MAX_ROUND, "consensus round overflow");
         let coord = self.coord(round);
-        let i = self.instances.entry(inst).or_default();
-        i.round = round;
-        i.entered = true;
-        let est = i.est.clone();
+        let b = self.live.get_mut(&inst).expect("entering a live ballot");
+        b.round = round;
+        b.entered = true;
+        let est = b.est.clone();
         out.send(coord, ConsMsg::Estimate { inst, round, est });
         out.timer(self.config.round_timeout, Self::tag(inst, round));
     }
@@ -258,47 +303,41 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
             return;
         }
         let quorum = self.quorum();
-        let group = self.group.clone();
-        let i = self.instances.entry(inst).or_default();
-        if i.decided.is_some() {
+        let Some(b) = self.live.get_mut(&inst) else {
             return;
-        }
-        if let Some((r, _)) = i.proposal {
+        };
+        if let Some((r, _)) = b.proposal {
             if r >= round {
                 return;
             }
         }
-        let round_estimates: Vec<(NodeId, &Option<(V, u64)>)> = i
-            .estimates
-            .iter()
-            .filter(|(_, (r, _))| *r == round)
-            .map(|(n, (_, e))| (*n, e))
-            .collect();
-        if round_estimates.len() < quorum {
-            return;
-        }
-        // Pick the estimate with the highest adoption timestamp; break ties
-        // by sender id for determinism. `None` estimates carry no value.
-        let mut best: Option<(u64, NodeId, V)> = None;
-        for (n, e) in &round_estimates {
+        // Count this round's estimates and pick the one with the highest
+        // adoption timestamp, ties to the lower sender id: a total order,
+        // so the table's order cannot leak. `None` carries no value.
+        let mut answered = 0;
+        let mut best: Option<(u64, NodeId, &V)> = None;
+        for (n, r, e) in &b.estimates {
+            if *r != round {
+                continue;
+            }
+            answered += 1;
             if let Some((v, ts)) = e {
-                let better = match &best {
-                    None => true,
-                    Some((bts, bn, _)) => *ts > *bts || (*ts == *bts && *n < *bn),
-                };
-                if better {
-                    best = Some((*ts, *n, v.clone()));
+                if best.is_none_or(|(bts, bn, _)| *ts > bts || (*ts == bts && *n < bn)) {
+                    best = Some((*ts, *n, v));
                 }
             }
+        }
+        if answered < quorum {
+            return;
         }
         let Some((_, _, value)) = best else {
             // A majority answered but none of them knows a value yet; wait
             // for an estimate that carries one.
             return;
         };
-        i.proposal = Some((round, value.clone()));
-        i.acks.clear();
-        for &m in &group {
+        let value = value.clone();
+        b.acks.clear();
+        for &m in &self.group {
             out.send(
                 m,
                 ConsMsg::Propose {
@@ -308,6 +347,7 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
                 },
             );
         }
+        b.proposal = Some((round, value));
     }
 
     /// Re-arms the round timers of every undecided, entered instance
@@ -316,10 +356,10 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
     /// prods the coordinator in case its proposal was lost.
     pub fn resume(&mut self, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
         let mut stalled: Vec<(u64, u64)> = self
-            .instances
+            .live
             .iter()
-            .filter(|(_, i)| i.entered && i.decided.is_none())
-            .map(|(&inst, i)| (inst, i.round))
+            .filter(|(_, b)| b.entered)
+            .map(|(&inst, b)| (inst, b.round))
             .collect();
         stalled.sort_unstable(); // sorted-below: HashMap iteration order must not leak
         for (inst, round) in stalled {
@@ -327,16 +367,18 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         }
     }
 
+    /// Records the decision, recycles the ballot and relays the value.
     fn decide(&mut self, inst: u64, value: V, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
-        let me = self.me;
-        let group = self.group.clone();
-        let i = self.instances.entry(inst).or_default();
-        if i.decided.is_some() {
+        let btree_map::Entry::Vacant(slot) = self.decided.entry(inst) else {
             return;
+        };
+        slot.insert(value.clone());
+        if let Some(mut b) = self.live.remove(&inst) {
+            b.reset();
+            self.free.push(b);
         }
-        i.decided = Some(value.clone());
-        for &m in &group {
-            if m != me {
+        for &m in &self.group {
+            if m != self.me {
                 out.send(
                     m,
                     ConsMsg::Decide {
@@ -347,6 +389,18 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
             }
         }
         out.event(ConsEvent::Decided { inst, value });
+    }
+
+    /// Number of undecided instances holding a ballot.
+    #[cfg(test)]
+    fn live_ballots(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Number of emptied ballots waiting for reuse.
+    #[cfg(test)]
+    fn free_ballots(&self) -> usize {
+        self.free.len()
     }
 }
 
@@ -362,47 +416,41 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
     ) {
         match msg {
             ConsMsg::Start { inst } => {
-                let i = self.instances.entry(inst).or_default();
-                if i.decided.is_some() {
-                    let value = i.decided.clone().expect("just checked");
-                    out.send(from, ConsMsg::Decide { inst, value });
-                    return;
-                }
-                if !i.entered {
-                    let round = i.round;
+                let Some(b) = self.ballot(inst) else {
+                    return self.answer_decided(from, inst, out);
+                };
+                if !b.entered {
+                    let round = b.round;
                     self.enter_round(inst, round, out);
                 }
             }
             ConsMsg::Estimate { inst, round, est } => {
-                let i = self.instances.entry(inst).or_default();
-                if i.decided.is_some() {
-                    let value = i.decided.clone().expect("just checked");
-                    out.send(from, ConsMsg::Decide { inst, value });
-                    return;
+                let Some(b) = self.ballot(inst) else {
+                    return self.answer_decided(from, inst, out);
+                };
+                match b.estimates.iter_mut().find(|(n, ..)| *n == from) {
+                    Some(latest) if round < latest.1 => {}
+                    Some(latest) => *latest = (from, round, est),
+                    None => b.estimates.push((from, round, est)),
                 }
-                let entry = i.estimates.entry(from).or_insert((0, None));
-                if round >= entry.0 {
-                    *entry = (round, est);
-                }
-                if !i.entered {
-                    let r = i.round.max(round);
+                if !b.entered {
+                    let r = b.round.max(round);
                     self.enter_round(inst, r, out);
                 }
                 self.try_propose(inst, round, out);
             }
             ConsMsg::Propose { inst, round, value } => {
                 let me_round_timeout = self.config.round_timeout;
-                let i = self.instances.entry(inst).or_default();
-                if i.decided.is_some() {
-                    return;
-                }
-                if round < i.round {
+                let Some(b) = self.ballot(inst) else {
+                    return; // decided: a late proposal changes nothing
+                };
+                if round < b.round {
                     return; // promised a later round
                 }
-                let rearm = round > i.round || !i.entered;
-                i.round = round;
-                i.entered = true;
-                i.est = Some((value, round + 1));
+                let rearm = round > b.round || !b.entered;
+                b.round = round;
+                b.entered = true;
+                b.est = Some((value, round + 1));
                 out.send(from, ConsMsg::Ack { inst, round });
                 if rearm {
                     out.timer(me_round_timeout, Self::tag(inst, round));
@@ -410,18 +458,18 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
             }
             ConsMsg::Ack { inst, round } => {
                 let quorum = self.quorum();
-                let i = self.instances.entry(inst).or_default();
-                if i.decided.is_some() {
-                    return;
-                }
-                let Some((r, v)) = i.proposal.clone() else {
+                // No ballot: decided here, or never proposed by us.
+                let Some(b) = self.live.get_mut(&inst) else {
                     return;
                 };
-                if r != round {
+                if !matches!(b.proposal, Some((r, _)) if r == round) {
                     return;
                 }
-                i.acks.insert(from);
-                if i.acks.len() >= quorum {
+                if !b.acks.contains(&from) {
+                    b.acks.push(from);
+                }
+                if b.acks.len() >= quorum {
+                    let (_, v) = b.proposal.take().expect("matched above");
                     self.decide(inst, v, out);
                 }
             }
@@ -434,10 +482,10 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
     fn on_timer(&mut self, tag: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
         let inst = tag / MAX_ROUND;
         let round = tag % MAX_ROUND;
-        let Some(i) = self.instances.get(&inst) else {
-            return;
+        let Some(b) = self.live.get(&inst) else {
+            return; // decided (or never heard of)
         };
-        if i.decided.is_some() || i.round != round || !i.entered {
+        if b.round != round || !b.entered {
             return;
         }
         self.enter_round(inst, round + 1, out);
@@ -461,7 +509,7 @@ mod tests {
         let mut world = World::new(SimConfig::new(seed));
         let group: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         for i in 0..n {
-            let pool = Pool::new(NodeId::new(i), group.clone(), ConsensusConfig::default());
+            let pool = Pool::new(NodeId::new(i), group.to_vec(), ConsensusConfig::default());
             let mut actor = ComponentActor::new(pool);
             for &(node, at, value) in proposers {
                 if node == i {
@@ -544,7 +592,7 @@ mod tests {
         let mut world = World::new(SimConfig::new(9));
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         for i in 0..3u32 {
-            let pool = Pool::new(NodeId::new(i), group.clone(), ConsensusConfig::default());
+            let pool = Pool::new(NodeId::new(i), group.to_vec(), ConsensusConfig::default());
             let mut actor = ComponentActor::new(pool);
             if i == 0 {
                 actor = actor.with_step(SimDuration::from_ticks(10), |p, out| {
@@ -606,6 +654,7 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
+    use crate::component::Action;
     use crate::testkit::ComponentActor;
     use repl_sim::{SimConfig, SimDuration, SimTime, World};
 
@@ -616,7 +665,7 @@ mod edge_tests {
         for i in 0..3u32 {
             let mut actor = ComponentActor::new(ConsensusPool::<u64>::new(
                 NodeId::new(i),
-                group.clone(),
+                group.to_vec(),
                 ConsensusConfig::default(),
             ));
             if i == 0 {
@@ -644,7 +693,7 @@ mod edge_tests {
         for i in 0..3u32 {
             let mut actor = ComponentActor::new(ConsensusPool::<u64>::new(
                 NodeId::new(i),
-                group.clone(),
+                group.to_vec(),
                 ConsensusConfig::default(),
             ));
             if i == 0 {
@@ -679,7 +728,7 @@ mod edge_tests {
     fn duplicate_start_messages_are_harmless() {
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         let mut pool =
-            ConsensusPool::<u64>::new(group[1], group.clone(), ConsensusConfig::default());
+            ConsensusPool::<u64>::new(group[1], group.to_vec(), ConsensusConfig::default());
         let mut out = Outbox::new();
         pool.on_message(group[0], ConsMsg::Start { inst: 0 }, &mut out);
         let first = out.drain().len();
@@ -688,5 +737,119 @@ mod edge_tests {
             out.drain().len() <= first,
             "second Start must not restart the round"
         );
+    }
+
+    type Out = Outbox<ConsMsg<u64>, ConsEvent<u64>>;
+
+    fn pools(n: u32) -> Vec<ConsensusPool<u64>> {
+        let group: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+        group
+            .iter()
+            .map(|&me| ConsensusPool::new(me, group.to_vec(), ConsensusConfig::default()))
+            .collect()
+    }
+
+    /// Delivers what `from` queued and everything it causes, in send
+    /// order, over a lossless network without timers.
+    fn settle(pools: &mut [ConsensusPool<u64>], from: NodeId, out: &mut Out) {
+        let mut queue = std::collections::VecDeque::new();
+        let mut sender = from;
+        loop {
+            for action in out.drain() {
+                if let Action::Send(to, msg) = action {
+                    queue.push_back((sender, to, msg));
+                }
+            }
+            let Some((src, to, msg)) = queue.pop_front() else {
+                return;
+            };
+            pools[to.raw() as usize].on_message(src, msg, out);
+            sender = to;
+        }
+    }
+
+    #[test]
+    fn a_late_start_or_estimate_is_answered_with_the_decision() {
+        let mut pools = pools(3);
+        let mut out = Out::new();
+        pools[0].propose(5, 42, &mut out);
+        settle(&mut pools, NodeId::new(0), &mut out);
+        let pool = &mut pools[1];
+        assert_eq!(pool.decided(5), Some(&42));
+        let late = [
+            ConsMsg::Start { inst: 5 },
+            ConsMsg::Estimate {
+                inst: 5,
+                round: 3,
+                est: Some((7, 1)),
+            },
+        ];
+        for msg in late {
+            pool.on_message(NodeId::new(2), msg, &mut out);
+            let actions = out.drain();
+            assert!(
+                matches!(
+                    actions.as_slice(),
+                    [Action::Send(to, ConsMsg::Decide { inst: 5, value: 42 })] if to.raw() == 2
+                ),
+                "a late message must get exactly the decision: {actions:?}"
+            );
+            assert_eq!(pool.live_ballots(), 0);
+        }
+    }
+
+    #[test]
+    fn a_late_propose_or_ack_leaves_no_live_ballot() {
+        let mut pools = pools(3);
+        let mut out = Out::new();
+        pools[0].propose(0, 42, &mut out);
+        settle(&mut pools, NodeId::new(0), &mut out);
+        for pool in &mut pools {
+            let late = [
+                ConsMsg::Propose {
+                    inst: 0,
+                    round: 1,
+                    value: 7,
+                },
+                ConsMsg::Ack { inst: 0, round: 0 },
+            ];
+            for msg in late {
+                pool.on_message(NodeId::new(1), msg, &mut out);
+                assert!(out.is_empty(), "a late message was answered");
+                assert_eq!(pool.live_ballots(), 0, "a late message re-opened a ballot");
+            }
+            assert_eq!(pool.decided(0), Some(&42));
+        }
+    }
+
+    #[test]
+    fn decided_instances_keep_no_ballot_and_ballots_are_reused() {
+        const WIDTH: u64 = 3;
+        let mut pools = pools(3);
+        let mut out = Out::new();
+        for wave in 0..10 {
+            for inst in wave * WIDTH..(wave + 1) * WIDTH {
+                pools[0].propose(inst, 100 + inst, &mut out);
+            }
+            settle(&mut pools, NodeId::new(0), &mut out);
+            for (i, pool) in pools.iter_mut().enumerate() {
+                assert_eq!(pool.live_ballots(), 0, "node {i}, wave {wave}");
+                assert!(
+                    (1..=WIDTH as usize).contains(&pool.free_ballots()),
+                    "node {i}, wave {wave}: {} free ballots for {WIDTH} concurrent instances",
+                    pool.free_ballots()
+                );
+                pool.resume(&mut out);
+                assert!(
+                    out.is_empty(),
+                    "node {i}: resume re-entered a decided instance"
+                );
+            }
+        }
+        for pool in &pools {
+            for inst in 0..10 * WIDTH {
+                assert_eq!(pool.decided(inst), Some(&(100 + inst)));
+            }
+        }
     }
 }
