@@ -471,7 +471,9 @@ pub struct ServerBase {
     /// which is fine for the oracle-checked studies but rules out
     /// million-operation open-loop runs; the aggregated open-loop driver
     /// never retries (no duplicate suppression needed) and does not run
-    /// the history oracles, so both can be dropped wholesale.
+    /// the history oracles, so both can be dropped wholesale. The history
+    /// half is the history's own recording switch; this flag gates the
+    /// cache and re-applies that switch to a wiped volume's new history.
     lean: bool,
 }
 
@@ -501,18 +503,13 @@ impl ServerBase {
     /// Switches lean mode on or off (see the `lean` field). Off by
     /// default; every pre-existing path is byte-identical with it off.
     ///
-    /// The switch is forwarded into the history itself: protocols append
-    /// through `base.history.record(..)` at many call sites (reconcile
-    /// paths, ordered-delivery replays), and gating inside the history
-    /// covers them all without touching each protocol.
+    /// The switch is forwarded into the history itself: this base and the
+    /// protocols append through `history.record(..)` at many call sites
+    /// (reconcile paths, ordered-delivery replays), and gating inside the
+    /// history covers them all with no guard at any of them.
     pub fn set_lean(&mut self, lean: bool) {
         self.lean = lean;
         self.history.set_recording(!lean);
-    }
-
-    /// True when the server skips history recording and response caching.
-    pub fn is_lean(&self) -> bool {
-        self.lean
     }
 
     /// Attaches a durable log tier (no-op when `cfg` is disabled).
@@ -689,9 +686,7 @@ impl ServerBase {
                         .read(&self.store, txn, key)
                         .expect("txn is active")
                         .map_or(Value(0), |v| v.value);
-                    if !self.lean {
-                        self.history.record(self.site, txn, key, AccessKind::Read);
-                    }
+                    self.history.record(self.site, txn, key, AccessKind::Read);
                     reads.push((key, v));
                 }
                 Some(v) => {
@@ -699,16 +694,12 @@ impl ServerBase {
                     self.tm
                         .write(&mut self.store, txn, key, v)
                         .expect("txn is active");
-                    if !self.lean {
-                        self.history.record(self.site, txn, key, AccessKind::Write);
-                    }
+                    self.history.record(self.site, txn, key, AccessKind::Write);
                 }
             }
         }
         let ws = self.tm.commit(txn).expect("txn is active");
-        if !self.lean {
-            self.history.mark_committed(txn);
-        }
+        self.history.mark_committed(txn);
         self.committed += 1;
         if let Some(t) = &mut self.tier {
             t.note_commit(&ws);
@@ -758,13 +749,11 @@ impl ServerBase {
     /// Allocation-free on lean untiered servers.
     pub fn install(&mut self, view: WsView<'_>) {
         let txn = view.txn();
-        if !self.lean {
-            for w in view.iter() {
-                self.history
-                    .record(self.site, txn, w.key, AccessKind::Write);
-            }
-            self.history.mark_committed(txn);
+        for w in view.iter() {
+            self.history
+                .record(self.site, txn, w.key, AccessKind::Write);
         }
+        self.history.mark_committed(txn);
         self.store.apply_records(txn, view.iter());
         self.committed += 1;
         if let Some(t) = &mut self.tier {
@@ -855,9 +844,7 @@ impl ServerBase {
     /// Reads a single key outside any transaction (lazy/stale reads),
     /// recording history under the given transaction id.
     pub fn read_committed(&mut self, txn: TxnId, key: Key) -> Value {
-        if !self.lean {
-            self.history.record(self.site, txn, key, AccessKind::Read);
-        }
+        self.history.record(self.site, txn, key, AccessKind::Read);
         self.store.read(key).map_or(Value(0), |v| v.value)
     }
 
@@ -1054,7 +1041,7 @@ mod tests {
     fn lean_mode_skips_history_and_cache_but_not_state() {
         let mut lean = ServerBase::new(0, 4, ExecutionMode::Deterministic);
         lean.set_lean(true);
-        assert!(lean.is_lean());
+        assert!(!lean.history.is_recording());
         let o = op(1, vec![OpTemplate::Write(Key(1), Value(5))]);
         let (ws, resp) = lean.execute_commit(&o, TxnId::new(1, 0));
         lean.remember(&resp);

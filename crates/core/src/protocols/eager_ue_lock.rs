@@ -15,8 +15,8 @@
 //!   conflicting holders; the victim's delegate aborts it globally and
 //!   retries with the same (old) timestamp.
 //! * [`DeadlockPolicy::Detect`] — server 0 periodically collects every
-//!   site's wait-for edges, finds cycles in the union, and aborts the
-//!   youngest member.
+//!   site's wait-for edges, finds a cycle in the union with
+//!   [`repl_db::first_cycle`], and aborts its youngest member.
 //!
 //! The paper notes that quorums are orthogonal to the phase structure and
 //! mentions the read-one/write-all extreme (§5.4.1): with
@@ -35,8 +35,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use repl_db::{
-    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TpcCoordinator, TpcDecision,
-    Transfer, TxnId, Value,
+    first_cycle, Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TpcCoordinator,
+    TpcDecision, Transfer, TxnId, Value,
 };
 use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
@@ -623,68 +623,16 @@ impl Eul {
         if self.probe_answers < sh.servers().len() {
             return;
         }
-        // Union collected; reuse the lock manager's cycle finder through a
-        // scratch structure.
-        if let Some(victim) = find_cycle_victim(&self.probe_edges) {
+        // Union collected: this site's edges, then each peer's in arrival
+        // order. Not sorted — the order picks between cycles that share a
+        // node, and so the victim.
+        if let Some(victim) = first_cycle(&self.probe_edges).and_then(|c| c.into_iter().max()) {
             for &s in sh.servers() {
                 ctx.send(s, Wire::Proto(EulMsg::Wound { victim }));
             }
         }
         self.probe_answers = 0;
     }
-}
-
-/// Finds the youngest transaction on a wait-for cycle, if any.
-fn find_cycle_victim(edges: &[(TxnId, TxnId)]) -> Option<TxnId> {
-    use std::collections::HashMap as Map;
-    let mut adj: Map<TxnId, Vec<TxnId>> = Map::new();
-    let mut nodes: Vec<TxnId> = Vec::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-        nodes.push(a);
-        nodes.push(b);
-    }
-    nodes.sort_unstable();
-    nodes.dedup();
-    #[derive(Clone, Copy, PartialEq)]
-    enum C {
-        W,
-        G,
-        B,
-    }
-    let mut color: Map<TxnId, C> = nodes.iter().map(|&n| (n, C::W)).collect();
-    for &start in &nodes {
-        if color[&start] != C::W {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        let mut path = vec![start];
-        color.insert(start, C::G);
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let next = adj.get(&node).and_then(|v| v.get(*idx).copied());
-            *idx += 1;
-            match next {
-                Some(n) => match color[&n] {
-                    C::G => {
-                        let pos = path.iter().position(|&p| p == n).expect("on path");
-                        return path[pos..].iter().copied().max();
-                    }
-                    C::W => {
-                        color.insert(n, C::G);
-                        stack.push((n, 0));
-                        path.push(n);
-                    }
-                    C::B => {}
-                },
-                None => {
-                    color.insert(node, C::B);
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-    }
-    None
 }
 
 impl Technique for Eul {

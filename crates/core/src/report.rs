@@ -2,7 +2,7 @@
 //! oracles need.
 
 use repl_db::{ArenaStats, ReplicatedHistory, SerializabilityViolation, TxnId};
-use repl_sim::{LatencyHistogram, LatencyStats, Metrics, SimDuration, SimTime};
+use repl_sim::{Fnv1a, LatencyHistogram, LatencyStats, Metrics, SimDuration, SimTime};
 
 use crate::client::OpRecord;
 use crate::consistency::{count_stale_reads, StaleRead};
@@ -349,13 +349,8 @@ impl RunReport {
     /// regardless of which thread executed them — the determinism tests
     /// assert exactly that.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv1a::default();
+        let mut mix = |v: u64| h.mix(v);
         mix(self.technique as u64);
         mix(self.servers as u64);
         mix(self.clients as u64);
@@ -459,7 +454,7 @@ impl RunReport {
             mix(self.peak_outstanding);
         }
         mix(self.trace_hash);
-        h
+        h.finish()
     }
 
     /// The no-silent-loss oracle: every update-only operation that was

@@ -187,32 +187,6 @@ impl Certifier {
             .count()
             + self.sparse.len()
     }
-
-    /// Garbage-collects map entries last written by a transaction older
-    /// than `watermark`. Returns the number evicted. Only keys beyond the
-    /// domain are candidates, as if every domain key had a slot.
-    ///
-    /// # Caller contract
-    ///
-    /// Evicting a key resets its tracked version to 0, so a later
-    /// re-insert restarts the version counter. That is only sound if the
-    /// caller guarantees no in-flight transaction can still present a
-    /// read of the evicted key: `watermark` must be a low-water mark
-    /// below which every transaction has already certified or aborted
-    /// *and* whose read sets have drained from the ABCAST stream. The
-    /// replication protocols in this reproduction keep certifier versions
-    /// in lockstep with store versions and therefore never call this on
-    /// the hot path; it exists for long-running deployments over an
-    /// open key domain, where the installed table would otherwise grow
-    /// without bound. On a bounded workload the table is fixed-size and
-    /// this is a no-op.
-    pub fn gc(&mut self, watermark: TxnId) -> usize {
-        let before = self.sparse.len();
-        let ks = self.ks;
-        self.sparse
-            .retain(|k, &mut (_, by)| k.0 < ks.items || !by.is_older_than(watermark));
-        before - self.sparse.len()
-    }
 }
 
 #[cfg(test)]
@@ -345,29 +319,5 @@ mod tests {
             live.certify(&[fresh], &ws(t(4), &[3])),
             rebuilt.certify(&[fresh], &ws(t(4), &[3]))
         );
-    }
-
-    #[test]
-    fn gc_evicts_old_sparse_entries_only() {
-        let mut c = Certifier::new();
-        assert!(c.certify(&[], &ws(t(1), &[0])).is_commit());
-        assert!(c.certify(&[], &ws(t(9), &[1])).is_commit());
-        assert_eq!(c.tracked_keys(), 2);
-        // Watermark t(5): only the entry written by t(1) is evicted.
-        assert_eq!(c.gc(t(5)), 1);
-        assert_eq!(c.tracked_keys(), 1);
-        assert_eq!(c.version_of(Key(0)), 0, "evicted entry reads as initial");
-        assert_eq!(c.version_of(Key(1)), 1, "recent entry survives");
-    }
-
-    #[test]
-    fn gc_is_a_no_op_on_the_dense_path() {
-        // Also for a key outside a scoped window, held in the map.
-        for ks in [Keyspace::dense(4), Keyspace::dense(4).scoped(2, 4)] {
-            let mut c = Certifier::with_keyspace(ks);
-            assert!(c.certify(&[], &ws(t(1), &[0])).is_commit());
-            assert_eq!(c.gc(t(100)), 0);
-            assert_eq!(c.version_of(Key(0)), 1);
-        }
     }
 }

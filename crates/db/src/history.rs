@@ -24,10 +24,10 @@
 //! the same witness order. There are at most two covering edges per
 //! committed access.
 
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
+use crate::graph::{first_cycle, Csr};
 use crate::hash::FxHashMap;
 use crate::item::{AccessKind, Key, TxnId};
 
@@ -319,11 +319,12 @@ impl ReplicatedHistory {
     pub fn check_one_copy_serializable(&self) -> Result<Vec<TxnId>, SerializabilityViolation> {
         let nodes = self.nodes();
         let graph = Csr::new(nodes.len(), &self.covering_edges(&nodes));
-        let txns = |indices: Vec<usize>| indices.into_iter().map(|i| nodes[i]).collect();
-        graph
-            .topological_order()
-            .map(txns)
-            .map_err(|cycle| SerializabilityViolation { cycle: txns(cycle) })
+        match graph.topological_order() {
+            Some(order) => Ok(order.into_iter().map(|i| nodes[i]).collect()),
+            None => Err(SerializabilityViolation {
+                cycle: first_cycle(&self.conflict_edges()).expect("the sort stalled on a cycle"),
+            }),
+        }
     }
 
     /// Every conflicting pair of committed accesses, from scratch (the
@@ -352,107 +353,6 @@ impl ReplicatedHistory {
         let mut v: Vec<(TxnId, TxnId)> = edges.into_iter().collect();
         v.sort_unstable();
         v
-    }
-}
-
-/// A directed graph over nodes `0..n` in compressed sparse rows: the
-/// successors of `a` are `succ[start[a]..start[a + 1]]`, ascending.
-struct Csr {
-    start: Vec<usize>,
-    succ: Vec<u32>,
-}
-
-impl Csr {
-    /// Builds the graph from edges sorted by source.
-    fn new(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut start = vec![0usize; n + 1];
-        for &(a, _) in edges {
-            start[a as usize + 1] += 1;
-        }
-        for a in 0..n {
-            start[a + 1] += start[a];
-        }
-        Csr {
-            start,
-            succ: edges.iter().map(|&(_, b)| b).collect(),
-        }
-    }
-
-    fn successors(&self, a: usize) -> &[u32] {
-        &self.succ[self.start[a]..self.start[a + 1]]
-    }
-
-    /// Kahn's algorithm, smallest ready node first. `Err` carries a
-    /// cycle, in edge order.
-    fn topological_order(&self) -> Result<Vec<usize>, Vec<usize>> {
-        let n = self.start.len() - 1;
-        let mut indegree = vec![0u32; n];
-        for &b in &self.succ {
-            indegree[b as usize] += 1;
-        }
-        let mut ready: BinaryHeap<Reverse<usize>> =
-            (0..n).filter(|&a| indegree[a] == 0).map(Reverse).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(Reverse(a)) = ready.pop() {
-            order.push(a);
-            for &b in self.successors(a) {
-                let b = b as usize;
-                indegree[b] -= 1;
-                if indegree[b] == 0 {
-                    ready.push(Reverse(b));
-                }
-            }
-        }
-        if order.len() == n {
-            Ok(order)
-        } else {
-            Err(self.find_cycle())
-        }
-    }
-
-    /// Depth-first search from the smallest node up; the first back
-    /// edge closes the reported cycle.
-    fn find_cycle(&self) -> Vec<usize> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let n = self.start.len() - 1;
-        let mut color = vec![Color::White; n];
-        for root in 0..n {
-            if color[root] != Color::White {
-                continue;
-            }
-            // The grey path, each node with the successor to try next.
-            let mut path = vec![(root, 0usize)];
-            color[root] = Color::Grey;
-            while let Some((node, next)) = path.last_mut() {
-                let Some(&succ) = self.successors(*node).get(*next) else {
-                    color[*node] = Color::Black;
-                    path.pop();
-                    continue;
-                };
-                let succ = succ as usize;
-                *next += 1;
-                match color[succ] {
-                    Color::Grey => {
-                        let from = path
-                            .iter()
-                            .position(|&(p, _)| p == succ)
-                            .expect("grey nodes are on the path");
-                        return path[from..].iter().map(|&(p, _)| p).collect();
-                    }
-                    Color::White => {
-                        color[succ] = Color::Grey;
-                        path.push((succ, 0));
-                    }
-                    Color::Black => {}
-                }
-            }
-        }
-        Vec::new()
     }
 }
 

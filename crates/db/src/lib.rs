@@ -6,7 +6,8 @@
 //! * [`Store`] — one site's versioned physical copies; [`ShadowStore`]
 //!   for optimistic (certification-based) execution,
 //! * [`LockManager`] — strict two-phase locking with wound-wait
-//!   prevention or wait-for-graph deadlock detection,
+//!   prevention, or deadlock detection over the wait-for graph it reads
+//!   off its table on demand,
 //! * [`TxnManager`] — begin/read/write/commit/abort with undo,
 //! * [`WriteSet`]/[`RedoLog`] — the log records replication propagates,
 //! * [`TpcCoordinator`]/[`TpcParticipant`] — two-phase commit,
@@ -15,7 +16,9 @@
 //!   (log-suffix vs snapshot) and MTTR accounting,
 //! * [`DurableLog`] — the off-node durable log tier (sealed frames,
 //!   durable watermark, disaster wipe/restore),
-//! * [`ReplicatedHistory`] — one-copy-serializability checking.
+//! * [`ReplicatedHistory`] — one-copy-serializability checking,
+//! * [`first_cycle`] — the one cycle finder, shared by the 1SR checker
+//!   and distributed deadlock detection.
 //!
 //! The crate is pure data structures and state machines: no I/O, no
 //! simulator dependency. The replication protocols in `repl-core` embed
@@ -27,6 +30,7 @@
 mod arena;
 mod certify;
 mod durable;
+mod graph;
 pub mod hash;
 mod history;
 mod item;
@@ -41,6 +45,7 @@ pub mod wire;
 pub use arena::{shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef, WsView};
 pub use certify::{Certification, Certifier};
 pub use durable::{DurableFrame, DurableLog, DurableRestore};
+pub use graph::first_cycle;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use history::{ReplicatedHistory, SerializabilityViolation};
 pub use item::{AccessKind, Key, Keyspace, TxnId, Value};

@@ -277,7 +277,8 @@ impl Store {
     /// experiments to compare replica convergence. Streams over
     /// [`Store::iter`]'s key order.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the sorted (key, value) stream.
+        // FNV-1a over the sorted (key, value) stream; `repl_sim::Fnv1a`'s
+        // mixer, copied because this crate does not depend on the simulator.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for (k, v) in self.iter() {
             for word in [k.0, v.value.0 as u64] {

@@ -1,10 +1,9 @@
-//! Allocation guard for the lock manager's graph queries and the
+//! Allocation guard for the lock manager's graph query and the
 //! transaction manager's per-transaction state.
 //!
-//! The kernel promises that `find_deadlock` and `wait_for_edges` are
-//! allocation-free once warmed: with no waiters they read an empty edge
-//! multiset and return early, and under contention the DFS runs in
-//! persistent scratch buffers. The transaction manager promises that a
+//! The kernel promises that `wait_for_edges` allocates nothing while no
+//! transaction waits: it reads the graph off the table and pushes no
+//! edge. The transaction manager promises that a
 //! warm begin / write / commit cycle allocates nothing but the writeset
 //! it returns (and an abort nothing at all): finished transactions hand
 //! their state back to a free list. This test installs a counting global
@@ -54,8 +53,7 @@ fn t(ts: u64) -> TxnId {
 // cargo runs `#[test]` functions concurrently.
 #[test]
 fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
-    // Idle table: holders everywhere, no waiters. Both queries must hit
-    // the empty-multiset early return.
+    // Idle table: holders everywhere, no waiters, so no edge to push.
     let mut lm = LockManager::with_keyspace(DeadlockPolicy::Detect, Keyspace::dense(64));
     for i in 0..16u64 {
         assert_eq!(
@@ -63,38 +61,11 @@ fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
             Acquire::Granted
         );
     }
-    // Warm up: activates edge tracking and sizes every scratch buffer.
-    assert!(lm.find_deadlock().is_none());
-    assert!(lm.wait_for_edges().is_empty());
     let before = allocations();
     for _ in 0..100 {
-        assert!(lm.find_deadlock().is_none());
         assert!(lm.wait_for_edges().is_empty());
     }
-    assert_eq!(
-        allocations(),
-        before,
-        "idle find_deadlock/wait_for_edges allocated"
-    );
-
-    // Contended table, no cycle: every holder has a conflicting waiter
-    // queued. find_deadlock walks the graph in its persistent scratch.
-    for i in 0..16u64 {
-        assert!(matches!(
-            lm.acquire(t(i + 17), Key(i), LockMode::Exclusive),
-            Acquire::Waiting { .. }
-        ));
-    }
-    assert!(lm.find_deadlock().is_none()); // re-warm scratch at this size
-    let before = allocations();
-    for _ in 0..100 {
-        assert!(lm.find_deadlock().is_none());
-    }
-    assert_eq!(
-        allocations(),
-        before,
-        "contended no-cycle find_deadlock allocated"
-    );
+    assert_eq!(allocations(), before, "idle wait_for_edges allocated");
 
     // Transaction manager: four writes in descending key order, one key
     // written twice, then commit — or abort.

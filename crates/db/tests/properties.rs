@@ -7,8 +7,8 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use repl_db::{
-    AccessKind, Acquire, Certifier, DeadlockPolicy, Key, Keyspace, LockManager, LockMode,
-    ReplicatedHistory, Store, TxnId, TxnManager, Value, WriteRecord, WriteSet,
+    first_cycle, AccessKind, Acquire, Certifier, DeadlockPolicy, Key, Keyspace, LockManager,
+    LockMode, ReplicatedHistory, Store, TxnId, TxnManager, Value, WriteRecord, WriteSet,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -456,7 +456,7 @@ proptest! {
                     lm.release_all(t(txn));
                 }
             }
-            prop_assert!(lm.find_deadlock().is_none(), "wound-wait deadlocked");
+            prop_assert!(first_cycle(&lm.wait_for_edges()).is_none(), "wound-wait deadlocked");
         }
     }
 

@@ -68,6 +68,6 @@ pub use ids::{GroupSet, NodeId, TimerId};
 pub use metrics::{LatencyHistogram, LatencyStats, Metrics};
 pub use network::{Delivery, LinkQuality, NetFault, Network, NetworkConfig};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLog, TraceRecord};
+pub use trace::{Fnv1a, TraceEvent, TraceLog, TraceRecord};
 pub use wheel::{TimingWheel, WheelEntry};
 pub use world::{Context, SimConfig, World};

@@ -1,6 +1,7 @@
 //! Aggregate run metrics: message counts, bytes, and latency statistics.
 
 use crate::time::SimDuration;
+use crate::trace::Fnv1a;
 
 /// Counters accumulated by the scheduler during a run.
 ///
@@ -372,13 +373,8 @@ impl LatencyHistogram {
     /// state (count, sum, extrema, every bucket) — what run digests mix
     /// in. Bucket order is fixed, so the fingerprint is canonical.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv1a::default();
+        let mut mix = |v: u64| h.mix(v);
         mix(self.count);
         mix(self.sum as u64);
         mix((self.sum >> 64) as u64);
@@ -387,7 +383,7 @@ impl LatencyHistogram {
         for &c in &self.counts {
             mix(c);
         }
-        h
+        h.finish()
     }
 }
 

@@ -183,15 +183,8 @@ impl TraceLog {
     /// same hash — the determinism oracle compares these across serial
     /// and parallel execution.
     pub fn hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::default();
+        let mut mix = |v: u64| h.mix(v);
         for r in &self.records {
             mix(r.time.ticks());
             mix(r.node.raw() as u64);
@@ -231,7 +224,7 @@ impl TraceLog {
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -240,6 +233,32 @@ impl<'a> IntoIterator for &'a TraceLog {
     type IntoIter = std::slice::Iter<'a, TraceRecord>;
     fn into_iter(self) -> Self::IntoIter {
         self.records.iter()
+    }
+}
+
+/// The 64-bit FNV-1a mixer behind every trace hash, run digest and
+/// histogram fingerprint; a word is mixed as its little-endian bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `v` into the hash.
+    pub fn mix(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of everything mixed so far.
+    pub fn finish(self) -> u64 {
+        self.0
     }
 }
 
