@@ -158,14 +158,13 @@ impl Ordered for Cert {
                 base.history
                     .record(base.site, txn, k, repl_db::AccessKind::Read);
             }
-            base.history.mark_committed(txn);
-            base.committed += 1;
+            base.commit(txn);
             Response {
                 committed: true,
                 ..req.resp.clone()
             }
         } else {
-            sh.base.aborted += 1;
+            sh.base.abort(txn);
             Response::aborted(op_id)
         };
         sh.base.release_payload(req.ws);

@@ -443,8 +443,9 @@ pub struct ServerBase {
     pub site: u32,
     /// This site's physical copies.
     pub store: Store,
-    /// This site's transaction manager.
-    pub tm: TxnManager,
+    /// The undo log of this site's local transactions: only the
+    /// transaction API below (`begin` … `rollback`) drives it.
+    tm: TxnManager,
     /// This site's recorded execution history.
     pub history: ReplicatedHistory,
     /// Responses already produced, for exactly-once retries.
@@ -673,34 +674,110 @@ impl ServerBase {
         }
     }
 
+    /// Starts local transaction `txn` (a no-op while it is active).
+    pub fn begin(&mut self, txn: TxnId) {
+        self.tm.begin(txn);
+    }
+
+    /// True while `txn` holds undoable writes here.
+    pub fn is_active(&self, txn: TxnId) -> bool {
+        self.tm.is_active(txn)
+    }
+
+    /// Reads `key` within active transaction `txn`, recording the read.
+    ///
+    /// # Panics
+    ///
+    /// If `txn` is not active.
+    pub fn read(&mut self, txn: TxnId, key: Key) -> Value {
+        assert!(self.tm.is_active(txn), "{txn} is not active");
+        self.read_committed(txn, key)
+    }
+
+    /// Writes `key := value` in place within active transaction `txn`,
+    /// undoably, recording the write. Returns the new version.
+    ///
+    /// # Panics
+    ///
+    /// If `txn` is not active.
+    pub fn write(&mut self, txn: TxnId, key: Key, value: Value) -> Versioned {
+        let after = self.tm.write(&mut self.store, txn, key, value);
+        self.history.record(self.site, txn, key, AccessKind::Write);
+        after.expect("txn is active")
+    }
+
+    /// Commits `txn`: marks it committed in the history and counts it.
+    /// Returns its writeset, or `None` — allocating nothing — when `txn`
+    /// has no undo log here (writes installed outside one, as certified
+    /// installs and the Thomas write rule do). The durable tier is the
+    /// caller's to note: when a commit becomes durable is the
+    /// technique's choice.
+    pub fn commit(&mut self, txn: TxnId) -> Option<WriteSet> {
+        let ws = self.tm.commit(txn).ok();
+        self.history.mark_committed(txn);
+        self.committed += 1;
+        ws
+    }
+
+    /// Aborts `txn`: [`ServerBase::rollback`], counted.
+    pub fn abort(&mut self, txn: TxnId) {
+        self.rollback(txn);
+        self.aborted += 1;
+    }
+
+    /// Undoes `txn`'s writes and forgets its history records without
+    /// counting an abort (a crash forgets, it does not decide).
+    pub fn rollback(&mut self, txn: TxnId) {
+        let _ = self.tm.abort(&mut self.store, txn);
+        self.history.purge(txn);
+    }
+
+    /// A snapshot of committed state stamped with watermark `high`: the
+    /// in-place writes of active transactions are rolled back, so a
+    /// receiver never installs data this site might still undo.
+    pub fn committed_snapshot(&self, high: u64) -> Transfer {
+        Transfer::committed_snapshot(&self.store, &self.tm, high)
+    }
+
     /// Executes a whole client transaction locally and commits it,
     /// recording history. Returns the writeset and the client response.
     pub fn execute_commit(&mut self, op: &ClientOp, txn: TxnId) -> (WriteSet, Response) {
-        self.tm.begin(txn);
-        let mut reads: Vec<(Key, Value)> = Vec::new();
+        self.execute(op, txn, |_| None)
+    }
+
+    /// [`ServerBase::execute_commit`] under a semi-active leader's
+    /// choices: a write takes the value `chosen` last lists for its key
+    /// instead of this site's own.
+    pub fn execute_chosen(
+        &mut self,
+        op: &ClientOp,
+        txn: TxnId,
+        chosen: &[(Key, Value)],
+    ) -> Response {
+        let pick = |k| chosen.iter().rev().find(|c| c.0 == k).map(|c| c.1);
+        self.execute(op, txn, pick).1
+    }
+
+    /// Runs `op` as local transaction `txn`; a write of key k stores
+    /// `chosen(k)`, else this site's [`ServerBase::effective_value`].
+    fn execute(
+        &mut self,
+        op: &ClientOp,
+        txn: TxnId,
+        chosen: impl Fn(Key) -> Option<Value>,
+    ) -> (WriteSet, Response) {
+        self.begin(txn);
+        let mut reads = Vec::new();
         for (key, write) in accesses(&op.txn) {
             match write {
-                None => {
-                    let v = self
-                        .tm
-                        .read(&self.store, txn, key)
-                        .expect("txn is active")
-                        .map_or(Value(0), |v| v.value);
-                    self.history.record(self.site, txn, key, AccessKind::Read);
-                    reads.push((key, v));
-                }
+                None => reads.push((key, self.read(txn, key))),
                 Some(v) => {
-                    let v = self.effective_value(v);
-                    self.tm
-                        .write(&mut self.store, txn, key, v)
-                        .expect("txn is active");
-                    self.history.record(self.site, txn, key, AccessKind::Write);
+                    let v = chosen(key).unwrap_or_else(|| self.effective_value(v));
+                    self.write(txn, key, v);
                 }
             }
         }
-        let ws = self.tm.commit(txn).expect("txn is active");
-        self.history.mark_committed(txn);
-        self.committed += 1;
+        let ws = self.commit(txn).expect("txn is active");
         if let Some(t) = &mut self.tier {
             t.note_commit(&ws);
         }
@@ -969,6 +1046,73 @@ mod tests {
             "independent execution must diverge"
         );
         assert_ne!(s0.store.fingerprint(), s1.store.fingerprint());
+    }
+
+    #[test]
+    fn abort_undoes_forgets_and_counts_once_and_rollback_does_not_count() {
+        let mut base = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        let fp = base.store.fingerprint();
+        for (ts, counted) in [(1, 1), (2, 1)] {
+            let txn = TxnId::new(ts, 0);
+            base.begin(txn);
+            base.read(txn, Key(1));
+            base.write(txn, Key(0), Value(9));
+            base.write(txn, Key(0), Value(10));
+            assert!(base.is_active(txn));
+            if ts == 1 {
+                base.abort(txn);
+            } else {
+                base.rollback(txn);
+            }
+            assert!(!base.is_active(txn));
+            assert_eq!(base.store.fingerprint(), fp, "the undo is exact");
+            assert!(base.history.is_empty(), "the attempt is forgotten");
+            assert_eq!((base.committed, base.aborted), (0, counted));
+        }
+    }
+
+    #[test]
+    fn committing_a_transaction_never_begun_marks_counts_and_yields_nothing() {
+        let mut base = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        let txn = TxnId::new(4, 0);
+        base.store.write(Key(1), Value(3), txn); // a certified install
+        assert!(base.commit(txn).is_none());
+        assert!(base.history.committed().contains(&txn));
+        assert_eq!(base.committed, 1);
+    }
+
+    #[test]
+    fn a_committed_snapshot_rolls_back_an_active_writer() {
+        let mut base = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        let o = op(1, vec![OpTemplate::Write(Key(0), Value(5))]);
+        base.execute_commit(&o, TxnId::new(1, 0));
+        let writer = TxnId::new(2, 0);
+        base.begin(writer);
+        base.write(writer, Key(0), Value(6));
+        let t = base.committed_snapshot(7);
+        assert_eq!(t.high, 7);
+        assert_eq!(t.snapshot[0].1.value, Value(5), "tentative write shipped");
+        assert_eq!(base.store.read(Key(0)).expect("exists").value, Value(6));
+    }
+
+    #[test]
+    fn the_chosen_value_executor_writes_the_leaders_value() {
+        let mut follower = ServerBase::new(1, 2, ExecutionMode::NonDeterministic);
+        let o = op(
+            1,
+            vec![
+                OpTemplate::Write(Key(0), Value(7)),
+                OpTemplate::Read(Key(0)),
+            ],
+        );
+        let resp = follower.execute_chosen(&o, TxnId::new(1, 0), &[(Key(0), Value(7_000))]);
+        assert_eq!(resp.reads, vec![(Key(0), Value(7_000))]);
+        assert_eq!(
+            follower.store.read(Key(0)).expect("exists").value,
+            Value(7_000),
+            "the follower's own choice (7,001) won"
+        );
+        assert_eq!(follower.committed, 1);
     }
 
     #[test]

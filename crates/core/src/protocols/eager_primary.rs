@@ -298,9 +298,7 @@ impl EagerPrimary {
 
     fn abort_tentative(&mut self, sh: &mut Shell, txn: TxnId) {
         if self.tentative.remove(&txn).is_some() {
-            let _ = sh.base.tm.abort(&mut sh.base.store, txn);
-            sh.base.history.purge(txn);
-            sh.base.aborted += 1;
+            sh.base.abort(txn);
         }
     }
 
@@ -319,7 +317,7 @@ impl EagerPrimary {
         if retries == 0 {
             sh.mark(ctx, Phase::Execution, op.id, 0);
         }
-        sh.base.tm.begin(txn);
+        sh.base.begin(txn);
         self.inflight.insert(
             txn,
             PrimaryTxn {
@@ -365,29 +363,13 @@ impl EagerPrimary {
             let t = self.inflight.get_mut(&txn).expect("present");
             match template {
                 OpTemplate::Read(k) => {
-                    let v = sh
-                        .base
-                        .tm
-                        .read(&sh.base.store, txn, k)
-                        .expect("active")
-                        .map_or(Value(0), |v| v.value);
-                    sh.base
-                        .history
-                        .record(sh.base.site, txn, k, repl_db::AccessKind::Read);
-                    t.reads.push((k, v));
+                    t.reads.push((k, sh.base.read(txn, k)));
                     t.step += 1;
                     // Reads propagate nothing.
                 }
                 OpTemplate::Write(k, v) => {
                     let v = sh.base.effective_value(v);
-                    let after = sh
-                        .base
-                        .tm
-                        .write(&mut sh.base.store, txn, k, v)
-                        .expect("active");
-                    sh.base
-                        .history
-                        .record(sh.base.site, txn, k, repl_db::AccessKind::Write);
+                    let after = sh.base.write(txn, k, v);
                     t.step += 1;
                     // Per-operation change propagation (Fig. 12) only for
                     // multi-operation transactions; single-op transactions
@@ -529,13 +511,7 @@ impl EagerPrimary {
             reads: t.reads.clone(),
         };
         if commit {
-            let ws = sh
-                .base
-                .tm
-                .commit(txn)
-                .unwrap_or_else(|_| WriteSet::empty(txn));
-            sh.base.history.mark_committed(txn);
-            sh.base.committed += 1;
+            let ws = sh.base.commit(txn).unwrap_or_else(|| WriteSet::empty(txn));
             sh.base.remember(&resp);
             if self.batching.enabled() {
                 // Group commit: stage the redo record and defer both the
@@ -572,9 +548,7 @@ impl EagerPrimary {
             for s in self.secondaries(sh) {
                 ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
             }
-            let _ = sh.base.tm.abort(&mut sh.base.store, txn);
-            sh.base.history.purge(txn);
-            sh.base.aborted += 1;
+            sh.base.abort(txn);
         }
         let granted = self.lm.release_all(txn);
         for (g, _, _) in granted {
@@ -618,11 +592,7 @@ impl EagerPrimary {
     fn apply_decision(&mut self, sh: &mut Shell, txn: TxnId, commit: bool) -> bool {
         if let Some((_, resp)) = self.tentative.remove(&txn) {
             if commit {
-                let ws = sh
-                    .base
-                    .tm
-                    .commit(txn)
-                    .unwrap_or_else(|_| WriteSet::empty(txn));
+                let ws = sh.base.commit(txn).unwrap_or_else(|| WriteSet::empty(txn));
                 // Mirror the decision stream into the local redo log so
                 // any server can donate a catch-up suffix. FIFO links
                 // keep the mirrored order identical to the primary's.
@@ -630,15 +600,11 @@ impl EagerPrimary {
                     tier.note_commit(&ws);
                 }
                 self.wal.append(ws);
-                sh.base.history.mark_committed(txn);
-                sh.base.committed += 1;
                 if let Some(r) = resp {
                     sh.base.remember(&r);
                 }
             } else {
-                let _ = sh.base.tm.abort(&mut sh.base.store, txn);
-                sh.base.history.purge(txn);
-                sh.base.aborted += 1;
+                sh.base.abort(txn);
             }
             true
         } else {
@@ -659,12 +625,10 @@ impl EagerPrimary {
     /// Secondary side: applies a propagated writeset tentatively
     /// (undo-able until the primary's decision).
     fn apply_tentatively(sh: &mut Shell, txn: TxnId, ws: WriteSetRef) {
-        sh.base.tm.begin(txn);
+        sh.base.begin(txn);
         sh.base.read_payload(ws, |base, view| {
             for w in view.iter() {
-                let _ = base.tm.write(&mut base.store, txn, w.key, w.value);
-                base.history
-                    .record(base.site, txn, w.key, repl_db::AccessKind::Write);
+                base.write(txn, w.key, w.value);
             }
         });
         sh.base.release_payload(ws);
@@ -683,7 +647,7 @@ impl EagerPrimary {
     /// data (in-flight decisions reach it via the resync path if they
     /// race ahead of the snapshot).
     fn committed_snapshot(&self, sh: &Shell) -> Transfer {
-        Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, self.wal.len() as u64)
+        sh.base.committed_snapshot(self.wal.len() as u64)
     }
 
     fn clear_staged(&mut self) {
@@ -705,9 +669,7 @@ impl EagerPrimary {
             };
             ctx.send(s, Wire::Proto(abort));
         }
-        let _ = sh.base.tm.abort(&mut sh.base.store, victim);
-        sh.base.history.purge(victim);
-        sh.base.aborted += 1;
+        sh.base.abort(victim);
         let granted = self.lm.release_all(victim);
         if t.retries < MAX_WOUND_RETRIES {
             self.requeue.push_back((t.op, t.retries + 1));
@@ -987,9 +949,7 @@ impl Technique for EagerPrimary {
         mine.sort_unstable();
         for txn in mine {
             self.inflight.remove(&txn);
-            let _ = sh.base.tm.abort(&mut sh.base.store, txn);
-            sh.base.history.purge(txn);
-            sh.base.aborted += 1;
+            sh.base.abort(txn);
             let _ = self.lm.release_all(txn);
         }
         self.requeue.clear();

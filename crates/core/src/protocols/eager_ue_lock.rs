@@ -269,7 +269,7 @@ impl Eul {
         if self.delegated.contains_key(&txn) {
             return;
         }
-        sh.base.tm.begin(txn);
+        sh.base.begin(txn);
         // Sharded: the participant set is the union of the touched
         // groups' members (dests is sorted, groups are contiguous and
         // ascending, so the union is sorted too).
@@ -573,19 +573,13 @@ impl Eul {
         txn: TxnId,
         commit: bool,
     ) {
-        if self.tentative.remove(&txn) || sh.base.tm.is_active(txn) {
-            if commit {
-                if let Ok(ws) = sh.base.tm.commit(txn) {
-                    if let Some(tier) = &mut sh.base.tier {
-                        tier.note_commit(&ws);
-                    }
+        if self.tentative.remove(&txn) || sh.base.is_active(txn) {
+            if !commit {
+                sh.base.abort(txn);
+            } else if let Some(ws) = sh.base.commit(txn) {
+                if let Some(tier) = &mut sh.base.tier {
+                    tier.note_commit(&ws);
                 }
-                sh.base.history.mark_committed(txn);
-                sh.base.committed += 1;
-            } else {
-                let _ = sh.base.tm.abort(&mut sh.base.store, txn);
-                sh.base.history.purge(txn);
-                sh.base.aborted += 1;
             }
         }
         self.lock_owner.remove(&txn);
@@ -758,23 +752,16 @@ impl Technique for Eul {
                 if !self.lm.holds(txn, key) {
                     return;
                 }
-                sh.base.tm.begin(txn);
+                sh.base.begin(txn);
                 self.tentative.insert(txn);
                 match write {
                     Some(v) => {
                         let v = sh.base.effective_value(v);
-                        let _ = sh.base.tm.write(&mut sh.base.store, txn, key, v);
-                        sh.base
-                            .history
-                            .record(sh.base.site, txn, key, repl_db::AccessKind::Write);
+                        sh.base.write(txn, key, v);
                     }
                     None => {
-                        let read = sh.base.tm.read(&sh.base.store, txn, key);
-                        sh.base
-                            .history
-                            .record(sh.base.site, txn, key, repl_db::AccessKind::Read);
+                        let value = sh.base.read(txn, key);
                         if let Some(delegate) = read_back {
-                            let value = read.ok().flatten().map_or(Value(0), |ver| ver.value);
                             ctx.send(
                                 delegate,
                                 Wire::Proto(EulMsg::XReadVal {
@@ -937,8 +924,7 @@ impl Technique for Eul {
         // (tentative state rolled back) is the whole transfer; new-view
         // transactions reach the joiner through its buffered
         // Exec/Decision replay.
-        let t = Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, 0);
-        (Some(t), 0, 0)
+        (Some(sh.base.committed_snapshot(0)), 0, 0)
     }
 
     fn welcomed(
@@ -998,10 +984,7 @@ impl Technique for Eul {
             .collect();
         active.sort_unstable(); // set iteration order is unspecified
         for txn in active {
-            if sh.base.tm.is_active(txn) {
-                let _ = sh.base.tm.abort(&mut sh.base.store, txn);
-            }
-            sh.base.history.purge(txn);
+            sh.base.rollback(txn);
         }
         self.tentative.clear();
         self.delegated.clear();

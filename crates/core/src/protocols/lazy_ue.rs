@@ -304,8 +304,7 @@ impl LazyUe {
             }
         }
         if any_applied {
-            base.history.mark_committed(txn);
-            base.committed += 1;
+            base.commit(txn);
             // Only the winning subset is durable state worth restoring.
             if let (Some(t), Some(applied)) = (&mut base.tier, applied) {
                 t.note_commit(&WriteSet {
@@ -381,8 +380,7 @@ fn apply_ordered(
             t.note_commit(&noted);
         }
         if !own {
-            base.history.mark_committed(txn);
-            base.committed += 1;
+            base.commit(txn);
         }
     });
     sh.base.release_payload(payload);
@@ -425,8 +423,7 @@ impl Technique for LazyUe {
                 }
             }
         }
-        sh.base.history.mark_committed(txn);
-        sh.base.committed += 1;
+        sh.base.commit(txn);
         let resp = Response {
             op: op.id,
             committed: true,

@@ -222,11 +222,9 @@ pub trait Technique: Sized + 'static {
     /// A timer that is not one of the shell's.
     fn on_protocol_timer(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>, _tag: u64) {}
 
-    /// World start (also for a cold joiner, before its join request).
+    /// World start (also for a cold joiner — [`Shell::joining`] — before
+    /// its join request).
     fn on_start(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
-    /// The replica was marked a cold joiner, before the world starts.
-    fn cold_start(&mut self, _sh: &mut Shell) {}
 
     /// The membership view changed ([`Shell::servers`] is the new one):
     /// re-derive whatever the technique computes from it.
@@ -684,7 +682,6 @@ impl<T: Technique> Replica<T> {
     /// the join handshake on start before serving.
     pub fn begin_join(&mut self) {
         self.shell.membership = Status::Joining;
-        self.tech.cold_start(&mut self.shell);
     }
 
     /// Applies the run-wide server setup: durable tier (a no-op when

@@ -20,7 +20,7 @@ use repl_gcs::{BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{Message, NodeId};
 
 use crate::durability::RestorePlan;
-use crate::op::{accesses, ClientOp, OpId, Response};
+use crate::op::{accesses, ClientOp, OpId};
 use crate::phase::Phase;
 use crate::protocols::common::{
     global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
@@ -201,56 +201,11 @@ impl SemiActive {
                 Phase::Execution
             };
             sh.mark(ctx, phase, op.id, 0);
-            let resp = self.execute(sh, &op);
+            // The leader's choice overrides local non-determinism.
+            let chosen = self.choices.remove(&op.id).unwrap_or_default();
+            let resp = sh.base.execute_chosen(&op, global_txn(op.id), &chosen);
             sh.base.remember(&resp);
             ctx.send(op.client, Wire::Reply(resp));
-        }
-    }
-
-    /// Executes with the agreed choice (or deterministically).
-    fn execute(&mut self, sh: &mut Shell, op: &ClientOp) -> Response {
-        let base = &mut sh.base;
-        let txn = global_txn(op.id);
-        let choice: HashMap<Key, Value> = self
-            .choices
-            .remove(&op.id)
-            .map(|w| w.into_iter().collect())
-            .unwrap_or_default();
-        base.tm.begin(txn);
-        let mut reads = Vec::new();
-        for (key, write) in accesses(&op.txn) {
-            match write {
-                None => {
-                    let v = base
-                        .tm
-                        .read(&base.store, txn, key)
-                        .expect("txn active")
-                        .map_or(Value(0), |v| v.value);
-                    base.history
-                        .record(base.site, txn, key, repl_db::AccessKind::Read);
-                    reads.push((key, v));
-                }
-                Some(v) => {
-                    // The leader's choice overrides local non-determinism.
-                    let v = choice.get(&key).copied().unwrap_or(v);
-                    base.tm
-                        .write(&mut base.store, txn, key, v)
-                        .expect("txn active");
-                    base.history
-                        .record(base.site, txn, key, repl_db::AccessKind::Write);
-                }
-            }
-        }
-        let ws = base.tm.commit(txn).expect("txn active");
-        base.history.mark_committed(txn);
-        base.committed += 1;
-        if let Some(t) = &mut base.tier {
-            t.note_commit(&ws);
-        }
-        Response {
-            op: op.id,
-            committed: true,
-            reads,
         }
     }
 
@@ -259,7 +214,7 @@ impl SemiActive {
     /// choices cannot be replayed, so a gap is covered by state, not
     /// re-execution.
     fn snapshot(&self, sh: &Shell) -> Transfer {
-        Transfer::committed_snapshot(&sh.base.store, &sh.base.tm, self.next_apply)
+        sh.base.committed_snapshot(self.next_apply)
     }
 
     /// Installs a peer snapshot and fast-forwards past it (those
@@ -322,13 +277,12 @@ impl Technique for SemiActive {
     }
 
     fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
+        if sh.joining() {
+            // A cold joiner's view endpoint boots in join mode.
+            self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
+        }
         repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
         self.drive_vs(sh, ctx);
-    }
-
-    fn cold_start(&mut self, sh: &mut Shell) {
-        // The view endpoint boots in join mode.
-        self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
     }
 
     fn view_changed(&mut self, sh: &mut Shell) {

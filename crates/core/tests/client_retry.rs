@@ -8,8 +8,9 @@
 //! on the 16-group benchmark cell.)
 //!
 //! A *legitimate* retry can still reach a second replica while the first
-//! attempt lives; making that idempotent is ROADMAP 1(c), and the last
-//! test here is its regression test, waiting.
+//! attempt lives; making that idempotent is the ROADMAP item "at most
+//! once per group", and the last test here is its regression test,
+//! waiting.
 
 use repl_core::{run, RunConfig, Technique};
 use repl_sim::SimDuration;
@@ -57,7 +58,7 @@ fn fault_free_closed_loop_never_retries() {
 }
 
 #[test]
-#[ignore = "ROADMAP 1(c): a legitimate retry reaches a second delegate while the first attempt lives"]
+#[ignore = "ROADMAP, at most once per group: a legitimate retry reaches a second delegate while the first attempt lives"]
 fn eager_ue_locking_hot_mixed_load_is_serializable_despite_retries() {
     // KNOWN_RED 1a's shape at the one seed in 600 that is still red: 8
     // operations wait out `retry_after` behind lock queues, one of them

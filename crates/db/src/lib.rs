@@ -8,7 +8,7 @@
 //! * [`LockManager`] — strict two-phase locking with wound-wait
 //!   prevention, or deadlock detection over the wait-for graph it reads
 //!   off its table on demand,
-//! * [`TxnManager`] — begin/read/write/commit/abort with undo,
+//! * [`TxnManager`] — the undo log: begin/write/commit/abort,
 //! * [`WriteSet`]/[`RedoLog`] — the log records replication propagates,
 //! * [`TpcCoordinator`]/[`TpcParticipant`] — two-phase commit,
 //! * [`Certifier`] — the deterministic certification test,

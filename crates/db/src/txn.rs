@@ -1,5 +1,5 @@
-//! The transaction manager: begin / read / write / commit / abort with
-//! undo via before-images.
+//! The transaction manager: the undo log of a site's local transactions
+//! (begin / write / commit / abort, undo via before-images).
 //!
 //! Writes are applied to the store in place (isolation is the lock
 //! manager's job under strict 2PL); abort restores the exact prior state.
@@ -25,15 +25,10 @@ struct Written {
     version: u64,
 }
 
-/// Bookkeeping for one in-flight transaction: two small vectors, recycled
-/// through the manager's free list when the transaction ends.
-#[derive(Debug, Clone, Default)]
-struct ActiveTxn {
-    /// Written keys, ascending.
-    writes: Vec<Written>,
-    /// Versions read, in read order.
-    reads: Vec<(Key, u64)>,
-}
+/// Bookkeeping for one in-flight transaction: its written keys,
+/// ascending, in a vector recycled through the manager's free list when
+/// the transaction ends.
+type ActiveTxn = Vec<Written>;
 
 /// Error returned when referring to a transaction the manager does not
 /// know (never begun, or already finished).
@@ -72,8 +67,6 @@ pub struct TxnManager {
     active: FxHashMap<TxnId, ActiveTxn>,
     /// Cleared state of finished transactions, capacity kept.
     free: Vec<ActiveTxn>,
-    committed: u64,
-    aborted: u64,
 }
 
 impl TxnManager {
@@ -95,16 +88,6 @@ impl TxnManager {
         self.active.contains_key(&id)
     }
 
-    /// Number of in-flight transactions.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Committed / aborted counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.committed, self.aborted)
-    }
-
     /// First-touch before-images of every in-flight transaction. Lets a
     /// recovery donor reconstruct fully-committed state from a store
     /// that contains tentative in-place writes: patching these images
@@ -116,7 +99,7 @@ impl TxnManager {
         for txn in self.active.values() {
             for &Written {
                 key: k, before: v, ..
-            } in &txn.writes
+            } in txn
             {
                 match images.get(&k) {
                     Some(prev) if prev.version <= v.version => {}
@@ -127,25 +110,6 @@ impl TxnManager {
             }
         }
         images
-    }
-
-    /// Reads `key` within `id`, recording the version for the read set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownTxn`] if `id` is not active.
-    pub fn read(
-        &mut self,
-        store: &Store,
-        id: TxnId,
-        key: Key,
-    ) -> Result<Option<Versioned>, UnknownTxn> {
-        let txn = self.active.get_mut(&id).ok_or(UnknownTxn(id))?;
-        let v = store.read(key);
-        if let Some(v) = v {
-            txn.reads.push((key, v.version));
-        }
-        Ok(v)
     }
 
     /// Writes `key := value` within `id`, keeping the before-image for undo.
@@ -161,9 +125,9 @@ impl TxnManager {
         value: Value,
     ) -> Result<Versioned, UnknownTxn> {
         let txn = self.active.get_mut(&id).ok_or(UnknownTxn(id))?;
-        let slot = txn.writes.binary_search_by_key(&key, |w| w.key);
+        let slot = txn.binary_search_by_key(&key, |w| w.key);
         let before = match slot {
-            Ok(at) => txn.writes[at].before,
+            Ok(at) => txn[at].before,
             Err(_) => store.read(key).unwrap_or(Versioned::initial(Value(0))),
         };
         let after = store.write(key, value, id);
@@ -174,18 +138,10 @@ impl TxnManager {
             version: after.version,
         };
         match slot {
-            Ok(at) => txn.writes[at] = written,
-            Err(at) => txn.writes.insert(at, written),
+            Ok(at) => txn[at] = written,
+            Err(at) => txn.insert(at, written),
         }
         Ok(after)
-    }
-
-    /// The versions `id` has read so far.
-    pub fn read_set(&self, id: TxnId) -> Result<&[(Key, u64)], UnknownTxn> {
-        self.active
-            .get(&id)
-            .map(|t| t.reads.as_slice())
-            .ok_or(UnknownTxn(id))
     }
 
     /// Commits `id`, returning its writeset.
@@ -195,9 +151,7 @@ impl TxnManager {
     /// Returns [`UnknownTxn`] if `id` is not active.
     pub fn commit(&mut self, id: TxnId) -> Result<WriteSet, UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
-        self.committed += 1;
         let writes = txn
-            .writes
             .iter()
             .map(|w| WriteRecord {
                 key: w.key,
@@ -216,8 +170,7 @@ impl TxnManager {
     /// Returns [`UnknownTxn`] if `id` is not active.
     pub fn abort(&mut self, store: &mut Store, id: TxnId) -> Result<(), UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
-        self.aborted += 1;
-        for w in &txn.writes {
+        for w in &txn {
             store.restore(w.key, w.before);
         }
         self.recycle(txn);
@@ -226,8 +179,7 @@ impl TxnManager {
 
     /// Returns a finished transaction's state to the free list.
     fn recycle(&mut self, mut txn: ActiveTxn) {
-        txn.writes.clear();
-        txn.reads.clear();
+        txn.clear();
         self.free.push(txn);
     }
 }
@@ -251,7 +203,7 @@ mod tests {
             .expect("active");
         let ws = tm.commit(t(1)).expect("active");
         assert_eq!(ws.keys().collect::<Vec<_>>(), vec![Key(2), Key(4)]);
-        assert_eq!(tm.stats(), (1, 0));
+        assert!(!tm.is_active(t(1)));
     }
 
     #[test]
@@ -269,7 +221,7 @@ mod tests {
         assert_ne!(store.fingerprint(), fp);
         tm.abort(&mut store, t(1)).expect("active");
         assert_eq!(store.fingerprint(), fp, "abort must be a perfect undo");
-        assert_eq!(tm.stats(), (0, 1));
+        assert!(!tm.is_active(t(1)));
     }
 
     #[test]
@@ -287,35 +239,29 @@ mod tests {
     }
 
     #[test]
-    fn read_set_records_versions_in_order() {
-        let mut store = Store::with_items(2, Value(0));
-        store.write(Key(1), Value(9), t(0)); // version 1
-        let mut tm = TxnManager::new();
-        tm.begin(t(2));
-        tm.read(&store, t(2), Key(1)).expect("active");
-        tm.read(&store, t(2), Key(0)).expect("active");
-        assert_eq!(
-            tm.read_set(t(2)).expect("active"),
-            &[(Key(1), 1), (Key(0), 0)]
-        );
-    }
-
-    #[test]
     fn unknown_txn_errors() {
         let mut store = Store::new();
         let mut tm = TxnManager::new();
         assert_eq!(tm.commit(t(9)), Err(UnknownTxn(t(9))));
         assert_eq!(tm.abort(&mut store, t(9)), Err(UnknownTxn(t(9))));
-        assert!(tm.read(&store, t(9), Key(0)).is_err());
+        assert!(tm.write(&mut store, t(9), Key(0), Value(1)).is_err());
         assert_eq!(UnknownTxn(t(9)).to_string(), "unknown transaction t9.0");
     }
 
     #[test]
     fn begin_is_idempotent() {
         let mut tm = TxnManager::new();
+        let mut store = Store::with_items(1, Value(5));
         tm.begin(t(1));
+        tm.write(&mut store, t(1), Key(0), Value(6))
+            .expect("active");
         tm.begin(t(1));
-        assert_eq!(tm.active_count(), 1);
         assert!(tm.is_active(t(1)));
+        tm.abort(&mut store, t(1)).expect("active");
+        assert_eq!(
+            store.read(Key(0)).expect("exists").value,
+            Value(5),
+            "a second begin keeps the undo log"
+        );
     }
 }
