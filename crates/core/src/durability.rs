@@ -136,14 +136,17 @@ impl DurabilityTier {
 
     /// Queues a committed writeset for the next seal. No-op while a
     /// restore is being installed (those entries are already durable).
-    pub fn note_commit(&mut self, ws: &WriteSet) {
-        self.note_commit_view(WsView::Rows(ws));
+    /// The tier retains sealed frames by value, so it takes the
+    /// writeset: a caller that keeps one too passes a clone.
+    pub fn note_commit(&mut self, ws: WriteSet) {
+        if !self.restoring {
+            self.pending.push(ws);
+        }
     }
 
     /// [`DurabilityTier::note_commit`] over a borrow view — the payload
-    /// plane's entry point. The tier retains sealed frames by value, so
-    /// this materializes (the only such allocation on the arena path;
-    /// tiers are absent in lean open-loop runs).
+    /// plane's entry point. This materializes (the only such allocation
+    /// on the arena path; tiers are absent in lean open-loop runs).
     pub fn note_commit_view(&mut self, view: WsView<'_>) {
         if !self.restoring {
             self.pending.push(view.to_writeset());
@@ -249,7 +252,7 @@ mod tests {
     #[test]
     fn synchronous_tier_has_no_exposure() {
         let mut t = tier(0);
-        t.note_commit(&ws(1, 0, 5));
+        t.note_commit(ws(1, 0, 5));
         assert_eq!(t.pending.len(), 1, "unsealed tail is exposed");
         t.seal(10, 1);
         assert_eq!(
@@ -264,11 +267,11 @@ mod tests {
     #[test]
     fn lagged_tier_loses_the_inflight_suffix() {
         let mut t = tier(500);
-        t.note_commit(&ws(1, 0, 5));
+        t.note_commit(ws(1, 0, 5));
         t.seal(10, 1); // durable at 510
-        t.note_commit(&ws(2, 1, 6));
+        t.note_commit(ws(2, 1, 6));
         t.seal(20, 2); // durable at 520
-        t.note_commit(&ws(3, 2, 7)); // never sealed
+        t.note_commit(ws(3, 2, 7)); // never sealed
         let erased = t.wipe(512);
         assert_eq!(erased.len(), 2, "one in-flight frame + the unsealed tail");
         assert_eq!(t.lost, vec![TxnId::new(2, 0), TxnId::new(3, 0)]);
@@ -279,7 +282,7 @@ mod tests {
         assert!(plan.delay >= 120, "fsync replay is charged");
         assert_eq!(t.restores, 1);
         assert!(t.restoring());
-        t.note_commit(&ws(9, 0, 9));
+        t.note_commit(ws(9, 0, 9));
         assert!(t.pending.is_empty(), "restore installs are not re-queued");
         t.finish_restore();
         assert!(t.plan_restore(700).is_none(), "restore is one-shot");

@@ -60,7 +60,7 @@ impl Ordered for Active {
             .shard()
             .filter(|sc| sc.is_cross(&op))
             .map(|sc| sc.local_part(&op));
-        let (_, resp) = sh
+        let resp = sh
             .base
             .execute_commit(local.as_ref().unwrap_or(&op), global_txn(op.id));
         sh.base.remember(&resp);

@@ -148,7 +148,7 @@ impl Ordered for Cert {
                     .record(base.site, txn, w.key, repl_db::AccessKind::Write);
             }
             if let (Some(t), Some(applied)) = (&mut base.tier, noted) {
-                t.note_commit(&applied);
+                t.note_commit(applied);
             }
             true
         });

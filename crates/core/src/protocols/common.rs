@@ -711,12 +711,28 @@ impl ServerBase {
     /// has no undo log here (writes installed outside one, as certified
     /// installs and the Thomas write rule do). The durable tier is the
     /// caller's to note: when a commit becomes durable is the
-    /// technique's choice.
+    /// technique's choice ([`ServerBase::commit_and_note`] notes it now).
     pub fn commit(&mut self, txn: TxnId) -> Option<WriteSet> {
         let ws = self.tm.commit(txn).ok();
         self.history.mark_committed(txn);
         self.committed += 1;
         ws
+    }
+
+    /// [`ServerBase::commit`] for a caller that keeps no writeset and
+    /// makes the commit durable at once: a tiered server builds the
+    /// writeset and moves it into its tier; an untiered one builds
+    /// nothing and only recycles the undo log.
+    pub fn commit_and_note(&mut self, txn: TxnId) {
+        if self.tier.is_none() {
+            let _ = self.tm.commit_in_place(txn);
+            self.history.mark_committed(txn);
+            self.committed += 1;
+        } else if let Some(ws) = self.commit(txn) {
+            if let Some(t) = &mut self.tier {
+                t.note_commit(ws);
+            }
+        }
     }
 
     /// Aborts `txn`: [`ServerBase::rollback`], counted.
@@ -740,9 +756,17 @@ impl ServerBase {
     }
 
     /// Executes a whole client transaction locally and commits it,
-    /// recording history. Returns the writeset and the client response.
-    pub fn execute_commit(&mut self, op: &ClientOp, txn: TxnId) -> (WriteSet, Response) {
-        self.execute(op, txn, |_| None)
+    /// recording history. Returns the client response; the writeset is
+    /// built only for the durable tier, when there is one.
+    pub fn execute_commit(&mut self, op: &ClientOp, txn: TxnId) -> Response {
+        self.execute(op, txn, |_| None, false).1
+    }
+
+    /// [`ServerBase::execute_commit`] for a caller that ships the
+    /// transaction's writeset: returns it with the response.
+    pub fn execute_to_ship(&mut self, op: &ClientOp, txn: TxnId) -> (WriteSet, Response) {
+        let (ws, resp) = self.execute(op, txn, |_| None, true);
+        (ws.expect("a shipped execution builds its writeset"), resp)
     }
 
     /// [`ServerBase::execute_commit`] under a semi-active leader's
@@ -755,17 +779,22 @@ impl ServerBase {
         chosen: &[(Key, Value)],
     ) -> Response {
         let pick = |k| chosen.iter().rev().find(|c| c.0 == k).map(|c| c.1);
-        self.execute(op, txn, pick).1
+        self.execute(op, txn, pick, false).1
     }
 
     /// Runs `op` as local transaction `txn`; a write of key k stores
     /// `chosen(k)`, else this site's [`ServerBase::effective_value`].
+    ///
+    /// The writeset is built only when someone keeps it: the caller,
+    /// when it `ship`s it (the tier, if any, gets a clone), or else the
+    /// durable tier alone ([`ServerBase::commit_and_note`]).
     fn execute(
         &mut self,
         op: &ClientOp,
         txn: TxnId,
         chosen: impl Fn(Key) -> Option<Value>,
-    ) -> (WriteSet, Response) {
+        ship: bool,
+    ) -> (Option<WriteSet>, Response) {
         self.begin(txn);
         let mut reads = Vec::new();
         for (key, write) in accesses(&op.txn) {
@@ -777,10 +806,16 @@ impl ServerBase {
                 }
             }
         }
-        let ws = self.commit(txn).expect("txn is active");
-        if let Some(t) = &mut self.tier {
-            t.note_commit(&ws);
-        }
+        let ws = if ship {
+            let ws = self.commit(txn).expect("txn is active");
+            if let Some(t) = &mut self.tier {
+                t.note_commit(ws.clone());
+            }
+            Some(ws)
+        } else {
+            self.commit_and_note(txn);
+            None
+        };
         let resp = Response {
             op: op.id,
             committed: true,
@@ -898,22 +933,19 @@ impl ServerBase {
     /// `note_commit` is a no-op — the installed state is already
     /// durable.)
     pub fn note_snapshot(&mut self, snapshot: &[(Key, Versioned)]) {
-        if self.tier.is_none() {
+        let Some(tier) = &mut self.tier else {
             return;
-        }
+        };
         for (k, v) in snapshot {
             if let Some(writer) = v.writer {
-                let ws = WriteSet {
+                tier.note_commit(WriteSet {
                     txn: writer,
                     writes: vec![WriteRecord {
                         key: *k,
                         value: v.value,
                         version: v.version,
                     }],
-                };
-                if let Some(tier) = &mut self.tier {
-                    tier.note_commit(&ws);
-                }
+                });
             }
         }
     }
@@ -1025,12 +1057,31 @@ mod tests {
                 OpTemplate::Read(Key(1)),
             ],
         );
-        let (ws, resp) = base.execute_commit(&o, TxnId::new(1, 0));
-        assert_eq!(ws.writes.len(), 1);
+        let resp = base.execute_commit(&o, TxnId::new(1, 0));
         assert_eq!(resp.reads, vec![(Key(1), Value(5))]);
         assert!(resp.committed);
         assert_eq!(base.committed, 1);
         assert_eq!(base.store.read(Key(1)).expect("exists").value, Value(5));
+        assert!(!base.is_active(TxnId::new(1, 0)));
+        let (ws, resp) = base.execute_to_ship(&o, TxnId::new(2, 0));
+        assert_eq!(ws.writes.len(), 1);
+        assert_eq!(ws.txn, TxnId::new(2, 0));
+        assert_eq!(resp.reads, vec![(Key(1), Value(5))]);
+        assert_eq!(base.committed, 2);
+    }
+
+    #[test]
+    fn a_tiered_executor_notes_every_writeset_whether_or_not_it_ships_it() {
+        let mut base = ServerBase::new(0, 4, ExecutionMode::Deterministic);
+        base.set_durability(&DurabilityConfig::with_upload_lag(0));
+        let o = op(1, vec![OpTemplate::Write(Key(1), Value(5))]);
+        base.execute_commit(&o, TxnId::new(1, 0));
+        base.seal_now(10, 1);
+        let (ws, _) = base.execute_to_ship(&o, TxnId::new(2, 0));
+        assert_eq!(ws.txn, TxnId::new(2, 0));
+        base.seal_now(20, 2);
+        let tier = base.tier.as_ref().expect("tiered");
+        assert_eq!(tier.frames_sealed(), 2, "one frame per executed commit");
     }
 
     #[test]
@@ -1138,7 +1189,7 @@ mod tests {
         let mut a = ServerBase::new(0, 2, ExecutionMode::Deterministic);
         let mut b = ServerBase::new(1, 2, ExecutionMode::Deterministic);
         let o = op(3, vec![OpTemplate::Write(Key(0), Value(7))]);
-        let (ws, _) = a.execute_commit(&o, TxnId::new(3, 0));
+        let (ws, _) = a.execute_to_ship(&o, TxnId::new(3, 0));
         b.install_writeset(&ws);
         assert_eq!(a.store.fingerprint(), b.store.fingerprint());
         assert_eq!(b.committed, 1);
@@ -1154,7 +1205,7 @@ mod tests {
             base.set_arena(arena.clone());
         }
         let o = op(3, vec![OpTemplate::Write(Key(0), Value(7))]);
-        let (ws, _) = a.execute_commit(&o, TxnId::new(3, 0));
+        let (ws, _) = a.execute_to_ship(&o, TxnId::new(3, 0));
         let handle = a.make_payload(&ws, 1);
         b.install_payload(handle);
         c.install_writeset(&ws);
@@ -1187,7 +1238,7 @@ mod tests {
         lean.set_lean(true);
         assert!(!lean.history.is_recording());
         let o = op(1, vec![OpTemplate::Write(Key(1), Value(5))]);
-        let (ws, resp) = lean.execute_commit(&o, TxnId::new(1, 0));
+        let (ws, resp) = lean.execute_to_ship(&o, TxnId::new(1, 0));
         lean.remember(&resp);
         assert!(lean.cached(o.id).is_none(), "lean cache stays empty");
         assert!(

@@ -150,7 +150,8 @@ pub struct EagerPrimary {
     /// Client acks deferred until the window's log force.
     staged_replies: Vec<(NodeId, Response)>,
     /// Writesets awaiting the window's log force before the durable tier
-    /// may see them (the tier mirrors the *flushed* stream).
+    /// may see them (the tier mirrors the *flushed* stream). Empty on an
+    /// untiered server.
     staged_notes: Vec<WriteSet>,
     flush_armed: bool,
     /// Filling a decision gap noticed after rejoining; participates
@@ -519,7 +520,9 @@ impl EagerPrimary {
                 // single shared log force. The durable tier waits for the
                 // force too, so a volume loss can only erase unacked
                 // staged commits (their cached replies are evicted).
-                self.staged_notes.push(ws.clone());
+                if sh.base.tier.is_some() {
+                    self.staged_notes.push(ws.clone());
+                }
                 self.wal.stage(ws);
                 self.staged_decisions.push((txn, commit));
                 self.staged_replies.push((t.op.client, resp));
@@ -534,7 +537,7 @@ impl EagerPrimary {
                 }
             } else {
                 if let Some(tier) = &mut sh.base.tier {
-                    tier.note_commit(&ws);
+                    tier.note_commit(ws.clone());
                 }
                 self.wal.append(ws);
                 for s in self.secondaries(sh) {
@@ -567,9 +570,9 @@ impl EagerPrimary {
             return;
         }
         let _ = self.wal.flush_group();
-        for ws in std::mem::take(&mut self.staged_notes) {
-            if let Some(tier) = &mut sh.base.tier {
-                tier.note_commit(&ws);
+        if let Some(tier) = &mut sh.base.tier {
+            for ws in self.staged_notes.drain(..) {
+                tier.note_commit(ws);
             }
         }
         let entries = Arc::new(std::mem::take(&mut self.staged_decisions));
@@ -597,7 +600,7 @@ impl EagerPrimary {
                 // any server can donate a catch-up suffix. FIFO links
                 // keep the mirrored order identical to the primary's.
                 if let Some(tier) = &mut sh.base.tier {
-                    tier.note_commit(&ws);
+                    tier.note_commit(ws.clone());
                 }
                 self.wal.append(ws);
                 if let Some(r) = resp {

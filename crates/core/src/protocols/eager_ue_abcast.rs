@@ -63,7 +63,7 @@ impl Ordered for Eua {
             _ => mine,
         };
         let local = cross.map(|sc| sc.local_part(&op));
-        let (_, resp) = sh
+        let resp = sh
             .base
             .execute_commit(local.as_ref().unwrap_or(&op), global_txn(op.id));
         sh.base.remember(&resp);

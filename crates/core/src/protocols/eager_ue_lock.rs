@@ -576,10 +576,8 @@ impl Eul {
         if self.tentative.remove(&txn) || sh.base.is_active(txn) {
             if !commit {
                 sh.base.abort(txn);
-            } else if let Some(ws) = sh.base.commit(txn) {
-                if let Some(tier) = &mut sh.base.tier {
-                    tier.note_commit(&ws);
-                }
+            } else {
+                sh.base.commit_and_note(txn);
             }
         }
         self.lock_owner.remove(&txn);

@@ -255,7 +255,7 @@ impl Technique for LazyPrimary {
             return;
         }
         sh.mark(ctx, Phase::Execution, op.id, 0);
-        let (ws, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+        let (ws, resp) = sh.base.execute_to_ship(&op, global_txn(op.id));
         sh.base.remember(&resp);
         // Lazy: reply *now*, coordinate later.
         ctx.send(op.client, Wire::Reply(resp));

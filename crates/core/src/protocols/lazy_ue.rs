@@ -255,7 +255,7 @@ impl LazyUe {
                 let txn = TxnId::new(ts, site);
                 let after = sh.base.store.write(k, v, txn);
                 if let Some(t) = &mut sh.base.tier {
-                    t.note_commit(&WriteSet {
+                    t.note_commit(WriteSet {
                         txn,
                         writes: vec![WriteRecord {
                             key: k,
@@ -307,7 +307,7 @@ impl LazyUe {
             base.commit(txn);
             // Only the winning subset is durable state worth restoring.
             if let (Some(t), Some(applied)) = (&mut base.tier, applied) {
-                t.note_commit(&WriteSet {
+                t.note_commit(WriteSet {
                     txn,
                     writes: applied,
                 });
@@ -377,7 +377,7 @@ fn apply_ordered(
         // total order, so a restore can rewind the stream to the
         // frame token and replay forward consistently.
         if let (Some(t), Some(noted)) = (&mut base.tier, noted) {
-            t.note_commit(&noted);
+            t.note_commit(noted);
         }
         if !own {
             base.commit(txn);
@@ -443,7 +443,7 @@ impl Technique for LazyUe {
             // clean prefix of the stream.
             if self.mode == ReconcileMode::Lww {
                 if let Some(t) = &mut sh.base.tier {
-                    t.note_commit(&ws);
+                    t.note_commit(ws.clone());
                 }
             }
             self.outbound.push((ws, commit_ts));

@@ -182,7 +182,7 @@ impl Passive {
 
     fn execute_as_primary(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, op: ClientOp) {
         ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        let (ws, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+        let (ws, resp) = sh.base.execute_to_ship(&op, global_txn(op.id));
         sh.base.remember(&resp);
         ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
         let backups: HashSet<NodeId> = self

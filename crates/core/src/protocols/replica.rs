@@ -842,7 +842,7 @@ pub(crate) mod tests {
 
         fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, op: ClientOp) {
             self.invoked.push(op.id);
-            let (_, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+            let resp = sh.base.execute_commit(&op, global_txn(op.id));
             sh.base.remember(&resp);
             ctx.send(op.client, StubMsg::Reply(resp));
         }

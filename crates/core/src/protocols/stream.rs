@@ -272,7 +272,7 @@ mod tests {
         fn deliver(&mut self, sh: &mut Shell, ctx: &mut ProbeCtx, op: ClientOp, mine: bool) {
             self.delivered.push((op.id, mine));
             sh.mark(ctx, Phase::Execution, op.id, 0);
-            let (_, resp) = sh.base.execute_commit(&op, global_txn(op.id));
+            let resp = sh.base.execute_commit(&op, global_txn(op.id));
             sh.base.remember(&resp);
             if mine {
                 ctx.send(op.client, ProbeMsg::Reply(resp));

@@ -3,8 +3,10 @@
 //!
 //! Writes are applied to the store in place (isolation is the lock
 //! manager's job under strict 2PL); abort restores the exact prior state.
-//! Commit returns the transaction's [`WriteSet`] — the redo records the
-//! replication protocols propagate.
+//! [`TxnManager::commit`] returns the transaction's [`WriteSet`] — the
+//! redo records the replication protocols propagate;
+//! [`TxnManager::commit_in_place`] builds none, for a site that neither
+//! ships nor keeps them.
 
 use std::collections::HashMap;
 
@@ -163,6 +165,19 @@ impl TxnManager {
         Ok(WriteSet { txn: id, writes })
     }
 
+    /// Commits `id` without building its writeset, for a caller that
+    /// ships and keeps nothing: the writes are already in the store, so
+    /// this only recycles the undo log — it allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownTxn`] if `id` is not active.
+    pub fn commit_in_place(&mut self, id: TxnId) -> Result<(), UnknownTxn> {
+        let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
+        self.recycle(txn);
+        Ok(())
+    }
+
     /// Aborts `id`, restoring every written item to its before-image.
     ///
     /// # Errors
@@ -204,6 +219,19 @@ mod tests {
         let ws = tm.commit(t(1)).expect("active");
         assert_eq!(ws.keys().collect::<Vec<_>>(), vec![Key(2), Key(4)]);
         assert!(!tm.is_active(t(1)));
+    }
+
+    #[test]
+    fn commit_in_place_keeps_the_writes_and_ends_the_txn() {
+        let mut store = Store::with_items(2, Value(0));
+        let mut tm = TxnManager::new();
+        tm.begin(t(1));
+        tm.write(&mut store, t(1), Key(1), Value(9))
+            .expect("active");
+        tm.commit_in_place(t(1)).expect("active");
+        assert!(!tm.is_active(t(1)));
+        assert_eq!(store.read(Key(1)).expect("exists").value, Value(9));
+        assert_eq!(tm.commit_in_place(t(1)), Err(UnknownTxn(t(1))));
     }
 
     #[test]

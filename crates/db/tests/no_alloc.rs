@@ -3,11 +3,13 @@
 //!
 //! The kernel promises that `wait_for_edges` allocates nothing while no
 //! transaction waits: it reads the graph off the table and pushes no
-//! edge. The transaction manager promises that a
-//! warm begin / write / commit cycle allocates nothing but the writeset
-//! it returns (and an abort nothing at all): finished transactions hand
-//! their state back to a free list. This test installs a counting global
-//! allocator and holds the kernel to both promises. It lives in its own
+//! edge. The transaction manager promises that a warm begin / write /
+//! commit cycle allocates nothing but the writeset `commit` returns,
+//! that `commit_in_place` — the commit of a site that ships and keeps
+//! no writeset — allocates nothing at all, and so does an abort:
+//! finished transactions hand their state back to a free list. This test
+//! installs a counting global allocator and holds the kernel to these
+//! promises. It lives in its own
 //! integration-test crate because the library forbids `unsafe_code` and
 //! a `GlobalAlloc` impl is necessarily unsafe.
 
@@ -94,9 +96,24 @@ fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
         100,
         "a warm begin/write/commit cycle allocated more than its writeset"
     );
-    let fingerprint = store.fingerprint();
     let before = allocations();
     for ts in 102..202 {
+        write_four(&mut tm, &mut store, ts);
+        tm.commit_in_place(t(ts)).expect("active");
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm begin/write/commit-without-writeset cycle allocated"
+    );
+    assert_eq!(
+        store.read(Key(9)).expect("exists").value,
+        Value(201),
+        "an in-place commit keeps its writes"
+    );
+    let fingerprint = store.fingerprint();
+    let before = allocations();
+    for ts in 202..302 {
         write_four(&mut tm, &mut store, ts);
         tm.abort(&mut store, t(ts)).expect("active");
     }

@@ -24,6 +24,16 @@
 //! Events beyond the top-level window sit in a small `(time, seq)`
 //! min-heap and re-enter the wheel when it drains up to them.
 //!
+//! **Slot buffers are pooled.** An empty slot owns no buffer: when a
+//! slot empties (it becomes the active tick, or cascades) its `Vec`
+//! goes onto a spare list, and a slot receiving its first entry takes
+//! the most recently freed one from there. A cascading slot whose
+//! entries all land in one empty finer slot moves down whole, buffer
+//! included. The buffers alive at once are bounded by the most slots
+//! ever occupied together — about a dozen in a closed-loop run —
+//! instead of by every slot the cursor has visited, so a short run pays
+//! for a few buffers, not for 256.
+//!
 //! [`World`]: crate::World
 
 use std::collections::{BinaryHeap, VecDeque};
@@ -89,7 +99,10 @@ impl<T> Ord for FarEntry<T> {
 #[derive(Debug)]
 pub struct TimingWheel<T> {
     /// `LEVELS × SLOTS` buckets, flattened (`level * SLOTS + index`).
+    /// An empty slot holds no allocation.
     slots: Vec<Vec<WheelEntry<T>>>,
+    /// Emptied slot buffers, cleared, capacity kept.
+    spare: Vec<Vec<WheelEntry<T>>>,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
     /// Events due beyond the top-level window.
@@ -117,6 +130,7 @@ impl<T> TimingWheel<T> {
     pub fn new() -> Self {
         TimingWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             current: VecDeque::new(),
@@ -188,18 +202,26 @@ impl<T> TimingWheel<T> {
         self.cached_next
     }
 
-    /// The level an event at `time` belongs to, relative to the cursor:
-    /// the lowest level whose slot-index path matches the cursor's.
-    fn level_of(&self, time: u64) -> Option<usize> {
-        (0..LEVELS).find(|&lvl| (time >> (BITS * (lvl + 1))) == (self.cursor >> (BITS * (lvl + 1))))
+    /// The `(level, index)` of the slot an event at `time` belongs to,
+    /// relative to the cursor: the lowest level whose slot-index path
+    /// matches the cursor's. `None` beyond the top-level window.
+    fn slot_of(&self, time: u64) -> Option<(usize, usize)> {
+        let lvl = (0..LEVELS)
+            .find(|&lvl| (time >> (BITS * (lvl + 1))) == (self.cursor >> (BITS * (lvl + 1))))?;
+        Some((lvl, ((time >> (BITS * lvl)) & (SLOTS as u64 - 1)) as usize))
     }
 
     /// Files an entry into its wheel slot (or the overflow heap).
     fn insert_wheel(&mut self, e: WheelEntry<T>) {
-        match self.level_of(e.time) {
-            Some(lvl) => {
-                let idx = ((e.time >> (BITS * lvl)) & (SLOTS as u64 - 1)) as usize;
-                self.slots[lvl * SLOTS + idx].push(e);
+        match self.slot_of(e.time) {
+            Some((lvl, idx)) => {
+                let slot = &mut self.slots[lvl * SLOTS + idx];
+                if slot.capacity() == 0 {
+                    if let Some(buf) = self.spare.pop() {
+                        *slot = buf;
+                    }
+                }
+                slot.push(e);
                 self.occupied[lvl] |= 1 << idx;
             }
             None => self.overflow.push(FarEntry(e)),
@@ -275,7 +297,7 @@ impl<T> TimingWheel<T> {
         v.sort_unstable_by_key(|e| e.seq);
         debug_assert!(v.iter().all(|e| e.time == self.cursor));
         self.current.extend(v.drain(..));
-        self.slots[idx] = v; // keep the allocation for reuse
+        self.spare.push(v);
         self.current_time = self.cursor;
     }
 
@@ -285,10 +307,20 @@ impl<T> TimingWheel<T> {
         let i = lvl * SLOTS + j;
         let mut v = std::mem::take(&mut self.slots[i]);
         self.occupied[lvl] &= !(1 << j);
+        // A slot whose entries all land in one empty finer slot — a lone
+        // timer, a fan-out to one tick — moves down whole, buffer and all.
+        let first = self.slot_of(v[0].time);
+        if let Some((l, x)) = first {
+            if self.occupied[l] & (1 << x) == 0 && v.iter().all(|e| self.slot_of(e.time) == first) {
+                self.slots[l * SLOTS + x] = v;
+                self.occupied[l] |= 1 << x;
+                return;
+            }
+        }
         for e in v.drain(..) {
             self.insert_wheel(e);
         }
-        self.slots[i] = v;
+        self.spare.push(v);
     }
 
     /// Non-mutating scan for the earliest queued time. Levels partition
@@ -413,6 +445,29 @@ mod tests {
         assert_eq!(w.pop().unwrap().item, "near");
         assert_eq!(w.pop().unwrap().item, "far");
         assert_eq!(w.pop().unwrap().item, "farther");
+    }
+
+    #[test]
+    fn a_reused_buffer_filled_out_of_seq_order_still_pops_in_order() {
+        let mut w = TimingWheel::new();
+        // Popping two near events sends both slot buffers to the spares.
+        w.push(3, 0, 'x');
+        w.push(4, 1, 'y');
+        assert_eq!(w.pop().unwrap().item, 'x');
+        assert_eq!(w.pop().unwrap().item, 'y');
+        // Two far events re-enter from the overflow heap into those
+        // buffers, one tick apart; the earlier one becomes the active tick.
+        let far = 64_u64.pow(4) * 2 + 10;
+        w.push(far, 5, 'f');
+        w.push(far - 1, 6, 'g');
+        assert_eq!(w.pop().unwrap().item, 'g');
+        // A lower seq reaches the later tick's slot after 'f': the slot
+        // holds [f(5), a(4)], and only the sort in `load_slot` puts 'a'
+        // first.
+        w.push(far, 4, 'a');
+        assert_eq!(w.pop().unwrap().item, 'a');
+        assert_eq!(w.pop().unwrap().item, 'f');
+        assert!(w.is_empty());
     }
 
     #[test]

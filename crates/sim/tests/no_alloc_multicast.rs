@@ -75,11 +75,11 @@ const WARM_DEEP: u64 = 2;
 const ROUND_HANDLE: u64 = 3;
 const ROUND_DEEP: u64 = 4;
 
-/// The timing wheel buckets events by time bits (6-bit levels), and a
-/// bucket's backing `Vec` only has capacity once something landed in it.
-/// Scheduling each measured round exactly one level-1 period after its
-/// warm-up twin makes both rounds walk identical bucket paths, so the
-/// measured rounds find every buffer pre-sized.
+/// The timing wheel buckets events by time bits (6-bit levels) into
+/// pooled buffers that grow only when a bucket outgrows the largest
+/// spare. Scheduling each measured round exactly one level-1 period
+/// after its warm-up twin makes both rounds walk identical bucket paths,
+/// so the measured rounds find a buffer pre-sized for every bucket.
 const WHEEL_PERIOD: u64 = 64 * 64;
 
 /// Fires one multicast round per pre-armed timer tag.
