@@ -32,7 +32,6 @@ pub type ActiveServer = Replica<Stream<Active>>;
 
 impl Ordered for Active {
     type Payload = ClientOp;
-    const CROSS_SHARD: bool = true;
 
     fn new(_keyspace: Keyspace) -> Self {
         Active

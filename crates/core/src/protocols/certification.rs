@@ -68,7 +68,6 @@ pub type CertServer = Replica<Stream<Cert>>;
 
 impl Ordered for Cert {
     type Payload = CertRequest;
-    const CROSS_SHARD: bool = false;
 
     fn new(keyspace: Keyspace) -> Self {
         Cert {

@@ -833,10 +833,6 @@ impl Technique for EagerPrimary {
         self.fd.set_peers(sh.servers().to_vec());
     }
 
-    fn can_admit(&self, sh: &Shell) -> bool {
-        !sh.rerouting()
-    }
-
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         // The view update and the snapshot are taken in one event, so the
         // joiner's log cursor matches the transferred store, and FIFO

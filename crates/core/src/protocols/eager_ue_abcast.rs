@@ -33,7 +33,6 @@ pub type EuaServer = Replica<Stream<Eua>>;
 
 impl Ordered for Eua {
     type Payload = ClientOp;
-    const CROSS_SHARD: bool = true;
 
     fn new(_keyspace: Keyspace) -> Self {
         Eua

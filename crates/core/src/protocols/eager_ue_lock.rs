@@ -24,6 +24,10 @@
 //! delegate while writes still lock everywhere — same phases, fewer
 //! messages for reads.
 //!
+//! Sharded, a step locks at the key-owning group and the 2PC spans the
+//! touched groups; wound-wait ages are global (`TxnId` order), so the
+//! runner admits cross-shard locking only under wound-wait, without rowa.
+//!
 //! The protocol is *blocking* while a participant is down (the paper,
 //! Section 2.1: databases accept blocking protocols) — all-site locking
 //! cannot make progress without every replica. Crashes follow fail-stop
@@ -131,6 +135,12 @@ pub enum EulMsg {
         /// `waiter → holder` pairs.
         edges: Vec<(TxnId, TxnId)>,
     },
+    /// Cohort member → coordinator: the view change is applied and this
+    /// site's old-view transactions decided (the admission barrier).
+    ViewAck {
+        /// The joiner the acked view change admitted.
+        joiner: NodeId,
+    },
 }
 
 impl Message for EulMsg {
@@ -146,6 +156,7 @@ impl Message for EulMsg {
             EulMsg::Decision { .. } => 24,
             EulMsg::ProbeReq => 8,
             EulMsg::ProbeEdges { edges } => 8 + edges.len() * 24,
+            EulMsg::ViewAck { .. } => 12,
         }
     }
 }
@@ -508,7 +519,7 @@ impl Eul {
         if coord == sh.me() {
             self.note_ack(sh, ctx, joiner, sh.me());
         } else {
-            ctx.send(coord, Wire::Member(MemberMsg::ViewAck { joiner }));
+            ctx.send(coord, Wire::Proto(EulMsg::ViewAck { joiner }));
         }
     }
 
@@ -657,7 +668,8 @@ impl Technique for Eul {
             // A retired site relays just enough to keep delegates that
             // have not yet processed our ViewDrop from wedging: grant and
             // vote vacuously (every remaining site still serializes the
-            // conflict); drop the rest. (The shell reroutes clients.)
+            // conflict); drop the rest, view acks too. (The shell
+            // reroutes clients.)
             match msg {
                 EulMsg::LockReq {
                     txn,
@@ -814,6 +826,7 @@ impl Technique for Eul {
                 self.probe_answers += 1;
                 self.maybe_resolve_deadlock(sh, ctx);
             }
+            EulMsg::ViewAck { joiner } => self.note_ack(sh, ctx, joiner, from),
         }
     }
 
@@ -840,10 +853,6 @@ impl Technique for Eul {
         if !sh.joining() && self.policy == DeadlockPolicy::Detect && sh.base.site == 0 {
             ctx.set_timer(self.detect_every, DETECT_TICK);
         }
-    }
-
-    fn can_admit(&self, sh: &Shell) -> bool {
-        !sh.rerouting()
     }
 
     /// Admission with a barrier: the welcome snapshot must wait until
@@ -894,7 +903,7 @@ impl Technique for Eul {
             // a departed cohort member (our ViewDrop may still be in
             // flight toward the coordinator).
             if let Some(j) = newcomer {
-                ctx.send(from, Wire::Member(MemberMsg::ViewAck { joiner: j }));
+                ctx.send(from, Wire::Proto(EulMsg::ViewAck { joiner: j }));
             }
             return;
         }
@@ -902,18 +911,6 @@ impl Technique for Eul {
         if let Some(j) = newcomer {
             self.last_admitted = Some(j);
             self.begin_view_ack(sh, ctx, from, j);
-        }
-    }
-
-    fn view_acked(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Ctx<'_, EulMsg>,
-        from: NodeId,
-        joiner: NodeId,
-    ) {
-        if !sh.retired() {
-            self.note_ack(sh, ctx, joiner, from);
         }
     }
 
@@ -1010,19 +1007,6 @@ impl Technique for Eul {
         if !sh.pull_state(ctx, None) {
             sh.base.recovery.complete(ctx.now().ticks());
         }
-    }
-
-    /// Per-step lock/exec rounds go to the key-owning group and the
-    /// closing 2PC spans the union of the touched groups. Wound-wait ages
-    /// are global (`TxnId` order), so deadlocks across groups resolve the
-    /// same way as local ones.
-    fn enable_cross_shard(&mut self, _sh: &mut Shell) {
-        assert_eq!(
-            self.policy,
-            DeadlockPolicy::WoundWait,
-            "cross-shard locking needs a global deadlock order (wound-wait)"
-        );
-        assert!(!self.rowa, "rowa is incompatible with cross-shard locking");
     }
 
     fn extra_stats(&self) -> ExtraStats {
@@ -1440,5 +1424,124 @@ mod tests {
             })
             .collect();
         assert_eq!(locked, vec![global_txn(OpId(1))], "only before the crash");
+    }
+
+    /// A cold joiner that grants and votes like a joining site, asks the
+    /// coordinator for admission at each of `asks`, and logs when every
+    /// `Welcome` and 2PC `Decision` lands.
+    struct Joiner {
+        asks: Vec<u64>,
+        log: Vec<(u64, &'static str)>,
+    }
+
+    impl repl_sim::Actor<Wire<EulMsg>> for Joiner {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, EulMsg>) {
+            for &at in &self.asks {
+                ctx.set_timer(SimDuration::from_ticks(at), 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, EulMsg>, _t: repl_sim::TimerId, _tag: u64) {
+            ctx.send(NodeId::new(0), Wire::Member(MemberMsg::JoinReq));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, EulMsg>, from: NodeId, msg: Wire<EulMsg>) {
+            let now = ctx.now().ticks();
+            match msg {
+                Wire::Member(MemberMsg::Welcome { .. }) => self.log.push((now, "welcome")),
+                Wire::Proto(EulMsg::Decision { .. }) => self.log.push((now, "decision")),
+                Wire::Proto(EulMsg::LockReq {
+                    txn,
+                    step,
+                    delegate,
+                    ..
+                }) => ctx.send(delegate, Wire::Proto(EulMsg::LockGrant { txn, step })),
+                Wire::Proto(EulMsg::Prepare { txn }) => {
+                    ctx.send(from, Wire::Proto(EulMsg::Vote { txn, yes: true }));
+                }
+                _ => {}
+            }
+        }
+        repl_sim::impl_as_any!();
+    }
+
+    #[test]
+    fn the_admission_barrier_welcomes_once_after_the_old_view_decides() {
+        use crate::op::OpId;
+        use crate::protocols::replica::tests::ScriptedPeer;
+        type Peer = ScriptedPeer<Wire<EulMsg>>;
+        let (coord, member, client) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let server = |site: u32, group: Vec<NodeId>| {
+            let (me, exec) = (NodeId::new(site), ExecutionMode::Deterministic);
+            Box::new(EulServer::new(
+                site,
+                me,
+                group,
+                16,
+                exec,
+                DeadlockPolicy::WoundWait,
+            ))
+        };
+        // The member delegates a ten-step transaction at 100; the joiner
+        // asks at 600, while it runs, and again at 900.
+        let steps = (0..10).map(|k| OpTemplate::Write(Key(k), Value(1)));
+        let op = ClientOp {
+            id: OpId(1),
+            client,
+            txn: multi(steps.collect()),
+        };
+        let mut world: World<Wire<EulMsg>> = World::new(SimConfig::new(12));
+        world.add_actor(server(0, vec![coord, member]));
+        world.add_actor(server(1, vec![coord, member]));
+        world.add_actor(Box::new(Peer {
+            script: vec![(100, member, Wire::Invoke(op))],
+            got: Vec::new(),
+        }));
+        let joiner = world.add_actor(Box::new(Joiner {
+            asks: vec![600, 900],
+            log: Vec::new(),
+        }));
+        world.start();
+        world.run_until(SimTime::from_ticks(20_000));
+        let replied = world
+            .actor_ref::<Peer>(client)
+            .got
+            .iter()
+            .any(|(_, m)| matches!(m, Wire::Reply(r) if r.op == OpId(1) && r.committed));
+        assert!(replied, "the old-view transaction commits");
+        let log: Vec<&str> = (world.actor_ref::<Joiner>(joiner).log.iter())
+            .map(|&(_, what)| what)
+            .collect();
+        // The member's decision reaches the joiner before the welcome
+        // does, and the retried request re-announces the view but
+        // welcomes nobody twice.
+        assert_eq!(log, ["decision", "welcome"]);
+        let c = world.actor_ref::<EulServer>(coord);
+        assert_eq!(c.shell.servers(), [coord, member, joiner]);
+        assert!(c.tech.admitting.is_none());
+
+        // A retired member acks a view change vacuously and installs
+        // nothing.
+        let mut world: World<Wire<EulMsg>> = World::new(SimConfig::new(13));
+        let (coord, retired) = (NodeId::new(0), NodeId::new(1));
+        let grown = MemberMsg::ViewAdd {
+            servers: vec![coord, retired, NodeId::new(2)],
+        };
+        world.add_actor(Box::new(Peer {
+            script: vec![(3_000, retired, Wire::Member(grown))],
+            got: Vec::new(),
+        }));
+        world.add_actor(server(1, vec![coord, retired]));
+        world.schedule_drain(SimTime::from_ticks(1_000), retired);
+        world.start();
+        world.run_until(SimTime::from_ticks(5_000));
+        let r = world.actor_ref::<EulServer>(retired);
+        assert!(r.shell.retired());
+        assert_eq!(r.shell.servers(), [coord]);
+        let acks: Vec<NodeId> = (world.actor_ref::<Peer>(coord).got.iter())
+            .filter_map(|(_, m)| match m {
+                Wire::Proto(EulMsg::ViewAck { joiner }) => Some(*joiner),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, vec![NodeId::new(2)]);
     }
 }

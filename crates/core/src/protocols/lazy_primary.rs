@@ -327,10 +327,6 @@ impl Technique for LazyPrimary {
         }
     }
 
-    fn can_admit(&self, sh: &Shell) -> bool {
-        !sh.rerouting()
-    }
-
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         // Everything committed here is already in the store (lazy
         // primaries have no tentative state), so a snapshot at the log

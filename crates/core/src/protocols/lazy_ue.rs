@@ -509,10 +509,6 @@ impl Technique for LazyUe {
         self.ab.set_group(sh.servers().to_vec());
     }
 
-    fn can_admit(&self, sh: &Shell) -> bool {
-        !sh.rerouting()
-    }
-
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         match self.mode {
             // Lww joiners fetch state by anti-entropy from every member

@@ -324,10 +324,6 @@ impl Technique for Passive {
         self.drive(sh, ctx);
     }
 
-    fn volume_lost(&mut self, _sh: &mut Shell) {
-        self.pending.clear();
-    }
-
     fn recovering(&mut self, _sh: &mut Shell) {
         self.pending.clear();
     }

@@ -7,7 +7,8 @@
 //! procedure whatever the replication scheme, so it lives here once.
 //! [`Replica<T>`] is the only `impl Actor` for a server; a technique is a
 //! plain struct implementing [`Technique`]: its five-phase flow plus the
-//! few facts the lifecycle needs from it.
+//! few facts the lifecycle needs from it. Decisions stay here: the shell
+//! alone decides who admits a joiner, and the runner who runs cross-shard.
 //!
 //! The lifecycle is gated by a [`Status`] in the shape of `status[r]` in
 //! viewstamped replication's specification: a `Restoring` replica is deaf,
@@ -82,13 +83,6 @@ pub enum MemberMsg {
         /// The new membership, sorted.
         servers: Vec<NodeId>,
     },
-    /// Member → coordinator: the view change is applied here. Only the
-    /// techniques that must reach every cohort before transferring state
-    /// (distributed locking's 2PC) wait for these.
-    ViewAck {
-        /// The joiner the acked view change admitted.
-        joiner: NodeId,
-    },
     /// Coordinator → joiner: membership plus bootstrap state.
     Welcome {
         /// The new membership, sorted (includes the joiner).
@@ -136,7 +130,6 @@ impl Message for MemberMsg {
         match self {
             MemberMsg::JoinReq => 8,
             MemberMsg::ViewAdd { servers } => 8 + 4 * servers.len(),
-            MemberMsg::ViewAck { .. } => 12,
             MemberMsg::Welcome {
                 servers,
                 transfer,
@@ -223,20 +216,17 @@ pub trait Technique: Sized + 'static {
     fn on_protocol_timer(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>, _tag: u64) {}
 
     /// World start (also for a cold joiner — [`Shell::joining`] — before
-    /// its join request).
+    /// its join request). On a cross-shard run [`Shell::shard`] is already
+    /// set.
     fn on_start(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>) {}
 
     /// The membership view changed ([`Shell::servers`] is the new one):
     /// re-derive whatever the technique computes from it.
     fn view_changed(&mut self, _sh: &mut Shell) {}
 
-    /// Whether the coordinator may admit a joiner right now.
-    fn can_admit(&self, _sh: &Shell) -> bool {
-        true
-    }
-
-    /// Coordinator: admit `joiner`. The default is [`Shell::admit`] —
-    /// view change, `ViewAdd` fan-out and welcome in one event.
+    /// Coordinator: admit `joiner` (how, never whether: acks the
+    /// admission waits for are the technique's own traffic). The default
+    /// is [`Shell::admit`] — view change, `ViewAdd` fan-out and welcome.
     fn admit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, joiner: NodeId) {
         sh.admit(self, ctx, joiner);
     }
@@ -250,17 +240,6 @@ pub trait Technique: Sized + 'static {
         servers: &[NodeId],
     ) {
         sh.install_view(self, servers);
-    }
-
-    /// Coordinator: a member confirmed a view change (only techniques
-    /// whose [`Technique::admit`] waits for confirmations see any).
-    fn view_acked(
-        &mut self,
-        _sh: &mut Shell,
-        _ctx: &mut Ctx<'_, Self::Msg>,
-        _from: NodeId,
-        _joiner: NodeId,
-    ) {
     }
 
     /// Coordinator: the bootstrap state for `joiner` — a snapshot if the
@@ -349,12 +328,6 @@ pub trait Technique: Sized + 'static {
     /// keep the committed count.
     fn position(&self, sh: &Shell) -> u64 {
         sh.base.committed
-    }
-
-    /// Switch to the cross-shard mode ([`Shell::shard`] is set). Only
-    /// techniques with a cross-group commit path are ever asked.
-    fn enable_cross_shard(&mut self, _sh: &mut Shell) {
-        unreachable!("technique has no cross-group commit path");
     }
 
     /// Technique-specific report counters.
@@ -596,12 +569,11 @@ impl Shell {
         match m {
             MemberMsg::JoinReq => {
                 let has_state = !self.joining() && !self.catching_up;
-                if self.is_coordinator() && has_state && tech.can_admit(self) {
+                if self.is_coordinator() && has_state && !self.rerouting() {
                     tech.admit(self, ctx, from);
                 }
             }
             MemberMsg::ViewAdd { servers } => tech.view_added(self, ctx, from, servers),
-            MemberMsg::ViewAck { joiner } => tech.view_acked(self, ctx, from, *joiner),
             MemberMsg::Welcome {
                 servers,
                 transfer,
@@ -692,12 +664,11 @@ impl<T: Technique> Replica<T> {
         self.shell.base.set_arena(arena);
     }
 
-    /// Switches this server to the sharded cross-shard mode. Call before
-    /// the run starts; faults and membership changes are not supported in
-    /// this mode (the runner rejects such plans).
+    /// Gives this server the sharded topology ([`Shell::shard`]) before
+    /// the run starts. Which techniques may run cross-shard, and only
+    /// without faults or membership changes, is the runner's one check.
     pub fn enable_cross_shard(&mut self, ctx: ShardCtx) {
         self.shell.shard = Some(ctx);
-        self.tech.enable_cross_shard(&mut self.shell);
     }
 }
 
@@ -1390,6 +1361,28 @@ pub(crate) mod tests {
             .collect();
         // The welcome carries the view and the donor's answered floor.
         assert_eq!(welcomes, vec![(3, vec![OpId(4)]); 2]);
+    }
+
+    #[test]
+    fn a_draining_coordinator_admits_nobody() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(11));
+        let coord = world.add_actor(Box::new(replica(0, &[0, 1])));
+        let member = world.add_actor(probe(Vec::new()));
+        let join = StubMsg::Member(MemberMsg::JoinReq);
+        let joiner = world.add_actor(probe(vec![(2_000, n(0), join)]));
+        // Never quiesced: the coordinator stays draining, still rank 0.
+        world.schedule_drain(SimTime::from_ticks(1_000), coord);
+        world.start();
+        at(&mut world, 5_000);
+        let c = world.actor_ref::<Replica<Stub>>(coord);
+        assert_eq!(c.shell.status(), Status::Draining);
+        assert!(c.shell.is_coordinator());
+        assert_eq!(c.shell.servers(), [n(0), n(1)], "the view is unchanged");
+        assert_eq!(c.tech.views, 0);
+        let view_add = |m: &MemberMsg| matches!(m, MemberMsg::ViewAdd { .. });
+        let welcome = |m: &MemberMsg| matches!(m, MemberMsg::Welcome { .. });
+        assert_eq!(count(world.actor_ref::<Probe>(member), view_add), 0);
+        assert_eq!(count(world.actor_ref::<Probe>(joiner), welcome), 0);
     }
 
     #[test]

@@ -344,10 +344,6 @@ impl Technique for SemiPassive {
         self.rank = sh.servers().iter().position(|&n| n == sh.me()).unwrap_or(0);
     }
 
-    fn can_admit(&self, sh: &Shell) -> bool {
-        !sh.rerouting()
-    }
-
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
         // The store reflects slots `[0, next_slot)` exactly, so a
         // snapshot at the slot cursor hands the joiner a consistent

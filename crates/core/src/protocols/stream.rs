@@ -28,10 +28,6 @@ pub trait Ordered: Sized + 'static {
     /// What the technique broadcasts.
     type Payload: Message;
 
-    /// Whether a delivery can execute just this shard's part of a
-    /// cross-shard operation (the stream is then the genuine multicast).
-    const CROSS_SHARD: bool;
-
     /// The flow's state for a replica over `keyspace`.
     fn new(keyspace: Keyspace) -> Self;
 
@@ -162,6 +158,13 @@ impl<F: Ordered> Technique for Stream<F> {
         self.drain(sh, ctx);
     }
 
+    /// Sharded: the stream is the genuine multicast to the touched groups.
+    fn on_start(&mut self, sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>) {
+        if let Some(sc) = sh.shard() {
+            self.ab = AbcastEndpoint::new_genuine(sh.me(), sc);
+        }
+    }
+
     fn view_changed(&mut self, sh: &mut Shell) {
         self.ab.set_group(sh.servers().to_vec());
     }
@@ -219,25 +222,17 @@ impl<F: Ordered> Technique for Stream<F> {
     fn position(&self, _sh: &Shell) -> u64 {
         self.ab.position()
     }
-
-    fn enable_cross_shard(&mut self, sh: &mut Shell) {
-        if !F::CROSS_SHARD {
-            unreachable!("technique has no cross-group commit path");
-        }
-        let ctx = sh.shard().expect("the shell sets the topology first");
-        self.ab = AbcastEndpoint::new_genuine(sh.me(), ctx);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::durability::DurabilityConfig;
-    use crate::protocols::common::{global_txn, ShardCtx};
+    use crate::protocols::common::global_txn;
     use crate::protocols::replica::tests::ScriptedPeer;
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, SimTime, TraceEvent, World};
-    use repl_workload::{OpTemplate, ShardMap, TxnTemplate};
+    use repl_workload::{OpTemplate, TxnTemplate};
 
     /// A flow that broadcasts the operation itself, executes it on
     /// delivery (the relayer answers) and logs every hook.
@@ -257,7 +252,6 @@ mod tests {
 
     impl Ordered for Probe {
         type Payload = ClientOp;
-        const CROSS_SHARD: bool = false;
 
         fn new(_keyspace: Keyspace) -> Self {
             Probe::default()
@@ -450,11 +444,5 @@ mod tests {
         let wiped = world.actor_ref::<ProbeServer>(n(2));
         assert_eq!(wiped.shell.base.volume_wipes, 1);
         assert!(!wiped.shell.base.recovery.is_recovering());
-    }
-
-    #[test]
-    #[should_panic(expected = "technique has no cross-group commit path")]
-    fn a_flow_without_a_cross_shard_path_refuses_the_mode() {
-        server(0, &[0, 1, 2]).enable_cross_shard(ShardCtx::new(ShardMap::new(16, 2), 3, 0));
     }
 }

@@ -242,11 +242,12 @@ fn unsupported_sharded_configs_are_typed_errors() {
         }
     };
 
-    // Cross-shard traffic on a technique without a cross-group commit path.
-    expect(
-        &sharded_cfg(Technique::Passive, 4, 0.2),
-        "no cross-group commit path",
-    );
+    // Cross-shard traffic on a technique without a cross-group commit
+    // path: a primary-backup pair, and an ordered-stream flow whose
+    // certification test sees only its own shard.
+    for t in [Technique::Passive, Technique::Certification] {
+        expect(&sharded_cfg(t, 4, 0.2), "no cross-group commit path");
+    }
     // Faults composed with cross-shard traffic.
     expect(
         &sharded_cfg(Technique::Active, 4, 0.2)

@@ -11,9 +11,12 @@
 //! installs a counting global allocator and holds the kernel to these
 //! promises. It lives in its own
 //! integration-test crate because the library forbids `unsafe_code` and
-//! a `GlobalAlloc` impl is necessarily unsafe.
+//! a `GlobalAlloc` impl is necessarily unsafe. It counts only on the
+//! thread that drives the kernel: the test harness's own threads
+//! allocate at moments of their choosing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use repl_db::{
@@ -24,9 +27,20 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations are counted.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,6 +69,7 @@ fn t(ts: u64) -> TxnId {
 // cargo runs `#[test]` functions concurrently.
 #[test]
 fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
+    COUNTED.with(|c| c.set(true));
     // Idle table: holders everywhere, no waiters, so no edge to push.
     let mut lm = LockManager::with_keyspace(DeadlockPolicy::Detect, Keyspace::dense(64));
     for i in 0..16u64 {

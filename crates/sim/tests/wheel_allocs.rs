@@ -13,9 +13,12 @@
 //! then drives the same wheel through the same schedule again: the
 //! second pass may still grow a pooled buffer or two, and once warm the
 //! wheel allocates nothing. It lives in its own integration-test crate
-//! because the counter is process-global.
+//! because the counter is process-global, and it counts only on the
+//! thread that drives the wheel: the test harness's own threads allocate
+//! at moments of their choosing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use repl_sim::TimingWheel;
@@ -24,9 +27,20 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations are counted.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -110,6 +124,7 @@ const SECOND_PASS_BUDGET: u64 = 2;
 
 #[test]
 fn a_study_sized_schedule_allocates_a_few_buffers_and_a_warm_wheel_none() {
+    COUNTED.with(|c| c.set(true));
     let before = allocations();
     let mut w: TimingWheel<u64> = TimingWheel::new();
     let mut seq = 0;
