@@ -249,36 +249,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             group.contains(&me),
             "view-group member must belong to the group"
         );
-        let fd = HeartbeatFd::new(me, group.clone(), config.fd);
-        let pool = ConsensusPool::new(me, group.clone(), config.consensus);
-        ViewGroup {
-            me,
-            view: View {
-                id: 0,
-                members: group.clone(),
-            },
-            initial: group,
-            fd,
-            pool,
-            fd_out: Outbox::new(),
-            pool_out: Outbox::new(),
-            config,
-            excluded: false,
-            joining: false,
-            cold: false,
-            elastic: false,
-            leaving: false,
-            next_seq: 0,
-            fifo_next: HashMap::new(),
-            holdback: HashMap::new(),
-            received: BTreeMap::new(),
-            delivered: RunSet::new(),
-            future: BTreeMap::new(),
-            decided_views: BTreeMap::new(),
-            flushes: BTreeMap::new(),
-            proposed: HashSet::new(),
-            out_buffer: Vec::new(),
-        }
+        Self::endpoint(me, group.clone(), group, false, config)
     }
 
     /// Creates an endpoint for a brand-new site `me` joining an already
@@ -300,15 +271,28 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         let mut substrate = seed.clone();
         substrate.push(me);
         substrate.sort();
+        Self::endpoint(me, seed, substrate, true, config)
+    }
+
+    /// The one constructor body: view 0 is `view`, the failure detector
+    /// and the membership consensus run over `substrate`, and a `cold`
+    /// endpoint is an elastic joiner outside every view.
+    fn endpoint(
+        me: NodeId,
+        view: Vec<NodeId>,
+        substrate: Vec<NodeId>,
+        cold: bool,
+        config: VsConfig,
+    ) -> Self {
         let fd = HeartbeatFd::new(me, substrate.clone(), config.fd);
         let pool = ConsensusPool::new(me, substrate, config.consensus);
         ViewGroup {
             me,
             view: View {
                 id: 0,
-                members: seed.clone(),
+                members: view.clone(),
             },
-            initial: seed,
+            initial: view,
             fd,
             pool,
             fd_out: Outbox::new(),
@@ -316,8 +300,8 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             config,
             excluded: false,
             joining: false,
-            cold: true,
-            elastic: true,
+            cold,
+            elastic: cold,
             leaving: false,
             next_seq: 0,
             fifo_next: HashMap::new(),

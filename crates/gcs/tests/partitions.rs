@@ -4,7 +4,7 @@
 
 use repl_gcs::testkit::ComponentActor;
 use repl_gcs::{ViewGroup, VsConfig, VsEvent};
-use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
+use repl_sim::{NetFault, NodeId, SimConfig, SimDuration, SimTime, World};
 
 type Host = ComponentActor<ViewGroup<u32>>;
 
@@ -20,6 +20,11 @@ fn views_installed(world: &World<repl_gcs::VsMsg<u32>>, n: NodeId) -> Vec<Vec<No
         .collect()
 }
 
+/// Partition {0,1,2} | {3,4}.
+fn split(group: &[NodeId]) -> NetFault {
+    NetFault::Partition(vec![group[..3].to_vec(), group[3..].to_vec()])
+}
+
 #[test]
 fn majority_side_installs_a_view_excluding_the_minority() {
     let group: Vec<NodeId> = (0..5).map(NodeId::new).collect();
@@ -33,10 +38,7 @@ fn majority_side_installs_a_view_excluding_the_minority() {
     }
     world.start();
     world.run_until(SimTime::from_ticks(1_000));
-    // Partition {0,1,2} | {3,4}.
-    world
-        .network_mut()
-        .set_partition(&[&[group[0], group[1], group[2]], &[group[3], group[4]]]);
+    world.schedule_net_fault(world.now(), split(&group));
     world.run_until(SimTime::from_ticks(120_000));
     // Majority members agree on the 3-member view.
     for &n in &group[..3] {
@@ -79,9 +81,7 @@ fn broadcasts_continue_in_the_primary_partition() {
     }
     world.start();
     world.run_until(SimTime::from_ticks(1_000));
-    world
-        .network_mut()
-        .set_partition(&[&[group[0], group[1], group[2]], &[group[3], group[4]]]);
+    world.schedule_net_fault(world.now(), split(&group));
     world.run_until(SimTime::from_ticks(300_000));
     for &n in &group[..3] {
         let delivered: Vec<u32> = world

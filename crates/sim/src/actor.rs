@@ -31,13 +31,10 @@ pub trait Message: Clone + std::fmt::Debug + 'static {
         64
     }
 
-    /// Whether `clone` is allocation-free (`Copy`-like fields, `Arc`
-    /// payloads, arena handles). [`Context::multicast`] clones cheap
-    /// messages per leg; expensive ones are wrapped in a single shared
-    /// allocation so an n-way fan-out deep-copies nothing. The default is
-    /// conservative: unknown messages are treated as expensive only by
-    /// senders that opt into pooling, so `false` changes no behavior for
-    /// plain `send` loops.
+    /// Whether `clone` is allocation-free. Nothing reads it:
+    /// [`Context::multicast`] clones every leg but the last whatever it
+    /// returns. It stays only because the benchmark's multicast driver
+    /// overrides it, and goes together with that driver.
     fn clone_is_cheap(&self) -> bool {
         false
     }

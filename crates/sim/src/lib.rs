@@ -10,8 +10,8 @@
 //! * a [`Network`] model with latency, jitter, FIFO links, loss and
 //!   partitions,
 //! * scheduled fault injection: crashes, recoveries and [`NetFault`]s
-//!   (partitions/heals, directional link drops, latency spikes) at
-//!   arbitrary virtual times,
+//!   (partitions/heals and directional link degradations — latency
+//!   spikes, loss, cuts) at arbitrary virtual times,
 //! * a [`TraceLog`] from which the paper's phase diagrams are regenerated,
 //! * [`Metrics`] and [`LatencyStats`] for the performance study.
 //!

@@ -47,22 +47,14 @@ pub struct Metrics {
     pub partitions_started: u64,
     /// Partition heals applied.
     pub partitions_healed: u64,
-    /// Link faults applied (severed or degraded links).
+    /// Link faults applied (`Degrade` events; a cut link is one with
+    /// loss probability 1).
     pub link_faults_injected: u64,
-    /// Link repairs applied (restored links or link quality).
+    /// Link repairs applied (`Restore` events).
     pub link_faults_repaired: u64,
 }
 
 impl Metrics {
-    /// Messages sent per delivered message; a crude amplification measure.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.messages_sent == 0 {
-            0.0
-        } else {
-            self.messages_delivered as f64 / self.messages_sent as f64
-        }
-    }
-
     /// Total disruptive fault events applied: crashes, volume losses,
     /// partitions and link faults (repairs and recoveries are not
     /// counted).
@@ -539,17 +531,6 @@ mod tests {
         }
         assert_eq!(h.memory_bytes(), before);
         assert!(before < 64 * 1024, "footprint stays tens of KiB");
-    }
-
-    #[test]
-    fn delivery_ratio() {
-        let m = Metrics {
-            messages_sent: 10,
-            messages_delivered: 8,
-            ..Metrics::default()
-        };
-        assert!((m.delivery_ratio() - 0.8).abs() < 1e-9);
-        assert_eq!(Metrics::default().delivery_ratio(), 0.0);
     }
 
     #[test]

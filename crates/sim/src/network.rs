@@ -8,9 +8,15 @@
 //! * optional FIFO links (delivery order per (src, dst) pair matches send
 //!   order), which primary-backup replication requires,
 //! * independent message loss with probability `drop_prob`,
-//! * dynamic partitions: messages crossing a partition boundary are dropped.
+//! * dynamic partitions: messages crossing a partition boundary are dropped,
+//! * degraded directed links: extra latency and/or extra loss; a cut link
+//!   is a degradation with loss probability 1.
+//!
+//! Mid-run the network changes only through [`Network::apply`], which the
+//! world calls for each [`NetFault`] scheduled with
+//! [`crate::World::schedule_net_fault`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rand::Rng;
 
@@ -163,32 +169,19 @@ impl LinkQuality {
     }
 }
 
-/// A network fault (or repair), applicable immediately via
-/// [`Network::apply`] or scheduled at a `SimTime` through the world.
+/// A network fault (or repair), scheduled at a `SimTime` through
+/// [`crate::World::schedule_net_fault`] and applied by [`Network::apply`].
 ///
-/// Link faults are *directional*: `LinkDown { src, dst }` kills traffic
-/// from `src` to `dst` only, modelling asymmetric failures.
+/// Link faults are *directional*: `Degrade { src, dst, .. }` affects
+/// traffic from `src` to `dst` only, modelling asymmetric failures. A cut
+/// link is a `Degrade` whose `drop_prob` is 1.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetFault {
-    /// Partition the network into the given groups (nodes in no group
-    /// keep full connectivity, see [`Network::set_partition`]).
+    /// Partition the network into the given groups. Nodes in no group
+    /// keep full connectivity with every group (useful for observers).
     Partition(Vec<Vec<NodeId>>),
     /// Remove all partitions.
     Heal,
-    /// Sever the directed link `src → dst`.
-    LinkDown {
-        /// Source of the severed link.
-        src: NodeId,
-        /// Destination of the severed link.
-        dst: NodeId,
-    },
-    /// Restore a severed directed link.
-    LinkUp {
-        /// Source of the restored link.
-        src: NodeId,
-        /// Destination of the restored link.
-        dst: NodeId,
-    },
     /// Degrade the directed link `src → dst` (latency spike and/or loss).
     Degrade {
         /// Source of the degraded link.
@@ -213,20 +206,14 @@ impl NetFault {
         match self {
             NetFault::Partition(_) => "partition",
             NetFault::Heal => "heal",
-            NetFault::LinkDown { .. } => "link-down",
-            NetFault::LinkUp { .. } => "link-up",
             NetFault::Degrade { .. } => "degrade",
             NetFault::Restore { .. } => "restore",
         }
     }
 
-    /// True for disruptive faults; false for repairs (heal, link-up,
-    /// restore).
+    /// True for disruptive faults; false for repairs (heal, restore).
     pub fn is_disruptive(&self) -> bool {
-        matches!(
-            self,
-            NetFault::Partition(_) | NetFault::LinkDown { .. } | NetFault::Degrade { .. }
-        )
+        matches!(self, NetFault::Partition(_) | NetFault::Degrade { .. })
     }
 }
 
@@ -239,9 +226,8 @@ const NO_GROUP: u32 = u32::MAX;
 /// per-node and per-link state lives in dense index tables instead of
 /// hash maps: partition membership is a `Vec<u32>` indexed by node, FIFO
 /// bookkeeping a `stride × stride` matrix indexed by `(src, dst)`. The
-/// rarely-populated fault state (severed and degraded links) stays in
-/// hash containers but is gated behind `is_empty` checks so the
-/// fault-free fast path never touches them.
+/// rarely-populated degraded-link map is gated behind an `is_empty`
+/// check so the fault-free fast path never touches it.
 #[derive(Debug)]
 pub struct Network {
     config: NetworkConfig,
@@ -256,8 +242,6 @@ pub struct Network {
     /// Last scheduled delivery time per (src, dst), dense
     /// `src * fifo_stride + dst`, for FIFO enforcement.
     fifo_last: Vec<SimTime>,
-    /// Links that are forced down regardless of partition groups.
-    severed: HashSet<(NodeId, NodeId)>,
     /// Per-link quality degradations (latency spikes, extra loss).
     degraded: HashMap<(NodeId, NodeId), LinkQuality>,
 }
@@ -271,7 +255,6 @@ impl Network {
             partitioned: false,
             fifo_stride: 0,
             fifo_last: Vec::new(),
-            severed: HashSet::new(),
             degraded: HashMap::new(),
         }
     }
@@ -307,10 +290,8 @@ impl Network {
         self.fifo_last = new;
     }
 
-    /// Partitions the network into the given groups. Nodes not mentioned in
-    /// any group keep full connectivity with every group (they are treated
-    /// as being in all groups — useful for observers).
-    pub fn set_partition(&mut self, groups: &[&[NodeId]]) {
+    /// Installs the partition `groups` (none: full connectivity).
+    fn set_partition_groups(&mut self, groups: &[Vec<NodeId>]) {
         self.group_of.fill(NO_GROUP);
         self.partitioned = false;
         for (gi, group) in groups.iter().enumerate() {
@@ -324,80 +305,33 @@ impl Network {
         }
     }
 
-    /// Removes all partitions, restoring full connectivity.
-    pub fn heal_partition(&mut self) {
-        self.group_of.fill(NO_GROUP);
-        self.partitioned = false;
-    }
-
-    /// Severs the directed link from `src` to `dst`.
-    pub fn sever_link(&mut self, src: NodeId, dst: NodeId) {
-        self.severed.insert((src, dst));
-    }
-
-    /// Restores a previously severed link.
-    pub fn restore_link(&mut self, src: NodeId, dst: NodeId) {
-        self.severed.remove(&(src, dst));
-    }
-
-    /// [`Network::set_partition`] over owned groups, as produced by fault
-    /// plans.
-    pub fn set_partition_groups(&mut self, groups: &[Vec<NodeId>]) {
-        self.group_of.fill(NO_GROUP);
-        self.partitioned = false;
-        for (gi, group) in groups.iter().enumerate() {
-            for &n in group.iter() {
-                if n.index() >= self.group_of.len() {
-                    self.group_of.resize(n.index() + 1, NO_GROUP);
-                }
-                self.group_of[n.index()] = gi as u32;
-                self.partitioned = true;
-            }
-        }
-    }
-
-    /// Degrades the directed link `src → dst`: subsequent messages pay
-    /// `quality.extra_latency` and face `quality.drop_prob` extra loss.
-    /// Replaces any previous degradation of the link.
+    /// Applies a [`NetFault`] to the runtime state: the one way the
+    /// network changes mid-run. A `Degrade` replaces any previous
+    /// degradation of its link; a `Restore` of a healthy link is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if `quality.drop_prob` is not within `[0, 1]`.
-    pub fn degrade_link(&mut self, src: NodeId, dst: NodeId, quality: LinkQuality) {
-        assert!(
-            (0.0..=1.0).contains(&quality.drop_prob),
-            "drop probability must be in [0,1]"
-        );
-        self.degraded.insert((src, dst), quality);
-    }
-
-    /// Removes any degradation from the directed link `src → dst`.
-    pub fn restore_link_quality(&mut self, src: NodeId, dst: NodeId) {
-        self.degraded.remove(&(src, dst));
-    }
-
-    /// The current degradation of the directed link, if any.
-    pub fn link_quality(&self, src: NodeId, dst: NodeId) -> Option<LinkQuality> {
-        self.degraded.get(&(src, dst)).copied()
-    }
-
-    /// Applies a [`NetFault`] to the runtime state.
+    /// Panics if a `Degrade`'s `drop_prob` is not within `[0, 1]`.
     pub fn apply(&mut self, fault: &NetFault) {
         match fault {
             NetFault::Partition(groups) => self.set_partition_groups(groups),
-            NetFault::Heal => self.heal_partition(),
-            NetFault::LinkDown { src, dst } => self.sever_link(*src, *dst),
-            NetFault::LinkUp { src, dst } => self.restore_link(*src, *dst),
-            NetFault::Degrade { src, dst, quality } => self.degrade_link(*src, *dst, *quality),
-            NetFault::Restore { src, dst } => self.restore_link_quality(*src, *dst),
+            NetFault::Heal => self.set_partition_groups(&[]),
+            NetFault::Degrade { src, dst, quality } => {
+                assert!(
+                    (0.0..=1.0).contains(&quality.drop_prob),
+                    "drop probability must be in [0,1]"
+                );
+                self.degraded.insert((*src, *dst), *quality);
+            }
+            NetFault::Restore { src, dst } => {
+                self.degraded.remove(&(*src, *dst));
+            }
         }
     }
 
-    /// Returns true if a message from `src` can currently reach `dst`.
+    /// Returns true unless a partition separates `src` from `dst`
+    /// (degraded links, even fully lossy ones, count as connected).
     pub fn connected(&self, src: NodeId, dst: NodeId) -> bool {
-        if !self.severed.is_empty() && self.severed.contains(&(src, dst)) {
-            return false;
-        }
         if !self.partitioned {
             return true;
         }
@@ -412,7 +346,7 @@ impl Network {
     /// Loopback messages (src == dst) are delivered after one tick and are
     /// never lost: an actor can always talk to itself.
     ///
-    /// Dropped messages (loss, partition, severed link) never touch the
+    /// Dropped messages (loss, partition, degraded link) never touch the
     /// FIFO bookkeeping, so a drop cannot wedge or delay later deliveries
     /// on the same link — traffic resumes normally after a heal.
     pub fn offer<R: Rng>(
@@ -427,7 +361,7 @@ impl Network {
         }
         // Fault checks are gated so the fault-free fast path (the common
         // case for the whole performance study) touches no hash containers.
-        if (self.partitioned || !self.severed.is_empty()) && !self.connected(src, dst) {
+        if self.partitioned && !self.connected(src, dst) {
             return Delivery::Dropped;
         }
         if self.config.drop_prob > 0.0 && rng.gen::<f64>() < self.config.drop_prob {
@@ -510,24 +444,13 @@ mod tests {
     fn partition_blocks_cross_group_traffic() {
         let mut net = Network::new(NetworkConfig::lan());
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
-        net.set_partition(&[&[a], &[b]]);
+        net.apply(&NetFault::Partition(vec![vec![a], vec![b]]));
         assert!(!net.connected(a, b));
         assert!(net.connected(a, a));
         // c is in no group: talks to both sides.
         assert!(net.connected(a, c));
         assert!(net.connected(c, b));
-        net.heal_partition();
-        assert!(net.connected(a, b));
-    }
-
-    #[test]
-    fn severed_link_is_directional() {
-        let mut net = Network::new(NetworkConfig::lan());
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        net.sever_link(a, b);
-        assert!(!net.connected(a, b));
-        assert!(net.connected(b, a));
-        net.restore_link(a, b);
+        net.apply(&NetFault::Heal);
         assert!(net.connected(a, b));
     }
 
@@ -576,7 +499,7 @@ mod tests {
             net.offer(&mut r, SimTime::ZERO, a, b),
             Delivery::At(_)
         ));
-        net.set_partition(&[&[a], &[b]]);
+        net.apply(&NetFault::Partition(vec![vec![a], vec![b]]));
         for t in 0..50 {
             assert_eq!(
                 net.offer(&mut r, SimTime::from_ticks(t), a, b),
@@ -585,7 +508,7 @@ mod tests {
         }
         // Heal at t=1000: the next message must go through with normal
         // latency, unaffected by the 50 drops.
-        net.heal_partition();
+        net.apply(&NetFault::Heal);
         let sent = SimTime::from_ticks(1_000);
         match net.offer(&mut r, sent, a, b) {
             Delivery::At(t) => {
@@ -597,13 +520,17 @@ mod tests {
             }
             Delivery::Dropped => panic!("healed link dropped a message"),
         }
-        // Same through a severed link.
-        net.sever_link(a, b);
+        // Same through a cut (fully lossy) link.
+        net.apply(&NetFault::Degrade {
+            src: a,
+            dst: b,
+            quality: LinkQuality::lossy(1.0),
+        });
         assert_eq!(
             net.offer(&mut r, SimTime::from_ticks(1_001), a, b),
             Delivery::Dropped
         );
-        net.restore_link(a, b);
+        net.apply(&NetFault::Restore { src: a, dst: b });
         assert!(matches!(
             net.offer(&mut r, SimTime::from_ticks(2_000), a, b),
             Delivery::At(_)
@@ -615,11 +542,11 @@ mod tests {
         let mut net = Network::new(NetworkConfig::lan());
         let mut r = rng();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        net.degrade_link(
-            a,
-            b,
-            LinkQuality::latency_spike(SimDuration::from_ticks(5_000)),
-        );
+        net.apply(&NetFault::Degrade {
+            src: a,
+            dst: b,
+            quality: LinkQuality::latency_spike(SimDuration::from_ticks(5_000)),
+        });
         match net.offer(&mut r, SimTime::ZERO, a, b) {
             Delivery::At(t) => assert!(t.ticks() >= 5_100, "spike not applied: {t}"),
             Delivery::Dropped => panic!("lossless degraded link dropped"),
@@ -629,8 +556,8 @@ mod tests {
             Delivery::At(t) => assert!(t.ticks() <= 120, "reverse direction slowed: {t}"),
             Delivery::Dropped => panic!("unexpected drop"),
         }
-        net.restore_link_quality(a, b);
-        assert!(net.link_quality(a, b).is_none());
+        net.apply(&NetFault::Restore { src: a, dst: b });
+        assert!(net.degraded.is_empty());
         match net.offer(&mut r, SimTime::from_ticks(6_000), a, b) {
             Delivery::At(t) => assert!(t.ticks() <= 6_120, "restore did not take: {t}"),
             Delivery::Dropped => panic!("unexpected drop"),
@@ -639,12 +566,19 @@ mod tests {
 
     #[test]
     fn fully_lossy_degraded_link_drops_everything() {
+        // A cut link: a→b loses every message, b→a still delivers.
         let mut net = Network::new(NetworkConfig::lan());
         let mut r = rng();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        net.degrade_link(a, b, LinkQuality::lossy(1.0));
-        for _ in 0..10 {
-            assert_eq!(net.offer(&mut r, SimTime::ZERO, a, b), Delivery::Dropped);
+        net.apply(&NetFault::Degrade {
+            src: a,
+            dst: b,
+            quality: LinkQuality::lossy(1.0),
+        });
+        for t in 0..10 {
+            let now = SimTime::from_ticks(t);
+            assert_eq!(net.offer(&mut r, now, a, b), Delivery::Dropped);
+            assert!(matches!(net.offer(&mut r, now, b, a), Delivery::At(_)));
         }
     }
 
@@ -657,44 +591,53 @@ mod tests {
         assert!(net.connected(a, b));
         net.apply(&NetFault::Heal);
         assert!(net.connected(a, c));
-        net.apply(&NetFault::LinkDown { src: a, dst: b });
-        assert!(!net.connected(a, b));
-        net.apply(&NetFault::LinkUp { src: a, dst: b });
-        assert!(net.connected(a, b));
+        let cut = LinkQuality::lossy(1.0);
+        net.apply(&NetFault::Degrade {
+            src: a,
+            dst: b,
+            quality: cut,
+        });
         let q = LinkQuality::latency_spike(SimDuration::from_ticks(9));
         net.apply(&NetFault::Degrade {
             src: b,
             dst: c,
             quality: q,
         });
-        assert_eq!(net.link_quality(b, c), Some(q));
+        assert_eq!(net.degraded.get(&(a, b)), Some(&cut));
+        assert_eq!(net.degraded.get(&(b, c)), Some(&q));
+        net.apply(&NetFault::Restore { src: a, dst: b });
         net.apply(&NetFault::Restore { src: b, dst: c });
-        assert_eq!(net.link_quality(b, c), None);
+        assert!(net.degraded.is_empty());
     }
 
     #[test]
     fn fault_kinds_and_disruptiveness() {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let down = NetFault::LinkDown { src: a, dst: b };
-        assert_eq!(down.kind(), "link-down");
-        assert!(down.is_disruptive());
+        let cut = NetFault::Degrade {
+            src: a,
+            dst: b,
+            quality: LinkQuality::lossy(1.0),
+        };
+        assert_eq!(cut.kind(), "degrade");
+        assert!(cut.is_disruptive());
         assert!(NetFault::Partition(vec![vec![a]]).is_disruptive());
         assert!(!NetFault::Heal.is_disruptive());
-        assert!(!NetFault::LinkUp { src: a, dst: b }.is_disruptive());
-        assert!(!NetFault::Restore { src: a, dst: b }.is_disruptive());
+        let restore = NetFault::Restore { src: a, dst: b };
+        assert_eq!(restore.kind(), "restore");
+        assert!(!restore.is_disruptive());
     }
 
     #[test]
     #[should_panic(expected = "drop probability")]
     fn invalid_link_quality_rejected() {
         let mut net = Network::new(NetworkConfig::lan());
-        net.degrade_link(
-            NodeId::new(0),
-            NodeId::new(1),
-            LinkQuality {
+        net.apply(&NetFault::Degrade {
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            quality: LinkQuality {
                 extra_latency: SimDuration::ZERO,
                 drop_prob: 2.0,
             },
-        );
+        });
     }
 }

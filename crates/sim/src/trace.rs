@@ -48,8 +48,8 @@ pub enum TraceEvent {
     /// heals) are recorded against node 0; link faults against the link's
     /// source node.
     NetFault {
-        /// Fault kind: `"partition"`, `"heal"`, `"link-down"`, `"link-up"`,
-        /// `"degrade"` or `"restore"`.
+        /// Fault kind: `"partition"`, `"heal"`, `"degrade"` (a cut link
+        /// too) or `"restore"`.
         kind: &'static str,
     },
     /// An application-level marker. Replication protocols use `tag` for the

@@ -1,7 +1,6 @@
 //! The world: event queue, scheduler, and the [`Context`] handed to actors.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -91,13 +90,6 @@ enum Event<M> {
         from: NodeId,
         msg: M,
     },
-    /// One leg of a pooled multicast: every leg holds the same
-    /// allocation; the last delivery unwraps it without cloning.
-    DeliverShared {
-        to: NodeId,
-        from: NodeId,
-        msg: Arc<M>,
-    },
     Timer {
         node: NodeId,
         id: TimerId,
@@ -147,11 +139,10 @@ impl<M: Message> Core<M> {
         self.queue.push(time.ticks(), seq, event);
     }
 
-    /// The per-leg half of a send: metrics, trace, and the network offer
-    /// (which consumes RNG draws in leg order — callers must preserve
-    /// target order so runs stay deterministic). Returns the delivery
-    /// time, or `None` when the network dropped the message.
-    fn offer_from(&mut self, src: NodeId, dst: NodeId, bytes: usize) -> Option<SimTime> {
+    /// Metrics, trace, and the network offer (which consumes RNG draws in
+    /// send order); queues the delivery unless the network dropped it.
+    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M) {
+        let bytes = msg.wire_size();
         self.metrics.messages_sent += 1;
         if src.raw() < self.coordination_nodes && dst.raw() < self.coordination_nodes {
             self.metrics.coordination_messages += 1;
@@ -162,66 +153,20 @@ impl<M: Message> Core<M> {
                 .record(self.now, src, TraceEvent::MsgSent { to: dst, bytes });
         }
         match self.network.offer(&mut self.rng, self.now, src, dst) {
-            Delivery::At(t) => Some(t),
-            Delivery::Dropped => {
-                self.metrics.messages_dropped += 1;
-                if self.trace.is_enabled() {
-                    self.trace
-                        .record(self.now, src, TraceEvent::MsgDropped { to: dst });
-                }
-                None
-            }
-        }
-    }
-
-    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M) {
-        let bytes = msg.wire_size();
-        if let Some(t) = self.offer_from(src, dst, bytes) {
-            self.push(
+            Delivery::At(t) => self.push(
                 t,
                 Event::Deliver {
                     to: dst,
                     from: src,
                     msg,
                 },
-            );
-        }
-    }
-
-    fn multicast_from(&mut self, src: NodeId, targets: impl IntoIterator<Item = NodeId>, msg: M) {
-        if msg.clone_is_cheap() {
-            // Cheap clones (Copy-like fields, arena handles, Arcs): a
-            // plain per-leg clone is already allocation-free.
-            let mut it = targets.into_iter().peekable();
-            let mut msg = Some(msg);
-            while let Some(t) = it.next() {
-                let m = if it.peek().is_some() {
-                    msg.clone().expect("multicast payload present")
-                } else {
-                    msg.take().expect("multicast payload present")
-                };
-                self.send_from(src, t, m);
-            }
-            return;
-        }
-        // Message pool: one shared allocation for the whole fan-out.
-        // Every queued leg holds the same `Arc`; the leg delivered last
-        // unwraps it and hands the actor the original message, so an
-        // n-way multicast performs one allocation instead of n deep
-        // copies at send time. Byte accounting still charges the full
-        // logical size per leg.
-        let bytes = msg.wire_size();
-        let shared = Arc::new(msg);
-        for t in targets {
-            if let Some(at) = self.offer_from(src, t, bytes) {
-                self.push(
-                    at,
-                    Event::DeliverShared {
-                        to: t,
-                        from: src,
-                        msg: Arc::clone(&shared),
-                    },
-                );
+            ),
+            Delivery::Dropped => {
+                self.metrics.messages_dropped += 1;
+                if self.trace.is_enabled() {
+                    self.trace
+                        .record(self.now, src, TraceEvent::MsgDropped { to: dst });
+                }
             }
         }
     }
@@ -251,19 +196,20 @@ impl<'a, M: Message> Context<'a, M> {
         self.core.send_from(self.me, to, msg);
     }
 
-    /// Sends `msg` to every node in `targets`.
-    ///
-    /// Messages whose [`Message::clone_is_cheap`] returns true are
-    /// cloned per leg (allocation-free by contract). Everything else
-    /// goes through the message pool: the fan-out shares one allocation
-    /// and the leg delivered last receives the original message without
-    /// any deep copy. Per-leg byte accounting, trace records and network
-    /// RNG draws are identical in both paths.
+    /// Sends `msg` to every node in `targets`: one [`Context::send`] per
+    /// leg in target order, every leg but the last with a clone, the last
+    /// leg taking `msg` itself.
     pub fn multicast<I>(&mut self, targets: I, msg: M)
     where
         I: IntoIterator<Item = NodeId>,
     {
-        self.core.multicast_from(self.me, targets, msg);
+        let mut it = targets.into_iter().peekable();
+        while let Some(to) = it.next() {
+            if it.peek().is_none() {
+                return self.send(to, msg);
+            }
+            self.send(to, msg.clone());
+        }
     }
 
     /// Arms a timer that fires after `delay` with the given `tag`.
@@ -497,16 +443,6 @@ impl<M: Message> World<M> {
                     self.drop_at_dead_target(to, from);
                 }
             }
-            Event::DeliverShared { to, from, msg } => {
-                if self.core.alive[to.index()] {
-                    // The last live leg unwraps the pooled message for
-                    // free; earlier legs (their Arcs still queued) clone.
-                    let msg = Arc::try_unwrap(msg).unwrap_or_else(|m| (*m).clone());
-                    self.deliver(to, from, msg);
-                } else {
-                    self.drop_at_dead_target(to, from);
-                }
-            }
             Event::Timer { node, id, tag } => {
                 let cancelled =
                     !self.core.cancelled.is_empty() && self.core.cancelled.remove(&id.0);
@@ -578,18 +514,11 @@ impl<M: Message> World<M> {
                 match &fault {
                     NetFault::Partition(_) => self.core.metrics.partitions_started += 1,
                     NetFault::Heal => self.core.metrics.partitions_healed += 1,
-                    NetFault::LinkDown { .. } | NetFault::Degrade { .. } => {
-                        self.core.metrics.link_faults_injected += 1
-                    }
-                    NetFault::LinkUp { .. } | NetFault::Restore { .. } => {
-                        self.core.metrics.link_faults_repaired += 1
-                    }
+                    NetFault::Degrade { .. } => self.core.metrics.link_faults_injected += 1,
+                    NetFault::Restore { .. } => self.core.metrics.link_faults_repaired += 1,
                 }
                 let at_node = match &fault {
-                    NetFault::LinkDown { src, .. }
-                    | NetFault::LinkUp { src, .. }
-                    | NetFault::Degrade { src, .. }
-                    | NetFault::Restore { src, .. } => *src,
+                    NetFault::Degrade { src, .. } | NetFault::Restore { src, .. } => *src,
                     _ => NodeId::new(0),
                 };
                 let now = self.core.now;
@@ -662,9 +591,9 @@ impl<M: Message> World<M> {
         self.core.push(at, Event::Drain { node });
     }
 
-    /// Schedules a network fault (partition, heal, link fault or repair)
-    /// to be applied at time `at`, without hand-editing the network
-    /// between [`World::run_until`] calls.
+    /// Schedules a network fault (partition, heal, link degradation or
+    /// repair) to be applied at time `at`: the only way to change the
+    /// network once the world exists.
     pub fn schedule_net_fault(&mut self, at: SimTime, fault: NetFault) {
         self.core.push(at, Event::Net { fault });
     }
@@ -689,10 +618,10 @@ impl<M: Message> World<M> {
         self.core.metrics
     }
 
-    /// Mutable access to the network (to introduce partitions mid-run,
-    /// between calls to [`World::run_until`]).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.core.network
+    /// The network's current state (read-only: it changes through
+    /// [`World::schedule_net_fault`]).
+    pub fn network(&self) -> &Network {
+        &self.core.network
     }
 
     /// Borrows a concrete actor for inspection.
@@ -960,11 +889,13 @@ mod tests {
             fired: Vec::new(),
         }));
         world.start();
-        world.network_mut().set_partition(&[&[a], &[b]]);
-        // No way to send from outside; just verify connectivity states.
-        assert!(!world.network_mut().connected(a, b));
-        world.network_mut().heal_partition();
-        assert!(world.network_mut().connected(a, b));
+        // A fault scheduled at `now` runs on the next step.
+        world.schedule_net_fault(world.now(), NetFault::Partition(vec![vec![a], vec![b]]));
+        world.run_until(world.now());
+        assert!(!world.network().connected(a, b));
+        world.schedule_net_fault(world.now(), NetFault::Heal);
+        world.run_until(world.now());
+        assert!(world.network().connected(a, b));
     }
 
     #[test]
@@ -984,14 +915,11 @@ mod tests {
         world.schedule_net_fault(SimTime::from_ticks(500), NetFault::Heal);
         world.start();
         world.run_until(SimTime::from_ticks(50));
-        assert!(world.network_mut().connected(a, b), "fault applied early");
+        assert!(world.network().connected(a, b), "fault applied early");
         world.run_until(SimTime::from_ticks(200));
-        assert!(
-            !world.network_mut().connected(a, b),
-            "partition not applied"
-        );
+        assert!(!world.network().connected(a, b), "partition not applied");
         world.run_until(SimTime::from_ticks(600));
-        assert!(world.network_mut().connected(a, b), "heal not applied");
+        assert!(world.network().connected(a, b), "heal not applied");
         let m = world.metrics();
         assert_eq!(m.partitions_started, 1);
         assert_eq!(m.partitions_healed, 1);
@@ -1144,5 +1072,41 @@ mod tests {
             delivered_at.ticks() >= 11_100,
             "spike skipped: {delivered_at}"
         );
+    }
+
+    #[test]
+    fn scheduled_fully_lossy_degrade_cuts_one_direction() {
+        let mut world: World<TestMsg> = World::new(SimConfig::new(13));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        world.add_actor(Box::new(LatePinger { peer: b, pongs: 0 }));
+        world.add_actor(Box::new(LatePinger { peer: a, pongs: 0 }));
+        // Cut a→b around both timed pings at t=1000, then repair it.
+        world.schedule_net_fault(
+            SimTime::from_ticks(500),
+            NetFault::Degrade {
+                src: a,
+                dst: b,
+                quality: LinkQuality::lossy(1.0),
+            },
+        );
+        world.schedule_net_fault(
+            SimTime::from_ticks(2_000),
+            NetFault::Restore { src: a, dst: b },
+        );
+        world.start();
+        world.run_to_quiescence(SimTime::from_ticks(100_000));
+        // Only b's ping reaches its peer.
+        let delivered: Vec<(NodeId, NodeId)> = world
+            .trace()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::MsgDelivered { from, .. } => Some((from, r.node)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, vec![(b, a)]);
+        let m = world.metrics();
+        assert_eq!(m.messages_dropped, 1);
+        assert_eq!((m.link_faults_injected, m.link_faults_repaired), (1, 1));
     }
 }

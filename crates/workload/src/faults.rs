@@ -1,7 +1,8 @@
 //! Declarative fault plans: the nemesis.
 //!
 //! A [`FaultPlan`] schedules node crashes/recoveries and network faults
-//! (partitions and heals, directional link drops, latency spikes) at
+//! (partitions and heals, directional link degradations — latency
+//! spikes and loss, a cut link being a degradation with loss 1) at
 //! virtual times.
 //! Plans are plain data: the runner validates them against the server
 //! count and deadline ([`FaultPlan::validate`]) and schedules every event
@@ -179,7 +180,8 @@ impl fmt::Display for FaultPlanError {
 impl std::error::Error for FaultPlanError {}
 
 /// A declarative fault load: crashes, recoveries, partitions, heals,
-/// link drops and latency spikes, each at a virtual time.
+/// link degradations and their repairs, each at a virtual time. A cut
+/// link is [`FaultPlan::degrade_link_at`] with `drop_prob` 1.
 ///
 /// # Examples
 ///
@@ -308,26 +310,9 @@ impl FaultPlan {
         self
     }
 
-    /// Severs the directed link `src → dst` at `at`.
-    pub fn link_down_at(mut self, at: SimTime, src: NodeId, dst: NodeId) -> Self {
-        self.events.push(FaultEvent::Net {
-            at,
-            fault: NetFault::LinkDown { src, dst },
-        });
-        self
-    }
-
-    /// Restores the directed link `src → dst` at `at`.
-    pub fn link_up_at(mut self, at: SimTime, src: NodeId, dst: NodeId) -> Self {
-        self.events.push(FaultEvent::Net {
-            at,
-            fault: NetFault::LinkUp { src, dst },
-        });
-        self
-    }
-
     /// Degrades the directed link `src → dst` at `at`: messages pay
-    /// `extra_latency` and face `drop_prob` extra loss until restored.
+    /// `extra_latency` and face `drop_prob` extra loss until restored
+    /// (`drop_prob` 1 cuts the link).
     pub fn degrade_link_at(
         mut self,
         at: SimTime,
@@ -415,7 +400,7 @@ impl FaultPlan {
 
     /// Nodes whose state a fault may have touched: crashed nodes, members
     /// of minority partition groups (every group but the largest; first
-    /// listed wins a tie), and both endpoints of severed or degraded
+    /// listed wins a tie), and both endpoints of degraded (or cut)
     /// links — the destination misses traffic, and the source's delayed
     /// or dropped heartbeats can get it falsely suspected by the group.
     /// Replicas outside this set saw every message a fault-free run would
@@ -442,11 +427,11 @@ impl FaultPlan {
                             }
                         }
                     }
-                    NetFault::LinkDown { src, dst } | NetFault::Degrade { src, dst, .. } => {
+                    NetFault::Degrade { src, dst, .. } => {
                         disturbed.insert(*src);
                         disturbed.insert(*dst);
                     }
-                    NetFault::Heal | NetFault::LinkUp { .. } | NetFault::Restore { .. } => {}
+                    NetFault::Heal | NetFault::Restore { .. } => {}
                 },
             }
         }
@@ -454,14 +439,13 @@ impl FaultPlan {
     }
 
     /// True if every fault in the plan is eventually repaired: every
-    /// crashed node recovers, every partition heals, every severed or
-    /// degraded link is restored.
+    /// crashed node recovers, every partition heals, every degraded link
+    /// is restored.
     pub fn fully_healed(&self) -> bool {
         let mut events: Vec<&FaultEvent> = self.events.iter().collect();
         events.sort_by_key(|e| e.time());
         let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
         let mut partitioned = false;
-        let mut severed: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         let mut degraded: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for e in events {
             match e {
@@ -474,12 +458,6 @@ impl FaultPlan {
                 FaultEvent::Net { fault, .. } => match fault {
                     NetFault::Partition(_) => partitioned = true,
                     NetFault::Heal => partitioned = false,
-                    NetFault::LinkDown { src, dst } => {
-                        severed.insert((*src, *dst));
-                    }
-                    NetFault::LinkUp { src, dst } => {
-                        severed.remove(&(*src, *dst));
-                    }
                     NetFault::Degrade { src, dst, .. } => {
                         degraded.insert((*src, *dst));
                     }
@@ -489,15 +467,15 @@ impl FaultPlan {
                 },
             }
         }
-        crashed.is_empty() && !partitioned && severed.is_empty() && degraded.is_empty()
+        crashed.is_empty() && !partitioned && degraded.is_empty()
     }
 
     /// Validates the plan against a server count and run deadline.
     ///
     /// Events are checked in time order (ties broken by insertion order,
-    /// matching the world's scheduler). Repairs of healthy links
-    /// (`link_up`/`restore` with no matching fault) are allowed — they are
-    /// harmless no-ops, like their [`repl_sim::Network`] counterparts.
+    /// matching the world's scheduler). Restores of healthy links (no
+    /// matching degradation) are allowed — they are harmless no-ops in
+    /// [`repl_sim::Network::apply`] too.
     ///
     /// # Errors
     ///
@@ -573,9 +551,7 @@ impl FaultPlan {
                         }
                         partitioned = false;
                     }
-                    NetFault::LinkDown { src, dst }
-                    | NetFault::LinkUp { src, dst }
-                    | NetFault::Restore { src, dst } => {
+                    NetFault::Degrade { src, dst, .. } | NetFault::Restore { src, dst } => {
                         for &n in [src, dst] {
                             if !in_range(n) {
                                 return Err(FaultPlanError::NodeOutOfRange { node: n, nodes, at });
@@ -584,21 +560,13 @@ impl FaultPlan {
                         if src == dst {
                             return Err(FaultPlanError::SelfLink { node: *src, at });
                         }
-                    }
-                    NetFault::Degrade { src, dst, quality } => {
-                        for &n in [src, dst] {
-                            if !in_range(n) {
-                                return Err(FaultPlanError::NodeOutOfRange { node: n, nodes, at });
+                        if let NetFault::Degrade { quality, .. } = fault {
+                            if !(0.0..=1.0).contains(&quality.drop_prob) {
+                                return Err(FaultPlanError::InvalidDropProb {
+                                    p: quality.drop_prob,
+                                    at,
+                                });
                             }
-                        }
-                        if src == dst {
-                            return Err(FaultPlanError::SelfLink { node: *src, at });
-                        }
-                        if !(0.0..=1.0).contains(&quality.drop_prob) {
-                            return Err(FaultPlanError::InvalidDropProb {
-                                p: quality.drop_prob,
-                                at,
-                            });
                         }
                     }
                 },
@@ -812,8 +780,8 @@ mod tests {
             .recover_at(t(20), n(1))
             .partition_at(t(5), vec![vec![n(0)], vec![n(1)]])
             .heal_at(t(15))
-            .link_down_at(t(6), n(0), n(1))
-            .link_up_at(t(7), n(0), n(1))
+            .degrade_link_at(t(6), n(0), n(1), SimDuration::ZERO, 1.0)
+            .restore_link_at(t(7), n(0), n(1))
             .degrade_link_at(t(8), n(1), n(0), SimDuration::from_ticks(100), 0.1)
             .restore_link_at(t(9), n(1), n(0));
         assert_eq!(plan.len(), 8);
@@ -882,7 +850,7 @@ mod tests {
             plan.validate(3, t(100)),
             Err(FaultPlanError::NodeOutOfRange { .. })
         ));
-        let plan = FaultPlan::new().link_down_at(t(5), n(0), n(9));
+        let plan = FaultPlan::new().degrade_link_at(t(5), n(0), n(9), SimDuration::ZERO, 1.0);
         assert!(matches!(
             plan.validate(3, t(100)),
             Err(FaultPlanError::NodeOutOfRange { .. })
@@ -914,7 +882,7 @@ mod tests {
             plan.validate(3, t(100)),
             Err(FaultPlanError::HealWithoutPartition { at: t(5) })
         );
-        let plan = FaultPlan::new().link_down_at(t(5), n(1), n(1));
+        let plan = FaultPlan::new().degrade_link_at(t(5), n(1), n(1), SimDuration::ZERO, 1.0);
         assert_eq!(
             plan.validate(3, t(100)),
             Err(FaultPlanError::SelfLink {
@@ -1111,7 +1079,8 @@ mod tests {
         assert!(!unrecovered.fully_healed());
         let unhealed = FaultPlan::new().partition_at(t(10), vec![vec![n(0)], vec![n(1)]]);
         assert!(!unhealed.fully_healed());
-        let still_down = FaultPlan::new().link_down_at(t(10), n(0), n(1));
+        let still_down =
+            FaultPlan::new().degrade_link_at(t(10), n(0), n(1), SimDuration::ZERO, 1.0);
         assert!(!still_down.fully_healed());
         let still_slow =
             FaultPlan::new().degrade_link_at(t(10), n(0), n(1), SimDuration::from_ticks(5), 0.0);

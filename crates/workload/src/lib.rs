@@ -16,8 +16,8 @@
 //!   per-shard Zipf and mixes in `cross_shard_ratio` two-shard
 //!   transactions),
 //! * [`FaultPlan`] — declarative fault loads: crashes/recoveries,
-//!   partitions/heals, link drops and latency spikes, plus the seeded
-//!   nemesis generator [`FaultPlan::random`],
+//!   partitions/heals, link degradations (latency spikes, loss, cuts),
+//!   plus the seeded nemesis generator [`FaultPlan::random`],
 //! * [`MembershipPlan`] — declarative elastic-membership loads: online
 //!   joins of brand-new sites and planned decommissions (drains).
 
