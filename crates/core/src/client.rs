@@ -195,13 +195,13 @@ impl<P: Message> ClientActor<P> {
             client_no,
             servers,
             contact,
+            records: Vec::with_capacity(txns.len()),
             txns,
             think,
             retry_after,
             routing: None,
             base: 0,
             start_after: SimDuration::ZERO,
-            records: Vec::new(),
             next_txn: 0,
             retry_timer: None,
             done: true,
@@ -455,6 +455,13 @@ impl ClientGroup {
     }
 }
 
+/// Transactions an [`AggregateClients`] draws at a time, in one shared
+/// body: the granularity of body lifetime. A block's body lives while any
+/// of its transactions does — in flight, or retained by a replica's
+/// order log — so a larger block costs fewer allocations and keeps more
+/// answered transactions' operations alive.
+const AGGREGATE_BLOCK: u64 = 64;
+
 /// One aggregated open-loop arrival process standing for a whole group
 /// of virtual clients — the engine that makes the client count a
 /// parameter instead of an actor count.
@@ -468,7 +475,8 @@ impl ClientGroup {
 /// look exactly like a real population of that size.
 ///
 /// Memory is constant in the operation count: latencies stream into a
-/// [`LatencyHistogram`], and only the in-flight operations are tracked.
+/// [`LatencyHistogram`], only the in-flight operations are tracked, and
+/// transactions are drawn `AGGREGATE_BLOCK` at a time.
 /// Like [`OpenLoopClient`], it never retries — open loops expose
 /// saturation rather than masking it.
 pub struct AggregateClients<P> {
@@ -476,6 +484,8 @@ pub struct AggregateClients<P> {
     servers: Vec<NodeId>,
     preferred: usize,
     gen: WorkloadGen,
+    /// The rest of the block of transactions drawn last.
+    block: std::vec::IntoIter<TxnTemplate>,
     arrivals: ArrivalStream,
     budget: u64,
     issued: u64,
@@ -528,6 +538,7 @@ impl<P: Message> AggregateClients<P> {
             servers,
             preferred,
             gen,
+            block: Vec::new().into_iter(),
             arrivals,
             budget,
             issued: 0,
@@ -569,10 +580,20 @@ impl<P: Message> AggregateClients<P> {
         if self.issued >= self.budget {
             return;
         }
+        let txn = match self.block.next() {
+            Some(txn) => txn,
+            None => {
+                // The generator's stream feeds nothing else, so drawing
+                // ahead in blocks submits exactly what drawing one
+                // transaction per arrival would.
+                let left = (self.budget - self.issued).min(AGGREGATE_BLOCK);
+                self.block = self.gen.take_txns(left as usize).into_iter();
+                self.block.next().expect("a block of at least one")
+            }
+        };
         let (client, seq) = self.group.virtual_op(self.issued);
         self.issued += 1;
         let id = OpId::compose(client, seq);
-        let txn = self.gen.next_txn();
         self.outstanding.insert(id, (ctx.now(), txn.clone()));
         self.peak_outstanding = self.peak_outstanding.max(self.outstanding.len() as u64);
         ctx.mark(Phase::Request.tag(), id.0, 0);

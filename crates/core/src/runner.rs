@@ -1069,9 +1069,13 @@ fn drive<T: Flow>(
             clients.push(world.add_actor(actor));
         }
     } else {
+        // One generator for the run, restarted on each client's seed: a
+        // client's stream is what a generator of its own would draw, and
+        // the sampling tables are built once.
+        let client_seed = |c: u32| cfg.seed.wrapping_mul(1_000_003) + u64::from(c);
+        let mut gen = WorkloadGen::new(&cfg.workload, client_seed(0));
         for c in 0..cfg.clients {
-            let mut gen =
-                WorkloadGen::new(&cfg.workload, cfg.seed.wrapping_mul(1_000_003) + c as u64);
+            gen.reseed(client_seed(c));
             let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
             let actor: Box<dyn Actor<Wire<T::Msg>>> = match cfg.arrival {
                 Arrival::Closed => {

@@ -1,8 +1,12 @@
 //! A hierarchical timing wheel: the event queue behind [`World`].
 //!
 //! The simulator's hot path is `push`/`pop` on the pending-event set.
-//! A binary heap is `O(log n)` per operation with poor locality once
-//! millions of open-loop arrivals are pending; the wheel makes both
+//! That set is small: open-loop populations are aggregated into one
+//! arrival process per server group, so no run keeps an event per
+//! client, and the most events any benchmark workload holds at once
+//! are 186 (`study_mix`), 235 (`open_1m`), 1,497 (`hot_closed`) and
+//! 5,317 (`shard16_closed`). What a run pays for is the queue's fixed
+//! cost and its per-event work, not its depth. The wheel makes both
 //! operations amortised `O(1)` by bucketing events into 64-slot levels
 //! of geometrically increasing span (1, 64, 64², 64³ ticks per slot —
 //! a 64⁴ ≈ 16.8M-tick horizon), with one occupancy bitmap per level so
@@ -24,15 +28,18 @@
 //! Events beyond the top-level window sit in a small `(time, seq)`
 //! min-heap and re-enter the wheel when it drains up to them.
 //!
-//! **Slot buffers are pooled.** An empty slot owns no buffer: when a
-//! slot empties (it becomes the active tick, or cascades) its `Vec`
-//! goes onto a spare list, and a slot receiving its first entry takes
-//! the most recently freed one from there. A cascading slot whose
-//! entries all land in one empty finer slot moves down whole, buffer
-//! included. The buffers alive at once are bounded by the most slots
-//! ever occupied together — about a dozen in a closed-loop run —
-//! instead of by every slot the cursor has visited, so a short run pays
-//! for a few buffers, not for 256.
+//! **One slab files every event.** Entries live in one `Vec` of nodes,
+//! and a slot is a singly linked list through it: a fixed array holds
+//! each slot's head, filing an entry links a node in, a cascade relinks
+//! nodes into finer slots without moving an entry, and loading a tick
+//! unlinks its nodes onto a free list that the next insertions reuse.
+//! Filing an event allocates only when the slab doubles, and a warm
+//! wheel not at all — however the occupied slots shift from run to run.
+//! The price is locality at depth: with a million entries resident a
+//! slot's nodes lie scattered over a large slab, and walking them misses
+//! the cache (the benchmark's `sim.wheel.deep_ns_per_op` measures that
+//! case); at the depths above the slab is as fast as contiguous per-slot
+//! buffers or faster.
 //!
 //! [`World`]: crate::World
 
@@ -58,6 +65,17 @@ pub struct WheelEntry<T> {
     pub seq: u64,
     /// The scheduled payload.
     pub item: T,
+}
+
+/// Ends a slot's list and the free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab node: an entry filed in a slot, and the next node of that
+/// slot's list (or of the free list, where the entry is `None`).
+#[derive(Debug)]
+struct Node<T> {
+    entry: Option<WheelEntry<T>>,
+    next: u32,
 }
 
 /// Overflow-heap wrapper: min-heap on `(time, seq)` over std's
@@ -98,11 +116,14 @@ impl<T> Ord for FarEntry<T> {
 /// ```
 #[derive(Debug)]
 pub struct TimingWheel<T> {
-    /// `LEVELS × SLOTS` buckets, flattened (`level * SLOTS + index`).
-    /// An empty slot holds no allocation.
-    slots: Vec<Vec<WheelEntry<T>>>,
-    /// Emptied slot buffers, cleared, capacity kept.
-    spare: Vec<Vec<WheelEntry<T>>>,
+    /// Every entry filed in a slot, one node each; the slots and the
+    /// free list are singly linked lists through it.
+    slab: Vec<Node<T>>,
+    /// Head of the free list of nodes, or [`NIL`].
+    free: u32,
+    /// `LEVELS × SLOTS` list heads, flattened (`level * SLOTS + index`);
+    /// [`NIL`] for an empty slot.
+    heads: [u32; LEVELS * SLOTS],
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
     /// Events due beyond the top-level window.
@@ -129,8 +150,9 @@ impl<T> TimingWheel<T> {
     /// Creates an empty wheel with its cursor at tick 0.
     pub fn new() -> Self {
         TimingWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            spare: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: [NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             current: VecDeque::new(),
@@ -213,19 +235,52 @@ impl<T> TimingWheel<T> {
 
     /// Files an entry into its wheel slot (or the overflow heap).
     fn insert_wheel(&mut self, e: WheelEntry<T>) {
-        match self.slot_of(e.time) {
-            Some((lvl, idx)) => {
-                let slot = &mut self.slots[lvl * SLOTS + idx];
-                if slot.capacity() == 0 {
-                    if let Some(buf) = self.spare.pop() {
-                        *slot = buf;
-                    }
-                }
-                slot.push(e);
-                self.occupied[lvl] |= 1 << idx;
+        let Some(slot) = self.slot_of(e.time) else {
+            self.overflow.push(FarEntry(e));
+            return;
+        };
+        let node = match self.free {
+            NIL => {
+                let node = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&n| n != NIL)
+                    .expect("the slab fits u32 indices");
+                self.slab.push(Node {
+                    entry: Some(e),
+                    next: NIL,
+                });
+                node
             }
-            None => self.overflow.push(FarEntry(e)),
-        }
+            node => {
+                let n = &mut self.slab[node as usize];
+                self.free = n.next;
+                n.entry = Some(e);
+                node
+            }
+        };
+        self.link(slot, node);
+    }
+
+    /// Pushes `node` onto the front of slot `(level, index)`'s list.
+    fn link(&mut self, (lvl, idx): (usize, usize), node: u32) {
+        let head = &mut self.heads[lvl * SLOTS + idx];
+        self.slab[node as usize].next = *head;
+        *head = node;
+        self.occupied[lvl] |= 1 << idx;
+    }
+
+    /// Empties slot `(level, index)`, returning its list's head.
+    fn unlink_all(&mut self, lvl: usize, idx: usize) -> u32 {
+        self.occupied[lvl] &= !(1 << idx);
+        std::mem::replace(&mut self.heads[lvl * SLOTS + idx], NIL)
+    }
+
+    /// The entry a linked node holds.
+    fn entry(&self, node: u32) -> &WheelEntry<T> {
+        self.slab[node as usize]
+            .entry
+            .as_ref()
+            .expect("a linked node holds an entry")
     }
 
     /// Moves the first pending slot's events into `current`, cascading
@@ -290,37 +345,42 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Loads level-0 slot `idx` (the cursor's tick) into `current`.
+    /// Loads level-0 slot `idx` (the cursor's tick) into `current` and
+    /// frees its nodes.
     fn load_slot(&mut self, idx: usize) {
-        let mut v = std::mem::take(&mut self.slots[idx]);
-        self.occupied[0] &= !(1 << idx);
-        v.sort_unstable_by_key(|e| e.seq);
-        debug_assert!(v.iter().all(|e| e.time == self.cursor));
-        self.current.extend(v.drain(..));
-        self.spare.push(v);
+        let mut node = self.unlink_all(0, idx);
+        while node != NIL {
+            let n = &mut self.slab[node as usize];
+            let e = n.entry.take().expect("a linked node holds an entry");
+            let next = std::mem::replace(&mut n.next, self.free);
+            self.free = node;
+            debug_assert_eq!(e.time, self.cursor);
+            // A list runs newest first: pushing each entry to the front
+            // restores filing order, so the sort below usually finds its
+            // input sorted. A cascade relinks a slot's nodes in reverse,
+            // so a tick filed partly by cascade is out of `seq` order,
+            // and only the sort puts it right.
+            self.current.push_front(e);
+            node = next;
+        }
+        self.current
+            .make_contiguous()
+            .sort_unstable_by_key(|e| e.seq);
         self.current_time = self.cursor;
     }
 
-    /// Redistributes level `lvl` slot `j` into finer levels; the cursor
+    /// Relinks level `lvl` slot `j`'s nodes into finer levels; the cursor
     /// has just entered the slot's span.
     fn cascade(&mut self, lvl: usize, j: usize) {
-        let i = lvl * SLOTS + j;
-        let mut v = std::mem::take(&mut self.slots[i]);
-        self.occupied[lvl] &= !(1 << j);
-        // A slot whose entries all land in one empty finer slot — a lone
-        // timer, a fan-out to one tick — moves down whole, buffer and all.
-        let first = self.slot_of(v[0].time);
-        if let Some((l, x)) = first {
-            if self.occupied[l] & (1 << x) == 0 && v.iter().all(|e| self.slot_of(e.time) == first) {
-                self.slots[l * SLOTS + x] = v;
-                self.occupied[l] |= 1 << x;
-                return;
-            }
+        let mut node = self.unlink_all(lvl, j);
+        while node != NIL {
+            let next = self.slab[node as usize].next;
+            let slot = self
+                .slot_of(self.entry(node).time)
+                .expect("a cascading entry lies in the cursor's top window");
+            self.link(slot, node);
+            node = next;
         }
-        for e in v.drain(..) {
-            self.insert_wheel(e);
-        }
-        self.spare.push(v);
     }
 
     /// Non-mutating scan for the earliest queued time. Levels partition
@@ -345,11 +405,14 @@ impl<T> TimingWheel<T> {
             };
             if m != 0 {
                 let j = m.trailing_zeros() as usize;
-                return self.slots[lvl * SLOTS + j]
-                    .iter()
-                    .map(|e| e.time)
-                    .min()
-                    .expect("occupancy bit set on empty slot");
+                let mut node = self.heads[lvl * SLOTS + j];
+                debug_assert!(node != NIL, "occupancy bit set on empty slot");
+                let mut min = u64::MAX;
+                while node != NIL {
+                    min = min.min(self.entry(node).time);
+                    node = self.slab[node as usize].next;
+                }
+                return min;
             }
         }
         self.overflow
@@ -448,22 +511,22 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_buffer_filled_out_of_seq_order_still_pops_in_order() {
+    fn a_slot_linked_out_of_seq_order_still_pops_in_order() {
         let mut w = TimingWheel::new();
-        // Popping two near events sends both slot buffers to the spares.
+        // Popping two near events puts both their nodes on the free list.
         w.push(3, 0, 'x');
         w.push(4, 1, 'y');
         assert_eq!(w.pop().unwrap().item, 'x');
         assert_eq!(w.pop().unwrap().item, 'y');
         // Two far events re-enter from the overflow heap into those
-        // buffers, one tick apart; the earlier one becomes the active tick.
+        // nodes, one tick apart; the earlier one becomes the active tick.
         let far = 64_u64.pow(4) * 2 + 10;
         w.push(far, 5, 'f');
         w.push(far - 1, 6, 'g');
         assert_eq!(w.pop().unwrap().item, 'g');
         // A lower seq reaches the later tick's slot after 'f': the slot
-        // holds [f(5), a(4)], and only the sort in `load_slot` puts 'a'
-        // first.
+        // is filed [f(5), a(4)], and only the sort in `load_slot` puts
+        // 'a' first.
         w.push(far, 4, 'a');
         assert_eq!(w.pop().unwrap().item, 'a');
         assert_eq!(w.pop().unwrap().item, 'f');

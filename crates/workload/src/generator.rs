@@ -36,17 +36,75 @@ impl OpTemplate {
 
 /// One generated transaction: an ordered list of operations.
 ///
-/// Keys within a transaction are distinct and the write values are unique
-/// across the whole generator, which the consistency oracles rely on to
+/// Keys within a transaction are distinct, and the write values are
+/// unique within one seeded stream (one client's transactions, or one
+/// aggregated group's), which the consistency oracles rely on to
 /// identify which write a read observed.
 ///
-/// The body is immutable and shared: a clone — into a client's record, a
-/// retry, every leg of an ordering fan-out, a retained order log — bumps a
-/// reference count instead of copying the operations.
+/// The operations are immutable and shared: a clone — into a client's
+/// record, a retry, every leg of an ordering fan-out, a retained order
+/// log — bumps a reference count instead of copying them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnTemplate {
     /// The operations, in program order.
-    pub ops: Arc<[OpTemplate]>,
+    pub ops: TxnOps,
+}
+
+/// A transaction's operations: a window into a body that every
+/// transaction drawn in one batch shares ([`WorkloadGen::take_txns`]).
+///
+/// Derefs to `[OpTemplate]`, and equality compares the operations, never
+/// the body they sit in. Sixteen bytes — a thin pointer and two `u32`s —
+/// because a transaction is held per client record, per retry and per
+/// order-log entry.
+#[derive(Clone)]
+pub struct TxnOps {
+    body: Arc<Vec<OpTemplate>>,
+    start: u32,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<TxnTemplate>() == 16);
+
+impl std::ops::Deref for TxnOps {
+    type Target = [OpTemplate];
+
+    fn deref(&self) -> &[OpTemplate] {
+        let start = self.start as usize;
+        &self.body[start..start + self.len as usize]
+    }
+}
+
+impl PartialEq for TxnOps {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for TxnOps {}
+
+impl std::fmt::Debug for TxnOps {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl From<Vec<OpTemplate>> for TxnOps {
+    /// A body of its own: one transaction's operations.
+    fn from(ops: Vec<OpTemplate>) -> Self {
+        let len = u32::try_from(ops.len()).expect("transaction fits a u32 window");
+        TxnOps {
+            body: Arc::new(ops),
+            start: 0,
+            len,
+        }
+    }
+}
+
+impl FromIterator<OpTemplate> for TxnOps {
+    fn from_iter<I: IntoIterator<Item = OpTemplate>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<_>>().into()
+    }
 }
 
 impl TxnTemplate {
@@ -82,8 +140,6 @@ pub struct WorkloadGen {
     zipf: Zipf,
     rng: SmallRng,
     next_value: i64,
-    /// The keys of the transaction being generated (scratch).
-    keys: Vec<Key>,
     /// Sharded sampling state, present exactly when `spec.shards > 1`:
     /// the routing table and one Zipf sampler per shard sub-range. The
     /// unsharded path never consults either, so `shards == 1` keeps the
@@ -106,35 +162,81 @@ impl WorkloadGen {
             zipf: Zipf::new(spec.items, spec.skew),
             rng: SmallRng::seed_from_u64(seed),
             next_value: 1,
-            keys: Vec::new(),
             sharding,
         }
     }
 
-    /// Generates the next transaction.
+    /// Restarts the generator as `WorkloadGen::new(spec, seed)` would
+    /// start it, keeping the sampling tables: one generator serves every
+    /// client of a run, each from its own seed.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.next_value = 1;
+    }
+
+    /// Generates the next transaction, in a body of its own.
     pub fn next_txn(&mut self) -> TxnTemplate {
-        if self.sharding.is_some() {
-            return self.next_txn_sharded();
+        let mut ops = Vec::with_capacity(self.spec.ops_per_txn as usize);
+        self.draw(&mut ops);
+        TxnTemplate { ops: ops.into() }
+    }
+
+    /// Generates the next `count` transactions — exactly what `count`
+    /// calls of [`next_txn`](Self::next_txn) would — into one shared
+    /// body, each a window of `ops_per_txn` operations.
+    pub fn take_txns(&mut self, count: usize) -> Vec<TxnTemplate> {
+        let n = self.spec.ops_per_txn;
+        let mut body = Vec::with_capacity(count * n as usize);
+        for _ in 0..count {
+            self.draw(&mut body);
         }
+        assert!(
+            u32::try_from(body.len()).is_ok(),
+            "a batch's body is addressed by u32 windows"
+        );
+        let body = Arc::new(body);
+        (0..count)
+            .map(|i| TxnTemplate {
+                ops: TxnOps {
+                    body: Arc::clone(&body),
+                    // Exact: `i * n` indexes the checked body when n > 0.
+                    start: i as u32 * n,
+                    len: n,
+                },
+            })
+            .collect()
+    }
+
+    /// Appends one transaction's `ops_per_txn` operations to `body`.
+    fn draw(&mut self, body: &mut Vec<OpTemplate>) {
+        let start = body.len();
+        if self.sharding.is_some() {
+            self.draw_keys_sharded(body);
+        } else {
+            self.draw_keys(body);
+        }
+        self.finish(&mut body[start..]);
+    }
+
+    /// Appends the distinct keys of one transaction as reads.
+    fn draw_keys(&mut self, body: &mut Vec<OpTemplate>) {
+        let start = body.len();
         let n = self.spec.ops_per_txn as usize;
-        let mut keys = std::mem::take(&mut self.keys);
-        keys.clear();
         // Distinct keys per transaction (retry sampling; the domain is
         // always at least as large as the transaction in practice).
         let mut guard = 0;
-        while keys.len() < n && guard < 10_000 {
+        while body.len() - start < n && guard < 10_000 {
             let k = Key(self.zipf.sample(&mut self.rng));
-            if !keys.contains(&k) {
-                keys.push(k);
+            if !body[start..].iter().any(|o| o.key() == k) {
+                body.push(OpTemplate::Read(k));
             }
             guard += 1;
         }
-        while keys.len() < n {
+        while body.len() - start < n {
             // Degenerate domains: fill sequentially.
-            let k = Key(keys.len() as u64 % self.spec.items);
-            keys.push(k);
+            let k = Key((body.len() - start) as u64 % self.spec.items);
+            body.push(OpTemplate::Read(k));
         }
-        self.finish(keys)
     }
 
     /// The sharded transaction shape: a uniformly drawn home shard, a
@@ -144,7 +246,7 @@ impl WorkloadGen {
     /// transaction with at least two operations genuinely spans both
     /// shards. Read/write choice and value numbering are identical to
     /// the unsharded path.
-    fn next_txn_sharded(&mut self) -> TxnTemplate {
+    fn draw_keys_sharded(&mut self, body: &mut Vec<OpTemplate>) {
         let (map, _) = self.sharding.as_ref().expect("sharded path");
         let map = *map;
         let shards = self.spec.shards;
@@ -156,51 +258,36 @@ impl WorkloadGen {
             Some(o) if pos % 2 == 1 => o,
             _ => home,
         };
-        let mut keys = std::mem::take(&mut self.keys);
-        keys.clear();
+        let start = body.len();
         let mut guard = 0;
-        while keys.len() < n && guard < 10_000 {
-            let target = shard_at(keys.len());
+        while body.len() - start < n && guard < 10_000 {
+            let target = shard_at(body.len() - start);
             let (lo, _) = map.range(target);
             let local = self.sharding.as_ref().expect("sharded path").1[target as usize]
                 .sample(&mut self.rng);
             let k = Key(lo + local);
-            if !keys.contains(&k) {
-                keys.push(k);
+            if !body[start..].iter().any(|o| o.key() == k) {
+                body.push(OpTemplate::Read(k));
             }
             guard += 1;
         }
-        while keys.len() < n {
+        while body.len() - start < n {
             // Degenerate domains: fill sequentially from the target shard.
-            let target = shard_at(keys.len());
-            let (lo, hi) = map.range(target);
-            let k = Key(lo + keys.len() as u64 % (hi - lo));
-            keys.push(k);
+            let pos = body.len() - start;
+            let (lo, hi) = map.range(shard_at(pos));
+            body.push(OpTemplate::Read(Key(lo + pos as u64 % (hi - lo))));
         }
-        self.finish(keys)
     }
 
-    /// Draws read-or-write (and the write's value) for each key, in order.
-    fn finish(&mut self, keys: Vec<Key>) -> TxnTemplate {
-        let ops = keys
-            .iter()
-            .map(|&k| {
-                if self.rng.gen::<f64>() < self.spec.read_ratio {
-                    OpTemplate::Read(k)
-                } else {
-                    let v = Value(self.next_value);
-                    self.next_value += 1;
-                    OpTemplate::Write(k, v)
-                }
-            })
-            .collect();
-        self.keys = keys;
-        TxnTemplate { ops }
-    }
-
-    /// Generates a batch of transactions.
-    pub fn take_txns(&mut self, count: usize) -> Vec<TxnTemplate> {
-        (0..count).map(|_| self.next_txn()).collect()
+    /// Draws read-or-write (and the write's value) for each drawn key, in
+    /// order.
+    fn finish(&mut self, ops: &mut [OpTemplate]) {
+        for op in ops {
+            if self.rng.gen::<f64>() >= self.spec.read_ratio {
+                *op = OpTemplate::Write(op.key(), Value(self.next_value));
+                self.next_value += 1;
+            }
+        }
     }
 }
 
@@ -311,6 +398,59 @@ mod tests {
         let a = WorkloadGen::new(&base, 17).take_txns(50);
         let b = WorkloadGen::new(&sharded, 17).take_txns(50);
         assert_eq!(a, b, "S=1 must be bit-identical to unsharded");
+    }
+
+    fn one_by_one(gen: &mut WorkloadGen, count: usize) -> Vec<TxnTemplate> {
+        (0..count).map(|_| gen.next_txn()).collect()
+    }
+
+    #[test]
+    fn a_batch_is_the_stream_of_successive_draws() {
+        let flat = WorkloadSpec::default()
+            .with_items(64)
+            .with_ops_per_txn(3)
+            .with_read_ratio(0.4)
+            .with_skew(0.9);
+        let sharded = flat.clone().with_shards(4).with_cross_shard_ratio(0.3);
+        for spec in [flat, sharded] {
+            let mut batched = WorkloadGen::new(&spec, 21);
+            let mut single = WorkloadGen::new(&spec, 21);
+            // Two batches back to back continue the stream, values included.
+            for count in [40, 17] {
+                let batch = batched.take_txns(count);
+                assert_eq!(batch, one_by_one(&mut single, count));
+                assert!(batch.iter().all(|t| t.ops.len() == 3));
+            }
+        }
+    }
+
+    #[test]
+    fn reseed_restarts_the_stream_of_a_fresh_generator() {
+        let spec = WorkloadSpec::default()
+            .with_ops_per_txn(2)
+            .with_read_ratio(0.5)
+            .with_skew(0.7);
+        let mut gen = WorkloadGen::new(&spec, 1);
+        gen.take_txns(30);
+        for seed in [8, 1, 8] {
+            gen.reseed(seed);
+            assert_eq!(
+                gen.take_txns(12),
+                WorkloadGen::new(&spec, seed).take_txns(12)
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_equals_a_template_with_the_same_operations() {
+        let spec = WorkloadSpec::default().with_ops_per_txn(2);
+        let batch = WorkloadGen::new(&spec, 3).take_txns(5);
+        let own = TxnTemplate {
+            ops: batch[3].ops.to_vec().into(),
+        };
+        assert_eq!(batch[3], own);
+        assert_eq!(format!("{:?}", batch[3]), format!("{own:?}"));
+        assert_ne!(batch[2], own);
     }
 
     #[test]

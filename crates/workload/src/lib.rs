@@ -6,7 +6,8 @@
 //! * [`WorkloadSpec`] — declarative workload description: item count,
 //!   read ratio, zipfian skew, operations per transaction, think time,
 //! * [`TxnTemplate`]/[`OpTemplate`] — generated (multi-operation)
-//!   transactions over logical items,
+//!   transactions over logical items; a batch of them shares one body
+//!   ([`TxnOps`] is a transaction's window into it),
 //! * [`WorkloadGen`] — the seeded generator,
 //! * [`ArrivalStream`] — seeded open-loop inter-arrival streams
 //!   (Poisson or uniform), the arrival half of the open-loop engine,
@@ -34,7 +35,7 @@ mod zipf;
 
 pub use arrivals::{ArrivalDist, ArrivalStream};
 pub use faults::{FaultEvent, FaultPlan, FaultPlanError};
-pub use generator::{OpTemplate, TxnTemplate, WorkloadGen};
+pub use generator::{OpTemplate, TxnOps, TxnTemplate, WorkloadGen};
 pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};
 pub use shard::{ShardMap, ShardMapError};
 pub use spec::WorkloadSpec;
