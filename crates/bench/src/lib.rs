@@ -286,18 +286,20 @@ pub fn conflicts(skews: &[f64]) -> Study {
     )
 }
 
-/// The P5/P5b cell: five replicas over consensus ABCAST whose rank-0
-/// server (the primary, where there is one) crashes mid-run.
+/// The P5/P5b cell: five replicas whose rank-0 server (the primary,
+/// where there is one) crashes mid-run. Active and Semi-Active order
+/// over consensus ABCAST, which survives the crash of its rank 0.
 fn rank0_crash(technique: Technique) -> RunConfig {
     let cfg = lean(technique, 5, 4)
         .with_seed(113)
-        .with_abcast(AbcastImpl::Consensus)
         .with_faults(FaultPlan::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0)))
         .with_workload(update_workload(10));
-    if technique == Technique::SemiActive {
-        cfg.with_exec(ExecutionMode::NonDeterministic)
-    } else {
-        cfg
+    match technique {
+        Technique::Active => cfg.with_abcast(AbcastImpl::Consensus),
+        Technique::SemiActive => cfg
+            .with_abcast(AbcastImpl::Consensus)
+            .with_exec(ExecutionMode::NonDeterministic),
+        _ => cfg,
     }
 }
 

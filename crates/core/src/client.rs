@@ -1,17 +1,21 @@
-//! The closed-loop client driver shared by all techniques.
+//! The client driver, closed or open loop, shared by all techniques.
 //!
-//! A client submits its transactions one at a time: invoke, wait for the
-//! response, think, submit the next. On a response timeout it re-submits
-//! the *same* operation (same [`OpId`]) to the next server — the paper's
-//! "clients can then be connected to another database server and re-submit
-//! the transaction" (Section 4.1). Servers suppress duplicates through
-//! their response caches, so retries are exactly-once.
+//! A closed-loop client submits its transactions one at a time: invoke,
+//! wait for the response, think, submit the next. On a response timeout it
+//! re-submits the *same* operation (same [`OpId`]) to the next server — the
+//! paper's "clients can then be connected to another database server and
+//! re-submit the transaction" (Section 4.1). Servers suppress duplicates
+//! through their response caches, so retries are exactly-once.
 //!
 //! A retry means "this operation timed out" and nothing else: every
 //! attempt waits a constant `retry_after`, the timer is cancelled when the
 //! response arrives, and the contact that answered is the next operation's
 //! first contact — a client whose preferred server is down pays one
 //! timeout, not one per operation.
+//!
+//! An open-loop client ([`ClientActor::open`]) is the same client without
+//! the wait and the retry: it submits at Poisson arrival times whatever
+//! the responses, so several operations may be in flight at once.
 //!
 //! A sharded run switches on content routing ([`ClientActor::with_routing`]):
 //! an operation's contact list is then its *home* group (the shard of its
@@ -60,7 +64,7 @@ impl OpRecord {
 
 const RETRY_TAG: u64 = 1;
 const THINK_TAG: u64 = 2;
-const START_TAG: u64 = 4;
+const SUBMIT_TAG: u64 = 3;
 
 /// Re-resolves a client's server list after a decommission reroute:
 /// keeps the same contact *node* when it survived, otherwise maps the
@@ -143,7 +147,8 @@ impl Routing {
     }
 }
 
-/// The closed-loop client actor.
+/// The client actor, closed loop ([`ClientActor::new`]) or open loop
+/// ([`ClientActor::open`]).
 ///
 /// Speaks [`Wire<P>`] for the technique's traffic `P`, which it never
 /// reads; the technique decides which server the client contacts first
@@ -158,25 +163,28 @@ pub struct ClientActor<P> {
     txns: Vec<TxnTemplate>,
     think: SimDuration,
     retry_after: SimDuration,
+    /// The open loop's mean inter-arrival time; `None` in the closed loop.
+    open: Option<SimDuration>,
     /// `None` at one group: every operation's contact list is `servers`.
     routing: Option<Routing>,
     /// Where the in-flight operation's contact list starts in `servers`:
     /// at its home group when routed, else 0.
     base: usize,
     start_after: SimDuration,
-    /// Completed and in-flight operation records.
+    /// Completed and in-flight operation records, in submission order:
+    /// operation `seq` is `records[seq]`.
     pub records: Vec<OpRecord>,
-    next_txn: usize,
     /// The in-flight operation's armed retry timer; `None` between
     /// operations, so a timer never outlives the attempt it guards.
     retry_timer: Option<TimerId>,
-    done: bool,
+    /// Records that have a response.
+    answered: usize,
     _marker: std::marker::PhantomData<P>,
 }
 
 impl<P: Message> ClientActor<P> {
-    /// Creates a client that will submit `txns` in order, contacting
-    /// `servers[preferred]` first.
+    /// Creates a closed-loop client that will submit `txns` in order,
+    /// contacting `servers[preferred]` first.
     ///
     /// # Panics
     ///
@@ -199,13 +207,37 @@ impl<P: Message> ClientActor<P> {
             txns,
             think,
             retry_after,
+            open: None,
             routing: None,
             base: 0,
             start_after: SimDuration::ZERO,
-            next_txn: 0,
             retry_timer: None,
-            done: true,
+            answered: 0,
             _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Creates an open-loop client: it submits `txns` to
+    /// `servers[preferred]` at exponentially distributed gaps of mean
+    /// `mean`, whatever the responses, and never retries — an open loop
+    /// exposes saturation rather than masking it. Only a decommission
+    /// reroute re-submits an operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers` is empty or `mean` is zero.
+    pub fn open(
+        client_no: u32,
+        servers: Vec<NodeId>,
+        preferred: usize,
+        txns: Vec<TxnTemplate>,
+        mean: SimDuration,
+    ) -> Self {
+        assert!(!mean.is_zero(), "inter-arrival must be positive");
+        let zero = SimDuration::ZERO;
+        ClientActor {
+            open: Some(mean),
+            ..Self::new(client_no, servers, preferred, txns, zero, zero)
         }
     }
 
@@ -255,7 +287,7 @@ impl<P: Message> ClientActor<P> {
 
     /// True once every transaction has a response.
     pub fn is_done(&self) -> bool {
-        self.done && self.next_txn >= self.txns.len()
+        self.answered == self.txns.len()
     }
 
     /// The completed operation records.
@@ -263,15 +295,15 @@ impl<P: Message> ClientActor<P> {
         self.records.iter().filter(|r| r.responded.is_some())
     }
 
+    /// Submits the next transaction, if one is left, then arms what
+    /// follows it: the next arrival in the open loop, the retry timer in
+    /// the closed loop.
     fn submit_next(&mut self, ctx: &mut Ctx<'_, P>) {
-        if self.next_txn >= self.txns.len() {
+        let seq = self.records.len();
+        let Some(txn) = self.txns.get(seq).cloned() else {
             return;
-        }
-        let seq = self.next_txn as u32;
-        let id = OpId::compose(self.client_no, seq);
-        let txn = self.txns[self.next_txn].clone();
-        self.next_txn += 1;
-        self.done = false;
+        };
+        let id = OpId::compose(self.client_no, seq as u32);
         if let Some(r) = &mut self.routing {
             self.base = r.map.shard_of(txn.ops[0].key()) as usize * r.group_size;
             r.expect = r.map.shards_of(&txn);
@@ -287,7 +319,20 @@ impl<P: Message> ClientActor<P> {
         });
         ctx.mark(Phase::Request.tag(), id.0, 0);
         send_op(ctx, self.servers[self.base + self.contact], id, txn);
-        self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
+        match self.open {
+            Some(mean) => self.arm_arrival(ctx, mean),
+            None => self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG)),
+        }
+    }
+
+    /// Arms the open loop's next submission, if one is left, after an
+    /// exponential gap of mean `mean` drawn from the world's RNG.
+    fn arm_arrival(&self, ctx: &mut Ctx<'_, P>, mean: SimDuration) {
+        if self.records.len() < self.txns.len() {
+            let u: f64 = rand::Rng::gen_range(ctx.rng(), 1e-9..1.0f64);
+            let ticks = (-(u.ln()) * mean.ticks() as f64).ceil() as u64;
+            ctx.set_timer(SimDuration::from_ticks(ticks.max(1)), SUBMIT_TAG);
+        }
     }
 
     fn retry(&mut self, ctx: &mut Ctx<'_, P>) {
@@ -305,16 +350,14 @@ impl<P: Message> ClientActor<P> {
         self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
-    /// A decommissioned server bounced our in-flight operation: adopt
-    /// the new membership, re-resolve the contact, and re-submit there
-    /// immediately (the armed retry timer keeps running as a backstop).
+    /// A decommissioned server bounced an operation: if it is still in
+    /// flight, adopt the new membership, re-resolve the contact, and
+    /// re-submit there immediately (a closed loop's armed retry timer
+    /// keeps running as a backstop).
     fn handle_reroute(&mut self, ctx: &mut Ctx<'_, P>, op: OpId, new_servers: &[NodeId]) {
-        let Some(rec) = self.records.last_mut() else {
+        let Some(rec) = in_flight(&mut self.records, op) else {
             return;
         };
-        if rec.responded.is_some() || rec.op != op {
-            return;
-        }
         let Some(to) = resolve_reroute(&mut self.servers, &mut self.contact, new_servers) else {
             return;
         };
@@ -323,103 +366,11 @@ impl<P: Message> ClientActor<P> {
     }
 }
 
-/// An open-loop client: submits transactions at exponentially distributed
-/// inter-arrival times regardless of responses, so several operations may
-/// be outstanding at once. Unanswered operations are *not* retried — the
-/// point of an open-loop driver is to expose saturation, not to mask it.
-pub struct OpenLoopClient<P> {
-    client_no: u32,
-    servers: Vec<NodeId>,
-    preferred: usize,
-    txns: Vec<TxnTemplate>,
-    mean_interarrival: SimDuration,
-    /// Completed and in-flight operation records, in submission order:
-    /// operation `seq` is `records[seq]`.
-    pub records: Vec<OpRecord>,
-    next_txn: usize,
-    _marker: std::marker::PhantomData<P>,
-}
-
-const SUBMIT_TAG: u64 = 3;
-
-impl<P: Message> OpenLoopClient<P> {
-    /// Creates an open-loop client with the given mean inter-arrival time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is empty or the mean inter-arrival is zero.
-    pub fn new(
-        client_no: u32,
-        servers: Vec<NodeId>,
-        preferred: usize,
-        txns: Vec<TxnTemplate>,
-        mean_interarrival: SimDuration,
-    ) -> Self {
-        assert!(!servers.is_empty(), "client needs at least one server");
-        assert!(
-            !mean_interarrival.is_zero(),
-            "inter-arrival must be positive"
-        );
-        let preferred = preferred % servers.len();
-        OpenLoopClient {
-            client_no,
-            servers,
-            preferred,
-            txns,
-            mean_interarrival,
-            records: Vec::new(),
-            next_txn: 0,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// True once every submitted transaction has been answered *and* all
-    /// transactions were submitted.
-    pub fn is_done(&self) -> bool {
-        self.next_txn >= self.txns.len() && self.records.iter().all(|r| r.responded.is_some())
-    }
-
-    /// The completed operation records.
-    pub fn completed(&self) -> impl Iterator<Item = &OpRecord> {
-        self.records.iter().filter(|r| r.responded.is_some())
-    }
-
-    fn arm_next(&mut self, ctx: &mut Ctx<'_, P>) {
-        if self.next_txn >= self.txns.len() {
-            return;
-        }
-        // Exponential inter-arrival from the world's deterministic RNG.
-        let u: f64 = rand::Rng::gen_range(ctx.rng(), 1e-9..1.0f64);
-        let ticks = (-(u.ln()) * self.mean_interarrival.ticks() as f64).ceil() as u64;
-        ctx.set_timer(SimDuration::from_ticks(ticks.max(1)), SUBMIT_TAG);
-    }
-
-    fn submit(&mut self, ctx: &mut Ctx<'_, P>) {
-        if self.next_txn >= self.txns.len() {
-            return;
-        }
-        let seq = self.next_txn as u32;
-        let id = OpId::compose(self.client_no, seq);
-        let txn = self.txns[self.next_txn].clone();
-        self.next_txn += 1;
-        self.records.push(OpRecord {
-            op: id,
-            txn: txn.clone(),
-            invoked: ctx.now(),
-            responded: None,
-            response: None,
-            retries: 0,
-        });
-        ctx.mark(Phase::Request.tag(), id.0, 0);
-        send_op(ctx, self.servers[self.preferred], id, txn);
-    }
-
-    /// The record of operation `op`, found by its sequence number.
-    fn record_mut(&mut self, op: OpId) -> Option<&mut OpRecord> {
-        self.records
-            .get_mut(op.seq() as usize)
-            .filter(|r| r.op == op)
-    }
+/// The record of operation `op` while it awaits its response — the one
+/// lookup for replies and reroutes. Operation `seq` is `records[seq]`, so
+/// the closed loop finds its in-flight record (the last) the same way.
+fn in_flight(records: &mut [OpRecord], op: OpId) -> Option<&mut OpRecord> {
+    (records.get_mut(op.seq() as usize)).filter(|r| r.op == op && r.responded.is_none())
 }
 
 /// The set of virtual clients one [`AggregateClients`] actor stands for:
@@ -477,8 +428,8 @@ const AGGREGATE_BLOCK: u64 = 64;
 /// Memory is constant in the operation count: latencies stream into a
 /// [`LatencyHistogram`], only the in-flight operations are tracked, and
 /// transactions are drawn `AGGREGATE_BLOCK` at a time.
-/// Like [`OpenLoopClient`], it never retries — open loops expose
-/// saturation rather than masking it.
+/// Like an open-loop [`ClientActor`], it never retries — open loops
+/// expose saturation rather than masking it.
 pub struct AggregateClients<P> {
     group: ClientGroup,
     servers: Vec<NodeId>,
@@ -651,58 +602,15 @@ impl<P: Message> Actor<Wire<P>> for AggregateClients<P> {
     impl_as_any!();
 }
 
-impl<P: Message> Actor<Wire<P>> for OpenLoopClient<P> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
-        self.arm_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, P>, _from: NodeId, msg: Wire<P>) {
-        let resp = match msg {
-            Wire::Reply(resp) => resp,
-            Wire::Member(MemberMsg::Reroute { op, servers }) => {
-                // Not a timeout retry (open loops never retry): an explicit
-                // bounce off a decommissioned server is re-submitted to the
-                // new membership so the operation is not stranded.
-                let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, &servers)
-                else {
-                    return;
-                };
-                if let Some(rec) = self.record_mut(op).filter(|r| r.responded.is_none()) {
-                    rec.retries += 1;
-                    send_op(ctx, to, op, rec.txn.clone());
-                }
-                return;
-            }
-            _ => return,
-        };
-        let op = resp.op;
-        let Some(rec) = self.record_mut(op) else {
-            return;
-        };
-        if rec.responded.is_some() {
-            return;
-        }
-        rec.responded = Some(ctx.now());
-        rec.response = Some(resp);
-        ctx.mark(Phase::Response.tag(), op.0, 0);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, P>, _timer: TimerId, tag: u64) {
-        if tag == SUBMIT_TAG {
-            self.submit(ctx);
-            self.arm_next(ctx);
-        }
-    }
-
-    impl_as_any!();
-}
-
 impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
-        if self.start_after.is_zero() {
-            self.submit_next(ctx);
-        } else {
-            ctx.set_timer(self.start_after, START_TAG);
+        match self.open {
+            Some(mean) => self.arm_arrival(ctx, mean),
+            None if self.start_after.is_zero() => self.submit_next(ctx),
+            // A start delay is a think time before the first operation.
+            None => {
+                ctx.set_timer(self.start_after, THINK_TAG);
+            }
         }
     }
 
@@ -714,13 +622,10 @@ impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
             }
             _ => return,
         };
-        // The in-flight operation is always the last record.
-        let Some(rec) = self.records.last_mut() else {
+        // `None`: stale or duplicate (active replication answers n times).
+        let Some(rec) = in_flight(&mut self.records, resp.op) else {
             return;
         };
-        if rec.op != resp.op || rec.responded.is_some() {
-            return; // stale or duplicate (active replication answers n times)
-        }
         let resp = match &mut self.routing {
             Some(r) if r.mode == ReplyMode::PerShard => match r.absorb(from, &resp, &rec.txn) {
                 Some(merged) => merged,
@@ -731,11 +636,11 @@ impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
         rec.responded = Some(ctx.now());
         rec.response = Some(resp);
         ctx.mark(Phase::Response.tag(), rec.op.0, 0);
-        self.done = true;
+        self.answered += 1;
         if let Some(timer) = self.retry_timer.take() {
             ctx.cancel_timer(timer);
         }
-        if self.next_txn < self.txns.len() {
+        if self.open.is_none() && self.records.len() < self.txns.len() {
             ctx.set_timer(self.think, THINK_TAG);
         }
     }
@@ -748,12 +653,8 @@ impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
                 self.retry_timer = None;
                 self.retry(ctx);
             }
-            THINK_TAG if self.done => {
-                self.submit_next(ctx);
-            }
-            START_TAG if self.done && self.next_txn == 0 => {
-                self.submit_next(ctx);
-            }
+            THINK_TAG if self.answered == self.records.len() => self.submit_next(ctx),
+            SUBMIT_TAG => self.submit_next(ctx),
             _ => {}
         }
     }
@@ -791,11 +692,14 @@ mod tests {
 
     /// A scripted server: logs every invoke's arrival and, unless mute,
     /// repeats its answer to the previous operation — as an abort, so an
-    /// overwrite would show — before answering the new one twice.
+    /// overwrite would show — and, given a `bounce` list, reroutes that
+    /// answered operation there as a leaving server would, before
+    /// answering the new one twice.
     struct Scripted {
         mute: bool,
         previous: Option<OpId>,
         arrivals: Vec<(u64, OpId)>,
+        bounce: Vec<NodeId>,
     }
     impl Scripted {
         fn new(mute: bool) -> Box<Self> {
@@ -803,6 +707,7 @@ mod tests {
                 mute,
                 previous: None,
                 arrivals: Vec::new(),
+                bounce: Vec::new(),
             })
         }
     }
@@ -815,6 +720,13 @@ mod tests {
             }
             if let Some(old) = self.previous.replace(op.id) {
                 ctx.send(op.client, EchoMsg::Reply(crate::Response::aborted(old)));
+                if !self.bounce.is_empty() {
+                    let servers = self.bounce.clone();
+                    ctx.send(
+                        op.client,
+                        EchoMsg::Member(MemberMsg::Reroute { op: old, servers }),
+                    );
+                }
             }
             for _ in 0..2 {
                 ctx.send(op.client, EchoMsg::Reply(crate::Response::committed(op.id)));
@@ -891,21 +803,24 @@ mod tests {
 
     #[test]
     fn duplicate_responses_are_recorded_once() {
-        let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
-        let s = world.add_actor(Scripted::new(false)); // answers twice
-        let c = world.add_actor(Box::new(ClientActor::<()>::new(
-            0,
-            vec![s],
-            0,
-            txns(3),
-            SimDuration::from_ticks(50),
-            SimDuration::from_ticks(10_000),
-        )));
-        world.start();
-        world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        let client = world.actor_ref::<ClientActor<()>>(c);
-        assert!(client.is_done());
-        assert_eq!(client.records.len(), 3, "no duplicate records");
+        // The server answers twice, as every replica of an active-style
+        // technique does: either loop records the first answer and counts
+        // it once toward `is_done`.
+        let s = NodeId::new(0);
+        let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(10_000));
+        let closed = ClientActor::<()>::new(0, vec![s], 0, txns(3), think, retry_after);
+        let open = ClientActor::<()>::open(0, vec![s], 0, txns(3), SimDuration::from_ticks(100));
+        for client in [closed, open] {
+            let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
+            assert_eq!(world.add_actor(Scripted::new(false)), s);
+            let c = world.add_actor(Box::new(client));
+            world.start();
+            world.run_to_quiescence(SimTime::from_ticks(1_000_000));
+            let client = world.actor_ref::<ClientActor<()>>(c);
+            assert!(client.is_done());
+            assert_eq!(client.records.len(), 3, "no duplicate records");
+            assert!(client.records.iter().all(|r| r.committed()));
+        }
     }
 
     #[test]
@@ -946,7 +861,7 @@ mod tests {
             mute: true,
             served: 0,
         }));
-        let c = world.add_actor(Box::new(OpenLoopClient::<()>::new(
+        let c = world.add_actor(Box::new(ClientActor::<()>::open(
             0,
             vec![s],
             0,
@@ -955,7 +870,7 @@ mod tests {
         )));
         world.start();
         world.run_until(SimTime::from_ticks(50_000));
-        let client = world.actor_ref::<OpenLoopClient<()>>(c);
+        let client = world.actor_ref::<ClientActor<()>>(c);
         // All submitted (server is mute, so none answered) — open loop
         // does not block on responses.
         assert_eq!(client.records.len(), 4);
@@ -1181,6 +1096,30 @@ mod tests {
             (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
         );
         assert!(arrivals[1].is_empty(), "hedged to the next server");
+        // An open-loop operation bounced after its answer is not re-sent,
+        // and the bounce moves no later submission off the contact.
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(13));
+        let (s0, s1) = (
+            world.add_actor(Scripted::new(false)),
+            world.add_actor(Scripted::new(false)),
+        );
+        world.actor_mut::<Scripted>(s0).bounce = vec![s1];
+        let mean = SimDuration::from_ticks(2_000);
+        let open = ClientActor::<()>::open(0, vec![s0, s1], 0, txns(3), mean);
+        let c = world.add_actor(Box::new(open));
+        world.start();
+        world.run_to_quiescence(SimTime::from_ticks(1_000_000));
+        let client = world.actor_ref::<ClientActor<()>>(c);
+        assert!(client.is_done());
+        assert!(client.records.iter().all(|r| r.retries == 0));
+        let sent: Vec<OpId> = (world.actor_ref::<Scripted>(s0).arrivals.iter())
+            .map(|&(_, op)| op)
+            .collect();
+        assert_eq!(
+            sent,
+            (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
+        );
+        assert!(world.actor_ref::<Scripted>(s1).arrivals.is_empty());
     }
 
     #[test]

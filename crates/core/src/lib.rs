@@ -12,7 +12,7 @@
 //! * [`Technique`] — the taxonomy with the classification metadata behind
 //!   the paper's Figures 5, 6 and 16,
 //! * [`protocols`] — all ten techniques as simulated protocols,
-//! * [`ClientActor`] — the closed-loop client driver,
+//! * [`ClientActor`] — the client driver, closed or open loop,
 //! * [`consistency`] — linearizability, sequential-consistency and
 //!   staleness oracles (one-copy serializability lives in `repl-db`),
 //! * [`run`]/[`RunConfig`] — one-call experiment execution returning a [`RunReport`],
@@ -32,7 +32,7 @@ mod report;
 mod runner;
 mod technique;
 
-pub use client::{AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ReplyMode};
+pub use client::{AggregateClients, ClientActor, ClientGroup, OpRecord, ReplyMode};
 pub use durability::{DurabilityConfig, DurabilityTier, RestorePlan};
 pub use op::{accesses, ClientOp, OpId, Response};
 pub use phase::{Phase, PhaseMark, PhaseSkeleton, PhaseTrace};

@@ -14,9 +14,7 @@ use repl_workload::{
     MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
 };
 
-use crate::client::{
-    AggregateClients, ClientActor, ClientGroup, OpRecord, OpenLoopClient, ReplyMode,
-};
+use crate::client::{AggregateClients, ClientActor, ClientGroup, OpRecord, ReplyMode};
 use crate::durability::DurabilityConfig;
 use crate::phase::PhaseTrace;
 use crate::protocols::common::{op_of_txn, AbcastImpl, ExecutionMode, ShardCtx};
@@ -64,7 +62,7 @@ pub struct RunConfig {
     pub technique: Technique,
     /// Number of replica servers.
     pub servers: u32,
-    /// Number of closed-loop clients.
+    /// Number of clients.
     pub clients: u32,
     /// The workload.
     pub workload: WorkloadSpec,
@@ -80,27 +78,31 @@ pub struct RunConfig {
     /// planned decommissions. The empty plan (the default) leaves runs
     /// byte-identical to a build without the membership subsystem.
     pub membership: MembershipPlan,
-    /// Which Atomic Broadcast implementation ABCAST-based techniques use.
+    /// Which Atomic Broadcast implementation Active, Semi-Active, Eager
+    /// UE (ABCAST) and Certification order through. Lazy UE's
+    /// ABCAST-order mode always uses the sequencer.
     pub abcast: AbcastImpl,
-    /// Batching window for the ordering/propagation rounds of the
-    /// ABCAST-based and primary-copy techniques (and for WAL group
-    /// commit at the primaries). `BatchConfig::disabled()` (the
-    /// default) reproduces the unbatched behaviour bit-for-bit.
+    /// Batching window for the ordering/propagation rounds of Active,
+    /// Semi-Active, Eager UE (ABCAST), Certification, Eager Primary and
+    /// Lazy Primary (and for WAL group commit at those two primaries).
+    /// `BatchConfig::disabled()` (the default) reproduces the unbatched
+    /// behaviour bit-for-bit.
     pub batching: BatchConfig,
     /// Whether server execution is deterministic.
     pub exec: ExecutionMode,
-    /// Deadlock policy for the distributed-locking technique.
+    /// Deadlock policy for Eager UE (Distributed Locking).
     pub deadlock: DeadlockPolicy,
-    /// Read-one/write-all reads for the distributed-locking technique.
+    /// Read-one/write-all reads for Eager UE (Distributed Locking).
     pub rowa: bool,
-    /// Reconciliation rule for lazy update everywhere.
+    /// Reconciliation rule for Lazy UE.
     pub reconcile: ReconcileMode,
-    /// Extra propagation delay for the lazy techniques.
+    /// Extra propagation delay for Lazy Primary and Lazy UE. It also
+    /// lengthens every run's drain.
     pub propagation_delay: SimDuration,
-    /// Redo-log retention at the techniques that keep a log (eager and
-    /// lazy primary copy): how many entries stay available for
-    /// log-suffix recovery transfers before truncation forces snapshot
-    /// transfers. `None` retains everything.
+    /// Redo-log retention at the techniques that keep a log
+    /// (Semi-Passive, Eager Primary and Lazy Primary): how many entries
+    /// stay available for log-suffix recovery transfers before
+    /// truncation forces snapshot transfers. `None` retains everything.
     pub log_retention: Option<usize>,
     /// The durable log tier every server uploads committed writesets
     /// into. Disabled (the default) reproduces the untiered behaviour
@@ -1077,14 +1079,24 @@ fn drive<T: Flow>(
         for c in 0..cfg.clients {
             gen.reseed(client_seed(c));
             let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
-            let actor: Box<dyn Actor<Wire<T::Msg>>> = match cfg.arrival {
-                Arrival::Closed => {
+            let client = match cfg.arrival {
+                // Open-loop clients never retry, so they stay on the
+                // initial servers where a submission cannot hit a
+                // dormant node.
+                Arrival::Open(mean) => ClientActor::<T::Msg>::open(
+                    c,
+                    client_servers.clone(),
+                    preferred_server(cfg.technique, c, n),
+                    txns,
+                    SimDuration::from_ticks(mean),
+                ),
+                _ => {
                     // Clients spread over their contact list: the home
                     // group when routed, else every node (those aimed at
                     // a joiner wait until it is up).
                     let contacts = if map.is_some() { n } else { nodes };
                     let preferred = preferred_server(cfg.technique, c, contacts);
-                    let mut client = ClientActor::<T::Msg>::new(
+                    let client = ClientActor::<T::Msg>::new(
                         c,
                         client_servers.clone(),
                         preferred,
@@ -1093,24 +1105,13 @@ fn drive<T: Flow>(
                         cfg.retry_after,
                     )
                     .with_start_after(join_start_after(preferred));
-                    if let Some(map) = map {
-                        client = client.with_routing(map, reply_mode, sticky);
+                    match map {
+                        Some(map) => client.with_routing(map, reply_mode, sticky),
+                        None => client,
                     }
-                    Box::new(client)
                 }
-                // Open-loop clients never retry, so they stay on the
-                // initial servers where a submission cannot hit a
-                // dormant node.
-                Arrival::Open(mean) => Box::new(OpenLoopClient::<T::Msg>::new(
-                    c,
-                    client_servers.clone(),
-                    preferred_server(cfg.technique, c, n),
-                    txns,
-                    SimDuration::from_ticks(mean),
-                )),
-                Arrival::OpenAggregated { .. } => unreachable!("handled above"),
             };
-            clients.push(world.add_actor(actor));
+            clients.push(world.add_actor(Box::new(client)));
         }
     }
     schedule_faults(&mut world, &cfg.faults);
@@ -1122,11 +1123,10 @@ fn drive<T: Flow>(
     }
     let completion = run_to_quiescence(&mut world, cfg, |world| {
         clients.iter().all(|&c| match cfg.arrival {
-            Arrival::Closed => world.actor_ref::<ClientActor<T::Msg>>(c).is_done(),
-            Arrival::Open(_) => world.actor_ref::<OpenLoopClient<T::Msg>>(c).is_done(),
             Arrival::OpenAggregated { .. } => {
                 world.actor_ref::<AggregateClients<T::Msg>>(c).is_done()
             }
+            _ => world.actor_ref::<ClientActor<T::Msg>>(c).is_done(),
         })
     });
 
@@ -1163,11 +1163,7 @@ fn drive<T: Flow>(
     } else {
         for (cno, &c) in clients.iter().enumerate() {
             // The run is over: take the records so they exist once.
-            let recs = match cfg.arrival {
-                Arrival::Closed => take(&mut world.actor_mut::<ClientActor<T::Msg>>(c).records),
-                Arrival::Open(_) => take(&mut world.actor_mut::<OpenLoopClient<T::Msg>>(c).records),
-                Arrival::OpenAggregated { .. } => unreachable!("handled above"),
-            };
+            let recs = take(&mut world.actor_mut::<ClientActor<T::Msg>>(c).records);
             for rec in recs {
                 // A sharded run classifies its answered records by how
                 // many shards they touch.

@@ -293,12 +293,15 @@ fn cells() -> Vec<(String, RunConfig)> {
         Technique::LazyPrimary,
         Technique::EagerUpdateEverywhereLocking,
     ] {
-        cells.push((
-            format!("{SHARD_OUTAGE}{}", technique.name()),
-            sharded(technique, 0.0)
-                .with_log_retention(Some(1))
-                .with_faults(shard_outage.clone()),
-        ));
+        let mut cfg = sharded(technique, 0.0).with_faults(shard_outage.clone());
+        // Passive and distributed locking keep no redo log to retain.
+        if !matches!(
+            technique,
+            Technique::Passive | Technique::EagerUpdateEverywhereLocking
+        ) {
+            cfg = cfg.with_log_retention(Some(1));
+        }
+        cells.push((format!("{SHARD_OUTAGE}{}", technique.name()), cfg));
     }
     let shard_disaster = FaultPlan::new().disaster_at(
         SimTime::from_ticks(1_000),

@@ -30,12 +30,10 @@ fn main() {
         Technique::Passive,
         Technique::EagerPrimary,
     ] {
-        let cfg = RunConfig::new(technique)
+        let mut cfg = RunConfig::new(technique)
             .with_servers(5)
             .with_clients(3)
             .with_seed(11)
-            // Active replication needs the crash-tolerant ABCAST.
-            .with_abcast(AbcastImpl::Consensus)
             .with_faults(FaultPlan::new().crash_at(crash_at, NodeId::new(0)))
             .with_workload(
                 WorkloadSpec::default()
@@ -43,6 +41,10 @@ fn main() {
                     .with_read_ratio(0.0)
                     .with_txns_per_client(12),
             );
+        if technique == Technique::Active {
+            // Active replication needs the crash-tolerant ABCAST.
+            cfg = cfg.with_abcast(AbcastImpl::Consensus);
+        }
         let report = run(&cfg);
         let mut lat = report.latencies.clone();
         // Convergence among survivors (index 0 is the corpse).
