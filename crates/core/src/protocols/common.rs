@@ -100,16 +100,20 @@ impl ShardCtx {
         self.map.shards()
     }
 
-    /// The members of group `g`, ascending.
-    pub fn group_of(&self, g: u32) -> Vec<NodeId> {
+    /// The members of group `g`, ascending: a range over the contiguous
+    /// node block, so a per-step fan-out or a cohort expansion reads the
+    /// layout without building a list.
+    pub fn group_of(&self, g: u32) -> impl Iterator<Item = NodeId> + Clone {
         let n = self.group_size;
-        (g * n..(g + 1) * n).map(NodeId::new).collect()
+        (g * n..(g + 1) * n).map(NodeId::new)
     }
 
     /// Every group's members, ascending: the layout the genuine
-    /// multicast is constructed over.
+    /// multicast is constructed over (collected once, at construction).
     pub fn groups(&self) -> Vec<Vec<NodeId>> {
-        (0..self.shards()).map(|g| self.group_of(g)).collect()
+        (0..self.shards())
+            .map(|g| self.group_of(g).collect())
+            .collect()
     }
 
     /// The group a server node belongs to.

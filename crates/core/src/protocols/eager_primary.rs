@@ -15,12 +15,12 @@
 //! detector fires (the paper's "operator intervention", mechanised).
 //! Active transactions at the failed primary abort; clients re-submit.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, RedoLog, TpcCoordinator,
-    TpcDecision, Transfer, TxnId, Value, WriteSet, WriteSetRef,
+    TpcDecision, Transfer, TxnId, Value, WriteRecord, WriteSet, WriteSetRef,
 };
 use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{Message, NodeId, SimDuration};
@@ -106,11 +106,8 @@ impl Message for EagerPrimaryMsg {
 enum TxnPhase {
     /// Waiting for a lock.
     LockWait,
-    /// Waiting for propagation acks for `step`.
-    PropWait {
-        step: u32,
-        awaiting: HashSet<NodeId>,
-    },
+    /// Waiting for the transaction's `awaiting` acks for `step`.
+    PropWait { step: u32 },
     /// 2PC in progress.
     Committing(TpcCoordinator<NodeId>),
 }
@@ -121,6 +118,10 @@ struct PrimaryTxn {
     step: usize,
     reads: Vec<(Key, Value)>,
     phase: TxnPhase,
+    /// The secondaries a propagation step still waits for; at commit,
+    /// the 2PC cohort. One list per transaction, taken from and returned
+    /// to `EagerPrimary::spare_acks`.
+    awaiting: Vec<NodeId>,
     retries: u32,
 }
 
@@ -137,6 +138,10 @@ pub struct EagerPrimary {
     fd_out: Outbox<FdMsg, FdEvent>,
     /// Primary-side in-flight transactions.
     inflight: HashMap<TxnId, PrimaryTxn>,
+    /// Ack lists of finished transactions, reused by the next.
+    spare_acks: Vec<Vec<NodeId>>,
+    /// Scratch for the writeset one propagation step or Prepare interns.
+    step_ws: WriteSet,
     /// Ops wounded and awaiting re-execution.
     requeue: VecDeque<(ClientOp, u32)>,
     /// Secondary-side tentative transactions (undo-able until decision).
@@ -178,6 +183,8 @@ impl EagerPrimaryServer {
             fd: HeartbeatFd::new(me, servers.clone(), fd),
             fd_out: Outbox::new(),
             inflight: HashMap::new(),
+            spare_acks: Vec::new(),
+            step_ws: WriteSet::empty(TxnId::new(0, 0)),
             requeue: VecDeque::new(),
             tentative: HashMap::new(),
             wal: RedoLog::new(),
@@ -210,6 +217,35 @@ impl EagerPrimaryServer {
     }
 }
 
+/// The unsuspected servers other than this one, in `servers()` order: the
+/// audience of every propagation, Prepare and decision. A free function
+/// over the two fields it reads, so it can run while `inflight` is
+/// borrowed mutably.
+fn live_secondaries<'a>(fd: &'a HeartbeatFd, sh: &'a Shell) -> impl Iterator<Item = NodeId> + 'a {
+    let me = sh.me();
+    sh.servers()
+        .iter()
+        .copied()
+        .filter(move |&s| s != me && !fd.is_suspected(s))
+}
+
+/// The after-images a still-active single-operation transaction has
+/// written, appended to `out`: `commit` would consume the transaction, so
+/// they are read back from the store's pending state.
+fn pending_writes(sh: &Shell, op: &ClientOp, out: &mut Vec<WriteRecord>) {
+    for tpl in op.txn.ops.iter() {
+        if let OpTemplate::Write(k, _) = tpl {
+            if let Some(v) = sh.base.store.read(*k) {
+                out.push(WriteRecord {
+                    key: *k,
+                    value: v.value,
+                    version: v.version,
+                });
+            }
+        }
+    }
+}
+
 impl EagerPrimary {
     fn primary(&self, sh: &Shell) -> NodeId {
         sh.servers()
@@ -223,12 +259,10 @@ impl EagerPrimary {
         self.primary(sh) == sh.me()
     }
 
-    fn secondaries(&self, sh: &Shell) -> Vec<NodeId> {
-        sh.servers()
-            .iter()
-            .copied()
-            .filter(|&s| s != sh.me() && !self.fd.is_suspected(s))
-            .collect()
+    /// Returns a finished transaction's ack list to the spares.
+    fn recycle_acks(&mut self, mut acks: Vec<NodeId>) {
+        acks.clear();
+        self.spare_acks.push(acks);
     }
 
     /// Applies what the failure detector queued and reacts to its verdicts.
@@ -266,9 +300,9 @@ impl EagerPrimary {
             let advance = {
                 let t = self.inflight.get_mut(&txn).expect("present");
                 match &mut t.phase {
-                    TxnPhase::PropWait { awaiting, .. } => {
-                        awaiting.remove(&dead);
-                        awaiting.is_empty()
+                    TxnPhase::PropWait { .. } => {
+                        t.awaiting.retain(|&n| n != dead);
+                        t.awaiting.is_empty()
                     }
                     TxnPhase::Committing(c) => c.on_vote(dead, true) == Some(TpcDecision::Commit),
                     TxnPhase::LockWait => false,
@@ -319,6 +353,7 @@ impl EagerPrimary {
             sh.mark(ctx, Phase::Execution, op.id, 0);
         }
         sh.base.begin(txn);
+        let awaiting = self.spare_acks.pop().unwrap_or_default();
         self.inflight.insert(
             txn,
             PrimaryTxn {
@@ -326,6 +361,7 @@ impl EagerPrimary {
                 step: 0,
                 reads: Vec::new(),
                 phase: TxnPhase::LockWait,
+                awaiting,
                 retries,
             },
         );
@@ -360,7 +396,6 @@ impl EagerPrimary {
                 }
             }
             // Lock held: execute the step.
-            let secondaries = self.secondaries(sh);
             let t = self.inflight.get_mut(&txn).expect("present");
             match template {
                 OpTemplate::Read(k) => {
@@ -377,26 +412,22 @@ impl EagerPrimary {
                     // piggyback the writeset on Prepare (Fig. 7).
                     if total > 1 {
                         let step_no = (t.step - 1) as u32;
-                        if !secondaries.is_empty() {
-                            let ws = sh.base.make_payload(
-                                &WriteSet {
-                                    txn,
-                                    writes: vec![repl_db::WriteRecord {
-                                        key: k,
-                                        value: v,
-                                        version: after.version,
-                                    }],
-                                },
-                                secondaries.len() as u32,
-                            );
+                        t.awaiting.clear();
+                        t.awaiting.extend(live_secondaries(&self.fd, sh));
+                        if !t.awaiting.is_empty() {
+                            self.step_ws.txn = txn;
+                            self.step_ws.writes.clear();
+                            self.step_ws.writes.push(WriteRecord {
+                                key: k,
+                                value: v,
+                                version: after.version,
+                            });
+                            let legs = t.awaiting.len() as u32;
+                            let ws = sh.base.make_payload(&self.step_ws, legs);
                             let step = u64::from(step_no);
                             sh.mark(ctx, Phase::AgreementCoordination, t.op.id, step);
-                            let awaiting: HashSet<NodeId> = secondaries.iter().copied().collect();
-                            t.phase = TxnPhase::PropWait {
-                                step: step_no,
-                                awaiting,
-                            };
-                            for s in secondaries {
+                            t.phase = TxnPhase::PropWait { step: step_no };
+                            for &s in &t.awaiting {
                                 ctx.send(
                                     s,
                                     Wire::Proto(EagerPrimaryMsg::Propagate {
@@ -438,18 +469,12 @@ impl EagerPrimary {
 
     /// Begins the final 2PC round (Agreement Coordination).
     fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, txn: TxnId) {
-        let secondaries = self.secondaries(sh);
         let t = self.inflight.get_mut(&txn).expect("present");
-        let resp = Response {
-            op: t.op.id,
-            committed: true,
-            reads: t.reads.clone(),
-        };
         sh.mark(ctx, Phase::AgreementCoordination, t.op.id, u64::MAX);
-        let mut coord = TpcCoordinator::new(secondaries.clone());
-        coord.start();
-        if secondaries.is_empty() {
-            t.phase = TxnPhase::Committing(coord);
+        t.awaiting.clear();
+        t.awaiting.extend(live_secondaries(&self.fd, sh));
+        t.phase = TxnPhase::Committing(TpcCoordinator::new(t.awaiting.iter().copied()));
+        if t.awaiting.is_empty() {
             self.finish_commit(sh, ctx, txn, true);
             return;
         }
@@ -457,10 +482,18 @@ impl EagerPrimary {
         // (reconstructed from the store's pending state — we commit
         // locally only at decision time); for multi-op it was already
         // propagated step-wise.
-        t.phase = TxnPhase::Committing(coord);
-        let full_ws = self.pending_writeset(sh, txn);
-        let ws = sh.base.make_payload(&full_ws, secondaries.len() as u32);
-        for s in secondaries {
+        let resp = Response {
+            op: t.op.id,
+            committed: true,
+            reads: t.reads.clone(),
+        };
+        self.step_ws.txn = txn;
+        self.step_ws.writes.clear();
+        if t.op.txn.ops.len() == 1 {
+            pending_writes(sh, &t.op, &mut self.step_ws.writes);
+        }
+        let ws = sh.base.make_payload(&self.step_ws, t.awaiting.len() as u32);
+        for &s in &t.awaiting {
             ctx.send(
                 s,
                 Wire::Proto(EagerPrimaryMsg::Prepare {
@@ -470,30 +503,6 @@ impl EagerPrimary {
                 }),
             );
         }
-    }
-
-    /// The writes a still-active transaction has performed so far.
-    fn pending_writeset(&self, sh: &Shell, txn: TxnId) -> WriteSet {
-        // The transaction manager tracks after-images; commit() would
-        // consume the transaction, so reconstruct from the in-flight op.
-        let Some(t) = self.inflight.get(&txn) else {
-            return WriteSet::empty(txn);
-        };
-        let mut writes = Vec::new();
-        if t.op.txn.ops.len() == 1 {
-            for tpl in t.op.txn.ops.iter() {
-                if let OpTemplate::Write(k, _) = tpl {
-                    if let Some(v) = sh.base.store.read(*k) {
-                        writes.push(repl_db::WriteRecord {
-                            key: *k,
-                            value: v.value,
-                            version: v.version,
-                        });
-                    }
-                }
-            }
-        }
-        WriteSet { txn, writes }
     }
 
     fn finish_commit(
@@ -506,10 +515,11 @@ impl EagerPrimary {
         let Some(t) = self.inflight.remove(&txn) else {
             return;
         };
+        self.recycle_acks(t.awaiting);
         let resp = Response {
             op: t.op.id,
             committed: commit,
-            reads: t.reads.clone(),
+            reads: t.reads,
         };
         if commit {
             let ws = sh.base.commit(txn).unwrap_or_else(|| WriteSet::empty(txn));
@@ -540,7 +550,7 @@ impl EagerPrimary {
                     tier.note_commit(ws.clone());
                 }
                 self.wal.append(ws);
-                for s in self.secondaries(sh) {
+                for s in live_secondaries(&self.fd, sh) {
                     ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
                 }
                 ctx.send(t.op.client, Wire::Reply(resp));
@@ -548,7 +558,7 @@ impl EagerPrimary {
         } else {
             // Aborts are never batched: the sooner secondaries undo a
             // doomed tentative transaction, the sooner its locks clear.
-            for s in self.secondaries(sh) {
+            for s in live_secondaries(&self.fd, sh) {
                 ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
             }
             sh.base.abort(txn);
@@ -576,7 +586,7 @@ impl EagerPrimary {
             }
         }
         let entries = Arc::new(std::mem::take(&mut self.staged_decisions));
-        for s in self.secondaries(sh) {
+        for s in live_secondaries(&self.fd, sh) {
             let batch = EagerPrimaryMsg::DecisionBatch {
                 entries: entries.clone(),
             };
@@ -665,7 +675,8 @@ impl EagerPrimary {
         let Some(t) = self.inflight.remove(&victim) else {
             return;
         };
-        for s in self.secondaries(sh) {
+        self.recycle_acks(t.awaiting);
+        for s in live_secondaries(&self.fd, sh) {
             let abort = EagerPrimaryMsg::Decision {
                 txn: victim,
                 commit: false,
@@ -746,10 +757,10 @@ impl Technique for EagerPrimary {
                     let Some(t) = self.inflight.get_mut(&txn) else {
                         return;
                     };
-                    match &mut t.phase {
-                        TxnPhase::PropWait { step: s, awaiting } if *s == step => {
-                            awaiting.remove(&from);
-                            awaiting.is_empty()
+                    match t.phase {
+                        TxnPhase::PropWait { step: s } if s == step => {
+                            t.awaiting.retain(|&n| n != from);
+                            t.awaiting.is_empty()
                         }
                         _ => false,
                     }
@@ -947,7 +958,9 @@ impl Technique for EagerPrimary {
         let mut mine: Vec<TxnId> = self.inflight.keys().copied().collect(); // sorted-below
         mine.sort_unstable();
         for txn in mine {
-            self.inflight.remove(&txn);
+            if let Some(t) = self.inflight.remove(&txn) {
+                self.recycle_acks(t.awaiting);
+            }
             sh.base.abort(txn);
             let _ = self.lm.release_all(txn);
         }

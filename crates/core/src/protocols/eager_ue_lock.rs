@@ -42,7 +42,7 @@ use repl_db::{
     first_cycle, Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, TpcCoordinator,
     TpcDecision, Transfer, TxnId, Value,
 };
-use repl_sim::{Message, NodeId, SimDuration};
+use repl_sim::{GroupSet, Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
 use crate::op::{ClientOp, Response};
@@ -163,11 +163,8 @@ impl Message for EulMsg {
 
 #[derive(Debug)]
 enum DelPhase {
-    /// Waiting for lock grants for `step`.
-    Locking {
-        step: u32,
-        awaiting: HashSet<NodeId>,
-    },
+    /// Waiting for the transaction's `awaiting` lock grants for `step`.
+    Locking { step: u32 },
     /// 2PC voting.
     Committing(TpcCoordinator<NodeId>),
 }
@@ -181,12 +178,17 @@ struct DelegateTxn {
     /// must be reassembled into program order for the response.
     reads: Vec<(u32, Key, Value)>,
     phase: DelPhase,
+    /// The sites the current lock step still waits for. Once they all
+    /// granted it is refilled with the step's exec targets (the same
+    /// sites), and at commit with the 2PC cohort minus this site. One
+    /// list per transaction, taken from and returned to `Eul::spare_acks`.
+    awaiting: Vec<NodeId>,
     retries: u32,
-    /// Cross-shard runs: the union of the touched groups' members — the
-    /// 2PC participant set and decision audience. `None` in unsharded
-    /// runs (the live `servers` view is used instead, so elastic
-    /// membership keeps working).
-    cohort: Option<Vec<NodeId>>,
+    /// Sharded runs: the touched groups. Their members, expanded on
+    /// demand by [`cohort_of`], are the 2PC participant set and decision
+    /// audience. `None` in unsharded runs (the live `servers` view is
+    /// used instead, so elastic membership keeps working).
+    cohort: Option<GroupSet>,
 }
 
 const MAX_RETRIES: u32 = 30;
@@ -201,6 +203,8 @@ pub struct Eul {
     detect_every: SimDuration,
     /// Transactions this server delegates.
     delegated: HashMap<TxnId, DelegateTxn>,
+    /// Ack lists of finished delegations, reused by the next.
+    spare_acks: Vec<Vec<NodeId>>,
     /// Wounded operations awaiting retry here.
     requeue: Vec<(ClientOp, u32)>,
     /// For each txn we hold or queue locks for: its delegate and step.
@@ -251,6 +255,7 @@ impl EulServer {
             policy,
             detect_every: SimDuration::from_ticks(2_500),
             delegated: HashMap::new(),
+            spare_acks: Vec::new(),
             requeue: Vec::new(),
             lock_owner: HashMap::new(),
             tentative: HashSet::new(),
@@ -274,6 +279,35 @@ impl EulServer {
     }
 }
 
+/// Fills `out` with the sites that lock and then execute `key`. Sharded,
+/// the key-owning group only (that is the whole point of partial
+/// replication — foreign groups never see this key); under
+/// read-one/write-all a read only the local copy; otherwise every server.
+fn step_sites(sh: &Shell, rowa: bool, key: Key, exclusive: bool, out: &mut Vec<NodeId>) {
+    out.clear();
+    if let Some(sc) = sh.shard() {
+        out.extend(sc.group_of(sc.map.shard_of(key)));
+    } else if rowa && !exclusive {
+        out.push(sh.me());
+    } else {
+        out.extend_from_slice(sh.servers());
+    }
+}
+
+/// A delegation's 2PC participant set and decision audience, this site
+/// included: the members of the touched `groups` in a sharded run (the
+/// groups are ascending and their node blocks contiguous, so the members
+/// come out ascending), else the live view.
+fn cohort_of<'a>(groups: Option<&'a GroupSet>, sh: &'a Shell) -> impl Iterator<Item = NodeId> + 'a {
+    let sharded = groups.zip(sh.shard());
+    let members = sharded.map(|(gs, sc)| gs.iter().flat_map(move |&g| sc.group_of(g)));
+    let view = sharded.is_none().then(|| sh.servers().iter().copied());
+    members
+        .into_iter()
+        .flatten()
+        .chain(view.into_iter().flatten())
+}
+
 impl Eul {
     fn start_txn(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, op: ClientOp, retries: u32) {
         let txn = global_txn(op.id);
@@ -281,25 +315,16 @@ impl Eul {
             return;
         }
         sh.base.begin(txn);
-        // Sharded: the participant set is the union of the touched
-        // groups' members (dests is sorted, groups are contiguous and
-        // ascending, so the union is sorted too).
-        let cohort = sh.shard().map(|sc| {
-            sc.dests(&op.txn)
-                .iter()
-                .flat_map(|&g| sc.group_of(g))
-                .collect::<Vec<NodeId>>()
-        });
+        let cohort = sh.shard().map(|sc| sc.dests(&op.txn));
+        let awaiting = self.spare_acks.pop().unwrap_or_default();
         self.delegated.insert(
             txn,
             DelegateTxn {
                 op,
                 step: 0,
                 reads: Vec::new(),
-                phase: DelPhase::Locking {
-                    step: 0,
-                    awaiting: HashSet::new(),
-                },
+                phase: DelPhase::Locking { step: 0 },
+                awaiting,
                 retries,
                 cohort,
             },
@@ -323,22 +348,9 @@ impl Eul {
             OpTemplate::Write(k, _) => (k, true),
         };
         sh.mark(ctx, Phase::ServerCoordination, t.op.id, step as u64);
-        // Sharded: the step locks at the key-owning group only (that is
-        // the whole point of partial replication — foreign groups never
-        // see this key). Read-one/write-all: a read locks only the
-        // local copy.
-        let targets: Vec<NodeId> = if let Some(sc) = sh.shard() {
-            sc.group_of(sc.map.shard_of(key))
-        } else if self.rowa && !exclusive {
-            vec![sh.me()]
-        } else {
-            sh.servers().to_vec()
-        };
-        t.phase = DelPhase::Locking {
-            step: step as u32,
-            awaiting: targets.iter().copied().collect(),
-        };
-        for &s in &targets {
+        step_sites(sh, self.rowa, key, exclusive, &mut t.awaiting);
+        t.phase = DelPhase::Locking { step: step as u32 };
+        for &s in &t.awaiting {
             ctx.send(
                 s,
                 Wire::Proto(EulMsg::LockReq {
@@ -364,20 +376,16 @@ impl Eul {
         };
         sh.mark(ctx, Phase::Execution, t.op.id, step as u64);
         t.step += 1;
-        // Sharded: execute at the key-owning group; a *foreign* read also
-        // asks one member (the owning group's first) to send the observed
-        // value back, because the delegate's own store does not replicate
-        // the key. Reads under read-one/write-all execute only locally.
-        let (exec_targets, foreign): (Vec<NodeId>, bool) = if let Some(sc) = sh.shard() {
-            let gid = sc.map.shard_of(key);
-            (sc.group_of(gid), gid != sc.my_gid)
-        } else if self.rowa && write.is_none() {
-            (vec![sh.me()], false)
-        } else {
-            (sh.servers().to_vec(), false)
-        };
-        for &s in &exec_targets {
-            let read_back = if foreign && write.is_none() && s == exec_targets[0] {
+        // The step executes where it locked. Sharded, a *foreign* read
+        // also asks one member (the owning group's first) to send the
+        // observed value back, because the delegate's own store does not
+        // replicate the key.
+        let foreign = sh
+            .shard()
+            .is_some_and(|sc| sc.map.shard_of(key) != sc.my_gid);
+        step_sites(sh, self.rowa, key, write.is_some(), &mut t.awaiting);
+        for (i, &s) in t.awaiting.iter().enumerate() {
+            let read_back = if foreign && write.is_none() && i == 0 {
                 Some(sh.me())
             } else {
                 None
@@ -399,39 +407,26 @@ impl Eul {
         // Foreign reads wait for the owning group's XReadVal instead.
         if write.is_none() && !foreign {
             let v = sh.base.store.read(key).map_or(Value(0), |v| v.value);
-            if let Some(t) = self.delegated.get_mut(&txn) {
-                t.reads.push((step as u32, key, v));
-            }
+            t.reads.push((step as u32, key, v));
         }
         self.request_lock(sh, ctx, txn);
     }
 
     fn start_commit(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId) {
-        let me = sh.me();
-        let others: Vec<NodeId> = {
-            let Some(t) = self.delegated.get(&txn) else {
-                return;
-            };
-            t.cohort
-                .as_deref()
-                .unwrap_or(sh.servers())
-                .iter()
-                .copied()
-                .filter(|&s| s != me)
-                .collect()
-        };
         let Some(t) = self.delegated.get_mut(&txn) else {
             return;
         };
         sh.mark(ctx, Phase::AgreementCoordination, t.op.id, u64::MAX);
-        let mut coord = TpcCoordinator::new(others.clone());
-        coord.start();
-        t.phase = DelPhase::Committing(coord);
-        if others.is_empty() {
+        let me = sh.me();
+        t.awaiting.clear();
+        t.awaiting
+            .extend(cohort_of(t.cohort.as_ref(), sh).filter(|&s| s != me));
+        t.phase = DelPhase::Committing(TpcCoordinator::new(t.awaiting.iter().copied()));
+        if t.awaiting.is_empty() {
             self.finish(sh, ctx, txn, true);
             return;
         }
-        for s in others {
+        for &s in &t.awaiting {
             ctx.send(s, Wire::Proto(EulMsg::Prepare { txn }));
         }
     }
@@ -440,12 +435,14 @@ impl Eul {
         let Some(mut t) = self.delegated.remove(&txn) else {
             return;
         };
-        let audience = t.cohort.take().unwrap_or_else(|| sh.servers().to_vec());
-        for &s in &audience {
+        for s in cohort_of(t.cohort.as_ref(), sh) {
             if s != sh.me() {
                 ctx.send(s, Wire::Proto(EulMsg::Decision { txn, commit }));
             }
         }
+        let mut acks = std::mem::take(&mut t.awaiting);
+        acks.clear();
+        self.spare_acks.push(acks);
         self.apply_decision(sh, ctx, txn, commit);
         // Reassemble reads into program order. A retried transaction can
         // receive a late XReadVal from its wounded previous attempt; the
@@ -728,10 +725,10 @@ impl Technique for Eul {
                     let Some(t) = self.delegated.get_mut(&txn) else {
                         return;
                     };
-                    match &mut t.phase {
-                        DelPhase::Locking { step: s, awaiting } if *s == step => {
-                            awaiting.remove(&from);
-                            awaiting.is_empty()
+                    match t.phase {
+                        DelPhase::Locking { step: s } if s == step => {
+                            t.awaiting.retain(|&n| n != from);
+                            t.awaiting.is_empty()
                         }
                         _ => false,
                     }

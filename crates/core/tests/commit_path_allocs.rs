@@ -111,8 +111,8 @@ fn open_cell(technique: Technique, txns: u32) -> RunConfig {
 /// Four groups of three, 5 % cross-shard, closed loop (the
 /// `shard16_closed` shape; sharded runs are closed-loop only, so these
 /// servers record history).
-fn sharded_cell(txns: u32) -> RunConfig {
-    RunConfig::new(Technique::Active)
+fn sharded_cell(technique: Technique, txns: u32) -> RunConfig {
+    RunConfig::new(technique)
         .with_servers(3)
         .with_clients(CLIENTS)
         .with_seed(29)
@@ -126,6 +126,26 @@ fn sharded_cell(txns: u32) -> RunConfig {
                 .with_think_time(SimDuration::ZERO)
                 .with_shards(4)
                 .with_cross_shard_ratio(0.05),
+        )
+}
+
+/// Three replicas, closed loop without think time, four-write
+/// transactions over a small skewed keyspace (the `hot_closed` shape,
+/// scaled down; these servers record history).
+fn hot_cell(technique: Technique, txns: u32) -> RunConfig {
+    RunConfig::new(technique)
+        .with_servers(3)
+        .with_clients(CLIENTS)
+        .with_seed(29)
+        .with_trace(false)
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(256)
+                .with_skew(0.8)
+                .with_read_ratio(0.0)
+                .with_ops_per_txn(4)
+                .with_txns_per_client(txns)
+                .with_think_time(SimDuration::ZERO),
         )
 }
 
@@ -162,8 +182,8 @@ fn marginal(cell: impl Fn(u32) -> RunConfig) -> (f64, f64) {
 
 /// One guarded cell: its marginal allocations per transaction at the
 /// commit before the guarded change and the budget it must stay under
-/// now; for the lean ABCAST cells, Semi-Passive and the recording cell
-/// also a bound on the marginal retained heap.
+/// now; for the lean ABCAST cells, Semi-Passive and the sharded Active
+/// recording cell also a bound on the marginal retained heap.
 struct Guard {
     label: &'static str,
     parent: f64,
@@ -196,11 +216,16 @@ struct Heap {
 // transactions shared one body and the event wheel filed its events in
 // one slab, plus 10 %: Active 1.572 (from 2.525), Certification 1.539
 // (from 2.494), Passive 4.048 (from 5.005), Semi-Passive 12.144 (from
-// 13.107), the recording cell 0.665 (from 1.674). Every budget is also
+// 13.107), the recording cell 0.665 (from 1.674). The two locking cells
+// were added once their per-step loop and 2PC stopped allocating per
+// step, per destination and per vote: Eager Primary Copy 13.710 (from
+// 85.249), Eager UE (Locking) 1.688 (from 15.981). Every budget is also
 // at most half its `parent`, the value before the commit path was made
 // allocation-free. What remains is data: the returned reads per
-// executing replica, the writeset a shipping technique builds, Passive's
-// ack bookkeeping and Semi-Passive's consensus instances.
+// executing replica, the writeset a shipping technique builds or a
+// committing site logs, Passive's ack bookkeeping, Semi-Passive's
+// consensus instances, a 2PC coordinator's vote list, and the
+// re-executions wound-wait forces on a hot keyspace.
 //
 // The retained heap counts transaction bodies too. An open-loop group
 // draws its transactions in blocks that share one body, and a block's
@@ -208,7 +233,7 @@ struct Heap {
 // logs only its update transactions, so a block's read-only ones stay
 // alive inside a logged neighbour's body: its share rose from 130.4 to
 // 133.3 bytes per transaction, still under its bound.
-const GUARDS: [Guard; 5] = [
+const GUARDS: [Guard; 7] = [
     Guard {
         label: "Active / 3 lean replicas",
         parent: 28.921,
@@ -254,7 +279,21 @@ const GUARDS: [Guard; 5] = [
             parent: 1906.3,
             share: 0.7,
         }),
-        cell: sharded_cell,
+        cell: |t| sharded_cell(Technique::Active, t),
+    },
+    Guard {
+        label: "Eager Primary Copy / 3 replicas, hot keys",
+        parent: 85.249,
+        budget: 15.09,
+        heap: None,
+        cell: |t| hot_cell(Technique::EagerPrimary, t),
+    },
+    Guard {
+        label: "Eager UE (Locking) / 4 groups, 5 % cross-shard",
+        parent: 15.981,
+        budget: 1.86,
+        heap: None,
+        cell: |t| sharded_cell(Technique::EagerUpdateEverywhereLocking, t),
     },
 ];
 

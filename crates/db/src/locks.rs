@@ -28,8 +28,13 @@
 //! while no transaction waits. Only detection asks, once per detection
 //! period; wound-wait callers never do — prevention makes cycles
 //! impossible — so acquire, promote and release carry no graph upkeep.
+//!
+//! A transaction's held and awaited keys are sorted, duplicate-free
+//! `Vec`s; [`LockManager::release_all`] hands both back to a free list
+//! for the next transaction, so a warm table locks and releases without
+//! touching the heap.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::hash::FxHashMap;
 use crate::item::{Key, Keyspace, TxnId};
@@ -119,12 +124,14 @@ pub struct LockManager {
     dense: Vec<LockState>,
     /// Lock states of the keys outside the window.
     sparse: FxHashMap<Key, LockState>,
-    /// Keys each transaction holds (sorted per txn for deterministic
-    /// release order).
-    held: FxHashMap<TxnId, BTreeSet<Key>>,
-    /// Keys each transaction waits on, maintained so `release_all` never
-    /// scans the whole table for pending waits.
-    waiting: FxHashMap<TxnId, BTreeSet<Key>>,
+    /// Keys each transaction holds (sorted and unique per txn, for a
+    /// deterministic release order).
+    held: FxHashMap<TxnId, Vec<Key>>,
+    /// Keys each transaction waits on (sorted and unique), maintained so
+    /// `release_all` never scans the whole table for pending waits.
+    waiting: FxHashMap<TxnId, Vec<Key>>,
+    /// Emptied key lists of released transactions, reused by the next.
+    spare: Vec<Vec<Key>>,
     /// Scratch for `release_all`'s touched-key list.
     touched_scratch: Vec<Key>,
 }
@@ -154,6 +161,7 @@ impl LockManager {
             sparse: FxHashMap::default(),
             held: FxHashMap::default(),
             waiting: FxHashMap::default(),
+            spare: Vec::new(),
             touched_scratch: Vec::new(),
         }
     }
@@ -213,7 +221,7 @@ impl LockManager {
                         } else {
                             state.waiters.push_back((txn, LockMode::Exclusive));
                         }
-                        self.waiting.entry(txn).or_default().insert(key);
+                        note(&mut self.waiting, &mut self.spare, txn, key);
                     }
                     let wounded = self.wound(txn, key);
                     return Acquire::Waiting { wounded };
@@ -222,12 +230,12 @@ impl LockManager {
         }
         if state.compatible_with_holders(txn, mode) && state.waiters.is_empty() {
             state.holders.push((txn, mode));
-            self.held.entry(txn).or_default().insert(key);
+            note(&mut self.held, &mut self.spare, txn, key);
             return Acquire::Granted;
         }
         if !state.waiters.iter().any(|(t, _)| *t == txn) {
             state.waiters.push_back((txn, mode));
-            self.waiting.entry(txn).or_default().insert(key);
+            note(&mut self.waiting, &mut self.spare, txn, key);
         }
         let wounded = self.wound(txn, key);
         Acquire::Waiting { wounded }
@@ -276,11 +284,12 @@ impl LockManager {
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, Key, LockMode)> {
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        if let Some(keys) = self.held.remove(&txn) {
-            touched.extend(keys);
-        }
-        if let Some(keys) = self.waiting.remove(&txn) {
-            touched.extend(keys);
+        for keys in [self.held.remove(&txn), self.waiting.remove(&txn)]
+            .into_iter()
+            .flatten()
+        {
+            touched.extend_from_slice(&keys);
+            self.recycle(keys);
         }
         touched.sort_unstable();
         touched.dedup();
@@ -299,6 +308,12 @@ impl LockManager {
         }
         self.touched_scratch = touched;
         granted
+    }
+
+    /// Returns a released transaction's key list to the free list.
+    fn recycle(&mut self, mut keys: Vec<Key>) {
+        keys.clear();
+        self.spare.push(keys);
     }
 
     /// Promotes waiters on `key` that have become grantable.
@@ -326,9 +341,11 @@ impl LockManager {
             } else {
                 state.holders.push((txn, mode));
             }
-            self.held.entry(txn).or_default().insert(key);
+            note(&mut self.held, &mut self.spare, txn, key);
             if let Some(w) = self.waiting.get_mut(&txn) {
-                w.remove(&key);
+                if let Ok(at) = w.binary_search(&key) {
+                    w.remove(at);
+                }
             }
             granted.push((txn, key, mode));
             if mode == LockMode::Exclusive {
@@ -381,15 +398,25 @@ impl LockManager {
     /// straggler messages from an attempt whose locks were already
     /// released by an abort.
     pub fn holds(&self, txn: TxnId, key: Key) -> bool {
-        self.held.get(&txn).is_some_and(|s| s.contains(&key))
+        self.held
+            .get(&txn)
+            .is_some_and(|s| s.binary_search(&key).is_ok())
     }
 
     /// Keys currently locked by `txn`.
     pub fn locks_of(&self, txn: TxnId) -> Vec<Key> {
-        self.held
-            .get(&txn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.held.get(&txn).cloned().unwrap_or_default()
+    }
+}
+
+/// Adds `key` to `txn`'s sorted key list in `map`, starting the list from
+/// `spare` when `txn` has none.
+fn note(map: &mut FxHashMap<TxnId, Vec<Key>>, spare: &mut Vec<Vec<Key>>, txn: TxnId, key: Key) {
+    let keys = map
+        .entry(txn)
+        .or_insert_with(|| spare.pop().unwrap_or_default());
+    if let Err(at) = keys.binary_search(&key) {
+        keys.insert(at, key);
     }
 }
 
@@ -538,6 +565,42 @@ mod tests {
         assert_eq!(lm.locks_of(t(1)), vec![Key(1), Key(3)]);
         lm.release_all(t(1));
         assert!(lm.locks_of(t(1)).is_empty());
+    }
+
+    #[test]
+    fn out_of_order_acquires_read_back_sorted_and_unique() {
+        let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
+        for k in [9, 3, 7] {
+            assert_eq!(lm.acquire(t(1), Key(k), Exclusive), Acquire::Granted);
+        }
+        assert_eq!(lm.acquire(t(1), Key(3), Shared), Acquire::Granted);
+        assert_eq!(lm.acquire(t(1), Key(7), Exclusive), Acquire::Granted);
+        assert_eq!(lm.locks_of(t(1)), vec![Key(3), Key(7), Key(9)]);
+    }
+
+    #[test]
+    fn a_recycled_key_list_starts_empty() {
+        // t1's lists go back to the free list on release; t2 and t3 take
+        // them and must see only their own keys.
+        let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
+        for k in [5, 1, 8] {
+            lm.acquire(t(1), Key(k), Exclusive);
+        }
+        lm.acquire(t(2), Key(5), Exclusive); // waits behind t1
+        assert_eq!(lm.release_all(t(1)), vec![(t(2), Key(5), Exclusive)]);
+        lm.acquire(t(3), Key(2), Shared);
+        assert_eq!(lm.locks_of(t(2)), vec![Key(5)]);
+        assert_eq!(lm.locks_of(t(3)), vec![Key(2)]);
+        assert!(lm.locks_of(t(1)).is_empty());
+        for k in [1, 8] {
+            assert!(!lm.holds(t(2), Key(k)) && !lm.holds(t(3), Key(k)));
+            assert!(lm.holders(Key(k)).is_empty());
+        }
+        lm.release_all(t(2));
+        lm.release_all(t(3));
+        lm.acquire(t(4), Key(0), Exclusive);
+        assert_eq!(lm.locks_of(t(4)), vec![Key(0)]);
+        assert!(!lm.holds(t(4), Key(2)) && !lm.holds(t(4), Key(5)));
     }
 
     #[test]

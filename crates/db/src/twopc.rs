@@ -6,9 +6,6 @@
 //! over the participant id so they are usable both inside the simulator
 //! (`NodeId`) and in plain unit tests (`u32`).
 
-use std::collections::HashSet;
-use std::hash::Hash;
-
 /// 2PC wire messages for one transaction (the transaction id is carried by
 /// the embedding protocol).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,49 +54,61 @@ pub enum TpcCoordState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TpcCoordinator<P> {
-    /// Caller-ordered: `start` echoes this order, so message emission is
-    /// deterministic.
-    participants: Vec<P>,
-    /// Only ever probed (`contains`/`len`), never iterated — unordered
-    /// storage cannot leak into behavior.
-    yes: HashSet<P>,
+    /// Each participant with whether it voted yes, in the caller's
+    /// order: `start` and `participants` echo it, so message emission is
+    /// deterministic. A vote is recorded in place — one allocation per
+    /// transaction, none per vote.
+    votes: Vec<(P, bool)>,
+    /// How many `votes` entries are yes.
+    yes: usize,
     state: TpcCoordState,
 }
 
-impl<P: Copy + Eq + Hash> TpcCoordinator<P> {
-    /// Creates a coordinator awaiting votes from `participants`.
+impl<P: Copy + Eq> TpcCoordinator<P> {
+    /// Creates a coordinator awaiting votes from `participants`, in their
+    /// iteration order (a `Vec` works as well as an iterator).
     ///
     /// An empty participant set decides `Commit` immediately on `start`
     /// (the coordinator is the only site).
-    pub fn new(participants: Vec<P>) -> Self {
+    pub fn new(participants: impl IntoIterator<Item = P>) -> Self {
         TpcCoordinator {
-            participants,
-            yes: HashSet::new(),
+            votes: participants.into_iter().map(|p| (p, false)).collect(),
+            yes: 0,
             state: TpcCoordState::Voting,
         }
     }
 
-    /// Begins the protocol; returns the participants to send `Prepare` to.
+    /// Begins the protocol; returns the participants to send `Prepare` to,
+    /// as an owned list so the caller can record votes while it sends.
+    ///
+    /// The replication protocols do not call it: they send `Prepare`
+    /// over the cohort they built the coordinator from and commit an
+    /// empty cohort themselves. Callers that drive the coordinator on its
+    /// own, such as the `benchmark/` package's 2PC layer, do.
     pub fn start(&mut self) -> Vec<P> {
-        if self.participants.is_empty() {
+        if self.votes.is_empty() {
             self.state = TpcCoordState::Decided(TpcDecision::Commit);
         }
-        self.participants.clone()
+        self.participants().collect()
     }
 
     /// Records a vote. Returns the decision the moment it is reached
     /// (`Commit` after the last yes, `Abort` on the first no), `None`
     /// otherwise. Votes after the decision are ignored.
     pub fn on_vote(&mut self, from: P, yes: bool) -> Option<TpcDecision> {
-        if self.state != TpcCoordState::Voting || !self.participants.contains(&from) {
+        if self.state != TpcCoordState::Voting {
             return None;
         }
+        let voted = self.votes.iter_mut().find(|(p, _)| *p == from)?;
         if !yes {
             self.state = TpcCoordState::Decided(TpcDecision::Abort);
             return Some(TpcDecision::Abort);
         }
-        self.yes.insert(from);
-        if self.yes.len() == self.participants.len() {
+        if !voted.1 {
+            voted.1 = true;
+            self.yes += 1;
+        }
+        if self.yes == self.votes.len() {
             self.state = TpcCoordState::Decided(TpcDecision::Commit);
             return Some(TpcDecision::Commit);
         }
@@ -130,9 +139,9 @@ impl<P: Copy + Eq + Hash> TpcCoordinator<P> {
         }
     }
 
-    /// The participant set.
-    pub fn participants(&self) -> &[P] {
-        &self.participants
+    /// The participant set, in the caller's order.
+    pub fn participants(&self) -> impl Iterator<Item = P> + '_ {
+        self.votes.iter().map(|&(p, _)| p)
     }
 
     /// Participants that have not voted yes yet.
@@ -141,10 +150,10 @@ impl<P: Copy + Eq + Hash> TpcCoordinator<P> {
         P: Ord,
     {
         let mut v: Vec<P> = self
-            .participants
+            .votes
             .iter()
-            .filter(|p| !self.yes.contains(p))
-            .copied()
+            .filter(|(_, voted)| !voted)
+            .map(|&(p, _)| p)
             .collect();
         v.sort();
         v
@@ -307,7 +316,16 @@ mod tests {
         // simulator's trace hash depends on it.
         let mut c = TpcCoordinator::new(vec![4u32, 2, 8]);
         assert_eq!(c.start(), vec![4, 2, 8]);
-        assert_eq!(c.participants(), &[4, 2, 8]);
+        assert_eq!(c.participants().collect::<Vec<_>>(), vec![4, 2, 8]);
+    }
+
+    #[test]
+    fn a_coordinator_built_from_an_iterator_echoes_cohort_order() {
+        let mut c = TpcCoordinator::new([6u32, 1, 4].into_iter().filter(|&p| p != 1));
+        assert_eq!(c.start(), vec![6, 4]);
+        assert_eq!(c.participants().collect::<Vec<_>>(), vec![6, 4]);
+        assert_eq!(c.on_vote(4, true), None);
+        assert_eq!(c.on_vote(6, true), Some(TpcDecision::Commit));
     }
 
     #[test]

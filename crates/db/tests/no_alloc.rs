@@ -1,9 +1,12 @@
-//! Allocation guard for the lock manager's graph query and the
+//! Allocation guard for the lock manager, the 2PC coordinator and the
 //! transaction manager's per-transaction state.
 //!
 //! The kernel promises that `wait_for_edges` allocates nothing while no
 //! transaction waits: it reads the graph off the table and pushes no
-//! edge. The transaction manager promises that a warm begin / write /
+//! edge. A warm lock table locks and releases without allocating: a
+//! released transaction's key lists go back to a free list. A 2PC
+//! coordinator makes one allocation, its vote list, and records every
+//! vote in place. The transaction manager promises that a warm begin / write /
 //! commit cycle allocates nothing but the writeset `commit` returns,
 //! that `commit_in_place` — the commit of a site that ships and keeps
 //! no writeset — allocates nothing at all, and so does an abort:
@@ -20,7 +23,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use repl_db::{
-    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, Store, TxnId, TxnManager, Value,
+    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, Store, TpcCoordinator,
+    TpcDecision, TxnId, TxnManager, Value,
 };
 
 struct CountingAlloc;
@@ -83,6 +87,45 @@ fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
         assert!(lm.wait_for_edges().is_empty());
     }
     assert_eq!(allocations(), before, "idle wait_for_edges allocated");
+
+    // Wound-wait lock table: four keys per transaction, acquired out of
+    // order, then released. The first cycle sizes the recycled state.
+    let mut lm = LockManager::with_keyspace(DeadlockPolicy::WoundWait, Keyspace::dense(64));
+    let lock_four = |lm: &mut LockManager, ts: u64| {
+        for k in [9u64, 3, 7, 1] {
+            assert_eq!(
+                lm.acquire(t(ts), Key(k), LockMode::Exclusive),
+                Acquire::Granted
+            );
+        }
+        assert!(lm.holds(t(ts), Key(7)));
+        assert!(lm.release_all(t(ts)).is_empty());
+    };
+    lock_four(&mut lm, 1);
+    let before = allocations();
+    for ts in 2..102 {
+        lock_four(&mut lm, ts);
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm uncontended acquire/release_all cycle allocated"
+    );
+
+    // 2PC: the coordinator's vote list is its one allocation.
+    let before = allocations();
+    let mut coord = TpcCoordinator::new((0..5u32).filter(|&p| p != 2));
+    assert_eq!(
+        allocations() - before,
+        1,
+        "a coordinator built from an iterator made more than its vote list"
+    );
+    let before = allocations();
+    for p in [4, 0, 3] {
+        assert_eq!(coord.on_vote(p, true), None);
+    }
+    assert_eq!(coord.on_vote(1, true), Some(TpcDecision::Commit));
+    assert_eq!(allocations(), before, "recording a vote allocated");
 
     // Transaction manager: four writes in descending key order, one key
     // written twice, then commit — or abort.
