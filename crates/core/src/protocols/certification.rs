@@ -91,13 +91,19 @@ impl Ordered for Cert {
         }
         // Phase EX: optimistic shadow execution at the delegate.
         sh.mark(ctx, Phase::Execution, op.id, 0);
-        let (read_set, ws, resp) = sh.base.execute_shadow(&op, global_txn(op.id));
         // Every member consumes each certification request once.
         let peers = sh.servers().len() as u32;
+        let (ws, resp) = sh.base.execute_shadow(&op, global_txn(op.id), peers);
+        // Shared: the request carrying it is cloned once per ordering
+        // leg. (The empty default does not allocate.)
+        let read_set: Arc<[(Key, u64)]> = match sh.base.shadow_read_set() {
+            [] => Arc::default(),
+            reads => reads.into(),
+        };
         Some(CertRequest {
             op,
             read_set,
-            ws: sh.base.make_payload(&ws, peers),
+            ws,
             resp,
             delegate: sh.me(),
         })

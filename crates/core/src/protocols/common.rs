@@ -2,8 +2,6 @@
 //! (store + transaction manager + history + response cache), the unified
 //! Atomic Broadcast endpoint, and execution-mode handling.
 
-use std::sync::Arc;
-
 use repl_db::{
     AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
     SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
@@ -450,6 +448,9 @@ pub struct ServerBase {
     /// The undo log of this site's local transactions: only the
     /// transaction API below (`begin` … `rollback`) drives it.
     tm: TxnManager,
+    /// The optimistic executor's overlay, recycled from transaction to
+    /// transaction ([`ServerBase::execute_shadow`]).
+    shadow: ShadowStore,
     /// This site's recorded execution history.
     pub history: ReplicatedHistory,
     /// Responses already produced, for exactly-once retries.
@@ -491,6 +492,7 @@ impl ServerBase {
             site,
             store: Store::with_keyspace(ks, Value(0)),
             tm: TxnManager::new(),
+            shadow: ShadowStore::new(),
             history: ReplicatedHistory::new(),
             cache: FxHashMap::default(),
             exec,
@@ -542,12 +544,13 @@ impl ServerBase {
             .expect("no payload arena attached: seat the server with the run's shared arena")
     }
 
-    /// Interns a writeset for dissemination; the message carries the
-    /// 16-byte handle. `expected` is the number of sites that will
+    /// Interns a writeset for dissemination, from a view of its records
+    /// wherever they sit; the message carries the 16-byte handle.
+    /// `expected` is the number of sites that will
     /// [`release_payload`](Self::release_payload) it — with none, the
     /// span is retired at once.
-    pub fn make_payload(&mut self, ws: &WriteSet, expected: u32) -> WriteSetRef {
-        self.arena().borrow_mut().intern(ws, expected)
+    pub fn make_payload<'a>(&mut self, ws: impl Into<WsView<'a>>, expected: u32) -> WriteSetRef {
+        self.arena().borrow_mut().intern_view(ws.into(), expected)
     }
 
     /// Runs `f` over this server and a borrow view of the payload's
@@ -711,32 +714,75 @@ impl ServerBase {
     }
 
     /// Commits `txn`: marks it committed in the history and counts it.
-    /// Returns its writeset, or `None` — allocating nothing — when `txn`
-    /// has no undo log here (writes installed outside one, as certified
-    /// installs and the Thomas write rule do). The durable tier is the
-    /// caller's to note: when a commit becomes durable is the
-    /// technique's choice ([`ServerBase::commit_and_note`] notes it now).
-    pub fn commit(&mut self, txn: TxnId) -> Option<WriteSet> {
-        let ws = self.tm.commit(txn).ok();
+    /// Builds no writeset: the writes are in the store already, and a
+    /// `txn` with no undo log here (writes installed outside one, as
+    /// certified installs and the Thomas write rule do) needs nothing
+    /// more. The durable tier is the caller's to note: when a commit
+    /// becomes durable is the technique's choice
+    /// ([`ServerBase::commit_and_note`] notes it now).
+    pub fn commit(&mut self, txn: TxnId) {
+        let _ = self.tm.commit_in_place(txn);
+        self.mark_committed(txn);
+    }
+
+    fn mark_committed(&mut self, txn: TxnId) {
         self.history.mark_committed(txn);
         self.committed += 1;
-        ws
     }
 
     /// [`ServerBase::commit`] for a caller that keeps no writeset and
-    /// makes the commit durable at once: a tiered server builds the
-    /// writeset and moves it into its tier; an untiered one builds
-    /// nothing and only recycles the undo log.
+    /// makes the commit durable at once: a tiered server copies the
+    /// undo log's redo records into its tier; an untiered one only
+    /// recycles the undo log.
     pub fn commit_and_note(&mut self, txn: TxnId) {
-        if self.tier.is_none() {
-            let _ = self.tm.commit_in_place(txn);
-            self.history.mark_committed(txn);
-            self.committed += 1;
-        } else if let Some(ws) = self.commit(txn) {
-            if let Some(t) = &mut self.tier {
-                t.note_commit(ws);
+        let _ = self.commit_noted(txn, |_| ());
+    }
+
+    /// Commits `txn`, noting its redo records in the durable tier (if
+    /// any) and handing them to `keep`, the one place they are copied
+    /// to; `None` when `txn` has no undo log here.
+    fn commit_noted<R>(&mut self, txn: TxnId, keep: impl FnOnce(WsView<'_>) -> R) -> Option<R> {
+        let tier = &mut self.tier;
+        let kept = self.tm.commit_with(txn, |v| {
+            note(tier, v);
+            keep(v)
+        });
+        self.mark_committed(txn);
+        kept.ok()
+    }
+
+    /// [`ServerBase::commit`] straight into a redo log: the undo log's
+    /// records are copied once, into `log`'s column, appended under
+    /// their own force or — `group` — staged for the next group commit
+    /// (a `txn` with no undo log logs an empty entry). The durable tier
+    /// notes the same records: an appended entry at once, a staged one
+    /// when [`ServerBase::flush_group`] forces it, so the tier mirrors
+    /// the forced stream.
+    pub fn commit_into(&mut self, txn: TxnId, log: &mut RedoLog, group: bool) {
+        let tier = &mut self.tier;
+        let mut put = |v: WsView<'_>| {
+            if group {
+                log.stage_view(v);
+            } else {
+                log.append_view(v);
+                note(tier, v);
+            }
+        };
+        if self.tm.commit_with(txn, &mut put).is_err() {
+            put(WsView::rows(txn, &[]));
+        }
+        self.mark_committed(txn);
+    }
+
+    /// Forces `log`'s staged group with one fsync, after the durable
+    /// tier has noted it ([`ServerBase::commit_into`] with `group`).
+    pub fn flush_group(&mut self, log: &mut RedoLog) {
+        if let Some(t) = &mut self.tier {
+            for v in log.staged() {
+                t.note_commit_view(v);
             }
         }
+        let _ = log.flush_group();
     }
 
     /// Aborts `txn`: [`ServerBase::rollback`], counted.
@@ -760,17 +806,51 @@ impl ServerBase {
     }
 
     /// Executes a whole client transaction locally and commits it,
-    /// recording history. Returns the client response; the writeset is
-    /// built only for the durable tier, when there is one.
+    /// recording history. Returns the client response; the redo records
+    /// are copied only into the durable tier, when there is one.
     pub fn execute_commit(&mut self, op: &ClientOp, txn: TxnId) -> Response {
-        self.execute(op, txn, |_| None, false).1
+        self.execute(op, txn, |_| None, |s| s.commit_and_note(txn))
+            .1
     }
 
     /// [`ServerBase::execute_commit`] for a caller that ships the
-    /// transaction's writeset: returns it with the response.
-    pub fn execute_to_ship(&mut self, op: &ClientOp, txn: TxnId) -> (WriteSet, Response) {
-        let (ws, resp) = self.execute(op, txn, |_| None, true);
-        (ws.expect("a shipped execution builds its writeset"), resp)
+    /// transaction's writeset: it is interned into the payload arena
+    /// straight from the undo log, for `expected` consumers (see
+    /// [`ServerBase::make_payload`]), and the handle returned with the
+    /// response.
+    pub fn execute_to_ship(
+        &mut self,
+        op: &ClientOp,
+        txn: TxnId,
+        expected: u32,
+    ) -> (WriteSetRef, Response) {
+        self.execute(
+            op,
+            txn,
+            |_| None,
+            |s| {
+                let arena = SharedArena::clone(s.arena());
+                s.commit_noted(txn, |v| arena.borrow_mut().intern_view(v, expected))
+                    .expect("txn is active")
+            },
+        )
+    }
+
+    /// [`ServerBase::execute_commit`] for a caller that logs the
+    /// transaction's writeset later: the undo log's records are staged
+    /// in `log` (a lazy primary's propagation queue, forced when it
+    /// propagates). The commit is final, so the durable tier notes it
+    /// at once.
+    pub fn execute_to_log(&mut self, op: &ClientOp, txn: TxnId, log: &mut RedoLog) -> Response {
+        self.execute(
+            op,
+            txn,
+            |_| None,
+            |s| {
+                let _ = s.commit_noted(txn, |v| log.stage_view(v));
+            },
+        )
+        .1
     }
 
     /// [`ServerBase::execute_commit`] under a semi-active leader's
@@ -783,22 +863,19 @@ impl ServerBase {
         chosen: &[(Key, Value)],
     ) -> Response {
         let pick = |k| chosen.iter().rev().find(|c| c.0 == k).map(|c| c.1);
-        self.execute(op, txn, pick, false).1
+        self.execute(op, txn, pick, |s| s.commit_and_note(txn)).1
     }
 
-    /// Runs `op` as local transaction `txn`; a write of key k stores
-    /// `chosen(k)`, else this site's [`ServerBase::effective_value`].
-    ///
-    /// The writeset is built only when someone keeps it: the caller,
-    /// when it `ship`s it (the tier, if any, gets a clone), or else the
-    /// durable tier alone ([`ServerBase::commit_and_note`]).
-    fn execute(
+    /// Runs `op` as local transaction `txn`, then `commit`s it; a write
+    /// of key k stores `chosen(k)`, else this site's
+    /// [`ServerBase::effective_value`].
+    fn execute<R>(
         &mut self,
         op: &ClientOp,
         txn: TxnId,
         chosen: impl Fn(Key) -> Option<Value>,
-        ship: bool,
-    ) -> (Option<WriteSet>, Response) {
+        commit: impl FnOnce(&mut Self) -> R,
+    ) -> (R, Response) {
         self.begin(txn);
         let mut reads = Vec::new();
         for (key, write) in accesses(&op.txn) {
@@ -810,16 +887,44 @@ impl ServerBase {
                 }
             }
         }
-        let ws = if ship {
-            let ws = self.commit(txn).expect("txn is active");
-            if let Some(t) = &mut self.tier {
-                t.note_commit(ws.clone());
-            }
-            Some(ws)
-        } else {
-            self.commit_and_note(txn);
-            None
+        let committed = commit(self);
+        let resp = Response {
+            op: op.id,
+            committed: true,
+            reads,
         };
+        (committed, resp)
+    }
+
+    /// Executes a transaction on the recycled shadow overlay (no store
+    /// mutation) and interns its writeset — the overlay's key-sorted
+    /// records — for `expected` consumers. Returns the handle and the
+    /// response; the read set stays readable through
+    /// [`ServerBase::shadow_read_set`] until the next shadow execution.
+    pub fn execute_shadow(
+        &mut self,
+        op: &ClientOp,
+        txn: TxnId,
+        expected: u32,
+    ) -> (WriteSetRef, Response) {
+        self.shadow.begin(txn);
+        let mut reads: Vec<(Key, Value)> = Vec::new();
+        for (key, write) in accesses(&op.txn) {
+            match write {
+                None => {
+                    let v = self.shadow.read(&self.store, key);
+                    reads.push((key, v.map_or(Value(0), |v| v.value)));
+                }
+                Some(v) => {
+                    let v = self.effective_value(v);
+                    self.shadow.write(&self.store, key, v);
+                }
+            }
+        }
+        let ws = self
+            .arena()
+            .borrow_mut()
+            .intern_view(self.shadow.view(), expected);
         let resp = Response {
             op: op.id,
             committed: true,
@@ -828,43 +933,16 @@ impl ServerBase {
         (ws, resp)
     }
 
-    /// Executes a transaction on shadow copies (no store mutation),
-    /// returning the read set (versions), the writeset and the response.
-    pub fn execute_shadow(
-        &mut self,
-        op: &ClientOp,
-        txn: TxnId,
-    ) -> (Arc<[(Key, u64)]>, WriteSet, Response) {
-        let mut shadow = ShadowStore::new(&self.store, txn);
-        let mut reads: Vec<(Key, Value)> = Vec::new();
-        for (key, write) in accesses(&op.txn) {
-            match write {
-                None => {
-                    let v = shadow.read(key).map_or(Value(0), |v| v.value);
-                    reads.push((key, v));
-                }
-                Some(v) => shadow.write(key, self.effective_value(v)),
-            }
-        }
-        // Shared: the request carrying it is cloned once per ordering
-        // leg. (The empty default does not allocate.)
-        let read_set: Arc<[(Key, u64)]> = match shadow.read_set() {
-            [] => Arc::default(),
-            reads => reads.into(),
-        };
-        let ws = shadow.into_writeset();
-        let resp = Response {
-            op: op.id,
-            committed: true,
-            reads,
-        };
-        (read_set, ws, resp)
+    /// The `(key, version)` read set of the last
+    /// [`ServerBase::execute_shadow`].
+    pub fn shadow_read_set(&self) -> &[(Key, u64)] {
+        self.shadow.read_set()
     }
 
     /// Installs replicated writes (no re-execution), recording history.
     /// Allocation-free on lean untiered servers.
     pub fn install(&mut self, view: WsView<'_>) {
-        let txn = view.txn();
+        let txn = view.txn;
         for w in view.iter() {
             self.history
                 .record(self.site, txn, w.key, AccessKind::Write);
@@ -880,7 +958,7 @@ impl ServerBase {
     /// [`ServerBase::install`] for a writeset held in row form (log
     /// entries, batches, transfers).
     pub fn install_writeset(&mut self, ws: &WriteSet) {
-        self.install(WsView::Rows(ws));
+        self.install(ws.into());
     }
 
     /// Installs a recovery state transfer and records its accounting.
@@ -917,7 +995,7 @@ impl ServerBase {
                 for (ws, idx) in t.entries.iter().zip(t.start..) {
                     if idx >= from {
                         self.install_writeset(ws);
-                        wal.append(ws.clone());
+                        wal.append_view(ws.into());
                     }
                 }
             }
@@ -997,6 +1075,13 @@ impl ServerBase {
     }
 }
 
+/// Notes a commit's records in the durable tier, if there is one.
+fn note(tier: &mut Option<DurabilityTier>, v: WsView<'_>) {
+    if let Some(t) = tier {
+        t.note_commit_view(v);
+    }
+}
+
 /// Polls the ABCAST endpoint for a completed rejoin and closes the
 /// server's recovery window: the refilled ordered-stream bytes count as
 /// a log-suffix transfer (the order log *is* the group's shared log).
@@ -1051,9 +1136,17 @@ mod tests {
         }
     }
 
+    /// A server seated with its own arena.
+    fn seated(site: u32, items: u64, exec: ExecutionMode) -> (ServerBase, SharedArena) {
+        let arena = repl_db::shared_arena();
+        let mut base = ServerBase::new(site, items, exec);
+        base.set_arena(arena.clone());
+        (base, arena)
+    }
+
     #[test]
     fn execute_commit_reads_and_writes() {
-        let mut base = ServerBase::new(0, 4, ExecutionMode::Deterministic);
+        let (mut base, arena) = seated(0, 4, ExecutionMode::Deterministic);
         let o = op(
             1,
             vec![
@@ -1067,25 +1160,33 @@ mod tests {
         assert_eq!(base.committed, 1);
         assert_eq!(base.store.read(Key(1)).expect("exists").value, Value(5));
         assert!(!base.is_active(TxnId::new(1, 0)));
-        let (ws, resp) = base.execute_to_ship(&o, TxnId::new(2, 0));
-        assert_eq!(ws.writes.len(), 1);
-        assert_eq!(ws.txn, TxnId::new(2, 0));
+        let (ws, resp) = base.execute_to_ship(&o, TxnId::new(2, 0), 1);
+        let shipped = arena.borrow().view(ws).to_writeset();
+        assert_eq!(ws.len, 1);
+        assert_eq!(shipped.txn, TxnId::new(2, 0));
+        assert_eq!(shipped.writes[0].key, Key(1));
         assert_eq!(resp.reads, vec![(Key(1), Value(5))]);
         assert_eq!(base.committed, 2);
     }
 
     #[test]
     fn a_tiered_executor_notes_every_writeset_whether_or_not_it_ships_it() {
-        let mut base = ServerBase::new(0, 4, ExecutionMode::Deterministic);
+        let (mut base, arena) = seated(0, 4, ExecutionMode::Deterministic);
         base.set_durability(&DurabilityConfig::with_upload_lag(0));
         let o = op(1, vec![OpTemplate::Write(Key(1), Value(5))]);
         base.execute_commit(&o, TxnId::new(1, 0));
         base.seal_now(10, 1);
-        let (ws, _) = base.execute_to_ship(&o, TxnId::new(2, 0));
-        assert_eq!(ws.txn, TxnId::new(2, 0));
+        let (ws, _) = base.execute_to_ship(&o, TxnId::new(2, 0), 1);
+        assert_eq!(arena.borrow().view(ws).txn, TxnId::new(2, 0));
         base.seal_now(20, 2);
+        let mut log = RedoLog::new();
+        base.begin(TxnId::new(3, 0));
+        base.write(TxnId::new(3, 0), Key(2), Value(6));
+        base.commit_into(TxnId::new(3, 0), &mut log, false);
+        base.seal_now(30, 3);
         let tier = base.tier.as_ref().expect("tiered");
-        assert_eq!(tier.frames_sealed(), 2, "one frame per executed commit");
+        assert_eq!(tier.frames_sealed(), 3, "one frame per executed commit");
+        assert_eq!(log.len(), 1, "the logged commit is in the log too");
     }
 
     #[test]
@@ -1131,9 +1232,14 @@ mod tests {
         let mut base = ServerBase::new(0, 2, ExecutionMode::Deterministic);
         let txn = TxnId::new(4, 0);
         base.store.write(Key(1), Value(3), txn); // a certified install
-        assert!(base.commit(txn).is_none());
+        base.commit(txn);
         assert!(base.history.committed().contains(&txn));
         assert_eq!(base.committed, 1);
+        // Logged, it is an empty entry; a tier would note the same.
+        let mut log = RedoLog::new();
+        base.commit_into(txn, &mut log, false);
+        assert!(log.since(0).all(|v| v.is_empty() && v.txn == txn));
+        assert_eq!((log.len(), base.committed), (1, 2));
     }
 
     #[test]
@@ -1172,29 +1278,38 @@ mod tests {
 
     #[test]
     fn shadow_execution_leaves_store_untouched() {
-        let mut base = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        let (mut base, arena) = seated(0, 2, ExecutionMode::Deterministic);
         let fp = base.store.fingerprint();
         let o = op(
             2,
             vec![
                 OpTemplate::Read(Key(0)),
                 OpTemplate::Write(Key(1), Value(9)),
+                OpTemplate::Write(Key(0), Value(8)),
+                OpTemplate::Read(Key(1)),
             ],
         );
-        let (read_set, ws, resp) = base.execute_shadow(&o, TxnId::new(2, 0));
+        let (ws, resp) = base.execute_shadow(&o, TxnId::new(2, 0), 1);
         assert_eq!(base.store.fingerprint(), fp);
-        assert_eq!(&*read_set, &[(Key(0), 0)]);
-        assert_eq!(ws.writes.len(), 1);
+        assert_eq!(base.shadow_read_set(), &[(Key(0), 0)]);
+        assert_eq!(resp.reads, vec![(Key(0), Value(0)), (Key(1), Value(9))]);
+        let keys: Vec<Key> = arena.borrow().view(ws).iter().map(|w| w.key).collect();
+        assert_eq!(keys, vec![Key(0), Key(1)], "interned key-sorted");
         assert!(resp.committed);
+        // The recycled overlay starts the next transaction empty.
+        let (ws, _) =
+            base.execute_shadow(&op(3, vec![OpTemplate::Read(Key(1))]), TxnId::new(3, 0), 1);
+        assert_eq!(ws.len, 0);
+        assert_eq!(base.shadow_read_set(), &[(Key(1), 0)]);
     }
 
     #[test]
     fn install_writeset_converges_replicas() {
-        let mut a = ServerBase::new(0, 2, ExecutionMode::Deterministic);
+        let (mut a, arena) = seated(0, 2, ExecutionMode::Deterministic);
         let mut b = ServerBase::new(1, 2, ExecutionMode::Deterministic);
         let o = op(3, vec![OpTemplate::Write(Key(0), Value(7))]);
-        let (ws, _) = a.execute_to_ship(&o, TxnId::new(3, 0));
-        b.install_writeset(&ws);
+        let (ws, _) = a.execute_to_ship(&o, TxnId::new(3, 0), 1);
+        b.install_writeset(&arena.borrow().view(ws).to_writeset());
         assert_eq!(a.store.fingerprint(), b.store.fingerprint());
         assert_eq!(b.committed, 1);
     }
@@ -1209,8 +1324,8 @@ mod tests {
             base.set_arena(arena.clone());
         }
         let o = op(3, vec![OpTemplate::Write(Key(0), Value(7))]);
-        let (ws, _) = a.execute_to_ship(&o, TxnId::new(3, 0));
-        let handle = a.make_payload(&ws, 1);
+        let (handle, _) = a.execute_to_ship(&o, TxnId::new(3, 0), 1);
+        let ws = arena.borrow().view(handle).to_writeset();
         b.install_payload(handle);
         c.install_writeset(&ws);
         assert_eq!(b.store.fingerprint(), c.store.fingerprint());
@@ -1238,11 +1353,12 @@ mod tests {
 
     #[test]
     fn lean_mode_skips_history_and_cache_but_not_state() {
-        let mut lean = ServerBase::new(0, 4, ExecutionMode::Deterministic);
+        let (mut lean, arena) = seated(0, 4, ExecutionMode::Deterministic);
         lean.set_lean(true);
         assert!(!lean.history.is_recording());
         let o = op(1, vec![OpTemplate::Write(Key(1), Value(5))]);
-        let (ws, resp) = lean.execute_to_ship(&o, TxnId::new(1, 0));
+        let (ws, resp) = lean.execute_to_ship(&o, TxnId::new(1, 0), 1);
+        let ws = arena.borrow().view(ws).to_writeset();
         lean.remember(&resp);
         assert!(lean.cached(o.id).is_none(), "lean cache stays empty");
         assert!(

@@ -154,10 +154,6 @@ pub struct EagerPrimary {
     staged_decisions: Vec<(TxnId, bool)>,
     /// Client acks deferred until the window's log force.
     staged_replies: Vec<(NodeId, Response)>,
-    /// Writesets awaiting the window's log force before the durable tier
-    /// may see them (the tier mirrors the *flushed* stream). Empty on an
-    /// untiered server.
-    staged_notes: Vec<WriteSet>,
     flush_armed: bool,
     /// Filling a decision gap noticed after rejoining; participates
     /// normally while the suffix is in flight.
@@ -191,7 +187,6 @@ impl EagerPrimaryServer {
             batching: BatchConfig::disabled(),
             staged_decisions: Vec::new(),
             staged_replies: Vec::new(),
-            staged_notes: Vec::new(),
             flush_armed: false,
             resync: false,
         };
@@ -522,18 +517,16 @@ impl EagerPrimary {
             reads: t.reads,
         };
         if commit {
-            let ws = sh.base.commit(txn).unwrap_or_else(|| WriteSet::empty(txn));
+            let group = self.batching.enabled();
+            sh.base.commit_into(txn, &mut self.wal, group);
             sh.base.remember(&resp);
-            if self.batching.enabled() {
-                // Group commit: stage the redo record and defer both the
-                // decision round and the client ack to the window's
-                // single shared log force. The durable tier waits for the
-                // force too, so a volume loss can only erase unacked
-                // staged commits (their cached replies are evicted).
-                if sh.base.tier.is_some() {
-                    self.staged_notes.push(ws.clone());
-                }
-                self.wal.stage(ws);
+            if group {
+                // Group commit: the redo record is staged, and both the
+                // decision round and the client ack wait for the
+                // window's single shared log force. The durable tier
+                // waits for the force too, so a volume loss can only
+                // erase unacked staged commits (their cached replies are
+                // evicted).
                 self.staged_decisions.push((txn, commit));
                 self.staged_replies.push((t.op.client, resp));
                 if self.staged_decisions.len() >= BatchConfig::MAX_BATCH {
@@ -546,10 +539,6 @@ impl EagerPrimary {
                     );
                 }
             } else {
-                if let Some(tier) = &mut sh.base.tier {
-                    tier.note_commit(ws.clone());
-                }
-                self.wal.append(ws);
                 for s in live_secondaries(&self.fd, sh) {
                     ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
                 }
@@ -579,12 +568,7 @@ impl EagerPrimary {
         if self.staged_decisions.is_empty() {
             return;
         }
-        let _ = self.wal.flush_group();
-        if let Some(tier) = &mut sh.base.tier {
-            for ws in self.staged_notes.drain(..) {
-                tier.note_commit(ws);
-            }
-        }
+        sh.base.flush_group(&mut self.wal);
         let entries = Arc::new(std::mem::take(&mut self.staged_decisions));
         for s in live_secondaries(&self.fd, sh) {
             let batch = EagerPrimaryMsg::DecisionBatch {
@@ -605,14 +589,10 @@ impl EagerPrimary {
     fn apply_decision(&mut self, sh: &mut Shell, txn: TxnId, commit: bool) -> bool {
         if let Some((_, resp)) = self.tentative.remove(&txn) {
             if commit {
-                let ws = sh.base.commit(txn).unwrap_or_else(|| WriteSet::empty(txn));
                 // Mirror the decision stream into the local redo log so
                 // any server can donate a catch-up suffix. FIFO links
                 // keep the mirrored order identical to the primary's.
-                if let Some(tier) = &mut sh.base.tier {
-                    tier.note_commit(ws.clone());
-                }
-                self.wal.append(ws);
+                sh.base.commit_into(txn, &mut self.wal, false);
                 if let Some(r) = resp {
                     sh.base.remember(&r);
                 }
@@ -666,7 +646,6 @@ impl EagerPrimary {
     fn clear_staged(&mut self) {
         self.staged_decisions.clear();
         self.staged_replies.clear();
-        self.staged_notes.clear();
         self.flush_armed = false;
     }
 

@@ -22,6 +22,15 @@
 //! log-shipping standby pattern. When the log has been truncated past
 //! the requester's position (finite retention, long outage) the primary
 //! falls back to a full [`Transfer`] snapshot instead.
+//!
+//! The primary's redo log is also its propagation queue. A commit's
+//! records go once, straight from the undo log, into the log's staged
+//! group ([`ServerBase::execute_to_log`](crate::protocols::common::ServerBase::execute_to_log));
+//! a flush ships them — one arena handle per entry, or one batch message
+//! per window — and forces them into the log: one fsync per entry, or
+//! one for the batching window. Nothing else holds a copy; a `WriteSet`
+//! is materialized only for a batch message and for a re-ship after a
+//! restore.
 
 use std::sync::Arc;
 
@@ -79,14 +88,15 @@ pub struct LazyPrimary {
     /// immediately after the reply; larger values widen the staleness
     /// window for the experiments).
     propagation_delay: SimDuration,
-    /// Committed writesets awaiting propagation.
-    outbound: Vec<WriteSet>,
     flush_armed: bool,
     /// Batching window for the propagation stream: writesets committed
     /// within one window ship as a single [`LazyPrimaryMsg::PropagateBatch`]
     /// per secondary, and the WAL group-commits them under one force.
     batching: BatchConfig,
-    /// The primary's redo log (numbering the propagation stream).
+    /// The primary's redo log (numbering the propagation stream). Its
+    /// staged group is the propagation queue: a commit's records are
+    /// staged here straight from the undo log, and a flush forces and
+    /// ships them.
     pub log: RedoLog,
     /// Secondary: how many log entries have been applied.
     pub applied: u64,
@@ -110,7 +120,6 @@ impl LazyPrimaryServer {
     ) -> Self {
         let tech = LazyPrimary {
             propagation_delay,
-            outbound: Vec::new(),
             flush_armed: false,
             batching: BatchConfig::disabled(),
             log: RedoLog::new(),
@@ -146,45 +155,43 @@ fn primary(sh: &Shell) -> NodeId {
 
 impl LazyPrimary {
     fn flush(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>) {
-        let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
-        if pending.is_empty() {
-            return;
-        }
-        if self.batching.enabled() {
-            // Group commit: every writeset of the window reaches the
-            // redo log under a single force, then one PropagateBatch
-            // per secondary carries the whole window.
-            let start = self.log.len() as u64;
-            for ws in &pending {
-                // AC happens *after* END: the lazy signature.
-                sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(ws.txn), 0);
-                self.log.stage(ws.clone());
-            }
-            self.log.flush_group();
-            let entries = Arc::new(pending);
-            for s in sh.peers() {
-                ctx.send(
-                    s,
-                    Wire::Proto(LazyPrimaryMsg::PropagateBatch {
-                        start,
-                        entries: Arc::clone(&entries),
-                    }),
-                );
-            }
-            return;
-        }
-        for ws in pending {
+        let start = self.log.len() as u64;
+        let consumers = (sh.servers().len() - 1) as u32;
+        for (v, idx) in self.log.staged().zip(start..) {
             // AC happens *after* END: the lazy signature.
-            sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(ws.txn), 0);
-            let handle = sh.base.make_payload(&ws, (sh.servers().len() - 1) as u32);
-            let idx = self.log.append(ws) as u64;
-            for s in sh.peers() {
-                ctx.send(
-                    s,
-                    Wire::Proto(LazyPrimaryMsg::Propagate { idx, ws: handle }),
-                );
+            sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(v.txn), 0);
+            if !self.batching.enabled() {
+                let handle = sh.base.make_payload(v, consumers);
+                for s in sh.peers() {
+                    ctx.send(
+                        s,
+                        Wire::Proto(LazyPrimaryMsg::Propagate { idx, ws: handle }),
+                    );
+                }
             }
+        }
+        if !self.batching.enabled() {
+            // Unbatched, each entry pays its own force.
+            self.log.flush_each();
+            return;
+        }
+        // Group commit: every writeset of the window reaches the redo
+        // log under a single force, then one PropagateBatch per
+        // secondary carries the whole window.
+        let entries: Vec<WriteSet> = self.log.staged().map(|v| v.to_writeset()).collect();
+        if self.log.flush_group().is_none() {
+            return;
+        }
+        let entries = Arc::new(entries);
+        for s in sh.peers() {
+            ctx.send(
+                s,
+                Wire::Proto(LazyPrimaryMsg::PropagateBatch {
+                    start,
+                    entries: Arc::clone(&entries),
+                }),
+            );
         }
     }
 
@@ -255,29 +262,29 @@ impl Technique for LazyPrimary {
             return;
         }
         sh.mark(ctx, Phase::Execution, op.id, 0);
-        let (ws, resp) = sh.base.execute_to_ship(&op, global_txn(op.id));
+        // An update writes at least one key, so it always queues.
+        let resp = sh
+            .base
+            .execute_to_log(&op, global_txn(op.id), &mut self.log);
         sh.base.remember(&resp);
         // Lazy: reply *now*, coordinate later.
         ctx.send(op.client, Wire::Reply(resp));
-        if !ws.is_empty() {
-            self.outbound.push(ws);
-            // With batching on, the flush waits for the wider of
-            // the staleness delay and the batching window (or
-            // goes out early on a full batch).
-            let delay_ticks = if self.batching.enabled() {
-                self.propagation_delay
-                    .ticks()
-                    .max(self.batching.max_delay_ticks)
-            } else {
-                self.propagation_delay.ticks()
-            };
-            let full = self.batching.enabled() && self.outbound.len() >= BatchConfig::MAX_BATCH;
-            if full || delay_ticks == 0 {
-                self.flush(sh, ctx);
-            } else if !self.flush_armed {
-                self.flush_armed = true;
-                ctx.set_timer(SimDuration::from_ticks(delay_ticks), FLUSH_TAG);
-            }
+        // With batching on, the flush waits for the wider of the
+        // staleness delay and the batching window (or goes out early on
+        // a full batch).
+        let delay_ticks = if self.batching.enabled() {
+            self.propagation_delay
+                .ticks()
+                .max(self.batching.max_delay_ticks)
+        } else {
+            self.propagation_delay.ticks()
+        };
+        let full = self.batching.enabled() && self.log.staged_len() >= BatchConfig::MAX_BATCH;
+        if full || delay_ticks == 0 {
+            self.flush(sh, ctx);
+        } else if !self.flush_armed {
+            self.flush_armed = true;
+            ctx.set_timer(SimDuration::from_ticks(delay_ticks), FLUSH_TAG);
         }
     }
 
@@ -332,8 +339,8 @@ impl Technique for LazyPrimary {
         // primaries have no tentative state), so a snapshot at the log
         // cursor is the cheapest consistent transfer, and it is taken in
         // the same event as the view update: the joiner's applied
-        // watermark matches the transferred store. Writes still in
-        // `outbound` ship via normal propagation, which FIFO orders after
+        // watermark matches the transferred store. Writes still queued
+        // (staged) ship via normal propagation, which FIFO orders after
         // the welcome.
         let cursor = self.log.len() as u64;
         let snapshot = Transfer::snapshot(&sh.base.store, cursor);
@@ -393,12 +400,11 @@ impl Technique for LazyPrimary {
     /// The propagation queue has drained. (A retired ex-primary keeps
     /// answering catch-up requests so in-flight gap repairs still land.)
     fn quiesced(&self, _sh: &Shell) -> bool {
-        self.outbound.is_empty()
+        self.log.staged_len() == 0
     }
 
     fn volume_lost(&mut self, _sh: &mut Shell) {
         self.log.restart_at(0);
-        self.outbound.clear();
         self.flush_armed = false;
         self.applied = 0;
     }
@@ -428,7 +434,7 @@ impl Technique for LazyPrimary {
         // updates invoked during the outage were retried by clients.
         // Timers die with the crash, so re-arm a pending flush.
         self.flush_armed = false;
-        if !self.outbound.is_empty() {
+        if self.log.staged_len() > 0 {
             self.flush(sh, ctx);
         }
         if std::mem::take(&mut self.reship) {
@@ -438,7 +444,11 @@ impl Technique for LazyPrimary {
             // behind the retention point gap-detects into the usual
             // catch-up request.
             let start = self.log.first_retained();
-            let entries: Vec<WriteSet> = self.log.since(start as usize).cloned().collect();
+            let entries: Vec<WriteSet> = self
+                .log
+                .since(start as usize)
+                .map(|v| v.to_writeset())
+                .collect();
             if !entries.is_empty() {
                 let entries = Arc::new(entries);
                 for s in sh.peers() {
@@ -460,7 +470,7 @@ impl Technique for LazyPrimary {
     /// watermark. The max covers both (one side is always zero for a
     /// static member) and stays correct across elastic role changes.
     fn position(&self, _sh: &Shell) -> u64 {
-        (self.log.len() as u64 + self.outbound.len() as u64).max(self.applied)
+        (self.log.len() as u64 + self.log.staged_len() as u64).max(self.applied)
     }
 }
 

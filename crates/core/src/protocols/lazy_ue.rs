@@ -270,7 +270,7 @@ impl LazyUe {
 
     /// Applies a remote writeset under the Thomas write rule.
     fn reconcile(&mut self, base: &mut ServerBase, view: WsView<'_>, commit_ts: u64, site: u32) {
-        let txn = view.txn();
+        let txn = view.txn;
         self.clock = self.clock.max(commit_ts);
         let mut any_applied = false;
         // The winning subset is collected for the durable tier only.
@@ -342,7 +342,7 @@ fn apply_ordered(
 ) {
     let payload = d.payload.0;
     sh.base.read_payload(payload, |base, view| {
-        let txn = view.txn();
+        let txn = view.txn;
         let own = pending.remove(&txn);
         let mut noted = base.tier.is_some().then(|| WriteSet {
             txn,

@@ -67,7 +67,9 @@ impl Message for PassiveMsg {
 struct PendingAck {
     client: NodeId,
     resp: Response,
-    awaiting: HashSet<NodeId>,
+    /// Backups yet to acknowledge; returned to `Passive::spare_acks`
+    /// when the update is answered.
+    awaiting: Vec<NodeId>,
 }
 
 /// Passive replication: primary or backup, depending on the current
@@ -77,6 +79,8 @@ pub struct Passive {
     /// What `vg` queued while handling one input; drained by `drive`.
     vg_out: Outbox<VsMsg<Update>, VsEvent<Update>>,
     pending: HashMap<OpId, PendingAck>,
+    /// Ack lists of answered updates, reused by the next.
+    spare_acks: Vec<Vec<NodeId>>,
     vs: VsConfig,
 }
 
@@ -98,6 +102,7 @@ impl PassiveServer {
             vg: ViewGroup::new(me, group.clone(), vs),
             vg_out: Outbox::new(),
             pending: HashMap::new(),
+            spare_acks: Vec::new(),
             vs,
         };
         Replica::around(site, me, group, keyspace, exec, tech)
@@ -177,31 +182,35 @@ impl Passive {
     fn finish(&mut self, ctx: &mut Ctx<'_, PassiveMsg>, op: OpId) {
         if let Some(p) = self.pending.remove(&op) {
             ctx.send(p.client, Wire::Reply(p.resp));
+            self.recycle_acks(p.awaiting);
         }
+    }
+
+    fn recycle_acks(&mut self, mut acks: Vec<NodeId>) {
+        acks.clear();
+        self.spare_acks.push(acks);
     }
 
     fn execute_as_primary(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, op: ClientOp) {
         ctx.mark(Phase::Execution.tag(), op.id.0, 0);
-        let (ws, resp) = sh.base.execute_to_ship(&op, global_txn(op.id));
+        let mut backups = self.spare_acks.pop().unwrap_or_default();
+        let me = sh.me();
+        backups.extend(self.vg.view().members.iter().filter(|&&n| n != me));
+        let (ws, resp) = sh
+            .base
+            .execute_to_ship(&op, global_txn(op.id), backups.len() as u32);
         sh.base.remember(&resp);
         ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
-        let backups: HashSet<NodeId> = self
-            .vg
-            .view()
-            .members
-            .iter()
-            .copied()
-            .filter(|&n| n != sh.me())
-            .collect();
         let update = Update {
             op: op.id,
-            ws: sh.base.make_payload(&ws, backups.len() as u32),
+            ws,
             resp: Arc::new(resp.clone()),
         };
         self.vg.broadcast(update, &mut self.vg_out);
         self.drive(sh, ctx);
         if backups.is_empty() {
             ctx.send(op.client, Wire::Reply(resp));
+            self.recycle_acks(backups);
         } else {
             self.pending.insert(
                 op.id,
@@ -263,7 +272,7 @@ impl Technique for Passive {
             }
             PassiveMsg::Ack { op } => {
                 if let Some(p) = self.pending.get_mut(&op) {
-                    p.awaiting.remove(&from);
+                    p.awaiting.retain(|&n| n != from);
                     if p.awaiting.is_empty() {
                         self.finish(ctx, op);
                     }

@@ -9,6 +9,13 @@
 //! server pays the execution (like passive replication) while crashes
 //! cost only an aggressive timeout, not a view change.
 //!
+//! A writeset is copied once per hop: the executing server interns its
+//! shadow overlay's records into the payload arena
+//! ([`ServerBase::execute_shadow`](crate::protocols::common::ServerBase::execute_shadow)),
+//! and every server appends each decided slot to its decision log
+//! straight from the arena view (`RedoLog::append_view`), so the log is
+//! a record column with no per-slot `WriteSet`.
+//!
 //! Skeleton: `RE EX AC END`.
 
 use std::collections::BTreeMap;
@@ -190,11 +197,10 @@ impl SemiPassive {
         let op = op.clone();
         sh.mark(ctx, Phase::Execution, op.id, 0);
         let txn = global_txn(op.id);
-        let (_rs, ws, resp) = sh.base.execute_shadow(&op, txn);
         // Every member consumes the decided slot exactly once (losing
         // proposals leak their span, which is safe and rare).
         let members = sh.servers().len() as u32;
-        let ws = sh.base.make_payload(&ws, members);
+        let (ws, resp) = sh.base.execute_shadow(&op, txn, members);
         self.pool.propose(
             self.next_slot,
             Proposal { op, ws, resp },
@@ -225,8 +231,8 @@ impl SemiPassive {
             self.pending.remove(&p.op.id);
             // Mirror every decision so wal index == slot, even for
             // duplicate decision content (keeps donor watermarks exact).
-            self.wal
-                .append(sh.base.read_payload(p.ws, |_, view| view.to_writeset()));
+            let wal = &mut self.wal;
+            sh.base.read_payload(p.ws, |_, view| wal.append_view(view));
             if sh.already_answered(p.op.id) {
                 // Already installed (duplicate decision content, or the
                 // join donor answered it before the snapshot); this site

@@ -214,18 +214,24 @@ struct Heap {
 
 // Each budget is the value measured once a batch of generated
 // transactions shared one body and the event wheel filed its events in
-// one slab, plus 10 %: Active 1.572 (from 2.525), Certification 1.539
-// (from 2.494), Passive 4.048 (from 5.005), Semi-Passive 12.144 (from
-// 13.107), the recording cell 0.665 (from 1.674). The two locking cells
-// were added once their per-step loop and 2PC stopped allocating per
-// step, per destination and per vote: Eager Primary Copy 13.710 (from
-// 85.249), Eager UE (Locking) 1.688 (from 15.981). Every budget is also
-// at most half its `parent`, the value before the commit path was made
+// one slab, plus 10 %: Active 1.572 (from 2.525), the recording cell
+// 0.665 (from 1.674). The two locking cells were added once their
+// per-step loop and 2PC stopped allocating per step, per destination
+// and per vote: Eager UE (Locking) 1.688 (from 15.981). The shipping
+// techniques' budgets are the values measured once a writeset was
+// copied once — interned or logged straight from the undo log or a
+// recycled shadow overlay, into a redo log that keeps columns — plus
+// 10 %: lean Certification 0.555 (from 1.539), Passive 2.551 (from
+// 4.048), Semi-Passive 8.669 (from 12.144), Eager Primary Copy 10.950
+// (from 13.710), and four hot-key cells added then: Certification
+// 0.051, Semi-Passive 0.835, Passive 1.501 and Lazy Primary Copy 0.00125
+// (`parent` is each one's value before). Every budget is also at most
+// half its `parent`, the value before the commit path was made
 // allocation-free. What remains is data: the returned reads per
-// executing replica, the writeset a shipping technique builds or a
-// committing site logs, Passive's ack bookkeeping, Semi-Passive's
-// consensus instances, a 2PC coordinator's vote list, and the
-// re-executions wound-wait forces on a hot keyspace.
+// executing replica, the arena spans and log columns the writesets are
+// copied into, Passive's shared response, Semi-Passive's consensus
+// instances, a 2PC coordinator's vote list, and the re-executions
+// wound-wait forces on a hot keyspace.
 //
 // The retained heap counts transaction bodies too. An open-loop group
 // draws its transactions in blocks that share one body, and a block's
@@ -233,7 +239,7 @@ struct Heap {
 // logs only its update transactions, so a block's read-only ones stay
 // alive inside a logged neighbour's body: its share rose from 130.4 to
 // 133.3 bytes per transaction, still under its bound.
-const GUARDS: [Guard; 7] = [
+const GUARDS: [Guard; 11] = [
     Guard {
         label: "Active / 3 lean replicas",
         parent: 28.921,
@@ -247,7 +253,7 @@ const GUARDS: [Guard; 7] = [
     Guard {
         label: "Certification / 3 lean replicas",
         parent: 14.058,
-        budget: 1.70,
+        budget: 0.61,
         heap: Some(Heap {
             parent: 186.3,
             share: 0.75,
@@ -257,14 +263,14 @@ const GUARDS: [Guard; 7] = [
     Guard {
         label: "Passive / 3 lean replicas",
         parent: 14.878,
-        budget: 4.46,
+        budget: 2.81,
         heap: None,
         cell: |t| open_cell(Technique::Passive, t),
     },
     Guard {
         label: "Semi-Passive / 3 lean replicas",
         parent: 29.132,
-        budget: 13.36,
+        budget: 9.54,
         heap: Some(Heap {
             parent: 2580.2,
             share: 0.4,
@@ -284,7 +290,7 @@ const GUARDS: [Guard; 7] = [
     Guard {
         label: "Eager Primary Copy / 3 replicas, hot keys",
         parent: 85.249,
-        budget: 15.09,
+        budget: 12.05,
         heap: None,
         cell: |t| hot_cell(Technique::EagerPrimary, t),
     },
@@ -294,6 +300,34 @@ const GUARDS: [Guard; 7] = [
         budget: 1.86,
         heap: None,
         cell: |t| sharded_cell(Technique::EagerUpdateEverywhereLocking, t),
+    },
+    Guard {
+        label: "Certification / 3 replicas, hot keys",
+        parent: 3.051,
+        budget: 0.057,
+        heap: None,
+        cell: |t| hot_cell(Technique::Certification, t),
+    },
+    Guard {
+        label: "Semi-Passive / 3 replicas, hot keys",
+        parent: 6.834,
+        budget: 0.92,
+        heap: None,
+        cell: |t| hot_cell(Technique::SemiPassive, t),
+    },
+    Guard {
+        label: "Passive / 3 replicas, hot keys",
+        parent: 3.501,
+        budget: 1.66,
+        heap: None,
+        cell: |t| hot_cell(Technique::Passive, t),
+    },
+    Guard {
+        label: "Lazy Primary Copy / 3 replicas, hot keys",
+        parent: 2.001,
+        budget: 0.0014,
+        heap: None,
+        cell: |t| hot_cell(Technique::LazyPrimary, t),
     },
 ];
 

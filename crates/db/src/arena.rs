@@ -49,6 +49,7 @@ use std::rc::Rc;
 
 use crate::item::{Key, TxnId, Value};
 use crate::log::{WriteRecord, WriteSet};
+use crate::store::Versioned;
 use crate::wire;
 
 /// A cheap `Copy` handle to a writeset interned in a [`PayloadArena`].
@@ -158,23 +159,33 @@ impl PayloadArena {
         self.gc = gc;
     }
 
-    /// Copies `ws` into the columns and returns its handle.
+    /// Copies `ws` into the columns and returns its handle: the
+    /// materialized-writeset form of [`PayloadArena::intern_view`].
+    pub fn intern(&mut self, ws: &WriteSet, expected: u32) -> WriteSetRef {
+        self.intern_view(ws.into(), expected)
+    }
+
+    /// Copies the viewed records into the columns and returns their
+    /// handle — the one copy a shipped writeset pays, straight from
+    /// wherever its records already sit (an undo log, a shadow overlay,
+    /// a log entry).
     ///
     /// `expected` is the number of distinct sites that will
     /// [`release`](Self::release) the handle; the span is retired when
     /// they all have. With `expected == 0` nobody will, and the span is
     /// retired here (while GC is armed) instead of pinning the prefix.
-    pub fn intern(&mut self, ws: &WriteSet, expected: u32) -> WriteSetRef {
+    pub fn intern_view(&mut self, ws: WsView<'_>, expected: u32) -> WriteSetRef {
         let start = self.base_col + self.keys.len() as u64;
-        for w in &ws.writes {
+        for w in ws.iter() {
             self.keys.push(w.key);
             self.values.push(w.value);
             self.versions.push(w.version);
         }
+        let len = ws.len() as u32;
         let id = self.base_span + self.spans.len() as u64;
         self.spans.push(Span {
             start,
-            len: ws.writes.len() as u32,
+            len,
             txn: ws.txn,
             released: 0,
             expected,
@@ -184,10 +195,7 @@ impl PayloadArena {
         if expected == 0 && self.gc {
             self.retire(self.spans.len() - 1);
         }
-        WriteSetRef {
-            span: id,
-            len: ws.writes.len() as u32,
-        }
+        WriteSetRef { span: id, len }
     }
 
     /// Marks `spans[idx]` dead and compacts the dead prefix every
@@ -221,11 +229,13 @@ impl PayloadArena {
         assert!(!span.dead, "payload arena: read of a retired span");
         let a = (span.start - self.base_col) as usize;
         let b = a + span.len as usize;
-        WsView::Cols {
+        WsView {
             txn: span.txn,
-            keys: &self.keys[a..b],
-            values: &self.values[a..b],
-            versions: &self.versions[a..b],
+            records: Records::Cols {
+                keys: &self.keys[a..b],
+                values: &self.values[a..b],
+                versions: &self.versions[a..b],
+            },
         }
     }
 
@@ -324,38 +334,79 @@ pub fn shared_arena() -> SharedArena {
     Rc::new(RefCell::new(PayloadArena::new()))
 }
 
-/// A borrowed, representation-agnostic view of a writeset's records.
+/// A borrowed, representation-agnostic view of a writeset's records:
+/// the one form a writeset is read in, wherever its records sit.
 #[derive(Debug, Clone, Copy)]
-pub enum WsView<'a> {
-    /// Row-major: a materialized writeset.
-    Rows(&'a WriteSet),
+pub struct WsView<'a> {
+    /// The owning transaction.
+    pub txn: TxnId,
+    records: Records<'a>,
+}
+
+/// Where a [`WsView`]'s records sit.
+#[derive(Debug, Clone, Copy)]
+enum Records<'a> {
+    /// Row-major: a record slice (a writeset, a redo-log entry, a
+    /// shadow's after-images).
+    Rows(&'a [WriteRecord]),
+    /// An undo log's rows: each after-image beside its before-image.
+    Undo(&'a [(WriteRecord, Versioned)]),
     /// Column-major: arena slices.
     Cols {
-        /// The owning transaction.
-        txn: TxnId,
-        /// Record keys.
         keys: &'a [Key],
-        /// Record values.
         values: &'a [Value],
-        /// Record versions.
         versions: &'a [u64],
     },
 }
 
-impl<'a> WsView<'a> {
-    /// The owning transaction.
-    pub fn txn(&self) -> TxnId {
+impl Records<'_> {
+    /// Record `i`.
+    fn get(self, i: usize) -> WriteRecord {
         match self {
-            WsView::Rows(ws) => ws.txn,
-            WsView::Cols { txn, .. } => *txn,
+            Records::Rows(writes) => writes[i],
+            Records::Undo(log) => log[i].0,
+            Records::Cols {
+                keys,
+                values,
+                versions,
+            } => WriteRecord {
+                key: keys[i],
+                value: values[i],
+                version: versions[i],
+            },
+        }
+    }
+}
+
+impl<'a> From<&'a WriteSet> for WsView<'a> {
+    fn from(ws: &'a WriteSet) -> Self {
+        WsView::rows(ws.txn, &ws.writes)
+    }
+}
+
+impl<'a> WsView<'a> {
+    /// A view of `txn`'s records held row by row.
+    pub fn rows(txn: TxnId, writes: &'a [WriteRecord]) -> Self {
+        WsView {
+            txn,
+            records: Records::Rows(writes),
+        }
+    }
+
+    /// A view of the after-images of `txn`'s undo log.
+    pub(crate) fn undo_log(txn: TxnId, log: &'a [(WriteRecord, Versioned)]) -> Self {
+        WsView {
+            txn,
+            records: Records::Undo(log),
         }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        match self {
-            WsView::Rows(ws) => ws.writes.len(),
-            WsView::Cols { keys, .. } => keys.len(),
+        match self.records {
+            Records::Rows(writes) => writes.len(),
+            Records::Undo(log) => log.len(),
+            Records::Cols { keys, .. } => keys.len(),
         }
     }
 
@@ -369,39 +420,19 @@ impl<'a> WsView<'a> {
         wire::writeset_bytes(self.len())
     }
 
-    /// Iterates the records in interning order, by value (records are
-    /// `Copy`); no allocation.
-    pub fn iter(&self) -> impl Iterator<Item = WriteRecord> + 'a {
-        let (rows, cols) =
-            match *self {
-                WsView::Rows(ws) => (Some(ws.writes.iter().copied()), None),
-                WsView::Cols {
-                    keys,
-                    values,
-                    versions,
-                    ..
-                } => (
-                    None,
-                    Some(keys.iter().zip(values).zip(versions).map(
-                        |((&key, &value), &version)| WriteRecord {
-                            key,
-                            value,
-                            version,
-                        },
-                    )),
-                ),
-            };
-        rows.into_iter().flatten().chain(cols.into_iter().flatten())
+    /// Iterates the records in order, by value (records are `Copy`); no
+    /// allocation, and an exact length.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = WriteRecord> + 'a {
+        let records = self.records;
+        (0..self.len()).map(move |i| records.get(i))
     }
 
     /// Copies the view into an owned `WriteSet` (one exact-size
-    /// allocation: the chained iterator has no usable size hint).
+    /// allocation).
     pub fn to_writeset(&self) -> WriteSet {
-        let mut writes = Vec::with_capacity(self.len());
-        writes.extend(self.iter());
         WriteSet {
-            txn: self.txn(),
-            writes,
+            txn: self.txn,
+            writes: self.iter().collect(),
         }
     }
 }
@@ -443,7 +474,7 @@ mod tests {
         assert_eq!(ra.wire_size(), a.wire_size());
         assert_eq!(rb.wire_size(), b.wire_size());
         assert_eq!(arena.view(ra).wire_size(), a.wire_size());
-        assert_eq!(arena.view(ra).txn(), a.txn);
+        assert_eq!(arena.view(ra).txn, a.txn);
         assert_eq!(arena.view(ra).len(), 3);
         let records: Vec<WriteRecord> = arena.view(ra).iter().collect();
         assert_eq!(records, a.writes);

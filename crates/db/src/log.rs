@@ -5,6 +5,7 @@
 //! records. A [`WriteSet`] is exactly that: the after-images of one
 //! transaction's writes, applicable at any replica without re-execution.
 
+use crate::arena::WsView;
 use crate::item::{Key, TxnId, Value};
 
 /// One write's after-image.
@@ -75,6 +76,16 @@ pub const FSYNC_TICKS: u64 = 120;
 /// identical either way; only the force count (and the latency the
 /// caller models with [`FSYNC_TICKS`]) differ.
 ///
+/// The log keeps columns, not owned writesets: one record column plus a
+/// per-entry `(txn, end)` index, for the committed entries and again
+/// for the staged ones. An entry is written once, from wherever its
+/// records already sit ([`RedoLog::append_view`] and
+/// [`RedoLog::stage_view`] take a [`WsView`]), and read as a borrow view
+/// ([`RedoLog::since`], [`RedoLog::staged`]); a warm log appends and
+/// group-commits without allocating. Retention truncates logically and
+/// compacts the dead prefix once it outgrows the retained suffix, so
+/// each entry moves at most once per retention's worth of appends.
+///
 /// # Examples
 ///
 /// ```
@@ -97,25 +108,106 @@ pub const FSYNC_TICKS: u64 = 120;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RedoLog {
-    entries: Vec<WriteSet>,
-    staged: Vec<WriteSet>,
+    /// Committed entries still held: `dead` truncated ones awaiting
+    /// compaction, then the retained ones.
+    held: Entries,
+    /// Held entries below this are truncated away.
+    dead: usize,
+    /// Entries staged for the next group commit.
+    staged: Entries,
     fsyncs: u64,
-    /// Logical index of the first retained entry (0 until truncation).
+    /// Logical index of the first held entry (0 until truncation).
     base: u64,
     /// Maximum number of entries retained (`None` = keep everything).
     retention: Option<usize>,
 }
 
+/// A run of log entries: one record column and a per-entry
+/// `(txn, end)` index, `end` being the absolute column offset one past
+/// the entry's last record.
+#[derive(Debug, Clone, Default)]
+struct Entries {
+    records: Vec<WriteRecord>,
+    index: Vec<(TxnId, u64)>,
+    /// Absolute column offset of `records[0]`.
+    col_base: u64,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn end(&self) -> u64 {
+        self.col_base + self.records.len() as u64
+    }
+
+    fn push(&mut self, view: WsView<'_>) {
+        grow_by_half(&mut self.records, view.len());
+        grow_by_half(&mut self.index, 1);
+        self.records.extend(view.iter());
+        self.index.push((view.txn, self.end()));
+    }
+
+    fn view(&self, i: usize) -> WsView<'_> {
+        let start = match i {
+            0 => self.col_base,
+            _ => self.index[i - 1].1,
+        };
+        let (txn, end) = self.index[i];
+        let a = (start - self.col_base) as usize;
+        let b = (end - self.col_base) as usize;
+        WsView::rows(txn, &self.records[a..b])
+    }
+
+    fn views(&self, from: usize) -> impl Iterator<Item = WsView<'_>> {
+        (from.min(self.len())..self.len()).map(|i| self.view(i))
+    }
+
+    /// Moves every entry of `other` after this run's, leaving `other`
+    /// empty with its capacity.
+    fn take_all(&mut self, other: &mut Entries) {
+        let shift = self.end() - other.col_base;
+        grow_by_half(&mut self.records, other.records.len());
+        grow_by_half(&mut self.index, other.index.len());
+        self.records.append(&mut other.records);
+        self.index
+            .extend(other.index.drain(..).map(|(txn, end)| (txn, end + shift)));
+        other.col_base = 0;
+    }
+
+    /// Drops the first `n` entries and their records (a memmove).
+    fn drop_prefix(&mut self, n: usize) {
+        let cut = self.index[n - 1].1;
+        self.records.drain(..(cut - self.col_base) as usize);
+        self.index.drain(..n);
+        self.col_base = cut;
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+        self.index.clear();
+        self.col_base = 0;
+    }
+}
+
+/// Makes room for `more` elements, growing a full column by half its
+/// capacity (at least [`MIN_GROWTH`]) instead of doubling it: a log
+/// lives as long as the run, so its slack is retained heap.
+fn grow_by_half<T>(col: &mut Vec<T>, more: usize) {
+    if col.capacity() - col.len() < more {
+        col.reserve_exact(more.max(col.capacity() / 2).max(MIN_GROWTH));
+    }
+}
+
+/// The smallest step a log column grows by, so a short log reaches its
+/// size in a few steps.
+const MIN_GROWTH: usize = 16;
+
 impl RedoLog {
     /// Creates an empty log.
     pub fn new() -> Self {
-        RedoLog {
-            entries: Vec::new(),
-            staged: Vec::new(),
-            fsyncs: 0,
-            base: 0,
-            retention: None,
-        }
+        RedoLog::default()
     }
 
     /// Caps the number of retained entries (builder form). Once the log
@@ -137,21 +229,24 @@ impl RedoLog {
     /// request from any position `>= first_retained()` can be served
     /// from the log; earlier positions require a snapshot.
     pub fn first_retained(&self) -> u64 {
-        self.base
+        self.base + self.dead as u64
     }
 
     /// True if the log still holds every entry from logical index
     /// `from` onwards.
     pub fn has_suffix(&self, from: u64) -> bool {
-        from >= self.base
+        from >= self.first_retained()
     }
 
+    /// Truncates past the retention cap, and compacts the dead prefix
+    /// once it is as long as the retained suffix.
     fn enforce_retention(&mut self) {
         if let Some(max) = self.retention {
-            if self.entries.len() > max {
-                let drop = self.entries.len() - max;
-                self.entries.drain(..drop);
-                self.base += drop as u64;
+            self.dead = self.dead.max(self.held.len().saturating_sub(max));
+            if self.dead >= max {
+                self.held.drop_prefix(self.dead);
+                self.base += self.dead as u64;
+                self.dead = 0;
             }
         }
     }
@@ -159,9 +254,15 @@ impl RedoLog {
     /// Appends a committed transaction's writeset; returns its log index.
     /// Pays one stable-storage force.
     pub fn append(&mut self, ws: WriteSet) -> usize {
-        self.entries.push(ws);
+        self.append_view((&ws).into())
+    }
+
+    /// [`RedoLog::append`] straight from a view of the records, wherever
+    /// they sit: the entry is copied into the log's column once.
+    pub fn append_view(&mut self, view: WsView<'_>) -> usize {
+        self.held.push(view);
         self.fsyncs += 1;
-        let idx = self.base as usize + self.entries.len() - 1;
+        let idx = self.len() - 1;
         self.enforce_retention();
         idx
     }
@@ -170,7 +271,12 @@ impl RedoLog {
     /// record is not durable and not visible to [`RedoLog::since`]
     /// until [`RedoLog::flush_group`]).
     pub fn stage(&mut self, ws: WriteSet) {
-        self.staged.push(ws);
+        self.stage_view((&ws).into());
+    }
+
+    /// [`RedoLog::stage`] straight from a view of the records.
+    pub fn stage_view(&mut self, view: WsView<'_>) {
+        self.staged.push(view);
     }
 
     /// Number of records staged for the next group commit.
@@ -178,17 +284,33 @@ impl RedoLog {
         self.staged.len()
     }
 
+    /// The staged records, in stage order, as borrow views.
+    pub fn staged(&self) -> impl Iterator<Item = WsView<'_>> {
+        self.staged.views(0)
+    }
+
     /// Commits every staged record with a single force. Returns the
     /// logical log index of the first record and the group size, or
     /// `None` if nothing was staged (no force is paid then).
     pub fn flush_group(&mut self) -> Option<(usize, usize)> {
-        if self.staged.is_empty() {
+        self.flush(1)
+    }
+
+    /// Commits every staged record with a force each, as that many
+    /// [`RedoLog::append`]s would: for a caller that queues records
+    /// before logging them but does not group-commit.
+    pub fn flush_each(&mut self) -> Option<(usize, usize)> {
+        self.flush(self.staged.len() as u64)
+    }
+
+    fn flush(&mut self, forces: u64) -> Option<(usize, usize)> {
+        if self.staged.len() == 0 {
             return None;
         }
-        let start = self.base as usize + self.entries.len();
+        let start = self.len();
         let count = self.staged.len();
-        self.entries.append(&mut self.staged);
-        self.fsyncs += 1;
+        self.held.take_all(&mut self.staged);
+        self.fsyncs += forces;
         self.enforce_retention();
         Some((start, count))
     }
@@ -201,7 +323,7 @@ impl RedoLog {
     /// Logical number of entries ever committed (truncated entries
     /// still count: logical indices are stable across truncation).
     pub fn len(&self) -> usize {
-        self.base as usize + self.entries.len()
+        self.base as usize + self.held.len()
     }
 
     /// True if the log never committed anything.
@@ -212,13 +334,14 @@ impl RedoLog {
     /// Restarts the log empty at logical position `index`, as
     /// [`RedoLog::new`] would — no entries, nothing staged, no forces
     /// paid — except that the retention cap is kept: the fresh log a
-    /// replica opens after its volume was lost or restored.
+    /// replica opens after its volume was lost or restored. The columns
+    /// keep their capacity.
     pub fn restart_at(&mut self, index: u64) {
-        *self = RedoLog {
-            base: index,
-            retention: self.retention,
-            ..RedoLog::new()
-        };
+        self.held.clear();
+        self.staged.clear();
+        self.dead = 0;
+        self.fsyncs = 0;
+        self.base = index;
     }
 
     /// Fast-forwards the log to logical position `index`, retaining
@@ -227,19 +350,27 @@ impl RedoLog {
     /// seen. No-op if the log already reaches `index`.
     pub fn skip_to(&mut self, index: u64) {
         if index as usize > self.len() {
-            self.entries.clear();
+            self.held.clear();
             self.staged.clear();
+            self.dead = 0;
             self.base = index;
         }
     }
 
     /// Entries from *logical* log index `from` onwards (for catch-up
-    /// transfer). Positions before [`RedoLog::first_retained`] cannot be
-    /// served; callers should check [`RedoLog::has_suffix`] first —
-    /// `since` silently starts at the truncation point otherwise.
-    pub fn since(&self, from: usize) -> impl Iterator<Item = &WriteSet> {
-        let phys = from.saturating_sub(self.base as usize);
-        self.entries[phys.min(self.entries.len())..].iter()
+    /// transfer), as borrow views. Positions before
+    /// [`RedoLog::first_retained`] cannot be served: callers check
+    /// [`RedoLog::has_suffix`] first, and asking for one while the log
+    /// retains entries is a debug assertion (a release build starts at
+    /// the truncation point).
+    pub fn since(&self, from: usize) -> impl Iterator<Item = WsView<'_>> {
+        debug_assert!(
+            self.has_suffix(from as u64) || self.len() as u64 == self.first_retained(),
+            "redo log: suffix from {from} requested, but entries below {} are truncated",
+            self.first_retained()
+        );
+        let phys = (from as u64).saturating_sub(self.base) as usize;
+        self.held.views(phys.max(self.dead))
     }
 }
 
@@ -348,6 +479,115 @@ mod tests {
         log.skip_to(3);
         assert_eq!(log.len(), 3);
         assert!(log.has_suffix(3) && !log.has_suffix(2));
+    }
+
+    fn ws(ts: u64, keys: &[u64]) -> WriteSet {
+        WriteSet {
+            txn: TxnId::new(ts, 0),
+            writes: keys
+                .iter()
+                .map(|&k| WriteRecord {
+                    key: Key(k),
+                    value: Value(ts as i64 * 10 + k as i64),
+                    version: ts,
+                })
+                .collect(),
+        }
+    }
+
+    fn logged(log: &RedoLog, from: usize) -> Vec<WriteSet> {
+        log.since(from).map(|v| v.to_writeset()).collect()
+    }
+
+    #[test]
+    fn since_yields_exactly_the_appended_records() {
+        let sets: Vec<WriteSet> = (0..7)
+            .map(|i| ws(i, &[1, 3, 4][..(i % 4) as usize]))
+            .collect();
+        let mut log = RedoLog::new();
+        log.append(sets[0].clone());
+        log.append_view((&sets[1]).into());
+        for s in &sets[2..5] {
+            log.stage_view(s.into());
+        }
+        log.append(sets[5].clone());
+        let staged: Vec<WriteSet> = log.staged().map(|v| v.to_writeset()).collect();
+        assert_eq!(staged, sets[2..5]);
+        assert_eq!(log.flush_group(), Some((3, 3)));
+        log.stage(sets[6].clone());
+        assert_eq!(log.flush_each(), Some((6, 1)));
+        assert_eq!(log.fsyncs(), 5, "three appends, one group, one each");
+        // Appends land before a group staged earlier: stage order holds
+        // within the group, and the group follows what was forced first.
+        let order: Vec<u64> = log.since(0).map(|v| v.txn.ts).collect();
+        assert_eq!(order, vec![0, 1, 5, 2, 3, 4, 6]);
+        let expected: Vec<WriteSet> = [0, 1, 5, 2, 3, 4, 6]
+            .iter()
+            .map(|&i| sets[i].clone())
+            .collect();
+        assert_eq!(logged(&log, 0), expected);
+        assert_eq!(logged(&log, 4), expected[4..]);
+        assert!(log.since(7).next().is_none());
+    }
+
+    #[test]
+    fn retention_compacts_a_dead_prefix_in_chunks() {
+        let mut log = RedoLog::new().with_retention(4);
+        for i in 0..40 {
+            log.append(ws(i, &[i % 5, 7]));
+            assert!(log.held.len() <= 8, "dead prefix never compacted");
+            assert_eq!(log.len() as u64 - log.first_retained(), (i + 1).min(4));
+        }
+        assert_eq!(
+            logged(&log, 36),
+            (36..40).map(|i| ws(i, &[i % 5, 7])).collect::<Vec<_>>()
+        );
+        // A compacted log ships the same suffix it would have kept.
+        let t = crate::Transfer::from_log(&log, &crate::Store::new(), 37);
+        assert_eq!(t.entries, logged(&log, 37));
+    }
+
+    #[test]
+    fn restart_and_skip_work_on_columns() {
+        let mut log = RedoLog::new().with_retention(3);
+        for i in 0..9 {
+            log.append(ws(i, &[1, 2]));
+        }
+        log.stage(ws(99, &[5]));
+        // A restarted log holds nothing of the old columns.
+        log.restart_at(20);
+        assert_eq!(
+            (log.len(), log.first_retained(), log.staged_len()),
+            (20, 20, 0)
+        );
+        log.append(ws(20, &[3]));
+        log.stage(ws(21, &[4, 6]));
+        log.flush_group();
+        assert_eq!(logged(&log, 20), vec![ws(20, &[3]), ws(21, &[4, 6])]);
+        // Skipping ahead drops the columns and staged records alike; a
+        // skip backwards is a no-op.
+        log.stage(ws(22, &[8]));
+        log.skip_to(30);
+        assert_eq!(
+            (log.len(), log.first_retained(), log.staged_len()),
+            (30, 30, 0)
+        );
+        log.skip_to(25);
+        assert_eq!(log.len(), 30);
+        log.append(ws(30, &[9]));
+        assert_eq!(logged(&log, 30), vec![ws(30, &[9])]);
+        assert_eq!(log.since(30).next().map(|v| v.len()), Some(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "truncated")]
+    fn since_below_the_truncation_point_is_a_debug_assertion() {
+        let mut log = RedoLog::new().with_retention(2);
+        for i in 0..5 {
+            log.append(ws(i, &[1]));
+        }
+        let _ = log.since(1).count();
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl Transfer {
             Transfer {
                 strategy: TransferStrategy::LogSuffix,
                 start: have,
-                entries: log.since(have as usize).cloned().collect(),
+                entries: log.since(have as usize).map(|v| v.to_writeset()).collect(),
                 snapshot: Vec::new(),
                 high,
             }

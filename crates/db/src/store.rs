@@ -15,9 +15,10 @@
 //! map. Snapshots and fingerprints walk the logical domain in key order,
 //! so a scoped store ships and hashes what the full store does.
 
+use crate::arena::WsView;
 use crate::hash::FxHashMap;
 use crate::item::{Key, Keyspace, TxnId, Value};
-use crate::log::{WriteRecord, WriteSet};
+use crate::log::WriteRecord;
 
 /// A physical copy: current value, a version counter, and the writer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,8 +203,11 @@ impl Store {
     /// Applies a replicated writeset (redo records), overwriting values and
     /// adopting the writer's versions. This is how secondaries install a
     /// primary's updates without re-executing (Section 3.3 / 4.3).
-    pub fn apply_writeset(&mut self, ws: &WriteSet) {
-        self.apply_records(ws.txn, ws.writes.iter().copied());
+    /// Takes a writeset or any borrow view of one (a log entry, an arena
+    /// span).
+    pub fn apply_writeset<'a>(&mut self, ws: impl Into<WsView<'a>>) {
+        let ws = ws.into();
+        self.apply_records(ws.txn, ws.iter());
     }
 
     /// [`Store::apply_writeset`] over any record stream — the borrow-view
@@ -296,57 +300,85 @@ impl Store {
 /// replication, Section 5.4.2): reads fall through to the base store,
 /// writes stay in the overlay until the transaction certifies.
 ///
+/// The overlay is the transaction's redo records themselves: a
+/// key-sorted [`WriteRecord`] vector, searched by binary search, that
+/// [`ShadowStore::view`] lends out as the writeset to ship. One shadow
+/// serves transaction after transaction: [`ShadowStore::begin`] clears
+/// it and keeps the capacity, so a warm shadow allocates nothing.
+///
 /// # Examples
 ///
 /// ```
 /// use repl_db::{Store, ShadowStore, Key, Value, TxnId};
 ///
 /// let store = Store::with_items(2, Value(0));
-/// let mut shadow = ShadowStore::new(&store, TxnId::new(1, 0));
-/// shadow.write(Key(0), Value(5));
-/// assert_eq!(shadow.read(Key(0)).expect("exists").value, Value(5));
+/// let mut shadow = ShadowStore::new();
+/// shadow.begin(TxnId::new(1, 0));
+/// shadow.write(&store, Key(0), Value(5));
+/// assert_eq!(shadow.read(&store, Key(0)).expect("exists").value, Value(5));
 /// assert_eq!(store.read(Key(0)).expect("exists").value, Value(0)); // base untouched
-/// let ws = shadow.into_writeset();
-/// assert_eq!(ws.writes.len(), 1);
+/// assert_eq!(shadow.view().len(), 1);
 /// ```
 #[derive(Debug)]
-pub struct ShadowStore<'a> {
-    base: &'a Store,
+pub struct ShadowStore {
     txn: TxnId,
-    overlay: FxHashMap<Key, (Value, u64)>,
+    /// Buffered after-images, ascending by key.
+    writes: Vec<WriteRecord>,
     read_versions: Vec<(Key, u64)>,
 }
 
-impl<'a> ShadowStore<'a> {
-    /// Creates a shadow over `base` for `txn`.
-    pub fn new(base: &'a Store, txn: TxnId) -> Self {
+impl Default for ShadowStore {
+    fn default() -> Self {
+        ShadowStore::new()
+    }
+}
+
+impl ShadowStore {
+    /// Creates an empty shadow; [`ShadowStore::begin`] starts a
+    /// transaction in it.
+    pub fn new() -> Self {
         ShadowStore {
-            base,
-            txn,
-            overlay: FxHashMap::default(),
+            txn: TxnId::new(0, 0),
+            writes: Vec::new(),
             read_versions: Vec::new(),
         }
     }
 
-    /// Reads through the overlay, recording the version seen for the
-    /// transaction's read set.
-    pub fn read(&mut self, key: Key) -> Option<Versioned> {
-        if let Some(&(value, version)) = self.overlay.get(&key) {
+    /// Starts `txn` in this shadow, forgetting the previous
+    /// transaction's reads and writes (the buffers keep their capacity).
+    pub fn begin(&mut self, txn: TxnId) {
+        self.txn = txn;
+        self.writes.clear();
+        self.read_versions.clear();
+    }
+
+    /// Reads through the overlay to `base`, recording the version seen
+    /// for the transaction's read set.
+    pub fn read(&mut self, base: &Store, key: Key) -> Option<Versioned> {
+        if let Ok(at) = self.writes.binary_search_by_key(&key, |w| w.key) {
+            let w = self.writes[at];
             return Some(Versioned {
-                value,
-                version,
+                value: w.value,
+                version: w.version,
                 writer: Some(self.txn),
             });
         }
-        let v = self.base.read(key)?;
+        let v = base.read(key)?;
         self.read_versions.push((key, v.version));
         Some(v)
     }
 
-    /// Buffers a write in the overlay.
-    pub fn write(&mut self, key: Key, value: Value) {
-        let base_version = self.base.read(key).map_or(0, |v| v.version);
-        self.overlay.insert(key, (value, base_version + 1));
+    /// Buffers a write over `base` in the overlay.
+    pub fn write(&mut self, base: &Store, key: Key, value: Value) {
+        let w = WriteRecord {
+            key,
+            value,
+            version: base.read(key).map_or(0, |v| v.version) + 1,
+        };
+        match self.writes.binary_search_by_key(&key, |w| w.key) {
+            Ok(at) => self.writes[at] = w,
+            Err(at) => self.writes.insert(at, w),
+        }
     }
 
     /// The versions read from the base store (the read set).
@@ -354,28 +386,17 @@ impl<'a> ShadowStore<'a> {
         &self.read_versions
     }
 
-    /// Converts the buffered writes into a writeset for certification.
-    pub fn into_writeset(self) -> WriteSet {
-        let mut writes: Vec<WriteRecord> = self
-            .overlay
-            .into_iter()
-            .map(|(key, (value, version))| WriteRecord {
-                key,
-                value,
-                version,
-            })
-            .collect();
-        writes.sort_by_key(|r| r.key);
-        WriteSet {
-            txn: self.txn,
-            writes,
-        }
+    /// The buffered writes as the transaction's writeset, key-sorted —
+    /// a borrow view, ready to certify, intern or log.
+    pub fn view(&self) -> WsView<'_> {
+        WsView::rows(self.txn, &self.writes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::WriteSet;
 
     #[test]
     fn versions_are_monotone_per_item() {
@@ -445,12 +466,13 @@ mod tests {
     fn shadow_records_read_set_and_buffers_writes() {
         let mut base = Store::with_items(2, Value(0));
         base.write(Key(1), Value(5), TxnId::new(1, 0)); // version 1
-        let mut shadow = ShadowStore::new(&base, TxnId::new(2, 0));
-        assert_eq!(shadow.read(Key(1)).expect("exists").value, Value(5));
-        shadow.write(Key(0), Value(42));
-        assert_eq!(shadow.read(Key(0)).expect("exists").value, Value(42));
+        let mut shadow = ShadowStore::new();
+        shadow.begin(TxnId::new(2, 0));
+        assert_eq!(shadow.read(&base, Key(1)).expect("exists").value, Value(5));
+        shadow.write(&base, Key(0), Value(42));
+        assert_eq!(shadow.read(&base, Key(0)).expect("exists").value, Value(42));
         assert_eq!(shadow.read_set(), &[(Key(1), 1)]);
-        let ws = shadow.into_writeset();
+        let ws = shadow.view().to_writeset();
         assert_eq!(
             ws.writes,
             vec![WriteRecord {
@@ -464,9 +486,10 @@ mod tests {
     #[test]
     fn shadow_reads_of_own_writes_do_not_pollute_read_set() {
         let base = Store::with_items(1, Value(0));
-        let mut shadow = ShadowStore::new(&base, TxnId::new(1, 0));
-        shadow.write(Key(0), Value(1));
-        let _ = shadow.read(Key(0));
+        let mut shadow = ShadowStore::new();
+        shadow.begin(TxnId::new(1, 0));
+        shadow.write(&base, Key(0), Value(1));
+        let _ = shadow.read(&base, Key(0));
         assert!(shadow.read_set().is_empty());
     }
 }
@@ -521,13 +544,18 @@ mod more_tests {
     #[test]
     fn shadow_writeset_is_key_sorted() {
         let base = Store::with_items(5, Value(0));
-        let mut sh = ShadowStore::new(&base, TxnId::new(2, 0));
-        sh.write(Key(4), Value(1));
-        sh.write(Key(1), Value(2));
-        sh.write(Key(3), Value(3));
-        let ws = sh.into_writeset();
-        let keys: Vec<u64> = ws.keys().map(|k| k.0).collect();
+        let mut sh = ShadowStore::new();
+        sh.begin(TxnId::new(2, 0));
+        sh.write(&base, Key(4), Value(1));
+        sh.write(&base, Key(1), Value(2));
+        sh.write(&base, Key(3), Value(3));
+        sh.write(&base, Key(1), Value(4));
+        let keys: Vec<u64> = sh.view().iter().map(|w| w.key.0).collect();
         assert_eq!(keys, vec![1, 3, 4]);
+        // A recycled shadow starts the next transaction empty.
+        sh.begin(TxnId::new(3, 0));
+        assert!(sh.view().is_empty() && sh.read_set().is_empty());
+        assert_eq!(sh.view().txn, TxnId::new(3, 0));
     }
 
     #[test]

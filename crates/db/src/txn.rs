@@ -3,34 +3,29 @@
 //!
 //! Writes are applied to the store in place (isolation is the lock
 //! manager's job under strict 2PL); abort restores the exact prior state.
-//! [`TxnManager::commit`] returns the transaction's [`WriteSet`] — the
-//! redo records the replication protocols propagate;
-//! [`TxnManager::commit_in_place`] builds none, for a site that neither
-//! ships nor keeps them.
+//! The undo log keeps each written key's after-image as a
+//! [`WriteRecord`], key-sorted: the redo records the replication
+//! protocols propagate. [`TxnManager::commit_with`] lends them as a
+//! borrow view, so a shipping or logging caller copies them once,
+//! straight to their destination (a caller that wants rows materializes
+//! a [`WriteSet`](crate::WriteSet) from the view);
+//! [`TxnManager::commit_in_place`] builds nothing, for a site that
+//! neither ships nor keeps them.
 
 use std::collections::HashMap;
 
 use crate::hash::FxHashMap;
 
+use crate::arena::WsView;
 use crate::item::{Key, TxnId, Value};
-use crate::log::{WriteRecord, WriteSet};
+use crate::log::WriteRecord;
 use crate::store::{Store, Versioned};
 
-/// One written key of an in-flight transaction.
-#[derive(Debug, Clone, Copy)]
-struct Written {
-    key: Key,
-    /// First-touch before-image, for undo.
-    before: Versioned,
-    /// Latest after-image.
-    value: Value,
-    version: u64,
-}
-
-/// Bookkeeping for one in-flight transaction: its written keys,
-/// ascending, in a vector recycled through the manager's free list when
-/// the transaction ends.
-type ActiveTxn = Vec<Written>;
+/// Bookkeeping for one in-flight transaction, recycled through the
+/// manager's free list when the transaction ends: per written key,
+/// ascending, its latest after-image — the redo record a commit hands
+/// out in place — and its first-touch before-image, for undo.
+type ActiveTxn = Vec<(WriteRecord, Versioned)>;
 
 /// Error returned when referring to a transaction the manager does not
 /// know (never begun, or already finished).
@@ -58,7 +53,7 @@ impl std::error::Error for UnknownTxn {}
 /// let t = TxnId::new(1, 0);
 /// tm.begin(t);
 /// tm.write(&mut store, t, Key(0), Value(7))?;
-/// let ws = tm.commit(t)?;
+/// let ws = tm.commit_with(t, |redo| redo.to_writeset())?;
 /// assert_eq!(ws.writes.len(), 1);
 /// assert_eq!(store.read(Key(0)).expect("exists").value, Value(7));
 /// # Ok(())
@@ -99,10 +94,7 @@ impl TxnManager {
     pub fn before_images(&self) -> HashMap<Key, Versioned> {
         let mut images: HashMap<Key, Versioned> = HashMap::new();
         for txn in self.active.values() {
-            for &Written {
-                key: k, before: v, ..
-            } in txn
-            {
+            for &(WriteRecord { key: k, .. }, v) in txn {
                 match images.get(&k) {
                     Some(prev) if prev.version <= v.version => {}
                     _ => {
@@ -127,42 +119,25 @@ impl TxnManager {
         value: Value,
     ) -> Result<Versioned, UnknownTxn> {
         let txn = self.active.get_mut(&id).ok_or(UnknownTxn(id))?;
-        let slot = txn.binary_search_by_key(&key, |w| w.key);
+        let slot = txn.binary_search_by_key(&key, |(w, _)| w.key);
         let before = match slot {
-            Ok(at) => txn[at].before,
+            Ok(at) => txn[at].1,
             Err(_) => store.read(key).unwrap_or(Versioned::initial(Value(0))),
         };
         let after = store.write(key, value, id);
-        let written = Written {
-            key,
+        let written = (
+            WriteRecord {
+                key,
+                value,
+                version: after.version,
+            },
             before,
-            value,
-            version: after.version,
-        };
+        );
         match slot {
             Ok(at) => txn[at] = written,
             Err(at) => txn.insert(at, written),
         }
         Ok(after)
-    }
-
-    /// Commits `id`, returning its writeset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownTxn`] if `id` is not active.
-    pub fn commit(&mut self, id: TxnId) -> Result<WriteSet, UnknownTxn> {
-        let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
-        let writes = txn
-            .iter()
-            .map(|w| WriteRecord {
-                key: w.key,
-                value: w.value,
-                version: w.version,
-            })
-            .collect();
-        self.recycle(txn);
-        Ok(WriteSet { txn: id, writes })
     }
 
     /// Commits `id` without building its writeset, for a caller that
@@ -173,9 +148,26 @@ impl TxnManager {
     ///
     /// Returns [`UnknownTxn`] if `id` is not active.
     pub fn commit_in_place(&mut self, id: TxnId) -> Result<(), UnknownTxn> {
+        self.commit_with(id, |_| ())
+    }
+
+    /// Commits `id` and hands its redo records — the after-images,
+    /// key-sorted — to `f` as a borrow view of the undo log, so a caller
+    /// copies them once, straight into wherever they go (a redo log, the
+    /// payload arena). Allocates nothing itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownTxn`] if `id` is not active.
+    pub fn commit_with<R>(
+        &mut self,
+        id: TxnId,
+        f: impl FnOnce(WsView<'_>) -> R,
+    ) -> Result<R, UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
+        let r = f(WsView::undo_log(id, &txn));
         self.recycle(txn);
-        Ok(())
+        Ok(r)
     }
 
     /// Aborts `id`, restoring every written item to its before-image.
@@ -185,8 +177,8 @@ impl TxnManager {
     /// Returns [`UnknownTxn`] if `id` is not active.
     pub fn abort(&mut self, store: &mut Store, id: TxnId) -> Result<(), UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
-        for w in &txn {
-            store.restore(w.key, w.before);
+        for &(w, before) in &txn {
+            store.restore(w.key, before);
         }
         self.recycle(txn);
         Ok(())
@@ -216,7 +208,7 @@ mod tests {
             .expect("active");
         tm.write(&mut store, t(1), Key(2), Value(20))
             .expect("active");
-        let ws = tm.commit(t(1)).expect("active");
+        let ws = tm.commit_with(t(1), |v| v.to_writeset()).expect("active");
         assert_eq!(ws.keys().collect::<Vec<_>>(), vec![Key(2), Key(4)]);
         assert!(!tm.is_active(t(1)));
     }
@@ -270,7 +262,7 @@ mod tests {
     fn unknown_txn_errors() {
         let mut store = Store::new();
         let mut tm = TxnManager::new();
-        assert_eq!(tm.commit(t(9)), Err(UnknownTxn(t(9))));
+        assert_eq!(tm.commit_in_place(t(9)), Err(UnknownTxn(t(9))));
         assert_eq!(tm.abort(&mut store, t(9)), Err(UnknownTxn(t(9))));
         assert!(tm.write(&mut store, t(9), Key(0), Value(1)).is_err());
         assert_eq!(UnknownTxn(t(9)).to_string(), "unknown transaction t9.0");

@@ -1,16 +1,22 @@
-//! Allocation guard for the lock manager, the 2PC coordinator and the
-//! transaction manager's per-transaction state.
+//! Allocation guard for the lock manager, the 2PC coordinator, the
+//! transaction manager's per-transaction state, the redo log and the
+//! shadow overlay.
 //!
 //! The kernel promises that `wait_for_edges` allocates nothing while no
 //! transaction waits: it reads the graph off the table and pushes no
 //! edge. A warm lock table locks and releases without allocating: a
 //! released transaction's key lists go back to a free list. A 2PC
 //! coordinator makes one allocation, its vote list, and records every
-//! vote in place. The transaction manager promises that a warm begin / write /
-//! commit cycle allocates nothing but the writeset `commit` returns,
-//! that `commit_in_place` — the commit of a site that ships and keeps
+//! vote in place. The transaction manager promises that a warm begin /
+//! write / commit cycle allocates nothing but the writeset a caller
+//! materializes from the redo records `commit_with` lends, that
+//! `commit_in_place` — the commit of a site that ships and keeps
 //! no writeset — allocates nothing at all, and so does an abort:
-//! finished transactions hand their state back to a free list. This test
+//! finished transactions hand their state back to a free list. A
+//! writeset is copied once, straight to where it goes: a warm redo log
+//! appends, stages and group-commits a borrow view into its columns
+//! without allocating, and a warm shadow overlay writes, reads through
+//! and hands its records to the payload arena without allocating. This test
 //! installs a counting global allocator and holds the kernel to these
 //! promises. It lives in its own
 //! integration-test crate because the library forbids `unsafe_code` and
@@ -23,8 +29,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use repl_db::{
-    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, Store, TpcCoordinator,
-    TpcDecision, TxnId, TxnManager, Value,
+    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, PayloadArena, RedoLog,
+    ShadowStore, Store, TpcCoordinator, TpcDecision, TxnId, TxnManager, Value, WriteRecord, WsView,
 };
 
 struct CountingAlloc;
@@ -139,11 +145,13 @@ fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
         }
     };
     write_four(&mut tm, &mut store, 1); // warm-up: sizes the recycled state
-    tm.commit(t(1)).expect("active");
+    tm.commit_in_place(t(1)).expect("active");
     let before = allocations();
     for ts in 2..102 {
         write_four(&mut tm, &mut store, ts);
-        let ws = tm.commit(t(ts)).expect("active");
+        let ws = tm
+            .commit_with(t(ts), |redo| redo.to_writeset())
+            .expect("active");
         assert!(
             ws.keys().eq([Key(1), Key(4), Key(7), Key(9)]),
             "commit yields a key-sorted writeset"
@@ -181,4 +189,76 @@ fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
         "a warm begin/write/abort cycle allocated"
     );
     assert_eq!(store.fingerprint(), fingerprint, "abort is a perfect undo");
+
+    // Redo log: one forced append and one staged record per round, a
+    // group commit every fourth, under a retention cap that keeps the
+    // columns bounded. The warm-up sizes them.
+    let records: Vec<WriteRecord> = (0..4u64)
+        .map(|k| WriteRecord {
+            key: Key(k),
+            value: Value(1),
+            version: 1,
+        })
+        .collect();
+    let mut log = RedoLog::new().with_retention(64);
+    let round = |log: &mut RedoLog, ts: u64| {
+        log.append_view(WsView::rows(t(ts), &records));
+        log.stage_view(WsView::rows(t(ts), &records[..2]));
+        if ts % 4 == 3 {
+            assert!(log.flush_group().is_some());
+        }
+    };
+    for ts in 0..256 {
+        round(&mut log, ts);
+    }
+    let before = allocations();
+    for ts in 256..1_256 {
+        round(&mut log, ts);
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm redo log allocated to append, stage or group-commit a view"
+    );
+    assert_eq!(log.since(log.len() - 10).count(), 10);
+
+    // Shadow overlay: five writes (one key twice) and two reads, one of
+    // them through to an own write, then the records go to the arena and
+    // are released. The warm-up passes the arena's first compaction.
+    let mut shadow = ShadowStore::new();
+    let mut arena = PayloadArena::new();
+    let shadow_txn = |shadow: &mut ShadowStore, arena: &mut PayloadArena, ts: u64| {
+        shadow.begin(t(ts));
+        for k in [9u64, 7, 4, 1, 7] {
+            shadow.write(&store, Key(k), Value(ts as i64));
+        }
+        assert_eq!(
+            shadow.read(&store, Key(7)).expect("exists").value,
+            Value(ts as i64)
+        );
+        assert!(shadow.read(&store, Key(3)).is_some());
+        let handle = arena.intern_view(shadow.view(), 1);
+        assert!(
+            arena
+                .view(handle)
+                .iter()
+                .map(|w| w.key)
+                .eq([Key(1), Key(4), Key(7), Key(9)]),
+            "the overlay interns its records key-sorted"
+        );
+        arena.release(handle, 0);
+    };
+    let warm = 2 * PayloadArena::COMPACT_EVERY as u64;
+    for ts in 0..warm {
+        shadow_txn(&mut shadow, &mut arena, ts);
+    }
+    let before = allocations();
+    for ts in warm..2 * warm {
+        shadow_txn(&mut shadow, &mut arena, ts);
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm shadow overlay allocated to write, read through or intern"
+    );
 }

@@ -473,7 +473,7 @@ proptest! {
             let txn = TxnId::new(i as u64 + 1, 0);
             tm.begin(txn);
             tm.write(&mut store, txn, Key(k), Value(v)).expect("active");
-            tm.commit(txn).expect("active");
+            tm.commit_in_place(txn).expect("active");
         }
         let fp = store.fingerprint();
         // Then one big transaction that aborts.
