@@ -187,7 +187,7 @@ pub struct PhaseTrace {
 impl PhaseTrace {
     /// Extracts the phase markers from a simulator trace.
     pub fn from_trace(trace: &TraceLog) -> Self {
-        let mut marks = Vec::new();
+        let mut marks = Vec::with_capacity(trace.len());
         for rec in trace.iter() {
             if let TraceEvent::Mark { tag, a, .. } = rec.event {
                 if let Some(phase) = Phase::from_tag(tag) {

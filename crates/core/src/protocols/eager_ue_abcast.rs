@@ -79,7 +79,7 @@ mod tests {
     use crate::protocols::common::{AbcastImpl, ExecutionMode};
     use repl_db::{Key, Value};
     use repl_gcs::ConsensusConfig;
-    use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
+    use repl_sim::{impl_as_any, Actor, NodeId, SimConfig, SimDuration, SimTime, TimerId, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
     fn write(k: u64, v: i64) -> TxnTemplate {
@@ -117,17 +117,41 @@ mod tests {
         }
         let mut clients = Vec::new();
         for (c, t) in txns.into_iter().enumerate() {
-            let client = ClientActor::<EuaMsg>::new(
-                c as u32,
-                servers.clone(),
-                c % n as usize,
-                t,
-                SimDuration::from_ticks(100),
-                SimDuration::from_ticks(20_000),
-            );
+            let client = client(c as u32, &servers, t);
             clients.push(world.add_actor(Box::new(client)));
         }
         (world, servers, clients)
+    }
+
+    /// Client `c`, whose local server is `servers[c % n]`.
+    fn client(c: u32, servers: &[NodeId], txns: Vec<TxnTemplate>) -> ClientActor<EuaMsg> {
+        ClientActor::new(
+            c,
+            servers.to_vec(),
+            c as usize % servers.len(),
+            txns,
+            SimDuration::from_ticks(100),
+            SimDuration::from_ticks(20_000),
+        )
+    }
+
+    /// A client that counts the messages delivered to it.
+    struct Counted {
+        client: ClientActor<EuaMsg>,
+        delivered: usize,
+    }
+    impl Actor<Wire<EuaMsg>> for Counted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, EuaMsg>) {
+            self.client.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, EuaMsg>, from: NodeId, msg: Wire<EuaMsg>) {
+            self.delivered += 1;
+            self.client.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, EuaMsg>, timer: TimerId, tag: u64) {
+            self.client.on_timer(ctx, timer, tag);
+        }
+        impl_as_any!();
     }
 
     #[test]
@@ -174,25 +198,23 @@ mod tests {
 
     #[test]
     fn only_the_delegate_answers() {
-        let (mut world, _servers, clients) = build(3, vec![vec![write(0, 1)]], 2);
+        let (mut world, servers, _) = build(3, Vec::new(), 2);
+        let node = world.add_actor(Box::new(Counted {
+            client: client(0, &servers, vec![write(0, 1)]),
+            delivered: 0,
+        }));
         world.start();
         world.run_until(SimTime::from_ticks(200_000));
-        let client = world.actor_ref::<ClientActor<EuaMsg>>(clients[0]);
-        assert!(client.is_done());
+        let counted = world.actor_ref::<Counted>(node);
+        assert!(counted.client.is_done());
         // Exactly one reply reached the client: its record has a response
         // and no duplicate-response path was exercised (active replication
-        // sends n replies; here it must be 1). We verify by counting Reply
-        // deliveries to the client in the trace.
-        let client_node = clients[0];
-        let replies = world
-            .trace()
-            .iter()
-            .filter(|r| {
-                r.node == client_node
-                    && matches!(r.event, repl_sim::TraceEvent::MsgDelivered { .. })
-            })
-            .count();
-        assert_eq!(replies, 1, "non-delegate servers must stay silent");
+        // sends n replies; here it must be 1). We verify by counting the
+        // deliveries the client saw.
+        assert_eq!(
+            counted.delivered, 1,
+            "non-delegate servers must stay silent"
+        );
     }
 
     #[test]

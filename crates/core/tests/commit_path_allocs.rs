@@ -29,7 +29,11 @@
 //! event wheel's slab, each client's workload, say) is paid per run, not
 //! amortised.
 //!
-//! A third guard holds partial replication to its memory model: the
+//! A third guard holds a traced run to its trace's memory model: the
+//! trace hashes every send and delivery and keeps only marks and fault
+//! records, so a traced run's peak heap grows with its marks.
+//!
+//! A fourth guard holds partial replication to its memory model: the
 //! peak heap of a sixteen-group run may grow with the keyspace only as
 //! fast as one shard of it per server.
 
@@ -365,10 +369,11 @@ fn marginal_allocations_per_transaction_stay_within_budget() {
     assert!(over.is_empty(), "over budget: {over:#?}");
 }
 
-/// The `study_mix` benchmark's plain Active cell: a study run as users
-/// run it, a few dozen transactions on a fresh world, where what a run
-/// builds once weighs as much as what its transactions allocate.
-fn study_plain_active() -> RunConfig {
+/// The `study_mix` benchmark's plain Active cell at `txns` transactions
+/// per client (12 there): a study run as users run it, a few dozen
+/// transactions on a fresh world, where what a run builds once weighs as
+/// much as what its transactions allocate.
+fn study_plain_active(txns: u32) -> RunConfig {
     RunConfig::new(Technique::Active)
         .with_servers(3)
         .with_clients(4)
@@ -378,7 +383,7 @@ fn study_plain_active() -> RunConfig {
             WorkloadSpec::default()
                 .with_items(128)
                 .with_read_ratio(0.0)
-                .with_txns_per_client(12),
+                .with_txns_per_client(txns),
         )
 }
 
@@ -393,7 +398,7 @@ const STUDY_RUN_BUDGET: u64 = 204;
 #[test]
 fn a_study_run_pays_per_transaction_not_per_slot() {
     let _serial = serial();
-    let (allocs, _) = cost(&study_plain_active());
+    let (allocs, _) = cost(&study_plain_active(12));
     println!(
         "study plain Active, 48 transactions: {allocs} allocations per run \
          (before: {STUDY_RUN_PARENT})"
@@ -401,6 +406,36 @@ fn a_study_run_pays_per_transaction_not_per_slot() {
     assert!(
         allocs <= STUDY_RUN_BUDGET,
         "a study run made {allocs} allocations, budget {STUDY_RUN_BUDGET}"
+    );
+}
+
+/// Peak-heap growth per extra transaction of [`study_plain_active`] from
+/// 12 to 48 transactions per client, in bytes, when the trace kept every
+/// send and delivery (2,883.3; 1,034.0 with tracing off), and the budget
+/// since it keeps only marks and fault records: half that. The value
+/// measured then, 1,339.3, plus 10 % would be 1,473.2; the half binds.
+const TRACED_GROWTH_PARENT: f64 = 2_883.3;
+const TRACED_GROWTH_BUDGET: f64 = 1_441.6;
+const _: () = assert!(
+    TRACED_GROWTH_BUDGET <= TRACED_GROWTH_PARENT / 2.0,
+    "the traced-run budget is more than half the value before the change"
+);
+
+#[test]
+fn a_traced_run_grows_with_its_marks_not_its_messages() {
+    let _serial = serial();
+    let small = cost(&study_plain_active(12)).1;
+    let large = cost(&study_plain_active(48)).1;
+    let extra = f64::from(4 * (48 - 12));
+    let per_txn = large.saturating_sub(small) as f64 / extra;
+    println!(
+        "study plain Active, traced: peak heap {small} B at 48 transactions, {large} B at \
+         192 ({per_txn:.1} B per extra transaction; before: {TRACED_GROWTH_PARENT})"
+    );
+    assert!(
+        per_txn <= TRACED_GROWTH_BUDGET,
+        "a traced run's peak heap grew by {per_txn:.1} B per transaction, \
+         budget {TRACED_GROWTH_BUDGET}"
     );
 }
 

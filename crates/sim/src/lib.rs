@@ -12,11 +12,12 @@
 //! * scheduled fault injection: crashes, recoveries and [`NetFault`]s
 //!   (partitions/heals and directional link degradations — latency
 //!   spikes, loss, cuts) at arbitrary virtual times,
-//! * a [`TraceLog`] from which the paper's phase diagrams are regenerated,
+//! * a [`TraceLog`] that hashes every event and keeps the phase marks
+//!   (the paper's phase diagrams are regenerated from them) and faults,
 //! * [`Metrics`] and [`LatencyStats`] for the performance study.
 //!
 //! Runs are fully deterministic: the same [`SimConfig`] (seed) and actor
-//! set produce the same trace, byte-for-byte.
+//! set produce the same trace hash.
 //!
 //! # Examples
 //!

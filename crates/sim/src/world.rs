@@ -30,8 +30,8 @@ pub struct SimConfig {
     pub network: NetworkConfig,
     /// Whether to record a [`TraceLog`] (disable in benchmarks).
     pub trace: bool,
-    /// Expected number of trace records: the log pre-sizes its buffer so
-    /// steady-state recording never reallocates (0 = no hint).
+    /// Expected number of kept trace records (marks and fault records): the
+    /// log pre-sizes its buffer so recording never reallocates (0 = no hint).
     pub trace_capacity: usize,
     /// Nodes `0..coordination_nodes` form the coordination set (typically
     /// the replica servers): messages with both endpoints inside it are
@@ -64,7 +64,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the expected trace record count (pre-sizing hint).
+    /// Sets the expected kept trace record count (pre-sizing hint).
     pub fn with_trace_capacity(mut self, records: usize) -> Self {
         self.trace_capacity = records;
         self
@@ -403,6 +403,7 @@ impl<M: Message> World<M> {
     fn deliver(&mut self, to: NodeId, from: NodeId, msg: M) {
         self.core.metrics.messages_delivered += 1;
         if self.core.trace.is_enabled() {
+            // Hashed, not kept: the size is part of the trace hash.
             let bytes = msg.wire_size();
             let now = self.core.now;
             self.core
@@ -608,7 +609,7 @@ impl<M: Message> World<M> {
         self.core.now
     }
 
-    /// The run trace.
+    /// The run trace: its hash, its marks and its fault records.
     pub fn trace(&self) -> &TraceLog {
         &self.core.trace
     }
@@ -778,6 +779,8 @@ mod tests {
         let t1: Vec<_> = w1.trace().iter().cloned().collect();
         let t2: Vec<_> = w2.trace().iter().cloned().collect();
         assert_eq!(t1, t2);
+        assert_ne!(w1.trace().hash(), TraceLog::new().hash(), "nothing hashed");
+        assert_eq!(w1.trace().hash(), w2.trace().hash());
         assert_eq!(w1.now(), w2.now());
     }
 
@@ -1022,16 +1025,27 @@ mod tests {
     }
 
     /// Pings its peer once, from a timer (so scheduled faults can land
-    /// before the send).
+    /// before the send); records who each delivery came from, and when.
     struct LatePinger {
         peer: NodeId,
         pongs: u64,
+        heard: Vec<(NodeId, SimTime)>,
+    }
+    impl LatePinger {
+        fn new(peer: NodeId) -> Self {
+            LatePinger {
+                peer,
+                pongs: 0,
+                heard: Vec::new(),
+            }
+        }
     }
     impl Actor<TestMsg> for LatePinger {
         fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
             ctx.set_timer(SimDuration::from_ticks(1_000), 0);
         }
-        fn on_message(&mut self, _: &mut Context<'_, TestMsg>, _: NodeId, msg: TestMsg) {
+        fn on_message(&mut self, ctx: &mut Context<'_, TestMsg>, from: NodeId, msg: TestMsg) {
+            self.heard.push((from, ctx.now()));
             if let TestMsg::Pong(_) = msg {
                 self.pongs += 1;
             }
@@ -1042,11 +1056,25 @@ mod tests {
         impl_as_any!();
     }
 
+    /// Replies Pong to every Ping, recording who sent it and when.
+    struct Echo {
+        heard: Vec<(NodeId, SimTime)>,
+    }
+    impl Actor<TestMsg> for Echo {
+        fn on_message(&mut self, ctx: &mut Context<'_, TestMsg>, from: NodeId, msg: TestMsg) {
+            self.heard.push((from, ctx.now()));
+            if let TestMsg::Ping(i) = msg {
+                ctx.send(from, TestMsg::Pong(i));
+            }
+        }
+        impl_as_any!();
+    }
+
     #[test]
     fn scheduled_link_degrade_delays_messages() {
         let mut world: World<TestMsg> = World::new(SimConfig::new(13));
-        let b = world.add_actor(Box::new(Ponger { seen: Vec::new() }));
-        let a = world.add_actor(Box::new(LatePinger { peer: b, pongs: 0 }));
+        let b = world.add_actor(Box::new(Echo { heard: Vec::new() }));
+        let a = world.add_actor(Box::new(LatePinger::new(b)));
         // Degrade a→b before the timed ping at t=1000: the ping pays the
         // spike, the pong (b→a) does not.
         world.schedule_net_fault(
@@ -1062,12 +1090,10 @@ mod tests {
         assert_eq!(world.actor_ref::<LatePinger>(a).pongs, 1);
         assert_eq!(world.metrics().link_faults_injected, 1);
         // Delivery of the ping happened after the spike.
-        let delivered_at = world
-            .trace()
-            .iter()
-            .find(|r| matches!(r.event, TraceEvent::MsgDelivered { .. }) && r.node == b)
-            .map(|r| r.time)
-            .expect("ping delivered");
+        let heard = &world.actor_ref::<Echo>(b).heard;
+        assert_eq!(heard.len(), 1, "ping delivered once: {heard:?}");
+        let (from, delivered_at) = heard[0];
+        assert_eq!(from, a);
         assert!(
             delivered_at.ticks() >= 11_100,
             "spike skipped: {delivered_at}"
@@ -1078,8 +1104,8 @@ mod tests {
     fn scheduled_fully_lossy_degrade_cuts_one_direction() {
         let mut world: World<TestMsg> = World::new(SimConfig::new(13));
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        world.add_actor(Box::new(LatePinger { peer: b, pongs: 0 }));
-        world.add_actor(Box::new(LatePinger { peer: a, pongs: 0 }));
+        world.add_actor(Box::new(LatePinger::new(b)));
+        world.add_actor(Box::new(LatePinger::new(a)));
         // Cut a→b around both timed pings at t=1000, then repair it.
         world.schedule_net_fault(
             SimTime::from_ticks(500),
@@ -1096,12 +1122,11 @@ mod tests {
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(100_000));
         // Only b's ping reaches its peer.
-        let delivered: Vec<(NodeId, NodeId)> = world
-            .trace()
-            .iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::MsgDelivered { from, .. } => Some((from, r.node)),
-                _ => None,
+        let delivered: Vec<(NodeId, NodeId)> = [a, b]
+            .into_iter()
+            .flat_map(|to| {
+                let heard = &world.actor_ref::<LatePinger>(to).heard;
+                heard.iter().map(move |&(from, _)| (from, to))
             })
             .collect();
         assert_eq!(delivered, vec![(b, a)]);
