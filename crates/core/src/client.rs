@@ -5,7 +5,7 @@
 //! re-submits the *same* operation (same [`OpId`]) to the next server — the
 //! paper's "clients can then be connected to another database server and
 //! re-submit the transaction" (Section 4.1). Servers suppress duplicates
-//! through their response caches, so retries are exactly-once.
+//! through their client tables, so retries are exactly-once.
 //!
 //! A retry means "this operation timed out" and nothing else: every
 //! attempt waits a constant `retry_after`, the timer is cancelled when the
@@ -251,7 +251,7 @@ impl<P: Message> ClientActor<P> {
     ///
     /// `sticky` retries resend to the *same* contact instead of the next.
     /// Delegate-based cross-shard commit (eager UE locking) needs that:
-    /// the contact dedups resends against its response cache and
+    /// the contact dedups resends against its client table and
     /// live-delegation table; a sibling has neither and would delegate
     /// the same transaction id again after the first 2PC released its
     /// locks. Rotation only buys crash failover, and cross-shard runs

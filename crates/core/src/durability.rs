@@ -168,7 +168,7 @@ impl DurabilityTier {
     /// A disaster at `now`: drops in-flight frames and the unsealed
     /// tail, records every erased acknowledged commit in
     /// [`DurabilityTier::lost`], and arms the restore. Returns the
-    /// erased writesets so the caller can evict their cached responses
+    /// erased writesets so the caller can forget their recorded replies
     /// (their ops must re-execute when the group replays them).
     pub fn wipe(&mut self, now: u64) -> Vec<WriteSet> {
         let mut erased = self.log.wipe(now);

@@ -17,7 +17,7 @@ use repl_db::Keyspace;
 use crate::op::ClientOp;
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, AbMsg};
-use crate::protocols::replica::{Ctx, Replica, Shell, Wire};
+use crate::protocols::replica::{Ctx, Replica, Shell};
 use crate::protocols::stream::{Ordered, Stream};
 
 /// Coordination traffic of active replication: the request ABCAST.
@@ -62,10 +62,9 @@ impl Ordered for Active {
         let resp = sh
             .base
             .execute_commit(local.as_ref().unwrap_or(&op), global_txn(op.id));
-        sh.base.remember(&resp);
         // Every replica answers; the client keeps the first reply
         // (per group, in the sharded mode — partials merge there).
-        ctx.send(op.client, Wire::Reply(resp));
+        sh.reply(ctx, op.client, resp);
     }
 }
 
@@ -74,6 +73,7 @@ mod tests {
     use super::*;
     use crate::client::ClientActor;
     use crate::protocols::common::{AbcastImpl, ExecutionMode};
+    use crate::protocols::replica::Wire;
     use repl_db::{Key, Value};
     use repl_gcs::ConsensusConfig;
     use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};

@@ -86,7 +86,7 @@ impl Ordered for Cert {
         // reads are snapshot-consistent at this site).
         if op.is_read_only() {
             let resp = sh.base.answer_read_only(&op);
-            ctx.send(op.client, Wire::Reply(resp));
+            sh.reply(ctx, op.client, resp);
             return None;
         }
         // Phase EX: optimistic shadow execution at the delegate.
@@ -173,7 +173,7 @@ impl Ordered for Cert {
             Response::aborted(op_id)
         };
         sh.base.release_payload(req.ws);
-        sh.base.remember(&resp);
+        sh.answer(&resp);
         // The request names its delegate: a retry relayed by a second
         // server must still be answered by one site only.
         if req.delegate == sh.me() {

@@ -1,9 +1,9 @@
 //! Shared plumbing for the protocol implementations: the server base
-//! (store + transaction manager + history + response cache), the unified
+//! (store + transaction manager + history + durable tier), the unified
 //! Atomic Broadcast endpoint, and execution-mode handling.
 
 use repl_db::{
-    AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
+    AccessKind, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
     SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
     WriteRecord, WriteSet, WriteSetRef, WsView,
 };
@@ -437,8 +437,9 @@ impl<P: Message> AbcastEndpoint<P> {
     }
 }
 
-/// State every replica server shares: the database kernel pieces plus
-/// duplicate suppression and execution statistics.
+/// State every replica server shares: the database kernel pieces and
+/// execution statistics. Which client operations were answered is the
+/// shell's client table ([`crate::protocols::replica::Shell`]).
 #[derive(Debug)]
 pub struct ServerBase {
     /// This site's index (dense, 0-based).
@@ -453,8 +454,6 @@ pub struct ServerBase {
     shadow: ShadowStore,
     /// This site's recorded execution history.
     pub history: ReplicatedHistory,
-    /// Responses already produced, for exactly-once retries.
-    pub cache: FxHashMap<OpId, Response>,
     /// Execution mode (determinism injection).
     pub exec: ExecutionMode,
     /// Transactions committed at this site.
@@ -473,13 +472,13 @@ pub struct ServerBase {
     /// Set by an untiered wipe; a restore-from-scratch is pending.
     bare_wipe: bool,
     /// Lean mode: skip the per-operation history records and the
-    /// response cache. Both grow linearly with the number of operations,
-    /// which is fine for the oracle-checked studies but rules out
-    /// million-operation open-loop runs; the aggregated open-loop driver
-    /// never retries (no duplicate suppression needed) and does not run
-    /// the history oracles, so both can be dropped wholesale. The history
-    /// half is the history's own recording switch; this flag gates the
-    /// cache and re-applies that switch to a wiped volume's new history.
+    /// shell's recorded replies. Both grow linearly with the number of
+    /// operations, which is fine for the oracle-checked studies but rules
+    /// out million-operation open-loop runs; the aggregated open-loop
+    /// driver never retries and does not run the history oracles, so both
+    /// can be dropped wholesale. The history half is the history's own
+    /// recording switch, re-applied to a wiped volume's new history; the
+    /// shell reads the rest ([`Self::lean`]).
     lean: bool,
 }
 
@@ -494,7 +493,6 @@ impl ServerBase {
             tm: TxnManager::new(),
             shadow: ShadowStore::new(),
             history: ReplicatedHistory::new(),
-            cache: FxHashMap::default(),
             exec,
             committed: 0,
             aborted: 0,
@@ -517,6 +515,11 @@ impl ServerBase {
     pub fn set_lean(&mut self, lean: bool) {
         self.lean = lean;
         self.history.set_recording(!lean);
+    }
+
+    /// True in lean mode.
+    pub fn lean(&self) -> bool {
+        self.lean
     }
 
     /// Attaches a durable log tier (no-op when `cfg` is disabled).
@@ -593,28 +596,20 @@ impl ServerBase {
     }
 
     /// A volume-loss disaster: erases the store, transaction manager and
-    /// recorded history, evicts the cached responses of every commit the
-    /// durable tier lost (those ops must re-execute when the group
-    /// replays them), and arms the restore. Without a tier the entire
-    /// cache is evicted — everything must replay from the group.
-    pub fn wipe_volume(&mut self, now: u64) {
-        match &mut self.tier {
-            Some(t) => {
-                for ws in t.wipe(now) {
-                    self.cache.remove(&op_of_txn(ws.txn));
-                }
-            }
-            None => {
-                self.cache.clear();
-                self.bare_wipe = true;
-            }
-        }
+    /// recorded history and arms the restore. Returns the ops of every
+    /// commit the durable tier lost — they must re-execute when the group
+    /// replays them — or `None` without a tier: everything replays.
+    pub fn wipe_volume(&mut self, now: u64) -> Option<impl Iterator<Item = OpId>> {
+        let erased = self.tier.as_mut().map(|t| t.wipe(now).into_iter());
+        let lost = erased.map(|e| e.map(|ws| op_of_txn(ws.txn)));
+        self.bare_wipe = lost.is_none();
         self.volume_wipes += 1;
         let ks = self.keyspace();
         self.store = Store::with_keyspace(ks, Value(0));
         self.tm = TxnManager::new();
         self.history = ReplicatedHistory::new();
         self.history.set_recording(!self.lean);
+        lost
     }
 
     /// Starts the restore of a wiped volume, if one is pending: installs
@@ -1040,9 +1035,9 @@ impl ServerBase {
     }
 
     /// Answers a read-only operation from this site's committed state:
-    /// every key is read under the op's global transaction id, the
-    /// transaction is recorded as committed and the response cached.
-    /// The caller keeps its own guard, phase mark and send.
+    /// every key is read under the op's global transaction id and the
+    /// transaction is recorded as committed. The caller keeps its own
+    /// guard and phase mark, and replies through the shell.
     pub fn answer_read_only(&mut self, op: &ClientOp) -> Response {
         let txn = global_txn(op.id);
         let mut reads = Vec::new();
@@ -1052,25 +1047,10 @@ impl ServerBase {
             }
         }
         self.history.mark_committed(txn);
-        let resp = Response {
+        Response {
             op: op.id,
             committed: true,
             reads,
-        };
-        self.remember(&resp);
-        resp
-    }
-
-    /// Looks up a cached response for duplicate suppression.
-    pub fn cached(&self, op: OpId) -> Option<Response> {
-        self.cache.get(&op).cloned()
-    }
-
-    /// Caches a response (a no-op in lean mode — the open-loop driver
-    /// never retries, so duplicate suppression has nothing to suppress).
-    pub fn remember(&mut self, resp: &Response) {
-        if !self.lean {
-            self.cache.insert(resp.op, resp.clone());
         }
     }
 }
@@ -1343,24 +1323,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_roundtrip() {
-        let mut base = ServerBase::new(0, 1, ExecutionMode::Deterministic);
-        assert!(base.cached(OpId(9)).is_none());
-        let resp = Response::committed(OpId(9));
-        base.remember(&resp);
-        assert_eq!(base.cached(OpId(9)), Some(resp));
-    }
-
-    #[test]
-    fn lean_mode_skips_history_and_cache_but_not_state() {
+    fn lean_mode_skips_history_but_not_state() {
         let (mut lean, arena) = seated(0, 4, ExecutionMode::Deterministic);
         lean.set_lean(true);
         assert!(!lean.history.is_recording());
         let o = op(1, vec![OpTemplate::Write(Key(1), Value(5))]);
-        let (ws, resp) = lean.execute_to_ship(&o, TxnId::new(1, 0), 1);
+        let (ws, _) = lean.execute_to_ship(&o, TxnId::new(1, 0), 1);
         let ws = arena.borrow().view(ws).to_writeset();
-        lean.remember(&resp);
-        assert!(lean.cached(o.id).is_none(), "lean cache stays empty");
         assert!(
             lean.history.committed().is_empty(),
             "lean history stays empty"

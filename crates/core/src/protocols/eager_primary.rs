@@ -59,7 +59,7 @@ pub enum EagerPrimaryMsg {
         txn: TxnId,
         /// The full writeset (empty if already propagated step-wise).
         ws: WriteSetRef,
-        /// The response, cached by secondaries for retried clients.
+        /// The response, recorded by secondaries for retried clients.
         resp: Response,
     },
     /// Secondary → primary: vote.
@@ -519,14 +519,14 @@ impl EagerPrimary {
         if commit {
             let group = self.batching.enabled();
             sh.base.commit_into(txn, &mut self.wal, group);
-            sh.base.remember(&resp);
+            sh.answer(&resp);
             if group {
                 // Group commit: the redo record is staged, and both the
                 // decision round and the client ack wait for the
                 // window's single shared log force. The durable tier
                 // waits for the force too, so a volume loss can only
-                // erase unacked staged commits (their cached replies are
-                // evicted).
+                // erase unacked staged commits (their recorded replies
+                // are forgotten).
                 self.staged_decisions.push((txn, commit));
                 self.staged_replies.push((t.op.client, resp));
                 if self.staged_decisions.len() >= BatchConfig::MAX_BATCH {
@@ -594,7 +594,7 @@ impl EagerPrimary {
                 // keep the mirrored order identical to the primary's.
                 sh.base.commit_into(txn, &mut self.wal, false);
                 if let Some(r) = resp {
-                    sh.base.remember(&r);
+                    sh.answer(&r);
                 }
             } else {
                 sh.base.abort(txn);
@@ -679,11 +679,6 @@ impl Technique for EagerPrimary {
     type Msg = EagerPrimaryMsg;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, op: ClientOp) {
-        if sh.answered_before_join(op.id) {
-            // Answered by the join donor before our snapshot: re-executing
-            // would double-apply; the donor's cache serves the retry.
-            return;
-        }
         if sh.catching_up() {
             return; // not a member yet; the client retries elsewhere
         }
@@ -695,7 +690,7 @@ impl Technique for EagerPrimary {
         if op.is_read_only() && !self.is_primary(sh) && self.tentative.is_empty() {
             sh.mark(ctx, Phase::Execution, op.id, 0);
             let resp = sh.base.answer_read_only(&op);
-            ctx.send(op.client, Wire::Reply(resp));
+            sh.reply(ctx, op.client, resp);
             return;
         }
         if self.is_primary(sh) {
@@ -911,11 +906,11 @@ impl Technique for EagerPrimary {
 
     fn volume_lost(&mut self, sh: &mut Shell) {
         // Staged commits never reached the log force: unacked (replies
-        // were staged too) and never noted to the tier, so evict their
-        // cached responses — the client must re-execute, not be told
+        // were staged too) and never noted to the tier, so forget their
+        // recorded replies — the client must re-execute, not be told
         // "committed" about state that no longer exists anywhere here.
         for (txn, _) in &self.staged_decisions {
-            sh.base.cache.remove(&op_of_txn(*txn));
+            sh.forget(op_of_txn(*txn));
         }
         self.lm = LockManager::with_keyspace(DeadlockPolicy::WoundWait, sh.base.keyspace());
         self.inflight.clear();

@@ -464,8 +464,7 @@ impl Eul {
             reads,
         };
         if commit {
-            sh.base.remember(&resp);
-            ctx.send(t.op.client, Wire::Reply(resp));
+            sh.reply(ctx, t.op.client, resp);
         } else if t.retries < MAX_RETRIES {
             self.requeue.push((t.op, t.retries + 1));
             let backoff = SimDuration::from_ticks(400 + 150 * t.retries as u64);
@@ -641,12 +640,6 @@ impl Technique for Eul {
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, op: ClientOp) {
         if sh.catching_up() {
             return; // a delegate with a stale store would serve stale reads
-        }
-        if sh.answered_before_join(op.id) {
-            // Answered by the join donor before our snapshot: re-running
-            // the whole transaction would duplicate it in the merged
-            // history; the donor's cache serves the retry.
-            return;
         }
         let txn = global_txn(op.id);
         if !self.delegated.contains_key(&txn) && !self.requeue.iter().any(|(o, _)| o.id == op.id) {

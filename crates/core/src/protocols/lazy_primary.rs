@@ -245,15 +245,10 @@ impl Technique for LazyPrimary {
     type Msg = LazyPrimaryMsg;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyPrimaryMsg>, op: ClientOp) {
-        if sh.answered_before_join(op.id) {
-            // Answered by the join donor before our snapshot: re-executing
-            // would double-apply; the donor's cache serves the retry.
-            return;
-        }
         // Reads answer locally wherever they land (possibly stale).
         if op.is_read_only() {
             let resp = sh.base.answer_read_only(&op);
-            ctx.send(op.client, Wire::Reply(resp));
+            sh.reply(ctx, op.client, resp);
             return;
         }
         // Updates must reach the primary.
@@ -266,9 +261,8 @@ impl Technique for LazyPrimary {
         let resp = sh
             .base
             .execute_to_log(&op, global_txn(op.id), &mut self.log);
-        sh.base.remember(&resp);
         // Lazy: reply *now*, coordinate later.
-        ctx.send(op.client, Wire::Reply(resp));
+        sh.reply(ctx, op.client, resp);
         // With batching on, the flush waits for the wider of the
         // staleness delay and the batching window (or goes out early on
         // a full batch).

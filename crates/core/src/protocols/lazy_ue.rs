@@ -390,12 +390,6 @@ impl Technique for LazyUe {
     type Msg = LazyUeMsg;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, op: ClientOp) {
-        if sh.answered_before_join(op.id) {
-            // Answered by the join donor before our state merge: the
-            // donor's cache serves the retry; re-executing would
-            // double-commit.
-            return;
-        }
         sh.mark(ctx, Phase::Execution, op.id, 0);
         let txn = global_txn(op.id);
         self.clock = (self.clock + 1).max(ctx.now().ticks());
@@ -429,9 +423,8 @@ impl Technique for LazyUe {
             committed: true,
             reads,
         };
-        sh.base.remember(&resp);
         // Lazy: reply before any coordination.
-        ctx.send(op.client, Wire::Reply(resp));
+        sh.reply(ctx, op.client, resp);
         if !writes.is_empty() {
             if self.mode == ReconcileMode::AbcastOrder {
                 self.local_pending.insert(txn);

@@ -8,7 +8,7 @@
 //!
 //! On a primary crash the view change both elects the next primary and
 //! flushes in-flight updates: an update either reaches all surviving
-//! backups (and the cached response answers the client's retry) or none
+//! backups (and the recorded reply answers the client's retry) or none
 //! (and the retry re-executes at the new primary) — never half.
 
 use std::collections::{HashMap, HashSet};
@@ -30,7 +30,7 @@ pub struct Update {
     pub op: OpId,
     /// The redo records to install.
     pub ws: WriteSetRef,
-    /// The response the primary computed (cached by backups so a new
+    /// The response the primary computed (recorded by backups so a new
     /// primary can answer retries after failover). `Arc`-shared so the
     /// per-backup VSCAST clones stay allocation-free.
     pub resp: Arc<Response>,
@@ -143,11 +143,11 @@ impl Passive {
                 if from == sh.me() {
                     return; // the primary already executed it
                 }
-                // Backup path: install without re-execution, cache the
-                // response for failover, acknowledge.
-                if sh.base.cached(payload.op).is_none() {
+                // Backup path: install without re-execution, record the
+                // reply for failover, acknowledge.
+                if !sh.already_answered(payload.op) {
                     sh.base.install_payload(payload.ws);
-                    sh.base.remember(&payload.resp);
+                    sh.answer(&payload.resp);
                 }
                 sh.base.release_payload(payload.ws);
                 ctx.send(from, Wire::Proto(PassiveMsg::Ack { op: payload.op }));
@@ -199,7 +199,7 @@ impl Passive {
         let (ws, resp) = sh
             .base
             .execute_to_ship(&op, global_txn(op.id), backups.len() as u32);
-        sh.base.remember(&resp);
+        sh.answer(&resp);
         ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
         let update = Update {
             op: op.id,

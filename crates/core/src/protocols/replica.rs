@@ -1,8 +1,8 @@
 //! The replica shell: the one server actor under all ten techniques.
 //!
 //! The paper's thesis is that the techniques differ only in how they
-//! arrange five phases. Everything else a replica does — answer retries
-//! from its cache, join a running group, drain out of it, survive a crash
+//! arrange five phases. Everything else a replica does — tell a retry from
+//! a new operation, join a running group, drain out of it, survive a crash
 //! or a lost volume, seal durability frames, know its shard — is the same
 //! procedure whatever the replication scheme, so it lives here once.
 //! [`Replica<T>`] is the only `impl Actor` for a server; a technique is a
@@ -18,13 +18,15 @@
 //! one state transfer — pushed in a `Welcome`, pulled with a `StateReq`,
 //! same donor, same installer: recovery is a join that remembers.
 //!
+//! The shell keeps the one client table, as VR does: an answered op maps to
+//! this node's reply, or to none if the group answered it before this node
+//! joined. It decides every duplicate before any technique code runs.
+//!
 //! Every replica and client speaks one envelope, [`Wire`]: the client
 //! protocol and the membership handshake are the shell's, and a
 //! technique's own message type carries only its coordination traffic.
 
-use std::collections::HashSet;
-
-use repl_db::{Keyspace, SharedArena, Transfer};
+use repl_db::{FxHashMap, Keyspace, SharedArena, Transfer};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::durability::{DurabilityConfig, RestorePlan};
@@ -67,8 +69,8 @@ pub enum Status {
     /// Drain started: client work is rerouted, in-flight work finishes.
     Draining,
     /// Handed off and removed from the group; stays up as a passive
-    /// relay (answers stragglers from its cache, forwards old traffic)
-    /// but is no longer a member.
+    /// relay (answers stragglers from its client table, forwards old
+    /// traffic) but is no longer a member.
     Retired,
 }
 
@@ -94,11 +96,10 @@ pub enum MemberMsg {
         pos: u64,
         /// Donor's delivered-gseq watermark at the snapshot instant.
         gpos: u64,
-        /// Operations the donor has already answered (sorted). The
-        /// joiner must not re-execute one if a client retry re-enters it
-        /// into the ordered stream after the snapshot — members suppress
-        /// such duplicates through their response caches, which the
-        /// snapshot does not carry.
+        /// Operations the donor itself answered (sorted), without the
+        /// replies: the joiner's client table marks them answered, so a
+        /// client retry that re-enters one after the snapshot is dropped,
+        /// never re-executed.
         answered: Vec<OpId>,
     },
     /// Decommissioned member → members: remove me from the group (sent
@@ -199,8 +200,8 @@ pub trait Technique: Sized + 'static {
     /// [`Wire::Proto`]).
     type Msg: Message;
 
-    /// A client operation the shell accepted (not cached, not rerouted,
-    /// not buffered): phases RE onwards.
+    /// A client operation the shell accepted (not yet answered, not
+    /// rerouted, not buffered): phases RE onwards.
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, op: ClientOp);
 
     /// A message of the technique's own coordination traffic.
@@ -247,8 +248,8 @@ pub trait Technique: Sized + 'static {
     /// `gpos`) it was cut at.
     fn welcome_state(&mut self, sh: &mut Shell, joiner: NodeId) -> (Option<Transfer>, u64, u64);
 
-    /// Joiner: the welcome arrived; the view and the answered floor are
-    /// installed. Install the state and enter the group.
+    /// Joiner: the welcome arrived; the view and the donor's answered ops
+    /// are installed. Install the state and enter the group.
     fn welcomed(
         &mut self,
         sh: &mut Shell,
@@ -337,11 +338,11 @@ pub trait Technique: Sized + 'static {
 }
 
 /// Everything a replica owns that is not its technique: the database
-/// kernel, the membership view, the lifecycle status and the shard scope.
+/// kernel, membership view, lifecycle status, client table and shard scope.
 #[derive(Debug)]
 pub struct Shell {
-    /// Database kernel, response cache, recovery tracker, durable tier
-    /// and payload arena handle (public for post-run inspection).
+    /// Database kernel, recovery tracker, durable tier and payload arena
+    /// handle (public for post-run inspection).
     pub base: ServerBase,
     me: NodeId,
     /// The one membership view, sorted (includes `me` while a member).
@@ -352,9 +353,9 @@ pub struct Shell {
     catching_up: bool,
     /// Client operations buffered while joining.
     buffered: Vec<ClientOp>,
-    /// Operations answered group-wide before this node joined (the
-    /// welcome's dedup floor): never re-execute one on re-delivery.
-    answered: HashSet<OpId>,
+    /// The client table: `Some(reply)` where this node answered the op,
+    /// `None` where the group did before this node joined.
+    answers: FxHashMap<OpId, Option<Response>>,
     /// The sharded topology, on cross-shard runs.
     shard: Option<ShardCtx>,
 }
@@ -417,15 +418,33 @@ impl Shell {
         self.servers.first() == Some(&self.me)
     }
 
-    /// True if the group answered `op` before this node joined.
-    pub fn answered_before_join(&self, op: OpId) -> bool {
-        self.answered.contains(&op)
+    /// True if `op` is a duplicate: this node answered it, or the group
+    /// did before this node joined.
+    pub fn already_answered(&self, op: OpId) -> bool {
+        self.answers.contains_key(&op)
     }
 
-    /// True if a delivery of `op` is a duplicate: this node already
-    /// answered it, or the group did before this node joined.
-    pub fn already_answered(&self, op: OpId) -> bool {
-        self.base.cache.contains_key(&op) || self.answered_before_join(op)
+    /// Records this node's reply, for the retries (a no-op on a lean
+    /// server: the open-loop driver never retries).
+    pub fn answer(&mut self, resp: &Response) {
+        if !self.base.lean() {
+            self.answers.insert(resp.op, Some(resp.clone()));
+        }
+    }
+
+    /// Records `resp` and sends it to `to`.
+    pub fn reply<P: Message>(&mut self, ctx: &mut Ctx<'_, P>, to: NodeId, resp: Response) {
+        self.answer(&resp);
+        ctx.send(to, Wire::Reply(resp));
+    }
+
+    /// Drops this node's reply to `op`, whose commit is gone: the op runs
+    /// again when the group replays it. What the group answered before
+    /// this node joined stays answered.
+    pub fn forget(&mut self, op: OpId) {
+        if self.answers.get(&op).is_some_and(Option::is_some) {
+            self.answers.remove(&op);
+        }
     }
 
     /// The sharded topology, on cross-shard runs.
@@ -441,21 +460,22 @@ impl Shell {
         }
     }
 
-    /// The client prologue: answer from the cache, bounce while leaving,
-    /// buffer while joining, else hand the operation to the technique.
+    /// The client prologue: resend this node's reply, drop what the group
+    /// answered before this node joined, bounce while leaving, buffer
+    /// while joining, else hand the operation to the technique.
     fn invoke<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>, op: ClientOp) {
-        if let Some(resp) = self.base.cached(op.id) {
-            ctx.send(op.client, Wire::Reply(resp));
-        } else if self.rerouting() {
-            let bounce = MemberMsg::Reroute {
-                op: op.id,
-                servers: self.remaining(),
-            };
-            ctx.send(op.client, Wire::Member(bounce));
-        } else if self.joining() {
-            self.buffered.push(op);
-        } else {
-            tech.on_invoke(self, ctx, op);
+        match self.answers.get(&op.id) {
+            Some(Some(resp)) => ctx.send(op.client, Wire::Reply(resp.clone())),
+            Some(None) => {}
+            None if self.rerouting() => {
+                let bounce = MemberMsg::Reroute {
+                    op: op.id,
+                    servers: self.remaining(),
+                };
+                ctx.send(op.client, Wire::Member(bounce));
+            }
+            None if self.joining() => self.buffered.push(op),
+            None => tech.on_invoke(self, ctx, op),
         }
     }
 
@@ -515,7 +535,7 @@ impl Shell {
     }
 
     /// Sends `joiner` its welcome: the view, the technique's bootstrap
-    /// state, and every operation this server has already answered.
+    /// state, and every operation this server itself answered.
     pub fn welcome<T: Technique>(
         &mut self,
         tech: &mut T,
@@ -523,7 +543,9 @@ impl Shell {
         joiner: NodeId,
     ) {
         let (transfer, pos, gpos) = tech.welcome_state(self, joiner);
-        let mut answered: Vec<OpId> = self.base.cache.keys().copied().collect(); // sorted-below
+        let mut answered = Vec::with_capacity(self.answers.len());
+        let own = self.answers.iter().filter(|(_, reply)| reply.is_some());
+        answered.extend(own.map(|(&op, _)| op)); // sorted-below
         answered.sort_unstable();
         let welcome = MemberMsg::Welcome {
             servers: self.servers.clone(),
@@ -586,7 +608,9 @@ impl Shell {
                 }
                 self.membership = Status::Normal;
                 self.install_view(tech, servers);
-                self.answered = answered.iter().copied().collect();
+                for &op in answered {
+                    self.answers.entry(op).or_insert(None);
+                }
                 tech.welcomed(self, ctx, transfer.as_deref(), *pos, *gpos);
                 for op in std::mem::take(&mut self.buffered) {
                     self.invoke(tech, ctx, op);
@@ -643,7 +667,7 @@ impl<T: Technique> Replica<T> {
                 membership: Status::Normal,
                 catching_up: false,
                 buffered: Vec::new(),
-                answered: HashSet::new(),
+                answers: FxHashMap::default(),
                 shard: None,
             },
             tech,
@@ -747,7 +771,10 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
     fn on_volume_loss(&mut self, now: SimTime) {
         let Replica { shell, tech } = self;
         tech.crashed(shell);
-        shell.base.wipe_volume(now.ticks());
+        match shell.base.wipe_volume(now.ticks()) {
+            Some(lost) => lost.for_each(|op| shell.forget(op)),
+            None => shell.answers.retain(|_, reply| reply.is_none()),
+        }
         tech.volume_lost(shell);
     }
 
@@ -814,8 +841,7 @@ pub(crate) mod tests {
         fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, op: ClientOp) {
             self.invoked.push(op.id);
             let resp = sh.base.execute_commit(&op, global_txn(op.id));
-            sh.base.remember(&resp);
-            ctx.send(op.client, StubMsg::Reply(resp));
+            sh.reply(ctx, op.client, resp);
         }
         fn on_protocol_msg(&mut self, _: &mut Shell, ctx: &mut Ctx<'_, Ping>, _: NodeId, _: Ping) {
             self.pings.push(ctx.now().ticks());
@@ -977,7 +1003,7 @@ pub(crate) mod tests {
         assert_eq!(j.tech.welcomes, vec![(7, 9)], "the duplicate is ignored");
         assert_eq!(j.tech.views, 1);
         assert_eq!(j.tech.invoked, vec![OpId(1), OpId(2)], "arrival order");
-        assert!(j.shell.answered_before_join(OpId(9)));
+        assert!(j.shell.already_answered(OpId(9)));
         let got = &world.actor_ref::<Probe>(coord).got;
         let join_reqs = got
             .iter()
@@ -990,6 +1016,153 @@ pub(crate) mod tests {
             .filter(|(_, m)| matches!(m, StubMsg::Reply(_)))
             .count();
         assert_eq!(replies, 2);
+    }
+
+    /// A welcome into the view {0, 1} carrying the donor's `answered`.
+    fn welcome_with(answered: Vec<OpId>) -> StubMsg {
+        StubMsg::Member(MemberMsg::Welcome {
+            servers: vec![n(0), n(1)],
+            transfer: None,
+            pos: 0,
+            gpos: 0,
+            answered,
+        })
+    }
+
+    #[test]
+    fn the_prologue_drops_an_op_the_group_answered_before_the_join() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(12));
+        let coord = world.add_actor(probe(vec![(1_000, n(1), welcome_with(vec![OpId(9)]))]));
+        let mut joiner = replica(1, &[0, 1]);
+        joiner.begin_join();
+        let joiner = world.add_actor(Box::new(joiner));
+        // One retry of op 9 buffered before the welcome, one after it.
+        let client = world.add_actor(probe(vec![
+            (500, n(1), StubMsg::Invoke(write_op(9, n(2)))),
+            (2_000, n(1), StubMsg::Invoke(write_op(9, n(2)))),
+        ]));
+        world.start();
+        at(&mut world, 10_000);
+        let j = world.actor_ref::<Replica<Stub>>(joiner);
+        assert_eq!(j.shell.status(), Status::Normal);
+        assert_eq!(j.tech.invoked, [], "the technique never sees it");
+        assert!(world.actor_ref::<Probe>(client).got.is_empty(), "no reply");
+        let got = &world.actor_ref::<Probe>(coord).got;
+        assert!(
+            matches!(&got[..], [(_, StubMsg::Member(MemberMsg::JoinReq))]),
+            "the joiner sent nothing but its join request: {got:?}"
+        );
+    }
+
+    #[test]
+    fn a_duplicate_invoke_gets_the_recorded_reply() {
+        let mut r = replica(1, &[0, 1]);
+        assert!(!r.shell.already_answered(OpId(3)));
+        let recorded = Response {
+            op: OpId(3),
+            committed: true,
+            reads: vec![(Key(3), Value(42))],
+        };
+        r.shell.answer(&recorded);
+        assert!(r.shell.already_answered(OpId(3)));
+        let mut world: World<StubMsg> = World::new(SimConfig::new(13));
+        let client = world.add_actor(probe(vec![(100, n(1), StubMsg::Invoke(write_op(3, n(0))))]));
+        let node = world.add_actor(Box::new(r));
+        world.start();
+        at(&mut world, 1_000);
+        assert!(world
+            .actor_ref::<Replica<Stub>>(node)
+            .tech
+            .invoked
+            .is_empty());
+        let got = &world.actor_ref::<Probe>(client).got;
+        assert!(
+            matches!(&got[..], [(_, StubMsg::Reply(r))] if *r == recorded),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn a_lean_shell_records_no_reply() {
+        let mut r = replica(0, &[0]);
+        r.equip(&DurabilityConfig::disabled(), true, repl_db::shared_arena());
+        r.shell.answer(&Response::committed(OpId(9)));
+        assert!(
+            !r.shell.already_answered(OpId(9)),
+            "the lean table stays empty"
+        );
+    }
+
+    /// The ops among {1, 2, 9} a replica still counts as answered after
+    /// losing its volume at 2 000: 9 is on its floor, it answered 1 at 100
+    /// and 2 at 1 500, and its tier (if any) uploads a frame in 1 000 ticks.
+    fn answered_after_wipe(tiered: bool) -> Vec<u64> {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(14));
+        let mut r = replica(0, &[0, 1]);
+        if tiered {
+            let tier = DurabilityConfig::with_upload_lag(1_000);
+            r.equip(&tier, false, repl_db::shared_arena());
+        }
+        r.shell.answers.insert(OpId(9), None);
+        let node = world.add_actor(Box::new(r));
+        world.add_actor(probe(vec![
+            (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),
+            (1_500, n(0), StubMsg::Invoke(write_op(2, n(1)))),
+        ]));
+        world.schedule_volume_loss(SimTime::from_ticks(2_000), node);
+        world.start();
+        let answered = |world: &World<StubMsg>| -> Vec<u64> {
+            let sh = &world.actor_ref::<Replica<Stub>>(node).shell;
+            [1, 2, 9]
+                .into_iter()
+                .filter(|&op| sh.already_answered(OpId(op)))
+                .collect()
+        };
+        at(&mut world, 1_900);
+        assert_eq!(answered(&world), [1, 2, 9]);
+        at(&mut world, 2_500);
+        answered(&world)
+    }
+
+    #[test]
+    fn a_tiered_wipe_forgets_the_lost_answers_and_keeps_the_floor() {
+        // Op 1's frame was uploaded at 1 100; op 2's was still in flight.
+        assert_eq!(answered_after_wipe(true), [1, 9]);
+    }
+
+    #[test]
+    fn a_bare_wipe_forgets_every_own_answer_and_keeps_the_floor() {
+        assert_eq!(answered_after_wipe(false), [9]);
+    }
+
+    #[test]
+    fn a_donor_that_joined_welcomes_with_its_own_answers_only() {
+        // Node 0 joins through node 1 with op 9 on its floor, then, as rank
+        // 0, answers op 4 and admits node 2.
+        let mut world: World<StubMsg> = World::new(SimConfig::new(16));
+        let mut donor = replica(0, &[0, 1]);
+        donor.begin_join();
+        let donor = world.add_actor(Box::new(donor));
+        world.add_actor(probe(vec![(1_000, n(0), welcome_with(vec![OpId(9)]))]));
+        let joiner = world.add_actor(probe(vec![
+            (2_000, n(0), StubMsg::Invoke(write_op(4, n(2)))),
+            (3_000, n(0), StubMsg::Member(MemberMsg::JoinReq)),
+        ]));
+        world.start();
+        at(&mut world, 5_000);
+        let d = world.actor_ref::<Replica<Stub>>(donor);
+        assert!(d.shell.already_answered(OpId(9)));
+        assert_eq!(d.shell.servers(), [n(0), n(1), n(2)]);
+        let welcomed: Vec<Vec<OpId>> = world
+            .actor_ref::<Probe>(joiner)
+            .got
+            .iter()
+            .filter_map(|(_, m)| match m {
+                StubMsg::Member(MemberMsg::Welcome { answered, .. }) => Some(answered.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(welcomed, vec![vec![OpId(4)]]);
     }
 
     #[test]
@@ -1035,12 +1208,12 @@ pub(crate) mod tests {
             assert_eq!(drops, 1, "one ViewDrop per remaining member");
         }
         let p1 = world.actor_ref::<Probe>(peer1);
-        let cached = p1
+        let resent = p1
             .got
             .iter()
             .filter(|(t, m)| *t > 6_000 && matches!(m, StubMsg::Reply(r) if r.op == OpId(1)))
             .count();
-        assert_eq!(cached, 1, "the cache still answers after retirement");
+        assert_eq!(resent, 1, "the client table still answers after retirement");
         assert!(bounced(p1, 3));
     }
 
@@ -1295,7 +1468,7 @@ pub(crate) mod tests {
     #[test]
     fn the_technique_sees_only_its_own_traffic() {
         // Node 1 is not the coordinator: the JoinReq is the shell's to
-        // ignore, the stray reply nobody's, the duplicate the cache's.
+        // ignore, the stray reply nobody's, the duplicate the table's.
         let mut world: World<StubMsg> = World::new(SimConfig::new(10));
         let stray = Response::committed(OpId(5));
         let peer = world.add_actor(probe(vec![
@@ -1321,7 +1494,7 @@ pub(crate) mod tests {
             "{got:?}"
         );
         assert_eq!(answers.len(), 2, "executed once, answered twice");
-        assert!(answers[1] > 1_000, "the duplicate from the cache");
+        assert!(answers[1] > 1_000, "the duplicate from the table");
     }
 
     #[test]

@@ -204,8 +204,7 @@ impl SemiActive {
             // The leader's choice overrides local non-determinism.
             let chosen = self.choices.remove(&op.id).unwrap_or_default();
             let resp = sh.base.execute_chosen(&op, global_txn(op.id), &chosen);
-            sh.base.remember(&resp);
-            ctx.send(op.client, Wire::Reply(resp));
+            sh.reply(ctx, op.client, resp);
         }
     }
 

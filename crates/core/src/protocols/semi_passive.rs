@@ -243,8 +243,7 @@ impl SemiPassive {
             sh.mark(ctx, Phase::AgreementCoordination, p.op.id, 0);
             sh.base.install_payload(p.ws);
             sh.base.release_payload(p.ws);
-            sh.base.remember(&p.resp);
-            ctx.send(p.op.client, Wire::Reply(p.resp));
+            sh.reply(ctx, p.op.client, p.resp);
         }
         if progressed {
             self.engage(sh, ctx);
@@ -303,7 +302,7 @@ impl Technique for SemiPassive {
         match msg {
             SemiPassiveMsg::Fwd(op) => {
                 if sh.status() == Status::Normal
-                    && sh.base.cached(op.id).is_none()
+                    && !sh.already_answered(op.id)
                     && !self.pending.contains_key(&op.id)
                 {
                     self.pending.insert(op.id, op);

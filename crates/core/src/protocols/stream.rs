@@ -211,7 +211,7 @@ impl<F: Ordered> Technique for Stream<F> {
     /// State survives a crash; the ordered stream does not. Rejoining the
     /// ABCAST refills the missed suffix, and replaying it through the
     /// normal delivery path re-runs exactly the missed operations
-    /// (answered ones are suppressed by the response cache). Whatever a
+    /// (answered ones are suppressed by the client table). Whatever a
     /// flow derives from the stream therefore recovers by replay, never
     /// from a peer snapshot.
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>) {
@@ -267,7 +267,7 @@ mod tests {
             self.delivered.push((op.id, mine));
             sh.mark(ctx, Phase::Execution, op.id, 0);
             let resp = sh.base.execute_commit(&op, global_txn(op.id));
-            sh.base.remember(&resp);
+            sh.answer(&resp);
             if mine {
                 ctx.send(op.client, ProbeMsg::Reply(resp));
             }
@@ -336,7 +336,8 @@ mod tests {
     #[test]
     fn a_repeated_invoke_relays_once_and_only_the_relayer_owns_it() {
         // The second invoke reaches server 1 before the first delivery
-        // (two more network hops away), so the cache cannot answer it.
+        // (two more network hops away), so the client table cannot
+        // answer it.
         let mut world = world(1, vec![invoke(100, 1, 7, 3), invoke(110, 1, 7, 3)]);
         world.start();
         world.run_until(SimTime::from_ticks(5_000));

@@ -269,7 +269,7 @@ impl RunConfig {
     }
 
     /// Whether servers should run lean: skip the unbounded per-run
-    /// bookkeeping (execution history, client-response cache) that the
+    /// bookkeeping (execution history, recorded client replies) that the
     /// exact collection path consumes. True exactly for the aggregated
     /// open-loop engine, whose collection never reads either.
     pub fn lean_servers(&self) -> bool {
@@ -414,11 +414,13 @@ impl From<MembershipPlanError> for RunError {
 ///
 /// # Errors
 ///
-/// [`RunError::InvalidFaultPlan`] when `cfg.faults` fails validation
-/// against `cfg.servers`/`cfg.max_time`; [`RunError::NoServers`] when
-/// `cfg.servers == 0`; [`RunError::TooManyClients`] when `cfg.clients`
-/// exceeds [`MAX_CLIENTS`]; [`RunError::Internal`] when the run
-/// panicked.
+/// [`RunError::NoServers`] when `cfg.servers == 0`;
+/// [`RunError::TooManyClients`] when `cfg.clients` exceeds [`MAX_CLIENTS`];
+/// [`RunError::Sharded`] when a sharded configuration asks for what the
+/// engine cannot honour; [`RunError::InvalidMembershipPlan`] when
+/// `cfg.membership` fails validation; [`RunError::InvalidFaultPlan`] when
+/// `cfg.faults` fails validation against every node the run may hold and
+/// `cfg.max_time`; [`RunError::Internal`] when the run panicked.
 pub fn try_run(cfg: &RunConfig) -> Result<RunReport, RunError> {
     if cfg.servers == 0 {
         return Err(RunError::NoServers);
@@ -461,10 +463,10 @@ pub fn run(cfg: &RunConfig) -> RunReport {
 }
 
 /// Builds the run's payload arena: one arena shared by every server of
-/// the world (worlds are single-threaded, so an `Rc` suffices). Fault
-/// plans disarm span GC — rejoin transfers and re-deliveries to
-/// recovering servers may skip releases, so fault runs trade a bounded
-/// leak for never retiring a span that could still be read.
+/// the world (worlds are single-threaded, so an `Rc` suffices). Fault and
+/// membership plans disarm span GC — rejoin and join transfers and
+/// re-deliveries to recovering servers may skip releases, so those runs
+/// trade a bounded leak for never retiring a span that could still be read.
 fn run_arena(cfg: &RunConfig) -> repl_db::SharedArena {
     let arena = repl_db::shared_arena();
     if !cfg.faults.events().is_empty() || !cfg.membership.is_empty() {
