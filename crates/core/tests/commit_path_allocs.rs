@@ -186,8 +186,9 @@ fn marginal(cell: impl Fn(u32) -> RunConfig) -> (f64, f64) {
 
 /// One guarded cell: its marginal allocations per transaction at the
 /// commit before the guarded change and the budget it must stay under
-/// now; for the lean ABCAST cells, Semi-Passive and the sharded Active
-/// recording cell also a bound on the marginal retained heap.
+/// now; for the lean ABCAST cells, Semi-Passive, the sharded Active
+/// recording cell and the two Passive cells also a bound on the marginal
+/// retained heap.
 struct Guard {
     label: &'static str,
     parent: f64,
@@ -210,7 +211,11 @@ struct Guard {
 /// (measured since: 1,220.8 bytes). For Semi-Passive it is the commit
 /// before consensus dropped decided ballots, when every member kept each
 /// instance's estimates, proposal and acks for the rest of the run
-/// (measured since: 898.6 bytes).
+/// (measured since: 898.6 bytes). For the two Passive cells it is the
+/// commit before the site logs of the history and VSCAST's flush buffer
+/// were stored as dense columns, when a recorded access took 40 bytes
+/// and a received update a B-tree entry (measured since: 199.4 and
+/// 1,133.3 bytes).
 struct Heap {
     parent: f64,
     share: f64,
@@ -268,7 +273,10 @@ const GUARDS: [Guard; 11] = [
         label: "Passive / 3 lean replicas",
         parent: 14.878,
         budget: 2.81,
-        heap: None,
+        heap: Some(Heap {
+            parent: 390.8,
+            share: 0.6,
+        }),
         cell: |t| open_cell(Technique::Passive, t),
     },
     Guard {
@@ -323,7 +331,10 @@ const GUARDS: [Guard; 11] = [
         label: "Passive / 3 replicas, hot keys",
         parent: 3.501,
         budget: 1.66,
-        heap: None,
+        heap: Some(Heap {
+            parent: 1717.9,
+            share: 0.75,
+        }),
         cell: |t| hot_cell(Technique::Passive, t),
     },
     Guard {

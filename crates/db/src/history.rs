@@ -8,21 +8,23 @@
 //! (Bernstein, Hadzilacos & Goodman 1987) — the paper's correctness
 //! criterion for database replication (Section 4.1).
 //!
-//! Recording is a plain append to the site's log, which carries its own
-//! purge index (the seq of each transaction's first op there), so
-//! merging the histories of distinct sites moves whole logs
-//! ([`ReplicatedHistory::absorb`]) and copies nothing. The graph is
-//! built when it is read, in one linear pass, from the **covering
-//! edges** of each (site, key) stream of committed accesses: write →
-//! next write, write → each read before the next write, and each read →
-//! the next write. Every covering edge joins two conflicting accesses in
-//! stream order, and every conflicting pair is joined by a path of
-//! covering edges, so the covering graph is a subgraph of the all-pairs
-//! conflict graph with the same transitive closure: it is cyclic iff the
-//! all-pairs graph is, and — a node being ready exactly when all its
-//! ancestors are out — smallest-ready-first topological sorting yields
-//! the same witness order. There are at most two covering edges per
-//! committed access.
+//! Recording is a plain append to the site's log: one column of 16-byte
+//! records (seq, site-local transaction index with a write bit, key).
+//! The log carries its own purge index (each transaction's local index
+//! and the seq of its first op there), so merging the histories of
+//! distinct sites moves whole logs ([`ReplicatedHistory::absorb`]) and
+//! copies nothing; a site both histories recorded is re-indexed op by
+//! op. The graph is built when it is read, in one linear pass, from the
+//! **covering edges** of each (site, key) stream of committed accesses:
+//! write → next write, write → each read before the next write, and
+//! each read → the next write. Every covering edge joins two
+//! conflicting accesses in stream order, and every conflicting pair is
+//! joined by a path of covering edges, so the covering graph is a
+//! subgraph of the all-pairs conflict graph with the same transitive
+//! closure: it is cyclic iff the all-pairs graph is, and — a node being
+//! ready exactly when all its ancestors are out — smallest-ready-first
+//! topological sorting yields the same witness order. There are at most
+//! two covering edges per committed access.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
@@ -31,50 +33,83 @@ use crate::graph::{first_cycle, Csr};
 use crate::hash::FxHashMap;
 use crate::item::{AccessKind, Key, TxnId};
 
-/// One physical operation as recorded by a site (the site is the log's).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HistOp {
-    /// The transaction performing the access.
-    txn: TxnId,
+/// One physical operation as recorded by a site (the site is the log's),
+/// in 16 bytes: the transaction is its index in the log's purge index.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    /// Site-local sequence number; survives `purge` compaction.
+    seq: u32,
+    /// The transaction's site-local index, `WRITE` set for a write.
+    txn: u32,
     /// The logical item accessed (this site's physical copy).
     key: Key,
-    /// Read or write.
-    kind: AccessKind,
 }
 
-/// One site's operation stream. Each op carries a site-local sequence
-/// number that survives `purge` compaction, so a transaction's ops can
-/// be found again by binary search from the seq of its first op.
+const _: () = assert!(std::mem::size_of::<Access>() == 16);
+
+/// The write bit of [`Access::txn`]; the bits below it are the index.
+const WRITE: u32 = 1 << 31;
+
+impl Access {
+    fn local(self) -> usize {
+        (self.txn & !WRITE) as usize
+    }
+
+    fn kind(self) -> AccessKind {
+        if self.txn & WRITE == 0 {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
+        }
+    }
+}
+
+/// One site's operation stream: one column of records, so a
+/// transaction's ops can be found again by binary search on `seq` from
+/// the seq of its first op.
 #[derive(Debug, Clone, Default)]
 struct SiteLog {
-    next_seq: u64,
-    ops: Vec<(u64, HistOp)>,
-    /// The purge index: the seq of each transaction's first op in `ops`.
-    /// One flat table entry per transaction, no per-transaction heap
-    /// allocation, and it travels with the log when histories merge.
-    first: FxHashMap<TxnId, u64>,
+    next_seq: u32,
+    next_local: u32,
+    ops: Vec<Access>,
+    /// The purge index: each transaction's local index and the seq of
+    /// its first op in `ops`. One flat table entry per transaction, no
+    /// per-transaction heap allocation, and it travels with the log when
+    /// histories merge.
+    txns: FxHashMap<TxnId, (u32, u32)>,
 }
 
 impl SiteLog {
-    fn push(&mut self, op: HistOp) {
+    fn push(&mut self, txn: TxnId, key: Key, kind: AccessKind) {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.first.entry(op.txn).or_insert(seq);
-        self.ops.push((seq, op));
+        self.next_seq = seq.checked_add(1).expect("fewer than 2^32 ops per site");
+        let next_local = &mut self.next_local;
+        let (local, _) = *self.txns.entry(txn).or_insert_with(|| {
+            let local = *next_local;
+            assert!(local < WRITE, "fewer than 2^31 transactions per site");
+            *next_local += 1;
+            (local, seq)
+        });
+        let write = if kind == AccessKind::Write { WRITE } else { 0 };
+        self.ops.push(Access {
+            seq,
+            txn: local | write,
+            key,
+        });
     }
 
     /// Removes every op of `txn`, compacting from its first one onward
     /// (an aborted attempt's ops are recent, so the tail that moves is
     /// short). Returns how many ops were removed.
     fn purge(&mut self, txn: TxnId) -> usize {
-        let Some(first_seq) = self.first.remove(&txn) else {
+        let Some((local, first_seq)) = self.txns.remove(&txn) else {
             return 0;
         };
         let ops = &mut self.ops;
-        let from = ops.partition_point(|&(seq, _)| seq < first_seq);
+        let from = ops.partition_point(|a| a.seq < first_seq);
         let mut kept = from;
         for i in from..ops.len() {
-            if ops[i].1.txn != txn {
+            if ops[i].local() != local as usize {
                 ops[kept] = ops[i];
                 kept += 1;
             }
@@ -82,6 +117,15 @@ impl SiteLog {
         let removed = ops.len() - kept;
         ops.truncate(kept);
         removed
+    }
+
+    /// The transaction of each local index (`None` once purged).
+    fn by_local(&self) -> Vec<Option<TxnId>> {
+        let mut txn_of = vec![None; self.next_local as usize];
+        for (&txn, &(local, _)) in &self.txns {
+            txn_of[local as usize] = Some(txn);
+        }
+        txn_of
     }
 }
 
@@ -170,8 +214,7 @@ impl ReplicatedHistory {
         if self.paused {
             return;
         }
-        let op = HistOp { txn, key, kind };
-        self.per_site.entry(site).or_default().push(op);
+        self.per_site.entry(site).or_default().push(txn, key, kind);
         self.total_ops += 1;
     }
 
@@ -228,9 +271,11 @@ impl ReplicatedHistory {
                 }
                 Entry::Occupied(mut mine) => {
                     let mine = mine.get_mut();
+                    let txn_of = log.by_local();
                     mine.ops.reserve(log.ops.len());
-                    for (_, op) in log.ops {
-                        mine.push(op);
+                    for a in log.ops {
+                        let txn = txn_of[a.local()].expect("a logged transaction is indexed");
+                        mine.push(txn, a.key, a.kind());
                     }
                 }
             }
@@ -258,8 +303,10 @@ impl ReplicatedHistory {
     }
 
     /// The covering edges over dense indices into `nodes`, sorted and
-    /// deduplicated: one pass over the site logs.
+    /// deduplicated: one pass over the site logs, each of whose local
+    /// transaction indices is mapped to a dense one once.
     fn covering_edges(&self, nodes: &[TxnId]) -> Vec<(u32, u32)> {
+        const UNCOMMITTED: u32 = u32::MAX;
         let index: FxHashMap<TxnId, u32> = nodes
             .iter()
             .enumerate()
@@ -270,13 +317,23 @@ impl ReplicatedHistory {
             .collect();
         let mut edges = Vec::new();
         let mut streams: FxHashMap<Key, StreamTail> = FxHashMap::default();
+        let widest = self.per_site.values().map(|log| log.next_local);
+        let mut dense: Vec<u32> = Vec::with_capacity(widest.max().unwrap_or(0) as usize);
         for log in self.per_site.values() {
+            dense.clear();
+            dense.resize(log.next_local as usize, UNCOMMITTED);
+            for (txn, &(local, _)) in &log.txns {
+                if let Some(&i) = index.get(txn) {
+                    dense[local as usize] = i;
+                }
+            }
             streams.clear();
-            for &(_, op) in &log.ops {
-                let Some(&txn) = index.get(&op.txn) else {
-                    continue; // not committed
-                };
-                let tail = streams.entry(op.key).or_default();
+            for &a in &log.ops {
+                let txn = dense[a.local()];
+                if txn == UNCOMMITTED {
+                    continue;
+                }
+                let tail = streams.entry(a.key).or_default();
                 let mut edge_from = |earlier: u32| {
                     if earlier != txn {
                         edges.push((earlier, txn));
@@ -285,7 +342,7 @@ impl ReplicatedHistory {
                 if let Some(write) = tail.last_write {
                     edge_from(write);
                 }
-                match op.kind {
+                match a.kind() {
                     AccessKind::Read => tail.reads.push(txn),
                     AccessKind::Write => {
                         tail.reads.drain(..).for_each(&mut edge_from);
@@ -334,10 +391,12 @@ impl ReplicatedHistory {
         use std::collections::HashMap;
         let mut edges = HashSet::new();
         for log in self.per_site.values() {
+            let txn_of = log.by_local();
             let mut per_key: HashMap<Key, Vec<(TxnId, AccessKind)>> = HashMap::new();
-            for &(_, op) in &log.ops {
-                if self.committed.contains(&op.txn) {
-                    per_key.entry(op.key).or_default().push((op.txn, op.kind));
+            for &a in &log.ops {
+                let txn = txn_of[a.local()].expect("a logged transaction is indexed");
+                if self.committed.contains(&txn) {
+                    per_key.entry(a.key).or_default().push((txn, a.kind()));
                 }
             }
             for seq in per_key.values() {

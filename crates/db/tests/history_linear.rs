@@ -9,7 +9,10 @@
 //! doublings of the logs and tables. This test installs a counting
 //! global allocator and compares a run against one eight times as long
 //! on a single hot key — the worst case for an all-pairs graph, which
-//! grows 64-fold there. Counts, not times, so it cannot flake. It lives
+//! grows 64-fold there. The same episode bounds what the merged history
+//! keeps per recorded access: a site log stores one 16-byte record per
+//! access, its purge index one entry per transaction. Counts, not times,
+//! so it cannot flake. It lives
 //! in its own integration-test crate because the library forbids
 //! `unsafe_code` and a `GlobalAlloc` impl is necessarily unsafe.
 
@@ -56,8 +59,9 @@ const SITES: u32 = 3;
 /// Three sites each record and commit `txns` transactions that read and
 /// then overwrite one hot key; the site histories are merged and the
 /// merged history checked. Returns the peak of live heap bytes above
-/// the starting level, and the number of allocations.
-fn hot_key_episode(txns: u64) -> (usize, u64) {
+/// the starting level, the number of allocations, and the heap bytes the
+/// merged history holds per recorded access.
+fn hot_key_episode(txns: u64) -> (usize, u64, f64) {
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
     PEAK_BYTES.store(live_before, Ordering::Relaxed);
@@ -72,6 +76,8 @@ fn hot_key_episode(txns: u64) -> (usize, u64) {
         }
         merged.merge(&at_site);
     }
+    let retained = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+    let per_access = retained as f64 / merged.len() as f64;
     let order = merged
         .check_one_copy_serializable()
         .expect("every site executed the transactions in the same order");
@@ -79,15 +85,22 @@ fn hot_key_episode(txns: u64) -> (usize, u64) {
     (
         PEAK_BYTES.load(Ordering::Relaxed) - live_before,
         ALLOCATIONS.load(Ordering::Relaxed) - allocations_before,
+        per_access,
     )
 }
+
+/// Heap bytes a merged history may hold per recorded access: a 16-byte
+/// record plus a share of the per-site purge index and the committed
+/// set. It held 71.0 when each access was a 40-byte record naming its
+/// transaction in full (measured since: 47.0).
+const BYTES_PER_ACCESS_BUDGET: f64 = 70.0;
 
 // One test function on purpose: the counters are process-global, and
 // cargo runs `#[test]` functions concurrently.
 #[test]
 fn history_memory_and_allocations_are_linear_in_run_length() {
-    let (short_bytes, short_allocations) = hot_key_episode(300);
-    let (long_bytes, long_allocations) = hot_key_episode(2_400);
+    let (short_bytes, short_allocations, _) = hot_key_episode(300);
+    let (long_bytes, long_allocations, per_access) = hot_key_episode(2_400);
     assert!(
         long_bytes <= 10 * short_bytes,
         "8x the transactions took {long_bytes} peak bytes against {short_bytes}"
@@ -104,5 +117,10 @@ fn history_memory_and_allocations_are_linear_in_run_length() {
         "8x the transactions added {} allocations to {short_allocations}: \
          recording allocates per transaction",
         long_allocations - short_allocations
+    );
+    assert!(
+        per_access <= BYTES_PER_ACCESS_BUDGET,
+        "the merged history holds {per_access:.1} B per recorded access, \
+         budget {BYTES_PER_ACCESS_BUDGET}"
     );
 }

@@ -16,6 +16,10 @@
 //!    members exchange everything they received in the dying view and
 //!    deliver the union before installing.
 //!
+//! What a member received in the current view is one dense column per
+//! `(view, origin)` stream, indexed by seq, `None` in a hole; the flush
+//! and the install-time union walk them in `(view, origin, seq)` order.
+//!
 //! A recovered (or falsely excluded) member rejoins through
 //! [`ViewGroup::rejoin`]: it asks the group for readmission, the members
 //! run a membership change that includes it again, and the joiner takes
@@ -72,6 +76,20 @@ impl Message for Membership {
 
 /// A flush entry: data received in a view, keyed `(view, origin, seq)`.
 type FlushEntry<P> = (u64, NodeId, u64, P);
+
+/// Data received in a view: one dense column per `(view, origin)`
+/// stream, indexed by seq, `None` in a hole (a seq not received).
+type Received<P> = BTreeMap<(u64, NodeId), Vec<Option<P>>>;
+
+/// The slot of `(view, origin, seq)` in `received`, opening it if new.
+fn slot<P>(received: &mut Received<P>, view: u64, origin: NodeId, seq: u64) -> &mut Option<P> {
+    let column = received.entry((view, origin)).or_default();
+    let seq = usize::try_from(seq).expect("a stream's seqs are addressable");
+    if column.len() <= seq {
+        column.resize_with(seq + 1, || None);
+    }
+    &mut column[seq]
+}
 
 /// Wire message of [`ViewGroup`].
 #[derive(Debug, Clone)]
@@ -224,7 +242,7 @@ pub struct ViewGroup<P> {
     next_seq: u64,
     fifo_next: HashMap<NodeId, u64>,
     holdback: HashMap<NodeId, BTreeMap<u64, P>>,
-    received: BTreeMap<(u64, NodeId, u64), P>,
+    received: Received<P>,
     // One stream per `(view, origin)`.
     delivered: RunSet<(u64, NodeId)>,
     // Data that arrived stamped with a future view.
@@ -447,8 +465,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.received
-            .insert((self.view.id, self.me, seq), payload.clone());
+        *slot(&mut self.received, self.view.id, self.me, seq) = Some(payload.clone());
         self.delivered.insert((self.view.id, self.me), seq);
         out.event(VsEvent::Deliver {
             view: self.view.id,
@@ -488,7 +505,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
                 .push((origin, seq, payload));
             return;
         }
-        self.received.insert((view, origin, seq), payload.clone());
+        *slot(&mut self.received, view, origin, seq) = Some(payload.clone());
         self.holdback
             .entry(origin)
             .or_default()
@@ -595,11 +612,12 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         if !members.contains(&self.me) {
             return; // we are being excluded; try_install will notice
         }
-        let list: Vec<FlushEntry<P>> = self
-            .received
-            .iter()
-            .map(|(&(v, o, s), p)| (v, o, s, p.clone()))
-            .collect();
+        let held = self.received.values().flatten().flatten().count();
+        let mut list: Vec<FlushEntry<P>> = Vec::with_capacity(held);
+        for (&(v, o), column) in &self.received {
+            let column = column.iter().enumerate();
+            list.extend(column.filter_map(|(s, p)| Some((v, o, s as u64, p.clone()?))));
+        }
         self.flushes
             .entry(new_view)
             .or_default()
@@ -656,21 +674,24 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         };
         // Deliver the union of everything any survivor received, in
         // deterministic (view, origin, seq) order.
-        let mut union: BTreeMap<(u64, NodeId, u64), P> = self.received.clone();
+        let mut union = std::mem::take(&mut self.received);
         if let Some(fl) = self.flushes.get(&nv) {
             for list in fl.values() {
                 for (v, o, s, p) in list {
-                    union.entry((*v, *o, *s)).or_insert_with(|| p.clone());
+                    slot(&mut union, *v, *o, *s).get_or_insert_with(|| p.clone());
                 }
             }
         }
-        for ((v, o, s), p) in union {
-            if self.delivered.insert((v, o), s) {
-                out.event(VsEvent::Deliver {
-                    view: v,
-                    from: o,
-                    payload: p,
-                });
+        for ((v, o), column) in union {
+            for (s, p) in column.into_iter().enumerate() {
+                let Some(payload) = p else { continue };
+                if self.delivered.insert((v, o), s as u64) {
+                    out.event(VsEvent::Deliver {
+                        view: v,
+                        from: o,
+                        payload,
+                    });
+                }
             }
         }
         // Install.
@@ -680,7 +701,6 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         self.next_seq = 0;
         self.fifo_next.clear();
         self.holdback.clear();
-        self.received.clear();
         self.decided_views.retain(|&v, _| v > nv);
         self.flushes.retain(|&v, _| v > nv);
         self.proposed.retain(|&v| v > nv);
@@ -808,7 +828,7 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
 mod tests {
     use super::*;
     use crate::testkit::ComponentActor;
-    use repl_sim::{SimConfig, SimTime, World};
+    use repl_sim::{LinkQuality, NetFault, SimConfig, SimTime, World};
 
     type Host = ComponentActor<ViewGroup<u32>>;
 
@@ -930,6 +950,58 @@ mod tests {
                 "flush lost the message, seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn a_flush_fills_a_hole_and_delivers_each_message_once_in_order() {
+        // Node 0 broadcasts 1, 2, 3 (seqs 0, 1, 2) and crashes. The link
+        // 0 → 2 is cut while seq 1 is sent, so node 2 holds seqs 0 and 2
+        // with a hole between them until the view change's flush brings
+        // seq 1 from the other survivors.
+        let (mut world, group) = build(4, 7);
+        let host = world.actor_mut::<Host>(group[0]);
+        *host = ComponentActor::new(ViewGroup::<u32>::new(
+            group[0],
+            group.clone(),
+            VsConfig::default(),
+        ))
+        .with_step(SimDuration::from_ticks(1_000), |vg, out| {
+            vg.broadcast(1, out)
+        })
+        .with_step(SimDuration::from_ticks(1_100), |vg, out| {
+            vg.broadcast(2, out)
+        })
+        .with_step(SimDuration::from_ticks(1_200), |vg, out| {
+            vg.broadcast(3, out)
+        });
+        world.start();
+        let (src, dst) = (group[0], group[2]);
+        world.schedule_net_fault(
+            SimTime::from_ticks(1_050),
+            NetFault::Degrade {
+                src,
+                dst,
+                quality: LinkQuality::lossy(1.0),
+            },
+        );
+        world.schedule_net_fault(SimTime::from_ticks(1_150), NetFault::Restore { src, dst });
+        world.schedule_crash(SimTime::from_ticks(2_000), group[0]);
+        world.run_until(SimTime::from_ticks(100_000));
+        for &n in &group[1..] {
+            assert_eq!(installed_views(&world, n).len(), 1, "at {n}");
+            assert_eq!(
+                deliveries(&world, n),
+                vec![(0, 1), (0, 2), (0, 3)],
+                "at {n}"
+            );
+        }
+        // The hole was real: node 2 delivered seq 1 only from the flush.
+        let late = world
+            .actor_ref::<Host>(group[2])
+            .events
+            .iter()
+            .find_map(|(at, e)| matches!(e, VsEvent::Deliver { payload: 2, .. }).then_some(*at));
+        assert!(late.expect("delivered") > SimTime::from_ticks(2_000));
     }
 
     #[test]
