@@ -183,12 +183,15 @@ pub enum AbcastEndpoint<P> {
 }
 
 impl<P: Message> AbcastEndpoint<P> {
-    /// Creates an endpoint of the requested flavour. `cons` configures the
-    /// consensus variant (its round timeout must exceed the network RTT).
+    /// Creates an endpoint of the requested flavour. `cons` times both:
+    /// the consensus variant's rounds and the sequencer's retransmissions
+    /// of an unconfirmed submission (the round timeout must exceed the
+    /// network RTT).
     pub fn new(which: AbcastImpl, me: NodeId, group: Vec<NodeId>, cons: ConsensusConfig) -> Self {
         match which {
             AbcastImpl::Sequencer => {
-                AbcastEndpoint::Seq(SequencerAbcast::new(me, group), Outbox::new())
+                let seq = SequencerAbcast::new(me, group).with_retransmit(cons.round_timeout);
+                AbcastEndpoint::Seq(seq, Outbox::new())
             }
             AbcastImpl::Consensus => {
                 AbcastEndpoint::Cons(ConsensusAbcast::new(me, group, cons), Outbox::new())

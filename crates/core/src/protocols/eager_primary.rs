@@ -11,9 +11,12 @@
 //! latest version").
 //!
 //! Fault tolerance is the paper's hot-standby model: the primary is a
-//! single point of failure, and takeover is by rank once the failure
-//! detector fires (the paper's "operator intervention", mechanised).
+//! single point of failure, and takeover is by rank once the shell's
+//! failure detector suspects it (the paper's "operator intervention",
+//! mechanised): the primary is the lowest-ranked unsuspected server.
 //! Active transactions at the failed primary abort; clients re-submit.
+//! A recovered server stays silent — no heartbeats, so it is left out of
+//! every 2PC cohort — until its catch-up lands.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -22,7 +25,7 @@ use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, RedoLog, TpcCoordinator,
     TpcDecision, Transfer, TxnId, Value, WriteRecord, WriteSet, WriteSetRef,
 };
-use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
+use repl_gcs::BatchConfig;
 use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
@@ -83,8 +86,6 @@ pub enum EagerPrimaryMsg {
         /// (transaction, commit?) in decision order.
         entries: Arc<Vec<(TxnId, bool)>>,
     },
-    /// Failure-detector heartbeats among servers.
-    Fd(FdMsg),
 }
 
 impl Message for EagerPrimaryMsg {
@@ -96,7 +97,6 @@ impl Message for EagerPrimaryMsg {
             EagerPrimaryMsg::Vote { .. } => 24,
             EagerPrimaryMsg::Decision { .. } => 24,
             EagerPrimaryMsg::DecisionBatch { entries } => 8 + 24 * entries.len(),
-            EagerPrimaryMsg::Fd(m) => m.wire_size(),
         }
     }
 }
@@ -126,16 +126,12 @@ struct PrimaryTxn {
 }
 
 const MAX_WOUND_RETRIES: u32 = 25;
-const FD_BASE: u64 = 1 << 40;
 const DECISION_FLUSH_TAG: u64 = 0;
 
 /// Eager primary copy: locking and execution at the primary, log
 /// propagation and 2PC to the secondaries.
 pub struct EagerPrimary {
     lm: LockManager,
-    fd: HeartbeatFd,
-    /// What `fd` queued while handling one input; drained by `drive_fd`.
-    fd_out: Outbox<FdMsg, FdEvent>,
     /// Primary-side in-flight transactions.
     inflight: HashMap<TxnId, PrimaryTxn>,
     /// Ack lists of finished transactions, reused by the next.
@@ -171,13 +167,10 @@ impl EagerPrimaryServer {
         servers: Vec<NodeId>,
         keyspace: impl Into<Keyspace>,
         exec: ExecutionMode,
-        fd: FdConfig,
     ) -> Self {
         let ks = keyspace.into();
         let tech = EagerPrimary {
             lm: LockManager::with_keyspace(DeadlockPolicy::WoundWait, ks),
-            fd: HeartbeatFd::new(me, servers.clone(), fd),
-            fd_out: Outbox::new(),
             inflight: HashMap::new(),
             spare_acks: Vec::new(),
             step_ws: WriteSet::empty(TxnId::new(0, 0)),
@@ -214,14 +207,13 @@ impl EagerPrimaryServer {
 
 /// The unsuspected servers other than this one, in `servers()` order: the
 /// audience of every propagation, Prepare and decision. A free function
-/// over the two fields it reads, so it can run while `inflight` is
-/// borrowed mutably.
-fn live_secondaries<'a>(fd: &'a HeartbeatFd, sh: &'a Shell) -> impl Iterator<Item = NodeId> + 'a {
+/// of the shell, so it can run while `inflight` is borrowed mutably.
+fn live_secondaries(sh: &Shell) -> impl Iterator<Item = NodeId> + '_ {
     let me = sh.me();
     sh.servers()
         .iter()
         .copied()
-        .filter(move |&s| s != me && !fd.is_suspected(s))
+        .filter(move |&s| s != me && !sh.is_suspected(s))
 }
 
 /// The after-images a still-active single-operation transaction has
@@ -246,7 +238,7 @@ impl EagerPrimary {
         sh.servers()
             .iter()
             .copied()
-            .find(|&s| !self.fd.is_suspected(s))
+            .find(|&s| !sh.is_suspected(s))
             .unwrap_or(sh.me())
     }
 
@@ -258,72 +250,6 @@ impl EagerPrimary {
     fn recycle_acks(&mut self, mut acks: Vec<NodeId>) {
         acks.clear();
         self.spare_acks.push(acks);
-    }
-
-    /// Applies what the failure detector queued and reacts to its verdicts.
-    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
-        let mut out = std::mem::take(&mut self.fd_out);
-        let wrap = |m| Wire::Proto(EagerPrimaryMsg::Fd(m));
-        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, wrap, |ctx, ev| {
-            self.on_fd_event(sh, ctx, ev)
-        });
-        self.fd_out = out;
-    }
-
-    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, ev: FdEvent) {
-        if let FdEvent::Suspect(n) = ev {
-            self.on_server_death(sh, ctx, n);
-        }
-    }
-
-    /// Reactions to a detected server crash: the primary drops the dead
-    /// secondary from pending waits; secondaries of a dead primary abort
-    /// its tentative transactions (the paper's takeover semantics).
-    fn on_server_death(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Ctx<'_, EagerPrimaryMsg>,
-        dead: NodeId,
-    ) {
-        if dead == sh.me() {
-            return;
-        }
-        // Primary: stop waiting for the dead secondary.
-        let mut ids: Vec<TxnId> = self.inflight.keys().copied().collect(); // sorted-below
-        ids.sort_unstable(); // map order is unspecified; resume deterministically
-        for txn in ids {
-            let advance = {
-                let t = self.inflight.get_mut(&txn).expect("present");
-                match &mut t.phase {
-                    TxnPhase::PropWait { .. } => {
-                        t.awaiting.retain(|&n| n != dead);
-                        t.awaiting.is_empty()
-                    }
-                    TxnPhase::Committing(c) => c.on_vote(dead, true) == Some(TpcDecision::Commit),
-                    TxnPhase::LockWait => false,
-                }
-            };
-            if advance {
-                self.resume(sh, ctx, txn);
-            }
-        }
-        // Secondary: if the dead server was the acting primary (every
-        // lower-ranked server is also suspected), abort its tentative
-        // transactions. The sim delivers a primary's decision multicast
-        // atomically at event granularity, so either every secondary
-        // decided or every one is still tentative — the verdicts agree.
-        let was_primary = sh
-            .servers()
-            .iter()
-            .take_while(|&&s| s != dead)
-            .all(|&s| self.fd.is_suspected(s));
-        if was_primary {
-            let mut stale: Vec<TxnId> = self.tentative.keys().copied().collect(); // sorted-below
-            stale.sort_unstable();
-            for txn in stale {
-                self.abort_tentative(sh, txn);
-            }
-        }
     }
 
     fn abort_tentative(&mut self, sh: &mut Shell, txn: TxnId) {
@@ -408,7 +334,7 @@ impl EagerPrimary {
                     if total > 1 {
                         let step_no = (t.step - 1) as u32;
                         t.awaiting.clear();
-                        t.awaiting.extend(live_secondaries(&self.fd, sh));
+                        t.awaiting.extend(live_secondaries(sh));
                         if !t.awaiting.is_empty() {
                             self.step_ws.txn = txn;
                             self.step_ws.writes.clear();
@@ -467,7 +393,7 @@ impl EagerPrimary {
         let t = self.inflight.get_mut(&txn).expect("present");
         sh.mark(ctx, Phase::AgreementCoordination, t.op.id, u64::MAX);
         t.awaiting.clear();
-        t.awaiting.extend(live_secondaries(&self.fd, sh));
+        t.awaiting.extend(live_secondaries(sh));
         t.phase = TxnPhase::Committing(TpcCoordinator::new(t.awaiting.iter().copied()));
         if t.awaiting.is_empty() {
             self.finish_commit(sh, ctx, txn, true);
@@ -539,7 +465,7 @@ impl EagerPrimary {
                     );
                 }
             } else {
-                for s in live_secondaries(&self.fd, sh) {
+                for s in live_secondaries(sh) {
                     ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
                 }
                 ctx.send(t.op.client, Wire::Reply(resp));
@@ -547,7 +473,7 @@ impl EagerPrimary {
         } else {
             // Aborts are never batched: the sooner secondaries undo a
             // doomed tentative transaction, the sooner its locks clear.
-            for s in live_secondaries(&self.fd, sh) {
+            for s in live_secondaries(sh) {
                 ctx.send(s, Wire::Proto(EagerPrimaryMsg::Decision { txn, commit }));
             }
             sh.base.abort(txn);
@@ -570,7 +496,7 @@ impl EagerPrimary {
         }
         sh.base.flush_group(&mut self.wal);
         let entries = Arc::new(std::mem::take(&mut self.staged_decisions));
-        for s in live_secondaries(&self.fd, sh) {
+        for s in live_secondaries(sh) {
             let batch = EagerPrimaryMsg::DecisionBatch {
                 entries: entries.clone(),
             };
@@ -627,14 +553,6 @@ impl EagerPrimary {
         sh.base.release_payload(ws);
     }
 
-    /// (Re)starts heartbeats, dropping stale miss counters, which would
-    /// otherwise let the first tick suspect a live peer.
-    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
-        self.fd.reset();
-        self.fd.on_start(&mut self.fd_out);
-        self.drive_fd(sh, ctx);
-    }
-
     /// A committed-state snapshot at the redo-log cursor: tentative 2PC
     /// writes are rolled back so the receiver only installs committed
     /// data (in-flight decisions reach it via the resync path if they
@@ -655,7 +573,7 @@ impl EagerPrimary {
             return;
         };
         self.recycle_acks(t.awaiting);
-        for s in live_secondaries(&self.fd, sh) {
+        for s in live_secondaries(sh) {
             let abort = EagerPrimaryMsg::Decision {
                 txn: victim,
                 commit: false,
@@ -677,6 +595,7 @@ impl EagerPrimary {
 
 impl Technique for EagerPrimary {
     type Msg = EagerPrimaryMsg;
+    const HEARTBEATS: bool = true;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, op: ClientOp) {
         if sh.catching_up() {
@@ -789,33 +708,56 @@ impl Technique for EagerPrimary {
                     self.request_resync(ctx, from);
                 }
             }
-            EagerPrimaryMsg::Fd(m) => {
-                self.fd.on_message(from, m, &mut self.fd_out);
-                self.drive_fd(sh, ctx);
-            }
         }
     }
 
     fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, tag: u64) {
-        if tag >= FD_BASE {
-            self.fd.on_timer(tag - FD_BASE, &mut self.fd_out);
-            self.drive_fd(sh, ctx);
-        } else if tag == DECISION_FLUSH_TAG {
+        if tag == DECISION_FLUSH_TAG {
             self.flush_armed = false;
             self.flush_decisions(sh, ctx);
         }
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
-        // A cold joiner stays quiet (no heartbeats) until welcomed.
-        if !sh.joining() {
-            self.fd.on_start(&mut self.fd_out);
-            self.drive_fd(sh, ctx);
+    /// Reactions to a detected server crash: the primary drops the dead
+    /// secondary from pending waits; secondaries of a dead primary abort
+    /// its tentative transactions (the paper's takeover semantics).
+    fn suspected(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, dead: NodeId) {
+        // Primary: stop waiting for the dead secondary.
+        let mut ids: Vec<TxnId> = self.inflight.keys().copied().collect(); // sorted-below
+        ids.sort_unstable(); // map order is unspecified; resume deterministically
+        for txn in ids {
+            let advance = {
+                let t = self.inflight.get_mut(&txn).expect("present");
+                match &mut t.phase {
+                    TxnPhase::PropWait { .. } => {
+                        t.awaiting.retain(|&n| n != dead);
+                        t.awaiting.is_empty()
+                    }
+                    TxnPhase::Committing(c) => c.on_vote(dead, true) == Some(TpcDecision::Commit),
+                    TxnPhase::LockWait => false,
+                }
+            };
+            if advance {
+                self.resume(sh, ctx, txn);
+            }
         }
-    }
-
-    fn view_changed(&mut self, sh: &mut Shell) {
-        self.fd.set_peers(sh.servers().to_vec());
+        // Secondary: if the dead server was the acting primary (every
+        // lower-ranked server is also suspected), abort its tentative
+        // transactions. The sim delivers a primary's decision multicast
+        // atomically at event granularity, so either every secondary
+        // decided or every one is still tentative — the verdicts agree.
+        let was_primary = sh
+            .servers()
+            .iter()
+            .take_while(|&&s| s != dead)
+            .all(|&s| sh.is_suspected(s));
+        if was_primary {
+            let mut stale: Vec<TxnId> = self.tentative.keys().copied().collect(); // sorted-below
+            stale.sort_unstable();
+            for txn in stale {
+                self.abort_tentative(sh, txn);
+            }
+        }
     }
 
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
@@ -839,20 +781,17 @@ impl Technique for EagerPrimary {
             sh.base.install_catch_up(&mut self.wal, t, 0);
         }
         sh.base.recovery.complete(ctx.now().ticks());
-        // Start heartbeats now that the group knows us.
-        self.restart_fd(sh, ctx);
     }
 
     /// The redo log lets a donor ship just the suffix past `have` (a server
     /// filling a gap of its own has a hole there, and refuses). The request
     /// is proof of life: its sender is re-trusted *before* the transfer is
-    /// cut, so every later decision is multicast to it — no gap in between
-    /// (the queued `Trust` event is one `on_fd_event` ignores: no drive).
+    /// cut, so every later decision is multicast to it — no gap in between.
     fn donate(&mut self, sh: &mut Shell, to: NodeId, have: u64) -> Option<Transfer> {
         if self.resync {
             return None;
         }
-        self.fd.trust(to, &mut self.fd_out);
+        sh.trust(to);
         Some(if self.wal.has_suffix(have) {
             Transfer::from_log(&self.wal, &sh.base.store, have)
         } else {
@@ -877,7 +816,7 @@ impl Technique for EagerPrimary {
         if first {
             // Resume heartbeats only now: announcing earlier would draw
             // 2PC traffic at a server with a stale store.
-            self.restart_fd(sh, ctx);
+            sh.restart_heartbeats(self, ctx);
         }
         self.resync = false;
         sh.base.recovery.complete(ctx.now().ticks());
@@ -891,17 +830,6 @@ impl Technique for EagerPrimary {
             && self.requeue.is_empty()
             && self.tentative.is_empty()
             && self.staged_decisions.is_empty()
-    }
-
-    fn retire(
-        &mut self,
-        _sh: &mut Shell,
-        _ctx: &mut Ctx<'_, EagerPrimaryMsg>,
-        _remaining: &[NodeId],
-    ) {
-        // Go quiet: the survivors drop us from their detectors on
-        // `ViewDrop`, so stopping heartbeats cannot raise a suspicion.
-        self.fd.set_peers(Vec::new());
     }
 
     fn volume_lost(&mut self, sh: &mut Shell) {
@@ -954,7 +882,7 @@ impl Technique for EagerPrimary {
         // Stay silent (no heartbeats) until the transfer lands, so the
         // acting primary keeps excluding us from 2PC cohorts meanwhile.
         if !sh.pull_state(ctx, Some(self.wal.len() as u64)) {
-            self.restart_fd(sh, ctx);
+            sh.restart_heartbeats(self, ctx);
             sh.base.recovery.complete(ctx.now().ticks());
         }
     }
@@ -1011,7 +939,6 @@ mod tests {
                     servers.clone(),
                     16,
                     ExecutionMode::Deterministic,
-                    FdConfig::default(),
                 )
             }),
         );
@@ -1193,7 +1120,7 @@ mod tests {
         let client = world.actor_ref::<ClientActor<EagerPrimaryMsg>>(clients[0]);
         assert!(client.is_done(), "client stuck after primary crash");
         let s1 = world.actor_ref::<EagerPrimaryServer>(servers[1]);
-        assert!(s1.primary() == servers[1] || !s1.tech.fd.is_suspected(servers[1]));
+        assert!(s1.primary() == servers[1] || !s1.shell.is_suspected(servers[1]));
         let fp1 = s1.shell.base.store.fingerprint();
         let s2 = world.actor_ref::<EagerPrimaryServer>(servers[2]);
         assert_eq!(s2.shell.base.store.fingerprint(), fp1, "survivors diverged");
@@ -1215,7 +1142,6 @@ mod tests {
                     servers.clone(),
                     16,
                     ExecutionMode::Deterministic,
-                    FdConfig::default(),
                 )
                 .with_batching(BatchConfig::window(2_000))
             }),

@@ -139,7 +139,8 @@ pub struct LazyUe {
 pub type LazyUeServer = Replica<LazyUe>;
 
 impl LazyUeServer {
-    /// Creates server `site` of `servers`.
+    /// Creates server `site` of `servers`; `cons` times the after-commit
+    /// order's retransmissions (its round timeout).
     pub fn new(
         site: u32,
         me: NodeId,
@@ -147,6 +148,7 @@ impl LazyUeServer {
         keyspace: impl Into<Keyspace>,
         exec: ExecutionMode,
         propagation_delay: SimDuration,
+        cons: repl_gcs::ConsensusConfig,
     ) -> Self {
         let tech = LazyUe {
             propagation_delay,
@@ -155,12 +157,7 @@ impl LazyUeServer {
             outbound: Vec::new(),
             flush_armed: false,
             mode: ReconcileMode::Lww,
-            ab: AbcastEndpoint::new(
-                AbcastImpl::Sequencer,
-                me,
-                servers.clone(),
-                repl_gcs::ConsensusConfig::default(),
-            ),
+            ab: AbcastEndpoint::new(AbcastImpl::Sequencer, me, servers.clone(), cons),
             local_pending: HashSet::new(),
             reconciliations: 0,
             reship: Vec::new(),
@@ -656,6 +653,7 @@ mod tests {
                     16,
                     ExecutionMode::Deterministic,
                     SimDuration::from_ticks(delay),
+                    repl_gcs::ConsensusConfig::default(),
                 )
             }),
         );
@@ -737,6 +735,7 @@ mod tests {
                 16,
                 ExecutionMode::Deterministic,
                 SimDuration::ZERO,
+                repl_gcs::ConsensusConfig::default(),
             );
             seat_all(&mut world, [server]);
             let spy = world.add_actor(Box::new(StampSpy::default()));

@@ -23,10 +23,21 @@
 //! joined. It decides every duplicate before any technique code runs.
 //!
 //! Every replica and client speaks one envelope, [`Wire`]: the client
-//! protocol and the membership handshake are the shell's, and a
-//! technique's own message type carries only its coordination traffic.
+//! protocol, the membership handshake and failure-detector heartbeats are
+//! the shell's, and a technique's own message type carries only its
+//! coordination traffic.
+//!
+//! A technique that acts on failure suspicions (Eager Primary Copy moves
+//! the primary role, Semi-Passive shortens its deferral) opts into the
+//! shell's one heartbeat detector with [`Technique::HEARTBEATS`]: the
+//! shell starts it (a cold joiner on its welcome), keeps its peers equal
+//! to the view, silences it on retirement and reports each new suspicion
+//! through [`Technique::suspected`]; the technique only reads
+//! [`Shell::is_suspected`] and says when heartbeats restart after a
+//! recovery ([`Shell::restart_heartbeats`]).
 
 use repl_db::{FxHashMap, Keyspace, SharedArena, Transfer};
+use repl_gcs::{Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::durability::{DurabilityConfig, RestorePlan};
@@ -44,6 +55,9 @@ pub const JOIN_RETRY_TAG: u64 = u64::MAX - 0xADD1;
 
 /// Timer tag polling a draining node's quiesce condition.
 pub const DRAIN_TICK_TAG: u64 = u64::MAX - 0xDBA1;
+
+/// Timer tag of the heartbeat detector's tick.
+const FD_TICK_TAG: u64 = u64::MAX - 0xFD;
 
 /// Cadence of [`JOIN_RETRY_TAG`] (ticks).
 pub const JOIN_RETRY_TICKS: u64 = 5_000;
@@ -160,6 +174,9 @@ pub enum Wire<P> {
     Reply(Response),
     /// The membership handshake (join / drain / state transfer / reroute).
     Member(MemberMsg),
+    /// Failure-detector heartbeats between the servers of a technique
+    /// with [`Technique::HEARTBEATS`].
+    Fd(FdMsg),
     /// The technique's own Server / Agreement Coordination and Execution
     /// traffic.
     Proto(P),
@@ -171,6 +188,7 @@ impl<P: Message> Message for Wire<P> {
             Wire::Invoke(op) => 8 + op.wire_size(),
             Wire::Reply(r) => 8 + r.wire_size(),
             Wire::Member(m) => m.wire_size(),
+            Wire::Fd(m) => m.wire_size(),
             Wire::Proto(p) => p.wire_size(),
         }
     }
@@ -200,6 +218,10 @@ pub trait Technique: Sized + 'static {
     /// [`Wire::Proto`]).
     type Msg: Message;
 
+    /// Whether the shell runs its heartbeat failure detector for this
+    /// technique ([`Shell::is_suspected`], [`Technique::suspected`]).
+    const HEARTBEATS: bool = false;
+
     /// A client operation the shell accepted (not yet answered, not
     /// rerouted, not buffered): phases RE onwards.
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, op: ClientOp);
@@ -215,6 +237,10 @@ pub trait Technique: Sized + 'static {
 
     /// A timer that is not one of the shell's.
     fn on_protocol_timer(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>, _tag: u64) {}
+
+    /// The heartbeat detector ([`Technique::HEARTBEATS`]) began to
+    /// suspect `node` ([`Shell::is_suspected`] already says so).
+    fn suspected(&mut self, _sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>, _node: NodeId) {}
 
     /// World start (also for a cold joiner — [`Shell::joining`] — before
     /// its join request). On a cross-shard run [`Shell::shard`] is already
@@ -338,7 +364,8 @@ pub trait Technique: Sized + 'static {
 }
 
 /// Everything a replica owns that is not its technique: the database
-/// kernel, membership view, lifecycle status, client table and shard scope.
+/// kernel, membership view, lifecycle status, client table, shard scope
+/// and failure detector.
 #[derive(Debug)]
 pub struct Shell {
     /// Database kernel, recovery tracker, durable tier and payload arena
@@ -358,6 +385,11 @@ pub struct Shell {
     answers: FxHashMap<OpId, Option<Response>>,
     /// The sharded topology, on cross-shard runs.
     shard: Option<ShardCtx>,
+    /// The heartbeat detector, for a technique with
+    /// [`Technique::HEARTBEATS`]; it watches the view's other members.
+    fd: Option<HeartbeatFd>,
+    /// What `fd` queued while handling one input.
+    fd_out: Outbox<FdMsg, FdEvent>,
 }
 
 impl Shell {
@@ -452,6 +484,53 @@ impl Shell {
         self.shard.as_ref()
     }
 
+    /// True if the heartbeat detector suspects `node` (never without
+    /// [`Technique::HEARTBEATS`]).
+    pub fn is_suspected(&self, node: NodeId) -> bool {
+        self.fd.as_ref().is_some_and(|fd| fd.is_suspected(node))
+    }
+
+    /// (Re)starts heartbeats, dropping stale miss counters so the first
+    /// tick cannot suspect a live peer on old evidence. The shell starts
+    /// them at world start and on a welcome; a technique restarts them
+    /// where its recovery ends.
+    pub fn restart_heartbeats<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>) {
+        self.feed_detector(tech, ctx, |fd, out| {
+            fd.reset();
+            fd.on_start(out);
+        });
+    }
+
+    /// Clears any suspicion of `node` at once: proof of life that should
+    /// not wait for its next heartbeat (a recovering peer's `StateReq`).
+    /// The queued `Trust` event reaches no technique.
+    pub fn trust(&mut self, node: NodeId) {
+        if let Some(fd) = &mut self.fd {
+            fd.trust(node, &mut self.fd_out);
+        }
+    }
+
+    /// Feeds the heartbeat detector one input, sends what it queued and
+    /// hands each new suspicion to [`Technique::suspected`].
+    fn feed_detector<T: Technique>(
+        &mut self,
+        tech: &mut T,
+        ctx: &mut Ctx<'_, T::Msg>,
+        input: impl FnOnce(&mut HeartbeatFd, &mut Outbox<FdMsg, FdEvent>),
+    ) {
+        let Some(fd) = &mut self.fd else {
+            return;
+        };
+        input(fd, &mut self.fd_out);
+        let mut out = std::mem::take(&mut self.fd_out);
+        repl_gcs::apply_outbox(ctx, &mut out, FD_TICK_TAG, Wire::Fd, |ctx, ev| {
+            if let FdEvent::Suspect(node) = ev {
+                tech.suspected(self, ctx, node);
+            }
+        });
+        self.fd_out = out;
+    }
+
     /// Records a phase mark for `op` at site 0 only, the one process
     /// `phase.rs` reads.
     pub fn mark<P: Message>(&self, ctx: &mut Ctx<'_, P>, phase: Phase, op: OpId, b: u64) {
@@ -496,6 +575,11 @@ impl Shell {
         for &n in &remaining {
             ctx.send(n, Wire::Member(MemberMsg::ViewDrop { node: self.me }));
         }
+        // Go quiet: the survivors drop this node from their detectors on
+        // `ViewDrop`, so silence cannot raise a suspicion there.
+        if let Some(fd) = &mut self.fd {
+            fd.set_peers(Vec::new());
+        }
         self.servers = remaining;
         self.membership = Status::Retired;
     }
@@ -524,13 +608,24 @@ impl Shell {
             self.servers.push(joiner);
             self.servers.sort();
         }
-        tech.view_changed(self);
+        self.view_changed(tech);
     }
 
     /// Replaces the view wholesale (`ViewAdd` / `Welcome` install).
     pub fn install_view<T: Technique>(&mut self, tech: &mut T, servers: &[NodeId]) {
         self.servers.clear();
         self.servers.extend_from_slice(servers);
+        self.view_changed(tech);
+    }
+
+    /// The view changed: the detector watches its other members (none
+    /// once retired), and the technique re-derives what it computes from
+    /// it.
+    fn view_changed<T: Technique>(&mut self, tech: &mut T) {
+        let retired = self.retired();
+        if let Some(fd) = self.fd.as_mut().filter(|_| !retired) {
+            fd.set_peers(self.servers.clone());
+        }
         tech.view_changed(self);
     }
 
@@ -611,6 +706,8 @@ impl Shell {
                 for &op in answered {
                     self.answers.entry(op).or_insert(None);
                 }
+                // The group knows this node now: heartbeats start.
+                self.restart_heartbeats(tech, ctx);
                 tech.welcomed(self, ctx, transfer.as_deref(), *pos, *gpos);
                 for op in std::mem::take(&mut self.buffered) {
                     self.invoke(tech, ctx, op);
@@ -619,7 +716,7 @@ impl Shell {
             MemberMsg::ViewDrop { node } => {
                 let was_first = self.servers.first() == Some(node);
                 self.servers.retain(|n| n != node);
-                tech.view_changed(self);
+                self.view_changed(tech);
                 tech.member_left(self, ctx, *node, was_first);
             }
             MemberMsg::StateReq { have } => {
@@ -659,6 +756,7 @@ impl<T: Technique> Replica<T> {
         exec: ExecutionMode,
         tech: T,
     ) -> Self {
+        let fd = T::HEARTBEATS.then(|| HeartbeatFd::new(me, group.clone(), FdConfig::default()));
         Replica {
             shell: Shell {
                 base: ServerBase::new(site, keyspace, exec),
@@ -669,6 +767,8 @@ impl<T: Technique> Replica<T> {
                 buffered: Vec::new(),
                 answers: FxHashMap::default(),
                 shard: None,
+                fd,
+                fd_out: Outbox::new(),
             },
             tech,
         }
@@ -681,11 +781,21 @@ impl<T: Technique> Replica<T> {
     }
 
     /// Applies the run-wide server setup: durable tier (a no-op when
-    /// `durability` is disabled), lean mode and the shared payload arena.
-    pub fn equip(&mut self, durability: &DurabilityConfig, lean: bool, arena: SharedArena) {
+    /// `durability` is disabled), lean mode, the shared payload arena and
+    /// the heartbeat timing (used only with [`Technique::HEARTBEATS`]).
+    pub fn equip(
+        &mut self,
+        durability: &DurabilityConfig,
+        lean: bool,
+        arena: SharedArena,
+        fd: FdConfig,
+    ) {
         self.shell.base.set_durability(durability);
         self.shell.base.set_lean(lean);
         self.shell.base.set_arena(arena);
+        if let Some(detector) = &mut self.shell.fd {
+            detector.set_config(fd);
+        }
     }
 
     /// Gives this server the sharded topology ([`Shell::shard`]) before
@@ -699,6 +809,10 @@ impl<T: Technique> Replica<T> {
 impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let Replica { shell, tech } = self;
+        // A cold joiner stays quiet until welcomed.
+        if !shell.joining() {
+            shell.restart_heartbeats(tech, ctx);
+        }
         tech.on_start(shell, ctx);
         if shell.joining() {
             shell.base.recovery.begin(ctx.now().ticks());
@@ -714,6 +828,7 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
         match msg {
             Wire::Invoke(op) => shell.invoke(tech, ctx, op),
             Wire::Member(m) => shell.on_member(tech, ctx, from, &m),
+            Wire::Fd(m) => shell.feed_detector(tech, ctx, |fd, out| fd.on_message(from, m, out)),
             Wire::Proto(m) => tech.on_protocol_msg(shell, ctx, from, m),
             Wire::Reply(_) => {} // a stray answer: only clients take replies
         }
@@ -733,6 +848,9 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
             }
             DRAIN_TICK_TAG => shell.try_retire(tech, ctx),
             _ if shell.base.restoring() => {}
+            FD_TICK_TAG => {
+                shell.feed_detector(tech, ctx, |fd, out| fd.on_timer(tag - FD_TICK_TAG, out))
+            }
             _ => tech.on_protocol_timer(shell, ctx, tag),
         }
     }
@@ -815,9 +933,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// A fake technique: executes invokes locally and logs every hook.
+    /// A fake technique: executes invokes locally and logs every hook;
+    /// `HB` opts into the shell's heartbeat detector.
     #[derive(Default)]
-    struct Stub {
+    struct Stub<const HB: bool = false> {
         invoked: Vec<OpId>,
         pings: Vec<u64>,
         ticks: Vec<u64>,
@@ -833,10 +952,13 @@ pub(crate) mod tests {
         donor: bool,
         /// Every `caught_up` call: the transfer's watermark and `first`.
         transfers: Vec<(u64, bool)>,
+        /// Every `suspected` call: the node and the time.
+        suspicions: Vec<(NodeId, u64)>,
     }
 
-    impl Technique for Stub {
+    impl<const HB: bool> Technique for Stub<HB> {
         type Msg = Ping;
+        const HEARTBEATS: bool = HB;
 
         fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, op: ClientOp) {
             self.invoked.push(op.id);
@@ -857,6 +979,9 @@ pub(crate) mod tests {
             for i in 1..=300 {
                 ctx.set_timer(SimDuration::from_ticks(i * 100), TICK);
             }
+        }
+        fn suspected(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, node: NodeId) {
+            self.suspicions.push((node, ctx.now().ticks()));
         }
         fn view_changed(&mut self, _sh: &mut Shell) {
             self.views += 1;
@@ -1085,7 +1210,12 @@ pub(crate) mod tests {
     #[test]
     fn a_lean_shell_records_no_reply() {
         let mut r = replica(0, &[0]);
-        r.equip(&DurabilityConfig::disabled(), true, repl_db::shared_arena());
+        r.equip(
+            &DurabilityConfig::disabled(),
+            true,
+            repl_db::shared_arena(),
+            FdConfig::default(),
+        );
         r.shell.answer(&Response::committed(OpId(9)));
         assert!(
             !r.shell.already_answered(OpId(9)),
@@ -1101,7 +1231,7 @@ pub(crate) mod tests {
         let mut r = replica(0, &[0, 1]);
         if tiered {
             let tier = DurabilityConfig::with_upload_lag(1_000);
-            r.equip(&tier, false, repl_db::shared_arena());
+            r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
         }
         r.shell.answers.insert(OpId(9), None);
         let node = world.add_actor(Box::new(r));
@@ -1224,7 +1354,7 @@ pub(crate) mod tests {
         let mut world: World<StubMsg> = World::new(SimConfig::new(3));
         let mut r = replica(0, &[0, 1]);
         let tier = DurabilityConfig::with_upload_lag(1_000);
-        r.equip(&tier, false, repl_db::shared_arena());
+        r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
         let node = world.add_actor(Box::new(r));
         let mut script = vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))];
         script.extend((1..=200).map(|i| (i * 100 + 50, n(0), StubMsg::Proto(Ping))));
@@ -1400,6 +1530,7 @@ pub(crate) mod tests {
             &DurabilityConfig::with_upload_lag(1_000),
             false,
             repl_db::shared_arena(),
+            FdConfig::default(),
         );
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))]));
@@ -1463,6 +1594,8 @@ pub(crate) mod tests {
             assert_eq!(StubMsg::Member(m.clone()).wire_size(), m.wire_size());
         }
         assert_eq!(StubMsg::Proto(Ping).wire_size(), Ping.wire_size());
+        // A heartbeat is charged 8 bytes, whichever technique sends it.
+        assert_eq!(StubMsg::Fd(FdMsg::Heartbeat).wire_size(), 8);
     }
 
     #[test]
@@ -1597,7 +1730,7 @@ pub(crate) mod tests {
         let mut world: World<StubMsg> = World::new(SimConfig::new(4));
         let mut r = replica(0, &[0, 1]);
         let tier = DurabilityConfig::with_upload_lag(0);
-        r.equip(&tier, false, repl_db::shared_arena());
+        r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![
             (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),
@@ -1611,5 +1744,93 @@ pub(crate) mod tests {
         tier.wipe(1_000);
         let (_, plan) = tier.plan_restore(1_000).expect("wiped");
         assert_eq!(plan.token, 1_002, "the last frame carries position()");
+    }
+
+    /// A heartbeating stub replica `me` of `group`.
+    fn hb_replica(me: u32, group: &[u32]) -> Replica<Stub<true>> {
+        let group = group.iter().map(|&i| n(i)).collect();
+        let tech = Stub::<true>::default();
+        Replica::around(me, n(me), group, 16, ExecutionMode::Deterministic, tech)
+    }
+
+    /// When `p` received heartbeats.
+    fn heartbeats(p: &Probe) -> Vec<u64> {
+        let fd = p.got.iter().filter(|(_, m)| matches!(m, StubMsg::Fd(_)));
+        fd.map(|(t, _)| *t).collect()
+    }
+
+    #[test]
+    fn a_cold_joiner_heartbeats_only_once_welcomed_and_to_the_whole_view() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(17));
+        let welcome = StubMsg::Member(MemberMsg::Welcome {
+            servers: vec![n(0), n(1), n(2)],
+            transfer: None,
+            pos: 0,
+            gpos: 0,
+            answered: Vec::new(),
+        });
+        let coord = world.add_actor(probe(vec![(3_000, n(1), welcome)]));
+        let mut joiner = hb_replica(1, &[0, 1]);
+        joiner.begin_join();
+        world.add_actor(Box::new(joiner));
+        let other = world.add_actor(probe(Vec::new()));
+        world.start();
+        at(&mut world, 6_000);
+        for p in [coord, other] {
+            let beats = heartbeats(world.actor_ref::<Probe>(p));
+            assert!(beats.iter().all(|&t| t > 3_000), "{beats:?}");
+            // Started on the welcome (~3 100), one every 500 ticks.
+            assert_eq!(beats.len(), 6, "{beats:?}");
+        }
+    }
+
+    #[test]
+    fn a_crashed_peer_is_reported_suspected_exactly_once() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(18));
+        for i in 0..3 {
+            world.add_actor(Box::new(hb_replica(i, &[0, 1, 2])));
+        }
+        world.schedule_crash(SimTime::from_ticks(1_000), n(2));
+        world.start();
+        at(&mut world, 20_000);
+        for i in 0..2 {
+            let r = world.actor_ref::<Replica<Stub<true>>>(n(i));
+            let who: Vec<NodeId> = r.tech.suspicions.iter().map(|&(node, _)| node).collect();
+            assert_eq!(who, [n(2)], "at node {i}");
+            // Three silent intervals after the last heartbeat it sent.
+            let (_, t) = r.tech.suspicions[0];
+            assert!((2_000..=3_500).contains(&t), "suspected at {t}");
+            assert!(r.shell.is_suspected(n(2)));
+            assert!(!r.shell.is_suspected(n(1 - i)));
+        }
+    }
+
+    #[test]
+    fn a_retired_node_watches_nobody() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(19));
+        let mut r = hb_replica(0, &[0, 1, 2]);
+        r.tech.quiet = true;
+        let node = world.add_actor(Box::new(r));
+        // A late `ViewAdd` from a coordinator that had not yet heard the
+        // `ViewDrop` changes the retired node's view, not its detector.
+        let late = MemberMsg::ViewAdd {
+            servers: vec![n(0), n(1), n(2)],
+        };
+        let peers = [
+            world.add_actor(probe(vec![(2_000, n(0), StubMsg::Member(late))])),
+            world.add_actor(probe(Vec::new())),
+        ];
+        // Retires at once, before two silent intervals could raise a
+        // suspicion of the (silent) probes.
+        world.schedule_drain(SimTime::from_ticks(700), node);
+        world.start();
+        at(&mut world, 20_000);
+        let r = world.actor_ref::<Replica<Stub<true>>>(node);
+        assert_eq!(r.shell.status(), Status::Retired);
+        assert_eq!(r.tech.suspicions, [], "no peer left to suspect");
+        for p in peers {
+            let beats = heartbeats(world.actor_ref::<Probe>(p));
+            assert_eq!(beats.len(), 2, "the ticks at 0 and 500 only: {beats:?}");
+        }
     }
 }

@@ -7,7 +7,11 @@
 //! update; lower-ranked servers defer — they execute and propose only
 //! after a suspicion delay, so in the failure-free case exactly one
 //! server pays the execution (like passive replication) while crashes
-//! cost only an aggressive timeout, not a view change.
+//! cost only an aggressive timeout, not a view change. The deferral rank
+//! adapts to suspicions (the paper: "aggressive time-outs … to suspect
+//! crashed processes"): servers the shell's failure detector suspects no
+//! longer count ahead of this one, and a new suspicion that makes it
+//! first in line executes at once.
 //!
 //! A writeset is copied once per hop: the executing server interns its
 //! shadow overlay's records into the payload arena
@@ -21,10 +25,7 @@
 use std::collections::BTreeMap;
 
 use repl_db::{Keyspace, RedoLog, Transfer, WriteSetRef};
-use repl_gcs::{
-    ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, FdConfig, FdEvent, FdMsg, HeartbeatFd,
-    Outbox,
-};
+use repl_gcs::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, Outbox};
 use repl_sim::{Message, NodeId, SimDuration};
 
 use crate::durability::RestorePlan;
@@ -54,10 +55,6 @@ impl Message for Proposal {
 /// Timer-tag base of the embedded consensus pool; slot-deferral timers use
 /// tags below it.
 const CONS_BASE: u64 = 1 << 40;
-/// Timer-tag base of the embedded failure detector (the paper: semi-passive
-/// allows "aggressive time-outs … to suspect crashed processes" — the
-/// deferral rank adapts to suspicions instead of paying the delay forever).
-const FD_BASE: u64 = 2 << 40;
 
 /// Coordination traffic of semi-passive replication.
 #[derive(Debug, Clone)]
@@ -66,8 +63,6 @@ pub enum SemiPassiveMsg {
     Fwd(ClientOp),
     /// Consensus traffic.
     Cons(ConsMsg<Proposal>),
-    /// Failure-detector heartbeats.
-    Fd(FdMsg),
 }
 
 impl Message for SemiPassiveMsg {
@@ -75,7 +70,6 @@ impl Message for SemiPassiveMsg {
         match self {
             SemiPassiveMsg::Fwd(op) => 8 + op.wire_size(),
             SemiPassiveMsg::Cons(c) => 8 + c.wire_size(),
-            SemiPassiveMsg::Fd(m) => m.wire_size(),
         }
     }
 }
@@ -85,11 +79,9 @@ pub struct SemiPassive {
     rank: usize,
     defer: SimDuration,
     pool: ConsensusPool<Proposal>,
-    fd: HeartbeatFd,
-    /// What `pool` / `fd` queued while handling one input; drained by
-    /// `drive_pool` / `drive_fd`.
+    /// What `pool` queued while handling one input; drained by
+    /// `drive_pool`.
     pool_out: Outbox<ConsMsg<Proposal>, ConsEvent<Proposal>>,
-    fd_out: Outbox<FdMsg, FdEvent>,
     pending: BTreeMap<OpId, ClientOp>,
     decided: BTreeMap<u64, Proposal>,
     next_slot: u64,
@@ -119,9 +111,7 @@ impl SemiPassiveServer {
             rank: group.iter().position(|&n| n == me).expect("member"),
             defer,
             pool: ConsensusPool::new(me, group.clone(), cons),
-            fd: HeartbeatFd::new(me, group.clone(), FdConfig::default()),
             pool_out: Outbox::new(),
-            fd_out: Outbox::new(),
             pending: BTreeMap::new(),
             decided: BTreeMap::new(),
             next_slot: 0,
@@ -141,12 +131,12 @@ impl SemiPassiveServer {
 }
 
 impl SemiPassive {
-    /// The effective deferral rank: servers suspected by our failure
-    /// detector no longer count ahead of us.
+    /// The effective deferral rank: suspected servers no longer count
+    /// ahead of us.
     fn effective_rank(&self, sh: &Shell) -> usize {
         sh.servers()[..self.rank]
             .iter()
-            .filter(|&&s| !self.fd.is_suspected(s))
+            .filter(|&&s| !sh.is_suspected(s))
             .count()
     }
 
@@ -163,30 +153,6 @@ impl SemiPassive {
             // Deferred initial value: only execute if the slot is still
             // undecided after our rank's suspicion delay.
             ctx.set_timer(self.defer.times(rank as u64), self.next_slot);
-        }
-    }
-
-    /// Applies what the failure detector queued and reacts to its verdicts.
-    fn drive_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
-        let mut out = std::mem::take(&mut self.fd_out);
-        let wrap = |m| Wire::Proto(SemiPassiveMsg::Fd(m));
-        repl_gcs::apply_outbox(ctx, &mut out, FD_BASE, wrap, |ctx, ev| {
-            self.on_fd_event(sh, ctx, ev)
-        });
-        self.fd_out = out;
-    }
-
-    fn on_fd_event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, ev: FdEvent) {
-        if let FdEvent::Suspect(_) = ev {
-            // A predecessor died: if we are now first in line for the
-            // current slot, act immediately instead of waiting out the
-            // deferral timer.
-            if self.effective_rank(sh) == 0
-                && !self.pending.is_empty()
-                && self.engaged_slot == Some(self.next_slot)
-            {
-                self.execute_and_propose(sh, ctx);
-            }
         }
     }
 
@@ -250,14 +216,6 @@ impl SemiPassive {
         }
     }
 
-    /// (Re)starts heartbeats, dropping stale miss counters so the first
-    /// tick cannot suspect a live peer on old evidence.
-    fn restart_fd(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
-        self.fd.reset();
-        repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
-        self.drive_fd(sh, ctx);
-    }
-
     /// Installs the bootstrap or catch-up state, moves the slot cursor
     /// past it and re-enters any instance still undecided group-wide.
     fn resume_from(
@@ -280,6 +238,7 @@ impl SemiPassive {
 
 impl Technique for SemiPassive {
     type Msg = SemiPassiveMsg;
+    const HEARTBEATS: bool = true;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, op: ClientOp) {
         if sh.catching_up() || self.pending.contains_key(&op.id) {
@@ -313,18 +272,11 @@ impl Technique for SemiPassive {
                 repl_gcs::Component::on_message(&mut self.pool, from, c, &mut self.pool_out);
                 self.drive_pool(sh, ctx);
             }
-            SemiPassiveMsg::Fd(m) => {
-                repl_gcs::Component::on_message(&mut self.fd, from, m, &mut self.fd_out);
-                self.drive_fd(sh, ctx);
-            }
         }
     }
 
     fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, tag: u64) {
-        if tag >= FD_BASE {
-            repl_gcs::Component::on_timer(&mut self.fd, tag - FD_BASE, &mut self.fd_out);
-            self.drive_fd(sh, ctx);
-        } else if tag >= CONS_BASE {
+        if tag >= CONS_BASE {
             repl_gcs::Component::on_timer(&mut self.pool, tag - CONS_BASE, &mut self.pool_out);
             self.drive_pool(sh, ctx);
         } else if tag == self.next_slot && !self.pending.is_empty() {
@@ -333,19 +285,20 @@ impl Technique for SemiPassive {
         }
     }
 
-    fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
-        // A cold joiner stays quiet (no heartbeats) until welcomed.
-        if !sh.joining() {
-            repl_gcs::Component::on_start(&mut self.fd, &mut self.fd_out);
-            self.drive_fd(sh, ctx);
+    /// A predecessor died: if we are now first in line for the current
+    /// slot, act immediately instead of waiting out the deferral timer.
+    fn suspected(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, _node: NodeId) {
+        if self.effective_rank(sh) == 0
+            && !self.pending.is_empty()
+            && self.engaged_slot == Some(self.next_slot)
+        {
+            self.execute_and_propose(sh, ctx);
         }
     }
 
-    /// Re-derives the consensus group, the fd peers and the deferral rank
-    /// from the view.
+    /// Re-derives the consensus group and the deferral rank from the view.
     fn view_changed(&mut self, sh: &mut Shell) {
         self.pool.set_group(sh.servers().to_vec());
-        self.fd.set_peers(sh.servers().to_vec());
         self.rank = sh.servers().iter().position(|&n| n == sh.me()).unwrap_or(0);
     }
 
@@ -365,9 +318,6 @@ impl Technique for SemiPassive {
         _pos: u64,
         _gpos: u64,
     ) {
-        // Start heartbeats now that the group knows us; the buffered
-        // backlog follows.
-        self.restart_fd(sh, ctx);
         self.resume_from(sh, ctx, transfer);
     }
 
@@ -375,19 +325,6 @@ impl Technique for SemiPassive {
     /// (a snapshot once retention truncated it).
     fn donate(&mut self, sh: &mut Shell, _to: NodeId, have: u64) -> Option<Transfer> {
         Some(Transfer::from_log(&self.wal, &sh.base.store, have))
-    }
-
-    /// A welcome minus the heartbeat restart: `rejoin` already did it.
-    fn caught_up(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Ctx<'_, SemiPassiveMsg>,
-        t: &Transfer,
-        first: bool,
-    ) {
-        if first {
-            self.resume_from(sh, ctx, Some(t));
-        }
     }
 
     fn member_left(
@@ -411,9 +348,6 @@ impl Technique for SemiPassive {
         remaining: &[NodeId],
     ) {
         self.pool.set_group(remaining.to_vec());
-        // Stop heartbeating: the survivors drop us from their detectors on
-        // `ViewDrop`, so going quiet cannot raise a suspicion there.
-        self.fd.set_peers(Vec::new());
     }
 
     fn volume_lost(&mut self, _sh: &mut Shell) {
@@ -437,7 +371,7 @@ impl Technique for SemiPassive {
 
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         // Timers died with the process.
-        self.restart_fd(sh, ctx);
+        sh.restart_heartbeats(self, ctx);
         // Pending requests may have been decided while we were down;
         // clients re-forward anything genuinely unanswered.
         self.pending.clear();

@@ -430,7 +430,12 @@ mod tests {
         for site in 0..3 {
             let mut srv = server(site, &[0, 1, 2]);
             let tier = DurabilityConfig::with_upload_lag(0);
-            srv.equip(&tier, false, repl_db::shared_arena());
+            srv.equip(
+                &tier,
+                false,
+                repl_db::shared_arena(),
+                repl_gcs::FdConfig::default(),
+            );
             world.add_actor(Box::new(srv));
         }
         world.add_actor(client(vec![invoke(100, 1, 7, 3), invoke(400, 1, 8, 3)]));

@@ -547,11 +547,7 @@ fn validate_sharded(cfg: &RunConfig) -> Result<(), RunError> {
 /// `cfg` was already validated.
 fn dispatch(cfg: &RunConfig) -> RunReport {
     let c = cfg;
-    let (cons, vs, fd) = (
-        tuned_consensus(&c.network),
-        tuned_vs(&c.network),
-        tuned_fd(&c.network),
-    );
+    let (cons, vs) = (tuned_consensus(&c.network), tuned_vs(&c.network));
     let (delay, defer) = (c.propagation_delay, tuned_defer(&c.network));
     match c.technique {
         Technique::Active => drive(c, |site, me, group, ks| {
@@ -569,7 +565,7 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
                 .with_log_retention(c.log_retention)
         }),
         Technique::EagerPrimary => drive(c, |site, me, group, ks| {
-            EagerPrimaryServer::new(site, me, group, ks, c.exec, fd)
+            EagerPrimaryServer::new(site, me, group, ks, c.exec)
                 .with_batching(c.batching)
                 .with_log_retention(c.log_retention)
         }),
@@ -585,7 +581,7 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
                 .with_log_retention(c.log_retention)
         }),
         Technique::LazyUpdateEverywhere => drive(c, |site, me, group, ks| {
-            LazyUeServer::new(site, me, group, ks, c.exec, delay).with_reconcile(c.reconcile)
+            LazyUeServer::new(site, me, group, ks, c.exec, delay, cons).with_reconcile(c.reconcile)
         }),
         Technique::Certification => drive(c, |site, me, group, ks| {
             CertServer::new(site, me, group, ks, c.exec, c.abcast, cons).with_batching(c.batching)
@@ -986,7 +982,7 @@ fn drive<T: Flow>(
     let founders = shards * n;
     let nodes = cfg.membership.peak_servers(founders);
     let mut world: World<Wire<T::Msg>> = new_world(cfg, nodes);
-    let arena = run_arena(cfg);
+    let (arena, fd) = (run_arena(cfg), tuned_fd(&cfg.network));
     for site in 0..nodes {
         let me = NodeId::new(site);
         let joiner = site >= founders;
@@ -1003,9 +999,10 @@ fn drive<T: Flow>(
             let (lo, hi) = m.range(gid);
             cfg.workload.keyspace().scoped(lo, hi)
         });
-        // The run-wide setup: durable tier, lean mode, the shared arena.
+        // The run-wide setup: durable tier, lean mode, the shared arena,
+        // the heartbeat timing.
         let mut srv = build(site, me, group, ks);
-        srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone());
+        srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone(), fd);
         if let Some(map) = cross_map {
             srv.enable_cross_shard(ShardCtx::new(map, n, gid));
         }

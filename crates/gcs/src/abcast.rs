@@ -294,6 +294,14 @@ impl<P: Message> SequencerAbcast<P> {
         self
     }
 
+    /// Sets how long an unconfirmed submission waits before it is sent
+    /// again (builder form; 2,000 ticks by default). It must exceed the
+    /// network's round trip, or every submission goes out twice.
+    pub fn with_retransmit(mut self, every: SimDuration) -> Self {
+        self.retransmit_every = every;
+        self
+    }
+
     /// Sets the batching window in place.
     pub fn set_batching(&mut self, batch: BatchConfig) {
         self.batch = batch;

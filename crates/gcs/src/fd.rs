@@ -102,6 +102,12 @@ impl HeartbeatFd {
         }
     }
 
+    /// Replaces the timing (before the detector starts: a running tick
+    /// keeps its interval until it fires).
+    pub fn set_config(&mut self, config: FdConfig) {
+        self.config = config;
+    }
+
     /// True if `node` is currently suspected.
     pub fn is_suspected(&self, node: NodeId) -> bool {
         self.suspected.contains(&node)

@@ -3,7 +3,8 @@
 //! *ratios* between techniques must keep their LAN shapes.
 
 use replication::core::protocols::common::AbcastImpl;
-use replication::sim::NetworkConfig;
+use replication::core::protocols::lazy_ue::ReconcileMode;
+use replication::sim::{NetworkConfig, SimDuration};
 use replication::{run, RunConfig, Technique, WorkloadSpec};
 
 fn updates(n: u32) -> WorkloadSpec {
@@ -51,6 +52,40 @@ fn wan_amplifies_the_eager_lazy_gap() {
         locking > 2 * lazy,
         "WAN should widen the gap: lazy={lazy}t locking={locking}t"
     );
+}
+
+#[test]
+fn a_wan_costs_time_not_messages() {
+    // Every timeout that paces background traffic — heartbeats, sequencer
+    // retransmissions — is tuned to the run's network, so a WAN stretches
+    // rounds without multiplying them. The client retry timer is set
+    // beyond any WAN round so that re-submissions are not counted.
+    let cells = Technique::ALL
+        .into_iter()
+        .map(|t| (t, ReconcileMode::Lww))
+        .chain([(Technique::LazyUpdateEverywhere, ReconcileMode::AbcastOrder)]);
+    let coord = |technique, reconcile, network| {
+        let report = run(&RunConfig::new(technique)
+            .with_servers(3)
+            .with_clients(3)
+            .with_seed(1)
+            .with_reconcile(reconcile)
+            .with_retry_after(SimDuration::from_ticks(400_000))
+            .with_network(network)
+            .with_trace(false)
+            .with_workload(updates(10)));
+        assert_eq!(report.ops_unanswered, 0, "{technique} ({reconcile:?})");
+        report.coordination_messages_per_op()
+    };
+    for (technique, reconcile) in cells {
+        let lan = coord(technique, reconcile, NetworkConfig::lan());
+        let wan = coord(technique, reconcile, NetworkConfig::wan());
+        assert!(
+            wan <= 1.5 * lan,
+            "{technique} ({reconcile:?}): {wan:.2} coordination messages per op on a WAN, \
+             {lan:.2} on a LAN"
+        );
+    }
 }
 
 #[test]
