@@ -19,8 +19,9 @@
 //! same donor, same installer: recovery is a join that remembers.
 //!
 //! The shell keeps the one client table, as VR does: an answered op maps to
-//! this node's reply, or to none if the group answered it before this node
-//! joined. It decides every duplicate before any technique code runs.
+//! this node's verdict and reads, or to the join floor if the group
+//! answered it before this node joined. It decides every duplicate before
+//! any technique code runs.
 //!
 //! Every replica and client speaks one envelope, [`Wire`]: the client
 //! protocol, the membership handshake and failure-detector heartbeats are
@@ -36,7 +37,7 @@
 //! [`Shell::is_suspected`] and says when heartbeats restart after a
 //! recovery ([`Shell::restart_heartbeats`]).
 
-use repl_db::{FxHashMap, Keyspace, SharedArena, Transfer};
+use repl_db::{FxHashMap, Key, Keyspace, SharedArena, Transfer, Value};
 use repl_gcs::{Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
@@ -258,7 +259,9 @@ pub trait Technique: Sized + 'static {
         sh.admit(self, ctx, joiner);
     }
 
-    /// Member: the coordinator announced a grown view.
+    /// Member: the coordinator announced a grown view. A retired node
+    /// installs nothing: the announcement was sent before its `ViewDrop`
+    /// arrived, and the view it names still holds this node.
     fn view_added(
         &mut self,
         sh: &mut Shell,
@@ -266,7 +269,9 @@ pub trait Technique: Sized + 'static {
         _from: NodeId,
         servers: &[NodeId],
     ) {
-        sh.install_view(self, servers);
+        if !sh.retired() {
+            sh.install_view(self, servers);
+        }
     }
 
     /// Coordinator: the bootstrap state for `joiner` — a snapshot if the
@@ -363,6 +368,18 @@ pub trait Technique: Sized + 'static {
     }
 }
 
+/// One client-table entry: the group answered the op before this node
+/// joined (the floor: drop a retry), or this node replied — `ok` if it
+/// committed, with `len` reads from `start` in the shell's read column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    Floor,
+    Reply { ok: bool, len: u16, start: u32 },
+}
+
+// An entry is 16 bytes with its key; the floor is the verdict's niche.
+const _: () = assert!(std::mem::size_of::<(OpId, Answer)>() == 16);
+
 /// Everything a replica owns that is not its technique: the database
 /// kernel, membership view, lifecycle status, client table, shard scope
 /// and failure detector.
@@ -380,9 +397,13 @@ pub struct Shell {
     catching_up: bool,
     /// Client operations buffered while joining.
     buffered: Vec<ClientOp>,
-    /// The client table: `Some(reply)` where this node answered the op,
-    /// `None` where the group did before this node joined.
-    answers: FxHashMap<OpId, Option<Response>>,
+    /// The client table: this node's verdict where it answered the op,
+    /// the floor where the group did before this node joined.
+    answers: FxHashMap<OpId, Answer>,
+    /// The reads of every recorded reply, back to back; an [`Answer`]
+    /// indexes its own. A forgotten reply's reads stay until a bare
+    /// volume loss forgets every reply.
+    reads: Vec<(Key, Value)>,
     /// The sharded topology, on cross-shard runs.
     shard: Option<ShardCtx>,
     /// The heartbeat detector, for a technique with
@@ -457,11 +478,34 @@ impl Shell {
     }
 
     /// Records this node's reply, for the retries (a no-op on a lean
-    /// server: the open-loop driver never retries).
+    /// server: the open-loop driver never retries). Copies the reads into
+    /// the read column; allocates only when a table grows.
     pub fn answer(&mut self, resp: &Response) {
-        if !self.base.lean() {
-            self.answers.insert(resp.op, Some(resp.clone()));
+        if self.base.lean() {
+            return;
         }
+        let len = u16::try_from(resp.reads.len())
+            .expect("client table: a reply with more than u16::MAX reads");
+        let start = u32::try_from(self.reads.len())
+            .expect("client table: the read column outgrew u32 offsets");
+        self.reads.extend_from_slice(&resp.reads);
+        let ok = resp.committed;
+        self.answers
+            .insert(resp.op, Answer::Reply { ok, len, start });
+    }
+
+    /// This node's recorded reply to `op`, rebuilt: the same verdict and
+    /// the same reads in the same order.
+    fn recorded(&self, op: OpId, answer: Answer) -> Option<Response> {
+        let Answer::Reply { ok, len, start } = answer else {
+            return None;
+        };
+        let reads = self.reads[start as usize..][..usize::from(len)].to_vec();
+        Some(Response {
+            op,
+            committed: ok,
+            reads,
+        })
     }
 
     /// Records `resp` and sends it to `to`.
@@ -474,7 +518,7 @@ impl Shell {
     /// again when the group replays it. What the group answered before
     /// this node joined stays answered.
     pub fn forget(&mut self, op: OpId) {
-        if self.answers.get(&op).is_some_and(Option::is_some) {
+        if self.answers.get(&op).is_some_and(|&a| a != Answer::Floor) {
             self.answers.remove(&op);
         }
     }
@@ -543,8 +587,8 @@ impl Shell {
     /// answered before this node joined, bounce while leaving, buffer
     /// while joining, else hand the operation to the technique.
     fn invoke<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>, op: ClientOp) {
-        match self.answers.get(&op.id) {
-            Some(Some(resp)) => ctx.send(op.client, Wire::Reply(resp.clone())),
+        match self.answers.get(&op.id).map(|&a| self.recorded(op.id, a)) {
+            Some(Some(resp)) => ctx.send(op.client, Wire::Reply(resp)),
             Some(None) => {}
             None if self.rerouting() => {
                 let bounce = MemberMsg::Reroute {
@@ -639,7 +683,7 @@ impl Shell {
     ) {
         let (transfer, pos, gpos) = tech.welcome_state(self, joiner);
         let mut answered = Vec::with_capacity(self.answers.len());
-        let own = self.answers.iter().filter(|(_, reply)| reply.is_some());
+        let own = self.answers.iter().filter(|(_, &a)| a != Answer::Floor);
         answered.extend(own.map(|(&op, _)| op)); // sorted-below
         answered.sort_unstable();
         let welcome = MemberMsg::Welcome {
@@ -704,7 +748,7 @@ impl Shell {
                 self.membership = Status::Normal;
                 self.install_view(tech, servers);
                 for &op in answered {
-                    self.answers.entry(op).or_insert(None);
+                    self.answers.entry(op).or_insert(Answer::Floor);
                 }
                 // The group knows this node now: heartbeats start.
                 self.restart_heartbeats(tech, ctx);
@@ -766,6 +810,7 @@ impl<T: Technique> Replica<T> {
                 catching_up: false,
                 buffered: Vec::new(),
                 answers: FxHashMap::default(),
+                reads: Vec::new(),
                 shard: None,
                 fd,
                 fd_out: Outbox::new(),
@@ -891,7 +936,10 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
         tech.crashed(shell);
         match shell.base.wipe_volume(now.ticks()) {
             Some(lost) => lost.for_each(|op| shell.forget(op)),
-            None => shell.answers.retain(|_, reply| reply.is_none()),
+            None => {
+                shell.answers.retain(|_, &mut a| a == Answer::Floor);
+                shell.reads.clear();
+            }
         }
         tech.volume_lost(shell);
     }
@@ -908,7 +956,6 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
 pub(crate) mod tests {
     use super::*;
     use crate::protocols::common::global_txn;
-    use repl_db::{Key, Value};
     use repl_sim::{SimConfig, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
@@ -1179,32 +1226,98 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn a_duplicate_invoke_gets_the_recorded_reply() {
+    /// What a client gets back for a duplicate of op `dup` from a replica
+    /// that recorded `replies` and ran nothing.
+    fn resent(replies: &[Response], dup: u64) -> Vec<Response> {
         let mut r = replica(1, &[0, 1]);
-        assert!(!r.shell.already_answered(OpId(3)));
-        let recorded = Response {
-            op: OpId(3),
-            committed: true,
-            reads: vec![(Key(3), Value(42))],
-        };
-        r.shell.answer(&recorded);
-        assert!(r.shell.already_answered(OpId(3)));
+        for resp in replies {
+            assert!(!r.shell.already_answered(resp.op));
+            r.shell.answer(resp);
+            assert!(r.shell.already_answered(resp.op));
+        }
         let mut world: World<StubMsg> = World::new(SimConfig::new(13));
-        let client = world.add_actor(probe(vec![(100, n(1), StubMsg::Invoke(write_op(3, n(0))))]));
+        let client = world.add_actor(probe(vec![(
+            100,
+            n(1),
+            StubMsg::Invoke(write_op(dup, n(0))),
+        )]));
         let node = world.add_actor(Box::new(r));
         world.start();
         at(&mut world, 1_000);
-        assert!(world
-            .actor_ref::<Replica<Stub>>(node)
-            .tech
-            .invoked
-            .is_empty());
-        let got = &world.actor_ref::<Probe>(client).got;
-        assert!(
-            matches!(&got[..], [(_, StubMsg::Reply(r))] if *r == recorded),
-            "{got:?}"
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        assert_eq!(
+            r.tech.invoked,
+            [],
+            "a duplicate never reaches the technique"
         );
+        let got = &world.actor_ref::<Probe>(client).got;
+        got.iter()
+            .map(|(_, m)| match m {
+                StubMsg::Reply(resp) => resp.clone(),
+                other => panic!("not a reply: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Recorded replies whose reads sit side by side in the column; ops 4
+    /// and 5 were aborted, without and with reads.
+    fn recorded_replies() -> Vec<Response> {
+        let reads = |pairs: &[(u64, i64)]| pairs.iter().map(|&(k, v)| (Key(k), Value(v))).collect();
+        vec![
+            Response {
+                op: OpId(2),
+                committed: true,
+                reads: reads(&[(1, 10)]),
+            },
+            Response {
+                op: OpId(3),
+                committed: true,
+                reads: reads(&[(3, 42), (5, -7), (4, 1)]),
+            },
+            Response::aborted(OpId(4)),
+            Response {
+                op: OpId(5),
+                committed: false,
+                reads: reads(&[(9, 9)]),
+            },
+        ]
+    }
+
+    #[test]
+    fn a_duplicate_invoke_gets_the_recorded_reply() {
+        let recorded = recorded_replies();
+        for resp in &recorded {
+            let got = resent(&recorded, resp.op.0);
+            assert_eq!(
+                got,
+                std::slice::from_ref(resp),
+                "the same op, verdict (an abort stays an abort) and reads in order"
+            );
+            assert_eq!(got[0].wire_size(), resp.wire_size());
+        }
+    }
+
+    #[test]
+    fn forget_drops_a_reply_and_keeps_the_floor() {
+        let mut r = replica(1, &[0, 1]);
+        r.shell.answers.insert(OpId(9), Answer::Floor);
+        r.shell.answer(&recorded_replies()[1]);
+        r.shell.forget(OpId(9));
+        r.shell.forget(OpId(3));
+        assert!(r.shell.already_answered(OpId(9)), "the floor stays");
+        assert!(!r.shell.already_answered(OpId(3)), "the reply is gone");
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u16::MAX reads")]
+    fn a_reply_too_long_for_its_entry_panics_rather_than_truncate() {
+        let mut r = replica(1, &[0, 1]);
+        let reads = vec![(Key(1), Value(1)); usize::from(u16::MAX) + 1];
+        r.shell.answer(&Response {
+            op: OpId(1),
+            committed: true,
+            reads,
+        });
     }
 
     #[test]
@@ -1233,7 +1346,7 @@ pub(crate) mod tests {
             let tier = DurabilityConfig::with_upload_lag(1_000);
             r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
         }
-        r.shell.answers.insert(OpId(9), None);
+        r.shell.answers.insert(OpId(9), Answer::Floor);
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![
             (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),
@@ -1812,7 +1925,8 @@ pub(crate) mod tests {
         r.tech.quiet = true;
         let node = world.add_actor(Box::new(r));
         // A late `ViewAdd` from a coordinator that had not yet heard the
-        // `ViewDrop` changes the retired node's view, not its detector.
+        // `ViewDrop` changes neither the retired node's view nor its
+        // detector.
         let late = MemberMsg::ViewAdd {
             servers: vec![n(0), n(1), n(2)],
         };
@@ -1827,6 +1941,12 @@ pub(crate) mod tests {
         at(&mut world, 20_000);
         let r = world.actor_ref::<Replica<Stub<true>>>(node);
         assert_eq!(r.shell.status(), Status::Retired);
+        assert_eq!(
+            r.shell.servers(),
+            [n(1), n(2)],
+            "the late view is not installed"
+        );
+        assert!(!r.shell.is_coordinator());
         assert_eq!(r.tech.suspicions, [], "no peer left to suspect");
         for p in peers {
             let beats = heartbeats(world.actor_ref::<Probe>(p));

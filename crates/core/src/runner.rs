@@ -733,7 +733,7 @@ struct ServerFold {
 /// Each replica's history is *taken*: every replica records under its
 /// own site only, so the fold moves whole site logs and the run never
 /// holds a second copy. Nothing reads a replica's history after this —
-/// [`report`] reads `fold.history` and the world's metrics and trace.
+/// [`report`] reads `fold.history` and the world's [`WorldEnd`].
 fn fold_servers<T: Flow>(
     world: &mut World<Wire<T::Msg>>,
     cfg: &RunConfig,
@@ -848,11 +848,20 @@ fn availability(
     }
 }
 
-/// Assembles the report of a finished world from the client tally and
-/// the server fold.
-fn report<M: repl_sim::Message>(
+/// What the report reads of a finished world, kept so the world can be
+/// dropped before the client records are copied.
+struct WorldEnd {
+    metrics: repl_sim::Metrics,
+    phase_trace: PhaseTrace,
+    trace_hash: u64,
+    now: SimTime,
+}
+
+/// Assembles the report of a finished run from what its dropped world
+/// left, the client tally and the server fold.
+fn report(
     cfg: &RunConfig,
-    world: &World<M>,
+    end: WorldEnd,
     servers: u32,
     completion: Completion,
     mut tally: ClientTally,
@@ -863,7 +872,7 @@ fn report<M: repl_sim::Message>(
         cfg,
         &mut tally,
         completion.at,
-        &world.metrics(),
+        &end.metrics,
         fold.recoveries,
     );
     // Duration = completion of the workload (last client response), not
@@ -874,7 +883,7 @@ fn report<M: repl_sim::Message>(
         .filter_map(|(_, r)| r.responded)
         .max()
         .or(tally.group_last_response)
-        .unwrap_or_else(|| world.now());
+        .unwrap_or(end.now);
     RunReport {
         technique: cfg.technique,
         servers,
@@ -891,7 +900,7 @@ fn report<M: repl_sim::Message>(
         messages: completion.messages,
         fingerprints: fold.fingerprints,
         history: fold.history,
-        phase_trace: PhaseTrace::from_trace(world.trace()),
+        phase_trace: end.phase_trace,
         records: tally.records,
         reconciliations: fold.reconciliations,
         wounds: fold.wounds,
@@ -900,7 +909,7 @@ fn report<M: repl_sim::Message>(
         durability: fold.durability,
         payload: fold.payload,
         sharding,
-        trace_hash: world.trace().hash(),
+        trace_hash: end.trace_hash,
     }
 }
 
@@ -968,6 +977,12 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
 /// Histories merge across *all* groups before the 1SR oracle: a
 /// cross-shard transaction carries one global id, so the merged history
 /// splices its per-shard pieces back into one serialization point.
+///
+/// A finished run drops its world before it copies the client records:
+/// it takes each client's records, folds the servers, keeps the world's
+/// [`WorldEnd`], drops the world and only then tallies the records, so
+/// the servers' state and the report's copy of the records are never
+/// alive together. Records reach the report in client order.
 fn drive<T: Flow>(
     cfg: &RunConfig,
     build: impl Fn(u32, NodeId, Vec<NodeId>, Keyspace) -> Replica<T>,
@@ -1137,7 +1152,7 @@ fn drive<T: Flow>(
         per_shard_ops: vec![0; map.map_or(0, |m| m.shards() as usize)],
         ..Default::default()
     };
-    if matches!(cfg.arrival, Arrival::OpenAggregated { .. }) {
+    let per_client: Vec<Vec<OpRecord>> = if matches!(cfg.arrival, Arrival::OpenAggregated { .. }) {
         // Constant-memory collection: merge each group's streaming
         // histogram and counters; no per-operation records exist.
         let mut hist = LatencyHistogram::new();
@@ -1160,29 +1175,12 @@ fn drive<T: Flow>(
             tally.group_last_response = tally.group_last_response.max(a.last_response);
         }
         tally.latency_hist = Some(hist);
+        Vec::new()
     } else {
-        for (cno, &c) in clients.iter().enumerate() {
-            // The run is over: take the records so they exist once.
-            let recs = take(&mut world.actor_mut::<ClientActor<T::Msg>>(c).records);
-            for rec in recs {
-                // A sharded run classifies its answered records by how
-                // many shards they touch.
-                if let (Some(map), Some(lat)) = (map, rec.latency()) {
-                    let touched = map.shards_of(&rec.txn);
-                    if touched.len() > 1 {
-                        sharding.cross_shard_ops += 1;
-                        sharding.cross_latency.record(lat);
-                    } else {
-                        sharding.single_shard_ops += 1;
-                        sharding.single_latency.record(lat);
-                    }
-                    // Home-shard accounting (first key's owner).
-                    sharding.per_shard_ops[touched[0] as usize] += 1;
-                }
-                tally.add(cno as u32, rec);
-            }
-        }
-    }
+        // The run is over: take the records so they exist once.
+        let take_records = |&c| take(&mut world.actor_mut::<ClientActor<T::Msg>>(c).records);
+        clients.iter().map(take_records).collect()
+    };
     // Collect from every node that was ever a member (joiners included);
     // convergence is judged over the *final* membership only.
     let drained = cfg.membership.drained_nodes();
@@ -1190,7 +1188,38 @@ fn drive<T: Flow>(
         !drained.contains(&node)
     });
     sharding.foreign_resident = fold.foreign_resident;
-    report(cfg, &world, founders, completion, tally, fold, sharding)
+    let end = WorldEnd {
+        metrics: world.metrics(),
+        phase_trace: PhaseTrace::from_trace(world.trace()),
+        trace_hash: world.trace().hash(),
+        now: world.now(),
+    };
+    // The servers' state (client tables, ordering logs, stores) goes
+    // before the tally copies the records into one list, sized once.
+    drop((world, arena));
+    tally
+        .records
+        .reserve_exact(per_client.iter().map(Vec::len).sum());
+    for (cno, recs) in per_client.into_iter().enumerate() {
+        for rec in recs {
+            // A sharded run classifies its answered records by how
+            // many shards they touch.
+            if let (Some(map), Some(lat)) = (map, rec.latency()) {
+                let touched = map.shards_of(&rec.txn);
+                if touched.len() > 1 {
+                    sharding.cross_shard_ops += 1;
+                    sharding.cross_latency.record(lat);
+                } else {
+                    sharding.single_shard_ops += 1;
+                    sharding.single_latency.record(lat);
+                }
+                // Home-shard accounting (first key's owner).
+                sharding.per_shard_ops[touched[0] as usize] += 1;
+            }
+            tally.add(cno as u32, rec);
+        }
+    }
+    report(cfg, end, founders, completion, tally, fold, sharding)
 }
 
 #[cfg(test)]

@@ -36,6 +36,10 @@
 //! A fourth guard holds partial replication to its memory model: the
 //! peak heap of a sixteen-group run may grow with the keyspace only as
 //! fast as one shard of it per server.
+//!
+//! A fifth guard holds the `shard16_closed` Passive cell's whole peak
+//! heap: a client-table entry is 16 bytes, not a whole response, and a
+//! finished run drops its world before it copies the client records.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -492,5 +496,52 @@ fn sharded_peak_heap_grows_with_the_shard_not_the_keyspace() {
         growth <= FULL_REPLICA_GROWTH / 8,
         "peak heap grew by {growth} B for 12,288 more items, more than 1/8 of the \
          {FULL_REPLICA_GROWTH} B it grew by when every server held the whole keyspace"
+    );
+}
+
+/// The `shard16_closed` Passive cell — sixteen groups of three, 64
+/// zero-think clients, update-only two-write transactions, recording —
+/// at 150 of its 400 transactions per client. Its peak is the
+/// workload's.
+fn shard16_passive() -> RunConfig {
+    RunConfig::new(Technique::Passive)
+        .with_servers(3)
+        .with_clients(64)
+        .with_seed(163)
+        .with_trace(false)
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(4_096)
+                .with_read_ratio(0.0)
+                .with_ops_per_txn(2)
+                .with_txns_per_client(150)
+                .with_think_time(SimDuration::ZERO)
+                .with_shards(16),
+        )
+}
+
+/// Peak heap of [`shard16_passive`] in bytes when every client-table
+/// entry held a whole `Response` and the runner copied the client records
+/// while the world was still alive, and the budget since: 85 % of it
+/// (measured: 10,353,356).
+const SHARD16_PASSIVE_PARENT: u64 = 13_077_456;
+const SHARD16_PASSIVE_BUDGET: u64 = 11_115_837;
+const _: () = assert!(
+    SHARD16_PASSIVE_BUDGET * 100 <= SHARD16_PASSIVE_PARENT * 85,
+    "the sharded Passive budget is more than 85 % of the value before the change"
+);
+
+#[test]
+fn sharded_passive_peak_heap_keeps_16_bytes_per_reply() {
+    let _serial = serial();
+    let peak = cost(&shard16_passive()).1;
+    println!(
+        "16 groups, Passive, 9,600 transactions: peak heap {peak} B \
+         (before: {SHARD16_PASSIVE_PARENT})"
+    );
+    assert!(
+        peak <= SHARD16_PASSIVE_BUDGET,
+        "peak heap {peak} B, budget {SHARD16_PASSIVE_BUDGET} (85 % of the \
+         {SHARD16_PASSIVE_PARENT} B when a client-table entry held a whole response)"
     );
 }
