@@ -231,6 +231,20 @@ impl<P: Message> AbcastEndpoint<P> {
         }
     }
 
+    /// Keeps no replay log when the run cannot replay
+    /// ([`crate::protocols::replica::Shell::can_replay`]); a later read of
+    /// it panics. The genuine flavour keeps none either way.
+    pub fn keep_replay(&mut self, can_replay: bool) {
+        if can_replay {
+            return;
+        }
+        match self {
+            AbcastEndpoint::Seq(a, _) => a.forget_replay(),
+            AbcastEndpoint::Cons(a, _) => a.forget_replay(),
+            AbcastEndpoint::Gen(..) => {}
+        }
+    }
+
     /// Broadcasts a payload; returns its id.
     pub fn broadcast(&mut self, p: P) -> MsgId {
         match self {

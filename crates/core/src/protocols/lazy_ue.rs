@@ -495,6 +495,10 @@ impl Technique for LazyUe {
         }
     }
 
+    fn on_start(&mut self, sh: &mut Shell, _ctx: &mut Ctx<'_, LazyUeMsg>) {
+        self.ab.keep_replay(sh.can_replay());
+    }
+
     fn view_changed(&mut self, sh: &mut Shell) {
         self.ab.set_group(sh.servers().to_vec());
     }

@@ -406,6 +406,8 @@ pub struct Shell {
     reads: Vec<(Key, Value)>,
     /// The sharded topology, on cross-shard runs.
     shard: Option<ShardCtx>,
+    /// Whether a member of this run can ever ask for a refill.
+    can_replay: bool,
     /// The heartbeat detector, for a technique with
     /// [`Technique::HEARTBEATS`]; it watches the view's other members.
     fd: Option<HeartbeatFd>,
@@ -526,6 +528,14 @@ impl Shell {
     /// The sharded topology, on cross-shard runs.
     pub fn shard(&self) -> Option<&ShardCtx> {
         self.shard.as_ref()
+    }
+
+    /// Whether a member of this run can ever crash, lose its volume, join
+    /// or retire ([`crate::RunConfig::can_replay`]), and so ask to be
+    /// refilled from what the group delivered. Only then does the
+    /// ordering layer keep a replay log. True for a server built by hand.
+    pub fn can_replay(&self) -> bool {
+        self.can_replay
     }
 
     /// True if the heartbeat detector suspects `node` (never without
@@ -812,6 +822,7 @@ impl<T: Technique> Replica<T> {
                 answers: FxHashMap::default(),
                 reads: Vec::new(),
                 shard: None,
+                can_replay: true,
                 fd,
                 fd_out: Outbox::new(),
             },
@@ -826,17 +837,21 @@ impl<T: Technique> Replica<T> {
     }
 
     /// Applies the run-wide server setup: durable tier (a no-op when
-    /// `durability` is disabled), lean mode, the shared payload arena and
-    /// the heartbeat timing (used only with [`Technique::HEARTBEATS`]).
+    /// `durability` is disabled), lean mode, whether the run can replay
+    /// ([`Shell::can_replay`]; a technique that owns an ABCAST endpoint
+    /// reads it when the world starts), the shared payload arena and the
+    /// heartbeat timing (used only with [`Technique::HEARTBEATS`]).
     pub fn equip(
         &mut self,
         durability: &DurabilityConfig,
         lean: bool,
+        can_replay: bool,
         arena: SharedArena,
         fd: FdConfig,
     ) {
         self.shell.base.set_durability(durability);
         self.shell.base.set_lean(lean);
+        self.shell.can_replay = can_replay;
         self.shell.base.set_arena(arena);
         if let Some(detector) = &mut self.shell.fd {
             detector.set_config(fd);
@@ -1326,6 +1341,7 @@ pub(crate) mod tests {
         r.equip(
             &DurabilityConfig::disabled(),
             true,
+            true,
             repl_db::shared_arena(),
             FdConfig::default(),
         );
@@ -1344,7 +1360,13 @@ pub(crate) mod tests {
         let mut r = replica(0, &[0, 1]);
         if tiered {
             let tier = DurabilityConfig::with_upload_lag(1_000);
-            r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
+            r.equip(
+                &tier,
+                false,
+                true,
+                repl_db::shared_arena(),
+                FdConfig::default(),
+            );
         }
         r.shell.answers.insert(OpId(9), Answer::Floor);
         let node = world.add_actor(Box::new(r));
@@ -1467,7 +1489,13 @@ pub(crate) mod tests {
         let mut world: World<StubMsg> = World::new(SimConfig::new(3));
         let mut r = replica(0, &[0, 1]);
         let tier = DurabilityConfig::with_upload_lag(1_000);
-        r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
+        r.equip(
+            &tier,
+            false,
+            true,
+            repl_db::shared_arena(),
+            FdConfig::default(),
+        );
         let node = world.add_actor(Box::new(r));
         let mut script = vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))];
         script.extend((1..=200).map(|i| (i * 100 + 50, n(0), StubMsg::Proto(Ping))));
@@ -1642,6 +1670,7 @@ pub(crate) mod tests {
         r.equip(
             &DurabilityConfig::with_upload_lag(1_000),
             false,
+            true,
             repl_db::shared_arena(),
             FdConfig::default(),
         );
@@ -1843,7 +1872,13 @@ pub(crate) mod tests {
         let mut world: World<StubMsg> = World::new(SimConfig::new(4));
         let mut r = replica(0, &[0, 1]);
         let tier = DurabilityConfig::with_upload_lag(0);
-        r.equip(&tier, false, repl_db::shared_arena(), FdConfig::default());
+        r.equip(
+            &tier,
+            false,
+            true,
+            repl_db::shared_arena(),
+            FdConfig::default(),
+        );
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![
             (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),

@@ -276,6 +276,7 @@ impl Technique for SemiActive {
     }
 
     fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
+        self.ab.keep_replay(sh.can_replay());
         if sh.joining() {
             // A cold joiner's view endpoint boots in join mode.
             self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);

@@ -9,6 +9,10 @@
 //! relay dedup and the SC mark, and runs the stream's whole lifecycle
 //! (view changes, welcome, drain, rewind, rejoin). A technique is an
 //! [`Ordered`] flow: what it broadcasts and what a delivery means.
+//!
+//! A run that cannot replay ([`Shell::can_replay`]) keeps no replay log
+//! in its ABCAST endpoint and forgets a relayed operation once it is
+//! delivered or answered on the spot.
 
 use std::collections::HashSet;
 
@@ -69,7 +73,9 @@ pub struct Stream<F: Ordered> {
     /// The technique (public for post-run inspection).
     pub flow: F,
     ab: AbcastEndpoint<F::Payload>,
-    /// Operations this server relayed into the stream.
+    /// Operations this server relayed into the stream: in a run that can
+    /// replay, every one ever (a re-delivery after a rewind is still
+    /// `mine`); otherwise only those not yet delivered here.
     relayed: HashSet<OpId>,
 }
 
@@ -112,7 +118,12 @@ impl<F: Ordered> Stream<F> {
                 return;
             }
             sh.mark(ctx, Phase::ServerCoordination, id, d.gseq);
-            flow.deliver(sh, ctx, d.payload, relayed.contains(&id));
+            let mine = if sh.can_replay() {
+                relayed.contains(&id)
+            } else {
+                relayed.remove(&id)
+            };
+            flow.deliver(sh, ctx, d.payload, mine);
         });
         settle_rejoin(ab, &mut sh.base, ctx.now().ticks());
     }
@@ -122,10 +133,14 @@ impl<F: Ordered> Technique for Stream<F> {
     type Msg = AbMsg<F::Payload>;
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, op: ClientOp) {
-        if !self.relayed.insert(op.id) {
+        let id = op.id;
+        if !self.relayed.insert(id) {
             return; // already in the ordering pipeline
         }
         let Some(payload) = self.flow.submit(sh, ctx, op) else {
+            if !sh.can_replay() {
+                self.relayed.remove(&id); // answered on the spot
+            }
             return;
         };
         // Sharded: the ABCAST is the genuine multicast; cross-shard
@@ -159,10 +174,12 @@ impl<F: Ordered> Technique for Stream<F> {
     }
 
     /// Sharded: the stream is the genuine multicast to the touched groups.
+    /// A run that cannot replay keeps no replay log.
     fn on_start(&mut self, sh: &mut Shell, _ctx: &mut Ctx<'_, Self::Msg>) {
         if let Some(sc) = sh.shard() {
             self.ab = AbcastEndpoint::new_genuine(sh.me(), sc);
         }
+        self.ab.keep_replay(sh.can_replay());
     }
 
     fn view_changed(&mut self, sh: &mut Shell) {
@@ -235,7 +252,8 @@ mod tests {
     use repl_workload::{OpTemplate, TxnTemplate};
 
     /// A flow that broadcasts the operation itself, executes it on
-    /// delivery (the relayer answers) and logs every hook.
+    /// delivery (the relayer answers) and logs every hook. A read-only
+    /// operation is answered on the spot, as Certification does.
     #[derive(Default)]
     struct Probe {
         submitted: Vec<OpId>,
@@ -256,8 +274,13 @@ mod tests {
         fn new(_keyspace: Keyspace) -> Self {
             Probe::default()
         }
-        fn submit(&mut self, _: &mut Shell, _: &mut ProbeCtx, op: ClientOp) -> Option<ClientOp> {
+        fn submit(&mut self, sh: &mut Shell, ctx: &mut ProbeCtx, op: ClientOp) -> Option<ClientOp> {
             self.submitted.push(op.id);
+            if op.is_read_only() {
+                let resp = sh.base.answer_read_only(&op);
+                sh.reply(ctx, op.client, resp);
+                return None;
+            }
             Some(op)
         }
         fn op(op: &ClientOp) -> &ClientOp {
@@ -319,6 +342,15 @@ mod tests {
         (at, n(to), ProbeMsg::Invoke(op))
     }
 
+    /// Like [`invoke`], a read of key `op`.
+    fn read(at: u64, to: u32, op: u64, client: u32) -> (u64, NodeId, ProbeMsg) {
+        let (at, to, mut msg) = invoke(at, to, op, client);
+        if let ProbeMsg::Invoke(op) = &mut msg {
+            op.txn.ops = vec![OpTemplate::Read(Key(op.id.0))].into();
+        }
+        (at, to, msg)
+    }
+
     /// Servers 0..3 (0 sequences) plus the scripted client as node 3.
     fn world(seed: u64, script: Vec<(u64, NodeId, ProbeMsg)>) -> World<ProbeMsg> {
         let mut world = World::new(SimConfig::new(seed));
@@ -327,6 +359,18 @@ mod tests {
         }
         world.add_actor(client(script));
         world
+    }
+
+    /// The ids each server still holds as relayed, by site.
+    fn still_relayed(world: &World<ProbeMsg>) -> Vec<Vec<OpId>> {
+        (0..3)
+            .map(|site| {
+                let srv = world.actor_ref::<ProbeServer>(n(site));
+                let mut ids: Vec<OpId> = srv.tech.relayed.iter().copied().collect();
+                ids.sort();
+                ids
+            })
+            .collect()
     }
 
     fn flow(world: &World<ProbeMsg>, site: u32) -> &Probe {
@@ -433,6 +477,7 @@ mod tests {
             srv.equip(
                 &tier,
                 false,
+                true,
                 repl_db::shared_arena(),
                 repl_gcs::FdConfig::default(),
             );
@@ -450,5 +495,91 @@ mod tests {
         let wiped = world.actor_ref::<ProbeServer>(n(2));
         assert_eq!(wiped.shell.base.volume_wipes, 1);
         assert!(!wiped.shell.base.recovery.is_recovering());
+    }
+
+    #[test]
+    fn a_run_that_cannot_replay_forgets_what_it_relayed() {
+        // A write through server 1, a read answered on the spot at
+        // server 2, a write through server 0.
+        let script = || {
+            vec![
+                invoke(100, 1, 7, 3),
+                read(200, 2, 9, 3),
+                invoke(300, 0, 8, 3),
+            ]
+        };
+        let mut kept = None;
+        for can_replay in [true, false] {
+            let mut world = World::new(SimConfig::new(6));
+            for site in 0..3 {
+                let mut srv = server(site, &[0, 1, 2]);
+                let tier = DurabilityConfig::disabled();
+                srv.equip(
+                    &tier,
+                    false,
+                    can_replay,
+                    repl_db::shared_arena(),
+                    repl_gcs::FdConfig::default(),
+                );
+                world.add_actor(Box::new(srv));
+            }
+            world.add_actor(client(script()));
+            world.start();
+            world.run_until(SimTime::from_ticks(10_000));
+            for site in 0..3 {
+                let f = flow(&world, site);
+                assert_eq!(
+                    f.delivered,
+                    vec![(OpId(7), site == 1), (OpId(8), site == 0)],
+                    "site {site}, can replay: {can_replay}"
+                );
+            }
+            let replies = world.actor_ref::<ScriptedPeer<ProbeMsg>>(n(3)).got.len();
+            assert_eq!(replies, 3, "can replay: {can_replay}");
+            let ids = still_relayed(&world);
+            if can_replay {
+                // A rewind may re-deliver any of them: all are kept.
+                assert_eq!(ids, vec![vec![OpId(8)], vec![OpId(7)], vec![OpId(9)]]);
+                kept = Some(world.metrics().messages_sent);
+            } else {
+                assert_eq!(ids, vec![Vec::<OpId>::new(); 3], "relayed at quiescence");
+                assert_eq!(Some(world.metrics().messages_sent), kept);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rewound_delegate_still_answers_its_redelivered_ops() {
+        // Node 2 loses its volume at 5,000 ticks, restores the tier's
+        // frame, rewinds its stream and is refilled: the operations it
+        // relayed before the loss are delivered to it again, and it
+        // answers them again as their delegate. 229 messages; a server
+        // that forgot what it relayed on the first delivery sends 228.
+        use crate::runner::{run, RunConfig};
+        use repl_sim::SimDuration;
+        use repl_workload::{FaultPlan, WorkloadSpec};
+        let cfg = RunConfig::new(crate::Technique::EagerUpdateEverywhereAbcast)
+            .with_servers(3)
+            .with_clients(3)
+            .with_seed(163)
+            .with_retry_after(SimDuration::from_ticks(4_000))
+            .with_workload(
+                WorkloadSpec::default()
+                    .with_items(64)
+                    .with_read_ratio(0.0)
+                    .with_txns_per_client(15)
+                    .with_think_time(SimDuration::from_ticks(3_000)),
+            )
+            .with_durability(DurabilityConfig::with_upload_lag(2_000))
+            .with_faults(FaultPlan::new().disaster_at(
+                SimTime::from_ticks(5_000),
+                n(2),
+                SimDuration::from_ticks(15_000),
+            ));
+        assert!(cfg.can_replay());
+        let report = run(&cfg);
+        assert_eq!(report.ops_unanswered, 0);
+        assert_eq!(report.durability.restores, 1);
+        assert_eq!(report.messages.messages_sent, 229);
     }
 }

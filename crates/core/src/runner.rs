@@ -108,8 +108,9 @@ pub struct RunConfig {
     /// into. Disabled (the default) reproduces the untiered behaviour
     /// bit-for-bit; enabling it arms volume-loss survival.
     pub durability: DurabilityConfig,
-    /// Client retry timeout.
-    pub retry_after: SimDuration,
+    /// Client retry timeout: the wait before every re-submission. `None`
+    /// (the default) tunes it to `network` ([`RunConfig::retry_after`]).
+    pub retry_after: Option<SimDuration>,
     /// Hard deadline for the run.
     pub max_time: SimTime,
     /// Record a trace (needed for phase figures; disable in benches).
@@ -140,7 +141,7 @@ impl RunConfig {
             propagation_delay: SimDuration::ZERO,
             log_retention: None,
             durability: DurabilityConfig::disabled(),
-            retry_after: SimDuration::from_ticks(25_000),
+            retry_after: None,
             max_time: SimTime::from_ticks(30_000_000),
             trace: true,
             arrival: Arrival::Closed,
@@ -245,9 +246,19 @@ impl RunConfig {
     }
 
     /// Sets the client retry timeout: the wait before every re-submission.
+    /// It overrides the network-tuned default.
     pub fn with_retry_after(mut self, d: SimDuration) -> Self {
-        self.retry_after = d;
+        self.retry_after = Some(d);
         self
+    }
+
+    /// The client retry timeout the run uses: the one set, else one tuned
+    /// to the network — 25,000 ticks, or 100 worst-case one-way delays
+    /// where that is longer (a WAN), so a reply still on its way is not
+    /// re-requested.
+    pub fn retry_after(&self) -> SimDuration {
+        self.retry_after
+            .unwrap_or_else(|| tuned_retry(&self.network))
     }
 
     /// Enables or disables tracing.
@@ -274,6 +285,16 @@ impl RunConfig {
     /// open-loop engine, whose collection never reads either.
     pub fn lean_servers(&self) -> bool {
         matches!(self.arrival, Arrival::OpenAggregated { .. })
+    }
+
+    /// Whether a member of the run can ever ask to be refilled from what
+    /// the group delivered: true iff the fault plan or the membership
+    /// plan is non-empty. A crash, a volume loss, a join or a retiring
+    /// sequencer needs the ordering layer's replay log and arena spans
+    /// that outlive their last planned read; a run with neither plan
+    /// keeps no replay log and lets the arena retire spans.
+    pub fn can_replay(&self) -> bool {
+        !self.faults.events().is_empty() || !self.membership.is_empty()
     }
 }
 
@@ -317,6 +338,16 @@ fn tuned_vs(net: &NetworkConfig) -> VsConfig {
         flush_retry: SimDuration::from_ticks((10 * d).max(3_000)),
         join_retry: SimDuration::from_ticks((12 * d).max(5_000)),
     }
+}
+
+/// Client retry timeout scaled to the network (see
+/// [`RunConfig::retry_after`]); exactly 25,000 ticks on a LAN. The factor
+/// is large because Semi-Passive serves its pending operations in id
+/// order: on a WAN a higher-numbered client's operation can wait out
+/// dozens of one-way delays behind the others' (75 to 80 in the WAN
+/// probe of `tests/network_profiles.rs`).
+fn tuned_retry(net: &NetworkConfig) -> SimDuration {
+    SimDuration::from_ticks((100 * max_delay(net)).max(25_000))
 }
 
 /// Semi-passive deferral step scaled to the network.
@@ -463,13 +494,14 @@ pub fn run(cfg: &RunConfig) -> RunReport {
 }
 
 /// Builds the run's payload arena: one arena shared by every server of
-/// the world (worlds are single-threaded, so an `Rc` suffices). Fault and
-/// membership plans disarm span GC — rejoin and join transfers and
-/// re-deliveries to recovering servers may skip releases, so those runs
-/// trade a bounded leak for never retiring a span that could still be read.
+/// the world (worlds are single-threaded, so an `Rc` suffices). A run
+/// that can replay ([`RunConfig::can_replay`]) disarms span GC — rejoin
+/// and join transfers and re-deliveries to recovering servers may skip
+/// releases, so those runs trade a bounded leak for never retiring a span
+/// that could still be read.
 fn run_arena(cfg: &RunConfig) -> repl_db::SharedArena {
     let arena = repl_db::shared_arena();
-    if !cfg.faults.events().is_empty() || !cfg.membership.is_empty() {
+    if cfg.can_replay() {
         arena.borrow_mut().set_gc(false);
     }
     arena
@@ -1014,10 +1046,11 @@ fn drive<T: Flow>(
             let (lo, hi) = m.range(gid);
             cfg.workload.keyspace().scoped(lo, hi)
         });
-        // The run-wide setup: durable tier, lean mode, the shared arena,
-        // the heartbeat timing.
+        // The run-wide setup: durable tier, lean mode, whether the run
+        // can replay, the shared arena, the heartbeat timing.
         let mut srv = build(site, me, group, ks);
-        srv.equip(&cfg.durability, cfg.lean_servers(), arena.clone(), fd);
+        let (lean, can_replay) = (cfg.lean_servers(), cfg.can_replay());
+        srv.equip(&cfg.durability, lean, can_replay, arena.clone(), fd);
         if let Some(map) = cross_map {
             srv.enable_cross_shard(ShardCtx::new(map, n, gid));
         }
@@ -1117,7 +1150,7 @@ fn drive<T: Flow>(
                         preferred,
                         txns,
                         cfg.workload.think_time,
-                        cfg.retry_after,
+                        cfg.retry_after(),
                     )
                     .with_start_after(join_start_after(preferred));
                     match map {

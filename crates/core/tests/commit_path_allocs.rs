@@ -40,6 +40,11 @@
 //! A fifth guard holds the `shard16_closed` Passive cell's whole peak
 //! heap: a client-table entry is 16 bytes, not a whole response, and a
 //! finished run drops its world before it copies the client records.
+//!
+//! A sixth guard holds a run that no member can replay to flat retained
+//! heap: an aggregated open-loop cell keeps no replay log and forgets a
+//! relayed operation once it is delivered, so four times the operations
+//! leave only the sequencer's 4-byte gseq slots behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -544,4 +549,39 @@ fn sharded_passive_peak_heap_keeps_16_bytes_per_reply() {
         "peak heap {peak} B, budget {SHARD16_PASSIVE_BUDGET} (85 % of the \
          {SHARD16_PASSIVE_PARENT} B when a client-table entry held a whole response)"
     );
+}
+
+/// Peak-heap growth per extra transaction of [`open_cell`] from `TXNS`
+/// to 4 × `TXNS` transactions per client, in bytes, while the sequencer
+/// kept its order log and every server the ids it relayed for the whole
+/// run (measured then: Active 116.9, Certification 134.1, Eager UE
+/// (ABCAST) 116.8), and the budget since: what is left is one 4-byte
+/// gseq slot per ordered operation in the sequencer's index, which grows
+/// by doubling (measured since: 4.1, 1.9 and 4.1).
+const FLAT_GROWTH_PARENT: f64 = 116.8;
+const FLAT_GROWTH_BUDGET: f64 = 8.0;
+
+#[test]
+fn a_run_that_cannot_replay_retains_no_replay_log() {
+    let _serial = serial();
+    for technique in [
+        Technique::Active,
+        Technique::Certification,
+        Technique::EagerUpdateEverywhereAbcast,
+    ] {
+        let short = cost(&open_cell(technique, TXNS)).1;
+        let long = cost(&open_cell(technique, 4 * TXNS)).1;
+        let per_txn = long.saturating_sub(short) as f64 / f64::from(3 * CLIENTS * TXNS);
+        println!(
+            "{technique}, aggregated open loop: peak heap {short} B at {TXNS} transactions \
+             per client, {long} B at {} ({per_txn:.1} B per extra transaction; before: at \
+             least {FLAT_GROWTH_PARENT})",
+            4 * TXNS
+        );
+        assert!(
+            per_txn <= FLAT_GROWTH_BUDGET,
+            "{technique}: peak heap grew by {per_txn:.1} B per transaction, budget \
+             {FLAT_GROWTH_BUDGET}: a run no member can replay retained a replay log"
+        );
+    }
 }

@@ -179,17 +179,30 @@ const FLUSH_TAG: u64 = 1;
 const ORDER_FLUSH_TAG: u64 = 2;
 
 /// "No gseq yet" in a [`GseqIndex`] slot.
-const UNASSIGNED: u64 = u64::MAX;
+const UNASSIGNED: u32 = u32::MAX;
 
 /// Sequencer role: the gseq assigned to each id. Origins number their
 /// broadcasts densely from 0, so the map is one slot table per origin,
-/// indexed by the origin's local sequence number.
+/// indexed by the origin's local sequence number. A slot is 4 bytes: a
+/// gseq that does not fit panics ([`GseqIndex::narrow`]) rather than wrap.
 #[derive(Debug, Default)]
-struct GseqIndex(BTreeMap<NodeId, Vec<u64>>);
+struct GseqIndex(BTreeMap<NodeId, Vec<u32>>);
 
 impl GseqIndex {
+    /// `gseq` as a slot value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gseq` is [`UNASSIGNED`] or beyond.
+    fn narrow(gseq: u64) -> u32 {
+        match u32::try_from(gseq) {
+            Ok(g) if g != UNASSIGNED => g,
+            _ => panic!("gseq {gseq} overflows the sequencer's 4-byte gseq index"),
+        }
+    }
+
     /// The slot of `id`, [`UNASSIGNED`] until written.
-    fn slot(&mut self, id: MsgId) -> &mut u64 {
+    fn slot(&mut self, id: MsgId) -> &mut u32 {
         let slots = self.0.entry(id.origin).or_default();
         let at = id.seq as usize;
         if at >= slots.len() {
@@ -197,6 +210,19 @@ impl GseqIndex {
         }
         &mut slots[at]
     }
+}
+
+/// The panic message of a read of a replay log the endpoint does not keep.
+const NO_REPLAY_LOG: &str =
+    "replay log read, but this endpoint keeps no replay log: its run was built as one no member can replay";
+
+/// The one reader of a replay log (the sequencer's order log, the
+/// consensus endpoint's decided log). An endpoint keeps one unless
+/// [`SequencerAbcast::forget_replay`] / [`ConsensusAbcast::forget_replay`]
+/// said no member can ever ask for a refill; a read then panics rather
+/// than serve an empty refill.
+fn replay_log<T>(log: &mut Option<Vec<T>>) -> &mut Vec<T> {
+    log.as_mut().expect(NO_REPLAY_LOG)
 }
 
 /// Fixed-sequencer Atomic Broadcast.
@@ -241,8 +267,9 @@ pub struct SequencerAbcast<P> {
     ordered: GseqIndex,
     next_gseq: u64,
     // Sequencer role: retained ordered payloads indexed by gseq, for
-    // refilling rejoining members after a crash.
-    order_log: Vec<(MsgId, P)>,
+    // refilling rejoining members after a crash; `None` in a run no
+    // member can replay. Read only through `replay_log`.
+    order_log: Option<Vec<(MsgId, P)>>,
     // Sequencer role, batching: submissions accumulated in the window.
     order_staged: Vec<(u64, MsgId, P)>,
     order_flush_armed: bool,
@@ -278,7 +305,7 @@ impl<P: Message> SequencerAbcast<P> {
             flush_armed: false,
             ordered: GseqIndex::default(),
             next_gseq: 0,
-            order_log: Vec::new(),
+            order_log: Some(Vec::new()),
             order_staged: Vec::new(),
             order_flush_armed: false,
             recv: OrderedReceiver::new(),
@@ -336,18 +363,27 @@ impl<P: Message> SequencerAbcast<P> {
         self.recv.skip_to(gseq);
     }
 
+    /// Keeps no replay log from now on (and drops the one kept so far):
+    /// for a run in which no member can ever crash, lose its volume, join
+    /// or take over the sequencer role, nobody reads it. A later
+    /// [`rejoin`](Self::rejoin), `Rejoin` answer or
+    /// [`handoff`](Self::handoff) panics.
+    pub fn forget_replay(&mut self) {
+        self.order_log = None;
+    }
+
     /// Sequencer role handoff (planned decommission): ships the full
     /// retained order to `to`, the designated successor. Call after
     /// [`set_group`](Self::set_group) moved the local process out of
     /// `group[0]`; the successor adopts the longer log and continues
     /// gseq assignment where the retiree stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint keeps no replay log.
     pub fn handoff(&mut self, to: NodeId, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
-        out.send(
-            to,
-            SeqAbMsg::Handoff {
-                entries: Arc::new(self.order_log.clone()),
-            },
-        );
+        let entries = Arc::new(replay_log(&mut self.order_log).to_vec());
+        out.send(to, SeqAbMsg::Handoff { entries });
     }
 
     /// Number of own broadcasts not yet confirmed ordered.
@@ -404,15 +440,17 @@ impl<P: Message> SequencerAbcast<P> {
     }
 
     /// Assigns `id` its global sequence number (idempotent) and retains
-    /// the payload in the order log for later rejoin refills.
+    /// the payload in the order log, if one is kept, for later refills.
     fn assign_gseq(&mut self, id: MsgId, payload: &P) -> u64 {
         let slot = self.ordered.slot(id);
         if *slot == UNASSIGNED {
-            *slot = self.next_gseq;
+            *slot = GseqIndex::narrow(self.next_gseq);
             self.next_gseq += 1;
-            self.order_log.push((id, payload.clone()));
+            if let Some(log) = &mut self.order_log {
+                log.push((id, payload.clone()));
+            }
         }
-        *slot
+        u64::from(*slot)
     }
 
     fn order(&mut self, id: MsgId, payload: P, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
@@ -520,7 +558,14 @@ impl<P: Message> SequencerAbcast<P> {
     /// retransmitted alongside pending submissions until answered.
     /// Completion (with the refill byte count) is reported through
     /// [`SequencerAbcast::take_rejoin_done`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint keeps no replay log: a rejoin belongs to a
+    /// run that replays.
     pub fn rejoin(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
+        // Refuse before asking anyone: a refill needs the group's logs.
+        replay_log(&mut self.order_log);
         self.rejoin_bytes = 0;
         if self.member && self.me != self.sequencer() {
             self.rejoin_wait = true;
@@ -540,7 +585,7 @@ impl<P: Message> SequencerAbcast<P> {
             if self.member {
                 while self.recv.position() < self.next_gseq {
                     let g = self.recv.position();
-                    let (id, payload) = self.order_log[g as usize].clone();
+                    let (id, payload) = replay_log(&mut self.order_log)[g as usize].clone();
                     self.accept(g, id, payload, out);
                 }
             }
@@ -649,9 +694,10 @@ impl<P: Message> Component for SequencerAbcast<P> {
             SeqAbMsg::Rejoin { have } => {
                 if self.me == self.sequencer() {
                     let start = have.min(self.next_gseq);
+                    let log = replay_log(&mut self.order_log);
                     let entries: Vec<(u64, MsgId, P)> = (start..self.next_gseq)
                         .map(|g| {
-                            let (id, p) = self.order_log[g as usize].clone();
+                            let (id, p) = log[g as usize].clone();
                             (g, id, p)
                         })
                         .collect();
@@ -686,9 +732,9 @@ impl<P: Message> Component for SequencerAbcast<P> {
                 if entries.len() as u64 > self.next_gseq {
                     self.ordered = GseqIndex::default();
                     for (g, (id, _)) in entries.iter().enumerate() {
-                        *self.ordered.slot(*id) = g as u64;
+                        *self.ordered.slot(*id) = GseqIndex::narrow(g as u64);
                     }
-                    self.order_log = (*entries).clone();
+                    *replay_log(&mut self.order_log) = entries.to_vec();
                     self.next_gseq = entries.len() as u64;
                 }
                 // Catch the receiver stream up from the adopted order:
@@ -885,10 +931,11 @@ pub struct ConsensusAbcast<P> {
     next_gseq: u64,
     // Delivered decided batches retained in instance order (index ==
     // instance - log_base), for refilling rejoining members after a
-    // crash. log_base/base_gseq are 0 except at elastically joined
-    // members bootstrapped mid-stream via `skip_to`, whose log starts
-    // at their snapshot position.
-    decided_log: Vec<Batch<P>>,
+    // crash; `None` in a run no member can replay. Read only through
+    // `replay_log`. log_base/base_gseq are 0 except at elastically
+    // joined members bootstrapped mid-stream via `skip_to`, whose log
+    // starts at their snapshot position.
+    decided_log: Option<Vec<Batch<P>>>,
     log_base: u64,
     base_gseq: u64,
     // Recovery: a rejoin handshake in flight, the highest watermark a
@@ -919,7 +966,7 @@ impl<P: Message> ConsensusAbcast<P> {
             next_inst: 0,
             proposed_for: None,
             next_gseq: 0,
-            decided_log: Vec::new(),
+            decided_log: Some(Vec::new()),
             log_base: 0,
             base_gseq: 0,
             rejoin_wait: false,
@@ -938,6 +985,14 @@ impl<P: Message> ConsensusAbcast<P> {
     /// Sets the batching window in place.
     pub fn set_batching(&mut self, batch: BatchConfig) {
         self.batch = batch;
+    }
+
+    /// Keeps no replay log from now on (and drops the one kept so far):
+    /// for a run in which no member can ever crash, lose its volume or
+    /// join, nobody reads it. A later [`rejoin`](Self::rejoin),
+    /// [`rewind_to`](Self::rewind_to) or `Rejoin` answer panics.
+    pub fn forget_replay(&mut self) {
+        self.decided_log = None;
     }
 
     /// Number of own or gossiped messages not yet delivered.
@@ -979,7 +1034,9 @@ impl<P: Message> ConsensusAbcast<P> {
             return;
         }
         self.decided = self.decided.split_off(&inst);
-        self.decided_log.clear();
+        if let Some(log) = &mut self.decided_log {
+            log.clear();
+        }
         self.next_inst = inst;
         self.log_base = inst;
         self.next_gseq = self.next_gseq.max(gseq);
@@ -1086,7 +1143,14 @@ impl<P: Message> ConsensusAbcast<P> {
     /// `next_inst`, re-arms the batching window, and resumes stalled
     /// consensus rounds. Completion (with the refill byte count) is
     /// reported through [`ConsensusAbcast::take_rejoin_done`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint keeps no replay log: a rejoin belongs to a
+    /// run that replays.
     pub fn rejoin(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
+        // Refuse before asking anyone: a refill needs the group's logs.
+        replay_log(&mut self.decided_log);
         self.rejoin_bytes = 0;
         self.rejoin_high = self.next_inst;
         if self.group.len() > 1 {
@@ -1143,19 +1207,24 @@ impl<P: Message> ConsensusAbcast<P> {
     /// [`rejoin`](Self::rejoin). The retained decided suffix moves back
     /// into the undelivered set, so the rejoin replays it locally —
     /// peers' refills only fill genuine gaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint keeps no replay log.
     pub fn rewind_to(&mut self, inst: u64) {
+        let log = replay_log(&mut self.decided_log);
         let inst = inst.max(self.log_base);
         if inst >= self.next_inst {
             return;
         }
-        let tail = self.decided_log.split_off((inst - self.log_base) as usize);
+        let tail = log.split_off((inst - self.log_base) as usize);
         // An id can appear in several decided batches (proposals carry
         // whole pending sets), so the delivered-id set and the gseq
         // counter must be recomputed from the retained prefix — not
         // subtracted from the tail, which would double-count repeats.
         let mut delivered = RunSet::new();
         let mut next_gseq = self.base_gseq;
-        for batch in &self.decided_log {
+        for batch in log.iter() {
             for (id, _) in batch.entries() {
                 if delivered.insert(id.origin, id.seq) {
                     next_gseq += 1;
@@ -1206,7 +1275,9 @@ impl<P: Message> ConsensusAbcast<P> {
     fn deliver_decided(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
         let mut progressed = false;
         while let Some(batch) = self.decided.remove(&self.next_inst) {
-            self.decided_log.push(batch.clone());
+            if let Some(log) = &mut self.decided_log {
+                log.push(batch.clone());
+            }
             for (id, payload) in batch.into_entries() {
                 self.pending.remove(&id);
                 if self.delivered.insert(id.origin, id.seq) {
@@ -1257,13 +1328,14 @@ impl<P: Message> Component for ConsensusAbcast<P> {
                 self.drive_pool(out, |pool, sub| pool.on_message(from, c, sub));
             }
             CAbMsg::Rejoin { next_inst } => {
+                let log = replay_log(&mut self.decided_log);
                 let lo = next_inst.max(self.log_base);
-                let idx = ((lo - self.log_base) as usize).min(self.decided_log.len());
+                let idx = ((lo - self.log_base) as usize).min(log.len());
                 out.send(
                     from,
                     CAbMsg::RejoinData {
                         start: self.log_base + idx as u64,
-                        batches: self.decided_log[idx..].to_vec(),
+                        batches: log[idx..].to_vec(),
                         high: self.next_inst,
                     },
                 );
@@ -1998,7 +2070,7 @@ mod tests {
             vec![(0, id(1, 1)), (1, id(2, 0)), (2, id(1, 0)), (0, id(1, 1))]
         );
         assert_eq!(
-            seq.order_log.len(),
+            replay_log(&mut seq.order_log).len(),
             3,
             "the retransmission was logged twice"
         );
@@ -2023,6 +2095,186 @@ mod tests {
             ordered_for(&mut out, group[2]),
             vec![(1, id(2, 0)), (3, id(2, 1)), (2, id(1, 0))]
         );
+    }
+
+    #[test]
+    fn a_gseq_beyond_the_index_panics_rather_than_wrap() {
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let mut seq = SequencerAbcast::<u32>::new(group[0], group.clone());
+        let mut out = Outbox::new();
+        let submit = |seq: &mut SequencerAbcast<u32>, k: u64, out: &mut Outbox<_, _>| {
+            let id = MsgId::new(group[1], k);
+            seq.on_message(group[1], SeqAbMsg::Submit { id, payload: 0 }, out);
+        };
+        // The last gseq a 4-byte slot holds is assigned and read back.
+        seq.next_gseq = u64::from(UNASSIGNED) - 1;
+        submit(&mut seq, 0, &mut out);
+        submit(&mut seq, 0, &mut out);
+        let copies = ordered_for(&mut out, group[1]);
+        assert_eq!(
+            copies.iter().map(|c| c.0).collect::<Vec<_>>(),
+            [4_294_967_294; 2]
+        );
+        // The next one does not fit.
+        let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            submit(&mut seq, 1, &mut out);
+        }));
+        let msg = overflow.expect_err("a gseq past the index wrapped");
+        assert_eq!(
+            msg.downcast_ref::<String>().map(String::as_str),
+            Some("gseq 4294967295 overflows the sequencer's 4-byte gseq index")
+        );
+    }
+
+    /// Group `0..3`, the sequencer's endpoint (node 0) or a member's,
+    /// which keeps no replay log and has delivered one message.
+    fn forgetful(me: u32) -> (SequencerAbcast<u32>, Outbox<SeqAbMsg<u32>, AbDeliver<u32>>) {
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let mut ab = SequencerAbcast::<u32>::new(group[me as usize], group.clone());
+        ab.forget_replay();
+        let mut out = Outbox::new();
+        let (gseq, id, payload) = (0, MsgId::new(group[1], 0), 5);
+        let msg = if me == 0 {
+            SeqAbMsg::Submit { id, payload }
+        } else {
+            SeqAbMsg::Ordered { gseq, id, payload }
+        };
+        ab.on_message(group[1], msg, &mut out);
+        assert_eq!(ab.position(), 1, "the message was delivered");
+        (ab, out)
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_sequencer_without_a_replay_log_refuses_a_rejoin_request() {
+        let (mut seq, mut out) = forgetful(0);
+        seq.on_message(NodeId::new(2), SeqAbMsg::Rejoin { have: 0 }, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_sequencer_without_a_replay_log_refuses_its_own_rejoin() {
+        let (mut seq, mut out) = forgetful(0);
+        seq.rewind_to(0);
+        seq.rejoin(&mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_member_without_a_replay_log_refuses_to_rejoin() {
+        let (mut member, mut out) = forgetful(2);
+        member.rejoin(&mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_sequencer_without_a_replay_log_refuses_a_handoff() {
+        let (mut seq, mut out) = forgetful(0);
+        seq.set_group((1..3).map(NodeId::new).collect());
+        seq.handoff(NodeId::new(1), &mut out);
+    }
+
+    /// A consensus endpoint of group `0..3` that keeps no replay log.
+    fn forgetful_consensus() -> ConsensusAbcast<u32> {
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let mut ab = ConsensusAbcast::<u32>::new(group[0], group, ConsensusConfig::default());
+        ab.forget_replay();
+        ab
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_consensus_endpoint_without_a_replay_log_refuses_a_rejoin_request() {
+        let mut out = Outbox::new();
+        forgetful_consensus().on_message(NodeId::new(2), CAbMsg::Rejoin { next_inst: 0 }, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_consensus_endpoint_without_a_replay_log_refuses_its_own_rejoin() {
+        forgetful_consensus().rejoin(&mut Outbox::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no replay log")]
+    fn a_consensus_endpoint_without_a_replay_log_refuses_a_rewind() {
+        forgetful_consensus().rewind_to(0);
+    }
+
+    #[test]
+    fn an_endpoint_without_a_replay_log_orders_as_one_with_it() {
+        // The total-order scenario of both flavours, once with every
+        // endpoint keeping its log and once with none: the same
+        // deliveries and the same message count, and nothing retained.
+        fn seq(forget: bool) -> (Vec<Vec<(u64, u32)>>, u64) {
+            let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(5));
+            let group: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+            for i in 0..4u32 {
+                let mut ab = SequencerAbcast::<u32>::new(NodeId::new(i), group.clone());
+                if forget {
+                    ab.forget_replay();
+                }
+                let mut actor = ComponentActor::new(ab);
+                for k in 0..3u32 {
+                    actor = actor.with_step(
+                        SimDuration::from_ticks(10 + u64::from(k) * 7 + u64::from(i)),
+                        move |ab, out| {
+                            ab.broadcast(i * 10 + k, out);
+                        },
+                    );
+                }
+                world.add_actor(Box::new(actor));
+            }
+            world.start();
+            world.run_until(SimTime::from_ticks(100_000));
+            for &n in &group {
+                let kept = world.actor_ref::<SeqHost>(n).inner.order_log.as_ref();
+                assert_eq!(
+                    kept.map(Vec::len),
+                    (!forget).then_some(if n == group[0] { 12 } else { 0 })
+                );
+            }
+            let delivered = group.iter().map(|&n| deliveries_seq(&world, n)).collect();
+            (delivered, world.metrics().messages_sent)
+        }
+        fn cons(forget: bool) -> (Vec<Vec<(u64, u32)>>, u64) {
+            let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(3));
+            let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+            for i in 0..3u32 {
+                let mut ab = ConsensusAbcast::<u32>::new(
+                    NodeId::new(i),
+                    group.clone(),
+                    ConsensusConfig::default(),
+                );
+                if forget {
+                    ab.forget_replay();
+                }
+                let mut actor = ComponentActor::new(ab);
+                for k in 0..2u32 {
+                    actor = actor.with_step(
+                        SimDuration::from_ticks(10 + u64::from(k) * 500),
+                        move |ab, out| {
+                            ab.broadcast(i * 10 + k, out);
+                        },
+                    );
+                }
+                world.add_actor(Box::new(actor));
+            }
+            world.start();
+            world.run_until(SimTime::from_ticks(300_000));
+            for &n in &group {
+                let kept = world.actor_ref::<ConsHost>(n).inner.decided_log.as_ref();
+                assert_eq!(kept.is_some(), !forget);
+            }
+            let delivered = group.iter().map(|&n| deliveries_cons(&world, n)).collect();
+            (delivered, world.metrics().messages_sent)
+        }
+        let (kept, forgot) = (seq(false), seq(true));
+        assert_eq!(kept.0[0].len(), 12);
+        assert_eq!(kept, forgot);
+        let (kept, forgot) = (cons(false), cons(true));
+        assert_eq!(kept.0[0].len(), 6);
+        assert_eq!(kept, forgot);
     }
 
     #[test]

@@ -55,6 +55,36 @@ fn wan_amplifies_the_eager_lazy_gap() {
 }
 
 #[test]
+fn the_default_retry_timer_waits_out_a_wan() {
+    // No fault, no loss: every operation is answered, only later on a
+    // WAN. The default retry timeout is tuned to the network, so no
+    // client re-submits an operation whose reply is on its way.
+    for technique in Technique::ALL {
+        let cfg = RunConfig::new(technique)
+            .with_servers(3)
+            .with_clients(3)
+            .with_seed(1)
+            .with_network(NetworkConfig::wan())
+            .with_trace(false)
+            .with_workload(updates(10));
+        let report = run(&cfg);
+        assert_eq!(report.ops_unanswered, 0, "{technique}");
+        assert_eq!(
+            report.client_retries, 0,
+            "{technique} re-submitted on a WAN"
+        );
+    }
+    // A LAN keeps the 25,000 ticks every recorded figure was taken with.
+    let lan = RunConfig::new(Technique::Active);
+    assert_eq!(lan.retry_after(), SimDuration::from_ticks(25_000));
+    let set = lan.with_retry_after(SimDuration::from_ticks(7));
+    assert_eq!(
+        set.with_network(NetworkConfig::wan()).retry_after().ticks(),
+        7
+    );
+}
+
+#[test]
 fn a_wan_costs_time_not_messages() {
     // Every timeout that paces background traffic — heartbeats, sequencer
     // retransmissions — is tuned to the run's network, so a WAN stretches
