@@ -22,12 +22,13 @@
 //! first key) instead of the whole server list.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use repl_db::Value;
 use repl_sim::{
     impl_as_any, Actor, GroupSet, LatencyHistogram, Message, NodeId, SimDuration, SimTime, TimerId,
 };
-use repl_workload::{ArrivalStream, OpTemplate, ShardMap, TxnTemplate, WorkloadGen};
+use repl_workload::{ArrivalStream, OpTemplate, ShardMap, TxnList, TxnTemplate, WorkloadGen};
 
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
@@ -71,7 +72,7 @@ const SUBMIT_TAG: u64 = 3;
 /// old index onto the new list. Returns the new contact, or `None` (and
 /// changes nothing) when the reroute carries no servers.
 fn resolve_reroute(
-    servers: &mut Vec<NodeId>,
+    servers: &mut Arc<[NodeId]>,
     contact: &mut usize,
     new_servers: &[NodeId],
 ) -> Option<NodeId> {
@@ -79,7 +80,7 @@ fn resolve_reroute(
         return None;
     }
     let old = servers.get(*contact).copied();
-    *servers = new_servers.to_vec();
+    *servers = new_servers.into();
     *contact = old
         .and_then(|n| servers.iter().position(|&s| s == n))
         .unwrap_or(*contact % servers.len());
@@ -155,12 +156,14 @@ impl Routing {
 /// (its "local" server, the primary, …) via `preferred`.
 pub struct ClientActor<P> {
     client_no: u32,
-    servers: Vec<NodeId>,
+    /// Every node, or the groups when routed: one list the run's clients
+    /// share until a reroute gives one its own.
+    servers: Arc<[NodeId]>,
     /// Index into the contact list of the server operations go to:
     /// `preferred` at first, advanced by each retry and kept across
     /// operations, so the contact that answered is asked first next time.
     contact: usize,
-    txns: Vec<TxnTemplate>,
+    txns: TxnList,
     think: SimDuration,
     retry_after: SimDuration,
     /// The open loop's mean inter-arrival time; `None` in the closed loop.
@@ -191,12 +194,13 @@ impl<P: Message> ClientActor<P> {
     /// Panics if `servers` is empty.
     pub fn new(
         client_no: u32,
-        servers: Vec<NodeId>,
+        servers: impl Into<Arc<[NodeId]>>,
         preferred: usize,
-        txns: Vec<TxnTemplate>,
+        txns: impl Into<TxnList>,
         think: SimDuration,
         retry_after: SimDuration,
     ) -> Self {
+        let (servers, txns) = (servers.into(), txns.into());
         assert!(!servers.is_empty(), "client needs at least one server");
         let contact = preferred % servers.len();
         ClientActor {
@@ -228,9 +232,9 @@ impl<P: Message> ClientActor<P> {
     /// Panics if `servers` is empty or `mean` is zero.
     pub fn open(
         client_no: u32,
-        servers: Vec<NodeId>,
+        servers: impl Into<Arc<[NodeId]>>,
         preferred: usize,
-        txns: Vec<TxnTemplate>,
+        txns: impl Into<TxnList>,
         mean: SimDuration,
     ) -> Self {
         assert!(!mean.is_zero(), "inter-arrival must be positive");
@@ -432,7 +436,7 @@ const AGGREGATE_BLOCK: u64 = 64;
 /// expose saturation rather than masking it.
 pub struct AggregateClients<P> {
     group: ClientGroup,
-    servers: Vec<NodeId>,
+    servers: Arc<[NodeId]>,
     preferred: usize,
     gen: WorkloadGen,
     /// The rest of the block of transactions drawn last.
@@ -471,12 +475,13 @@ impl<P: Message> AggregateClients<P> {
     /// Panics if `servers` is empty or the group is empty.
     pub fn new(
         group: ClientGroup,
-        servers: Vec<NodeId>,
+        servers: impl Into<Arc<[NodeId]>>,
         preferred: usize,
         gen: WorkloadGen,
         arrivals: ArrivalStream,
         txns_per_client: u32,
     ) -> Self {
+        let servers = servers.into();
         assert!(
             !servers.is_empty(),
             "client group needs at least one server"
@@ -983,8 +988,14 @@ mod tests {
         let servers = (0..shards).map(|g| world.add_actor(Box::new(echo(g))));
         let txns = txns.into_iter().map(|ops| TxnTemplate { ops: ops.into() });
         let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(50_000));
-        let client =
-            ClientActor::<()>::new(3, servers.collect(), 0, txns.collect(), think, retry_after);
+        let client = ClientActor::<()>::new(
+            3,
+            servers.collect::<Vec<_>>(),
+            0,
+            txns.collect::<Vec<_>>(),
+            think,
+            retry_after,
+        );
         let c = world.add_actor(Box::new(client.with_routing(map, mode, false)));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));

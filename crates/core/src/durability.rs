@@ -16,7 +16,7 @@
 //! leaves a run bit-for-bit unchanged (the digest-identity tests pin
 //! this).
 
-use repl_db::{DurableRestore, TxnId, WriteSet, WsView};
+use repl_db::{DurableRestore, TxnColumn, TxnId, WriteRecord, WsView};
 
 /// Configuration of one run's durable log tier.
 ///
@@ -84,7 +84,7 @@ pub struct RestorePlan {
     pub high: u64,
     /// The restored durable suffix, for protocols that keep a local
     /// redo log and want it refilled to match the restored store.
-    pub entries: Vec<WriteSet>,
+    pub entries: TxnColumn,
     /// Ticks the download plus the local fsync replay takes; the node
     /// stays deaf until they elapse.
     pub delay: u64,
@@ -97,9 +97,9 @@ pub struct DurabilityTier {
     /// [`DurabilityConfig::upload_lag`].
     upload_lag: u64,
     log: repl_db::DurableLog,
-    /// Writesets committed since the last seal (the exposed,
-    /// not-yet-shipped tail).
-    pending: Vec<WriteSet>,
+    /// Records committed since the last seal (the exposed,
+    /// not-yet-shipped tail), one column reused from seal to seal.
+    pending: TxnColumn,
     /// Volume losses survived.
     pub wipes: u64,
     /// Acknowledged commits a disaster erased before they were durable
@@ -123,7 +123,7 @@ impl DurabilityTier {
         DurabilityTier {
             upload_lag: cfg.upload_lag,
             log: repl_db::DurableLog::new(keyspace),
-            pending: Vec::new(),
+            pending: TxnColumn::new(),
             wipes: 0,
             lost: Vec::new(),
             restore_bytes: 0,
@@ -134,22 +134,20 @@ impl DurabilityTier {
         }
     }
 
-    /// Queues a committed writeset for the next seal. No-op while a
-    /// restore is being installed (those entries are already durable).
-    /// The tier retains sealed frames by value, so it takes the
-    /// writeset: a caller that keeps one too passes a clone.
-    pub fn note_commit(&mut self, ws: WriteSet) {
-        if !self.restoring {
-            self.pending.push(ws);
-        }
+    /// Queues a committed writeset for the next seal, from a view of
+    /// its records wherever they sit: they are copied into the pending
+    /// column, which a warm tier grows no more. No-op while a restore is
+    /// being installed (those entries are already durable).
+    pub fn note_commit<'a>(&mut self, ws: impl Into<WsView<'a>>) {
+        let ws = ws.into();
+        self.note_records(ws.txn, ws.iter());
     }
 
-    /// [`DurabilityTier::note_commit`] over a borrow view — the payload
-    /// plane's entry point. This materializes (the only such allocation
-    /// on the arena path; tiers are absent in lean open-loop runs).
-    pub fn note_commit_view(&mut self, view: WsView<'_>) {
+    /// [`DurabilityTier::note_commit`] for records produced on the fly
+    /// (an install that reads back the versions it assigned).
+    pub fn note_records(&mut self, txn: TxnId, records: impl IntoIterator<Item = WriteRecord>) {
         if !self.restoring {
-            self.pending.push(view.to_writeset());
+            self.pending.push(txn, records);
         }
     }
 
@@ -161,19 +159,21 @@ impl DurabilityTier {
         if self.pending.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.pending);
-        self.log.seal(now, now + self.upload_lag, token, entries);
+        let durable_at = now + self.upload_lag;
+        self.log.seal(now, durable_at, token, self.pending.views());
+        self.pending.clear();
     }
 
     /// A disaster at `now`: drops in-flight frames and the unsealed
     /// tail, records every erased acknowledged commit in
     /// [`DurabilityTier::lost`], and arms the restore. Returns the
-    /// erased writesets so the caller can forget their recorded replies
-    /// (their ops must re-execute when the group replays them).
-    pub fn wipe(&mut self, now: u64) -> Vec<WriteSet> {
+    /// erased transactions so the caller can forget their recorded
+    /// replies (their ops must re-execute when the group replays them).
+    pub fn wipe(&mut self, now: u64) -> Vec<TxnId> {
         let mut erased = self.log.wipe(now);
-        erased.append(&mut self.pending);
-        self.lost.extend(erased.iter().map(|w| w.txn));
+        erased.extend(self.pending.txns());
+        self.pending.clear();
+        self.lost.extend_from_slice(&erased);
         self.wipes += 1;
         self.needs_restore = true;
         erased
@@ -204,10 +204,7 @@ impl DurabilityTier {
             token: restore.token,
             start: restore.suffix.as_ref().map_or(restore.high, |t| t.start),
             high: restore.high,
-            entries: restore
-                .suffix
-                .as_ref()
-                .map_or_else(Vec::new, |t| t.entries.clone()),
+            entries: self.log.suffix().clone(),
             delay,
         };
         Some((restore, plan))
@@ -232,7 +229,7 @@ impl DurabilityTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repl_db::{Key, Keyspace, Value, WriteRecord};
+    use repl_db::{Key, Keyspace, Value, WriteSet};
 
     fn ws(ts: u64, key: u64, v: i64) -> WriteSet {
         WriteSet {
@@ -252,7 +249,7 @@ mod tests {
     #[test]
     fn synchronous_tier_has_no_exposure() {
         let mut t = tier(0);
-        t.note_commit(ws(1, 0, 5));
+        t.note_commit(&ws(1, 0, 5));
         assert_eq!(t.pending.len(), 1, "unsealed tail is exposed");
         t.seal(10, 1);
         assert_eq!(
@@ -267,11 +264,11 @@ mod tests {
     #[test]
     fn lagged_tier_loses_the_inflight_suffix() {
         let mut t = tier(500);
-        t.note_commit(ws(1, 0, 5));
+        t.note_commit(&ws(1, 0, 5));
         t.seal(10, 1); // durable at 510
-        t.note_commit(ws(2, 1, 6));
+        t.note_commit(&ws(2, 1, 6));
         t.seal(20, 2); // durable at 520
-        t.note_commit(ws(3, 2, 7)); // never sealed
+        t.note_commit(&ws(3, 2, 7)); // never sealed
         let erased = t.wipe(512);
         assert_eq!(erased.len(), 2, "one in-flight frame + the unsealed tail");
         assert_eq!(t.lost, vec![TxnId::new(2, 0), TxnId::new(3, 0)]);
@@ -282,7 +279,7 @@ mod tests {
         assert!(plan.delay >= 120, "fsync replay is charged");
         assert_eq!(t.restores, 1);
         assert!(t.restoring());
-        t.note_commit(ws(9, 0, 9));
+        t.note_commit(&ws(9, 0, 9));
         assert!(t.pending.is_empty(), "restore installs are not re-queued");
         t.finish_restore();
         assert!(t.plan_restore(700).is_none(), "restore is one-shot");

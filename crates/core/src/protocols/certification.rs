@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WriteSetRef};
+use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSetRef};
 use repl_sim::{Message, NodeId};
 
 use crate::op::{ClientOp, Response};
@@ -134,26 +134,22 @@ impl Ordered for Cert {
             // counters because every site applies the same stream. The
             // durable tier gets the store-assigned versions (not the
             // shadow's), so a restore reproduces them exactly — it is
-            // the only consumer of the materialized records, so the
-            // collection is skipped entirely on untiered runs.
-            let mut noted = base.tier.is_some().then(|| WriteSet {
-                txn,
-                writes: Vec::with_capacity(view.len()),
-            });
+            // the only consumer of those versions, and it reads them back
+            // from the store (a writeset's keys are distinct).
             for w in view.iter() {
-                let v = base.store.write(w.key, w.value, txn);
-                if let Some(applied) = &mut noted {
-                    applied.writes.push(WriteRecord {
-                        key: w.key,
-                        value: w.value,
-                        version: v.version,
-                    });
-                }
+                base.store.write(w.key, w.value, txn);
                 base.history
                     .record(base.site, txn, w.key, repl_db::AccessKind::Write);
             }
-            if let (Some(t), Some(applied)) = (&mut base.tier, noted) {
-                t.note_commit(applied);
+            if let Some(t) = &mut base.tier {
+                let store = &base.store;
+                t.note_records(
+                    txn,
+                    view.iter().map(|w| WriteRecord {
+                        version: store.read(w.key).map_or(0, |v| v.version),
+                        ..w
+                    }),
+                );
             }
             true
         });

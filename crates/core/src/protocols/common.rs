@@ -4,7 +4,7 @@
 
 use repl_db::{
     AccessKind, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
-    SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
+    SharedArena, Store, Transfer, TransferStrategy, TxnColumn, TxnId, TxnManager, Value, Versioned,
     WriteRecord, WriteSet, WriteSetRef, WsView,
 };
 use repl_gcs::{
@@ -480,7 +480,9 @@ pub struct ServerBase {
     /// Crash-recovery accounting (rejoin time, transfer bytes).
     pub recovery: RecoveryTracker,
     /// Durable log tier (None reproduces pre-tier behaviour exactly).
-    pub tier: Option<DurabilityTier>,
+    /// Boxed: most runs have none, and an untiered server should not
+    /// carry its columns' headers.
+    pub tier: Option<Box<DurabilityTier>>,
     /// Volume-loss disasters survived by this server.
     pub volume_wipes: u64,
     /// The run's shared payload arena, attached when the server is
@@ -542,7 +544,7 @@ impl ServerBase {
     /// Attaches a durable log tier (no-op when `cfg` is disabled).
     pub fn set_durability(&mut self, cfg: &DurabilityConfig) {
         if cfg.enabled {
-            self.tier = Some(DurabilityTier::new(cfg, self.keyspace()));
+            self.tier = Some(Box::new(DurabilityTier::new(cfg, self.keyspace())));
         }
     }
 
@@ -618,7 +620,7 @@ impl ServerBase {
     /// replays them — or `None` without a tier: everything replays.
     pub fn wipe_volume(&mut self, now: u64) -> Option<impl Iterator<Item = OpId>> {
         let erased = self.tier.as_mut().map(|t| t.wipe(now).into_iter());
-        let lost = erased.map(|e| e.map(|ws| op_of_txn(ws.txn)));
+        let lost = erased.map(|e| e.map(op_of_txn));
         self.bare_wipe = lost.is_none();
         self.volume_wipes += 1;
         let ks = self.keyspace();
@@ -646,11 +648,11 @@ impl ServerBase {
             if let Some(s) = &restore.suffix {
                 self.install_transfer(s);
             }
-            for (txn, keys) in &restore.folded_history {
-                for k in keys {
-                    self.history.record(self.site, *txn, *k, AccessKind::Write);
+            for (txn, keys) in restore.folded_history.entries() {
+                for &k in keys {
+                    self.history.record(self.site, txn, k, AccessKind::Write);
                 }
-                self.history.mark_committed(*txn);
+                self.history.mark_committed(txn);
             }
             Some(plan)
         } else if self.bare_wipe {
@@ -659,7 +661,7 @@ impl ServerBase {
                 token: 0,
                 start: 0,
                 high: 0,
-                entries: Vec::new(),
+                entries: TxnColumn::new(),
                 delay: 0,
             })
         } else {
@@ -791,7 +793,7 @@ impl ServerBase {
     pub fn flush_group(&mut self, log: &mut RedoLog) {
         if let Some(t) = &mut self.tier {
             for v in log.staged() {
-                t.note_commit_view(v);
+                t.note_commit(v);
             }
         }
         let _ = log.flush_group();
@@ -963,7 +965,7 @@ impl ServerBase {
         self.store.apply_records(txn, view.iter());
         self.committed += 1;
         if let Some(t) = &mut self.tier {
-            t.note_commit_view(view);
+            t.note_commit(view);
         }
     }
 
@@ -1032,14 +1034,12 @@ impl ServerBase {
         };
         for (k, v) in snapshot {
             if let Some(writer) = v.writer {
-                tier.note_commit(WriteSet {
-                    txn: writer,
-                    writes: vec![WriteRecord {
-                        key: *k,
-                        value: v.value,
-                        version: v.version,
-                    }],
-                });
+                let rec = WriteRecord {
+                    key: *k,
+                    value: v.value,
+                    version: v.version,
+                };
+                tier.note_records(writer, [rec]);
             }
         }
     }
@@ -1073,9 +1073,9 @@ impl ServerBase {
 }
 
 /// Notes a commit's records in the durable tier, if there is one.
-fn note(tier: &mut Option<DurabilityTier>, v: WsView<'_>) {
+fn note(tier: &mut Option<Box<DurabilityTier>>, v: WsView<'_>) {
     if let Some(t) = tier {
-        t.note_commit_view(v);
+        t.note_commit(v);
     }
 }
 

@@ -1039,7 +1039,7 @@ mod tests {
         // Add a reader client attached to a secondary.
         let reader = ClientActor::<EagerPrimaryMsg>::new(
             1,
-            (0..3).map(NodeId::new).collect(),
+            (0..3).map(NodeId::new).collect::<Vec<_>>(),
             2,
             vec![read(2)],
             SimDuration::from_ticks(3_000), // think long enough for the write to land

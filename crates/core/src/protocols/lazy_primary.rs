@@ -409,8 +409,8 @@ impl Technique for LazyPrimary {
             // the restored suffix rebuilds the propagation stream
             // in place.
             self.log.restart_at(plan.start);
-            for ws in plan.entries {
-                self.log.append(ws);
+            for v in plan.entries.views() {
+                self.log.append_view(v);
             }
             self.reship = true;
         } else {

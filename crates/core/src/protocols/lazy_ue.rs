@@ -252,14 +252,12 @@ impl LazyUe {
                 let txn = TxnId::new(ts, site);
                 let after = sh.base.store.write(k, v, txn);
                 if let Some(t) = &mut sh.base.tier {
-                    t.note_commit(WriteSet {
-                        txn,
-                        writes: vec![WriteRecord {
-                            key: k,
-                            value: v,
-                            version: after.version,
-                        }],
-                    });
+                    let rec = WriteRecord {
+                        key: k,
+                        value: v,
+                        version: after.version,
+                    };
+                    t.note_records(txn, [rec]);
                 }
             }
         }
@@ -304,10 +302,7 @@ impl LazyUe {
             base.commit(txn);
             // Only the winning subset is durable state worth restoring.
             if let (Some(t), Some(applied)) = (&mut base.tier, applied) {
-                t.note_commit(WriteSet {
-                    txn,
-                    writes: applied,
-                });
+                t.note_records(txn, applied);
             }
         }
     }
@@ -374,7 +369,7 @@ fn apply_ordered(
         // total order, so a restore can rewind the stream to the
         // frame token and replay forward consistently.
         if let (Some(t), Some(noted)) = (&mut base.tier, noted) {
-            t.note_commit(noted);
+            t.note_commit(&noted);
         }
         if !own {
             base.commit(txn);
@@ -433,7 +428,7 @@ impl Technique for LazyUe {
             // clean prefix of the stream.
             if self.mode == ReconcileMode::Lww {
                 if let Some(t) = &mut sh.base.tier {
-                    t.note_commit(ws.clone());
+                    t.note_commit(&ws);
                 }
             }
             self.outbound.push((ws, commit_ts));
@@ -583,7 +578,7 @@ impl Technique for LazyUe {
                 // stamp 0 so peers adopt only keys they never saw,
                 // and let the rejoin anti-entropy reinstate the
                 // group's winning stamps here.
-                self.reship = plan.entries;
+                self.reship = plan.entries.views().map(|v| v.to_writeset()).collect();
             }
             ReconcileMode::AbcastOrder => self.ab.rewind_to(plan.token),
         }
@@ -744,7 +739,7 @@ mod tests {
             seat_all(&mut world, [server]);
             let spy = world.add_actor(Box::new(StampSpy::default()));
             for c in 0..clients {
-                let txns = (0..txns).map(|i| write(i % 16, i as i64)).collect();
+                let txns: Vec<_> = (0..txns).map(|i| write(i % 16, i as i64)).collect();
                 let (think, retry_after) = (SimDuration::ZERO, SimDuration::from_ticks(20_000));
                 let client = ClientActor::new(c, vec![nodes[0]], 0, txns, think, retry_after);
                 world.add_actor(Box::new(client));

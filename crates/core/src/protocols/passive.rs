@@ -557,7 +557,7 @@ mod tests {
         let client = world.actor_mut::<ClientActor<PassiveMsg>>(clients[0]);
         *client = ClientActor::new(
             0,
-            (0..3).map(NodeId::new).collect(),
+            (0..3).map(NodeId::new).collect::<Vec<_>>(),
             2, // backup
             vec![write(0, 9)],
             SimDuration::from_ticks(100),

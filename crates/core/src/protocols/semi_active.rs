@@ -71,11 +71,16 @@ pub struct SemiActive {
     vg: ViewGroup<Choice>,
     /// What `vg` queued while handling one input; drained by `drive_vs`.
     vg_out: Outbox<VsMsg<Choice>, VsEvent<Choice>>,
+    /// Operations this server relayed into the stream: in a run that can
+    /// replay, for the whole run (a rewound stream re-delivers them); in
+    /// one that cannot, until their delivery.
     relayed: HashSet<OpId>,
     /// Ordered-but-not-yet-applied operations, by global sequence.
     waiting: BTreeMap<u64, ClientOp>,
     next_apply: u64,
     choices: HashMap<OpId, Vec<(Key, Value)>>,
+    /// Operations whose choice this server broadcast as leader, until
+    /// they apply (or a new view re-issues what is stuck).
     issued: HashSet<OpId>,
     vs: VsConfig,
 }
@@ -135,10 +140,13 @@ impl SemiActive {
     /// Applies what the ABCAST endpoint queued, parks what it ordered and
     /// applies whatever became applicable.
     fn drive_ab(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
-        let waiting = &mut self.waiting;
+        let (waiting, relayed) = (&mut self.waiting, &mut self.relayed);
         let wrap = |m| Wire::Proto(SemiActiveMsg::Ab(m));
         self.ab.drain(ctx, wrap, |ctx, d| {
             sh.mark(ctx, Phase::ServerCoordination, d.payload.id, d.gseq);
+            if !sh.can_replay() {
+                relayed.remove(&d.payload.id);
+            }
             waiting.insert(d.gseq, d.payload);
         });
         self.process(sh, ctx);
@@ -203,6 +211,7 @@ impl SemiActive {
             sh.mark(ctx, phase, op.id, 0);
             // The leader's choice overrides local non-determinism.
             let chosen = self.choices.remove(&op.id).unwrap_or_default();
+            self.issued.remove(&op.id);
             let resp = sh.base.execute_chosen(&op, global_txn(op.id), &chosen);
             sh.reply(ctx, op.client, resp);
         }

@@ -480,7 +480,7 @@ impl RunReport {
                 continue;
             }
             let txn = crate::protocols::common::global_txn(rec.op);
-            if committed.contains(&txn) {
+            if committed.binary_search(&txn).is_ok() {
                 continue;
             }
             if self.durability.claimed_lost.binary_search(&rec.op).is_ok() {

@@ -2,6 +2,7 @@
 //! workload to completion, and collect a [`RunReport`].
 
 use std::mem::take;
+use std::sync::Arc;
 
 use repl_db::{DeadlockPolicy, Keyspace};
 use repl_gcs::{BatchConfig, ConsensusConfig, FdConfig, VsConfig};
@@ -11,7 +12,7 @@ use repl_sim::{
 };
 use repl_workload::{
     ArrivalDist, ArrivalStream, FaultEvent, FaultPlan, FaultPlanError, MembershipEvent,
-    MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
+    MembershipPlan, MembershipPlanError, OpTemplate, ShardMap, TxnList, WorkloadGen, WorkloadSpec,
 };
 
 use crate::client::{AggregateClients, ClientActor, ClientGroup, OpRecord, ReplyMode};
@@ -991,6 +992,29 @@ fn client_groups(technique: Technique, clients: u32, servers: u32) -> Vec<(Clien
     }
 }
 
+/// Per group, the transactions with a write in the group's shard and
+/// those writes: what each founder of the group records of `workload`
+/// when every member installs every write of its shard. Reads, retried
+/// attempts and other sites' executions come on top; aborts, Thomas-rule
+/// losses, a member's outage or a wiped volume record less.
+fn writes_per_group(
+    workload: &TxnList,
+    map: Option<ShardMap>,
+    groups: usize,
+) -> Vec<(usize, usize)> {
+    let group = |op: &OpTemplate| map.map_or(0, |m| m.shard_of(op.key()) as usize);
+    let mut per_group = vec![(0, 0); groups];
+    for txn in workload.iter() {
+        for (i, op) in txn.ops.iter().enumerate().filter(|(_, o)| o.is_write()) {
+            let g = group(op);
+            let earlier = txn.ops[..i].iter().any(|o| o.is_write() && group(o) == g);
+            per_group[g].0 += usize::from(!earlier);
+            per_group[g].1 += 1;
+        }
+    }
+    per_group
+}
+
 /// The driver. `shards` replica groups of `n = cfg.servers` nodes share
 /// one simulated world — group `g` owns shard `g` and spans nodes
 /// `g*n .. (g+1)*n` — followed by the membership plan's joiners; a fully
@@ -1030,6 +1054,21 @@ fn drive<T: Flow>(
     let nodes = cfg.membership.peak_servers(founders);
     let mut world: World<Wire<T::Msg>> = new_world(cfg, nodes);
     let (arena, fd) = (run_arena(cfg), tuned_fd(&cfg.network));
+    let aggregated = matches!(cfg.arrival, Arrival::OpenAggregated { .. });
+    // Per-client workloads are drawn up front (an aggregate draws as it
+    // goes): one generator restarted on each client's seed, so a
+    // client's stream is what a generator of its own would draw, the
+    // sampling tables are built once, and every stream sits in one
+    // shared body and list.
+    let txns_each = cfg.workload.txns_per_client as usize;
+    let workload = (!aggregated).then(|| {
+        let client_seed = |c: u32| cfg.seed.wrapping_mul(1_000_003) + u64::from(c);
+        let mut gen = WorkloadGen::new(&cfg.workload, client_seed(0));
+        gen.take_streams((0..cfg.clients).map(client_seed), txns_each)
+    });
+    let recorded = workload
+        .as_ref()
+        .map(|w| writes_per_group(w, map, shards as usize));
     for site in 0..nodes {
         let me = NodeId::new(site);
         let joiner = site >= founders;
@@ -1051,6 +1090,12 @@ fn drive<T: Flow>(
         let mut srv = build(site, me, group, ks);
         let (lean, can_replay) = (cfg.lean_servers(), cfg.can_replay());
         srv.equip(&cfg.durability, lean, can_replay, arena.clone(), fd);
+        // A founder's history is sized once for the writes its group
+        // installs (a no-op on lean servers).
+        if let (false, Some(recorded)) = (joiner, &recorded) {
+            let (txns, ops) = recorded[gid as usize];
+            srv.shell.base.history.reserve(site, txns, ops);
+        }
         if let Some(map) = cross_map {
             srv.enable_cross_shard(ShardCtx::new(map, n, gid));
         }
@@ -1064,7 +1109,7 @@ fn drive<T: Flow>(
     // Clients know every node (reroutes and retries can land anywhere, a
     // routed client indexes any group); one whose preferred server is a
     // planned joiner starts only after the join plus a transfer margin.
-    let client_servers: Vec<NodeId> = (0..nodes).map(NodeId::new).collect();
+    let client_servers: Arc<[NodeId]> = (0..nodes).map(NodeId::new).collect();
     let join_start_after = |preferred: usize| -> SimDuration {
         cfg.membership
             .events()
@@ -1110,7 +1155,7 @@ fn drive<T: Flow>(
             );
             let actor: Box<dyn Actor<Wire<T::Msg>>> = Box::new(AggregateClients::<T::Msg>::new(
                 group,
-                client_servers.clone(),
+                Arc::clone(&client_servers),
                 preferred,
                 gen,
                 arrivals,
@@ -1119,21 +1164,16 @@ fn drive<T: Flow>(
             clients.push(world.add_actor(actor));
         }
     } else {
-        // One generator for the run, restarted on each client's seed: a
-        // client's stream is what a generator of its own would draw, and
-        // the sampling tables are built once.
-        let client_seed = |c: u32| cfg.seed.wrapping_mul(1_000_003) + u64::from(c);
-        let mut gen = WorkloadGen::new(&cfg.workload, client_seed(0));
+        let workload = workload.expect("per-client workloads are drawn up front");
         for c in 0..cfg.clients {
-            gen.reseed(client_seed(c));
-            let txns = gen.take_txns(cfg.workload.txns_per_client as usize);
+            let txns = workload.window(c as usize * txns_each, txns_each);
             let client = match cfg.arrival {
                 // Open-loop clients never retry, so they stay on the
                 // initial servers where a submission cannot hit a
                 // dormant node.
                 Arrival::Open(mean) => ClientActor::<T::Msg>::open(
                     c,
-                    client_servers.clone(),
+                    Arc::clone(&client_servers),
                     preferred_server(cfg.technique, c, n),
                     txns,
                     SimDuration::from_ticks(mean),
@@ -1146,7 +1186,7 @@ fn drive<T: Flow>(
                     let preferred = preferred_server(cfg.technique, c, contacts);
                     let client = ClientActor::<T::Msg>::new(
                         c,
-                        client_servers.clone(),
+                        Arc::clone(&client_servers),
                         preferred,
                         txns,
                         cfg.workload.think_time,
@@ -1185,7 +1225,7 @@ fn drive<T: Flow>(
         per_shard_ops: vec![0; map.map_or(0, |m| m.shards() as usize)],
         ..Default::default()
     };
-    let per_client: Vec<Vec<OpRecord>> = if matches!(cfg.arrival, Arrival::OpenAggregated { .. }) {
+    let per_client: Vec<Vec<OpRecord>> = if aggregated {
         // Constant-memory collection: merge each group's streaming
         // histogram and counters; no per-operation records exist.
         let mut hist = LatencyHistogram::new();
@@ -1233,6 +1273,11 @@ fn drive<T: Flow>(
     tally
         .records
         .reserve_exact(per_client.iter().map(Vec::len).sum());
+    let answered = per_client
+        .iter()
+        .flatten()
+        .filter(|r| r.responded.is_some());
+    tally.latencies = LatencyStats::with_capacity(answered.count());
     for (cno, recs) in per_client.into_iter().enumerate() {
         for rec in recs {
             // A sharded run classifies its answered records by how

@@ -45,14 +45,20 @@
 //! heap: an aggregated open-loop cell keeps no replay log and forgets a
 //! relayed operation once it is delivered, so four times the operations
 //! leave only the sequencer's 4-byte gseq slots behind.
+//!
+//! A seventh guard holds two faulted `study_mix` cells — a disaster
+//! restored from the durable tier, and a 3 → 5 → 3 membership change —
+//! to a whole-run allocation budget: the tier keeps columns, per-run
+//! state is sized once, the clients share one workload body, and the
+//! view group snapshots no membership while nobody is suspected.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use repl_core::{try_run, Arrival, RunConfig, Technique};
-use repl_sim::SimDuration;
-use repl_workload::{ArrivalDist, WorkloadSpec};
+use repl_core::{try_run, Arrival, DurabilityConfig, RunConfig, Technique};
+use repl_sim::{NodeId, SimDuration, SimTime};
+use repl_workload::{ArrivalDist, FaultPlan, MembershipPlan, WorkloadSpec};
 
 struct CountingAlloc;
 
@@ -557,7 +563,9 @@ fn sharded_passive_peak_heap_keeps_16_bytes_per_reply() {
 /// run (measured then: Active 116.9, Certification 134.1, Eager UE
 /// (ABCAST) 116.8), and the budget since: what is left is one 4-byte
 /// gseq slot per ordered operation in the sequencer's index, which grows
-/// by doubling (measured since: 4.1, 1.9 and 4.1).
+/// by doubling (measured since: 4.1, 1.9 and 4.1). Semi-Active kept the
+/// ids it relayed and the choices it issued for the whole run after the
+/// others stopped (25.6 B then).
 const FLAT_GROWTH_PARENT: f64 = 116.8;
 const FLAT_GROWTH_BUDGET: f64 = 8.0;
 
@@ -568,6 +576,7 @@ fn a_run_that_cannot_replay_retains_no_replay_log() {
         Technique::Active,
         Technique::Certification,
         Technique::EagerUpdateEverywhereAbcast,
+        Technique::SemiActive,
     ] {
         let short = cost(&open_cell(technique, TXNS)).1;
         let long = cost(&open_cell(technique, 4 * TXNS)).1;
@@ -584,4 +593,79 @@ fn a_run_that_cannot_replay_retains_no_replay_log() {
              {FLAT_GROWTH_BUDGET}: a run no member can replay retained a replay log"
         );
     }
+}
+
+/// The `study_mix` benchmark's faulted cell shape: three servers, traced,
+/// 64 items, a 3,000-tick think time and a 4,000-tick retry timer.
+fn study_faulted(technique: Technique, clients: u32, txns: u32) -> RunConfig {
+    RunConfig::new(technique)
+        .with_servers(3)
+        .with_clients(clients)
+        .with_seed(163)
+        .with_trace(true)
+        .with_retry_after(SimDuration::from_ticks(4_000))
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(64)
+                .with_read_ratio(0.0)
+                .with_txns_per_client(txns)
+                .with_think_time(SimDuration::from_ticks(3_000)),
+        )
+}
+
+/// The `disaster` cell: Passive, 3 clients, a 2,000-tick upload lag, and
+/// node 2's volume lost at 5,000 for 15,000 ticks.
+fn study_disaster(txns: u32) -> RunConfig {
+    study_faulted(Technique::Passive, 3, txns)
+        .with_durability(DurabilityConfig::with_upload_lag(2_000))
+        .with_faults(FaultPlan::new().disaster_at(
+            SimTime::from_ticks(5_000),
+            NodeId::new(2),
+            SimDuration::from_ticks(15_000),
+        ))
+}
+
+/// The `elastic` cell: Semi-Active, 4 clients, 3 → 5 → 3 servers.
+fn study_elastic(txns: u32) -> RunConfig {
+    study_faulted(Technique::SemiActive, 4, txns).with_membership(
+        MembershipPlan::new()
+            .join_at(SimTime::from_ticks(6_000), NodeId::new(3))
+            .join_at(SimTime::from_ticks(12_000), NodeId::new(4))
+            .drain_at(SimTime::from_ticks(45_000), NodeId::new(3))
+            .drain_at(SimTime::from_ticks(50_000), NodeId::new(4)),
+    )
+}
+
+/// Whole-run allocations of the two faulted study cells at their
+/// benchmark size N (15 and 25 transactions per client) and at 2N, when
+/// the durable tier kept a writeset per entry, the history regrew from
+/// empty and marked commits in a set of its own, every client drew its
+/// own body and list, and the view group copied two memberships per
+/// input. The budget is 85 % of each.
+const DISASTER_PARENT: [u64; 2] = [814, 1_263];
+const ELASTIC_PARENT: [u64; 2] = [1_044, 1_065];
+
+/// Holds `cell` at `n` and `2n` transactions per client to 85 % of
+/// `parent`'s allocations.
+fn within_85_percent(name: &str, cell: impl Fn(u32) -> RunConfig, n: u32, parent: [u64; 2]) {
+    for (txns, before) in [n, 2 * n].into_iter().zip(parent) {
+        let (allocs, _) = cost(&cell(txns));
+        let budget = before * 85 / 100;
+        println!(
+            "{name}, {txns} transactions per client: {allocs} allocations per run \
+             (before: {before}, budget {budget})"
+        );
+        assert!(
+            allocs <= budget,
+            "{name} at {txns} transactions per client made {allocs} allocations, \
+             budget {budget} (85 % of the {before} before the tier kept columns)"
+        );
+    }
+}
+
+#[test]
+fn a_faulted_study_run_pays_per_transaction_not_per_growth_step() {
+    let _serial = serial();
+    within_85_percent("disaster/Passive", study_disaster, 15, DISASTER_PARENT);
+    within_85_percent("elastic/Semi-Active", study_elastic, 25, ELASTIC_PARENT);
 }

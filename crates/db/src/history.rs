@@ -10,11 +10,12 @@
 //!
 //! Recording is a plain append to the site's log: one column of 16-byte
 //! records (seq, site-local transaction index with a write bit, key).
-//! The log carries its own purge index (each transaction's local index
-//! and the seq of its first op there), so merging the histories of
-//! distinct sites moves whole logs ([`ReplicatedHistory::absorb`]) and
-//! copies nothing; a site both histories recorded is re-indexed op by
-//! op. The graph is built when it is read, in one linear pass, from the
+//! The log carries its own purge index (each transaction's local index,
+//! its commit mark and the seq of its first op there), so merging the
+//! histories of distinct sites moves whole logs
+//! ([`ReplicatedHistory::absorb`]) and copies nothing; a site both
+//! histories recorded is re-indexed op by op. A transaction is committed
+//! if any site's entry carries the mark. The graph is built when it is read, in one linear pass, from the
 //! **covering edges** of each (site, key) stream of committed accesses:
 //! write → next write, write → each read before the next write, and
 //! each read → the next write. Every covering edge joins two
@@ -27,7 +28,6 @@
 //! two covering edges per committed access.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
 
 use crate::graph::{first_cycle, Csr};
 use crate::hash::FxHashMap;
@@ -49,6 +49,10 @@ const _: () = assert!(std::mem::size_of::<Access>() == 16);
 
 /// The write bit of [`Access::txn`]; the bits below it are the index.
 const WRITE: u32 = 1 << 31;
+
+/// The commit mark of a purge-index entry's local index, in the bit
+/// [`WRITE`] holds in an access.
+const MARK: u32 = WRITE;
 
 impl Access {
     fn local(self) -> usize {
@@ -72,30 +76,49 @@ struct SiteLog {
     next_seq: u32,
     next_local: u32,
     ops: Vec<Access>,
-    /// The purge index: each transaction's local index and the seq of
-    /// its first op in `ops`. One flat table entry per transaction, no
-    /// per-transaction heap allocation, and it travels with the log when
-    /// histories merge.
+    /// The purge index: each transaction's local index (with [`MARK`]
+    /// set once it committed) and the seq of its first op in `ops` (of
+    /// the next op, for a mark with no op here). One flat table entry per
+    /// transaction, no per-transaction heap allocation, and it travels
+    /// with the log when histories merge.
     txns: FxHashMap<TxnId, (u32, u32)>,
 }
 
 impl SiteLog {
-    fn push(&mut self, txn: TxnId, key: Key, kind: AccessKind) {
-        let seq = self.next_seq;
-        self.next_seq = seq.checked_add(1).expect("fewer than 2^32 ops per site");
-        let next_local = &mut self.next_local;
-        let (local, _) = *self.txns.entry(txn).or_insert_with(|| {
+    /// `txn`'s purge-index entry, made if it has none.
+    fn entry(&mut self, txn: TxnId) -> &mut (u32, u32) {
+        let (next_local, seq) = (&mut self.next_local, self.next_seq);
+        self.txns.entry(txn).or_insert_with(|| {
             let local = *next_local;
             assert!(local < WRITE, "fewer than 2^31 transactions per site");
             *next_local += 1;
             (local, seq)
-        });
+        })
+    }
+
+    fn push(&mut self, txn: TxnId, key: Key, kind: AccessKind) {
+        let local = self.entry(txn).0 & !MARK;
+        let seq = self.next_seq;
+        self.next_seq = seq.checked_add(1).expect("fewer than 2^32 ops per site");
         let write = if kind == AccessKind::Write { WRITE } else { 0 };
         self.ops.push(Access {
             seq,
             txn: local | write,
             key,
         });
+    }
+
+    /// Sets `txn`'s commit mark; false if it has no entry here.
+    fn mark(&mut self, txn: TxnId) -> bool {
+        self.txns.get_mut(&txn).map(|e| e.0 |= MARK).is_some()
+    }
+
+    /// The committed transactions this log marks.
+    fn marked(&self) -> impl Iterator<Item = TxnId> + '_ {
+        self.txns
+            .iter()
+            .filter(|(_, e)| e.0 & MARK != 0)
+            .map(|(&txn, _)| txn)
     }
 
     /// Removes every op of `txn`, compacting from its first one onward
@@ -105,11 +128,12 @@ impl SiteLog {
         let Some((local, first_seq)) = self.txns.remove(&txn) else {
             return 0;
         };
+        let local = (local & !MARK) as usize;
         let ops = &mut self.ops;
         let from = ops.partition_point(|a| a.seq < first_seq);
         let mut kept = from;
         for i in from..ops.len() {
-            if ops[i].local() != local as usize {
+            if ops[i].local() != local {
                 ops[kept] = ops[i];
                 kept += 1;
             }
@@ -123,7 +147,7 @@ impl SiteLog {
     fn by_local(&self) -> Vec<Option<TxnId>> {
         let mut txn_of = vec![None; self.next_local as usize];
         for (&txn, &(local, _)) in &self.txns {
-            txn_of[local as usize] = Some(txn);
+            txn_of[(local & !MARK) as usize] = Some(txn);
         }
         txn_of
     }
@@ -148,9 +172,11 @@ impl SiteLog {
 #[derive(Debug, Clone, Default)]
 pub struct ReplicatedHistory {
     /// Per-site operation streams, in execution order, each with its own
-    /// purge index.
+    /// purge index and commit marks.
     per_site: FxHashMap<u32, SiteLog>,
-    committed: HashSet<TxnId>,
+    /// The site last recorded at: a commit mark for a transaction no
+    /// site has recorded goes to its log.
+    home: u32,
     total_ops: usize,
     /// When set, `record`/`mark_committed` are no-ops: the open-loop
     /// scale path trades post-run serializability checking for constant
@@ -215,16 +241,38 @@ impl ReplicatedHistory {
             return;
         }
         self.per_site.entry(site).or_default().push(txn, key, kind);
+        self.home = site;
         self.total_ops += 1;
     }
 
+    /// Sizes `site`'s log for `ops` more recorded operations of `txns`
+    /// more transactions, so a run that knows its workload records
+    /// without growth steps. A no-op while recording is off.
+    pub fn reserve(&mut self, site: u32, txns: usize, ops: usize) {
+        if self.paused {
+            return;
+        }
+        let log = self.per_site.entry(site).or_default();
+        log.ops.reserve_exact(ops);
+        log.txns.reserve(txns);
+    }
+
     /// Marks a transaction as committed; only committed transactions
-    /// participate in the serialization graph.
+    /// participate in the serialization graph. The mark sits in the
+    /// transaction's purge-index entry at every site that recorded it
+    /// (at the last site recorded at, if none did).
     pub fn mark_committed(&mut self, txn: TxnId) {
         if self.paused {
             return;
         }
-        self.committed.insert(txn);
+        // Each log marks its own entry: the order is unobservable.
+        let mut marked = false;
+        for log in self.per_site.values_mut() {
+            marked |= log.mark(txn);
+        }
+        if !marked {
+            self.per_site.entry(self.home).or_default().entry(txn).0 |= MARK;
+        }
     }
 
     /// Number of recorded operations across all sites.
@@ -237,16 +285,23 @@ impl ReplicatedHistory {
         self.len() == 0
     }
 
-    /// The committed transactions.
-    pub fn committed(&self) -> &HashSet<TxnId> {
-        &self.committed
+    /// The committed transactions — the union of the sites' marks — in
+    /// id order. A transaction's position here is its dense index in
+    /// the graph routines below, so index order is id order.
+    pub fn committed(&self) -> Vec<TxnId> {
+        let marks = self.per_site.values().map(|log| log.marked().count()).sum();
+        let mut nodes = Vec::with_capacity(marks);
+        nodes.extend(self.per_site.values().flat_map(SiteLog::marked));
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
     }
 
-    /// Removes every recorded operation of `txn` (used when an aborted
-    /// attempt is retried under the same transaction id: the dead
-    /// attempt's operations must not count once the retry commits).
+    /// Removes every recorded operation and the commit mark of `txn`
+    /// (used when an aborted attempt is retried under the same
+    /// transaction id: the dead attempt's operations must not count once
+    /// the retry commits).
     pub fn purge(&mut self, txn: TxnId) {
-        self.committed.remove(&txn);
         // Removal counts add up, so the map order is unobservable.
         for log in self.per_site.values_mut() {
             self.total_ops -= log.purge(txn);
@@ -255,14 +310,16 @@ impl ReplicatedHistory {
 
     /// Merges another history into this one by move (e.g. a replica's
     /// history at the end of a run). A site new here takes `other`'s log
-    /// whole, purge index included; a site present in both gets
-    /// `other`'s ops appended in order. A paused history ignores it.
+    /// whole, purge index and marks included; a site present in both
+    /// gets `other`'s ops appended in order and its marks. A paused
+    /// history ignores it.
     pub fn absorb(&mut self, other: ReplicatedHistory) {
         if self.paused {
             return;
         }
-        // Site logs are independent streams and `committed` is a set, so
-        // the map iteration order cannot reach anything observable.
+        // Site logs are independent streams and a transaction's marks
+        // are a union, so the map iteration order cannot reach anything
+        // observable.
         for (site, log) in other.per_site {
             self.total_ops += log.ops.len();
             match self.per_site.entry(site) {
@@ -273,17 +330,15 @@ impl ReplicatedHistory {
                     let mine = mine.get_mut();
                     let txn_of = log.by_local();
                     mine.ops.reserve(log.ops.len());
-                    for a in log.ops {
+                    for &a in &log.ops {
                         let txn = txn_of[a.local()].expect("a logged transaction is indexed");
                         mine.push(txn, a.key, a.kind());
                     }
+                    for txn in log.marked() {
+                        mine.entry(txn).0 |= MARK;
+                    }
                 }
             }
-        }
-        if self.committed.is_empty() {
-            self.committed = other.committed;
-        } else {
-            self.committed.extend(other.committed);
         }
     }
 
@@ -291,15 +346,6 @@ impl ReplicatedHistory {
     /// history the caller keeps.
     pub fn merge(&mut self, other: &ReplicatedHistory) {
         self.absorb(other.clone());
-    }
-
-    /// The committed transactions in id order. A transaction's position
-    /// here is its dense index in the graph routines below, so index
-    /// order is id order.
-    fn nodes(&self) -> Vec<TxnId> {
-        let mut nodes: Vec<TxnId> = self.committed.iter().copied().collect();
-        nodes.sort_unstable();
-        nodes
     }
 
     /// The covering edges over dense indices into `nodes`, sorted and
@@ -324,7 +370,7 @@ impl ReplicatedHistory {
             dense.resize(log.next_local as usize, UNCOMMITTED);
             for (txn, &(local, _)) in &log.txns {
                 if let Some(&i) = index.get(txn) {
-                    dense[local as usize] = i;
+                    dense[(local & !MARK) as usize] = i;
                 }
             }
             streams.clear();
@@ -360,7 +406,7 @@ impl ReplicatedHistory {
     /// sorted: a subset of all conflicting pairs with the same
     /// transitive closure (see the module docs).
     pub fn conflict_edges(&self) -> Vec<(TxnId, TxnId)> {
-        let nodes = self.nodes();
+        let nodes = self.committed();
         self.covering_edges(&nodes)
             .into_iter()
             .map(|(a, b)| (nodes[a as usize], nodes[b as usize]))
@@ -374,7 +420,7 @@ impl ReplicatedHistory {
     /// Returns the violating cycle if the serialization graph is cyclic;
     /// otherwise returns a witness serial order (a topological sort).
     pub fn check_one_copy_serializable(&self) -> Result<Vec<TxnId>, SerializabilityViolation> {
-        let nodes = self.nodes();
+        let nodes = self.committed();
         let graph = Csr::new(nodes.len(), &self.covering_edges(&nodes));
         match graph.topological_order() {
             Some(order) => Ok(order.into_iter().map(|i| nodes[i]).collect()),
@@ -388,14 +434,15 @@ impl ReplicatedHistory {
     /// all-pairs graph the covering edges replace). Test reference.
     #[cfg(test)]
     fn full_rescan_edges(&self) -> Vec<(TxnId, TxnId)> {
-        use std::collections::HashMap;
+        use std::collections::{HashMap, HashSet};
+        let committed: HashSet<TxnId> = self.committed().into_iter().collect();
         let mut edges = HashSet::new();
         for log in self.per_site.values() {
             let txn_of = log.by_local();
             let mut per_key: HashMap<Key, Vec<(TxnId, AccessKind)>> = HashMap::new();
             for &a in &log.ops {
                 let txn = txn_of[a.local()].expect("a logged transaction is indexed");
-                if self.committed.contains(&txn) {
+                if committed.contains(&txn) {
                     per_key.entry(a.key).or_default().push((txn, a.kind()));
                 }
             }

@@ -44,7 +44,7 @@ pub mod wire;
 
 pub use arena::{shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef, WsView};
 pub use certify::{Certification, Certifier};
-pub use durable::{DurableFrame, DurableLog, DurableRestore};
+pub use durable::{DurableFrame, DurableLog, DurableRestore, TxnColumn};
 pub use graph::first_cycle;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use history::{ReplicatedHistory, SerializabilityViolation};

@@ -426,7 +426,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
     /// the joiner missed while it was down.
     fn propose_join(&mut self, joiner: NodeId, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
         let (latest_id, latest) = self.latest_membership();
-        let mut next = latest;
+        let mut next = latest.to_vec();
         if !next.contains(&joiner) {
             next.push(joiner);
             next.sort();
@@ -446,10 +446,10 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
 
     /// The membership the next change will be based on: the latest decided
     /// membership, or the installed view's.
-    fn latest_membership(&self) -> (u64, Vec<NodeId>) {
+    fn latest_membership(&self) -> (u64, &[NodeId]) {
         match self.decided_views.iter().next_back() {
-            Some((&id, m)) => (id, m.clone()),
-            None => (self.view.id, self.view.members.clone()),
+            Some((&id, m)) => (id, m),
+            None => (self.view.id, &self.view.members),
         }
     }
 
@@ -541,13 +541,17 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             return;
         }
         let (latest_id, latest) = self.latest_membership();
-        let suspected = self.fd.suspected();
+        // Nothing to vote out (the common case, checked on every
+        // view-group input): no membership is copied.
+        if !latest.iter().any(|&n| self.fd.is_suspected(n)) {
+            return;
+        }
         let next: Vec<NodeId> = latest
             .iter()
             .copied()
-            .filter(|n| !suspected.contains(n))
+            .filter(|&n| !self.fd.is_suspected(n))
             .collect();
-        if next.len() == latest.len() || next.is_empty() {
+        if next.is_empty() {
             return;
         }
         let inst = latest_id + 1;

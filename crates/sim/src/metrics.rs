@@ -113,6 +113,14 @@ impl LatencyStats {
         }
     }
 
+    /// An empty accumulator sized for `n` samples.
+    pub fn with_capacity(n: usize) -> Self {
+        LatencyStats {
+            samples: Vec::with_capacity(n),
+            ..LatencyStats::new()
+        }
+    }
+
     /// Records one latency sample.
     pub fn record(&mut self, d: SimDuration) {
         let t = d.ticks();

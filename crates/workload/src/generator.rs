@@ -107,6 +107,53 @@ impl FromIterator<OpTemplate> for TxnOps {
     }
 }
 
+/// One client's transactions: a window into a list that every stream
+/// drawn by one [`WorkloadGen::take_streams`] call shares, so a run's
+/// clients hold one list and one body between them. Derefs to
+/// `[TxnTemplate]`.
+#[derive(Debug, Clone)]
+pub struct TxnList {
+    list: Arc<Vec<TxnTemplate>>,
+    start: usize,
+    len: usize,
+}
+
+impl std::ops::Deref for TxnList {
+    type Target = [TxnTemplate];
+
+    fn deref(&self) -> &[TxnTemplate] {
+        &self.list[self.start..self.start + self.len]
+    }
+}
+
+impl From<Vec<TxnTemplate>> for TxnList {
+    /// A list of its own.
+    fn from(list: Vec<TxnTemplate>) -> Self {
+        let len = list.len();
+        TxnList {
+            list: Arc::new(list),
+            start: 0,
+            len,
+        }
+    }
+}
+
+impl TxnList {
+    /// The `len` transactions from `start` on, sharing this list.
+    ///
+    /// # Panics
+    ///
+    /// If the window reaches past the list.
+    pub fn window(&self, start: usize, len: usize) -> TxnList {
+        assert!(start + len <= self.len, "window past the list");
+        TxnList {
+            list: Arc::clone(&self.list),
+            start: self.start + start,
+            len,
+        }
+    }
+}
+
 impl TxnTemplate {
     /// True if the transaction only reads.
     pub fn is_read_only(&self) -> bool {
@@ -205,6 +252,43 @@ impl WorkloadGen {
                 },
             })
             .collect()
+    }
+
+    /// Draws one stream per seed — for each, exactly what
+    /// [`reseed`](Self::reseed) and then [`take_txns`](Self::take_txns)
+    /// of `count` would draw — into one body and one list that all
+    /// streams share: stream `i` is `window(i * count, count)` of the
+    /// result. A run's clients take their workload this way.
+    pub fn take_streams(
+        &mut self,
+        seeds: impl ExactSizeIterator<Item = u64>,
+        count: usize,
+    ) -> TxnList {
+        let n = self.spec.ops_per_txn;
+        let txns = seeds.len() * count;
+        let mut body = Vec::with_capacity(txns * n as usize);
+        for seed in seeds {
+            self.reseed(seed);
+            for _ in 0..count {
+                self.draw(&mut body);
+            }
+        }
+        assert!(
+            u32::try_from(body.len()).is_ok(),
+            "a batch's body is addressed by u32 windows"
+        );
+        let body = Arc::new(body);
+        let list: Vec<TxnTemplate> = (0..txns)
+            .map(|i| TxnTemplate {
+                ops: TxnOps {
+                    body: Arc::clone(&body),
+                    // Exact: `i * n` indexes the checked body when n > 0.
+                    start: i as u32 * n,
+                    len: n,
+                },
+            })
+            .collect();
+        list.into()
     }
 
     /// Appends one transaction's `ops_per_txn` operations to `body`.
@@ -438,6 +522,25 @@ mod tests {
                 gen.take_txns(12),
                 WorkloadGen::new(&spec, seed).take_txns(12)
             );
+        }
+    }
+
+    #[test]
+    fn streams_are_the_reseeded_batches_in_one_list() {
+        for shards in [1, 4] {
+            let spec = WorkloadSpec::default()
+                .with_items(64)
+                .with_ops_per_txn(2)
+                .with_read_ratio(0.5)
+                .with_shards(shards)
+                .with_cross_shard_ratio(0.2);
+            let mut gen = WorkloadGen::new(&spec, 1);
+            let all = gen.take_streams([8, 1, 8, 5].into_iter(), 12);
+            assert_eq!(all.len(), 48);
+            for (i, seed) in [8, 1, 8, 5].into_iter().enumerate() {
+                let own = WorkloadGen::new(&spec, seed).take_txns(12);
+                assert_eq!(&*all.window(i * 12, 12), &own[..]);
+            }
         }
     }
 

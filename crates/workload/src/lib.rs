@@ -35,7 +35,7 @@ mod zipf;
 
 pub use arrivals::{ArrivalDist, ArrivalStream};
 pub use faults::{FaultEvent, FaultPlan, FaultPlanError};
-pub use generator::{OpTemplate, TxnOps, TxnTemplate, WorkloadGen};
+pub use generator::{OpTemplate, TxnList, TxnOps, TxnTemplate, WorkloadGen};
 pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};
 pub use shard::{ShardMap, ShardMapError};
 pub use spec::WorkloadSpec;
