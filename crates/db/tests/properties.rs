@@ -1,6 +1,8 @@
 //! Property-based tests for the database kernel: lock-table invariants,
-//! wound-wait acyclicity, undo exactness, certification determinism, and
-//! serialization-graph witnesses.
+//! wound-wait acyclicity, undo exactness, certification determinism,
+//! serialization-graph witnesses, and every run of writesets — the redo
+//! log, the payload arena and a log-suffix transfer — against a plain
+//! `Vec<WriteSet>` model.
 
 use std::collections::BTreeSet;
 
@@ -8,7 +10,8 @@ use proptest::prelude::*;
 
 use repl_db::{
     first_cycle, AccessKind, Acquire, Certifier, DeadlockPolicy, Key, Keyspace, LockManager,
-    LockMode, ReplicatedHistory, Store, TxnId, TxnManager, Value, WriteRecord, WriteSet,
+    LockMode, PayloadArena, RedoLog, ReplicatedHistory, Store, Transfer, TransferStrategy, TxnId,
+    TxnManager, Value, WriteRecord, WriteSet, WriteSetRef,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -626,5 +629,336 @@ proptest! {
         let (&k, &v) = last.iter().next().expect("non-empty");
         b.write(Key(k), Value(v.wrapping_add(1)), txn);
         prop_assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+}
+
+/// A writeset of `n` records numbered by `ts`, over a 16-key domain.
+fn writeset(ts: u64, n: u8, salt: u8) -> WriteSet {
+    WriteSet {
+        txn: TxnId::new(ts, u32::from(salt % 3)),
+        writes: (0..u64::from(n))
+            .map(|j| WriteRecord {
+                key: Key((u64::from(salt) + 5 * j) % 16),
+                value: Value(ts as i64 * 10 + j as i64),
+                version: ts,
+            })
+            .collect(),
+    }
+}
+
+/// The records a log or arena view yields, in order.
+fn rows<'a>(view: impl Into<repl_db::WsView<'a>>) -> (TxnId, Vec<WriteRecord>) {
+    let view = view.into();
+    (view.txn, view.iter().collect())
+}
+
+/// A reference model of a [`RedoLog`]: every committed writeset since
+/// `base`, the staged ones, and the truncation point.
+#[derive(Debug, Default)]
+struct LogModel {
+    base: u64,
+    committed: Vec<WriteSet>,
+    first_retained: u64,
+    staged: Vec<WriteSet>,
+    fsyncs: u64,
+    retention: Option<usize>,
+}
+
+impl LogModel {
+    fn len(&self) -> u64 {
+        self.base + self.committed.len() as u64
+    }
+
+    /// Commits `sets` under `forces` fsyncs, applying them to `donor`.
+    fn commit(&mut self, sets: Vec<WriteSet>, forces: u64, donor: &mut Store) {
+        for ws in &sets {
+            donor.apply_writeset(ws);
+        }
+        self.committed.extend(sets);
+        self.fsyncs += forces;
+        if let Some(max) = self.retention {
+            self.first_retained = self
+                .first_retained
+                .max(self.len().saturating_sub(max as u64));
+        }
+    }
+
+    /// The committed writesets from logical index `from` on.
+    fn since(&self, from: u64) -> &[WriteSet] {
+        let from = from.max(self.first_retained).min(self.len());
+        &self.committed[(from - self.base) as usize..]
+    }
+
+    fn reset(&mut self, index: u64) {
+        self.base = index;
+        self.first_retained = index;
+        self.committed.clear();
+        self.staged.clear();
+    }
+
+    /// Checks `log` answers as the model does, and that a transfer from
+    /// it ships the model's suffix or a snapshot of `donor`.
+    fn check(&self, log: &RedoLog, donor: &Store, probe: u8) {
+        prop_assert_eq!(log.len() as u64, self.len());
+        prop_assert_eq!(log.first_retained(), self.first_retained);
+        prop_assert_eq!(log.fsyncs(), self.fsyncs);
+        prop_assert_eq!(log.staged_len(), self.staged.len());
+        let staged: Vec<_> = log.staged().map(rows).collect();
+        let want: Vec<_> = self.staged.iter().map(rows).collect();
+        prop_assert_eq!(staged, want);
+        let len = self.len();
+        for from in [
+            self.first_retained,
+            len,
+            self.first_retained + u64::from(probe) % 4,
+        ] {
+            let got: Vec<_> = log.since(from as usize).map(rows).collect();
+            let want: Vec<_> = self.since(from).iter().map(rows).collect();
+            prop_assert_eq!(got, want, "since({})", from);
+        }
+        let below = self.first_retained.checked_sub(1 + u64::from(probe) % 3);
+        for have in [Some(self.first_retained), Some(len + 1), below]
+            .into_iter()
+            .flatten()
+        {
+            prop_assert_eq!(log.has_suffix(have), have >= self.first_retained);
+            self.check_transfer(log, donor, have);
+        }
+    }
+
+    fn check_transfer(&self, log: &RedoLog, donor: &Store, have: u64) {
+        let t = Transfer::from_log(log, donor, have);
+        prop_assert_eq!(t.high, self.len());
+        let mut got = Store::with_items(16, Value(0));
+        prop_assert_eq!(t.apply(&mut got), self.len());
+        let mut want = Store::with_items(16, Value(0));
+        if have >= self.first_retained {
+            let suffix = self.since(have);
+            prop_assert_eq!(t.strategy, TransferStrategy::LogSuffix);
+            prop_assert_eq!(t.start, have);
+            prop_assert_eq!(t.entries.len(), suffix.len());
+            let bytes: usize = suffix.iter().map(WriteSet::wire_size).sum();
+            prop_assert_eq!(t.wire_size(), 32 + bytes);
+            for ws in suffix {
+                want.apply_writeset(ws);
+            }
+        } else {
+            prop_assert_eq!(t.strategy, TransferStrategy::Snapshot);
+            prop_assert_eq!(t.entries.len(), 0);
+            prop_assert_eq!(t.wire_size(), 32 + 40 * donor.snapshot().len());
+            want = donor.clone();
+        }
+        prop_assert_eq!(got.fingerprint(), want.fingerprint());
+    }
+}
+
+/// One interned span of the arena model.
+#[derive(Debug)]
+struct SpanModel {
+    handle: WriteSetRef,
+    ws: WriteSet,
+    expected: u32,
+    released: u64,
+    dead: bool,
+}
+
+/// A reference model of a [`PayloadArena`]: every span ever interned,
+/// the compacted prefix, and the counters.
+#[derive(Debug)]
+struct ArenaModel {
+    spans: Vec<SpanModel>,
+    compacted: usize,
+    gc: bool,
+    since_scan: usize,
+    retired: u64,
+    compactions: u64,
+}
+
+/// Release sites: a group's, and sites past 63 that share its bits.
+const SITES: [u32; 10] = [0, 1, 2, 3, 63, 64, 65, 127, 128, 191];
+
+impl ArenaModel {
+    fn intern(&mut self, arena: &mut PayloadArena, ws: WriteSet, expected: u32) {
+        let handle = arena.intern(&ws, expected);
+        prop_assert_eq!(handle.span, self.spans.len() as u64);
+        prop_assert_eq!(handle.len as usize, ws.writes.len());
+        prop_assert_eq!(handle.wire_size(), ws.wire_size());
+        self.spans.push(SpanModel {
+            handle,
+            ws,
+            expected,
+            released: 0,
+            dead: false,
+        });
+        if expected == 0 && self.gc {
+            self.retire(self.spans.len() - 1);
+        }
+    }
+
+    fn release(&mut self, arena: &mut PayloadArena, i: usize, site: u32) {
+        arena.release(self.spans[i].handle, site);
+        if !self.gc || i < self.compacted || self.spans[i].dead {
+            return;
+        }
+        let span = &mut self.spans[i];
+        span.released |= 1 << (site % 64);
+        if span.released.count_ones() >= span.expected {
+            self.retire(i);
+        }
+    }
+
+    fn retire(&mut self, i: usize) {
+        self.spans[i].dead = true;
+        self.retired += 1;
+        self.since_scan += 1;
+        if self.since_scan >= PayloadArena::COMPACT_EVERY {
+            self.since_scan = 0;
+            let dead = self.spans[self.compacted..]
+                .iter()
+                .take_while(|s| s.dead)
+                .count();
+            if dead > 0 {
+                self.compacted += dead;
+                self.compactions += 1;
+            }
+        }
+    }
+
+    fn check(&self, arena: &PayloadArena) {
+        let stats = arena.stats();
+        let resident = &self.spans[self.compacted..];
+        prop_assert_eq!(stats.interned, self.spans.len() as u64);
+        prop_assert_eq!(stats.retired, self.retired);
+        prop_assert_eq!(stats.compactions, self.compactions);
+        prop_assert_eq!(stats.spans_resident, resident.len());
+        let records: usize = resident.iter().map(|s| s.ws.writes.len()).sum();
+        prop_assert_eq!(stats.records_resident, records);
+        prop_assert!(stats.record_capacity >= records);
+        for s in resident.iter().filter(|s| !s.dead) {
+            prop_assert_eq!(rows(arena.view(s.handle)), rows(&s.ws));
+            prop_assert_eq!(arena.view(s.handle).wire_size(), s.ws.wire_size());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The redo log against a `Vec<WriteSet>` model, step by step:
+    /// appends, staged groups flushed under one force or one each,
+    /// retention set, lifted and tightened, restarts and fast-forwards.
+    /// After every step the log's length, truncation point, forces,
+    /// staged run and suffixes match, and `Transfer::from_log` ships the
+    /// model's suffix — or, below the truncation point, the donor's
+    /// snapshot.
+    #[test]
+    fn redo_log_and_transfer_match_a_vec_of_writesets(
+        ops in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..80),
+    ) {
+        let mut log = RedoLog::new();
+        let mut model = LogModel::default();
+        let mut donor = Store::with_items(16, Value(0));
+        let mut ts = 0;
+        for (kind, a, b) in ops {
+            match kind {
+                0..=2 => {
+                    ts += 1;
+                    let ws = writeset(ts, a % 4, b);
+                    prop_assert_eq!(log.append(ws.clone()) as u64, model.len());
+                    model.commit(vec![ws], 1, &mut donor);
+                }
+                3 | 4 => {
+                    ts += 1;
+                    let ws = writeset(ts, a % 4, b);
+                    log.stage(ws.clone());
+                    model.staged.push(ws);
+                }
+                5 | 6 => {
+                    let group = std::mem::take(&mut model.staged);
+                    let want = (!group.is_empty()).then(|| (model.len() as usize, group.len()));
+                    let (got, forces) = if kind == 5 {
+                        (log.flush_group(), 1)
+                    } else {
+                        (log.flush_each(), group.len() as u64)
+                    };
+                    prop_assert_eq!(got, want);
+                    if !group.is_empty() {
+                        model.commit(group, forces, &mut donor);
+                    }
+                }
+                7 => {
+                    let cap = (a % 3 != 0).then_some(1 + usize::from(b % 6));
+                    log.set_retention(cap);
+                    model.retention = cap;
+                }
+                8 => {
+                    let index = u64::from(b % 40);
+                    log.restart_at(index);
+                    model.reset(index);
+                    model.fsyncs = 0;
+                }
+                _ => {
+                    let index = u64::from(b % 40);
+                    log.skip_to(index);
+                    if index > model.len() {
+                        model.reset(index);
+                    }
+                }
+            }
+            model.check(&log, &donor, a);
+        }
+    }
+
+    /// The payload arena against a `Vec<WriteSet>` model: interns with 0
+    /// to 3 expected releases, releases from sites past 63 and
+    /// duplicates, GC disarmed and re-armed, and bursts of released
+    /// spans that drive dead-prefix compaction. After every step the
+    /// counters match and every live span reads back its writeset.
+    #[test]
+    fn payload_arena_matches_a_vec_of_writesets(
+        ops in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..60),
+    ) {
+        let mut arena = PayloadArena::new();
+        let mut model = ArenaModel {
+            spans: Vec::new(),
+            compacted: 0,
+            gc: true,
+            since_scan: 0,
+            retired: 0,
+            compactions: 0,
+        };
+        let mut ts = 0;
+        for (kind, a, b) in ops {
+            match kind {
+                0..=3 => {
+                    ts += 1;
+                    model.intern(&mut arena, writeset(ts, a % 4, b), u32::from(b % 4));
+                }
+                4..=6 if !model.spans.is_empty() => {
+                    let n = model.spans.len();
+                    let i = if b % 2 == 0 {
+                        n - 1 - usize::from(a) % n.min(6)
+                    } else {
+                        usize::from(a) * 131 % n
+                    };
+                    model.release(&mut arena, i, SITES[usize::from(b / 2) % SITES.len()]);
+                }
+                7 => {
+                    let gc = a % 4 != 0;
+                    arena.set_gc(gc);
+                    model.gc = gc;
+                }
+                8 => {
+                    for _ in 0..200 + usize::from(a) * 12 {
+                        ts += 1;
+                        model.intern(&mut arena, writeset(ts, 1, b), 1);
+                        let last = model.spans.len() - 1;
+                        model.release(&mut arena, last, 0);
+                    }
+                }
+                _ => {}
+            }
+            model.check(&arena);
+        }
     }
 }
