@@ -145,7 +145,11 @@ impl DurabilityTier {
 
     /// [`DurabilityTier::note_commit`] for records produced on the fly
     /// (an install that reads back the versions it assigned).
-    pub fn note_records(&mut self, txn: TxnId, records: impl IntoIterator<Item = WriteRecord>) {
+    pub fn note_records(
+        &mut self,
+        txn: TxnId,
+        records: impl IntoIterator<Item = WriteRecord, IntoIter: ExactSizeIterator>,
+    ) {
         if !self.restoring {
             self.pending.push(txn, records);
         }
@@ -204,7 +208,11 @@ impl DurabilityTier {
             token: restore.token,
             start: restore.suffix.as_ref().map_or(restore.high, |t| t.start),
             high: restore.high,
-            entries: self.log.suffix().clone(),
+            entries: restore
+                .suffix
+                .as_ref()
+                .map(|t| t.entries.clone())
+                .unwrap_or_default(),
             delay,
         };
         Some((restore, plan))

@@ -5,7 +5,7 @@
 use repl_db::{
     AccessKind, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
     SharedArena, Store, Transfer, TransferStrategy, TxnColumn, TxnId, TxnManager, Value, Versioned,
-    WriteRecord, WriteSet, WriteSetRef, WsView,
+    WriteRecord, WriteSetRef, WsView,
 };
 use repl_gcs::{
     apply_outbox, AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig,
@@ -969,12 +969,6 @@ impl ServerBase {
         }
     }
 
-    /// [`ServerBase::install`] for a writeset held in row form (log
-    /// entries, batches, transfers).
-    pub fn install_writeset(&mut self, ws: &WriteSet) {
-        self.install(ws.into());
-    }
-
     /// Installs a recovery state transfer and records its accounting.
     /// Log suffixes go through the normal writeset-install path so the
     /// recorded history stays aligned with live installs; snapshots
@@ -985,8 +979,8 @@ impl ServerBase {
             .record_transfer(t.strategy, t.wire_size() as u64);
         match t.strategy {
             TransferStrategy::LogSuffix => {
-                for ws in &t.entries {
-                    self.install_writeset(ws);
+                for v in t.entries.views() {
+                    self.install(v);
                 }
             }
             TransferStrategy::Snapshot => {
@@ -1006,11 +1000,9 @@ impl ServerBase {
             TransferStrategy::LogSuffix => {
                 self.recovery
                     .record_transfer(t.strategy, t.wire_size() as u64);
-                for (ws, idx) in t.entries.iter().zip(t.start..) {
-                    if idx >= from {
-                        self.install_writeset(ws);
-                        wal.append_view(ws.into());
-                    }
+                for v in t.entries.views_from(from.saturating_sub(t.start) as usize) {
+                    self.install(v);
+                    wal.append_view(v);
                 }
             }
             TransferStrategy::Snapshot => {
@@ -1122,6 +1114,7 @@ pub fn op_of_txn(txn: TxnId) -> OpId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repl_db::WriteSet;
     use repl_sim::NodeId;
     use repl_workload::{OpTemplate, TxnTemplate};
 
@@ -1306,7 +1299,7 @@ mod tests {
         let mut b = ServerBase::new(1, 2, ExecutionMode::Deterministic);
         let o = op(3, vec![OpTemplate::Write(Key(0), Value(7))]);
         let (ws, _) = a.execute_to_ship(&o, TxnId::new(3, 0), 1);
-        b.install_writeset(&arena.borrow().view(ws).to_writeset());
+        b.install(arena.borrow().view(ws));
         assert_eq!(a.store.fingerprint(), b.store.fingerprint());
         assert_eq!(b.committed, 1);
     }
@@ -1324,7 +1317,7 @@ mod tests {
         let (handle, _) = a.execute_to_ship(&o, TxnId::new(3, 0), 1);
         let ws = arena.borrow().view(handle).to_writeset();
         b.install_payload(handle);
-        c.install_writeset(&ws);
+        c.install((&ws).into());
         assert_eq!(b.store.fingerprint(), c.store.fingerprint());
         assert_eq!(b.history.committed(), c.history.committed());
         assert_eq!(arena.borrow().stats().retired, 0, "read is not release");
@@ -1354,7 +1347,7 @@ mod tests {
         assert_eq!(lean.committed, 1);
         // The store state itself is identical to a non-lean execution.
         let mut full = ServerBase::new(1, 4, ExecutionMode::Deterministic);
-        full.install_writeset(&ws);
+        full.install((&ws).into());
         assert_eq!(lean.store.fingerprint(), full.store.fingerprint());
         let _ = lean.read_committed(TxnId::new(2, 0), Key(1));
         assert!(lean.history.committed().is_empty());

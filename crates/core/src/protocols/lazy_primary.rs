@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WriteSetRef};
+use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, TxnColumn, WriteSetRef, WsView};
 use repl_gcs::BatchConfig;
 use repl_sim::{Message, NodeId, SimDuration};
 
@@ -64,7 +64,7 @@ pub enum LazyPrimaryMsg {
         /// Log index of the first entry.
         start: u64,
         /// The committed redo records, in commit order.
-        entries: Arc<Vec<WriteSet>>,
+        entries: Arc<TxnColumn>,
     },
 }
 
@@ -73,7 +73,7 @@ impl Message for LazyPrimaryMsg {
         match self {
             LazyPrimaryMsg::Propagate { ws, .. } => 16 + ws.wire_size(),
             LazyPrimaryMsg::PropagateBatch { entries, .. } => {
-                16 + entries.iter().map(|w| 8 + w.wire_size()).sum::<usize>()
+                16 + 8 * entries.len() + entries.wire_size()
             }
         }
     }
@@ -179,11 +179,10 @@ impl LazyPrimary {
         // Group commit: every writeset of the window reaches the redo
         // log under a single force, then one PropagateBatch per
         // secondary carries the whole window.
-        let entries: Vec<WriteSet> = self.log.staged().map(|v| v.to_writeset()).collect();
+        let entries = Arc::new(self.log.staged().collect::<TxnColumn>());
         if self.log.flush_group().is_none() {
             return;
         }
-        let entries = Arc::new(entries);
         for s in sh.peers() {
             ctx.send(
                 s,
@@ -196,11 +195,11 @@ impl LazyPrimary {
     }
 
     /// Secondary: applies one numbered log entry if it is next in order.
-    fn apply_entry(&mut self, sh: &mut Shell, idx: u64, ws: &WriteSet) -> bool {
+    fn apply_entry(&mut self, sh: &mut Shell, idx: u64, ws: WsView<'_>) -> bool {
         if idx != self.applied {
             return false;
         }
-        sh.base.install_writeset(ws);
+        sh.base.install(ws);
         self.applied += 1;
         true
     }
@@ -212,8 +211,8 @@ impl LazyPrimary {
     fn install_catch_up(&mut self, sh: &mut Shell, t: &Transfer, floor: Option<u64>) {
         match t.strategy {
             TransferStrategy::LogSuffix => {
-                for (i, ws) in t.entries.iter().enumerate() {
-                    self.apply_entry(sh, t.start + i as u64, ws);
+                for (ws, idx) in t.entries.views().zip(t.start..) {
+                    self.apply_entry(sh, idx, ws);
                 }
                 if t.entries.is_empty() {
                     return;
@@ -307,8 +306,7 @@ impl Technique for LazyPrimary {
             }
             LazyPrimaryMsg::PropagateBatch { start, entries } => {
                 let mut gap = false;
-                for (i, ws) in entries.iter().enumerate() {
-                    let idx = start + i as u64;
+                for (ws, idx) in entries.views().zip(start..) {
                     if !self.apply_entry(sh, idx, ws) && idx > self.applied {
                         gap = true;
                     }
@@ -438,11 +436,7 @@ impl Technique for LazyPrimary {
             // behind the retention point gap-detects into the usual
             // catch-up request.
             let start = self.log.first_retained();
-            let entries: Vec<WriteSet> = self
-                .log
-                .since(start as usize)
-                .map(|v| v.to_writeset())
-                .collect();
+            let entries: TxnColumn = self.log.since(start as usize).collect();
             if !entries.is_empty() {
                 let entries = Arc::new(entries);
                 for s in sh.peers() {

@@ -25,8 +25,8 @@
 use std::collections::{HashMap, HashSet};
 
 use repl_db::{
-    Key, Keyspace, Transfer, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WriteSetRef,
-    WsView,
+    Key, Keyspace, Transfer, TransferStrategy, TxnColumn, TxnId, Value, WriteRecord, WriteSet,
+    WriteSetRef, WsView,
 };
 use repl_gcs::AbDeliver;
 use repl_sim::{Message, NodeId, SimDuration};
@@ -120,7 +120,11 @@ pub struct LazyUe {
     /// transactions of this site share a stamp and a local commit
     /// supersedes what it overwrote.
     clock: u64,
-    outbound: Vec<(WriteSet, u64)>,
+    /// Committed writesets awaiting propagation, and their stamps.
+    outbound: TxnColumn,
+    stamps: Vec<u64>,
+    /// The executing transaction's records, reused.
+    writes: Vec<WriteRecord>,
     flush_armed: bool,
     mode: ReconcileMode,
     ab: AbcastEndpoint<OrderedWs>,
@@ -132,7 +136,7 @@ pub struct LazyUe {
     pub reconciliations: u64,
     /// Lww only: restored entries to re-propagate at stamp 0 once the
     /// restore download completes (peers adopt only keys they never saw).
-    reship: Vec<WriteSet>,
+    reship: TxnColumn,
 }
 
 /// A lazy-update-everywhere server.
@@ -154,13 +158,15 @@ impl LazyUeServer {
             propagation_delay,
             last_writer: HashMap::new(),
             clock: 0,
-            outbound: Vec::new(),
+            outbound: TxnColumn::new(),
+            stamps: Vec::new(),
+            writes: Vec::new(),
             flush_armed: false,
             mode: ReconcileMode::Lww,
             ab: AbcastEndpoint::new(AbcastImpl::Sequencer, me, servers.clone(), cons),
             local_pending: HashSet::new(),
             reconciliations: 0,
-            reship: Vec::new(),
+            reship: TxnColumn::new(),
         };
         Replica::around(site, me, servers, keyspace, exec, tech)
     }
@@ -174,27 +180,29 @@ impl LazyUeServer {
 
 impl LazyUe {
     fn flush(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
-        let pending = std::mem::take(&mut self.outbound);
         self.flush_armed = false;
-        for (ws, commit_ts) in pending {
+        for i in 0..self.outbound.len() {
+            let (ws, commit_ts) = (self.outbound.view(i), self.stamps[i]);
             sh.mark(ctx, Phase::AgreementCoordination, op_of_txn(ws.txn), 0);
             match self.mode {
-                ReconcileMode::Lww => Self::propagate(sh, ctx, &ws, commit_ts),
+                ReconcileMode::Lww => Self::propagate(sh, ctx, ws, commit_ts),
                 ReconcileMode::AbcastOrder => {
                     // Every site (self included) consumes the ordered
                     // delivery once.
-                    let ws = sh.base.make_payload(&ws, sh.servers().len() as u32);
+                    let ws = sh.base.make_payload(ws, sh.servers().len() as u32);
                     self.ab.broadcast(OrderedWs(ws));
                     self.drive_ab(sh, ctx);
                 }
             }
         }
+        self.outbound.clear();
+        self.stamps.clear();
     }
 
     /// Lww: ships a committed writeset to every peer, stamped
     /// `commit_ts`. Only the peers consume the handle (this site
     /// committed already).
-    fn propagate(sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, ws: &WriteSet, commit_ts: u64) {
+    fn propagate(sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, ws: WsView<'_>, commit_ts: u64) {
         let site = sh.base.site;
         let ws = sh.base.make_payload(ws, (sh.servers().len() - 1) as u32);
         for s in sh.peers() {
@@ -388,7 +396,7 @@ impl Technique for LazyUe {
         let commit_ts = self.clock;
         // Execute locally, against possibly-divergent local state.
         let mut reads = Vec::new();
-        let mut writes = Vec::new();
+        self.writes.clear();
         for tpl in op.txn.ops.iter() {
             match *tpl {
                 OpTemplate::Read(k) => {
@@ -401,7 +409,7 @@ impl Technique for LazyUe {
                         .history
                         .record(sh.base.site, txn, k, repl_db::AccessKind::Write);
                     self.last_writer.insert(k, (commit_ts, sh.base.site));
-                    writes.push(repl_db::WriteRecord {
+                    self.writes.push(WriteRecord {
                         key: k,
                         value: v,
                         version: after.version,
@@ -417,21 +425,21 @@ impl Technique for LazyUe {
         };
         // Lazy: reply before any coordination.
         sh.reply(ctx, op.client, resp);
-        if !writes.is_empty() {
+        if !self.writes.is_empty() {
             if self.mode == ReconcileMode::AbcastOrder {
                 self.local_pending.insert(txn);
             }
-            let ws = WriteSet { txn, writes };
             // Lww seals optimistic commits as they happen; in
             // AbcastOrder the tier notes at ordered delivery
             // instead (see `apply_ordered`), so a restored store is a
             // clean prefix of the stream.
             if self.mode == ReconcileMode::Lww {
                 if let Some(t) = &mut sh.base.tier {
-                    t.note_commit(&ws);
+                    t.note_records(txn, self.writes.iter().copied());
                 }
             }
-            self.outbound.push((ws, commit_ts));
+            self.outbound.push(txn, self.writes.iter().copied());
+            self.stamps.push(commit_ts);
             if self.propagation_delay.is_zero() {
                 self.flush(sh, ctx);
             } else if !self.flush_armed {
@@ -565,6 +573,7 @@ impl Technique for LazyUe {
         }
         self.last_writer.clear();
         self.outbound.clear();
+        self.stamps.clear();
         self.flush_armed = false;
         self.local_pending.clear();
         self.reship.clear();
@@ -578,7 +587,7 @@ impl Technique for LazyUe {
                 // stamp 0 so peers adopt only keys they never saw,
                 // and let the rejoin anti-entropy reinstate the
                 // group's winning stamps here.
-                self.reship = plan.entries.views().map(|v| v.to_writeset()).collect();
+                self.reship = plan.entries;
             }
             ReconcileMode::AbcastOrder => self.ab.rewind_to(plan.token),
         }
@@ -591,8 +600,8 @@ impl Technique for LazyUe {
         if !self.outbound.is_empty() {
             self.flush(sh, ctx);
         }
-        for ws in std::mem::take(&mut self.reship) {
-            Self::propagate(sh, ctx, &ws, 0);
+        for ws in std::mem::take(&mut self.reship).views() {
+            Self::propagate(sh, ctx, ws, 0);
         }
         match self.mode {
             ReconcileMode::Lww if sh.servers().len() <= 1 => {

@@ -60,7 +60,8 @@ pub const DRAIN_TICK_TAG: u64 = u64::MAX - 0xDBA1;
 /// Timer tag of the heartbeat detector's tick.
 const FD_TICK_TAG: u64 = u64::MAX - 0xFD;
 
-/// Cadence of [`JOIN_RETRY_TAG`] (ticks).
+/// Cadence of [`JOIN_RETRY_TAG`] on a LAN (ticks) and its floor on any
+/// network (`runner::tuned_join_retry`, handed over by [`Replica::equip`]).
 pub const JOIN_RETRY_TICKS: u64 = 5_000;
 
 /// Cadence of [`DRAIN_TICK_TAG`] (ticks).
@@ -408,6 +409,8 @@ pub struct Shell {
     shard: Option<ShardCtx>,
     /// Whether a member of this run can ever ask for a refill.
     can_replay: bool,
+    /// Cadence of a joiner's `JoinReq` retry.
+    join_retry: SimDuration,
     /// The heartbeat detector, for a technique with
     /// [`Technique::HEARTBEATS`]; it watches the view's other members.
     fd: Option<HeartbeatFd>,
@@ -714,7 +717,7 @@ impl Shell {
             .next()
             .expect("join seed names at least one member");
         ctx.send(target, Wire::Member(MemberMsg::JoinReq));
-        ctx.set_timer(SimDuration::from_ticks(JOIN_RETRY_TICKS), JOIN_RETRY_TAG);
+        ctx.set_timer(self.join_retry, JOIN_RETRY_TAG);
     }
 
     /// Recovery's pull: asks every peer for the state this replica missed
@@ -823,6 +826,7 @@ impl<T: Technique> Replica<T> {
                 reads: Vec::new(),
                 shard: None,
                 can_replay: true,
+                join_retry: SimDuration::from_ticks(JOIN_RETRY_TICKS),
                 fd,
                 fd_out: Outbox::new(),
             },
@@ -839,8 +843,9 @@ impl<T: Technique> Replica<T> {
     /// Applies the run-wide server setup: durable tier (a no-op when
     /// `durability` is disabled), lean mode, whether the run can replay
     /// ([`Shell::can_replay`]; a technique that owns an ABCAST endpoint
-    /// reads it when the world starts), the shared payload arena and the
-    /// heartbeat timing (used only with [`Technique::HEARTBEATS`]).
+    /// reads it when the world starts), the shared payload arena, the
+    /// heartbeat timing (used only with [`Technique::HEARTBEATS`]) and a
+    /// joiner's `JoinReq` retry cadence.
     pub fn equip(
         &mut self,
         durability: &DurabilityConfig,
@@ -848,10 +853,12 @@ impl<T: Technique> Replica<T> {
         can_replay: bool,
         arena: SharedArena,
         fd: FdConfig,
+        join_retry: SimDuration,
     ) {
         self.shell.base.set_durability(durability);
         self.shell.base.set_lean(lean);
         self.shell.can_replay = can_replay;
+        self.shell.join_retry = join_retry;
         self.shell.base.set_arena(arena);
         if let Some(detector) = &mut self.shell.fd {
             detector.set_config(fd);
@@ -1205,6 +1212,32 @@ pub(crate) mod tests {
         assert_eq!(replies, 2);
     }
 
+    #[test]
+    fn a_wan_joiner_waits_out_the_round_trip_before_it_retries() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(1));
+        let coord = world.add_actor(probe(vec![(13_000, n(1), welcome_with(Vec::new()))]));
+        let mut joiner = replica(1, &[0, 1]);
+        joiner.begin_join();
+        // A WAN round trip is 13 000 ticks; the tuned retry is 78 000.
+        joiner.equip(
+            &DurabilityConfig::disabled(),
+            false,
+            true,
+            repl_db::shared_arena(),
+            FdConfig::default(),
+            crate::runner::tuned_join_retry(&repl_sim::NetworkConfig::wan()),
+        );
+        let joiner = world.add_actor(Box::new(joiner));
+        world.start();
+        at(&mut world, 40_000);
+        let j = world.actor_ref::<Replica<Stub>>(joiner);
+        assert_eq!(j.shell.status(), Status::Normal);
+        let join_reqs = count(world.actor_ref::<Probe>(coord), |m| {
+            matches!(m, MemberMsg::JoinReq)
+        });
+        assert_eq!(join_reqs, 1, "a retry before the answer re-runs admission");
+    }
+
     /// A welcome into the view {0, 1} carrying the donor's `answered`.
     fn welcome_with(answered: Vec<OpId>) -> StubMsg {
         StubMsg::Member(MemberMsg::Welcome {
@@ -1344,6 +1377,7 @@ pub(crate) mod tests {
             true,
             repl_db::shared_arena(),
             FdConfig::default(),
+            SimDuration::from_ticks(JOIN_RETRY_TICKS),
         );
         r.shell.answer(&Response::committed(OpId(9)));
         assert!(
@@ -1366,6 +1400,7 @@ pub(crate) mod tests {
                 true,
                 repl_db::shared_arena(),
                 FdConfig::default(),
+                SimDuration::from_ticks(JOIN_RETRY_TICKS),
             );
         }
         r.shell.answers.insert(OpId(9), Answer::Floor);
@@ -1495,6 +1530,7 @@ pub(crate) mod tests {
             true,
             repl_db::shared_arena(),
             FdConfig::default(),
+            SimDuration::from_ticks(JOIN_RETRY_TICKS),
         );
         let node = world.add_actor(Box::new(r));
         let mut script = vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))];
@@ -1673,6 +1709,7 @@ pub(crate) mod tests {
             true,
             repl_db::shared_arena(),
             FdConfig::default(),
+            SimDuration::from_ticks(JOIN_RETRY_TICKS),
         );
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![(100, n(0), StubMsg::Invoke(write_op(1, n(1))))]));
@@ -1878,6 +1915,7 @@ pub(crate) mod tests {
             true,
             repl_db::shared_arena(),
             FdConfig::default(),
+            SimDuration::from_ticks(JOIN_RETRY_TICKS),
         );
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![

@@ -480,6 +480,7 @@ mod tests {
                 true,
                 repl_db::shared_arena(),
                 repl_gcs::FdConfig::default(),
+                repl_sim::SimDuration::from_ticks(crate::protocols::replica::JOIN_RETRY_TICKS),
             );
             world.add_actor(Box::new(srv));
         }
@@ -520,6 +521,7 @@ mod tests {
                     can_replay,
                     repl_db::shared_arena(),
                     repl_gcs::FdConfig::default(),
+                    repl_sim::SimDuration::from_ticks(crate::protocols::replica::JOIN_RETRY_TICKS),
                 );
                 world.add_actor(Box::new(srv));
             }

@@ -20,7 +20,7 @@ use crate::durability::DurabilityConfig;
 use crate::phase::PhaseTrace;
 use crate::protocols::common::{op_of_txn, AbcastImpl, ExecutionMode, ShardCtx};
 use crate::protocols::lazy_ue::ReconcileMode;
-use crate::protocols::replica::{Replica, Technique as Flow, Wire};
+use crate::protocols::replica::{Replica, Technique as Flow, Wire, JOIN_RETRY_TICKS};
 use crate::protocols::{
     active::ActiveServer, certification::CertServer, eager_primary::EagerPrimaryServer,
     eager_ue_abcast::EuaServer, eager_ue_lock::EulServer, lazy_primary::LazyPrimaryServer,
@@ -337,8 +337,15 @@ fn tuned_vs(net: &NetworkConfig) -> VsConfig {
         fd: tuned_fd(net),
         consensus: tuned_consensus(net),
         flush_retry: SimDuration::from_ticks((10 * d).max(3_000)),
-        join_retry: SimDuration::from_ticks((12 * d).max(5_000)),
+        join_retry: tuned_join_retry(net),
     }
+}
+
+/// A joiner's retry cadence scaled to the network, for VSCAST's join and
+/// the replica shell's `JoinReq` alike: a retry must not fire before a
+/// round trip can answer it. Exactly [`JOIN_RETRY_TICKS`] on a LAN.
+pub(crate) fn tuned_join_retry(net: &NetworkConfig) -> SimDuration {
+    SimDuration::from_ticks((12 * max_delay(net)).max(JOIN_RETRY_TICKS))
 }
 
 /// Client retry timeout scaled to the network (see
@@ -1054,6 +1061,7 @@ fn drive<T: Flow>(
     let nodes = cfg.membership.peak_servers(founders);
     let mut world: World<Wire<T::Msg>> = new_world(cfg, nodes);
     let (arena, fd) = (run_arena(cfg), tuned_fd(&cfg.network));
+    let join = tuned_join_retry(&cfg.network);
     let aggregated = matches!(cfg.arrival, Arrival::OpenAggregated { .. });
     // Per-client workloads are drawn up front (an aggregate draws as it
     // goes): one generator restarted on each client's seed, so a
@@ -1086,10 +1094,10 @@ fn drive<T: Flow>(
             cfg.workload.keyspace().scoped(lo, hi)
         });
         // The run-wide setup: durable tier, lean mode, whether the run
-        // can replay, the shared arena, the heartbeat timing.
+        // can replay, the shared arena, the heartbeat and join timing.
         let mut srv = build(site, me, group, ks);
         let (lean, can_replay) = (cfg.lean_servers(), cfg.can_replay());
-        srv.equip(&cfg.durability, lean, can_replay, arena.clone(), fd);
+        srv.equip(&cfg.durability, lean, can_replay, arena.clone(), fd, join);
         // A founder's history is sized once for the writes its group
         // installs (a no-op on lean servers).
         if let (false, Some(recorded)) = (joiner, &recorded) {

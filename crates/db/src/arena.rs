@@ -1,12 +1,12 @@
-//! The payload plane: struct-of-arrays storage for disseminated
-//! writesets.
+//! The payload plane: one column of disseminated writesets.
 //!
 //! Replication fan-out is the dominant cost of the eager techniques
 //! (paper phase 3, dissemination). A writeset is *interned once* at its
-//! origin into three parallel columns (`keys`/`values`/`versions`) and
-//! travels as a 16-byte `Copy` handle ([`WriteSetRef`]) — the only form
-//! a protocol message carries. Receivers read the records through a
-//! borrow view ([`WsView`]) without materializing them.
+//! origin as one entry of the arena's [`TxnColumn`] (a span) and travels
+//! as a 16-byte `Copy` handle ([`WriteSetRef`]) — the only form a
+//! protocol message carries. Receivers read the span's rows through a
+//! borrow view ([`WsView`]) without materializing them; the span table
+//! keeps only release state.
 //!
 //! # Lifetime and GC
 //!
@@ -47,9 +47,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::item::{Key, TxnId, Value};
+use crate::column::TxnColumn;
+use crate::item::TxnId;
 use crate::log::{WriteRecord, WriteSet};
-use crate::store::Versioned;
 use crate::wire;
 
 /// A cheap `Copy` handle to a writeset interned in a [`PayloadArena`].
@@ -72,15 +72,10 @@ impl WriteSetRef {
     }
 }
 
-/// One interned writeset's bookkeeping.
+/// One interned writeset's release state; its records are the arena
+/// column's entry of the same index.
 #[derive(Debug)]
 struct Span {
-    /// Absolute logical column offset of the first record.
-    start: u64,
-    /// Record count.
-    len: u32,
-    /// The owning transaction.
-    txn: TxnId,
     /// Bitmask of the sites (modulo 64) that released this span.
     released: u64,
     /// Distinct releases required to retire the span.
@@ -89,7 +84,7 @@ struct Span {
     dead: bool,
 }
 
-/// Struct-of-arrays storage for in-flight writeset payloads.
+/// Column storage for in-flight writeset payloads.
 ///
 /// # Examples
 ///
@@ -112,20 +107,15 @@ struct Span {
 /// ```
 #[derive(Debug)]
 pub struct PayloadArena {
-    keys: Vec<Key>,
-    values: Vec<Value>,
-    versions: Vec<u64>,
+    /// One entry per resident span: entry `i` is span `base_span + i`.
+    writesets: TxnColumn,
+    /// Release state, one per resident span, in the same order.
     spans: Vec<Span>,
     /// Span ids below this were compacted away.
     base_span: u64,
-    /// Absolute logical offset of `keys[0]`.
-    base_col: u64,
     /// Whether releases retire spans (disarmed under fault plans, where
     /// rejoin refills may legitimately re-read old handles).
     gc: bool,
-    /// Retirements since the last dead-prefix scan.
-    retired_since_scan: usize,
-    interned: u64,
     retired: u64,
     compactions: u64,
 }
@@ -138,15 +128,10 @@ impl PayloadArena {
     /// Creates an empty arena with GC armed.
     pub fn new() -> Self {
         PayloadArena {
-            keys: Vec::new(),
-            values: Vec::new(),
-            versions: Vec::new(),
+            writesets: TxnColumn::new(),
             spans: Vec::new(),
             base_span: 0,
-            base_col: 0,
             gc: true,
-            retired_since_scan: 0,
-            interned: 0,
             retired: 0,
             compactions: 0,
         }
@@ -159,13 +144,13 @@ impl PayloadArena {
         self.gc = gc;
     }
 
-    /// Copies `ws` into the columns and returns its handle: the
+    /// Copies `ws` into the column and returns its handle: the
     /// materialized-writeset form of [`PayloadArena::intern_view`].
     pub fn intern(&mut self, ws: &WriteSet, expected: u32) -> WriteSetRef {
         self.intern_view(ws.into(), expected)
     }
 
-    /// Copies the viewed records into the columns and returns their
+    /// Copies the viewed records into the column and returns their
     /// handle — the one copy a shipped writeset pays, straight from
     /// wherever its records already sit (an undo log, a shadow overlay,
     /// a log entry).
@@ -175,23 +160,14 @@ impl PayloadArena {
     /// they all have. With `expected == 0` nobody will, and the span is
     /// retired here (while GC is armed) instead of pinning the prefix.
     pub fn intern_view(&mut self, ws: WsView<'_>, expected: u32) -> WriteSetRef {
-        let start = self.base_col + self.keys.len() as u64;
-        for w in ws.iter() {
-            self.keys.push(w.key);
-            self.values.push(w.value);
-            self.versions.push(w.version);
-        }
+        self.writesets.push_view(ws);
         let len = ws.len() as u32;
         let id = self.base_span + self.spans.len() as u64;
         self.spans.push(Span {
-            start,
-            len,
-            txn: ws.txn,
             released: 0,
             expected,
             dead: false,
         });
-        self.interned += 1;
         if expected == 0 && self.gc {
             self.retire(self.spans.len() - 1);
         }
@@ -203,19 +179,9 @@ impl PayloadArena {
     fn retire(&mut self, idx: usize) {
         self.spans[idx].dead = true;
         self.retired += 1;
-        self.retired_since_scan += 1;
-        if self.retired_since_scan >= Self::COMPACT_EVERY {
-            self.retired_since_scan = 0;
+        if self.retired.is_multiple_of(Self::COMPACT_EVERY as u64) {
             self.compact_prefix();
         }
-    }
-
-    fn span(&self, r: WriteSetRef) -> &Span {
-        let idx = r
-            .span
-            .checked_sub(self.base_span)
-            .expect("payload arena: read of a compacted span");
-        &self.spans[idx as usize]
     }
 
     /// Borrows the records of an interned writeset.
@@ -225,18 +191,15 @@ impl PayloadArena {
     /// Panics if the span was retired or compacted — a premature free
     /// must fail loudly, never return stale records.
     pub fn view(&self, r: WriteSetRef) -> WsView<'_> {
-        let span = self.span(r);
-        assert!(!span.dead, "payload arena: read of a retired span");
-        let a = (span.start - self.base_col) as usize;
-        let b = a + span.len as usize;
-        WsView {
-            txn: span.txn,
-            records: Records::Cols {
-                keys: &self.keys[a..b],
-                values: &self.values[a..b],
-                versions: &self.versions[a..b],
-            },
-        }
+        let idx = r
+            .span
+            .checked_sub(self.base_span)
+            .expect("payload arena: read of a compacted span") as usize;
+        assert!(
+            !self.spans[idx].dead,
+            "payload arena: read of a retired span"
+        );
+        self.writesets.view(idx)
     }
 
     /// Records that `site` has consumed the span. Idempotent per site;
@@ -260,8 +223,8 @@ impl PayloadArena {
         }
     }
 
-    /// Drops the retired prefix of the span table and its records — a
-    /// column memmove, no allocation. Capacity is retained, so a
+    /// Drops the retired prefix of the span table and its column entries
+    /// — a memmove, no allocation. Capacity is retained, so a
     /// steady-state open-loop run stops allocating once the columns
     /// reach their high-water mark.
     fn compact_prefix(&mut self) {
@@ -272,15 +235,7 @@ impl PayloadArena {
         if n == 0 {
             return;
         }
-        let cut_col = match self.spans.get(n) {
-            Some(live) => live.start,
-            None => self.base_col + self.keys.len() as u64,
-        };
-        let keep = (cut_col - self.base_col) as usize;
-        self.keys.drain(..keep);
-        self.values.drain(..keep);
-        self.versions.drain(..keep);
-        self.base_col = cut_col;
+        self.writesets.drop_front(n);
         self.spans.drain(..n);
         self.base_span += n as u64;
         self.compactions += 1;
@@ -290,12 +245,12 @@ impl PayloadArena {
     /// assertions.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            interned: self.interned,
+            interned: self.base_span + self.spans.len() as u64,
             retired: self.retired,
             compactions: self.compactions,
             spans_resident: self.spans.len(),
-            records_resident: self.keys.len(),
-            record_capacity: self.keys.capacity(),
+            records_resident: self.writesets.items().0,
+            record_capacity: self.writesets.items().1,
         }
     }
 }
@@ -317,7 +272,7 @@ pub struct ArenaStats {
     pub compactions: u64,
     /// Spans currently resident (live + not-yet-compacted dead).
     pub spans_resident: usize,
-    /// Write records currently resident in the columns.
+    /// Write records currently resident in the column.
     pub records_resident: usize,
     /// Column capacity in records (the high-water mark).
     pub record_capacity: usize,
@@ -334,48 +289,14 @@ pub fn shared_arena() -> SharedArena {
     Rc::new(RefCell::new(PayloadArena::new()))
 }
 
-/// A borrowed, representation-agnostic view of a writeset's records:
-/// the one form a writeset is read in, wherever its records sit.
+/// A borrowed view of a writeset's records: the one form a writeset is
+/// read in, wherever its rows sit (a writeset, a column entry, an undo
+/// log's after-images, a shadow overlay).
 #[derive(Debug, Clone, Copy)]
 pub struct WsView<'a> {
     /// The owning transaction.
     pub txn: TxnId,
-    records: Records<'a>,
-}
-
-/// Where a [`WsView`]'s records sit.
-#[derive(Debug, Clone, Copy)]
-enum Records<'a> {
-    /// Row-major: a record slice (a writeset, a redo-log entry, a
-    /// shadow's after-images).
-    Rows(&'a [WriteRecord]),
-    /// An undo log's rows: each after-image beside its before-image.
-    Undo(&'a [(WriteRecord, Versioned)]),
-    /// Column-major: arena slices.
-    Cols {
-        keys: &'a [Key],
-        values: &'a [Value],
-        versions: &'a [u64],
-    },
-}
-
-impl Records<'_> {
-    /// Record `i`.
-    fn get(self, i: usize) -> WriteRecord {
-        match self {
-            Records::Rows(writes) => writes[i],
-            Records::Undo(log) => log[i].0,
-            Records::Cols {
-                keys,
-                values,
-                versions,
-            } => WriteRecord {
-                key: keys[i],
-                value: values[i],
-                version: versions[i],
-            },
-        }
-    }
+    records: &'a [WriteRecord],
 }
 
 impl<'a> From<&'a WriteSet> for WsView<'a> {
@@ -385,29 +306,14 @@ impl<'a> From<&'a WriteSet> for WsView<'a> {
 }
 
 impl<'a> WsView<'a> {
-    /// A view of `txn`'s records held row by row.
-    pub fn rows(txn: TxnId, writes: &'a [WriteRecord]) -> Self {
-        WsView {
-            txn,
-            records: Records::Rows(writes),
-        }
-    }
-
-    /// A view of the after-images of `txn`'s undo log.
-    pub(crate) fn undo_log(txn: TxnId, log: &'a [(WriteRecord, Versioned)]) -> Self {
-        WsView {
-            txn,
-            records: Records::Undo(log),
-        }
+    /// A view of `txn`'s records.
+    pub fn rows(txn: TxnId, records: &'a [WriteRecord]) -> Self {
+        WsView { txn, records }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        match self.records {
-            Records::Rows(writes) => writes.len(),
-            Records::Undo(log) => log.len(),
-            Records::Cols { keys, .. } => keys.len(),
-        }
+        self.records.len()
     }
 
     /// True if there are no records.
@@ -423,8 +329,7 @@ impl<'a> WsView<'a> {
     /// Iterates the records in order, by value (records are `Copy`); no
     /// allocation, and an exact length.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = WriteRecord> + 'a {
-        let records = self.records;
-        (0..self.len()).map(move |i| records.get(i))
+        self.records.iter().copied()
     }
 
     /// Copies the view into an owned `WriteSet` (one exact-size
@@ -440,6 +345,7 @@ impl<'a> WsView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::{Key, Value};
 
     fn ws(txn: u64, n: u64) -> WriteSet {
         WriteSet {

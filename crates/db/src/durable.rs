@@ -24,13 +24,15 @@
 //! Old durable frames are periodically folded into an internal backup
 //! [`Store`] ("compaction"), so restores don't replay the whole history;
 //! the fold keeps each folded transaction's id and key set so a restored
-//! site can rebuild its execution history for the 1SR oracle.
+//! site can rebuild its execution history for the 1SR oracle. The framed
+//! entries and the fold history are [`TxnColumn`]s; a restore's suffix
+//! is a clone of the first.
 
 use std::collections::VecDeque;
 
 use crate::arena::WsView;
+use crate::column::TxnColumn;
 use crate::item::{Key, Keyspace, TxnId, Value};
-use crate::log::WriteRecord;
 use crate::recovery::{Transfer, TransferStrategy};
 use crate::store::Store;
 
@@ -51,128 +53,6 @@ pub struct DurableFrame {
     /// entries — where a restored replica resumes if this frame is the
     /// durable high-water mark.
     pub token: u64,
-}
-
-/// A log of per-transaction entries kept as one column: every entry's
-/// items sit in one `Vec`, and each entry is a `(txn, start, len)`
-/// header into it, so a log costs two buffers however many entries it
-/// holds. Redo entries keep their records; the durable tier's fold
-/// history keeps only the written keys.
-///
-/// # Examples
-///
-/// ```
-/// use repl_db::{Key, TxnColumn, TxnId};
-///
-/// let mut folded: TxnColumn<Key> = TxnColumn::new();
-/// folded.push(TxnId::new(1, 0), [Key(3), Key(5)]);
-/// folded.push(TxnId::new(2, 0), []);
-/// assert_eq!(folded.len(), 2);
-/// assert_eq!(folded.entry(0), (TxnId::new(1, 0), &[Key(3), Key(5)][..]));
-/// assert!(folded.entry(1).1.is_empty());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxnColumn<T = WriteRecord> {
-    items: Vec<T>,
-    heads: Vec<(TxnId, u32, u32)>,
-}
-
-impl<T> Default for TxnColumn<T> {
-    fn default() -> Self {
-        TxnColumn {
-            items: Vec::new(),
-            heads: Vec::new(),
-        }
-    }
-}
-
-impl<T: Copy> TxnColumn<T> {
-    /// An empty column.
-    pub fn new() -> Self {
-        TxnColumn::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// True if the column holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
-    }
-
-    /// Appends `txn`'s entry.
-    ///
-    /// # Panics
-    ///
-    /// If the column would hold `2^32` items or more.
-    pub fn push(&mut self, txn: TxnId, items: impl IntoIterator<Item = T>) {
-        let start = self.items.len();
-        self.items.extend(items);
-        let offset = |n: usize| u32::try_from(n).expect("fewer than 2^32 items in a column");
-        self.heads
-            .push((txn, offset(start), offset(self.items.len() - start)));
-    }
-
-    /// Entry `i`: its transaction and items.
-    pub fn entry(&self, i: usize) -> (TxnId, &[T]) {
-        let (txn, start, len) = self.heads[i];
-        let start = start as usize;
-        (txn, &self.items[start..start + len as usize])
-    }
-
-    /// Every entry, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = (TxnId, &[T])> + '_ {
-        (0..self.len()).map(|i| self.entry(i))
-    }
-
-    /// Every entry's transaction, oldest first.
-    pub fn txns(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.heads.iter().map(|h| h.0)
-    }
-
-    /// Drops every entry, keeping the buffers' capacity.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.heads.clear();
-    }
-
-    /// Drops the entries from `n` on.
-    fn truncate(&mut self, n: usize) {
-        if let Some(&(_, start, _)) = self.heads.get(n) {
-            self.items.truncate(start as usize);
-            self.heads.truncate(n);
-        }
-    }
-
-    /// Drops the first `n` entries (a memmove of what stays).
-    fn drop_front(&mut self, n: usize) {
-        let cut = self.heads.get(n).map_or(self.items.len(), |h| h.1 as usize);
-        self.items.drain(..cut);
-        self.heads.drain(..n);
-        for h in &mut self.heads {
-            h.1 -= cut as u32;
-        }
-    }
-}
-
-impl TxnColumn {
-    /// Appends a copy of `view`'s records as its transaction's entry.
-    pub fn push_view(&mut self, view: WsView<'_>) {
-        self.push(view.txn, view.iter());
-    }
-
-    /// Entry `i` as a borrow view.
-    pub fn view(&self, i: usize) -> WsView<'_> {
-        let (txn, records) = self.entry(i);
-        WsView::rows(txn, records)
-    }
-
-    /// Every entry as a borrow view, oldest first.
-    pub fn views(&self) -> impl Iterator<Item = WsView<'_>> + '_ {
-        (0..self.len()).map(|i| self.view(i))
-    }
 }
 
 /// Everything needed to rebuild a wiped volume from the durable tier.
@@ -196,12 +76,10 @@ pub struct DurableRestore {
     pub bytes: u64,
 }
 
-/// The off-node durable copy of one site's redo stream.
-///
-/// The retained entries and the fold history are [`TxnColumn`]s: a
-/// seal copies its entries' records into one column, and compaction
-/// moves the folded keys into another, so a warm tier seals and
-/// compacts without allocating.
+/// The off-node durable copy of one site's redo stream. A seal copies
+/// its entries' records into one [`TxnColumn`] and compaction moves the
+/// folded keys into another, so a warm tier seals and compacts without
+/// allocating.
 ///
 /// # Examples
 ///
@@ -371,7 +249,7 @@ impl DurableLog {
         let suffix = (!self.entries.is_empty()).then(|| Transfer {
             strategy: TransferStrategy::LogSuffix,
             start: self.snap_high,
-            entries: self.entries.views().map(|v| v.to_writeset()).collect(),
+            entries: self.entries.clone(),
             snapshot: Vec::new(),
             high,
         });
@@ -386,12 +264,6 @@ impl DurableLog {
             token,
             bytes,
         }
-    }
-
-    /// The still-framed entries, oldest first: the suffix a restore
-    /// replays after the compacted snapshot.
-    pub fn suffix(&self) -> &TxnColumn {
-        &self.entries
     }
 
     /// Logical entries the tier has ever sealed (including folded ones).
@@ -413,7 +285,7 @@ impl DurableLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::WriteSet;
+    use crate::log::{WriteRecord, WriteSet};
 
     fn ws(ts: u64, key: u64, value: i64, version: u64) -> WriteSet {
         WriteSet {
@@ -581,7 +453,7 @@ mod tests {
             let suffix = Transfer {
                 strategy: TransferStrategy::LogSuffix,
                 start: self.snap_high,
-                entries: self.entries.clone(),
+                entries: self.entries.iter().map(WsView::from).collect(),
                 snapshot: Vec::new(),
                 high,
             };
@@ -604,7 +476,9 @@ mod tests {
 
     fn column_restore(tier: &DurableLog) -> Restored {
         let r = tier.restore();
-        let suffix = r.suffix.map_or_else(Vec::new, |t| t.entries);
+        let suffix = r.suffix.map_or_else(Vec::new, |t| {
+            t.entries.views().map(|v| v.to_writeset()).collect()
+        });
         let folded = r
             .folded_history
             .entries()

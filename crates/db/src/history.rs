@@ -204,16 +204,6 @@ impl std::fmt::Display for SerializabilityViolation {
 
 impl std::error::Error for SerializabilityViolation {}
 
-/// The accesses of one (site, key) stream that the next access can
-/// still conflict with directly: the latest write, and the reads since
-/// (all of them, if no write has been seen yet). Transactions are dense
-/// indices.
-#[derive(Default)]
-struct StreamTail {
-    last_write: Option<u32>,
-    reads: Vec<u32>,
-}
-
 impl ReplicatedHistory {
     /// Creates an empty history.
     pub fn new() -> Self {
@@ -350,9 +340,11 @@ impl ReplicatedHistory {
 
     /// The covering edges over dense indices into `nodes`, sorted and
     /// deduplicated: one pass over the site logs, each of whose local
-    /// transaction indices is mapped to a dense one once.
+    /// transaction indices is mapped to a dense one once. The stream
+    /// table and the read list are cleared, not dropped, between logs,
+    /// so the allocations do not grow with the keyspace.
     fn covering_edges(&self, nodes: &[TxnId]) -> Vec<(u32, u32)> {
-        const UNCOMMITTED: u32 = u32::MAX;
+        const NONE: u32 = u32::MAX;
         let index: FxHashMap<TxnId, u32> = nodes
             .iter()
             .enumerate()
@@ -362,37 +354,47 @@ impl ReplicatedHistory {
             })
             .collect();
         let mut edges = Vec::new();
-        let mut streams: FxHashMap<Key, StreamTail> = FxHashMap::default();
+        // Per (site, key) stream: its latest write and the newest of the
+        // reads since (all of them, if no write has been seen yet), each
+        // read linking to the one before it in `reads`.
+        let mut streams: FxHashMap<Key, (u32, u32)> = FxHashMap::default();
+        let mut reads: Vec<(u32, u32)> = Vec::new();
         let widest = self.per_site.values().map(|log| log.next_local);
         let mut dense: Vec<u32> = Vec::with_capacity(widest.max().unwrap_or(0) as usize);
         for log in self.per_site.values() {
             dense.clear();
-            dense.resize(log.next_local as usize, UNCOMMITTED);
+            dense.resize(log.next_local as usize, NONE);
             for (txn, &(local, _)) in &log.txns {
                 if let Some(&i) = index.get(txn) {
                     dense[(local & !MARK) as usize] = i;
                 }
             }
             streams.clear();
+            reads.clear();
             for &a in &log.ops {
                 let txn = dense[a.local()];
-                if txn == UNCOMMITTED {
+                if txn == NONE {
                     continue;
                 }
-                let tail = streams.entry(a.key).or_default();
+                let (last_write, newest_read) = streams.entry(a.key).or_insert((NONE, NONE));
                 let mut edge_from = |earlier: u32| {
-                    if earlier != txn {
+                    if earlier != txn && earlier != NONE {
                         edges.push((earlier, txn));
                     }
                 };
-                if let Some(write) = tail.last_write {
-                    edge_from(write);
-                }
+                edge_from(*last_write);
                 match a.kind() {
-                    AccessKind::Read => tail.reads.push(txn),
+                    AccessKind::Read => {
+                        reads.push((txn, *newest_read));
+                        *newest_read = (reads.len() - 1) as u32;
+                    }
                     AccessKind::Write => {
-                        tail.reads.drain(..).for_each(&mut edge_from);
-                        tail.last_write = Some(txn);
+                        while *newest_read != NONE {
+                            let (read, before) = reads[*newest_read as usize];
+                            edge_from(read);
+                            *newest_read = before;
+                        }
+                        *last_write = txn;
                     }
                 }
             }

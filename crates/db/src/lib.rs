@@ -10,6 +10,7 @@
 //!   off its table on demand,
 //! * [`TxnManager`] — the undo log: begin/write/commit/abort,
 //! * [`WriteSet`]/[`RedoLog`] — the log records replication propagates,
+//!   and [`TxnColumn`] — the one form a run of them is kept in,
 //! * [`TpcCoordinator`]/[`TpcParticipant`] — two-phase commit,
 //! * [`Certifier`] — the deterministic certification test,
 //! * [`Transfer`]/[`RecoveryTracker`] — crash-recovery state transfer
@@ -29,6 +30,7 @@
 
 mod arena;
 mod certify;
+mod column;
 mod durable;
 mod graph;
 pub mod hash;
@@ -44,7 +46,8 @@ pub mod wire;
 
 pub use arena::{shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef, WsView};
 pub use certify::{Certification, Certifier};
-pub use durable::{DurableFrame, DurableLog, DurableRestore, TxnColumn};
+pub use column::TxnColumn;
+pub use durable::{DurableFrame, DurableLog, DurableRestore};
 pub use graph::first_cycle;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use history::{ReplicatedHistory, SerializabilityViolation};

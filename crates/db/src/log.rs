@@ -4,8 +4,11 @@
 //! does not ship the operation but the *changes* it produced — log
 //! records. A [`WriteSet`] is exactly that: the after-images of one
 //! transaction's writes, applicable at any replica without re-execution.
+//! The [`RedoLog`] keeps its committed and staged runs as [`TxnColumn`]s,
+//! the one form a run of writesets takes.
 
 use crate::arena::WsView;
+use crate::column::TxnColumn;
 use crate::item::{Key, TxnId, Value};
 
 /// One write's after-image.
@@ -76,9 +79,10 @@ pub const FSYNC_TICKS: u64 = 120;
 /// identical either way; only the force count (and the latency the
 /// caller models with [`FSYNC_TICKS`]) differ.
 ///
-/// The log keeps columns, not owned writesets: one record column plus a
-/// per-entry `(txn, end)` index, for the committed entries and again
-/// for the staged ones. An entry is written once, from wherever its
+/// The log keeps two [`TxnColumn`]s, not owned writesets: one for the
+/// committed entries and one for the staged ones, and a group commit
+/// moves the staged column's entries after the committed ones
+/// ([`TxnColumn::append`]). An entry is written once, from wherever its
 /// records already sit ([`RedoLog::append_view`] and
 /// [`RedoLog::stage_view`] take a [`WsView`]), and read as a borrow view
 /// ([`RedoLog::since`], [`RedoLog::staged`]); a warm log appends and
@@ -110,99 +114,17 @@ pub const FSYNC_TICKS: u64 = 120;
 pub struct RedoLog {
     /// Committed entries still held: `dead` truncated ones awaiting
     /// compaction, then the retained ones.
-    held: Entries,
+    held: TxnColumn,
     /// Held entries below this are truncated away.
     dead: usize,
     /// Entries staged for the next group commit.
-    staged: Entries,
+    staged: TxnColumn,
     fsyncs: u64,
     /// Logical index of the first held entry (0 until truncation).
     base: u64,
     /// Maximum number of entries retained (`None` = keep everything).
     retention: Option<usize>,
 }
-
-/// A run of log entries: one record column and a per-entry
-/// `(txn, end)` index, `end` being the absolute column offset one past
-/// the entry's last record.
-#[derive(Debug, Clone, Default)]
-struct Entries {
-    records: Vec<WriteRecord>,
-    index: Vec<(TxnId, u64)>,
-    /// Absolute column offset of `records[0]`.
-    col_base: u64,
-}
-
-impl Entries {
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn end(&self) -> u64 {
-        self.col_base + self.records.len() as u64
-    }
-
-    fn push(&mut self, view: WsView<'_>) {
-        grow_by_half(&mut self.records, view.len());
-        grow_by_half(&mut self.index, 1);
-        self.records.extend(view.iter());
-        self.index.push((view.txn, self.end()));
-    }
-
-    fn view(&self, i: usize) -> WsView<'_> {
-        let start = match i {
-            0 => self.col_base,
-            _ => self.index[i - 1].1,
-        };
-        let (txn, end) = self.index[i];
-        let a = (start - self.col_base) as usize;
-        let b = (end - self.col_base) as usize;
-        WsView::rows(txn, &self.records[a..b])
-    }
-
-    fn views(&self, from: usize) -> impl Iterator<Item = WsView<'_>> {
-        (from.min(self.len())..self.len()).map(|i| self.view(i))
-    }
-
-    /// Moves every entry of `other` after this run's, leaving `other`
-    /// empty with its capacity.
-    fn take_all(&mut self, other: &mut Entries) {
-        let shift = self.end() - other.col_base;
-        grow_by_half(&mut self.records, other.records.len());
-        grow_by_half(&mut self.index, other.index.len());
-        self.records.append(&mut other.records);
-        self.index
-            .extend(other.index.drain(..).map(|(txn, end)| (txn, end + shift)));
-        other.col_base = 0;
-    }
-
-    /// Drops the first `n` entries and their records (a memmove).
-    fn drop_prefix(&mut self, n: usize) {
-        let cut = self.index[n - 1].1;
-        self.records.drain(..(cut - self.col_base) as usize);
-        self.index.drain(..n);
-        self.col_base = cut;
-    }
-
-    fn clear(&mut self) {
-        self.records.clear();
-        self.index.clear();
-        self.col_base = 0;
-    }
-}
-
-/// Makes room for `more` elements, growing a full column by half its
-/// capacity (at least [`MIN_GROWTH`]) instead of doubling it: a log
-/// lives as long as the run, so its slack is retained heap.
-fn grow_by_half<T>(col: &mut Vec<T>, more: usize) {
-    if col.capacity() - col.len() < more {
-        col.reserve_exact(more.max(col.capacity() / 2).max(MIN_GROWTH));
-    }
-}
-
-/// The smallest step a log column grows by, so a short log reaches its
-/// size in a few steps.
-const MIN_GROWTH: usize = 16;
 
 impl RedoLog {
     /// Creates an empty log.
@@ -244,7 +166,7 @@ impl RedoLog {
         if let Some(max) = self.retention {
             self.dead = self.dead.max(self.held.len().saturating_sub(max));
             if self.dead >= max {
-                self.held.drop_prefix(self.dead);
+                self.held.drop_front(self.dead);
                 self.base += self.dead as u64;
                 self.dead = 0;
             }
@@ -260,7 +182,7 @@ impl RedoLog {
     /// [`RedoLog::append`] straight from a view of the records, wherever
     /// they sit: the entry is copied into the log's column once.
     pub fn append_view(&mut self, view: WsView<'_>) -> usize {
-        self.held.push(view);
+        self.held.push_view(view);
         self.fsyncs += 1;
         let idx = self.len() - 1;
         self.enforce_retention();
@@ -276,7 +198,7 @@ impl RedoLog {
 
     /// [`RedoLog::stage`] straight from a view of the records.
     pub fn stage_view(&mut self, view: WsView<'_>) {
-        self.staged.push(view);
+        self.staged.push_view(view);
     }
 
     /// Number of records staged for the next group commit.
@@ -286,7 +208,7 @@ impl RedoLog {
 
     /// The staged records, in stage order, as borrow views.
     pub fn staged(&self) -> impl Iterator<Item = WsView<'_>> {
-        self.staged.views(0)
+        self.staged.views()
     }
 
     /// Commits every staged record with a single force. Returns the
@@ -304,12 +226,12 @@ impl RedoLog {
     }
 
     fn flush(&mut self, forces: u64) -> Option<(usize, usize)> {
-        if self.staged.len() == 0 {
+        if self.staged.is_empty() {
             return None;
         }
         let start = self.len();
         let count = self.staged.len();
-        self.held.take_all(&mut self.staged);
+        self.held.append(&mut self.staged);
         self.fsyncs += forces;
         self.enforce_retention();
         Some((start, count))
@@ -370,7 +292,7 @@ impl RedoLog {
             self.first_retained()
         );
         let phys = (from as u64).saturating_sub(self.base) as usize;
-        self.held.views(phys.max(self.dead))
+        self.held.views_from(phys.max(self.dead))
     }
 }
 
@@ -544,7 +466,8 @@ mod tests {
         );
         // A compacted log ships the same suffix it would have kept.
         let t = crate::Transfer::from_log(&log, &crate::Store::new(), 37);
-        assert_eq!(t.entries, logged(&log, 37));
+        let shipped: Vec<WriteSet> = t.entries.views().map(|v| v.to_writeset()).collect();
+        assert_eq!(shipped, logged(&log, 37));
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //!   position, and for techniques that keep no redo log at all.
 //!
 //! [`Transfer`] packages either form plus the donor's log watermark so
-//! the requester knows where to resume. [`RecoveryTracker`] accumulates
+//! the requester knows where to resume; a log suffix is a [`TxnColumn`]
+//! of the log's entries, installed view by view. [`RecoveryTracker`] accumulates
 //! the MTTR accounting the experiment reports surface (rejoin time,
 //! catch-up time, transfer bytes, strategy counts).
 
+use crate::column::TxnColumn;
 use crate::item::Key;
-use crate::log::{RedoLog, WriteSet};
+use crate::log::RedoLog;
 use crate::store::{Store, Versioned};
 
 /// Which state-transfer strategy a donor selected.
@@ -41,7 +43,7 @@ pub struct Transfer {
     /// snapshots.
     pub start: u64,
     /// Log-suffix entries, in commit order (empty for snapshots).
-    pub entries: Vec<WriteSet>,
+    pub entries: TxnColumn,
     /// Store snapshot, key-sorted (empty for log suffixes).
     pub snapshot: Vec<(Key, Versioned)>,
     /// The donor's logical log length (applied watermark) at transfer
@@ -59,7 +61,7 @@ impl Transfer {
             Transfer {
                 strategy: TransferStrategy::LogSuffix,
                 start: have,
-                entries: log.since(have as usize).map(|v| v.to_writeset()).collect(),
+                entries: log.since(have as usize).collect(),
                 snapshot: Vec::new(),
                 high,
             }
@@ -74,7 +76,7 @@ impl Transfer {
         Transfer {
             strategy: TransferStrategy::Snapshot,
             start: 0,
-            entries: Vec::new(),
+            entries: TxnColumn::new(),
             snapshot: store.snapshot(),
             high,
         }
@@ -85,27 +87,20 @@ impl Transfer {
     /// back to their before-images, so a requester never installs data
     /// that the donor might later undo.
     pub fn committed_snapshot(store: &Store, tm: &crate::TxnManager, high: u64) -> Transfer {
-        let mut snap = store.snapshot();
+        let mut t = Transfer::snapshot(store, high);
         let before = tm.before_images();
-        for (k, v) in snap.iter_mut() {
+        for (k, v) in t.snapshot.iter_mut() {
             if let Some(b) = before.get(k) {
                 *v = *b;
             }
         }
-        Transfer {
-            strategy: TransferStrategy::Snapshot,
-            start: 0,
-            entries: Vec::new(),
-            snapshot: snap,
-            high,
-        }
+        t
     }
 
     /// Approximate wire size in bytes, for message and MTTR accounting.
     pub fn wire_size(&self) -> usize {
-        let entries: usize = self.entries.iter().map(WriteSet::wire_size).sum();
         // Key + value + version + writer per snapshot item.
-        32 + entries + self.snapshot.len() * 40
+        32 + self.entries.wire_size() + self.snapshot.len() * 40
     }
 
     /// Applies the transfer to a bare store (no history recording) and
@@ -115,8 +110,8 @@ impl Transfer {
     pub fn apply(&self, store: &mut Store) -> u64 {
         match self.strategy {
             TransferStrategy::LogSuffix => {
-                for ws in &self.entries {
-                    store.apply_writeset(ws);
+                for v in self.entries.views() {
+                    store.apply_writeset(v);
                 }
             }
             TransferStrategy::Snapshot => store.install_snapshot(&self.snapshot),
@@ -188,6 +183,7 @@ impl RecoveryTracker {
 mod tests {
     use super::*;
     use crate::item::{TxnId, Value};
+    use crate::log::WriteSet;
 
     fn committed(store: &mut Store, log: &mut RedoLog, key: u64, value: i64, ts: u64) {
         let t = TxnId::new(ts, 0);

@@ -24,8 +24,9 @@ use crate::store::{Store, Versioned};
 /// Bookkeeping for one in-flight transaction, recycled through the
 /// manager's free list when the transaction ends: per written key,
 /// ascending, its latest after-image — the redo record a commit hands
-/// out in place — and its first-touch before-image, for undo.
-type ActiveTxn = Vec<(WriteRecord, Versioned)>;
+/// out in place — and, at the same index of a second column, its
+/// first-touch before-image, for undo.
+type ActiveTxn = (Vec<WriteRecord>, Vec<Versioned>);
 
 /// Error returned when referring to a transaction the manager does not
 /// know (never begun, or already finished).
@@ -93,8 +94,8 @@ impl TxnManager {
     /// normally prevent it), the older image wins.
     pub fn before_images(&self) -> HashMap<Key, Versioned> {
         let mut images: HashMap<Key, Versioned> = HashMap::new();
-        for txn in self.active.values() {
-            for &(WriteRecord { key: k, .. }, v) in txn {
+        for (redo, undo) in self.active.values() {
+            for (&WriteRecord { key: k, .. }, &v) in redo.iter().zip(undo) {
                 match images.get(&k) {
                     Some(prev) if prev.version <= v.version => {}
                     _ => {
@@ -118,24 +119,20 @@ impl TxnManager {
         key: Key,
         value: Value,
     ) -> Result<Versioned, UnknownTxn> {
-        let txn = self.active.get_mut(&id).ok_or(UnknownTxn(id))?;
-        let slot = txn.binary_search_by_key(&key, |(w, _)| w.key);
-        let before = match slot {
-            Ok(at) => txn[at].1,
-            Err(_) => store.read(key).unwrap_or(Versioned::initial(Value(0))),
-        };
+        let (redo, undo) = self.active.get_mut(&id).ok_or(UnknownTxn(id))?;
+        let slot = redo.binary_search_by_key(&key, |w| w.key);
+        if let Err(at) = slot {
+            undo.insert(at, store.read(key).unwrap_or(Versioned::initial(Value(0))));
+        }
         let after = store.write(key, value, id);
-        let written = (
-            WriteRecord {
-                key,
-                value,
-                version: after.version,
-            },
-            before,
-        );
+        let written = WriteRecord {
+            key,
+            value,
+            version: after.version,
+        };
         match slot {
-            Ok(at) => txn[at] = written,
-            Err(at) => txn.insert(at, written),
+            Ok(at) => redo[at] = written,
+            Err(at) => redo.insert(at, written),
         }
         Ok(after)
     }
@@ -165,7 +162,7 @@ impl TxnManager {
         f: impl FnOnce(WsView<'_>) -> R,
     ) -> Result<R, UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
-        let r = f(WsView::undo_log(id, &txn));
+        let r = f(WsView::rows(id, &txn.0));
         self.recycle(txn);
         Ok(r)
     }
@@ -177,7 +174,7 @@ impl TxnManager {
     /// Returns [`UnknownTxn`] if `id` is not active.
     pub fn abort(&mut self, store: &mut Store, id: TxnId) -> Result<(), UnknownTxn> {
         let txn = self.active.remove(&id).ok_or(UnknownTxn(id))?;
-        for &(w, before) in &txn {
+        for (w, &before) in txn.0.iter().zip(&txn.1) {
             store.restore(w.key, before);
         }
         self.recycle(txn);
@@ -186,7 +183,8 @@ impl TxnManager {
 
     /// Returns a finished transaction's state to the free list.
     fn recycle(&mut self, mut txn: ActiveTxn) {
-        txn.clear();
+        txn.0.clear();
+        txn.1.clear();
         self.free.push(txn);
     }
 }

@@ -11,8 +11,11 @@
 //! on a single hot key — the worst case for an all-pairs graph, which
 //! grows 64-fold there. The same episode bounds what the merged history
 //! keeps per recorded access: a site log stores one 16-byte record per
-//! access, its purge index one entry per transaction. Counts, not times,
-//! so it cannot flake. It lives
+//! access, its purge index one entry per transaction. And checking must
+//! allocate independently of the keyspace: the covering pass reuses one
+//! stream table and one read list across the site logs, with no list
+//! per key.
+//! Counts, not times, so it cannot flake. It lives
 //! in its own integration-test crate because the library forbids
 //! `unsafe_code` and a `GlobalAlloc` impl is necessarily unsafe.
 
@@ -89,6 +92,29 @@ fn hot_key_episode(txns: u64) -> (usize, u64, f64) {
     )
 }
 
+/// Allocations of one 1SR check over three sites' logs of 4,096
+/// read-then-write transactions spread round-robin over `keys` keys.
+fn check_allocations(keys: u64) -> u64 {
+    let mut merged = ReplicatedHistory::new();
+    for site in 0..SITES {
+        let mut at_site = ReplicatedHistory::new();
+        for ts in 1..=4_096 {
+            let txn = TxnId::new(ts, 0);
+            at_site.record(site, txn, Key(ts % keys), AccessKind::Read);
+            at_site.record(site, txn, Key(ts % keys), AccessKind::Write);
+            at_site.mark_committed(txn);
+        }
+        merged.merge(&at_site);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let order = merged
+        .check_one_copy_serializable()
+        .expect("every site executed the transactions in the same order");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(order.len(), 4_096);
+    allocations
+}
+
 /// Heap bytes a merged history may hold per recorded access: a 16-byte
 /// record plus a share of the per-site purge index and the committed
 /// set. It held 71.0 when each access was a 40-byte record naming its
@@ -122,5 +148,12 @@ fn history_memory_and_allocations_are_linear_in_run_length() {
         per_access <= BYTES_PER_ACCESS_BUDGET,
         "the merged history holds {per_access:.1} B per recorded access, \
          budget {BYTES_PER_ACCESS_BUDGET}"
+    );
+    // The same transactions over 16 or 4,096 keys: a read list per key,
+    // dropped with its log, took 77 and 12,318 allocations.
+    let (few, many) = (check_allocations(16), check_allocations(4_096));
+    assert!(
+        many <= 2 * few,
+        "checking over 4,096 keys took {many} allocations against {few} over 16"
     );
 }
