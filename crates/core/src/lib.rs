@@ -33,7 +33,7 @@ mod runner;
 mod technique;
 
 pub use client::{AggregateClients, ClientActor, ClientGroup, OpRecord, ReplyMode};
-pub use durability::{DurabilityConfig, DurabilityTier, RestorePlan};
+pub use durability::DurabilityConfig;
 pub use op::{accesses, ClientOp, OpId, Response};
 pub use phase::{Phase, PhaseMark, PhaseSkeleton, PhaseTrace};
 pub use protocols::replica::Wire;

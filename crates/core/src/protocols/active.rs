@@ -345,7 +345,10 @@ mod tests {
             assert_eq!(tier.restores, 1, "lag {lag}: restore did not run");
             assert!(!tier.restoring());
             if lag == 0 {
-                assert!(tier.lost.is_empty(), "a synchronous tier must lose nothing");
+                assert!(
+                    tier.lost().is_empty(),
+                    "a synchronous tier must lose nothing"
+                );
             }
             let mut merged = repl_db::ReplicatedHistory::new();
             for &s in &servers {

@@ -3,9 +3,9 @@
 //! Atomic Broadcast endpoint, and execution-mode handling.
 
 use repl_db::{
-    AccessKind, Key, Keyspace, RecoveryTracker, RedoLog, ReplicatedHistory, ShadowStore,
-    SharedArena, Store, Transfer, TransferStrategy, TxnColumn, TxnId, TxnManager, Value, Versioned,
-    WriteRecord, WriteSetRef, WsView,
+    AccessKind, DurableLog, DurableRestore, Key, Keyspace, RecoveryTracker, RedoLog,
+    ReplicatedHistory, ShadowStore, SharedArena, Store, Transfer, TransferStrategy, TxnId,
+    TxnManager, Value, Versioned, WriteRecord, WriteSetRef, WsView,
 };
 use repl_gcs::{
     apply_outbox, AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig,
@@ -14,7 +14,7 @@ use repl_gcs::{
 use repl_sim::{Context, GroupSet, Message, NodeId};
 use repl_workload::{OpTemplate, ShardMap, TxnTemplate};
 
-use crate::durability::{DurabilityConfig, DurabilityTier, RestorePlan};
+use crate::durability::DurabilityConfig;
 use crate::op::{accesses, ClientOp, OpId, Response};
 
 /// Whether servers execute deterministically.
@@ -482,7 +482,7 @@ pub struct ServerBase {
     /// Durable log tier (None reproduces pre-tier behaviour exactly).
     /// Boxed: most runs have none, and an untiered server should not
     /// carry its columns' headers.
-    pub tier: Option<Box<DurabilityTier>>,
+    pub tier: Option<Box<DurableLog>>,
     /// Volume-loss disasters survived by this server.
     pub volume_wipes: u64,
     /// The run's shared payload arena, attached when the server is
@@ -544,7 +544,7 @@ impl ServerBase {
     /// Attaches a durable log tier (no-op when `cfg` is disabled).
     pub fn set_durability(&mut self, cfg: &DurabilityConfig) {
         if cfg.enabled {
-            self.tier = Some(Box::new(DurabilityTier::new(cfg, self.keyspace())));
+            self.tier = Some(Box::new(DurableLog::new(self.keyspace(), cfg.upload_lag)));
         }
     }
 
@@ -633,15 +633,15 @@ impl ServerBase {
 
     /// Starts the restore of a wiped volume, if one is pending: installs
     /// the durable snapshot and suffix (through the normal transfer
-    /// accounting), rebuilds the folded history, and returns the plan
-    /// the protocol must finish — rewind to `plan.token`, stay deaf for
-    /// `plan.delay` ticks, then rejoin. `None` on a normal crash
-    /// recovery. Untiered wipes restore from scratch (token 0, no
-    /// delay): the whole group history replays through the rejoin path.
-    pub fn begin_restore(&mut self, now: u64) -> Option<RestorePlan> {
-        if self.tier.is_some() {
-            let planned = self.tier.as_mut().and_then(|t| t.plan_restore(now));
-            let (restore, plan) = planned?;
+    /// accounting), rebuilds the folded history, and returns the restore
+    /// for the protocol to finish — rewind to `token`, stay deaf for
+    /// `delay` ticks, then rejoin. `None` on a normal crash recovery.
+    /// Untiered wipes restore from scratch (the default restore: token
+    /// 0, no delay): the whole group history replays through the rejoin
+    /// path.
+    pub fn begin_restore(&mut self) -> Option<DurableRestore> {
+        if let Some(tier) = &mut self.tier {
+            let restore = tier.restore()?;
             if let Some(s) = &restore.snapshot {
                 self.install_transfer(s);
             }
@@ -654,16 +654,9 @@ impl ServerBase {
                 }
                 self.history.mark_committed(txn);
             }
-            Some(plan)
-        } else if self.bare_wipe {
-            self.bare_wipe = false;
-            Some(RestorePlan {
-                token: 0,
-                start: 0,
-                high: 0,
-                entries: TxnColumn::new(),
-                delay: 0,
-            })
+            Some(restore)
+        } else if std::mem::take(&mut self.bare_wipe) {
+            Some(DurableRestore::default())
         } else {
             None
         }
@@ -1065,7 +1058,7 @@ impl ServerBase {
 }
 
 /// Notes a commit's records in the durable tier, if there is one.
-fn note(tier: &mut Option<Box<DurabilityTier>>, v: WsView<'_>) {
+fn note(tier: &mut Option<Box<DurableLog>>, v: WsView<'_>) {
     if let Some(t) = tier {
         t.note_commit(v);
     }

@@ -22,14 +22,13 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use repl_db::{
-    Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, RedoLog, TpcCoordinator,
-    TpcDecision, Transfer, TxnId, Value, WriteRecord, WriteSet, WriteSetRef,
+    Acquire, DeadlockPolicy, DurableRestore, Key, Keyspace, LockManager, LockMode, RedoLog,
+    TpcCoordinator, TpcDecision, Transfer, TxnId, Value, WriteRecord, WriteSet, WriteSetRef,
 };
 use repl_gcs::BatchConfig;
 use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
@@ -870,12 +869,12 @@ impl Technique for EagerPrimary {
         self.clear_staged();
     }
 
-    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+    fn rewind_to(&mut self, _sh: &mut Shell, restore: DurableRestore) {
         // The tier mirrors the flushed decision stream one-for-one, so
         // the restored cursor is a redo-log length; the log itself
         // restarts empty at that position (peers donate anything
         // earlier, exactly as after a snapshot catch-up).
-        self.wal.restart_at(plan.token);
+        self.wal.restart_at(restore.token);
     }
 
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>) {

@@ -34,11 +34,12 @@
 
 use std::sync::Arc;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, TxnColumn, WriteSetRef, WsView};
+use repl_db::{
+    DurableRestore, Keyspace, RedoLog, Transfer, TransferStrategy, TxnColumn, WriteSetRef, WsView,
+};
 use repl_gcs::BatchConfig;
 use repl_sim::{Message, NodeId, SimDuration};
 
-use crate::durability::RestorePlan;
 use crate::op::ClientOp;
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
@@ -401,18 +402,20 @@ impl Technique for LazyPrimary {
         self.applied = 0;
     }
 
-    fn rewind_to(&mut self, sh: &mut Shell, plan: RestorePlan) {
+    fn rewind_to(&mut self, sh: &mut Shell, restore: DurableRestore) {
         if sh.me() == primary(sh) {
             // Tier note order equals log order at the primary, so
             // the restored suffix rebuilds the propagation stream
             // in place.
-            self.log.restart_at(plan.start);
-            for v in plan.entries.views() {
+            let suffix = restore.suffix.as_ref();
+            self.log
+                .restart_at(suffix.map_or(restore.high, |t| t.start));
+            for v in suffix.into_iter().flat_map(|t| t.entries.views()) {
                 self.log.append_view(v);
             }
             self.reship = true;
         } else {
-            self.applied = plan.token;
+            self.applied = restore.token;
         }
     }
 

@@ -25,14 +25,13 @@
 use std::collections::{HashMap, HashSet};
 
 use repl_db::{
-    Key, Keyspace, Transfer, TransferStrategy, TxnColumn, TxnId, Value, WriteRecord, WriteSet,
-    WriteSetRef, WsView,
+    DurableRestore, Key, Keyspace, Transfer, TransferStrategy, TxnColumn, TxnId, Value,
+    WriteRecord, WriteSet, WriteSetRef, WsView,
 };
 use repl_gcs::AbDeliver;
 use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
-use crate::durability::RestorePlan;
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
@@ -568,7 +567,7 @@ impl Technique for LazyUe {
             let mut pend: Vec<TxnId> = self.local_pending.iter().copied().collect();
             pend.sort();
             if let Some(t) = &mut sh.base.tier {
-                t.lost.extend(pend);
+                t.claim_lost(pend);
             }
         }
         self.last_writer.clear();
@@ -579,7 +578,7 @@ impl Technique for LazyUe {
         self.reship.clear();
     }
 
-    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+    fn rewind_to(&mut self, _sh: &mut Shell, restore: DurableRestore) {
         match self.mode {
             ReconcileMode::Lww => {
                 // Stamps cannot be restored (the tier keeps values,
@@ -587,9 +586,9 @@ impl Technique for LazyUe {
                 // stamp 0 so peers adopt only keys they never saw,
                 // and let the rejoin anti-entropy reinstate the
                 // group's winning stamps here.
-                self.reship = plan.entries;
+                self.reship = restore.suffix.map(|t| t.entries).unwrap_or_default();
             }
-            ReconcileMode::AbcastOrder => self.ab.rewind_to(plan.token),
+            ReconcileMode::AbcastOrder => self.ab.rewind_to(restore.token),
         }
     }
 

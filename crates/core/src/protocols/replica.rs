@@ -37,11 +37,11 @@
 //! [`Shell::is_suspected`] and says when heartbeats restart after a
 //! recovery ([`Shell::restart_heartbeats`]).
 
-use repl_db::{FxHashMap, Key, Keyspace, SharedArena, Transfer, Value};
+use repl_db::{DurableRestore, FxHashMap, Key, Keyspace, SharedArena, Transfer, Value};
 use repl_gcs::{Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
-use crate::durability::{DurabilityConfig, RestorePlan};
+use crate::durability::DurabilityConfig;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{ExecutionMode, ServerBase, ShardCtx};
@@ -349,9 +349,9 @@ pub trait Technique: Sized + 'static {
     /// that died with it.
     fn recovering(&mut self, _sh: &mut Shell) {}
 
-    /// A wiped volume was restored up to `plan.token`: rewind the
+    /// A wiped volume was restored up to `restore.token`: rewind the
     /// technique's cursors there so the rejoin replays the rest.
-    fn rewind_to(&mut self, _sh: &mut Shell, _plan: RestorePlan) {}
+    fn rewind_to(&mut self, _sh: &mut Shell, _restore: DurableRestore) {}
 
     /// Re-enter the group: after a crash, and after a restore download.
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>);
@@ -931,11 +931,11 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
         let now = ctx.now().ticks();
         shell.base.recovery.begin(now);
         tech.recovering(shell);
-        if let Some(plan) = shell.base.begin_restore(now) {
+        if let Some(restore) = shell.base.begin_restore() {
             // The volume is gone: the durable tier restored a prefix;
             // the technique rewinds to it so the rejoin covers the rest.
-            let delay = plan.delay;
-            tech.rewind_to(shell, plan);
+            let delay = restore.delay;
+            tech.rewind_to(shell, restore);
             if delay > 0 {
                 ctx.set_timer(SimDuration::from_ticks(delay), RESTORE_TAG);
                 return;
@@ -1090,8 +1090,8 @@ pub(crate) mod tests {
         fn recovering(&mut self, _sh: &mut Shell) {
             self.log.push(("recovering", 0));
         }
-        fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
-            self.log.push(("rewind_to", plan.token));
+        fn rewind_to(&mut self, _sh: &mut Shell, restore: DurableRestore) {
+            self.log.push(("rewind_to", restore.token));
         }
         fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Context<'_, StubMsg>) {
             self.log.push(("rejoin", ctx.now().ticks()));
@@ -1928,8 +1928,8 @@ pub(crate) mod tests {
         let tier = r.shell.base.tier.as_mut().expect("tier attached");
         assert_eq!(tier.frames_sealed(), 2, "one frame per committing event");
         tier.wipe(1_000);
-        let (_, plan) = tier.plan_restore(1_000).expect("wiped");
-        assert_eq!(plan.token, 1_002, "the last frame carries position()");
+        let restore = tier.restore().expect("wiped");
+        assert_eq!(restore.token, 1_002, "the last frame carries position()");
     }
 
     /// A heartbeating stub replica `me` of `group`.

@@ -15,11 +15,10 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use repl_db::{Key, Keyspace, Transfer, Value};
+use repl_db::{DurableRestore, Key, Keyspace, Transfer, Value};
 use repl_gcs::{BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{Message, NodeId};
 
-use crate::durability::RestorePlan;
 use crate::op::{accesses, ClientOp, OpId};
 use crate::phase::Phase;
 use crate::protocols::common::{
@@ -352,12 +351,12 @@ impl Technique for SemiActive {
         self.next_apply = 0;
     }
 
-    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+    fn rewind_to(&mut self, _sh: &mut Shell, restore: DurableRestore) {
         // The leader choices behind the erased suffix are gone, so (as
         // with plain crashes) the remaining gap is covered by a peer
         // snapshot through the normal catch-up afterwards.
-        self.next_apply = plan.token;
-        self.ab.rewind_to(plan.token);
+        self.next_apply = restore.token;
+        self.ab.rewind_to(restore.token);
     }
 
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {

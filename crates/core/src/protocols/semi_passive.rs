@@ -24,11 +24,10 @@
 
 use std::collections::BTreeMap;
 
-use repl_db::{Keyspace, RedoLog, Transfer, WriteSetRef};
+use repl_db::{DurableRestore, Keyspace, RedoLog, Transfer, WriteSetRef};
 use repl_gcs::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, Outbox};
 use repl_sim::{Message, NodeId, SimDuration};
 
-use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
@@ -358,14 +357,14 @@ impl Technique for SemiPassive {
         self.next_slot = 0;
     }
 
-    fn rewind_to(&mut self, _sh: &mut Shell, plan: RestorePlan) {
+    fn rewind_to(&mut self, _sh: &mut Shell, restore: DurableRestore) {
         // The durable tier cannot reconstruct the slot-indexed decision
         // log (duplicate decisions are logged but never noted), so treat
         // the restore like a snapshot catch-up: an empty log based at the
         // restored cursor. Earlier suffixes are simply donated by peers
         // instead of us.
-        self.wal.restart_at(plan.token);
-        self.next_slot = plan.token;
+        self.wal.restart_at(restore.token);
+        self.next_slot = restore.token;
         self.decided.clear();
     }
 

@@ -16,11 +16,10 @@
 
 use std::collections::HashSet;
 
-use repl_db::{Keyspace, Transfer};
+use repl_db::{DurableRestore, Keyspace, Transfer};
 use repl_gcs::{BatchConfig, ConsensusConfig};
 use repl_sim::{Message, NodeId};
 
-use crate::durability::RestorePlan;
 use crate::op::{ClientOp, OpId};
 use crate::phase::Phase;
 use crate::protocols::common::{settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode};
@@ -220,9 +219,9 @@ impl<F: Ordered> Technique for Stream<F> {
         self.flow.store_replaced(sh);
     }
 
-    fn rewind_to(&mut self, sh: &mut Shell, plan: RestorePlan) {
+    fn rewind_to(&mut self, sh: &mut Shell, restore: DurableRestore) {
         self.flow.store_replaced(sh);
-        self.ab.rewind_to(plan.token);
+        self.ab.rewind_to(restore.token);
     }
 
     /// State survives a crash; the ordered stream does not. Rejoining the

@@ -819,9 +819,9 @@ fn fold_servers<T: Flow>(
         }
         d.volume_wipes += base.volume_wipes;
         if let Some(tier) = &base.tier {
-            d.lost_commits += tier.lost.len() as u64;
+            d.lost_commits += tier.lost().len() as u64;
             d.claimed_lost
-                .extend(tier.lost.iter().map(|&t| op_of_txn(t)));
+                .extend(tier.lost().iter().map(|&t| op_of_txn(t)));
             d.restores += tier.restores;
             d.restore_bytes += tier.restore_bytes;
             d.restore_ticks += tier.restore_ticks;

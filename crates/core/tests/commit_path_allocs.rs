@@ -51,12 +51,22 @@
 //! to a whole-run allocation budget: the tier keeps columns, per-run
 //! state is sized once, the clients share one workload body, and the
 //! view group snapshots no membership while nobody is suspected.
+//!
+//! An eighth guard holds one restore from the durable tier to one copy of
+//! its durable suffix: the tier copies its framed entries into the
+//! restore's suffix transfer, and the server installs that transfer and
+//! hands it on to the technique without copying it again. Its window is
+//! a few allocations long, so it reads a per-thread count: the harness
+//! starting the next test on another thread does not land in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use repl_core::protocols::common::{ExecutionMode, ServerBase};
 use repl_core::{try_run, Arrival, DurabilityConfig, RunConfig, Technique};
+use repl_db::{Key, TxnId, Value};
 use repl_sim::{NodeId, SimDuration, SimTime};
 use repl_workload::{ArrivalDist, FaultPlan, MembershipPlan, WorkloadSpec};
 
@@ -66,8 +76,16 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by this thread (const-initialised and without a
+    /// destructor, so reading it from the allocator allocates nothing).
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 fn grew(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
@@ -668,4 +686,54 @@ fn a_faulted_study_run_pays_per_transaction_not_per_growth_step() {
     let _serial = serial();
     within_85_percent("disaster/Passive", study_disaster, 15, DISASTER_PARENT);
     within_85_percent("elastic/Semi-Active", study_elastic, 25, ELASTIC_PARENT);
+}
+
+/// Commits transaction `ts` on `base`: a write to key `ts % 16`, and a
+/// second write for every third transaction.
+fn commit_scripted(base: &mut ServerBase, ts: u64) {
+    let txn = TxnId::new(ts, 0);
+    base.begin(txn);
+    base.write(txn, Key(ts % 16), Value(ts as i64));
+    if ts.is_multiple_of(3) {
+        base.write(txn, Key((ts * 5 + 1) % 16), Value(-(ts as i64)));
+    }
+    base.commit_and_note(txn);
+}
+
+/// Allocations of one `ServerBase::begin_restore` on a lean tiered base
+/// (upload lag 500) whose durable state is a folded snapshot of 70
+/// transactions and a suffix of two, after a wipe that lost one sealed
+/// frame in flight and the unsealed tail: the snapshot transfer (its
+/// snapshot list and what installing it allocates), the one copy of the
+/// suffix (its record and header columns) and the fold history's copy.
+/// A second copy of the suffix adds its two columns: 9.
+const RESTORE_ALLOCS: u64 = 7;
+
+#[test]
+fn a_restore_copies_its_durable_suffix_once() {
+    let _serial = serial();
+    let mut base = ServerBase::new(0, 16, ExecutionMode::Deterministic);
+    base.set_lean(true);
+    base.set_durability(&DurabilityConfig::with_upload_lag(500));
+    (1..=70).for_each(|ts| commit_scripted(&mut base, ts));
+    base.seal_now(1_000, 700);
+    commit_scripted(&mut base, 71);
+    commit_scripted(&mut base, 72);
+    base.seal_now(2_000, 720); // the first frame is durable: it folds
+    commit_scripted(&mut base, 73);
+    base.seal_now(3_000, 730); // durable at 3,500
+    commit_scripted(&mut base, 74); // never sealed
+    let lost = base.wipe_volume(3_200).expect("tiered").count();
+    assert_eq!(lost, 2, "the frame in flight and the unsealed tail");
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let restore = base.begin_restore().expect("the wipe armed a restore");
+    let allocs = THREAD_ALLOCATIONS.with(Cell::get) - before;
+    let suffix = restore.suffix.as_ref().expect("two framed entries survive");
+    assert_eq!((suffix.entries.len(), restore.token), (2, 720));
+    assert!(restore.snapshot.is_some(), "the first frame folded");
+    println!("one restore: {allocs} allocations (exactly {RESTORE_ALLOCS}; 9 with a second copy)");
+    assert_eq!(
+        allocs, RESTORE_ALLOCS,
+        "a restore copies its durable suffix once, from the tier into its transfer"
+    );
 }

@@ -1,38 +1,43 @@
-//! The durable log tier: sealed redo frames shipped off-node, surviving
-//! total loss of a site's local volume.
+//! The durable log tier: each site's uploader into an off-node object
+//! store, and the disaster bookkeeping around it.
 //!
 //! The local [`RedoLog`](crate::RedoLog) is fsync-durable but lives on a
-//! losable volume. A [`DurableLog`] is the off-node copy: an uploader
-//! seals the writesets committed since the last seal into a
-//! [`DurableFrame`] and ships it to an object store. The tier's caller
-//! computes each frame's `durable_at` from its upload model; the
-//! `DurableLog` itself is pure bookkeeping (this crate has no simulator
-//! dependency).
+//! losable volume. A [`DurableLog`] is the off-node copy: every commit is
+//! noted in a pending column, and each seal ships what was noted since
+//! the last one as a [`DurableFrame`] that the object store holds
+//! `upload_lag` ticks later. At any instant the tier therefore splits the
+//! site's acknowledged commits into a *durable prefix* and an *exposed
+//! suffix* — the data-loss window a volume-loss disaster realises. The
+//! tier is pure bookkeeping over virtual ticks (this crate has no
+//! simulator dependency): uploads do not travel the simulated network.
 //!
 //! Three moments matter:
 //!
 //! * **Seal** — a frame's entries are on the wire but *not yet durable*.
 //! * **Wipe** — a disaster at time `t` keeps exactly the frames with
-//!   `durable_at <= t`; in-flight frames (and their entries) are lost
-//!   and returned to the caller so acknowledged-but-lost commits can be
-//!   claimed in the data-loss accounting.
-//! * **Restore** — the surviving tier state is packaged through the
-//!   existing [`Transfer`] machinery as a *durable snapshot* (the
-//!   compacted frame prefix) plus a *durable suffix* (the still-framed
-//!   entries), mirroring the snapshot/log-suffix split of peer recovery.
+//!   `durable_at <= t`; in-flight frames and the unsealed tail are lost,
+//!   claimed in [`DurableLog::lost`] and returned to the caller.
+//! * **Restore** — the surviving state is one [`DurableRestore`]: a
+//!   *durable snapshot* (the compacted frame prefix) and a *durable
+//!   suffix* (the still-framed entries) as [`Transfer`]s, mirroring the
+//!   snapshot/log-suffix split of peer recovery, and the download's
+//!   delay. Until [`DurableLog::finish_restore`] the site is deaf and
+//!   notes nothing: what it installs is already durable.
 //!
 //! Old durable frames are periodically folded into an internal backup
 //! [`Store`] ("compaction"), so restores don't replay the whole history;
 //! the fold keeps each folded transaction's id and key set so a restored
-//! site can rebuild its execution history for the 1SR oracle. The framed
-//! entries and the fold history are [`TxnColumn`]s; a restore's suffix
-//! is a clone of the first.
+//! site can rebuild its execution history for the 1SR oracle. The pending
+//! tail, the framed entries and the fold history are [`TxnColumn`]s; a
+//! restore's suffix is the one copy of the framed entries, made once per
+//! disaster.
 
 use std::collections::VecDeque;
 
 use crate::arena::WsView;
 use crate::column::TxnColumn;
 use crate::item::{Key, Keyspace, TxnId, Value};
+use crate::log::{WriteRecord, FSYNC_TICKS};
 use crate::recovery::{Transfer, TransferStrategy};
 use crate::store::Store;
 
@@ -55,14 +60,18 @@ pub struct DurableFrame {
     pub token: u64,
 }
 
-/// Everything needed to rebuild a wiped volume from the durable tier.
-#[derive(Debug, Clone)]
+/// Everything a wiped site needs to rebuild its volume from the durable
+/// tier, and how long that takes. The default is the restore of a site
+/// without a tier: nothing to install, resume from position 0 at once,
+/// and let the group replay the rest.
+#[derive(Debug, Clone, Default)]
 pub struct DurableRestore {
     /// The compacted durable prefix, as a snapshot transfer (`None`
     /// when nothing was folded yet).
     pub snapshot: Option<Transfer>,
-    /// The still-framed durable entries, as a log-suffix transfer
-    /// (`None` when no frames survive uncompacted).
+    /// The still-framed durable entries, as a log-suffix transfer from
+    /// logical index `start` (`None` when no frames survive
+    /// uncompacted).
     pub suffix: Option<Transfer>,
     /// The keys of every transaction folded into the snapshot, in
     /// commit order — replayed into the restored site's execution
@@ -70,34 +79,64 @@ pub struct DurableRestore {
     pub folded_history: TxnColumn<Key>,
     /// Logical log index after installing both transfers.
     pub high: u64,
-    /// Protocol stream/log position to resume from.
+    /// Protocol stream/log position to resume from: everything after it
+    /// must be re-fetched from the group.
     pub token: u64,
     /// Total transfer size, for restore-time accounting.
     pub bytes: u64,
+    /// Ticks the download plus the local fsync replay take; the site
+    /// stays deaf until they elapse.
+    pub delay: u64,
 }
 
-/// The off-node durable copy of one site's redo stream. A seal copies
-/// its entries' records into one [`TxnColumn`] and compaction moves the
-/// folded keys into another, so a warm tier seals and compacts without
-/// allocating.
+/// Where a tier stands between a wipe and the end of its restore.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RestoreState {
+    /// Uploading as usual.
+    Live,
+    /// Wiped: the next [`DurableLog::restore`] packages the durable
+    /// state.
+    Armed,
+    /// The restore download is in flight: the site is deaf and notes
+    /// nothing.
+    Downloading,
+}
+
+/// One site's durable tier: the pending tail, the off-node frames and
+/// backup store, the loss claims and the restore accounting. A note
+/// copies a commit's records into the pending column, a seal moves them
+/// into the framed column and compaction moves the folded keys into a
+/// third, so a warm tier notes, seals and compacts without allocating.
 ///
 /// # Examples
 ///
 /// ```
 /// use repl_db::{DurableLog, Keyspace, WriteSet, TxnId};
 ///
-/// let mut tier = DurableLog::new(Keyspace::dense(8));
-/// // Seal one frame at t=100 that becomes durable at t=600.
-/// tier.seal(100, 600, 1, &[WriteSet::empty(TxnId::new(1, 0))]);
+/// // Uploads take 500 ticks.
+/// let mut tier = DurableLog::new(Keyspace::dense(8), 500);
+/// tier.note_commit(&WriteSet::empty(TxnId::new(1, 0)));
+/// tier.seal(100, 1);
 /// assert_eq!(tier.durable_high(599), 0, "still in flight");
 /// assert_eq!(tier.durable_high(600), 1);
-/// // A disaster at t=500 loses the in-flight frame.
-/// let lost = tier.wipe(500);
-/// assert_eq!(lost, vec![TxnId::new(1, 0)]);
-/// assert_eq!(tier.restore().high, 0);
+/// // A disaster at t=500 loses the in-flight frame and arms a restore.
+/// assert_eq!(tier.wipe(500), vec![TxnId::new(1, 0)]);
+/// assert_eq!(tier.lost(), [TxnId::new(1, 0)]);
+/// let restore = tier.restore().expect("the wipe armed a restore");
+/// assert_eq!((restore.high, restore.delay), (0, 500));
+/// assert!(tier.restoring());
+/// tier.finish_restore();
+/// assert!(tier.restore().is_none(), "one restore per wipe");
 /// ```
 #[derive(Debug, Clone)]
 pub struct DurableLog {
+    /// Ticks from a seal until the object store holds the frame; a
+    /// restore's download takes as long. Zero is a synchronous tier,
+    /// which loses nothing.
+    upload_lag: u64,
+    /// Records noted since the last seal (the exposed, not-yet-shipped
+    /// tail), one column reused from seal to seal.
+    pending: TxnColumn,
     /// Sealed, not-yet-compacted frames, oldest first.
     frames: VecDeque<DurableFrame>,
     /// The frames' entries; entry 0 is logical index `snap_high`.
@@ -112,6 +151,16 @@ pub struct DurableLog {
     folded: TxnColumn<Key>,
     /// Frames sealed over the tier's lifetime (survives wipes).
     frames_sealed: u64,
+    /// Acknowledged commits a disaster erased before they were durable.
+    lost: Vec<TxnId>,
+    /// Where the wipe/restore cycle stands.
+    state: RestoreState,
+    /// Restores performed.
+    pub restores: u64,
+    /// Transfer bytes downloaded by restores.
+    pub restore_bytes: u64,
+    /// Ticks spent deaf in restore downloads.
+    pub restore_ticks: u64,
 }
 
 /// Durable frames are folded into the backup store once more than this
@@ -120,9 +169,12 @@ pub struct DurableLog {
 const COMPACT_AFTER: usize = 64;
 
 impl DurableLog {
-    /// Creates an empty tier for a site whose store uses `keyspace`.
-    pub fn new(keyspace: Keyspace) -> Self {
+    /// Creates an empty tier for a site whose store uses `keyspace`,
+    /// with object-store requests that take `upload_lag` ticks.
+    pub fn new(keyspace: Keyspace, upload_lag: u64) -> Self {
         DurableLog {
+            upload_lag,
+            pending: TxnColumn::new(),
             frames: VecDeque::new(),
             entries: TxnColumn::new(),
             snap: Store::with_keyspace(keyspace, Value(0)),
@@ -130,51 +182,62 @@ impl DurableLog {
             snap_token: 0,
             folded: TxnColumn::new(),
             frames_sealed: 0,
+            lost: Vec::new(),
+            state: RestoreState::Live,
+            restores: 0,
+            restore_bytes: 0,
+            restore_ticks: 0,
         }
     }
 
-    /// Seals `entries` into a frame shipped at `sealed_at` and durable
-    /// at `durable_at`, stamped with the protocol position `token`
-    /// reached after them, copying their records into the tier's
-    /// column. Returns the frame's serialized size (0 for an empty
-    /// seal, which is a no-op: no frame, no upload).
-    ///
-    /// `durable_at` values must be non-decreasing across seals (uploads
-    /// are FIFO); the durable watermark relies on it.
-    pub fn seal<'a, V: Into<WsView<'a>>>(
+    /// Queues a committed writeset for the next seal, from a view of
+    /// its records wherever they sit. No-op while a restore is being
+    /// installed (those entries are already durable).
+    pub fn note_commit<'a>(&mut self, ws: impl Into<WsView<'a>>) {
+        let ws = ws.into();
+        self.note_records(ws.txn, ws.iter());
+    }
+
+    /// [`DurableLog::note_commit`] for records produced on the fly (an
+    /// install that reads back the versions it assigned).
+    pub fn note_records(
         &mut self,
-        sealed_at: u64,
-        durable_at: u64,
-        token: u64,
-        entries: impl IntoIterator<Item = V>,
-    ) -> u64 {
-        let first = self.entries.len();
-        let mut bytes = 0;
-        for v in entries {
-            let v = v.into();
-            bytes += v.wire_size() as u64;
-            self.entries.push_view(v);
+        txn: TxnId,
+        records: impl IntoIterator<Item = WriteRecord, IntoIter: ExactSizeIterator>,
+    ) {
+        if self.state != RestoreState::Downloading {
+            self.pending.push(txn, records);
         }
-        let count = (self.entries.len() - first) as u64;
-        if count == 0 {
+    }
+
+    /// Seals everything noted since the last seal into one frame shipped
+    /// at `now`, durable `upload_lag` ticks later and stamped with the
+    /// protocol position `token` reached after those commits. Returns
+    /// the frame's serialized size (0 when nothing was noted: no frame,
+    /// no upload).
+    pub fn seal(&mut self, now: u64, token: u64) -> u64 {
+        if self.pending.is_empty() {
             return 0;
         }
+        let durable_at = now + self.upload_lag;
         debug_assert!(
             self.frames
                 .back()
                 .is_none_or(|f| f.durable_at <= durable_at),
             "durable tier uploads must be FIFO"
         );
+        let bytes = self.pending.wire_size() as u64;
         self.frames.push_back(DurableFrame {
-            start: self.snap_high + first as u64,
-            count,
+            start: self.len(),
+            count: self.pending.len() as u64,
             bytes,
-            sealed_at,
+            sealed_at: now,
             durable_at,
             token,
         });
+        self.entries.append(&mut self.pending);
         self.frames_sealed += 1;
-        self.compact(sealed_at);
+        self.compact(now);
         bytes
     }
 
@@ -213,38 +276,59 @@ impl DurableLog {
         high
     }
 
-    /// A disaster at `now`: in-flight frames (durable after `now`) are
-    /// dropped, and the transactions of their entries — acknowledged
-    /// locally but never made durable — are returned, in commit order,
-    /// so the caller can claim them as the data-loss window. The durable
-    /// prefix is untouched.
+    /// A disaster at `now`: drops the in-flight frames (durable after
+    /// `now`) and the unsealed tail, claims every erased acknowledged
+    /// commit in [`DurableLog::lost`], and arms the restore. Returns the
+    /// erased transactions in commit order, so the caller can forget
+    /// their recorded replies (their ops must re-execute when the group
+    /// replays them). The durable prefix is untouched.
     pub fn wipe(&mut self, now: u64) -> Vec<TxnId> {
-        let keep = self
-            .frames
-            .iter()
-            .take_while(|f| f.durable_at <= now)
-            .count();
-        let kept_entries: usize = self
-            .frames
-            .iter()
-            .take(keep)
-            .map(|f| f.count as usize)
-            .sum();
-        self.frames.truncate(keep);
-        let lost = self.entries.txns().skip(kept_entries).collect();
-        self.entries.truncate(kept_entries);
-        lost
+        // Uploads are FIFO: the durable frames are a prefix.
+        let kept = (self.durable_high(now) - self.snap_high) as usize;
+        self.frames.retain(|f| f.durable_at <= now);
+        let mut erased: Vec<TxnId> = self.entries.txns().skip(kept).collect();
+        erased.extend(self.pending.txns());
+        self.entries.truncate(kept);
+        self.pending.clear();
+        self.lost.extend_from_slice(&erased);
+        self.state = RestoreState::Armed;
+        erased
     }
 
-    /// Packages the surviving tier state for a restore (see
-    /// [`DurableRestore`]). Callable any time; after a [`wipe`]
-    /// (Self::wipe) it reflects exactly the durable prefix.
-    pub fn restore(&self) -> DurableRestore {
-        let snapshot = if self.snap_high > 0 {
-            Some(Transfer::snapshot(&self.snap, self.snap_high))
-        } else {
-            None
-        };
+    /// Claims `txns` as lost in this site's disaster: acknowledged
+    /// commits the site held outside the tier (never noted), for the
+    /// no-silent-loss accounting.
+    pub fn claim_lost(&mut self, txns: impl IntoIterator<Item = TxnId>) {
+        self.lost.extend(txns);
+    }
+
+    /// Acknowledged commits disasters erased before they were durable —
+    /// the claimed data-loss window, in claim order.
+    pub fn lost(&self) -> &[TxnId] {
+        &self.lost
+    }
+
+    /// Starts the restore a wipe armed: packages the surviving durable
+    /// state and the download window, counts them in the restore
+    /// accounting, and stops noting until [`DurableLog::finish_restore`].
+    /// `None` if the volume was not wiped since the last restore. The
+    /// caller installs the transfers, stays deaf for `delay` ticks, then
+    /// rejoins.
+    pub fn restore(&mut self) -> Option<DurableRestore> {
+        if self.state != RestoreState::Armed {
+            return None;
+        }
+        self.state = RestoreState::Downloading;
+        let restore = self.image();
+        self.restores += 1;
+        self.restore_bytes += restore.bytes;
+        self.restore_ticks += restore.delay;
+        Some(restore)
+    }
+
+    /// The tier's durable state as a restore would install it now.
+    fn image(&self) -> DurableRestore {
+        let snapshot = (self.snap_high > 0).then(|| Transfer::snapshot(&self.snap, self.snap_high));
         let high = self.len();
         let suffix = (!self.entries.is_empty()).then(|| Transfer {
             strategy: TransferStrategy::LogSuffix,
@@ -253,27 +337,36 @@ impl DurableLog {
             snapshot: Vec::new(),
             high,
         });
-        let token = self.frames.back().map_or(self.snap_token, |f| f.token);
         let bytes = snapshot.as_ref().map_or(0, |t| t.wire_size() as u64)
             + suffix.as_ref().map_or(0, |t| t.wire_size() as u64);
+        // One local force replays the restored suffix into the redo log.
+        let fsync = if high > 0 { FSYNC_TICKS } else { 0 };
         DurableRestore {
             snapshot,
             suffix,
             folded_history: self.folded.clone(),
             high,
-            token,
+            token: self.frames.back().map_or(self.snap_token, |f| f.token),
             bytes,
+            delay: self.upload_lag + fsync,
         }
     }
 
-    /// Logical entries the tier has ever sealed (including folded ones).
-    pub fn len(&self) -> u64 {
-        self.snap_high + self.entries.len() as u64
+    /// Ends the deaf window; noting resumes.
+    pub fn finish_restore(&mut self) {
+        if self.state == RestoreState::Downloading {
+            self.state = RestoreState::Live;
+        }
     }
 
-    /// True if nothing was ever sealed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// True during the restore download window.
+    pub fn restoring(&self) -> bool {
+        self.state == RestoreState::Downloading
+    }
+
+    /// Logical entries the tier holds sealed (including folded ones).
+    fn len(&self) -> u64 {
+        self.snap_high + self.entries.len() as u64
     }
 
     /// Frames sealed over the tier's lifetime.
@@ -285,7 +378,7 @@ impl DurableLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{WriteRecord, WriteSet};
+    use crate::log::WriteSet;
 
     fn ws(ts: u64, key: u64, value: i64, version: u64) -> WriteSet {
         WriteSet {
@@ -298,11 +391,25 @@ mod tests {
         }
     }
 
+    /// Notes `entries` and seals them as one frame shipped at
+    /// `sealed_at` and durable at `durable_at`.
+    fn seal_at(
+        tier: &mut DurableLog,
+        sealed_at: u64,
+        durable_at: u64,
+        token: u64,
+        entries: &[WriteSet],
+    ) -> u64 {
+        tier.upload_lag = durable_at - sealed_at;
+        entries.iter().for_each(|w| tier.note_commit(w));
+        tier.seal(sealed_at, token)
+    }
+
     #[test]
     fn watermark_follows_durable_frames() {
-        let mut tier = DurableLog::new(Keyspace::dense(4));
-        tier.seal(10, 100, 1, &[ws(1, 0, 5, 1)]);
-        tier.seal(20, 200, 2, &[ws(2, 1, 6, 1)]);
+        let mut tier = DurableLog::new(Keyspace::dense(4), 0);
+        seal_at(&mut tier, 10, 100, 1, &[ws(1, 0, 5, 1)]);
+        seal_at(&mut tier, 20, 200, 2, &[ws(2, 1, 6, 1)]);
         assert_eq!(tier.durable_high(99), 0);
         assert_eq!(tier.durable_high(100), 1);
         assert_eq!(tier.durable_high(200), 2);
@@ -312,22 +419,22 @@ mod tests {
 
     #[test]
     fn empty_seal_is_free() {
-        let mut tier = DurableLog::new(Keyspace::dense(4));
-        assert_eq!(tier.seal(10, 10, 0, &[] as &[WriteSet]), 0);
-        assert!(tier.is_empty());
+        let mut tier = DurableLog::new(Keyspace::dense(4), 0);
+        assert_eq!(seal_at(&mut tier, 10, 10, 0, &[]), 0);
+        assert_eq!(tier.len(), 0);
         assert_eq!(tier.frames_sealed(), 0);
     }
 
     #[test]
     fn wipe_loses_exactly_the_inflight_suffix() {
-        let mut tier = DurableLog::new(Keyspace::dense(4));
-        tier.seal(10, 50, 1, &[ws(1, 0, 5, 1)]);
-        tier.seal(20, 300, 2, &[ws(2, 1, 6, 1), ws(3, 2, 7, 1)]);
+        let mut tier = DurableLog::new(Keyspace::dense(4), 0);
+        seal_at(&mut tier, 10, 50, 1, &[ws(1, 0, 5, 1)]);
+        seal_at(&mut tier, 20, 300, 2, &[ws(2, 1, 6, 1), ws(3, 2, 7, 1)]);
         let lost = tier.wipe(100);
         assert_eq!(lost.len(), 2, "second frame was in flight");
         assert_eq!(lost[0], TxnId::new(2, 0));
         assert_eq!(tier.len(), 1);
-        let r = tier.restore();
+        let r = tier.restore().expect("the wipe armed a restore");
         assert_eq!(r.high, 1);
         assert_eq!(r.token, 1);
         assert!(r.snapshot.is_none());
@@ -336,23 +443,158 @@ mod tests {
 
     #[test]
     fn wipe_at_zero_lag_loses_nothing() {
-        let mut tier = DurableLog::new(Keyspace::dense(4));
-        tier.seal(10, 10, 1, &[ws(1, 0, 5, 1)]);
-        tier.seal(20, 20, 2, &[ws(2, 1, 6, 1)]);
+        let mut tier = DurableLog::new(Keyspace::dense(4), 0);
+        seal_at(&mut tier, 10, 10, 1, &[ws(1, 0, 5, 1)]);
+        seal_at(&mut tier, 20, 20, 2, &[ws(2, 1, 6, 1)]);
         assert!(tier.wipe(20).is_empty());
-        assert_eq!(tier.restore().high, 2);
+        assert_eq!(tier.restore().expect("armed").high, 2);
+    }
+
+    #[test]
+    fn synchronous_tier_has_no_exposure() {
+        let mut t = DurableLog::new(Keyspace::dense(8), 0);
+        t.note_commit(&ws(1, 0, 5, 1));
+        assert_eq!(t.pending.len(), 1, "unsealed tail is exposed");
+        t.seal(10, 1);
+        assert_eq!(t.durable_high(10), 1, "lag 0: durable at the seal instant");
+        assert!(t.wipe(10).is_empty());
+        assert!(t.lost().is_empty());
+    }
+
+    #[test]
+    fn lagged_tier_loses_the_inflight_suffix() {
+        let mut t = DurableLog::new(Keyspace::dense(8), 500);
+        t.note_commit(&ws(1, 0, 5, 1));
+        t.seal(10, 1); // durable at 510
+        t.note_commit(&ws(2, 1, 6, 1));
+        t.seal(20, 2); // durable at 520
+        t.note_commit(&ws(3, 2, 7, 1)); // never sealed
+        let erased = t.wipe(512);
+        assert_eq!(erased.len(), 2, "one in-flight frame + the unsealed tail");
+        assert_eq!(t.lost(), [TxnId::new(2, 0), TxnId::new(3, 0)]);
+        let restore = t.restore().expect("wipe armed a restore");
+        assert_eq!(restore.high, 1);
+        assert_eq!(restore.token, 1);
+        assert_eq!(restore.suffix.as_ref().map(|s| s.entries.len()), Some(1));
+        assert!(restore.delay >= 120, "fsync replay is charged");
+        assert_eq!(t.restores, 1);
+        assert!(t.restoring());
+        t.note_commit(&ws(9, 0, 9, 1));
+        assert!(t.pending.is_empty(), "restore installs are not re-queued");
+        t.finish_restore();
+        assert!(t.restore().is_none(), "restore is one-shot");
+    }
+
+    #[test]
+    fn restore_of_an_empty_tier_is_fast() {
+        let mut t = DurableLog::new(Keyspace::dense(8), 400);
+        t.wipe(5);
+        let restore = t.restore().expect("armed");
+        assert_eq!(restore.high, 0);
+        assert_eq!(restore.delay, 400, "one GET round-trip, no fsync replay");
+        assert!(restore.suffix.is_none());
+    }
+
+    /// The writeset the pinned script commits at `ts`: one record, two
+    /// for every third transaction.
+    fn scripted(ts: u64) -> WriteSet {
+        let mut writes = vec![WriteRecord {
+            key: Key(ts % 16),
+            value: Value(ts as i64),
+            version: ts,
+        }];
+        if ts.is_multiple_of(3) {
+            writes.push(WriteRecord {
+                key: Key((ts * 5 + 1) % 16),
+                value: Value(-(ts as i64)),
+                version: ts,
+            });
+        }
+        WriteSet {
+            txn: TxnId::new(ts, (ts % 4) as u32),
+            writes,
+        }
+    }
+
+    /// One tier history — a frame past `COMPACT_AFTER`, a frame that
+    /// folds it away, a lagged frame and an unsealed commit lost
+    /// mid-upload — restores exactly what the tier restored when it was
+    /// split in two types and a restore was described twice: every
+    /// figure below was recorded then.
+    #[test]
+    fn a_scripted_disaster_restores_the_pinned_value() {
+        let mut t = DurableLog::new(Keyspace::dense(16), 500);
+        (1..=70).for_each(|ts| t.note_commit(&scripted(ts)));
+        t.seal(1_000, 700);
+        t.note_commit(&scripted(71));
+        t.note_commit(&scripted(72));
+        t.seal(2_000, 720); // the first frame is durable: it folds
+        t.note_commit(&scripted(73));
+        t.seal(3_000, 730); // durable at 3,500
+        t.note_commit(&scripted(74)); // never sealed
+        let lost = [TxnId::new(73, 1), TxnId::new(74, 2)];
+        assert_eq!(t.wipe(3_200), lost);
+        assert_eq!(t.lost(), lost);
+        let r = t.restore().expect("armed");
+        let suffix = r.suffix.as_ref().expect("two framed entries survive");
+        assert_eq!((r.token, suffix.start, r.high), (720, 70, 72));
+        assert_eq!((r.bytes, r.delay), (808, 620));
+        let snap = r.snapshot.as_ref().expect("the first frame folded");
+        assert_eq!(
+            (snap.high, snap.wire_size(), snap.snapshot.len()),
+            (70, 672, 16)
+        );
+        let folded: Vec<(TxnId, Vec<Key>)> = r
+            .folded_history
+            .entries()
+            .map(|(txn, keys)| (txn, keys.to_vec()))
+            .collect();
+        let script: Vec<(TxnId, Vec<Key>)> = (1..=70)
+            .map(scripted)
+            .map(|w| (w.txn, w.keys().collect()))
+            .collect();
+        assert_eq!(folded, script);
+        let rows: Vec<WriteSet> = suffix.entries.views().map(|v| v.to_writeset()).collect();
+        let record = |key, value, version| WriteRecord {
+            key: Key(key),
+            value: Value(value),
+            version,
+        };
+        assert_eq!(
+            rows,
+            [
+                WriteSet {
+                    txn: TxnId::new(71, 3),
+                    writes: vec![record(7, 71, 71)],
+                },
+                WriteSet {
+                    txn: TxnId::new(72, 0),
+                    writes: vec![record(8, 72, 72), record(9, -72, 72)],
+                },
+            ]
+        );
+        assert_eq!(
+            (t.restores, t.restore_bytes, t.restore_ticks),
+            (1, 808, 620)
+        );
     }
 
     #[test]
     fn compaction_folds_durable_prefix_and_restore_uses_both_strategies() {
-        let mut tier = DurableLog::new(Keyspace::dense(8));
+        let mut tier = DurableLog::new(Keyspace::dense(8), 0);
         let n = COMPACT_AFTER as u64 + 6;
         for i in 0..n {
-            tier.seal(i * 10, i * 10, i + 1, &[ws(i + 1, i % 8, i as i64, 1)]);
+            seal_at(
+                &mut tier,
+                i * 10,
+                i * 10,
+                i + 1,
+                &[ws(i + 1, i % 8, i as i64, 1)],
+            );
         }
         assert_eq!(tier.snap_high, 6, "the frames past the threshold folded");
         assert_eq!(tier.frames.len(), COMPACT_AFTER);
-        let r = tier.restore();
+        let r = tier.image();
         let snap = r.snapshot.expect("compacted prefix");
         assert_eq!(snap.strategy, TransferStrategy::Snapshot);
         assert_eq!(snap.high, tier.snap_high);
@@ -377,16 +619,16 @@ mod tests {
 
     #[test]
     fn compaction_never_folds_inflight_frames() {
-        let mut tier = DurableLog::new(Keyspace::dense(4));
+        let mut tier = DurableLog::new(Keyspace::dense(4), 0);
         // Past the threshold but durable far in the future: nothing may
         // fold, so a wipe can still return these entries as lost.
         let n = COMPACT_AFTER as u64 + 5;
         for i in 0..n {
-            tier.seal(i, 1_000_000, i + 1, &[ws(i + 1, 0, i as i64, 1)]);
+            seal_at(&mut tier, i, 1_000_000, i + 1, &[ws(i + 1, 0, i as i64, 1)]);
         }
         assert_eq!(tier.frames.len() as u64, n);
         assert_eq!(tier.wipe(10).len() as u64, n);
-        assert!(tier.restore().snapshot.is_none());
+        assert!(tier.restore().expect("armed").snapshot.is_none());
     }
 
     /// `(high, token, bytes, suffix entries, folded history)` of a
@@ -475,7 +717,7 @@ mod tests {
     }
 
     fn column_restore(tier: &DurableLog) -> Restored {
-        let r = tier.restore();
+        let r = tier.image();
         let suffix = r.suffix.map_or_else(Vec::new, |t| {
             t.entries.views().map(|v| v.to_writeset()).collect()
         });
@@ -490,7 +732,7 @@ mod tests {
     #[test]
     fn the_column_tier_answers_as_the_row_tier_did() {
         let ks = Keyspace::dense(16);
-        let mut column = DurableLog::new(ks);
+        let mut column = DurableLog::new(ks, 0);
         let mut rows = RowLog {
             frames: Vec::new(),
             entries: Vec::new(),
@@ -499,9 +741,7 @@ mod tests {
             snap_token: 0,
             folded: Vec::new(),
         };
-        // Noted since the last seal: a column for the tier, writesets
-        // for the reference.
-        let mut pending = TxnColumn::new();
+        // Noted since the last seal, for the reference.
         let mut pending_rows: Vec<WriteSet> = Vec::new();
         let mut ts = 0;
         let mut lost = (Vec::new(), Vec::new());
@@ -509,6 +749,7 @@ mod tests {
         // lag that changes per round; a disaster ends rounds 1 and 3.
         for round in 0..5u64 {
             let lag = [0, 700, 30, 2_000, 5][round as usize];
+            column.upload_lag = lag;
             for step in 0..40u64 {
                 let now = round * 100_000 + step * 100;
                 for _ in 0..(step % 4) {
@@ -526,12 +767,11 @@ mod tests {
                         txn: TxnId::new(ts, (ts % 3) as u32),
                         writes,
                     };
-                    pending.push_view((&ws).into());
+                    column.note_commit(&ws);
                     pending_rows.push(ws);
                 }
                 let token = ts * 10 + round;
-                let bytes = column.seal(now, now + lag, token, pending.views());
-                pending.clear();
+                let bytes = column.seal(now, token);
                 let expected: u64 = pending_rows.iter().map(|w| w.wire_size() as u64).sum();
                 assert_eq!(bytes, expected);
                 rows.seal(now, now + lag, token, std::mem::take(&mut pending_rows));
@@ -556,12 +796,13 @@ mod tests {
                 lost.0.extend(column.wipe(at));
                 lost.1.extend(rows.wipe(at));
                 assert_eq!(lost.0, lost.1, "the same commits lost, in order");
+                assert_eq!(column.lost(), lost.1, "and claimed");
                 assert_eq!(column_restore(&column), rows.restore());
             }
         }
         assert!(!lost.0.is_empty(), "the script loses in-flight frames");
         assert!(rows.snap_high > COMPACT_AFTER as u64, "the script compacts");
-        assert_eq!(column.restore().snapshot, {
+        assert_eq!(column.image().snapshot, {
             (rows.snap_high > 0).then(|| Transfer::snapshot(&rows.snap, rows.snap_high))
         });
         assert_eq!(column_restore(&column), rows.restore());
