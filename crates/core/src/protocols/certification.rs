@@ -23,9 +23,10 @@ use repl_sim::{Message, NodeId};
 
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{global_txn, AbMsg};
+use crate::protocols::common::global_txn;
 use crate::protocols::replica::{Ctx, Replica, Shell, Wire};
 use crate::protocols::stream::{Ordered, Stream};
+use repl_gcs::AbMsg;
 
 /// What the delegate broadcasts after optimistic execution.
 #[derive(Debug, Clone)]

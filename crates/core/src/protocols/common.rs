@@ -1,6 +1,9 @@
 //! Shared plumbing for the protocol implementations: the server base
-//! (store + transaction manager + history + durable tier), the unified
-//! Atomic Broadcast endpoint, and execution-mode handling.
+//! (store + transaction manager + history + durable tier), the Atomic
+//! Broadcast endpoint over the three [`TotalOrder`] flavours, and
+//! execution-mode handling.
+
+use std::ops::{Deref, DerefMut};
 
 use repl_db::{
     AccessKind, DurableLog, DurableRestore, Key, Keyspace, RecoveryTracker, RedoLog,
@@ -8,8 +11,8 @@ use repl_db::{
     TxnManager, Value, Versioned, WriteRecord, WriteSetRef, WsView,
 };
 use repl_gcs::{
-    apply_outbox, AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig,
-    GenuineMulticast, GmMsg, MsgId, Outbox, SeqAbMsg, SequencerAbcast,
+    apply_outbox, AbDeliver, AbMsg, AbOutbox, ConsensusAbcast, ConsensusConfig, GenuineMulticast,
+    Outbox, SequencerAbcast, TotalOrder,
 };
 use repl_sim::{Context, GroupSet, Message, NodeId};
 use repl_workload::{OpTemplate, ShardMap, TxnTemplate};
@@ -44,23 +47,25 @@ pub enum AbcastImpl {
     Consensus,
 }
 
-/// Unified wire message for either ABCAST implementation.
-#[derive(Debug, Clone)]
-pub enum AbMsg<P> {
-    /// Sequencer-based traffic.
-    Seq(SeqAbMsg<P>),
-    /// Consensus-based traffic.
-    Cons(CAbMsg<P>),
-    /// Genuine-multicast traffic (sharded cross-group ordering).
-    Gen(GmMsg<P>),
-}
-
-impl<P: Message> Message for AbMsg<P> {
-    fn wire_size(&self) -> usize {
+impl AbcastImpl {
+    /// An endpoint of this flavour for `me` in `group`. `cons` times both:
+    /// the consensus variant's rounds and the sequencer's retransmissions
+    /// of an unconfirmed submission (the round timeout must exceed the
+    /// network RTT).
+    pub fn endpoint<P: Message>(
+        self,
+        me: NodeId,
+        group: Vec<NodeId>,
+        cons: ConsensusConfig,
+    ) -> AbcastEndpoint<P> {
         match self {
-            AbMsg::Seq(m) => m.wire_size(),
-            AbMsg::Cons(m) => m.wire_size(),
-            AbMsg::Gen(m) => m.wire_size(),
+            AbcastImpl::Sequencer => {
+                let seq = SequencerAbcast::new(me, group).with_retransmit(cons.round_timeout);
+                AbcastEndpoint::Seq(seq, Outbox::new())
+            }
+            AbcastImpl::Consensus => {
+                AbcastEndpoint::Cons(ConsensusAbcast::new(me, group, cons), Outbox::new())
+            }
         }
     }
 }
@@ -159,46 +164,27 @@ impl ShardCtx {
     }
 }
 
-/// What an embedded ABCAST flavour queues while it handles one input,
-/// until [`AbcastEndpoint::drain`] applies it to the simulator.
-type Scratch<M, P> = Outbox<M, AbDeliver<P>>;
-
-/// An Atomic Broadcast endpoint backed by either implementation, each
-/// with the one outbox it writes into (owned for the endpoint's lifetime,
-/// so handling a message allocates nothing here). Every method that can
-/// queue sends, timers or deliveries leaves them there; the host calls
-/// [`AbcastEndpoint::drain`] once it has handled its input.
+/// An Atomic Broadcast endpoint: one of the three [`TotalOrder`]
+/// flavours, with the one outbox it writes into (owned for the endpoint's
+/// lifetime, so handling a message allocates nothing here). A host reads
+/// and configures it through `Deref` to [`TotalOrder`], hands it input
+/// through [`AbcastEndpoint::parts`], and calls [`AbcastEndpoint::drain`]
+/// once it has handled its input.
 #[derive(Debug)]
 pub enum AbcastEndpoint<P> {
     /// Fixed-sequencer endpoint.
-    Seq(SequencerAbcast<P>, Scratch<SeqAbMsg<P>, P>),
+    Seq(SequencerAbcast<P>, AbOutbox<P>),
     /// Consensus-based endpoint.
-    Cons(ConsensusAbcast<P>, Scratch<CAbMsg<P>, P>),
+    Cons(ConsensusAbcast<P>, AbOutbox<P>),
     /// Genuine-multicast endpoint (sharded runs with cross-shard
     /// traffic): shard-local broadcasts order within the group, cross
     /// messages through Skeen timestamp agreement with the other touched
     /// groups. Assumes no faults — the runner forbids fault plans when
     /// cross-shard traffic is on.
-    Gen(GenuineMulticast<P>, Scratch<GmMsg<P>, P>),
+    Gen(GenuineMulticast<P>, AbOutbox<P>),
 }
 
 impl<P: Message> AbcastEndpoint<P> {
-    /// Creates an endpoint of the requested flavour. `cons` times both:
-    /// the consensus variant's rounds and the sequencer's retransmissions
-    /// of an unconfirmed submission (the round timeout must exceed the
-    /// network RTT).
-    pub fn new(which: AbcastImpl, me: NodeId, group: Vec<NodeId>, cons: ConsensusConfig) -> Self {
-        match which {
-            AbcastImpl::Sequencer => {
-                let seq = SequencerAbcast::new(me, group).with_retransmit(cons.round_timeout);
-                AbcastEndpoint::Seq(seq, Outbox::new())
-            }
-            AbcastImpl::Consensus => {
-                AbcastEndpoint::Cons(ConsensusAbcast::new(me, group, cons), Outbox::new())
-            }
-        }
-    }
-
     /// Creates a genuine-multicast endpoint over a sharded topology.
     pub fn new_genuine(me: NodeId, ctx: &ShardCtx) -> Self {
         AbcastEndpoint::Gen(
@@ -207,61 +193,13 @@ impl<P: Message> AbcastEndpoint<P> {
         )
     }
 
-    /// Multicasts a payload to the destination groups (genuine flavour
-    /// only); returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-genuine endpoint, or if `dests` violates the
-    /// [`GenuineMulticast::multicast`] contract.
-    pub fn multicast(&mut self, p: P, dests: &[u32]) -> MsgId {
+    /// The flavour and the outbox it writes into: every input the host
+    /// hands the endpoint goes through here.
+    pub fn parts(&mut self) -> (&mut (dyn TotalOrder<P> + 'static), &mut AbOutbox<P>) {
         match self {
-            AbcastEndpoint::Gen(a, s) => a.multicast(p, dests, s),
-            _ => panic!("multicast needs the genuine endpoint"),
-        }
-    }
-
-    /// Sets the batching window on the underlying implementation (the
-    /// genuine flavour has no batching; setting it is a no-op).
-    pub fn set_batching(&mut self, batch: BatchConfig) {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.set_batching(batch),
-            AbcastEndpoint::Cons(a, _) => a.set_batching(batch),
-            AbcastEndpoint::Gen(..) => {}
-        }
-    }
-
-    /// Keeps no replay log when the run cannot replay
-    /// ([`crate::protocols::replica::Shell::can_replay`]); a later read of
-    /// it panics. The genuine flavour keeps none either way.
-    pub fn keep_replay(&mut self, can_replay: bool) {
-        if can_replay {
-            return;
-        }
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.forget_replay(),
-            AbcastEndpoint::Cons(a, _) => a.forget_replay(),
-            AbcastEndpoint::Gen(..) => {}
-        }
-    }
-
-    /// Broadcasts a payload; returns its id.
-    pub fn broadcast(&mut self, p: P) -> MsgId {
-        match self {
-            AbcastEndpoint::Seq(a, s) => a.broadcast(p, s),
-            AbcastEndpoint::Cons(a, s) => a.broadcast(p, s),
-            AbcastEndpoint::Gen(a, s) => a.broadcast(p, s),
-        }
-    }
-
-    /// Routes an incoming message (mismatched flavours are ignored).
-    pub fn on_message(&mut self, from: NodeId, msg: AbMsg<P>) {
-        use repl_gcs::Component;
-        match (self, msg) {
-            (AbcastEndpoint::Seq(a, s), AbMsg::Seq(m)) => a.on_message(from, m, s),
-            (AbcastEndpoint::Cons(a, s), AbMsg::Cons(m)) => a.on_message(from, m, s),
-            (AbcastEndpoint::Gen(a, s), AbMsg::Gen(m)) => a.on_message(from, m, s),
-            _ => {}
+            AbcastEndpoint::Seq(a, s) => (a, s),
+            AbcastEndpoint::Cons(a, s) => (a, s),
+            AbcastEndpoint::Gen(a, s) => (a, s),
         }
     }
 
@@ -275,151 +213,19 @@ impl<P: Message> AbcastEndpoint<P> {
         wrap: impl Fn(AbMsg<P>) -> W,
         on_deliver: impl FnMut(&mut Context<'_, W>, AbDeliver<P>),
     ) {
-        match self {
-            AbcastEndpoint::Seq(_, s) => {
-                apply_outbox(ctx, s, 0, |m| wrap(AbMsg::Seq(m)), on_deliver)
-            }
-            AbcastEndpoint::Cons(_, s) => {
-                apply_outbox(ctx, s, 0, |m| wrap(AbMsg::Cons(m)), on_deliver)
-            }
-            AbcastEndpoint::Gen(_, s) => {
-                apply_outbox(ctx, s, 0, |m| wrap(AbMsg::Gen(m)), on_deliver)
-            }
-        }
-    }
-
-    /// Re-enters the ordered stream after a crash: asks the group to
-    /// refill the missed suffix and re-arms the implementation's timers.
-    /// Completion is signalled through [`AbcastEndpoint::take_rejoin_done`].
-    pub fn rejoin(&mut self) {
-        match self {
-            AbcastEndpoint::Seq(a, s) => a.rejoin(s),
-            AbcastEndpoint::Cons(a, s) => a.rejoin(s),
-            // The genuine flavour runs fault-free by construction.
-            AbcastEndpoint::Gen(..) => {}
-        }
-    }
-
-    /// Takes the completed-rejoin notification, if one fired since the
-    /// last call: the number of refill bytes received.
-    pub fn take_rejoin_done(&mut self) -> Option<u64> {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.take_rejoin_done(),
-            AbcastEndpoint::Cons(a, _) => a.take_rejoin_done(),
-            AbcastEndpoint::Gen(..) => None,
-        }
-    }
-
-    /// The endpoint's ordered-stream position: the next global sequence
-    /// (or consensus instance) it will deliver — the durable tier's
-    /// frame token for ABCAST-driven protocols.
-    pub fn position(&self) -> u64 {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.position(),
-            AbcastEndpoint::Cons(a, _) => a.position(),
-            AbcastEndpoint::Gen(a, _) => a.position(),
-        }
-    }
-
-    /// Rewinds the delivery cursor to `pos` after a volume restore, so
-    /// the next [`AbcastEndpoint::rejoin`] replays everything the wiped
-    /// volume lost. A no-op if the stream is at or before `pos`.
-    pub fn rewind_to(&mut self, pos: u64) {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.rewind_to(pos),
-            AbcastEndpoint::Cons(a, _) => a.rewind_to(pos),
-            AbcastEndpoint::Gen(..) => {}
-        }
-    }
-
-    /// Routes a timer with a component-local tag.
-    pub fn on_timer(&mut self, tag: u64) {
-        use repl_gcs::Component;
-        match self {
-            AbcastEndpoint::Seq(a, s) => a.on_timer(tag, s),
-            AbcastEndpoint::Cons(a, s) => a.on_timer(tag, s),
-            // The genuine flavour arms no timers.
-            AbcastEndpoint::Gen(..) => {}
-        }
-    }
-
-    /// The ordering group as the underlying implementation knows it.
-    pub fn group(&self) -> &[NodeId] {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.group(),
-            AbcastEndpoint::Cons(a, _) => a.group(),
-            AbcastEndpoint::Gen(a, _) => a.group(),
-        }
-    }
-
-    /// Replaces the ordering group (elastic membership). The local
-    /// process may leave the new group; it keeps relaying in-flight
-    /// traffic but originates nothing new.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the genuine flavour: sharded runs reject membership
-    /// plans, so its topology is static.
-    pub fn set_group(&mut self, group: Vec<NodeId>) {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.set_group(group),
-            AbcastEndpoint::Cons(a, _) => a.set_group(group),
-            AbcastEndpoint::Gen(..) => panic!("sharded groups are static"),
-        }
-    }
-
-    /// Own (or gossiped but unordered) messages still in flight — the
-    /// part of the stream a decommissioning node must not abandon.
-    pub fn pending(&self) -> usize {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.pending(),
-            AbcastEndpoint::Cons(a, _) => a.pending(),
-            AbcastEndpoint::Gen(a, _) => a.pending(),
-        }
-    }
-
-    /// The delivered global-sequence watermark (count of unique ordered
-    /// messages). Equals [`AbcastEndpoint::position`] for the sequencer
-    /// flavour; the consensus flavour's position is its instance cursor.
-    pub fn delivered_gseq(&self) -> u64 {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.position(),
-            AbcastEndpoint::Cons(a, _) => a.delivered_gseq(),
-            AbcastEndpoint::Gen(a, _) => a.position(),
-        }
-    }
-
-    /// Fast-forwards a brand-new member to the snapshot donor's stream
-    /// coordinates: `pos` is the donor's [`AbcastEndpoint::position`],
-    /// `gseq` its [`AbcastEndpoint::delivered_gseq`]. Deliveries resume
-    /// from there; everything below is covered by the state snapshot.
-    pub fn skip_to(&mut self, pos: u64, gseq: u64) {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.skip_to(gseq),
-            AbcastEndpoint::Cons(a, _) => a.skip_to(pos, gseq),
-            AbcastEndpoint::Gen(..) => {}
-        }
-    }
-
-    /// Hands the distinguished sequencer role to `to` (the order log
-    /// ships along). A no-op for the consensus flavour, which has no
-    /// distinguished role to hand off.
-    pub fn handoff(&mut self, to: NodeId) {
-        if let AbcastEndpoint::Seq(a, s) = self {
-            a.handoff(to, s);
-        }
+        apply_outbox(ctx, self.parts().1, 0, wrap, on_deliver);
     }
 
     /// Leaves the ordering group on decommission: the group shrinks to
-    /// `remaining`, and a departing sequencer ships its order log to the
-    /// successor so gseq assignment continues where this node stopped
-    /// (the consensus flavour has no fixed role to hand off). Returns
-    /// true if a handoff was queued (the host must drain).
-    pub fn leave(&mut self, me: NodeId, remaining: &[NodeId]) -> bool {
-        let was_orderer = self.is_orderer(me);
-        self.set_group(remaining.to_vec());
+    /// `remaining`, and a departing orderer hands its role to the
+    /// successor so gseq assignment continues where this node stopped.
+    /// Returns true if a handoff was queued (the host must drain).
+    pub fn leave(&mut self, remaining: &[NodeId]) -> bool {
+        let (ab, out) = self.parts();
+        let was_orderer = ab.is_orderer();
+        ab.set_group(remaining.to_vec());
         if was_orderer {
-            self.handoff(remaining[0]);
+            ab.handoff(remaining[0], out);
         }
         was_orderer
     }
@@ -435,22 +241,28 @@ impl<P: Message> AbcastEndpoint<P> {
         (Some(snapshot), self.position(), gpos)
     }
 
-    /// True when `me` holds the distinguished ordering role (the fixed
-    /// sequencer); consensus-based ordering is symmetric, so nobody does.
-    pub fn is_orderer(&self, me: NodeId) -> bool {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a.group().first() == Some(&me),
-            AbcastEndpoint::Cons(..) => false,
-            AbcastEndpoint::Gen(a, _) => a.group().first() == Some(&me),
-        }
-    }
-
-    /// True for the sequencer flavour, whose position and gseq coincide.
-    /// Protocols that track an applied cursor in gseq units can fast-
-    /// forward a joiner exactly there; the consensus flavour's instance
-    /// cursor is unrelated, so those joiners refill from the start.
+    /// True for the sequencer flavour, whose position counts gseqs: a
+    /// joiner can fast-forward to an applied cursor in gseq units there.
     pub fn is_seq(&self) -> bool {
         matches!(self, AbcastEndpoint::Seq(..))
+    }
+}
+
+impl<P: Message> Deref for AbcastEndpoint<P> {
+    type Target = dyn TotalOrder<P>;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            AbcastEndpoint::Seq(a, _) => a,
+            AbcastEndpoint::Cons(a, _) => a,
+            AbcastEndpoint::Gen(a, _) => a,
+        }
+    }
+}
+
+impl<P: Message> DerefMut for AbcastEndpoint<P> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.parts().0
     }
 }
 
@@ -648,7 +460,8 @@ impl ServerBase {
             if let Some(s) = &restore.suffix {
                 self.install_transfer(s);
             }
-            for (txn, keys) in restore.folded_history.entries() {
+            let folded = self.tier.as_ref().map(|t| t.folded_history().entries());
+            for (txn, keys) in folded.into_iter().flatten() {
                 for &k in keys {
                     self.history.record(self.site, txn, k, AccessKind::Write);
                 }

@@ -16,9 +16,10 @@ use repl_db::Keyspace;
 
 use crate::op::ClientOp;
 use crate::phase::Phase;
-use crate::protocols::common::{global_txn, AbMsg};
+use crate::protocols::common::global_txn;
 use crate::protocols::replica::{Ctx, Replica, Shell, Wire};
 use crate::protocols::stream::{Ordered, Stream};
+use repl_gcs::AbMsg;
 
 /// Coordination traffic of eager update everywhere over ABCAST: the
 /// operation ABCAST.

@@ -28,15 +28,14 @@ use repl_db::{
     DurableRestore, Key, Keyspace, Transfer, TransferStrategy, TxnColumn, TxnId, Value,
     WriteRecord, WriteSet, WriteSetRef, WsView,
 };
-use repl_gcs::AbDeliver;
+use repl_gcs::{AbDeliver, AbMsg};
 use repl_sim::{Message, NodeId, SimDuration};
 use repl_workload::OpTemplate;
 
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{
-    global_txn, op_of_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
-    ServerBase,
+    global_txn, op_of_txn, settle_rejoin, AbcastEndpoint, AbcastImpl, ExecutionMode, ServerBase,
 };
 use crate::protocols::replica::{Ctx, ExtraStats, Replica, Shell, Technique, Wire};
 
@@ -162,7 +161,7 @@ impl LazyUeServer {
             writes: Vec::new(),
             flush_armed: false,
             mode: ReconcileMode::Lww,
-            ab: AbcastEndpoint::new(AbcastImpl::Sequencer, me, servers.clone(), cons),
+            ab: AbcastImpl::Sequencer.endpoint(me, servers.clone(), cons),
             local_pending: HashSet::new(),
             reconciliations: 0,
             reship: TxnColumn::new(),
@@ -189,7 +188,8 @@ impl LazyUe {
                     // Every site (self included) consumes the ordered
                     // delivery once.
                     let ws = sh.base.make_payload(ws, sh.servers().len() as u32);
-                    self.ab.broadcast(OrderedWs(ws));
+                    let (ab, out) = self.ab.parts();
+                    ab.broadcast(OrderedWs(ws), out);
                     self.drive_ab(sh, ctx);
                 }
             }
@@ -325,7 +325,8 @@ impl LazyUe {
     /// Re-enters the ordered stream (AbcastOrder): the stream is the
     /// shared log, so the sequencer resupplies the missed deliveries.
     fn rejoin_stream(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>) {
-        self.ab.rejoin();
+        let (ab, out) = self.ab.parts();
+        ab.rejoin(out);
         self.drive_ab(sh, ctx);
     }
 }
@@ -466,7 +467,8 @@ impl Technique for LazyUe {
                 sh.base.release_payload(ws);
             }
             LazyUeMsg::Ab(m) => {
-                self.ab.on_message(from, m);
+                let (ab, out) = self.ab.parts();
+                ab.on_message(from, m, out);
                 self.drive_ab(sh, ctx);
             }
             LazyUeMsg::SyncReq => {
@@ -492,13 +494,16 @@ impl Technique for LazyUe {
             // The flush may be what a drain was waiting for.
             sh.try_retire(self, ctx);
         } else {
-            self.ab.on_timer(tag);
+            let (ab, out) = self.ab.parts();
+            ab.on_timer(tag, out);
             self.drive_ab(sh, ctx);
         }
     }
 
     fn on_start(&mut self, sh: &mut Shell, _ctx: &mut Ctx<'_, LazyUeMsg>) {
-        self.ab.keep_replay(sh.can_replay());
+        if !sh.can_replay() {
+            self.ab.forget_replay();
+        }
     }
 
     fn view_changed(&mut self, sh: &mut Shell) {
@@ -511,12 +516,8 @@ impl Technique for LazyUe {
             // after the welcome.
             ReconcileMode::Lww => (None, 0, 0),
             // AbcastOrder joiners get a snapshot stamped with the
-            // ordered-stream position.
-            ReconcileMode::AbcastOrder => {
-                let pos = self.ab.position();
-                let snapshot = Transfer::snapshot(&sh.base.store, pos);
-                (Some(snapshot), pos, self.ab.delivered_gseq())
-            }
+            // ordered-stream position (the sequencer's: a gseq).
+            ReconcileMode::AbcastOrder => self.ab.welcome_state(&sh.base),
         }
     }
 
@@ -553,7 +554,7 @@ impl Technique for LazyUe {
     }
 
     fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, LazyUeMsg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining) {
+        if self.ab.leave(remaining) {
             self.drive_ab(sh, ctx);
         }
     }

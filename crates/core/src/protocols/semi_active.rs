@@ -16,13 +16,13 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use repl_db::{DurableRestore, Key, Keyspace, Transfer, Value};
-use repl_gcs::{BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
+use repl_gcs::{AbMsg, BatchConfig, Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{Message, NodeId};
 
 use crate::op::{accesses, ClientOp, OpId};
 use crate::phase::Phase;
 use crate::protocols::common::{
-    global_txn, settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode,
+    global_txn, settle_rejoin, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
 use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
 
@@ -99,7 +99,7 @@ impl SemiActiveServer {
         vs: VsConfig,
     ) -> Self {
         let tech = SemiActive {
-            ab: AbcastEndpoint::new(abcast, me, group.clone(), vs.consensus),
+            ab: abcast.endpoint(me, group.clone(), vs.consensus),
             vg: ViewGroup::new(me, group.clone(), vs),
             vg_out: Outbox::new(),
             relayed: HashSet::new(),
@@ -236,7 +236,8 @@ impl SemiActive {
     /// State is installed: refill the ordered stream, then ask the view
     /// group for (re)admission.
     fn enter_groups(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
-        self.ab.rejoin();
+        let (ab, out) = self.ab.parts();
+        ab.rejoin(out);
         self.drive_ab(sh, ctx);
         self.vg.rejoin(&mut self.vg_out);
         self.drive_vs(sh, ctx);
@@ -250,7 +251,8 @@ impl Technique for SemiActive {
         if !self.relayed.insert(op.id) {
             return;
         }
-        self.ab.broadcast(op);
+        let (ab, out) = self.ab.parts();
+        ab.broadcast(op, out);
         self.drive_ab(sh, ctx);
     }
 
@@ -263,7 +265,8 @@ impl Technique for SemiActive {
     ) {
         match msg {
             SemiActiveMsg::Ab(m) => {
-                self.ab.on_message(from, m);
+                let (ab, out) = self.ab.parts();
+                ab.on_message(from, m, out);
                 self.drive_ab(sh, ctx);
             }
             SemiActiveMsg::Vs(m) => {
@@ -278,13 +281,16 @@ impl Technique for SemiActive {
             repl_gcs::Component::on_timer(&mut self.vg, tag - VG_BASE, &mut self.vg_out);
             self.drive_vs(sh, ctx);
         } else {
-            self.ab.on_timer(tag);
+            let (ab, out) = self.ab.parts();
+            ab.on_timer(tag, out);
             self.drive_ab(sh, ctx);
         }
     }
 
     fn on_start(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>) {
-        self.ab.keep_replay(sh.can_replay());
+        if !sh.can_replay() {
+            self.ab.forget_replay();
+        }
         if sh.joining() {
             // A cold joiner's view endpoint boots in join mode.
             self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
@@ -334,7 +340,7 @@ impl Technique for SemiActive {
     }
 
     fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiActiveMsg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining) {
+        if self.ab.leave(remaining) {
             self.drive_ab(sh, ctx);
         }
         // Voluntary view-group exit: survivors install the shrunk view

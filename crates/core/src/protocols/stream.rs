@@ -17,12 +17,12 @@
 use std::collections::HashSet;
 
 use repl_db::{DurableRestore, Keyspace, Transfer};
-use repl_gcs::{BatchConfig, ConsensusConfig};
+use repl_gcs::{AbMsg, BatchConfig, ConsensusConfig};
 use repl_sim::{Message, NodeId};
 
 use crate::op::{ClientOp, OpId};
 use crate::phase::Phase;
-use crate::protocols::common::{settle_rejoin, AbMsg, AbcastEndpoint, AbcastImpl, ExecutionMode};
+use crate::protocols::common::{settle_rejoin, AbcastEndpoint, AbcastImpl, ExecutionMode};
 use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
 
 /// What makes an ordered-stream replica one technique rather than
@@ -92,7 +92,7 @@ impl<F: Ordered> Replica<Stream<F>> {
         let ks = keyspace.into();
         let tech = Stream {
             flow: F::new(ks),
-            ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
+            ab: abcast.endpoint(me, group.clone(), cons),
             relayed: HashSet::new(),
         };
         Replica::around(site, me, group, ks, exec, tech)
@@ -144,15 +144,14 @@ impl<F: Ordered> Technique for Stream<F> {
         };
         // Sharded: the ABCAST is the genuine multicast; cross-shard
         // operations are ordered only at the groups they touch.
+        let (ab, out) = self.ab.parts();
         match sh.shard() {
             Some(sc) => {
                 let dests = sc.dests(&F::op(&payload).txn);
-                self.ab.multicast(payload, &dests);
+                ab.multicast(payload, &dests, out)
             }
-            None => {
-                self.ab.broadcast(payload);
-            }
-        }
+            None => ab.broadcast(payload, out),
+        };
         self.drain(sh, ctx);
     }
 
@@ -163,12 +162,14 @@ impl<F: Ordered> Technique for Stream<F> {
         from: NodeId,
         msg: Self::Msg,
     ) {
-        self.ab.on_message(from, msg);
+        let (ab, out) = self.ab.parts();
+        ab.on_message(from, msg, out);
         self.drain(sh, ctx);
     }
 
     fn on_protocol_timer(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, tag: u64) {
-        self.ab.on_timer(tag);
+        let (ab, out) = self.ab.parts();
+        ab.on_timer(tag, out);
         self.drain(sh, ctx);
     }
 
@@ -178,7 +179,9 @@ impl<F: Ordered> Technique for Stream<F> {
         if let Some(sc) = sh.shard() {
             self.ab = AbcastEndpoint::new_genuine(sh.me(), sc);
         }
-        self.ab.keep_replay(sh.can_replay());
+        if !sh.can_replay() {
+            self.ab.forget_replay();
+        }
     }
 
     fn view_changed(&mut self, sh: &mut Shell) {
@@ -210,7 +213,7 @@ impl<F: Ordered> Technique for Stream<F> {
     }
 
     fn retire(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>, remaining: &[NodeId]) {
-        if self.ab.leave(sh.me(), remaining) {
+        if self.ab.leave(remaining) {
             self.drain(sh, ctx);
         }
     }
@@ -231,7 +234,8 @@ impl<F: Ordered> Technique for Stream<F> {
     /// flow derives from the stream therefore recovers by replay, never
     /// from a peer snapshot.
     fn rejoin(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Self::Msg>) {
-        self.ab.rejoin();
+        let (ab, out) = self.ab.parts();
+        ab.rejoin(out);
         self.drain(sh, ctx);
     }
 

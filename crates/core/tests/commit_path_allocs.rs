@@ -704,10 +704,11 @@ fn commit_scripted(base: &mut ServerBase, ts: u64) {
 /// (upload lag 500) whose durable state is a folded snapshot of 70
 /// transactions and a suffix of two, after a wipe that lost one sealed
 /// frame in flight and the unsealed tail: the snapshot transfer (its
-/// snapshot list and what installing it allocates), the one copy of the
-/// suffix (its record and header columns) and the fold history's copy.
-/// A second copy of the suffix adds its two columns: 9.
-const RESTORE_ALLOCS: u64 = 7;
+/// snapshot list and what installing it allocates) and the one copy of
+/// the suffix (its record and header columns). The fold history is
+/// replayed in place; a copy of it adds its two columns (7), a second
+/// copy of the suffix two more (9).
+const RESTORE_ALLOCS: u64 = 5;
 
 #[test]
 fn a_restore_copies_its_durable_suffix_once() {
@@ -731,9 +732,11 @@ fn a_restore_copies_its_durable_suffix_once() {
     let suffix = restore.suffix.as_ref().expect("two framed entries survive");
     assert_eq!((suffix.entries.len(), restore.token), (2, 720));
     assert!(restore.snapshot.is_some(), "the first frame folded");
-    println!("one restore: {allocs} allocations (exactly {RESTORE_ALLOCS}; 9 with a second copy)");
+    println!(
+        "one restore: {allocs} allocations (exactly {RESTORE_ALLOCS}; 7 with a fold-history copy)"
+    );
     assert_eq!(
         allocs, RESTORE_ALLOCS,
-        "a restore copies its durable suffix once, from the tier into its transfer"
+        "a restore copies its durable suffix once and replays its fold history in place"
     );
 }

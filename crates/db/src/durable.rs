@@ -27,7 +27,8 @@
 //! Old durable frames are periodically folded into an internal backup
 //! [`Store`] ("compaction"), so restores don't replay the whole history;
 //! the fold keeps each folded transaction's id and key set so a restored
-//! site can rebuild its execution history for the 1SR oracle. The pending
+//! site can rebuild its execution history for the 1SR oracle, reading
+//! them in place ([`DurableLog::folded_history`]). The pending
 //! tail, the framed entries and the fold history are [`TxnColumn`]s; a
 //! restore's suffix is the one copy of the framed entries, made once per
 //! disaster.
@@ -73,10 +74,6 @@ pub struct DurableRestore {
     /// logical index `start` (`None` when no frames survive
     /// uncompacted).
     pub suffix: Option<Transfer>,
-    /// The keys of every transaction folded into the snapshot, in
-    /// commit order — replayed into the restored site's execution
-    /// history, which the snapshot transfer alone cannot rebuild.
-    pub folded_history: TxnColumn<Key>,
     /// Logical log index after installing both transfers.
     pub high: u64,
     /// Protocol stream/log position to resume from: everything after it
@@ -308,6 +305,13 @@ impl DurableLog {
         &self.lost
     }
 
+    /// The keys of every transaction folded into the snapshot, in commit
+    /// order: a restore replays them into the site's execution history,
+    /// which the snapshot transfer alone cannot rebuild.
+    pub fn folded_history(&self) -> &TxnColumn<Key> {
+        &self.folded
+    }
+
     /// Starts the restore a wipe armed: packages the surviving durable
     /// state and the download window, counts them in the restore
     /// accounting, and stops noting until [`DurableLog::finish_restore`].
@@ -344,7 +348,6 @@ impl DurableLog {
         DurableRestore {
             snapshot,
             suffix,
-            folded_history: self.folded.clone(),
             high,
             token: self.frames.back().map_or(self.snap_token, |f| f.token),
             bytes,
@@ -544,8 +547,8 @@ mod tests {
             (snap.high, snap.wire_size(), snap.snapshot.len()),
             (70, 672, 16)
         );
-        let folded: Vec<(TxnId, Vec<Key>)> = r
-            .folded_history
+        let folded: Vec<(TxnId, Vec<Key>)> = t
+            .folded_history()
             .entries()
             .map(|(txn, keys)| (txn, keys.to_vec()))
             .collect();
@@ -603,7 +606,7 @@ mod tests {
         assert_eq!(suffix.start, tier.snap_high);
         assert_eq!(r.high, n);
         assert_eq!(r.token, n);
-        assert_eq!(r.folded_history.len(), tier.snap_high as usize);
+        assert_eq!(tier.folded_history().len(), tier.snap_high as usize);
         assert!(r.bytes > 0);
 
         // Applying snapshot then suffix reproduces the full state.
@@ -721,8 +724,8 @@ mod tests {
         let suffix = r.suffix.map_or_else(Vec::new, |t| {
             t.entries.views().map(|v| v.to_writeset()).collect()
         });
-        let folded = r
-            .folded_history
+        let folded = tier
+            .folded_history()
             .entries()
             .map(|(t, k)| (t, k.to_vec()))
             .collect();

@@ -1,6 +1,7 @@
 //! Atomic Broadcast (ABCAST): totally ordered, reliable dissemination.
 //!
-//! Two interchangeable implementations, compared by ablation A2:
+//! Two interchangeable implementations of [`TotalOrder`], compared by
+//! ablation A2, over the one ordered log of [`crate::ordered`]:
 //!
 //! * [`SequencerAbcast`] — a fixed sequencer assigns global sequence
 //!   numbers. Cheapest in messages (one hop to the sequencer, one
@@ -11,7 +12,10 @@
 //!   broadcast reduction. Tolerates any minority of crashes.
 //!
 //! Both deliver [`AbDeliver`] events carrying a dense global sequence
-//! number; within a batch, messages are ordered by [`MsgId`].
+//! number; within a batch, messages are ordered by [`MsgId`]. Both embed
+//! the shared front and keep only their own ordering here: the sequencer
+//! retains the order it assigns, every consensus member the batches it
+//! delivered.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,6 +24,7 @@ use repl_sim::{Message, NodeId, SimDuration};
 
 use crate::component::{Component, Outbox};
 use crate::consensus::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool};
+use crate::ordered::{ordered_bytes, AbMsg, AbOutbox, OrderedLog, TotalOrder};
 use crate::receiver::{MsgId, OrderedReceiver};
 use crate::runset::RunSet;
 
@@ -86,92 +91,6 @@ impl Default for BatchConfig {
 // Fixed sequencer
 // ---------------------------------------------------------------------------
 
-/// Wire message of [`SequencerAbcast`].
-#[derive(Debug, Clone)]
-pub enum SeqAbMsg<P> {
-    /// Sender → sequencer: please order this message.
-    Submit {
-        /// Unique id of the broadcast.
-        id: MsgId,
-        /// Application payload.
-        payload: P,
-    },
-    /// Sequencer → group (and non-member origins): ordered message.
-    Ordered {
-        /// Global sequence number.
-        gseq: u64,
-        /// Unique id of the broadcast.
-        id: MsgId,
-        /// Application payload.
-        payload: P,
-    },
-    /// Sender → sequencer: please order this whole batch (batching on).
-    SubmitBatch(Batch<P>),
-    /// Sequencer → group (and non-member origins): one dissemination
-    /// round carrying every message ordered in the window.
-    OrderedBatch {
-        /// `(gseq, id, payload)` in assignment order.
-        entries: Arc<Vec<(u64, MsgId, P)>>,
-    },
-    /// Recovered member → sequencer: refill the ordered stream from
-    /// global sequence number `have`.
-    Rejoin {
-        /// The requester's next undelivered gseq.
-        have: u64,
-    },
-    /// Sequencer → recovered member: the missed suffix of the order,
-    /// plus the current high watermark (sent even when empty, so the
-    /// member learns it is caught up).
-    RejoinData {
-        /// First gseq carried.
-        start: u64,
-        /// `(gseq, id, payload)` in order.
-        entries: Arc<Vec<(u64, MsgId, P)>>,
-        /// The sequencer's next gseq: the stream position the member
-        /// has caught up to after applying `entries`.
-        high: u64,
-    },
-    /// Retiring sequencer → successor (elastic decommission): the full
-    /// retained order. The successor adopts it if longer than its own,
-    /// which preserves gseq-assignment continuity across the handoff.
-    Handoff {
-        /// `(id, payload)`; index == gseq.
-        entries: Arc<Vec<(MsgId, P)>>,
-    },
-}
-
-impl<P: Message> Message for SeqAbMsg<P> {
-    fn wire_size(&self) -> usize {
-        match self {
-            SeqAbMsg::Submit { payload, .. } => 16 + payload.wire_size(),
-            SeqAbMsg::Ordered { payload, .. } => 24 + payload.wire_size(),
-            SeqAbMsg::SubmitBatch(b) => b.wire_size(),
-            // Honest accounting: a batch still serializes every entry's
-            // gseq + id + payload; only the per-message framing (8 bytes
-            // here) is amortized across the batch.
-            SeqAbMsg::OrderedBatch { entries } => {
-                8 + entries
-                    .iter()
-                    .map(|(_, _, p)| 24 + p.wire_size())
-                    .sum::<usize>()
-            }
-            SeqAbMsg::Rejoin { .. } => 16,
-            SeqAbMsg::RejoinData { entries, .. } => {
-                24 + entries
-                    .iter()
-                    .map(|(_, _, p)| 24 + p.wire_size())
-                    .sum::<usize>()
-            }
-            SeqAbMsg::Handoff { entries } => {
-                16 + entries
-                    .iter()
-                    .map(|(_, p)| 24 + p.wire_size())
-                    .sum::<usize>()
-            }
-        }
-    }
-}
-
 const RETRANSMIT_TAG: u64 = 0;
 /// Sender role: flush the staged batch to the sequencer.
 const FLUSH_TAG: u64 = 1;
@@ -212,19 +131,6 @@ impl GseqIndex {
     }
 }
 
-/// The panic message of a read of a replay log the endpoint does not keep.
-const NO_REPLAY_LOG: &str =
-    "replay log read, but this endpoint keeps no replay log: its run was built as one no member can replay";
-
-/// The one reader of a replay log (the sequencer's order log, the
-/// consensus endpoint's decided log). An endpoint keeps one unless
-/// [`SequencerAbcast::forget_replay`] / [`ConsensusAbcast::forget_replay`]
-/// said no member can ever ask for a refill; a read then panics rather
-/// than serve an empty refill.
-fn replay_log<T>(log: &mut Option<Vec<T>>) -> &mut Vec<T> {
-    log.as_mut().expect(NO_REPLAY_LOG)
-}
-
 /// Fixed-sequencer Atomic Broadcast.
 ///
 /// The sequencer is the first group member. Senders retransmit unordered
@@ -247,38 +153,22 @@ fn replay_log<T>(log: &mut Option<Vec<T>>) -> &mut Vec<T> {
 /// ```
 #[derive(Debug)]
 pub struct SequencerAbcast<P> {
-    me: NodeId,
-    group: Vec<NodeId>,
+    // The shared front; its replay log is the sequencer role's order,
+    // `(id, payload)` per gseq.
+    log: OrderedLog<P, (MsgId, P)>,
     member: bool,
     retransmit_every: SimDuration,
-    batch: BatchConfig,
-    next_local: u64,
-    // BTreeMap so retransmission iterates in MsgId order (deterministic).
-    pending: BTreeMap<MsgId, P>,
     timer_armed: bool,
-    // `next_local` when the retransmit timer was armed: its firing
-    // resends only the submissions below it.
+    // Own ids issued when the retransmit timer was armed: its firing
+    // resends only the submissions below them.
     resend_below: u64,
-    // Sender role, batching: own broadcasts staged for the next flush.
-    staged: Vec<(MsgId, P)>,
-    staged_bytes: usize,
-    flush_armed: bool,
     // Sequencer role.
     ordered: GseqIndex,
     next_gseq: u64,
-    // Sequencer role: retained ordered payloads indexed by gseq, for
-    // refilling rejoining members after a crash; `None` in a run no
-    // member can replay. Read only through `replay_log`.
-    order_log: Option<Vec<(MsgId, P)>>,
     // Sequencer role, batching: submissions accumulated in the window.
     order_staged: Vec<(u64, MsgId, P)>,
     order_flush_armed: bool,
     recv: OrderedReceiver<P>,
-    // Recovery: a rejoin handshake in flight, bytes refilled so far,
-    // and the completed-rejoin report for the host to take.
-    rejoin_wait: bool,
-    rejoin_bytes: u64,
-    rejoin_done: Option<u64>,
 }
 
 impl<P: Message> SequencerAbcast<P> {
@@ -289,35 +179,23 @@ impl<P: Message> SequencerAbcast<P> {
     /// Panics if `group` is empty.
     pub fn new(me: NodeId, group: Vec<NodeId>) -> Self {
         assert!(!group.is_empty(), "group must not be empty");
-        let member = group.contains(&me);
         SequencerAbcast {
-            me,
-            group,
-            member,
+            member: group.contains(&me),
+            log: OrderedLog::new(me, group),
             retransmit_every: SimDuration::from_ticks(2_000),
-            batch: BatchConfig::disabled(),
-            next_local: 0,
-            pending: BTreeMap::new(),
             timer_armed: false,
             resend_below: 0,
-            staged: Vec::new(),
-            staged_bytes: 0,
-            flush_armed: false,
             ordered: GseqIndex::default(),
             next_gseq: 0,
-            order_log: Some(Vec::new()),
             order_staged: Vec::new(),
             order_flush_armed: false,
             recv: OrderedReceiver::new(),
-            rejoin_wait: false,
-            rejoin_bytes: 0,
-            rejoin_done: None,
         }
     }
 
     /// Sets the batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
+        self.log.batch = batch;
         self
     }
 
@@ -329,89 +207,19 @@ impl<P: Message> SequencerAbcast<P> {
         self
     }
 
-    /// Sets the batching window in place.
-    pub fn set_batching(&mut self, batch: BatchConfig) {
-        self.batch = batch;
-    }
-
     /// The sequencer node.
     pub fn sequencer(&self) -> NodeId {
-        self.group[0]
-    }
-
-    /// The current group.
-    pub fn group(&self) -> &[NodeId] {
-        &self.group
-    }
-
-    /// Replaces the group (elastic membership). Membership decides who
-    /// receives dissemination rounds and who the sequencer (`group[0]`)
-    /// is; unconfirmed submissions simply retransmit to the new
-    /// sequencer. The local process may leave the group: it stops
-    /// delivering but keeps confirming in-flight submissions.
-    pub fn set_group(&mut self, group: Vec<NodeId>) {
-        assert!(!group.is_empty(), "group must not be empty");
-        self.group = group;
-        self.member = self.group.contains(&self.me);
-    }
-
-    /// Fast-forwards the receiver stream to `gseq` (no-op when not
-    /// ahead): a brand-new member bootstrapped from a state snapshot
-    /// taken at stream position `gseq` starts delivering there instead
-    /// of replaying history it already holds in the snapshot.
-    pub fn skip_to(&mut self, gseq: u64) {
-        self.recv.skip_to(gseq);
-    }
-
-    /// Keeps no replay log from now on (and drops the one kept so far):
-    /// for a run in which no member can ever crash, lose its volume, join
-    /// or take over the sequencer role, nobody reads it. A later
-    /// [`rejoin`](Self::rejoin), `Rejoin` answer or
-    /// [`handoff`](Self::handoff) panics.
-    pub fn forget_replay(&mut self) {
-        self.order_log = None;
-    }
-
-    /// Sequencer role handoff (planned decommission): ships the full
-    /// retained order to `to`, the designated successor. Call after
-    /// [`set_group`](Self::set_group) moved the local process out of
-    /// `group[0]`; the successor adopts the longer log and continues
-    /// gseq assignment where the retiree stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoint keeps no replay log.
-    pub fn handoff(&mut self, to: NodeId, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
-        let entries = Arc::new(replay_log(&mut self.order_log).to_vec());
-        out.send(to, SeqAbMsg::Handoff { entries });
-    }
-
-    /// Number of own broadcasts not yet confirmed ordered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.log.group[0]
     }
 
     /// Broadcasts `payload`; returns its id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) -> MsgId {
-        let id = MsgId::new(self.me, self.next_local);
-        self.next_local += 1;
-        self.pending.insert(id, payload.clone());
-        if self.batch.enabled() {
-            self.staged_bytes += payload.wire_size();
-            self.staged.push((id, payload));
-            if self.staged.len() >= BatchConfig::MAX_BATCH
-                || self.staged_bytes >= BatchConfig::MAX_BYTES
-            {
-                self.flush_submit(out);
-            } else if !self.flush_armed {
-                self.flush_armed = true;
-                out.timer(
-                    SimDuration::from_ticks(self.batch.max_delay_ticks),
-                    FLUSH_TAG,
-                );
-            }
-        } else {
-            out.send(self.sequencer(), SeqAbMsg::Submit { id, payload });
+    pub fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId {
+        let id = self.log.next_id();
+        self.log.pending.insert(id, payload.clone());
+        if !self.log.batch.enabled() {
+            out.send(self.sequencer(), AbMsg::Submit { id, payload });
+        } else if self.log.stage(id, payload, FLUSH_TAG, out) {
+            self.flush_submit(out);
         }
         if !self.timer_armed {
             self.timer_armed = true;
@@ -423,20 +231,17 @@ impl<P: Message> SequencerAbcast<P> {
     /// Arms the retransmit timer and remembers what exists now: the
     /// firing resends only those submissions, by then one period old — a
     /// younger one's confirmation is still on its way.
-    fn arm_retransmit(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
-        self.resend_below = self.next_local;
+    fn arm_retransmit(&mut self, out: &mut AbOutbox<P>) {
+        self.resend_below = self.log.next_local;
         out.timer(self.retransmit_every, RETRANSMIT_TAG);
     }
 
     /// Sender role: ship the staged batch to the sequencer in one message.
-    fn flush_submit(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
-        self.flush_armed = false;
-        if self.staged.is_empty() {
-            return;
+    fn flush_submit(&mut self, out: &mut AbOutbox<P>) {
+        let entries = self.log.take_staged();
+        if !entries.is_empty() {
+            out.send(self.sequencer(), AbMsg::SubmitBatch(Batch::new(entries)));
         }
-        let entries = std::mem::take(&mut self.staged);
-        self.staged_bytes = 0;
-        out.send(self.sequencer(), SeqAbMsg::SubmitBatch(Batch::new(entries)));
     }
 
     /// Assigns `id` its global sequence number (idempotent) and retains
@@ -446,47 +251,27 @@ impl<P: Message> SequencerAbcast<P> {
         if *slot == UNASSIGNED {
             *slot = GseqIndex::narrow(self.next_gseq);
             self.next_gseq += 1;
-            if let Some(log) = &mut self.order_log {
-                log.push((id, payload.clone()));
-            }
+            self.log.retain(|| (id, payload.clone()));
         }
         u64::from(*slot)
     }
 
-    fn order(&mut self, id: MsgId, payload: P, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
+    fn order(&mut self, id: MsgId, payload: P, out: &mut AbOutbox<P>) {
         let gseq = self.assign_gseq(id, &payload);
-        for &m in &self.group {
-            if m != self.me {
-                out.send(
-                    m,
-                    SeqAbMsg::Ordered {
-                        gseq,
-                        id,
-                        payload: payload.clone(),
-                    },
-                );
-            }
-        }
-        if !self.group.contains(&id.origin) && id.origin != self.me {
-            out.send(
-                id.origin,
-                SeqAbMsg::Ordered {
-                    gseq,
-                    id,
-                    payload: payload.clone(),
-                },
-            );
+        let me = self.log.me;
+        // The members, then a non-member origin for its confirmation.
+        let outsider = !self.log.group.contains(&id.origin) && id.origin != me;
+        let members = self.log.group.iter().copied().filter(|&m| m != me);
+        for to in members.chain(outsider.then_some(id.origin)) {
+            let payload = payload.clone();
+            out.send(to, AbMsg::Ordered { gseq, id, payload });
         }
         self.accept(gseq, id, payload, out);
     }
 
     /// Sequencer role, batching: stage ordered submissions and
     /// disseminate everything accumulated in one window together.
-    fn order_batched(
-        &mut self,
-        entries: Vec<(MsgId, P)>,
-        out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>,
-    ) {
+    fn order_batched(&mut self, entries: Vec<(MsgId, P)>, out: &mut AbOutbox<P>) {
         for (id, payload) in entries {
             // A message already staged for the next flush must not be
             // staged twice; a retransmission of an already-disseminated
@@ -502,25 +287,23 @@ impl<P: Message> SequencerAbcast<P> {
             self.flush_order(out);
         } else if !self.order_staged.is_empty() && !self.order_flush_armed {
             self.order_flush_armed = true;
-            out.timer(
-                SimDuration::from_ticks(self.batch.max_delay_ticks),
-                ORDER_FLUSH_TAG,
-            );
+            out.timer(self.log.window(), ORDER_FLUSH_TAG);
         }
     }
 
     /// Sequencer role, batching: one dissemination round for the window.
-    fn flush_order(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
+    fn flush_order(&mut self, out: &mut AbOutbox<P>) {
         self.order_flush_armed = false;
         if self.order_staged.is_empty() {
             return;
         }
+        let me = self.log.me;
         let entries = Arc::new(std::mem::take(&mut self.order_staged));
-        for &m in &self.group {
-            if m != self.me {
+        for &m in &self.log.group {
+            if m != me {
                 out.send(
                     m,
-                    SeqAbMsg::OrderedBatch {
+                    AbMsg::OrderedBatch {
                         entries: Arc::clone(&entries),
                     },
                 );
@@ -531,7 +314,7 @@ impl<P: Message> SequencerAbcast<P> {
         let mut outsiders: Vec<(NodeId, Vec<_>)> = Vec::new();
         for e in entries.iter() {
             let origin = e.1.origin;
-            if origin != self.me && !self.group.contains(&origin) {
+            if origin != me && !self.log.group.contains(&origin) {
                 match outsiders.iter_mut().find(|(o, _)| *o == origin) {
                     Some((_, v)) => v.push(e.clone()),
                     None => outsiders.push((origin, vec![e.clone()])),
@@ -541,7 +324,7 @@ impl<P: Message> SequencerAbcast<P> {
         for (origin, mine) in outsiders {
             out.send(
                 origin,
-                SeqAbMsg::OrderedBatch {
+                AbMsg::OrderedBatch {
                     entries: Arc::new(mine),
                 },
             );
@@ -551,190 +334,172 @@ impl<P: Message> SequencerAbcast<P> {
         }
     }
 
-    /// Call once after a crash + recovery (state is retained, timers are
-    /// not): re-arms the endpoint's timers and, for a non-sequencer
-    /// member, asks the sequencer to refill the ordered stream from
-    /// [`position`](Self::position). The refill request is
-    /// retransmitted alongside pending submissions until answered.
-    /// Completion (with the refill byte count) is reported through
-    /// [`SequencerAbcast::take_rejoin_done`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoint keeps no replay log: a rejoin belongs to a
-    /// run that replays.
-    pub fn rejoin(&mut self, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
-        // Refuse before asking anyone: a refill needs the group's logs.
-        replay_log(&mut self.order_log);
-        self.rejoin_bytes = 0;
-        if self.member && self.me != self.sequencer() {
-            self.rejoin_wait = true;
-            self.rejoin_done = None;
-            out.send(
-                self.sequencer(),
-                SeqAbMsg::Rejoin {
-                    have: self.recv.position(),
-                },
-            );
-        } else {
-            // The sequencer retains the full order itself (and senders
-            // retransmit unordered submissions), so it refills its own
-            // receiver stream locally — after a disaster rewind the
-            // stream restarts behind `next_gseq`. Zero wire bytes.
-            // Non-members deliver nothing.
-            if self.member {
-                while self.recv.position() < self.next_gseq {
-                    let g = self.recv.position();
-                    let (id, payload) = replay_log(&mut self.order_log)[g as usize].clone();
-                    self.accept(g, id, payload, out);
-                }
-            }
-            self.rejoin_wait = false;
-            self.rejoin_done = Some(0);
-        }
-        self.timer_armed = !self.pending.is_empty() || self.rejoin_wait;
-        if self.timer_armed {
-            self.arm_retransmit(out);
-        }
-        self.flush_armed = self.batch.enabled() && !self.staged.is_empty();
-        if self.flush_armed {
-            out.timer(
-                SimDuration::from_ticks(self.batch.max_delay_ticks),
-                FLUSH_TAG,
-            );
-        }
-        self.order_flush_armed = self.batch.enabled() && !self.order_staged.is_empty();
-        if self.order_flush_armed {
-            out.timer(
-                SimDuration::from_ticks(self.batch.max_delay_ticks),
-                ORDER_FLUSH_TAG,
-            );
-        }
-    }
-
-    /// Takes the completed-rejoin report: `Some(refill_bytes)` once the
-    /// endpoint has caught up with the stream after [`rejoin`], `None`
-    /// before that (and after the report was taken).
-    ///
-    /// [`rejoin`]: SequencerAbcast::rejoin
-    pub fn take_rejoin_done(&mut self) -> Option<u64> {
-        self.rejoin_done.take()
-    }
-
-    /// The receiver's stream position: the next gseq it will deliver.
-    /// Everything below it has already been handed to the host.
-    pub fn position(&self) -> u64 {
-        self.recv.position()
-    }
-
-    /// Rewinds the receiver stream to `gseq` (no-op if not behind the
-    /// current position): a host that lost the state derived from
-    /// deliveries `[gseq, position())` — e.g. to a volume-loss disaster
-    /// — calls this before [`rejoin`](Self::rejoin), and the refill
-    /// re-delivers from `gseq` in the original order. Only receiver
-    /// state moves; the sequencer role's retained order is untouched.
-    pub fn rewind_to(&mut self, gseq: u64) {
-        self.recv.rewind_to(gseq);
-    }
-
-    fn accept(
-        &mut self,
-        gseq: u64,
-        id: MsgId,
-        payload: P,
-        out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>,
-    ) {
-        self.pending.remove(&id);
+    fn accept(&mut self, gseq: u64, id: MsgId, payload: P, out: &mut AbOutbox<P>) {
+        self.log.pending.remove(&id);
         if self.member {
             self.recv.accept(gseq, id, payload, |d| out.event(d));
         }
     }
 }
 
+impl<P: Message> TotalOrder<P> for SequencerAbcast<P> {
+    fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId {
+        SequencerAbcast::broadcast(self, payload, out)
+    }
+
+    fn multicast(&mut self, _payload: P, _dests: &[u32], _out: &mut AbOutbox<P>) -> MsgId {
+        panic!("multicast needs the genuine endpoint")
+    }
+
+    fn position(&self) -> u64 {
+        self.recv.position()
+    }
+
+    fn delivered_gseq(&self) -> u64 {
+        self.recv.position()
+    }
+
+    /// Only receiver state moves; the sequencer role's retained order is
+    /// untouched.
+    fn rewind_to(&mut self, pos: u64) {
+        self.recv.rewind_to(pos);
+    }
+
+    fn skip_to(&mut self, _pos: u64, gseq: u64) {
+        self.recv.skip_to(gseq);
+    }
+
+    /// A member asks the sequencer, retransmitting until answered; the
+    /// sequencer refills its own (rewound) stream from the order it
+    /// retains, with zero wire bytes. Non-members deliver nothing.
+    fn rejoin(&mut self, out: &mut AbOutbox<P>) {
+        let wait = self.member && self.log.me != self.sequencer();
+        self.log.open_rejoin(wait, self.recv.position());
+        if wait {
+            let from = self.recv.position();
+            out.send(self.sequencer(), AbMsg::Rejoin { from });
+        } else if self.member {
+            while self.recv.position() < self.next_gseq {
+                let g = self.recv.position();
+                let (id, payload) = self.log.replay()[g as usize].clone();
+                self.accept(g, id, payload, out);
+            }
+        }
+        self.timer_armed = !self.log.pending.is_empty() || wait;
+        if self.timer_armed {
+            self.arm_retransmit(out);
+        }
+        self.log.rearm_flush(false, FLUSH_TAG, out);
+        self.order_flush_armed = self.log.batch.enabled() && !self.order_staged.is_empty();
+        if self.order_flush_armed {
+            out.timer(self.log.window(), ORDER_FLUSH_TAG);
+        }
+    }
+
+    fn take_rejoin_done(&mut self) -> Option<u64> {
+        self.log.take_rejoin_done()
+    }
+
+    fn group(&self) -> &[NodeId] {
+        &self.log.group
+    }
+
+    /// Unconfirmed submissions retransmit to the new sequencer
+    /// (`group[0]`); a process that left stops delivering.
+    fn set_group(&mut self, group: Vec<NodeId>) {
+        assert!(!group.is_empty(), "group must not be empty");
+        self.member = group.contains(&self.log.me);
+        self.log.group = group;
+    }
+
+    fn pending(&self) -> usize {
+        self.log.pending.len()
+    }
+
+    fn set_batching(&mut self, batch: BatchConfig) {
+        self.log.batch = batch;
+    }
+
+    fn forget_replay(&mut self) {
+        self.log.forget();
+    }
+
+    fn is_orderer(&self) -> bool {
+        self.log.me == self.sequencer()
+    }
+
+    /// Ships the full retained order; the successor adopts the longer
+    /// log and continues gseq assignment where the retiree stopped.
+    fn handoff(&mut self, to: NodeId, out: &mut AbOutbox<P>) {
+        let entries = Arc::new(self.log.replay().to_vec());
+        out.send(to, AbMsg::Handoff { entries });
+    }
+}
+
 impl<P: Message> Component for SequencerAbcast<P> {
-    type Msg = SeqAbMsg<P>;
+    type Msg = AbMsg<P>;
     type Event = AbDeliver<P>;
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: SeqAbMsg<P>,
-        out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>,
-    ) {
+    fn on_message(&mut self, from: NodeId, msg: AbMsg<P>, out: &mut AbOutbox<P>) {
+        let sequencer = self.is_orderer();
         match msg {
-            SeqAbMsg::Submit { id, payload } => {
-                if self.me == self.sequencer() {
-                    if self.batch.enabled() {
-                        self.order_batched(vec![(id, payload)], out);
-                    } else {
+            AbMsg::Submit { id, payload } if sequencer => {
+                if self.log.batch.enabled() {
+                    self.order_batched(vec![(id, payload)], out);
+                } else {
+                    self.order(id, payload, out);
+                }
+            }
+            AbMsg::SubmitBatch(batch) if sequencer => {
+                let entries = batch.into_entries();
+                if self.log.batch.enabled() {
+                    self.order_batched(entries, out);
+                } else {
+                    for (id, payload) in entries {
                         self.order(id, payload, out);
                     }
                 }
             }
-            SeqAbMsg::SubmitBatch(batch) => {
-                if self.me == self.sequencer() {
-                    let entries = batch.into_entries();
-                    if self.batch.enabled() {
-                        self.order_batched(entries, out);
-                    } else {
-                        for (id, payload) in entries {
-                            self.order(id, payload, out);
-                        }
-                    }
-                }
-            }
-            SeqAbMsg::Ordered { gseq, id, payload } => {
+            AbMsg::Ordered { gseq, id, payload } => {
                 self.accept(gseq, id, payload, out);
             }
-            SeqAbMsg::OrderedBatch { entries } => {
+            AbMsg::OrderedBatch { entries } => {
                 for (gseq, id, payload) in entries.iter() {
                     self.accept(*gseq, *id, payload.clone(), out);
                 }
             }
-            SeqAbMsg::Rejoin { have } => {
-                if self.me == self.sequencer() {
-                    let start = have.min(self.next_gseq);
-                    let log = replay_log(&mut self.order_log);
-                    let entries: Vec<(u64, MsgId, P)> = (start..self.next_gseq)
-                        .map(|g| {
-                            let (id, p) = log[g as usize].clone();
-                            (g, id, p)
-                        })
-                        .collect();
-                    out.send(
-                        from,
-                        SeqAbMsg::RejoinData {
-                            start,
-                            entries: Arc::new(entries),
-                            high: self.next_gseq,
-                        },
-                    );
-                }
+            AbMsg::Rejoin { from: have } if sequencer => {
+                let start = have.min(self.next_gseq);
+                let log = self.log.replay();
+                let entries: Vec<(u64, MsgId, P)> = (start..self.next_gseq)
+                    .map(|g| {
+                        let (id, p) = log[g as usize].clone();
+                        (g, id, p)
+                    })
+                    .collect();
+                out.send(
+                    from,
+                    AbMsg::RejoinData {
+                        start,
+                        entries: Arc::new(entries),
+                        high: self.next_gseq,
+                    },
+                );
             }
-            SeqAbMsg::RejoinData { entries, high, .. } => {
-                let bytes: usize = entries
-                    .iter()
-                    .map(|(_, _, p)| 24 + p.wire_size())
-                    .sum::<usize>()
-                    + 24;
+            AbMsg::RejoinData { entries, high, .. } => {
+                let bytes = 24 + ordered_bytes(&entries);
                 for (gseq, id, payload) in entries.iter() {
                     self.accept(*gseq, *id, payload.clone(), out);
                 }
-                if self.rejoin_wait {
-                    self.rejoin_bytes += bytes as u64;
-                    if self.recv.position() >= high {
-                        self.rejoin_wait = false;
-                        self.rejoin_done = Some(self.rejoin_bytes);
-                    }
-                }
+                self.log.refilled(bytes as u64, high, self.recv.position());
             }
-            SeqAbMsg::Handoff { entries } => {
+            AbMsg::Handoff { entries } => {
                 if entries.len() as u64 > self.next_gseq {
                     self.ordered = GseqIndex::default();
                     for (g, (id, _)) in entries.iter().enumerate() {
                         *self.ordered.slot(*id) = GseqIndex::narrow(g as u64);
                     }
-                    *replay_log(&mut self.order_log) = entries.to_vec();
+                    *self.log.replay() = entries.to_vec();
                     self.next_gseq = entries.len() as u64;
                 }
                 // Catch the receiver stream up from the adopted order:
@@ -746,47 +511,44 @@ impl<P: Message> Component for SequencerAbcast<P> {
                     }
                 }
             }
+            _ => {}
         }
     }
 
-    fn on_timer(&mut self, tag: u64, out: &mut Outbox<SeqAbMsg<P>, AbDeliver<P>>) {
+    fn on_timer(&mut self, tag: u64, out: &mut AbOutbox<P>) {
         match tag {
             FLUSH_TAG => self.flush_submit(out),
             ORDER_FLUSH_TAG => self.flush_order(out),
             RETRANSMIT_TAG => {
-                if self.rejoin_wait {
+                let seq = self.sequencer();
+                if self.log.rejoining() {
                     // An unanswered refill request (lost, or the
                     // sequencer itself was down): ask again.
-                    out.send(
-                        self.sequencer(),
-                        SeqAbMsg::Rejoin {
-                            have: self.recv.position(),
-                        },
-                    );
+                    let from = self.recv.position();
+                    out.send(seq, AbMsg::Rejoin { from });
                 }
-                if self.pending.is_empty() {
-                    if self.rejoin_wait {
+                if self.log.pending.is_empty() {
+                    if self.log.rejoining() {
                         self.arm_retransmit(out);
                     } else {
                         self.timer_armed = false;
                     }
                     return;
                 }
-                let seq = self.sequencer();
                 // Own ids sort by `seq`: the submissions a period old.
-                let aged = MsgId::new(self.me, self.resend_below);
-                let old = self.pending.range(..aged);
-                if self.batch.enabled() {
+                let aged = MsgId::new(self.log.me, self.resend_below);
+                let old = self.log.pending.range(..aged);
+                if self.log.batch.enabled() {
                     // Retransmit them as one batch.
                     let entries: Vec<(MsgId, P)> = old.map(|(&id, p)| (id, p.clone())).collect();
                     if !entries.is_empty() {
-                        out.send(seq, SeqAbMsg::SubmitBatch(Batch::new(entries)));
+                        out.send(seq, AbMsg::SubmitBatch(Batch::new(entries)));
                     }
                 } else {
                     for (&id, payload) in old {
                         out.send(
                             seq,
-                            SeqAbMsg::Submit {
+                            AbMsg::Submit {
                                 id,
                                 payload: payload.clone(),
                             },
@@ -846,54 +608,6 @@ impl<P: Message> Message for Batch<P> {
     }
 }
 
-/// Wire message of [`ConsensusAbcast`].
-#[derive(Debug, Clone)]
-pub enum CAbMsg<P> {
-    /// Gossip of a pending message to all members.
-    Submit {
-        /// Unique id of the broadcast.
-        id: MsgId,
-        /// Application payload.
-        payload: P,
-    },
-    /// Gossip of a whole staged batch to all members (batching on).
-    SubmitBatch(Batch<P>),
-    /// Embedded consensus traffic.
-    Cons(ConsMsg<Batch<P>>),
-    /// Recovered member → group: refill decided instances from
-    /// `next_inst`.
-    Rejoin {
-        /// The requester's next undelivered consensus instance.
-        next_inst: u64,
-    },
-    /// Peer → recovered member: retained decided batches
-    /// `[start, start + batches.len())` plus the responder's own
-    /// watermark (sent even when empty, so the member learns it is
-    /// caught up).
-    RejoinData {
-        /// Instance of the first batch carried.
-        start: u64,
-        /// Decided batches in instance order.
-        batches: Vec<Batch<P>>,
-        /// The responder's next instance.
-        high: u64,
-    },
-}
-
-impl<P: Message> Message for CAbMsg<P> {
-    fn wire_size(&self) -> usize {
-        match self {
-            CAbMsg::Submit { payload, .. } => 16 + payload.wire_size(),
-            CAbMsg::SubmitBatch(b) => b.wire_size(),
-            CAbMsg::Cons(c) => 8 + c.wire_size(),
-            CAbMsg::Rejoin { .. } => 16,
-            CAbMsg::RejoinData { batches, .. } => {
-                24 + batches.iter().map(Batch::wire_size).sum::<usize>()
-            }
-        }
-    }
-}
-
 /// Timer-tag base of the embedded consensus pool.
 const CONS_BASE: u64 = 1 << 40;
 /// Flush the staged batch (batching on); must stay below `CONS_BASE`.
@@ -911,194 +625,105 @@ const CONS_FLUSH_TAG: u64 = 0;
 /// [`ConsensusAbcast::new`] panics if `me` is not a group member.
 #[derive(Debug)]
 pub struct ConsensusAbcast<P> {
-    me: NodeId,
-    group: Vec<NodeId>,
+    // The shared front; its replay log holds the delivered decided
+    // batches, one per instance from `log.base` on (0 except at a member
+    // bootstrapped mid-stream by `skip_to`). Batching: own broadcasts
+    // enter `log.pending` (and the gossip/proposal machinery) only at
+    // the flush.
+    log: OrderedLog<P, Batch<P>>,
     pool: ConsensusPool<Batch<P>>,
     // What `pool` queued while handling one input.
     pool_out: Outbox<ConsMsg<Batch<P>>, ConsEvent<Batch<P>>>,
-    batch: BatchConfig,
-    next_local: u64,
-    pending: BTreeMap<MsgId, P>,
-    // Batching: own broadcasts staged until the window flushes; they
-    // enter `pending` (and the gossip/proposal machinery) at the flush.
-    staged: Vec<(MsgId, P)>,
-    staged_bytes: usize,
-    flush_armed: bool,
     delivered: RunSet<NodeId>,
     decided: BTreeMap<u64, Batch<P>>,
     next_inst: u64,
     proposed_for: Option<u64>,
     next_gseq: u64,
-    // Delivered decided batches retained in instance order (index ==
-    // instance - log_base), for refilling rejoining members after a
-    // crash; `None` in a run no member can replay. Read only through
-    // `replay_log`. log_base/base_gseq are 0 except at elastically
-    // joined members bootstrapped mid-stream via `skip_to`, whose log
-    // starts at their snapshot position.
-    decided_log: Option<Vec<Batch<P>>>,
-    log_base: u64,
+    // The gseq at `log.base`, where a rewind recounts from.
     base_gseq: u64,
-    // Recovery: a rejoin handshake in flight, the highest watermark a
-    // responder reported, bytes refilled, and the completion report.
-    rejoin_wait: bool,
-    rejoin_high: u64,
-    rejoin_bytes: u64,
-    rejoin_done: Option<u64>,
 }
 
 impl<P: Message> ConsensusAbcast<P> {
     /// Creates an endpoint for group member `me`.
     pub fn new(me: NodeId, group: Vec<NodeId>, config: ConsensusConfig) -> Self {
-        let pool = ConsensusPool::new(me, group.clone(), config);
         ConsensusAbcast {
-            me,
-            group,
-            pool,
+            pool: ConsensusPool::new(me, group.clone(), config),
+            log: OrderedLog::new(me, group),
             pool_out: Outbox::new(),
-            batch: BatchConfig::disabled(),
-            next_local: 0,
-            pending: BTreeMap::new(),
-            staged: Vec::new(),
-            staged_bytes: 0,
-            flush_armed: false,
             delivered: RunSet::new(),
             decided: BTreeMap::new(),
             next_inst: 0,
             proposed_for: None,
             next_gseq: 0,
-            decided_log: Some(Vec::new()),
-            log_base: 0,
             base_gseq: 0,
-            rejoin_wait: false,
-            rejoin_high: 0,
-            rejoin_bytes: 0,
-            rejoin_done: None,
         }
     }
 
     /// Sets the batching window (builder form).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
+        self.log.batch = batch;
         self
     }
 
-    /// Sets the batching window in place.
-    pub fn set_batching(&mut self, batch: BatchConfig) {
-        self.batch = batch;
-    }
-
-    /// Keeps no replay log from now on (and drops the one kept so far):
-    /// for a run in which no member can ever crash, lose its volume or
-    /// join, nobody reads it. A later [`rejoin`](Self::rejoin),
-    /// [`rewind_to`](Self::rewind_to) or `Rejoin` answer panics.
-    pub fn forget_replay(&mut self) {
-        self.decided_log = None;
-    }
-
-    /// Number of own or gossiped messages not yet delivered.
-    pub fn pending(&self) -> usize {
-        self.pending.len() + self.staged.len()
-    }
-
-    /// The next global sequence number this endpoint will assign — the
-    /// count of unique messages delivered so far. Unlike
-    /// [`ConsensusAbcast::position`] (the consensus *instance* cursor)
-    /// this counts messages, so a snapshot donor can ship both
-    /// coordinates to a joiner.
-    pub fn delivered_gseq(&self) -> u64 {
-        self.next_gseq
-    }
-
-    /// The current group.
-    pub fn group(&self) -> &[NodeId] {
-        &self.group
-    }
-
-    /// Replaces the group (elastic membership): gossip, proposals and
-    /// the embedded consensus rotation follow the new membership. The
-    /// local process may leave the group — it keeps relaying in-flight
-    /// decisions but originates nothing new.
-    pub fn set_group(&mut self, group: Vec<NodeId>) {
-        self.pool.set_group(group.clone());
-        self.group = group;
-    }
-
-    /// Fast-forwards the delivery stream to instance `inst` / global
-    /// sequence `gseq` (no-op when not ahead): a brand-new member
-    /// bootstrapped from a state snapshot taken at that stream position
-    /// starts delivering there. The (empty) retained log is re-based at
-    /// `inst`, so later rejoin refills served by this member are indexed
-    /// correctly.
-    pub fn skip_to(&mut self, inst: u64, gseq: u64) {
-        if inst <= self.next_inst {
-            return;
-        }
-        self.decided = self.decided.split_off(&inst);
-        if let Some(log) = &mut self.decided_log {
-            log.clear();
-        }
-        self.next_inst = inst;
-        self.log_base = inst;
-        self.next_gseq = self.next_gseq.max(gseq);
-        self.base_gseq = self.next_gseq;
-    }
-
     /// Broadcasts `payload`; returns its id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) -> MsgId {
-        let id = MsgId::new(self.me, self.next_local);
-        self.next_local += 1;
-        if self.batch.enabled() {
-            self.staged_bytes += payload.wire_size();
-            self.staged.push((id, payload));
-            if self.staged.len() >= BatchConfig::MAX_BATCH
-                || self.staged_bytes >= BatchConfig::MAX_BYTES
-            {
+    pub fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId {
+        let id = self.log.next_id();
+        if self.log.batch.enabled() {
+            if self.log.stage(id, payload, CONS_FLUSH_TAG, out) {
                 self.flush(out);
-            } else if !self.flush_armed {
-                self.flush_armed = true;
-                out.timer(
-                    SimDuration::from_ticks(self.batch.max_delay_ticks),
-                    CONS_FLUSH_TAG,
-                );
             }
             return id;
         }
-        self.pending.insert(id, payload.clone());
-        for &m in &self.group {
-            if m != self.me {
-                out.send(
-                    m,
-                    CAbMsg::Submit {
-                        id,
-                        payload: payload.clone(),
-                    },
-                );
-            }
-        }
+        self.log.pending.insert(id, payload.clone());
+        self.gossip(
+            || AbMsg::Submit {
+                id,
+                payload: payload.clone(),
+            },
+            out,
+        );
         self.maybe_propose(out);
         id
+    }
+
+    /// Sends `msg()` to every other member.
+    fn gossip(&self, msg: impl Fn() -> AbMsg<P>, out: &mut AbOutbox<P>) {
+        for &m in &self.log.group {
+            if m != self.log.me {
+                out.send(m, msg());
+            }
+        }
     }
 
     /// Batching: gossip the staged window as one batch and propose. Also
     /// the window-paced proposal point — gossiped-but-undecided messages
     /// (empty stage) still trigger a proposal here, so deferral never
     /// strands a batch.
-    fn flush(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
-        self.flush_armed = false;
-        if !self.staged.is_empty() {
-            let entries = std::mem::take(&mut self.staged);
-            self.staged_bytes = 0;
+    fn flush(&mut self, out: &mut AbOutbox<P>) {
+        let entries = self.log.take_staged();
+        if !entries.is_empty() {
             for (id, p) in &entries {
-                self.pending.insert(*id, p.clone());
+                self.log.pending.insert(*id, p.clone());
             }
             let batch = Batch::new(entries);
-            for &m in &self.group {
-                if m != self.me {
-                    out.send(m, CAbMsg::SubmitBatch(batch.clone()));
-                }
-            }
+            self.gossip(|| AbMsg::SubmitBatch(batch.clone()), out);
         }
         self.maybe_propose(out);
+    }
+
+    /// Gossiped messages arrived: the undelivered ones join the pending
+    /// set, and a proposal is scheduled if it grew.
+    fn gossiped(&mut self, entries: impl IntoIterator<Item = (MsgId, P)>, out: &mut AbOutbox<P>) {
+        let mut grew = false;
+        for (id, payload) in entries {
+            if !self.delivered.contains(id.origin, id.seq) {
+                self.log.pending.insert(id, payload);
+                grew = true;
+            }
+        }
+        if grew {
+            self.schedule_propose(out);
+        }
     }
 
     /// Schedules the next proposal: immediately when batching is off (the
@@ -1106,29 +731,21 @@ impl<P: Message> ConsensusAbcast<P> {
     /// keeps the instance rate at one per window instead of one per
     /// network round-trip, so a whole window's traffic is agreed on in a
     /// single instance.
-    fn schedule_propose(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
-        if !self.batch.enabled() {
+    fn schedule_propose(&mut self, out: &mut AbOutbox<P>) {
+        if !self.log.batch.enabled() {
             self.maybe_propose(out);
-            return;
-        }
-        if self.pending.is_empty() || self.proposed_for == Some(self.next_inst) {
-            return;
-        }
-        if !self.flush_armed {
-            self.flush_armed = true;
-            out.timer(
-                SimDuration::from_ticks(self.batch.max_delay_ticks),
-                CONS_FLUSH_TAG,
-            );
+        } else if !self.log.pending.is_empty() && self.proposed_for != Some(self.next_inst) {
+            self.log.arm_flush(CONS_FLUSH_TAG, out);
         }
     }
 
-    fn maybe_propose(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
-        if self.pending.is_empty() || self.proposed_for == Some(self.next_inst) {
+    fn maybe_propose(&mut self, out: &mut AbOutbox<P>) {
+        if self.log.pending.is_empty() || self.proposed_for == Some(self.next_inst) {
             return;
         }
         let batch = Batch::new(
-            self.pending
+            self.log
+                .pending
                 .iter()
                 .map(|(id, p)| (*id, p.clone()))
                 .collect(),
@@ -1138,86 +755,89 @@ impl<P: Message> ConsensusAbcast<P> {
         self.drive_pool(out, |pool, sub| pool.propose(inst, batch, sub));
     }
 
-    /// Call once after a crash + recovery (state is retained, timers are
-    /// not): asks every peer to refill the decided-instance stream from
-    /// `next_inst`, re-arms the batching window, and resumes stalled
-    /// consensus rounds. Completion (with the refill byte count) is
-    /// reported through [`ConsensusAbcast::take_rejoin_done`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoint keeps no replay log: a rejoin belongs to a
-    /// run that replays.
-    pub fn rejoin(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
-        // Refuse before asking anyone: a refill needs the group's logs.
-        replay_log(&mut self.decided_log);
-        self.rejoin_bytes = 0;
-        self.rejoin_high = self.next_inst;
-        if self.group.len() > 1 {
-            self.rejoin_wait = true;
-            self.rejoin_done = None;
-            for &m in &self.group {
-                if m != self.me {
-                    out.send(
-                        m,
-                        CAbMsg::Rejoin {
-                            next_inst: self.next_inst,
-                        },
-                    );
+    /// Runs `f` against the embedded consensus pool with the endpoint's
+    /// own scratch outbox, forwards what the pool queued, keeps the
+    /// instances it decided and delivers whatever became deliverable.
+    fn drive_pool(
+        &mut self,
+        out: &mut AbOutbox<P>,
+        f: impl FnOnce(
+            &mut ConsensusPool<Batch<P>>,
+            &mut Outbox<ConsMsg<Batch<P>>, ConsEvent<Batch<P>>>,
+        ),
+    ) {
+        let mut sub = std::mem::take(&mut self.pool_out);
+        f(&mut self.pool, &mut sub);
+        out.absorb(
+            &mut sub,
+            CONS_BASE,
+            AbMsg::Cons,
+            |_, ConsEvent::Decided { inst, value }| {
+                // Instances below the stream position were already
+                // delivered (or are covered by a joiner's bootstrap
+                // snapshot): keeping them would leak, they can never
+                // drain.
+                if inst >= self.next_inst {
+                    self.decided.insert(inst, value);
+                }
+            },
+        );
+        self.pool_out = sub;
+        self.deliver_decided(out);
+    }
+
+    /// Delivers the decided batches at the stream position, in instance
+    /// order.
+    fn deliver_decided(&mut self, out: &mut AbOutbox<P>) {
+        let mut progressed = false;
+        while let Some(batch) = self.decided.remove(&self.next_inst) {
+            self.log.retain(|| batch.clone());
+            for (id, payload) in batch.into_entries() {
+                self.log.pending.remove(&id);
+                if self.delivered.insert(id.origin, id.seq) {
+                    let gseq = self.next_gseq;
+                    self.next_gseq += 1;
+                    out.event(AbDeliver { gseq, id, payload });
                 }
             }
-        } else {
-            self.rejoin_wait = false;
-            self.rejoin_done = Some(0);
+            self.next_inst += 1;
+            progressed = true;
         }
-        // Re-arm the batching flush window if anything was in flight.
-        self.flush_armed = false;
-        if self.batch.enabled() && (!self.staged.is_empty() || !self.pending.is_empty()) {
-            self.flush_armed = true;
-            out.timer(
-                SimDuration::from_ticks(self.batch.max_delay_ticks),
-                CONS_FLUSH_TAG,
-            );
-        }
-        // Stalled consensus rounds lost their timers in the crash.
-        self.drive_pool(out, |pool, sub| pool.resume(sub));
-        if !self.batch.enabled() {
-            self.maybe_propose(out);
+        if progressed {
+            self.schedule_propose(out);
         }
     }
+}
 
-    /// Takes the completed-rejoin report: `Some(refill_bytes)` once the
-    /// endpoint has caught up to a responder's watermark after
-    /// [`rejoin`], `None` before that (and after the report was taken).
-    ///
-    /// [`rejoin`]: ConsensusAbcast::rejoin
-    pub fn take_rejoin_done(&mut self) -> Option<u64> {
-        self.rejoin_done.take()
+impl<P: Message> TotalOrder<P> for ConsensusAbcast<P> {
+    fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId {
+        ConsensusAbcast::broadcast(self, payload, out)
     }
 
-    /// The delivery stream position: the next consensus instance whose
-    /// batch this endpoint will deliver.
-    pub fn position(&self) -> u64 {
+    fn multicast(&mut self, _payload: P, _dests: &[u32], _out: &mut AbOutbox<P>) -> MsgId {
+        panic!("multicast needs the genuine endpoint")
+    }
+
+    /// The consensus *instance* cursor.
+    fn position(&self) -> u64 {
         self.next_inst
     }
 
-    /// Rewinds the delivery stream to instance `inst` (no-op if not
-    /// behind the current position): a host that lost the state derived
-    /// from instances `[inst, position())` calls this before
-    /// [`rejoin`](Self::rejoin). The retained decided suffix moves back
-    /// into the undelivered set, so the rejoin replays it locally —
-    /// peers' refills only fill genuine gaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoint keeps no replay log.
-    pub fn rewind_to(&mut self, inst: u64) {
-        let log = replay_log(&mut self.decided_log);
-        let inst = inst.max(self.log_base);
+    fn delivered_gseq(&self) -> u64 {
+        self.next_gseq
+    }
+
+    /// The retained decided suffix moves back into the undelivered set,
+    /// so the rejoin replays it locally — peers' refills only fill
+    /// genuine gaps.
+    fn rewind_to(&mut self, inst: u64) {
+        let base = self.log.base();
+        let log = self.log.replay();
+        let inst = inst.max(base);
         if inst >= self.next_inst {
             return;
         }
-        let tail = log.split_off((inst - self.log_base) as usize);
+        let tail = log.split_off((inst - base) as usize);
         // An id can appear in several decided batches (proposals carry
         // whole pending sets), so the delivered-id set and the gseq
         // counter must be recomputed from the retained prefix — not
@@ -1239,138 +859,122 @@ impl<P: Message> ConsensusAbcast<P> {
         self.next_inst = inst;
     }
 
-    /// Runs `f` against the embedded consensus pool with the endpoint's
-    /// own scratch outbox, forwards what the pool queued, keeps the
-    /// instances it decided and delivers whatever became deliverable.
-    fn drive_pool(
-        &mut self,
-        out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>,
-        f: impl FnOnce(
-            &mut ConsensusPool<Batch<P>>,
-            &mut Outbox<ConsMsg<Batch<P>>, ConsEvent<Batch<P>>>,
-        ),
-    ) {
-        let mut sub = std::mem::take(&mut self.pool_out);
-        f(&mut self.pool, &mut sub);
-        out.absorb(
-            &mut sub,
-            CONS_BASE,
-            CAbMsg::Cons,
-            |_, ConsEvent::Decided { inst, value }| {
-                // Instances below the stream position were already
-                // delivered (or are covered by a joiner's bootstrap
-                // snapshot): keeping them would leak, they can never
-                // drain.
-                if inst >= self.next_inst {
-                    self.decided.insert(inst, value);
-                }
-            },
-        );
-        self.pool_out = sub;
-        self.deliver_decided(out);
+    /// The (empty) retained log is re-based at `inst`, so later refills
+    /// served by this member are indexed correctly.
+    fn skip_to(&mut self, inst: u64, gseq: u64) {
+        if inst <= self.next_inst {
+            return;
+        }
+        self.decided = self.decided.split_off(&inst);
+        self.log.rebase(inst);
+        self.next_inst = inst;
+        self.next_gseq = self.next_gseq.max(gseq);
+        self.base_gseq = self.next_gseq;
     }
 
-    /// Delivers the decided batches at the stream position, in instance
-    /// order.
-    fn deliver_decided(&mut self, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
-        let mut progressed = false;
-        while let Some(batch) = self.decided.remove(&self.next_inst) {
-            if let Some(log) = &mut self.decided_log {
-                log.push(batch.clone());
-            }
-            for (id, payload) in batch.into_entries() {
-                self.pending.remove(&id);
-                if self.delivered.insert(id.origin, id.seq) {
-                    let gseq = self.next_gseq;
-                    self.next_gseq += 1;
-                    out.event(AbDeliver { gseq, id, payload });
-                }
-            }
-            self.next_inst += 1;
-            progressed = true;
+    /// Asks every peer for the decided instances from `next_inst`,
+    /// re-arms the batching window and resumes stalled consensus rounds.
+    fn rejoin(&mut self, out: &mut AbOutbox<P>) {
+        let wait = self.log.group.len() > 1;
+        self.log.open_rejoin(wait, self.next_inst);
+        if wait {
+            let from = self.next_inst;
+            self.gossip(|| AbMsg::Rejoin { from }, out);
         }
-        if progressed {
-            self.schedule_propose(out);
+        self.log
+            .rearm_flush(!self.log.pending.is_empty(), CONS_FLUSH_TAG, out);
+        // Stalled consensus rounds lost their timers in the crash.
+        self.drive_pool(out, |pool, sub| pool.resume(sub));
+        if !self.log.batch.enabled() {
+            self.maybe_propose(out);
         }
     }
+
+    fn take_rejoin_done(&mut self) -> Option<u64> {
+        self.log.take_rejoin_done()
+    }
+
+    fn group(&self) -> &[NodeId] {
+        &self.log.group
+    }
+
+    /// Gossip, proposals and the embedded consensus rotation follow the
+    /// new membership.
+    fn set_group(&mut self, group: Vec<NodeId>) {
+        self.pool.set_group(group.clone());
+        self.log.group = group;
+    }
+
+    fn pending(&self) -> usize {
+        self.log.pending.len() + self.log.staged()
+    }
+
+    fn set_batching(&mut self, batch: BatchConfig) {
+        self.log.batch = batch;
+    }
+
+    fn forget_replay(&mut self) {
+        self.log.forget();
+    }
+
+    /// Consensus ordering is symmetric: nobody holds a distinguished role.
+    fn is_orderer(&self) -> bool {
+        false
+    }
+
+    /// No distinguished role, so nothing to hand off.
+    fn handoff(&mut self, _to: NodeId, _out: &mut AbOutbox<P>) {}
 }
 
 impl<P: Message> Component for ConsensusAbcast<P> {
-    type Msg = CAbMsg<P>;
+    type Msg = AbMsg<P>;
     type Event = AbDeliver<P>;
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: CAbMsg<P>,
-        out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>,
-    ) {
+    fn on_message(&mut self, from: NodeId, msg: AbMsg<P>, out: &mut AbOutbox<P>) {
         match msg {
-            CAbMsg::Submit { id, payload } => {
-                if !self.delivered.contains(id.origin, id.seq) {
-                    self.pending.insert(id, payload);
-                    self.schedule_propose(out);
-                }
-            }
-            CAbMsg::SubmitBatch(batch) => {
-                let mut grew = false;
-                for (id, payload) in batch.into_entries() {
-                    if !self.delivered.contains(id.origin, id.seq) {
-                        self.pending.insert(id, payload);
-                        grew = true;
-                    }
-                }
-                if grew {
-                    self.schedule_propose(out);
-                }
-            }
-            CAbMsg::Cons(c) => {
+            AbMsg::Submit { id, payload } => self.gossiped([(id, payload)], out),
+            AbMsg::SubmitBatch(batch) => self.gossiped(batch.into_entries(), out),
+            AbMsg::Cons(c) => {
                 self.drive_pool(out, |pool, sub| pool.on_message(from, c, sub));
             }
-            CAbMsg::Rejoin { next_inst } => {
-                let log = replay_log(&mut self.decided_log);
-                let lo = next_inst.max(self.log_base);
-                let idx = ((lo - self.log_base) as usize).min(log.len());
+            AbMsg::Rejoin { from: next_inst } => {
+                let (base, high) = (self.log.base(), self.next_inst);
+                let log = self.log.replay();
+                let idx = ((next_inst.max(base) - base) as usize).min(log.len());
                 out.send(
                     from,
-                    CAbMsg::RejoinData {
-                        start: self.log_base + idx as u64,
+                    AbMsg::RejoinBatches {
+                        start: base + idx as u64,
                         batches: log[idx..].to_vec(),
-                        high: self.next_inst,
+                        high,
                     },
                 );
             }
-            CAbMsg::RejoinData {
+            AbMsg::RejoinBatches {
                 start,
                 batches,
                 high,
             } => {
-                let mut grew = false;
+                // Every batch serializes to at least 8 bytes: a refill
+                // that grew the decided map counted some.
+                let mut bytes = 0;
                 for (k, batch) in batches.into_iter().enumerate() {
                     let inst = start + k as u64;
                     if inst >= self.next_inst && !self.decided.contains_key(&inst) {
-                        if self.rejoin_wait {
-                            self.rejoin_bytes += batch.wire_size() as u64;
-                        }
+                        bytes += batch.wire_size() as u64;
                         self.decided.insert(inst, batch);
-                        grew = true;
                     }
                 }
-                if grew {
+                if bytes > 0 {
                     self.deliver_decided(out);
                 }
-                if self.rejoin_wait {
-                    self.rejoin_high = self.rejoin_high.max(high);
-                    if self.next_inst >= self.rejoin_high {
-                        self.rejoin_wait = false;
-                        self.rejoin_done = Some(self.rejoin_bytes);
-                    }
-                }
+                self.log.refilled(bytes, high, self.next_inst);
             }
+            _ => {}
         }
     }
 
-    fn on_timer(&mut self, tag: u64, out: &mut Outbox<CAbMsg<P>, AbDeliver<P>>) {
+    fn on_timer(&mut self, tag: u64, out: &mut AbOutbox<P>) {
         if tag >= CONS_BASE {
             self.drive_pool(out, |pool, sub| pool.on_timer(tag - CONS_BASE, sub));
         } else if tag == CONS_FLUSH_TAG {
@@ -1383,6 +987,7 @@ impl<P: Message> Component for ConsensusAbcast<P> {
 mod tests {
     use super::*;
     use crate::component::Action;
+    use crate::ordered::tests::{outage, Outage, Recovered};
     use crate::testkit::ComponentActor;
     use repl_sim::{NetworkConfig, SimConfig, SimDuration, SimTime, World};
     use std::collections::HashSet;
@@ -1390,7 +995,7 @@ mod tests {
     type SeqHost = ComponentActor<SequencerAbcast<u32>>;
     type ConsHost = ComponentActor<ConsensusAbcast<u32>>;
 
-    fn deliveries_seq(world: &World<SeqAbMsg<u32>>, n: NodeId) -> Vec<(u64, u32)> {
+    fn deliveries_seq(world: &World<AbMsg<u32>>, n: NodeId) -> Vec<(u64, u32)> {
         world
             .actor_ref::<SeqHost>(n)
             .events
@@ -1399,7 +1004,11 @@ mod tests {
             .collect()
     }
 
-    fn deliveries_cons(world: &World<CAbMsg<u32>>, n: NodeId) -> Vec<(u64, u32)> {
+    fn consensus(me: NodeId, group: Vec<NodeId>) -> ConsensusAbcast<u32> {
+        ConsensusAbcast::new(me, group, ConsensusConfig::default())
+    }
+
+    fn deliveries_cons(world: &World<AbMsg<u32>>, n: NodeId) -> Vec<(u64, u32)> {
         world
             .actor_ref::<ConsHost>(n)
             .events
@@ -1410,7 +1019,7 @@ mod tests {
 
     #[test]
     fn sequencer_total_order_across_concurrent_broadcasters() {
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(5));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(5));
         let group: Vec<NodeId> = (0..4).map(NodeId::new).collect();
         for i in 0..4u32 {
             let mut actor =
@@ -1441,7 +1050,7 @@ mod tests {
     #[test]
     fn sequencer_survives_message_loss_via_retransmission() {
         let cfg = SimConfig::new(7).with_network(NetworkConfig::lan().with_drop_prob(0.3));
-        let mut world: World<SeqAbMsg<u32>> = World::new(cfg);
+        let mut world: World<AbMsg<u32>> = World::new(cfg);
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         for i in 0..3u32 {
             let mut actor =
@@ -1467,10 +1076,10 @@ mod tests {
     fn retransmission_spares_submissions_younger_than_a_period() {
         // Drives a non-sequencer endpoint by hand; the sequencer never
         // answers, so every submission stays pending.
-        fn resent(out: &mut Outbox<SeqAbMsg<u32>, AbDeliver<u32>>) -> Vec<Vec<u32>> {
+        fn resent(out: &mut Outbox<AbMsg<u32>, AbDeliver<u32>>) -> Vec<Vec<u32>> {
             let sends = out.drain().into_iter().filter_map(|a| match a {
-                Action::Send(_, SeqAbMsg::Submit { payload, .. }) => Some(vec![payload]),
-                Action::Send(_, SeqAbMsg::SubmitBatch(b)) => {
+                Action::Send(_, AbMsg::Submit { payload, .. }) => Some(vec![payload]),
+                Action::Send(_, AbMsg::SubmitBatch(b)) => {
                     Some(b.into_entries().into_iter().map(|(_, p)| p).collect())
                 }
                 _ => None,
@@ -1509,7 +1118,7 @@ mod tests {
                 let id = MsgId::new(group[1], seq);
                 ab.on_message(
                     group[0],
-                    SeqAbMsg::Ordered {
+                    AbMsg::Ordered {
                         gseq,
                         id,
                         payload: 0,
@@ -1526,7 +1135,7 @@ mod tests {
 
     #[test]
     fn non_member_broadcast_is_ordered_and_confirmed() {
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(2));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(2));
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         for i in 0..3u32 {
             world.add_actor(Box::new(ComponentActor::new(SequencerAbcast::<u32>::new(
@@ -1552,7 +1161,7 @@ mod tests {
 
     #[test]
     fn consensus_abcast_total_order_no_failures() {
-        let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(3));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(3));
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         for i in 0..3u32 {
             let mut actor = ComponentActor::new(ConsensusAbcast::<u32>::new(
@@ -1594,7 +1203,7 @@ mod tests {
         // window 0 and once with a wide window: identical deliveries,
         // strictly fewer network messages.
         fn run(window: u64) -> (Vec<Vec<(u64, u32)>>, u64) {
-            let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(5));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(5));
             let group: Vec<NodeId> = (0..4).map(NodeId::new).collect();
             for i in 0..4u32 {
                 let ab = SequencerAbcast::<u32>::new(NodeId::new(i), group.clone()).with_batching(
@@ -1645,7 +1254,7 @@ mod tests {
         // same world with and without `.with_batching(disabled)` yields
         // identical message counts and deliveries.
         fn run(with_cfg: bool) -> (Vec<(u64, u32)>, u64) {
-            let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(9));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(9));
             let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
             for i in 0..3u32 {
                 let mut ab = SequencerAbcast::<u32>::new(NodeId::new(i), group.clone());
@@ -1677,7 +1286,7 @@ mod tests {
     #[test]
     fn batched_consensus_total_order_and_fewer_messages() {
         fn run(window: u64) -> (Vec<Vec<(u64, u32)>>, u64) {
-            let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(3));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(3));
             let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
             for i in 0..3u32 {
                 let ab = ConsensusAbcast::<u32>::new(
@@ -1732,7 +1341,7 @@ mod tests {
         // the survivors must deliver either the whole batch or none of
         // it, in the same order everywhere — never a partial prefix
         // interleaved differently at different members.
-        let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(11));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(11));
         let group: Vec<NodeId> = (0..5).map(NodeId::new).collect();
         for i in 0..5u32 {
             let ab = ConsensusAbcast::<u32>::new(
@@ -1788,261 +1397,125 @@ mod tests {
         }
     }
 
+    /// Members 0 and 1 broadcast before, during and after member 2's
+    /// outage.
+    fn rejoin_outage(seed: u64, per_sender: u32, every: u64, down: u64, up: u64) -> Outage {
+        Outage {
+            seed,
+            senders: 0..2,
+            per_sender,
+            every,
+            victim: 2,
+            down,
+            up,
+            rewind: None,
+            until: 0,
+        }
+    }
+
     #[test]
     fn sequencer_rejoin_refills_a_recovered_member() {
-        use crate::testkit::schedule_outage;
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(21));
-        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3u32 {
-            let mut actor =
-                ComponentActor::new(SequencerAbcast::<u32>::new(NodeId::new(i), group.clone()))
-                    .with_recovery(|ab, out| ab.rejoin(out));
-            if i < 2 {
-                // Nodes 0 and 1 broadcast before, during, and after
-                // node 2's outage.
-                for k in 0..4u32 {
-                    let value = i * 10 + k;
-                    actor = actor.with_step(
-                        repl_sim::SimDuration::from_ticks(50 + (k as u64) * 5_000 + i as u64),
-                        move |ab, out| {
-                            ab.broadcast(value, out);
-                        },
-                    );
-                }
-            }
-            world.add_actor(Box::new(actor));
-        }
-        schedule_outage(
-            &mut world,
-            group[2],
-            SimTime::from_ticks(1_000),
-            SimTime::from_ticks(40_000),
-        );
-        world.start();
-        world.run_until(SimTime::from_ticks(200_000));
-        let reference = deliveries_seq(&world, group[0]);
-        assert_eq!(reference.len(), 8, "all broadcasts ordered: {reference:?}");
+        let o = Outage {
+            until: 200_000,
+            ..rejoin_outage(21, 4, 5_000, 1_000, 40_000)
+        };
+        let r = outage(SequencerAbcast::new, &o);
         assert_eq!(
-            deliveries_seq(&world, group[2]),
-            reference,
-            "recovered member's stream has gaps"
+            r.reference.len(),
+            8,
+            "all broadcasts ordered: {:?}",
+            r.reference
         );
-        let host = world.actor_ref::<SeqHost>(group[2]);
-        assert!(!host.inner.rejoin_wait, "rejoin never completed");
-        assert!(
-            host.inner.rejoin_done.expect("rejoin report pending") > 0,
-            "refill carried no bytes"
-        );
+        assert_eq!(r.victim, r.reference, "recovered member's stream has gaps");
+        assert_eq!(r.reports.len(), 1, "rejoin never completed");
+        assert!(r.reports[0] > 0, "refill carried no bytes");
     }
 
     #[test]
     fn consensus_rejoin_refills_a_recovered_member() {
-        use crate::testkit::schedule_outage;
-        let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(23));
-        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3u32 {
-            let mut actor = ComponentActor::new(ConsensusAbcast::<u32>::new(
-                NodeId::new(i),
-                group.clone(),
-                ConsensusConfig::default(),
-            ))
-            .with_recovery(|ab, out| ab.rejoin(out));
-            if i < 2 {
-                for k in 0..3u32 {
-                    let value = i * 10 + k;
-                    actor = actor.with_step(
-                        repl_sim::SimDuration::from_ticks(50 + (k as u64) * 9_000 + i as u64),
-                        move |ab, out| {
-                            ab.broadcast(value, out);
-                        },
-                    );
-                }
-            }
-            world.add_actor(Box::new(actor));
-        }
-        schedule_outage(
-            &mut world,
-            group[2],
-            SimTime::from_ticks(2_000),
-            SimTime::from_ticks(60_000),
-        );
-        world.start();
-        world.run_until(SimTime::from_ticks(400_000));
-        let reference = deliveries_cons(&world, group[0]);
-        assert_eq!(reference.len(), 6, "all broadcasts ordered: {reference:?}");
+        let o = Outage {
+            until: 400_000,
+            ..rejoin_outage(23, 3, 9_000, 2_000, 60_000)
+        };
+        let r = outage(consensus, &o);
         assert_eq!(
-            deliveries_cons(&world, group[2]),
-            reference,
-            "recovered member's stream has gaps"
+            r.reference.len(),
+            6,
+            "all broadcasts ordered: {:?}",
+            r.reference
         );
-        let host = world.actor_ref::<ConsHost>(group[2]);
-        assert!(!host.inner.rejoin_wait, "rejoin never completed");
-        assert!(
-            host.inner.rejoin_done.expect("rejoin report pending") > 0,
-            "refill carried no bytes"
+        assert_eq!(r.victim, r.reference, "recovered member's stream has gaps");
+        assert_eq!(r.reports.len(), 1, "rejoin never completed");
+        assert!(r.reports[0] > 0, "refill carried no bytes");
+    }
+
+    /// A disaster recovery: the host lost everything built from past
+    /// deliveries, so it rewinds to 0 and refills. The victim's stream is
+    /// its pre-outage deliveries plus the full replay, whose suffix must
+    /// be the whole reference stream, in order.
+    fn replays_after_rewind(r: &Recovered, ordered: usize) {
+        assert_eq!(
+            r.reference.len(),
+            ordered,
+            "all broadcasts ordered: {:?}",
+            r.reference
         );
+        assert!(r.victim.len() >= r.reference.len());
+        assert_eq!(
+            r.victim[r.victim.len() - r.reference.len()..],
+            r.reference[..],
+            "replay after rewind differs from the group order"
+        );
+        assert_eq!(r.reports.len(), 1, "rejoin never completed");
     }
 
     #[test]
     fn sequencer_rewind_replays_the_stream_after_volume_loss() {
-        use crate::testkit::schedule_outage;
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(29));
-        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3u32 {
-            let mut actor =
-                ComponentActor::new(SequencerAbcast::<u32>::new(NodeId::new(i), group.clone()))
-                    // A disaster recovery: the host lost everything built
-                    // from past deliveries, so rewind to 0 and refill.
-                    .with_recovery(|ab, out| {
-                        ab.rewind_to(0);
-                        ab.rejoin(out);
-                    });
-            if i < 2 {
-                for k in 0..3u32 {
-                    let value = i * 10 + k;
-                    actor = actor.with_step(
-                        repl_sim::SimDuration::from_ticks(50 + (k as u64) * 5_000 + i as u64),
-                        move |ab, out| {
-                            ab.broadcast(value, out);
-                        },
-                    );
-                }
-            }
-            world.add_actor(Box::new(actor));
-        }
-        schedule_outage(
-            &mut world,
-            group[2],
-            SimTime::from_ticks(8_000),
-            SimTime::from_ticks(40_000),
-        );
-        world.start();
-        world.run_until(SimTime::from_ticks(200_000));
-        let reference = deliveries_seq(&world, group[0]);
-        assert_eq!(reference.len(), 6, "all broadcasts ordered: {reference:?}");
-        let rewound = deliveries_seq(&world, group[2]);
-        // Pre-outage deliveries plus the full replay: the suffix must be
-        // the whole reference stream, in order.
-        assert!(rewound.len() >= reference.len());
-        assert_eq!(
-            rewound[rewound.len() - reference.len()..],
-            reference[..],
-            "replay after rewind differs from the group order"
-        );
-        let host = world.actor_ref::<SeqHost>(group[2]);
-        assert!(!host.inner.rejoin_wait, "rejoin never completed");
+        let o = Outage {
+            rewind: Some(0),
+            until: 200_000,
+            ..rejoin_outage(29, 3, 5_000, 8_000, 40_000)
+        };
+        replays_after_rewind(&outage(SequencerAbcast::new, &o), 6);
     }
 
     #[test]
     fn sequencer_member_rewind_self_refills_without_wire_bytes() {
-        use crate::testkit::schedule_outage;
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(31));
-        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3u32 {
-            let mut actor =
-                ComponentActor::new(SequencerAbcast::<u32>::new(NodeId::new(i), group.clone()))
-                    .with_recovery(|ab, out| {
-                        ab.rewind_to(0);
-                        ab.rejoin(out);
-                    });
-            if i > 0 {
-                for k in 0..2u32 {
-                    let value = i * 10 + k;
-                    actor = actor.with_step(
-                        repl_sim::SimDuration::from_ticks(50 + (k as u64) * 500 + i as u64),
-                        move |ab, out| {
-                            ab.broadcast(value, out);
-                        },
-                    );
-                }
-            }
-            world.add_actor(Box::new(actor));
-        }
         // The sequencer itself goes down after ordering everything; its
         // retained order log survives (daemon state) and refills its own
         // rewound receiver stream on rejoin.
-        schedule_outage(
-            &mut world,
-            group[0],
-            SimTime::from_ticks(20_000),
-            SimTime::from_ticks(30_000),
-        );
-        world.start();
-        world.run_until(SimTime::from_ticks(200_000));
-        let reference = deliveries_seq(&world, group[1]);
-        assert_eq!(reference.len(), 4, "all broadcasts ordered: {reference:?}");
-        let rewound = deliveries_seq(&world, group[0]);
-        assert_eq!(
-            rewound[rewound.len() - reference.len()..],
-            reference[..],
-            "sequencer's self-refill differs from the group order"
-        );
-        let host = world.actor_ref::<SeqHost>(group[0]);
-        assert_eq!(
-            host.inner.rejoin_done,
-            Some(0),
-            "self-refill must carry no wire bytes"
-        );
+        let o = Outage {
+            seed: 31,
+            senders: 1..3,
+            per_sender: 2,
+            every: 500,
+            victim: 0,
+            down: 20_000,
+            up: 30_000,
+            rewind: Some(0),
+            until: 200_000,
+        };
+        let r = outage(SequencerAbcast::new, &o);
+        replays_after_rewind(&r, 4);
+        assert_eq!(r.reports, [0], "self-refill must carry no wire bytes");
     }
 
     #[test]
     fn consensus_rewind_replays_the_stream_after_volume_loss() {
-        use crate::testkit::schedule_outage;
-        let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(37));
-        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        for i in 0..3u32 {
-            let mut actor = ComponentActor::new(ConsensusAbcast::<u32>::new(
-                NodeId::new(i),
-                group.clone(),
-                ConsensusConfig::default(),
-            ))
-            .with_recovery(|ab, out| {
-                ab.rewind_to(0);
-                ab.rejoin(out);
-            });
-            if i < 2 {
-                for k in 0..3u32 {
-                    let value = i * 10 + k;
-                    actor = actor.with_step(
-                        repl_sim::SimDuration::from_ticks(50 + (k as u64) * 9_000 + i as u64),
-                        move |ab, out| {
-                            ab.broadcast(value, out);
-                        },
-                    );
-                }
-            }
-            world.add_actor(Box::new(actor));
-        }
-        schedule_outage(
-            &mut world,
-            group[2],
-            SimTime::from_ticks(12_000),
-            SimTime::from_ticks(60_000),
-        );
-        world.start();
-        world.run_until(SimTime::from_ticks(400_000));
-        let reference = deliveries_cons(&world, group[0]);
-        assert_eq!(reference.len(), 6, "all broadcasts ordered: {reference:?}");
-        let rewound = deliveries_cons(&world, group[2]);
-        assert!(rewound.len() >= reference.len());
-        assert_eq!(
-            rewound[rewound.len() - reference.len()..],
-            reference[..],
-            "replay after rewind differs from the group order"
-        );
-        let host = world.actor_ref::<ConsHost>(group[2]);
-        assert!(!host.inner.rejoin_wait, "rejoin never completed");
+        let o = Outage {
+            rewind: Some(0),
+            until: 400_000,
+            ..rejoin_outage(37, 3, 9_000, 12_000, 60_000)
+        };
+        replays_after_rewind(&outage(consensus, &o), 6);
     }
 
     /// The `Ordered` copies `out` holds for `to`, as `(gseq, id)`.
-    fn ordered_for(
-        out: &mut Outbox<SeqAbMsg<u32>, AbDeliver<u32>>,
-        to: NodeId,
-    ) -> Vec<(u64, MsgId)> {
+    fn ordered_for(out: &mut Outbox<AbMsg<u32>, AbDeliver<u32>>, to: NodeId) -> Vec<(u64, MsgId)> {
         out.drain()
             .into_iter()
             .filter_map(|a| match a {
-                crate::Action::Send(n, SeqAbMsg::Ordered { gseq, id, .. }) if n == to => {
+                crate::Action::Send(n, AbMsg::Ordered { gseq, id, .. }) if n == to => {
                     Some((gseq, id))
                 }
                 _ => None,
@@ -2054,7 +1527,7 @@ mod tests {
     fn resubmitted_id_keeps_its_first_gseq_also_after_handoff() {
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         let id = |origin: usize, seq| MsgId::new(group[origin], seq);
-        let submit = |id: MsgId| SeqAbMsg::Submit {
+        let submit = |id: MsgId| AbMsg::Submit {
             id,
             payload: id.seq as u32,
         };
@@ -2070,7 +1543,7 @@ mod tests {
             vec![(0, id(1, 1)), (1, id(2, 0)), (2, id(1, 0)), (0, id(1, 1))]
         );
         assert_eq!(
-            replay_log(&mut seq.order_log).len(),
+            seq.log.replay().len(),
             3,
             "the retransmission was logged twice"
         );
@@ -2081,7 +1554,7 @@ mod tests {
             .drain()
             .into_iter()
             .find_map(|a| match a {
-                crate::Action::Send(_, m @ SeqAbMsg::Handoff { .. }) => Some(m),
+                crate::Action::Send(_, m @ AbMsg::Handoff { .. }) => Some(m),
                 _ => None,
             })
             .expect("handoff queued");
@@ -2104,7 +1577,7 @@ mod tests {
         let mut out = Outbox::new();
         let submit = |seq: &mut SequencerAbcast<u32>, k: u64, out: &mut Outbox<_, _>| {
             let id = MsgId::new(group[1], k);
-            seq.on_message(group[1], SeqAbMsg::Submit { id, payload: 0 }, out);
+            seq.on_message(group[1], AbMsg::Submit { id, payload: 0 }, out);
         };
         // The last gseq a 4-byte slot holds is assigned and read back.
         seq.next_gseq = u64::from(UNASSIGNED) - 1;
@@ -2128,16 +1601,16 @@ mod tests {
 
     /// Group `0..3`, the sequencer's endpoint (node 0) or a member's,
     /// which keeps no replay log and has delivered one message.
-    fn forgetful(me: u32) -> (SequencerAbcast<u32>, Outbox<SeqAbMsg<u32>, AbDeliver<u32>>) {
+    fn forgetful(me: u32) -> (SequencerAbcast<u32>, Outbox<AbMsg<u32>, AbDeliver<u32>>) {
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         let mut ab = SequencerAbcast::<u32>::new(group[me as usize], group.clone());
         ab.forget_replay();
         let mut out = Outbox::new();
         let (gseq, id, payload) = (0, MsgId::new(group[1], 0), 5);
         let msg = if me == 0 {
-            SeqAbMsg::Submit { id, payload }
+            AbMsg::Submit { id, payload }
         } else {
-            SeqAbMsg::Ordered { gseq, id, payload }
+            AbMsg::Ordered { gseq, id, payload }
         };
         ab.on_message(group[1], msg, &mut out);
         assert_eq!(ab.position(), 1, "the message was delivered");
@@ -2148,7 +1621,7 @@ mod tests {
     #[should_panic(expected = "keeps no replay log")]
     fn a_sequencer_without_a_replay_log_refuses_a_rejoin_request() {
         let (mut seq, mut out) = forgetful(0);
-        seq.on_message(NodeId::new(2), SeqAbMsg::Rejoin { have: 0 }, &mut out);
+        seq.on_message(NodeId::new(2), AbMsg::Rejoin { from: 0 }, &mut out);
     }
 
     #[test]
@@ -2186,7 +1659,7 @@ mod tests {
     #[should_panic(expected = "keeps no replay log")]
     fn a_consensus_endpoint_without_a_replay_log_refuses_a_rejoin_request() {
         let mut out = Outbox::new();
-        forgetful_consensus().on_message(NodeId::new(2), CAbMsg::Rejoin { next_inst: 0 }, &mut out);
+        forgetful_consensus().on_message(NodeId::new(2), AbMsg::Rejoin { from: 0 }, &mut out);
     }
 
     #[test]
@@ -2207,7 +1680,7 @@ mod tests {
         // endpoint keeping its log and once with none: the same
         // deliveries and the same message count, and nothing retained.
         fn seq(forget: bool) -> (Vec<Vec<(u64, u32)>>, u64) {
-            let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(5));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(5));
             let group: Vec<NodeId> = (0..4).map(NodeId::new).collect();
             for i in 0..4u32 {
                 let mut ab = SequencerAbcast::<u32>::new(NodeId::new(i), group.clone());
@@ -2228,7 +1701,7 @@ mod tests {
             world.start();
             world.run_until(SimTime::from_ticks(100_000));
             for &n in &group {
-                let kept = world.actor_ref::<SeqHost>(n).inner.order_log.as_ref();
+                let kept = world.actor_ref::<SeqHost>(n).inner.log.kept();
                 assert_eq!(
                     kept.map(Vec::len),
                     (!forget).then_some(if n == group[0] { 12 } else { 0 })
@@ -2238,7 +1711,7 @@ mod tests {
             (delivered, world.metrics().messages_sent)
         }
         fn cons(forget: bool) -> (Vec<Vec<(u64, u32)>>, u64) {
-            let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(3));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(3));
             let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
             for i in 0..3u32 {
                 let mut ab = ConsensusAbcast::<u32>::new(
@@ -2263,7 +1736,7 @@ mod tests {
             world.start();
             world.run_until(SimTime::from_ticks(300_000));
             for &n in &group {
-                let kept = world.actor_ref::<ConsHost>(n).inner.decided_log.as_ref();
+                let kept = world.actor_ref::<ConsHost>(n).inner.log.kept();
                 assert_eq!(kept.is_some(), !forget);
             }
             let delivered = group.iter().map(|&n| deliveries_cons(&world, n)).collect();
@@ -2290,7 +1763,7 @@ mod tests {
                 ..NetworkConfig::lan()
             };
             let cfg = SimConfig::new(43).with_network(net).with_trace(false);
-            let mut world: World<SeqAbMsg<u32>> = World::new(cfg);
+            let mut world: World<AbMsg<u32>> = World::new(cfg);
             let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
             for i in 0..3u32 {
                 let mut actor =
@@ -2323,7 +1796,7 @@ mod tests {
         // the shrunk group and node 0 ships its order log to node 1, the
         // successor. Broadcasts after the handoff continue the dense
         // gseq stream with no gap and no reordering.
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(41));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(41));
         let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
         let shrunk: Vec<NodeId> = group[1..].to_vec();
         for i in 0..3u32 {
@@ -2382,7 +1855,7 @@ mod tests {
 
     #[test]
     fn consensus_abcast_tolerates_member_crash() {
-        let mut world: World<CAbMsg<u32>> = World::new(SimConfig::new(11));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(11));
         let group: Vec<NodeId> = (0..5).map(NodeId::new).collect();
         for i in 0..5u32 {
             let mut actor = ComponentActor::new(ConsensusAbcast::<u32>::new(

@@ -39,66 +39,19 @@
 //! leans on. The primitive assumes a loss-free network and no orderer
 //! crashes: the sharded runner forbids fault plans whenever cross-shard
 //! traffic is enabled, so no retransmission or takeover machinery is
-//! carried here.
+//! carried here. It sits behind the same [`TotalOrder`] interface and
+//! [`AbMsg`] wire enum as the single-group broadcasts (its steps 1–3 are
+//! `Multicast`, `Propose` and `Final`, its dissemination the shared
+//! `Ordered`), and answers the interface's fault path with no-ops.
 
 use std::collections::{BTreeMap, HashSet};
 
 use repl_sim::{GroupSet, Message, NodeId};
 
-use crate::abcast::AbDeliver;
-use crate::component::{Component, Outbox};
+use crate::abcast::{AbDeliver, BatchConfig};
+use crate::component::Component;
+use crate::ordered::{AbMsg, AbOutbox, TotalOrder};
 use crate::receiver::{MsgId, OrderedReceiver};
-
-/// Wire message of [`GenuineMulticast`].
-#[derive(Debug, Clone)]
-pub enum GmMsg<P> {
-    /// Initiator → each destination group's orderer: order this message.
-    Submit {
-        /// Unique id of the multicast.
-        id: MsgId,
-        /// Application payload.
-        payload: P,
-        /// Destination group ids, ascending and distinct.
-        dests: GroupSet,
-    },
-    /// Destination orderer → coordinator: my tentative timestamp.
-    Propose {
-        /// Unique id of the multicast.
-        id: MsgId,
-        /// The proposing group's tentative timestamp.
-        ts: u64,
-        /// The proposing group.
-        gid: u32,
-    },
-    /// Coordinator → destination orderers: the agreed final timestamp.
-    Final {
-        /// Unique id of the multicast.
-        id: MsgId,
-        /// Maximum of all destination proposals.
-        ts: u64,
-    },
-    /// Group orderer → group members: the message at its dense
-    /// group-local position.
-    Ordered {
-        /// Group-local sequence number.
-        gseq: u64,
-        /// Unique id of the multicast.
-        id: MsgId,
-        /// Application payload.
-        payload: P,
-    },
-}
-
-impl<P: Message> Message for GmMsg<P> {
-    fn wire_size(&self) -> usize {
-        match self {
-            GmMsg::Submit { payload, dests, .. } => 16 + 4 * dests.len() + payload.wire_size(),
-            GmMsg::Propose { .. } => 28,
-            GmMsg::Final { .. } => 24,
-            GmMsg::Ordered { payload, .. } => 24 + payload.wire_size(),
-        }
-    }
-}
 
 /// Orderer-side state of one in-flight multicast.
 #[derive(Debug)]
@@ -197,35 +150,9 @@ impl<P: Message> GenuineMulticast<P> {
         }
     }
 
-    /// The local group.
-    pub fn group(&self) -> &[NodeId] {
-        &self.groups[self.my_gid as usize]
-    }
-
-    /// The local group's id.
-    pub fn gid(&self) -> u32 {
-        self.my_gid
-    }
-
     /// The orderer (first member) of group `g`.
-    pub fn orderer_of(&self, g: u32) -> NodeId {
+    fn orderer_of(&self, g: u32) -> NodeId {
         self.groups[g as usize][0]
-    }
-
-    /// Whether this endpoint is its group's orderer.
-    pub fn is_orderer(&self) -> bool {
-        self.orderer_of(self.my_gid) == self.me
-    }
-
-    /// Number of own multicasts not yet delivered locally.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The receiver's stream position: the next group-local gseq it will
-    /// deliver.
-    pub fn position(&self) -> u64 {
-        self.recv.position()
     }
 
     /// Multicasts `payload` to the destination groups; returns its id.
@@ -235,12 +162,7 @@ impl<P: Message> GenuineMulticast<P> {
     /// Panics if `dests` is empty, unsorted, repeats a group, or does
     /// not include the initiator's own group (the coordinator — the
     /// local group's orderer — must see the destination set).
-    pub fn multicast(
-        &mut self,
-        payload: P,
-        dests: &[u32],
-        out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
-    ) -> MsgId {
+    pub fn multicast(&mut self, payload: P, dests: &[u32], out: &mut AbOutbox<P>) -> MsgId {
         assert!(!dests.is_empty(), "multicast needs a destination");
         assert!(
             dests.windows(2).all(|w| w[0] < w[1]),
@@ -261,7 +183,7 @@ impl<P: Message> GenuineMulticast<P> {
             } else {
                 out.send(
                     orderer,
-                    GmMsg::Submit {
+                    AbMsg::Multicast {
                         id,
                         payload: payload.clone(),
                         dests: set.clone(),
@@ -274,7 +196,7 @@ impl<P: Message> GenuineMulticast<P> {
 
     /// Broadcasts `payload` to the local group only (the shard-local
     /// fast path); returns its id.
-    pub fn broadcast(&mut self, payload: P, out: &mut Outbox<GmMsg<P>, AbDeliver<P>>) -> MsgId {
+    pub fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId {
         let gid = self.my_gid;
         self.multicast(payload, &[gid], out)
     }
@@ -289,13 +211,7 @@ impl<P: Message> GenuineMulticast<P> {
 
     /// Orderer role: a submission for a message my group and `dests - 1`
     /// others must order.
-    fn on_submit(
-        &mut self,
-        id: MsgId,
-        payload: P,
-        dests: usize,
-        out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
-    ) {
+    fn on_submit(&mut self, id: MsgId, payload: P, dests: usize, out: &mut AbOutbox<P>) {
         if self.entries.contains_key(&id) || self.recv.has_delivered(id) {
             return;
         }
@@ -338,7 +254,7 @@ impl<P: Message> GenuineMulticast<P> {
         } else {
             out.send(
                 self.orderer_of(coord_gid),
-                GmMsg::Propose {
+                AbMsg::Propose {
                     id,
                     ts: proposed,
                     gid: self.my_gid,
@@ -348,32 +264,23 @@ impl<P: Message> GenuineMulticast<P> {
     }
 
     /// Coordinator role: a destination orderer's tentative timestamp.
-    fn on_propose(
-        &mut self,
-        id: MsgId,
-        ts: u64,
-        gid: u32,
-        out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
-    ) {
+    fn on_propose(&mut self, id: MsgId, ts: u64, gid: u32, out: &mut AbOutbox<P>) {
         match self.collecting.get_mut(&id) {
             Some(collect) => {
                 collect.got.insert(gid, ts);
                 self.maybe_finalize(id, out);
             }
-            None => {
-                if !self.recv.has_delivered(id) && !self.entries.contains_key(&id) {
-                    // The proposal outran the initiator's own Submit.
-                    self.early.entry(id).or_default().push((gid, ts));
-                } else if self.entries.contains_key(&id) {
-                    // Submit seen but collection closed? Impossible while
-                    // the entry is live; a late duplicate is ignored.
-                }
+            // The proposal outran the initiator's own Submit (a late
+            // duplicate is ignored).
+            None if !self.recv.has_delivered(id) && !self.entries.contains_key(&id) => {
+                self.early.entry(id).or_default().push((gid, ts));
             }
+            None => {}
         }
     }
 
     /// Coordinator role: all proposals in → announce the maximum.
-    fn maybe_finalize(&mut self, id: MsgId, out: &mut Outbox<GmMsg<P>, AbDeliver<P>>) {
+    fn maybe_finalize(&mut self, id: MsgId, out: &mut AbOutbox<P>) {
         let done = match self.collecting.get(&id) {
             Some(c) => c.need > 0 && c.got.len() >= c.need,
             None => false,
@@ -390,13 +297,13 @@ impl<P: Message> GenuineMulticast<P> {
             if orderer == self.me {
                 self.on_final(id, ts, out);
             } else {
-                out.send(orderer, GmMsg::Final { id, ts });
+                out.send(orderer, AbMsg::Final { id, ts });
             }
         }
     }
 
     /// Orderer role: the agreed final timestamp for `id`.
-    fn on_final(&mut self, id: MsgId, ts: u64, out: &mut Outbox<GmMsg<P>, AbDeliver<P>>) {
+    fn on_final(&mut self, id: MsgId, ts: u64, out: &mut AbOutbox<P>) {
         self.clock = self.clock.max(ts);
         if let Some(e) = self.entries.get_mut(&id) {
             e.ts = ts;
@@ -407,7 +314,7 @@ impl<P: Message> GenuineMulticast<P> {
 
     /// Orderer role: deliver every finalized entry whose `(ts, id)` is
     /// below all other pending entries', in timestamp order.
-    fn try_deliver(&mut self, out: &mut Outbox<GmMsg<P>, AbDeliver<P>>) {
+    fn try_deliver(&mut self, out: &mut AbOutbox<P>) {
         loop {
             let min = self
                 .entries
@@ -418,12 +325,11 @@ impl<P: Message> GenuineMulticast<P> {
             let e = self.entries.remove(&id).expect("min entry present");
             let gseq = self.next_gseq;
             self.next_gseq += 1;
-            for i in 0..self.group().len() {
-                let m = self.group()[i];
+            for &m in &self.groups[self.my_gid as usize] {
                 if m != self.me {
                     out.send(
                         m,
-                        GmMsg::Ordered {
+                        AbMsg::Ordered {
                             gseq,
                             id,
                             payload: e.payload.clone(),
@@ -436,13 +342,7 @@ impl<P: Message> GenuineMulticast<P> {
     }
 
     /// Receiver role: deliver in dense gseq order, deduplicating ids.
-    fn accept(
-        &mut self,
-        gseq: u64,
-        id: MsgId,
-        payload: P,
-        out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
-    ) {
+    fn accept(&mut self, gseq: u64, id: MsgId, payload: P, out: &mut AbOutbox<P>) {
         self.recv.accept(gseq, id, payload, |d| {
             self.pending.remove(&d.id);
             out.event(d);
@@ -451,22 +351,78 @@ impl<P: Message> GenuineMulticast<P> {
 }
 
 impl<P: Message> Component for GenuineMulticast<P> {
-    type Msg = GmMsg<P>;
+    type Msg = AbMsg<P>;
     type Event = AbDeliver<P>;
 
-    fn on_message(
-        &mut self,
-        _from: NodeId,
-        msg: GmMsg<P>,
-        out: &mut Outbox<GmMsg<P>, AbDeliver<P>>,
-    ) {
+    fn on_message(&mut self, _from: NodeId, msg: AbMsg<P>, out: &mut AbOutbox<P>) {
         match msg {
-            GmMsg::Submit { id, payload, dests } => self.on_submit(id, payload, dests.len(), out),
-            GmMsg::Propose { id, ts, gid } => self.on_propose(id, ts, gid, out),
-            GmMsg::Final { id, ts } => self.on_final(id, ts, out),
-            GmMsg::Ordered { gseq, id, payload } => self.accept(gseq, id, payload, out),
+            AbMsg::Multicast { id, payload, dests } => {
+                self.on_submit(id, payload, dests.len(), out)
+            }
+            AbMsg::Propose { id, ts, gid } => self.on_propose(id, ts, gid, out),
+            AbMsg::Final { id, ts } => self.on_final(id, ts, out),
+            AbMsg::Ordered { gseq, id, payload } => self.accept(gseq, id, payload, out),
+            _ => {}
         }
     }
+}
+
+/// Sharded runs refuse fault and membership plans, so the fault path of
+/// the interface — rewind, skip, rejoin, replay log, handoff — is a no-op
+/// here that no run reaches, and the group never changes.
+impl<P: Message> TotalOrder<P> for GenuineMulticast<P> {
+    fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId {
+        GenuineMulticast::broadcast(self, payload, out)
+    }
+
+    fn multicast(&mut self, payload: P, dests: &[u32], out: &mut AbOutbox<P>) -> MsgId {
+        GenuineMulticast::multicast(self, payload, dests, out)
+    }
+
+    /// The next group-local gseq the receiver delivers.
+    fn position(&self) -> u64 {
+        self.recv.position()
+    }
+
+    fn delivered_gseq(&self) -> u64 {
+        self.recv.position()
+    }
+
+    fn rewind_to(&mut self, _pos: u64) {}
+
+    fn skip_to(&mut self, _pos: u64, _gseq: u64) {}
+
+    fn rejoin(&mut self, _out: &mut AbOutbox<P>) {}
+
+    fn take_rejoin_done(&mut self) -> Option<u64> {
+        None
+    }
+
+    /// The local group.
+    fn group(&self) -> &[NodeId] {
+        &self.groups[self.my_gid as usize]
+    }
+
+    fn set_group(&mut self, _group: Vec<NodeId>) {
+        panic!("sharded groups are static")
+    }
+
+    /// Own multicasts not yet delivered locally.
+    fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Genuine multicast does not batch.
+    fn set_batching(&mut self, _batch: BatchConfig) {}
+
+    /// Genuine multicast keeps no replay log.
+    fn forget_replay(&mut self) {}
+
+    fn is_orderer(&self) -> bool {
+        self.orderer_of(self.my_gid) == self.me
+    }
+
+    fn handoff(&mut self, _to: NodeId, _out: &mut AbOutbox<P>) {}
 }
 
 #[cfg(test)]
@@ -484,7 +440,7 @@ mod tests {
         ]
     }
 
-    fn deliveries(world: &World<GmMsg<u32>>, n: NodeId) -> Vec<(u64, u32)> {
+    fn deliveries(world: &World<AbMsg<u32>>, n: NodeId) -> Vec<(u64, u32)> {
         world
             .actor_ref::<Host>(n)
             .events
@@ -494,7 +450,7 @@ mod tests {
     }
 
     fn build(
-        world: &mut World<GmMsg<u32>>,
+        world: &mut World<AbMsg<u32>>,
         groups: &[Vec<NodeId>],
         steps: &[(NodeId, u64, u32, Vec<u32>)],
     ) {
@@ -520,7 +476,7 @@ mod tests {
 
     #[test]
     fn local_multicasts_order_independently_per_group() {
-        let mut world: World<GmMsg<u32>> = World::new(SimConfig::new(21));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(21));
         let groups = two_groups();
         let steps = vec![
             (NodeId::new(1), 10, 100, vec![0]),
@@ -547,7 +503,7 @@ mod tests {
 
     #[test]
     fn cross_multicast_delivered_to_all_touched_groups() {
-        let mut world: World<GmMsg<u32>> = World::new(SimConfig::new(22));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(22));
         let groups = two_groups();
         let steps = vec![(NodeId::new(1), 10, 77, vec![0, 1])];
         build(&mut world, &groups, &steps);
@@ -567,7 +523,7 @@ mod tests {
         // order, and the two cross messages appear in the same relative
         // order in both groups.
         for seed in [1u64, 7, 23, 99, 1234] {
-            let mut world: World<GmMsg<u32>> = World::new(SimConfig::new(seed));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(seed));
             let groups = two_groups();
             let steps = vec![
                 (NodeId::new(0), 10, 900, vec![0, 1]),
@@ -610,7 +566,7 @@ mod tests {
         // each pair, local noise everywhere. The pairwise relative order
         // of common messages must agree between any two groups.
         for seed in [3u64, 17, 41] {
-            let mut world: World<GmMsg<u32>> = World::new(SimConfig::new(seed));
+            let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(seed));
             let groups: Vec<Vec<NodeId>> = vec![
                 (0..2).map(NodeId::new).collect(),
                 (2..4).map(NodeId::new).collect(),
@@ -665,7 +621,7 @@ mod tests {
 
     #[test]
     fn initiator_pending_drains() {
-        let mut world: World<GmMsg<u32>> = World::new(SimConfig::new(31));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(31));
         let groups = two_groups();
         let steps = vec![(NodeId::new(1), 10, 55, vec![0, 1])];
         build(&mut world, &groups, &steps);

@@ -14,6 +14,12 @@
 //!   timestamp agreement): globally consistent order delivered only to
 //!   the groups a message touches, the cross-shard ordering primitive
 //!   of partial replication,
+//!
+//!   the three behind one [`TotalOrder`] interface and one wire message
+//!   [`AbMsg`]; the first two share one ordered log (own ids, pending
+//!   submissions, batch staging, the replay log and rejoin bookkeeping),
+//!   as genuine multicast sits behind the same total-order interface as
+//!   single-group broadcast in partial replication,
 //! * [`ViewGroup`] — group membership with view-synchronous broadcast
 //!   (VSCAST), the primitive behind passive replication.
 //!
@@ -28,18 +34,18 @@ mod component;
 mod consensus;
 mod fd;
 mod gmcast;
+mod ordered;
 mod receiver;
 mod runset;
 pub mod testkit;
 mod vscast;
 
-pub use abcast::{
-    AbDeliver, Batch, BatchConfig, CAbMsg, ConsensusAbcast, SeqAbMsg, SequencerAbcast,
-};
+pub use abcast::{AbDeliver, Batch, BatchConfig, ConsensusAbcast, SequencerAbcast};
 pub use component::{apply_outbox, Action, Component, Outbox, TAG_SPACE};
 pub use consensus::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool};
 pub use fd::{FdConfig, FdEvent, FdMsg, HeartbeatFd};
-pub use gmcast::{GenuineMulticast, GmMsg};
+pub use gmcast::GenuineMulticast;
+pub use ordered::{AbMsg, AbOutbox, TotalOrder};
 pub use receiver::MsgId;
 pub use runset::RunSet;
 pub use vscast::{View, ViewGroup, VsConfig, VsEvent, VsMsg};

@@ -6,11 +6,9 @@ use proptest::prelude::*;
 
 use repl_gcs::testkit::ComponentActor;
 use repl_gcs::{
-    ConsMsg, ConsensusAbcast, ConsensusConfig, ConsensusPool, RunSet, SeqAbMsg, SequencerAbcast,
+    AbMsg, ConsMsg, ConsensusAbcast, ConsensusConfig, ConsensusPool, RunSet, SequencerAbcast,
 };
 use repl_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
-
-type CAbMsg = repl_gcs::CAbMsg<u32>;
 
 /// A broadcast schedule: (sender index, time, payload).
 fn schedule_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, u64, u32)>> {
@@ -54,7 +52,7 @@ proptest! {
     ) {
         let n = 4u32;
         let group: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        let mut world: World<SeqAbMsg<u32>> = World::new(SimConfig::new(seed).with_trace(false));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(seed).with_trace(false));
         for i in 0..n {
             let mut actor = ComponentActor::new(SequencerAbcast::<u32>::new(
                 NodeId::new(i),
@@ -97,7 +95,7 @@ proptest! {
     ) {
         let n = 5u32;
         let group: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        let mut world: World<CAbMsg> = World::new(SimConfig::new(seed).with_trace(false));
+        let mut world: World<AbMsg<u32>> = World::new(SimConfig::new(seed).with_trace(false));
         for i in 0..n {
             let mut actor = ComponentActor::new(ConsensusAbcast::<u32>::new(
                 NodeId::new(i),
