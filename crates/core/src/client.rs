@@ -112,8 +112,6 @@ struct Routing {
     map: ShardMap,
     group_size: usize,
     mode: ReplyMode,
-    /// Retries resend to the same contact instead of the next one.
-    sticky: bool,
     /// Touched groups of the in-flight op, ascending.
     expect: GroupSet,
     /// The in-flight op's partial responses by group, kept across retries.
@@ -253,19 +251,11 @@ impl<P: Message> ClientActor<P> {
     /// are addressed by position, so a routed client must not be
     /// rerouted (`validate_sharded` rejects membership plans).
     ///
-    /// `sticky` retries resend to the *same* contact instead of the next.
-    /// Delegate-based cross-shard commit (eager UE locking) needs that:
-    /// the contact dedups resends against its client table and
-    /// live-delegation table; a sibling has neither and would delegate
-    /// the same transaction id again after the first 2PC released its
-    /// locks. Rotation only buys crash failover, and cross-shard runs
-    /// reject fault plans.
-    ///
     /// # Panics
     ///
     /// Panics unless `servers` splits into those groups and `preferred`
     /// lies inside one.
-    pub fn with_routing(mut self, map: ShardMap, mode: ReplyMode, sticky: bool) -> Self {
+    pub fn with_routing(mut self, map: ShardMap, mode: ReplyMode) -> Self {
         let shards = map.shards() as usize;
         assert_eq!(self.servers.len() % shards, 0, "one group per shard");
         let group_size = self.servers.len() / shards;
@@ -274,7 +264,6 @@ impl<P: Message> ClientActor<P> {
             map,
             group_size,
             mode,
-            sticky,
             expect: GroupSet::default(),
             partials: HashMap::new(),
         });
@@ -344,11 +333,8 @@ impl<P: Message> ClientActor<P> {
             return;
         };
         rec.retries += 1;
-        match &self.routing {
-            None => self.contact = (self.contact + 1) % self.servers.len(),
-            Some(r) if !r.sticky => self.contact = (self.contact + 1) % r.group_size,
-            Some(_) => {}
-        }
+        let group = self.routing.as_ref().map(|r| r.group_size);
+        self.contact = (self.contact + 1) % group.unwrap_or(self.servers.len());
         let to = self.servers[self.base + self.contact];
         send_op(ctx, to, rec.op, rec.txn.clone());
         self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
@@ -996,7 +982,7 @@ mod tests {
             think,
             retry_after,
         );
-        let c = world.add_actor(Box::new(client.with_routing(map, mode, false)));
+        let c = world.add_actor(Box::new(client.with_routing(map, mode)));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
         assert!(world.actor_ref::<ClientActor<()>>(c).is_done());
@@ -1080,7 +1066,7 @@ mod tests {
         let flat = text(flat);
         let one = ShardMap::new(64, 1);
         for mode in [ReplyMode::Full, ReplyMode::PerShard] {
-            let routed = scripted_run(&[true, false], 50, |c| c.with_routing(one, mode, false));
+            let routed = scripted_run(&[true, false], 50, |c| c.with_routing(one, mode));
             assert_eq!(flat, text(routed), "{mode:?}");
         }
     }

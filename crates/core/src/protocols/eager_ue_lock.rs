@@ -33,8 +33,8 @@
 //! cannot make progress without every replica. Crashes follow fail-stop
 //! semantics: volatile state (lock tables, delegate bookkeeping,
 //! tentative writes) is lost, so a recovered site grants locks afresh
-//! rather than blocking behind phantom holders, and client re-submission
-//! re-drives stalled transactions once the site is back.
+//! rather than blocking behind phantom holders, and a client's retry
+//! makes the delegate run a stalled attempt again once the site is back.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -47,7 +47,7 @@ use repl_workload::OpTemplate;
 
 use crate::op::{ClientOp, Response};
 use crate::phase::Phase;
-use crate::protocols::common::{global_txn, ExecutionMode};
+use crate::protocols::common::{global_txn, op_of_txn, ExecutionMode};
 use crate::protocols::replica::{Ctx, ExtraStats, MemberMsg, Replica, Shell, Technique, Wire};
 
 /// Coordination traffic of eager update everywhere with distributed
@@ -311,8 +311,10 @@ fn cohort_of<'a>(groups: Option<&'a GroupSet>, sh: &'a Shell) -> impl Iterator<I
 impl Eul {
     fn start_txn(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, op: ClientOp, retries: u32) {
         let txn = global_txn(op.id);
+        // A client retry of a live attempt: a site that crashed or was
+        // cut off since may have lost its requests, so it runs again.
         if self.delegated.contains_key(&txn) {
-            return;
+            return self.finish(sh, ctx, txn, false);
         }
         sh.base.begin(txn);
         let cohort = sh.shard().map(|sc| sc.dests(&op.txn));
@@ -463,14 +465,12 @@ impl Eul {
             committed: commit,
             reads,
         };
-        if commit {
+        if commit || t.retries >= MAX_RETRIES {
             sh.reply(ctx, t.op.client, resp);
-        } else if t.retries < MAX_RETRIES {
+        } else {
             self.requeue.push((t.op, t.retries + 1));
             let backoff = SimDuration::from_ticks(400 + 150 * t.retries as u64);
             ctx.set_timer(backoff, RETRY_TICK);
-        } else {
-            ctx.send(t.op.client, Wire::Reply(resp));
         }
         // A pending view-change ack waits for this site's old-view
         // delegated transactions; the Decision sends above precede the
@@ -573,6 +573,7 @@ impl Eul {
     }
 
     /// Commits or aborts the local tentative state and releases locks.
+    /// Only a commit forgets `txn`'s delegate, which retries an abort.
     fn apply_decision(
         &mut self,
         sh: &mut Shell,
@@ -587,7 +588,9 @@ impl Eul {
                 sh.base.commit_and_note(txn);
             }
         }
-        self.lock_owner.remove(&txn);
+        if commit {
+            self.lock_owner.remove(&txn);
+        }
         let granted = self.lm.release_all(txn);
         for (g, _, _) in granted {
             self.granted_locally(ctx, g);
@@ -641,9 +644,12 @@ impl Technique for Eul {
         if sh.catching_up() {
             return; // a delegate with a stale store would serve stale reads
         }
-        let txn = global_txn(op.id);
-        if !self.delegated.contains_key(&txn) && !self.requeue.iter().any(|(o, _)| o.id == op.id) {
-            self.start_txn(sh, ctx, op, 0);
+        // One delegation per transaction: a retry that reaches a site
+        // whose lock table names another delegate goes there.
+        match self.lock_owner.get(&global_txn(op.id)) {
+            Some(&(d, _)) if d != sh.me() => ctx.send(d, Wire::Invoke(op)),
+            _ if self.requeue.iter().any(|(o, _)| o.id == op.id) => {}
+            _ => self.start_txn(sh, ctx, op, 0),
         }
     }
 
@@ -686,6 +692,12 @@ impl Technique for Eul {
             return;
         }
         match msg {
+            // The delegate's own request for an attempt it has since
+            // aborted (a wound aborts here without loopback): taken, it
+            // would re-lock under the reused id past an older waiter, or
+            // re-record the purged attempt in the history.
+            EulMsg::LockReq { txn, .. } | EulMsg::Exec { txn, .. }
+                if from == sh.me() && !self.delegated.contains_key(&txn) => {}
             EulMsg::LockReq {
                 txn,
                 step,
@@ -740,18 +752,6 @@ impl Technique for Eul {
                 write,
                 read_back,
             } => {
-                // A live Exec always finds `txn` holding this step's lock
-                // here: the grant precedes the delegate's Exec send, and
-                // the release travels on the same delegate→member link
-                // *after* it. The exception is the delegate's own site,
-                // where a wound applies the abort directly (no loopback)
-                // while its own Exec is still in flight; executing that
-                // straggler would re-record an already-purged attempt in
-                // the history and leak a tentative write. Lock-not-held
-                // therefore marks the Exec as stale — drop it.
-                if !self.lm.holds(txn, key) {
-                    return;
-                }
                 sh.base.begin(txn);
                 self.tentative.insert(txn);
                 match write {
@@ -805,6 +805,9 @@ impl Technique for Eul {
                 }
             }
             EulMsg::Decision { txn, commit } => {
+                if commit {
+                    sh.answered_elsewhere(op_of_txn(txn)); // drop a late retry
+                }
                 self.apply_decision(sh, ctx, txn, commit);
             }
             EulMsg::ProbeReq => {
@@ -1533,5 +1536,219 @@ mod tests {
             })
             .collect();
         assert_eq!(acks, vec![NodeId::new(2)]);
+    }
+
+    /// A world of one scripted peer at node 0 and Eul servers at nodes
+    /// 1..=`servers`, the view. The peer plays the client and, where a
+    /// test needs one, a foreign delegate or a wounding site.
+    fn scripted(servers: u32, script: Vec<(u64, NodeId, Wire<EulMsg>)>) -> World<Wire<EulMsg>> {
+        use crate::protocols::replica::tests::ScriptedPeer;
+        let view: Vec<NodeId> = (1..=servers).map(NodeId::new).collect();
+        let mut world: World<Wire<EulMsg>> = World::new(SimConfig::new(17));
+        world.add_actor(Box::new(ScriptedPeer {
+            script,
+            got: Vec::new(),
+        }));
+        for i in 1..=servers {
+            world.add_actor(Box::new(EulServer::new(
+                i,
+                NodeId::new(i),
+                view.clone(),
+                16,
+                ExecutionMode::Deterministic,
+                DeadlockPolicy::WoundWait,
+            )));
+        }
+        world
+    }
+
+    fn invoke(id: u64, key: u64) -> Wire<EulMsg> {
+        let client = NodeId::new(0);
+        let (id, txn) = (crate::op::OpId(id), write(key, 1));
+        Wire::Invoke(ClientOp { id, client, txn })
+    }
+
+    /// What the scripted peer at node 0 received.
+    fn peer_got(world: &World<Wire<EulMsg>>) -> &[(u64, Wire<EulMsg>)] {
+        type Peer = crate::protocols::replica::tests::ScriptedPeer<Wire<EulMsg>>;
+        &world.actor_ref::<Peer>(NodeId::new(0)).got
+    }
+
+    #[test]
+    fn an_own_lock_request_that_lands_after_its_wound_takes_no_lock() {
+        // The delegate at node 1 sends its own LockReq by loopback; a
+        // Wound right behind the invoke aborts the attempt before that
+        // request lands. The retry waits out a 400-tick backoff.
+        let txn = global_txn(crate::op::OpId(1));
+        let victim = Wire::Proto(EulMsg::Wound { victim: txn });
+        let (d, at) = (NodeId::new(1), SimTime::from_ticks(500));
+        let mut world = scripted(1, vec![(100, d, invoke(1, 0)), (101, d, victim)]);
+        world.start();
+        world.run_until(at);
+        let srv = world.actor_ref::<EulServer>(d);
+        assert!(srv
+            .tech
+            .requeue
+            .iter()
+            .any(|(o, _)| global_txn(o.id) == txn));
+        assert!(
+            !srv.tech.lm.holds(txn, Key(0)),
+            "a stale request re-took the lock"
+        );
+    }
+
+    #[test]
+    fn a_retry_at_a_sibling_reaches_the_delegate_and_starts_no_second_delegation() {
+        use crate::op::OpId;
+        // The peer at node 0 delegates op 2 against node 1, where the
+        // older op 1 holds key 0: op 2 queues. The client's retry of op 2
+        // reaches node 1 while it queues, and again after a wound aborted
+        // the attempt (the delegate will retry it).
+        let (older, txn) = (global_txn(OpId(1)), global_txn(OpId(2)));
+        assert!(older < txn);
+        let (peer, me) = (NodeId::new(0), NodeId::new(1));
+        let lock = |txn| {
+            let (step, key, exclusive, delegate) = (0, Key(0), true, peer);
+            Wire::Proto(EulMsg::LockReq {
+                txn,
+                step,
+                key,
+                exclusive,
+                delegate,
+            })
+        };
+        let abort = Wire::Proto(EulMsg::Decision { txn, commit: false });
+        let script = vec![
+            (100, me, lock(older)),
+            (101, me, lock(txn)),
+            (300, me, invoke(2, 0)),
+            (500, me, abort),
+            (700, me, invoke(2, 0)),
+        ];
+        let mut world = scripted(1, script);
+        world.start();
+        world.run_until(SimTime::from_ticks(2_000));
+        let srv = world.actor_ref::<EulServer>(me);
+        assert!(srv.tech.delegated.is_empty(), "a second delegation started");
+        let got = peer_got(&world);
+        let forwarded = got
+            .iter()
+            .filter(|(_, m)| matches!(m, Wire::Invoke(op) if op.id == OpId(2)));
+        assert_eq!(forwarded.count(), 2, "both retries reach the delegate");
+    }
+
+    #[test]
+    fn a_retry_after_the_commit_decision_is_dropped() {
+        // Node 1 delegates op 1 (a write of key 5) and commits it; the
+        // client's retry reaches node 2 after the commit Decision did.
+        let (d, sibling) = (NodeId::new(1), NodeId::new(2));
+        let script = vec![(100, d, invoke(1, 5)), (5_000, sibling, invoke(1, 5))];
+        let mut world = scripted(3, script);
+        world.start();
+        world.run_until(SimTime::from_ticks(20_000));
+        let replies = peer_got(&world)
+            .iter()
+            .filter(|(_, m)| matches!(m, Wire::Reply(r) if r.committed));
+        assert_eq!(replies.count(), 1);
+        for s in 1..=3 {
+            let srv = world.actor_ref::<EulServer>(NodeId::new(s));
+            let v = srv.shell.base.store.read(Key(5)).expect("written");
+            assert_eq!(v.version, 1, "node {s} applied the write twice");
+        }
+    }
+
+    /// Node 0 in a view with the delegate at node 1: the client of op 1,
+    /// which it submits there at 100 and retries once at `retry_at`, and
+    /// the delegate's one other site, which wounds every lock request if
+    /// `wound`, else loses the first and grants the rest, and votes yes.
+    struct Participant {
+        wound: bool,
+        retry_at: u64,
+        replies: Vec<Response>,
+        lock_reqs: usize,
+    }
+
+    /// Runs the participant at node 0 against the delegate at node 1
+    /// until `until`.
+    fn with_participant(wound: bool, retry_at: u64, until: u64) -> World<Wire<EulMsg>> {
+        let mut world: World<Wire<EulMsg>> = World::new(SimConfig::new(19));
+        let view = vec![NodeId::new(0), NodeId::new(1)];
+        let (replies, lock_reqs) = (Vec::new(), 0);
+        let site = Participant {
+            wound,
+            retry_at,
+            replies,
+            lock_reqs,
+        };
+        world.add_actor(Box::new(site));
+        let (exec, policy) = (ExecutionMode::Deterministic, DeadlockPolicy::WoundWait);
+        world.add_actor(Box::new(EulServer::new(1, view[1], view, 16, exec, policy)));
+        world.start();
+        world.run_until(SimTime::from_ticks(until));
+        world
+    }
+
+    impl repl_sim::Actor<Wire<EulMsg>> for Participant {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, EulMsg>) {
+            ctx.set_timer(SimDuration::from_ticks(100), 0);
+            ctx.set_timer(SimDuration::from_ticks(self.retry_at), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, EulMsg>, _t: repl_sim::TimerId, _tag: u64) {
+            ctx.send(NodeId::new(1), invoke(1, 0));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, EulMsg>, from: NodeId, msg: Wire<EulMsg>) {
+            match msg {
+                Wire::Reply(r) => self.replies.push(r),
+                Wire::Proto(EulMsg::LockReq { txn, step, .. }) => {
+                    self.lock_reqs += 1;
+                    if self.wound {
+                        ctx.send(from, Wire::Proto(EulMsg::Wound { victim: txn }));
+                    } else if self.lock_reqs > 1 {
+                        ctx.send(from, Wire::Proto(EulMsg::LockGrant { txn, step }));
+                    }
+                }
+                Wire::Proto(EulMsg::Prepare { txn }) => {
+                    ctx.send(from, Wire::Proto(EulMsg::Vote { txn, yes: true }));
+                }
+                _ => {}
+            }
+        }
+        repl_sim::impl_as_any!();
+    }
+
+    #[test]
+    fn a_retry_at_the_delegate_runs_a_stalled_attempt_again() {
+        // The participant lost the first lock request, as a site that
+        // crashed would: the attempt waits until the client's retry makes
+        // the delegate abort it and run it again.
+        let world = with_participant(false, 5_000, 20_000);
+        let site = world.actor_ref::<Participant>(NodeId::new(0));
+        assert_eq!(site.lock_reqs, 2);
+        let verdicts: Vec<bool> = site.replies.iter().map(|r| r.committed).collect();
+        assert_eq!(verdicts, [true]);
+        let d = world.actor_ref::<EulServer>(NodeId::new(1));
+        assert!(d.tech.delegated.is_empty() && d.tech.requeue.is_empty());
+    }
+
+    #[test]
+    fn the_last_abort_is_answered_from_the_client_table() {
+        // Every attempt is wounded: after MAX_RETRIES retries the delegate
+        // answers an abort, and the client's retry gets that answer again
+        // instead of a fresh round of attempts.
+        let world = with_participant(true, 200_000, 400_000);
+        let site = world.actor_ref::<Participant>(NodeId::new(0));
+        assert_eq!(
+            site.lock_reqs,
+            MAX_RETRIES as usize + 1,
+            "one request per attempt"
+        );
+        let verdicts: Vec<bool> = site.replies.iter().map(|r| r.committed).collect();
+        assert_eq!(
+            verdicts,
+            [false, false],
+            "the retry is answered, not run again"
+        );
+        let d = world.actor_ref::<EulServer>(NodeId::new(1));
+        assert!(d.tech.delegated.is_empty());
     }
 }

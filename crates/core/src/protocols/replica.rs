@@ -369,9 +369,9 @@ pub trait Technique: Sized + 'static {
     }
 }
 
-/// One client-table entry: the group answered the op before this node
-/// joined (the floor: drop a retry), or this node replied — `ok` if it
-/// committed, with `len` reads from `start` in the shell's read column.
+/// One client-table entry: another member answered the op (the floor:
+/// drop a retry), or this node replied — `ok` if it committed, with `len`
+/// reads from `start` in the shell's read column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Answer {
     Floor,
@@ -517,6 +517,15 @@ impl Shell {
     pub fn reply<P: Message>(&mut self, ctx: &mut Ctx<'_, P>, to: NodeId, resp: Response) {
         self.answer(&resp);
         ctx.send(to, Wire::Reply(resp));
+    }
+
+    /// Records `op` as answered by another member: the group answered it
+    /// before this node joined, or its delegate committed it here. A retry
+    /// of it is dropped (a no-op on a lean server, as [`Shell::answer`]).
+    pub fn answered_elsewhere(&mut self, op: OpId) {
+        if !self.base.lean() {
+            self.answers.entry(op).or_insert(Answer::Floor);
+        }
     }
 
     /// Drops this node's reply to `op`, whose commit is gone: the op runs
@@ -761,7 +770,7 @@ impl Shell {
                 self.membership = Status::Normal;
                 self.install_view(tech, servers);
                 for &op in answered {
-                    self.answers.entry(op).or_insert(Answer::Floor);
+                    self.answered_elsewhere(op);
                 }
                 // The group knows this node now: heartbeats start.
                 self.restart_heartbeats(tech, ctx);

@@ -81,6 +81,11 @@ pub struct SemiPassive {
     /// What `pool` queued while handling one input; drained by
     /// `drive_pool`.
     pool_out: Outbox<ConsMsg<Proposal>, ConsEvent<Proposal>>,
+    /// Operations awaiting a slot, served lowest id first. Id order lets
+    /// low-numbered zero-think clients starve the others past
+    /// `retry_after`. Arrival order ends that, but while a slot decides
+    /// one request it makes each of a batch of clients wait behind all
+    /// the others, a far worse tail; it waits for a batch per slot.
     pending: BTreeMap<OpId, ClientOp>,
     decided: BTreeMap<u64, Proposal>,
     next_slot: u64,

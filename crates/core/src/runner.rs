@@ -1138,9 +1138,6 @@ fn drive<T: Flow>(
         // locking delegate gathers foreign reads itself).
         _ => ReplyMode::Full,
     };
-    // Cross-shard delegation must see each op at exactly one delegate
-    // (see `ClientActor::with_routing`).
-    let sticky = cross_map.is_some() && cfg.technique == Technique::EagerUpdateEverywhereLocking;
     let mut clients = Vec::new();
     if let Arrival::OpenAggregated { mean, dist } = cfg.arrival {
         // One actor per server group stands for the whole population:
@@ -1202,7 +1199,7 @@ fn drive<T: Flow>(
                     )
                     .with_start_after(join_start_after(preferred));
                     match map {
-                        Some(map) => client.with_routing(map, reply_mode, sticky),
+                        Some(map) => client.with_routing(map, reply_mode),
                         None => client,
                     }
                 }

@@ -63,8 +63,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("outage/Eager Primary Copy", 0x93cd444577349c03, 0xd682babe0ff3affb),
     ("disaster/Eager Primary Copy", 0xdcf6e85b5cd9ff8f, 0x4e96a029865052bc),
     ("elastic/Eager Primary Copy", 0xee8a1d131dac2cb4, 0x7fafb0d78f635c07),
-    ("outage/Eager UE (Distributed Locking)", 0x4398143b8e546a6c, 0xa03e4c7637a90296),
-    ("disaster/Eager UE (Distributed Locking)", 0xe08310fdf7e9aa16, 0x41cff366d01d17a7),
+    ("outage/Eager UE (Distributed Locking)", 0x0507e0a93d03af1c, 0x4ed1ced157237fca),
+    ("disaster/Eager UE (Distributed Locking)", 0x8f1e1a9cf04a7540, 0xbd6a7afcd4555378),
     ("elastic/Eager UE (Distributed Locking)", 0xf7a31785cdd47c32, 0x6501db3c2a90208d),
     ("outage/Eager UE (ABCAST)", 0xca0ae777918ca23e, 0x49df8101f7b02456),
     ("disaster/Eager UE (ABCAST)", 0x1b3ab2a11a26c823, 0xf5fc4953d9327931),
@@ -90,7 +90,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("shard4/outage/ret=1/Semi-Passive", 0x6ff3c962e9d097c4, 0xafee5e1c1faf02d0),
     ("shard4/outage/ret=1/Eager Primary Copy", 0x19b002548e327e26, 0x6baff43b71ab7d58),
     ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
-    ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0x6d03c0a83b237eb0, 0x8abd7a482e71f1aa),
+    ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0xffb44cd910cbe2e3, 0xc9486f1a7c11685c),
     ("shard4/disaster/Passive", 0xe19a700c1556632d, 0xd26cf90587767f5a),
     ("shard4/disaster/Certification Based", 0x2ffe4e4ec493c802, 0x28e1306993222f84),
 ];

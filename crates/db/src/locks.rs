@@ -394,9 +394,7 @@ impl LockManager {
     }
 
     /// True if `txn` currently holds a lock on `key` (in any mode).
-    /// Allocation-free; replication protocols use it to recognize
-    /// straggler messages from an attempt whose locks were already
-    /// released by an abort.
+    /// Allocation-free.
     pub fn holds(&self, txn: TxnId, key: Key) -> bool {
         self.held
             .get(&txn)
