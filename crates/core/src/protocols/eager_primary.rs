@@ -118,8 +118,8 @@ struct PrimaryTxn {
     reads: Vec<(Key, Value)>,
     phase: TxnPhase,
     /// The secondaries a propagation step still waits for; at commit,
-    /// the 2PC cohort. One list per transaction, taken from and returned
-    /// to `EagerPrimary::spare_acks`.
+    /// the 2PC cohort, moved into the coordinator. One list per
+    /// transaction, taken from and returned to `EagerPrimary::spare_acks`.
     awaiting: Vec<NodeId>,
     retries: u32,
 }
@@ -245,8 +245,12 @@ impl EagerPrimary {
         self.primary(sh) == sh.me()
     }
 
-    /// Returns a finished transaction's ack list to the spares.
-    fn recycle_acks(&mut self, mut acks: Vec<NodeId>) {
+    /// Returns a finished transaction's ack list (its 2PC cohort) to the spares.
+    fn recycle_acks(&mut self, t: &mut PrimaryTxn) {
+        let mut acks = match std::mem::replace(&mut t.phase, TxnPhase::LockWait) {
+            TxnPhase::Committing(c) => c.into_cohort(),
+            _ => std::mem::take(&mut t.awaiting),
+        };
         acks.clear();
         self.spare_acks.push(acks);
     }
@@ -309,9 +313,10 @@ impl EagerPrimary {
                 Acquire::Granted => {}
                 Acquire::Waiting { wounded } => {
                     self.inflight.get_mut(&txn).expect("present").phase = TxnPhase::LockWait;
-                    for v in wounded {
+                    for &v in &wounded {
                         self.wound(sh, ctx, v);
                     }
+                    self.lm.recycle_wounded(wounded);
                     return;
                 }
             }
@@ -393,7 +398,6 @@ impl EagerPrimary {
         sh.mark(ctx, Phase::AgreementCoordination, t.op.id, u64::MAX);
         t.awaiting.clear();
         t.awaiting.extend(live_secondaries(sh));
-        t.phase = TxnPhase::Committing(TpcCoordinator::new(t.awaiting.iter().copied()));
         if t.awaiting.is_empty() {
             self.finish_commit(sh, ctx, txn, true);
             return;
@@ -423,6 +427,7 @@ impl EagerPrimary {
                 }),
             );
         }
+        t.phase = TxnPhase::Committing(TpcCoordinator::new(std::mem::take(&mut t.awaiting)));
     }
 
     fn finish_commit(
@@ -432,10 +437,10 @@ impl EagerPrimary {
         txn: TxnId,
         commit: bool,
     ) {
-        let Some(t) = self.inflight.remove(&txn) else {
+        let Some(mut t) = self.inflight.remove(&txn) else {
             return;
         };
-        self.recycle_acks(t.awaiting);
+        self.recycle_acks(&mut t);
         let resp = Response {
             op: t.op.id,
             committed: commit,
@@ -478,9 +483,10 @@ impl EagerPrimary {
             sh.base.abort(txn);
         }
         let granted = self.lm.release_all(txn);
-        for (g, _, _) in granted {
+        for &(g, _, _) in &granted {
             self.resume(sh, ctx, g);
         }
+        self.lm.recycle_granted(granted);
         // Retry wounded ops.
         while let Some((op, retries)) = self.requeue.pop_front() {
             self.begin_txn(sh, ctx, op, retries);
@@ -568,10 +574,10 @@ impl EagerPrimary {
 
     /// Wounds (aborts and requeues) a younger transaction.
     fn wound(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, victim: TxnId) {
-        let Some(t) = self.inflight.remove(&victim) else {
+        let Some(mut t) = self.inflight.remove(&victim) else {
             return;
         };
-        self.recycle_acks(t.awaiting);
+        self.recycle_acks(&mut t);
         for s in live_secondaries(sh) {
             let abort = EagerPrimaryMsg::Decision {
                 txn: victim,
@@ -586,9 +592,10 @@ impl EagerPrimary {
         } else {
             ctx.send(t.op.client, Wire::Reply(Response::aborted(t.op.id)));
         }
-        for (g, _, _) in granted {
+        for &(g, _, _) in &granted {
             self.resume(sh, ctx, g);
         }
+        self.lm.recycle_granted(granted);
     }
 }
 
@@ -859,8 +866,8 @@ impl Technique for EagerPrimary {
         let mut mine: Vec<TxnId> = self.inflight.keys().copied().collect(); // sorted-below
         mine.sort_unstable();
         for txn in mine {
-            if let Some(t) = self.inflight.remove(&txn) {
-                self.recycle_acks(t.awaiting);
+            if let Some(mut t) = self.inflight.remove(&txn) {
+                self.recycle_acks(&mut t);
             }
             sh.base.abort(txn);
             let _ = self.lm.release_all(txn);

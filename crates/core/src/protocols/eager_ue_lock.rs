@@ -180,8 +180,8 @@ struct DelegateTxn {
     phase: DelPhase,
     /// The sites the current lock step still waits for. Once they all
     /// granted it is refilled with the step's exec targets (the same
-    /// sites), and at commit with the 2PC cohort minus this site. One
-    /// list per transaction, taken from and returned to `Eul::spare_acks`.
+    /// sites), and at commit with the 2PC cohort minus this site, moved
+    /// into the coordinator. One list per transaction, from `spare_acks`.
     awaiting: Vec<NodeId>,
     retries: u32,
     /// Sharded runs: the touched groups. Their members, expanded on
@@ -423,7 +423,6 @@ impl Eul {
         t.awaiting.clear();
         t.awaiting
             .extend(cohort_of(t.cohort.as_ref(), sh).filter(|&s| s != me));
-        t.phase = DelPhase::Committing(TpcCoordinator::new(t.awaiting.iter().copied()));
         if t.awaiting.is_empty() {
             self.finish(sh, ctx, txn, true);
             return;
@@ -431,6 +430,7 @@ impl Eul {
         for &s in &t.awaiting {
             ctx.send(s, Wire::Proto(EulMsg::Prepare { txn }));
         }
+        t.phase = DelPhase::Committing(TpcCoordinator::new(std::mem::take(&mut t.awaiting)));
     }
 
     fn finish(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EulMsg>, txn: TxnId, commit: bool) {
@@ -442,7 +442,10 @@ impl Eul {
                 ctx.send(s, Wire::Proto(EulMsg::Decision { txn, commit }));
             }
         }
-        let mut acks = std::mem::take(&mut t.awaiting);
+        let mut acks = match std::mem::replace(&mut t.phase, DelPhase::Locking { step: 0 }) {
+            DelPhase::Committing(c) => c.into_cohort(),
+            DelPhase::Locking { .. } => std::mem::take(&mut t.awaiting),
+        };
         acks.clear();
         self.spare_acks.push(acks);
         self.apply_decision(sh, ctx, txn, commit);
@@ -592,9 +595,10 @@ impl Eul {
             self.lock_owner.remove(&txn);
         }
         let granted = self.lm.release_all(txn);
-        for (g, _, _) in granted {
+        for &(g, _, _) in &granted {
             self.granted_locally(ctx, g);
         }
+        self.lm.recycle_granted(granted);
     }
 
     /// A queued lock request of `txn` became grantable at this site.
@@ -716,12 +720,13 @@ impl Technique for Eul {
                         ctx.send(delegate, Wire::Proto(EulMsg::LockGrant { txn, step }));
                     }
                     Acquire::Waiting { wounded } => {
-                        for v in wounded {
+                        for &v in &wounded {
                             self.wounds += 1;
                             if let Some(&(d, _)) = self.lock_owner.get(&v) {
                                 ctx.send(d, Wire::Proto(EulMsg::Wound { victim: v }));
                             }
                         }
+                        self.lm.recycle_wounded(wounded);
                     }
                 }
             }

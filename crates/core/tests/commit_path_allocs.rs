@@ -267,13 +267,17 @@ struct Heap {
 // 4.048), Semi-Passive 8.669 (from 12.144), Eager Primary Copy 10.950
 // (from 13.710), and four hot-key cells added then: Certification
 // 0.051, Semi-Passive 0.835, Passive 1.501 and Lazy Primary Copy 0.00125
-// (`parent` is each one's value before). Every budget is also at most
-// half its `parent`, the value before the commit path was made
-// allocation-free. What remains is data: the returned reads per
+// (`parent` is each one's value before). The two locking cells were
+// re-set once the lock table recycled its wound, grant and per-key
+// lists and the 2PC coordinator counted votes inside the recycled
+// cohort list, plus 10 %: Eager Primary Copy 0.0031 (from 10.949, its
+// grant, wound and vote lists) and Eager UE (Locking) 0.061 (from
+// 1.685, the same lists and each site's first lock on each key). Every
+// budget is also at most half its `parent`, the value before the
+// guarded change. What remains is data: the returned reads per
 // executing replica, the arena spans and log columns the writesets are
 // copied into, Passive's shared response, Semi-Passive's consensus
-// instances, a 2PC coordinator's vote list, and the re-executions
-// wound-wait forces on a hot keyspace.
+// instances, and the re-executions wound-wait forces on a hot keyspace.
 //
 // The retained heap counts transaction bodies too. An open-loop group
 // draws its transactions in blocks that share one body, and a block's
@@ -334,15 +338,15 @@ const GUARDS: [Guard; 11] = [
     },
     Guard {
         label: "Eager Primary Copy / 3 replicas, hot keys",
-        parent: 85.249,
-        budget: 12.05,
+        parent: 10.949,
+        budget: 0.0031,
         heap: None,
         cell: |t| hot_cell(Technique::EagerPrimary, t),
     },
     Guard {
         label: "Eager UE (Locking) / 4 groups, 5 % cross-shard",
-        parent: 15.981,
-        budget: 1.86,
+        parent: 1.685,
+        budget: 0.061,
         heap: None,
         cell: |t| sharded_cell(Technique::EagerUpdateEverywhereLocking, t),
     },

@@ -56,5 +56,5 @@ pub use locks::{Acquire, DeadlockPolicy, LockManager, LockMode};
 pub use log::{RedoLog, WriteRecord, WriteSet, FSYNC_TICKS};
 pub use recovery::{RecoveryTracker, Transfer, TransferStrategy};
 pub use store::{ShadowStore, Store, Versioned};
-pub use twopc::{TpcCoordState, TpcCoordinator, TpcDecision, TpcMsg, TpcPartState, TpcParticipant};
+pub use twopc::{TpcCoordinator, TpcDecision, TpcMsg, TpcPartState, TpcParticipant};
 pub use txn::{TxnManager, UnknownTxn};

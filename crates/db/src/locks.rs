@@ -29,12 +29,14 @@
 //! period; wound-wait callers never do — prevention makes cycles
 //! impossible — so acquire, promote and release carry no graph upkeep.
 //!
-//! A transaction's held and awaited keys are sorted, duplicate-free
-//! `Vec`s; [`LockManager::release_all`] hands both back to a free list
-//! for the next transaction, so a warm table locks and releases without
-//! touching the heap.
-
-use std::collections::VecDeque;
+//! Every list the table uses comes from a free list and goes back to it,
+//! so a warm table locks, wounds, releases and grants without touching
+//! the heap: a transaction's sorted key lists on `release_all`, a key's
+//! holder and waiter lists when they empty (so the list heap follows the
+//! keys locked at once, not every key ever locked), and the `wounded` and
+//! grant lists when the caller hands them back (`recycle_wounded`,
+//! `recycle_granted`). Each call takes its own list: acting on one
+//! (wound → release → resume → acquire) re-enters the table.
 
 use crate::hash::FxHashMap;
 use crate::item::{Key, Keyspace, TxnId};
@@ -79,10 +81,14 @@ pub enum Acquire {
     },
 }
 
+/// A holder or waiter of one key.
+type Entry = (TxnId, LockMode);
+
 #[derive(Debug, Default)]
 struct LockState {
-    holders: Vec<(TxnId, LockMode)>,
-    waiters: VecDeque<(TxnId, LockMode)>,
+    holders: Vec<Entry>,
+    /// In queue order.
+    waiters: Vec<Entry>,
 }
 
 impl LockState {
@@ -132,14 +138,14 @@ pub struct LockManager {
     waiting: FxHashMap<TxnId, Vec<Key>>,
     /// Emptied key lists of released transactions, reused by the next.
     spare: Vec<Vec<Key>>,
+    /// Emptied holder and waiter lists, lent to keys that need one.
+    spare_entries: Vec<Vec<Entry>>,
+    /// Wound lists handed back by callers.
+    spare_wounded: Vec<Vec<TxnId>>,
+    /// Grant lists handed back by callers.
+    spare_granted: Vec<Vec<(TxnId, Key, LockMode)>>,
     /// Scratch for `release_all`'s touched-key list.
     touched_scratch: Vec<Key>,
-}
-
-impl Default for LockManager {
-    fn default() -> Self {
-        LockManager::new(DeadlockPolicy::default())
-    }
 }
 
 impl LockManager {
@@ -162,13 +168,11 @@ impl LockManager {
             held: FxHashMap::default(),
             waiting: FxHashMap::default(),
             spare: Vec::new(),
+            spare_entries: Vec::new(),
+            spare_wounded: Vec::new(),
+            spare_granted: Vec::new(),
             touched_scratch: Vec::new(),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> DeadlockPolicy {
-        self.policy
     }
 
     /// The keyspace this table was built for.
@@ -216,10 +220,11 @@ impl LockManager {
                         // queue). Under wound-wait they must queue at the
                         // back: jumping ahead of an already-checked older
                         // waiter would re-introduce cycles.
+                        lend(&mut self.spare_entries, &mut state.waiters);
                         if self.policy == DeadlockPolicy::Detect {
-                            state.waiters.push_front((txn, LockMode::Exclusive));
+                            state.waiters.insert(0, (txn, LockMode::Exclusive));
                         } else {
-                            state.waiters.push_back((txn, LockMode::Exclusive));
+                            state.waiters.push((txn, LockMode::Exclusive));
                         }
                         note(&mut self.waiting, &mut self.spare, txn, key);
                     }
@@ -229,12 +234,14 @@ impl LockManager {
             }
         }
         if state.compatible_with_holders(txn, mode) && state.waiters.is_empty() {
+            lend(&mut self.spare_entries, &mut state.holders);
             state.holders.push((txn, mode));
             note(&mut self.held, &mut self.spare, txn, key);
             return Acquire::Granted;
         }
         if !state.waiters.iter().any(|(t, _)| *t == txn) {
-            state.waiters.push_back((txn, mode));
+            lend(&mut self.spare_entries, &mut state.waiters);
+            state.waiters.push((txn, mode));
             note(&mut self.waiting, &mut self.spare, txn, key);
         }
         let wounded = self.wound(txn, key);
@@ -243,14 +250,15 @@ impl LockManager {
 
     /// Under wound-wait, returns the younger conflicting transactions the
     /// requester wounds: holders, and waiters queued ahead of it (which
-    /// would otherwise block it through queue order). The caller must
-    /// abort them.
+    /// would otherwise block it through queue order), sorted. The caller
+    /// must abort them. The list comes from the table's free list.
     fn wound(&mut self, requester: TxnId, key: Key) -> Vec<TxnId> {
         if self.policy != DeadlockPolicy::WoundWait {
             return Vec::new();
         }
+        let mut wounded = self.spare_wounded.pop().unwrap_or_default();
         let Some(state) = self.state(key) else {
-            return Vec::new();
+            return wounded;
         };
         let (pos, mode) = match state
             .waiters
@@ -261,14 +269,11 @@ impl LockManager {
             Some((i, &(_, m))) => (i, m),
             None => (state.waiters.len(), LockMode::Exclusive),
         };
-        let mut wounded: Vec<TxnId> = state
-            .holders
-            .iter()
-            .filter(|(h, hm)| {
-                *h != requester && !hm.compatible(mode) && requester.is_older_than(*h)
-            })
-            .map(|(h, _)| *h)
-            .collect();
+        for &(h, hm) in &state.holders {
+            if h != requester && !hm.compatible(mode) && requester.is_older_than(h) {
+                wounded.push(h);
+            }
+        }
         for &(w, wm) in state.waiters.iter().take(pos) {
             if w != requester && !wm.compatible(mode) && requester.is_older_than(w) {
                 wounded.push(w);
@@ -280,7 +285,8 @@ impl LockManager {
     }
 
     /// Releases every lock `txn` holds or waits for; returns the requests
-    /// newly granted as a consequence, in grant order.
+    /// newly granted as a consequence, in grant order, in a list to hand
+    /// back with [`recycle_granted`](LockManager::recycle_granted).
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, Key, LockMode)> {
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
@@ -289,11 +295,11 @@ impl LockManager {
             .flatten()
         {
             touched.extend_from_slice(&keys);
-            self.recycle(keys);
+            recycle(&mut self.spare, keys);
         }
         touched.sort_unstable();
         touched.dedup();
-        let mut granted = Vec::new();
+        let mut granted = self.spare_granted.pop().unwrap_or_default();
         for &key in &touched {
             let state: &mut LockState = match self.ks.slot(key) {
                 Some(i) => &mut self.dense[i],
@@ -304,54 +310,49 @@ impl LockManager {
             };
             state.holders.retain(|(t, _)| *t != txn);
             state.waiters.retain(|(t, _)| *t != txn);
-            self.promote(key, &mut granted);
+            // Promote the waiters that have become grantable, in queue
+            // order. An upgrader's own shared lock does not block it.
+            while let Some(&(w, mode)) = state.waiters.first() {
+                if !state.compatible_with_holders(w, mode) {
+                    break;
+                }
+                state.waiters.remove(0);
+                if let Some(h) = state.holders.iter_mut().find(|(t, _)| *t == w) {
+                    h.1 = mode;
+                } else {
+                    state.holders.push((w, mode));
+                }
+                note(&mut self.held, &mut self.spare, w, key);
+                if let Some(keys) = self.waiting.get_mut(&w) {
+                    if let Ok(at) = keys.binary_search(&key) {
+                        keys.remove(at);
+                    }
+                }
+                granted.push((w, key, mode));
+                if mode == LockMode::Exclusive {
+                    break;
+                }
+            }
+            for list in [&mut state.holders, &mut state.waiters] {
+                if list.is_empty() {
+                    recycle(&mut self.spare_entries, std::mem::take(list));
+                }
+            }
         }
         self.touched_scratch = touched;
         granted
     }
 
-    /// Returns a released transaction's key list to the free list.
-    fn recycle(&mut self, mut keys: Vec<Key>) {
-        keys.clear();
-        self.spare.push(keys);
+    /// Hands back the `wounded` list of an [`Acquire::Waiting`] once the
+    /// caller has aborted its transactions.
+    pub fn recycle_wounded(&mut self, wounded: Vec<TxnId>) {
+        recycle(&mut self.spare_wounded, wounded);
     }
 
-    /// Promotes waiters on `key` that have become grantable.
-    fn promote(&mut self, key: Key, granted: &mut Vec<(TxnId, Key, LockMode)>) {
-        let state: &mut LockState = match self.ks.slot(key) {
-            Some(i) => &mut self.dense[i],
-            None => match self.sparse.get_mut(&key) {
-                Some(s) => s,
-                None => return,
-            },
-        };
-        while let Some(&(txn, mode)) = state.waiters.front() {
-            // Upgrade case: txn already holds shared and waits for
-            // exclusive, so its own holder entry doesn't block it.
-            let compatible = state
-                .holders
-                .iter()
-                .all(|&(t, m)| t == txn || m.compatible(mode));
-            if !compatible {
-                break;
-            }
-            state.waiters.pop_front();
-            if let Some(h) = state.holders.iter_mut().find(|(t, _)| *t == txn) {
-                h.1 = mode;
-            } else {
-                state.holders.push((txn, mode));
-            }
-            note(&mut self.held, &mut self.spare, txn, key);
-            if let Some(w) = self.waiting.get_mut(&txn) {
-                if let Ok(at) = w.binary_search(&key) {
-                    w.remove(at);
-                }
-            }
-            granted.push((txn, key, mode));
-            if mode == LockMode::Exclusive {
-                break;
-            }
-        }
+    /// Hands back a [`release_all`](LockManager::release_all) grant list
+    /// once the caller has acted on it.
+    pub fn recycle_granted(&mut self, granted: Vec<(TxnId, Key, LockMode)>) {
+        recycle(&mut self.spare_granted, granted);
     }
 
     /// The current holders of `key`.
@@ -364,7 +365,7 @@ impl LockManager {
     /// The current waiters on `key`, in queue order.
     pub fn waiters(&self, key: Key) -> Vec<(TxnId, LockMode)> {
         self.state(key)
-            .map(|s| s.waiters.iter().copied().collect())
+            .map(|s| s.waiters.clone())
             .unwrap_or_default()
     }
 
@@ -400,10 +401,23 @@ impl LockManager {
             .get(&txn)
             .is_some_and(|s| s.binary_search(&key).is_ok())
     }
+}
 
-    /// Keys currently locked by `txn`.
-    pub fn locks_of(&self, txn: TxnId) -> Vec<Key> {
-        self.held.get(&txn).cloned().unwrap_or_default()
+/// Clears `list` and keeps its buffer in `pool` for the next taker; a
+/// list that never allocated is dropped.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    if list.capacity() > 0 {
+        list.clear();
+        pool.push(list);
+    }
+}
+
+/// Lends `list` a buffer from `pool` if it has none.
+fn lend<T>(pool: &mut Vec<Vec<T>>, list: &mut Vec<T>) {
+    if list.capacity() == 0 {
+        if let Some(buf) = pool.pop() {
+            *list = buf;
+        }
     }
 }
 
@@ -555,14 +569,21 @@ mod tests {
         assert!(edges.contains(&(t(3), t(2))), "queue order edge missing");
     }
 
+    /// The keys of `0..10` that `txn` holds, read back through `holds`.
+    fn held_keys(lm: &LockManager, txn: TxnId) -> Vec<Key> {
+        (0..10).map(Key).filter(|&k| lm.holds(txn, k)).collect()
+    }
+
     #[test]
-    fn locks_of_reports_held_keys() {
+    fn holds_reports_held_keys() {
         let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
         lm.acquire(t(1), Key(3), Shared);
         lm.acquire(t(1), Key(1), Exclusive);
-        assert_eq!(lm.locks_of(t(1)), vec![Key(1), Key(3)]);
+        assert_eq!(held_keys(&lm, t(1)), vec![Key(1), Key(3)]);
+        assert_eq!(lm.holders(Key(3)), vec![(t(1), Shared)]);
         lm.release_all(t(1));
-        assert!(lm.locks_of(t(1)).is_empty());
+        assert!(held_keys(&lm, t(1)).is_empty());
+        assert!(lm.holders(Key(1)).is_empty() && lm.holders(Key(3)).is_empty());
     }
 
     #[test]
@@ -573,7 +594,8 @@ mod tests {
         }
         assert_eq!(lm.acquire(t(1), Key(3), Shared), Acquire::Granted);
         assert_eq!(lm.acquire(t(1), Key(7), Exclusive), Acquire::Granted);
-        assert_eq!(lm.locks_of(t(1)), vec![Key(3), Key(7), Key(9)]);
+        assert_eq!(held_keys(&lm, t(1)), vec![Key(3), Key(7), Key(9)]);
+        assert_eq!(lm.holders(Key(3)), vec![(t(1), Exclusive)]);
     }
 
     #[test]
@@ -587,9 +609,9 @@ mod tests {
         lm.acquire(t(2), Key(5), Exclusive); // waits behind t1
         assert_eq!(lm.release_all(t(1)), vec![(t(2), Key(5), Exclusive)]);
         lm.acquire(t(3), Key(2), Shared);
-        assert_eq!(lm.locks_of(t(2)), vec![Key(5)]);
-        assert_eq!(lm.locks_of(t(3)), vec![Key(2)]);
-        assert!(lm.locks_of(t(1)).is_empty());
+        assert_eq!(held_keys(&lm, t(2)), vec![Key(5)]);
+        assert_eq!(held_keys(&lm, t(3)), vec![Key(2)]);
+        assert!(held_keys(&lm, t(1)).is_empty());
         for k in [1, 8] {
             assert!(!lm.holds(t(2), Key(k)) && !lm.holds(t(3), Key(k)));
             assert!(lm.holders(Key(k)).is_empty());
@@ -597,8 +619,45 @@ mod tests {
         lm.release_all(t(2));
         lm.release_all(t(3));
         lm.acquire(t(4), Key(0), Exclusive);
-        assert_eq!(lm.locks_of(t(4)), vec![Key(0)]);
+        assert_eq!(held_keys(&lm, t(4)), vec![Key(0)]);
         assert!(!lm.holds(t(4), Key(2)) && !lm.holds(t(4), Key(5)));
+    }
+
+    #[test]
+    fn handed_back_lists_start_empty() {
+        // Wound and grant lists handed back, and the holder and waiter
+        // lists key 0 gave back when it emptied, serve the next requests
+        // without carrying an entry over.
+        let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
+        lm.acquire(t(5), Key(0), Exclusive);
+        lm.acquire(t(6), Key(0), Shared);
+        let Acquire::Waiting { wounded } = lm.acquire(t(2), Key(0), Exclusive) else {
+            panic!("t2 waits");
+        };
+        assert_eq!(wounded, vec![t(5), t(6)]);
+        lm.recycle_wounded(wounded);
+        let granted = lm.release_all(t(5));
+        assert_eq!(
+            granted,
+            vec![(t(6), Key(0), Shared)],
+            "t6 queued ahead of t2"
+        );
+        lm.recycle_granted(granted);
+        let granted = lm.release_all(t(6));
+        assert_eq!(granted, vec![(t(2), Key(0), Exclusive)]);
+        lm.recycle_granted(granted);
+        assert_eq!(lm.release_all(t(2)), vec![]);
+        assert!(lm.holders(Key(0)).is_empty() && lm.waiters(Key(0)).is_empty());
+        lm.acquire(t(8), Key(1), Exclusive);
+        assert_eq!(
+            lm.acquire(t(7), Key(1), Shared),
+            Acquire::Waiting {
+                wounded: vec![t(8)]
+            }
+        );
+        assert_eq!(lm.holders(Key(1)), vec![(t(8), Exclusive)]);
+        assert_eq!(lm.waiters(Key(1)), vec![(t(7), Shared)]);
+        assert_eq!(lm.release_all(t(8)), vec![(t(7), Key(1), Shared)]);
     }
 
     #[test]
@@ -678,8 +737,8 @@ mod tests {
                     assert_eq!(Some(o.acquire(txn, key, mode)), acquired);
                 }
                 assert_eq!(o.wait_for_edges(), d.wait_for_edges());
-                assert_eq!(o.locks_of(txn), d.locks_of(txn));
                 for k in 0..4 {
+                    assert_eq!(o.holds(txn, Key(k)), d.holds(txn, Key(k)));
                     assert_eq!(o.holders(Key(k)), d.holders(Key(k)));
                     assert_eq!(o.waiters(Key(k)), d.waiters(Key(k)));
                 }

@@ -31,15 +31,6 @@ pub enum TpcDecision {
     Abort,
 }
 
-/// Coordinator state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TpcCoordState {
-    /// Collecting votes.
-    Voting,
-    /// Decision reached.
-    Decided(TpcDecision),
-}
-
 /// The coordinator side of 2PC for a single transaction.
 ///
 /// # Examples
@@ -51,66 +42,70 @@ pub enum TpcCoordState {
 /// assert_eq!(c.start(), vec![1, 2]); // send Prepare to both
 /// assert_eq!(c.on_vote(1, true), None);
 /// assert_eq!(c.on_vote(2, true), Some(TpcDecision::Commit));
+/// let cohort = c.into_cohort(); // the list, for the next coordinator
+/// assert_eq!(cohort.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TpcCoordinator<P> {
-    /// Each participant with whether it voted yes, in the caller's
-    /// order: `start` and `participants` echo it, so message emission is
-    /// deterministic. A vote is recorded in place — one allocation per
-    /// transaction, none per vote.
-    votes: Vec<(P, bool)>,
-    /// How many `votes` entries are yes.
+    /// The participants: the caller's list, taken by value and handed
+    /// back by [`into_cohort`](TpcCoordinator::into_cohort), so a
+    /// coordinator built from a recycled list allocates nothing. Each
+    /// yes voter is swapped into the prefix `cohort[..yes]`; until the
+    /// first yes the list is in the caller's order.
+    cohort: Vec<P>,
+    /// How many participants voted yes: the length of the yes-prefix.
     yes: usize,
-    state: TpcCoordState,
+    /// The outcome once reached; votes are collected until then.
+    decided: Option<TpcDecision>,
 }
 
 impl<P: Copy + Eq> TpcCoordinator<P> {
-    /// Creates a coordinator awaiting votes from `participants`, in their
-    /// iteration order (a `Vec` works as well as an iterator).
+    /// Creates a coordinator awaiting votes from `participants`.
     ///
     /// An empty participant set decides `Commit` immediately on `start`
     /// (the coordinator is the only site).
-    pub fn new(participants: impl IntoIterator<Item = P>) -> Self {
+    pub fn new(participants: Vec<P>) -> Self {
         TpcCoordinator {
-            votes: participants.into_iter().map(|p| (p, false)).collect(),
+            cohort: participants,
             yes: 0,
-            state: TpcCoordState::Voting,
+            decided: None,
         }
     }
 
     /// Begins the protocol; returns the participants to send `Prepare` to,
-    /// as an owned list so the caller can record votes while it sends.
+    /// in the caller's order, as an owned list so the caller can record
+    /// votes while it sends.
     ///
     /// The replication protocols do not call it: they send `Prepare`
-    /// over the cohort they built the coordinator from and commit an
-    /// empty cohort themselves. Callers that drive the coordinator on its
-    /// own, such as the `benchmark/` package's 2PC layer, do.
+    /// over the cohort before they hand it to the coordinator and commit
+    /// an empty cohort themselves. Callers that drive the coordinator on
+    /// its own, such as the `benchmark/` package's 2PC layer, do.
     pub fn start(&mut self) -> Vec<P> {
-        if self.votes.is_empty() {
-            self.state = TpcCoordState::Decided(TpcDecision::Commit);
+        if self.cohort.is_empty() {
+            self.decided = Some(TpcDecision::Commit);
         }
-        self.participants().collect()
+        self.cohort.clone()
     }
 
     /// Records a vote. Returns the decision the moment it is reached
     /// (`Commit` after the last yes, `Abort` on the first no), `None`
     /// otherwise. Votes after the decision are ignored.
     pub fn on_vote(&mut self, from: P, yes: bool) -> Option<TpcDecision> {
-        if self.state != TpcCoordState::Voting {
+        if self.decided.is_some() {
             return None;
         }
-        let voted = self.votes.iter_mut().find(|(p, _)| *p == from)?;
+        let at = self.cohort.iter().position(|&p| p == from)?;
         if !yes {
-            self.state = TpcCoordState::Decided(TpcDecision::Abort);
-            return Some(TpcDecision::Abort);
+            self.decided = Some(TpcDecision::Abort);
+            return self.decided;
         }
-        if !voted.1 {
-            voted.1 = true;
+        if at >= self.yes {
+            self.cohort.swap(at, self.yes);
             self.yes += 1;
         }
-        if self.yes == self.votes.len() {
-            self.state = TpcCoordState::Decided(TpcDecision::Commit);
-            return Some(TpcDecision::Commit);
+        if self.yes == self.cohort.len() {
+            self.decided = Some(TpcDecision::Commit);
+            return self.decided;
         }
         None
     }
@@ -118,45 +113,23 @@ impl<P: Copy + Eq> TpcCoordinator<P> {
     /// Aborts unilaterally (participant crash detected during voting).
     /// Returns `Some(Abort)` if this changed the state.
     pub fn abort(&mut self) -> Option<TpcDecision> {
-        if self.state == TpcCoordState::Voting {
-            self.state = TpcCoordState::Decided(TpcDecision::Abort);
-            Some(TpcDecision::Abort)
-        } else {
-            None
+        if self.decided.is_some() {
+            return None;
         }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> TpcCoordState {
-        self.state
+        self.decided = Some(TpcDecision::Abort);
+        self.decided
     }
 
     /// The decision, if reached.
     pub fn decision(&self) -> Option<TpcDecision> {
-        match self.state {
-            TpcCoordState::Decided(d) => Some(d),
-            TpcCoordState::Voting => None,
-        }
+        self.decided
     }
 
-    /// The participant set, in the caller's order.
-    pub fn participants(&self) -> impl Iterator<Item = P> + '_ {
-        self.votes.iter().map(|&(p, _)| p)
-    }
-
-    /// Participants that have not voted yes yet.
-    pub fn missing(&self) -> Vec<P>
-    where
-        P: Ord,
-    {
-        let mut v: Vec<P> = self
-            .votes
-            .iter()
-            .filter(|(_, voted)| !voted)
-            .map(|&(p, _)| p)
-            .collect();
-        v.sort();
-        v
+    /// Ends the coordinator and hands its participant list back for the
+    /// caller to reuse: in the caller's order until the first yes vote,
+    /// yes voters first after it.
+    pub fn into_cohort(self) -> Vec<P> {
+        self.cohort
     }
 }
 
@@ -280,7 +253,6 @@ mod tests {
         c.start();
         assert_eq!(c.on_vote(1, true), None);
         assert_eq!(c.on_vote(1, true), None);
-        assert_eq!(c.missing(), vec![2]);
         assert_eq!(c.on_vote(2, true), Some(TpcDecision::Commit));
     }
 
@@ -298,16 +270,46 @@ mod tests {
     }
 
     #[test]
-    fn missing_is_sorted_regardless_of_vote_order() {
-        // The shard router builds cohorts group-major; recovery probes
-        // of the laggards must come out in one canonical order however
-        // the votes happened to arrive.
+    fn votes_in_any_order_commit_once_all_are_in() {
+        // The shard router builds cohorts group-major and votes arrive
+        // in any order: yes voters move to the front of the list, in
+        // vote order, and a repeated yes from inside that prefix counts
+        // once.
         let mut c = TpcCoordinator::new(vec![7u32, 3, 9, 1, 5]);
         c.start();
-        assert_eq!(c.missing(), vec![1, 3, 5, 7, 9]);
         assert_eq!(c.on_vote(9, true), None);
         assert_eq!(c.on_vote(3, true), None);
-        assert_eq!(c.missing(), vec![1, 5, 7]);
+        assert_eq!(c.on_vote(9, true), None);
+        assert_eq!(c.on_vote(5, true), None);
+        assert_eq!(c.on_vote(1, true), None);
+        assert_eq!(c.on_vote(7, true), Some(TpcDecision::Commit));
+        assert_eq!(
+            c.into_cohort(),
+            vec![9, 3, 5, 1, 7],
+            "yes voters in vote order"
+        );
+    }
+
+    #[test]
+    fn a_no_from_a_yes_voter_still_aborts() {
+        let mut c = TpcCoordinator::new(vec![1u32, 2]);
+        c.start();
+        assert_eq!(c.on_vote(1, true), None);
+        assert_eq!(c.on_vote(1, false), Some(TpcDecision::Abort));
+    }
+
+    #[test]
+    fn a_handed_back_cohort_list_starts_the_next_coordinator() {
+        let mut c = TpcCoordinator::new(vec![4u32, 2, 8]);
+        c.start();
+        assert_eq!(c.on_vote(8, true), None);
+        let mut cohort = c.into_cohort();
+        cohort.clear();
+        cohort.extend([5, 6]);
+        let mut c = TpcCoordinator::new(cohort);
+        assert_eq!(c.start(), vec![5, 6]);
+        assert_eq!(c.on_vote(6, true), None);
+        assert_eq!(c.on_vote(5, true), Some(TpcDecision::Commit));
     }
 
     #[test]
@@ -316,16 +318,16 @@ mod tests {
         // simulator's trace hash depends on it.
         let mut c = TpcCoordinator::new(vec![4u32, 2, 8]);
         assert_eq!(c.start(), vec![4, 2, 8]);
-        assert_eq!(c.participants().collect::<Vec<_>>(), vec![4, 2, 8]);
+        assert_eq!(c.into_cohort(), vec![4, 2, 8]);
     }
 
     #[test]
     fn a_coordinator_built_from_an_iterator_echoes_cohort_order() {
-        let mut c = TpcCoordinator::new([6u32, 1, 4].into_iter().filter(|&p| p != 1));
+        let mut c = TpcCoordinator::new([6u32, 1, 4].into_iter().filter(|&p| p != 1).collect());
         assert_eq!(c.start(), vec![6, 4]);
-        assert_eq!(c.participants().collect::<Vec<_>>(), vec![6, 4]);
         assert_eq!(c.on_vote(4, true), None);
         assert_eq!(c.on_vote(6, true), Some(TpcDecision::Commit));
+        assert_eq!(c.into_cohort(), vec![4, 6]);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //!
 //! The kernel promises that `wait_for_edges` allocates nothing while no
 //! transaction waits: it reads the graph off the table and pushes no
-//! edge. A warm lock table locks and releases without allocating: a
-//! released transaction's key lists go back to a free list. A 2PC
-//! coordinator makes one allocation, its vote list, and records every
-//! vote in place. The transaction manager promises that a warm begin /
+//! edge. A warm lock table locks, wounds, releases and grants without
+//! allocating: a released transaction's key lists, a key's emptied
+//! holder and waiter lists, and the wound and grant lists a caller
+//! hands back all go to free lists. A 2PC coordinator allocates nothing:
+//! it counts votes inside the cohort list it is given and hands the list
+//! back. The transaction manager promises that a warm begin /
 //! write / commit cycle allocates nothing but the writeset a caller
 //! materializes from the redo records `commit_with` lends, that
 //! `commit_in_place` — the commit of a site that ships and keeps
@@ -118,20 +120,63 @@ fn lock_graph_and_txn_manager_do_not_allocate_after_warmup() {
         "a warm uncontended acquire/release_all cycle allocated"
     );
 
-    // 2PC: the coordinator's vote list is its one allocation.
+    // Contended wound-wait on a fresh key each round: a younger holder,
+    // an older requester that wounds it, and the wound victim's release
+    // that grants the requester; then the requester commits. The wound
+    // and grant lists go back to the table, and so do the key's holder
+    // and waiter lists once they empty. The first round sizes them.
+    let mut lm = LockManager::with_keyspace(DeadlockPolicy::WoundWait, Keyspace::dense(256));
+    let wound_cycle = |lm: &mut LockManager, round: u64| {
+        let (old, young, key) = (t(2 * round + 1), t(2 * round + 2), Key(round));
+        assert_eq!(
+            lm.acquire(young, key, LockMode::Exclusive),
+            Acquire::Granted
+        );
+        let Acquire::Waiting { wounded } = lm.acquire(old, key, LockMode::Exclusive) else {
+            panic!("an older requester waits");
+        };
+        assert_eq!(wounded, [young]);
+        lm.recycle_wounded(wounded);
+        let granted = lm.release_all(young);
+        assert_eq!(granted, [(old, key, LockMode::Exclusive)]);
+        lm.recycle_granted(granted);
+        let granted = lm.release_all(old);
+        assert!(granted.is_empty());
+        lm.recycle_granted(granted);
+    };
+    wound_cycle(&mut lm, 0);
     let before = allocations();
-    let mut coord = TpcCoordinator::new((0..5u32).filter(|&p| p != 2));
-    assert_eq!(
-        allocations() - before,
-        1,
-        "a coordinator built from an iterator made more than its vote list"
-    );
-    let before = allocations();
-    for p in [4, 0, 3] {
-        assert_eq!(coord.on_vote(p, true), None);
+    for round in 1..201 {
+        wound_cycle(&mut lm, round);
     }
-    assert_eq!(coord.on_vote(1, true), Some(TpcDecision::Commit));
-    assert_eq!(allocations(), before, "recording a vote allocated");
+    assert_eq!(
+        allocations(),
+        before,
+        "a warm wound / release / grant cycle on a fresh key allocated"
+    );
+
+    // 2PC: a coordinator counts the votes inside the cohort list it is
+    // given and hands it back for the next, in whatever order the votes
+    // came.
+    let mut cohort: Vec<u32> = Vec::with_capacity(8);
+    let before = allocations();
+    for round in 0..100u32 {
+        cohort.clear();
+        cohort.extend((0..5u32).filter(|&p| p != round % 5));
+        let mut coord = TpcCoordinator::new(cohort);
+        let mut votes = [4, 0, 3, 1, 2].into_iter().filter(|&p| p != round % 5);
+        for p in votes.by_ref().take(3) {
+            assert_eq!(coord.on_vote(p, true), None);
+        }
+        let last = votes.next().expect("four voters");
+        assert_eq!(coord.on_vote(last, true), Some(TpcDecision::Commit));
+        cohort = coord.into_cohort();
+    }
+    assert_eq!(
+        allocations(),
+        before,
+        "a coordinator over a recycled cohort list allocated"
+    );
 
     // Transaction manager: four writes in descending key order, one key
     // written twice, then commit — or abort.
