@@ -142,13 +142,19 @@ fn settle_lazy(cfg: RunConfig) -> RunConfig {
     }
 }
 
+/// Latencies come from the open loop's streamed histogram, else from the
+/// per-operation samples.
 fn mean(report: &RunReport) -> String {
-    format!("{}t", report.latencies.mean().ticks())
+    let mean = (report.latency_hist.as_ref()).map_or(report.latencies.mean(), |h| h.mean());
+    format!("{}t", mean.ticks())
 }
 
 fn percentile(report: &RunReport, q: f64) -> String {
-    let mut l = report.latencies.clone();
-    format!("{}t", l.percentile(q).ticks())
+    let p = match &report.latency_hist {
+        Some(h) => h.percentile(q),
+        None => report.latencies.clone().percentile(q),
+    };
+    format!("{}t", p.ticks())
 }
 
 fn msgs_per_op(report: &RunReport) -> String {
@@ -435,7 +441,8 @@ pub fn eager_vs_lazy(delays: &[u64]) -> Study {
 /// P7 — open-loop saturation: Poisson arrivals at increasing offered
 /// load. Closed-loop clients self-throttle; open-loop clients expose the
 /// point where a technique's pipeline can no longer keep up (operations
-/// left unanswered at the deadline, latency blow-up).
+/// left unanswered at the deadline, latency blow-up); one Poisson stream
+/// per server group stands for its clients ([`Arrival::OpenAggregated`]).
 pub fn open_loop(mean_interarrivals: &[u64]) -> Study {
     let mut rows = Vec::new();
     for technique in [
@@ -450,7 +457,10 @@ pub fn open_loop(mean_interarrivals: &[u64]) -> Study {
                 format!("{} @ {offered:.0}/s", technique.name()),
                 [lean(technique, 3, 4)
                     .with_seed(151)
-                    .with_arrival(Arrival::Open(gap))
+                    .with_arrival(Arrival::OpenAggregated {
+                        mean: gap,
+                        dist: ArrivalDist::Poisson,
+                    })
                     .with_max_time(SimTime::from_ticks(400_000))
                     .with_workload(update_workload(40))],
             ));
@@ -930,12 +940,8 @@ pub fn open_loop_scale(
         col("ops", |r| r[0].ops_completed.to_string()),
         col("unanswered", |r| r[0].ops_unanswered.to_string()),
         col("events", |r| r[0].messages.events_processed.to_string()),
-        col("p50", |r| {
-            format!("{}t", hist(&r[0]).percentile(0.50).ticks())
-        }),
-        col("p99", |r| {
-            format!("{}t", hist(&r[0]).percentile(0.99).ticks())
-        }),
+        col("p50", |r| percentile(&r[0], 0.50)),
+        col("p99", |r| percentile(&r[0], 0.99)),
         col("peak-out", |r| r[0].peak_outstanding.to_string()),
         col("hist KiB", |r| {
             (hist(&r[0]).memory_bytes() / 1024).to_string()

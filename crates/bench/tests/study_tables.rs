@@ -134,10 +134,39 @@ fn ratio(cell: &str) -> f64 {
         .unwrap_or_else(|_| panic!("`{cell}` is not a ratio"))
 }
 
-/// The claims EXPERIMENTS.md makes about the shape of P8, P15 and P16,
-/// read off the same rows the tables print.
+/// P7's claim: under open-loop overload Semi-Passive, which decides one
+/// operation per consensus slot, queues — its mean latency at the highest
+/// offered rate is at least 5× its mean at the lowest (×36 today) — while
+/// Active, whose operations run in parallel, stays within 1.2× across the
+/// rates. The rows run from the lowest offered rate to the highest.
+fn assert_p7_shape(table: &[Row]) {
+    let means = |technique: &str| -> Vec<f64> {
+        let prefix = format!("{technique} @ ");
+        let rows = table.iter().filter(|r| r.label.starts_with(&prefix));
+        let mean = |r: &Row| r.get("mean").trim_end_matches('t').parse().expect("mean");
+        rows.map(mean).collect()
+    };
+    let semi = means("Semi-Passive");
+    assert!(semi.len() >= 2, "P7 sweeps Semi-Passive over the rates");
+    let (lowest, highest) = (semi[0], semi[semi.len() - 1]);
+    assert!(
+        highest >= 5.0 * lowest,
+        "P7: Semi-Passive must queue under overload ({lowest}t -> {highest}t)"
+    );
+    let active = means("Active");
+    let (lo, hi) = (active.iter()).fold((f64::MAX, 0.0f64), |(lo, hi), &m| (lo.min(m), hi.max(m)));
+    assert!(
+        active.len() >= 2 && hi <= 1.2 * lo,
+        "P7: Active must stay flat across the rates ({active:?})"
+    );
+}
+
+/// The claims EXPERIMENTS.md makes about the shape of P7, P8, P15 and
+/// P16, read off the same rows the tables print.
 #[test]
 fn study_shapes() {
+    assert_p7_shape(&study("P7").table(2));
+
     // P8: at the highest client count every ABCAST technique, under at
     // least one ABCAST implementation, cuts coordination messages per
     // transaction at least 2× against its own unbatched (w=0) baseline.

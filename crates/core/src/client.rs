@@ -1,4 +1,5 @@
-//! The client driver, closed or open loop, shared by all techniques.
+//! The client drivers shared by all techniques: one closed-loop actor per
+//! client, and one open-loop arrival process per server group.
 //!
 //! A closed-loop client submits its transactions one at a time: invoke,
 //! wait for the response, think, submit the next. On a response timeout it
@@ -13,9 +14,10 @@
 //! first contact — a client whose preferred server is down pays one
 //! timeout, not one per operation.
 //!
-//! An open-loop client ([`ClientActor::open`]) is the same client without
-//! the wait and the retry: it submits at Poisson arrival times whatever
-//! the responses, so several operations may be in flight at once.
+//! A closed-loop client has at most one operation in flight, so a
+//! server's client table keeps one entry per client, as VR's does. The
+//! open loop ([`AggregateClients`]) submits at [`ArrivalStream`] times
+//! whatever the responses and never retries; it runs on lean servers only.
 //!
 //! A sharded run switches on content routing ([`ClientActor::with_routing`]):
 //! an operation's contact list is then its *home* group (the shard of its
@@ -146,8 +148,7 @@ impl Routing {
     }
 }
 
-/// The client actor, closed loop ([`ClientActor::new`]) or open loop
-/// ([`ClientActor::open`]).
+/// The closed-loop client actor: one operation in flight at a time.
 ///
 /// Speaks [`Wire<P>`] for the technique's traffic `P`, which it never
 /// reads; the technique decides which server the client contacts first
@@ -164,8 +165,6 @@ pub struct ClientActor<P> {
     txns: TxnList,
     think: SimDuration,
     retry_after: SimDuration,
-    /// The open loop's mean inter-arrival time; `None` in the closed loop.
-    open: Option<SimDuration>,
     /// `None` at one group: every operation's contact list is `servers`.
     routing: Option<Routing>,
     /// Where the in-flight operation's contact list starts in `servers`:
@@ -209,37 +208,12 @@ impl<P: Message> ClientActor<P> {
             txns,
             think,
             retry_after,
-            open: None,
             routing: None,
             base: 0,
             start_after: SimDuration::ZERO,
             retry_timer: None,
             answered: 0,
             _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Creates an open-loop client: it submits `txns` to
-    /// `servers[preferred]` at exponentially distributed gaps of mean
-    /// `mean`, whatever the responses, and never retries — an open loop
-    /// exposes saturation rather than masking it. Only a decommission
-    /// reroute re-submits an operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is empty or `mean` is zero.
-    pub fn open(
-        client_no: u32,
-        servers: impl Into<Arc<[NodeId]>>,
-        preferred: usize,
-        txns: impl Into<TxnList>,
-        mean: SimDuration,
-    ) -> Self {
-        assert!(!mean.is_zero(), "inter-arrival must be positive");
-        let zero = SimDuration::ZERO;
-        ClientActor {
-            open: Some(mean),
-            ..Self::new(client_no, servers, preferred, txns, zero, zero)
         }
     }
 
@@ -288,9 +262,8 @@ impl<P: Message> ClientActor<P> {
         self.records.iter().filter(|r| r.responded.is_some())
     }
 
-    /// Submits the next transaction, if one is left, then arms what
-    /// follows it: the next arrival in the open loop, the retry timer in
-    /// the closed loop.
+    /// Submits the next transaction, if one is left, and arms its retry
+    /// timer.
     fn submit_next(&mut self, ctx: &mut Ctx<'_, P>) {
         let seq = self.records.len();
         let Some(txn) = self.txns.get(seq).cloned() else {
@@ -312,20 +285,7 @@ impl<P: Message> ClientActor<P> {
         });
         ctx.mark(Phase::Request.tag(), id.0, 0);
         send_op(ctx, self.servers[self.base + self.contact], id, txn);
-        match self.open {
-            Some(mean) => self.arm_arrival(ctx, mean),
-            None => self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG)),
-        }
-    }
-
-    /// Arms the open loop's next submission, if one is left, after an
-    /// exponential gap of mean `mean` drawn from the world's RNG.
-    fn arm_arrival(&self, ctx: &mut Ctx<'_, P>, mean: SimDuration) {
-        if self.records.len() < self.txns.len() {
-            let u: f64 = rand::Rng::gen_range(ctx.rng(), 1e-9..1.0f64);
-            let ticks = (-(u.ln()) * mean.ticks() as f64).ceil() as u64;
-            ctx.set_timer(SimDuration::from_ticks(ticks.max(1)), SUBMIT_TAG);
-        }
+        self.retry_timer = Some(ctx.set_timer(self.retry_after, RETRY_TAG));
     }
 
     fn retry(&mut self, ctx: &mut Ctx<'_, P>) {
@@ -342,8 +302,8 @@ impl<P: Message> ClientActor<P> {
 
     /// A decommissioned server bounced an operation: if it is still in
     /// flight, adopt the new membership, re-resolve the contact, and
-    /// re-submit there immediately (a closed loop's armed retry timer
-    /// keeps running as a backstop).
+    /// re-submit there immediately (the armed retry timer keeps running
+    /// as a backstop).
     fn handle_reroute(&mut self, ctx: &mut Ctx<'_, P>, op: OpId, new_servers: &[NodeId]) {
         let Some(rec) = in_flight(&mut self.records, op) else {
             return;
@@ -357,8 +317,8 @@ impl<P: Message> ClientActor<P> {
 }
 
 /// The record of operation `op` while it awaits its response — the one
-/// lookup for replies and reroutes. Operation `seq` is `records[seq]`, so
-/// the closed loop finds its in-flight record (the last) the same way.
+/// lookup for replies and reroutes: operation `seq` is `records[seq]`, and
+/// only the last can be in flight.
 fn in_flight(records: &mut [OpRecord], op: OpId) -> Option<&mut OpRecord> {
     (records.get_mut(op.seq() as usize)).filter(|r| r.op == op && r.responded.is_none())
 }
@@ -418,8 +378,9 @@ const AGGREGATE_BLOCK: u64 = 64;
 /// Memory is constant in the operation count: latencies stream into a
 /// [`LatencyHistogram`], only the in-flight operations are tracked, and
 /// transactions are drawn `AGGREGATE_BLOCK` at a time.
-/// Like an open-loop [`ClientActor`], it never retries — open loops
-/// expose saturation rather than masking it.
+/// It never retries — an open loop exposes saturation rather than masking
+/// it — and a virtual client may have several operations in flight, so it
+/// runs on lean servers only, whose client tables record nothing.
 pub struct AggregateClients<P> {
     group: ClientGroup,
     servers: Arc<[NodeId]>,
@@ -595,13 +556,11 @@ impl<P: Message> Actor<Wire<P>> for AggregateClients<P> {
 
 impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, P>) {
-        match self.open {
-            Some(mean) => self.arm_arrival(ctx, mean),
-            None if self.start_after.is_zero() => self.submit_next(ctx),
+        if self.start_after.is_zero() {
+            self.submit_next(ctx);
+        } else {
             // A start delay is a think time before the first operation.
-            None => {
-                ctx.set_timer(self.start_after, THINK_TAG);
-            }
+            ctx.set_timer(self.start_after, THINK_TAG);
         }
     }
 
@@ -631,7 +590,7 @@ impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
         if let Some(timer) = self.retry_timer.take() {
             ctx.cancel_timer(timer);
         }
-        if self.open.is_none() && self.records.len() < self.txns.len() {
+        if self.records.len() < self.txns.len() {
             ctx.set_timer(self.think, THINK_TAG);
         }
     }
@@ -645,7 +604,6 @@ impl<P: Message> Actor<Wire<P>> for ClientActor<P> {
                 self.retry(ctx);
             }
             THINK_TAG if self.answered == self.records.len() => self.submit_next(ctx),
-            SUBMIT_TAG => self.submit_next(ctx),
             _ => {}
         }
     }
@@ -792,26 +750,47 @@ mod tests {
         assert_eq!(world.actor_ref::<EchoServer>(live).served, 3);
     }
 
+    /// An aggregate of `count` virtual clients with `txns` transactions
+    /// each, submitting to `servers[0]` at a group gap of mean `gap`.
+    fn aggregate(servers: Vec<NodeId>, count: u32, txns: u32, gap: f64) -> AggregateClients<()> {
+        use repl_workload::{ArrivalDist, WorkloadSpec};
+        let group = ClientGroup {
+            first: 0,
+            stride: 1,
+            count,
+        };
+        let spec = WorkloadSpec::default().with_txns_per_client(txns);
+        let gen = WorkloadGen::new(&spec, 5);
+        let arrivals = ArrivalStream::new(ArrivalDist::Poisson, gap, 5);
+        AggregateClients::new(group, servers, 0, gen, arrivals, txns)
+    }
+
     #[test]
     fn duplicate_responses_are_recorded_once() {
         // The server answers twice, as every replica of an active-style
-        // technique does: either loop records the first answer and counts
-        // it once toward `is_done`.
+        // technique does, and repeats the previous answer as an abort:
+        // either loop records the first answer and counts it once.
         let s = NodeId::new(0);
         let (think, retry_after) = (SimDuration::from_ticks(50), SimDuration::from_ticks(10_000));
         let closed = ClientActor::<()>::new(0, vec![s], 0, txns(3), think, retry_after);
-        let open = ClientActor::<()>::open(0, vec![s], 0, txns(3), SimDuration::from_ticks(100));
-        for client in [closed, open] {
-            let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
-            assert_eq!(world.add_actor(Scripted::new(false)), s);
-            let c = world.add_actor(Box::new(client));
-            world.start();
-            world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-            let client = world.actor_ref::<ClientActor<()>>(c);
-            assert!(client.is_done());
-            assert_eq!(client.records.len(), 3, "no duplicate records");
-            assert!(client.records.iter().all(|r| r.committed()));
-        }
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
+        assert_eq!(world.add_actor(Scripted::new(false)), s);
+        let c = world.add_actor(Box::new(closed));
+        world.start();
+        world.run_to_quiescence(SimTime::from_ticks(1_000_000));
+        let client = world.actor_ref::<ClientActor<()>>(c);
+        assert!(client.is_done());
+        assert_eq!(client.records.len(), 3, "no duplicate records");
+        assert!(client.records.iter().all(|r| r.committed()));
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(3));
+        assert_eq!(world.add_actor(Scripted::new(false)), s);
+        let c = world.add_actor(Box::new(aggregate(vec![s], 1, 3, 100.0)));
+        world.start();
+        world.run_to_quiescence(SimTime::from_ticks(1_000_000));
+        let agg = world.actor_ref::<AggregateClients<()>>(c);
+        assert!(agg.is_done());
+        assert_eq!((agg.committed, agg.aborted), (3, 0), "no duplicate answers");
+        assert_eq!(agg.hist.count(), 3);
     }
 
     #[test]
@@ -852,46 +831,28 @@ mod tests {
             mute: true,
             served: 0,
         }));
-        let c = world.add_actor(Box::new(ClientActor::<()>::open(
-            0,
-            vec![s],
-            0,
-            txns(4),
-            SimDuration::from_ticks(100),
-        )));
+        // One virtual client, four operations, 100-tick mean gaps.
+        let c = world.add_actor(Box::new(aggregate(vec![s], 1, 4, 100.0)));
         world.start();
         world.run_until(SimTime::from_ticks(50_000));
-        let client = world.actor_ref::<ClientActor<()>>(c);
+        let agg = world.actor_ref::<AggregateClients<()>>(c);
         // All submitted (server is mute, so none answered) — open loop
         // does not block on responses.
-        assert_eq!(client.records.len(), 4);
-        assert!(!client.is_done());
-        assert_eq!(client.completed().count(), 0);
+        assert_eq!(agg.issued(), 4);
+        assert_eq!((agg.outstanding.len(), agg.peak_outstanding), (4, 4));
+        assert!(!agg.is_done());
+        assert_eq!(agg.hist.count(), 0);
     }
 
     #[test]
     fn aggregate_clients_drain_their_whole_budget() {
-        use repl_workload::{ArrivalDist, ArrivalStream, WorkloadGen, WorkloadSpec};
         let mut world: World<EchoMsg> = World::new(SimConfig::new(11));
         let s = world.add_actor(Box::new(EchoServer {
             mute: false,
             served: 0,
         }));
-        let group = ClientGroup {
-            first: 0,
-            stride: 1,
-            count: 10,
-        };
-        let spec = WorkloadSpec::default().with_txns_per_client(3);
-        let agg = AggregateClients::<()>::new(
-            group,
-            vec![s],
-            0,
-            WorkloadGen::new(&spec, 5),
-            // Per-client mean 500 ticks over 10 clients = 50-tick gaps.
-            ArrivalStream::new(ArrivalDist::Poisson, 50.0, 5),
-            3,
-        );
+        // Per-client mean 500 ticks over 10 clients = 50-tick gaps.
+        let agg = aggregate(vec![s], 10, 3, 50.0);
         assert_eq!(agg.budget(), 30);
         let c = world.add_actor(Box::new(agg));
         world.start();
@@ -1093,30 +1054,30 @@ mod tests {
             (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
         );
         assert!(arrivals[1].is_empty(), "hedged to the next server");
-        // An open-loop operation bounced after its answer is not re-sent,
-        // and the bounce moves no later submission off the contact.
+        // An open-loop operation bounced after its answer is not re-sent
+        // (the aggregate adopts the bounce's membership for later ones).
         let mut world: World<EchoMsg> = World::new(SimConfig::new(13));
         let (s0, s1) = (
             world.add_actor(Scripted::new(false)),
             world.add_actor(Scripted::new(false)),
         );
         world.actor_mut::<Scripted>(s0).bounce = vec![s1];
-        let mean = SimDuration::from_ticks(2_000);
-        let open = ClientActor::<()>::open(0, vec![s0, s1], 0, txns(3), mean);
-        let c = world.add_actor(Box::new(open));
+        let c = world.add_actor(Box::new(aggregate(vec![s0, s1], 1, 3, 2_000.0)));
         world.start();
         world.run_to_quiescence(SimTime::from_ticks(1_000_000));
-        let client = world.actor_ref::<ClientActor<()>>(c);
-        assert!(client.is_done());
-        assert!(client.records.iter().all(|r| r.retries == 0));
-        let sent: Vec<OpId> = (world.actor_ref::<Scripted>(s0).arrivals.iter())
+        let agg = world.actor_ref::<AggregateClients<()>>(c);
+        assert!(agg.is_done());
+        assert_eq!(agg.committed, 3);
+        let arrivals = |s| world.actor_ref::<Scripted>(s).arrivals.iter();
+        let mut sent: Vec<OpId> = arrivals(s0)
+            .chain(arrivals(s1))
             .map(|&(_, op)| op)
             .collect();
+        sent.sort_unstable();
         assert_eq!(
             sent,
             (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
         );
-        assert!(world.actor_ref::<Scripted>(s1).arrivals.is_empty());
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl Message for ClientOp {
 }
 
 /// The outcome of a client operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Response {
     /// The operation this answers.
     pub op: OpId,

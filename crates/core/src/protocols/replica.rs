@@ -18,10 +18,11 @@
 //! one state transfer — pushed in a `Welcome`, pulled with a `StateReq`,
 //! same donor, same installer: recovery is a join that remembers.
 //!
-//! The shell keeps the one client table, as VR does: an answered op maps to
-//! this node's verdict and reads, or to the join floor if the group
-//! answered it before this node joined. It decides every duplicate before
-//! any technique code runs.
+//! The shell keeps the one client table, as VR does: one entry per client,
+//! holding the floor below which the group answered the client's ops
+//! elsewhere, and this node's own last reply — its verdict and reads. A
+//! recorded client has one operation in flight, so that decides every
+//! duplicate, before any technique code runs.
 //!
 //! Every replica and client speaks one envelope, [`Wire`]: the client
 //! protocol, the membership handshake and failure-detector heartbeats are
@@ -37,7 +38,7 @@
 //! [`Shell::is_suspected`] and says when heartbeats restart after a
 //! recovery ([`Shell::restart_heartbeats`]).
 
-use repl_db::{DurableRestore, FxHashMap, Key, Keyspace, SharedArena, Transfer, Value};
+use repl_db::{DurableRestore, FxHashMap, Keyspace, SharedArena, Transfer};
 use repl_gcs::{Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
@@ -112,10 +113,10 @@ pub enum MemberMsg {
         pos: u64,
         /// Donor's delivered-gseq watermark at the snapshot instant.
         gpos: u64,
-        /// Operations the donor itself answered (sorted), without the
-        /// replies: the joiner's client table marks them answered, so a
-        /// client retry that re-enters one after the snapshot is dropped,
-        /// never re-executed.
+        /// Per client, sorted by client, the last operation the donor
+        /// itself answered, without the reply: the joiner raises that
+        /// client's floor past it, so a client retry that re-enters one
+        /// after the snapshot is dropped, never re-executed.
         answered: Vec<OpId>,
     },
     /// Decommissioned member → members: remove me from the group (sent
@@ -369,17 +370,27 @@ pub trait Technique: Sized + 'static {
     }
 }
 
-/// One client-table entry: another member answered the op (the floor:
-/// drop a retry), or this node replied — `ok` if it committed, with `len`
-/// reads from `start` in the shell's read column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Answer {
-    Floor,
-    Reply { ok: bool, len: u16, start: u32 },
+/// One client's entry in the client table (VR's: the number of its latest
+/// request and the result). A recorded client sends op `n` only once op
+/// `n - 1` was answered, so every op below either mark was answered.
+#[derive(Debug, Default)]
+struct ClientEntry {
+    /// The group answered every seq below it elsewhere: through the join
+    /// welcome or [`Shell::answered_elsewhere`]. A volume loss keeps it.
+    floor: u32,
+    /// One past this node's last reply; [`Shell::forget`] lowers it.
+    own: u32,
+    /// This node's last reply (its reads buffer is reused in place); it
+    /// stands while `own` is one past its seq.
+    last: Response,
 }
 
-// An entry is 16 bytes with its key; the floor is the verdict's niche.
-const _: () = assert!(std::mem::size_of::<(OpId, Answer)>() == 16);
+impl ClientEntry {
+    /// This node's last reply to the client, unless forgotten.
+    fn reply(&self) -> Option<&Response> {
+        (self.own == self.last.op.seq() + 1).then_some(&self.last)
+    }
+}
 
 /// Everything a replica owns that is not its technique: the database
 /// kernel, membership view, lifecycle status, client table, shard scope
@@ -398,13 +409,8 @@ pub struct Shell {
     catching_up: bool,
     /// Client operations buffered while joining.
     buffered: Vec<ClientOp>,
-    /// The client table: this node's verdict where it answered the op,
-    /// the floor where the group did before this node joined.
-    answers: FxHashMap<OpId, Answer>,
-    /// The reads of every recorded reply, back to back; an [`Answer`]
-    /// indexes its own. A forgotten reply's reads stay until a bare
-    /// volume loss forgets every reply.
-    reads: Vec<(Key, Value)>,
+    /// The client table: one entry per client number.
+    clients: FxHashMap<u32, ClientEntry>,
     /// The sharded topology, on cross-shard runs.
     shard: Option<ShardCtx>,
     /// Whether a member of this run can ever ask for a refill.
@@ -476,41 +482,34 @@ impl Shell {
         self.servers.first() == Some(&self.me)
     }
 
-    /// True if `op` is a duplicate: this node answered it, or the group
-    /// did before this node joined.
+    /// True if `op` is a duplicate: this node answered it or a later op
+    /// of its client, or the group did before this node's floor.
     pub fn already_answered(&self, op: OpId) -> bool {
-        self.answers.contains_key(&op)
+        (self.clients.get(&op.client())).is_some_and(|e| op.seq() < e.floor.max(e.own))
     }
 
     /// Records this node's reply, for the retries (a no-op on a lean
-    /// server: the open-loop driver never retries). Copies the reads into
-    /// the read column; allocates only when a table grows.
+    /// server: the open loop never retries). It replaces the client's
+    /// last reply unless that one is later; the reads are copied into
+    /// the entry's buffer, which allocates only when it grows.
     pub fn answer(&mut self, resp: &Response) {
         if self.base.lean() {
             return;
         }
-        let len = u16::try_from(resp.reads.len())
-            .expect("client table: a reply with more than u16::MAX reads");
-        let start = u32::try_from(self.reads.len())
-            .expect("client table: the read column outgrew u32 offsets");
-        self.reads.extend_from_slice(&resp.reads);
-        let ok = resp.committed;
-        self.answers
-            .insert(resp.op, Answer::Reply { ok, len, start });
+        let e = self.clients.entry(resp.op.client()).or_default();
+        if e.reply().is_some_and(|last| resp.op.seq() < last.op.seq()) {
+            return;
+        }
+        e.own = e.own.max(resp.op.seq() + 1);
+        (e.last.op, e.last.committed) = (resp.op, resp.committed);
+        e.last.reads.clone_from(&resp.reads);
     }
 
-    /// This node's recorded reply to `op`, rebuilt: the same verdict and
-    /// the same reads in the same order.
-    fn recorded(&self, op: OpId, answer: Answer) -> Option<Response> {
-        let Answer::Reply { ok, len, start } = answer else {
-            return None;
-        };
-        let reads = self.reads[start as usize..][..usize::from(len)].to_vec();
-        Some(Response {
-            op,
-            committed: ok,
-            reads,
-        })
+    /// This node's recorded reply to `op`, rebuilt — the same verdict and
+    /// the same reads in the same order — if it is the client's last.
+    fn recorded(&self, op: OpId) -> Option<Response> {
+        let last = self.clients.get(&op.client())?.reply()?;
+        (last.op == op).then(|| last.clone())
     }
 
     /// Records `resp` and sends it to `to`.
@@ -520,20 +519,24 @@ impl Shell {
     }
 
     /// Records `op` as answered by another member: the group answered it
-    /// before this node joined, or its delegate committed it here. A retry
-    /// of it is dropped (a no-op on a lean server, as [`Shell::answer`]).
+    /// before this node joined, or its delegate committed it here. Raises
+    /// the client's floor past it, so a retry of it is dropped (a no-op on
+    /// a lean server, as [`Shell::answer`]).
     pub fn answered_elsewhere(&mut self, op: OpId) {
         if !self.base.lean() {
-            self.answers.entry(op).or_insert(Answer::Floor);
+            let e = self.clients.entry(op.client()).or_default();
+            e.floor = e.floor.max(op.seq() + 1);
         }
     }
 
     /// Drops this node's reply to `op`, whose commit is gone: the op runs
-    /// again when the group replays it. What the group answered before
-    /// this node joined stays answered.
+    /// again when the group replays it. If this node's replies covered
+    /// `op`, its client's own mark falls to `op`; the floor stays. A
+    /// client's lost commits are a contiguous suffix of its ops, so the
+    /// order they are forgotten in does not matter.
     pub fn forget(&mut self, op: OpId) {
-        if self.answers.get(&op).is_some_and(|&a| a != Answer::Floor) {
-            self.answers.remove(&op);
+        if let Some(e) = self.clients.get_mut(&op.client()) {
+            e.own = e.own.min(op.seq());
         }
     }
 
@@ -605,22 +608,24 @@ impl Shell {
         }
     }
 
-    /// The client prologue: resend this node's reply, drop what the group
-    /// answered before this node joined, bounce while leaving, buffer
-    /// while joining, else hand the operation to the technique.
+    /// The client prologue: resend this node's reply to the client's last
+    /// op, drop any other answered op, bounce while leaving, buffer while
+    /// joining, else hand the operation to the technique.
     fn invoke<T: Technique>(&mut self, tech: &mut T, ctx: &mut Ctx<'_, T::Msg>, op: ClientOp) {
-        match self.answers.get(&op.id).map(|&a| self.recorded(op.id, a)) {
-            Some(Some(resp)) => ctx.send(op.client, Wire::Reply(resp)),
-            Some(None) => {}
-            None if self.rerouting() => {
-                let bounce = MemberMsg::Reroute {
-                    op: op.id,
-                    servers: self.remaining(),
-                };
-                ctx.send(op.client, Wire::Member(bounce));
-            }
-            None if self.joining() => self.buffered.push(op),
-            None => tech.on_invoke(self, ctx, op),
+        if let Some(resp) = self.recorded(op.id) {
+            ctx.send(op.client, Wire::Reply(resp));
+        } else if self.already_answered(op.id) {
+            // A stale retry, or one the group answered elsewhere: dropped.
+        } else if self.rerouting() {
+            let bounce = MemberMsg::Reroute {
+                op: op.id,
+                servers: self.remaining(),
+            };
+            ctx.send(op.client, Wire::Member(bounce));
+        } else if self.joining() {
+            self.buffered.push(op);
+        } else {
+            tech.on_invoke(self, ctx, op);
         }
     }
 
@@ -696,7 +701,8 @@ impl Shell {
     }
 
     /// Sends `joiner` its welcome: the view, the technique's bootstrap
-    /// state, and every operation this server itself answered.
+    /// state, and per client the last operation this server itself
+    /// answered.
     pub fn welcome<T: Technique>(
         &mut self,
         tech: &mut T,
@@ -704,10 +710,9 @@ impl Shell {
         joiner: NodeId,
     ) {
         let (transfer, pos, gpos) = tech.welcome_state(self, joiner);
-        let mut answered = Vec::with_capacity(self.answers.len());
-        let own = self.answers.iter().filter(|(_, &a)| a != Answer::Floor);
-        answered.extend(own.map(|(&op, _)| op)); // sorted-below
-        answered.sort_unstable();
+        let own = self.clients.iter().filter(|(_, e)| e.own > 0);
+        let mut answered: Vec<OpId> = own.map(|(&c, e)| OpId::compose(c, e.own - 1)).collect();
+        answered.sort_unstable(); // by client: the map iterates in no set order
         let welcome = MemberMsg::Welcome {
             servers: self.servers.clone(),
             transfer: transfer.map(Box::new),
@@ -831,8 +836,7 @@ impl<T: Technique> Replica<T> {
                 membership: Status::Normal,
                 catching_up: false,
                 buffered: Vec::new(),
-                answers: FxHashMap::default(),
-                reads: Vec::new(),
+                clients: FxHashMap::default(),
                 shard: None,
                 can_replay: true,
                 join_retry: SimDuration::from_ticks(JOIN_RETRY_TICKS),
@@ -967,10 +971,11 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
         tech.crashed(shell);
         match shell.base.wipe_volume(now.ticks()) {
             Some(lost) => lost.for_each(|op| shell.forget(op)),
-            None => {
-                shell.answers.retain(|_, &mut a| a == Answer::Floor);
-                shell.reads.clear();
-            }
+            // A bare loss forgets every own reply and keeps every floor.
+            None => shell.clients.retain(|_, e| {
+                e.own = 0;
+                e.floor > 0
+            }),
         }
         tech.volume_lost(shell);
     }
@@ -987,6 +992,7 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
 pub(crate) mod tests {
     use super::*;
     use crate::protocols::common::global_txn;
+    use repl_db::{Key, Value};
     use repl_sim::{SimConfig, World};
     use repl_workload::{OpTemplate, TxnTemplate};
 
@@ -1140,15 +1146,20 @@ pub(crate) mod tests {
         NodeId::new(i)
     }
 
+    /// Op `id` writing its seq to the key of that number.
     fn write_op(id: u64, client: NodeId) -> ClientOp {
+        let seq = u64::from(OpId(id).seq());
         ClientOp {
             id: OpId(id),
             client,
             txn: TxnTemplate {
-                ops: vec![OpTemplate::Write(Key(id), Value(id as i64))].into(),
+                ops: vec![OpTemplate::Write(Key(seq), Value(seq as i64))].into(),
             },
         }
     }
+
+    /// The first op of client 9, which the group answered elsewhere.
+    const FLOORED: OpId = OpId(9 << 32);
 
     fn replica(me: u32, group: &[u32]) -> Replica<Stub> {
         let group = group.iter().map(|&i| n(i)).collect();
@@ -1181,7 +1192,7 @@ pub(crate) mod tests {
                 transfer: None,
                 pos,
                 gpos: pos + 2,
-                answered: vec![OpId(9)],
+                answered: vec![FLOORED],
             })
         };
         let mut world: World<StubMsg> = World::new(SimConfig::new(1));
@@ -1206,7 +1217,7 @@ pub(crate) mod tests {
         assert_eq!(j.tech.welcomes, vec![(7, 9)], "the duplicate is ignored");
         assert_eq!(j.tech.views, 1);
         assert_eq!(j.tech.invoked, vec![OpId(1), OpId(2)], "arrival order");
-        assert!(j.shell.already_answered(OpId(9)));
+        assert!(j.shell.already_answered(FLOORED));
         let got = &world.actor_ref::<Probe>(coord).got;
         let join_reqs = got
             .iter()
@@ -1316,24 +1327,24 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Recorded replies whose reads sit side by side in the column; ops 4
-    /// and 5 were aborted, without and with reads.
+    /// Recorded replies, one per client (2 to 5, each at its op 1);
+    /// clients 4 and 5 were aborted, without and with reads.
     fn recorded_replies() -> Vec<Response> {
         let reads = |pairs: &[(u64, i64)]| pairs.iter().map(|&(k, v)| (Key(k), Value(v))).collect();
         vec![
             Response {
-                op: OpId(2),
+                op: OpId::compose(2, 1),
                 committed: true,
                 reads: reads(&[(1, 10)]),
             },
             Response {
-                op: OpId(3),
+                op: OpId::compose(3, 1),
                 committed: true,
                 reads: reads(&[(3, 42), (5, -7), (4, 1)]),
             },
-            Response::aborted(OpId(4)),
+            Response::aborted(OpId::compose(4, 1)),
             Response {
-                op: OpId(5),
+                op: OpId::compose(5, 1),
                 committed: false,
                 reads: reads(&[(9, 9)]),
             },
@@ -1357,24 +1368,49 @@ pub(crate) mod tests {
     #[test]
     fn forget_drops_a_reply_and_keeps_the_floor() {
         let mut r = replica(1, &[0, 1]);
-        r.shell.answers.insert(OpId(9), Answer::Floor);
-        r.shell.answer(&recorded_replies()[1]);
-        r.shell.forget(OpId(9));
-        r.shell.forget(OpId(3));
-        assert!(r.shell.already_answered(OpId(9)), "the floor stays");
-        assert!(!r.shell.already_answered(OpId(3)), "the reply is gone");
+        r.shell.answered_elsewhere(FLOORED);
+        let own = &recorded_replies()[1];
+        r.shell.answer(own);
+        r.shell.forget(FLOORED);
+        r.shell.forget(own.op);
+        assert!(r.shell.already_answered(FLOORED), "the floor stays");
+        assert!(!r.shell.already_answered(own.op), "the reply is gone");
+        assert!(
+            r.shell.already_answered(OpId::compose(3, 0)),
+            "below it stays"
+        );
+        // A lost suffix (ops 3 to 5 of client 0) comes back whatever the
+        // order it is forgotten in.
+        for order in [[3, 4, 5], [5, 3, 4], [4, 5, 3]] {
+            let mut r = replica(1, &[0, 1]);
+            (0..6).for_each(|seq| r.shell.answer(&Response::committed(OpId(seq))));
+            order.iter().for_each(|&seq| r.shell.forget(OpId(seq)));
+            let answered: Vec<u64> = (0..6)
+                .filter(|&s| r.shell.already_answered(OpId(s)))
+                .collect();
+            assert_eq!(answered, [0, 1, 2], "forgotten in order {order:?}");
+            assert!(
+                r.shell.recorded(OpId(5)).is_none(),
+                "the last reply is gone"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "more than u16::MAX reads")]
-    fn a_reply_too_long_for_its_entry_panics_rather_than_truncate() {
+    fn the_client_table_keeps_one_entry_per_client() {
+        // 1 000 in-order ops of client 0, then one op each of clients 1-3.
         let mut r = replica(1, &[0, 1]);
-        let reads = vec![(Key(1), Value(1)); usize::from(u16::MAX) + 1];
-        r.shell.answer(&Response {
-            op: OpId(1),
-            committed: true,
-            reads,
-        });
+        (0..1_000).for_each(|seq| r.shell.answer(&Response::committed(OpId(seq))));
+        (1..4).for_each(|c| r.shell.answer(&Response::committed(OpId::compose(c, 0))));
+        assert_eq!(r.shell.clients.len(), 4, "one entry per client");
+        assert!(r.shell.already_answered(OpId(0)) && r.shell.already_answered(OpId(999)));
+        assert!(!r.shell.already_answered(OpId(1_000)), "the next op is new");
+        let last = r.shell.recorded(OpId(999)).expect("the last reply stands");
+        assert_eq!(last, Response::committed(OpId(999)));
+        assert!(
+            r.shell.recorded(OpId(998)).is_none(),
+            "only the last is kept"
+        );
     }
 
     #[test]
@@ -1395,9 +1431,10 @@ pub(crate) mod tests {
         );
     }
 
-    /// The ops among {1, 2, 9} a replica still counts as answered after
-    /// losing its volume at 2 000: 9 is on its floor, it answered 1 at 100
-    /// and 2 at 1 500, and its tier (if any) uploads a frame in 1 000 ticks.
+    /// The ops among {1, 2, `FLOORED`} a replica still counts as answered
+    /// after losing its volume at 2 000: `FLOORED` is on its floor, it
+    /// answered 1 at 100 and 2 at 1 500, and its tier (if any) uploads a
+    /// frame in 1 000 ticks.
     fn answered_after_wipe(tiered: bool) -> Vec<u64> {
         let mut world: World<StubMsg> = World::new(SimConfig::new(14));
         let mut r = replica(0, &[0, 1]);
@@ -1412,7 +1449,7 @@ pub(crate) mod tests {
                 SimDuration::from_ticks(JOIN_RETRY_TICKS),
             );
         }
-        r.shell.answers.insert(OpId(9), Answer::Floor);
+        r.shell.answered_elsewhere(FLOORED);
         let node = world.add_actor(Box::new(r));
         world.add_actor(probe(vec![
             (100, n(0), StubMsg::Invoke(write_op(1, n(1)))),
@@ -1422,13 +1459,13 @@ pub(crate) mod tests {
         world.start();
         let answered = |world: &World<StubMsg>| -> Vec<u64> {
             let sh = &world.actor_ref::<Replica<Stub>>(node).shell;
-            [1, 2, 9]
+            [1, 2, FLOORED.0]
                 .into_iter()
                 .filter(|&op| sh.already_answered(OpId(op)))
                 .collect()
         };
         at(&mut world, 1_900);
-        assert_eq!(answered(&world), [1, 2, 9]);
+        assert_eq!(answered(&world), [1, 2, FLOORED.0]);
         at(&mut world, 2_500);
         answered(&world)
     }
@@ -1436,23 +1473,23 @@ pub(crate) mod tests {
     #[test]
     fn a_tiered_wipe_forgets_the_lost_answers_and_keeps_the_floor() {
         // Op 1's frame was uploaded at 1 100; op 2's was still in flight.
-        assert_eq!(answered_after_wipe(true), [1, 9]);
+        assert_eq!(answered_after_wipe(true), [1, FLOORED.0]);
     }
 
     #[test]
     fn a_bare_wipe_forgets_every_own_answer_and_keeps_the_floor() {
-        assert_eq!(answered_after_wipe(false), [9]);
+        assert_eq!(answered_after_wipe(false), [FLOORED.0]);
     }
 
     #[test]
     fn a_donor_that_joined_welcomes_with_its_own_answers_only() {
-        // Node 0 joins through node 1 with op 9 on its floor, then, as rank
-        // 0, answers op 4 and admits node 2.
+        // Node 0 joins through node 1 with client 9's op on its floor,
+        // then, as rank 0, answers op 4 and admits node 2.
         let mut world: World<StubMsg> = World::new(SimConfig::new(16));
         let mut donor = replica(0, &[0, 1]);
         donor.begin_join();
         let donor = world.add_actor(Box::new(donor));
-        world.add_actor(probe(vec![(1_000, n(0), welcome_with(vec![OpId(9)]))]));
+        world.add_actor(probe(vec![(1_000, n(0), welcome_with(vec![FLOORED]))]));
         let joiner = world.add_actor(probe(vec![
             (2_000, n(0), StubMsg::Invoke(write_op(4, n(2)))),
             (3_000, n(0), StubMsg::Member(MemberMsg::JoinReq)),
@@ -1460,7 +1497,7 @@ pub(crate) mod tests {
         world.start();
         at(&mut world, 5_000);
         let d = world.actor_ref::<Replica<Stub>>(donor);
-        assert!(d.shell.already_answered(OpId(9)));
+        assert!(d.shell.already_answered(FLOORED));
         assert_eq!(d.shell.servers(), [n(0), n(1), n(2)]);
         let welcomed: Vec<Vec<OpId>> = world
             .actor_ref::<Probe>(joiner)
@@ -1472,6 +1509,139 @@ pub(crate) mod tests {
             })
             .collect();
         assert_eq!(welcomed, vec![vec![OpId(4)]]);
+    }
+
+    /// Replies, each with its arrival time.
+    type Timed = Vec<(u64, Response)>;
+
+    /// The scripted double submission: client 0 (node `servers.len()`)
+    /// sends op 0 (`first`) to `to` at 100, again at 5 000 (answered by
+    /// then), op 1 (`next`) at 10 000 and op 0 once more at 15 000 — stale:
+    /// op 1 was answered there. Without `retries` the two repeats stay out.
+    /// Returns every reply the client got, with its time, and each
+    /// server's commits and history records.
+    fn submit_twice<T: Technique>(
+        servers: Vec<Replica<T>>,
+        to: NodeId,
+        [first, next]: [TxnTemplate; 2],
+        retries: bool,
+    ) -> (Timed, Vec<(u64, usize)>) {
+        let nodes = servers.len() as u32;
+        let me = n(nodes);
+        let op = |seq, txn: &TxnTemplate| {
+            let id = OpId::compose(0, seq);
+            let txn = txn.clone();
+            Wire::Invoke(ClientOp {
+                id,
+                client: me,
+                txn,
+            })
+        };
+        let mut script = vec![(100, to, op(0, &first)), (10_000, to, op(1, &next))];
+        if retries {
+            script.extend([(5_000, to, op(0, &first)), (15_000, to, op(0, &first))]);
+        }
+        let mut world: World<Wire<T::Msg>> = World::new(SimConfig::new(20));
+        seat_all(&mut world, servers);
+        let client = world.add_actor(Box::new(ScriptedPeer {
+            script,
+            got: Vec::new(),
+        }));
+        world.start();
+        world.run_until(SimTime::from_ticks(30_000));
+        let got = &world.actor_ref::<ScriptedPeer<Wire<T::Msg>>>(client).got;
+        let replies = got.iter().filter_map(|(t, m)| match m {
+            Wire::Reply(r) => Some((*t, r.clone())),
+            _ => None,
+        });
+        let state = (0..nodes).map(|i| {
+            let base = &world.actor_ref::<Replica<T>>(n(i)).shell.base;
+            (base.committed, base.history.len())
+        });
+        (replies.collect(), state.collect())
+    }
+
+    /// Runs [`submit_twice`] with and without the repeats and checks that
+    /// the retry of the in-flight op gets the recorded reply, with no
+    /// second execution or history record, and the stale retry nothing.
+    pub(crate) fn a_retry_is_answered_from_the_table_and_a_stale_one_never<T: Technique>(
+        servers: impl Fn() -> Vec<Replica<T>>,
+        to: NodeId,
+        txns: [TxnTemplate; 2],
+    ) {
+        let (with, state) = submit_twice(servers(), to, txns.clone(), true);
+        let (without, once) = submit_twice(servers(), to, txns, false);
+        assert_eq!(state, once, "the retries executed and recorded nothing");
+        let between = |from: u64, to: u64| -> Vec<&Response> {
+            let inside = with.iter().filter(|(t, _)| (from..to).contains(t));
+            inside.map(|(_, r)| r).collect()
+        };
+        let answered = between(0, 5_000);
+        assert!(!answered.is_empty(), "op 0 is answered before its retry");
+        assert!(answered.iter().all(|r| r.op == OpId(0)), "{answered:?}");
+        assert_eq!(between(5_000, 10_000), [answered[0]], "the recorded reply");
+        assert!(
+            between(15_000, u64::MAX).is_empty(),
+            "a stale retry: {with:?}"
+        );
+        // Network jitter draws differ between the two runs: compare the
+        // replies, not their times.
+        let rest = with.iter().filter(|(t, _)| !(5_000..10_000).contains(t));
+        let rest: Vec<&Response> = rest.map(|(_, r)| r).collect();
+        let once: Vec<&Response> = without.iter().map(|(_, r)| r).collect();
+        assert_eq!(rest, once, "the repeats changed no other reply");
+    }
+
+    #[test]
+    fn the_stream_host_answers_a_retry_from_its_client_table() {
+        use crate::protocols::active::ActiveServer;
+        use crate::protocols::common::AbcastImpl;
+        let servers = || {
+            let group: Vec<NodeId> = (0..3).map(n).collect();
+            let mk = |i| {
+                let (exec, ab) = (ExecutionMode::Deterministic, AbcastImpl::Sequencer);
+                let cons = repl_gcs::ConsensusConfig::default();
+                ActiveServer::new(i, n(i), group.clone(), 16, exec, ab, cons)
+            };
+            (0..3).map(mk).collect()
+        };
+        let txns = [write_op(1, n(3)).txn, write_op(2, n(3)).txn];
+        a_retry_is_answered_from_the_table_and_a_stale_one_never(servers, n(1), txns);
+    }
+
+    #[test]
+    fn the_2pc_primary_answers_a_retry_from_its_client_table() {
+        use crate::protocols::eager_primary::EagerPrimaryServer;
+        let servers = || {
+            let group: Vec<NodeId> = (0..3).map(n).collect();
+            let mk = |i| {
+                let exec = ExecutionMode::Deterministic;
+                EagerPrimaryServer::new(i, n(i), group.clone(), 16, exec)
+            };
+            (0..3).map(mk).collect()
+        };
+        let txns = [write_op(1, n(3)).txn, write_op(2, n(3)).txn];
+        a_retry_is_answered_from_the_table_and_a_stale_one_never(servers, n(0), txns);
+    }
+
+    #[test]
+    fn a_read_only_local_answer_is_resent_from_the_client_table() {
+        use crate::protocols::certification::CertServer;
+        use crate::protocols::common::AbcastImpl;
+        let servers = || {
+            let group: Vec<NodeId> = (0..3).map(n).collect();
+            let mk = |i| {
+                let (exec, ab) = (ExecutionMode::Deterministic, AbcastImpl::Sequencer);
+                let cons = repl_gcs::ConsensusConfig::default();
+                CertServer::new(i, n(i), group.clone(), 16, exec, ab, cons)
+            };
+            (0..3).map(mk).collect()
+        };
+        let read = TxnTemplate {
+            ops: vec![OpTemplate::Read(Key(1)), OpTemplate::Read(Key(2))].into(),
+        };
+        let txns = [read, write_op(2, n(3)).txn];
+        a_retry_is_answered_from_the_table_and_a_stale_one_never(servers, n(1), txns);
     }
 
     #[test]

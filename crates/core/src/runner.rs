@@ -34,20 +34,18 @@ use crate::technique::Technique;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Arrival {
     /// Closed loop: one outstanding operation per client, think time
-    /// between transactions, timeout-based re-submission.
+    /// between transactions, timeout-based re-submission ([`ClientActor`]).
     #[default]
     Closed,
-    /// Open loop: Poisson arrivals with the given mean inter-arrival time
-    /// (ticks); several operations may be outstanding, none are retried.
-    Open(u64),
-    /// Aggregated open loop: the whole client population is simulated by
-    /// one arrival process per server group instead of one actor per
-    /// client, so the client count is a parameter rather than an actor
-    /// count (a million clients cost a handful of actors). `mean` is the
+    /// Open loop: the whole client population is simulated by one
+    /// arrival process per server group instead of one actor per client,
+    /// so the client count is a parameter rather than an actor count (a
+    /// million clients cost a handful of actors). `mean` is the
     /// *per-client* mean inter-arrival time in ticks; the group stream
-    /// runs at `mean / group size`. Latencies go into a constant-memory
-    /// [`LatencyHistogram`] ([`RunReport::latency_hist`]) and no
-    /// per-operation records are kept.
+    /// runs at `mean / group size` ([`AggregateClients`]). Several
+    /// operations may be outstanding, none are retried. Latencies go into
+    /// a constant-memory [`LatencyHistogram`] ([`RunReport::latency_hist`])
+    /// and no per-operation records are kept.
     OpenAggregated {
         /// Per-client mean inter-arrival time, in ticks.
         mean: u64,
@@ -280,10 +278,10 @@ impl RunConfig {
         self
     }
 
-    /// Whether servers should run lean: skip the unbounded per-run
-    /// bookkeeping (execution history, recorded client replies) that the
-    /// exact collection path consumes. True exactly for the aggregated
-    /// open-loop engine, whose collection never reads either.
+    /// Whether servers should run lean: skip the per-run bookkeeping
+    /// (execution history, client table) that the exact collection path
+    /// and the retries consume. True exactly for the open loop, which
+    /// reads neither and whose pipelined clients never retry.
     pub fn lean_servers(&self) -> bool {
         matches!(self.arrival, Arrival::OpenAggregated { .. })
     }
@@ -1172,37 +1170,23 @@ fn drive<T: Flow>(
         let workload = workload.expect("per-client workloads are drawn up front");
         for c in 0..cfg.clients {
             let txns = workload.window(c as usize * txns_each, txns_each);
-            let client = match cfg.arrival {
-                // Open-loop clients never retry, so they stay on the
-                // initial servers where a submission cannot hit a
-                // dormant node.
-                Arrival::Open(mean) => ClientActor::<T::Msg>::open(
-                    c,
-                    Arc::clone(&client_servers),
-                    preferred_server(cfg.technique, c, n),
-                    txns,
-                    SimDuration::from_ticks(mean),
-                ),
-                _ => {
-                    // Clients spread over their contact list: the home
-                    // group when routed, else every node (those aimed at
-                    // a joiner wait until it is up).
-                    let contacts = if map.is_some() { n } else { nodes };
-                    let preferred = preferred_server(cfg.technique, c, contacts);
-                    let client = ClientActor::<T::Msg>::new(
-                        c,
-                        Arc::clone(&client_servers),
-                        preferred,
-                        txns,
-                        cfg.workload.think_time,
-                        cfg.retry_after(),
-                    )
-                    .with_start_after(join_start_after(preferred));
-                    match map {
-                        Some(map) => client.with_routing(map, reply_mode),
-                        None => client,
-                    }
-                }
+            // Clients spread over their contact list: the home group when
+            // routed, else every node (those aimed at a joiner wait until
+            // it is up).
+            let contacts = if map.is_some() { n } else { nodes };
+            let preferred = preferred_server(cfg.technique, c, contacts);
+            let client = ClientActor::<T::Msg>::new(
+                c,
+                Arc::clone(&client_servers),
+                preferred,
+                txns,
+                cfg.workload.think_time,
+                cfg.retry_after(),
+            )
+            .with_start_after(join_start_after(preferred));
+            let client = match map {
+                Some(map) => client.with_routing(map, reply_mode),
+                None => client,
             };
             clients.push(world.add_actor(Box::new(client)));
         }

@@ -50,34 +50,34 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("batched/EagerPrimary/w=250", 0x974318d5c2a024f4, 0x1d23ceddc623fca8),
     ("outage/Active", 0x19aaa02a3d3a7117, 0x0c39f0b921412624),
     ("disaster/Active", 0x30afe2b7311e90cd, 0xf416352edffce55b),
-    ("elastic/Active", 0xadc216d689380e0d, 0x79067e82b06dd1c5),
+    ("elastic/Active", 0x310debcccf91906d, 0x0f485d923312c61d),
     ("outage/Passive", 0x3ea8f5c4acdb8f0b, 0x1e5a539fb3d10514),
     ("disaster/Passive", 0xc1fce2b139469171, 0x9ec208382fe31cf3),
-    ("elastic/Passive", 0xf6fe0bece233aacc, 0x7f802546dfa11533),
+    ("elastic/Passive", 0x3dc91ef3635df8f6, 0xddc0e018768797cb),
     ("outage/Semi-Active", 0x063ee33890522e26, 0x79ea11ebc5c48c2e),
     ("disaster/Semi-Active", 0xa4259735f4676255, 0xfd578e8f51bff864),
-    ("elastic/Semi-Active", 0x51cdd0fc0f76782c, 0x8adb3a531e93c34a),
+    ("elastic/Semi-Active", 0x526121fc1b121eeb, 0x90ff5d323b24fa86),
     ("outage/Semi-Passive", 0x5a9786e992783394, 0xa536e779539faf7b),
     ("disaster/Semi-Passive", 0xb60c8a677d62ea8d, 0xefce580cf6e0e4c2),
-    ("elastic/Semi-Passive", 0x1e81f6e1efc7e419, 0xcacadf0d70bb081b),
+    ("elastic/Semi-Passive", 0xad29449ceda78c6f, 0x5c5492b00fa2c693),
     ("outage/Eager Primary Copy", 0x93cd444577349c03, 0xd682babe0ff3affb),
     ("disaster/Eager Primary Copy", 0xdcf6e85b5cd9ff8f, 0x4e96a029865052bc),
-    ("elastic/Eager Primary Copy", 0xee8a1d131dac2cb4, 0x7fafb0d78f635c07),
+    ("elastic/Eager Primary Copy", 0x0c57deb7d83ae3fe, 0x3d14ba303b145167),
     ("outage/Eager UE (Distributed Locking)", 0x0507e0a93d03af1c, 0x4ed1ced157237fca),
     ("disaster/Eager UE (Distributed Locking)", 0x8f1e1a9cf04a7540, 0xbd6a7afcd4555378),
-    ("elastic/Eager UE (Distributed Locking)", 0xf7a31785cdd47c32, 0x6501db3c2a90208d),
+    ("elastic/Eager UE (Distributed Locking)", 0x1776e7c445fe8d4d, 0x03739dab671e906d),
     ("outage/Eager UE (ABCAST)", 0xca0ae777918ca23e, 0x49df8101f7b02456),
     ("disaster/Eager UE (ABCAST)", 0x1b3ab2a11a26c823, 0xf5fc4953d9327931),
-    ("elastic/Eager UE (ABCAST)", 0x17bf310e0b6af13c, 0x193ed2a59a974dce),
+    ("elastic/Eager UE (ABCAST)", 0x2797fc6606cf43e7, 0x9caae00008037976),
     ("outage/Lazy Primary Copy", 0xf12aa04939bdf49d, 0xab01b2484e982bb1),
     ("disaster/Lazy Primary Copy", 0x436b93d0a52506b8, 0x61294ad8c3e730bc),
-    ("elastic/Lazy Primary Copy", 0x58418b4d40e7c654, 0x2dbb800c99e2ae7a),
+    ("elastic/Lazy Primary Copy", 0x4a77f82527e3713d, 0x098efaf9bff88c5e),
     ("outage/Lazy Update Everywhere", 0xd7c39e3844eaf882, 0x1f8ec951ac2b824f),
     ("disaster/Lazy Update Everywhere", 0xc832fa1fc1dc2f72, 0x4d0e3592fffdfc09),
-    ("elastic/Lazy Update Everywhere", 0xd01aabe44db55c6d, 0xf86abf0d44e8162c),
+    ("elastic/Lazy Update Everywhere", 0x02052b8c7d3892ed, 0x5bea257d40be81bc),
     ("outage/Certification Based", 0x03cf23698fd70f12, 0x2f4d94e9568d27b7),
     ("disaster/Certification Based", 0x0c2b4c2ee98fdbad, 0xf04ce0548736b393),
-    ("elastic/Certification Based", 0x67dd5d204eb5dc8b, 0x71445b08b7e23f33),
+    ("elastic/Certification Based", 0x51d643ba6f8d8bce, 0xc2246a9fcabbf06b),
     ("outage/Active/consensus/coordinator", 0x9ec4b07e7a188a4f, 0x003216f4ea6ae8d3),
     ("shard4/Active/x=20%", 0x621085459269c181, 0xbcb7e26fd963d25a),
     ("shard4/Eager UE (ABCAST)/x=20%", 0xfbf139760a857f23, 0xe2bd53b8b9df1a09),

@@ -20,7 +20,7 @@ use repl_core::{run, try_run, Arrival, Guarantee, RunConfig, RunError, Technique
 use repl_db::DeadlockPolicy;
 use repl_gcs::BatchConfig;
 use repl_sim::{NodeId, SimDuration, SimTime};
-use repl_workload::{FaultPlan, MembershipPlan, WorkloadSpec};
+use repl_workload::{ArrivalDist, FaultPlan, MembershipPlan, WorkloadSpec};
 
 const CROSS_CAPABLE: [Technique; 3] = [
     Technique::Active,
@@ -263,7 +263,10 @@ fn unsupported_sharded_configs_are_typed_errors() {
     );
     // Non-closed arrivals.
     expect(
-        &sharded_cfg(Technique::Active, 4, 0.0).with_arrival(Arrival::Open(2_000)),
+        &sharded_cfg(Technique::Active, 4, 0.0).with_arrival(Arrival::OpenAggregated {
+            mean: 2_000,
+            dist: ArrivalDist::Poisson,
+        }),
         "closed-loop",
     );
     // Locking without a global deadlock order.
