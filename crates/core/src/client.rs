@@ -513,11 +513,12 @@ impl<P: Message> Actor<Wire<P>> for AggregateClients<P> {
         let resp = match msg {
             Wire::Reply(resp) => resp,
             Wire::Member(MemberMsg::Reroute { op, servers }) => {
-                let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, &servers)
-                else {
+                // A late bounce of an answered op changes nothing.
+                let Some((_, txn)) = self.outstanding.get(&op) else {
                     return;
                 };
-                if let Some((_, txn)) = self.outstanding.get(&op) {
+                if let Some(to) = resolve_reroute(&mut self.servers, &mut self.preferred, &servers)
+                {
                     send_op(ctx, to, op, txn.clone());
                 }
                 return;
@@ -1054,9 +1055,15 @@ mod tests {
             (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
         );
         assert!(arrivals[1].is_empty(), "hedged to the next server");
-        // An open-loop operation bounced after its answer is not re-sent
-        // (the aggregate adopts the bounce's membership for later ones).
-        let mut world: World<EchoMsg> = World::new(SimConfig::new(13));
+    }
+
+    #[test]
+    fn a_late_bounce_of_an_answered_op_changes_nothing() {
+        // Each invoke makes `s0` bounce the previous, answered, open-loop
+        // operation to `s1`: nothing is re-sent, and later operations
+        // still go to `s0` — the bounce's membership is not adopted.
+        let net = repl_sim::NetworkConfig::lan().with_jitter(SimDuration::ZERO);
+        let mut world: World<EchoMsg> = World::new(SimConfig::new(13).with_network(net));
         let (s0, s1) = (
             world.add_actor(Scripted::new(false)),
             world.add_actor(Scripted::new(false)),
@@ -1068,15 +1075,18 @@ mod tests {
         let agg = world.actor_ref::<AggregateClients<()>>(c);
         assert!(agg.is_done());
         assert_eq!(agg.committed, 3);
-        let arrivals = |s| world.actor_ref::<Scripted>(s).arrivals.iter();
-        let mut sent: Vec<OpId> = arrivals(s0)
-            .chain(arrivals(s1))
-            .map(|&(_, op)| op)
-            .collect();
-        sent.sort_unstable();
+        assert_eq!((&agg.servers[..], agg.preferred), (&[s0, s1][..], 0));
+        let sent = |s| -> Vec<OpId> {
+            let arrivals = world.actor_ref::<Scripted>(s).arrivals.iter();
+            arrivals.map(|&(_, op)| op).collect()
+        };
         assert_eq!(
-            sent,
+            sent(s0),
             (0..3).map(|i| OpId::compose(0, i)).collect::<Vec<_>>()
+        );
+        assert!(
+            sent(s1).is_empty(),
+            "a bounce of an answered op moved the contact"
         );
     }
 

@@ -603,6 +603,13 @@ impl Technique for EagerPrimary {
     type Msg = EagerPrimaryMsg;
     const HEARTBEATS: bool = true;
 
+    /// Nobody will ask for a logged decision in a run that cannot replay.
+    fn on_start(&mut self, sh: &mut Shell, _ctx: &mut Ctx<'_, EagerPrimaryMsg>) {
+        if !sh.can_replay() {
+            self.wal.forget();
+        }
+    }
+
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, op: ClientOp) {
         if sh.catching_up() {
             return; // not a member yet; the client retries elsewhere

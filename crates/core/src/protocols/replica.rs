@@ -548,7 +548,9 @@ impl Shell {
     /// Whether a member of this run can ever crash, lose its volume, join
     /// or retire ([`crate::RunConfig::can_replay`]), and so ask to be
     /// refilled from what the group delivered. Only then does the
-    /// ordering layer keep a replay log. True for a server built by hand.
+    /// ordering layer keep a replay log, a consensus pool keep a value
+    /// every member has decided, and Semi-Passive or Eager Primary Copy
+    /// keep its decision log's entries. True for a server built by hand.
     pub fn can_replay(&self) -> bool {
         self.can_replay
     }

@@ -18,7 +18,8 @@
 //! ([`ServerBase::execute_shadow`](crate::protocols::common::ServerBase::execute_shadow)),
 //! and every server appends each decided slot to its decision log
 //! straight from the arena view (`RedoLog::append_view`), so the log is
-//! a record column with no per-slot `WriteSet`.
+//! a record column with no per-slot `WriteSet`. A run no member can
+//! replay keeps neither the log's entries nor the pool's decided values.
 //!
 //! Skeleton: `RE EX AC END`.
 
@@ -200,7 +201,8 @@ impl SemiPassive {
             self.engaged_slot = None;
             self.pending.remove(&p.op.id);
             // Mirror every decision so wal index == slot, even for
-            // duplicate decision content (keeps donor watermarks exact).
+            // duplicate decision content (keeps donor watermarks exact);
+            // a forgotten log only counts it.
             let wal = &mut self.wal;
             sh.base.read_payload(p.ws, |_, view| wal.append_view(view));
             if sh.already_answered(p.op.id) {
@@ -243,6 +245,14 @@ impl SemiPassive {
 impl Technique for SemiPassive {
     type Msg = SemiPassiveMsg;
     const HEARTBEATS: bool = true;
+
+    /// Nobody will ask for a decided slot in a run that cannot replay.
+    fn on_start(&mut self, sh: &mut Shell, _ctx: &mut Ctx<'_, SemiPassiveMsg>) {
+        if !sh.can_replay() {
+            self.wal.forget();
+            self.pool.forget_decided();
+        }
+    }
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, op: ClientOp) {
         if sh.catching_up() || self.pending.contains_key(&op.id) {

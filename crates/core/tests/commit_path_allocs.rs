@@ -220,8 +220,9 @@ fn marginal(cell: impl Fn(u32) -> RunConfig) -> (f64, f64) {
 /// One guarded cell: its marginal allocations per transaction at the
 /// commit before the guarded change and the budget it must stay under
 /// now; for the lean ABCAST cells, Semi-Passive, the sharded Active
-/// recording cell and the two Passive cells also a bound on the marginal
-/// retained heap.
+/// recording cell, the two Passive cells and the hot-key Semi-Passive
+/// and Eager Primary Copy cells also a bound on the marginal retained
+/// heap.
 struct Guard {
     label: &'static str,
     parent: f64,
@@ -248,7 +249,12 @@ struct Guard {
 /// commit before the site logs of the history and VSCAST's flush buffer
 /// were stored as dense columns, when a recorded access took 40 bytes
 /// and a received update a B-tree entry (measured since: 199.4 and
-/// 1,133.3 bytes).
+/// 1,133.3 bytes). For the hot-key Semi-Passive and Eager Primary Copy
+/// cells it is the commit before a run that cannot replay stopped keeping
+/// decision-log entries and, under Semi-Passive, the consensus pool's
+/// decided proposals (1,358.8 and 956.4 bytes; measured since: 598.4
+/// each, the history's records and the client table), and the share is
+/// that measurement plus 10 %.
 struct Heap {
     parent: f64,
     share: f64,
@@ -340,7 +346,10 @@ const GUARDS: [Guard; 11] = [
         label: "Eager Primary Copy / 3 replicas, hot keys",
         parent: 10.949,
         budget: 0.0031,
-        heap: None,
+        heap: Some(Heap {
+            parent: 956.4,
+            share: 0.69,
+        }),
         cell: |t| hot_cell(Technique::EagerPrimary, t),
     },
     Guard {
@@ -361,7 +370,10 @@ const GUARDS: [Guard; 11] = [
         label: "Semi-Passive / 3 replicas, hot keys",
         parent: 6.834,
         budget: 0.92,
-        heap: None,
+        heap: Some(Heap {
+            parent: 1358.8,
+            share: 0.485,
+        }),
         cell: |t| hot_cell(Technique::SemiPassive, t),
     },
     Guard {

@@ -122,9 +122,13 @@ pub struct RedoLog {
     fsyncs: u64,
     /// Logical index of the first held entry (0 until truncation).
     base: u64,
-    /// Maximum number of entries retained (`None` = keep everything).
+    /// Maximum number of entries retained (`None` = keep everything,
+    /// `Some(0)` = none: [`RedoLog::forget`]).
     retention: Option<usize>,
 }
+
+const NO_ENTRIES: &str =
+    "redo log suffix read, but this log keeps no entries: its run was built as one no member can replay";
 
 impl RedoLog {
     /// Creates an empty log.
@@ -147,15 +151,24 @@ impl RedoLog {
         self.retention = max_entries.map(|n| n.max(1));
     }
 
+    /// Keeps only the log's position and force count from now on, in a
+    /// run no member can replay: a suffix read then panics.
+    pub fn forget(&mut self) {
+        self.retention = Some(0);
+        self.enforce_retention();
+    }
+
     /// Logical index of the oldest entry still retained. A suffix
     /// request from any position `>= first_retained()` can be served
-    /// from the log; earlier positions require a snapshot.
+    /// from the log; earlier positions require a snapshot. Panics if the
+    /// log keeps no entries.
     pub fn first_retained(&self) -> u64 {
+        assert!(self.retention != Some(0), "{NO_ENTRIES}");
         self.base + self.dead as u64
     }
 
     /// True if the log still holds every entry from logical index
-    /// `from` onwards.
+    /// `from` onwards. Panics as [`RedoLog::first_retained`] does.
     pub fn has_suffix(&self, from: u64) -> bool {
         from >= self.first_retained()
     }
@@ -182,7 +195,11 @@ impl RedoLog {
     /// [`RedoLog::append`] straight from a view of the records, wherever
     /// they sit: the entry is copied into the log's column once.
     pub fn append_view(&mut self, view: WsView<'_>) -> usize {
-        self.held.push_view(view);
+        if self.retention == Some(0) {
+            self.base += 1;
+        } else {
+            self.held.push_view(view);
+        }
         self.fsyncs += 1;
         let idx = self.len() - 1;
         self.enforce_retention();
@@ -284,12 +301,12 @@ impl RedoLog {
     /// [`RedoLog::first_retained`] cannot be served: callers check
     /// [`RedoLog::has_suffix`] first, and asking for one while the log
     /// retains entries is a debug assertion (a release build starts at
-    /// the truncation point).
+    /// the truncation point). Panics on a log that keeps no entries.
     pub fn since(&self, from: usize) -> impl Iterator<Item = WsView<'_>> {
+        let first = self.first_retained();
         debug_assert!(
-            self.has_suffix(from as u64) || self.len() as u64 == self.first_retained(),
-            "redo log: suffix from {from} requested, but entries below {} are truncated",
-            self.first_retained()
+            from as u64 >= first || self.len() as u64 == first,
+            "redo log: suffix from {from} requested, but entries below {first} are truncated"
         );
         let phys = (from as u64).saturating_sub(self.base) as usize;
         self.held.views_from(phys.max(self.dead))
@@ -511,6 +528,52 @@ mod tests {
             log.append(ws(i, &[1]));
         }
         let _ = log.since(1).count();
+    }
+
+    #[test]
+    fn a_forgotten_log_keeps_its_position_and_forces_only() {
+        let mut log = RedoLog::new();
+        log.append(ws(0, &[1, 2]));
+        log.forget();
+        assert_eq!((log.len(), log.fsyncs()), (1, 1));
+        for i in 1..4 {
+            assert_eq!(log.append(ws(i, &[3])), i as usize);
+        }
+        for i in 4..7 {
+            log.stage(ws(i, &[4]));
+        }
+        assert_eq!(
+            log.staged().count(),
+            3,
+            "a group is readable until it is forced"
+        );
+        assert_eq!(log.flush_group(), Some((4, 3)));
+        assert_eq!((log.len(), log.fsyncs(), log.staged_len()), (7, 5, 0));
+        assert!(log.held.is_empty());
+        // Restarting and skipping move the position and keep forgetting.
+        log.restart_at(10);
+        log.append(ws(10, &[5]));
+        log.skip_to(20);
+        assert_eq!((log.len(), log.held.len()), (20, 0));
+    }
+
+    #[test]
+    fn a_suffix_read_of_a_forgotten_log_panics_by_name() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut log = RedoLog::new();
+        log.forget();
+        log.append(ws(0, &[1]));
+        let refused = |what: &str, read: &dyn Fn()| {
+            let err = catch_unwind(AssertUnwindSafe(read)).expect_err(what);
+            let text = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(text.contains("keeps no entries"), "{what}: {text}");
+        };
+        refused("since", &|| _ = log.since(0).count());
+        refused("has_suffix", &|| _ = log.has_suffix(1));
+        refused("first_retained", &|| _ = log.first_retained());
+        refused("from_log", &|| {
+            _ = crate::Transfer::from_log(&log, &crate::Store::new(), 1)
+        });
     }
 
     #[test]

@@ -913,8 +913,11 @@ impl<P: Message> TotalOrder<P> for ConsensusAbcast<P> {
         self.log.batch = batch;
     }
 
+    /// Also the embedded pool's decided values: a batch is then held
+    /// only until it is delivered and every other member relayed it.
     fn forget_replay(&mut self) {
         self.log.forget();
+        self.pool.forget_decided();
     }
 
     /// Consensus ordering is symmetric: nobody holds a distinguished role.

@@ -28,13 +28,15 @@
 //! A ballot is transient: once an instance decides, its round, estimates,
 //! proposal and acks are of no further use, so the ballot returns to a free
 //! list and only the decided value stays — the answer to a participant that
-//! starts or re-sends an estimate late.
+//! starts or re-sends an estimate late. A run no member can replay keeps
+//! not even that ([`ConsensusPool::forget_decided`]).
 
 use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 
 use repl_sim::{Message, NodeId, SimDuration};
 
 use crate::component::{Component, Outbox};
+use crate::runset::RunSet;
 
 /// Maximum round per instance (bounded so timer tags stay compact).
 const MAX_ROUND: u64 = 1 << 16;
@@ -166,6 +168,11 @@ impl<V> Ballot<V> {
     }
 }
 
+/// True if `inst` is one of the `forgotten` decided instances.
+fn forgot(forgotten: &Option<RunSet<()>>, inst: u64) -> bool {
+    forgotten.as_ref().is_some_and(|f| f.contains((), inst))
+}
+
 /// A pool of independent consensus instances over one fixed group.
 ///
 /// # Examples
@@ -190,8 +197,11 @@ pub struct ConsensusPool<V> {
     live: HashMap<u64, Ballot<V>>,
     /// Ballots of decided instances, emptied for reuse.
     free: Vec<Ballot<V>>,
-    /// Decided values by instance (ordered: ids jump after a catch-up).
-    decided: BTreeMap<u64, V>,
+    /// Decided values by instance (ordered: ids jump after a catch-up),
+    /// each with the group positions whose `Decide` arrived.
+    decided: BTreeMap<u64, (V, u64)>,
+    /// Decided instances whose value went (`Some` once forgetting).
+    forgotten: Option<RunSet<()>>,
 }
 
 impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
@@ -212,7 +222,16 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
             live: HashMap::new(),
             free: Vec::new(),
             decided: BTreeMap::new(),
+            forgotten: None,
         }
+    }
+
+    /// From now on, in a run no member can replay, drops a value once every
+    /// other member's `Decide` arrived (each has decided, so none can ask);
+    /// the instance stays decided. Panics past 64 members (mask width).
+    pub fn forget_decided(&mut self) {
+        assert!(self.group.len() <= 64, "a forgetful pool's relay mask");
+        self.forgotten.get_or_insert_with(RunSet::new);
     }
 
     /// Replaces the participant group (elastic membership). Unlike
@@ -239,9 +258,9 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         inst * MAX_ROUND + round
     }
 
-    /// The decided value of `inst`, if any.
+    /// The decided value of `inst`, if any and not forgotten.
     pub fn decided(&self, inst: u64) -> Option<&V> {
-        self.decided.get(&inst)
+        self.decided.get(&inst).map(|(v, _)| v)
     }
 
     /// The live ballot of `inst`, taken from the free list if this member
@@ -251,15 +270,34 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         match self.live.entry(inst) {
             hash_map::Entry::Occupied(b) => Some(b.into_mut()),
             hash_map::Entry::Vacant(_) if self.decided.contains_key(&inst) => None,
+            hash_map::Entry::Vacant(_) if forgot(&self.forgotten, inst) => None,
             hash_map::Entry::Vacant(slot) => Some(slot.insert(self.free.pop().unwrap_or_default())),
         }
     }
 
     /// Answers a late message about decided instance `inst` with the
-    /// decision.
+    /// decision, unless forgotten (then the sender has decided too).
     fn answer_decided(&self, to: NodeId, inst: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
-        let value = self.decided.get(&inst).expect("no ballot: decided").clone();
-        out.send(to, ConsMsg::Decide { inst, value });
+        if let Some(value) = self.decided(inst).cloned() {
+            out.send(to, ConsMsg::Decide { inst, value });
+        }
+    }
+
+    /// Notes `from`'s relay of decided instance `inst`; a forgetful pool
+    /// drops the value once every other member's relay has arrived.
+    fn relayed(&mut self, from: NodeId, inst: u64) {
+        let (me, group) = (self.me, &self.group);
+        let pos = group.iter().position(|&m| m == from && m != me);
+        let (Some(forgotten), Some((_, heard)), Some(pos)) =
+            (&mut self.forgotten, self.decided.get_mut(&inst), pos)
+        else {
+            return;
+        };
+        *heard |= 1 << pos;
+        if heard.count_ones() as usize == group.iter().filter(|&&m| m != me).count() {
+            self.decided.remove(&inst);
+            forgotten.insert((), inst);
+        }
     }
 
     /// Proposes `v` for instance `inst`. Idempotent: later proposals for a
@@ -372,7 +410,7 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         let btree_map::Entry::Vacant(slot) = self.decided.entry(inst) else {
             return;
         };
-        slot.insert(value.clone());
+        slot.insert((value.clone(), 0));
         if let Some(mut b) = self.live.remove(&inst) {
             b.reset();
             self.free.push(b);
@@ -473,9 +511,11 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
                     self.decide(inst, v, out);
                 }
             }
-            ConsMsg::Decide { inst, value } => {
+            ConsMsg::Decide { inst, value } if !forgot(&self.forgotten, inst) => {
                 self.decide(inst, value, out);
+                self.relayed(from, inst);
             }
+            ConsMsg::Decide { .. } => {} // forgotten: its sender has decided
         }
     }
 
@@ -752,7 +792,18 @@ mod edge_tests {
     /// Delivers what `from` queued and everything it causes, in send
     /// order, over a lossless network without timers.
     fn settle(pools: &mut [ConsensusPool<u64>], from: NodeId, out: &mut Out) {
-        let mut queue = std::collections::VecDeque::new();
+        settle_but(pools, from, out, |_, _, _| false);
+    }
+
+    /// [`settle`], withholding the messages `hold(src, to, msg)` picks;
+    /// returns them.
+    fn settle_but(
+        pools: &mut [ConsensusPool<u64>],
+        from: NodeId,
+        out: &mut Out,
+        hold: impl Fn(NodeId, NodeId, &ConsMsg<u64>) -> bool,
+    ) -> Vec<(NodeId, NodeId, ConsMsg<u64>)> {
+        let (mut queue, mut held) = (std::collections::VecDeque::new(), Vec::new());
         let mut sender = from;
         loop {
             for action in out.drain() {
@@ -761,10 +812,145 @@ mod edge_tests {
                 }
             }
             let Some((src, to, msg)) = queue.pop_front() else {
-                return;
+                return held;
             };
+            if hold(src, to, &msg) {
+                held.push((src, to, msg));
+                continue;
+            }
             pools[to.raw() as usize].on_message(src, msg, out);
             sender = to;
+        }
+    }
+
+    fn forgetful(n: u32) -> Vec<ConsensusPool<u64>> {
+        let mut pools = pools(n);
+        for pool in &mut pools {
+            pool.forget_decided();
+        }
+        pools
+    }
+
+    #[test]
+    fn a_forgetful_pool_drops_a_value_once_every_other_member_relayed_it() {
+        let mut pools = forgetful(3);
+        let mut out = Out::new();
+        pools[0].propose(5, 42, &mut out);
+        let (n0, n2) = (NodeId::new(0), NodeId::new(2));
+        let relay = |src, to, m: &ConsMsg<u64>| {
+            src == n2 && to == n0 && matches!(m, ConsMsg::Decide { .. })
+        };
+        let held = settle_but(&mut pools, n0, &mut out, relay);
+        assert_eq!(held.len(), 1);
+        // Node 0 still waits for node 2's relay; the others heard both.
+        assert_eq!(pools[0].decided(5), Some(&42));
+        assert_eq!((pools[1].decided(5), pools[2].decided(5)), (None, None));
+        for (src, to, msg) in held {
+            pools[to.raw() as usize].on_message(src, msg, &mut out);
+        }
+        assert!(out.drain().is_empty(), "the last relay was answered");
+        for (i, pool) in pools.iter().enumerate() {
+            assert_eq!(pool.decided(5), None, "node {i}");
+            assert_eq!(
+                (pool.live_ballots(), pool.decided.len()),
+                (0, 0),
+                "node {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_late_message_for_a_forgotten_instance_is_dropped() {
+        // Its sender has decided, so nothing is sent, decided or opened
+        // (a keeping pool answers with the decision, once every relay has
+        // arrived too: `a_late_start_or_estimate_is_answered_with_the_decision`).
+        let mut pools = forgetful(3);
+        let mut out = Out::new();
+        pools[0].propose(5, 42, &mut out);
+        settle(&mut pools, NodeId::new(0), &mut out);
+        for (i, pool) in pools.iter_mut().enumerate() {
+            let late = [
+                ConsMsg::Start { inst: 5 },
+                ConsMsg::Estimate {
+                    inst: 5,
+                    round: 3,
+                    est: Some((7, 1)),
+                },
+                ConsMsg::Propose {
+                    inst: 5,
+                    round: 4,
+                    value: 7,
+                },
+                ConsMsg::Decide { inst: 5, value: 42 },
+            ];
+            for msg in late {
+                pool.on_message(NodeId::new((i as u32 + 1) % 3), msg, &mut out);
+                let actions = out.drain();
+                assert!(actions.is_empty(), "node {i}: {actions:?}");
+                assert_eq!(pool.live_ballots(), 0, "node {i}: a ballot re-opened");
+            }
+            assert_eq!(pool.decided(5), None, "node {i}");
+        }
+    }
+
+    #[test]
+    fn forgetful_pools_on_reordering_links_decide_each_instance_once_and_keep_nothing() {
+        // Non-FIFO links with a jitter as long as a round let a member's
+        // `Start`, `Estimate` or answered `Decide` trail its own relayed
+        // decision: over these seeds some two hundred messages reach an
+        // instance their receiver has forgotten.
+        let net = repl_sim::NetworkConfig {
+            fifo_links: false,
+            ..repl_sim::NetworkConfig::lan().with_jitter(SimDuration::from_ticks(2_000))
+        };
+        for seed in 0..8 {
+            let mut world: World<ConsMsg<u64>> =
+                World::new(SimConfig::new(seed).with_network(net.clone()));
+            let group: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+            for i in 0..5u32 {
+                let mut pool = ConsensusPool::new(
+                    group[i as usize],
+                    group.to_vec(),
+                    ConsensusConfig::default(),
+                );
+                pool.forget_decided();
+                let actor = ComponentActor::new(pool).with_step(
+                    SimDuration::from_ticks(10),
+                    move |p, out| {
+                        for inst in 0..20 {
+                            p.propose(inst, 100 * inst + u64::from(i), out);
+                        }
+                    },
+                );
+                world.add_actor(Box::new(actor));
+            }
+            world.start();
+            world.run_until(SimTime::from_ticks(500_000));
+            let decisions = |n| {
+                let host = world.actor_ref::<ComponentActor<ConsensusPool<u64>>>(n);
+                let mut d: Vec<(u64, u64)> = (host.events.iter())
+                    .map(|(_, ConsEvent::Decided { inst, value })| (*inst, *value))
+                    .collect();
+                d.sort_unstable();
+                d
+            };
+            let first = decisions(group[0]);
+            assert_eq!(
+                first.iter().map(|d| d.0).collect::<Vec<_>>(),
+                (0..20).collect::<Vec<_>>(),
+                "seed {seed}: one decision per instance"
+            );
+            for &n in &group {
+                assert_eq!(decisions(n), first, "seed {seed}: agreement at {n}");
+                let pool = &world
+                    .actor_ref::<ComponentActor<ConsensusPool<u64>>>(n)
+                    .inner;
+                assert_eq!(
+                    (pool.live_ballots(), pool.decided.len()),
+                    (0, 0),
+                    "seed {seed}, {n}"
+                );
+            }
         }
     }
 
