@@ -134,11 +134,13 @@ fn ratio(cell: &str) -> f64 {
         .unwrap_or_else(|_| panic!("`{cell}` is not a ratio"))
 }
 
-/// P7's claim: under open-loop overload Semi-Passive, which decides one
-/// operation per consensus slot, queues — its mean latency at the highest
-/// offered rate is at least 5× its mean at the lowest (×36 today) — while
-/// Active, whose operations run in parallel, stays within 1.2× across the
-/// rates. The rows run from the lowest offered rate to the highest.
+/// P7's claim: under open-loop overload Semi-Passive, which decides all
+/// the operations that arrived during one consensus instance in the
+/// next, does not queue — its mean latency at the highest offered rate
+/// is at most a quarter of the 34,588 t it took while an instance decided
+/// one operation, picked lowest id first — while Active, whose
+/// operations run in parallel, stays within 1.2× across the rates. The
+/// rows run from the lowest offered rate to the highest.
 fn assert_p7_shape(table: &[Row]) {
     let means = |technique: &str| -> Vec<f64> {
         let prefix = format!("{technique} @ ");
@@ -148,10 +150,10 @@ fn assert_p7_shape(table: &[Row]) {
     };
     let semi = means("Semi-Passive");
     assert!(semi.len() >= 2, "P7 sweeps Semi-Passive over the rates");
-    let (lowest, highest) = (semi[0], semi[semi.len() - 1]);
+    let highest = semi[semi.len() - 1];
     assert!(
-        highest >= 5.0 * lowest,
-        "P7: Semi-Passive must queue under overload ({lowest}t -> {highest}t)"
+        highest <= 34_588.0 / 4.0,
+        "P7: Semi-Passive must not queue under overload ({highest}t at the highest rate)"
     );
     let active = means("Active");
     let (lo, hi) = (active.iter()).fold((f64::MAX, 0.0f64), |(lo, hi), &m| (lo.min(m), hi.max(m)));
@@ -161,11 +163,30 @@ fn assert_p7_shape(table: &[Row]) {
     );
 }
 
-/// The claims EXPERIMENTS.md makes about the shape of P7, P8, P15 and
-/// P16, read off the same rows the tables print.
+/// P2's claim: with a batch per consensus instance, Semi-Passive's
+/// closed-loop throughput at 16 clients is within 2× of Passive's (it was
+/// 2,255/s against 25,229/s while an instance decided one operation).
+fn assert_p2_shape(table: &[Row]) {
+    let at_16 = |technique: &str| -> f64 {
+        let row = (table.iter().find(|r| r.label == technique)).expect("P2 row");
+        row.get("c=16")
+            .trim_end_matches("/s")
+            .parse()
+            .expect("throughput")
+    };
+    let (semi, passive) = (at_16("Semi-Passive"), at_16("Passive"));
+    assert!(
+        2.0 * semi >= passive,
+        "P2: Semi-Passive must stay within 2x of Passive at c=16 ({semi}/s against {passive}/s)"
+    );
+}
+
+/// The claims EXPERIMENTS.md makes about the shape of P2, P7, P8, P15
+/// and P16, read off the same rows the tables print.
 #[test]
 fn study_shapes() {
     assert_p7_shape(&study("P7").table(2));
+    assert_p2_shape(&study("P2").table(2));
 
     // P8: at the highest client count every ABCAST technique, under at
     // least one ABCAST implementation, cuts coordination messages per

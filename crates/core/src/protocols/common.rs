@@ -728,6 +728,26 @@ impl ServerBase {
         expected: u32,
     ) -> (WriteSetRef, Response) {
         self.shadow.begin(txn);
+        self.run_shadow(op, expected)
+    }
+
+    /// [`ServerBase::execute_shadow`] for the next transaction of a batch:
+    /// it runs on top of the writes of every shadow execution since the
+    /// last `execute_shadow`, reading them and versioning its own after
+    /// theirs, as if they had been installed.
+    pub fn execute_shadow_after(
+        &mut self,
+        op: &ClientOp,
+        txn: TxnId,
+        expected: u32,
+    ) -> (WriteSetRef, Response) {
+        self.shadow.begin_after(txn);
+        self.run_shadow(op, expected)
+    }
+
+    /// Runs `op` in the shadow transaction just begun and interns its
+    /// writeset for `expected` consumers.
+    fn run_shadow(&mut self, op: &ClientOp, expected: u32) -> (WriteSetRef, Response) {
         let mut reads: Vec<(Key, Value)> = Vec::new();
         for (key, write) in accesses(&op.txn) {
             match write {

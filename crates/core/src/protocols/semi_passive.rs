@@ -2,30 +2,39 @@
 //!
 //! A variant of passive replication that needs no view machinery: server
 //! coordination and agreement coordination fold into a single run of
-//! *consensus with deferred initial values*. For each slot, the first-
-//! ranked server executes the pending request and proposes the resulting
-//! update; lower-ranked servers defer — they execute and propose only
+//! *consensus with deferred initial values*. Requests queue in arrival
+//! order; for each instance, the first-ranked server executes every
+//! pending request in that order, each on top of the earlier ones'
+//! writes, and proposes the resulting batch of updates; lower-ranked
+//! servers defer — they execute their own pending set and propose only
 //! after a suspicion delay, so in the failure-free case exactly one
 //! server pays the execution (like passive replication) while crashes
-//! cost only an aggressive timeout, not a view change. The deferral rank
-//! adapts to suspicions (the paper: "aggressive time-outs … to suspect
-//! crashed processes"): servers the shell's failure detector suspects no
-//! longer count ahead of this one, and a new suspicion that makes it
-//! first in line executes at once.
+//! cost only an aggressive timeout, not a view change. A batch is
+//! whatever arrived while the previous instance decided. The deferral
+//! rank adapts to suspicions (the paper: "aggressive time-outs … to
+//! suspect crashed processes"): servers the shell's failure detector
+//! suspects no longer count ahead of this one, and a new suspicion that
+//! makes it first in line executes at once.
+//!
+//! An instance is numbered by the decision-log position of its batch's
+//! first operation, and the slot cursor advances by the batch's length:
+//! the cursor is the log's length, which a joiner's snapshot, a donor's
+//! suffix and a durable restore all resume from.
 //!
 //! A writeset is copied once per hop: the executing server interns its
 //! shadow overlay's records into the payload arena
 //! ([`ServerBase::execute_shadow`](crate::protocols::common::ServerBase::execute_shadow)),
-//! and every server appends each decided slot to its decision log
+//! and every server appends each decided operation to its decision log
 //! straight from the arena view (`RedoLog::append_view`), so the log is
 //! a record column with no per-slot `WriteSet`. A run no member can
 //! replay keeps neither the log's entries nor the pool's decided values.
 //!
 //! Skeleton: `RE EX AC END`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-use repl_db::{DurableRestore, Keyspace, RedoLog, Transfer, WriteSetRef};
+use repl_db::{DurableRestore, FxHashSet, Keyspace, RedoLog, Transfer, WriteSetRef};
 use repl_gcs::{ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, Outbox};
 use repl_sim::{Message, NodeId, SimDuration};
 
@@ -34,11 +43,11 @@ use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
 use crate::protocols::replica::{Ctx, Replica, Shell, Status, Technique, Wire};
 
-/// What a deferred coordinator proposes for a slot: the operation it
-/// picked, the update its execution produced, and the client response.
+/// One operation of a proposed batch: the operation, the update its
+/// execution produced, and the client response.
 #[derive(Debug, Clone)]
-pub struct Proposal {
-    /// The chosen operation.
+pub struct Executed {
+    /// The operation.
     pub op: ClientOp,
     /// The update to install everywhere.
     pub ws: WriteSetRef,
@@ -46,9 +55,18 @@ pub struct Proposal {
     pub resp: Response,
 }
 
-impl Message for Proposal {
+/// What a coordinator proposes for an instance: its pending operations,
+/// executed in arrival order. Shared, so a consensus message clones a
+/// pointer.
+#[derive(Debug, Clone)]
+pub struct Batch(Arc<[Executed]>);
+
+impl Message for Batch {
     fn wire_size(&self) -> usize {
-        self.op.wire_size() + self.ws.wire_size() + self.resp.wire_size()
+        self.0
+            .iter()
+            .map(|e| e.op.wire_size() + e.ws.wire_size() + e.resp.wire_size())
+            .sum()
     }
 }
 
@@ -62,7 +80,7 @@ pub enum SemiPassiveMsg {
     /// Contact server → all servers (request dissemination).
     Fwd(ClientOp),
     /// Consensus traffic.
-    Cons(ConsMsg<Proposal>),
+    Cons(ConsMsg<Batch>),
 }
 
 impl Message for SemiPassiveMsg {
@@ -78,22 +96,24 @@ impl Message for SemiPassiveMsg {
 pub struct SemiPassive {
     rank: usize,
     defer: SimDuration,
-    pool: ConsensusPool<Proposal>,
+    pool: ConsensusPool<Batch>,
     /// What `pool` queued while handling one input; drained by
     /// `drive_pool`.
-    pool_out: Outbox<ConsMsg<Proposal>, ConsEvent<Proposal>>,
-    /// Operations awaiting a slot, served lowest id first. Id order lets
-    /// low-numbered zero-think clients starve the others past
-    /// `retry_after`. Arrival order ends that, but while a slot decides
-    /// one request it makes each of a batch of clients wait behind all
-    /// the others, a far worse tail; it waits for a batch per slot.
-    pending: BTreeMap<OpId, ClientOp>,
-    decided: BTreeMap<u64, Proposal>,
+    pool_out: Outbox<ConsMsg<Batch>, ConsEvent<Batch>>,
+    /// Operations awaiting an instance, in arrival order: the next batch.
+    pending: VecDeque<ClientOp>,
+    /// The ids in `pending`, the arrival dedup.
+    queued: FxHashSet<OpId>,
+    /// Decided batches by instance, until the cursor reaches them.
+    decided: BTreeMap<u64, Batch>,
+    /// The slot cursor: the decision log's length, and the number of the
+    /// next instance.
     next_slot: u64,
     /// Slot we have armed a deferral timer or proposed for.
     engaged_slot: Option<u64>,
-    /// Decided writesets in slot order (slot == log index), so live
-    /// servers can donate a catch-up suffix to a recovering peer.
+    /// Decided writesets in decision order (one entry per decided
+    /// operation), so live servers can donate a catch-up suffix to a
+    /// recovering peer.
     wal: RedoLog,
 }
 
@@ -117,7 +137,8 @@ impl SemiPassiveServer {
             defer,
             pool: ConsensusPool::new(me, group.clone(), cons),
             pool_out: Outbox::new(),
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
+            queued: FxHashSet::default(),
             decided: BTreeMap::new(),
             next_slot: 0,
             engaged_slot: None,
@@ -145,6 +166,18 @@ impl SemiPassive {
             .count()
     }
 
+    /// Queues `op` unless it is already pending.
+    fn enqueue(&mut self, op: ClientOp) {
+        if self.queued.insert(op.id) {
+            self.pending.push_back(op);
+        }
+    }
+
+    fn clear_pending(&mut self) {
+        self.pending.clear();
+        self.queued.clear();
+    }
+
     fn engage(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         if sh.catching_up() || self.pending.is_empty() || self.engaged_slot == Some(self.next_slot)
         {
@@ -161,26 +194,33 @@ impl SemiPassive {
         }
     }
 
+    /// Executes every pending operation in arrival order, each on top of
+    /// the earlier ones' writes, and proposes the batch.
     fn execute_and_propose(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
-        let Some((_, op)) = self.pending.iter().next() else {
+        if self.pending.is_empty() {
             return;
-        };
-        let op = op.clone();
-        sh.mark(ctx, Phase::Execution, op.id, 0);
-        let txn = global_txn(op.id);
-        // Every member consumes the decided slot exactly once (losing
-        // proposals leak their span, which is safe and rare).
+        }
+        // Every member consumes each decided writeset exactly once
+        // (losing proposals leak their spans, which is safe and rare).
         let members = sh.servers().len() as u32;
-        let (ws, resp) = sh.base.execute_shadow(&op, txn, members);
-        self.pool.propose(
-            self.next_slot,
-            Proposal { op, ws, resp },
-            &mut self.pool_out,
-        );
+        let batch = self.pending.iter().enumerate().map(|(i, op)| {
+            sh.mark(ctx, Phase::Execution, op.id, 0);
+            let txn = global_txn(op.id);
+            let (ws, resp) = if i == 0 {
+                sh.base.execute_shadow(op, txn, members)
+            } else {
+                sh.base.execute_shadow_after(op, txn, members)
+            };
+            let op = op.clone();
+            Executed { op, ws, resp }
+        });
+        let batch = Batch(batch.collect());
+        self.pool
+            .propose_deferred(self.next_slot, batch, &mut self.pool_out);
         self.drive_pool(sh, ctx);
     }
 
-    /// Applies what the consensus pool queued, records the slots it
+    /// Applies what the consensus pool queued, records the instances it
     /// decided and installs the decided prefix.
     fn drive_pool(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>) {
         let mut out = std::mem::take(&mut self.pool_out);
@@ -195,27 +235,34 @@ impl SemiPassive {
         );
         self.pool_out = out;
         let mut progressed = false;
-        while let Some(p) = self.decided.remove(&self.next_slot) {
+        while let Some(Batch(batch)) = self.decided.remove(&self.next_slot) {
             progressed = true;
-            self.next_slot += 1;
+            let end = self.next_slot + batch.len() as u64;
+            // Nobody numbers an instance inside a batch.
+            self.pool.skip(self.next_slot + 1..end);
+            self.next_slot = end;
             self.engaged_slot = None;
-            self.pending.remove(&p.op.id);
-            // Mirror every decision so wal index == slot, even for
-            // duplicate decision content (keeps donor watermarks exact);
-            // a forgotten log only counts it.
-            let wal = &mut self.wal;
-            sh.base.read_payload(p.ws, |_, view| wal.append_view(view));
-            if sh.already_answered(p.op.id) {
-                // Already installed (duplicate decision content, or the
-                // join donor answered it before the snapshot); this site
-                // still consumed the slot.
-                sh.base.release_payload(p.ws);
-                continue;
+            for e in batch.iter() {
+                self.queued.remove(&e.op.id);
+                // Mirror every decided operation so the log's length is
+                // the cursor, even for duplicate decision content (keeps
+                // donor watermarks exact); a forgotten log only counts it.
+                let wal = &mut self.wal;
+                sh.base.read_payload(e.ws, |_, view| wal.append_view(view));
+                if sh.already_answered(e.op.id) {
+                    // Already installed (duplicate decision content, or
+                    // the join donor answered it before the snapshot);
+                    // this site still consumed it.
+                    sh.base.release_payload(e.ws);
+                    continue;
+                }
+                sh.mark(ctx, Phase::AgreementCoordination, e.op.id, 0);
+                sh.base.install_payload(e.ws);
+                sh.base.release_payload(e.ws);
+                sh.reply(ctx, e.op.client, e.resp.clone());
             }
-            sh.mark(ctx, Phase::AgreementCoordination, p.op.id, 0);
-            sh.base.install_payload(p.ws);
-            sh.base.release_payload(p.ws);
-            sh.reply(ctx, p.op.client, p.resp);
+            let queued = &self.queued;
+            self.pending.retain(|op| queued.contains(&op.id));
         }
         if progressed {
             self.engage(sh, ctx);
@@ -255,13 +302,13 @@ impl Technique for SemiPassive {
     }
 
     fn on_invoke(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, SemiPassiveMsg>, op: ClientOp) {
-        if sh.catching_up() || self.pending.contains_key(&op.id) {
+        if sh.catching_up() || self.queued.contains(&op.id) {
             return;
         }
-        self.pending.insert(op.id, op.clone());
         for m in sh.peers() {
             ctx.send(m, Wire::Proto(SemiPassiveMsg::Fwd(op.clone())));
         }
+        self.enqueue(op);
         self.engage(sh, ctx);
     }
 
@@ -274,11 +321,8 @@ impl Technique for SemiPassive {
     ) {
         match msg {
             SemiPassiveMsg::Fwd(op) => {
-                if sh.status() == Status::Normal
-                    && !sh.already_answered(op.id)
-                    && !self.pending.contains_key(&op.id)
-                {
-                    self.pending.insert(op.id, op);
+                if sh.status() == Status::Normal && !sh.already_answered(op.id) {
+                    self.enqueue(op);
                     self.engage(sh, ctx);
                 }
             }
@@ -317,7 +361,7 @@ impl Technique for SemiPassive {
     }
 
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
-        // The store reflects slots `[0, next_slot)` exactly, so a
+        // The store reflects log entries `[0, next_slot)` exactly, so a
         // snapshot at the slot cursor hands the joiner a consistent
         // prefix; consensus refills anything beyond.
         let snapshot = Transfer::snapshot(&sh.base.store, self.next_slot);
@@ -366,7 +410,7 @@ impl Technique for SemiPassive {
 
     fn volume_lost(&mut self, _sh: &mut Shell) {
         self.wal.restart_at(0);
-        self.pending.clear();
+        self.clear_pending();
         self.decided.clear();
         self.engaged_slot = None;
         self.next_slot = 0;
@@ -388,7 +432,7 @@ impl Technique for SemiPassive {
         sh.restart_heartbeats(self, ctx);
         // Pending requests may have been decided while we were down;
         // clients re-forward anything genuinely unanswered.
-        self.pending.clear();
+        self.clear_pending();
         self.engaged_slot = None;
         if !sh.pull_state(ctx, Some(self.next_slot)) {
             self.resume_from(sh, ctx, None);
@@ -406,7 +450,7 @@ impl Technique for SemiPassive {
 mod tests {
     use super::*;
     use crate::client::ClientActor;
-    use crate::protocols::replica::tests::seat_all;
+    use crate::protocols::replica::tests::{seat_all, ScriptedPeer};
     use repl_db::{Key, Value};
     use repl_sim::{SimConfig, SimTime, World};
     use repl_workload::{OpTemplate, TxnTemplate};
@@ -570,6 +614,167 @@ mod tests {
             merged.merge(&world.actor_ref::<SemiPassiveServer>(s).shell.base.history);
         }
         assert!(merged.check_one_copy_serializable().is_ok());
+    }
+
+    /// Three servers and a scripted client at node 3 that sends, for each
+    /// `(at, server, client, txn)`, client `client`'s first op to `server`
+    /// at tick `at`.
+    fn scripted(
+        exec: ExecutionMode,
+        script: Vec<(u64, u32, u32, TxnTemplate)>,
+    ) -> World<Wire<SemiPassiveMsg>> {
+        let (mut world, _, _) = build(3, Vec::new(), exec, 5);
+        let peer = NodeId::new(3);
+        let script = script.into_iter().map(|(at, to, client, txn)| {
+            let id = OpId::compose(client, 0);
+            (
+                at,
+                NodeId::new(to),
+                Wire::Invoke(ClientOp {
+                    id,
+                    client: peer,
+                    txn,
+                }),
+            )
+        });
+        world.add_actor(Box::new(ScriptedPeer {
+            script: script.collect(),
+            got: Vec::new(),
+        }));
+        world
+    }
+
+    fn server(world: &World<Wire<SemiPassiveMsg>>, i: u32) -> &SemiPassiveServer {
+        world.actor_ref::<SemiPassiveServer>(NodeId::new(i))
+    }
+
+    /// The replies the scripted client got, with their times.
+    fn replies(world: &World<Wire<SemiPassiveMsg>>) -> Vec<(u64, Response)> {
+        let got = &world
+            .actor_ref::<ScriptedPeer<Wire<SemiPassiveMsg>>>(NodeId::new(3))
+            .got;
+        let replies = got.iter().filter_map(|(t, m)| match m {
+            Wire::Reply(r) => Some((*t, r.clone())),
+            _ => None,
+        });
+        replies.collect()
+    }
+
+    /// The ops of the batch instance `inst` decided.
+    fn batch_ops(s: &SemiPassiveServer, inst: u64) -> Vec<OpId> {
+        let batch = s.tech.pool.decided(inst).expect("decided");
+        batch.0.iter().map(|e| e.op.id).collect()
+    }
+
+    fn read_write(k: u64, v: i64) -> TxnTemplate {
+        TxnTemplate {
+            ops: vec![
+                OpTemplate::Read(Key(k)),
+                OpTemplate::Write(Key(k), Value(v)),
+            ]
+            .into(),
+        }
+    }
+
+    /// Op 1 goes alone into instance 0; ops 2 and 3 arrive while it
+    /// decides and share the next instance, numbered by the log position
+    /// of its first op.
+    fn batch_script() -> Vec<(u64, u32, u32, TxnTemplate)> {
+        vec![
+            (100, 0, 1, write(1, 1)),
+            (101, 0, 2, write(0, 5)),
+            (102, 0, 3, read_write(0, 6)),
+        ]
+    }
+
+    #[test]
+    fn a_batch_runs_each_op_on_the_earlier_ones_writes() {
+        let mut world = scripted(ExecutionMode::Deterministic, batch_script());
+        world.start();
+        world.run_until(SimTime::from_ticks(100_000));
+        let (two, three) = (OpId::compose(2, 0), OpId::compose(3, 0));
+        for i in 0..3 {
+            let s = server(&world, i);
+            assert_eq!(batch_ops(s, 0), [OpId::compose(1, 0)]);
+            assert_eq!(batch_ops(s, 1), [two, three], "one instance, arrival order");
+            assert!(
+                s.tech.pool.decided(2).is_none(),
+                "no instance inside a batch"
+            );
+            assert_eq!((s.tech.next_slot, s.tech.wal.len()), (3, 3));
+            let k0 = s.shell.base.store.read(Key(0)).expect("exists");
+            assert_eq!((k0.value, k0.version), (Value(6), 2));
+            // The log holds each op's own writeset: versions 1, then 2.
+            let k0_versions: Vec<u64> = (s.tech.wal.since(1))
+                .map(|v| {
+                    v.iter()
+                        .find(|w| w.key == Key(0))
+                        .expect("writes key 0")
+                        .version
+                })
+                .collect();
+            assert_eq!(k0_versions, [1, 2]);
+        }
+        let replies = replies(&world);
+        let of = |op| replies.iter().filter(move |(_, r)| r.op == op);
+        assert_eq!(of(three).count(), 3, "every server answers");
+        for (_, r) in of(three) {
+            assert_eq!(r.reads, [(Key(0), Value(5))], "op 3 reads op 2's write");
+        }
+    }
+
+    #[test]
+    fn a_deferred_server_takes_over_with_its_own_pending_set() {
+        // Server 0 is down from the start: server 1 (rank 1) executes
+        // the two ops it queued, non-deterministically, so the store
+        // shows whose execution the group installed.
+        let script = vec![(100, 1, 1, write(0, 1)), (101, 1, 2, write(1, 2))];
+        let mut world = scripted(ExecutionMode::NonDeterministic, script);
+        world.schedule_crash(SimTime::ZERO, NodeId::new(0));
+        world.start();
+        world.run_until(SimTime::from_ticks(200_000));
+        for i in [1, 2] {
+            let s = server(&world, i);
+            assert_eq!(batch_ops(s, 0), [OpId::compose(1, 0), OpId::compose(2, 0)]);
+            assert!(
+                s.tech.pending.is_empty() && s.tech.queued.is_empty(),
+                "site {i}"
+            );
+            let store = &s.shell.base.store;
+            assert_eq!(store.read(Key(0)).expect("exists").value, Value(1_001));
+            assert_eq!(store.read(Key(1)).expect("exists").value, Value(2_001));
+        }
+        assert_eq!(
+            replies(&world).len(),
+            4,
+            "both live servers answer both ops"
+        );
+    }
+
+    #[test]
+    fn a_retry_of_a_batched_op_is_not_executed_again() {
+        // Ops 2 and 3 are retried at other servers once their batch has
+        // decided: each is answered from the client table.
+        let mut script = batch_script();
+        script.extend([(5_000, 1, 2, write(0, 5)), (5_000, 2, 3, read_write(0, 6))]);
+        let mut world = scripted(ExecutionMode::Deterministic, script);
+        world.start();
+        world.run_until(SimTime::from_ticks(100_000));
+        for i in 0..3 {
+            let s = server(&world, i);
+            assert_eq!(s.shell.base.committed, 3, "site {i}");
+            assert_eq!((s.tech.next_slot, s.tech.wal.len()), (3, 3));
+            assert!(s.tech.pending.is_empty());
+        }
+        let replies = replies(&world);
+        let (first, again): (Vec<_>, Vec<_>) = replies.iter().partition(|(t, _)| *t < 5_000);
+        assert_eq!((first.len(), again.len()), (9, 2));
+        for (_, r) in again {
+            assert!(
+                first.iter().any(|(_, f)| f == r),
+                "the recorded reply: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl RunConfig {
     }
 
     /// The client retry timeout the run uses: the one set, else one tuned
-    /// to the network — 25,000 ticks, or 100 worst-case one-way delays
+    /// to the network — 25,000 ticks, or 13 worst-case one-way delays
     /// where that is longer (a WAN), so a reply still on its way is not
     /// re-requested.
     pub fn retry_after(&self) -> SimDuration {
@@ -348,12 +348,11 @@ pub(crate) fn tuned_join_retry(net: &NetworkConfig) -> SimDuration {
 
 /// Client retry timeout scaled to the network (see
 /// [`RunConfig::retry_after`]); exactly 25,000 ticks on a LAN. The factor
-/// is large because Semi-Passive serves its pending operations in id
-/// order: on a WAN a higher-numbered client's operation can wait out
-/// dozens of one-way delays behind the others' (75 to 80 in the WAN
-/// probe of `tests/network_profiles.rs`).
+/// is twice the longest wait of the WAN probe in
+/// `tests/network_profiles.rs`, 6.05 one-way delays (a Semi-Passive
+/// operation that arrives while an instance decides waits for the next).
 fn tuned_retry(net: &NetworkConfig) -> SimDuration {
-    SimDuration::from_ticks((100 * max_delay(net)).max(25_000))
+    SimDuration::from_ticks((13 * max_delay(net)).max(25_000))
 }
 
 /// Semi-passive deferral step scaled to the network.

@@ -21,15 +21,13 @@ use repl_core::{run, RunConfig, RunReport, Technique};
 use repl_sim::{NodeId, SimDuration, SimTime};
 use repl_workload::{FaultPlan, WorkloadSpec};
 
-/// Two zero-think clients, 200 transactions each: back-to-back operations
-/// for longer than `retry_after`, so a timer that outlived its operation
-/// would fire during a later one. (Not more clients: semi-passive
-/// replication serves its pending operations in id order, so two
-/// zero-think clients starve every higher-numbered one past `retry_after`
-/// — a fairness defect, and those retries are legitimate.)
+/// Four zero-think clients, 200 transactions each: back-to-back
+/// operations for longer than `retry_after`, so a timer that outlived its
+/// operation would fire during a later one, and every server a contact
+/// for more than one client.
 fn busy(technique: Technique) -> RunConfig {
     RunConfig::new(technique)
-        .with_clients(2)
+        .with_clients(4)
         .with_seed(7)
         .with_workload(
             WorkloadSpec::default()
@@ -44,7 +42,7 @@ fn busy(technique: Technique) -> RunConfig {
 fn fault_free_closed_loop_never_retries() {
     let flat = Technique::ALL.map(|t| (t, busy(t).with_servers(3)));
     // Four groups of three, a fifth of the transactions cross-shard.
-    let mut sharded = busy(Technique::Active).with_clients(8);
+    let mut sharded = busy(Technique::Active).with_clients(16);
     sharded.workload = sharded.workload.with_shards(4).with_cross_shard_ratio(0.2);
     for (technique, cfg) in flat.into_iter().chain([(Technique::Active, sharded)]) {
         let shards = cfg.workload.shards;

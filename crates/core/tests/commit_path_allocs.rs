@@ -245,7 +245,13 @@ struct Guard {
 /// (measured since: 1,220.8 bytes). For Semi-Passive it is the commit
 /// before consensus dropped decided ballots, when every member kept each
 /// instance's estimates, proposal and acks for the rest of the run
-/// (measured since: 898.6 bytes). For the two Passive cells it is the
+/// (measured since: 898.6 bytes, then 319.3 while an instance decided one
+/// operation). Once it decided a batch, identical runs read 0.016 to
+/// 0.456 bytes, in steps of 1,056 bytes over the 12,000 extra
+/// transactions, as the other open-loop cells' readings also wander (by
+/// less); the share is twice the largest reading, and a pool whose
+/// forgotten instances fragment into a run per instance reads 9.7. For
+/// the two Passive cells it is the
 /// commit before the site logs of the history and VSCAST's flush buffer
 /// were stored as dense columns, when a recorded access took 40 bytes
 /// and a received update a B-tree entry (measured since: 199.4 and
@@ -253,8 +259,9 @@ struct Guard {
 /// cells it is the commit before a run that cannot replay stopped keeping
 /// decision-log entries and, under Semi-Passive, the consensus pool's
 /// decided proposals (1,358.8 and 956.4 bytes; measured since: 598.4
-/// each, the history's records and the client table), and the share is
-/// that measurement plus 10 %.
+/// each, the history's records and the client table, and 584.8 under
+/// Semi-Passive once an instance decided a batch), and the share is that
+/// measurement plus 10 %.
 struct Heap {
     parent: f64,
     share: f64,
@@ -278,7 +285,10 @@ struct Heap {
 // lists and the 2PC coordinator counted votes inside the recycled
 // cohort list, plus 10 %: Eager Primary Copy 0.0031 (from 10.949, its
 // grant, wound and vote lists) and Eager UE (Locking) 0.061 (from
-// 1.685, the same lists and each site's first lock on each key). Every
+// 1.685, the same lists and each site's first lock on each key). The
+// two Semi-Passive cells were re-set once an instance decided a batch of
+// operations, shared by every consensus message, plus 10 %: lean 2.39
+// (from 8.168) and hot-key 0.069 (from 0.333). Every
 // budget is also at most half its `parent`, the value before the
 // guarded change. What remains is data: the returned reads per
 // executing replica, the arena spans and log columns the writesets are
@@ -324,11 +334,11 @@ const GUARDS: [Guard; 11] = [
     },
     Guard {
         label: "Semi-Passive / 3 lean replicas",
-        parent: 29.132,
-        budget: 9.54,
+        parent: 8.168,
+        budget: 2.39,
         heap: Some(Heap {
             parent: 2580.2,
-            share: 0.4,
+            share: 0.0004,
         }),
         cell: |t| open_cell(Technique::SemiPassive, t),
     },
@@ -368,11 +378,11 @@ const GUARDS: [Guard; 11] = [
     },
     Guard {
         label: "Semi-Passive / 3 replicas, hot keys",
-        parent: 6.834,
-        budget: 0.92,
+        parent: 0.333,
+        budget: 0.069,
         heap: Some(Heap {
             parent: 1358.8,
-            share: 0.485,
+            share: 0.474,
         }),
         cell: |t| hot_cell(Technique::SemiPassive, t),
     },

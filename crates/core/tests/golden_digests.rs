@@ -27,8 +27,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("p1/Passive/seed=8675309", 0xa976d3d809960ee8, 0x31cb16d2f93ed047),
     ("p1/Semi-Active/seed=11", 0x6ada1c57fa9511eb, 0xa8a12cf60e225598),
     ("p1/Semi-Active/seed=8675309", 0xa87a57fb7df47cf2, 0xa55c7c84085ef463),
-    ("p1/Semi-Passive/seed=11", 0x3981f7dba129d6c3, 0x9d5c08c68c720f46),
-    ("p1/Semi-Passive/seed=8675309", 0xc434ade01030f307, 0xfd9addc0feaa2fe5),
+    ("p1/Semi-Passive/seed=11", 0xd1a918d3de0ab5e2, 0xe40cc7a029a7883d),
+    ("p1/Semi-Passive/seed=8675309", 0x711302e09aee4dd2, 0x766893816b85b994),
     ("p1/Eager Primary Copy/seed=11", 0xa3e93bfc9f4ed59c, 0xd4be1844a74094f7),
     ("p1/Eager Primary Copy/seed=8675309", 0x2a503f0c08e4b1a2, 0x10ece1ee97ab6e91),
     ("p1/Eager UE (Distributed Locking)/seed=11", 0x18f6f7fe78b4ed6c, 0x75c13defc84ab66e),
@@ -57,9 +57,9 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("outage/Semi-Active", 0x063ee33890522e26, 0x79ea11ebc5c48c2e),
     ("disaster/Semi-Active", 0xa4259735f4676255, 0xfd578e8f51bff864),
     ("elastic/Semi-Active", 0x526121fc1b121eeb, 0x90ff5d323b24fa86),
-    ("outage/Semi-Passive", 0x5a9786e992783394, 0xa536e779539faf7b),
-    ("disaster/Semi-Passive", 0xb60c8a677d62ea8d, 0xefce580cf6e0e4c2),
-    ("elastic/Semi-Passive", 0xad29449ceda78c6f, 0x5c5492b00fa2c693),
+    ("outage/Semi-Passive", 0x805e8e55837eda63, 0xe303470c9cc030a1),
+    ("disaster/Semi-Passive", 0xf39871732cc1f3d0, 0x08c9daad7ff9a0de),
+    ("elastic/Semi-Passive", 0xdd4034cbca6efa41, 0x789b8d80e99d361a),
     ("outage/Eager Primary Copy", 0x93cd444577349c03, 0xd682babe0ff3affb),
     ("disaster/Eager Primary Copy", 0xdcf6e85b5cd9ff8f, 0x4e96a029865052bc),
     ("elastic/Eager Primary Copy", 0x0c57deb7d83ae3fe, 0x3d14ba303b145167),
@@ -87,7 +87,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("open/Active", 0xdf2a1f098847a005, 0x26d774c013f39c7b),
     ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
     ("shard4/outage/ret=1/Passive", 0x58bf11b58cca3685, 0xb4aa1c7ee02ac057),
-    ("shard4/outage/ret=1/Semi-Passive", 0x6ff3c962e9d097c4, 0xafee5e1c1faf02d0),
+    ("shard4/outage/ret=1/Semi-Passive", 0x6cf64b7f774a8854, 0xdf372cc76d27bdfd),
     ("shard4/outage/ret=1/Eager Primary Copy", 0x19b002548e327e26, 0x6baff43b71ab7d58),
     ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
     ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0xffb44cd910cbe2e3, 0xc9486f1a7c11685c),

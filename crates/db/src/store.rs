@@ -305,6 +305,9 @@ impl Store {
 /// [`ShadowStore::view`] lends out as the writeset to ship. One shadow
 /// serves transaction after transaction: [`ShadowStore::begin`] clears
 /// it and keeps the capacity, so a warm shadow allocates nothing.
+/// [`ShadowStore::begin_after`] instead starts the next transaction of a
+/// batch on top of the earlier ones' writes, as if they had committed:
+/// it reads them and versions its own writes after theirs.
 ///
 /// # Examples
 ///
@@ -324,6 +327,9 @@ pub struct ShadowStore {
     txn: TxnId,
     /// Buffered after-images, ascending by key.
     writes: Vec<WriteRecord>,
+    /// The batch's earlier transactions' latest versions, ascending by
+    /// key: a layer between the overlay and the base store.
+    below: Vec<(Key, Versioned)>,
     read_versions: Vec<(Key, u64)>,
 }
 
@@ -340,20 +346,47 @@ impl ShadowStore {
         ShadowStore {
             txn: TxnId::new(0, 0),
             writes: Vec::new(),
+            below: Vec::new(),
             read_versions: Vec::new(),
         }
     }
 
     /// Starts `txn` in this shadow, forgetting the previous
-    /// transaction's reads and writes (the buffers keep their capacity).
+    /// transactions' reads and writes (the buffers keep their capacity).
     pub fn begin(&mut self, txn: TxnId) {
+        self.writes.clear();
+        self.below.clear();
+        self.begin_after(txn);
+    }
+
+    /// Starts `txn` on top of the previous transaction's writes and the
+    /// ones it was itself started on, which it reads in place of `base`'s.
+    pub fn begin_after(&mut self, txn: TxnId) {
+        for w in &self.writes {
+            let v = Versioned {
+                value: w.value,
+                version: w.version,
+                writer: Some(self.txn),
+            };
+            match self.below.binary_search_by_key(&w.key, |b| b.0) {
+                Ok(at) => self.below[at].1 = v,
+                Err(at) => self.below.insert(at, (w.key, v)),
+            }
+        }
         self.txn = txn;
         self.writes.clear();
         self.read_versions.clear();
     }
 
-    /// Reads through the overlay to `base`, recording the version seen
-    /// for the transaction's read set.
+    /// The latest version of `key` an earlier transaction of the batch
+    /// wrote, if any.
+    fn batch(&self, key: Key) -> Option<Versioned> {
+        let at = self.below.binary_search_by_key(&key, |b| b.0).ok()?;
+        Some(self.below[at].1)
+    }
+
+    /// Reads through the overlay and the batch to `base`, recording the
+    /// version seen there for the transaction's read set.
     pub fn read(&mut self, base: &Store, key: Key) -> Option<Versioned> {
         if let Ok(at) = self.writes.binary_search_by_key(&key, |w| w.key) {
             let w = self.writes[at];
@@ -363,17 +396,21 @@ impl ShadowStore {
                 writer: Some(self.txn),
             });
         }
+        if let Some(v) = self.batch(key) {
+            return Some(v);
+        }
         let v = base.read(key)?;
         self.read_versions.push((key, v.version));
         Some(v)
     }
 
-    /// Buffers a write over `base` in the overlay.
+    /// Buffers a write over the batch and `base` in the overlay.
     pub fn write(&mut self, base: &Store, key: Key, value: Value) {
+        let prior = self.batch(key).or_else(|| base.read(key));
         let w = WriteRecord {
             key,
             value,
-            version: base.read(key).map_or(0, |v| v.version) + 1,
+            version: prior.map_or(0, |v| v.version) + 1,
         };
         match self.writes.binary_search_by_key(&key, |w| w.key) {
             Ok(at) => self.writes[at] = w,
@@ -556,6 +593,37 @@ mod more_tests {
         sh.begin(TxnId::new(3, 0));
         assert!(sh.view().is_empty() && sh.read_set().is_empty());
         assert_eq!(sh.view().txn, TxnId::new(3, 0));
+    }
+
+    #[test]
+    fn a_batched_shadow_transaction_reads_and_versions_after_the_earlier_ones() {
+        let mut base = Store::with_items(2, Value(0));
+        base.write(Key(0), Value(1), TxnId::new(1, 0)); // version 1
+        let (t2, t3, t4) = (TxnId::new(2, 0), TxnId::new(3, 0), TxnId::new(4, 0));
+        let mut sh = ShadowStore::new();
+        sh.begin(t2);
+        sh.write(&base, Key(0), Value(2));
+        sh.begin_after(t3);
+        let seen = sh.read(&base, Key(0)).expect("exists");
+        assert_eq!(
+            (seen.value, seen.version, seen.writer),
+            (Value(2), 2, Some(t2))
+        );
+        assert!(sh.read_set().is_empty(), "not a read of the base store");
+        sh.write(&base, Key(0), Value(3));
+        sh.write(&base, Key(1), Value(3));
+        let versions: Vec<(u64, u64)> = sh.view().iter().map(|w| (w.key.0, w.version)).collect();
+        assert_eq!(
+            versions,
+            vec![(0, 3), (1, 1)],
+            "only t3's writes, after t2's"
+        );
+        sh.begin_after(t4);
+        assert_eq!(sh.read(&base, Key(1)).expect("exists").writer, Some(t3));
+        // A fresh transaction sees the base store again.
+        sh.begin(t4);
+        assert_eq!(sh.read(&base, Key(0)).expect("exists").value, Value(1));
+        assert_eq!(sh.read_set(), &[(Key(0), 1)]);
     }
 
     #[test]

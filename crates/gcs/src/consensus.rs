@@ -234,6 +234,17 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         self.forgotten.get_or_insert_with(RunSet::new);
     }
 
+    /// Declares that no member will ever run instances `ids` (a caller
+    /// whose instance ids jump); a forgetful pool files them among the
+    /// forgotten, so that set stays one run.
+    pub fn skip(&mut self, ids: std::ops::Range<u64>) {
+        if let Some(forgotten) = &mut self.forgotten {
+            for inst in ids {
+                forgotten.insert((), inst);
+            }
+        }
+    }
+
     /// Replaces the participant group (elastic membership). Unlike
     /// [`ConsensusPool::new`] the local process need not belong to the
     /// new group: a decommissioned node keeps relaying decisions for
@@ -325,6 +336,31 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         }
     }
 
+    /// [`ConsensusPool::propose`] for consensus with deferred initial
+    /// values (paper §3.5), where nobody holds a value until round 0's
+    /// coordinator computes one: if that is this member and it has not
+    /// proposed yet, it proposes `v` in round 0 at once — no earlier round
+    /// exists, so any value is safe there — and skips the round trip that
+    /// gathers estimates. Any other member proposes as usual.
+    pub fn propose_deferred(
+        &mut self,
+        inst: u64,
+        v: V,
+        out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>,
+    ) {
+        assert!(inst < MAX_INST, "consensus instance id too large");
+        let (leads, timeout) = (self.coord(0) == self.me, self.config.round_timeout);
+        let Some(b) = (self.ballot(inst)).filter(|b| leads && b.round == 0 && b.proposal.is_none())
+        else {
+            return self.propose(inst, v, out);
+        };
+        if !std::mem::replace(&mut b.entered, true) {
+            out.timer(timeout, Self::tag(inst, 0));
+        }
+        b.est.get_or_insert_with(|| (v.clone(), 0));
+        self.send_proposal(inst, 0, v, out);
+    }
+
     fn enter_round(&mut self, inst: u64, round: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
         assert!(round < MAX_ROUND, "consensus round overflow");
         let coord = self.coord(round);
@@ -374,7 +410,18 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
             return;
         };
         let value = value.clone();
-        b.acks.clear();
+        self.send_proposal(inst, round, value, out);
+    }
+
+    /// Sends `value` to the group as round `round`'s proposal for `inst`
+    /// and awaits its acks.
+    fn send_proposal(
+        &mut self,
+        inst: u64,
+        round: u64,
+        value: V,
+        out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>,
+    ) {
         for &m in &self.group {
             out.send(
                 m,
@@ -385,6 +432,8 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
                 },
             );
         }
+        let b = self.live.get_mut(&inst).expect("a live ballot");
+        b.acks.clear();
         b.proposal = Some((round, value));
     }
 

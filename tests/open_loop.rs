@@ -66,11 +66,16 @@ fn saturation_raises_latency_for_pipeline_bound_techniques() {
             .expect("the open loop streams latencies");
         hist.mean().ticks()
     };
+    // Semi-passive runs one consensus instance at a time, so under
+    // overload a request that arrives while an instance decides waits for
+    // the next one. It does not queue behind every earlier arrival: the
+    // next instance decides all of them as one batch.
     let light = lat(5_000);
     let heavy = lat(100);
     assert!(
-        heavy > 2 * light,
-        "semi-passive should queue under open-loop overload (light={light}, heavy={heavy})"
+        light < heavy && heavy < 2 * light,
+        "semi-passive should wait out one instance under open-loop overload, \
+         not queue (light={light}, heavy={heavy})"
     );
 }
 
