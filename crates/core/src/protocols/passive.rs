@@ -12,7 +12,6 @@
 //! (and the retry re-executes at the new primary) — never half.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use repl_db::{Keyspace, Transfer, WriteSetRef};
 use repl_gcs::{Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
@@ -31,9 +30,8 @@ pub struct Update {
     /// The redo records to install.
     pub ws: WriteSetRef,
     /// The response the primary computed (recorded by backups so a new
-    /// primary can answer retries after failover). `Arc`-shared so the
-    /// per-backup VSCAST clones stay allocation-free.
-    pub resp: Arc<Response>,
+    /// primary can answer retries after failover).
+    pub resp: Response,
 }
 
 impl Message for Update {
@@ -201,10 +199,13 @@ impl Passive {
             .execute_to_ship(&op, global_txn(op.id), backups.len() as u32);
         sh.answer(&resp);
         ctx.mark(Phase::AgreementCoordination.tag(), op.id.0, 0);
+        // A lean backup records no reply: ship it the verdict alone.
+        let lean = sh.base.lean();
+        let reads = if lean { Vec::new() } else { resp.reads.clone() };
         let update = Update {
             op: op.id,
             ws,
-            resp: Arc::new(resp.clone()),
+            resp: Response { reads, ..resp },
         };
         self.vg.broadcast(update, &mut self.vg_out);
         self.drive(sh, ctx);
@@ -225,8 +226,9 @@ impl Passive {
 
     /// A committed-state snapshot for a recovering or joining peer:
     /// backups hold no redo log to cut a suffix from, and the join view's
-    /// flush exchange covers in-flight updates.
-    fn snapshot(sh: &Shell) -> Transfer {
+    /// flush exchange covers later updates (the view group holds them).
+    fn snapshot(&mut self, sh: &Shell) -> Transfer {
+        self.vg.hold();
         sh.base.committed_snapshot(0)
     }
 
@@ -296,7 +298,7 @@ impl Technique for Passive {
     }
 
     fn welcome_state(&mut self, sh: &mut Shell, _joiner: NodeId) -> (Option<Transfer>, u64, u64) {
-        (Some(Self::snapshot(sh)), 0, 0)
+        (Some(self.snapshot(sh)), 0, 0)
     }
 
     fn welcomed(
@@ -316,7 +318,7 @@ impl Technique for Passive {
     /// Only a member of the installed view donates: outside it (excluded,
     /// or readmission still pending) this store misses whole views.
     fn donate(&mut self, sh: &mut Shell, _to: NodeId, _have: u64) -> Option<Transfer> {
-        (!self.vg.is_excluded() && !self.vg.is_joining()).then(|| Self::snapshot(sh))
+        (!self.vg.is_excluded() && !self.vg.is_joining()).then(|| self.snapshot(sh))
     }
 
     /// Every update this node originated as primary has been acknowledged

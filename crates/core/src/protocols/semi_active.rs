@@ -77,7 +77,8 @@ pub struct SemiActive {
     /// Ordered-but-not-yet-applied operations, by global sequence.
     waiting: BTreeMap<u64, ClientOp>,
     next_apply: u64,
-    choices: HashMap<OpId, Vec<(Key, Value)>>,
+    /// Delivered choices not yet applied, each with its VSCAST stream.
+    choices: HashMap<OpId, (u64, NodeId, Choice)>,
     /// Operations whose choice this server broadcast as leader, until
     /// they apply (or a new view re-issues what is stuck).
     issued: HashSet<OpId>,
@@ -164,8 +165,14 @@ impl SemiActive {
 
     fn on_vs_event(&mut self, ev: VsEvent<Choice>) {
         match ev {
-            VsEvent::Deliver { payload, .. } => {
-                self.choices.entry(payload.op).or_insert(payload.writes);
+            VsEvent::Deliver {
+                view,
+                from,
+                payload,
+            } => {
+                self.choices
+                    .entry(payload.op)
+                    .or_insert((view, from, payload));
             }
             VsEvent::ViewInstalled(_) => {
                 // A new leader re-issues choices for everything stuck.
@@ -209,7 +216,11 @@ impl SemiActive {
             };
             sh.mark(ctx, phase, op.id, 0);
             // The leader's choice overrides local non-determinism.
-            let chosen = self.choices.remove(&op.id).unwrap_or_default();
+            let choice = self.choices.remove(&op.id);
+            if let Some(&(view, from, _)) = choice.as_ref() {
+                self.vg.release(view, from);
+            }
+            let chosen = choice.map(|c| c.2.writes).unwrap_or_default();
             self.issued.remove(&op.id);
             let resp = sh.base.execute_chosen(&op, global_txn(op.id), &chosen);
             sh.reply(ctx, op.client, resp);
@@ -217,10 +228,11 @@ impl SemiActive {
     }
 
     /// A snapshot of applied state only, stamped with the applied
-    /// watermark: waiting operations lack leader choices, and missed
-    /// choices cannot be replayed, so a gap is covered by state, not
-    /// re-execution.
-    fn snapshot(&self, sh: &Shell) -> Transfer {
+    /// watermark: waiting operations lack leader choices, which the view
+    /// group holds for the join view's flush, and missed choices cannot be
+    /// replayed, so a gap is covered by state, not re-execution.
+    fn snapshot(&mut self, sh: &Shell) -> Transfer {
+        self.vg.hold();
         sh.base.committed_snapshot(self.next_apply)
     }
 
@@ -295,6 +307,7 @@ impl Technique for SemiActive {
             // A cold joiner's view endpoint boots in join mode.
             self.vg = ViewGroup::join(sh.me(), sh.remaining(), self.vs);
         }
+        self.vg.defer_marks();
         repl_gcs::Component::on_start(&mut self.vg, &mut self.vg_out);
         self.drive_vs(sh, ctx);
     }

@@ -16,8 +16,9 @@
 //! * **Byte-identity** — an empty membership plan changes nothing: the
 //!   run digest and trace hash match a plan-free configuration exactly.
 
+use repl_core::protocols::common::ExecutionMode;
 use repl_core::{run, Guarantee, Propagation, RunConfig, Technique};
-use repl_sim::{NodeId, SimDuration, SimTime};
+use repl_sim::{NetworkConfig, NodeId, SimDuration, SimTime};
 use repl_workload::{FaultPlan, MembershipPlan, WorkloadSpec};
 
 const SERVERS: u32 = 3;
@@ -160,6 +161,49 @@ fn every_technique_survives_a_grow_shrink_cycle() {
             "{technique}: fingerprint set should be the 3 undrained replicas"
         );
         assert_converged(technique, &report);
+    }
+}
+
+/// The donor-cut floor. Updates flow with no think time while a cold
+/// site joins over 300-tick links: the join's round trips outlast a
+/// heartbeat round, so the updates its donor delivers after cutting the
+/// snapshot become stable (every incumbent has delivered them) before
+/// the join view installs, and the keyspace is wide enough that no later
+/// update overwrites one the joiner missed. The donor forgets nothing
+/// more until that view, whose flush therefore still ships them, and the
+/// joiner converges: under Passive (updates over VSCAST) and under
+/// Semi-Active with non-deterministic execution (leader choices over
+/// VSCAST).
+#[test]
+fn a_joiner_gets_what_became_stable_after_its_donor_cut() {
+    let slow = NetworkConfig::lan().with_base_latency(SimDuration::from_ticks(300));
+    for (technique, exec) in [
+        (Technique::Passive, ExecutionMode::Deterministic),
+        (Technique::SemiActive, ExecutionMode::NonDeterministic),
+    ] {
+        for seed in 0..8 {
+            let cfg = elastic_cfg(technique, seed, single_join())
+                .with_exec(exec)
+                .with_network(slow.clone())
+                .with_workload(
+                    WorkloadSpec::default()
+                        .with_items(1 << 16)
+                        .with_read_ratio(0.0)
+                        .with_txns_per_client(150)
+                        .with_think_time(SimDuration::ZERO),
+                );
+            let report = run(&cfg);
+            assert_eq!(
+                report.ops_unanswered, 0,
+                "{technique}, seed {seed}: clients left unanswered"
+            );
+            assert_eq!(
+                report.fingerprints.len(),
+                SERVERS as usize + 1,
+                "{technique}, seed {seed}: joiner missing from the fingerprint set"
+            );
+            assert_converged(technique, &report);
+        }
     }
 }
 

@@ -23,8 +23,8 @@ use repl_workload::{ArrivalDist, FaultPlan, MembershipPlan, WorkloadSpec};
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("p1/Active/seed=11", 0x704eec45dceb1f1c, 0x37da9284ce3dc92e),
     ("p1/Active/seed=8675309", 0xfb763ead40a1f987, 0x99f6a3caa2580b93),
-    ("p1/Passive/seed=11", 0x47d3ffb9693de183, 0x7f7bef35a0c56699),
-    ("p1/Passive/seed=8675309", 0xa976d3d809960ee8, 0x31cb16d2f93ed047),
+    ("p1/Passive/seed=11", 0xf29100079e8346e7, 0xe2558bc95055dc31),
+    ("p1/Passive/seed=8675309", 0xaeb55b3e90fdbb8f, 0xf0ff708dee65ec97),
     ("p1/Semi-Active/seed=11", 0x6ada1c57fa9511eb, 0xa8a12cf60e225598),
     ("p1/Semi-Active/seed=8675309", 0xa87a57fb7df47cf2, 0xa55c7c84085ef463),
     ("p1/Semi-Passive/seed=11", 0xd1a918d3de0ab5e2, 0xe40cc7a029a7883d),
@@ -51,9 +51,9 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("outage/Active", 0x19aaa02a3d3a7117, 0x0c39f0b921412624),
     ("disaster/Active", 0x30afe2b7311e90cd, 0xf416352edffce55b),
     ("elastic/Active", 0x310debcccf91906d, 0x0f485d923312c61d),
-    ("outage/Passive", 0x3ea8f5c4acdb8f0b, 0x1e5a539fb3d10514),
-    ("disaster/Passive", 0xc1fce2b139469171, 0x9ec208382fe31cf3),
-    ("elastic/Passive", 0x3dc91ef3635df8f6, 0xddc0e018768797cb),
+    ("outage/Passive", 0x87733aa0e22b679f, 0xa3a9c75d6a9db678),
+    ("disaster/Passive", 0x85bf0951d229d61e, 0x640af05520dfaef1),
+    ("elastic/Passive", 0x4eb1132f90fef53f, 0xf40bb4b83f9a7625),
     ("outage/Semi-Active", 0x063ee33890522e26, 0x79ea11ebc5c48c2e),
     ("disaster/Semi-Active", 0xa4259735f4676255, 0xfd578e8f51bff864),
     ("elastic/Semi-Active", 0x526121fc1b121eeb, 0x90ff5d323b24fa86),
@@ -82,16 +82,16 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("shard4/Active/x=20%", 0x621085459269c181, 0xbcb7e26fd963d25a),
     ("shard4/Eager UE (ABCAST)/x=20%", 0xfbf139760a857f23, 0xe2bd53b8b9df1a09),
     ("shard4/Eager UE (Distributed Locking)/x=20%", 0x8f23be7f32e26762, 0x56a84e271b8130d4),
-    ("shard4/Passive/x=0%", 0x8b04d3fe40a3347e, 0xad54569de18f4895),
+    ("shard4/Passive/x=0%", 0xd7e02a5f235a076a, 0x8c9a9d3a11254b15),
     ("shard4/Certification Based/x=0%", 0xa462a3c1de302fdc, 0xbe7f8ede14b63f9c),
     ("open/Active", 0xdf2a1f098847a005, 0x26d774c013f39c7b),
     ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
-    ("shard4/outage/ret=1/Passive", 0x58bf11b58cca3685, 0xb4aa1c7ee02ac057),
+    ("shard4/outage/ret=1/Passive", 0x2680913e5f400a1d, 0xc091b2e1b1a0c63d),
     ("shard4/outage/ret=1/Semi-Passive", 0x6cf64b7f774a8854, 0xdf372cc76d27bdfd),
     ("shard4/outage/ret=1/Eager Primary Copy", 0x19b002548e327e26, 0x6baff43b71ab7d58),
     ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
     ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0xffb44cd910cbe2e3, 0xc9486f1a7c11685c),
-    ("shard4/disaster/Passive", 0xe19a700c1556632d, 0xd26cf90587767f5a),
+    ("shard4/disaster/Passive", 0x2abe3ab796166aa9, 0xb0ee83cc3173de35),
     ("shard4/disaster/Certification Based", 0x2ffe4e4ec493c802, 0x28e1306993222f84),
 ];
 

@@ -48,4 +48,4 @@ pub use gmcast::GenuineMulticast;
 pub use ordered::{AbMsg, AbOutbox, TotalOrder};
 pub use receiver::MsgId;
 pub use runset::RunSet;
-pub use vscast::{View, ViewGroup, VsConfig, VsEvent, VsMsg};
+pub use vscast::{Marks, View, ViewGroup, VsConfig, VsEvent, VsMsg};

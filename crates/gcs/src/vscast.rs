@@ -16,9 +16,11 @@
 //!    members exchange everything they received in the dying view and
 //!    deliver the union before installing.
 //!
-//! What a member received in the current view is one dense column per
-//! `(view, origin)` stream, indexed by seq, `None` in a hole; the flush
-//! and the install-time union walk them in `(view, origin, seq)` order.
+//! A member holds the unstable suffix of each `(view, origin)` stream of
+//! the current view: heartbeats carry how far each member has delivered
+//! every other origin's stream, what every member delivered no survivor
+//! can lack, and the flush and the install-time union walk only the
+//! suffixes, in `(view, origin, seq)` order.
 //!
 //! A recovered (or falsely excluded) member rejoins through
 //! [`ViewGroup::rejoin`]: it asks the group for readmission, the members
@@ -34,7 +36,8 @@
 //! consensus runs over the initial group — the primary-partition
 //! assumption).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use repl_sim::{Message, NodeId, SimDuration};
 
@@ -77,18 +80,30 @@ impl Message for Membership {
 /// A flush entry: data received in a view, keyed `(view, origin, seq)`.
 type FlushEntry<P> = (u64, NodeId, u64, P);
 
-/// Data received in a view: one dense column per `(view, origin)`
-/// stream, indexed by seq, `None` in a hole (a seq not received).
-type Received<P> = BTreeMap<(u64, NodeId), Vec<Option<P>>>;
+/// One `(view, origin)` stream: its base seq and the slots from there,
+/// `None` in a hole; every seq below the base was delivered by every member.
+type Column<P> = (u64, VecDeque<Option<P>>);
 
-/// The slot of `(view, origin, seq)` in `received`, opening it if new.
-fn slot<P>(received: &mut Received<P>, view: u64, origin: NodeId, seq: u64) -> &mut Option<P> {
-    let column = received.entry((view, origin)).or_default();
-    let seq = usize::try_from(seq).expect("a stream's seqs are addressable");
-    if column.len() <= seq {
-        column.resize_with(seq + 1, || None);
+/// Data received in a view: the unstable suffix of each stream.
+type Received<P> = BTreeMap<(u64, NodeId), Column<P>>;
+
+/// The slot of `(view, origin, seq)` in `rx`, opening it if new; `None`
+/// below the stream's base (delivered by every member).
+fn slot<P>(rx: &mut Received<P>, view: u64, origin: NodeId, seq: u64) -> Option<&mut Option<P>> {
+    let (base, slots) = rx.entry((view, origin)).or_default();
+    let at = usize::try_from(seq.checked_sub(*base)?).expect("addressable seq");
+    if slots.len() <= at {
+        slots.resize_with(at + 1, || None);
     }
-    &mut column[seq]
+    Some(&mut slots[at])
+}
+
+/// How far a member has delivered each other origin's stream of `view`,
+/// as `(origin, count)` pairs.
+#[derive(Debug, Clone, Default)]
+pub struct Marks {
+    view: u64,
+    delivered: Vec<(NodeId, u64)>,
 }
 
 /// Wire message of [`ViewGroup`].
@@ -118,8 +133,9 @@ pub enum VsMsg<P> {
     },
     /// Recovered member → group: request readmission into the view.
     JoinReq,
-    /// Embedded failure-detector traffic.
-    Fd(FdMsg),
+    /// Embedded failure-detector traffic; a heartbeat carries the
+    /// sender's [`Marks`] when they changed since its last one.
+    Fd(FdMsg, Option<Arc<Marks>>),
     /// Embedded consensus traffic (membership agreement).
     Cons(ConsMsg<Membership>),
 }
@@ -138,7 +154,10 @@ impl<P: Message> Message for VsMsg<P> {
                     .sum::<usize>()
             }
             VsMsg::JoinReq => 8,
-            VsMsg::Fd(m) => m.wire_size(),
+            // A 4-byte view id, then a 4-byte origin and count per origin.
+            VsMsg::Fd(m, marks) => {
+                m.wire_size() + marks.as_ref().map_or(0, |k| 4 + 8 * k.delivered.len())
+            }
             VsMsg::Cons(c) => 8 + c.wire_size(),
         }
     }
@@ -245,6 +264,12 @@ pub struct ViewGroup<P> {
     received: Received<P>,
     // One stream per `(view, origin)`.
     delivered: RunSet<(u64, NodeId)>,
+    // Stability: `(view, count)` per (peer, origin) as last carried, the
+    // marks this member last carried, and the host floors.
+    acks: HashMap<(NodeId, NodeId), (u64, u64)>,
+    marks: Arc<Marks>,
+    held: bool,
+    released: Option<HashMap<NodeId, u64>>,
     // Data that arrived stamped with a future view.
     future: BTreeMap<u64, Vec<(NodeId, u64, P)>>,
     // View-change plane.
@@ -326,6 +351,10 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             holdback: HashMap::new(),
             received: BTreeMap::new(),
             delivered: RunSet::new(),
+            acks: HashMap::new(),
+            marks: Arc::default(),
+            held: false,
+            released: None,
             future: BTreeMap::new(),
             decided_views: BTreeMap::new(),
             flushes: BTreeMap::new(),
@@ -337,6 +366,23 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
     /// The currently installed view.
     pub fn view(&self) -> &View {
         &self.view
+    }
+
+    /// Donor-cut floor: forget nothing more until the next view installs.
+    pub fn hold(&mut self) {
+        self.held = true;
+    }
+
+    /// Marks count what the host [`release`](Self::release)s, not deliveries.
+    pub fn defer_marks(&mut self) {
+        self.released.get_or_insert_with(HashMap::new);
+    }
+
+    /// The host consumed `origin`'s next delivery of `view`, in seq order.
+    pub fn release(&mut self, view: u64, origin: NodeId) {
+        if let Some(released) = self.released.as_mut().filter(|_| view == self.view.id) {
+            *released.entry(origin).or_insert(0) += 1;
+        }
     }
 
     /// True if the local process has been excluded.
@@ -400,7 +446,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         // miss counters survive the outage); drop those events — the
         // joiner must not propose view changes, and genuine crashes are
         // re-detected by the regular ticks once readmitted.
-        self.drive_fd(out, |fd, sub| fd.on_start(sub));
+        self.drive_fd(out, true, |fd, sub| fd.on_start(sub));
         if self.joining {
             self.send_join(out);
             out.timer(self.config.join_retry, JOIN_TAG);
@@ -465,8 +511,10 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        *slot(&mut self.received, self.view.id, self.me, seq) = Some(payload.clone());
+        let held = slot(&mut self.received, self.view.id, self.me, seq);
+        *held.expect("a new seq is above the base") = Some(payload.clone());
         self.delivered.insert((self.view.id, self.me), seq);
+        self.fifo_next.insert(self.me, self.next_seq);
         out.event(VsEvent::Deliver {
             view: self.view.id,
             from: self.me,
@@ -505,7 +553,10 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
                 .push((origin, seq, payload));
             return;
         }
-        *slot(&mut self.received, view, origin, seq) = Some(payload.clone());
+        let Some(held) = slot(&mut self.received, view, origin, seq) else {
+            return; // every member delivered it
+        };
+        *held = Some(payload.clone());
         self.holdback
             .entry(origin)
             .or_default()
@@ -594,19 +645,64 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
     }
 
     /// Runs `f` against the failure detector with the endpoint's own
-    /// scratch outbox and forwards what it queued; true if it raised a
-    /// new suspicion.
+    /// scratch outbox and forwards what it queued, the heartbeats of a
+    /// `beat` carrying this member's marks if they changed; true if it
+    /// raised a new suspicion.
     fn drive_fd(
         &mut self,
         out: &mut Outbox<VsMsg<P>, VsEvent<P>>,
+        beat: bool,
         f: impl FnOnce(&mut HeartbeatFd, &mut Outbox<FdMsg, FdEvent>),
     ) -> bool {
         f(&mut self.fd, &mut self.fd_out);
+        let marks = if beat { self.carry_marks() } else { None };
         let mut suspected = false;
-        out.absorb(&mut self.fd_out, FD_BASE, VsMsg::Fd, |_, e| {
+        let wrap = |m| VsMsg::Fd(m, marks.clone());
+        out.absorb(&mut self.fd_out, FD_BASE, wrap, |_, e| {
             suspected |= matches!(e, FdEvent::Suspect(_));
         });
         suspected
+    }
+
+    /// This member's marks for the heartbeats going out: `None` if they
+    /// are unchanged since the last ones carried, or empty.
+    fn carry_marks(&mut self) -> Option<Arc<Marks>> {
+        let (me, view) = (self.me, self.view.id);
+        let counts = self.released.as_ref().unwrap_or(&self.fifo_next);
+        let live = || counts.iter().filter(move |&(&o, _)| o != me);
+        // Counts only grow within a view: an unchanged sum is no change.
+        let carried: u64 = self.marks.delivered.iter().map(|m| m.1).sum();
+        if self.marks.view == view && live().map(|m| m.1).sum::<u64>() == carried {
+            return None;
+        }
+        // The last heartbeat's copies are delivered by now: no allocation.
+        let marks = Arc::make_mut(&mut self.marks);
+        marks.view = view;
+        marks.delivered.clear();
+        marks.delivered.extend(live().map(|(&o, &n)| (o, n)));
+        self.forget_stable();
+        (!self.marks.delivered.is_empty()).then(|| Arc::clone(&self.marks))
+    }
+
+    /// Forgets, in each stream (all of the current view), the prefix every
+    /// member has delivered or released, unless a donor cut holds it. An
+    /// origin holds its own stream.
+    fn forget_stable(&mut self) {
+        if self.held {
+            return;
+        }
+        let (me, view) = (self.me, self.view.id);
+        let own = self.released.as_ref().unwrap_or(&self.fifo_next);
+        for (&(_, o), (base, slots)) in &mut self.received {
+            let mut stable = own.get(&o).copied().unwrap_or(0);
+            for &m in self.view.members.iter().filter(|&&m| m != me && m != o) {
+                let ack = self.acks.get(&(m, o)).filter(|a| a.0 == view);
+                stable = stable.min(ack.map_or(0, |a| a.1));
+            }
+            while *base < stable && slots.pop_front().is_some() {
+                *base += 1;
+            }
+        }
     }
 
     fn send_flush(&mut self, new_view: u64, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
@@ -616,11 +712,10 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         if !members.contains(&self.me) {
             return; // we are being excluded; try_install will notice
         }
-        let held = self.received.values().flatten().flatten().count();
-        let mut list: Vec<FlushEntry<P>> = Vec::with_capacity(held);
-        for (&(v, o), column) in &self.received {
-            let column = column.iter().enumerate();
-            list.extend(column.filter_map(|(s, p)| Some((v, o, s as u64, p.clone()?))));
+        let mut list: Vec<FlushEntry<P>> = Vec::new();
+        for (&(v, o), (base, slots)) in &self.received {
+            let column = (*base..).zip(slots);
+            list.extend(column.filter_map(|(s, p)| Some((v, o, s, p.clone()?))));
         }
         self.flushes
             .entry(new_view)
@@ -682,14 +777,15 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         if let Some(fl) = self.flushes.get(&nv) {
             for list in fl.values() {
                 for (v, o, s, p) in list {
-                    slot(&mut union, *v, *o, *s).get_or_insert_with(|| p.clone());
+                    let held = slot(&mut union, *v, *o, *s);
+                    held.map(|h| h.get_or_insert_with(|| p.clone()));
                 }
             }
         }
-        for ((v, o), column) in union {
-            for (s, p) in column.into_iter().enumerate() {
+        for ((v, o), (base, slots)) in union {
+            for (s, p) in (base..).zip(slots) {
                 let Some(payload) = p else { continue };
-                if self.delivered.insert((v, o), s as u64) {
+                if self.delivered.insert((v, o), s) {
                     out.event(VsEvent::Deliver {
                         view: v,
                         from: o,
@@ -705,6 +801,8 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         self.next_seq = 0;
         self.fifo_next.clear();
         self.holdback.clear();
+        self.held = false;
+        self.released.iter_mut().for_each(HashMap::clear);
         self.decided_views.retain(|&v, _| v > nv);
         self.flushes.retain(|&v, _| v > nv);
         self.proposed.retain(|&v| v > nv);
@@ -742,7 +840,7 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
     type Event = VsEvent<P>;
 
     fn on_start(&mut self, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
-        let suspected = self.drive_fd(out, |fd, sub| fd.on_start(sub));
+        let suspected = self.drive_fd(out, true, |fd, sub| fd.on_start(sub));
         debug_assert!(!suspected);
     }
 
@@ -792,8 +890,14 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
                     .insert(from, received);
                 self.try_install(out);
             }
-            VsMsg::Fd(m) => {
-                if self.drive_fd(out, |fd, sub| fd.on_message(from, m, sub)) {
+            VsMsg::Fd(m, marks) => {
+                if let Some(k) = marks {
+                    for &(o, n) in &k.delivered {
+                        self.acks.insert((from, o), (k.view, n));
+                    }
+                    self.forget_stable();
+                }
+                if self.drive_fd(out, false, |fd, sub| fd.on_message(from, m, sub)) {
                     self.maybe_change(out);
                 }
             }
@@ -822,7 +926,7 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
             }
         } else if tag >= CONS_BASE {
             self.drive_pool(out, |pool, sub| pool.on_timer(tag - CONS_BASE, sub));
-        } else if self.drive_fd(out, |fd, sub| fd.on_timer(tag - FD_BASE, sub)) {
+        } else if self.drive_fd(out, true, |fd, sub| fd.on_timer(tag - FD_BASE, sub)) {
             self.maybe_change(out);
         }
     }
@@ -859,6 +963,14 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The entries `n` holds: the unstable suffix of every stream.
+    fn held(world: &World<VsMsg<u32>>, n: NodeId) -> usize {
+        let rx = &world.actor_ref::<Host>(n).inner.received;
+        rx.values()
+            .flat_map(|(_, slots)| slots.iter().flatten())
+            .count()
     }
 
     fn installed_views(world: &World<VsMsg<u32>>, n: NodeId) -> Vec<View> {
@@ -1006,6 +1118,118 @@ mod tests {
             .iter()
             .find_map(|(at, e)| matches!(e, VsEvent::Deliver { payload: 2, .. }).then_some(*at));
         assert!(late.expect("delivered") > SimTime::from_ticks(2_000));
+    }
+
+    /// A sender broadcasting `count` payloads `0..count`, one every
+    /// `every` ticks from tick 1,000.
+    fn streaming(me: NodeId, group: &[NodeId], count: u32, every: u64) -> Host {
+        let mut host = ComponentActor::new(ViewGroup::<u32>::new(
+            me,
+            group.to_vec(),
+            VsConfig::default(),
+        ));
+        for k in 0..count {
+            let at = SimDuration::from_ticks(1_000 + every * u64::from(k));
+            host = host.with_step(at, move |vg, out| vg.broadcast(k, out));
+        }
+        host
+    }
+
+    #[test]
+    fn a_member_holds_only_what_some_member_has_not_delivered() {
+        // 10,000 broadcasts, one every 10 ticks, while heartbeats carry
+        // the marks every 500: no member holds more than two heartbeat
+        // intervals of entries, 100, at any point of the stream.
+        let (mut world, group) = build(3, 31);
+        *world.actor_mut::<Host>(group[0]) = streaming(group[0], &group, 10_000, 10);
+        world.start();
+        let bound = 2 * VsConfig::default().fd.interval.ticks() / 10;
+        let mut at = 1_000;
+        while at <= 101_000 {
+            at += 1_000;
+            world.run_until(SimTime::from_ticks(at));
+            for &n in &group {
+                let held = held(&world, n);
+                assert!(held <= bound as usize, "{n} holds {held} entries at {at}");
+            }
+        }
+        for &n in &group {
+            let d = deliveries(&world, n);
+            assert!(d.iter().map(|&(_, p)| p).eq(0..10_000), "at {n}");
+        }
+    }
+
+    #[test]
+    fn a_flush_ships_the_unstable_suffix_and_each_survivor_delivers_it_once() {
+        // Node 0 streams until it crashes at 4,000; the link 0 → 2 is cut
+        // at 3,000, so node 2 has delivered a shorter prefix than node 1.
+        // The stable prefix is forgotten; the view change delivers node
+        // 1's suffix at node 2, and each survivor delivers every payload
+        // exactly once, in order.
+        let (mut world, group) = build(3, 32);
+        *world.actor_mut::<Host>(group[0]) = streaming(group[0], &group, 400, 10);
+        world.start();
+        let (src, dst) = (group[0], group[2]);
+        let cut = NetFault::Degrade {
+            src,
+            dst,
+            quality: LinkQuality::lossy(1.0),
+        };
+        world.schedule_net_fault(SimTime::from_ticks(3_000), cut);
+        world.schedule_crash(SimTime::from_ticks(4_000), group[0]);
+        world.run_until(SimTime::from_ticks(4_000));
+        let got = |world: &World<VsMsg<u32>>, n| deliveries(world, n).len();
+        let (ahead, behind) = (got(&world, group[1]), got(&world, group[2]));
+        assert!(behind < ahead, "node 2 delivered {behind}, node 1 {ahead}");
+        let held = held(&world, group[1]);
+        assert!(
+            held < ahead,
+            "node 1 forgot nothing: holds {held} of {ahead}"
+        );
+        world.run_until(SimTime::from_ticks(100_000));
+        // Copies in flight at the crash may still land at node 1.
+        let sent = got(&world, group[1]);
+        assert!(sent >= ahead);
+        for &n in &group[1..] {
+            assert_eq!(installed_views(&world, n).len(), 1, "at {n}");
+            let d = deliveries(&world, n);
+            assert!(
+                d.iter().map(|&(_, p)| p).eq(0..sent as u32),
+                "at {n}: {d:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn under_deferred_marks_a_delivery_is_kept_until_every_member_released_it() {
+        // Every member counts what its host released. Node 0 broadcasts
+        // 100 payloads; nodes 0 and 1 release them all at 5,000, node 2
+        // only 60 at 10,000: until then every member keeps all 100, then
+        // the 40 node 2 still owes.
+        let (mut world, group) = build(3, 33);
+        for (i, released) in [(0, 100), (1, 100), (2, 60)] {
+            let mut vg = ViewGroup::<u32>::new(group[i], group.clone(), VsConfig::default());
+            vg.defer_marks();
+            let mut host = ComponentActor::new(vg);
+            if i == 0 {
+                for k in 0..100 {
+                    let at = SimDuration::from_ticks(1_000 + 10 * u64::from(k));
+                    host = host.with_step(at, move |vg, out| vg.broadcast(k, out));
+                }
+            }
+            let at = SimDuration::from_ticks(if i == 2 { 10_000 } else { 5_000 });
+            let origin = group[0];
+            *world.actor_mut::<Host>(group[i]) = host.with_step(at, move |vg, _| {
+                (0..released).for_each(|_| vg.release(0, origin));
+            });
+        }
+        world.start();
+        for (until, want) in [(9_000, 100), (20_000, 40)] {
+            world.run_until(SimTime::from_ticks(until));
+            for &n in &group {
+                assert_eq!(held(&world, n), want, "{n} at {until}");
+            }
+        }
     }
 
     #[test]
