@@ -181,12 +181,29 @@ fn assert_p2_shape(table: &[Row]) {
     );
 }
 
-/// The claims EXPERIMENTS.md makes about the shape of P2, P7, P8, P15
-/// and P16, read off the same rows the tables print.
+/// A3's claim: wound-wait, whose queues are ordered by age so a request
+/// wounds only the younger holders blocking it, aborts no more than it
+/// did while it also wounded every younger waiter queued ahead of the
+/// requester (7, 4 and 13 server aborts at zipf 0.5, 1.0 and 1.5).
+fn assert_a3_shape(table: &[Row]) {
+    for (skew, before) in [("0.5", 7), ("1.0", 4), ("1.5", 13)] {
+        let label = format!("zipf {skew} / wound-wait");
+        let row = (table.iter().find(|r| r.label == label)).expect("A3 row");
+        let aborts: u64 = row.get("server aborts").parse().expect("aborts");
+        assert!(
+            aborts <= before,
+            "A3: {label} aborted {aborts} transactions, {before} before"
+        );
+    }
+}
+
+/// The claims EXPERIMENTS.md makes about the shape of A3, P2, P7, P8,
+/// P15 and P16, read off the same rows the tables print.
 #[test]
 fn study_shapes() {
     assert_p7_shape(&study("P7").table(2));
     assert_p2_shape(&study("P2").table(2));
+    assert_a3_shape(&study("A3").table(2));
 
     // P8: at the highest client count every ABCAST technique, under at
     // least one ABCAST implementation, cuts coordination messages per

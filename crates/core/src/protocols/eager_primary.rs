@@ -153,6 +153,8 @@ pub struct EagerPrimary {
     /// Filling a decision gap noticed after rejoining; participates
     /// normally while the suffix is in flight.
     resync: bool,
+    /// Transactions wounded at this primary (spared ones excluded).
+    wounds: u64,
 }
 
 /// An eager-primary-copy server.
@@ -181,6 +183,7 @@ impl EagerPrimaryServer {
             staged_replies: Vec::new(),
             flush_armed: false,
             resync: false,
+            wounds: 0,
         };
         Replica::around(site, me, servers, ks, exec, tech)
     }
@@ -572,11 +575,19 @@ impl EagerPrimary {
         self.flush_armed = false;
     }
 
-    /// Wounds (aborts and requeues) a younger transaction.
+    /// Wounds (aborts and requeues) a younger transaction, unless its
+    /// Prepares are out: it takes no further lock, so the requester waits
+    /// for its decision instead.
     fn wound(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, EagerPrimaryMsg>, victim: TxnId) {
-        let Some(mut t) = self.inflight.remove(&victim) else {
+        if self
+            .inflight
+            .get(&victim)
+            .is_none_or(|t| matches!(t.phase, TxnPhase::Committing(_)))
+        {
             return;
-        };
+        }
+        let mut t = self.inflight.remove(&victim).expect("present");
+        self.wounds += 1;
         self.recycle_acks(&mut t);
         for s in live_secondaries(sh) {
             let abort = EagerPrimaryMsg::Decision {
@@ -909,6 +920,7 @@ impl Technique for EagerPrimary {
     fn extra_stats(&self) -> ExtraStats {
         ExtraStats {
             spilled_locks: self.lm.spilled() as u64,
+            wounds: self.wounds,
             ..ExtraStats::default()
         }
     }
@@ -1194,6 +1206,62 @@ mod tests {
                 fp0
             );
         }
+    }
+
+    #[test]
+    fn an_older_request_waits_for_a_holder_in_its_commit_round() {
+        // A scripted client at node 0; primary node 1, secondary node 2.
+        // The younger op (client 1) takes key 0 and sends its Prepare; the
+        // older op (client 0) then asks for key 0 before the vote is back.
+        use crate::op::OpId;
+        use crate::protocols::replica::tests::ScriptedPeer;
+        let (older, younger) = (OpId::compose(0, 1), OpId::compose(1, 1));
+        assert!(global_txn(older).is_older_than(global_txn(younger)));
+        let (peer, primary) = (NodeId::new(0), NodeId::new(1));
+        let servers = vec![primary, NodeId::new(2)];
+        let invoke = |id| {
+            let txn = write(0, 1);
+            Wire::Invoke(ClientOp {
+                id,
+                client: peer,
+                txn,
+            })
+        };
+        let mut world: World<Wire<EagerPrimaryMsg>> = World::new(SimConfig::new(17));
+        let script = vec![
+            (100, primary, invoke(younger)),
+            (101, primary, invoke(older)),
+        ];
+        world.add_actor(Box::new(ScriptedPeer {
+            script,
+            got: Vec::new(),
+        }));
+        let exec = ExecutionMode::Deterministic;
+        seat_all(
+            &mut world,
+            (0..2).map(|i| {
+                EagerPrimaryServer::new(i, servers[i as usize], servers.clone(), 16, exec)
+            }),
+        );
+        world.start();
+        world.run_until(SimTime::from_ticks(5_000));
+        let got = &world
+            .actor_ref::<ScriptedPeer<Wire<EagerPrimaryMsg>>>(peer)
+            .got;
+        let replies: Vec<(OpId, bool)> = got
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Wire::Reply(r) => Some((r.op, r.committed)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, vec![(younger, true), (older, true)]);
+        let srv = world.actor_ref::<EagerPrimaryServer>(primary);
+        assert_eq!(
+            srv.tech.extra_stats().wounds,
+            0,
+            "the committing holder was wounded"
+        );
     }
 
     #[test]

@@ -205,7 +205,7 @@ pub type Ctx<'a, P> = Context<'a, Wire<P>>;
 pub struct ExtraStats {
     /// Optimistic writes overridden by reconciliation (lazy UE).
     pub reconciliations: u64,
-    /// Wound events observed (distributed locking).
+    /// Wound events observed (the two locking techniques).
     pub wounds: u64,
     /// Lock-table entries held outside the kernel's dense window
     /// ([`repl_db::LockManager::spilled`]); zero without a lock table.

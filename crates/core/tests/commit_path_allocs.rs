@@ -59,6 +59,10 @@
 //! hands it on to the technique without copying it again. Its window is
 //! a few allocations long, so it reads a per-thread count: the harness
 //! starting the next test on another thread does not land in it.
+//!
+//! A ninth guard holds a recording Passive run with reads to one copy of
+//! each shipped response per VSCAST leg: `broadcast` moves the payload
+//! into its last send rather than copying it there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -448,6 +452,49 @@ fn marginal_allocations_per_transaction_stay_within_budget() {
         }
     }
     assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+/// Three recording Passive replicas, closed loop without think time,
+/// half the transactions reads: the primary ships each response, with
+/// its reads, to both backups through VSCAST.
+fn passive_reads_cell(txns: u32) -> RunConfig {
+    RunConfig::new(Technique::Passive)
+        .with_servers(3)
+        .with_clients(CLIENTS)
+        .with_seed(29)
+        .with_trace(false)
+        .with_workload(
+            WorkloadSpec::default()
+                .with_items(1_024)
+                .with_read_ratio(0.5)
+                .with_txns_per_client(txns)
+                .with_think_time(SimDuration::ZERO),
+        )
+}
+
+/// Marginal allocations per transaction of [`passive_reads_cell`] while
+/// VSCAST's `broadcast` copied its payload into every send, and the
+/// budget since the last send takes the payload itself: the value
+/// measured then (3.533) plus 10 %.
+const PASSIVE_READS_PARENT: f64 = 4.037;
+const PASSIVE_READS_BUDGET: f64 = 3.89;
+const _: () = assert!(
+    PASSIVE_READS_BUDGET < PASSIVE_READS_PARENT,
+    "the Passive reads budget admits the value before the change"
+);
+
+#[test]
+fn a_broadcast_moves_its_payload_into_the_last_send() {
+    let _serial = serial();
+    let (per_txn, _) = marginal(passive_reads_cell);
+    println!(
+        "Passive / 3 recording replicas, reads: {per_txn:.3} allocations per transaction \
+         (before: {PASSIVE_READS_PARENT})"
+    );
+    assert!(
+        per_txn <= PASSIVE_READS_BUDGET,
+        "{per_txn:.3} allocations per transaction, budget {PASSIVE_READS_BUDGET}"
+    );
 }
 
 /// The `study_mix` benchmark's plain Active cell at `txns` transactions

@@ -88,7 +88,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
     ("shard4/outage/ret=1/Passive", 0x2680913e5f400a1d, 0xc091b2e1b1a0c63d),
     ("shard4/outage/ret=1/Semi-Passive", 0x6cf64b7f774a8854, 0xdf372cc76d27bdfd),
-    ("shard4/outage/ret=1/Eager Primary Copy", 0x19b002548e327e26, 0x6baff43b71ab7d58),
+    ("shard4/outage/ret=1/Eager Primary Copy", 0x3cfa97ac9f70608f, 0x5dbeb4307654f50a),
     ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
     ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0xffb44cd910cbe2e3, 0xc9486f1a7c11685c),
     ("shard4/disaster/Passive", 0x2abe3ab796166aa9, 0xb0ee83cc3173de35),

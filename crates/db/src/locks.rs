@@ -2,12 +2,13 @@
 //!
 //! Two deadlock-handling policies, compared by ablation A3:
 //!
-//! * [`DeadlockPolicy::WoundWait`] — prevention: an older requester
-//!   *wounds* (forces the abort of) younger conflicting holders; a younger
-//!   requester waits. Wait-for edges only ever point from younger to older
-//!   transactions, so no cycle can form.
-//! * [`DeadlockPolicy::Detect`] — detection: requests always wait; the
-//!   caller periodically reads the wait-for graph
+//! * [`DeadlockPolicy::WoundWait`] — prevention: a key's waiters queue
+//!   by age, oldest first, so a requester waits only behind older
+//!   waiters; it *wounds* (forces the abort of) the younger holders it
+//!   conflicts with and waits. Wait-for edges only ever point from younger
+//!   to older transactions, so no cycle can form.
+//! * [`DeadlockPolicy::Detect`] — detection: requests wait in arrival
+//!   order, upgrades first; the caller periodically reads the wait-for graph
 //!   ([`LockManager::wait_for_edges`]), looks for a cycle with
 //!   [`first_cycle`](crate::first_cycle) and aborts the youngest member.
 //!
@@ -87,7 +88,9 @@ type Entry = (TxnId, LockMode);
 #[derive(Debug, Default)]
 struct LockState {
     holders: Vec<Entry>,
-    /// In queue order.
+    /// In queue order: oldest first under wound-wait, arrival order
+    /// (upgrades first) under detection. The head is never compatible
+    /// with the holders.
     waiters: Vec<Entry>,
 }
 
@@ -199,59 +202,55 @@ impl LockManager {
     ///
     /// Re-entrant: holding the same or a stronger mode returns `Granted`;
     /// a shared holder requesting exclusive performs an upgrade (granted if
-    /// sole holder, otherwise queued with priority).
+    /// sole holder, otherwise queued). A request that would queue at the
+    /// head and is compatible with the holders is granted at once.
     pub fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode) -> Acquire {
         let state: &mut LockState = match self.ks.slot(key) {
             Some(i) => &mut self.dense[i],
             None => self.sparse.entry(key).or_default(),
         };
-        if let Some(held_mode) = state.holds(txn) {
-            match (held_mode, mode) {
-                (LockMode::Exclusive, _) | (LockMode::Shared, LockMode::Shared) => {
-                    return Acquire::Granted;
-                }
-                (LockMode::Shared, LockMode::Exclusive) => {
-                    if state.holders.len() == 1 {
-                        state.holders[0].1 = LockMode::Exclusive;
-                        return Acquire::Granted;
-                    }
-                    if !state.waiters.iter().any(|(t, _)| *t == txn) {
-                        // Under detection, upgrades get priority (front of
-                        // queue). Under wound-wait they must queue at the
-                        // back: jumping ahead of an already-checked older
-                        // waiter would re-introduce cycles.
-                        lend(&mut self.spare_entries, &mut state.waiters);
-                        if self.policy == DeadlockPolicy::Detect {
-                            state.waiters.insert(0, (txn, LockMode::Exclusive));
-                        } else {
-                            state.waiters.push((txn, LockMode::Exclusive));
-                        }
-                        note(&mut self.waiting, &mut self.spare, txn, key);
-                    }
-                    let wounded = self.wound(txn, key);
-                    return Acquire::Waiting { wounded };
-                }
+        let held = state.holds(txn);
+        match (held, mode) {
+            (Some(LockMode::Exclusive), _) | (Some(LockMode::Shared), LockMode::Shared) => {
+                return Acquire::Granted;
             }
-        }
-        if state.compatible_with_holders(txn, mode) && state.waiters.is_empty() {
-            lend(&mut self.spare_entries, &mut state.holders);
-            state.holders.push((txn, mode));
-            note(&mut self.held, &mut self.spare, txn, key);
-            return Acquire::Granted;
+            (Some(LockMode::Shared), LockMode::Exclusive) if state.holders.len() == 1 => {
+                state.holders[0].1 = LockMode::Exclusive;
+                return Acquire::Granted;
+            }
+            _ => {}
         }
         if !state.waiters.iter().any(|(t, _)| *t == txn) {
+            // Detection queues in arrival order, upgrades first; wound-wait
+            // queues by age, so an older waiter never has a younger one
+            // ahead of it.
+            let at = match self.policy {
+                DeadlockPolicy::Detect if held.is_some() => 0,
+                DeadlockPolicy::Detect => state.waiters.len(),
+                DeadlockPolicy::WoundWait => state
+                    .waiters
+                    .iter()
+                    .position(|&(w, _)| txn.is_older_than(w))
+                    .unwrap_or(state.waiters.len()),
+            };
+            if at == 0 && state.compatible_with_holders(txn, mode) {
+                lend(&mut self.spare_entries, &mut state.holders);
+                state.holders.push((txn, mode));
+                note(&mut self.held, &mut self.spare, txn, key);
+                return Acquire::Granted;
+            }
             lend(&mut self.spare_entries, &mut state.waiters);
-            state.waiters.push((txn, mode));
+            state.waiters.insert(at, (txn, mode));
             note(&mut self.waiting, &mut self.spare, txn, key);
         }
         let wounded = self.wound(txn, key);
         Acquire::Waiting { wounded }
     }
 
-    /// Under wound-wait, returns the younger conflicting transactions the
-    /// requester wounds: holders, and waiters queued ahead of it (which
-    /// would otherwise block it through queue order), sorted. The caller
-    /// must abort them. The list comes from the table's free list.
+    /// Under wound-wait, returns the younger holders that conflict with
+    /// the requester's queued mode, sorted; the caller must abort them.
+    /// Every waiter ahead of the requester is older, so none is wounded.
+    /// The list comes from the table's free list.
     fn wound(&mut self, requester: TxnId, key: Key) -> Vec<TxnId> {
         if self.policy != DeadlockPolicy::WoundWait {
             return Vec::new();
@@ -260,27 +259,17 @@ impl LockManager {
         let Some(state) = self.state(key) else {
             return wounded;
         };
-        let (pos, mode) = match state
-            .waiters
-            .iter()
-            .enumerate()
-            .find(|(_, (t, _))| *t == requester)
-        {
-            Some((i, &(_, m))) => (i, m),
-            None => (state.waiters.len(), LockMode::Exclusive),
+        let Some(&(_, mode)) = state.waiters.iter().find(|(t, _)| *t == requester) else {
+            return wounded;
         };
-        for &(h, hm) in &state.holders {
-            if h != requester && !hm.compatible(mode) && requester.is_older_than(h) {
-                wounded.push(h);
-            }
-        }
-        for &(w, wm) in state.waiters.iter().take(pos) {
-            if w != requester && !wm.compatible(mode) && requester.is_older_than(w) {
-                wounded.push(w);
-            }
-        }
+        wounded.extend(
+            state
+                .holders
+                .iter()
+                .filter(|&&(h, hm)| !hm.compatible(mode) && requester.is_older_than(h))
+                .map(|&(h, _)| h),
+        );
         wounded.sort_unstable();
-        wounded.dedup();
         wounded
     }
 
@@ -516,6 +505,38 @@ mod tests {
     }
 
     #[test]
+    fn wound_wait_grants_an_older_shared_request_beside_shared_holders() {
+        // Queued at the head by age, t1 is compatible with the holders:
+        // left waiting, it would wait for a release that may never come
+        // (t3 could next queue an upgrade behind it).
+        let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
+        assert_eq!(lm.acquire(t(3), Key(0), Shared), Acquire::Granted);
+        assert_eq!(lm.acquire(t(5), Key(0), Shared), Acquire::Granted);
+        lm.acquire(t(7), Key(0), Exclusive);
+        assert_eq!(lm.acquire(t(1), Key(0), Shared), Acquire::Granted);
+        assert_eq!(lm.waiters(Key(0)), vec![(t(7), Exclusive)]);
+    }
+
+    #[test]
+    fn wound_wait_queues_a_contended_upgrade_by_age() {
+        let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
+        assert_eq!(lm.acquire(t(2), Key(0), Shared), Acquire::Granted);
+        assert_eq!(lm.acquire(t(5), Key(0), Shared), Acquire::Granted);
+        lm.acquire(t(8), Key(0), Exclusive);
+        // t5 queues ahead of the younger t8 and so wounds nobody: t8
+        // holds nothing, and the older holder t2 is never wounded.
+        assert_eq!(
+            lm.acquire(t(5), Key(0), Exclusive),
+            Acquire::Waiting { wounded: vec![] }
+        );
+        assert_eq!(
+            lm.waiters(Key(0)),
+            vec![(t(5), Exclusive), (t(8), Exclusive)]
+        );
+        assert_eq!(lm.release_all(t(2)), vec![(t(5), Key(0), Exclusive)]);
+    }
+
+    #[test]
     fn release_grants_contiguous_shared_waiters() {
         let mut lm = LockManager::new(DeadlockPolicy::Detect);
         assert_eq!(lm.acquire(t(1), Key(0), Exclusive), Acquire::Granted);
@@ -634,19 +655,19 @@ mod tests {
         let Acquire::Waiting { wounded } = lm.acquire(t(2), Key(0), Exclusive) else {
             panic!("t2 waits");
         };
-        assert_eq!(wounded, vec![t(5), t(6)]);
+        assert_eq!(wounded, vec![t(5)], "the waiter t6 queues behind t2");
         lm.recycle_wounded(wounded);
         let granted = lm.release_all(t(5));
         assert_eq!(
             granted,
-            vec![(t(6), Key(0), Shared)],
-            "t6 queued ahead of t2"
+            vec![(t(2), Key(0), Exclusive)],
+            "t2 queued ahead of the younger t6"
         );
         lm.recycle_granted(granted);
-        let granted = lm.release_all(t(6));
-        assert_eq!(granted, vec![(t(2), Key(0), Exclusive)]);
+        let granted = lm.release_all(t(2));
+        assert_eq!(granted, vec![(t(6), Key(0), Shared)]);
         lm.recycle_granted(granted);
-        assert_eq!(lm.release_all(t(2)), vec![]);
+        assert_eq!(lm.release_all(t(6)), vec![]);
         assert!(lm.holders(Key(0)).is_empty() && lm.waiters(Key(0)).is_empty());
         lm.acquire(t(8), Key(1), Exclusive);
         assert_eq!(

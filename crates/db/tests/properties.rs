@@ -210,42 +210,40 @@ impl RefLockManager {
     fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode) -> Acquire {
         let policy = self.policy;
         let state = self.table.entry(key).or_default();
-        if let Some(&(_, held)) = state.holders.iter().find(|&&(t, _)| t == txn) {
-            match (held, mode) {
-                (LockMode::Exclusive, _) | (LockMode::Shared, LockMode::Shared) => {
-                    return Acquire::Granted;
-                }
-                (LockMode::Shared, LockMode::Exclusive) => {
-                    if state.holders.len() == 1 {
-                        state.holders[0].1 = LockMode::Exclusive;
-                        return Acquire::Granted;
-                    }
-                    if !state.waiters.iter().any(|&(t, _)| t == txn) {
-                        // Upgrades get queue priority under detection; under
-                        // wound-wait they queue at the back.
-                        if policy == DeadlockPolicy::Detect {
-                            state.waiters.push_front((txn, LockMode::Exclusive));
-                        } else {
-                            state.waiters.push_back((txn, LockMode::Exclusive));
-                        }
-                    }
-                    return Acquire::Waiting {
-                        wounded: Self::wound(policy, state, txn),
-                    };
-                }
-            }
-        }
-        if state
+        let held = state
             .holders
             .iter()
-            .all(|&(t, m)| t == txn || m.compatible(mode))
-            && state.waiters.is_empty()
-        {
-            state.holders.push((txn, mode));
-            return Acquire::Granted;
+            .find(|&&(t, _)| t == txn)
+            .map(|&(_, m)| m);
+        match (held, mode) {
+            (Some(LockMode::Exclusive), _) | (Some(LockMode::Shared), LockMode::Shared) => {
+                return Acquire::Granted;
+            }
+            (Some(LockMode::Shared), LockMode::Exclusive) if state.holders.len() == 1 => {
+                state.holders[0].1 = LockMode::Exclusive;
+                return Acquire::Granted;
+            }
+            _ => {}
         }
         if !state.waiters.iter().any(|&(t, _)| t == txn) {
-            state.waiters.push_back((txn, mode));
+            // Detection: arrival order, upgrades first. Wound-wait: behind
+            // exactly the waiters older than the requester.
+            let at = match policy {
+                DeadlockPolicy::Detect if held.is_some() => 0,
+                DeadlockPolicy::Detect => state.waiters.len(),
+                DeadlockPolicy::WoundWait => {
+                    state.waiters.iter().filter(|&&(w, _)| w < txn).count()
+                }
+            };
+            let compatible = state
+                .holders
+                .iter()
+                .all(|&(t, m)| t == txn || m.compatible(mode));
+            if at == 0 && compatible {
+                state.holders.push((txn, mode));
+                return Acquire::Granted;
+            }
+            state.waiters.insert(at, (txn, mode));
         }
         Acquire::Waiting {
             wounded: Self::wound(policy, state, txn),
@@ -460,6 +458,45 @@ proptest! {
                 }
             }
             prop_assert!(first_cycle(&lm.wait_for_edges()).is_none(), "wound-wait deadlocked");
+        }
+    }
+
+    /// Under wound-wait (with victims aborted), every wait-for edge runs
+    /// from a younger to an older transaction, and a request wounds only
+    /// holders of its key: a waiter queued ahead of it is older.
+    #[test]
+    fn wound_wait_edges_run_from_younger_to_older(ops in lock_ops()) {
+        let mut lm = LockManager::new(DeadlockPolicy::WoundWait);
+        let mut dead: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
+        for op in ops {
+            match op {
+                LockOp::Acquire { txn, key, exclusive } => {
+                    let txn = t(txn);
+                    if dead.contains(&txn) {
+                        continue;
+                    }
+                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                    let key = Key(key as u64);
+                    if let Acquire::Waiting { wounded } = lm.acquire(txn, key, mode) {
+                        let holders = lm.holders(key);
+                        for v in wounded {
+                            prop_assert!(
+                                holders.iter().any(|&(h, _)| h == v),
+                                "{} wounded {} which does not hold {:?}", txn, v, key
+                            );
+                            dead.insert(v);
+                            lm.release_all(v);
+                        }
+                    }
+                }
+                LockOp::Release { txn } => {
+                    dead.remove(&t(txn));
+                    lm.release_all(t(txn));
+                }
+            }
+            for (w, h) in lm.wait_for_edges() {
+                prop_assert!(h.is_older_than(w), "wait-for edge {} -> {}", w, h);
+            }
         }
     }
 

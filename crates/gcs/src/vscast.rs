@@ -520,18 +520,28 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             from: self.me,
             payload: payload.clone(),
         });
-        for &m in &self.view.members {
-            if m != self.me {
-                out.send(
-                    m,
-                    VsMsg::Data {
-                        view: self.view.id,
-                        origin: self.me,
-                        seq,
-                        payload: payload.clone(),
-                    },
-                );
-            }
+        // The last send takes the payload itself.
+        let mut payload = Some(payload);
+        let mut peers = self
+            .view
+            .members
+            .iter()
+            .filter(|&&m| m != self.me)
+            .peekable();
+        while let Some(&m) = peers.next() {
+            let payload = match peers.peek() {
+                Some(_) => payload.clone(),
+                None => payload.take(),
+            };
+            out.send(
+                m,
+                VsMsg::Data {
+                    view: self.view.id,
+                    origin: self.me,
+                    seq,
+                    payload: payload.expect("taken by the last send only"),
+                },
+            );
         }
     }
 
