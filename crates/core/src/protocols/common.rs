@@ -64,7 +64,8 @@ impl AbcastImpl {
                 AbcastEndpoint::Seq(seq, Outbox::new())
             }
             AbcastImpl::Consensus => {
-                AbcastEndpoint::Cons(ConsensusAbcast::new(me, group, cons), Outbox::new())
+                let cons = ConsensusAbcast::new(me, group, cons);
+                AbcastEndpoint::Cons(Box::new(cons), Outbox::new())
             }
         }
     }
@@ -174,8 +175,9 @@ impl ShardCtx {
 pub enum AbcastEndpoint<P> {
     /// Fixed-sequencer endpoint.
     Seq(SequencerAbcast<P>, AbOutbox<P>),
-    /// Consensus-based endpoint.
-    Cons(ConsensusAbcast<P>, AbOutbox<P>),
+    /// Consensus-based endpoint; boxed, so a host running either other
+    /// flavour is not as large as a consensus pool.
+    Cons(Box<ConsensusAbcast<P>>, AbOutbox<P>),
     /// Genuine-multicast endpoint (sharded runs with cross-shard
     /// traffic): shard-local broadcasts order within the group, cross
     /// messages through Skeen timestamp agreement with the other touched
@@ -198,7 +200,7 @@ impl<P: Message> AbcastEndpoint<P> {
     pub fn parts(&mut self) -> (&mut (dyn TotalOrder<P> + 'static), &mut AbOutbox<P>) {
         match self {
             AbcastEndpoint::Seq(a, s) => (a, s),
-            AbcastEndpoint::Cons(a, s) => (a, s),
+            AbcastEndpoint::Cons(a, s) => (&mut **a, s),
             AbcastEndpoint::Gen(a, s) => (a, s),
         }
     }
@@ -254,7 +256,7 @@ impl<P: Message> Deref for AbcastEndpoint<P> {
     fn deref(&self) -> &Self::Target {
         match self {
             AbcastEndpoint::Seq(a, _) => a,
-            AbcastEndpoint::Cons(a, _) => a,
+            AbcastEndpoint::Cons(a, _) => &**a,
             AbcastEndpoint::Gen(a, _) => a,
         }
     }
@@ -950,6 +952,22 @@ mod tests {
             client: NodeId::new(99),
             txn: TxnTemplate { ops: ops.into() },
         }
+    }
+
+    #[test]
+    fn an_endpoint_is_no_larger_than_its_inline_flavours_and_a_pointer() {
+        use std::mem::size_of;
+        type P = ClientOp;
+        let seq = size_of::<(SequencerAbcast<P>, AbOutbox<P>)>();
+        let gen = size_of::<(GenuineMulticast<P>, AbOutbox<P>)>();
+        let endpoint = size_of::<AbcastEndpoint<P>>();
+        let bound = seq.max(gen) + size_of::<usize>();
+        assert!(
+            endpoint <= bound,
+            "endpoint {endpoint} B > sequencer {seq} B / genuine {gen} B + a pointer \
+             (consensus flavour {} B)",
+            size_of::<ConsensusAbcast<P>>()
+        );
     }
 
     /// A server seated with its own arena.

@@ -27,8 +27,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("p1/Passive/seed=8675309", 0xaeb55b3e90fdbb8f, 0xf0ff708dee65ec97),
     ("p1/Semi-Active/seed=11", 0x6ada1c57fa9511eb, 0xa8a12cf60e225598),
     ("p1/Semi-Active/seed=8675309", 0xa87a57fb7df47cf2, 0xa55c7c84085ef463),
-    ("p1/Semi-Passive/seed=11", 0xd1a918d3de0ab5e2, 0xe40cc7a029a7883d),
-    ("p1/Semi-Passive/seed=8675309", 0x711302e09aee4dd2, 0x766893816b85b994),
+    ("p1/Semi-Passive/seed=11", 0x87da4b006c16ab6a, 0x15ef95f8b07ed075),
+    ("p1/Semi-Passive/seed=8675309", 0xb6f173160a5a9033, 0x5b67ee2ed75d5ee8),
     ("p1/Eager Primary Copy/seed=11", 0xa3e93bfc9f4ed59c, 0xd4be1844a74094f7),
     ("p1/Eager Primary Copy/seed=8675309", 0x2a503f0c08e4b1a2, 0x10ece1ee97ab6e91),
     ("p1/Eager UE (Distributed Locking)/seed=11", 0x18f6f7fe78b4ed6c, 0x75c13defc84ab66e),
@@ -41,25 +41,25 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("p1/Lazy Update Everywhere/seed=8675309", 0xf08d2190593d76ed, 0x9898aad37e620820),
     ("p1/Certification Based/seed=11", 0x7fbffa78d5066569, 0x655c3e9656be416f),
     ("p1/Certification Based/seed=8675309", 0xf6f5705c60926838, 0xf909245dcc69c95f),
-    ("consensus/Active", 0xdbdce6c190c6fa75, 0x6ee76a1a3d09936c),
-    ("consensus/Semi-Active", 0xf3eb630969e26be0, 0x43b94a9734dc7b6f),
-    ("consensus/Eager UE (ABCAST)", 0x9ba4654ae368b8f9, 0xebeba9b6fb2764a1),
-    ("consensus/Certification Based", 0xc2d6910693faa295, 0xd082dd19a5f3bb8b),
+    ("consensus/Active", 0x7e40a5499b8b58e4, 0xdf779834b285445c),
+    ("consensus/Semi-Active", 0xa690eca9f80c2b73, 0x528680163320b267),
+    ("consensus/Eager UE (ABCAST)", 0xec85a024e4659cc1, 0xd67f9b17158b00ed),
+    ("consensus/Certification Based", 0x38044560c9cda0fb, 0xcc40b507d329aebf),
     ("batched/Active/seq/w=250", 0xa9cfd31fedf0b54f, 0xebc195e4aeb8b648),
-    ("batched/Certification/cons/w=1000", 0x2fd4e65b20fcd515, 0xbbadb69cbfc0ec52),
+    ("batched/Certification/cons/w=1000", 0xb94246372c3785f6, 0x820302c84505831a),
     ("batched/EagerPrimary/w=250", 0x974318d5c2a024f4, 0x1d23ceddc623fca8),
     ("outage/Active", 0x19aaa02a3d3a7117, 0x0c39f0b921412624),
     ("disaster/Active", 0x30afe2b7311e90cd, 0xf416352edffce55b),
     ("elastic/Active", 0x310debcccf91906d, 0x0f485d923312c61d),
-    ("outage/Passive", 0x87733aa0e22b679f, 0xa3a9c75d6a9db678),
-    ("disaster/Passive", 0x85bf0951d229d61e, 0x640af05520dfaef1),
-    ("elastic/Passive", 0x4eb1132f90fef53f, 0xf40bb4b83f9a7625),
-    ("outage/Semi-Active", 0x063ee33890522e26, 0x79ea11ebc5c48c2e),
-    ("disaster/Semi-Active", 0xa4259735f4676255, 0xfd578e8f51bff864),
-    ("elastic/Semi-Active", 0x526121fc1b121eeb, 0x90ff5d323b24fa86),
-    ("outage/Semi-Passive", 0x805e8e55837eda63, 0xe303470c9cc030a1),
-    ("disaster/Semi-Passive", 0xf39871732cc1f3d0, 0x08c9daad7ff9a0de),
-    ("elastic/Semi-Passive", 0xdd4034cbca6efa41, 0x789b8d80e99d361a),
+    ("outage/Passive", 0x6f42436048d48a16, 0xbd386fb5e88dad50),
+    ("disaster/Passive", 0x89c4791258d45b85, 0x65d620fd83eeccb5),
+    ("elastic/Passive", 0x1dcfc3cf5af94a87, 0x3dcbd67d473115a1),
+    ("outage/Semi-Active", 0x951652dc7a7fea4d, 0xcae686c49d5e510e),
+    ("disaster/Semi-Active", 0xedfeb4f5216a432b, 0x37825eb91a82f6e4),
+    ("elastic/Semi-Active", 0x02369cf61c90f2f6, 0x941ca9217bd46e9a),
+    ("outage/Semi-Passive", 0x520b95ce5ef819aa, 0x3e0bbee4f62872b1),
+    ("disaster/Semi-Passive", 0xcc5aa13e566efbe1, 0x0e6437f47f2a6780),
+    ("elastic/Semi-Passive", 0xe45eda4fe4c6a116, 0x0345af2ed35b92f7),
     ("outage/Eager Primary Copy", 0x93cd444577349c03, 0xd682babe0ff3affb),
     ("disaster/Eager Primary Copy", 0xdcf6e85b5cd9ff8f, 0x4e96a029865052bc),
     ("elastic/Eager Primary Copy", 0x0c57deb7d83ae3fe, 0x3d14ba303b145167),
@@ -78,7 +78,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("outage/Certification Based", 0x03cf23698fd70f12, 0x2f4d94e9568d27b7),
     ("disaster/Certification Based", 0x0c2b4c2ee98fdbad, 0xf04ce0548736b393),
     ("elastic/Certification Based", 0x51d643ba6f8d8bce, 0xc2246a9fcabbf06b),
-    ("outage/Active/consensus/coordinator", 0x9ec4b07e7a188a4f, 0x003216f4ea6ae8d3),
+    ("outage/Active/consensus/coordinator", 0xe5d6deeb333bcee8, 0xfefc4033f737d0df),
     ("shard4/Active/x=20%", 0x621085459269c181, 0xbcb7e26fd963d25a),
     ("shard4/Eager UE (ABCAST)/x=20%", 0xfbf139760a857f23, 0xe2bd53b8b9df1a09),
     ("shard4/Eager UE (Distributed Locking)/x=20%", 0x8f23be7f32e26762, 0x56a84e271b8130d4),
@@ -86,12 +86,12 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("shard4/Certification Based/x=0%", 0xa462a3c1de302fdc, 0xbe7f8ede14b63f9c),
     ("open/Active", 0xdf2a1f098847a005, 0x26d774c013f39c7b),
     ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
-    ("shard4/outage/ret=1/Passive", 0x2680913e5f400a1d, 0xc091b2e1b1a0c63d),
-    ("shard4/outage/ret=1/Semi-Passive", 0x6cf64b7f774a8854, 0xdf372cc76d27bdfd),
+    ("shard4/outage/ret=1/Passive", 0x27e0071f55515541, 0x2e735227a64d0121),
+    ("shard4/outage/ret=1/Semi-Passive", 0x9a035056edcbd971, 0xde8fe5c92865c2b3),
     ("shard4/outage/ret=1/Eager Primary Copy", 0x3cfa97ac9f70608f, 0x5dbeb4307654f50a),
     ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
     ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0xffb44cd910cbe2e3, 0xc9486f1a7c11685c),
-    ("shard4/disaster/Passive", 0x2abe3ab796166aa9, 0xb0ee83cc3173de35),
+    ("shard4/disaster/Passive", 0x6a8e2615a7c4d391, 0xc97c250b98f3c4a1),
     ("shard4/disaster/Certification Based", 0x2ffe4e4ec493c802, 0x28e1306993222f84),
 ];
 

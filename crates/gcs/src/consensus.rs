@@ -14,22 +14,35 @@
 //!    rounds;
 //! 2. the coordinator collects a majority of round-`r` estimates, picks the
 //!    value with the highest adoption timestamp (ties broken by proposer
-//!    id), and proposes it;
+//!    id), proposes it to the other members and adopts it itself, in
+//!    place;
 //! 3. participants adopt and acknowledge the proposal unless they have
 //!    moved to a later round;
-//! 4. on a majority of acks the coordinator decides and disseminates the
-//!    decision with eager relay.
+//! 4. on a majority of acks (its own counted) the coordinator decides and
+//!    disseminates the decision with eager relay.
+//!
+//! A decision names its round, not its value: a coordinator proposes once
+//! per round, so a member whose estimate was adopted from round `r`'s
+//! proposal (timestamp `r + 1`) holds the value `Decide(r)` announces and
+//! decides it on the spot. Any other member asks the sender, which has
+//! decided and answers with the value; only that answer carries it. So in
+//! a fault-free instance the value crosses each link once, in the
+//! proposal. Wire sizes: `Start` 16 B, `Estimate` 24 B plus the value and
+//! its 8-byte timestamp when it carries one, `Propose` 24 B plus the value,
+//! `Ack` 24 B, `Decide` 24 B plus the value in an answer only.
 //!
 //! Suspicion is implemented by per-round timeouts: an undecided participant
 //! whose round stalls moves on, which rotates the coordinator. Safety never
 //! depends on the timeouts; liveness requires a majority of the group to
-//! stay alive (the usual requirement).
+//! stay alive (the usual requirement). A member that asks for a decided
+//! value is in a round too, so a lost question or answer ends in the same
+//! rotation.
 //!
 //! A ballot is transient: once an instance decides, its round, estimates,
 //! proposal and acks are of no further use, so the ballot returns to a free
-//! list and only the decided value stays — the answer to a participant that
-//! starts or re-sends an estimate late. A run no member can replay keeps
-//! not even that ([`ConsensusPool::forget_decided`]).
+//! list and only the decided value and its round stay — the answer to a
+//! participant that starts, re-sends an estimate or asks late. A run no
+//! member can replay keeps not even that ([`ConsensusPool::forget_decided`]).
 
 use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 
@@ -51,7 +64,8 @@ pub enum ConsMsg<V> {
         /// Consensus instance.
         inst: u64,
     },
-    /// Participant → coordinator: current estimate for a round.
+    /// Participant → coordinator: current estimate for a round. Also how
+    /// a member that cannot decide a `Decide` asks its decided sender.
     Estimate {
         /// Consensus instance.
         inst: u64,
@@ -60,7 +74,7 @@ pub enum ConsMsg<V> {
         /// Last adopted `(value, adoption timestamp)`, if any.
         est: Option<(V, u64)>,
     },
-    /// Coordinator → all: proposal for a round.
+    /// Coordinator → the other members: proposal for a round.
     Propose {
         /// Consensus instance.
         inst: u64,
@@ -80,8 +94,11 @@ pub enum ConsMsg<V> {
     Decide {
         /// Consensus instance.
         inst: u64,
-        /// Decided value.
-        value: V,
+        /// Round whose proposal was decided.
+        round: u64,
+        /// The decided value, only in the answer to a member that asked:
+        /// a decision or relay carries `None`.
+        value: Option<V>,
     },
 }
 
@@ -94,7 +111,7 @@ impl<V: Message> Message for ConsMsg<V> {
             }
             ConsMsg::Propose { value, .. } => 24 + value.wire_size(),
             ConsMsg::Ack { .. } => 24,
-            ConsMsg::Decide { value, .. } => 16 + value.wire_size(),
+            ConsMsg::Decide { value, .. } => 24 + value.as_ref().map_or(0, V::wire_size),
         }
     }
 }
@@ -141,6 +158,9 @@ struct Ballot<V> {
     proposal: Option<(u64, V)>, // (round proposed in, value)
     acks: Vec<NodeId>,
     entered: bool,
+    /// Relay mask of the `Decide`s that arrived before this member could
+    /// decide (a forgetful pool's, see [`Decided::heard`]).
+    heard: u64,
 }
 
 impl<V> Default for Ballot<V> {
@@ -152,6 +172,7 @@ impl<V> Default for Ballot<V> {
             proposal: None,
             acks: Vec::new(),
             entered: false,
+            heard: 0,
         }
     }
 }
@@ -165,7 +186,33 @@ impl<V> Ballot<V> {
         self.proposal = None;
         self.acks.clear();
         self.entered = false;
+        self.heard = 0;
     }
+
+    /// Adopts round `round`'s proposal `value` unless this member has
+    /// promised a later round. `Some(rearm)` if it adopted, where `rearm`
+    /// says the round timer must be armed for `round`.
+    fn adopt(&mut self, round: u64, value: V) -> Option<bool> {
+        if round < self.round {
+            return None;
+        }
+        let rearm = round > self.round || !self.entered;
+        self.round = round;
+        self.entered = true;
+        self.est = Some((value, round + 1));
+        Some(rearm)
+    }
+}
+
+/// What a member keeps of a decided instance.
+#[derive(Debug)]
+struct Decided<V> {
+    value: V,
+    /// The round whose proposal was decided: the name a relay gives it.
+    round: u64,
+    /// The group positions whose `Decide` arrived (a forgetful pool's
+    /// relay mask; 0 in a pool that keeps every value).
+    heard: u64,
 }
 
 /// True if `inst` is one of the `forgotten` decided instances.
@@ -197,9 +244,8 @@ pub struct ConsensusPool<V> {
     live: HashMap<u64, Ballot<V>>,
     /// Ballots of decided instances, emptied for reuse.
     free: Vec<Ballot<V>>,
-    /// Decided values by instance (ordered: ids jump after a catch-up),
-    /// each with the group positions whose `Decide` arrived.
-    decided: BTreeMap<u64, (V, u64)>,
+    /// Decided instances (ordered: ids jump after a catch-up).
+    decided: BTreeMap<u64, Decided<V>>,
     /// Decided instances whose value went (`Some` once forgetting).
     forgotten: Option<RunSet<()>>,
 }
@@ -271,7 +317,7 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
 
     /// The decided value of `inst`, if any and not forgotten.
     pub fn decided(&self, inst: u64) -> Option<&V> {
-        self.decided.get(&inst).map(|(v, _)| v)
+        self.decided.get(&inst).map(|d| &d.value)
     }
 
     /// The live ballot of `inst`, taken from the free list if this member
@@ -287,25 +333,42 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
     }
 
     /// Answers a late message about decided instance `inst` with the
-    /// decision, unless forgotten (then the sender has decided too).
+    /// decision, unless forgotten (then the sender has decided too). The
+    /// one `Decide` that carries its value.
     fn answer_decided(&self, to: NodeId, inst: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
-        if let Some(value) = self.decided(inst).cloned() {
-            out.send(to, ConsMsg::Decide { inst, value });
+        if let Some(d) = self.decided.get(&inst) {
+            out.send(
+                to,
+                ConsMsg::Decide {
+                    inst,
+                    round: d.round,
+                    value: Some(d.value.clone()),
+                },
+            );
         }
     }
 
-    /// Notes `from`'s relay of decided instance `inst`; a forgetful pool
-    /// drops the value once every other member's relay has arrived.
-    fn relayed(&mut self, from: NodeId, inst: u64) {
-        let (me, group) = (self.me, &self.group);
-        let pos = group.iter().position(|&m| m == from && m != me);
-        let (Some(forgotten), Some((_, heard)), Some(pos)) =
-            (&mut self.forgotten, self.decided.get_mut(&inst), pos)
-        else {
+    /// `from`'s bit in a relay mask: its group position in a forgetful
+    /// pool, 0 for this member or in a pool that keeps every value.
+    fn relay_bit(&self, from: NodeId) -> u64 {
+        if self.forgotten.is_none() || from == self.me {
+            return 0;
+        }
+        (self.group.iter().position(|&m| m == from)).map_or(0, |pos| 1 << pos)
+    }
+
+    /// Adds `heard` to decided instance `inst`'s relay mask; a forgetful
+    /// pool drops the value once every other member's relay has arrived.
+    fn relayed(&mut self, inst: u64, heard: u64) {
+        let Some(forgotten) = &mut self.forgotten else {
             return;
         };
-        *heard |= 1 << pos;
-        if heard.count_ones() as usize == group.iter().filter(|&&m| m != me).count() {
+        let Some(d) = self.decided.get_mut(&inst) else {
+            return;
+        };
+        d.heard |= heard;
+        let others = self.group.iter().filter(|&&m| m != self.me).count();
+        if d.heard.count_ones() as usize == others {
             self.decided.remove(&inst);
             forgotten.insert((), inst);
         }
@@ -349,16 +412,12 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>,
     ) {
         assert!(inst < MAX_INST, "consensus instance id too large");
-        let (leads, timeout) = (self.coord(0) == self.me, self.config.round_timeout);
-        let Some(b) = (self.ballot(inst)).filter(|b| leads && b.round == 0 && b.proposal.is_none())
-        else {
-            return self.propose(inst, v, out);
-        };
-        if !std::mem::replace(&mut b.entered, true) {
-            out.timer(timeout, Self::tag(inst, 0));
+        let leads = self.coord(0) == self.me;
+        if (self.ballot(inst)).is_some_and(|b| leads && b.round == 0 && b.proposal.is_none()) {
+            self.send_proposal(inst, 0, v, out);
+        } else {
+            self.propose(inst, v, out);
         }
-        b.est.get_or_insert_with(|| (v.clone(), 0));
-        self.send_proposal(inst, 0, v, out);
     }
 
     fn enter_round(&mut self, inst: u64, round: u64, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
@@ -413,8 +472,9 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         self.send_proposal(inst, round, value, out);
     }
 
-    /// Sends `value` to the group as round `round`'s proposal for `inst`
-    /// and awaits its acks.
+    /// Sends `value` to the other members as round `round`'s proposal for
+    /// `inst`, adopts it here by the rule every receiver applies and
+    /// counts this member's ack: a group of one decides at once.
     fn send_proposal(
         &mut self,
         inst: u64,
@@ -423,18 +483,25 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>,
     ) {
         for &m in &self.group {
-            out.send(
-                m,
-                ConsMsg::Propose {
-                    inst,
-                    round,
-                    value: value.clone(),
-                },
-            );
+            if m != self.me {
+                let value = value.clone();
+                out.send(m, ConsMsg::Propose { inst, round, value });
+            }
         }
+        let (me, quorum, timeout) = (self.me, self.quorum(), self.config.round_timeout);
         let b = self.live.get_mut(&inst).expect("a live ballot");
         b.acks.clear();
-        b.proposal = Some((round, value));
+        if let Some(rearm) = b.adopt(round, value.clone()) {
+            if rearm {
+                out.timer(timeout, Self::tag(inst, round));
+            }
+            b.acks.push(me);
+        }
+        if b.acks.len() >= quorum {
+            self.decide(inst, round, value, out);
+        } else {
+            b.proposal = Some((round, value));
+        }
     }
 
     /// Re-arms the round timers of every undecided, entered instance
@@ -454,28 +521,46 @@ impl<V: Clone + std::fmt::Debug + 'static> ConsensusPool<V> {
         }
     }
 
-    /// Records the decision, recycles the ballot and relays the value.
-    fn decide(&mut self, inst: u64, value: V, out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>) {
+    /// Records round `round`'s decision, recycles the ballot (keeping its
+    /// relay mask) and relays the decision by its round.
+    fn decide(
+        &mut self,
+        inst: u64,
+        round: u64,
+        value: V,
+        out: &mut Outbox<ConsMsg<V>, ConsEvent<V>>,
+    ) {
         let btree_map::Entry::Vacant(slot) = self.decided.entry(inst) else {
             return;
         };
-        slot.insert((value.clone(), 0));
+        let mut heard = 0;
         if let Some(mut b) = self.live.remove(&inst) {
+            heard = b.heard;
             b.reset();
             self.free.push(b);
         }
+        let value = slot
+            .insert(Decided {
+                value,
+                round,
+                heard,
+            })
+            .value
+            .clone();
         for &m in &self.group {
             if m != self.me {
                 out.send(
                     m,
                     ConsMsg::Decide {
                         inst,
-                        value: value.clone(),
+                        round,
+                        value: None,
                     },
                 );
             }
         }
         out.event(ConsEvent::Decided { inst, value });
+        self.relayed(inst, 0);
     }
 
     /// Number of undecided instances holding a ballot.
@@ -531,13 +616,9 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
                 let Some(b) = self.ballot(inst) else {
                     return; // decided: a late proposal changes nothing
                 };
-                if round < b.round {
+                let Some(rearm) = b.adopt(round, value) else {
                     return; // promised a later round
-                }
-                let rearm = round > b.round || !b.entered;
-                b.round = round;
-                b.entered = true;
-                b.est = Some((value, round + 1));
+                };
                 out.send(from, ConsMsg::Ack { inst, round });
                 if rearm {
                     out.timer(me_round_timeout, Self::tag(inst, round));
@@ -557,14 +638,42 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
                 }
                 if b.acks.len() >= quorum {
                     let (_, v) = b.proposal.take().expect("matched above");
-                    self.decide(inst, v, out);
+                    self.decide(inst, round, v, out);
                 }
             }
-            ConsMsg::Decide { inst, value } if !forgot(&self.forgotten, inst) => {
-                self.decide(inst, value, out);
-                self.relayed(from, inst);
+            ConsMsg::Decide { inst, round, value } => {
+                let (bit, timeout) = (self.relay_bit(from), self.config.round_timeout);
+                let Some(b) = self.ballot(inst) else {
+                    // Decided here (or forgotten: its sender has decided).
+                    return self.relayed(inst, bit);
+                };
+                b.heard |= bit;
+                // Round `round` had one proposal: an estimate adopted from
+                // it is the decided value.
+                let value = match (value, &b.est) {
+                    (Some(v), _) => v,
+                    (None, Some((v, ts))) if *ts == round + 1 => v.clone(),
+                    (None, _) => {
+                        // Ask the sender, which has decided and cannot
+                        // have forgotten (it waits for this member's
+                        // relay). A round timer covers a lost question or
+                        // answer: an entered member's is armed already.
+                        let (r, est) = (b.round, b.est.clone());
+                        if !std::mem::replace(&mut b.entered, true) {
+                            out.timer(timeout, Self::tag(inst, r));
+                        }
+                        return out.send(
+                            from,
+                            ConsMsg::Estimate {
+                                inst,
+                                round: r,
+                                est,
+                            },
+                        );
+                    }
+                };
+                self.decide(inst, round, value, out);
             }
-            ConsMsg::Decide { .. } => {} // forgotten: its sender has decided
         }
     }
 
@@ -850,7 +959,7 @@ mod edge_tests {
         pools: &mut [ConsensusPool<u64>],
         from: NodeId,
         out: &mut Out,
-        hold: impl Fn(NodeId, NodeId, &ConsMsg<u64>) -> bool,
+        mut hold: impl FnMut(NodeId, NodeId, &ConsMsg<u64>) -> bool,
     ) -> Vec<(NodeId, NodeId, ConsMsg<u64>)> {
         let (mut queue, mut held) = (std::collections::VecDeque::new(), Vec::new());
         let mut sender = from;
@@ -930,7 +1039,11 @@ mod edge_tests {
                     round: 4,
                     value: 7,
                 },
-                ConsMsg::Decide { inst: 5, value: 42 },
+                ConsMsg::Decide {
+                    inst: 5,
+                    round: 0,
+                    value: Some(42),
+                },
             ];
             for msg in late {
                 pool.on_message(NodeId::new((i as u32 + 1) % 3), msg, &mut out);
@@ -1025,7 +1138,7 @@ mod edge_tests {
             assert!(
                 matches!(
                     actions.as_slice(),
-                    [Action::Send(to, ConsMsg::Decide { inst: 5, value: 42 })] if to.raw() == 2
+                    [Action::Send(to, ConsMsg::Decide { inst: 5, round: 0, value: Some(42) })] if to.raw() == 2
                 ),
                 "a late message must get exactly the decision: {actions:?}"
             );
@@ -1086,5 +1199,317 @@ mod edge_tests {
                 assert_eq!(pool.decided(inst), Some(&(100 + inst)));
             }
         }
+    }
+
+    /// True if `actions` raise instance 5's decision of 42.
+    fn decides_42(actions: &[Action<ConsMsg<u64>, ConsEvent<u64>>]) -> bool {
+        (actions.iter())
+            .any(|a| matches!(a, Action::Event(ConsEvent::Decided { inst: 5, value: 42 })))
+    }
+
+    /// The sends among `actions`, as `(to, message)`.
+    fn sends(actions: Vec<Action<ConsMsg<u64>, ConsEvent<u64>>>) -> Vec<(NodeId, ConsMsg<u64>)> {
+        (actions.into_iter())
+            .filter_map(|a| match a {
+                Action::Send(to, msg) => Some((to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Runs instance 5 from node 0 with every message to node 1 held:
+    /// nodes 0 and 2 decide 42 in round 0. Returns the held messages.
+    fn decided_without_node_1(
+        pools: &mut [ConsensusPool<u64>],
+    ) -> Vec<(NodeId, NodeId, ConsMsg<u64>)> {
+        let mut out = Out::new();
+        pools[0].propose(5, 42, &mut out);
+        let n1 = NodeId::new(1);
+        let held = settle_but(pools, NodeId::new(0), &mut out, |_, to, _| to == n1);
+        assert_eq!(
+            (pools[0].decided(5), pools[2].decided(5)),
+            (Some(&42), Some(&42))
+        );
+        assert_eq!(pools[1].decided(5), None);
+        held
+    }
+
+    #[test]
+    fn a_member_that_adopted_the_round_decides_a_valueless_decide_without_asking() {
+        let mut pools = pools(3);
+        let held = decided_without_node_1(&mut pools);
+        let mut out = Out::new();
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        let propose = held
+            .iter()
+            .find(|(.., m)| matches!(m, ConsMsg::Propose { .. }));
+        let (_, _, propose) = propose.expect("round 0's proposal reached node 1's link");
+        pools[1].on_message(n0, propose.clone(), &mut out);
+        assert!(matches!(
+            sends(out.drain()).as_slice(),
+            [(to, ConsMsg::Ack { inst: 5, round: 0 })] if *to == n0
+        ));
+        let decide = ConsMsg::Decide {
+            inst: 5,
+            round: 0,
+            value: None,
+        };
+        pools[1].on_message(n0, decide, &mut out);
+        let actions = out.drain();
+        assert!(decides_42(&actions), "{actions:?}");
+        // Nothing asks, nothing carries the value: only the relays.
+        let sent = sends(actions);
+        assert_eq!(sent.len(), 2, "{sent:?}");
+        for (to, msg) in sent {
+            assert_ne!(to, n1);
+            assert!(
+                matches!(
+                    msg,
+                    ConsMsg::Decide {
+                        inst: 5,
+                        round: 0,
+                        value: None
+                    }
+                ),
+                "{msg:?}"
+            );
+        }
+        assert_eq!(pools[1].decided(5), Some(&42));
+    }
+
+    #[test]
+    fn a_member_that_did_not_adopt_the_round_asks_the_sender_and_decides_its_answer() {
+        let n0 = NodeId::new(0);
+        let decide = ConsMsg::Decide {
+            inst: 5,
+            round: 0,
+            value: None,
+        };
+        // Node 1's estimate: its own initial value (timestamp 0), another
+        // round's proposal (timestamp 2), or none at all.
+        let seeds: [fn(&mut ConsensusPool<u64>, &mut Out); 3] = [
+            |p, out| p.propose(5, 7, out),
+            |p, out| {
+                let propose = ConsMsg::Propose {
+                    inst: 5,
+                    round: 1,
+                    value: 9,
+                };
+                p.on_message(NodeId::new(1), propose, out);
+            },
+            |_, _| {},
+        ];
+        for (case, seed) in seeds.into_iter().enumerate() {
+            let mut pools = pools(3);
+            decided_without_node_1(&mut pools);
+            let mut out = Out::new();
+            seed(&mut pools[1], &mut out);
+            let entered = !out.drain().is_empty();
+            pools[1].on_message(n0, decide.clone(), &mut out);
+            let actions = out.drain();
+            assert!(
+                !actions.iter().any(|a| matches!(a, Action::Event(_))),
+                "case {case}: decided its own estimate: {actions:?}"
+            );
+            // A member that was in no round yet arms one for its question.
+            let timers = (actions.iter())
+                .filter(|a| matches!(a, Action::SetTimer(..)))
+                .count();
+            assert_eq!(timers, usize::from(!entered), "case {case}: {actions:?}");
+            let ask = match sends(actions).as_slice() {
+                [(to, ask @ ConsMsg::Estimate { inst: 5, .. })] if *to == n0 => ask.clone(),
+                other => panic!("case {case}: expected one question to node 0: {other:?}"),
+            };
+            assert_eq!(pools[1].decided(5), None, "case {case}");
+            pools[0].on_message(NodeId::new(1), ask, &mut out);
+            let answer = match sends(out.drain()).as_slice() {
+                [(to, answer)] if to.raw() == 1 => answer.clone(),
+                other => panic!("case {case}: expected one answer: {other:?}"),
+            };
+            assert!(
+                matches!(
+                    answer,
+                    ConsMsg::Decide {
+                        inst: 5,
+                        round: 0,
+                        value: Some(42)
+                    }
+                ),
+                "case {case}: {answer:?}"
+            );
+            pools[1].on_message(n0, answer, &mut out);
+            let actions = out.drain();
+            assert!(decides_42(&actions), "case {case}: {actions:?}");
+            for (_, relay) in sends(actions) {
+                assert!(
+                    matches!(
+                        relay,
+                        ConsMsg::Decide {
+                            inst: 5,
+                            round: 0,
+                            value: None
+                        }
+                    ),
+                    "case {case}: a relay names the answer's round: {relay:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_relay_that_arrives_before_the_value_still_counts_toward_forgetting() {
+        let mut pools = forgetful(3);
+        let held = decided_without_node_1(&mut pools);
+        let mut out = Out::new();
+        // Both value-less decisions reach node 1 first; it asks each sender.
+        let mut asks = Vec::new();
+        for (src, to, msg) in held {
+            if matches!(msg, ConsMsg::Decide { .. }) {
+                pools[to.raw() as usize].on_message(src, msg, &mut out);
+                asks.extend(sends(out.drain()));
+            }
+        }
+        assert_eq!(asks.len(), 2, "{asks:?}");
+        assert!(asks
+            .iter()
+            .all(|(_, m)| matches!(m, ConsMsg::Estimate { .. })));
+        // The first answer decides, and both early relays are on record:
+        // node 1 keeps nothing, and its relays let the others forget.
+        let (to, ask) = asks.swap_remove(0);
+        pools[to.raw() as usize].on_message(NodeId::new(1), ask, &mut out);
+        settle(&mut pools, to, &mut out);
+        assert_eq!(pools[1].decided(5), None);
+        for (i, pool) in pools.iter().enumerate() {
+            assert_eq!(
+                (pool.live_ballots(), pool.decided.len()),
+                (0, 0),
+                "node {i}"
+            );
+        }
+        // The second question's answer comes to a forgotten instance.
+        let (to, ask) = asks.pop().expect("two questions");
+        pools[to.raw() as usize].on_message(NodeId::new(1), ask, &mut out);
+        assert!(
+            out.drain().is_empty(),
+            "node {to} forgot and answers nothing"
+        );
+    }
+
+    #[test]
+    fn forgetful_pools_on_lossy_links_decide_each_instance_once_and_agree() {
+        // Lost proposals, acks, decisions, relays, questions and answers
+        // are all recovered by round rotation. A lost relay can leave a
+        // value kept, so forgetting is not asserted here.
+        let net = repl_sim::NetworkConfig::lan().with_drop_prob(0.05);
+        for seed in 0..8 {
+            let mut world: World<ConsMsg<u64>> =
+                World::new(SimConfig::new(seed).with_network(net.clone()));
+            let group: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+            for i in 0..5u32 {
+                let mut pool = ConsensusPool::new(
+                    group[i as usize],
+                    group.to_vec(),
+                    ConsensusConfig::default(),
+                );
+                pool.forget_decided();
+                let actor = ComponentActor::new(pool).with_step(
+                    SimDuration::from_ticks(10),
+                    move |p, out| {
+                        for inst in 0..20 {
+                            p.propose(inst, 100 * inst + u64::from(i), out);
+                        }
+                    },
+                );
+                world.add_actor(Box::new(actor));
+            }
+            world.start();
+            world.run_until(SimTime::from_ticks(2_000_000));
+            let decisions = |n| {
+                let host = world.actor_ref::<ComponentActor<ConsensusPool<u64>>>(n);
+                let mut d: Vec<(u64, u64)> = (host.events.iter())
+                    .map(|(_, ConsEvent::Decided { inst, value })| (*inst, *value))
+                    .collect();
+                d.sort_unstable();
+                d
+            };
+            let first = decisions(group[0]);
+            assert_eq!(
+                first.iter().map(|d| d.0).collect::<Vec<_>>(),
+                (0..20).collect::<Vec<_>>(),
+                "seed {seed}: one decision per instance"
+            );
+            for &n in &group {
+                assert_eq!(decisions(n), first, "seed {seed}: agreement at {n}");
+            }
+        }
+    }
+
+    /// Counts, by kind, what one fault-free instance at `n` sends over
+    /// links and to self, and how many link messages carry the value.
+    fn cost(n: u32, deferred: bool) -> (BTreeMap<&'static str, usize>, usize, Vec<&'static str>) {
+        let mut pools = pools(n);
+        let mut out = Out::new();
+        if deferred {
+            pools[0].propose_deferred(5, 42, &mut out);
+        } else {
+            pools[0].propose(5, 42, &mut out);
+        }
+        let (mut kinds, mut carried, mut to_self) = (BTreeMap::new(), 0, Vec::new());
+        settle_but(&mut pools, NodeId::new(0), &mut out, |src, to, msg| {
+            let (kind, carries) = match msg {
+                ConsMsg::Start { .. } => ("Start", false),
+                ConsMsg::Estimate { est, .. } => ("Estimate", est.is_some()),
+                ConsMsg::Propose { .. } => ("Propose", true),
+                ConsMsg::Ack { .. } => ("Ack", false),
+                ConsMsg::Decide { value, .. } => ("Decide", value.is_some()),
+            };
+            *kinds.entry(kind).or_insert(0) += 1;
+            if src == to {
+                to_self.push(kind);
+            } else {
+                carried += usize::from(carries);
+            }
+            false
+        });
+        for (i, pool) in pools.iter().enumerate() {
+            assert_eq!(pool.decided(5), Some(&42), "n = {n}, node {i}");
+        }
+        (kinds, carried, to_self)
+    }
+
+    #[test]
+    fn a_fault_free_instance_sends_the_value_once_over_each_link() {
+        for n in [3usize, 5] {
+            // `propose`: a `Start` and an estimate from each member (the
+            // coordinator's to itself), then what `propose_deferred` sends.
+            let (kinds, carried, to_self) = cost(n as u32, false);
+            let want = [
+                ("Ack", n - 1),
+                ("Decide", n * (n - 1)),
+                ("Estimate", n),
+                ("Propose", n - 1),
+                ("Start", n - 1),
+            ];
+            assert_eq!(kinds, want.into_iter().collect(), "propose, n = {n}");
+            assert_eq!(carried, n - 1, "propose, n = {n}");
+            assert_eq!(to_self, ["Estimate"], "propose, n = {n}");
+            // `propose_deferred`: the proposal to each other member, their
+            // acks, and the decision relayed by every member to every other.
+            let (kinds, carried, to_self) = cost(n as u32, true);
+            let want = [("Ack", n - 1), ("Decide", n * (n - 1)), ("Propose", n - 1)];
+            assert_eq!(kinds, want.into_iter().collect(), "deferred, n = {n}");
+            assert_eq!(carried, n - 1, "deferred, n = {n}");
+            assert!(to_self.is_empty(), "deferred, n = {n}: {to_self:?}");
+        }
+        // A group of one decides inside the call, sending nothing.
+        let mut alone = pools(1);
+        let mut out = Out::new();
+        alone[0].propose_deferred(5, 42, &mut out);
+        let actions = out.drain();
+        assert!(
+            actions.iter().all(|a| !matches!(a, Action::Send(..))),
+            "{actions:?}"
+        );
+        assert!(decides_42(&actions));
     }
 }
