@@ -19,6 +19,7 @@ use repl_workload::{OpTemplate, ShardMap, TxnTemplate};
 
 use crate::durability::DurabilityConfig;
 use crate::op::{accesses, ClientOp, OpId, Response};
+use crate::protocols::replica::Shell;
 
 /// Whether servers execute deterministically.
 ///
@@ -58,16 +59,14 @@ impl AbcastImpl {
         group: Vec<NodeId>,
         cons: ConsensusConfig,
     ) -> AbcastEndpoint<P> {
-        match self {
+        let ab: Box<dyn TotalOrder<P>> = match self {
             AbcastImpl::Sequencer => {
-                let seq = SequencerAbcast::new(me, group).with_retransmit(cons.round_timeout);
-                AbcastEndpoint::Seq(seq, Outbox::new())
+                Box::new(SequencerAbcast::new(me, group).with_retransmit(cons.round_timeout))
             }
-            AbcastImpl::Consensus => {
-                let cons = ConsensusAbcast::new(me, group, cons);
-                AbcastEndpoint::Cons(Box::new(cons), Outbox::new())
-            }
-        }
+            AbcastImpl::Consensus => Box::new(ConsensusAbcast::new(me, group, cons)),
+        };
+        let out = Outbox::new();
+        AbcastEndpoint { ab, out }
     }
 }
 
@@ -166,43 +165,30 @@ impl ShardCtx {
 }
 
 /// An Atomic Broadcast endpoint: one of the three [`TotalOrder`]
-/// flavours, with the one outbox it writes into (owned for the endpoint's
-/// lifetime, so handling a message allocates nothing here). A host reads
-/// and configures it through `Deref` to [`TotalOrder`], hands it input
-/// through [`AbcastEndpoint::parts`], and calls [`AbcastEndpoint::drain`]
-/// once it has handled its input.
-#[derive(Debug)]
-pub enum AbcastEndpoint<P> {
-    /// Fixed-sequencer endpoint.
-    Seq(SequencerAbcast<P>, AbOutbox<P>),
-    /// Consensus-based endpoint; boxed, so a host running either other
-    /// flavour is not as large as a consensus pool.
-    Cons(Box<ConsensusAbcast<P>>, AbOutbox<P>),
-    /// Genuine-multicast endpoint (sharded runs with cross-shard
-    /// traffic): shard-local broadcasts order within the group, cross
-    /// messages through Skeen timestamp agreement with the other touched
-    /// groups. Assumes no faults — the runner forbids fault plans when
-    /// cross-shard traffic is on.
-    Gen(GenuineMulticast<P>, AbOutbox<P>),
+/// flavours, boxed, with the one outbox it writes into (owned for the
+/// endpoint's lifetime, so handling a message allocates nothing here). A
+/// host reads and configures it through `Deref` to [`TotalOrder`], hands
+/// it input through [`AbcastEndpoint::parts`], and calls
+/// [`AbcastEndpoint::drain`] once it has handled its input. The genuine
+/// multicast (sharded runs with cross-shard traffic) assumes no faults —
+/// the runner forbids fault plans when cross-shard traffic is on.
+pub struct AbcastEndpoint<P> {
+    ab: Box<dyn TotalOrder<P>>,
+    out: AbOutbox<P>,
 }
 
 impl<P: Message> AbcastEndpoint<P> {
     /// Creates a genuine-multicast endpoint over a sharded topology.
     pub fn new_genuine(me: NodeId, ctx: &ShardCtx) -> Self {
-        AbcastEndpoint::Gen(
-            GenuineMulticast::new(me, ctx.groups(), ctx.my_gid),
-            Outbox::new(),
-        )
+        let ab = Box::new(GenuineMulticast::new(me, ctx.groups(), ctx.my_gid));
+        let out = Outbox::new();
+        AbcastEndpoint { ab, out }
     }
 
     /// The flavour and the outbox it writes into: every input the host
     /// hands the endpoint goes through here.
-    pub fn parts(&mut self) -> (&mut (dyn TotalOrder<P> + 'static), &mut AbOutbox<P>) {
-        match self {
-            AbcastEndpoint::Seq(a, s) => (a, s),
-            AbcastEndpoint::Cons(a, s) => (&mut **a, s),
-            AbcastEndpoint::Gen(a, s) => (a, s),
-        }
+    pub fn parts(&mut self) -> (&mut dyn TotalOrder<P>, &mut AbOutbox<P>) {
+        (&mut *self.ab, &mut self.out)
     }
 
     /// Applies what the endpoint queued since the last drain to the
@@ -215,7 +201,7 @@ impl<P: Message> AbcastEndpoint<P> {
         wrap: impl Fn(AbMsg<P>) -> W,
         on_deliver: impl FnMut(&mut Context<'_, W>, AbDeliver<P>),
     ) {
-        apply_outbox(ctx, self.parts().1, 0, wrap, on_deliver);
+        apply_outbox(ctx, &mut self.out, 0, wrap, on_deliver);
     }
 
     /// Leaves the ordering group on decommission: the group shrinks to
@@ -242,29 +228,19 @@ impl<P: Message> AbcastEndpoint<P> {
         let snapshot = Transfer::snapshot(&base.store, gpos);
         (Some(snapshot), self.position(), gpos)
     }
-
-    /// True for the sequencer flavour, whose position counts gseqs: a
-    /// joiner can fast-forward to an applied cursor in gseq units there.
-    pub fn is_seq(&self) -> bool {
-        matches!(self, AbcastEndpoint::Seq(..))
-    }
 }
 
 impl<P: Message> Deref for AbcastEndpoint<P> {
     type Target = dyn TotalOrder<P>;
 
     fn deref(&self) -> &Self::Target {
-        match self {
-            AbcastEndpoint::Seq(a, _) => a,
-            AbcastEndpoint::Cons(a, _) => &**a,
-            AbcastEndpoint::Gen(a, _) => a,
-        }
+        &*self.ab
     }
 }
 
 impl<P: Message> DerefMut for AbcastEndpoint<P> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        self.parts().0
+        &mut *self.ab
     }
 }
 
@@ -899,17 +875,21 @@ fn note(tier: &mut Option<Box<DurableLog>>, v: WsView<'_>) {
     }
 }
 
-/// Polls the ABCAST endpoint for a completed rejoin and closes the
-/// server's recovery window: the refilled ordered-stream bytes count as
-/// a log-suffix transfer (the order log *is* the group's shared log).
-/// Call after every endpoint interaction; no-op outside a recovery.
-pub fn settle_rejoin<P: Message>(ab: &mut AbcastEndpoint<P>, base: &mut ServerBase, now: u64) {
+/// Polls the ABCAST endpoint after every interaction. A stream stalled
+/// behind a hole means this member fell behind ([`Shell::fell_behind`]);
+/// a completed rejoin closes the recovery window, the refilled bytes
+/// counting as a log-suffix transfer (the order log *is* the group's
+/// shared log).
+pub fn settle_rejoin<P: Message>(ab: &mut AbcastEndpoint<P>, sh: &mut Shell, now: u64) {
+    if ab.take_behind() {
+        sh.fell_behind();
+    }
     if let Some(bytes) = ab.take_rejoin_done() {
+        let recovery = &mut sh.base.recovery;
         if bytes > 0 {
-            base.recovery
-                .record_transfer(TransferStrategy::LogSuffix, bytes);
+            recovery.record_transfer(TransferStrategy::LogSuffix, bytes);
         }
-        base.recovery.complete(now);
+        recovery.complete(now);
     }
 }
 
@@ -955,18 +935,18 @@ mod tests {
     }
 
     #[test]
-    fn an_endpoint_is_no_larger_than_its_inline_flavours_and_a_pointer() {
+    fn an_endpoint_is_a_boxed_flavour_and_its_outbox() {
         use std::mem::size_of;
         type P = ClientOp;
-        let seq = size_of::<(SequencerAbcast<P>, AbOutbox<P>)>();
-        let gen = size_of::<(GenuineMulticast<P>, AbOutbox<P>)>();
         let endpoint = size_of::<AbcastEndpoint<P>>();
-        let bound = seq.max(gen) + size_of::<usize>();
-        assert!(
-            endpoint <= bound,
-            "endpoint {endpoint} B > sequencer {seq} B / genuine {gen} B + a pointer \
-             (consensus flavour {} B)",
-            size_of::<ConsensusAbcast<P>>()
+        let parts = size_of::<Box<dyn TotalOrder<P>>>() + size_of::<AbOutbox<P>>();
+        assert_eq!(
+            endpoint,
+            parts,
+            "endpoint {endpoint} B (sequencer {} B, consensus {} B, genuine {} B)",
+            size_of::<SequencerAbcast<P>>(),
+            size_of::<ConsensusAbcast<P>>(),
+            size_of::<GenuineMulticast<P>>()
         );
     }
 

@@ -225,7 +225,7 @@ impl LazyUe {
             |m| Wire::Proto(LazyUeMsg::Ab(m)),
             |_, d| apply_ordered(sh, pending, reconciliations, d),
         );
-        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
+        settle_rejoin(&mut self.ab, sh, ctx.now().ticks());
     }
 
     /// Every key this replica has accepted a stamped write for, with its

@@ -133,6 +133,9 @@ impl Passive {
             |ctx, ev| self.on_vs_event(sh, ctx, ev),
         );
         self.vg_out = out;
+        if self.vg.take_behind() {
+            sh.fell_behind();
+        }
     }
 
     fn on_vs_event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, PassiveMsg>, ev: VsEvent<Update>) {
@@ -170,9 +173,6 @@ impl Passive {
                 for op in done {
                     self.finish(ctx, op);
                 }
-            }
-            VsEvent::Excluded(_) => {
-                self.pending.clear();
             }
         }
     }

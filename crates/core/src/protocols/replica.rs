@@ -16,7 +16,8 @@
 //! has asked its peers for the state it missed, a `Draining` or `Retired`
 //! one bounces client work to the remaining members. Join and recovery are
 //! one state transfer — pushed in a `Welcome`, pulled with a `StateReq`,
-//! same donor, same installer: recovery is a join that remembers.
+//! same donor, same installer: recovery is a join that remembers, and so
+//! is the rejoin of a live member that [`Shell::fell_behind`] its group.
 //!
 //! The shell keeps the one client table, as VR does: one entry per client,
 //! holding the floor below which the group answered the client's ops
@@ -407,6 +408,8 @@ pub struct Shell {
     membership: Status,
     /// Set by [`Shell::pull_state`], cleared by the first `StateData`.
     catching_up: bool,
+    /// Set by [`Shell::fell_behind`], taken once the input is handled.
+    behind: bool,
     /// Client operations buffered while joining.
     buffered: Vec<ClientOp>,
     /// The client table: one entry per client number.
@@ -749,6 +752,12 @@ impl Shell {
         asked
     }
 
+    /// This live member missed what its group delivered (an exclusion, a
+    /// stream hole nothing fills): after the input it recovers as if crashed.
+    pub fn fell_behind(&mut self) {
+        self.behind = true;
+    }
+
     fn on_member<T: Technique>(
         &mut self,
         tech: &mut T,
@@ -837,6 +846,7 @@ impl<T: Technique> Replica<T> {
                 servers: group,
                 membership: Status::Normal,
                 catching_up: false,
+                behind: false,
                 buffered: Vec::new(),
                 clients: FxHashMap::default(),
                 shard: None,
@@ -914,6 +924,9 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
             Wire::Proto(m) => tech.on_protocol_msg(shell, ctx, from, m),
             Wire::Reply(_) => {} // a stray answer: only clients take replies
         }
+        if std::mem::take(&mut self.shell.behind) {
+            self.on_recover(ctx); // alive, so it finds no volume to restore
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, T::Msg>, _timer: TimerId, tag: u64) {
@@ -934,6 +947,9 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
                 shell.feed_detector(tech, ctx, |fd, out| fd.on_timer(tag - FD_TICK_TAG, out))
             }
             _ => tech.on_protocol_timer(shell, ctx, tag),
+        }
+        if std::mem::take(&mut self.shell.behind) {
+            self.on_recover(ctx);
         }
     }
 
@@ -1034,6 +1050,8 @@ pub(crate) mod tests {
         log: Vec<(&'static str, u64)>,
         /// `rejoin` pulls state (from log position 7).
         pulls: bool,
+        /// A `Ping` shows this member fell behind.
+        falls_behind: bool,
         /// Has a join snapshot, hence (by default) state to donate.
         donor: bool,
         /// Every `caught_up` call: the transfer's watermark and `first`.
@@ -1051,8 +1069,11 @@ pub(crate) mod tests {
             let resp = sh.base.execute_commit(&op, global_txn(op.id));
             sh.reply(ctx, op.client, resp);
         }
-        fn on_protocol_msg(&mut self, _: &mut Shell, ctx: &mut Ctx<'_, Ping>, _: NodeId, _: Ping) {
+        fn on_protocol_msg(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_, Ping>, _: NodeId, _: Ping) {
             self.pings.push(ctx.now().ticks());
+            if self.falls_behind {
+                sh.fell_behind();
+            }
         }
         fn on_protocol_timer(&mut self, _sh: &mut Shell, ctx: &mut Context<'_, StubMsg>, tag: u64) {
             assert_eq!(tag, TICK);
@@ -1736,6 +1757,23 @@ pub(crate) mod tests {
         // Down from 2 000 to 3 000, never deaf afterwards.
         assert!(r.tech.ticks.contains(&3_100));
         assert!(r.tech.pings.iter().any(|&t| (3_000..3_400).contains(&t)));
+    }
+
+    #[test]
+    fn a_member_that_fell_behind_recovers_after_the_input_without_a_restore() {
+        let mut world: World<StubMsg> = World::new(SimConfig::new(3));
+        let mut r = replica(0, &[0, 1]);
+        (r.tech.falls_behind, r.tech.pulls) = (true, true);
+        let node = world.add_actor(Box::new(r));
+        world.add_actor(probe(vec![(500, n(0), StubMsg::Proto(Ping))]));
+        world.start();
+        at(&mut world, 1_000);
+        let r = world.actor_ref::<Replica<Stub>>(node);
+        let &[got] = &r.tech.pings[..] else {
+            panic!("the input itself is handled once: {:?}", r.tech.pings)
+        };
+        assert_eq!(r.tech.log, vec![("recovering", 0), ("rejoin", got)]);
+        assert!(r.shell.catching_up() && r.shell.base.recovery.is_recovering());
     }
 
     #[test]

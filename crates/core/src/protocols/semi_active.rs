@@ -150,7 +150,7 @@ impl SemiActive {
             waiting.insert(d.gseq, d.payload);
         });
         self.process(sh, ctx);
-        settle_rejoin(&mut self.ab, &mut sh.base, ctx.now().ticks());
+        settle_rejoin(&mut self.ab, sh, ctx.now().ticks());
     }
 
     /// Applies what the view group queued, records the choices it
@@ -160,6 +160,9 @@ impl SemiActive {
         let wrap = |m| Wire::Proto(SemiActiveMsg::Vs(m));
         repl_gcs::apply_outbox(ctx, &mut out, VG_BASE, wrap, |_, ev| self.on_vs_event(ev));
         self.vg_out = out;
+        if self.vg.take_behind() {
+            sh.fell_behind();
+        }
         self.process(sh, ctx);
     }
 
@@ -178,7 +181,6 @@ impl SemiActive {
                 // A new leader re-issues choices for everything stuck.
                 self.issued.clear();
             }
-            VsEvent::Excluded(_) => {}
         }
     }
 
@@ -238,8 +240,13 @@ impl SemiActive {
 
     /// Installs a peer snapshot and fast-forwards past it (those
     /// operations' leader choices are gone and their effects are already
-    /// in the installed state).
+    /// in the installed state). A snapshot behind what this replica
+    /// applied (a donor lagging a live member) would undo operations the
+    /// stream will not deliver again: it is skipped.
     fn install_snapshot(&mut self, sh: &mut Shell, t: &Transfer) {
+        if t.high < self.next_apply {
+            return;
+        }
         let high = sh.base.install_transfer(t);
         self.next_apply = self.next_apply.max(high);
         self.waiting = self.waiting.split_off(&self.next_apply);

@@ -124,7 +124,7 @@ impl<F: Ordered> Stream<F> {
             };
             flow.deliver(sh, ctx, d.payload, mine);
         });
-        settle_rejoin(ab, &mut sh.base, ctx.now().ticks());
+        settle_rejoin(ab, sh, ctx.now().ticks());
     }
 }
 

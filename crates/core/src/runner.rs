@@ -288,12 +288,14 @@ impl RunConfig {
 
     /// Whether a member of the run can ever ask to be refilled from what
     /// the group delivered: true iff the fault plan or the membership
-    /// plan is non-empty. A crash, a volume loss, a join or a retiring
-    /// sequencer needs the ordering layer's replay log and arena spans
-    /// that outlive their last planned read; a run with neither plan
-    /// keeps no replay log and lets the arena retire spans.
+    /// plan is non-empty or the network loses messages. A crash, a volume
+    /// loss, a join, a retiring sequencer or a lost ordered message needs
+    /// the ordering layer's replay log and arena spans that outlive their
+    /// last planned read; any other run keeps no replay log and lets the
+    /// arena retire spans.
     pub fn can_replay(&self) -> bool {
-        !self.faults.events().is_empty() || !self.membership.is_empty()
+        let lossy = self.network.drop_prob > 0.0;
+        lossy || !self.faults.events().is_empty() || !self.membership.is_empty()
     }
 }
 

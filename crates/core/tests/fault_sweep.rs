@@ -7,8 +7,9 @@
 //! * **Liveness** — every plan the nemesis generates is fully healed, so
 //!   every client is eventually answered, for every technique.
 //! * **Safety** — techniques with a strong guarantee keep their merged
-//!   history one-copy serializable under faults, and replicas the plan
-//!   never disturbed end the run with identical store fingerprints.
+//!   history one-copy serializable under faults, and once every fault has
+//!   healed every replica ends the run with the same store fingerprint,
+//!   those the plan crashed or cut off included ([`RunReport::converged`]).
 //! * **Reproducibility** — the same seed yields tick-for-tick identical
 //!   runs: fingerprints, message counts and availability metrics.
 //!
@@ -16,10 +17,14 @@
 //! its failure detector implements the paper's fail-stop model, and a
 //! partitioned minority backup that suspects every lower rank promotes
 //! itself while clients can still reach it — classic split-brain. It is
-//! exercised for liveness but excluded from the 1SR claim.
+//! exercised for liveness but excluded from the 1SR claim and from
+//! convergence: both sides of the cut commit, and nothing reconciles them
+//! after the heal (30 of the 40 runs of seeds 0–19 × intensity 0.4 / 0.8
+//! end diverged). Two techniques still leave a replica behind on some
+//! seeds; [`STILL_DIVERGES`] names them and holds them to it.
 
 use repl_core::{run, Guarantee, Propagation, RunConfig, RunReport, Technique};
-use repl_sim::{NodeId, SimDuration, SimTime};
+use repl_sim::{SimDuration, SimTime};
 use repl_workload::{FaultPlan, WorkloadSpec};
 
 const SERVERS: u32 = 5;
@@ -50,30 +55,28 @@ fn sweep_cfg(technique: Technique, seed: u64, intensity: f64) -> (RunConfig, Fau
     (cfg, plan)
 }
 
-/// Fingerprints of the replicas the plan never disturbed (site, fp).
-fn untouched_fingerprints(report: &RunReport, plan: &FaultPlan) -> Vec<(u32, u64)> {
-    let disturbed = plan.disturbed_nodes();
-    (0..SERVERS)
-        .filter(|&s| !disturbed.contains(&NodeId::new(s)))
-        .map(|s| (s, report.fingerprints[s as usize]))
-        .collect()
-}
+/// Runs this sweep still ends diverged, by technique and seed; any other
+/// run must converge, and these must not (a fix lists itself here).
+/// Semi-Passive: a member cut off while instances decide keeps the later
+/// decisions behind the instance it missed, and nothing asks for it. Lazy
+/// Update Everywhere: its last-writer-wins propagation carries no
+/// per-origin sequence, so no receiver can see what it missed.
+const STILL_DIVERGES: [(Technique, &[u64]); 2] = [
+    (Technique::SemiPassive, &[7]),
+    (Technique::LazyUpdateEverywhere, &[7, 42]),
+];
 
-fn assert_untouched_converged(
-    technique: Technique,
-    seed: u64,
-    report: &RunReport,
-    plan: &FaultPlan,
-) {
-    let untouched = untouched_fingerprints(report, plan);
-    assert!(
-        untouched.len() >= 2,
-        "{technique} seed {seed}: nemesis disturbed too many replicas: {:?}",
-        plan.disturbed_nodes()
-    );
-    assert!(
-        untouched.windows(2).all(|w| w[0].1 == w[1].1),
-        "{technique} seed {seed}: untouched replicas diverged: {untouched:?}"
+fn assert_converged(technique: Technique, seed: u64, report: &RunReport) {
+    let listed = STILL_DIVERGES
+        .iter()
+        .any(|(t, seeds)| *t == technique && seeds.contains(&seed));
+    assert_eq!(
+        report.converged(),
+        !listed,
+        "{technique} seed {seed}: converged() is {} after the heal ({:x?}); \
+         STILL_DIVERGES lists it: {listed}",
+        report.converged(),
+        report.fingerprints
     );
 }
 
@@ -124,8 +127,8 @@ fn composed_nemesis_run_completes_for_every_technique() {
     }
 }
 
-/// Strong techniques stay one-copy serializable and their undisturbed
-/// replicas converge, across a small grid of seeded plans.
+/// Strong techniques stay one-copy serializable and every replica
+/// converges after the heal, across a small grid of seeded plans.
 #[test]
 fn strong_techniques_stay_serializable_and_converge_under_faults() {
     for technique in Technique::ALL {
@@ -136,12 +139,13 @@ fn strong_techniques_stay_serializable_and_converge_under_faults() {
         // failure detector cannot tell a partitioned minority backup from
         // a dead primary, the backup promotes itself, and both sides of
         // the cut commit — split-brain. Liveness for it is covered by the
-        // composition test; the 1SR claim is out of its failure model.
+        // composition test; 1SR and convergence are out of its failure
+        // model.
         if technique == Technique::EagerPrimary {
             continue;
         }
         for &(seed, intensity) in &[(7u64, 0.4), (42u64, 0.8)] {
-            let (cfg, plan) = sweep_cfg(technique, seed, intensity);
+            let (cfg, _) = sweep_cfg(technique, seed, intensity);
             let report = run(&cfg);
             assert_eq!(
                 report.ops_unanswered, 0,
@@ -150,24 +154,24 @@ fn strong_techniques_stay_serializable_and_converge_under_faults() {
             report.check_one_copy_serializable().unwrap_or_else(|e| {
                 panic!("{technique} seed {seed}: 1SR violated under faults: {e}")
             });
-            assert_untouched_converged(technique, seed, &report, &plan);
+            assert_converged(technique, seed, &report);
         }
     }
 }
 
-/// Lazy techniques answer everything and their undisturbed replicas
-/// converge once propagation drains after the heal.
+/// Lazy techniques answer everything and every replica converges once
+/// propagation drains after the heal.
 #[test]
-fn lazy_techniques_untouched_replicas_converge_after_heal() {
+fn lazy_techniques_converge_after_heal() {
     for &technique in &[Technique::LazyPrimary, Technique::LazyUpdateEverywhere] {
         for seed in [7u64, 42] {
-            let (cfg, plan) = sweep_cfg(technique, seed, 0.5);
+            let (cfg, _) = sweep_cfg(technique, seed, 0.5);
             let report = run(&cfg);
             assert_eq!(
                 report.ops_unanswered, 0,
                 "{technique} seed {seed}: clients left unanswered"
             );
-            assert_untouched_converged(technique, seed, &report, &plan);
+            assert_converged(technique, seed, &report);
         }
     }
 }
@@ -177,8 +181,8 @@ fn lazy_techniques_untouched_replicas_converge_after_heal() {
 /// ordering layer is staging transactions into batches. Liveness must
 /// hold (no client stranded by a batch whose flush raced a failover),
 /// and batch delivery must stay all-or-nothing: a partially applied
-/// batch would split the stores of replicas the plan never disturbed
-/// (convergence check) or commit a torn prefix (1SR check).
+/// batch would split the replicas' stores (convergence check) or commit
+/// a torn prefix (1SR check).
 #[test]
 fn composed_faults_with_batching_window() {
     use repl_core::protocols::common::AbcastImpl;
@@ -192,7 +196,7 @@ fn composed_faults_with_batching_window() {
     ];
     for technique in abcast_based {
         for ab in [AbcastImpl::Sequencer, AbcastImpl::Consensus] {
-            let (cfg, plan) = sweep_cfg(technique, 42, 0.6);
+            let (cfg, _) = sweep_cfg(technique, 42, 0.6);
             let cfg = cfg.with_abcast(ab).with_batching(BatchConfig::window(500));
             let report = run(&cfg);
             assert_eq!(
@@ -206,7 +210,7 @@ fn composed_faults_with_batching_window() {
             report.check_one_copy_serializable().unwrap_or_else(|e| {
                 panic!("{technique}/{ab:?}: 1SR violated with batching under faults: {e}")
             });
-            assert_untouched_converged(technique, 42, &report, &plan);
+            assert_converged(technique, 42, &report);
         }
     }
 }

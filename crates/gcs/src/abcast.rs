@@ -162,6 +162,10 @@ pub struct SequencerAbcast<P> {
     // Own ids issued when the retransmit timer was armed: its firing
     // resends only the submissions below them.
     resend_below: u64,
+    // The receiver's hole at the last firing; `behind` once one outlived
+    // a period.
+    hole_seen: Option<u64>,
+    behind: bool,
     // Sequencer role.
     ordered: GseqIndex,
     next_gseq: u64,
@@ -185,6 +189,8 @@ impl<P: Message> SequencerAbcast<P> {
             retransmit_every: SimDuration::from_ticks(2_000),
             timer_armed: false,
             resend_below: 0,
+            hole_seen: None,
+            behind: false,
             ordered: GseqIndex::default(),
             next_gseq: 0,
             order_staged: Vec::new(),
@@ -334,10 +340,15 @@ impl<P: Message> SequencerAbcast<P> {
         }
     }
 
+    /// A hole the receiver is left with arms the retransmit timer.
     fn accept(&mut self, gseq: u64, id: MsgId, payload: P, out: &mut AbOutbox<P>) {
         self.log.pending.remove(&id);
         if self.member {
             self.recv.accept(gseq, id, payload, |d| out.event(d));
+            if !self.timer_armed && self.recv.hole().is_some() {
+                self.timer_armed = true;
+                self.arm_retransmit(out);
+            }
         }
     }
 }
@@ -385,7 +396,7 @@ impl<P: Message> TotalOrder<P> for SequencerAbcast<P> {
                 self.accept(g, id, payload, out);
             }
         }
-        self.timer_armed = !self.log.pending.is_empty() || wait;
+        self.timer_armed = !self.log.pending.is_empty() || wait || self.recv.hole().is_some();
         if self.timer_armed {
             self.arm_retransmit(out);
         }
@@ -398,6 +409,10 @@ impl<P: Message> TotalOrder<P> for SequencerAbcast<P> {
 
     fn take_rejoin_done(&mut self) -> Option<u64> {
         self.log.take_rejoin_done()
+    }
+
+    fn take_behind(&mut self) -> bool {
+        std::mem::take(&mut self.behind)
     }
 
     fn group(&self) -> &[NodeId] {
@@ -426,6 +441,10 @@ impl<P: Message> TotalOrder<P> for SequencerAbcast<P> {
 
     fn is_orderer(&self) -> bool {
         self.log.me == self.sequencer()
+    }
+
+    fn is_seq(&self) -> bool {
+        true
     }
 
     /// Ships the full retained order; the successor adopts the longer
@@ -521,14 +540,18 @@ impl<P: Message> Component for SequencerAbcast<P> {
             ORDER_FLUSH_TAG => self.flush_order(out),
             RETRANSMIT_TAG => {
                 let seq = self.sequencer();
+                let hole = self.recv.hole();
                 if self.log.rejoining() {
                     // An unanswered refill request (lost, or the
                     // sequencer itself was down): ask again.
                     let from = self.recv.position();
                     out.send(seq, AbMsg::Rejoin { from });
                 }
+                // The same hole a period ago: nothing will fill it.
+                self.behind |= !self.log.rejoining() && hole.is_some() && hole == self.hole_seen;
+                self.hole_seen = hole;
                 if self.log.pending.is_empty() {
-                    if self.log.rejoining() {
+                    if self.log.rejoining() || hole.is_some() {
                         self.arm_retransmit(out);
                     } else {
                         self.timer_armed = false;
@@ -1571,6 +1594,42 @@ mod tests {
             ordered_for(&mut out, group[2]),
             vec![(1, id(2, 0)), (3, id(2, 1)), (2, id(1, 0))]
         );
+    }
+
+    #[test]
+    fn a_member_reports_a_hole_once_it_outlived_a_retransmit_period() {
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let mut ab = SequencerAbcast::<u32>::new(group[2], group.clone());
+        let mut out = Outbox::new();
+        let ordered = |gseq| AbMsg::Ordered {
+            gseq,
+            id: MsgId::new(group[1], gseq),
+            payload: 0,
+        };
+        // In order: nothing parked, no timer.
+        ab.on_message(group[0], ordered(0), &mut out);
+        assert!(!out
+            .drain()
+            .iter()
+            .any(|a| matches!(a, crate::Action::SetTimer(..))));
+        // gseq 1 was lost: parking gseq 2 arms the retransmit timer.
+        ab.on_message(group[0], ordered(2), &mut out);
+        assert!(out
+            .drain()
+            .iter()
+            .any(|a| matches!(a, crate::Action::SetTimer(..))));
+        // A hole first seen at a firing may still fill.
+        ab.on_timer(RETRANSMIT_TAG, &mut out);
+        assert!(!ab.take_behind());
+        // The same hole a period later: reported once.
+        ab.on_timer(RETRANSMIT_TAG, &mut out);
+        assert!(ab.take_behind() && !ab.take_behind());
+        // Filled: the next firing disarms the timer and reports nothing.
+        ab.on_message(group[0], ordered(1), &mut out);
+        assert_eq!(ab.position(), 3);
+        out.drain();
+        ab.on_timer(RETRANSMIT_TAG, &mut out);
+        assert!(!ab.take_behind() && !ab.timer_armed && out.is_empty());
     }
 
     #[test]

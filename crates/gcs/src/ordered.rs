@@ -146,7 +146,8 @@ pub type AbOutbox<P> = Outbox<AbMsg<P>, AbDeliver<P>>;
 
 /// An Atomic Broadcast as a host drives it: a [`Component`] that hands
 /// the host [`AbDeliver`]s in one total order. The three flavours
-/// implement every method; none has a default.
+/// implement every method but two, whose default (false) only the
+/// sequencer overrides.
 pub trait TotalOrder<P: Message>: Component<Msg = AbMsg<P>, Event = AbDeliver<P>> {
     /// Broadcasts `payload` to the group; returns its id.
     fn broadcast(&mut self, payload: P, out: &mut AbOutbox<P>) -> MsgId;
@@ -185,6 +186,12 @@ pub trait TotalOrder<P: Message>: Component<Msg = AbMsg<P>, Event = AbDeliver<P>
     /// `Some(refill bytes)`, once, when a rejoin has caught up.
     fn take_rejoin_done(&mut self) -> Option<u64>;
 
+    /// True, once, when a hole in this member's stream outlived a retransmit
+    /// period: it must [`rejoin`](Self::rejoin) (consensus asks instead).
+    fn take_behind(&mut self) -> bool {
+        false
+    }
+
     /// The ordering group.
     fn group(&self) -> &[NodeId];
 
@@ -204,6 +211,12 @@ pub trait TotalOrder<P: Message>: Component<Msg = AbMsg<P>, Event = AbDeliver<P>
 
     /// True when this endpoint holds the group's ordering role.
     fn is_orderer(&self) -> bool;
+
+    /// True for the sequencer flavour, whose position counts gseqs: a
+    /// joiner can fast-forward to an applied cursor in gseq units there.
+    fn is_seq(&self) -> bool {
+        false
+    }
 
     /// Hands the ordering role and the retained order to `to`, after
     /// [`set_group`](Self::set_group) moved this process out.

@@ -49,6 +49,12 @@ impl<P> OrderedReceiver<P> {
         self.next_deliver
     }
 
+    /// The position, while a later message is parked behind it: the
+    /// first gseq this member is missing.
+    pub(crate) fn hole(&self) -> Option<u64> {
+        (!self.holdback.is_empty()).then_some(self.next_deliver)
+    }
+
     /// True once `id` has been handed to the host.
     pub(crate) fn has_delivered(&self, id: MsgId) -> bool {
         self.delivered.contains(id.origin, id.seq)

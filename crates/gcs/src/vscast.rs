@@ -175,12 +175,9 @@ pub enum VsEvent<P> {
         /// Application payload.
         payload: P,
     },
-    /// A new view was installed.
+    /// A new view was installed ([`ViewGroup::take_behind`] reports an
+    /// exclusion of the local process).
     ViewInstalled(View),
-    /// The local process was excluded from the group (false suspicion
-    /// or a crash detected by the survivors); it stops participating
-    /// until readmitted through [`ViewGroup::rejoin`].
-    Excluded(View),
 }
 
 /// Configuration of [`ViewGroup`].
@@ -257,6 +254,12 @@ pub struct ViewGroup<P> {
     /// A voluntary leave is in flight: suppress self-readmission when
     /// the exclusion lands.
     leaving: bool,
+    /// The heartbeat chain's generation: a tick of an older one is dropped.
+    fd_chain: u64,
+    /// See [`take_behind`](Self::take_behind); the lowest stream hole at
+    /// the last heartbeat tick.
+    behind: bool,
+    hole_seen: Option<(NodeId, Option<u64>)>,
     // Data plane (current view).
     next_seq: u64,
     fifo_next: HashMap<NodeId, u64>,
@@ -346,6 +349,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             cold,
             elastic: cold,
             leaving: false,
+            fd_chain: 0,
+            behind: false,
+            hole_seen: None,
             next_seq: 0,
             fifo_next: HashMap::new(),
             holdback: HashMap::new(),
@@ -395,19 +401,20 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         self.joining
     }
 
-    /// True once [`leave`](Self::leave) has been called: the coming (or
-    /// already observed) exclusion is voluntary and must not trigger a
-    /// rejoin.
-    pub fn is_leaving(&self) -> bool {
-        self.leaving
+    /// True, once, when this member missed what its view delivered while
+    /// it was alive — the group excluded it (not on its own leave), or a
+    /// stream hole outlived a heartbeat interval (nothing resends within a
+    /// view; only a view change's flush fills it) — so it should rejoin.
+    pub fn take_behind(&mut self) -> bool {
+        std::mem::take(&mut self.behind)
     }
 
     /// Proposes the current membership minus the local process (planned
     /// decommission). The group runs an ordinary view change; when the
     /// shrunk view installs, the local endpoint observes its own
-    /// exclusion ([`VsEvent::Excluded`]) and goes quiet. Hosts quiesce
-    /// application traffic *before* calling this, so nothing is buffered
-    /// when the exclusion lands.
+    /// exclusion ([`is_excluded`](Self::is_excluded)) and goes quiet.
+    /// Hosts quiesce application traffic *before* calling this, so
+    /// nothing is buffered when the exclusion lands.
     pub fn leave(&mut self, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
         if self.excluded || self.leaving {
             return;
@@ -436,7 +443,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
     /// request is retried until a view containing the local process is
     /// installed. Hosts should finish db-level state transfer *before*
     /// calling this, so the new view only ever contains caught-up
-    /// members; the join view's flush exchange covers the remainder.
+    /// members; the join view's flush exchange covers the remainder. The
+    /// shell acts on an exclusion ([`take_behind`](Self::take_behind)):
+    /// the host runs its recovery path, which ends here.
     pub fn rejoin(&mut self, out: &mut Outbox<VsMsg<P>, VsEvent<P>>) {
         self.excluded = false;
         // A singleton group has nobody to ask: the node *is* the view.
@@ -445,7 +454,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         // The restarted detector may fire Suspect immediately (pre-crash
         // miss counters survive the outage); drop those events — the
         // joiner must not propose view changes, and genuine crashes are
-        // re-detected by the regular ticks once readmitted.
+        // re-detected by the regular ticks once readmitted. A live member
+        // drops its old chain; a cold joiner keeps its boot chain too.
+        self.fd_chain += u64::from(!self.cold);
         self.drive_fd(out, true, |fd, sub| fd.on_start(sub));
         if self.joining {
             self.send_join(out);
@@ -668,7 +679,7 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         let marks = if beat { self.carry_marks() } else { None };
         let mut suspected = false;
         let wrap = |m| VsMsg::Fd(m, marks.clone());
-        out.absorb(&mut self.fd_out, FD_BASE, wrap, |_, e| {
+        out.absorb(&mut self.fd_out, FD_BASE + self.fd_chain, wrap, |_, e| {
             suspected |= matches!(e, FdEvent::Suspect(_));
         });
         suspected
@@ -751,18 +762,15 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
             return;
         }
         // Exclusion check against the highest decided membership.
-        if let Some((&nv, m)) = self.decided_views.iter().next_back() {
+        if let Some((_, m)) = self.decided_views.iter().next_back() {
             if !m.contains(&self.me) {
                 if self.joining {
                     // Readmission not decided yet; the JOIN_TAG retry
                     // keeps asking — don't self-exclude.
                     return;
                 }
-                self.excluded = true;
-                out.event(VsEvent::Excluded(View {
-                    id: nv,
-                    members: m.clone(),
-                }));
+                self.excluded = true; // and behind, unless it left
+                self.behind |= !self.leaving;
                 return;
             }
         }
@@ -936,8 +944,17 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
             }
         } else if tag >= CONS_BASE {
             self.drive_pool(out, |pool, sub| pool.on_timer(tag - CONS_BASE, sub));
-        } else if self.drive_fd(out, true, |fd, sub| fd.on_timer(tag - FD_BASE, sub)) {
-            self.maybe_change(out);
+        } else if tag == FD_BASE + self.fd_chain {
+            let parked = self.holdback.iter().filter(|(_, b)| !b.is_empty());
+            let hole = parked
+                .map(|(&o, _)| (o, self.fifo_next.get(&o).copied()))
+                .min();
+            let hole = hole.filter(|_| !self.is_changing() && !self.joining);
+            self.behind |= hole.is_some() && hole == self.hole_seen;
+            self.hole_seen = hole;
+            if self.drive_fd(out, true, |fd, sub| fd.on_timer(0, sub)) {
+                self.maybe_change(out);
+            }
         }
     }
 }
@@ -1436,8 +1453,8 @@ mod tests {
             let d = deliveries(&world, n);
             assert!(d.iter().any(|&(_, p)| p == 9), "missing at {n}: {d:?}");
         }
-        let vg = &world.actor_ref::<Host>(group[2]).inner;
-        assert!(vg.is_excluded() && vg.is_leaving());
+        let vg = &mut world.actor_mut::<Host>(group[2]).inner;
+        assert!(vg.is_excluded() && !vg.take_behind(), "a leave is no fall");
         let d = deliveries(&world, group[2]);
         assert!(
             !d.iter().any(|&(_, p)| p == 9),
@@ -1457,5 +1474,31 @@ mod tests {
             );
             assert!(!world.actor_ref::<Host>(n).inner.is_excluded());
         }
+    }
+
+    #[test]
+    fn a_stream_hole_that_outlives_a_heartbeat_puts_a_member_behind_once() {
+        let group: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let mut vg = ViewGroup::<u32>::new(group[2], group.clone(), VsConfig::default());
+        let mut out = Outbox::new();
+        vg.on_start(&mut out);
+        let data = |seq| VsMsg::Data {
+            view: 0,
+            origin: group[0],
+            seq,
+            payload: seq as u32,
+        };
+        // Seq 0 was lost; seq 1 waits behind it.
+        vg.on_message(group[0], data(1), &mut out);
+        vg.on_timer(FD_BASE, &mut out);
+        assert!(!vg.take_behind(), "first seen at this tick");
+        vg.on_timer(FD_BASE, &mut out);
+        assert!(vg.take_behind() && !vg.take_behind());
+        // A rejoin starts a new heartbeat chain: the old one's tick is
+        // dropped, and the hole counts afresh.
+        vg.rejoin(&mut out);
+        out.drain();
+        vg.on_timer(FD_BASE, &mut out);
+        assert!(out.is_empty(), "a stale chain ticked");
     }
 }

@@ -403,9 +403,8 @@ impl FaultPlan {
     /// listed wins a tie), and both endpoints of degraded (or cut)
     /// links — the destination misses traffic, and the source's delayed
     /// or dropped heartbeats can get it falsely suspected by the group.
-    /// Replicas outside this set saw every message a fault-free run would
-    /// have delivered to the same side of each cut, so convergence
-    /// assertions restrict themselves to the complement.
+    /// The nemesis keeps this set inside its tail victim pool, so rank 0
+    /// and a majority are never touched.
     pub fn disturbed_nodes(&self) -> BTreeSet<NodeId> {
         let mut disturbed = BTreeSet::new();
         for e in &self.events {
