@@ -809,13 +809,13 @@ impl Technique for EagerPrimary {
 
     /// The redo log lets a donor ship just the suffix past `have` (a server
     /// filling a gap of its own has a hole there, and refuses). The request
-    /// is proof of life: its sender is re-trusted *before* the transfer is
-    /// cut, so every later decision is multicast to it — no gap in between.
-    fn donate(&mut self, sh: &mut Shell, to: NodeId, have: u64) -> Option<Transfer> {
+    /// is proof of life: the shell's detector re-trusted its sender *before*
+    /// the transfer is cut, so every later decision is multicast to it — no
+    /// gap in between.
+    fn donate(&mut self, sh: &mut Shell, _to: NodeId, have: u64) -> Option<Transfer> {
         if self.resync {
             return None;
         }
-        sh.trust(to);
         Some(if self.wal.has_suffix(have) {
             Transfer::from_log(&self.wal, &sh.base.store, have)
         } else {

@@ -1009,9 +1009,9 @@ impl Technique for Eul {
 
     fn extra_stats(&self) -> ExtraStats {
         ExtraStats {
-            reconciliations: 0,
             wounds: self.wounds,
             spilled_locks: self.lm.spilled() as u64,
+            ..ExtraStats::default()
         }
     }
 }

@@ -20,7 +20,7 @@ use repl_sim::{Message, NodeId};
 use crate::op::{ClientOp, OpId, Response};
 use crate::phase::Phase;
 use crate::protocols::common::{global_txn, ExecutionMode};
-use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
+use crate::protocols::replica::{Ctx, ExtraStats, Replica, Shell, Technique, Wire};
 
 /// The update a primary ships to its backups.
 #[derive(Debug, Clone)]
@@ -58,6 +58,10 @@ impl Message for PassiveMsg {
             PassiveMsg::Vs(m) => 8 + m.wire_size(),
             PassiveMsg::Ack { .. } => 16,
         }
+    }
+
+    fn is_background(&self) -> bool {
+        matches!(self, PassiveMsg::Vs(m) if m.is_background())
     }
 }
 
@@ -348,6 +352,13 @@ impl Technique for Passive {
         if !sh.pull_state(ctx, None) {
             self.enter_view(sh, ctx);
             sh.base.recovery.complete(ctx.now().ticks());
+        }
+    }
+
+    fn extra_stats(&self) -> ExtraStats {
+        ExtraStats {
+            suspicions: self.vg.suspicions(),
+            ..ExtraStats::default()
         }
     }
 }

@@ -196,6 +196,10 @@ impl<P: Message> Message for Wire<P> {
             Wire::Proto(p) => p.wire_size(),
         }
     }
+
+    fn is_background(&self) -> bool {
+        matches!(self, Wire::Fd(_)) || matches!(self, Wire::Proto(p) if p.is_background())
+    }
 }
 
 /// The simulator context of an actor speaking [`Wire<P>`].
@@ -211,6 +215,9 @@ pub struct ExtraStats {
     /// Lock-table entries held outside the kernel's dense window
     /// ([`repl_db::LockManager::spilled`]); zero without a lock table.
     pub spilled_locks: u64,
+    /// Suspicions a failure detector the technique embeds raised (the
+    /// shell's own are [`Shell::suspicions`]).
+    pub suspicions: u64,
 }
 
 /// What makes a replica one technique rather than another: its
@@ -564,6 +571,11 @@ impl Shell {
         self.fd.as_ref().is_some_and(|fd| fd.is_suspected(node))
     }
 
+    /// Suspicions the heartbeat detector raised so far.
+    pub fn suspicions(&self) -> u64 {
+        self.fd.as_ref().map_or(0, HeartbeatFd::suspicions)
+    }
+
     /// (Re)starts heartbeats, dropping stale miss counters so the first
     /// tick cannot suspect a live peer on old evidence. The shell starts
     /// them at world start and on a welcome; a technique restarts them
@@ -573,15 +585,6 @@ impl Shell {
             fd.reset();
             fd.on_start(out);
         });
-    }
-
-    /// Clears any suspicion of `node` at once: proof of life that should
-    /// not wait for its next heartbeat (a recovering peer's `StateReq`).
-    /// The queued `Trust` event reaches no technique.
-    pub fn trust(&mut self, node: NodeId) {
-        if let Some(fd) = &mut self.fd {
-            fd.trust(node, &mut self.fd_out);
-        }
     }
 
     /// Feeds the heartbeat detector one input, sends what it queued and
@@ -917,10 +920,13 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
         if shell.base.restoring() {
             return; // deaf until the volume restore download completes
         }
+        // Any message is a heartbeat: a peer's `StateReq` is trusted
+        // again before it is donated to.
+        shell.feed_detector(tech, ctx, |fd, out| fd.heard(from, out));
         match msg {
             Wire::Invoke(op) => shell.invoke(tech, ctx, op),
             Wire::Member(m) => shell.on_member(tech, ctx, from, &m),
-            Wire::Fd(m) => shell.feed_detector(tech, ctx, |fd, out| fd.on_message(from, m, out)),
+            Wire::Fd(_) => {} // evidence, and only that
             Wire::Proto(m) => tech.on_protocol_msg(shell, ctx, from, m),
             Wire::Reply(_) => {} // a stray answer: only clients take replies
         }
@@ -944,6 +950,10 @@ impl<T: Technique> Actor<Wire<T::Msg>> for Replica<T> {
             DRAIN_TICK_TAG => shell.try_retire(tech, ctx),
             _ if shell.base.restoring() => {}
             FD_TICK_TAG => {
+                let now = ctx.now();
+                if let Some(fd) = &mut shell.fd {
+                    fd.note_sends(now, |peer| ctx.last_send(peer));
+                }
                 shell.feed_detector(tech, ctx, |fd, out| fd.on_timer(tag - FD_TICK_TAG, out))
             }
             _ => tech.on_protocol_timer(shell, ctx, tag),

@@ -24,7 +24,7 @@ use crate::phase::Phase;
 use crate::protocols::common::{
     global_txn, settle_rejoin, AbcastEndpoint, AbcastImpl, ExecutionMode,
 };
-use crate::protocols::replica::{Ctx, Replica, Shell, Technique, Wire};
+use crate::protocols::replica::{Ctx, ExtraStats, Replica, Shell, Technique, Wire};
 
 /// The leader's resolution of an operation's non-deterministic choices.
 #[derive(Debug, Clone)]
@@ -60,6 +60,10 @@ impl Message for SemiActiveMsg {
             SemiActiveMsg::Ab(m) => m.wire_size(),
             SemiActiveMsg::Vs(m) => 8 + m.wire_size(),
         }
+    }
+
+    fn is_background(&self) -> bool {
+        matches!(self, SemiActiveMsg::Vs(m) if m.is_background())
     }
 }
 
@@ -393,6 +397,13 @@ impl Technique for SemiActive {
 
     fn position(&self, _sh: &Shell) -> u64 {
         self.next_apply
+    }
+
+    fn extra_stats(&self) -> ExtraStats {
+        ExtraStats {
+            suspicions: self.vg.suspicions(),
+            ..ExtraStats::default()
+        }
     }
 }
 

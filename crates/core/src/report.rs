@@ -245,6 +245,9 @@ pub struct RunReport {
     pub reconciliations: u64,
     /// Wound-wait / detection victims across servers.
     pub wounds: u64,
+    /// Suspicions the servers' failure detectors raised (a fault-free run
+    /// raises none); not part of [`RunReport::digest`].
+    pub suspicions: u64,
     /// Server-side transaction aborts (wounds, certification failures).
     pub server_aborts: u64,
     /// Availability metrics (unavailability windows, failover latency,

@@ -756,6 +756,7 @@ struct ServerFold {
     aborts: u64,
     reconciliations: u64,
     wounds: u64,
+    suspicions: u64,
     recoveries: Vec<NodeRecovery>,
     durability: DurabilityReport,
     payload: repl_db::ArenaStats,
@@ -787,6 +788,7 @@ fn fold_servers<T: Flow>(
         aborts: 0,
         reconciliations: 0,
         wounds: 0,
+        suspicions: 0,
         recoveries: Vec::new(),
         durability: DurabilityReport {
             enabled: cfg.durability.enabled,
@@ -808,6 +810,7 @@ fn fold_servers<T: Flow>(
         let extra = srv.tech.extra_stats();
         fold.reconciliations += extra.reconciliations;
         fold.wounds += extra.wounds;
+        fold.suspicions += extra.suspicions + srv.shell.suspicions();
         // Sharded runs have founders only: each holds one shard.
         if let Some(map) = map {
             let (lo, hi) = map.range(site / cfg.servers);
@@ -943,6 +946,7 @@ fn report(
         records: tally.records,
         reconciliations: fold.reconciliations,
         wounds: fold.wounds,
+        suspicions: fold.suspicions,
         server_aborts: fold.aborts,
         availability,
         durability: fold.durability,

@@ -27,10 +27,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("p1/Passive/seed=8675309", 0xaeb55b3e90fdbb8f, 0xf0ff708dee65ec97),
     ("p1/Semi-Active/seed=11", 0x6ada1c57fa9511eb, 0xa8a12cf60e225598),
     ("p1/Semi-Active/seed=8675309", 0xa87a57fb7df47cf2, 0xa55c7c84085ef463),
-    ("p1/Semi-Passive/seed=11", 0x87da4b006c16ab6a, 0x15ef95f8b07ed075),
-    ("p1/Semi-Passive/seed=8675309", 0xb6f173160a5a9033, 0x5b67ee2ed75d5ee8),
-    ("p1/Eager Primary Copy/seed=11", 0xa3e93bfc9f4ed59c, 0xd4be1844a74094f7),
-    ("p1/Eager Primary Copy/seed=8675309", 0x2a503f0c08e4b1a2, 0x10ece1ee97ab6e91),
+    ("p1/Semi-Passive/seed=11", 0xd5ed2845227e9c97, 0xed1194de4c98733a),
+    ("p1/Semi-Passive/seed=8675309", 0x54ece34a61a18e60, 0xf562e5192f63d697),
+    ("p1/Eager Primary Copy/seed=11", 0x93816ae0febee9e4, 0x12e9509da859a9c3),
+    ("p1/Eager Primary Copy/seed=8675309", 0x01d95043e8a7d5ec, 0xc004e1e3aaba50ce),
     ("p1/Eager UE (Distributed Locking)/seed=11", 0x18f6f7fe78b4ed6c, 0x75c13defc84ab66e),
     ("p1/Eager UE (Distributed Locking)/seed=8675309", 0x3d7dd36a43417c1f, 0x8aa94f3d9004b24b),
     ("p1/Eager UE (ABCAST)/seed=11", 0xc45ff987911a8350, 0xa87184ffee8ba8c6),
@@ -47,22 +47,22 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("consensus/Certification Based", 0x38044560c9cda0fb, 0xcc40b507d329aebf),
     ("batched/Active/seq/w=250", 0xa9cfd31fedf0b54f, 0xebc195e4aeb8b648),
     ("batched/Certification/cons/w=1000", 0xb94246372c3785f6, 0x820302c84505831a),
-    ("batched/EagerPrimary/w=250", 0x974318d5c2a024f4, 0x1d23ceddc623fca8),
+    ("batched/EagerPrimary/w=250", 0xfb71134503ef095d, 0xaf4b84ffe4ae682f),
     ("outage/Active", 0x19aaa02a3d3a7117, 0x0c39f0b921412624),
     ("disaster/Active", 0x30afe2b7311e90cd, 0xf416352edffce55b),
     ("elastic/Active", 0x310debcccf91906d, 0x0f485d923312c61d),
     ("outage/Passive", 0x6f42436048d48a16, 0xbd386fb5e88dad50),
     ("disaster/Passive", 0x89c4791258d45b85, 0x65d620fd83eeccb5),
-    ("elastic/Passive", 0x1dcfc3cf5af94a87, 0x3dcbd67d473115a1),
+    ("elastic/Passive", 0xe9e774a089f0f774, 0x4f1f672b72d53372),
     ("outage/Semi-Active", 0x951652dc7a7fea4d, 0xcae686c49d5e510e),
     ("disaster/Semi-Active", 0xedfeb4f5216a432b, 0x37825eb91a82f6e4),
-    ("elastic/Semi-Active", 0x02369cf61c90f2f6, 0x941ca9217bd46e9a),
-    ("outage/Semi-Passive", 0x520b95ce5ef819aa, 0x3e0bbee4f62872b1),
-    ("disaster/Semi-Passive", 0xcc5aa13e566efbe1, 0x0e6437f47f2a6780),
-    ("elastic/Semi-Passive", 0xe45eda4fe4c6a116, 0x0345af2ed35b92f7),
-    ("outage/Eager Primary Copy", 0x93cd444577349c03, 0xd682babe0ff3affb),
-    ("disaster/Eager Primary Copy", 0xdcf6e85b5cd9ff8f, 0x4e96a029865052bc),
-    ("elastic/Eager Primary Copy", 0x0c57deb7d83ae3fe, 0x3d14ba303b145167),
+    ("elastic/Semi-Active", 0x2fdba66f98429f88, 0x5110192ea12ea7c5),
+    ("outage/Semi-Passive", 0x86052c78b3b108cb, 0x046affad2712bfed),
+    ("disaster/Semi-Passive", 0x6134ec88f9726a7b, 0xe111351d6c8bf923),
+    ("elastic/Semi-Passive", 0x89444985dfffbcdb, 0x8d42db6ae4b34557),
+    ("outage/Eager Primary Copy", 0x1627cc3a38a57a2a, 0xa3de5efb86cf0f71),
+    ("disaster/Eager Primary Copy", 0x2af9a46cc2fdd9c3, 0x591a5428d9a26021),
+    ("elastic/Eager Primary Copy", 0x4109f2d259c6e095, 0x96bc9065ae05dc3a),
     ("outage/Eager UE (Distributed Locking)", 0x0507e0a93d03af1c, 0x4ed1ced157237fca),
     ("disaster/Eager UE (Distributed Locking)", 0x8f1e1a9cf04a7540, 0xbd6a7afcd4555378),
     ("elastic/Eager UE (Distributed Locking)", 0x1776e7c445fe8d4d, 0x03739dab671e906d),
@@ -87,8 +87,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("open/Active", 0xdf2a1f098847a005, 0x26d774c013f39c7b),
     ("open/Certification Based", 0xe7598dfe11585843, 0xc32f78d4f4d1ca25),
     ("shard4/outage/ret=1/Passive", 0x27e0071f55515541, 0x2e735227a64d0121),
-    ("shard4/outage/ret=1/Semi-Passive", 0x9a035056edcbd971, 0xde8fe5c92865c2b3),
-    ("shard4/outage/ret=1/Eager Primary Copy", 0x3cfa97ac9f70608f, 0x5dbeb4307654f50a),
+    ("shard4/outage/ret=1/Semi-Passive", 0xe9a5c4f0df139fc5, 0xf1ffbde0eb072610),
+    ("shard4/outage/ret=1/Eager Primary Copy", 0x098f53c9381240d1, 0xebef089ed0ffad69),
     ("shard4/outage/ret=1/Lazy Primary Copy", 0x8dcbd42bb6de7b89, 0xae4b0eaedb930daa),
     ("shard4/outage/ret=1/Eager UE (Distributed Locking)", 0xffb44cd910cbe2e3, 0xc9486f1a7c11685c),
     ("shard4/disaster/Passive", 0x6a8e2615a7c4d391, 0xc97c250b98f3c4a1),

@@ -25,7 +25,9 @@
 //! per round, so a member whose estimate was adopted from round `r`'s
 //! proposal (timestamp `r + 1`) holds the value `Decide(r)` announces and
 //! decides it on the spot. Any other member asks the sender, which has
-//! decided and answers with the value; only that answer carries it. So in
+//! decided and answers with the value; only that answer carries it —
+//! unless the round's `Propose` arrives first, which is then the
+//! decision (no ack: the round is decided). So in
 //! a fault-free instance the value crosses each link once, in the
 //! proposal. Wire sizes: `Start` 16 B, `Estimate` 24 B plus the value and
 //! its 8-byte timestamp when it carries one, `Propose` 24 B plus the value,
@@ -161,6 +163,9 @@ struct Ballot<V> {
     /// Relay mask of the `Decide`s that arrived before this member could
     /// decide (a forgetful pool's, see [`Decided::heard`]).
     heard: u64,
+    /// The round a value-less `Decide` named before this member held its
+    /// proposal: that round's `Propose`, arriving late, is the decision.
+    told: Option<u64>,
 }
 
 impl<V> Default for Ballot<V> {
@@ -173,6 +178,7 @@ impl<V> Default for Ballot<V> {
             acks: Vec::new(),
             entered: false,
             heard: 0,
+            told: None,
         }
     }
 }
@@ -187,6 +193,7 @@ impl<V> Ballot<V> {
         self.acks.clear();
         self.entered = false;
         self.heard = 0;
+        self.told = None;
     }
 
     /// Adopts round `round`'s proposal `value` unless this member has
@@ -616,6 +623,9 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
                 let Some(b) = self.ballot(inst) else {
                     return; // decided: a late proposal changes nothing
                 };
+                if b.told == Some(round) {
+                    return self.decide(inst, round, value, out);
+                }
                 let Some(rearm) = b.adopt(round, value) else {
                     return; // promised a later round
                 };
@@ -656,8 +666,10 @@ impl<V: Clone + std::fmt::Debug + 'static> Component for ConsensusPool<V> {
                     (None, _) => {
                         // Ask the sender, which has decided and cannot
                         // have forgotten (it waits for this member's
-                        // relay). A round timer covers a lost question or
+                        // relay), unless the round's `Propose` arrives
+                        // first. A round timer covers a lost question or
                         // answer: an entered member's is armed already.
+                        b.told = Some(round);
                         let (r, est) = (b.round, b.est.clone());
                         if !std::mem::replace(&mut b.entered, true) {
                             out.timer(timeout, Self::tag(inst, r));
@@ -1272,6 +1284,41 @@ mod edge_tests {
                     }
                 ),
                 "{msg:?}"
+            );
+        }
+        assert_eq!(pools[1].decided(5), Some(&42));
+    }
+
+    #[test]
+    fn a_member_that_asked_decides_on_the_rounds_late_propose_without_acking() {
+        let mut pools = pools(3);
+        let held = decided_without_node_1(&mut pools);
+        let propose = (held.into_iter())
+            .find(|(_, _, m)| matches!(m, ConsMsg::Propose { round: 0, .. }))
+            .map(|(from, _, m)| (from, m))
+            .expect("round 0's proposal to node 1 was held");
+        let (n0, mut out) = (NodeId::new(0), Out::new());
+        let decide = ConsMsg::Decide {
+            inst: 5,
+            round: 0,
+            value: None,
+        };
+        pools[1].on_message(n0, decide, &mut out);
+        assert!(!decides_42(&out.drain()), "asked, not decided");
+        pools[1].on_message(propose.0, propose.1, &mut out);
+        let actions = out.drain();
+        assert!(decides_42(&actions), "{actions:?}");
+        for (_, m) in sends(actions) {
+            assert!(
+                matches!(
+                    m,
+                    ConsMsg::Decide {
+                        round: 0,
+                        value: None,
+                        ..
+                    }
+                ),
+                "only relays, no ack: {m:?}"
             );
         }
         assert_eq!(pools[1].decided(5), Some(&42));

@@ -161,6 +161,10 @@ impl<P: Message> Message for VsMsg<P> {
             VsMsg::Cons(c) => 8 + c.wire_size(),
         }
     }
+
+    fn is_background(&self) -> bool {
+        matches!(self, VsMsg::Fd(..))
+    }
 }
 
 /// Event delivered by [`ViewGroup`].
@@ -391,6 +395,11 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         }
     }
 
+    /// Suspicions its failure detector raised so far.
+    pub fn suspicions(&self) -> u64 {
+        self.fd.suspicions()
+    }
+
     /// True if the local process has been excluded.
     pub fn is_excluded(&self) -> bool {
         self.excluded
@@ -454,9 +463,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
         // The restarted detector may fire Suspect immediately (pre-crash
         // miss counters survive the outage); drop those events — the
         // joiner must not propose view changes, and genuine crashes are
-        // re-detected by the regular ticks once readmitted. A live member
-        // drops its old chain; a cold joiner keeps its boot chain too.
-        self.fd_chain += u64::from(!self.cold);
+        // re-detected by the regular ticks once readmitted. The old chain
+        // (a cold joiner's boot chain too) is dropped.
+        self.fd_chain += 1;
         self.drive_fd(out, true, |fd, sub| fd.on_start(sub));
         if self.joining {
             self.send_join(out);
@@ -668,7 +677,9 @@ impl<P: Clone + std::fmt::Debug + 'static> ViewGroup<P> {
     /// Runs `f` against the failure detector with the endpoint's own
     /// scratch outbox and forwards what it queued, the heartbeats of a
     /// `beat` carrying this member's marks if they changed; true if it
-    /// raised a new suspicion.
+    /// raised a new suspicion. The endpoint reports no sends to its
+    /// detector, so every tick beats to every peer: a beat usually
+    /// carries new marks, which nothing else carries.
     fn drive_fd(
         &mut self,
         out: &mut Outbox<VsMsg<P>, VsEvent<P>>,
@@ -866,6 +877,8 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
         if self.excluded {
             return;
         }
+        // Any message is a heartbeat.
+        self.drive_fd(out, false, |fd, sub| fd.heard(from, sub));
         match msg {
             VsMsg::Data {
                 view,
@@ -908,15 +921,12 @@ impl<P: Clone + std::fmt::Debug + 'static> Component for ViewGroup<P> {
                     .insert(from, received);
                 self.try_install(out);
             }
-            VsMsg::Fd(m, marks) => {
+            VsMsg::Fd(_, marks) => {
                 if let Some(k) = marks {
                     for &(o, n) in &k.delivered {
                         self.acks.insert((from, o), (k.view, n));
                     }
                     self.forget_stable();
-                }
-                if self.drive_fd(out, false, |fd, sub| fd.on_message(from, m, sub)) {
-                    self.maybe_change(out);
                 }
             }
             VsMsg::Cons(c) => {
@@ -1418,6 +1428,35 @@ mod tests {
         }
         let vg = &world.actor_ref::<Host>(j).inner;
         assert!(!vg.is_excluded() && !vg.is_joining());
+    }
+
+    #[test]
+    fn a_cold_joiner_sends_one_beat_per_peer_per_interval() {
+        // Once node 3 is admitted and the group is idle, each of the four
+        // members beats to each of its three peers once per interval: the
+        // joiner's boot chain stopped at its rejoin.
+        let (mut world, group) = build(3, 21);
+        let joiner = ComponentActor::new(ViewGroup::<u32>::join(
+            NodeId::new(3),
+            group.clone(),
+            VsConfig::default(),
+        ))
+        .with_step(repl_sim::SimDuration::from_ticks(10_000), |vg, out| {
+            vg.rejoin(out);
+        });
+        let j = world.add_actor(Box::new(joiner));
+        world.start();
+        world.run_until(SimTime::from_ticks(100_000));
+        assert_eq!(
+            installed_views(&world, j).last().map(|v| v.members.len()),
+            Some(4)
+        );
+        let intervals = 40;
+        let before = world.metrics().background_messages;
+        let interval = VsConfig::default().fd.interval;
+        world.run_until(SimTime::from_ticks(100_000) + interval.times(intervals));
+        let beats = world.metrics().background_messages - before;
+        assert_eq!(beats, 4 * 3 * intervals, "beats over {intervals} intervals");
     }
 
     #[test]

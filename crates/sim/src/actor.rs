@@ -38,6 +38,14 @@ pub trait Message: Clone + std::fmt::Debug + 'static {
     fn clone_is_cheap(&self) -> bool {
         false
     }
+
+    /// Whether this message is background traffic — a failure detector's
+    /// heartbeat — rather than protocol traffic. Background sends are
+    /// also counted in [`crate::Metrics::background_messages`] and
+    /// [`crate::Metrics::background_bytes`].
+    fn is_background(&self) -> bool {
+        false
+    }
 }
 
 impl Message for () {

@@ -22,6 +22,11 @@ pub struct Metrics {
     /// opposed to client request/response traffic. Zero unless the
     /// config names a coordination set.
     pub coordination_messages: u64,
+    /// Background messages ([`crate::Message::is_background`]: failure
+    /// detector heartbeats) — a share of `messages_sent`.
+    pub background_messages: u64,
+    /// Bytes of the background messages — a share of `bytes_sent`.
+    pub background_bytes: u64,
     /// Messages actually handed to an actor.
     pub messages_delivered: u64,
     /// Messages lost to the network, partitions, or dead destinations.

@@ -35,8 +35,9 @@ pub struct SimConfig {
     pub trace_capacity: usize,
     /// Nodes `0..coordination_nodes` form the coordination set (typically
     /// the replica servers): messages with both endpoints inside it are
-    /// additionally counted in [`Metrics::coordination_messages`]. Zero
-    /// (the default) disables the classification.
+    /// additionally counted in [`Metrics::coordination_messages`], and
+    /// their links' last send times kept for [`Context::last_send`]. Zero
+    /// (the default) disables both.
     pub coordination_nodes: u32,
 }
 
@@ -127,6 +128,9 @@ struct Core<M> {
     trace: TraceLog,
     metrics: Metrics,
     coordination_nodes: u32,
+    /// Send time of the last message the network accepted per
+    /// coordination link, dense `src * coordination_nodes + dst`.
+    last_send: Vec<SimTime>,
     next_timer: u64,
     cancelled: HashSet<u64>,
     alive: Vec<bool>,
@@ -144,15 +148,22 @@ impl<M: Message> Core<M> {
     fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M) {
         let bytes = msg.wire_size();
         self.metrics.messages_sent += 1;
-        if src.raw() < self.coordination_nodes && dst.raw() < self.coordination_nodes {
-            self.metrics.coordination_messages += 1;
-        }
+        let coord = src.raw() < self.coordination_nodes && dst.raw() < self.coordination_nodes;
+        self.metrics.coordination_messages += u64::from(coord);
         self.metrics.bytes_sent += bytes as u64;
+        if msg.is_background() {
+            self.metrics.background_messages += 1;
+            self.metrics.background_bytes += bytes as u64;
+        }
         if self.trace.is_enabled() {
             self.trace
                 .record(self.now, src, TraceEvent::MsgSent { to: dst, bytes });
         }
-        match self.network.offer(&mut self.rng, self.now, src, dst) {
+        let delivery = self.network.offer(&mut self.rng, self.now, src, dst);
+        if coord && delivery != Delivery::Dropped {
+            self.last_send[src.index() * self.coordination_nodes as usize + dst.index()] = self.now;
+        }
+        match delivery {
             Delivery::At(t) => self.push(
                 t,
                 Event::Deliver {
@@ -188,6 +199,17 @@ impl<'a, M: Message> Context<'a, M> {
     /// The node id of the running actor.
     pub fn me(&self) -> NodeId {
         self.me
+    }
+
+    /// When this node last sent `to` a message the network accepted:
+    /// tracked between coordination nodes only
+    /// ([`SimConfig::coordination_nodes`]), [`SimTime::ZERO`] otherwise
+    /// or before the first.
+    pub fn last_send(&self, to: NodeId) -> SimTime {
+        let n = self.core.coordination_nodes as usize;
+        let (src, dst) = (self.me.index(), to.index());
+        let link = (src < n && dst < n).then(|| src * n + dst);
+        link.map_or(SimTime::ZERO, |l| self.core.last_send[l])
     }
 
     /// Sends `msg` to `to`, subject to the network model. Sending to
@@ -312,6 +334,7 @@ impl<M: Message> World<M> {
                 trace,
                 metrics: Metrics::default(),
                 coordination_nodes: config.coordination_nodes,
+                last_send: vec![SimTime::ZERO; (config.coordination_nodes as usize).pow(2)],
                 next_timer: 0,
                 cancelled: HashSet::new(),
                 alive: Vec::new(),

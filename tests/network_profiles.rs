@@ -152,3 +152,40 @@ fn consensus_abcast_tolerates_loss_too() {
     // All replicas that received everything agree.
     assert!(report.converged() || report.fingerprints.len() > 1);
 }
+
+#[test]
+fn a_fault_free_run_raises_no_suspicion_on_a_lan_or_a_wan() {
+    // Protocol traffic stands in for heartbeats over a busy link; the
+    // think time leaves links idle for whole intervals, so beats are
+    // skipped in some intervals and sent in others.
+    let detectors = [
+        Technique::Passive,
+        Technique::SemiActive,
+        Technique::SemiPassive,
+        Technique::EagerPrimary,
+    ];
+    for technique in detectors {
+        for n in [3, 5] {
+            for (profile, net) in [("LAN", NetworkConfig::lan()), ("WAN", NetworkConfig::wan())] {
+                let think = SimDuration::from_ticks(net.base_latency.ticks() * 3);
+                for seed in 0..4 {
+                    let cfg = RunConfig::new(technique)
+                        .with_servers(n)
+                        .with_clients(2)
+                        .with_seed(seed)
+                        .with_network(net.clone())
+                        .with_trace(false)
+                        .with_workload(updates(10).with_think_time(think));
+                    let report = run(&cfg);
+                    let at = format!("{technique}, n = {n}, {profile}, seed {seed}");
+                    assert_eq!(report.ops_unanswered, 0, "{at}");
+                    assert_eq!(report.suspicions, 0, "{at}: a false suspicion");
+                    // No member was excluded and readmitted: a VSCAST
+                    // host kept its first view.
+                    assert!(report.availability.recoveries.is_empty(), "{at}");
+                    assert!(report.messages.background_messages > 0, "{at}");
+                }
+            }
+        }
+    }
+}
